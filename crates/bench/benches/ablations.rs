@@ -1,7 +1,7 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * **Sweep scheduling** — the paper's restart-on-rewrite loop vs.
-//!   continuing the sweep after a view refresh.
+//! * **Sweep scheduling** — the paper's restart-on-rewrite scan vs.
+//!   the incremental dirty-node worklist.
 //! * **Alternate order** — PyPM tries alternates in definition order
 //!   (§2.1); measuring a model whose scale spelling matches the first
 //!   vs. the last alternate quantifies the backtracking cost of a bad
@@ -12,7 +12,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pypm_dsl::LibraryConfig;
-use pypm_engine::{PassConfig, Pipeline, RewritePass, Session, SweepPolicy};
+use pypm_engine::{Pipeline, RewritePass, Session, SweepPolicy};
 use pypm_models::{GeluVariant, ScaleVariant, TransformerConfig};
 
 fn bench_sweep_policy(c: &mut Criterion) {
@@ -22,24 +22,22 @@ fn bench_sweep_policy(c: &mut Criterion) {
         .into_iter()
         .find(|m| m.name == "bert-base")
         .unwrap();
-    for (name, policy) in [
-        ("restart", SweepPolicy::RestartOnRewrite),
-        ("continue", SweepPolicy::ContinueSweep),
-    ] {
-        group.bench_with_input(BenchmarkId::from_parameter(name), &policy, |b, &policy| {
-            b.iter(|| {
-                let mut s = Session::new();
-                let mut g = cfg.build(&mut s);
-                let rules = s.load_library(LibraryConfig::both());
-                Pipeline::new(&mut s)
-                    .with(RewritePass::new(rules).config(PassConfig {
-                        sweep_policy: policy,
-                        ..Default::default()
-                    }))
-                    .run(&mut g)
-                    .unwrap()
-            })
-        });
+    for policy in SweepPolicy::ALL {
+        group.bench_with_input(
+            BenchmarkId::from_parameter(policy.name()),
+            &policy,
+            |b, &policy| {
+                b.iter(|| {
+                    let mut s = Session::new();
+                    let mut g = cfg.build(&mut s);
+                    let rules = s.load_library(LibraryConfig::both());
+                    Pipeline::new(&mut s)
+                        .with(RewritePass::new(rules).policy(policy))
+                        .run(&mut g)
+                        .unwrap()
+                })
+            },
+        );
     }
     group.finish();
 }

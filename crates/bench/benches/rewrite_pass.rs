@@ -64,8 +64,8 @@ fn bench_tv_pass(c: &mut Criterion) {
 }
 
 fn bench_sweep_policies(c: &mut Criterion) {
-    // The scheduling ablation: restart (paper-faithful) vs continue vs
-    // the incremental dirty-node worklist, on the acceptance model.
+    // The scheduling ablation: restart (paper-faithful) vs the
+    // incremental dirty-node worklist, on the acceptance model.
     let mut group = c.benchmark_group("sweep_policy");
     group.sample_size(10);
     let cfg = pypm_models::hf_zoo()

@@ -29,7 +29,7 @@ pub const CONFIG_NAMES: [&str; 4] = ["baseline", "fmha", "epilog", "both"];
 
 /// The sweep-policy series every `BENCH_rewrite_pass.json` row tracks,
 /// in schema order (`SweepPolicy::ALL`, by its stable names).
-pub const POLICY_NAMES: [&str; 3] = ["restart", "continue", "incremental"];
+pub const POLICY_NAMES: [&str; 2] = ["restart", "incremental"];
 
 /// The worker counts every policy series is measured at (schema v3's
 /// per-jobs sub-series). `1` is the serial reference; `4` exercises the
@@ -463,7 +463,11 @@ pub fn rules_scaling_row(
             let rules = session.load_library(lib);
             rule_patterns = rules.patterns.len();
             let report = Pipeline::new(&mut session)
-                .with(RewritePass::new(rules).matcher(backend))
+                .with(
+                    RewritePass::new(rules)
+                        .policy(SweepPolicy::RestartOnRewrite)
+                        .matcher(backend),
+                )
                 .run(&mut graph)
                 .expect("rewrite pass succeeds");
             let total = report.total();
@@ -791,7 +795,7 @@ mod tests {
             row.policies.iter().map(|p| p.policy).collect::<Vec<_>>(),
             POLICY_NAMES
         );
-        let (restart, incremental) = (&row.policies[0], &row.policies[2]);
+        let (restart, incremental) = (&row.policies[0], &row.policies[1]);
         assert_eq!(restart.mean_rewrites_fired, incremental.mean_rewrites_fired);
         assert!(incremental.mean_match_attempts <= restart.mean_match_attempts);
         assert_eq!(incremental.mean_view_builds, 1.0);

@@ -79,27 +79,6 @@ fn truncate(s: &str, max: usize) -> String {
     format!("{head}… ({} chars)", s.chars().count())
 }
 
-/// The legacy name of [`explain_at`].
-///
-/// Deprecated: call [`explain_at`] for one-off per-node diagnostics, or
-/// attach an [`ExplainObserver`] to a [`crate::Pipeline`] to watch
-/// matches fire and get rejected across a whole compilation.
-#[deprecated(
-    since = "0.2.0",
-    note = "use explain_at, or attach an ExplainObserver to a Pipeline; \
-            see the migration table in the pypm-engine crate docs"
-)]
-pub fn explain_match(
-    session: &mut Session,
-    rules: &RuleSet,
-    graph: &Graph,
-    node: NodeId,
-    pattern_name: &str,
-    fuel: u64,
-) -> Option<Explanation> {
-    explain_at(session, rules, graph, node, pattern_name, fuel)
-}
-
 /// Runs one named pattern at one node with tracing enabled and explains
 /// the outcome. Returns `None` for unknown patterns or unreachable
 /// nodes.

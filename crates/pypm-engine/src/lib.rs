@@ -16,9 +16,9 @@
 //!   abstract machine over graph term-views, with ordered guarded rule
 //!   firing and [`PassStats`] (the raw data behind the paper's
 //!   compile-time figures 12–13),
-//! * [`SweepPolicy`] — the pass's scheduler: restart (paper-faithful),
-//!   continue, or the incremental dirty-node worklist (see the table
-//!   below),
+//! * [`SweepPolicy`] — the scan's candidate set: the incremental
+//!   dirty-node worklist (default) or the paper-faithful restart scan
+//!   kept as its oracle (see the table below),
 //! * [`PartitionPass`] — directed graph partitioning (§4.2), published
 //!   as a pipeline artifact,
 //! * [`ExplainObserver`] / [`explain_at`] — live match/rewrite
@@ -26,27 +26,26 @@
 //!
 //! ## Sweep policies
 //!
-//! All three schedulers reach the same fixpoint; restart and
-//! incremental are byte-identical down to node ids:
+//! Both policies run the same scan loop and are byte-identical down
+//! to node ids; they differ only in which nodes a round re-examines:
 //!
-//! | [`SweepPolicy`] | after a rewrite fires | matching cost | term-view cost |
-//! |---|---|---|---|
-//! | `RestartOnRewrite` (default) | rescan from the first node | O(graph × rewrites) visits | one build, then one O(cone) marking [`pypm_graph::TermView::patch`] per rewrite |
-//! | `ContinueSweep` | patch the view, keep sweeping | one full sweep per fixpoint round | one build, then one O(cone) marking patch per rewrite |
-//! | `Incremental` | re-enqueue only the rewrite's cone of influence | O(initial graph + Σ cone sizes) | one build, then one O(cone) marking patch per rewrite |
+//! | [`SweepPolicy`] | after a rewrite fires | matching cost |
+//! |---|---|---|
+//! | `Incremental` (default) | re-enqueue only the rewrite's cone of influence | O(initial graph + Σ cone sizes) visits |
+//! | `RestartOnRewrite` (reference/oracle) | rescan from the first node | O(graph × rewrites) visits |
 //!
-//! All three policies share the same sublinear view maintenance now:
-//! one [`pypm_graph::TermView::build`], then **lazy in-place patches**
-//! — a patch marks the rewrite's cone stale (a pointer walk over the
-//! graph's incrementally maintained reverse adjacency) and drops the
-//! marked nodes from the ordered first-producer index; terms recompute
-//! on demand when the scheduler next visits a node
-//! ([`pypm_graph::TermView::term_of_repaired`]), so nodes dirtied by
-//! several consecutive rewrites recompute once. A fully repaired view
-//! is contractually indistinguishable from a rebuild, which is why
-//! even the paper-faithful restart *scan* no longer pays a per-sweep
-//! rebuild. The recomputes are measured by the `nodes_reindexed`
-//! counter — ~14× below the old linear-refresh floor on bert-small.
+//! View maintenance is shared: one [`pypm_graph::TermView::build`],
+//! then **lazy in-place patches** — a patch marks the rewrite's cone
+//! stale (a pointer walk over the graph's incrementally maintained
+//! reverse adjacency) and drops the marked nodes from the ordered
+//! first-producer index; terms recompute on demand when the scan next
+//! visits a node ([`pypm_graph::TermView::term_of_repaired`]), so nodes
+//! dirtied by several consecutive rewrites recompute once. A fully
+//! repaired view is contractually indistinguishable from a rebuild,
+//! which is why even the paper-faithful restart *scan* pays no
+//! per-round rebuild. The recomputes are measured by the
+//! `nodes_reindexed` counter — ~14× below the old linear-refresh floor
+//! on bert-small.
 //!
 //! The worklist invariants behind `Incremental` (why skipping clean
 //! nodes is sound, why the firing order matches restarting exactly) are
@@ -83,7 +82,7 @@
 //! (topo-order, rule-priority) order and performs every guard
 //! evaluation, identity rejection and graph mutation single-threaded.
 //! Firing sequences, final graphs and all [`PassStats`] counters are
-//! therefore **byte-identical to `jobs = 1`** under all three sweep
+//! therefore **byte-identical to `jobs = 1`** under both sweep
 //! policies and any batch size — `tests/parallel_equivalence.rs`
 //! (crate `pypm`) proves it zoo-wide, and the batch proptest in
 //! `pass_properties.rs` randomizes batch size alongside jobs. Because
@@ -104,25 +103,6 @@
 //! additive `parallel` block of [`PipelineReport::to_json`]; the shard
 //! scheduler lives in [`shard`], its chunking utilities in
 //! [`pypm_perf::parallel`], the pool in [`pypm_perf::pool`].
-//!
-//! ## Migrating from the legacy entry points
-//!
-//! The pre-pipeline API still compiles behind thin deprecated shims that
-//! drive exactly the same engine code:
-//!
-//! | legacy | replacement |
-//! |---|---|
-//! | `Rewriter::new(&mut s, &rules).run(&mut g)` | `Pipeline::new(&mut s).with(RewritePass::new(rules)).run(&mut g)` |
-//! | `Rewriter::new(..).with_config(cfg).run(..)` | `RewritePass::new(rules).config(cfg)` (or `.policy(..)` / `.machine_fuel(..)` / `.max_rewrites(..)`) |
-//! | `Rewriter::new(..).find_matches(&g, "P")` | the free [`find_matches`]`(&mut s, &rules, &g, "P")` |
-//! | `partition(&mut s, &rules, &g, "P")` | `Pipeline::new(&mut s).with(PartitionPass::new("P").with_rules(rules))`, then `report.artifact::<Vec<Partition>>(PartitionPass::ARTIFACT)` |
-//! | `explain_match(..)` | [`explain_at`]`(..)` for one node, or an [`ExplainObserver`] attached via `Pipeline::observe` for a whole compilation |
-//! | inspecting `PassStats` by hand | `PipelineReport::total()`, per-pass `PipelineReport::passes()`, machine-readable `PipelineReport::to_json()` |
-//!
-//! A legacy `Rewriter::run` and a `Pipeline` with one `RewritePass`
-//! produce byte-identical [`PassStats`] counters — the equivalence suite
-//! in `tests/pipeline_equivalence.rs` (crate `pypm`) proves it across
-//! the full model zoo and both sweep policies.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -144,15 +124,6 @@ pub use pass::{
     RejectReason, RewriteFired, Severity,
 };
 pub use pipeline::{Pipeline, PipelineError, PipelineReport};
-pub use rewriter::{
-    find_matches, MatchReport, PassConfig, PassStats, RewriteError, RewritePass, SweepPolicy,
-};
+pub use rewriter::{find_matches, MatchReport, PassStats, RewriteError, RewritePass, SweepPolicy};
 pub use session::Session;
 pub use shard::{ParallelConfig, ParallelStats};
-
-#[allow(deprecated)]
-pub use explain::explain_match;
-#[allow(deprecated)]
-pub use partition::partition;
-#[allow(deprecated)]
-pub use rewriter::Rewriter;

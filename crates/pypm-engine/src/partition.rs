@@ -4,7 +4,7 @@
 //! > subgraphs that we know can be optimized, and then recursively
 //! > compile them."
 //!
-//! [`partition`] finds all matches of a pattern (typically Fig. 14's
+//! [`PartitionPass`] finds all matches of a pattern (typically Fig. 14's
 //! `MatMulEpilog`), then greedily claims non-overlapping matched regions,
 //! preferring larger matches. Each [`Partition`] records the region's
 //! root, its member nodes (the machine's structural coverage), and its
@@ -38,31 +38,10 @@ impl Partition {
     }
 }
 
-/// The legacy partitioning entry point.
-///
-/// Deprecated: run a [`PartitionPass`] in a [`crate::Pipeline`] instead
-/// and read the `Vec<Partition>` back from the report's
-/// [`PartitionPass::ARTIFACT`] — same greedy claiming, plus pipeline
-/// instrumentation and diagnostics.
-#[deprecated(
-    since = "0.2.0",
-    note = "use Pipeline::new(&mut session).with(PartitionPass::new(pattern).with_rules(rules)) \
-            and report.artifact::<Vec<Partition>>(PartitionPass::ARTIFACT); \
-            see the migration table in the pypm-engine crate docs"
-)]
-pub fn partition(
-    session: &mut Session,
-    rules: &RuleSet,
-    graph: &Graph,
-    pattern_name: &str,
-) -> Vec<Partition> {
-    partition_impl(session, rules, graph, pattern_name)
-}
-
 /// Partitions `graph` by the named pattern, greedily claiming
 /// non-overlapping regions from largest to smallest (ties broken toward
 /// nodes closer to the outputs).
-fn partition_impl(
+fn partition(
     session: &mut Session,
     rules: &RuleSet,
     graph: &Graph,
@@ -220,7 +199,7 @@ impl Pass for PartitionPass {
         if rules.find(&self.pattern).is_none() {
             cx.warn(format!("pattern {} not in the rule set", self.pattern));
         }
-        let parts = partition_impl(session, rules, graph, &self.pattern);
+        let parts = partition(session, rules, graph, &self.pattern);
         cx.note(format!(
             "{} {} partitions over {} nodes",
             parts.len(),
@@ -232,14 +211,20 @@ impl Pass for PartitionPass {
     }
 }
 
-// The unit tests drive the deprecated `partition` shim on purpose: they
-// pin down the exact legacy behaviour the shim must preserve.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use pypm_dsl::LibraryConfig;
+    use crate::Pipeline;
     use pypm_graph::{DType, TensorMeta};
+
+    fn partitions(s: &mut Session, rs: &RuleSet, g: &mut Graph, pattern: &str) -> Vec<Partition> {
+        Pipeline::new(s)
+            .with(PartitionPass::new(pattern).with_rules(rs.clone()))
+            .run(g)
+            .unwrap()
+            .take_artifact(PartitionPass::ARTIFACT)
+            .unwrap()
+    }
 
     fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
         g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.to_vec()))
@@ -265,7 +250,7 @@ mod tests {
             .unwrap();
         g.mark_output(ge);
 
-        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
+        let parts = partitions(&mut s, &rs, &mut g, "MatMulEpilog");
         assert_eq!(parts.len(), 1);
         let p = &parts[0];
         assert_eq!(p.root, ge);
@@ -304,7 +289,7 @@ mod tests {
             .unwrap();
         g.mark_output(sum);
 
-        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
+        let parts = partitions(&mut s, &rs, &mut g, "MatMulEpilog");
         assert_eq!(parts.len(), 2);
         // Each region covers its matmul and its relu (4 nodes total,
         // disjoint).
@@ -327,7 +312,7 @@ mod tests {
             .unwrap();
         g.mark_output(mm);
 
-        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
+        let parts = partitions(&mut s, &rs, &mut g, "MatMulEpilog");
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].size(), 1);
         assert_eq!(parts[0].root, mm);
@@ -341,6 +326,6 @@ mod tests {
         let mut g = Graph::new();
         let a = mat(&mut s, &mut g, &[2, 2]);
         g.mark_output(a);
-        assert!(partition(&mut s, &rs, &g, "NoSuchPattern").is_empty());
+        assert!(partitions(&mut s, &rs, &mut g, "NoSuchPattern").is_empty());
     }
 }

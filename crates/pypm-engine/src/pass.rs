@@ -7,13 +7,8 @@
 //! instrumentation, published artifacts, and [`Observer`] hooks that
 //! stream match/rewrite events as they happen.
 //!
-//! The three built-in passes mirror the engine's historic entry points:
-//!
-//! | pass | replaces |
-//! |---|---|
-//! | [`crate::RewritePass`] | `Rewriter::new(..).run(..)` |
-//! | [`crate::PartitionPass`] | the free `partition(..)` function |
-//! | [`crate::ExplainObserver`] | ad-hoc `explain_match` plumbing |
+//! The built-ins are [`crate::RewritePass`], [`crate::PartitionPass`]
+//! and the [`crate::ExplainObserver`] hook.
 
 use crate::rewriter::{PassStats, RewriteError};
 use crate::session::Session;

@@ -9,19 +9,20 @@
 //! > the replacement is built and substituted into the graph in place of
 //! > the subgraph the pattern matched."
 //!
-//! [`Rewriter::run`] implements exactly that loop: sweep nodes in
+//! [`RewritePass`] implements exactly that loop: scan nodes in
 //! topological order, drive the CorePyPM abstract machine at each node,
 //! fire the first rule whose guard holds, rebuild, and repeat until a
-//! full sweep finds nothing ("greedily rewriting all of the patterns it
+//! full scan finds nothing ("greedily rewriting all of the patterns it
 //! can match until no matches remain").
 //!
 //! Restarting is the paper's reference semantics but revisits the whole
-//! graph after every firing. [`SweepPolicy`] selects between that
-//! reference loop, a continue-in-place variant, and
-//! [`SweepPolicy::Incremental`] — a dirty-node worklist that repairs
-//! the term view with [`TermView::patch`] and re-examines only the cone
-//! of influence of each rewrite, while provably firing the identical
-//! rewrite sequence (the invariants are documented on the variant).
+//! graph after every firing. [`SweepPolicy`] selects the scan's
+//! candidate set: the default [`SweepPolicy::Incremental`] keeps a
+//! dirty-node worklist and re-examines only the cone of influence of
+//! each rewrite, while provably firing the identical rewrite sequence
+//! (the invariants are documented on the variant);
+//! [`SweepPolicy::RestartOnRewrite`] is the reference it is compared
+//! against.
 //!
 //! Orthogonally to the sweep policy, the match phase can run **in
 //! parallel**: with [`ParallelConfig`] `jobs > 1` (plumbed through
@@ -50,24 +51,18 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// What the pass does after a rewrite fires mid-sweep.
+/// Which nodes the pass re-examines after a rewrite fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SweepPolicy {
-    /// Restart the sweep from the first node, exactly the paper's
-    /// "repeatedly traverses the graph" loop (§2.4). Guarantees the
-    /// first-pattern-first-node match order at every step.
-    #[default]
+    /// Rescan every live node from the first, exactly the paper's
+    /// "repeatedly traverses the graph" loop (§2.4). Kept as the
+    /// reference the equivalence suites compare
+    /// [`SweepPolicy::Incremental`] against; reachable only by name.
     RestartOnRewrite,
-    /// Patch the term view and continue the current sweep from the
-    /// next surviving node. Reaches the same fixpoint for the library's
-    /// rule sets with fewer traversals; used by the scheduling ablation.
-    ContinueSweep,
     /// Incremental rewriting via a dirty-node worklist: after a rewrite
     /// fires, only the cone of influence (the rewired users of the
     /// replaced root, the freshly created replacement nodes, and their
-    /// transitive users whose terms actually change) is re-enqueued, and
-    /// the term view is repaired in place with [`TermView::patch`]
-    /// instead of rebuilt.
+    /// transitive users whose terms actually change) is re-enqueued.
     ///
     /// Firing order is deterministic and *identical* to
     /// [`SweepPolicy::RestartOnRewrite`]: candidates are visited in the
@@ -77,22 +72,18 @@ pub enum SweepPolicy {
     /// visited). The final graph is byte-identical to the restart
     /// policy's; only traversal counters (`nodes_visited`,
     /// `match_attempts`, `machine_steps`) shrink.
+    #[default]
     Incremental,
 }
 
 impl SweepPolicy {
-    /// Every policy, in ablation order (reference first).
-    pub const ALL: [SweepPolicy; 3] = [
-        SweepPolicy::RestartOnRewrite,
-        SweepPolicy::ContinueSweep,
-        SweepPolicy::Incremental,
-    ];
+    /// Every policy, reference first.
+    pub const ALL: [SweepPolicy; 2] = [SweepPolicy::RestartOnRewrite, SweepPolicy::Incremental];
 
     /// The policy's stable command-line / JSON-series name.
     pub fn name(self) -> &'static str {
         match self {
             SweepPolicy::RestartOnRewrite => "restart",
-            SweepPolicy::ContinueSweep => "continue",
             SweepPolicy::Incremental => "incremental",
         }
     }
@@ -111,32 +102,9 @@ impl fmt::Display for SweepPolicy {
     }
 }
 
-/// Tuning knobs for the rewrite pass.
-#[derive(Debug, Clone, Copy)]
-pub struct PassConfig {
-    /// Step budget per machine run (recursive patterns can diverge).
-    pub machine_fuel: u64,
-    /// Upper bound on total rewrites, a safety net against rule sets
-    /// that never reach a fixpoint.
-    pub max_rewrites: usize,
-    /// Mid-sweep scheduling policy.
-    pub sweep_policy: SweepPolicy,
-    /// Candidate-discovery backend run above the abstract machine (see
-    /// [`crate::matcher`]). Backends fire byte-identical rewrite
-    /// sequences; only machine-work counters differ.
-    pub matcher: MatcherBackend,
-}
-
-impl Default for PassConfig {
-    fn default() -> Self {
-        PassConfig {
-            machine_fuel: 1_000_000,
-            max_rewrites: 100_000,
-            sweep_policy: SweepPolicy::RestartOnRewrite,
-            matcher: MatcherBackend::Fused,
-        }
-    }
-}
+/// Default step budget per machine run (recursive patterns can
+/// diverge).
+const DEFAULT_MACHINE_FUEL: u64 = 1_000_000;
 
 /// Counters for one pass (the paper's compile-time cost metrics).
 #[derive(Debug, Clone, Default)]
@@ -172,8 +140,7 @@ pub struct PassStats {
     /// recompute once — the pre-sublinear design walked the whole live
     /// graph per patch, the baseline the bench trajectory's ≥5×
     /// reduction is measured against. Identical under restart and
-    /// incremental scheduling (same visits, same fires); continue
-    /// differs slightly (different visit order between fires).
+    /// incremental scheduling (same fires, same repairs).
     pub nodes_reindexed: u64,
     /// Parallel match-phase counters (`jobs` records the configured
     /// worker count; everything else is zero when `jobs = 1`); see
@@ -265,7 +232,7 @@ impl fmt::Display for RewriteError {
 
 impl std::error::Error for RewriteError {}
 
-/// One successful match, as reported by [`Rewriter::find_matches`].
+/// One successful match, as reported by [`find_matches`].
 #[derive(Debug, Clone)]
 pub struct MatchReport {
     /// Index of the pattern in the rule set.
@@ -292,7 +259,7 @@ enum FireResult {
     Rejected(RejectReason),
 }
 
-/// A fired rewrite as seen by a scheduler: the dirty seed
+/// A fired rewrite as seen by the scan: the dirty seed
 /// [`Driver::repair_view`] feeds to [`TermView::invalidate`].
 struct Fired {
     /// Users whose inputs were redirected to the replacement.
@@ -306,20 +273,17 @@ struct Fired {
     collected: Vec<NodeId>,
 }
 
-/// The internal engine shared by [`RewritePass`] and the deprecated
-/// [`Rewriter`] shim: the paper's greedy fixpoint loop, optionally
-/// preceded by sharded parallel candidate discovery (see
-/// [`crate::shard`]).
+/// The internal engine behind [`RewritePass`]: the paper's greedy
+/// fixpoint loop, optionally preceded by sharded parallel candidate
+/// discovery (see [`crate::shard`]).
 struct Driver<'a> {
     session: &'a mut Session,
-    rules: &'a RuleSet,
-    config: PassConfig,
+    pass: &'a RewritePass,
     parallel: ParallelConfig,
-    /// The persistent worker pool warm phases submit to. `None` in
-    /// serial mode — a `--jobs 1` run never constructs (or touches) a
-    /// pool. Shared (`Arc`) so one pool outlives passes, graphs of a
-    /// batched run, and even whole pipelines (see
-    /// [`crate::Pipeline::with_pool`]).
+    /// The persistent worker pool warm phases submit to. A `--jobs 1`
+    /// run never constructs (or touches) a pool. Shared (`Arc`) so one
+    /// pool outlives passes, graphs of a batched run, and even whole
+    /// pipelines (see [`crate::Pipeline::with_pool`]).
     pool: Option<Arc<WorkerPool>>,
     /// `rules.patterns[i].pattern` per index — the tiny handle table
     /// warm-phase worker tasks clone instead of the rule set.
@@ -328,93 +292,63 @@ struct Driver<'a> {
     /// populated when `parallel.is_parallel()`; a term key can never go
     /// stale because rewrites give every changed node a fresh term.
     cache: ProbeCache,
-    /// The candidate-discovery index (see [`crate::matcher`]), built
-    /// lazily at the start of [`Driver::run`] so match-only entry
-    /// points ([`Driver::find_matches`]) never pay the build.
-    matcher: Option<Box<dyn Matcher>>,
-    /// The run's cooperative resource budget, taken from the
-    /// [`PipelineCx`] at the start of [`Driver::run`]; `None` (the
-    /// default, and every legacy entry point) means unlimited.
+    /// The candidate-discovery index (see [`crate::matcher`]) over the
+    /// rule set's patterns, in rule-set order.
+    matcher: Box<dyn Matcher>,
+    /// The run's cooperative resource budget; `None` (the default)
+    /// means unlimited.
     budget: Option<Arc<Budget>>,
 }
 
 impl<'a> Driver<'a> {
-    fn new(session: &'a mut Session, rules: &'a RuleSet, config: PassConfig) -> Self {
+    /// Sets the engine up for one run: the parallel match-phase
+    /// configuration, pool and budget come from `cx`.
+    fn new(session: &'a mut Session, pass: &'a RewritePass, cx: &PipelineCx) -> Self {
+        let parallel = cx.parallel();
+        let budget = cx.budget().cloned();
+        let pattern_ids: Vec<PatternId> = pass.rules.patterns.iter().map(|d| d.pattern).collect();
+        let mut matcher = build_matcher(
+            pass.matcher,
+            &session.pats,
+            &pattern_ids,
+            parallel.is_parallel(),
+        );
+        // The fused matcher charges its trie walks against the budget
+        // (and truncates them once it trips).
+        matcher.set_budget(budget.clone());
         Driver {
             session,
-            rules,
-            config,
-            parallel: ParallelConfig::serial(),
-            pool: None,
-            pattern_ids: Vec::new(),
+            pass,
+            parallel,
+            pool: cx.pool(),
+            pattern_ids,
             cache: ProbeCache::new(),
-            matcher: None,
-            budget: None,
+            matcher,
+            budget,
         }
-    }
-
-    /// Selects the parallel match-phase configuration and the pool the
-    /// warm phases run on.
-    fn with_parallel(mut self, parallel: ParallelConfig, pool: Option<Arc<WorkerPool>>) -> Self {
-        self.parallel = parallel;
-        if self.parallel.is_parallel() {
-            self.pool = pool;
-            self.pattern_ids = self.rules.patterns.iter().map(|d| d.pattern).collect();
-        }
-        self
-    }
-
-    /// Builds the configured discovery index over the rule set's
-    /// patterns (in rule-set order). Idempotent.
-    fn ensure_matcher(&mut self) {
-        if self.matcher.is_some() {
-            return;
-        }
-        let patterns: Vec<PatternId> = self.rules.patterns.iter().map(|d| d.pattern).collect();
-        self.matcher = Some(build_matcher(
-            self.config.matcher,
-            &self.session.pats,
-            &patterns,
-            self.parallel.is_parallel(),
-        ));
     }
 
     /// Runs the pass to fixpoint, mutating `graph` in place and
     /// streaming match/rewrite events through `cx`.
     fn run(&mut self, graph: &mut Graph, cx: &mut PipelineCx) -> Result<PassStats, RewriteError> {
         let start = Instant::now();
-        self.budget = cx.budget().cloned();
-        self.ensure_matcher();
-        if let Some(b) = &self.budget {
-            // The fused matcher charges its trie walks against the
-            // budget (and truncates them once it trips).
-            self.matcher
-                .as_mut()
-                .expect("matcher built above")
-                .set_budget(Some(Arc::clone(b)));
-        }
         let mut stats = PassStats::default();
-        stats.matcher.backend = self.config.matcher.name();
+        stats.matcher.backend = self.pass.matcher.name();
         stats.parallel.jobs = self.parallel.jobs as u64;
         stats.parallel.batch_graphs = cx.batch_graphs();
         if self.parallel.is_parallel() {
             stats.parallel.probes_by_shard = vec![0; self.parallel.jobs];
         }
-        match self.config.sweep_policy {
-            SweepPolicy::Incremental => self.run_worklist(graph, cx, &mut stats)?,
-            SweepPolicy::RestartOnRewrite | SweepPolicy::ContinueSweep => {
-                self.run_sweeps(graph, cx, &mut stats)?
-            }
-        }
+        self.scan(graph, cx, &mut stats)?;
         // Identity-rewrite probes may have left unreferenced nodes.
         graph.gc();
         stats.duration = start.elapsed();
         Ok(stats)
     }
 
-    /// Checks the run's cooperative budget (a no-op without one). Both
-    /// schedulers call this once per candidate visit and once per scan
-    /// round, so a tripped budget unwinds within one node visit.
+    /// Checks the run's cooperative budget (a no-op without one). The
+    /// scan calls this once per candidate visit, so a tripped budget
+    /// unwinds within one node visit.
     fn check_budget(&self) -> Result<(), RewriteError> {
         match &self.budget {
             Some(b) if !b.check() => Err(RewriteError::BudgetExceeded {
@@ -425,13 +359,15 @@ impl<'a> Driver<'a> {
     }
 
     /// The parallel discovery phase of one scan round: collects the
-    /// round's candidate probes — `candidates` in the exact order the
-    /// serial scan will visit them, every rule-bearing pattern per
+    /// round's candidate probes — the members of `order` the serial
+    /// scan will visit (all of them, or under a worklist only the
+    /// `dirty` ones), in that order, every rule-bearing pattern per
     /// candidate — and fans the uncached ones across the pool workers.
     /// A no-op under `jobs = 1`.
     fn warm_round(
         &mut self,
-        candidates: &[NodeId],
+        order: &[NodeId],
+        dirty: Option<&HashSet<NodeId>>,
         view: &TermView,
         stats: &mut PassStats,
     ) -> Result<(), RewriteError> {
@@ -440,8 +376,10 @@ impl<'a> Driver<'a> {
         }
         let mut todo: Vec<ProbeKey> = Vec::new();
         let mut queued: HashSet<ProbeKey> = HashSet::new();
-        let matcher = self.matcher.as_mut().expect("matcher built in run()");
-        for &node in candidates {
+        for &node in order {
+            if dirty.is_some_and(|d| !d.contains(&node)) {
+                continue;
+            }
             // Stale candidates report no term and are skipped here on
             // purpose: eagerly repairing them for speculation would
             // undo the lazy view maintenance (their probes run inline
@@ -452,7 +390,7 @@ impl<'a> Driver<'a> {
                 continue;
             };
             let op = self.session.terms.op(t);
-            for (pi, def) in self.rules.patterns.iter().enumerate() {
+            for (pi, def) in self.pass.rules.patterns.iter().enumerate() {
                 if def.rules.is_empty() {
                     continue;
                 }
@@ -462,7 +400,10 @@ impl<'a> Driver<'a> {
                 // answers it from its per-term memo). Pair counters
                 // stay with the consume path so each (pattern, term)
                 // verdict is accounted exactly once.
-                if !matcher.admits(pi, t, op, &self.session.terms, &mut stats.matcher) {
+                if !self
+                    .matcher
+                    .admits(pi, t, op, &self.session.terms, &mut stats.matcher)
+                {
                     continue;
                 }
                 let key = (pi, t);
@@ -484,7 +425,7 @@ impl<'a> Driver<'a> {
             &mut self.session.pats,
             &mut self.session.terms,
             &attrs,
-            self.config.machine_fuel,
+            self.pass.machine_fuel,
             &todo,
             &mut self.cache,
             &mut stats.parallel,
@@ -511,8 +452,10 @@ impl<'a> Driver<'a> {
         view: &TermView,
         stats: &mut PassStats,
     ) -> Option<Witness> {
-        let matcher = self.matcher.as_mut().expect("matcher built in run()");
-        if !matcher.admits(pi, t, op, &self.session.terms, &mut stats.matcher) {
+        if !self
+            .matcher
+            .admits(pi, t, op, &self.session.terms, &mut stats.matcher)
+        {
             // A rejected pair is a guaranteed machine failure — no
             // cache entry, no machine run.
             stats.matcher.pairs_rejected += 1;
@@ -531,7 +474,7 @@ impl<'a> Driver<'a> {
             }
         }
         let mut machine = Machine::new(&mut self.session.pats, &self.session.terms, view.attrs());
-        let outcome = machine.run(self.rules.patterns[pi].pattern, t, self.config.machine_fuel);
+        let outcome = machine.run(self.pattern_ids[pi], t, self.pass.machine_fuel);
         let result = ProbeResult::from_run(outcome, machine.stats());
         if let Some(b) = &self.budget {
             // Machine transitions are the step currency of the budget's
@@ -553,11 +496,10 @@ impl<'a> Driver<'a> {
     }
 
     /// Visits one node: counts the visit, tries every pattern in
-    /// rule-set order, and fires the first applicable rule. This is the
-    /// *shared* per-candidate step of both schedulers — keeping it in
-    /// one place is what lets the byte-identity contract between
+    /// rule-set order, and fires the first applicable rule. Both
+    /// policies share this step, so the byte-identity contract between
     /// [`SweepPolicy::RestartOnRewrite`] and
-    /// [`SweepPolicy::Incremental`] rest on scheduling alone.
+    /// [`SweepPolicy::Incremental`] rests on the candidate set alone.
     ///
     /// On a firing, the graph is already rewritten and collected; the
     /// returned [`Fired`] carries the dirty seed for
@@ -588,9 +530,8 @@ impl<'a> Driver<'a> {
             Some(t) => t,
             None => return Ok(None),
         };
-        let rules = self.rules;
         let op = self.session.terms.op(t);
-        for (pi, def) in rules.patterns.iter().enumerate() {
+        for (pi, def) in self.pass.rules.patterns.iter().enumerate() {
             if def.rules.is_empty() {
                 // Pattern-only definitions (e.g. PwSubgraph) are
                 // matched by find_matches/partitioning, not by the
@@ -649,88 +590,23 @@ impl<'a> Driver<'a> {
         cone
     }
 
-    /// The sweeping scheduler behind [`SweepPolicy::RestartOnRewrite`]
-    /// and [`SweepPolicy::ContinueSweep`]: the paper's "repeatedly
-    /// traverses the graph" loop (§2.4).
+    /// The one scan loop: the paper's "repeatedly traverses the graph"
+    /// greedy fixpoint (§2.4), parameterised only by its candidate set.
+    /// `dirty = None` ([`SweepPolicy::RestartOnRewrite`]) makes every
+    /// live node a candidate in every round — the reference scan;
+    /// `Some` ([`SweepPolicy::Incremental`]) is the worklist of nodes
+    /// whose term changed since their last visit. Either way a round
+    /// visits its candidates in topological order and restarts after
+    /// the first firing; a round that fires nothing is the fixpoint.
     ///
     /// The term view is built once and then *repaired in place* after
-    /// every firing, under both policies: a repaired view is
-    /// contractually indistinguishable from a rebuild (the equivalence
-    /// the `termview` suites prove), and with lazy sublinear
-    /// maintenance a patch is an O(cone) marking walk with terms
-    /// recomputed on demand at visit time — under the restart policy
-    /// the old design paid one full O(graph) rebuild per rewrite, the
-    /// dominant view cost of the whole pass. What "restart" still
-    /// means is the *scan*: after a firing the traversal starts over
-    /// from the first node, exactly the paper's reference loop.
-    fn run_sweeps(
-        &mut self,
-        graph: &mut Graph,
-        cx: &mut PipelineCx,
-        stats: &mut PassStats,
-    ) -> Result<(), RewriteError> {
-        let mut visited_once: HashSet<NodeId> = HashSet::new();
-        let mut view = TermView::build(
-            graph,
-            &mut self.session.syms,
-            &mut self.session.terms,
-            &self.session.registry,
-        );
-        stats.view_builds += 1;
-        'sweeps: loop {
-            stats.sweeps += 1;
-            cx.set_sweep(stats.sweeps);
-            let order = graph.topo_order();
-            // Parallel discovery: probe this sweep's candidates across
-            // the pool workers before the serial scan consumes them.
-            // The probe cache persists across sweeps (terms are
-            // hash-consed), so a restart sweep mostly re-warms nothing.
-            self.warm_round(&order, &view, stats)?;
-            let mut sweep_fired = false;
-            for node in order {
-                if !graph.is_alive(node) {
-                    // Collected by an earlier rewrite in this sweep
-                    // (ContinueSweep policy).
-                    continue;
-                }
-                self.check_budget()?;
-                let Some(fired) =
-                    self.visit_node(graph, &mut view, node, &mut visited_once, stats, cx)?
-                else {
-                    continue;
-                };
-                sweep_fired = true;
-                // Repair the view in place: only the rewrite's cone of
-                // influence is re-interned and re-indexed.
-                self.repair_view(graph, &mut view, fired, stats);
-                if stats.rewrites_fired as usize >= self.config.max_rewrites {
-                    break 'sweeps;
-                }
-                match self.config.sweep_policy {
-                    SweepPolicy::RestartOnRewrite => {
-                        // Restart the scan from the first node.
-                        continue 'sweeps;
-                    }
-                    SweepPolicy::ContinueSweep | SweepPolicy::Incremental => {
-                        // Keep the sweep position (the just-rewritten
-                        // node is dead and will be skipped).
-                    }
-                }
-            }
-            if !sweep_fired {
-                // A full sweep with no rewrite: fixpoint reached.
-                break;
-            }
-        }
-        stats.nodes_reindexed += view.terms_recomputed();
-        Ok(())
-    }
-
-    /// The dirty-node worklist scheduler behind
-    /// [`SweepPolicy::Incremental`].
+    /// every firing: a repaired view is contractually
+    /// indistinguishable from a rebuild (the equivalence the `termview`
+    /// suites prove), and a patch is an O(cone) marking walk with terms
+    /// recomputed on demand at visit time.
     ///
-    /// Invariants that make this byte-identical to
-    /// [`SweepPolicy::RestartOnRewrite`]:
+    /// Invariants that make the worklist byte-identical to the
+    /// reference scan:
     ///
     /// 1. *Clean nodes cannot fire.* Whether a pattern matches at a node
     ///    — and whether the matched rule's guards hold and its
@@ -750,7 +626,7 @@ impl<'a> Driver<'a> {
     ///    violating this (two same-term nodes with different attrs
     ///    whose first topo producer changes mid-pass) could flip a
     ///    guard at a clean node that restarting would re-examine and
-    ///    this scheduler would not. The random-rule-subset byte-identity
+    ///    the worklist would not. The random-rule-subset byte-identity
     ///    proptest (and its 4096-case nightly run) exists to catch any
     ///    such divergence.
     /// 2. *A rewrite dirties exactly its cone of influence.* Replacing a
@@ -760,14 +636,12 @@ impl<'a> Driver<'a> {
     ///    topological order. Nodes visited earlier in the current round
     ///    keep their terms, so cleaning them as we pass is sound.
     ///    [`TermView::patch`] computes the cone with early cut-off and
-    ///    the scheduler re-enqueues it.
-    /// 3. *Deterministic order.* Each round scans the graph's
-    ///    topological order and visits only worklist members, trying
-    ///    patterns in rule-set order; after a firing the round restarts.
-    ///    By (1) the first firing (node, pattern) pair in that filtered
-    ///    scan is the first firing pair of a full restart scan, so the
-    ///    rewrite sequence — and the final graph — is identical.
-    fn run_worklist(
+    ///    the scan re-enqueues it.
+    /// 3. *Deterministic order.* By (1) the first firing (node,
+    ///    pattern) pair of the filtered scan is the first firing pair
+    ///    of a full scan, so the rewrite sequence — and the final graph
+    ///    — is identical.
+    fn scan(
         &mut self,
         graph: &mut Graph,
         cx: &mut PipelineCx,
@@ -780,27 +654,25 @@ impl<'a> Driver<'a> {
             &self.session.registry,
         );
         stats.view_builds += 1;
-        let mut dirty: HashSet<NodeId> = graph.topo_order().into_iter().collect();
+        let mut dirty: Option<HashSet<NodeId>> = match self.pass.policy {
+            SweepPolicy::RestartOnRewrite => None,
+            SweepPolicy::Incremental => Some(graph.topo_order().into_iter().collect()),
+        };
         let mut visited_once: HashSet<NodeId> = HashSet::new();
         'rounds: loop {
             stats.sweeps += 1;
             cx.set_sweep(stats.sweeps);
             let order = graph.topo_order();
-            // Parallel discovery over this round's dirty candidates
-            // only — the worklist is the natural shard queue.
-            if self.parallel.is_parallel() {
-                let candidates: Vec<NodeId> = order
-                    .iter()
-                    .copied()
-                    .filter(|n| dirty.contains(n))
-                    .collect();
-                self.warm_round(&candidates, &view, stats)?;
-            }
+            // Parallel discovery: probe this round's candidates across
+            // the pool workers before the serial scan consumes them.
+            // The probe cache persists across rounds (terms are
+            // hash-consed), so a restart round mostly re-warms nothing.
+            self.warm_round(&order, dirty.as_ref(), &view, stats)?;
             for node in order {
-                // Only worklist members are candidates; visiting removes
-                // the node (it is re-enqueued if a later rewrite changes
-                // its term). Stale ids of collected nodes die here too.
-                if !dirty.remove(&node) {
+                // Under a worklist only its members are candidates;
+                // visiting cleans the node (it is re-enqueued if a
+                // later rewrite changes its term).
+                if dirty.as_mut().is_some_and(|d| !d.remove(&node)) {
                     continue;
                 }
                 self.check_budget()?;
@@ -809,23 +681,22 @@ impl<'a> Driver<'a> {
                 else {
                     continue;
                 };
-                // Repair before the rewrite-cap check, exactly like
-                // run_sweeps, so `view_patches == rewrites_fired` holds
-                // under every scheduler even when the cap cuts the pass
-                // short.
+                // Repair before the rewrite-cap check, so
+                // `view_patches == rewrites_fired` holds even when the
+                // cap cuts the pass short.
                 let cone = self.repair_view(graph, &mut view, fired, stats);
-                dirty.extend(cone);
-                if stats.rewrites_fired as usize >= self.config.max_rewrites {
+                if let Some(dirty) = &mut dirty {
+                    dirty.extend(cone);
+                }
+                if stats.rewrites_fired as usize >= self.pass.max_rewrites {
                     break 'rounds;
                 }
-                // Restart the filtered scan so the next firing is the
-                // topologically first dirty candidate, mirroring the
-                // restart policy.
+                // Restart so the next firing is the topologically first
+                // candidate.
                 continue 'rounds;
             }
-            // Every firing restarts the round, so completing the
-            // filtered scan means nothing fired: every worklist member
-            // was visited and cleaned — fixpoint reached.
+            // Every firing restarts the round, so completing the scan
+            // means nothing fired: fixpoint reached.
             break;
         }
         stats.nodes_reindexed += view.terms_recomputed();
@@ -843,7 +714,7 @@ impl<'a> Driver<'a> {
         witness: &Witness,
         cx: &mut PipelineCx,
     ) -> Result<FireResult, RewriteError> {
-        let def = &self.rules.patterns[pattern_index];
+        let def = &self.pass.rules.patterns[pattern_index];
         let mut saw_identity = false;
         for (ri, rule) in def.rules.iter().enumerate() {
             let holds = rule
@@ -860,7 +731,7 @@ impl<'a> Driver<'a> {
             // before any graph node is built: a rejected rule therefore
             // allocates nothing, which keeps node-id allocation — and so
             // the byte-identity of SweepPolicy::Incremental with
-            // RestartOnRewrite — independent of how often a scheduler
+            // RestartOnRewrite — independent of how often the scan
             // revisits the rejected candidate.
             if Some(self.term_of_rhs(&rule.rhs, witness)?) == view.term_of(node) {
                 saw_identity = true;
@@ -1027,47 +898,6 @@ impl<'a> Driver<'a> {
             }
         }
     }
-
-    /// Finds all matches of one named pattern over the current graph
-    /// *without rewriting* — the matching mode used by directed graph
-    /// partitioning (§4.2) and by diagnostics.
-    fn find_matches(&mut self, graph: &Graph, pattern_name: &str) -> Vec<MatchReport> {
-        let view = TermView::build(
-            graph,
-            &mut self.session.syms,
-            &mut self.session.terms,
-            &self.session.registry,
-        );
-        let (pi, def) = match self
-            .rules
-            .patterns
-            .iter()
-            .enumerate()
-            .find(|(_, d)| d.name == pattern_name)
-        {
-            Some(found) => found,
-            None => return Vec::new(),
-        };
-        let mut out = Vec::new();
-        for node in graph.topo_order() {
-            let t = match view.term_of(node) {
-                Some(t) => t,
-                None => continue,
-            };
-            let mut machine =
-                Machine::new(&mut self.session.pats, &self.session.terms, view.attrs());
-            if let Ok(Outcome::Success(w)) = machine.run(def.pattern, t, self.config.machine_fuel) {
-                let coverage = machine.coverage().to_vec();
-                out.push(MatchReport {
-                    pattern_index: pi,
-                    node,
-                    witness: w,
-                    coverage,
-                });
-            }
-        }
-        out
-    }
 }
 
 /// The greedy fixpoint rewrite stage (paper §2.4), as a [`Pass`].
@@ -1084,7 +914,7 @@ impl<'a> Driver<'a> {
 /// let rules = session.load_library(LibraryConfig::both());
 /// let mut graph = Graph::new();
 /// let report = Pipeline::new(&mut session)
-///     .with(RewritePass::new(rules).policy(SweepPolicy::ContinueSweep))
+///     .with(RewritePass::new(rules).policy(SweepPolicy::RestartOnRewrite))
 ///     .run(&mut graph)
 ///     .unwrap();
 /// assert_eq!(report.passes().len(), 1);
@@ -1092,7 +922,10 @@ impl<'a> Driver<'a> {
 #[derive(Debug, Clone)]
 pub struct RewritePass {
     rules: RuleSet,
-    config: PassConfig,
+    machine_fuel: u64,
+    max_rewrites: usize,
+    policy: SweepPolicy,
+    matcher: MatcherBackend,
 }
 
 impl RewritePass {
@@ -1100,41 +933,44 @@ impl RewritePass {
     pub const NAME: &'static str = "rewrite";
 
     /// Creates the pass over an owned rule set with the default
-    /// configuration.
+    /// configuration: [`SweepPolicy::Incremental`] scheduling, the
+    /// [`MatcherBackend::Fused`] matcher, 10⁶ machine steps per match
+    /// attempt and at most 10⁵ rewrites.
     pub fn new(rules: RuleSet) -> Self {
         RewritePass {
             rules,
-            config: PassConfig::default(),
+            machine_fuel: DEFAULT_MACHINE_FUEL,
+            max_rewrites: 100_000,
+            policy: SweepPolicy::default(),
+            matcher: MatcherBackend::default(),
         }
     }
 
-    /// Overrides the whole pass configuration.
-    pub fn config(mut self, config: PassConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Selects the mid-sweep scheduling policy.
+    /// Selects which nodes are re-examined after a rewrite fires.
     pub fn policy(mut self, policy: SweepPolicy) -> Self {
-        self.config.sweep_policy = policy;
+        self.policy = policy;
         self
     }
 
-    /// Overrides the per-attempt abstract-machine step budget.
+    /// Overrides the per-attempt abstract-machine step budget
+    /// (recursive patterns can diverge).
     pub fn machine_fuel(mut self, fuel: u64) -> Self {
-        self.config.machine_fuel = fuel;
+        self.machine_fuel = fuel;
         self
     }
 
-    /// Overrides the total-rewrite safety bound.
+    /// Overrides the total-rewrite safety bound, a safety net against
+    /// rule sets that never reach a fixpoint.
     pub fn max_rewrites(mut self, max: usize) -> Self {
-        self.config.max_rewrites = max;
+        self.max_rewrites = max;
         self
     }
 
     /// Selects the candidate-discovery backend (see [`crate::matcher`]).
+    /// Backends fire byte-identical rewrite sequences; only
+    /// machine-work counters differ.
     pub fn matcher(mut self, backend: MatcherBackend) -> Self {
-        self.config.matcher = backend;
+        self.matcher = backend;
         self
     }
 
@@ -1155,9 +991,7 @@ impl Pass for RewritePass {
         graph: &mut Graph,
         cx: &mut PipelineCx,
     ) -> Result<PassOutcome, PassError> {
-        let stats = Driver::new(session, &self.rules, self.config)
-            .with_parallel(cx.parallel(), cx.pool())
-            .run(graph, cx)?;
+        let stats = Driver::new(session, self, cx).run(graph, cx)?;
         Ok(PassOutcome::from_stats(stats))
     }
 }
@@ -1171,62 +1005,37 @@ pub fn find_matches(
     graph: &Graph,
     pattern_name: &str,
 ) -> Vec<MatchReport> {
-    Driver::new(session, rules, PassConfig::default()).find_matches(graph, pattern_name)
-}
-
-/// The legacy rewrite engine entry point.
-///
-/// Deprecated: build a [`crate::Pipeline`] with a [`RewritePass`]
-/// instead — `Pipeline::new(&mut session).with(RewritePass::new(rules))
-/// .run(&mut graph)` — which adds per-pass instrumentation, observer
-/// hooks and JSON stats on top of the identical fixpoint loop (the
-/// counters in [`PassStats`] are byte-for-byte the same).
-#[deprecated(
-    since = "0.2.0",
-    note = "use Pipeline::new(&mut session).with(RewritePass::new(rules)); \
-            see the migration table in the pypm-engine crate docs"
-)]
-#[derive(Debug)]
-pub struct Rewriter<'a> {
-    session: &'a mut Session,
-    rules: &'a RuleSet,
-    config: PassConfig,
-}
-
-#[allow(deprecated)]
-impl<'a> Rewriter<'a> {
-    /// Creates a rewriter for the given session and rule set.
-    pub fn new(session: &'a mut Session, rules: &'a RuleSet) -> Self {
-        Rewriter {
-            session,
-            rules,
-            config: PassConfig::default(),
+    let Some((pi, def)) = rules
+        .patterns
+        .iter()
+        .enumerate()
+        .find(|(_, d)| d.name == pattern_name)
+    else {
+        return Vec::new();
+    };
+    let view = TermView::build(
+        graph,
+        &mut session.syms,
+        &mut session.terms,
+        &session.registry,
+    );
+    let mut out = Vec::new();
+    for node in graph.topo_order() {
+        let Some(t) = view.term_of(node) else {
+            continue;
+        };
+        let mut machine = Machine::new(&mut session.pats, &session.terms, view.attrs());
+        if let Ok(Outcome::Success(w)) = machine.run(def.pattern, t, DEFAULT_MACHINE_FUEL) {
+            let coverage = machine.coverage().to_vec();
+            out.push(MatchReport {
+                pattern_index: pi,
+                node,
+                witness: w,
+                coverage,
+            });
         }
     }
-
-    /// Overrides the pass configuration.
-    pub fn with_config(mut self, config: PassConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Runs the pass to fixpoint, mutating `graph` in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first replacement-construction failure; matching
-    /// itself cannot fail (fuel exhaustion on a pathological recursive
-    /// pattern is treated as "no match at this node").
-    pub fn run(&mut self, graph: &mut Graph) -> Result<PassStats, RewriteError> {
-        let mut cx = PipelineCx::new();
-        Driver::new(self.session, self.rules, self.config).run(graph, &mut cx)
-    }
-
-    /// Finds all matches of one named pattern over the current graph
-    /// *without rewriting*; see the free [`find_matches`] function.
-    pub fn find_matches(&mut self, graph: &Graph, pattern_name: &str) -> Vec<MatchReport> {
-        Driver::new(self.session, self.rules, self.config).find_matches(graph, pattern_name)
-    }
+    out
 }
 
 /// Convenience: binds the substitution's entry for a named variable.
@@ -1240,17 +1049,23 @@ pub fn binding_of(witness: &Witness, theta_name: &str, session: &Session) -> Opt
     None
 }
 
-// The unit tests drive the deprecated `Rewriter` shim on purpose: they
-// pin down the exact legacy behaviour the shim must preserve.
 #[cfg(test)]
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::Pipeline;
     use pypm_dsl::LibraryConfig;
     use pypm_graph::{DType, NodeKind, TensorMeta};
 
     fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
         g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.to_vec()))
+    }
+
+    fn run(s: &mut Session, rs: &RuleSet, g: &mut Graph) -> PassStats {
+        Pipeline::new(s)
+            .with(RewritePass::new(rs.clone()))
+            .run(g)
+            .unwrap()
+            .total()
     }
 
     fn scalar_const(s: &mut Session, g: &mut Graph, milli: i64) -> NodeId {
@@ -1279,7 +1094,7 @@ mod tests {
             .unwrap();
         g.mark_output(mm);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = run(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 1);
         let out = g.outputs()[0];
         assert_eq!(g.node(out).op, s.ops.cublas_mm_xyt_f32);
@@ -1306,7 +1121,7 @@ mod tests {
             .unwrap();
         g.mark_output(mm);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = run(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 0);
         assert!(stats.matches_found > 0);
         assert_eq!(g.node(g.outputs()[0]).op, matmul);
@@ -1346,7 +1161,7 @@ mod tests {
                 .unwrap();
             g.mark_output(gelu);
 
-            let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+            let stats = run(&mut s, &rs, &mut g);
             assert_eq!(stats.rewrites_fired, 1, "use_div={use_div}");
             assert_eq!(g.node(g.outputs()[0]).op, s.ops.gelu);
             // Gelu(x) over the original input: two live nodes.
@@ -1381,7 +1196,7 @@ mod tests {
             .unwrap();
         g.mark_output(out);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = run(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 1);
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.fmha);
@@ -1404,7 +1219,7 @@ mod tests {
             .unwrap();
         g.mark_output(act);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = run(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 1);
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.gemm_epilog);
@@ -1449,7 +1264,7 @@ mod tests {
             .unwrap();
         g.mark_output(gelu);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = run(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 2);
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.gemm_epilog);
@@ -1475,7 +1290,7 @@ mod tests {
         }
         g.mark_output(cur);
 
-        Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        run(&mut s, &rs, &mut g);
         // Relu(x) and the input: exactly two live nodes.
         assert_eq!(g.live_count(), 2);
         let root = g.outputs()[0];
@@ -1498,7 +1313,7 @@ mod tests {
             .unwrap();
         g.mark_output(t2);
 
-        Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        run(&mut s, &rs, &mut g);
         assert_eq!(g.outputs(), &[x]);
         assert_eq!(g.live_count(), 1);
         assert_eq!(g.node(x).kind, NodeKind::Input);
@@ -1530,7 +1345,7 @@ mod tests {
             .unwrap();
         g.mark_output(t2);
 
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = run(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 0);
         assert_eq!(g.live_count(), 4);
     }
@@ -1547,7 +1362,7 @@ mod tests {
             .op(&mut s.syms, &s.registry, add, vec![a, b], vec![])
             .unwrap();
         g.mark_output(sum);
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = run(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 0);
         assert_eq!(stats.sweeps, 1);
     }
@@ -1571,8 +1386,7 @@ mod tests {
             .unwrap();
         g.mark_output(ge);
 
-        let mut rw = Rewriter::new(&mut s, &rs);
-        let matches = rw.find_matches(&g, "MatMulEpilog");
+        let matches = find_matches(&mut s, &rs, &g, "MatMulEpilog");
         // The deepest match is rooted at the gelu node and covers
         // gelu → relu → matmul.
         let at_root = matches.iter().find(|m| m.node == ge).expect("root match");

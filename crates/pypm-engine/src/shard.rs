@@ -36,13 +36,13 @@
 //!    sequences, final graphs and every *semantic* counter
 //!    (`nodes_visited`, `match_attempts`, `matches_found`,
 //!    `rewrites_fired`, `sweeps`, view maintenance) are identical to
-//!    `jobs = 1` under all three [`crate::SweepPolicy`]s.
+//!    `jobs = 1` under both [`crate::SweepPolicy`]s.
 //!
 //! Invalidation is by construction: the cache key is the *term*, and a
 //! rewrite gives every node in its cone of influence a fresh term, so
 //! stale entries can never be consumed — a changed candidate misses the
 //! cache and is re-probed (inline, or by the next round's warm phase)
-//! exactly as `ContinueSweep`/`Incremental` re-examine their cones.
+//! exactly as [`crate::SweepPolicy::Incremental`] re-examines its cones.
 //!
 //! Two properties make the phase cheaper than the serial matcher even
 //! before any thread is spawned:
@@ -470,10 +470,16 @@ mod tests {
         assert!(ParallelConfig::auto().jobs >= 1);
     }
 
+    /// The failpoint registry is process-global: the test that arms
+    /// `worker.panic` and the tests whose pool workers consult it must
+    /// not overlap.
+    static FAILPOINTS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
     /// Warm-phase outcomes must agree with a direct serial machine run,
     /// probe for probe, and account every probe to a shard.
     #[test]
     fn warm_probes_match_serial_probes() {
+        let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
         let mut s = Session::new();
         let rules = s.load_library(LibraryConfig::both());
         let mut g = Graph::new();
@@ -647,6 +653,7 @@ mod tests {
     /// run in a long-lived process.)
     #[test]
     fn worker_panic_restores_the_term_store_and_the_next_round_works() {
+        let _serial = FAILPOINTS.lock().unwrap_or_else(|e| e.into_inner());
         let (mut s, patterns, todo, attrs) = wide_candidate_fixture();
         let pool = WorkerPool::new(3);
         let terms_before = s.terms.len();

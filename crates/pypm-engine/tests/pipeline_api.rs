@@ -247,7 +247,7 @@ fn custom_passes_compose_with_builtins() {
     let mut g = fig1_graph(&mut s, DType::F32);
     let report = Pipeline::new(&mut s)
         .with_boxed(Box::new(NodeCount))
-        .with(RewritePass::new(rules).policy(SweepPolicy::ContinueSweep))
+        .with(RewritePass::new(rules).policy(SweepPolicy::RestartOnRewrite))
         .with(NodeCount)
         .run(&mut g)
         .unwrap();

@@ -1,28 +1,21 @@
-// Exercises the deprecated pre-Pipeline API on purpose: these suites
-// pin the behaviour the deprecated shims must preserve.
-#![allow(deprecated)]
-
 //! The two sweep policies must reach the same fixpoint on the library's
 //! rule sets (they may differ in traversal counts, which is the point of
 //! the scheduling ablation).
 
 use pypm_dsl::LibraryConfig;
-use pypm_engine::{PassConfig, Rewriter, Session, SweepPolicy};
+use pypm_engine::{PassStats, Pipeline, RewritePass, Session, SweepPolicy};
 use pypm_graph::{DType, Graph, TensorMeta};
 use pypm_perf::CostModel;
+
+fn run_pass(s: &mut Session, pass: RewritePass, g: &mut Graph) -> PassStats {
+    Pipeline::new(s).with(pass).run(g).unwrap().total()
+}
 
 fn run_policy(policy: SweepPolicy, build: impl Fn(&mut Session) -> Graph) -> (u64, usize, f64) {
     let mut s = Session::new();
     let mut g = build(&mut s);
     let rules = s.load_library(LibraryConfig::both());
-    let cfg = PassConfig {
-        sweep_policy: policy,
-        ..Default::default()
-    };
-    let stats = Rewriter::new(&mut s, &rules)
-        .with_config(cfg)
-        .run(&mut g)
-        .unwrap();
+    let stats = run_pass(&mut s, RewritePass::new(rules).policy(policy), &mut g);
     g.validate().unwrap();
     let cost = CostModel::new().graph_cost(&g, &s.syms, &s.registry, &s.ops);
     (stats.rewrites_fired, g.live_count(), cost)
@@ -36,18 +29,10 @@ fn policies_agree_on_transformers() {
             .find(|c| c.name == name)
             .unwrap();
         let restart = run_policy(SweepPolicy::RestartOnRewrite, |s| cfg.build(s));
-        for policy in [SweepPolicy::ContinueSweep, SweepPolicy::Incremental] {
-            let other = run_policy(policy, |s| cfg.build(s));
-            assert_eq!(
-                restart.0, other.0,
-                "{name}/{policy:?}: rewrite counts differ"
-            );
-            assert_eq!(restart.1, other.1, "{name}/{policy:?}: node counts differ");
-            assert!(
-                (restart.2 - other.2).abs() < 1e-6,
-                "{name}/{policy:?}: costs differ"
-            );
-        }
+        let other = run_policy(SweepPolicy::Incremental, |s| cfg.build(s));
+        assert_eq!(restart.0, other.0, "{name}: rewrite counts differ");
+        assert_eq!(restart.1, other.1, "{name}: node counts differ");
+        assert!((restart.2 - other.2).abs() < 1e-6, "{name}: costs differ");
     }
 }
 
@@ -59,59 +44,38 @@ fn policies_agree_on_cnns() {
             .find(|c| c.name == name)
             .unwrap();
         let restart = run_policy(SweepPolicy::RestartOnRewrite, |s| cfg.build(s));
-        for policy in [SweepPolicy::ContinueSweep, SweepPolicy::Incremental] {
-            let other = run_policy(policy, |s| cfg.build(s));
-            assert_eq!(restart.0, other.0, "{name}/{policy:?}");
-            assert_eq!(restart.1, other.1, "{name}/{policy:?}");
-        }
+        let other = run_policy(SweepPolicy::Incremental, |s| cfg.build(s));
+        assert_eq!(restart.0, other.0, "{name}");
+        assert_eq!(restart.1, other.1, "{name}");
     }
 }
 
 #[test]
 fn scheduling_ablation_orders_traversal_work() {
-    // The scheduling ablation in one assertion chain: restarting
-    // revisits the most nodes, continuing fewer, the dirty-node
-    // worklist the fewest.
+    // The scheduling ablation in one claim: the dirty-node worklist
+    // visits strictly fewer nodes and tries strictly fewer matches than
+    // the restart scan.
     let cfg = pypm_models::hf_zoo()
         .into_iter()
         .find(|c| c.name == "bert-base")
         .unwrap();
-    let mut visits = Vec::new();
-    for policy in [
-        SweepPolicy::RestartOnRewrite,
-        SweepPolicy::ContinueSweep,
-        SweepPolicy::Incremental,
-    ] {
+    let [restart, incremental] = SweepPolicy::ALL.map(|policy| {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::both());
-        let pc = PassConfig {
-            sweep_policy: policy,
-            ..Default::default()
-        };
-        let stats = Rewriter::new(&mut s, &rules)
-            .with_config(pc)
-            .run(&mut g)
-            .unwrap();
-        visits.push((stats.nodes_visited, stats.match_attempts));
-    }
+        run_pass(&mut s, RewritePass::new(rules).policy(policy), &mut g)
+    });
     assert!(
-        visits[1].0 < visits[0].0,
-        "continue {} should visit fewer nodes than restart {}",
-        visits[1].0,
-        visits[0].0
+        incremental.nodes_visited < restart.nodes_visited,
+        "incremental {} should visit fewer nodes than restart {}",
+        incremental.nodes_visited,
+        restart.nodes_visited
     );
     assert!(
-        visits[2].0 < visits[1].0,
-        "incremental {} should visit fewer nodes than continue {}",
-        visits[2].0,
-        visits[1].0
-    );
-    assert!(
-        visits[2].1 < visits[0].1,
+        incremental.match_attempts < restart.match_attempts,
         "incremental {} should try fewer matches than restart {}",
-        visits[2].1,
-        visits[0].1
+        incremental.match_attempts,
+        restart.match_attempts
     );
 }
 
@@ -124,15 +88,10 @@ fn incremental_respects_max_rewrites() {
         .find(|c| c.name == "bert-base")
         .unwrap();
     let mut g = cfg.build(&mut s);
-    let pc = PassConfig {
-        max_rewrites: 3,
-        sweep_policy: SweepPolicy::Incremental,
-        ..Default::default()
-    };
-    let stats = Rewriter::new(&mut s, &rules)
-        .with_config(pc)
-        .run(&mut g)
-        .unwrap();
+    let pass = RewritePass::new(rules)
+        .policy(SweepPolicy::Incremental)
+        .max_rewrites(3);
+    let stats = run_pass(&mut s, pass, &mut g);
     assert_eq!(stats.rewrites_fired, 3);
     g.validate().unwrap();
 }
@@ -146,14 +105,10 @@ fn max_rewrites_bounds_the_pass() {
         .find(|c| c.name == "bert-base")
         .unwrap();
     let mut g = cfg.build(&mut s);
-    let pc = PassConfig {
-        max_rewrites: 3,
-        ..Default::default()
-    };
-    let stats = Rewriter::new(&mut s, &rules)
-        .with_config(pc)
-        .run(&mut g)
-        .unwrap();
+    let pass = RewritePass::new(rules)
+        .policy(SweepPolicy::RestartOnRewrite)
+        .max_rewrites(3);
+    let stats = run_pass(&mut s, pass, &mut g);
     assert_eq!(stats.rewrites_fired, 3);
     g.validate().unwrap();
 }
@@ -175,13 +130,6 @@ fn tiny_fuel_degrades_gracefully() {
         .op(&mut s.syms, &s.registry, s.ops.relu, vec![mm], vec![])
         .unwrap();
     g.mark_output(r);
-    let pc = PassConfig {
-        machine_fuel: 2,
-        ..Default::default()
-    };
-    let stats = Rewriter::new(&mut s, &rules)
-        .with_config(pc)
-        .run(&mut g)
-        .unwrap();
+    let stats = run_pass(&mut s, RewritePass::new(rules).machine_fuel(2), &mut g);
     assert_eq!(stats.rewrites_fired, 0);
 }

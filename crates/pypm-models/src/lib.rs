@@ -21,3 +21,18 @@ pub mod vision;
 
 pub use transformer::{hf_zoo, GeluVariant, ScaleVariant, TransformerConfig};
 pub use vision::{tv_zoo, BlockActivation, ConvStage, VisionConfig};
+
+/// Runs one default rewrite pass to fixpoint — the compile both zoos'
+/// unit tests assert on.
+#[cfg(test)]
+pub(crate) fn rewrite(
+    s: &mut pypm_engine::Session,
+    rules: pypm_dsl::RuleSet,
+    g: &mut pypm_graph::Graph,
+) -> pypm_engine::PassStats {
+    pypm_engine::Pipeline::new(s)
+        .with(pypm_engine::RewritePass::new(rules))
+        .run(g)
+        .unwrap()
+        .total()
+}

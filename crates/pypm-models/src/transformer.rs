@@ -247,12 +247,10 @@ pub fn hf_zoo() -> Vec<TransformerConfig> {
 }
 
 #[cfg(test)]
-// The tests drive the deprecated Rewriter/partition shims on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::rewrite;
     use pypm_dsl::LibraryConfig;
-    use pypm_engine::Rewriter;
 
     #[test]
     fn zoo_builds_and_validates() {
@@ -274,7 +272,7 @@ mod tests {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rs = s.load_library(LibraryConfig::fmha_only());
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rs, &mut g);
         assert_eq!(stats.rewrites_fired as usize, cfg.expected_mha_sites());
         // Each layer now contains exactly one FMHA node.
         let fmha_count = g
@@ -294,7 +292,7 @@ mod tests {
         let mut g = cfg.build(&mut s);
         let before = g.live_count();
         let rs = s.load_library(LibraryConfig::epilog_only());
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rs, &mut g);
         assert!(
             stats.rewrites_fired as usize >= 2 * cfg.layers,
             "only {} rewrites for {} layers",
@@ -327,7 +325,7 @@ mod tests {
             let mut s = Session::new();
             let mut g = cfg.build(&mut s);
             let rs = s.load_library(LibraryConfig::fmha_only());
-            let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+            let stats = rewrite(&mut s, rs, &mut g);
             assert_eq!(stats.rewrites_fired, 1, "scale variant {scale:?}");
         }
     }
@@ -339,7 +337,7 @@ mod tests {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rs = s.load_library(LibraryConfig::both());
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rs, &mut g);
         assert!(stats.rewrites_fired as usize >= cfg.layers);
     }
 }

@@ -277,12 +277,10 @@ pub fn tv_zoo() -> Vec<VisionConfig> {
 }
 
 #[cfg(test)]
-// The tests drive the deprecated Rewriter/partition shims on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::rewrite;
     use pypm_dsl::LibraryConfig;
-    use pypm_engine::Rewriter;
 
     #[test]
     fn zoo_builds_and_validates() {
@@ -301,7 +299,7 @@ mod tests {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rs = s.load_library(LibraryConfig::fmha_only());
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rs, &mut g);
         assert_eq!(stats.rewrites_fired, 0);
         assert_eq!(stats.matches_found, 0);
         assert!(stats.match_attempts > 0);
@@ -313,7 +311,7 @@ mod tests {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rs = s.load_library(LibraryConfig::epilog_only());
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rs, &mut g);
         let expected = cfg.expected_conv_epilog_sites() + cfg.expected_gemm_epilog_sites();
         assert_eq!(stats.rewrites_fired as usize, expected);
         let fused = g
@@ -331,7 +329,7 @@ mod tests {
             let mut s = Session::new();
             let mut g = cfg.build(&mut s);
             let rs = s.load_library(LibraryConfig::epilog_only());
-            let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+            let stats = rewrite(&mut s, rs, &mut g);
             assert_eq!(
                 stats.rewrites_fired as usize,
                 cfg.expected_conv_epilog_sites() + cfg.expected_gemm_epilog_sites(),
@@ -352,7 +350,7 @@ mod tests {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rs = s.load_library(LibraryConfig::epilog_only());
-        let stats = Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rs, &mut g);
         assert_eq!(
             stats.rewrites_fired as usize,
             cfg.expected_conv_epilog_sites()

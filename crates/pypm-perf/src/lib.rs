@@ -245,16 +245,27 @@ pub fn partitioned_graph_cost(
 }
 
 #[cfg(test)]
-// The tests drive the deprecated Rewriter/partition shims on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
-    use pypm_dsl::LibraryConfig;
-    use pypm_engine::{partition, Rewriter, Session};
+    use pypm_dsl::{LibraryConfig, RuleSet};
+    use pypm_engine::{Partition, PartitionPass, Pipeline, RewritePass, Session};
     use pypm_graph::{DType, TensorMeta};
 
     fn sess() -> Session {
         Session::new()
+    }
+
+    fn rewrite(s: &mut Session, rs: RuleSet, g: &mut Graph) {
+        Pipeline::new(s).with(RewritePass::new(rs)).run(g).unwrap();
+    }
+
+    fn partitions(s: &mut Session, rs: RuleSet, g: &mut Graph) -> Vec<Partition> {
+        Pipeline::new(s)
+            .with(PartitionPass::new("MatMulEpilog").with_rules(rs))
+            .run(g)
+            .unwrap()
+            .take_artifact(PartitionPass::ARTIFACT)
+            .unwrap()
     }
 
     #[test]
@@ -327,7 +338,7 @@ mod tests {
         let cm = CostModel::new();
         let before = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
         let rs = s.load_library(LibraryConfig::fmha_only());
-        Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        rewrite(&mut s, rs, &mut g);
         let after = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
         assert!(
             after < before,
@@ -347,7 +358,7 @@ mod tests {
         let cm = CostModel::new();
         let before = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
         let rs = s.load_library(LibraryConfig::epilog_only());
-        Rewriter::new(&mut s, &rs).run(&mut g).unwrap();
+        rewrite(&mut s, rs, &mut g);
         let after = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
         assert!(after < before);
     }
@@ -361,9 +372,9 @@ mod tests {
             .into_iter()
             .find(|c| c.name == "bert-tiny")
             .unwrap();
-        let g = cfg.build(&mut s);
+        let mut g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::all());
-        let parts = partition(&mut s, &rules, &g, "MatMulEpilog");
+        let parts = partitions(&mut s, rules, &mut g);
         assert!(!parts.is_empty());
         let cm = CostModel::new();
         let plain = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
@@ -463,7 +474,7 @@ mod tests {
             .unwrap();
         g.mark_output(e);
 
-        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
+        let parts = partitions(&mut s, rs, &mut g);
         assert_eq!(parts.len(), 1);
         let p = &parts[0];
         let cm = CostModel::new();

@@ -27,11 +27,10 @@
 //! Configurations `C`: `baseline`, `fmha`, `epilog`, `both` (default),
 //! `all` — each optionally suffixed `+synthN` (e.g. `all+synth39`) to
 //! append `N` synthetic never-matching rules for matcher-scaling
-//! experiments. Sweep policies `P`: `restart` (paper-faithful,
-//! default), `continue`, `incremental` (dirty-node worklist; identical
-//! result, fewest match attempts). `--policy` is accepted as a
-//! deprecated alias of `--sweep-policy`. Matcher backends `M`: `fused`
-//! (default — one discrimination tree over the whole rule set) or
+//! experiments. Sweep policies `P`: `incremental` (default —
+//! dirty-node worklist) or `restart` (the paper-faithful reference
+//! scan; identical result, more match attempts). Matcher backends `M`:
+//! `fused` (default — one discrimination tree over the whole rule set) or
 //! `per-pattern` (the reference ablation); both fire byte-identical
 //! rewrite sequences. `--jobs N` selects the parallel match phase's
 //! worker count (sharded discovery, serial commit — byte-identical
@@ -151,7 +150,6 @@ fn compile(args: &[String]) -> i32 {
         value_flags: &[
             "--config",
             "--sweep-policy",
-            "--policy",
             "--matcher",
             "--jobs",
             "--stats-json",
@@ -168,8 +166,6 @@ fn compile(args: &[String]) -> i32 {
         eprintln!("unknown config {config_arg}");
         return 2;
     };
-    // `--policy` survives as an alias from before the incremental
-    // scheduler; `--sweep-policy` wins when both are given.
     let policy = match cli_args::resolve_policy(&parsed) {
         Ok(policy) => policy,
         Err(e) => {
@@ -661,7 +657,7 @@ most expensive failed attempt:
         return 1;
     }
     let obs = explain.borrow();
-    println!("\nduring compilation (full library, restart policy):");
+    println!("\nduring compilation (full library):");
     print!("{}", obs.summary());
     0
 }

@@ -15,10 +15,9 @@
 //!   `+synthN` to append `N` synthetic never-matching rules
 //!   (`all+synth39` is the 4×-rules benchmark point; see
 //!   [`LibraryConfig::with_synth`]),
-//! * **sweep policies** ([`resolve_policy`]) — `--policy` stays a
-//!   documented alias of `--sweep-policy`, with `--sweep-policy`
-//!   winning when both are given, and both producing the same exit-2
-//!   diagnostic on an unknown name,
+//! * **sweep policies** ([`resolve_policy`]) — `restart|incremental`
+//!   behind `--sweep-policy`, defaulting to the engine's
+//!   [`SweepPolicy::default`],
 //! * **matcher backends** ([`resolve_matcher`]) —
 //!   `per-pattern|fused`: explicit flag, then the `PYPM_MATCHER`
 //!   environment override, then the fused default,
@@ -70,7 +69,7 @@ impl Parsed {
 
 /// Parses `args` against `spec`. Unknown flags, missing flag values and
 /// out-of-range positional counts are errors — `pypmc compile bert
-/// --polcy continue` must fail loudly, not silently run the default
+/// --polcy restart` must fail loudly, not silently run the default
 /// policy.
 ///
 /// # Errors
@@ -165,19 +164,16 @@ pub fn parse_policy(name: &str) -> Result<SweepPolicy, String> {
 }
 
 /// Resolves the sweep policy from `--sweep-policy`, falling back to the
-/// deprecated `--policy` alias (kept from before the incremental
-/// scheduler; `--sweep-policy` wins when both are given), then the
-/// restart default. Both spellings fail with the identical diagnostic.
+/// engine default ([`SweepPolicy::default`]).
 ///
 /// # Errors
 ///
 /// Propagates [`parse_policy`]'s diagnostic.
 pub fn resolve_policy(parsed: &Parsed) -> Result<SweepPolicy, String> {
-    let arg = parsed
-        .value("--sweep-policy")
-        .or_else(|| parsed.value("--policy"))
-        .unwrap_or("restart");
-    parse_policy(arg)
+    match parsed.value("--sweep-policy") {
+        Some(name) => parse_policy(name),
+        None => Ok(SweepPolicy::default()),
+    }
 }
 
 /// Parses a matcher-backend name with the shared diagnostic.
@@ -256,13 +252,7 @@ mod tests {
         Spec {
             usage: "test",
             positionals: (0, 1),
-            value_flags: &[
-                "--config",
-                "--sweep-policy",
-                "--policy",
-                "--jobs",
-                "--matcher",
-            ],
+            value_flags: &["--config", "--sweep-policy", "--jobs", "--matcher"],
             bool_flags: &["--dot"],
         }
     }
@@ -274,7 +264,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_flags_missing_values_and_stray_positionals() {
-        assert!(parse(&["--polcy", "continue"])
+        assert!(parse(&["--polcy", "restart"])
             .unwrap_err()
             .contains("unknown flag"));
         assert!(parse(&["--jobs"]).unwrap_err().contains("missing value"));
@@ -309,18 +299,20 @@ mod tests {
     }
 
     #[test]
-    fn policy_alias_resolves_identically_and_sweep_policy_wins() {
-        let both = parse(&["--sweep-policy", "incremental", "--policy", "continue"]).unwrap();
-        assert_eq!(resolve_policy(&both), Ok(SweepPolicy::Incremental));
-        let alias = parse(&["--policy", "continue"]).unwrap();
-        assert_eq!(resolve_policy(&alias), Ok(SweepPolicy::ContinueSweep));
+    fn policy_resolves_with_the_engine_default_and_the_alias_is_gone() {
+        let named = parse(&["--sweep-policy", "restart"]).unwrap();
+        assert_eq!(resolve_policy(&named), Ok(SweepPolicy::RestartOnRewrite));
         let neither = parse(&[]).unwrap();
-        assert_eq!(resolve_policy(&neither), Ok(SweepPolicy::RestartOnRewrite));
-        // Identical diagnostics whichever spelling carried the bad name.
-        let bad_alias = parse(&["--policy", "bogus"]).unwrap();
-        let bad_flag = parse(&["--sweep-policy", "bogus"]).unwrap();
-        assert_eq!(resolve_policy(&bad_alias), resolve_policy(&bad_flag));
-        assert!(resolve_policy(&bad_alias).unwrap_err().contains("restart|"));
+        assert_eq!(resolve_policy(&neither), Ok(SweepPolicy::Incremental));
+        // The pre-incremental `--policy` spelling is an unknown flag now.
+        assert_eq!(
+            parse(&["--policy", "restart"]).unwrap_err(),
+            "unknown flag --policy"
+        );
+        // The retired `continue` policy is rejected with the vocabulary.
+        let retired = parse(&["--sweep-policy", "continue"]).unwrap();
+        let err = resolve_policy(&retired).unwrap_err();
+        assert!(err.contains("restart|incremental"), "{err}");
     }
 
     #[test]

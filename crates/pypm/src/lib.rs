@@ -49,9 +49,6 @@
 //! // with a stable JSON rendering for external tooling.
 //! assert!(report.to_json().contains("pypm.pipeline.v1"));
 //! ```
-//!
-//! Migrating from the legacy `Rewriter`/`partition`/`explain_match`
-//! entry points? See the migration table in the [`engine`] crate docs.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -32,7 +32,7 @@
 //!
 //! `C`, `P` and `M` take exactly the `pypmc compile` vocabulary
 //! ([`crate::cli_args`]: `baseline|fmha|epilog|both|all` with an
-//! optional `+synthN` scaling suffix, `restart|continue|incremental`,
+//! optional `+synthN` scaling suffix, `restart|incremental`,
 //! `per-pattern|fused` — both spellings are the *same* parser, so the
 //! flag and its `key=value` twin can never drift).
 //! A successful `compile` responds with the request's
@@ -316,7 +316,7 @@ fn parse_request(line: &str) -> Result<Request, String> {
             let mut req = CompileRequest {
                 model: model.to_owned(),
                 config: LibraryConfig::both(),
-                policy: SweepPolicy::RestartOnRewrite,
+                policy: SweepPolicy::default(),
                 matcher: MatcherBackend::default(),
                 jobs: None,
                 timeout_ms: None,
@@ -1642,7 +1642,7 @@ mod tests {
             Ok(Request::Compile(CompileRequest {
                 model: "bert-tiny".to_owned(),
                 config: LibraryConfig::both(),
-                policy: SweepPolicy::RestartOnRewrite,
+                policy: SweepPolicy::Incremental,
                 matcher: MatcherBackend::Fused,
                 jobs: None,
                 timeout_ms: None,
@@ -1651,13 +1651,13 @@ mod tests {
         );
         assert_eq!(
             parse_request(
-                "compile vgg11 config=all+synth39 policy=incremental matcher=per-pattern jobs=4 \
+                "compile vgg11 config=all+synth39 policy=restart matcher=per-pattern jobs=4 \
                  timeout_ms=250 step_limit=100000"
             ),
             Ok(Request::Compile(CompileRequest {
                 model: "vgg11".to_owned(),
                 config: LibraryConfig::all().with_synth(39),
-                policy: SweepPolicy::Incremental,
+                policy: SweepPolicy::RestartOnRewrite,
                 matcher: MatcherBackend::PerPattern,
                 jobs: Some(4),
                 timeout_ms: Some(250),
@@ -1674,6 +1674,9 @@ mod tests {
         assert!(parse_request("compile m config=bogus").is_err());
         assert!(parse_request("compile m config=all+synthX").is_err());
         assert!(parse_request("compile m policy=bogus").is_err());
+        assert!(parse_request("compile m policy=continue")
+            .unwrap_err()
+            .contains("restart|incremental"));
         assert!(parse_request("compile m matcher=bogus").is_err());
         assert!(parse_request("compile m jobs=0").is_err());
         assert!(parse_request("compile m jobs=four").is_err());

@@ -83,7 +83,7 @@ impl Rng {
 }
 
 const MODELS: &[&str] = &["bert-tiny", "bert-small", "vgg11"];
-const POLICIES: &[&str] = &["restart", "continue", "incremental"];
+const POLICIES: &[&str] = &["restart", "incremental"];
 const JOBS: &[usize] = &[1, 2, 4];
 
 /// Masks `wall_ms`, `duration_ms`, `warm_wall_ms` and

@@ -46,10 +46,10 @@ fn compile_unknown_model_fails() {
 
 #[test]
 fn compile_accepts_every_sweep_policy() {
-    // All three schedulers reach the same fixpoint; the CLI reports the
-    // same rewrite count and final cost line for each.
+    // Both policies reach the same fixpoint; the CLI reports the same
+    // rewrite count and final cost line for each.
     let mut rewrite_lines = Vec::new();
-    for policy in ["restart", "continue", "incremental"] {
+    for policy in ["restart", "incremental"] {
         let out = pypmc(&["compile", "bert-tiny", "--sweep-policy", policy]);
         assert!(out.status.success(), "{policy}: {out:?}");
         let text = stdout(&out);
@@ -66,13 +66,17 @@ fn compile_accepts_every_sweep_policy() {
         rewrite_lines.push(line);
     }
     assert_eq!(rewrite_lines[0], rewrite_lines[1]);
-    assert_eq!(rewrite_lines[0], rewrite_lines[2]);
 }
 
 #[test]
-fn compile_policy_alias_still_works() {
+fn compile_policy_alias_is_rejected() {
+    // The pre-incremental `--policy` spelling is gone: it takes the
+    // unknown-flag path like any other typo.
     let out = pypmc(&["compile", "bert-tiny", "--policy", "incremental"]);
-    assert!(out.status.success(), "{out:?}");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("unknown flag --policy"), "{err}");
+    assert!(err.contains("usage: pypmc compile"), "{err}");
 }
 
 /// Spawns pypmc with an explicit `PYPM_JOBS` state: `Some(v)` sets it,
@@ -249,16 +253,21 @@ fn compile_unknown_sweep_policy_fails_loudly() {
         "should name the bad value: {err}"
     );
     assert!(
-        err.contains("restart|continue|incremental"),
+        err.contains("(want restart|incremental)"),
         "should list the vocabulary: {err}"
     );
+    // The retired `continue` policy gets the same answer.
+    let out = pypmc(&["compile", "bert-tiny", "--sweep-policy", "continue"]);
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("(want restart|incremental)"), "{err}");
 }
 
 #[test]
 fn unknown_flags_are_rejected_with_usage() {
     // The classic typo: `--polcy` must not silently run the default
     // policy.
-    let out = pypmc(&["compile", "bert-tiny", "--polcy", "continue"]);
+    let out = pypmc(&["compile", "bert-tiny", "--polcy", "restart"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown flag --polcy"), "{err}");
@@ -380,9 +389,9 @@ fn serial_compile_bypasses_the_pool_entirely() {
 
 #[test]
 fn flag_missing_value_is_rejected() {
-    let out = pypmc(&["compile", "bert-tiny", "--policy"]);
+    let out = pypmc(&["compile", "bert-tiny", "--sweep-policy"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --policy"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("missing value for --sweep-policy"));
 }
 
 #[test]

@@ -1,14 +1,19 @@
-// Exercises the deprecated pre-Pipeline API on purpose: these suites
-// pin the behaviour the deprecated shims must preserve.
-#![allow(deprecated)]
-
 //! Cross-crate integration tests: the full compile pipeline (model zoo →
 //! rewrite pass → cost model) with the invariants every configuration
 //! must uphold.
 
-use pypm::dsl::LibraryConfig;
-use pypm::engine::{Rewriter, Session};
+use pypm::dsl::{LibraryConfig, RuleSet};
+use pypm::engine::{Partition, PartitionPass, PassStats, Pipeline, RewritePass, Session};
+use pypm::graph::Graph;
 use pypm::perf::CostModel;
+
+fn rewrite(s: &mut Session, rules: RuleSet, g: &mut Graph) -> PassStats {
+    Pipeline::new(s)
+        .with(RewritePass::new(rules))
+        .run(g)
+        .unwrap()
+        .total()
+}
 
 type ConfigFn = fn() -> LibraryConfig;
 
@@ -27,14 +32,15 @@ fn all_models_all_configs_valid_and_never_slower() {
     let tv: Vec<_> = pypm::models::tv_zoo().into_iter().take(6).collect();
     let cm = CostModel::new();
 
-    let run = |name: &str, build: &dyn Fn(&mut Session) -> pypm::graph::Graph| {
+    let run = |name: &str, build: &dyn Fn(&mut Session) -> Graph| {
         for (cname, cfg) in CONFIGS {
             let mut s = Session::new();
             let mut g = build(&mut s);
             let before = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
             let rules = s.load_library(cfg());
             if !rules.is_empty() {
-                Rewriter::new(&mut s, &rules)
+                Pipeline::new(&mut s)
+                    .with(RewritePass::new(rules))
                     .run(&mut g)
                     .unwrap_or_else(|e| panic!("{name}/{cname}: {e}"));
             }
@@ -67,9 +73,9 @@ fn second_pass_is_identity() {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::both());
-        let first = Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        let first = rewrite(&mut s, rules.clone(), &mut g);
         assert!(first.rewrites_fired > 0);
-        let second = Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        let second = rewrite(&mut s, rules, &mut g);
         assert_eq!(second.rewrites_fired, 0, "{name} not at fixpoint");
         assert_eq!(second.sweeps, 1);
     }
@@ -85,7 +91,7 @@ fn rewrite_counts_match_model_structure() {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::fmha_only());
-        let stats = Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rules, &mut g);
         assert_eq!(
             stats.rewrites_fired as usize,
             cfg.expected_mha_sites(),
@@ -99,7 +105,7 @@ fn rewrite_counts_match_model_structure() {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::epilog_only());
-        let stats = Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rules, &mut g);
         assert_eq!(
             stats.rewrites_fired as usize,
             cfg.expected_conv_epilog_sites() + cfg.expected_gemm_epilog_sites(),
@@ -116,7 +122,7 @@ fn fmha_never_matches_vision_models() {
         let mut s = Session::new();
         let mut g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::fmha_only());
-        let stats = Rewriter::new(&mut s, &rules).run(&mut g).unwrap();
+        let stats = rewrite(&mut s, rules, &mut g);
         assert_eq!(stats.matches_found, 0, "{}", cfg.name);
     }
 }
@@ -139,7 +145,7 @@ fn both_config_dominates() {
         let stats = if rules.is_empty() {
             Default::default()
         } else {
-            Rewriter::new(&mut s, &rules).run(&mut g).unwrap()
+            rewrite(&mut s, rules, &mut g)
         };
         costs.push(cm.graph_cost(&g, &s.syms, &s.registry, &s.ops));
         fired.push(stats.rewrites_fired);
@@ -161,9 +167,14 @@ fn partitioning_covers_all_matmuls_disjointly() {
         .find(|c| c.name == "bert-tiny")
         .unwrap();
     let mut s = Session::new();
-    let g = cfg.build(&mut s);
+    let mut g = cfg.build(&mut s);
     let rules = s.load_library(LibraryConfig::all());
-    let parts = pypm::engine::partition(&mut s, &rules, &g, "MatMulEpilog");
+    let parts: Vec<Partition> = Pipeline::new(&mut s)
+        .with(PartitionPass::new("MatMulEpilog").with_rules(rules))
+        .run(&mut g)
+        .unwrap()
+        .take_artifact(PartitionPass::ARTIFACT)
+        .unwrap();
 
     let matmul_count = g
         .topo_order()

@@ -11,14 +11,17 @@
 //! and an observer recording the exact (pattern, rule, node, …) firing
 //! sequence.
 
+use pypm::core::Budget;
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{
-    Observer, PassStats, Pipeline, RewriteFired, RewritePass, Session, SweepPolicy,
+    Observer, PassError, PassStats, Pipeline, PipelineError, RewriteFired, RewritePass, Session,
+    SweepPolicy,
 };
 use pypm::graph::{Graph, NodeId};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
+use std::sync::Arc;
 
 type ConfigFn = fn() -> LibraryConfig;
 
@@ -49,12 +52,13 @@ impl Observer for FiringLog {
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
     fired: Vec<(String, usize, NodeId)>,
-    rewrites_fired: u64,
     live_nodes: usize,
     /// (node id, operator name, input ids) for every reachable node —
     /// byte-identical graphs have byte-identical rows.
     nodes: Vec<(NodeId, String, Vec<NodeId>)>,
     output_ids: Vec<NodeId>,
+    /// The final graph's canonical wire encoding.
+    bytes: Vec<u8>,
 }
 
 fn run(
@@ -62,16 +66,35 @@ fn run(
     cfg: LibraryConfig,
     policy: SweepPolicy,
 ) -> (Outcome, PassStats) {
+    let (outcome, stats) = run_bounded(build, cfg, &|pass| pass.policy(policy), None);
+    (outcome, stats.expect("pass succeeds"))
+}
+
+/// [`run`] with the pass's bounds exposed: `configure` sets the knobs
+/// and `step_limit` installs a deterministic [`Budget`]. An exhausted
+/// budget is an `Err` next to the partially rewritten graph's outcome.
+fn run_bounded(
+    build: &dyn Fn(&mut Session) -> Graph,
+    cfg: LibraryConfig,
+    configure: &dyn Fn(RewritePass) -> RewritePass,
+    step_limit: Option<u64>,
+) -> (Outcome, Result<PassStats, PipelineError>) {
     let mut s = Session::new();
     let mut g = build(&mut s);
     let rules = s.load_library(cfg);
     let log = Rc::new(RefCell::new(FiringLog::default()));
-    let report = Pipeline::new(&mut s)
-        .with(RewritePass::new(rules).policy(policy))
-        .observe(log.clone())
-        .run(&mut g)
-        .expect("pass succeeds");
-    let stats = report.total();
+    let mut pipeline = Pipeline::new(&mut s)
+        .with(configure(RewritePass::new(rules)))
+        .observe(log.clone());
+    if step_limit.is_some() {
+        pipeline = pipeline.with_budget(Arc::new(Budget::new(None, step_limit)));
+    }
+    let stats = pipeline.run(&mut g).map(|report| report.total());
+    g.validate().expect("graph stays valid");
+    let fired = std::mem::take(&mut log.borrow_mut().fired);
+    if let Ok(stats) = &stats {
+        assert_eq!(stats.rewrites_fired, fired.len() as u64);
+    }
     let nodes = g
         .topo_order()
         .into_iter()
@@ -84,11 +107,11 @@ fn run(
         })
         .collect();
     let outcome = Outcome {
-        fired: std::mem::take(&mut log.borrow_mut().fired),
-        rewrites_fired: stats.rewrites_fired,
+        fired,
         live_nodes: g.live_count(),
         nodes,
         output_ids: g.outputs().to_vec(),
+        bytes: pypm::wire::encode_graph(&g, &s.syms).to_vec(),
     };
     (outcome, stats)
 }
@@ -143,6 +166,94 @@ fn hf_zoo_incremental_matches_restart() {
 fn tv_zoo_incremental_matches_restart() {
     for cfg in pypm::models::tv_zoo() {
         assert_incremental_equivalent(cfg.name, &|s| cfg.build(s));
+    }
+}
+
+/// The bounded exits — the rewrite cap, starved machine fuel, a step
+/// budget — are code both policies share in the one scan loop, so a
+/// bounded run must stay byte-identical too: same firing sequence, same
+/// final graph bytes, same policy-invariant counters, and one view
+/// patch per fired rewrite even when the cap cuts the pass short.
+#[test]
+fn bounded_runs_stay_byte_identical_on_bert_small() {
+    let cfg = pypm::models::hf_zoo()
+        .into_iter()
+        .find(|c| c.name == "bert-small")
+        .unwrap();
+    type Knobs = (&'static str, fn(RewritePass) -> RewritePass, Option<u64>);
+    let bounds: [Knobs; 3] = [
+        ("max_rewrites=3", |p| p.max_rewrites(3), None),
+        ("machine_fuel=50", |p| p.machine_fuel(50), None),
+        ("step_limit=50M", |p| p, Some(50_000_000)),
+    ];
+    for (label, knobs, step_limit) in bounds {
+        let [(restart, restart_stats), (incremental, inc_stats)] = SweepPolicy::ALL.map(|policy| {
+            let (outcome, stats) = run_bounded(
+                &|s| cfg.build(s),
+                LibraryConfig::both(),
+                &|pass| knobs(pass).policy(policy),
+                step_limit,
+            );
+            (outcome, stats.expect("bounds not exhausted"))
+        });
+        assert_eq!(restart, incremental, "{label}");
+        assert!(!restart.fired.is_empty(), "{label}: must actually rewrite");
+        for stats in [&restart_stats, &inc_stats] {
+            assert_eq!(stats.view_builds, 1, "{label}");
+            assert_eq!(stats.view_patches, stats.rewrites_fired, "{label}");
+        }
+        assert_eq!(
+            restart_stats.nodes_reindexed, inc_stats.nodes_reindexed,
+            "{label}"
+        );
+        assert!(
+            inc_stats.match_attempts <= restart_stats.match_attempts,
+            "{label}"
+        );
+    }
+    let (capped, _) = run_bounded(
+        &|s| cfg.build(s),
+        LibraryConfig::both(),
+        &|pass| pass.max_rewrites(3),
+        None,
+    );
+    assert_eq!(capped.fired.len(), 3);
+
+    // A budget that trips mid-pass unwinds both policies the same way.
+    // Restarting spends more steps per rewrite, so it stops earlier in
+    // the one firing sequence both policies share.
+    let [restart, incremental] = SweepPolicy::ALL.map(|policy| {
+        let (outcome, stats) = run_bounded(
+            &|s| cfg.build(s),
+            LibraryConfig::both(),
+            &|pass| pass.policy(policy),
+            Some(100),
+        );
+        let err = stats.expect_err("100 steps cannot finish bert-small");
+        assert!(
+            matches!(err.error, PassError::BudgetExceeded { .. }),
+            "{err}"
+        );
+        outcome
+    });
+    assert!(!restart.fired.is_empty(), "the budget must trip mid-pass");
+    assert!(incremental.fired.starts_with(&restart.fired));
+}
+
+/// The degenerate baseline: an empty rule set is one scan round that
+/// fires nothing, under either policy.
+#[test]
+fn empty_ruleset_is_one_sweep() {
+    let cfg = pypm::models::hf_zoo()
+        .into_iter()
+        .find(|c| c.name == "bert-tiny")
+        .unwrap();
+    let [(restart, restart_stats), (incremental, inc_stats)] =
+        SweepPolicy::ALL.map(|policy| run(&|s| cfg.build(s), LibraryConfig::none(), policy));
+    assert_eq!(restart, incremental);
+    for stats in [restart_stats, inc_stats] {
+        assert_eq!(stats.rewrites_fired, 0);
+        assert_eq!(stats.sweeps, 1);
     }
 }
 

@@ -2,8 +2,8 @@
 //! discrimination-tree backend must be **byte-identical** to the
 //! per-pattern backend — same firing sequence, same final graph down to
 //! node ids, and the same value for every semantic counter
-//! (`match_attempts`, `matches_found`, `rewrites_fired`, …) — under all
-//! three sweep policies, at jobs 1 and 4, across the full model zoo.
+//! (`match_attempts`, `matches_found`, `rewrites_fired`, …) — under both
+//! sweep policies, at jobs 1 and 4, across the full model zoo.
 //!
 //! The correctness argument is local (the tree only rejects a
 //! `(pattern, node)` pair when the pattern's every alternative is

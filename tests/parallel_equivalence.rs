@@ -3,8 +3,8 @@
 //! `pypm_engine::shard` module docs) must be **byte-identical** to the
 //! fully serial `jobs = 1` run — same firing sequence, same final graph
 //! down to node ids, and the same value for every semantic counter
-//! (`match_attempts`, `matches_found`, `machine_steps`, …) — under all
-//! three sweep policies, across the full model zoo.
+//! (`match_attempts`, `matches_found`, `machine_steps`, …) — under both
+//! sweep policies, across the full model zoo.
 //!
 //! The correctness argument is local (probe outcomes are deterministic
 //! per `(pattern, term)`, and the serial commit scan consumes them in

@@ -1,13 +1,9 @@
-// Exercises the deprecated pre-Pipeline API on purpose: these suites
-// pin the behaviour the deprecated shims must preserve.
-#![allow(deprecated)]
-
 //! Integration tests of the frontend → serialize → backend pipeline
 //! (paper §2.4): a rule set authored in one process image must behave
 //! identically after a round trip through either portable format.
 
 use pypm::dsl::{binary, text, LibraryConfig, RuleSet};
-use pypm::engine::{Rewriter, Session};
+use pypm::engine::{Pipeline, RewritePass, Session};
 
 fn compile_model(session: &mut Session, rules: &RuleSet, model: &str) -> (u64, usize) {
     let cfg = pypm::models::hf_zoo()
@@ -15,7 +11,11 @@ fn compile_model(session: &mut Session, rules: &RuleSet, model: &str) -> (u64, u
         .find(|c| c.name == model)
         .unwrap();
     let mut g = cfg.build(session);
-    let stats = Rewriter::new(session, rules).run(&mut g).unwrap();
+    let stats = Pipeline::new(session)
+        .with(RewritePass::new(rules.clone()))
+        .run(&mut g)
+        .unwrap()
+        .total();
     (stats.rewrites_fired, g.live_count())
 }
 

@@ -49,6 +49,10 @@ fn ping_compile_and_errors_over_one_connection() {
     assert_eq!(status, STATUS_BAD_REQUEST, "{body}");
     assert!(body.contains("bogus"), "{body}");
 
+    let (status, body) = c.request("compile bert-tiny policy=continue").unwrap();
+    assert_eq!(status, STATUS_BAD_REQUEST, "{body}");
+    assert!(body.contains("restart|incremental"), "{body}");
+
     // The connection survives every rejected request: it still serves.
     let (status, _) = c.request("ping").unwrap();
     assert_eq!(status, STATUS_OK);
@@ -61,7 +65,7 @@ fn all_request_parameters_are_honored() {
     let mut c = Client::connect(server.addr()).unwrap();
     for line in [
         "compile bert-tiny config=baseline policy=incremental jobs=1",
-        "compile vgg11 config=all policy=continue jobs=2",
+        "compile vgg11 config=all policy=restart jobs=2",
         "compile bert-tiny config=fmha",
         "compile bert-tiny config=epilog policy=restart",
     ] {
