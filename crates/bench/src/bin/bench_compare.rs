@@ -46,7 +46,7 @@
 //! New rows/policies/jobs in the current document are reported but pass
 //! (the trajectory is allowed to grow).
 
-use bench::json::{self, Value};
+use pypm::core::json::{self, Value};
 use std::collections::BTreeMap;
 use std::process::exit;
 

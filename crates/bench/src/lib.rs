@@ -12,6 +12,7 @@
 
 #![warn(missing_docs)]
 
+use pypm::core::json::{Layout, Writer};
 use pypm_dsl::LibraryConfig;
 use pypm_engine::{
     MatcherBackend, ParallelConfig, PassStats, Pipeline, PipelineReport, RewritePass, Session,
@@ -21,8 +22,6 @@ use pypm_graph::Graph;
 use pypm_perf::pool::WorkerPool;
 use pypm_perf::CostModel;
 use std::sync::Arc;
-
-pub mod json;
 
 /// The four compile configurations of §4.1, in the paper's order.
 pub const CONFIG_NAMES: [&str; 4] = ["baseline", "fmha", "epilog", "both"];
@@ -542,117 +541,86 @@ pub fn rules_scaling_rows(runs: usize) -> Vec<RulesScalingRow> {
 /// series, so v1–v4 consumers keep reading the paper-faithful values)
 /// from aggregated rows.
 pub fn rows_to_json(rows: &[PassBenchRow], scaling: &[RulesScalingRow]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"pypm.bench.rewrite_pass.v5\",\n  \"rows\": [");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        // Model/config names are static ASCII identifiers; escape the
-        // two JSON-significant characters anyway.
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        out.push_str(&format!(
-            "\n    {{\"model\": \"{}\", \"config\": \"{}\", \"runs\": {}, \
-             \"mean_wall_ms\": {:.6}, \"mean_match_attempts\": {:.1}, \
-             \"mean_matches_found\": {:.1}, \"mean_rewrites_fired\": {:.1}, \
-             \"policies\": {{",
-            esc(&row.model),
-            esc(row.config),
-            row.runs,
-            row.mean_wall_ms,
-            row.mean_match_attempts,
-            row.mean_matches_found,
-            row.mean_rewrites_fired,
-        ));
-        for (j, p) in row.policies.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
+    let mut w = Writer::new();
+    w.begin_object(Layout::Lines);
+    w.key("schema").string("pypm.bench.rewrite_pass.v5");
+    w.key("rows").begin_array(Layout::Lines);
+    for row in rows {
+        w.begin_object(Layout::Inline);
+        w.key("model").string(&row.model);
+        w.key("config").string(row.config);
+        w.key("runs").scalar(row.runs);
+        w.key("mean_wall_ms").fixed(row.mean_wall_ms, 6);
+        w.key("mean_match_attempts")
+            .fixed(row.mean_match_attempts, 1);
+        w.key("mean_matches_found").fixed(row.mean_matches_found, 1);
+        w.key("mean_rewrites_fired")
+            .fixed(row.mean_rewrites_fired, 1);
+        w.key("policies").begin_object(Layout::Inline);
+        for p in &row.policies {
+            w.key(p.policy).begin_object(Layout::Inline);
+            w.key("mean_wall_ms").fixed(p.mean_wall_ms, 6);
+            w.key("min_wall_ms").fixed(p.min_wall_ms, 6);
+            w.key("mean_match_attempts").fixed(p.mean_match_attempts, 1);
+            w.key("mean_matches_found").fixed(p.mean_matches_found, 1);
+            w.key("mean_rewrites_fired").fixed(p.mean_rewrites_fired, 1);
+            w.key("mean_view_builds").fixed(p.mean_view_builds, 1);
+            w.key("mean_view_patches").fixed(p.mean_view_patches, 1);
+            w.key("mean_nodes_revisited")
+                .fixed(p.mean_nodes_revisited, 1);
+            w.key("mean_nodes_reindexed")
+                .fixed(p.mean_nodes_reindexed, 1);
+            w.key("jobs").begin_object(Layout::Inline);
+            for js in &p.jobs_series {
+                w.key(&js.jobs.to_string()).begin_object(Layout::Inline);
+                w.key("mean_wall_ms").fixed(js.mean_wall_ms, 6);
+                w.key("min_wall_ms").fixed(js.min_wall_ms, 6);
+                w.key("mean_match_attempts")
+                    .fixed(js.mean_match_attempts, 1);
+                w.key("mean_matches_found").fixed(js.mean_matches_found, 1);
+                w.key("mean_rewrites_fired")
+                    .fixed(js.mean_rewrites_fired, 1);
+                w.end();
             }
-            out.push_str(&format!(
-                "\"{}\": {{\"mean_wall_ms\": {:.6}, \"min_wall_ms\": {:.6}, \
-                 \"mean_match_attempts\": {:.1}, \
-                 \"mean_matches_found\": {:.1}, \"mean_rewrites_fired\": {:.1}, \
-                 \"mean_view_builds\": {:.1}, \"mean_view_patches\": {:.1}, \
-                 \"mean_nodes_revisited\": {:.1}, \"mean_nodes_reindexed\": {:.1}, \
-                 \"jobs\": {{",
-                esc(p.policy),
-                p.mean_wall_ms,
-                p.min_wall_ms,
-                p.mean_match_attempts,
-                p.mean_matches_found,
-                p.mean_rewrites_fired,
-                p.mean_view_builds,
-                p.mean_view_patches,
-                p.mean_nodes_revisited,
-                p.mean_nodes_reindexed,
-            ));
-            for (k, js) in p.jobs_series.iter().enumerate() {
-                if k > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&format!(
-                    "\"{}\": {{\"mean_wall_ms\": {:.6}, \"min_wall_ms\": {:.6}, \
-                     \"mean_match_attempts\": {:.1}, \"mean_matches_found\": {:.1}, \
-                     \"mean_rewrites_fired\": {:.1}}}",
-                    js.jobs,
-                    js.mean_wall_ms,
-                    js.min_wall_ms,
-                    js.mean_match_attempts,
-                    js.mean_matches_found,
-                    js.mean_rewrites_fired,
-                ));
-            }
-            out.push_str("}}");
+            w.end();
+            w.end();
         }
-        out.push_str(&format!(
-            "}}, \"last_report\": {}}}",
-            // Already-valid JSON from PipelineReport::to_json; embed raw.
-            row.last_report_json.trim_end(),
-        ));
+        w.end();
+        // Already-valid JSON from PipelineReport::to_json; embed raw.
+        w.key("last_report").raw(row.last_report_json.trim_end());
+        w.end();
     }
-    out.push_str("\n  ],\n  \"rules_scaling\": [");
-    for (i, row) in scaling.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    w.end();
+    w.key("rules_scaling").begin_array(Layout::Lines);
+    for row in scaling {
+        w.begin_object(Layout::Inline);
+        w.key("model").string(&row.model);
+        w.key("config").string(&row.config);
+        w.key("synth").scalar(row.synth);
+        w.key("rule_patterns").scalar(row.rule_patterns);
+        w.key("runs").scalar(row.runs);
+        w.key("backends").begin_object(Layout::Inline);
+        for b in &row.backends {
+            w.key(b.backend).begin_object(Layout::Inline);
+            w.key("mean_wall_ms").fixed(b.mean_wall_ms, 6);
+            w.key("min_wall_ms").fixed(b.min_wall_ms, 6);
+            w.key("mean_match_attempts").fixed(b.mean_match_attempts, 1);
+            w.key("mean_matches_found").fixed(b.mean_matches_found, 1);
+            w.key("mean_rewrites_fired").fixed(b.mean_rewrites_fired, 1);
+            w.key("mean_machine_steps").fixed(b.mean_machine_steps, 1);
+            w.key("mean_pairs_admitted").fixed(b.mean_pairs_admitted, 1);
+            w.key("mean_pairs_rejected").fixed(b.mean_pairs_rejected, 1);
+            w.key("mean_terms_walked").fixed(b.mean_terms_walked, 1);
+            w.key("mean_trie_steps").fixed(b.mean_trie_steps, 1);
+            w.key("probes_per_node").fixed(b.probes_per_node, 3);
+            w.end();
         }
-        let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-        out.push_str(&format!(
-            "\n    {{\"model\": \"{}\", \"config\": \"{}\", \"synth\": {}, \
-             \"rule_patterns\": {}, \"runs\": {}, \"backends\": {{",
-            esc(&row.model),
-            esc(&row.config),
-            row.synth,
-            row.rule_patterns,
-            row.runs,
-        ));
-        for (j, b) in row.backends.iter().enumerate() {
-            if j > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "\"{}\": {{\"mean_wall_ms\": {:.6}, \"min_wall_ms\": {:.6}, \
-                 \"mean_match_attempts\": {:.1}, \"mean_matches_found\": {:.1}, \
-                 \"mean_rewrites_fired\": {:.1}, \"mean_machine_steps\": {:.1}, \
-                 \"mean_pairs_admitted\": {:.1}, \"mean_pairs_rejected\": {:.1}, \
-                 \"mean_terms_walked\": {:.1}, \"mean_trie_steps\": {:.1}, \
-                 \"probes_per_node\": {:.3}}}",
-                esc(b.backend),
-                b.mean_wall_ms,
-                b.min_wall_ms,
-                b.mean_match_attempts,
-                b.mean_matches_found,
-                b.mean_rewrites_fired,
-                b.mean_machine_steps,
-                b.mean_pairs_admitted,
-                b.mean_pairs_rejected,
-                b.mean_terms_walked,
-                b.mean_trie_steps,
-                b.probes_per_node,
-            ));
-        }
-        out.push_str("}}");
+        w.end();
+        w.end();
     }
-    out.push_str("\n  ]\n}\n");
-    out
+    w.end();
+    w.end();
+    w.finish() + "\n"
 }
 
 /// The representative model × configuration matrix the rewrite-pass
@@ -728,6 +696,7 @@ pub fn geomean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pypm::core::json::{self, Value};
 
     #[test]
     fn four_way_compile_of_a_transformer() {
@@ -834,41 +803,48 @@ mod tests {
         }
         let scaling = rules_scaling_row("bert-tiny", 13, 1, |s| cfg.build(s));
         let json = rows_to_json(std::slice::from_ref(&row), std::slice::from_ref(&scaling));
-        assert!(json.contains("\"schema\": \"pypm.bench.rewrite_pass.v5\""));
-        assert!(json.contains("\"model\": \"bert-tiny\""));
-        assert!(json.contains("\"policies\": {\"restart\""));
-        assert!(json.contains("\"incremental\": {\"mean_wall_ms\""));
-        assert!(json.contains("\"mean_nodes_reindexed\""));
-        assert!(json.contains("\"jobs\": {\"1\": {\"mean_wall_ms\""));
-        assert!(json.contains("\"4\": {\"mean_wall_ms\""));
-        assert!(json.contains("\"schema\": \"pypm.pipeline.v1\""));
-        assert!(json.contains("\"rules_scaling\": ["));
-        assert!(json.contains("\"config\": \"all+synth13\""));
-        assert!(json.contains("\"backends\": {\"per-pattern\": {"));
-        assert!(json.contains("\"fused\": {"));
-        assert!(json.contains("\"probes_per_node\""));
-        for (open, close) in [('{', '}'), ('[', ']')] {
-            assert_eq!(json.matches(open).count(), json.matches(close).count());
-        }
-        // The document round-trips through the bench JSON parser the CI
-        // gate uses.
+        // The document reads back through the parser the CI gate uses.
         let doc = json::parse(&json).expect("bench JSON parses");
+        let text = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_owned);
         assert_eq!(
-            doc.get("schema").and_then(json::Value::as_str),
+            text(&doc, "schema").as_deref(),
             Some("pypm.bench.rewrite_pass.v5")
         );
+        let rows = doc.get("rows").and_then(Value::as_array).expect("rows");
+        assert_eq!(rows.len(), 1);
+        assert_eq!(text(&rows[0], "model").as_deref(), Some("bert-tiny"));
+        let policies = rows[0].get("policies").expect("policies");
+        for policy in POLICY_NAMES {
+            let series = policies.get(policy).expect("policy series");
+            assert!(series.get("mean_nodes_reindexed").is_some(), "{policy}");
+            for jobs in JOBS_SERIES {
+                let sub = series.get("jobs").and_then(|j| j.get(&jobs.to_string()));
+                assert!(
+                    sub.and_then(|s| s.get("mean_wall_ms")).is_some(),
+                    "{policy}@jobs{jobs}"
+                );
+            }
+        }
         assert_eq!(
-            doc.get("rows")
-                .and_then(json::Value::as_array)
-                .map(Vec::len),
-            Some(1)
+            rows[0]
+                .get("last_report")
+                .and_then(|r| text(r, "schema"))
+                .as_deref(),
+            Some("pypm.pipeline.v1")
         );
-        assert_eq!(
-            doc.get("rules_scaling")
-                .and_then(json::Value::as_array)
-                .map(Vec::len),
-            Some(1)
-        );
+        let scaling = doc
+            .get("rules_scaling")
+            .and_then(Value::as_array)
+            .expect("rules_scaling");
+        assert_eq!(scaling.len(), 1);
+        assert_eq!(text(&scaling[0], "config").as_deref(), Some("all+synth13"));
+        for backend in ["per-pattern", "fused"] {
+            let series = scaling[0].get("backends").and_then(|b| b.get(backend));
+            assert!(
+                series.and_then(|s| s.get("probes_per_node")).is_some(),
+                "{backend}"
+            );
+        }
     }
 
     #[test]

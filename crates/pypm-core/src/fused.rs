@@ -300,9 +300,7 @@ impl FusedSet {
 /// * recursive calls `P(…)` (a μ-unfolding substitutes a whole nested
 ///   μ-pattern there, which matches one complete subterm),
 /// * μ-bodies are flattened *one level* — the rigid structure above the
-///   first recursion sites is kept, the sites themselves are stars —
-///   mirroring the least-fixpoint treatment of
-///   [`PatternStore::root_filter`].
+///   first recursion sites is kept, the sites themselves are stars.
 ///
 /// Guards, existentials and match constraints delegate to the pattern
 /// the machine decomposes first, so their structure is preserved.

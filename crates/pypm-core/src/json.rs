@@ -1,15 +1,19 @@
-//! A minimal JSON reader for the bench-regression gate.
+//! The one JSON module: every document this workspace emits is written
+//! through [`Writer`], and everything that reads one back — the
+//! `bench_compare` gate, the test suites — goes through [`parse`].
 //!
-//! The repository builds offline (the serde shims under `vendor/` are
-//! derive markers only), so the `bench-compare` CI gate parses its two
-//! `BENCH_rewrite_pass.json` inputs with this hand-rolled
-//! recursive-descent reader instead. It supports exactly the JSON the
-//! bench writer emits: objects, arrays, strings with the writer's
-//! escapes, floats, booleans and null. Duplicate object keys (which the
-//! writer never produces) keep the first value.
+//! The repository builds offline with no serde, so both halves are
+//! hand-rolled and deliberately small. The reader is a recursive-descent
+//! parser for exactly the JSON the writer emits: objects, arrays, strings
+//! with the writer's escapes, floats, booleans and null. Duplicate object
+//! keys (which the writer never produces) keep the first value. The
+//! writer appends into a single `String` — no per-field allocation — and
+//! names each key at the call site that supplies its value, so a key and
+//! its value cannot drift apart the way a `format!` string and its
+//! positional arguments can.
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -281,9 +285,181 @@ impl<'a> Parser<'a> {
     }
 }
 
+/// How a container lays out its members.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Layout {
+    /// Members on one line, separated by `", "`.
+    Inline,
+    /// One member per line, indented two spaces per open container; the
+    /// closing bracket sits on its own line.
+    Lines,
+}
+
+/// One open container of a [`Writer`].
+#[derive(Debug)]
+struct Frame {
+    close: char,
+    layout: Layout,
+    members: usize,
+}
+
+/// Appends one JSON document into a single `String`.
+///
+/// ```
+/// use pypm_core::json::{Layout, Writer};
+///
+/// let mut w = Writer::new();
+/// w.begin_object(Layout::Inline);
+/// w.key("name").string("a\"b");
+/// w.key("hits").scalar(3u64);
+/// w.key("ms").fixed(1.5, 3);
+/// w.end();
+/// assert_eq!(w.finish(), r#"{"name": "a\"b", "hits": 3, "ms": 1.500}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct Writer {
+    out: String,
+    open: Vec<Frame>,
+    /// Set by [`Writer::key`]: the next value follows `"key": ` directly.
+    after_key: bool,
+}
+
+impl Writer {
+    /// An empty writer.
+    pub fn new() -> Writer {
+        Writer::default()
+    }
+
+    /// An empty writer whose buffer already holds `capacity` bytes.
+    pub fn with_capacity(capacity: usize) -> Writer {
+        Writer {
+            out: String::with_capacity(capacity),
+            ..Writer::default()
+        }
+    }
+
+    /// The finished document.
+    pub fn finish(self) -> String {
+        debug_assert!(self.open.is_empty(), "unclosed JSON container");
+        self.out
+    }
+
+    /// Opens an object as the next value.
+    pub fn begin_object(&mut self, layout: Layout) {
+        self.begin('{', '}', layout);
+    }
+
+    /// Opens an array as the next value.
+    pub fn begin_array(&mut self, layout: Layout) {
+        self.begin('[', ']', layout);
+    }
+
+    fn begin(&mut self, open: char, close: char, layout: Layout) {
+        self.separate();
+        self.out.push(open);
+        self.open.push(Frame {
+            close,
+            layout,
+            members: 0,
+        });
+    }
+
+    /// Closes the innermost open container.
+    pub fn end(&mut self) {
+        let frame = self.open.pop().expect("end() without an open container");
+        if frame.layout == Layout::Lines {
+            self.newline();
+        }
+        self.out.push(frame.close);
+    }
+
+    /// Writes `"key": `; the next value written belongs to it.
+    pub fn key(&mut self, key: &str) -> &mut Writer {
+        self.string(key);
+        self.out.push_str(": ");
+        self.after_key = true;
+        self
+    }
+
+    /// An integer or boolean — any value whose `Display` form is its
+    /// JSON form.
+    pub fn scalar(&mut self, value: impl fmt::Display) {
+        self.separate();
+        write!(self.out, "{value}").expect("writing to a String cannot fail");
+    }
+
+    /// A float with exactly `decimals` fractional digits.
+    pub fn fixed(&mut self, value: f64, decimals: usize) {
+        self.separate();
+        write!(self.out, "{value:.decimals$}").expect("writing to a String cannot fail");
+    }
+
+    /// `null`.
+    pub fn null(&mut self) {
+        self.raw("null");
+    }
+
+    /// A string literal, escaped.
+    pub fn string(&mut self, value: &str) {
+        self.separate();
+        self.out.push('"');
+        for c in value.chars() {
+            match c {
+                '"' => self.out.push_str("\\\""),
+                '\\' => self.out.push_str("\\\\"),
+                '\n' => self.out.push_str("\\n"),
+                '\r' => self.out.push_str("\\r"),
+                '\t' => self.out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    write!(self.out, "\\u{:04x}", c as u32)
+                        .expect("writing to a String cannot fail");
+                }
+                c => self.out.push(c),
+            }
+        }
+        self.out.push('"');
+    }
+
+    /// An already-rendered JSON value, embedded verbatim.
+    pub fn raw(&mut self, json: &str) {
+        self.separate();
+        self.out.push_str(json);
+    }
+
+    /// Whatever must precede the next member of the innermost container:
+    /// nothing right after a key, else the comma and the layout's spacing.
+    fn separate(&mut self) {
+        if std::mem::take(&mut self.after_key) {
+            return;
+        }
+        let Some(frame) = self.open.last_mut() else {
+            return;
+        };
+        let first = frame.members == 0;
+        frame.members += 1;
+        if !first {
+            self.out.push(',');
+        }
+        match frame.layout {
+            Layout::Lines => self.newline(),
+            Layout::Inline if !first => self.out.push(' '),
+            Layout::Inline => {}
+        }
+    }
+
+    fn newline(&mut self) {
+        self.out.push('\n');
+        for _ in 0..self.open.len() {
+            self.out.push_str("  ");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn parses_scalars_and_containers() {
@@ -326,5 +502,81 @@ mod tests {
                 .and_then(Value::as_f64),
             Some(13.0)
         );
+    }
+
+    /// Writes a [`Value`] tree through the public [`Writer`] calls.
+    fn write_value(w: &mut Writer, v: &Value, layout: Layout) {
+        match v {
+            Value::Null => w.null(),
+            Value::Bool(b) => w.scalar(b),
+            Value::Number(n) => w.scalar(n),
+            Value::String(s) => w.string(s),
+            Value::Array(items) => {
+                w.begin_array(layout);
+                for item in items {
+                    write_value(w, item, layout);
+                }
+                w.end();
+            }
+            Value::Object(map) => {
+                w.begin_object(layout);
+                for (k, item) in map {
+                    w.key(k);
+                    write_value(w, item, layout);
+                }
+                w.end();
+            }
+        }
+    }
+
+    fn random_string(rng: &mut StdRng) -> String {
+        const ALPHABET: [char; 12] = [
+            'a', 'Z', '0', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', '\u{1f}', 'é',
+        ];
+        (0..rng.gen_range(0..6usize))
+            .map(|_| ALPHABET[rng.gen_range(0..ALPHABET.len())])
+            .collect()
+    }
+
+    fn random_value(rng: &mut StdRng, depth: u32) -> Value {
+        match rng.gen_range(0..if depth == 0 { 4u32 } else { 6 }) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen_range(0..2u32) == 1),
+            2 => Value::Number(f64::from(rng.gen_range(-1_000_000..1_000_000i32)) / 64.0),
+            3 => Value::String(random_string(rng)),
+            4 => Value::Array(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| random_value(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Value::Object(
+                (0..rng.gen_range(0..4usize))
+                    .map(|_| (random_string(rng), random_value(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn written_trees_parse_back_to_themselves() {
+        let mut rng = StdRng::seed_from_u64(0x6a73_6f6e);
+        for case in 0..512 {
+            let v = random_value(&mut rng, 4);
+            for layout in [Layout::Inline, Layout::Lines] {
+                let mut w = Writer::new();
+                write_value(&mut w, &v, layout);
+                let text = w.finish();
+                assert_eq!(parse(&text).as_ref(), Ok(&v), "case {case}: {text}");
+            }
+        }
+    }
+
+    #[test]
+    fn control_characters_escape_to_valid_json() {
+        let mut w = Writer::new();
+        w.string("a\u{0}b\u{1f}\"\\\n");
+        let text = w.finish();
+        assert_eq!(text, r#""a\u0000b\u001f\"\\\n""#);
+        assert_eq!(parse(&text).unwrap().as_str(), Some("a\u{0}b\u{1f}\"\\\n"));
     }
 }

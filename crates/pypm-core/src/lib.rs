@@ -70,6 +70,7 @@ pub mod clock;
 pub mod declarative;
 pub mod fused;
 pub mod guard;
+pub mod json;
 pub mod machine;
 pub mod pattern;
 pub mod subst;
@@ -83,7 +84,7 @@ pub use clock::{system_clock, Clock, SystemClock, VirtualClock};
 pub use fused::FusedSet;
 pub use guard::{Expr, Guard, GuardValue};
 pub use machine::{Action, Machine, MachineError, MachineStats, Outcome, RuleName};
-pub use pattern::{Pattern, PatternError, PatternId, PatternStore, RootFilter};
+pub use pattern::{Pattern, PatternError, PatternId, PatternStore};
 pub use subst::{FunSubst, Subst, Witness};
 pub use symbol::{Attr, FunVar, PatName, Symbol, SymbolTable, Var};
 pub use term::{ArityError, TermId, TermStore};

@@ -19,7 +19,7 @@
 use crate::guard::Guard;
 use crate::symbol::{FunVar, PatName, Symbol, SymbolTable, Var};
 use crate::term::TermStore;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 
 /// A hash-consed pattern. Equal ids ⇔ structurally equal patterns.
@@ -36,32 +36,6 @@ impl PatternId {
 impl fmt::Debug for PatternId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "p{}", self.0)
-    }
-}
-
-/// A conservative root-operator index for one pattern, computed by
-/// [`PatternStore::root_filter`]: which head operators a matching term
-/// can possibly have.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum RootFilter {
-    /// The pattern may match a term with any head operator (its root is
-    /// a variable or function-variable application on some branch).
-    Any,
-    /// The pattern can only match terms whose head operator is listed
-    /// (sorted, deduplicated); every other head operator is a
-    /// guaranteed machine failure. Root sets are tiny (a handful of
-    /// operators), so membership is a linear scan — measurably cheaper
-    /// than hashing on the hot probe path.
-    Ops(Vec<Symbol>),
-}
-
-impl RootFilter {
-    /// Whether a term headed by `op` could possibly match.
-    pub fn admits(&self, op: Symbol) -> bool {
-        match self {
-            RootFilter::Any => true,
-            RootFilter::Ops(ops) => ops.contains(&op),
-        }
     }
 }
 
@@ -578,72 +552,6 @@ impl PatternStore {
 
     /// Validates a pattern for use by the matcher.
     ///
-    /// Computes the conservative root-operator index of a pattern: the
-    /// set of head operators a matching term can possibly have.
-    ///
-    /// `RootFilter::Ops(s)` means matching the pattern against a term
-    /// whose head operator is *not* in `s` is a **guaranteed machine
-    /// failure** — the first decomposition step conflicts on every
-    /// branch. `RootFilter::Any` means no pruning is possible (the root
-    /// can be a variable or a function-variable application). Parallel
-    /// probe scheduling uses this to resolve head-mismatch candidates
-    /// without running the machine at all (the classic root-op indexing
-    /// of e-graph and pattern-driver engines).
-    ///
-    /// Alternations union their branches; guards, existentials and
-    /// match-constraints delegate to the pattern the machine decomposes
-    /// first; a `μ` takes the least fixpoint of its body (an in-scope
-    /// recursive call contributes no roots of its own — an infinite
-    /// chain of root calls never matches). Out-of-scope calls are
-    /// invalid patterns; they conservatively yield `Any`.
-    pub fn root_filter(&self, p: PatternId) -> RootFilter {
-        let mut ops = HashSet::new();
-        let mut scope = Vec::new();
-        if self.collect_root_ops(p, &mut scope, &mut ops) {
-            let mut ops: Vec<Symbol> = ops.into_iter().collect();
-            ops.sort_unstable();
-            RootFilter::Ops(ops)
-        } else {
-            RootFilter::Any
-        }
-    }
-
-    /// Accumulates possible root operators; `false` means "any op".
-    fn collect_root_ops(
-        &self,
-        p: PatternId,
-        scope: &mut Vec<PatName>,
-        ops: &mut HashSet<Symbol>,
-    ) -> bool {
-        match self.get(p) {
-            Pattern::Var(_) | Pattern::FunApp(..) => false,
-            Pattern::App(f, _) => {
-                ops.insert(*f);
-                true
-            }
-            Pattern::Alt(a, b) => {
-                let (a, b) = (*a, *b);
-                // No short-circuit subtleties: if either side admits
-                // any op, so does the alternation.
-                self.collect_root_ops(a, scope, ops) && self.collect_root_ops(b, scope, ops)
-            }
-            Pattern::Guard(inner, _) => self.collect_root_ops(*inner, scope, ops),
-            Pattern::Exists(_, inner) => self.collect_root_ops(*inner, scope, ops),
-            Pattern::MatchConstr { main, .. } => self.collect_root_ops(*main, scope, ops),
-            Pattern::Mu { name, body, .. } => {
-                let (name, body) = (*name, *body);
-                scope.push(name);
-                let bounded = self.collect_root_ops(body, scope, ops);
-                scope.pop();
-                bounded
-            }
-            // Least fixpoint: an in-scope call at root position unfolds
-            // to the same body, contributing no root operator the body
-            // doesn't already contribute.
-            Pattern::Call(name, _) => scope.contains(name),
-        }
-    }
-
     /// Checks, for the whole subpattern tree:
     ///
     /// * every `f(p…)` is saturated (`arity f` arguments);
@@ -1158,95 +1066,5 @@ mod tests {
         let inner = pats.fun_app(gv, vec![px]);
         let outer = pats.fun_app(fv, vec![inner]);
         assert_eq!(pats.fun_vars(outer), vec![fv, gv]);
-    }
-
-    #[test]
-    fn root_filter_on_apps_alts_and_wrappers() {
-        let (mut syms, mut pats) = setup();
-        let f = syms.op("f", 1);
-        let g = syms.op("g", 1);
-        let h = syms.op("h", 0);
-        let x = syms.var("x");
-        let px = pats.var(x);
-
-        // f(x): only f can head a match.
-        let pf = pats.app(f, vec![px]);
-        let rf = pats.root_filter(pf);
-        assert!(rf.admits(f) && !rf.admits(g));
-
-        // f(x) ‖ g(x): the union; still no h.
-        let pg = pats.app(g, vec![px]);
-        let alt = pats.alt(pf, pg);
-        let ra = pats.root_filter(alt);
-        assert!(ra.admits(f) && ra.admits(g) && !ra.admits(h));
-
-        // Guards, existentials and match-constraints delegate to the
-        // pattern the machine decomposes first.
-        let tautology =
-            crate::guard::Guard::Eq(crate::guard::Expr::Const(1), crate::guard::Expr::Const(1));
-        let guarded = pats.guarded(pf, tautology);
-        assert!(!pats.root_filter(guarded).admits(g));
-        let ex = pats.exists(x, pf);
-        assert!(!pats.root_filter(ex).admits(g));
-        let mc = pats.match_constr(pf, pg, x);
-        assert!(pats.root_filter(mc).admits(f) && !pats.root_filter(mc).admits(g));
-
-        // A bare variable — and anything reachable through a
-        // function-variable application — admits every operator.
-        assert_eq!(pats.root_filter(px), RootFilter::Any);
-        let fv = syms.fun_var("F");
-        let fapp = pats.fun_app(fv, vec![px]);
-        assert_eq!(pats.root_filter(fapp), RootFilter::Any);
-        let alt_any = pats.alt(pf, fapp);
-        assert_eq!(pats.root_filter(alt_any), RootFilter::Any);
-    }
-
-    #[test]
-    fn root_filter_takes_mu_fixpoint() {
-        // μU(x)[x]. (f(U(x)) ‖ f(x)): every unfolding is headed by f.
-        let (mut syms, mut pats) = setup();
-        let f = syms.op("f", 1);
-        let g = syms.op("g", 1);
-        let x = syms.var("x");
-        let un = syms.pat_name("U");
-        let px = pats.var(x);
-        let call = pats.call(un, vec![x]);
-        let rec = pats.app(f, vec![call]);
-        let base = pats.app(f, vec![px]);
-        let body = pats.alt(rec, base);
-        let mu = pats.mu(un, vec![x], vec![x], body);
-        let filter = pats.root_filter(mu);
-        assert!(filter.admits(f) && !filter.admits(g));
-
-        // A call at root position contributes no roots of its own: the
-        // degenerate μP(x)[x]. P(x) admits nothing (it never matches).
-        let pn = syms.pat_name("Loop");
-        let loop_call = pats.call(pn, vec![x]);
-        let loop_mu = pats.mu(pn, vec![x], vec![x], loop_call);
-        assert_eq!(pats.root_filter(loop_mu), RootFilter::Ops(Vec::new()));
-    }
-
-    /// The soundness contract the probe prefilter relies on: whenever
-    /// the filter rejects a term's head operator, the machine fails.
-    #[test]
-    fn root_filter_rejections_are_machine_failures() {
-        use crate::attr::NoAttrs;
-        use crate::machine::{Machine, Outcome};
-        let (mut syms, mut pats) = setup();
-        let mut terms = TermStore::new();
-        let f = syms.op("f", 1);
-        let g = syms.op("g", 1);
-        let c = syms.op("c", 0);
-        let x = syms.var("x");
-        let px = pats.var(x);
-        let pf = pats.app(f, vec![px]);
-        let tc = terms.app0(c);
-        let tg = terms.app(g, vec![tc]);
-        let filter = pats.root_filter(pf);
-        assert!(!filter.admits(terms.op(tg)));
-        let out = Machine::new(&mut pats, &terms, &NoAttrs)
-            .run(pf, tg, 10_000)
-            .unwrap();
-        assert_eq!(out, Outcome::Failure);
     }
 }

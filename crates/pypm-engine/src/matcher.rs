@@ -8,10 +8,8 @@
 //! even hand to the machine — is a pluggable index. This module defines
 //! that seam as the [`Matcher`] trait and ships both backends:
 //!
-//! * [`PerPatternMatcher`] — the historical path: no index in serial
-//!   mode (every pair goes to the machine), the per-pattern
-//!   [`RootFilter`] head check in parallel mode. Byte-for-byte the
-//!   engine's pre-seam behaviour.
+//! * [`PerPatternMatcher`] — the reference: no index, every pair goes
+//!   to the machine, at every job count.
 //! * [`FusedMatcher`] — the whole rule set compiled into one
 //!   [`FusedSet`] discrimination tree; each distinct term is walked
 //!   once (memoized across sweeps — hash-consing means a [`TermId`]'s
@@ -33,8 +31,8 @@
 //! / `matches_found` / `rewrites_fired` are backend-independent, and
 //! only the machine-work counters (`machine_steps`,
 //! `machine_backtracks`) and the admission counters in [`MatcherStats`]
-//! vary — the same counter-shrinkage contract the sweep policies and
-//! the parallel root filter already document.
+//! vary — the same counter-shrinkage contract the sweep policies
+//! already document.
 //!
 //! ## When per-pattern still wins
 //!
@@ -50,15 +48,14 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use pypm_core::{Budget, FusedSet, PatternId, PatternStore, RootFilter, Symbol, TermId, TermStore};
+use pypm_core::{Budget, FusedSet, PatternId, PatternStore, TermId, TermStore};
 
 /// Which candidate-discovery index the rewrite pass runs above the
 /// abstract machine. See the module docs for the trade-off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum MatcherBackend {
-    /// Per-pattern probing: no index in serial mode, the
-    /// [`RootFilter`] head check in parallel mode. The engine's
-    /// historical behaviour, kept as the reference ablation point.
+    /// Per-pattern probing: no index, every pair goes to the machine.
+    /// Kept as the reference ablation point.
     PerPattern,
     /// One [`FusedSet`] discrimination tree over the whole rule set;
     /// each distinct term is walked once and every pattern's verdict
@@ -99,7 +96,7 @@ impl fmt::Display for MatcherBackend {
 ///
 /// The headline bench metric is **probes per node** =
 /// `pairs_admitted / nodes_visited`: how many machine runs each node
-/// visit costs. Per-pattern serial admission is total (probes/node =
+/// visit costs. Per-pattern admission is total (probes/node =
 /// rule-bearing pattern count); the fused tree is what makes it
 /// sublinear in ruleset size.
 #[derive(Debug, Clone, Default)]
@@ -154,22 +151,13 @@ impl MatcherStats {
 /// give changed nodes fresh terms — the same property the probe cache
 /// relies on.
 pub trait Matcher: fmt::Debug + Send {
-    /// The backend this matcher implements.
-    fn backend(&self) -> MatcherBackend;
-
-    /// Whether the machine should run pattern `pi` against `t` (whose
-    /// head operator is `op`). Walk-side counters (`terms_walked`,
+    /// Whether the machine should run pattern `pi` against `t`.
+    /// Walk-side counters (`terms_walked`,
     /// `trie_steps`) are recorded on `stats`; the *caller* accounts the
     /// pair-level verdict, so a discovery phase and a commit phase can
     /// share one matcher without double-counting pairs.
-    fn admits(
-        &mut self,
-        pi: usize,
-        t: TermId,
-        op: Symbol,
-        terms: &TermStore,
-        stats: &mut MatcherStats,
-    ) -> bool;
+    fn admits(&mut self, pi: usize, t: TermId, terms: &TermStore, stats: &mut MatcherStats)
+        -> bool;
 
     /// Installs (or clears) the run's cooperative [`Budget`]. Backends
     /// whose admission work is per-pair constant ignore it; the fused
@@ -183,49 +171,20 @@ pub trait Matcher: fmt::Debug + Send {
     }
 }
 
-/// The historical per-pattern discovery path (see
+/// The reference discovery path: admits every pair (see
 /// [`MatcherBackend::PerPattern`]).
 #[derive(Debug)]
-pub struct PerPatternMatcher {
-    /// Per-pattern root-operator indexes, aligned with the rule set.
-    /// Empty in serial mode: the pre-seam serial loop ran the machine
-    /// unconditionally, and the reference backend preserves that
-    /// behaviour (and its counters) exactly.
-    filters: Vec<RootFilter>,
-}
-
-impl PerPatternMatcher {
-    /// Builds the backend. `parallel` mirrors the pre-seam engine: root
-    /// filters exist (and reject) only when the parallel match phase is
-    /// on.
-    pub fn new(pats: &PatternStore, patterns: &[PatternId], parallel: bool) -> Self {
-        PerPatternMatcher {
-            filters: if parallel {
-                patterns.iter().map(|&p| pats.root_filter(p)).collect()
-            } else {
-                Vec::new()
-            },
-        }
-    }
-}
+pub struct PerPatternMatcher;
 
 impl Matcher for PerPatternMatcher {
-    fn backend(&self) -> MatcherBackend {
-        MatcherBackend::PerPattern
-    }
-
     fn admits(
         &mut self,
-        pi: usize,
+        _pi: usize,
         _t: TermId,
-        op: Symbol,
         _terms: &TermStore,
         _stats: &mut MatcherStats,
     ) -> bool {
-        match self.filters.get(pi) {
-            Some(f) => f.admits(op),
-            None => true,
-        }
+        true
     }
 }
 
@@ -261,15 +220,10 @@ impl FusedMatcher {
 }
 
 impl Matcher for FusedMatcher {
-    fn backend(&self) -> MatcherBackend {
-        MatcherBackend::Fused
-    }
-
     fn admits(
         &mut self,
         pi: usize,
         t: TermId,
-        _op: Symbol,
         terms: &TermStore,
         stats: &mut MatcherStats,
     ) -> bool {
@@ -296,10 +250,9 @@ pub fn build_matcher(
     backend: MatcherBackend,
     pats: &PatternStore,
     patterns: &[PatternId],
-    parallel: bool,
 ) -> Box<dyn Matcher> {
     match backend {
-        MatcherBackend::PerPattern => Box::new(PerPatternMatcher::new(pats, patterns, parallel)),
+        MatcherBackend::PerPattern => Box::new(PerPatternMatcher),
         MatcherBackend::Fused => Box::new(FusedMatcher::new(pats, patterns)),
     }
 }
@@ -332,12 +285,10 @@ mod tests {
         let c = terms.app0(syms.op("c", 0));
         let tg = terms.app(g, vec![c]);
 
+        // Even a head mismatch goes to the machine.
         let mut stats = MatcherStats::default();
-        let mut serial = PerPatternMatcher::new(&pats, &[pf], false);
-        assert!(serial.admits(0, tg, g, &terms, &mut stats));
-        let mut par = PerPatternMatcher::new(&pats, &[pf], true);
-        assert!(!par.admits(0, tg, g, &terms, &mut stats));
-        assert!(par.admits(0, tg, f, &terms, &mut stats));
+        let mut matcher = build_matcher(MatcherBackend::PerPattern, &pats, &[pf]);
+        assert!(matcher.admits(0, tg, &terms, &mut stats));
     }
 
     #[test]
@@ -354,10 +305,10 @@ mod tests {
 
         let mut stats = MatcherStats::default();
         let mut m = FusedMatcher::new(&pats, &[pf, px]);
-        assert!(m.admits(0, tf, f, &terms, &mut stats));
-        assert!(m.admits(1, tf, f, &terms, &mut stats));
-        assert!(!m.admits(0, c, terms.op(c), &terms, &mut stats));
-        assert!(m.admits(1, c, terms.op(c), &terms, &mut stats));
+        assert!(m.admits(0, tf, &terms, &mut stats));
+        assert!(m.admits(1, tf, &terms, &mut stats));
+        assert!(!m.admits(0, c, &terms, &mut stats));
+        assert!(m.admits(1, c, &terms, &mut stats));
         assert_eq!(stats.terms_walked, 2, "one walk per distinct term");
         assert!(stats.trie_steps > 0);
     }

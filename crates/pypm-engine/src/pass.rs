@@ -361,12 +361,6 @@ impl PipelineCx {
         self.observers.push(obs);
     }
 
-    /// True when at least one observer is registered — passes may use
-    /// this to skip building event payloads nobody will see.
-    pub fn has_observers(&self) -> bool {
-        !self.observers.is_empty()
-    }
-
     /// The parallel match-phase configuration passes should honour
     /// (set once per pipeline via [`crate::Pipeline::parallelism`];
     /// defaults to serial).

@@ -31,6 +31,7 @@
 use crate::pass::{Diagnostic, Observer, Pass, PassError, PassRecord, PipelineCx};
 use crate::rewriter::PassStats;
 use crate::session::Session;
+use pypm_core::json::{Layout, Writer};
 use pypm_core::Budget;
 use pypm_graph::Graph;
 use pypm_perf::pool::WorkerPool;
@@ -66,7 +67,6 @@ pub struct Pipeline<'s> {
     session: &'s mut Session,
     passes: Vec<Box<dyn Pass>>,
     cx: PipelineCx,
-    validate: bool,
 }
 
 impl fmt::Debug for Pipeline<'_> {
@@ -76,7 +76,6 @@ impl fmt::Debug for Pipeline<'_> {
                 "passes",
                 &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
             )
-            .field("validate", &self.validate)
             .finish()
     }
 }
@@ -88,7 +87,6 @@ impl<'s> Pipeline<'s> {
             session,
             passes: Vec::new(),
             cx: PipelineCx::new(),
-            validate: true,
         }
     }
 
@@ -117,13 +115,6 @@ impl<'s> Pipeline<'s> {
     /// results, lower wall-clock; see the [`crate::shard`] module docs.
     pub fn parallelism(mut self, parallel: crate::shard::ParallelConfig) -> Self {
         self.cx.set_parallel(parallel);
-        self
-    }
-
-    /// Disables (or re-enables) graph validation after each mutating
-    /// pass. Validation is on by default.
-    pub fn validate_after_each(mut self, validate: bool) -> Self {
-        self.validate = validate;
         self
     }
 
@@ -188,16 +179,9 @@ impl<'s> Pipeline<'s> {
     /// # Errors
     ///
     /// Stops at the first failing pass, naming it in the error.
-    pub fn run(mut self, graph: &mut Graph) -> Result<PipelineReport, PipelineError> {
-        self.cx.set_batch_graphs(1);
-        self.ensure_pool();
-        self.run_one(graph)?;
-        let (passes, diagnostics, artifacts) = self.cx.take_parts();
-        Ok(PipelineReport {
-            passes,
-            diagnostics,
-            artifacts,
-        })
+    pub fn run(self, graph: &mut Graph) -> Result<PipelineReport, PipelineError> {
+        let mut reports = self.run_batch(std::slice::from_mut(graph))?;
+        Ok(reports.pop().expect("one graph, one report"))
     }
 
     /// Runs every pass in order over each graph of a batch, reusing the
@@ -231,8 +215,7 @@ impl<'s> Pipeline<'s> {
         Ok(reports)
     }
 
-    /// One graph through every pass — the shared core of
-    /// [`Pipeline::run`] and [`Pipeline::run_batch`].
+    /// One graph through every pass.
     fn run_one(&mut self, graph: &mut Graph) -> Result<(), PipelineError> {
         for pass in &mut self.passes {
             let name = pass.name().to_owned();
@@ -244,7 +227,7 @@ impl<'s> Pipeline<'s> {
                     pass: name.clone(),
                     error,
                 })?;
-            if self.validate && outcome.changed {
+            if outcome.changed {
                 graph.validate().map_err(|e| PipelineError {
                     pass: name.clone(),
                     error: PassError::InvalidGraph {
@@ -382,119 +365,185 @@ impl PipelineReport {
     /// }
     /// ```
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512);
-        out.push_str("{\n  \"schema\": \"pypm.pipeline.v1\",\n  \"passes\": [");
-        for (i, r) in self.passes.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {");
-            out.push_str(&format!("\"name\": {}, ", json_string(&r.name)));
-            out.push_str(&format!("\"changed\": {}, ", r.changed));
-            out.push_str(&format!("\"wall_ms\": {:.6}, ", r.wall.as_secs_f64() * 1e3));
-            out.push_str(&stats_fields(&r.stats));
-            out.push('}');
+        let mut w = Writer::with_capacity(2048);
+        w.begin_object(Layout::Lines);
+        w.key("schema").string("pypm.pipeline.v1");
+        w.key("passes").begin_array(Layout::Lines);
+        for r in &self.passes {
+            w.begin_object(Layout::Inline);
+            w.key("name").string(&r.name);
+            w.key("changed").scalar(r.changed);
+            w.key("wall_ms").fixed(r.wall.as_secs_f64() * 1e3, 6);
+            stats_fields(&mut w, &r.stats);
+            w.end();
         }
-        out.push_str("\n  ],\n  \"totals\": {");
-        let total = self.total();
+        w.end();
+        w.key("totals").begin_object(Layout::Inline);
         let wall_ms: f64 = self.passes.iter().map(|r| r.wall.as_secs_f64() * 1e3).sum();
-        out.push_str(&format!("\"passes\": {}, ", self.passes.len()));
-        out.push_str(&format!("\"wall_ms\": {wall_ms:.6}, "));
-        out.push_str(&stats_fields(&total));
-        out.push_str("},\n  \"diagnostics\": [");
-        for (i, d) in self.diagnostics.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"pass\": {}, \"severity\": {}, \"message\": {}}}",
-                json_string(&d.pass),
-                json_string(&d.severity.to_string()),
-                json_string(&d.message)
-            ));
+        w.key("passes").scalar(self.passes.len());
+        w.key("wall_ms").fixed(wall_ms, 6);
+        stats_fields(&mut w, &self.total());
+        w.end();
+        w.key("diagnostics").begin_array(Layout::Lines);
+        for d in &self.diagnostics {
+            w.begin_object(Layout::Inline);
+            w.key("pass").string(&d.pass);
+            w.key("severity").string(&d.severity.to_string());
+            w.key("message").string(&d.message);
+            w.end();
         }
-        out.push_str("\n  ]\n}\n");
-        out
+        w.end();
+        w.end();
+        w.finish() + "\n"
     }
 }
 
-/// The shared counter fields of one [`PassStats`], as JSON key/values.
-/// The trailing `incremental`, `parallel` and `matcher` objects are the
-/// schema's additive blocks: incremental-rewriting view maintenance
-/// (all zero for passes that never build a term view), the parallel
-/// match-phase counters (`jobs` records the configured worker count
-/// and `batch_graphs` the owning run's batch size; everything else is
-/// zero under `jobs = 1`), and the candidate-discovery counters of the
-/// configured matcher backend (`backend` is empty for passes that never
-/// probe).
-fn stats_fields(s: &PassStats) -> String {
-    let shards = s
-        .parallel
-        .probes_by_shard
-        .iter()
-        .map(u64::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "\"duration_ms\": {:.6}, \"nodes_visited\": {}, \"match_attempts\": {}, \
-         \"matches_found\": {}, \"rewrites_fired\": {}, \"machine_steps\": {}, \
-         \"machine_backtracks\": {}, \"sweeps\": {}, \
-         \"incremental\": {{\"view_builds\": {}, \"view_patches\": {}, \
-         \"nodes_revisited\": {}, \"nodes_reindexed\": {}}}, \
-         \"parallel\": {{\"jobs\": {}, \"batch_graphs\": {}, \"warm_batches\": {}, \
-         \"pool_rounds\": {}, \"pool_spawn_reuse\": {}, \
-         \"probes_executed\": {}, \"probes_filtered\": {}, \
-         \"probes_reused\": {}, \"probes_inline\": {}, \
-         \"warm_wall_ms\": {:.6}, \"probes_by_shard\": [{}]}}, \
-         \"matcher\": {{\"backend\": {}, \"terms_walked\": {}, \
-         \"trie_steps\": {}, \"pairs_admitted\": {}, \
-         \"pairs_rejected\": {}}}",
-        s.duration.as_secs_f64() * 1e3,
-        s.nodes_visited,
-        s.match_attempts,
-        s.matches_found,
-        s.rewrites_fired,
-        s.machine_steps,
-        s.machine_backtracks,
-        s.sweeps,
-        s.view_builds,
-        s.view_patches,
-        s.nodes_revisited,
-        s.nodes_reindexed,
-        s.parallel.jobs,
-        s.parallel.batch_graphs,
-        s.parallel.warm_batches,
-        s.parallel.pool_rounds,
-        s.parallel.pool_spawn_reuse,
-        s.parallel.probes_executed,
-        s.parallel.probes_filtered,
-        s.parallel.probes_reused,
-        s.parallel.probes_inline,
-        s.parallel.warm_wall.as_secs_f64() * 1e3,
-        shards,
-        json_string(s.matcher.backend),
-        s.matcher.terms_walked,
-        s.matcher.trie_steps,
-        s.matcher.pairs_admitted,
-        s.matcher.pairs_rejected,
-    )
+/// The shared counter fields of one [`PassStats`], as members of the
+/// object `w` has open. The trailing `incremental`, `parallel` and
+/// `matcher` objects are the schema's additive blocks:
+/// incremental-rewriting view maintenance (all zero for passes that
+/// never build a term view), the parallel match-phase counters (`jobs`
+/// records the configured worker count and `batch_graphs` the owning
+/// run's batch size; everything else is zero under `jobs = 1`), and the
+/// candidate-discovery counters of the configured matcher backend
+/// (`backend` is empty for passes that never probe).
+fn stats_fields(w: &mut Writer, s: &PassStats) {
+    w.key("duration_ms")
+        .fixed(s.duration.as_secs_f64() * 1e3, 6);
+    w.key("nodes_visited").scalar(s.nodes_visited);
+    w.key("match_attempts").scalar(s.match_attempts);
+    w.key("matches_found").scalar(s.matches_found);
+    w.key("rewrites_fired").scalar(s.rewrites_fired);
+    w.key("machine_steps").scalar(s.machine_steps);
+    w.key("machine_backtracks").scalar(s.machine_backtracks);
+    w.key("sweeps").scalar(s.sweeps);
+    w.key("incremental").begin_object(Layout::Inline);
+    w.key("view_builds").scalar(s.view_builds);
+    w.key("view_patches").scalar(s.view_patches);
+    w.key("nodes_revisited").scalar(s.nodes_revisited);
+    w.key("nodes_reindexed").scalar(s.nodes_reindexed);
+    w.end();
+    let p = &s.parallel;
+    w.key("parallel").begin_object(Layout::Inline);
+    w.key("jobs").scalar(p.jobs);
+    w.key("batch_graphs").scalar(p.batch_graphs);
+    w.key("warm_batches").scalar(p.warm_batches);
+    w.key("pool_rounds").scalar(p.pool_rounds);
+    w.key("pool_spawn_reuse").scalar(p.pool_spawn_reuse);
+    w.key("probes_executed").scalar(p.probes_executed);
+    w.key("probes_filtered").scalar(p.probes_filtered);
+    w.key("probes_reused").scalar(p.probes_reused);
+    w.key("probes_inline").scalar(p.probes_inline);
+    w.key("warm_wall_ms")
+        .fixed(p.warm_wall.as_secs_f64() * 1e3, 6);
+    w.key("probes_by_shard").begin_array(Layout::Inline);
+    for probes in &p.probes_by_shard {
+        w.scalar(probes);
+    }
+    w.end();
+    w.end();
+    let m = &s.matcher;
+    w.key("matcher").begin_object(Layout::Inline);
+    w.key("backend").string(m.backend);
+    w.key("terms_walked").scalar(m.terms_walked);
+    w.key("trie_steps").scalar(m.trie_steps);
+    w.key("pairs_admitted").scalar(m.pairs_admitted);
+    w.key("pairs_rejected").scalar(m.pairs_rejected);
+    w.end();
 }
 
-/// Escapes a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::matcher::MatcherStats;
+    use crate::pass::Severity;
+    use crate::shard::ParallelStats;
+    use std::time::Duration;
+
+    /// A report with every counter distinct, two passes (one with an
+    /// empty stats block) and two diagnostics needing escapes.
+    fn fixed_report() -> PipelineReport {
+        let stats = PassStats {
+            nodes_visited: 101,
+            match_attempts: 102,
+            matches_found: 103,
+            rewrites_fired: 104,
+            machine_steps: 105,
+            machine_backtracks: 106,
+            sweeps: 107,
+            duration: Duration::from_micros(1_234_567),
+            view_builds: 108,
+            view_patches: 109,
+            nodes_revisited: 110,
+            nodes_reindexed: 111,
+            parallel: ParallelStats {
+                jobs: 4,
+                warm_batches: 112,
+                pool_rounds: 113,
+                pool_spawn_reuse: 114,
+                batch_graphs: 2,
+                probes_executed: 115,
+                probes_filtered: 116,
+                probes_reused: 117,
+                probes_inline: 118,
+                probes_by_shard: vec![50, 40, 20, 5],
+                warm_wall: Duration::from_nanos(7_654_321),
+            },
+            matcher: MatcherStats {
+                backend: "fused",
+                terms_walked: 119,
+                trie_steps: 120,
+                pairs_admitted: 121,
+                pairs_rejected: 122,
+            },
+        };
+        PipelineReport {
+            passes: vec![
+                PassRecord {
+                    name: "rewrite".to_owned(),
+                    changed: true,
+                    stats,
+                    wall: Duration::from_micros(2_500_001),
+                },
+                PassRecord {
+                    name: "part\"ition\\".to_owned(),
+                    changed: false,
+                    stats: PassStats::default(),
+                    wall: Duration::from_nanos(1),
+                },
+            ],
+            diagnostics: vec![
+                Diagnostic {
+                    pass: "rewrite".to_owned(),
+                    severity: Severity::Note,
+                    message: "tab\there \"quoted\" back\\slash\nnewline \u{1} ctl é".to_owned(),
+                },
+                Diagnostic {
+                    pass: "p2".to_owned(),
+                    severity: Severity::Warning,
+                    message: String::new(),
+                },
+            ],
+            artifacts: BTreeMap::new(),
         }
     }
-    out.push('"');
-    out
+
+    /// `pypm.pipeline.v1` is pinned byte-for-byte to documents captured
+    /// from the `format!`-built renderer this writer replaced.
+    #[test]
+    fn report_json_is_byte_identical_to_the_pinned_golden() {
+        assert_eq!(
+            fixed_report().to_json(),
+            include_str!("../../../tests/golden/pipeline_v1.json")
+        );
+        let empty = PipelineReport {
+            passes: Vec::new(),
+            diagnostics: Vec::new(),
+            artifacts: BTreeMap::new(),
+        };
+        assert_eq!(
+            empty.to_json(),
+            include_str!("../../../tests/golden/pipeline_v1_empty.json")
+        );
+    }
 }

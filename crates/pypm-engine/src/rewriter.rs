@@ -307,12 +307,7 @@ impl<'a> Driver<'a> {
         let parallel = cx.parallel();
         let budget = cx.budget().cloned();
         let pattern_ids: Vec<PatternId> = pass.rules.patterns.iter().map(|d| d.pattern).collect();
-        let mut matcher = build_matcher(
-            pass.matcher,
-            &session.pats,
-            &pattern_ids,
-            parallel.is_parallel(),
-        );
+        let mut matcher = build_matcher(pass.matcher, &session.pats, &pattern_ids);
         // The fused matcher charges its trie walks against the budget
         // (and truncates them once it trips).
         matcher.set_budget(budget.clone());
@@ -389,7 +384,6 @@ impl<'a> Driver<'a> {
             let Some(t) = view.term_of(node) else {
                 continue;
             };
-            let op = self.session.terms.op(t);
             for (pi, def) in self.pass.rules.patterns.iter().enumerate() {
                 if def.rules.is_empty() {
                     continue;
@@ -402,7 +396,7 @@ impl<'a> Driver<'a> {
                 // verdict is accounted exactly once.
                 if !self
                     .matcher
-                    .admits(pi, t, op, &self.session.terms, &mut stats.matcher)
+                    .admits(pi, t, &self.session.terms, &mut stats.matcher)
                 {
                     continue;
                 }
@@ -448,13 +442,12 @@ impl<'a> Driver<'a> {
         &mut self,
         pi: usize,
         t: TermId,
-        op: pypm_core::Symbol,
         view: &TermView,
         stats: &mut PassStats,
     ) -> Option<Witness> {
         if !self
             .matcher
-            .admits(pi, t, op, &self.session.terms, &mut stats.matcher)
+            .admits(pi, t, &self.session.terms, &mut stats.matcher)
         {
             // A rejected pair is a guaranteed machine failure — no
             // cache entry, no machine run.
@@ -530,7 +523,6 @@ impl<'a> Driver<'a> {
             Some(t) => t,
             None => return Ok(None),
         };
-        let op = self.session.terms.op(t);
         for (pi, def) in self.pass.rules.patterns.iter().enumerate() {
             if def.rules.is_empty() {
                 // Pattern-only definitions (e.g. PwSubgraph) are
@@ -539,7 +531,7 @@ impl<'a> Driver<'a> {
                 continue;
             }
             stats.match_attempts += 1;
-            let Some(witness) = self.probe(pi, t, op, view, stats) else {
+            let Some(witness) = self.probe(pi, t, view, stats) else {
                 continue;
             };
             stats.matches_found += 1;

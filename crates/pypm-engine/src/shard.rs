@@ -44,19 +44,12 @@
 //! cache and is re-probed (inline, or by the next round's warm phase)
 //! exactly as [`crate::SweepPolicy::Incremental`] re-examines its cones.
 //!
-//! Two properties make the phase cheaper than the serial matcher even
-//! before any thread is spawned:
+//! One property makes the phase cheaper than the serial matcher even
+//! before any thread is spawned: **cross-round memoization.** Terms are
+//! hash-consed, so a restart sweep re-visits mostly unchanged terms and
+//! pays one hash lookup where the serial pass re-runs the machine.
 //!
-//! * **Cross-round memoization.** Terms are hash-consed, so a restart
-//!   sweep re-visits mostly unchanged terms and pays one hash lookup
-//!   where the serial pass re-runs the machine.
-//! * **Root-operator indexing.** Each pattern's conservative
-//!   [`pypm_core::RootFilter`] resolves guaranteed head-mismatch
-//!   failures without a machine run — the classic root-op index of
-//!   e-graph and pattern-driver engines, sound because a rejected head
-//!   operator conflicts on every branch of the pattern.
-//!
-//! Both are *work* optimizations, so the machine-work diagnostics
+//! That is a *work* optimization, so the machine-work diagnostics
 //! (`machine_steps`, `machine_backtracks`) report the smaller amount of
 //! work actually done under `jobs > 1` — they are the measurement of
 //! the optimization, not part of the byte-identity contract. Every
@@ -208,9 +201,10 @@ pub struct ParallelStats {
     pub batch_graphs: u64,
     /// Probes executed (machine runs) by warm-phase workers.
     pub probes_executed: u64,
-    /// Consumed probes resolved by the root-operator index
-    /// ([`pypm_core::RootFilter`]) — guaranteed head-mismatch failures
-    /// that run no machine at all.
+    /// Consumed probes the matcher's discovery index rejected (see
+    /// [`crate::matcher`]) — guaranteed failures that run no machine at
+    /// all. Always zero under [`crate::MatcherBackend::PerPattern`],
+    /// which admits every pair.
     pub probes_filtered: u64,
     /// Consumed probes served from the memoized cache.
     pub probes_reused: u64,
@@ -271,7 +265,7 @@ pub(crate) type ProbeCache = HashMap<ProbeKey, ProbeResult>;
 /// thread. The pre-pool scoped-thread design needed a grain of 256
 /// (a thread *spawn* costs hundreds of machine runs); warm pool
 /// dispatch is ~µs, which is what lets real zoo rounds (~30–250
-/// probes after root filtering) actually fan out.
+/// probes after admission) actually fan out.
 const MIN_PROBES_PER_SHARD: usize = 32;
 
 /// One shard's probes, run to a local buffer. One machine per shard,

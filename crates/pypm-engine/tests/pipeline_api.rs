@@ -1,6 +1,7 @@
 //! Integration tests of the pass-manager surface: pass sequencing,
 //! observer hooks, artifacts, diagnostics and the JSON report.
 
+use pypm_core::json::Value;
 use pypm_dsl::LibraryConfig;
 use pypm_engine::{
     ExplainObserver, Partition, PartitionPass, Pass, PassError, PassOutcome, Pipeline, PipelineCx,
@@ -204,22 +205,16 @@ fn report_json_is_stable_and_parsable_shaped() {
         .with(PartitionPass::default())
         .run(&mut g)
         .unwrap();
-    let json = report.to_json();
-    assert!(json.contains("\"schema\": \"pypm.pipeline.v1\""));
-    assert!(json.contains("\"name\": \"rewrite\""));
-    assert!(json.contains("\"name\": \"partition\""));
-    assert!(json.contains("\"rewrites_fired\": 1"));
-    assert!(json.contains("\"totals\""));
-    assert!(json.contains("\"diagnostics\""));
-    // Balanced braces/brackets — a cheap well-formedness check that
-    // catches broken escaping without a JSON parser dependency.
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        assert_eq!(
-            json.matches(open).count(),
-            json.matches(close).count(),
-            "unbalanced {open}{close} in:\n{json}"
-        );
-    }
+    let doc = pypm_core::json::parse(&report.to_json()).expect("the report is JSON");
+    let text = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_owned);
+    assert_eq!(text(&doc, "schema").as_deref(), Some("pypm.pipeline.v1"));
+    let passes = doc.get("passes").and_then(Value::as_array).unwrap();
+    let names: Vec<_> = passes.iter().map(|p| text(p, "name").unwrap()).collect();
+    assert_eq!(names, ["rewrite", "partition"]);
+    let fired = |v: &Value| v.get("rewrites_fired").and_then(Value::as_f64);
+    assert_eq!(fired(&passes[0]), Some(1.0));
+    assert_eq!(doc.get("totals").and_then(fired), Some(1.0));
+    assert!(doc.get("diagnostics").and_then(Value::as_array).is_some());
 }
 
 #[test]

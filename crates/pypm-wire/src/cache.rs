@@ -24,6 +24,7 @@
 //! Evictions are counted in [`CacheStats::disk_evictions`] and surface
 //! through the serve `stats` verb's `pypm.serve.stats.v1` document.
 
+use pypm_core::json::{Layout, Writer};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -286,24 +287,25 @@ impl ResultCache {
     /// what `pypmc serve`'s `stats` verb embeds.
     pub fn stats_json(&self) -> String {
         let stats = self.stats();
-        format!(
-            "{{\"capacity\": {}, \"persistent\": {}, \"hits\": {}, \"disk_hits\": {}, \
-             \"misses\": {}, \"stores\": {}, \"evictions\": {}, \"disk_evictions\": {}, \
-             \"disk_orphans_removed\": {}, \"last_key\": {}}}",
-            self.capacity,
-            self.dir.is_some(),
-            stats.hits,
-            stats.disk_hits,
-            stats.misses,
-            stats.stores,
-            stats.evictions,
-            stats.disk_evictions,
-            stats.disk_orphans_removed,
-            match &stats.last_key {
-                Some(k) => format!("\"{k}\""),
-                None => "null".to_owned(),
-            },
-        )
+        let mut w = Writer::new();
+        w.begin_object(Layout::Inline);
+        w.key("capacity").scalar(self.capacity);
+        w.key("persistent").scalar(self.dir.is_some());
+        w.key("hits").scalar(stats.hits);
+        w.key("disk_hits").scalar(stats.disk_hits);
+        w.key("misses").scalar(stats.misses);
+        w.key("stores").scalar(stats.stores);
+        w.key("evictions").scalar(stats.evictions);
+        w.key("disk_evictions").scalar(stats.disk_evictions);
+        w.key("disk_orphans_removed")
+            .scalar(stats.disk_orphans_removed);
+        w.key("last_key");
+        match &stats.last_key {
+            Some(k) => w.string(k),
+            None => w.null(),
+        }
+        w.end();
+        w.finish()
     }
 }
 
@@ -428,7 +430,13 @@ mod tests {
             (2, 2, 3, 1)
         );
         assert_eq!(stats.disk_hits, 0);
-        assert!(cache.stats_json().contains("\"evictions\": 1"));
+        assert_eq!(
+            cache.stats_json(),
+            "{\"capacity\": 2, \"persistent\": false, \"hits\": 2, \"disk_hits\": 0, \
+             \"misses\": 2, \"stores\": 3, \"evictions\": 1, \"disk_evictions\": 0, \
+             \"disk_orphans_removed\": 0, \"last_key\": \"426d5674ee03ad9adb79f299c7307bff\"}",
+            "the `cache` block is pinned byte-for-byte"
+        );
     }
 
     #[test]

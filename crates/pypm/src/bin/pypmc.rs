@@ -34,17 +34,16 @@
 //! `per-pattern` (the reference ablation); both fire byte-identical
 //! rewrite sequences. `--jobs N` selects the parallel match phase's
 //! worker count (sharded discovery, serial commit — byte-identical
-//! results); the default is the machine's available parallelism,
-//! overridable with the `PYPM_JOBS` environment variable (the explicit
-//! flag wins). `--jobs 0` and non-numeric values are rejected with exit
-//! code 2. `--jobs 1` runs the pure serial path: no worker pool is
-//! constructed, no thread starts. With several models, the whole batch
-//! compiles through one `Pipeline::run_batch` — shared session stores,
-//! one warm worker pool across all graphs. `--stats-json` writes the
-//! pipeline report in the stable `pypm.pipeline.v1` schema (including
-//! the additive `incremental` and `parallel` counter blocks); for a
-//! batch it writes a `pypm.batch.v1` document wrapping one report per
-//! model.
+//! results); the default is `1`, the pure serial path — no worker pool
+//! is constructed, no thread starts — overridable with the `PYPM_JOBS`
+//! environment variable (the explicit flag wins). `--jobs 0` and
+//! non-numeric values are rejected with exit code 2. With several
+//! models, the whole batch compiles through one `Pipeline::run_batch` —
+//! shared session stores, one warm worker pool across all graphs.
+//! `--stats-json` writes the pipeline report in the stable
+//! `pypm.pipeline.v1` schema (including the additive `incremental` and
+//! `parallel` counter blocks); for a batch it writes a `pypm.batch.v1`
+//! document wrapping one report per model.
 //!
 //! `serve --cache N` sizes the in-memory compile-result cache (default
 //! 128 entries; 0 disables it without a directory), and `--cache-dir
@@ -69,12 +68,11 @@
 //! accepts.
 
 use pypm::cli_args::{self, parse_or_usage, Spec};
+use pypm::core::json::{Layout, Writer};
 use pypm::dsl::{binary, text, LibraryConfig};
 use pypm::engine::{
-    explain_at, ExplainObserver, ParallelConfig, Partition, PartitionPass, Pipeline, RewritePass,
-    Session,
+    explain_at, ExplainObserver, Partition, PartitionPass, Pipeline, RewritePass, Session,
 };
-use pypm::graph::Graph;
 use pypm::perf::CostModel;
 use std::io::Write;
 use std::process::exit;
@@ -99,17 +97,6 @@ fn main() {
         }
     };
     exit(code);
-}
-
-fn build_model(session: &mut Session, name: &str) -> Option<Graph> {
-    pypm::build_model(session, name)
-}
-
-/// The `--config` vocabulary shared by `compile` and `dump` — the
-/// shared [`cli_args::lib_config`] base names plus the `+synthN`
-/// scaling suffix.
-fn lib_config(name: &str) -> Option<LibraryConfig> {
-    cli_args::lib_config(name)
 }
 
 fn list_models(args: &[String]) -> i32 {
@@ -162,7 +149,7 @@ fn compile(args: &[String]) -> i32 {
     };
     let models = &parsed.positionals;
     let config_arg = parsed.value("--config").unwrap_or("both");
-    let Some(lib) = lib_config(config_arg) else {
+    let Some(lib) = cli_args::lib_config(config_arg) else {
         eprintln!("unknown config {config_arg}");
         return 2;
     };
@@ -181,11 +168,11 @@ fn compile(args: &[String]) -> i32 {
         }
     };
     // Worker count: explicit --jobs wins, then the PYPM_JOBS override,
-    // then the machine's available parallelism. Invalid values (0,
-    // non-numeric) fail loudly on either path.
+    // then serial. Invalid values (0, non-numeric) fail loudly on
+    // either path.
     let jobs = match cli_args::resolve_jobs(&parsed) {
         Ok(Some(jobs)) => jobs,
-        Ok(None) => pypm::perf::parallel::available_jobs(),
+        Ok(None) => 1,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!("usage: {}", spec.usage);
@@ -199,7 +186,7 @@ fn compile(args: &[String]) -> i32 {
     let mut s = Session::new();
     let mut graphs = Vec::with_capacity(models.len());
     for model in models {
-        let Some(g) = build_model(&mut s, model) else {
+        let Some(g) = pypm::build_model(&mut s, model) else {
             eprintln!("unknown model {model}; try `pypmc list-models`");
             return 1;
         };
@@ -217,11 +204,14 @@ fn compile(args: &[String]) -> i32 {
         .collect();
 
     let rules = s.load_library(lib);
-    let mut pipeline = Pipeline::new(&mut s).parallelism(ParallelConfig::with_jobs(jobs));
-    if !rules.is_empty() {
-        pipeline = pipeline.with(RewritePass::new(rules).policy(policy).matcher(matcher));
-    }
-    let reports = match pipeline.run_batch(&mut graphs) {
+    let recipe = pypm::CompileRecipe {
+        policy,
+        matcher,
+        jobs,
+        pool: None,
+        budget: None,
+    };
+    let reports = match pypm::compile_batch(&mut s, &mut graphs, rules, recipe) {
         Ok(reports) => reports,
         Err(e) => {
             eprintln!("rewrite pass failed: {e}");
@@ -308,22 +298,44 @@ fn compile(args: &[String]) -> i32 {
 /// single-model compile keeps emitting the bare pipeline report, so
 /// existing consumers see no change.
 fn batch_json(models: &[String], reports: &[pypm::engine::PipelineReport]) -> String {
-    let mut out = String::from("{\n  \"schema\": \"pypm.batch.v1\",\n  \"graphs\": [");
-    for (i, (model, report)) in models.iter().zip(reports).enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let escaped = model.replace('\\', "\\\\").replace('"', "\\\"");
-        out.push_str(&format!(
-            "\n    {{\"model\": \"{escaped}\", \"report\": {}}}",
-            report.to_json().trim_end()
-        ));
+    let mut w = Writer::new();
+    w.begin_object(Layout::Lines);
+    w.key("schema").string("pypm.batch.v1");
+    w.key("graphs").begin_array(Layout::Lines);
+    for (model, report) in models.iter().zip(reports) {
+        w.begin_object(Layout::Inline);
+        w.key("model").string(model);
+        w.key("report").raw(report.to_json().trim_end());
+        w.end();
     }
-    out.push_str("\n  ]\n}\n");
-    out
+    w.end();
+    w.end();
+    w.finish() + "\n"
 }
 
 fn serve(args: &[String]) -> i32 {
+    match try_serve(args) {
+        Ok(code) | Err(code) => code,
+    }
+}
+
+/// The value of `flag` as a number, or the diagnostic for one that is
+/// not `what`.
+fn number<T: std::str::FromStr>(
+    parsed: &cli_args::Parsed,
+    flag: &str,
+    what: &str,
+) -> Result<Option<T>, String> {
+    parsed
+        .value(flag)
+        .map(|v| {
+            v.parse()
+                .map_err(|_| format!("invalid {flag} {v}: not {what}"))
+        })
+        .transpose()
+}
+
+fn try_serve(args: &[String]) -> Result<i32, i32> {
     let spec = Spec {
         usage: "pypmc serve [--addr A] [--jobs N] [--workers N] [--queue N] \
                 [--cache N] [--cache-dir DIR] [--cache-dir-max-bytes N] \
@@ -343,38 +355,24 @@ fn serve(args: &[String]) -> i32 {
         ],
         bool_flags: &[],
     };
-    let parsed = match parse_or_usage(&spec, args) {
-        Ok(p) => p,
-        Err(code) => return code,
+    let parsed = parse_or_usage(&spec, args)?;
+    let usage_error = |e: String| {
+        eprintln!("error: {e}");
+        eprintln!("usage: {}", spec.usage);
+        2
     };
     let mut config = pypm::serve::ServeConfig::default();
     if let Some(addr) = parsed.value("--addr") {
         config.addr = addr.to_owned();
     }
     // Same resolution order as `compile`: flag, then PYPM_JOBS, then
-    // the machine's parallelism (the ServeConfig default).
-    match cli_args::resolve_jobs(&parsed) {
-        Ok(Some(jobs)) => config.jobs = jobs,
-        Ok(None) => {}
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: {}", spec.usage);
-            return 2;
-        }
+    // serial (the ServeConfig default).
+    if let Some(jobs) = cli_args::resolve_jobs(&parsed).map_err(usage_error)? {
+        config.jobs = jobs;
     }
-    if let Some(dir) = parsed.value("--cache-dir") {
-        config.cache_dir = Some(dir.to_owned());
-    }
-    if let Some(v) = parsed.value("--cache-dir-max-bytes") {
-        match v.parse::<u64>() {
-            Ok(n) => config.cache_dir_max_bytes = Some(n),
-            Err(_) => {
-                eprintln!("error: invalid --cache-dir-max-bytes {v}: not a non-negative integer");
-                eprintln!("usage: {}", spec.usage);
-                return 2;
-            }
-        }
-    }
+    config.cache_dir = parsed.value("--cache-dir").map(str::to_owned);
+    config.cache_dir_max_bytes =
+        number(&parsed, "--cache-dir-max-bytes", "a non-negative integer").map_err(usage_error)?;
     // Default compile budgets: a request's own timeout_ms=/step_limit=
     // keys override them. Zero is rejected — "no limit" is spelled by
     // omitting the flag, and a zero budget would refuse every compile.
@@ -382,63 +380,39 @@ fn serve(args: &[String]) -> i32 {
         ("--request-timeout-ms", &mut config.request_timeout_ms),
         ("--step-limit", &mut config.step_limit),
     ] {
-        if let Some(v) = parsed.value(flag) {
-            match v.parse::<u64>() {
-                Ok(n) if n > 0 => *slot = Some(n),
-                Ok(_) => {
-                    eprintln!("error: {flag} must be positive (omit it for no limit)");
-                    eprintln!("usage: {}", spec.usage);
-                    return 2;
-                }
-                Err(_) => {
-                    eprintln!("error: invalid {flag} {v}: not a positive integer");
-                    eprintln!("usage: {}", spec.usage);
-                    return 2;
-                }
+        match number(&parsed, flag, "a positive integer").map_err(usage_error)? {
+            Some(0) => {
+                let e = format!("{flag} must be positive (omit it for no limit)");
+                return Err(usage_error(e));
             }
+            limit => *slot = limit,
         }
     }
     // Idle-connection reaping: how long a connection may sit between
     // request frames before the server drops it. Zero disables reaping
     // (idle connections are kept forever); omitting keeps the default.
-    if let Some(v) = parsed.value("--idle-timeout-ms") {
-        match v.parse::<u64>() {
-            Ok(0) => config.idle_timeout_ms = None,
-            Ok(n) => config.idle_timeout_ms = Some(n),
-            Err(_) => {
-                eprintln!("error: invalid --idle-timeout-ms {v}: not a non-negative integer");
-                eprintln!("usage: {}", spec.usage);
-                return 2;
-            }
-        }
+    if let Some(ms) = number::<u64>(&parsed, "--idle-timeout-ms", "a non-negative integer")
+        .map_err(usage_error)?
+    {
+        config.idle_timeout_ms = (ms > 0).then_some(ms);
     }
     for (flag, slot) in [
-        ("--workers", &mut config.workers as &mut usize),
+        ("--workers", &mut config.workers),
         ("--queue", &mut config.queue_depth),
         ("--cache", &mut config.cache_capacity),
     ] {
-        if let Some(v) = parsed.value(flag) {
-            match v.parse::<usize>() {
-                Ok(n) => *slot = n,
-                Err(_) => {
-                    eprintln!("error: invalid {flag} {v}: not a non-negative integer");
-                    eprintln!("usage: {}", spec.usage);
-                    return 2;
-                }
-            }
+        if let Some(n) = number(&parsed, flag, "a non-negative integer").map_err(usage_error)? {
+            *slot = n;
         }
     }
     if config.workers == 0 {
         eprintln!("error: --workers must be at least 1");
-        return 2;
+        return Err(2);
     }
-    let server = match pypm::serve::Server::bind(config) {
-        Ok(server) => server,
-        Err(e) => {
-            eprintln!("cannot bind: {e}");
-            return 1;
-        }
-    };
+    let server = pypm::serve::Server::bind(config).map_err(|e| {
+        eprintln!("cannot bind: {e}");
+        1
+    })?;
     // The line scripts/tests scrape for the resolved port.
     println!("listening on {}", server.addr());
     let _ = std::io::stdout().flush();
@@ -448,7 +422,7 @@ fn serve(args: &[String]) -> i32 {
     // drain into a broken-pipe panic.
     server.join();
     let _ = writeln!(std::io::stdout(), "server drained, exiting");
-    0
+    Ok(0)
 }
 
 fn library(args: &[String]) -> i32 {
@@ -501,12 +475,12 @@ fn dump(args: &[String]) -> i32 {
     };
     let model = &parsed.positionals[0];
     let config_arg = parsed.value("--config").unwrap_or("both");
-    let Some(lib) = lib_config(config_arg) else {
+    let Some(lib) = cli_args::lib_config(config_arg) else {
         eprintln!("unknown config {config_arg}");
         return 2;
     };
     let mut s = Session::new();
-    let Some(g) = build_model(&mut s, model) else {
+    let Some(g) = pypm::build_model(&mut s, model) else {
         eprintln!("unknown model {model}; try `pypmc list-models`");
         return 1;
     };
@@ -607,7 +581,7 @@ fn run_explain(args: &[String]) -> i32 {
     };
     let (model, pattern) = (&parsed.positionals[0], &parsed.positionals[1]);
     let mut s = Session::new();
-    let Some(mut g) = build_model(&mut s, model) else {
+    let Some(mut g) = pypm::build_model(&mut s, model) else {
         eprintln!("unknown model {model}; try `pypmc list-models`");
         return 1;
     };
@@ -676,7 +650,7 @@ fn run_partition(args: &[String]) -> i32 {
     let model = &parsed.positionals[0];
     let pattern = parsed.value("--pattern").unwrap_or("MatMulEpilog");
     let mut s = Session::new();
-    let Some(mut g) = build_model(&mut s, model) else {
+    let Some(mut g) = pypm::build_model(&mut s, model) else {
         eprintln!("unknown model {model}; try `pypmc list-models`");
         return 1;
     };
@@ -729,4 +703,24 @@ fn run_partition(args: &[String]) -> i32 {
         );
     }
     0
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pypm::graph::Graph;
+
+    /// `pypm.batch.v1` is pinned byte-for-byte to a document captured
+    /// from the `format!`-built renderer this writer replaced. The
+    /// wrapped reports come from pass-free pipelines, so they carry no
+    /// wall-clock noise.
+    #[test]
+    fn batch_json_is_byte_identical_to_the_pinned_golden() {
+        let mut s = Session::new();
+        let mut graphs = vec![Graph::new(), Graph::new()];
+        let reports = Pipeline::new(&mut s).run_batch(&mut graphs).unwrap();
+        let models = ["quo\"te\\d".to_owned(), "vgg11".to_owned()];
+        let json = batch_json(&models, &reports);
+        assert_eq!(json, include_str!("../../../../tests/golden/batch_v1.json"));
+    }
 }

@@ -19,11 +19,9 @@
 //!   behind `--sweep-policy`, defaulting to the engine's
 //!   [`SweepPolicy::default`],
 //! * **matcher backends** ([`resolve_matcher`]) —
-//!   `per-pattern|fused`: explicit flag, then the `PYPM_MATCHER`
-//!   environment override, then the fused default,
+//!   `per-pattern|fused` behind `--matcher`, defaulting to fused,
 //! * **job counts** ([`resolve_jobs`]) — explicit flag, then the
-//!   `PYPM_JOBS` environment override, then (the caller's choice of)
-//!   machine default.
+//!   `PYPM_JOBS` environment override, then serial.
 
 use crate::dsl::LibraryConfig;
 use crate::engine::{MatcherBackend, SweepPolicy};
@@ -188,48 +186,24 @@ pub fn parse_matcher(name: &str) -> Result<MatcherBackend, String> {
     })
 }
 
-/// Resolves the match backend: the explicit `--matcher` flag wins,
-/// then the `PYPM_MATCHER` environment override (the CI matrix leg
-/// sweeps backends through it without code changes, mirroring
-/// `PYPM_JOBS`), then the engine default ([`MatcherBackend::Fused`]).
+/// Resolves the match backend from `--matcher`, falling back to the
+/// engine default ([`MatcherBackend::Fused`]).
 ///
 /// # Errors
 ///
-/// Propagates [`parse_matcher`]'s diagnostic on either path.
+/// Propagates [`parse_matcher`]'s diagnostic.
 pub fn resolve_matcher(parsed: &Parsed) -> Result<MatcherBackend, String> {
     match parsed.value("--matcher") {
         Some(v) => parse_matcher(v),
-        None => match matcher_from_env("PYPM_MATCHER")? {
-            Some(backend) => Ok(backend),
-            None => Ok(MatcherBackend::default()),
-        },
-    }
-}
-
-/// Reads a matcher backend from the environment variable `var`.
-/// `Ok(None)` when unset or blank (mirroring
-/// [`jobs_from_env`](crate::perf::parallel::jobs_from_env): an empty
-/// value is "not configured", not an error).
-///
-/// # Errors
-///
-/// A set, non-blank, unparsable value fails loudly — naming the
-/// variable so a typo in a CI matrix is not a silent fused default.
-pub fn matcher_from_env(var: &str) -> Result<Option<MatcherBackend>, String> {
-    match std::env::var(var) {
-        Ok(v) if !v.trim().is_empty() => parse_matcher(v.trim())
-            .map(Some)
-            .map_err(|e| format!("invalid {var}={}: {e}", v.trim())),
-        _ => Ok(None),
+        None => Ok(MatcherBackend::default()),
     }
 }
 
 /// Resolves the match-phase worker count: the explicit `--jobs` flag
 /// wins, then the `PYPM_JOBS` environment override; `Ok(None)` means
-/// neither was given and the caller picks its own default (`compile`
-/// uses the machine's available parallelism, `serve` its config
-/// default). Invalid values — 0, non-numeric — fail loudly on either
-/// path.
+/// neither was given and the caller keeps its default (serial, for
+/// `compile` and `serve` alike). Invalid values — 0, non-numeric — fail
+/// loudly on either path.
 ///
 /// # Errors
 ///
@@ -327,22 +301,5 @@ mod tests {
         );
         let err = resolve_matcher(&parse(&["--matcher", "bogus"]).unwrap()).unwrap_err();
         assert!(err.contains("per-pattern|fused"), "{err}");
-    }
-
-    #[test]
-    fn matcher_env_override_treats_empty_as_unset_and_rejects_typos() {
-        // Distinct variable names: the test runner is multi-threaded
-        // and the real PYPM_MATCHER may be pinned by a CI matrix leg.
-        std::env::set_var("PYPM_TEST_MATCHER_EMPTY", "");
-        assert_eq!(matcher_from_env("PYPM_TEST_MATCHER_EMPTY"), Ok(None));
-        assert_eq!(matcher_from_env("PYPM_TEST_MATCHER_UNSET"), Ok(None));
-        std::env::set_var("PYPM_TEST_MATCHER_VALID", " per-pattern ");
-        assert_eq!(
-            matcher_from_env("PYPM_TEST_MATCHER_VALID"),
-            Ok(Some(MatcherBackend::PerPattern))
-        );
-        std::env::set_var("PYPM_TEST_MATCHER_TYPO", "fuse");
-        let err = matcher_from_env("PYPM_TEST_MATCHER_TYPO").unwrap_err();
-        assert!(err.contains("invalid PYPM_TEST_MATCHER_TYPO=fuse"), "{err}");
     }
 }

@@ -15,6 +15,14 @@
 //! | [`wire`] | `pypm-wire` | the `PYPMWIRE` container format and the compile-result cache |
 //! | [`faults`] | `pypm-faults` | the failpoint registry behind the chaos tests (zero-cost when disarmed) |
 //!
+//! On top of the re-exports it owns what `pypmc` is made of:
+//! [`cli_args`] (the flag and `key=value` vocabularies),
+//! [`compile_batch`] (the one pipeline assembly behind both `pypmc
+//! compile` and the serve worker), [`serve`] (the session server, split
+//! by decision: `protocol` / `queue` / `worker` / `server`) and
+//! [`client`] (the blocking client with retry). Every JSON document the
+//! workspace emits or reads goes through [`core::json`].
+//!
 //! ## Quickstart
 //!
 //! Compilations are driven by the engine's pass manager: build a
@@ -63,7 +71,10 @@ pub use pypm_perf as perf;
 pub use pypm_wire as wire;
 
 pub mod cli_args;
+pub mod client;
 pub mod serve;
+
+use std::sync::Arc;
 
 /// Builds a zoo model by name into `session`, searching the
 /// HuggingFace-style transformers first and the TorchVision-style CNNs
@@ -77,4 +88,55 @@ pub fn build_model(session: &mut engine::Session, name: &str) -> Option<graph::G
         return Some(cfg.build(session));
     }
     None
+}
+
+/// How [`compile_batch`] runs its graphs — everything `pypmc compile`
+/// takes from flags and a serve worker takes from a request.
+#[derive(Debug, Clone)]
+pub struct CompileRecipe {
+    /// Sweep policy of the rewrite pass.
+    pub policy: engine::SweepPolicy,
+    /// Matcher backend of the rewrite pass.
+    pub matcher: engine::MatcherBackend,
+    /// Match-phase worker count; `1` is the serial path, which never
+    /// touches a pool.
+    pub jobs: usize,
+    /// A warm pool to run parallel match phases on. `None` lets a
+    /// parallel run build its own for the batch.
+    pub pool: Option<Arc<perf::pool::WorkerPool>>,
+    /// The cooperative budget the whole run charges against, if any.
+    pub budget: Option<Arc<core::Budget>>,
+}
+
+/// Rewrites `graphs` with `rules` to fixpoint through one
+/// [`engine::Pipeline::run_batch`], returning one report per graph —
+/// the one pipeline assembly behind both `pypmc compile` and the serve
+/// worker, which is what keeps their reports byte-identical. An empty
+/// rule set (`--config baseline`) runs no pass at all.
+///
+/// # Errors
+///
+/// The first failing pass of the first failing graph.
+pub fn compile_batch(
+    session: &mut engine::Session,
+    graphs: &mut [graph::Graph],
+    rules: dsl::RuleSet,
+    recipe: CompileRecipe,
+) -> Result<Vec<engine::PipelineReport>, engine::PipelineError> {
+    let mut pipeline =
+        engine::Pipeline::new(session).parallelism(engine::ParallelConfig::with_jobs(recipe.jobs));
+    if let Some(pool) = recipe.pool {
+        pipeline = pipeline.with_pool(pool);
+    }
+    if let Some(budget) = recipe.budget {
+        pipeline = pipeline.with_budget(budget);
+    }
+    if !rules.is_empty() {
+        pipeline = pipeline.with(
+            engine::RewritePass::new(rules)
+                .policy(recipe.policy)
+                .matcher(recipe.matcher),
+        );
+    }
+    pipeline.run_batch(graphs)
 }

@@ -1,0 +1,180 @@
+//! `pypmc serve` — a long-lived compile session server.
+//!
+//! | module | decision it owns |
+//! |---|---|
+//! | [`protocol`] | the wire format: status bytes, the frame codec, the request grammar, payload hints |
+//! | `queue` | admission and dequeue order: bounded, earliest-deadline-first |
+//! | `worker` | what a request costs: shed, cache probe, build, key, compile, render |
+//! | `server` | transport and lifecycle: accept, per-connection threads, idle reaping, `stats`, drain |
+//!
+//! The paper's matcher is designed to sit inside a long-running
+//! DL-compiler session: patterns loaded once, many graphs compiled.
+//! This module keeps that state — warm [`crate::perf::pool::WorkerPool`]
+//! threads, per-worker [`crate::engine::Session`] stores, a ruleset cache — alive
+//! across requests, turning the one-shot `pypmc compile` into a
+//! service. Std-only: a plain TCP accept loop plus a bounded worker
+//! queue, no async runtime.
+//!
+//! ## Protocol
+//!
+//! Length-prefixed frames over one TCP connection, any number of
+//! requests per connection:
+//!
+//! * **Request**: `u32` little-endian payload length, then that many
+//!   bytes of UTF-8 text. Frames above [`protocol::MAX_FRAME`] bytes are
+//!   rejected (the connection closes — an absurd length means the
+//!   stream cannot be resynchronized).
+//! * **Response**: one status byte, then a `u32` little-endian payload
+//!   length, then the payload.
+//!
+//! Request grammar (whitespace-separated):
+//!
+//! ```text
+//! ping
+//! stats
+//! shutdown
+//! compile <model> [config=<C>] [policy=<P>] [matcher=<M>] [jobs=<N>]
+//!         [timeout_ms=<T>] [step_limit=<S>]
+//! ```
+//!
+//! `C`, `P` and `M` take exactly the `pypmc compile` vocabulary
+//! ([`crate::cli_args`]: `baseline|fmha|epilog|both|all` with an
+//! optional `+synthN` scaling suffix, `restart|incremental`,
+//! `per-pattern|fused` — both spellings are the *same* parser, so the
+//! flag and its `key=value` twin can never drift).
+//! A successful `compile` responds with the request's
+//! `pypm.pipeline.v1` stats JSON — the same document `pypmc compile
+//! --stats-json` writes, byte-identical in every semantic counter (the
+//! wall-clock fields and the warm-pool reuse counter legitimately
+//! differ on a warm server). `stats` responds with a
+//! `pypm.serve.stats.v1` JSON document carrying the cache counters.
+//!
+//! ## The result cache
+//!
+//! Every worker shares one [`crate::wire::cache::ResultCache`]: before compiling, the
+//! request is content-addressed — a [`crate::wire::cache::CacheKey`] over the engine
+//! version, the canonical `PYPMWIRE` graph bytes, the rule-set bytes,
+//! the library configuration, the sweep policy, the matcher backend
+//! and the effective job count — and a hit returns the stored
+//! `pypm.pipeline.v1` report verbatim. Jobs and the matcher backend
+//! are part of the key because they change the
+//! machine-step/backtrack/admission counters; the engine version
+//! (`CARGO_PKG_VERSION`) is part of it so a persistent store written
+//! by an older build reads as a miss rather than serving a report the
+//! current engine would not produce. The cached report is
+//! byte-identical to what a cold compile of the same request would
+//! produce. With [`ServeConfig::cache_dir`] set (`pypmc serve
+//! --cache-dir`), entries also persist as checksummed report
+//! containers on disk, so a restarted server keeps hitting;
+//! [`ServeConfig::cache_dir_max_bytes`] caps that directory with
+//! oldest-first eviction (the `disk_evictions` counter in the `stats`
+//! document).
+//!
+//! ## Status bytes
+//!
+//! | status | meaning |
+//! |---|---|
+//! | [`protocol::STATUS_OK`] | request served; payload is the response body |
+//! | [`protocol::STATUS_BAD_REQUEST`] | unparseable/oversized frame; payload explains |
+//! | [`protocol::STATUS_UNKNOWN_MODEL`] | `compile` named no zoo model |
+//! | [`protocol::STATUS_OVERLOADED`] | admission control: the bounded queue was full |
+//! | [`protocol::STATUS_ERROR`] | the compile failed server-side; the server survives |
+//! | [`protocol::STATUS_SHUTTING_DOWN`] | draining: no new work accepted |
+//! | [`protocol::STATUS_DEADLINE_EXCEEDED`] | the compile ran out of budget; the worker survives |
+//!
+//! ## Deadlines
+//!
+//! `timeout_ms=<T>` (wall clock) and `step_limit=<S>` (abstract-machine
+//! steps — deterministic across hosts) attach a cooperative
+//! [`crate::core::Budget`] to one compile; `pypmc serve
+//! --request-timeout-ms` / `--step-limit` set server-side defaults a
+//! request can override. The budget is checked at every commit-loop
+//! node, inside shard workers and during discrimination-tree walks, so
+//! an exceeded compile unwinds within a bounded number of machine
+//! steps, answers [`protocol::STATUS_DEADLINE_EXCEEDED`] (the payload names the
+//! exhausted limits), and leaves the worker's session and warm pool
+//! fully reusable — the next request on the same worker compiles
+//! byte-identically to a cold `pypmc compile`. Budget keys are *not*
+//! part of the cache key: a compile that finishes under budget produces
+//! the same report any budget would, and an exceeded one is an error
+//! and is never cached.
+//!
+//! ## Virtual time
+//!
+//! Every time observation in the serve path — budget deadlines, queue
+//! admission stamps, idle reaping, retry backoff, injected fault
+//! delays — goes through an injectable [`crate::core::Clock`]
+//! ([`ServeConfig::clock`], [`crate::client::Client::with_clock`]). Production uses
+//! the system clock; tests share one `VirtualClock` between server,
+//! client and fault registry and advance it manually, so deadline and
+//! retry behavior is asserted exactly instead of raced against the
+//! host scheduler. OS-level socket timeouts (the write timeout, the
+//! idle *poll* interval) remain real: they are liveness backstops, not
+//! semantics.
+//!
+//! ## Transport hardening
+//!
+//! Server-side connections reap themselves when idle: reads poll on a
+//! short OS timeout and compare clock-measured inactivity against
+//! [`ServeConfig::idle_timeout_ms`], so leaked client sockets cannot
+//! accumulate threads — and a bounded write timeout means a stalled
+//! reader cannot wedge a connection thread. The client half of the story —
+//! bounded timeouts, retry with backoff — lives with [`crate::client::Client`].
+//!
+//! ## Backpressure, shedding and shutdown
+//!
+//! Admission control is a bounded deadline-aware queue: `compile`
+//! requests are admitted with a non-blocking reservation stamped with
+//! the admission instant and the request's absolute deadline, and a
+//! full queue is answered *immediately* with [`protocol::STATUS_OVERLOADED`] —
+//! the client retries, the server never buffers unboundedly. The
+//! `retry-after-ms=` hint in that payload tracks an EWMA of observed
+//! service times, so clients back off roughly one service interval
+//! instead of a constant.
+//!
+//! Workers dequeue **earliest-deadline-first** among budgeted requests
+//! (unbudgeted ones have an infinite deadline: they run FIFO among
+//! themselves, after any budgeted work) and **shed** entries whose
+//! deadline already expired while queued: those are answered
+//! [`protocol::STATUS_DEADLINE_EXCEEDED`] without touching a session — no graph
+//! build, no compile. The `shed_in_queue` and `compiles_started`
+//! counters in the `stats` document make the distinction observable.
+//! Because the worker's budget is anchored at the *admission* instant
+//! ([`crate::core::Budget::deadline_at`]), queue wait also counts against a request
+//! that does start compiling: `timeout_ms=` bounds the whole request,
+//! not just its compile phase.
+//!
+//! `shutdown` (or [`Server::shutdown`]) drains gracefully: queued
+//! compiles finish and their responses are delivered, new compiles are
+//! refused with [`protocol::STATUS_SHUTTING_DOWN`], and [`Server::join`] returns
+//! once the workers exit.
+//!
+//! A compile worker survives everything a request can throw at it: a
+//! panicking request handler is caught ([`std::panic::catch_unwind`])
+//! and answered with [`protocol::STATUS_ERROR`], and the worker's session is
+//! rebuilt before the next request. Worker-pool task panics inside the
+//! parallel match phase surface as clean pass errors (the engine's
+//! term-store loan guard restores the session stores), so the same
+//! session keeps serving.
+
+pub mod protocol;
+mod queue;
+mod server;
+mod worker;
+
+#[cfg(test)]
+mod tests;
+
+pub use server::{ServeConfig, Server};
+
+/// Fires the failpoint `site`: `delay:ms` stalls on the fault clock
+/// first, `panic` unwinds the calling thread, and `io`/`torn` come back
+/// as the `Err` naming the site.
+fn failpoint(site: &'static str) -> Result<(), String> {
+    use pypm_faults::Action;
+    match pypm_faults::sleep_if_delayed(site) {
+        Some(Action::Panic) => panic!("failpoint {site}: injected panic"),
+        Some(Action::Io | Action::Torn) => Err(format!("failpoint {site}: injected failure")),
+        Some(Action::Delay(_)) | None => Ok(()),
+    }
+}

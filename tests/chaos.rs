@@ -20,7 +20,7 @@
 //! * every response carries a known status byte with a well-formed
 //!   payload,
 //! * the disk cache never serves corrupt bytes — every `OK` compile is
-//!   byte-identical (after masking wall clocks) to a cold in-process
+//!   identical (after dropping wall clocks) to a cold in-process
 //!   compile of the same request, even while faults are firing,
 //! * with faults disabled, the same requests answer byte-identically
 //!   zoo-wide.
@@ -31,11 +31,16 @@
 //! its own test binary because the failpoint registry is
 //! process-global: arming it here must not leak into other suites.
 
+mod common;
+
+use common::mask_volatile;
+use pypm::client::{Client, RetryPolicy};
+use pypm::core::json::Value;
 use pypm::core::VirtualClock;
-use pypm::serve::{
-    Client, RetryPolicy, ServeConfig, Server, STATUS_DEADLINE_EXCEEDED, STATUS_ERROR, STATUS_OK,
-    STATUS_OVERLOADED,
+use pypm::serve::protocol::{
+    parse_retry_after, STATUS_DEADLINE_EXCEEDED, STATUS_ERROR, STATUS_OK, STATUS_OVERLOADED,
 };
+use pypm::serve::{ServeConfig, Server};
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -86,36 +91,6 @@ const MODELS: &[&str] = &["bert-tiny", "bert-small", "vgg11"];
 const POLICIES: &[&str] = &["restart", "incremental"];
 const JOBS: &[usize] = &[1, 2, 4];
 
-/// Masks `wall_ms`, `duration_ms`, `warm_wall_ms` and
-/// `pool_spawn_reuse` — the only legitimately volatile fields of a
-/// `pypm.pipeline.v1` document (see the serve module docs).
-fn mask_volatile(json: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    while let Some((field, pos)) = find_volatile(rest) {
-        let value_start = pos + field.len();
-        out.push_str(&rest[..value_start]);
-        out.push('_');
-        let tail = &rest[value_start..];
-        let value_len = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-        rest = &tail[value_len..];
-    }
-    out.push_str(rest);
-    out
-}
-
-fn find_volatile(s: &str) -> Option<(&'static str, usize)> {
-    [
-        "\"wall_ms\": ",
-        "\"duration_ms\": ",
-        "\"warm_wall_ms\": ",
-        "\"pool_spawn_reuse\": ",
-    ]
-    .into_iter()
-    .filter_map(|f| s.find(f).map(|p| (f, p)))
-    .min_by_key(|&(_, p)| p)
-}
-
 /// A cold in-process compile of one request — the byte-identity
 /// reference. Must only run while the registry is disarmed: it shares
 /// this process's failpoint sites.
@@ -138,7 +113,7 @@ fn cold_report(model: &str, policy: &str, jobs: usize) -> String {
 
 /// The masked reference report for every (model, policy, jobs) combo a
 /// schedule can request, computed before any fault is armed.
-fn reference_matrix() -> HashMap<(String, String, usize), String> {
+fn reference_matrix() -> HashMap<(String, String, usize), Value> {
     let mut refs = HashMap::new();
     for model in MODELS {
         for policy in POLICIES {
@@ -194,7 +169,7 @@ fn random_fault_spec(rng: &mut Rng) -> String {
 
 /// Runs one schedule: arm, serve randomized requests, assert the
 /// contract, disarm. Returns how many requests were served.
-fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize), String>) -> u64 {
+fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize), Value>) -> u64 {
     let mut rng = Rng(seed ^ (schedule.wrapping_mul(0x0100_0000_01b3)));
     let cache_dir = rng.chance(50).then(|| {
         std::env::temp_dir().join(format!(
@@ -319,7 +294,7 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
             }
             STATUS_OVERLOADED => {
                 assert!(
-                    body.contains("retry-after-ms="),
+                    parse_retry_after(&body).is_some(),
                     "[schedule {schedule}] overloaded payload without hint: {body}"
                 );
             }
@@ -367,7 +342,7 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
             "[schedule {schedule}] post-restart compile diverged"
         );
         let (_, stats) = c.request("stats").unwrap();
-        assert!(stats.contains("\"disk_orphans_removed\":"), "{stats}");
+        common::uint_at(&common::parse(&stats), "cache.disk_orphans_removed");
         let (status, _) = c.request("shutdown").unwrap();
         assert_eq!(status, STATUS_OK);
         fresh.join();

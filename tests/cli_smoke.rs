@@ -1,6 +1,9 @@
 //! Smoke tests of the `pypmc` CLI binary: every subcommand must run on
 //! a real model/ruleset with the expected exit status and output shape.
 
+mod common;
+
+use common::{at, compile_stats_json, text_at, uint_at};
 use std::process::{Command, Output};
 
 fn pypmc(args: &[&str]) -> Output {
@@ -12,6 +15,13 @@ fn pypmc(args: &[&str]) -> Output {
 
 fn stdout(out: &Output) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// The `rewrites   F fired / M matches / A attempts` line of a compile.
+fn rewrites_line(text: &str) -> &str {
+    text.lines()
+        .find(|l| l.starts_with("rewrites"))
+        .expect("rewrites line")
 }
 
 #[test]
@@ -54,16 +64,8 @@ fn compile_accepts_every_sweep_policy() {
         assert!(out.status.success(), "{policy}: {out:?}");
         let text = stdout(&out);
         assert!(text.contains("term view"), "{policy}: {text}");
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("rewrites"))
-            .expect("rewrites line")
-            .split('/')
-            .next()
-            .unwrap()
-            .trim()
-            .to_owned();
-        rewrite_lines.push(line);
+        let fired = rewrites_line(&text).split('/').next().unwrap();
+        rewrite_lines.push(fired.trim().to_owned());
     }
     assert_eq!(rewrite_lines[0], rewrite_lines[1]);
 }
@@ -111,12 +113,7 @@ fn compile_jobs_flag_reports_parallel_stats() {
             assert!(text.contains("probes executed"), "{text}");
             assert!(text.contains("pool"), "{text}");
         }
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("rewrites"))
-            .expect("rewrites line")
-            .to_owned();
-        rewrite_lines.push(line);
+        rewrite_lines.push(rewrites_line(&text).to_owned());
     }
     assert_eq!(rewrite_lines[0], rewrite_lines[1]);
     assert_eq!(rewrite_lines[0], rewrite_lines[2]);
@@ -150,10 +147,14 @@ fn compile_jobs_env_override_and_flag_precedence() {
         String::from_utf8_lossy(&out.stderr).contains("invalid PYPM_JOBS=fuor"),
         "{out:?}"
     );
-    // …and with neither, the default resolves to some positive count.
+    // …and with neither, the compile is serial.
     let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], None);
     assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("parallel"), "{}", stdout(&out));
+    assert!(
+        stdout(&out).contains("1 job (serial match phase, no pool)"),
+        "{}",
+        stdout(&out)
+    );
 }
 
 #[test]
@@ -166,37 +167,20 @@ fn compile_matcher_flag_env_and_diagnostics() {
         assert!(out.status.success(), "--matcher {matcher}: {out:?}");
         let text = stdout(&out);
         assert!(text.contains(&format!("backend    {matcher}:")), "{text}");
-        let line = text
-            .lines()
-            .find(|l| l.starts_with("rewrites"))
-            .expect("rewrites line")
-            .to_owned();
-        rewrite_lines.push(line);
+        rewrite_lines.push(rewrites_line(&text).to_owned());
     }
     assert_eq!(rewrite_lines[0], rewrite_lines[1]);
-    // The PYPM_MATCHER environment override selects the backend when no
-    // flag is given; the explicit flag wins over it; a broken value
-    // fails loudly, naming the variable.
-    let with_env = |args: &[&str], env: &str| {
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_pypmc"));
-        cmd.args(args).env("PYPM_MATCHER", env);
-        cmd.output().expect("failed to spawn pypmc")
-    };
-    let out = with_env(&["compile", "bert-tiny"], "per-pattern");
-    assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("backend    per-pattern:"), "{out:?}");
-    let out = with_env(
-        &["compile", "bert-tiny", "--matcher", "fused"],
-        "per-pattern",
-    );
-    assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("backend    fused:"), "{out:?}");
-    let out = with_env(&["compile", "bert-tiny"], "fuse");
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("invalid PYPM_MATCHER=fuse"),
-        "{out:?}"
-    );
+    // The flag is the only selector: the retired `PYPM_MATCHER`
+    // override is ignored, whatever it holds.
+    for env in ["per-pattern", "fuse"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_pypmc"))
+            .args(["compile", "bert-tiny"])
+            .env("PYPM_MATCHER", env)
+            .output()
+            .expect("failed to spawn pypmc");
+        assert!(out.status.success(), "{out:?}");
+        assert!(stdout(&out).contains("backend    fused:"), "{out:?}");
+    }
 }
 
 #[test]
@@ -225,14 +209,9 @@ fn compile_synth_config_suffix_scales_the_library() {
     let synth = pypmc(&["compile", "bert-tiny", "--config", "all+synth39"]);
     assert!(synth.status.success(), "{synth:?}");
     let rewrites = |out: &Output| {
-        stdout(out)
-            .lines()
-            .find(|l| l.starts_with("rewrites"))
-            .expect("rewrites line")
-            .split(" / ")
-            .take(2)
-            .collect::<Vec<_>>()
-            .join(" / ")
+        let text = stdout(out);
+        let fired_and_matched: Vec<_> = rewrites_line(&text).split(" / ").take(2).collect();
+        fired_and_matched.join(" / ")
     };
     assert_eq!(rewrites(&base), rewrites(&synth));
     let out = pypmc(&["compile", "bert-tiny", "--config", "all+synthX"]);
@@ -311,12 +290,7 @@ fn batch_compile_reports_every_model_and_matches_individual_runs() {
     for (i, model) in ["bert-tiny", "vgg11"].into_iter().enumerate() {
         let solo = pypmc(&["compile", model, "--jobs", "4"]);
         assert!(solo.status.success(), "{solo:?}");
-        let solo_text = stdout(&solo);
-        let solo_rewrites = solo_text
-            .lines()
-            .find(|l| l.starts_with("rewrites"))
-            .expect("rewrites line");
-        assert_eq!(batch_rewrites[i], solo_rewrites, "{model}");
+        assert_eq!(batch_rewrites[i], rewrites_line(&stdout(&solo)), "{model}");
     }
     // Unknown models fail the whole batch before compiling anything.
     let bad = pypmc(&["compile", "bert-tiny", "no-such-model"]);
@@ -325,66 +299,42 @@ fn batch_compile_reports_every_model_and_matches_individual_runs() {
 
 #[test]
 fn batch_compile_stats_json_wraps_per_model_reports() {
-    let dir = std::env::temp_dir().join("pypmc_batch_json_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("batch.json");
-    let out = pypmc(&[
-        "compile",
-        "bert-tiny",
-        "vgg11",
-        "--jobs",
-        "2",
-        "--stats-json",
-        path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let json = std::fs::read_to_string(&path).unwrap();
-    assert!(json.contains("\"schema\": \"pypm.batch.v1\""), "{json}");
-    assert!(json.contains("\"model\": \"bert-tiny\""), "{json}");
-    assert!(json.contains("\"model\": \"vgg11\""), "{json}");
-    assert_eq!(json.matches("\"schema\": \"pypm.pipeline.v1\"").count(), 2);
-    assert!(json.contains("\"batch_graphs\": 2"), "{json}");
-    for (open, close) in [('{', '}'), ('[', ']')] {
-        assert_eq!(json.matches(open).count(), json.matches(close).count());
+    let (_, json) = compile_stats_json(&["bert-tiny", "vgg11", "--jobs", "2"]);
+    let doc = common::parse(&json);
+    assert_eq!(text_at(&doc, "schema"), "pypm.batch.v1");
+    let graphs = at(&doc, "graphs").as_array().expect("graphs array");
+    let models: Vec<&str> = graphs.iter().map(|g| text_at(g, "model")).collect();
+    assert_eq!(models, ["bert-tiny", "vgg11"]);
+    for graph in graphs {
+        assert_eq!(text_at(graph, "report.schema"), "pypm.pipeline.v1");
+        assert_eq!(uint_at(graph, "report.totals.parallel.batch_graphs"), 2);
     }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
 fn serial_compile_bypasses_the_pool_entirely() {
     // --jobs 1 is the pure serial path: no pool is constructed, no
     // probe is cached or run inline — the parallel block stays zero.
-    let dir = std::env::temp_dir().join("pypmc_serial_json_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("serial.json");
-    let out = pypmc(&[
-        "compile",
-        "bert-small",
-        "--jobs",
-        "1",
-        "--stats-json",
-        path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
+    let (out, json) = compile_stats_json(&["bert-small", "--jobs", "1"]);
     assert!(
         stdout(&out).contains("1 job (serial match phase, no pool)"),
         "{}",
         stdout(&out)
     );
-    let json = std::fs::read_to_string(&path).unwrap();
+    let doc = common::parse(&json);
+    let parallel = at(&doc, "totals.parallel");
     for zeroed in [
-        "\"probes_inline\": 0",
-        "\"probes_executed\": 0",
-        "\"probes_reused\": 0",
-        "\"pool_rounds\": 0",
-        "\"pool_spawn_reuse\": 0",
-        "\"warm_batches\": 0",
+        "probes_inline",
+        "probes_executed",
+        "probes_reused",
+        "pool_rounds",
+        "pool_spawn_reuse",
+        "warm_batches",
     ] {
-        assert!(json.contains(zeroed), "missing {zeroed}:\n{json}");
+        assert_eq!(uint_at(parallel, zeroed), 0, "{zeroed}:\n{json}");
     }
-    assert!(json.contains("\"jobs\": 1"), "{json}");
-    assert!(json.contains("\"batch_graphs\": 1"), "{json}");
-    std::fs::remove_file(&path).ok();
+    assert_eq!(uint_at(parallel, "jobs"), 1, "{json}");
+    assert_eq!(uint_at(parallel, "batch_graphs"), 1, "{json}");
 }
 
 #[test]
@@ -396,27 +346,22 @@ fn flag_missing_value_is_rejected() {
 
 #[test]
 fn compile_stats_json_writes_pipeline_report() {
-    let dir = std::env::temp_dir().join("pypmc_stats_json_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("stats.json");
-    let out = pypmc(&[
-        "compile",
-        "bert-tiny",
-        "--stats-json",
-        path.to_str().unwrap(),
-    ]);
-    assert!(out.status.success(), "{out:?}");
-    let json = std::fs::read_to_string(&path).unwrap();
-    assert!(json.contains("\"schema\": \"pypm.pipeline.v1\""), "{json}");
-    assert!(json.contains("\"name\": \"rewrite\""), "{json}");
-    assert!(json.contains("\"rewrites_fired\""), "{json}");
+    let (_, json) = compile_stats_json(&["bert-tiny"]);
+    let doc = common::parse_report(&json);
+    let passes = at(&doc, "passes").as_array().expect("passes array");
+    assert_eq!(text_at(&passes[0], "name"), "rewrite");
+    assert!(uint_at(&passes[0], "rewrites_fired") > 0, "{json}");
     // The additive incremental and parallel blocks ride along in every
     // report.
-    assert!(json.contains("\"incremental\": {\"view_builds\""), "{json}");
-    assert!(json.contains("\"nodes_reindexed\""), "{json}");
-    assert!(json.contains("\"parallel\": {\"jobs\""), "{json}");
-    assert!(json.contains("\"probes_by_shard\""), "{json}");
-    std::fs::remove_file(&path).ok();
+    uint_at(&passes[0], "incremental.view_builds");
+    uint_at(&passes[0], "incremental.nodes_reindexed");
+    assert!(uint_at(&passes[0], "parallel.jobs") >= 1, "{json}");
+    assert!(
+        at(&passes[0], "parallel.probes_by_shard")
+            .as_array()
+            .is_some(),
+        "{json}"
+    );
 }
 
 #[test]
@@ -443,11 +388,15 @@ fn compile_stats_json_unwritable_path_fails_cleanly() {
 #[test]
 fn compile_empty_jobs_env_is_treated_as_unset() {
     // `PYPM_JOBS= pypmc …` is the shell idiom for "unset": it must run
-    // with the default worker count, not die on a parse error.
+    // with the default (serial) worker count, not die on a parse error.
     for empty in ["", "  "] {
         let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], Some(empty));
         assert!(out.status.success(), "PYPM_JOBS={empty:?}: {out:?}");
-        assert!(stdout(&out).contains("parallel"), "{}", stdout(&out));
+        assert!(
+            stdout(&out).contains("parallel   1 job"),
+            "{}",
+            stdout(&out)
+        );
     }
 }
 
@@ -469,12 +418,13 @@ fn serve_subcommand_listens_compiles_and_drains() {
         .unwrap_or_else(|| panic!("unexpected banner: {line}"))
         .parse()
         .expect("bound address");
-    let mut c = pypm::serve::Client::connect(addr).unwrap();
+    let mut c = pypm::client::Client::connect(addr).unwrap();
     let (status, body) = c.request("compile bert-tiny jobs=2").unwrap();
-    assert_eq!(status, pypm::serve::STATUS_OK, "{body}");
-    assert!(body.contains("\"schema\": \"pypm.pipeline.v1\""), "{body}");
+    assert_eq!(status, pypm::serve::protocol::STATUS_OK, "{body}");
+    let report = common::parse_report(&body);
+    assert_eq!(uint_at(&report, "totals.parallel.jobs"), 2);
     let (status, _) = c.request("shutdown").unwrap();
-    assert_eq!(status, pypm::serve::STATUS_OK);
+    assert_eq!(status, pypm::serve::protocol::STATUS_OK);
     let out = child.wait().expect("server exits after drain");
     assert!(out.success(), "{out:?}");
 }

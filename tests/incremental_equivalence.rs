@@ -11,11 +11,13 @@
 //! and an observer recording the exact (pattern, rule, node, …) firing
 //! sequence.
 
+mod common;
+
+use common::{node_rows, FiringLog};
 use pypm::core::Budget;
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{
-    Observer, PassError, PassStats, Pipeline, PipelineError, RewriteFired, RewritePass, Session,
-    SweepPolicy,
+    PassError, PassStats, Pipeline, PipelineError, RewritePass, Session, SweepPolicy,
 };
 use pypm::graph::{Graph, NodeId};
 use std::cell::RefCell;
@@ -31,21 +33,6 @@ const CONFIGS: [(&str, ConfigFn); 4] = [
     ("both", LibraryConfig::both),
     ("all", LibraryConfig::all),
 ];
-
-/// Records the exact firing sequence: which pattern, which rule, at
-/// which node. Two policies that agree on this sequence applied the
-/// same graph mutations in the same order.
-#[derive(Default)]
-struct FiringLog {
-    fired: Vec<(String, usize, NodeId)>,
-}
-
-impl Observer for FiringLog {
-    fn on_rewrite_fired(&mut self, event: &RewriteFired) {
-        self.fired
-            .push((event.pattern.clone(), event.rule, event.node));
-    }
-}
 
 /// One policy's observable result: the firing sequence, the semantic
 /// counters, and the final graph down to node identities.
@@ -95,21 +82,10 @@ fn run_bounded(
     if let Ok(stats) = &stats {
         assert_eq!(stats.rewrites_fired, fired.len() as u64);
     }
-    let nodes = g
-        .topo_order()
-        .into_iter()
-        .map(|n| {
-            (
-                n,
-                s.syms.op_name(g.node(n).op).to_owned(),
-                g.node(n).inputs.clone(),
-            )
-        })
-        .collect();
     let outcome = Outcome {
         fired,
         live_nodes: g.live_count(),
-        nodes,
+        nodes: node_rows(&g, &s),
         output_ids: g.outputs().to_vec(),
         bytes: pypm::wire::encode_graph(&g, &s.syms).to_vec(),
     };

@@ -13,96 +13,12 @@
 //! and the matcher's own admission counters may differ between
 //! backends — and machine work may only shrink.
 
+mod common;
+
+use common::run_rewrite as run;
 use pypm::dsl::LibraryConfig;
-use pypm::engine::{
-    MatcherBackend, Observer, ParallelConfig, PassStats, Pipeline, RewriteFired, RewritePass,
-    Session, SweepPolicy,
-};
-use pypm::graph::{Graph, NodeId};
-use std::cell::RefCell;
-use std::rc::Rc;
-
-/// Records the exact firing sequence: which pattern, which rule, at
-/// which node.
-#[derive(Default)]
-struct FiringLog {
-    fired: Vec<(String, usize, NodeId)>,
-}
-
-impl Observer for FiringLog {
-    fn on_rewrite_fired(&mut self, event: &RewriteFired) {
-        self.fired
-            .push((event.pattern.clone(), event.rule, event.node));
-    }
-}
-
-/// One run's observable result: the firing sequence, the final graph
-/// down to node identities, and every semantic counter. Machine-work
-/// diagnostics and the matcher's admission counters are deliberately
-/// absent — those are the only fields the backends may disagree on.
-#[derive(Debug, PartialEq, Eq)]
-struct Outcome {
-    fired: Vec<(String, usize, NodeId)>,
-    nodes: Vec<(NodeId, String, Vec<NodeId>)>,
-    output_ids: Vec<NodeId>,
-    live_nodes: usize,
-    nodes_visited: u64,
-    match_attempts: u64,
-    matches_found: u64,
-    rewrites_fired: u64,
-    sweeps: u64,
-    view_builds: u64,
-    view_patches: u64,
-    nodes_revisited: u64,
-    nodes_reindexed: u64,
-}
-
-fn run(
-    build: &dyn Fn(&mut Session) -> Graph,
-    cfg: LibraryConfig,
-    policy: SweepPolicy,
-    jobs: usize,
-    backend: MatcherBackend,
-) -> (Outcome, PassStats) {
-    let mut s = Session::new();
-    let mut g = build(&mut s);
-    let rules = s.load_library(cfg);
-    let log = Rc::new(RefCell::new(FiringLog::default()));
-    let report = Pipeline::new(&mut s)
-        .with(RewritePass::new(rules).policy(policy).matcher(backend))
-        .parallelism(ParallelConfig::with_jobs(jobs))
-        .observe(log.clone())
-        .run(&mut g)
-        .expect("pass succeeds");
-    let stats = report.total();
-    let nodes = g
-        .topo_order()
-        .into_iter()
-        .map(|n| {
-            (
-                n,
-                s.syms.op_name(g.node(n).op).to_owned(),
-                g.node(n).inputs.clone(),
-            )
-        })
-        .collect();
-    let outcome = Outcome {
-        fired: std::mem::take(&mut log.borrow_mut().fired),
-        nodes,
-        output_ids: g.outputs().to_vec(),
-        live_nodes: g.live_count(),
-        nodes_visited: stats.nodes_visited,
-        match_attempts: stats.match_attempts,
-        matches_found: stats.matches_found,
-        rewrites_fired: stats.rewrites_fired,
-        sweeps: stats.sweeps,
-        view_builds: stats.view_builds,
-        view_patches: stats.view_patches,
-        nodes_revisited: stats.nodes_revisited,
-        nodes_reindexed: stats.nodes_reindexed,
-    };
-    (outcome, stats)
-}
+use pypm::engine::{MatcherBackend, Session, SweepPolicy};
+use pypm::graph::Graph;
 
 fn assert_backend_equivalent(name: &str, build: &dyn Fn(&mut Session) -> Graph) {
     for (cname, cfg) in [

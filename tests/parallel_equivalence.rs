@@ -13,12 +13,14 @@
 //! Set `PYPM_JOBS=<n>` to add an extra job count to every comparison —
 //! the CI matrix leg uses it to sweep job counts without code changes.
 
+mod common;
+
+use common::{node_rows, FiringLog, Outcome};
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{
-    MatcherBackend, Observer, ParallelConfig, PassStats, Pipeline, RewriteFired, RewritePass,
-    Session, SweepPolicy,
+    MatcherBackend, ParallelConfig, PassStats, Pipeline, RewritePass, Session, SweepPolicy,
 };
-use pypm::graph::{Graph, NodeId};
+use pypm::graph::Graph;
 use std::cell::RefCell;
 use std::rc::Rc;
 
@@ -33,88 +35,14 @@ fn job_counts() -> Vec<usize> {
     jobs
 }
 
-/// Records the exact firing sequence: which pattern, which rule, at
-/// which node.
-#[derive(Default)]
-struct FiringLog {
-    fired: Vec<(String, usize, NodeId)>,
-}
-
-impl Observer for FiringLog {
-    fn on_rewrite_fired(&mut self, event: &RewriteFired) {
-        self.fired
-            .push((event.pattern.clone(), event.rule, event.node));
-    }
-}
-
-/// One run's observable result: the firing sequence, the final graph
-/// down to node identities, and every semantic counter.
-#[derive(Debug, PartialEq, Eq)]
-struct Outcome {
-    fired: Vec<(String, usize, NodeId)>,
-    nodes: Vec<(NodeId, String, Vec<NodeId>)>,
-    output_ids: Vec<NodeId>,
-    live_nodes: usize,
-    // The full semantic counter set. Wall-clock, the speculative
-    // parallel block, and the machine-*work* diagnostics
-    // (`machine_steps`/`machine_backtracks`, which shrink under the
-    // root-operator index) are the only things allowed to differ
-    // between job counts.
-    nodes_visited: u64,
-    match_attempts: u64,
-    matches_found: u64,
-    rewrites_fired: u64,
-    sweeps: u64,
-    view_builds: u64,
-    view_patches: u64,
-    nodes_revisited: u64,
-    nodes_reindexed: u64,
-}
-
+/// [`common::run_rewrite`] under the default matcher backend.
 fn run(
     build: &dyn Fn(&mut Session) -> Graph,
     cfg: LibraryConfig,
     policy: SweepPolicy,
     jobs: usize,
 ) -> (Outcome, PassStats) {
-    let mut s = Session::new();
-    let mut g = build(&mut s);
-    let rules = s.load_library(cfg);
-    let log = Rc::new(RefCell::new(FiringLog::default()));
-    let report = Pipeline::new(&mut s)
-        .with(RewritePass::new(rules).policy(policy))
-        .parallelism(ParallelConfig::with_jobs(jobs))
-        .observe(log.clone())
-        .run(&mut g)
-        .expect("pass succeeds");
-    let stats = report.total();
-    let nodes = g
-        .topo_order()
-        .into_iter()
-        .map(|n| {
-            (
-                n,
-                s.syms.op_name(g.node(n).op).to_owned(),
-                g.node(n).inputs.clone(),
-            )
-        })
-        .collect();
-    let outcome = Outcome {
-        fired: std::mem::take(&mut log.borrow_mut().fired),
-        nodes,
-        output_ids: g.outputs().to_vec(),
-        live_nodes: g.live_count(),
-        nodes_visited: stats.nodes_visited,
-        match_attempts: stats.match_attempts,
-        matches_found: stats.matches_found,
-        rewrites_fired: stats.rewrites_fired,
-        sweeps: stats.sweeps,
-        view_builds: stats.view_builds,
-        view_patches: stats.view_patches,
-        nodes_revisited: stats.nodes_revisited,
-        nodes_reindexed: stats.nodes_reindexed,
-    };
-    (outcome, stats)
+    common::run_rewrite(build, cfg, policy, jobs, MatcherBackend::default())
 }
 
 fn assert_parallel_equivalent(name: &str, build: &dyn Fn(&mut Session) -> Graph) {
@@ -227,18 +155,6 @@ fn run_batch_is_byte_identical_to_sequential_runs() {
                 .build(s)
         }
     };
-    let snapshot = |s: &Session, g: &Graph| -> Vec<(NodeId, String, Vec<NodeId>)> {
-        g.topo_order()
-            .into_iter()
-            .map(|n| {
-                (
-                    n,
-                    s.syms.op_name(g.node(n).op).to_owned(),
-                    g.node(n).inputs.clone(),
-                )
-            })
-            .collect()
-    };
     for policy in SweepPolicy::ALL {
         for jobs in [1usize, 2, 8] {
             // Sequential reference: one session, graphs built up front
@@ -256,7 +172,7 @@ fn run_batch_is_byte_identical_to_sequential_runs() {
                     .expect("sequential run succeeds");
                 let t = report.total();
                 seq.push((
-                    snapshot(&s_seq, g),
+                    node_rows(g, &s_seq),
                     t.rewrites_fired,
                     t.match_attempts,
                     t.matches_found,
@@ -283,7 +199,7 @@ fn run_batch_is_byte_identical_to_sequential_runs() {
                     "{policy}/jobs={jobs}: batch size surfaces in every report"
                 );
                 let got = (
-                    snapshot(&s_batch, g),
+                    node_rows(g, &s_batch),
                     t.rewrites_fired,
                     t.match_attempts,
                     t.matches_found,

@@ -5,38 +5,13 @@
 //! survive a server restart via `--cache-dir`, and must stay invisible
 //! when disabled.
 
-use pypm::serve::{Client, ServeConfig, Server, STATUS_OK};
-use std::process::Command;
+mod common;
 
-/// Masks `wall_ms`, `duration_ms`, `warm_wall_ms` and
-/// `pool_spawn_reuse` values — the same masking as
-/// `tests/serve_equivalence.rs`.
-fn mask_volatile(json: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    while let Some((field, pos)) = find_volatile(rest) {
-        let value_start = pos + field.len();
-        out.push_str(&rest[..value_start]);
-        out.push('_');
-        let tail = &rest[value_start..];
-        let value_len = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-        rest = &tail[value_len..];
-    }
-    out.push_str(rest);
-    out
-}
-
-fn find_volatile(s: &str) -> Option<(&'static str, usize)> {
-    [
-        "\"wall_ms\": ",
-        "\"duration_ms\": ",
-        "\"warm_wall_ms\": ",
-        "\"pool_spawn_reuse\": ",
-    ]
-    .into_iter()
-    .filter_map(|f| s.find(f).map(|p| (f, p)))
-    .min_by_key(|&(_, p)| p)
-}
+use common::{at, compile_stats_json, mask_volatile, uint_at, zoo_names};
+use pypm::client::Client;
+use pypm::core::json::Value;
+use pypm::serve::protocol::STATUS_OK;
+use pypm::serve::{ServeConfig, Server};
 
 fn compile_ok(client: &mut Client, model: &str, policy: &str, jobs: usize) -> String {
     let (status, body) = client
@@ -46,26 +21,13 @@ fn compile_ok(client: &mut Client, model: &str, policy: &str, jobs: usize) -> St
     body
 }
 
-/// The cache `stats` block as served by the `stats` verb.
-fn stats_json(client: &mut Client) -> String {
+/// The `cache` block of the `stats` verb's document.
+fn cache_stats(client: &mut Client) -> Value {
     let (status, body) = client.request("stats").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
-    assert!(
-        body.contains("\"schema\": \"pypm.serve.stats.v1\""),
-        "{body}"
-    );
-    body
-}
-
-/// Pulls one integer counter out of the stats document.
-fn counter(stats: &str, name: &str) -> u64 {
-    let key = format!("\"{name}\": ");
-    let at = stats
-        .find(&key)
-        .unwrap_or_else(|| panic!("{name} in {stats}"));
-    let tail = &stats[at + key.len()..];
-    let end = tail.find([',', '}']).unwrap();
-    tail[..end].trim().parse().unwrap()
+    let doc = common::parse(&body);
+    assert_eq!(common::text_at(&doc, "schema"), "pypm.serve.stats.v1");
+    at(&doc, "cache").clone()
 }
 
 /// Every zoo model × every sweep policy × serial and parallel jobs:
@@ -82,13 +44,8 @@ fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
     })
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let names: Vec<String> = pypm::models::hf_zoo()
-        .iter()
-        .map(|c| c.name.to_owned())
-        .chain(pypm::models::tv_zoo().iter().map(|c| c.name.to_owned()))
-        .collect();
     let mut expected_hits = 0;
-    for name in &names {
+    for name in zoo_names() {
         for policy in ["restart", "incremental"] {
             for jobs in [1, 4] {
                 let cold = compile_ok(&mut client, name, policy, jobs);
@@ -101,16 +58,16 @@ fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
             }
         }
     }
-    let stats = stats_json(&mut client);
+    let stats = cache_stats(&mut client);
     // Every immediate repeat hits; the key is *content*-addressed, so
     // zoo models that build byte-identical graphs share an entry and
     // some cold compiles hit another model's cached report too (the
     // reports are identical by construction — same bytes, same key).
-    let hits = counter(&stats, "hits");
-    let misses = counter(&stats, "misses");
-    assert_eq!(hits + misses, expected_hits * 2, "{stats}");
-    assert!(hits >= expected_hits, "{stats}");
-    assert_eq!(counter(&stats, "stores"), misses, "{stats}");
+    let hits = uint_at(&stats, "hits");
+    let misses = uint_at(&stats, "misses");
+    assert_eq!(hits + misses, expected_hits * 2, "{stats:?}");
+    assert!(hits >= expected_hits, "{stats:?}");
+    assert_eq!(uint_at(&stats, "stores"), misses, "{stats:?}");
     server.shutdown();
     server.join();
 }
@@ -132,29 +89,8 @@ fn cache_hits_match_the_cold_cli_after_masking() {
         compile_ok(&mut client, model, policy, jobs); // prime: miss
         let hit = compile_ok(&mut client, model, policy, jobs);
 
-        let dir = std::env::temp_dir().join(format!(
-            "pypmc_cache_eq_{model}_{policy}_{jobs}_{:?}",
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("stats.json");
-        let out = Command::new(env!("CARGO_BIN_EXE_pypmc"))
-            .args([
-                "compile",
-                model,
-                "--sweep-policy",
-                policy,
-                "--jobs",
-                &jobs.to_string(),
-                "--stats-json",
-                path.to_str().unwrap(),
-            ])
-            .env_remove("PYPM_JOBS")
-            .output()
-            .expect("failed to spawn pypmc");
-        assert!(out.status.success(), "{model}: {out:?}");
-        let cli = std::fs::read_to_string(&path).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        let jobs_flag = jobs.to_string();
+        let (_, cli) = compile_stats_json(&[model, "--sweep-policy", policy, "--jobs", &jobs_flag]);
 
         assert_eq!(
             mask_volatile(&hit),
@@ -181,9 +117,9 @@ fn different_job_counts_never_share_a_cache_entry() {
     let mut client = Client::connect(server.addr()).unwrap();
     compile_ok(&mut client, "bert-tiny", "restart", 1);
     compile_ok(&mut client, "bert-tiny", "restart", 4);
-    let stats = stats_json(&mut client);
-    assert_eq!(counter(&stats, "hits"), 0, "{stats}");
-    assert_eq!(counter(&stats, "misses"), 2, "{stats}");
+    let stats = cache_stats(&mut client);
+    assert_eq!(uint_at(&stats, "hits"), 0, "{stats:?}");
+    assert_eq!(uint_at(&stats, "misses"), 2, "{stats:?}");
     server.shutdown();
     server.join();
 }
@@ -211,8 +147,8 @@ fn cache_dir_persists_across_server_restart() {
     .unwrap();
     let mut client = Client::connect(first.addr()).unwrap();
     let cold = compile_ok(&mut client, "bert-tiny", "incremental", 2);
-    let stats = stats_json(&mut client);
-    assert_eq!(counter(&stats, "stores"), 1, "{stats}");
+    let stats = cache_stats(&mut client);
+    assert_eq!(uint_at(&stats, "stores"), 1, "{stats:?}");
     drop(client);
     first.shutdown();
     first.join();
@@ -232,11 +168,11 @@ fn cache_dir_persists_across_server_restart() {
         warm, cold,
         "the restarted server's disk hit diverged from the original cold compile"
     );
-    let stats = stats_json(&mut client);
-    assert_eq!(counter(&stats, "hits"), 1, "{stats}");
-    assert_eq!(counter(&stats, "disk_hits"), 1, "{stats}");
-    assert_eq!(counter(&stats, "misses"), 0, "{stats}");
-    assert!(stats.contains("\"persistent\": true"), "{stats}");
+    let stats = cache_stats(&mut client);
+    assert_eq!(uint_at(&stats, "hits"), 1, "{stats:?}");
+    assert_eq!(uint_at(&stats, "disk_hits"), 1, "{stats:?}");
+    assert_eq!(uint_at(&stats, "misses"), 0, "{stats:?}");
+    assert_eq!(at(&stats, "persistent"), &Value::Bool(true), "{stats:?}");
     second.shutdown();
     second.join();
     let _ = std::fs::remove_dir_all(&dir);
@@ -258,11 +194,11 @@ fn a_disabled_cache_recompiles_and_counts_nothing() {
     let a = compile_ok(&mut client, "bert-tiny", "restart", 2);
     let b = compile_ok(&mut client, "bert-tiny", "restart", 2);
     assert_eq!(mask_volatile(&a), mask_volatile(&b));
-    let stats = stats_json(&mut client);
-    assert_eq!(counter(&stats, "hits"), 0, "{stats}");
-    assert_eq!(counter(&stats, "misses"), 0, "{stats}");
-    assert_eq!(counter(&stats, "stores"), 0, "{stats}");
-    assert!(stats.contains("\"last_key\": null"), "{stats}");
+    let stats = cache_stats(&mut client);
+    assert_eq!(uint_at(&stats, "hits"), 0, "{stats:?}");
+    assert_eq!(uint_at(&stats, "misses"), 0, "{stats:?}");
+    assert_eq!(uint_at(&stats, "stores"), 0, "{stats:?}");
+    assert_eq!(at(&stats, "last_key"), &Value::Null, "{stats:?}");
     server.shutdown();
     server.join();
 }

@@ -3,10 +3,18 @@
 //! tolerance and graceful shutdown — all against in-process
 //! [`pypm::serve::Server`] instances on ephemeral ports.
 
-use pypm::serve::{
-    Client, ServeConfig, Server, MAX_FRAME, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED,
-    STATUS_ERROR, STATUS_OK, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNKNOWN_MODEL,
+mod common;
+
+use common::{mask_volatile, text_at, uint_at};
+use pypm::client::Client;
+use pypm::core::VirtualClock;
+use pypm::serve::protocol::{
+    MAX_FRAME, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_ERROR, STATUS_OK,
+    STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNKNOWN_MODEL,
 };
+use pypm::serve::{ServeConfig, Server};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// A small server for most tests: modest queue, parallel compiles.
 fn spawn_server() -> Server {
@@ -36,8 +44,8 @@ fn ping_compile_and_errors_over_one_connection() {
 
     let (status, body) = c.request("compile bert-tiny jobs=4").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
-    assert!(body.contains("\"schema\": \"pypm.pipeline.v1\""), "{body}");
-    assert!(body.contains("\"rewrites_fired\""), "{body}");
+    let report = common::parse_report(&body);
+    assert!(uint_at(&report, "totals.rewrites_fired") > 0, "{body}");
 
     let (status, body) = c.request("compile no-such-model").unwrap();
     assert_eq!(status, STATUS_UNKNOWN_MODEL, "{body}");
@@ -71,13 +79,12 @@ fn all_request_parameters_are_honored() {
     ] {
         let (status, body) = c.request(line).unwrap();
         assert_eq!(status, STATUS_OK, "{line}: {body}");
-        assert!(body.contains("pypm.pipeline.v1"), "{line}: {body}");
+        common::parse_report(&body);
     }
-    // `config=baseline jobs=1` really ran serial: the parallel block
-    // reports one job.
+    // `jobs=1` really ran serial: the parallel block reports one job.
     let (status, body) = c.request("compile bert-tiny jobs=1").unwrap();
     assert_eq!(status, STATUS_OK);
-    assert!(body.contains("\"jobs\": 1"), "{body}");
+    assert_eq!(uint_at(&common::parse(&body), "totals.parallel.jobs"), 1);
     shutdown_and_join(server);
 }
 
@@ -87,9 +94,9 @@ fn eight_concurrent_clients_get_identical_counters() {
     let addr = server.addr();
     // One reference response, then 8 clients × 3 requests each, all in
     // flight at once. Every successful response must match the
-    // reference byte-for-byte after masking the wall-clock fields and
-    // the warm-pool reuse counter (the only legitimately volatile
-    // fields — see the serve module docs).
+    // reference after dropping the wall-clock fields and the
+    // warm-pool reuse counter (the only legitimately volatile fields —
+    // see the serve module docs).
     let reference = {
         let mut c = Client::connect(addr).unwrap();
         let (status, body) = c.request("compile bert-tiny jobs=4").unwrap();
@@ -120,37 +127,6 @@ fn eight_concurrent_clients_get_identical_counters() {
     shutdown_and_join(server);
 }
 
-/// Masks the volatile fields of a `pypm.pipeline.v1` document: wall
-/// clocks and the warm-pool reuse counter (a warm server's pool has
-/// run batches before; a cold CLI's has not).
-fn mask_volatile(json: &str) -> String {
-    let mut out = String::with_capacity(json.len());
-    let mut rest = json;
-    while let Some(at) = find_volatile(rest) {
-        let (field, pos) = at;
-        let value_start = pos + field.len();
-        out.push_str(&rest[..value_start]);
-        out.push('_');
-        let tail = &rest[value_start..];
-        let value_len = tail.find([',', '}', '\n']).unwrap_or(tail.len());
-        rest = &tail[value_len..];
-    }
-    out.push_str(rest);
-    out
-}
-
-fn find_volatile(s: &str) -> Option<(&'static str, usize)> {
-    [
-        "\"wall_ms\": ",
-        "\"duration_ms\": ",
-        "\"warm_wall_ms\": ",
-        "\"pool_spawn_reuse\": ",
-    ]
-    .into_iter()
-    .filter_map(|f| s.find(f).map(|p| (f, p)))
-    .min_by_key(|&(_, p)| p)
-}
-
 #[test]
 fn rendezvous_queue_rejects_the_burst_with_overloaded() {
     // workers=1, queue_depth=0: one compile in flight, zero waiting.
@@ -174,7 +150,7 @@ fn rendezvous_queue_rejects_the_burst_with_overloaded() {
                     let (status, body) = c.request("compile bert-small jobs=2").unwrap();
                     match status {
                         STATUS_OK => {
-                            assert!(body.contains("pypm.pipeline.v1"), "{body}");
+                            common::parse_report(&body);
                             ok += 1;
                         }
                         STATUS_OVERLOADED => overloaded += 1,
@@ -257,7 +233,7 @@ fn server_survives_an_injected_worker_pool_panic() {
         .request("compile bert-small jobs=4 matcher=per-pattern")
         .unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
-    assert!(body.contains("\"rewrites_fired\""), "{body}");
+    assert!(uint_at(&common::parse(&body), "totals.rewrites_fired") > 0);
     shutdown_and_join(server);
 }
 
@@ -282,7 +258,7 @@ fn deadline_exceeded_compiles_leave_the_worker_reusable() {
     // succeeds…
     let (status, body) = c.request("compile bert-small jobs=2").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
-    assert!(body.contains("pypm.pipeline.v1"), "{body}");
+    common::parse_report(&body);
 
     // …and a generous budget is not part of the cache key, so the
     // same request with limits attached answers byte-identically.
@@ -326,16 +302,16 @@ fn stats_stay_coherent_under_concurrent_load() {
     let mut c = Client::connect(addr).unwrap();
     let (status, body) = c.request("stats").unwrap();
     assert_eq!(status, STATUS_OK);
-    for field in [
-        "\"schema\": \"pypm.serve.stats.v1\"",
-        "\"uptime_ms\":",
-        "\"in_flight\": 0",
-        "\"deadline_exceeded\": 0",
-        "\"cache\":",
-        "\"disk_orphans_removed\":",
+    let stats = common::parse(&body);
+    assert_eq!(text_at(&stats, "schema"), "pypm.serve.stats.v1");
+    for (path, want) in [
+        ("in_flight", 0),
+        ("deadline_exceeded", 0),
+        ("cache.disk_orphans_removed", 0),
     ] {
-        assert!(body.contains(field), "{field} missing from {body}");
+        assert_eq!(uint_at(&stats, path), want, "{path} in {body}");
     }
+    uint_at(&stats, "uptime_ms");
 
     // Hammer deadline-tripping compiles and stats concurrently: every
     // stats response must stay a well-formed document, and the
@@ -356,14 +332,18 @@ fn stats_stay_coherent_under_concurrent_load() {
     for _ in 0..10 {
         let (status, body) = c.request("stats").unwrap();
         assert_eq!(status, STATUS_OK);
-        assert!(body.contains("pypm.serve.stats.v1"), "{body}");
+        assert_eq!(
+            text_at(&common::parse(&body), "schema"),
+            "pypm.serve.stats.v1"
+        );
     }
     for h in compilers {
         h.join().expect("compiler thread");
     }
     let (_, body) = c.request("stats").unwrap();
-    assert!(body.contains("\"deadline_exceeded\": 12"), "{body}");
-    assert!(body.contains("\"in_flight\": 0"), "{body}");
+    let stats = common::parse(&body);
+    assert_eq!(uint_at(&stats, "deadline_exceeded"), 12, "{body}");
+    assert_eq!(uint_at(&stats, "in_flight"), 0, "{body}");
     shutdown_and_join(server);
 }
 
@@ -398,7 +378,7 @@ fn shutdown_drains_in_flight_work_and_refuses_new_work() {
             "unexpected status {status}: {body}"
         );
         if status == STATUS_OK {
-            assert!(body.contains("pypm.pipeline.v1"), "{body}");
+            common::parse_report(&body);
         }
     }
     // join returns — the drain terminates.
@@ -436,4 +416,29 @@ fn compiles_admitted_before_shutdown_complete_with_ok() {
     let (status, body) = admitted.join().expect("client thread");
     assert_eq!(status, STATUS_OK, "admitted work must drain: {body}");
     server.join();
+}
+
+/// `pypm.serve.stats.v1` is pinned byte-for-byte to a document captured
+/// from the `format!`-built renderer the JSON writer replaced. Under a
+/// virtual clock every field is deterministic: one compile trips its
+/// step budget before the cache is probed, then 1234 virtual
+/// milliseconds pass.
+#[test]
+fn stats_document_is_byte_identical_to_the_pinned_golden() {
+    let vclock = Arc::new(VirtualClock::new());
+    let server = Server::bind(ServeConfig {
+        jobs: 1,
+        workers: 1,
+        clock: vclock.clone(),
+        ..ServeConfig::default()
+    })
+    .unwrap();
+    let mut c = Client::connect(server.addr()).unwrap();
+    let (status, body) = c.request("compile bert-tiny step_limit=1").unwrap();
+    assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{body}");
+    vclock.advance(Duration::from_millis(1234));
+    let (status, body) = c.request("stats").unwrap();
+    assert_eq!(status, STATUS_OK);
+    assert_eq!(body, include_str!("golden/serve_stats_v1.json"));
+    shutdown_and_join(server);
 }

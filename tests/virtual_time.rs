@@ -6,12 +6,15 @@
 //! Runs as its own test binary because the shed test arms the
 //! process-global failpoint registry.
 
+mod common;
+
+use common::uint_at;
+use pypm::client::{Client, RetryPolicy};
 use pypm::core::VirtualClock;
-use pypm::serve::{
-    Client, RetryPolicy, ServeConfig, Server, STATUS_DEADLINE_EXCEEDED, STATUS_OK,
-    STATUS_OVERLOADED,
+use pypm::serve::protocol::{
+    self, parse_queued_ms, Strict, STATUS_DEADLINE_EXCEEDED, STATUS_OK, STATUS_OVERLOADED,
 };
-use std::io::{Read, Write};
+use pypm::serve::{ServeConfig, Server};
 use std::net::{SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -33,40 +36,19 @@ fn overloaded_stub(hint_ms: u64) -> SocketAddr {
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut stream) = stream else { return };
-            std::thread::spawn(move || loop {
-                let mut len = [0u8; 4];
-                if stream.read_exact(&mut len).is_err() {
-                    return;
-                }
-                let mut payload = vec![0u8; u32::from_le_bytes(len) as usize];
-                if stream.read_exact(&mut payload).is_err() {
-                    return;
-                }
+            std::thread::spawn(move || {
                 let body = format!("compile queue is full; retry-after-ms={hint_ms}");
-                let mut frame = vec![STATUS_OVERLOADED];
-                frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-                frame.extend_from_slice(body.as_bytes());
-                if stream.write_all(&frame).is_err() {
-                    return;
+                while let Ok(Some(_)) = protocol::read_request(&mut stream, &mut Strict) {
+                    if protocol::write_response(&mut stream, STATUS_OVERLOADED, body.as_bytes())
+                        .is_err()
+                    {
+                        return;
+                    }
                 }
             });
         }
     });
     addr
-}
-
-/// Pulls `"key": N` out of the stats JSON.
-fn stat_u64(stats: &str, key: &str) -> u64 {
-    let pat = format!("\"{key}\": ");
-    let rest = &stats[stats
-        .find(&pat)
-        .unwrap_or_else(|| panic!("{key} in {stats}"))
-        + pat.len()..];
-    rest.chars()
-        .take_while(char::is_ascii_digit)
-        .collect::<String>()
-        .parse()
-        .expect("numeric stat")
 }
 
 #[test]
@@ -212,7 +194,7 @@ fn a_request_expiring_in_queue_is_shed_without_touching_a_session() {
     let wait_for_in_flight = |c: &mut Client, n: u64| loop {
         let (status, stats) = c.request("stats").expect("stats");
         assert_eq!(status, STATUS_OK);
-        if stat_u64(&stats, "in_flight") == n {
+        if uint_at(&common::parse(&stats), "in_flight") == n {
             return;
         }
         std::thread::sleep(Duration::from_millis(2));
@@ -241,13 +223,17 @@ fn a_request_expiring_in_queue_is_shed_without_touching_a_session() {
         b_body.contains("shed before it started") && b_body.contains("timeout_ms=100"),
         "shed payload names the cause: {b_body}"
     );
+    // B was admitted at virtual time zero and dequeued after the
+    // advance: it waited exactly the ten virtual seconds.
+    assert_eq!(parse_queued_ms(&b_body), Some(10_000), "{b_body}");
 
     // The worker counters prove no session was touched for B: one
     // compile started (A), one request shed in queue (B).
     let (_, stats) = stats_client.request("stats").expect("stats");
-    assert_eq!(stat_u64(&stats, "compiles_started"), 1, "{stats}");
-    assert_eq!(stat_u64(&stats, "shed_in_queue"), 1, "{stats}");
-    assert_eq!(stat_u64(&stats, "deadline_exceeded"), 1, "{stats}");
+    let doc = common::parse(&stats);
+    assert_eq!(uint_at(&doc, "compiles_started"), 1, "{stats}");
+    assert_eq!(uint_at(&doc, "shed_in_queue"), 1, "{stats}");
+    assert_eq!(uint_at(&doc, "deadline_exceeded"), 1, "{stats}");
 
     pypm::faults::disarm();
     let (status, _) = stats_client.request("shutdown").expect("shutdown");

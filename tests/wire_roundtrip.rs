@@ -5,28 +5,18 @@
 //! artifacts — bit flips and truncations — always come back as `Err`,
 //! never a panic.
 
+mod common;
+
+use common::zoo_names;
 use pypm::dsl::{text, LibraryConfig};
 use pypm::engine::Session;
 use pypm::wire;
-
-/// Every model name in both zoos.
-fn zoo_names() -> Vec<String> {
-    pypm::models::hf_zoo()
-        .into_iter()
-        .map(|c| c.name.to_owned())
-        .chain(
-            pypm::models::tv_zoo()
-                .into_iter()
-                .map(|c| c.name.to_owned()),
-        )
-        .collect()
-}
 
 #[test]
 fn every_zoo_model_roundtrips_with_identical_node_ids() {
     for name in zoo_names() {
         let mut s = Session::new();
-        let g = pypm::build_model(&mut s, &name).expect("zoo model builds");
+        let g = pypm::build_model(&mut s, name).expect("zoo model builds");
         let bytes = s.wire_graph(&g);
 
         let mut s2 = Session::new();
@@ -99,7 +89,7 @@ fn legacy_raw_pypmb1_rulesets_still_load() {
 fn corrupted_zoo_artifacts_always_err_never_panic() {
     for name in zoo_names() {
         let mut s = Session::new();
-        let g = pypm::build_model(&mut s, &name).unwrap();
+        let g = pypm::build_model(&mut s, name).unwrap();
         let rules = s.load_library(LibraryConfig::both());
         let bundle = s.wire_bundle(&g, &rules).to_vec();
 
