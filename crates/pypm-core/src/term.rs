@@ -81,7 +81,12 @@ impl TermStore {
             return id;
         }
         let id = TermId(self.nodes.len() as u32);
-        let size = 1 + node.args.iter().map(|a| self.sizes[a.index()]).sum::<u64>();
+        // Sharing is expanded, so a residual stream doubles the size per
+        // block: a 50-layer transformer is past `u64`. Saturate.
+        let size = node
+            .args
+            .iter()
+            .fold(1u64, |n, a| n.saturating_add(self.sizes[a.index()]));
         let height = 1 + node
             .args
             .iter()
@@ -132,7 +137,8 @@ impl TermStore {
         &self.nodes[t.index()].args
     }
 
-    /// Number of operator applications in `t`.
+    /// Number of operator applications in `t`, with sharing expanded;
+    /// saturates at `u64::MAX`.
     pub fn size(&self, t: TermId) -> u64 {
         self.sizes[t.index()]
     }
@@ -350,6 +356,19 @@ mod tests {
         assert_eq!(terms.size(t), 4);
         assert_eq!(terms.height(a), 1);
         assert_eq!(terms.height(t), 3);
+    }
+
+    #[test]
+    fn size_saturates_instead_of_overflowing() {
+        let (mut syms, mut terms) = setup();
+        let c = syms.op("c", 0);
+        let f = syms.op("f", 2);
+        let mut t = terms.app0(c);
+        for _ in 0..70 {
+            t = terms.app(f, vec![t, t]);
+        }
+        assert_eq!(terms.size(t), u64::MAX);
+        assert_eq!(terms.height(t), 71);
     }
 
     #[test]

@@ -27,12 +27,17 @@
 //! ## Sweep policies
 //!
 //! Both policies run the same scan loop and are byte-identical down
-//! to node ids; they differ only in which nodes a round re-examines:
+//! to node ids; they differ only in which nodes a round re-examines
+//! and in where it starts:
 //!
-//! | [`SweepPolicy`] | after a rewrite fires | matching cost |
+//! | [`SweepPolicy`] | after a rewrite fires | cost of the pass |
 //! |---|---|---|
-//! | `Incremental` (default) | re-enqueue only the rewrite's cone of influence | O(initial graph + Σ cone sizes) visits |
-//! | `RestartOnRewrite` (reference/oracle) | rescan from the first node | O(graph × rewrites) visits |
+//! | `Incremental` (default) | re-enqueue only the rewrite's cone of influence; resume the scan order where the root stood | O(initial graph + Σ cone sizes + Σ replacement ancestors) |
+//! | `RestartOnRewrite` (reference/oracle) | recompute the order, rescan from the first node | O(graph × rewrites) visits |
+//!
+//! The commit is as local as the match: [`pypm_graph::Graph::replace_traced`]
+//! rewires through the reverse adjacency and [`pypm_graph::Graph::collect`]
+//! frees the replaced root's cone by reference count.
 //!
 //! View maintenance is shared: one [`pypm_graph::TermView::build`],
 //! then **lazy in-place patches** — a patch marks the rewrite's cone

@@ -310,6 +310,7 @@ impl PipelineReport {
             total.view_builds += s.view_builds;
             total.view_patches += s.view_patches;
             total.nodes_revisited += s.nodes_revisited;
+            total.cursor_steps += s.cursor_steps;
             total.nodes_reindexed += s.nodes_reindexed;
             total.parallel.jobs = total.parallel.jobs.max(s.parallel.jobs);
             total.parallel.batch_graphs = total.parallel.batch_graphs.max(s.parallel.batch_graphs);
@@ -475,6 +476,7 @@ mod tests {
             view_builds: 108,
             view_patches: 109,
             nodes_revisited: 110,
+            cursor_steps: 0,
             nodes_reindexed: 111,
             parallel: ParallelStats {
                 jobs: 4,

@@ -18,9 +18,10 @@
 //! Restarting is the paper's reference semantics but revisits the whole
 //! graph after every firing. [`SweepPolicy`] selects the scan's
 //! candidate set: the default [`SweepPolicy::Incremental`] keeps a
-//! dirty-node worklist and re-examines only the cone of influence of
-//! each rewrite, while provably firing the identical rewrite sequence
-//! (the invariants are documented on the variant);
+//! dirty-node worklist and a scan order it resumes instead of
+//! recomputing, so a firing costs its cone of influence — to match, to
+//! commit and to collect — while provably firing the identical rewrite
+//! sequence (the invariants are documented on the variant);
 //! [`SweepPolicy::RestartOnRewrite`] is the reference it is compared
 //! against.
 //!
@@ -72,6 +73,14 @@ pub enum SweepPolicy {
     /// visited). The final graph is byte-identical to the restart
     /// policy's; only traversal counters (`nodes_visited`,
     /// `match_attempts`, `machine_steps`) shrink.
+    ///
+    /// The topological order is computed once and *resumed*: a rewrite
+    /// dirties only its fresh nodes — which take the replaced root's
+    /// place in the order — and nodes downstream of the root, so the
+    /// scan's cursor only ever moves forward, and a firing costs its
+    /// cone plus one walk over the replacement's ancestors, not a pass
+    /// over the graph. The reference recomputes its order every round,
+    /// which keeps it an independent oracle of the resumed one.
     #[default]
     Incremental,
 }
@@ -133,6 +142,12 @@ pub struct PassStats {
     /// Visits to nodes already visited earlier in the pass — the
     /// redundant work incremental scheduling exists to avoid.
     pub nodes_revisited: u64,
+    /// Steps the scan's cursor took over its order, candidates and
+    /// skipped clean nodes alike — the traversal work matching does not
+    /// see. A resumed order keeps it at most the nodes the pass ever
+    /// had; a recomputed one pays the prefix again every round. Not part
+    /// of the report document.
+    pub cursor_steps: u64,
     /// Terms the view's lazy repair recomputed over the whole pass
     /// ([`TermView::terms_recomputed`]). A patch only *marks* a
     /// rewrite's cone of influence; terms recompute on demand at the
@@ -248,29 +263,93 @@ pub struct MatchReport {
 
 /// How an attempted firing of a matched pattern ended.
 enum FireResult {
-    /// The rule with this index fired and the graph was rewritten. The
-    /// payload is the user nodes rewired from the replaced root to the
-    /// replacement — the non-fresh half of the rewrite's dirty seed.
+    /// A rule fired and the graph was rewritten.
     Fired {
-        /// Users whose inputs were redirected by the replacement.
+        /// The node now standing in for the matched root.
+        replacement: NodeId,
+        /// Users whose inputs were redirected to the replacement — the
+        /// non-fresh half of the rewrite's dirty seed.
         rewired: Vec<NodeId>,
     },
     /// No rule fired, for this reason.
     Rejected(RejectReason),
 }
 
-/// A fired rewrite as seen by the scan: the dirty seed
-/// [`Driver::repair_view`] feeds to [`TermView::invalidate`].
+/// A fired rewrite as seen by the scan: where the replacement sits, and
+/// the dirty seed [`Driver::repair_view`] feeds to
+/// [`TermView::invalidate`].
 struct Fired {
+    /// The node now standing in for the matched root: the last fresh
+    /// node, or a pre-existing one when the rule's RHS is a variable.
+    replacement: NodeId,
     /// Users whose inputs were redirected to the replacement.
     rewired: Vec<NodeId>,
-    /// [`Graph::allocated_count`] before the firing — everything at or
-    /// past this mark is a freshly created replacement node.
-    alloc_mark: usize,
-    /// Nodes the post-rewrite [`Graph::gc`] collected — the dead half
-    /// of the dirty seed, which incremental view maintenance must drop
-    /// from its index maps.
+    /// The replacement nodes the firing created, in allocation order —
+    /// the RHS template's post-order.
+    fresh: Vec<NodeId>,
+    /// Nodes [`Graph::collect`] freed once the root was unread — the
+    /// dead half of the dirty seed, which incremental view maintenance
+    /// must drop from its index maps.
     collected: Vec<NodeId>,
+}
+
+impl Fired {
+    /// Whether the replacement reads nothing the scan has yet to reach:
+    /// every pre-existing node it is built over is behind the cursor.
+    /// Then the fresh nodes take the root's place in the scan order and
+    /// nothing else ahead moves (invariant 4 of [`Driver::scan`]). A
+    /// variable bound to a term whose canonical producer lies *ahead*
+    /// breaks this: the new post-order pulls that producer's unvisited
+    /// cone in front of the fresh nodes.
+    fn splices_at_cursor(&self, graph: &Graph, flags: &NodeFlags) -> bool {
+        let settled = |n: NodeId| self.fresh.contains(&n) || flags.has(n, NodeFlags::PASSED);
+        settled(self.replacement)
+            && self
+                .fresh
+                .iter()
+                .all(|&f| graph.node(f).inputs.iter().all(|&i| settled(i)))
+    }
+}
+
+/// Dense per-node scan state, indexed by [`NodeId::index`]; nodes
+/// allocated mid-pass grow it when a flag is first set on them.
+#[derive(Default)]
+struct NodeFlags(Vec<u8>);
+
+impl NodeFlags {
+    /// The node's term changed since its last visit: it is a candidate.
+    const DIRTY: u8 = 1;
+    /// The node was visited before in this pass.
+    const VISITED: u8 = 2;
+    /// The scan's cursor has moved past the node in the current order.
+    const PASSED: u8 = 4;
+
+    fn has(&self, n: NodeId, flag: u8) -> bool {
+        self.0.get(n.index()).is_some_and(|bits| bits & flag != 0)
+    }
+
+    /// Sets `flag` on `n`; returns whether it was set already.
+    fn set(&mut self, n: NodeId, flag: u8) -> bool {
+        if n.index() >= self.0.len() {
+            self.0.resize(n.index() + 1, 0);
+        }
+        let was = self.0[n.index()] & flag != 0;
+        self.0[n.index()] |= flag;
+        was
+    }
+
+    /// Clears `flag` on `n`; returns whether it was set.
+    fn clear(&mut self, n: NodeId, flag: u8) -> bool {
+        let was = self.has(n, flag);
+        if was {
+            self.0[n.index()] &= !flag;
+        }
+        was
+    }
+
+    fn clear_all(&mut self, flag: u8) {
+        self.0.iter_mut().for_each(|bits| *bits &= !flag);
+    }
 }
 
 /// The internal engine behind [`RewritePass`]: the paper's greedy
@@ -334,9 +413,14 @@ impl<'a> Driver<'a> {
         if self.parallel.is_parallel() {
             stats.parallel.probes_by_shard = vec![0; self.parallel.jobs];
         }
-        self.scan(graph, cx, &mut stats)?;
-        // Identity-rewrite probes may have left unreferenced nodes.
+        // The scan collects by reference count, which is exact only on a
+        // graph that holds no garbage to begin with: one mark-sweep
+        // before it for whatever the caller left unreferenced …
         graph.gc();
+        self.scan(graph, cx, &mut stats)?;
+        // … and one after it, which then has nothing left to find.
+        let missed = graph.gc();
+        debug_assert!(missed.is_empty(), "the scan left {missed:?} uncollected");
         stats.duration = start.elapsed();
         Ok(stats)
     }
@@ -354,15 +438,16 @@ impl<'a> Driver<'a> {
     }
 
     /// The parallel discovery phase of one scan round: collects the
-    /// round's candidate probes — the members of `order` the serial
-    /// scan will visit (all of them, or under a worklist only the
-    /// `dirty` ones), in that order, every rule-bearing pattern per
-    /// candidate — and fans the uncached ones across the pool workers.
-    /// A no-op under `jobs = 1`.
+    /// round's candidate probes — the members of `ahead` (the scan
+    /// order from the cursor on, reversed) the serial scan will visit
+    /// (all of them, or under a worklist only the `dirty` ones), in
+    /// scan order, every rule-bearing pattern per candidate — and fans
+    /// the uncached ones across the pool workers. A no-op under
+    /// `jobs = 1`.
     fn warm_round(
         &mut self,
-        order: &[NodeId],
-        dirty: Option<&HashSet<NodeId>>,
+        ahead: &[NodeId],
+        dirty: Option<&NodeFlags>,
         view: &TermView,
         stats: &mut PassStats,
     ) -> Result<(), RewriteError> {
@@ -371,8 +456,8 @@ impl<'a> Driver<'a> {
         }
         let mut todo: Vec<ProbeKey> = Vec::new();
         let mut queued: HashSet<ProbeKey> = HashSet::new();
-        for &node in order {
-            if dirty.is_some_and(|d| !d.contains(&node)) {
+        for &node in ahead.iter().rev() {
+            if dirty.is_some_and(|d| !d.has(node, NodeFlags::DIRTY)) {
                 continue;
             }
             // Stale candidates report no term and are skipped here on
@@ -502,12 +587,12 @@ impl<'a> Driver<'a> {
         graph: &mut Graph,
         view: &mut TermView,
         node: NodeId,
-        visited_once: &mut HashSet<NodeId>,
+        flags: &mut NodeFlags,
         stats: &mut PassStats,
         cx: &mut PipelineCx,
     ) -> Result<Option<Fired>, RewriteError> {
         stats.nodes_visited += 1;
-        if !visited_once.insert(node) {
+        if flags.set(node, NodeFlags::VISITED) {
             stats.nodes_revisited += 1;
         }
         // Lazy view maintenance: a node dirtied by earlier rewrites is
@@ -539,12 +624,19 @@ impl<'a> Driver<'a> {
             // The first rule whose assertions pass is fired."
             let alloc_mark = graph.allocated_count();
             match self.fire_first_rule(graph, view, node, pi, &witness, cx)? {
-                FireResult::Fired { rewired } => {
+                FireResult::Fired {
+                    replacement,
+                    rewired,
+                } => {
                     stats.rewrites_fired += 1;
-                    let collected = graph.gc();
+                    // The root lost its last reader; what only it kept
+                    // alive goes with it.
+                    let collected = graph.collect(node);
+                    debug_assert_eq!(graph.validate(), Ok(()));
                     return Ok(Some(Fired {
+                        replacement,
                         rewired,
-                        alloc_mark,
+                        fresh: graph.allocated_since(alloc_mark),
                         collected,
                     }));
                 }
@@ -558,7 +650,7 @@ impl<'a> Driver<'a> {
 
     /// Repairs the view's bookkeeping after a fired rewrite: the
     /// rewired users, the freshly allocated replacement nodes, and the
-    /// gc-collected dead nodes seed the patch (the dead ids let the
+    /// collected dead nodes seed the patch (the dead ids let the
     /// sublinear index maintenance drop entries without scanning for
     /// liveness). The patch only *marks* the cone — terms recompute
     /// lazily at the next visit. Returns the marked cone for worklist
@@ -567,15 +659,16 @@ impl<'a> Driver<'a> {
         &mut self,
         graph: &Graph,
         view: &mut TermView,
-        fired: Fired,
+        fired: &Fired,
         stats: &mut PassStats,
     ) -> Vec<NodeId> {
         view.invalidate(
             fired
                 .rewired
-                .into_iter()
-                .chain(graph.allocated_since(fired.alloc_mark))
-                .chain(fired.collected),
+                .iter()
+                .chain(&fired.fresh)
+                .chain(&fired.collected)
+                .copied(),
         );
         let cone = view.patch(graph);
         stats.view_patches += 1;
@@ -583,13 +676,21 @@ impl<'a> Driver<'a> {
     }
 
     /// The one scan loop: the paper's "repeatedly traverses the graph"
-    /// greedy fixpoint (§2.4), parameterised only by its candidate set.
-    /// `dirty = None` ([`SweepPolicy::RestartOnRewrite`]) makes every
-    /// live node a candidate in every round — the reference scan;
-    /// `Some` ([`SweepPolicy::Incremental`]) is the worklist of nodes
-    /// whose term changed since their last visit. Either way a round
-    /// visits its candidates in topological order and restarts after
-    /// the first firing; a round that fires nothing is the fixpoint.
+    /// greedy fixpoint (§2.4). A round walks the graph's topological
+    /// order from a cursor, visits its candidates, and ends at the first
+    /// firing; a round that fires nothing is the fixpoint. The policy
+    /// decides two things only. *Which nodes are candidates:* under
+    /// [`SweepPolicy::RestartOnRewrite`] every live node in every
+    /// round — the reference scan; under [`SweepPolicy::Incremental`]
+    /// the worklist of nodes whose term changed since their last visit.
+    /// *Where a round starts:* the reference recomputes
+    /// [`Graph::topo_order`] and rewinds the cursor to its start; the
+    /// worklist **resumes** — the order is computed once, the cursor
+    /// only moves forward, and a firing puts its fresh nodes where the
+    /// replaced root stood. With that, and with [`Graph::replace_traced`]
+    /// and [`Graph::collect`] working off the reverse adjacency, a firing
+    /// under the worklist costs what it changed plus one walk over the
+    /// replacement's ancestors (the cycle check), not the graph.
     ///
     /// The term view is built once and then *repaired in place* after
     /// every firing: a repaired view is contractually
@@ -633,6 +734,35 @@ impl<'a> Driver<'a> {
     ///    pattern) pair of the filtered scan is the first firing pair
     ///    of a full scan, so the rewrite sequence — and the final graph
     ///    — is identical.
+    /// 4. *The front is monotone, so the order can be resumed.* Call the
+    ///    nodes behind the cursor *passed*. They are closed under
+    ///    inputs (the order is topological), so a post-order walk's
+    ///    sequence of not-yet-passed nodes does not depend on them. The
+    ///    root of a firing is the first such node, hence reads passed
+    ///    nodes only, and so does everything [`Graph::collect`] frees
+    ///    with it. Its users are ahead, and so is the whole cone (2):
+    ///    nothing behind the cursor is ever dirtied. If the replacement,
+    ///    too, is built over passed nodes only
+    ///    ([`Fired::splices_at_cursor`]), a fresh walk would reach it
+    ///    where it reached the root, emit the fresh nodes there — in
+    ///    allocation order, the RHS template's post-order — and
+    ///    continue as before: the new order's not-yet-passed part is
+    ///    the fresh nodes followed by the old one's. The passed nodes a
+    ///    recomputed order *would* move are clean members of the root's
+    ///    input cone that the walk first found through the root and now
+    ///    finds through a later user; they are never candidates again
+    ///    under the worklist, but they are visited — and counted — by
+    ///    the reference, which is why the reference recomputes its
+    ///    order, and what keeps it an oracle independent of this
+    ///    argument. When the replacement does read a node ahead of the
+    ///    cursor, the worklist falls back to what the reference does,
+    ///    once: recompute the order, rewind the cursor, keep the dirty
+    ///    flags.
+    ///
+    /// Debug builds check (4) after every firing — the order ahead of
+    /// the cursor, filtered to dirty nodes, against a recomputed
+    /// [`Graph::topo_order`] filtered the same way — and
+    /// [`Graph::validate`] the graph after every commit.
     fn scan(
         &mut self,
         graph: &mut Graph,
@@ -646,48 +776,78 @@ impl<'a> Driver<'a> {
             &self.session.registry,
         );
         stats.view_builds += 1;
-        let mut dirty: Option<HashSet<NodeId>> = match self.pass.policy {
-            SweepPolicy::RestartOnRewrite => None,
-            SweepPolicy::Incremental => Some(graph.topo_order().into_iter().collect()),
+        let worklist = self.pass.policy == SweepPolicy::Incremental;
+        // The scan order from the cursor on, reversed: the next node is
+        // the last element, a step of the cursor is a pop, and splicing
+        // fresh nodes in at the cursor is a push.
+        let reversed_order = |graph: &Graph| {
+            let mut order = graph.topo_order();
+            order.reverse();
+            order
         };
-        let mut visited_once: HashSet<NodeId> = HashSet::new();
+        let mut ahead = reversed_order(graph);
+        let mut flags = NodeFlags::default();
+        if worklist {
+            for &node in &ahead {
+                flags.set(node, NodeFlags::DIRTY);
+            }
+        }
+        let mut resume = true;
         'rounds: loop {
             stats.sweeps += 1;
             cx.set_sweep(stats.sweeps);
-            let order = graph.topo_order();
+            if !resume {
+                ahead = reversed_order(graph);
+                flags.clear_all(NodeFlags::PASSED);
+            }
+            if cfg!(debug_assertions) && worklist {
+                let dirty = |n: &NodeId| flags.has(*n, NodeFlags::DIRTY);
+                let resumed: Vec<NodeId> = ahead.iter().rev().copied().filter(dirty).collect();
+                let recomputed: Vec<NodeId> =
+                    graph.topo_order().into_iter().filter(dirty).collect();
+                debug_assert_eq!(resumed, recomputed, "resumed scan order diverged");
+            }
             // Parallel discovery: probe this round's candidates across
             // the pool workers before the serial scan consumes them.
             // The probe cache persists across rounds (terms are
             // hash-consed), so a restart round mostly re-warms nothing.
-            self.warm_round(&order, dirty.as_ref(), &view, stats)?;
-            for node in order {
+            self.warm_round(&ahead, worklist.then_some(&flags), &view, stats)?;
+            while let Some(node) = ahead.pop() {
+                stats.cursor_steps += 1;
+                flags.set(node, NodeFlags::PASSED);
                 // Under a worklist only its members are candidates;
                 // visiting cleans the node (it is re-enqueued if a
                 // later rewrite changes its term).
-                if dirty.as_mut().is_some_and(|d| !d.remove(&node)) {
+                if worklist && !flags.clear(node, NodeFlags::DIRTY) {
                     continue;
                 }
                 self.check_budget()?;
-                let Some(fired) =
-                    self.visit_node(graph, &mut view, node, &mut visited_once, stats, cx)?
+                let Some(fired) = self.visit_node(graph, &mut view, node, &mut flags, stats, cx)?
                 else {
                     continue;
                 };
+                // The next firing must be the topologically first
+                // candidate of the rewritten graph: resume where the
+                // root stood when the order allows it (4), else restart.
+                resume = worklist && fired.splices_at_cursor(graph, &flags);
+                if resume {
+                    ahead.extend(fired.fresh.iter().rev());
+                }
                 // Repair before the rewrite-cap check, so
                 // `view_patches == rewrites_fired` holds even when the
                 // cap cuts the pass short.
-                let cone = self.repair_view(graph, &mut view, fired, stats);
-                if let Some(dirty) = &mut dirty {
-                    dirty.extend(cone);
+                for node in self.repair_view(graph, &mut view, &fired, stats) {
+                    flags.set(node, NodeFlags::DIRTY);
+                }
+                for &dead in &fired.collected {
+                    flags.clear(dead, NodeFlags::DIRTY);
                 }
                 if stats.rewrites_fired as usize >= self.pass.max_rewrites {
                     break 'rounds;
                 }
-                // Restart so the next firing is the topologically first
-                // candidate.
                 continue 'rounds;
             }
-            // Every firing restarts the round, so completing the scan
+            // Every firing ends the round, so running out of nodes
             // means nothing fired: fixpoint reached.
             break;
         }
@@ -738,7 +898,10 @@ impl<'a> Driver<'a> {
                         reason: e.to_string(),
                     })?;
             cx.emit_rewrite_fired(&def.name, ri, node);
-            return Ok(FireResult::Fired { rewired });
+            return Ok(FireResult::Fired {
+                replacement,
+                rewired,
+            });
         }
         Ok(FireResult::Rejected(if saw_identity {
             RejectReason::IdentityReplacement
@@ -1357,6 +1520,59 @@ mod tests {
         let stats = run(&mut s, &rs, &mut g);
         assert_eq!(stats.rewrites_fired, 0);
         assert_eq!(stats.sweeps, 1);
+    }
+
+    /// Invariant 4's exception: a variable of the RHS is bound to a
+    /// term whose canonical (lowest-id) producer the scan has not
+    /// reached yet, so the recomputed post-order pulls that producer in
+    /// *front* of the fresh node. The worklist must notice and rewind
+    /// instead of splicing, or it visits the two in the other order.
+    #[test]
+    fn replacement_reading_ahead_of_the_cursor_rewinds_the_scan() {
+        let run = |policy: SweepPolicy| {
+            let mut s = Session::new();
+            let rs = s.load_library(LibraryConfig::all());
+            let mut g = Graph::new();
+            let x = mat(&mut s, &mut g, &[64, 32]);
+            let w = mat(&mut s, &mut g, &[16, 32]);
+            let (relu, trans, matmul) = (s.ops.relu, s.ops.trans, s.ops.matmul);
+            // Two producers of Relu(w); the second output reaches the
+            // lower id only after the matmul over the higher one.
+            let ahead = g
+                .op(&mut s.syms, &s.registry, relu, vec![w], vec![])
+                .unwrap();
+            let behind = g
+                .op(&mut s.syms, &s.registry, relu, vec![w], vec![])
+                .unwrap();
+            let t = g
+                .op(&mut s.syms, &s.registry, trans, vec![behind], vec![])
+                .unwrap();
+            let mm = g
+                .op(&mut s.syms, &s.registry, matmul, vec![x, t], vec![])
+                .unwrap();
+            g.mark_output(mm);
+            g.mark_output(ahead);
+            let nodes = g.allocated_count() as u64;
+            let stats = Pipeline::new(&mut s)
+                .with(RewritePass::new(rs).policy(policy))
+                .run(&mut g)
+                .unwrap()
+                .total();
+            let fused = g.outputs()[0];
+            assert_eq!(g.node(fused).op, s.ops.cublas_mm_xyt_f32);
+            assert_eq!(g.node(fused).inputs, vec![x, ahead]);
+            (stats, nodes, g.allocated_count() as u64)
+        };
+        let (restart, ..) = run(SweepPolicy::RestartOnRewrite);
+        let (inc, nodes, allocated) = run(SweepPolicy::Incremental);
+        assert_eq!(inc.rewrites_fired, 1);
+        assert_eq!(inc.rewrites_fired, restart.rewrites_fired);
+        // x, w, behind, t, mm — then again from the start: x, w, ahead,
+        // fused, where a splice would have gone fused, ahead.
+        assert_eq!(inc.cursor_steps, 9);
+        assert!(inc.cursor_steps > nodes + (allocated - nodes));
+        assert_eq!(inc.nodes_visited, 7);
+        assert_eq!(inc.nodes_revisited, 0);
     }
 
     #[test]

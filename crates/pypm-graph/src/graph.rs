@@ -10,7 +10,9 @@
 //!
 //! Rewrites are **destructive** (§2): [`Graph::replace`] redirects all
 //! users of the matched root to the replacement subgraph, and
-//! [`Graph::gc`] drops nodes no longer reachable from the outputs.
+//! [`Graph::collect`] drops the subgraph that thereby lost its last
+//! reader ([`Graph::gc`] is the whole-graph mark-sweep it is checked
+//! against).
 
 use crate::ops::OpRegistry;
 use crate::tensor::TensorMeta;
@@ -101,13 +103,21 @@ pub enum GraphError {
         /// Inputs supplied.
         got: usize,
     },
+    /// Shape inference rejected the inputs (e.g. a contraction mismatch
+    /// in a matmul).
+    Shape {
+        /// Operator name.
+        op: String,
+        /// What shape inference objected to.
+        reason: String,
+    },
     /// The incrementally maintained reverse adjacency disagrees with a
     /// node's inputs — an internal invariant violation surfaced by
     /// [`Graph::validate`] (the index backs
     /// [`Graph::users_of`]-driven cone expansion, so drift here would
     /// silently corrupt incremental term-view maintenance).
     UsersIndexMismatch {
-        /// The node whose input edge is miscounted.
+        /// The user whose edge is miscounted.
         node: NodeId,
         /// The input whose user list disagrees.
         input: NodeId,
@@ -125,6 +135,8 @@ impl fmt::Display for GraphError {
             GraphError::Arity { op, expected, got } => {
                 write!(f, "operator {op} expects {expected} inputs, got {got}")
             }
+            // The reason is a rendered `ShapeError`, which names the operator.
+            GraphError::Shape { reason, .. } => write!(f, "shape inference failed: {reason}"),
             GraphError::UsersIndexMismatch { node, input } => write!(
                 f,
                 "users index out of sync: edge {input:?} -> {node:?} miscounted"
@@ -169,6 +181,10 @@ pub struct Graph {
     /// Monotone revision counter, bumped on every mutation; term views use
     /// it to invalidate caches.
     revision: u64,
+    /// Nodes [`Graph::replace_traced`] rewired and [`Graph::collect`]
+    /// examined, see [`Graph::touches`].
+    #[cfg(debug_assertions)]
+    touches: u64,
 }
 
 impl Graph {
@@ -200,9 +216,9 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError`] for dead inputs or arity mismatches, and
-    /// propagates shape-inference failures as `Arity`/`DeadInput`-free
-    /// panics-free errors via [`GraphError`].
+    /// Returns [`GraphError::Arity`] or [`GraphError::DeadInput`] for
+    /// inputs that cannot be wired at all, and [`GraphError::Shape`] when
+    /// shape inference rejects them.
     pub fn op(
         &mut self,
         syms: &mut SymbolTable,
@@ -230,10 +246,9 @@ impl Graph {
             .collect();
         let meta = registry
             .infer(syms, op, &metas, &attrs)
-            .map_err(|_| GraphError::Arity {
+            .map_err(|e| GraphError::Shape {
                 op: syms.op_name(op).to_owned(),
-                expected,
-                got: inputs.len(),
+                reason: e.to_string(),
             })?;
         Ok(self.push_node(op, inputs, attrs, meta, NodeKind::Op))
     }
@@ -434,14 +449,14 @@ impl Graph {
     /// Destructively replaces `root` with `replacement`: every user of
     /// `root` now reads `replacement`, and outputs are redirected. The
     /// subgraph exclusively feeding `root` becomes garbage; call
-    /// [`Graph::gc`] to collect it.
+    /// [`Graph::collect`] on `root` (or [`Graph::gc`]) to free it.
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::WouldCycle`] if `replacement` (transitively)
-    /// depends on `root` through a path that does not go through the
-    /// replacement itself — i.e. the rewrite would make `root`'s users
-    /// feed themselves.
+    /// Returns [`GraphError::DeadInput`] naming whichever of the two is
+    /// dead, and [`GraphError::WouldCycle`] if `replacement`
+    /// (transitively) depends on `root` — i.e. the rewrite would make
+    /// `root`'s users feed themselves.
     pub fn replace(&mut self, root: NodeId, replacement: NodeId) -> Result<(), GraphError> {
         self.replace_traced(root, replacement).map(|_| ())
     }
@@ -452,6 +467,10 @@ impl Graph {
     /// view changed besides the freshly created replacement subgraph —
     /// the seed of the rewrite's cone of influence that incremental
     /// rewriting feeds to [`crate::TermView::invalidate`].
+    ///
+    /// The users come from the reverse adjacency, so rewiring costs the
+    /// root's fan-out; the cycle check is one walk over the
+    /// replacement's ancestors.
     ///
     /// # Errors
     ///
@@ -464,57 +483,107 @@ impl Graph {
         if root == replacement {
             return Ok(Vec::new());
         }
-        if !self.is_alive(root) || !self.is_alive(replacement) {
-            return Err(GraphError::DeadInput { node: root });
-        }
-        // The replacement may legitimately depend on root's *inputs* (and
-        // even on root itself when the rule reuses the matched subgraph as
-        // a sub-expression); what must not happen is a user of root
-        // becoming an ancestor of the replacement.
-        for (i, node) in self.nodes.iter().enumerate() {
-            if node.alive
-                && node.inputs.contains(&root)
-                && self.depends_on(replacement, NodeId(i as u32))
-            {
-                return Err(GraphError::WouldCycle { root, replacement });
+        for node in [root, replacement] {
+            if !self.is_alive(node) {
+                return Err(GraphError::DeadInput { node });
             }
         }
-        let mut rewired = Vec::new();
-        for (i, node) in self.nodes.iter_mut().enumerate() {
-            if !node.alive {
-                continue;
-            }
-            let mut touched = false;
-            for input in &mut node.inputs {
+        // The replacement may legitimately depend on root's *inputs*;
+        // what must not happen is a user of root becoming an ancestor
+        // of the replacement. Every path from the replacement down to
+        // root ends in an edge out of one of root's users, so that is
+        // the same as the replacement depending on root.
+        if self.depends_on(replacement, root) {
+            return Err(GraphError::WouldCycle { root, replacement });
+        }
+        // Every entry of the root's user list is an edge to rewire;
+        // they all move onto the replacement, in list order.
+        let mut rewired = std::mem::take(&mut self.users[root.index()]);
+        self.users[replacement.index()].extend_from_slice(&rewired);
+        rewired.sort_unstable();
+        rewired.dedup();
+        for &user in &rewired {
+            for input in &mut self.nodes[user.index()].inputs {
                 if *input == root {
                     *input = replacement;
-                    touched = true;
                 }
             }
-            if touched {
-                rewired.push(NodeId(i as u32));
-            }
-        }
-        // Every entry of the root's user list is an edge that was just
-        // rewired; move them all onto the replacement.
-        let moved = std::mem::take(&mut self.users[root.index()]);
-        self.users[replacement.index()].extend(moved);
-        // Avoid self-loops if the replacement read the root directly.
-        for input in &mut self.nodes[replacement.index()].inputs.clone() {
-            debug_assert_ne!(*input, replacement, "replacement reads itself");
         }
         for out in &mut self.outputs {
             if *out == root {
                 *out = replacement;
             }
         }
+        #[cfg(debug_assertions)]
+        {
+            self.touches += rewired.len() as u64;
+        }
         self.revision += 1;
         Ok(rewired)
     }
 
-    /// Collects nodes unreachable from the outputs. Returns the ids of
-    /// the nodes freed, in ascending id order — the "dead" half of the
-    /// dirty seed incremental term-view maintenance needs
+    /// Collects `n` if nothing reads it any more — it has no user and
+    /// is not an output — and then, transitively, every input that
+    /// thereby lost its last reader. Returns the ids freed, in ascending
+    /// order, like [`Graph::gc`]; a node that is still read frees
+    /// nothing.
+    ///
+    /// This is the collection step of a rewrite: after
+    /// [`Graph::replace`] the replaced root is unread, and on a graph
+    /// that held no garbage before the replacement, `collect(root)`
+    /// frees exactly what a mark-sweep [`Graph::gc`] would — same ids,
+    /// same reverse adjacency afterwards — at the cost of the freed
+    /// subgraph and its inputs' fan-out instead of a walk over every
+    /// node. (Reference counts are exact on a DAG; what they cannot see
+    /// is garbage that was never reachable through `n`, which is what
+    /// `gc` stays for.)
+    pub fn collect(&mut self, n: NodeId) -> Vec<NodeId> {
+        let mut freed = Vec::new();
+        let mut stack = vec![n];
+        while let Some(d) = stack.pop() {
+            #[cfg(debug_assertions)]
+            {
+                self.touches += 1;
+            }
+            if !self.is_alive(d) || !self.users[d.index()].is_empty() || self.outputs.contains(&d) {
+                continue;
+            }
+            self.nodes[d.index()].alive = false;
+            freed.push(d);
+            // A dead node keeps its input list (as under `gc`); only
+            // the reverse edges go.
+            let inputs = std::mem::take(&mut self.nodes[d.index()].inputs);
+            for &i in &inputs {
+                let users = &mut self.users[i.index()];
+                users.retain(|&u| u != d);
+                if users.is_empty() {
+                    stack.push(i);
+                }
+            }
+            self.nodes[d.index()].inputs = inputs;
+        }
+        freed.sort_unstable();
+        if !freed.is_empty() {
+            self.revision += 1;
+        }
+        freed
+    }
+
+    /// Nodes [`Graph::replace_traced`] rewired plus nodes
+    /// [`Graph::collect`] examined, over the graph's lifetime — the work
+    /// a rewrite's commit does through the reverse adjacency, which must
+    /// follow the rewrite's size and not the graph's. The ancestor walk
+    /// of the cycle check is not counted: it is as long as the
+    /// replacement's input cone is deep. Debug builds only.
+    #[cfg(debug_assertions)]
+    pub fn touches(&self) -> u64 {
+        self.touches
+    }
+
+    /// Collects nodes unreachable from the outputs by mark and sweep —
+    /// a walk over every node, whatever garbage there is. Returns the
+    /// ids of the nodes freed, in ascending id order — the "dead" half
+    /// of the dirty seed incremental term-view maintenance needs
     /// ([`crate::TermView::invalidate`] accepts them directly).
     pub fn gc(&mut self) -> Vec<NodeId> {
         let mut reachable = vec![false; self.nodes.len()];
@@ -548,40 +617,96 @@ impl Graph {
         freed
     }
 
-    /// Validates structural invariants: inputs alive, acyclicity.
+    /// Validates structural invariants in time linear in nodes plus
+    /// edges: every input of a live node is alive, the live graph is
+    /// acyclic, and the reverse adjacency lists exactly the forward
+    /// edges — each user once per edge, nothing else.
     ///
     /// # Errors
     ///
-    /// Returns the first violation found.
+    /// Returns the first violation found, in that order of checks.
     pub fn validate(&self) -> Result<(), GraphError> {
-        for (i, node) in self.nodes.iter().enumerate() {
-            if !node.alive {
+        let live = || self.nodes.iter().enumerate().filter(|(_, n)| n.alive);
+        for (_, node) in live() {
+            if let Some(&dead) = node.inputs.iter().find(|&&i| !self.is_alive(i)) {
+                return Err(GraphError::DeadInput { node: dead });
+            }
+        }
+        self.check_acyclic()?;
+        // The users index backs `users_of`-driven cone expansion and
+        // `collect`: a missing entry would silently shrink a cone, a
+        // surplus one would keep garbage alive. First, every listed
+        // user reads the node exactly as often as it is listed …
+        let mut listed = vec![0u32; self.nodes.len()];
+        let mut reverse_edges = 0;
+        for (x, users) in self.users.iter().enumerate() {
+            for &u in users {
+                listed[u.index()] += 1;
+            }
+            for &u in users {
+                let count = std::mem::take(&mut listed[u.index()]) as usize;
+                if count == 0 {
+                    continue; // a repeated entry, checked at its first
+                }
+                let user = &self.nodes[u.index()];
+                let reads = user.inputs.iter().filter(|i| i.index() == x).count();
+                if !user.alive || reads != count {
+                    return Err(GraphError::UsersIndexMismatch {
+                        node: u,
+                        input: NodeId(x as u32),
+                    });
+                }
+            }
+            reverse_edges += users.len();
+        }
+        // … so the index is a sub-multiset of the forward edges, and
+        // equal totals make the two equal. Only a failing graph pays
+        // for the search that names the missing edge.
+        let forward_edges: usize = live().map(|(_, n)| n.inputs.len()).sum();
+        if reverse_edges != forward_edges {
+            let unlisted = live().find_map(|(i, user)| {
+                let node = NodeId(i as u32);
+                let unlisted = |x: &&NodeId| !self.users[x.index()].contains(&node);
+                let input = *user.inputs.iter().find(unlisted)?;
+                Some(GraphError::UsersIndexMismatch { node, input })
+            });
+            return Err(unlisted.expect("fewer reverse than forward edges: one is unlisted"));
+        }
+        Ok(())
+    }
+
+    /// One three-colour depth-first search over the live nodes: an
+    /// input that is still on the search path closes a cycle.
+    fn check_acyclic(&self) -> Result<(), GraphError> {
+        const ON_PATH: u8 = 1;
+        const DONE: u8 = 2;
+        let mut colour = vec![0u8; self.nodes.len()];
+        let mut path: Vec<(usize, usize)> = Vec::new();
+        for start in 0..self.nodes.len() {
+            if !self.nodes[start].alive || colour[start] != 0 {
                 continue;
             }
-            for &input in &node.inputs {
-                if !self.is_alive(input) {
-                    return Err(GraphError::DeadInput { node: input });
-                }
-                if self.depends_on(input, NodeId(i as u32)) {
-                    return Err(GraphError::WouldCycle {
-                        root: NodeId(i as u32),
-                        replacement: input,
-                    });
-                }
-                // Reverse-adjacency consistency: every edge must appear
-                // in the incrementally maintained user list with the
-                // same multiplicity, or users_of-driven cone expansion
-                // would silently miss nodes.
-                let fwd = node.inputs.iter().filter(|&&x| x == input).count();
-                let rev = self.users[input.index()]
-                    .iter()
-                    .filter(|&&u| u == NodeId(i as u32))
-                    .count();
-                if fwd != rev {
-                    return Err(GraphError::UsersIndexMismatch {
-                        node: NodeId(i as u32),
-                        input,
-                    });
+            colour[start] = ON_PATH;
+            path.push((start, 0));
+            while let Some(&mut (n, ref mut next)) = path.last_mut() {
+                let Some(&input) = self.nodes[n].inputs.get(*next) else {
+                    colour[n] = DONE;
+                    path.pop();
+                    continue;
+                };
+                *next += 1;
+                match colour[input.index()] {
+                    DONE => {}
+                    ON_PATH => {
+                        return Err(GraphError::WouldCycle {
+                            root: NodeId(n as u32),
+                            replacement: input,
+                        })
+                    }
+                    _ => {
+                        colour[input.index()] = ON_PATH;
+                        path.push((input.index(), 0));
+                    }
                 }
             }
         }
@@ -613,6 +738,9 @@ mod tests {
     use super::*;
     use crate::ops::StdOps;
     use crate::tensor::DType;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     struct Fx {
         syms: SymbolTable,
@@ -825,6 +953,244 @@ mod tests {
         assert_eq!(f.g.users_of(relu), &[] as &[NodeId]);
         assert!(f.g.users_of(a).iter().all(|&u| u == gelu));
         f.g.validate().unwrap();
+    }
+
+    #[test]
+    fn collect_frees_what_only_the_root_kept_alive() {
+        let mut f = fx();
+        let a = mat(&mut f, 4, 4);
+        let shared =
+            f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
+                .unwrap();
+        let only_root =
+            f.g.op(&mut f.syms, &f.reg, f.ops.gelu, vec![shared], vec![])
+                .unwrap();
+        let root =
+            f.g.op(
+                &mut f.syms,
+                &f.reg,
+                f.ops.add,
+                vec![only_root, only_root],
+                vec![],
+            )
+            .unwrap();
+        let keeps_shared =
+            f.g.op(&mut f.syms, &f.reg, f.ops.tanh, vec![shared], vec![])
+                .unwrap();
+        f.g.mark_output(root);
+        f.g.mark_output(keeps_shared);
+
+        // Still an output: nothing to collect.
+        assert_eq!(f.g.collect(root), vec![]);
+        // Still read: nothing to collect either.
+        assert_eq!(f.g.collect(only_root), vec![]);
+
+        f.g.replace(root, a).unwrap();
+        let mut swept = f.g.clone();
+        let freed = f.g.collect(root);
+        assert_eq!(freed, vec![only_root, root]);
+        assert_eq!(freed, swept.gc());
+        assert_eq!(f.g.users_of(shared), &[keeps_shared]);
+        assert_eq!(f.g.users_of(shared), swept.users_of(shared));
+        assert_eq!(f.g.users_of(only_root), &[] as &[NodeId]);
+        // A dead node is not collected twice.
+        assert_eq!(f.g.collect(root), vec![]);
+        f.g.validate().unwrap();
+    }
+
+    /// `a -> r1 -> r2 -> r3`, with `r3` marked as the output.
+    fn relu_chain(f: &mut Fx) -> [NodeId; 4] {
+        let a = mat(f, 4, 4);
+        let mut chain = [a; 4];
+        for i in 1..4 {
+            chain[i] =
+                f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![chain[i - 1]], vec![])
+                    .unwrap();
+        }
+        f.g.mark_output(chain[3]);
+        chain
+    }
+
+    /// Repoints `node`'s first input at `to`, keeping the users index
+    /// in step — an edit no public method allows.
+    fn rewire_first_input(g: &mut Graph, node: NodeId, to: NodeId) {
+        let from = std::mem::replace(&mut g.nodes[node.index()].inputs[0], to);
+        let at = g.users[from.index()]
+            .iter()
+            .position(|&u| u == node)
+            .unwrap();
+        g.users[from.index()].remove(at);
+        g.users[to.index()].push(node);
+    }
+
+    #[test]
+    fn validate_reports_a_cycle() {
+        let mut f = fx();
+        let [_, r1, r2, r3] = relu_chain(&mut f);
+        f.g.validate().unwrap();
+        rewire_first_input(&mut f.g, r1, r3);
+        let err = f.g.validate().unwrap_err();
+        assert!(matches!(
+            validate_quadratic(&f.g),
+            Err(GraphError::WouldCycle { .. })
+        ));
+        let GraphError::WouldCycle { root, replacement } = err else {
+            panic!("expected a cycle, got {err}");
+        };
+        // The reported edge is one of the cycle's (which one depends
+        // on where the search entered it).
+        assert!([r1, r2, r3].contains(&root));
+        assert!(f.g.node(root).inputs.contains(&replacement));
+        assert!(f.g.depends_on(replacement, root));
+    }
+
+    #[test]
+    fn validate_reports_users_index_drift() {
+        let mut f = fx();
+        let [a, r1, r2, _] = relu_chain(&mut f);
+        let drift = |g: &Graph| match g.validate() {
+            Err(GraphError::UsersIndexMismatch { node, input }) => Some((node, input)),
+            other => panic!("expected an index mismatch, got {other:?}"),
+        };
+
+        let mut dropped = f.g.clone();
+        dropped.users[r1.index()].clear();
+        assert_eq!(drift(&dropped), Some((r2, r1)));
+
+        let mut doubled = f.g.clone();
+        doubled.users[r1.index()].push(r2);
+        assert_eq!(drift(&doubled), Some((r2, r1)));
+
+        // An entry for an edge that does not exist at all: the per-edge
+        // count `validate` used to make never looked at it.
+        let mut stray = f.g.clone();
+        stray.users[a.index()].push(r2);
+        assert_eq!(drift(&stray), Some((r2, a)));
+        assert_eq!(validate_quadratic(&stray), Ok(()));
+    }
+
+    /// `Graph::validate` as it was before it became linear: a fresh
+    /// `depends_on` walk and two list scans per edge. Kept as the
+    /// oracle of the linear one.
+    fn validate_quadratic(g: &Graph) -> Result<(), GraphError> {
+        for (i, node) in g.nodes.iter().enumerate() {
+            if !node.alive {
+                continue;
+            }
+            let id = NodeId(i as u32);
+            for &input in &node.inputs {
+                if !g.is_alive(input) {
+                    return Err(GraphError::DeadInput { node: input });
+                }
+                if g.depends_on(input, id) {
+                    return Err(GraphError::WouldCycle {
+                        root: id,
+                        replacement: input,
+                    });
+                }
+                let fwd = node.inputs.iter().filter(|&&x| x == input).count();
+                let rev = g.users[input.index()].iter().filter(|&&u| u == id).count();
+                if fwd != rev {
+                    return Err(GraphError::UsersIndexMismatch { node: id, input });
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// A random DAG of unary and binary ops over three inputs, then a
+    /// few random replace-and-collect rewrites, so that node ids no
+    /// longer follow the dataflow.
+    fn random_rewritten_graph(f: &mut Fx, rng: &mut StdRng, size: usize) {
+        let meta = TensorMeta::new(DType::F32, vec![4, 4]);
+        let mut nodes: Vec<NodeId> = (0..3).map(|_| mat(f, 4, 4)).collect();
+        for _ in 0..size {
+            let a = nodes[rng.gen_range(0..nodes.len())];
+            let b = nodes[rng.gen_range(0..nodes.len())];
+            let (op, inputs) = if rng.gen_range(0..2) == 0 {
+                (f.ops.relu, vec![a])
+            } else {
+                (f.ops.add, vec![a, b])
+            };
+            nodes.push(f.g.op_with_meta(op, inputs, vec![], meta.clone()).unwrap());
+        }
+        f.g.mark_output(nodes[nodes.len() - 1]);
+        f.g.mark_output(nodes[nodes.len() / 2]);
+        f.g.gc();
+        for _ in 0..4 {
+            let live = f.g.topo_order();
+            let root = live[rng.gen_range(0..live.len())];
+            let replacement = live[rng.gen_range(0..live.len())];
+            if f.g.replace(root, replacement).is_ok() {
+                f.g.collect(root);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The linear `validate` against the quadratic one it replaced:
+        /// both accept a rewritten graph, and both report the same
+        /// violation once one is injected — a cycle, a dead input, a
+        /// dropped and a repeated `users` entry.
+        #[test]
+        fn linear_validate_agrees_with_the_quadratic_one(
+            seed in any::<u64>(),
+            size in 2usize..40,
+        ) {
+            let mut f = fx();
+            let mut rng = StdRng::seed_from_u64(seed);
+            random_rewritten_graph(&mut f, &mut rng, size);
+            prop_assert_eq!(f.g.validate(), Ok(()));
+            prop_assert_eq!(validate_quadratic(&f.g), Ok(()));
+
+            // (user, input) for every edge of the live graph.
+            let edges: Vec<(NodeId, NodeId)> = f
+                .g
+                .topo_order()
+                .into_iter()
+                .flat_map(|u| f.g.node(u).inputs.iter().map(move |&x| (u, x)).collect::<Vec<_>>())
+                .collect();
+            if edges.is_empty() {
+                return Ok(());
+            }
+            let (user, input) = edges[rng.gen_range(0..edges.len())];
+
+            let mut dead = f.g.clone();
+            dead.nodes[input.index()].alive = false;
+            let err = dead.validate();
+            prop_assert!(matches!(err, Err(GraphError::DeadInput { .. })), "{:?}", err);
+            prop_assert_eq!(err, validate_quadratic(&dead));
+
+            let mut dropped = f.g.clone();
+            let at = dropped.users[input.index()].iter().position(|&u| u == user).unwrap();
+            dropped.users[input.index()].remove(at);
+            prop_assert_eq!(
+                dropped.validate(),
+                Err(GraphError::UsersIndexMismatch { node: user, input })
+            );
+            prop_assert_eq!(dropped.validate(), validate_quadratic(&dropped));
+
+            let mut repeated = f.g.clone();
+            repeated.users[input.index()].push(user);
+            prop_assert_eq!(
+                repeated.validate(),
+                Err(GraphError::UsersIndexMismatch { node: user, input })
+            );
+            prop_assert_eq!(repeated.validate(), validate_quadratic(&repeated));
+
+            // Close a cycle: an ancestor of `user` that has inputs of
+            // its own now reads `user`.
+            if !f.g.node(input).inputs.is_empty() {
+                let mut cyclic = f.g.clone();
+                rewire_first_input(&mut cyclic, input, user);
+                let linear = cyclic.validate();
+                let quadratic = validate_quadratic(&cyclic);
+                prop_assert!(matches!(linear, Err(GraphError::WouldCycle { .. })), "{:?}", linear);
+                prop_assert!(matches!(quadratic, Err(GraphError::WouldCycle { .. })), "{:?}", quadratic);
+            }
+        }
     }
 
     #[test]

@@ -190,7 +190,7 @@ fn specialized_const(syms: &mut SymbolTable, op: Symbol, attrs: &[(Attr, i64)]) 
 ///   original behaviour), or
 /// * [`TermView::invalidate`] the rewrite's dirty seed (the rewired
 ///   users of the replaced root, the freshly created replacement nodes,
-///   and the ids [`Graph::gc`] collected), then [`TermView::patch`] —
+///   and the ids [`Graph::collect`] freed), then [`TermView::patch`] —
 ///   **mark** the seed's cone of influence stale (its transitive users,
 ///   discovered through [`Graph::users_of`]; a cheap pointer walk, no
 ///   interning) and drop the stale nodes from the index maps. Terms
@@ -282,7 +282,7 @@ impl TermView {
     /// the view was built, or that died. A rewrite's seed is the user
     /// nodes rewired by [`Graph::replace_traced`], the nodes the
     /// replacement freshly allocated ([`Graph::allocated_since`]), and
-    /// the ids the post-rewrite [`Graph::gc`] collected (the next
+    /// the ids the post-rewrite [`Graph::collect`] freed (the next
     /// [`TermView::patch`] drops those from the view). The patch then
     /// expands the live seed to its cone of influence.
     pub fn invalidate(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
@@ -310,7 +310,7 @@ impl TermView {
     /// tables.
     ///
     /// Like [`Self::invalidate`] documents, the caller must invalidate
-    /// the ids `Graph::gc` collected: patch discovers deadness only for
+    /// the ids `Graph::collect` freed: patch discovers deadness only for
     /// invalidated ids (checking liveness for the whole view would be
     /// the linear walk this method exists to avoid).
     pub fn patch(&mut self, graph: &Graph) -> Vec<NodeId> {

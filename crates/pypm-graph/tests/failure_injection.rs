@@ -71,10 +71,13 @@ fn shape_incompatibility_is_rejected() {
     let err =
         f.g.op(&mut f.syms, &f.reg, f.ops.matmul, vec![a, b], vec![])
             .unwrap_err();
-    assert!(matches!(
-        err,
-        GraphError::Arity { .. } | GraphError::DeadInput { .. }
-    ));
+    let GraphError::Shape { op, reason } = &err else {
+        panic!("expected a shape error, got {err:?}");
+    };
+    assert_eq!(op, "MatMul");
+    assert!(reason.contains("incompatible"), "{reason}");
+    // Two inputs were asked for and two were given: not an arity error.
+    assert!(!err.to_string().contains("expects"), "{err}");
     f.g.validate().unwrap();
 }
 
@@ -115,7 +118,15 @@ fn replace_with_dead_node_is_rejected() {
     f.g.mark_output(r1);
     f.g.gc();
     assert!(!f.g.is_alive(dead));
-    assert!(f.g.replace(r1, dead).is_err());
+    // The error names the dead node, whichever side it is on.
+    assert_eq!(
+        f.g.replace(r1, dead),
+        Err(GraphError::DeadInput { node: dead })
+    );
+    assert_eq!(
+        f.g.replace(dead, r1),
+        Err(GraphError::DeadInput { node: dead })
+    );
     f.g.validate().unwrap();
 }
 

@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use pypm_core::{SymbolTable, TermStore};
-use pypm_graph::{DType, Graph, NodeId, OpRegistry, StdOps, TensorMeta, TermView};
+use pypm_graph::{DType, Graph, GraphError, NodeId, OpRegistry, StdOps, TensorMeta, TermView};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -67,8 +67,102 @@ fn random_graph(fx: &mut Fx, seed: u64, size: usize) -> Graph {
     g
 }
 
+/// A random rewrite on a garbage-free graph: the root is any reachable
+/// node; the replacement is another one (which may sit above the root —
+/// a cycle — or anywhere else) or, half of the time, a node freshly built
+/// over one, as a rule's right-hand side is.
+fn random_replacement(fx: &mut Fx, g: &mut Graph, rng: &mut StdRng) -> (NodeId, NodeId) {
+    let live = g.topo_order();
+    let root = live[rng.gen_range(0..live.len())];
+    let existing = live[rng.gen_range(0..live.len())];
+    let replacement = if rng.gen_range(0..2) == 0 {
+        existing
+    } else {
+        g.op(&mut fx.syms, &fx.reg, fx.ops.relu, vec![existing], vec![])
+            .unwrap()
+    };
+    (root, replacement)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `replace_traced` reads the rewired users off the reverse
+    /// adjacency and decides `WouldCycle` with one ancestor walk. The
+    /// oracle scans every node for readers of the root and asks
+    /// `depends_on` once per reader — over a sequence of rewrites, so
+    /// that later ones see edges pointing at higher ids.
+    #[test]
+    fn replace_traced_agrees_with_a_scan_of_every_node(seed in any::<u64>(), size in 2usize..40) {
+        let mut f = fx();
+        let mut g = random_graph(&mut f, seed, size);
+        g.gc();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        for _ in 0..6 {
+            let (root, replacement) = random_replacement(&mut f, &mut g, &mut rng);
+            let readers: Vec<NodeId> = g
+                .allocated_since(0)
+                .into_iter()
+                .filter(|&n| g.is_alive(n) && g.node(n).inputs.contains(&root))
+                .collect();
+            let cyclic = readers.iter().any(|&u| g.depends_on(replacement, u));
+            let before = g.clone();
+            match g.replace_traced(root, replacement) {
+                Ok(rewired) if root == replacement => prop_assert_eq!(rewired, vec![]),
+                Ok(rewired) => {
+                    prop_assert!(!cyclic, "{root:?} -> {replacement:?} closes a cycle");
+                    prop_assert_eq!(&rewired, &readers);
+                    for &u in &rewired {
+                        prop_assert!(!g.node(u).inputs.contains(&root));
+                    }
+                    g.collect(root);
+                }
+                Err(e) => {
+                    prop_assert!(cyclic && root != replacement, "{e}");
+                    prop_assert_eq!(e, GraphError::WouldCycle { root, replacement });
+                    // A rejected replacement changes nothing.
+                    prop_assert_eq!(g.revision(), before.revision());
+                    for n in g.allocated_since(0) {
+                        prop_assert_eq!(&g.node(n).inputs, &before.node(n).inputs);
+                        prop_assert_eq!(g.users_of(n), before.users_of(n));
+                    }
+                    // (The fresh replacement, if any, is garbage now.)
+                    g.gc();
+                }
+            }
+            g.validate().unwrap();
+        }
+    }
+
+    /// Collecting by reference count from the replaced root frees what
+    /// a mark-sweep over the whole graph frees: the same ids in the same
+    /// order, leaving the same reverse adjacency.
+    #[test]
+    fn collect_agrees_with_mark_sweep(seed in any::<u64>(), size in 2usize..40) {
+        let mut f = fx();
+        let mut g = random_graph(&mut f, seed, size);
+        g.gc();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc011ec7);
+        for _ in 0..6 {
+            let (root, replacement) = random_replacement(&mut f, &mut g, &mut rng);
+            if g.replace(root, replacement).is_err() {
+                g.gc();
+                continue;
+            }
+            let mut swept = g.clone();
+            let freed = g.collect(root);
+            prop_assert_eq!(&freed, &swept.gc());
+            prop_assert!(freed.windows(2).all(|w| w[0] < w[1]), "ascending: {freed:?}");
+            for n in g.allocated_since(0) {
+                prop_assert_eq!(g.is_alive(n), swept.is_alive(n));
+                prop_assert_eq!(g.users_of(n), swept.users_of(n), "users of {:?}", n);
+            }
+            prop_assert_eq!(g.topo_order(), swept.topo_order());
+            g.validate().unwrap();
+            swept.validate().unwrap();
+            prop_assert!(g.gc().is_empty(), "collect left garbage");
+        }
+    }
 
     /// Topological order places every node after its inputs and covers
     /// exactly the reachable live nodes.

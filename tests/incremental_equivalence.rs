@@ -304,6 +304,60 @@ fn sublinear_reindex_cuts_nodes_reindexed_on_bert_small() {
     );
 }
 
+/// Scale without a stopwatch: what a firing costs under the worklist
+/// must follow the firing, not the graph. Counted on the deep
+/// transformer at 50 and at 200 layers: the nodes `Graph::replace_traced`
+/// rewires and `Graph::collect` examines per firing (a debug-build
+/// counter) stay level, and the scan's cursor — resumed, never rewound
+/// on these programs — takes at most one step per node the pass ever
+/// had. A whole-graph walk per firing, or a rewound cursor, would put a
+/// factor of the depth on either.
+#[cfg(debug_assertions)]
+#[test]
+fn a_firing_costs_its_cone_at_any_depth() {
+    use pypm::models::{GeluVariant, ScaleVariant, TransformerConfig};
+    let at = |layers: usize| {
+        let cfg = TransformerConfig {
+            name: "deep",
+            layers,
+            hidden: 32,
+            seq: 64,
+            batch: 1,
+            mlp_factor: 4,
+            gelu: GeluVariant::DivTwo,
+            scale: ScaleVariant::Mul,
+            opaque_layernorm: false,
+        };
+        let mut s = Session::new();
+        let mut g = cfg.build(&mut s);
+        let rules = s.load_library(LibraryConfig::both());
+        let (nodes_in, touches_in) = (g.allocated_count() as u64, g.touches());
+        let stats = Pipeline::new(&mut s)
+            .with(RewritePass::new(rules).policy(SweepPolicy::Incremental))
+            .run(&mut g)
+            .expect("pass succeeds")
+            .total();
+        assert!(
+            stats.rewrites_fired >= layers as u64,
+            "every layer rewrites"
+        );
+        assert_eq!(stats.nodes_revisited, 0, "{layers} layers");
+        let ever_allocated = g.allocated_count() as u64;
+        assert!(
+            stats.cursor_steps <= ever_allocated,
+            "{layers} layers: {} cursor steps over {nodes_in} + {} nodes",
+            stats.cursor_steps,
+            ever_allocated - nodes_in,
+        );
+        (g.touches() - touches_in) as f64 / stats.rewrites_fired as f64
+    };
+    let (shallow, deep) = (at(50), at(200));
+    assert!(
+        deep <= 1.5 * shallow,
+        "nodes touched per firing grew with depth: {shallow:.2} at 50 layers, {deep:.2} at 200"
+    );
+}
+
 /// The op population argument in one place: restart and incremental
 /// leave the same multiset of operators for a model whose rewrites
 /// cascade (GELU expansion into epilog fusion).
