@@ -39,7 +39,10 @@
 //!   admission-soundness contract), and at ≥4× rules (`synth >= 39`)
 //!   the fused backend must admit at least 3× fewer match probes per
 //!   node than per-pattern, with its wall-clock no worse than
-//!   per-pattern's beyond the tolerance. Scaling cells also compare
+//!   per-pattern's beyond the tolerance; and at 16× rules
+//!   (`synth >= 195`) the fused wall-clock may be at most 2.5× what it
+//!   is on the same model at 1× (`synth == 0`) — fewer probes must show
+//!   as time, not only as a count. Scaling cells also compare
 //!   against the baseline like ordinary rows (as `rules:<config>`
 //!   series keyed by backend).
 //!
@@ -73,6 +76,13 @@ const OPTIONAL_EXACT_COUNTERS: [&str; 4] = [
 /// rule count) and the required probes/node advantage.
 const SUBLINEAR_FROM_SYNTH: f64 = 39.0;
 const SUBLINEAR_FACTOR: f64 = 3.0;
+
+/// The wall-clock bar beside it: from this synth level (16× the base
+/// rule count) the fused wall may be at most this multiple of the same
+/// model's wall at `synth == 0`. A visit that asked every pattern about
+/// every node read 5.1× with the probes/node bar long met.
+const WALL_SUBLINEAR_FROM_SYNTH: f64 = 195.0;
+const WALL_SUBLINEAR_FACTOR: f64 = 2.5;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -200,6 +210,24 @@ fn run(args: &[String]) -> Result<String, Vec<String>> {
                  {per_wall:.3}ms beyond tolerance — fused lost its wall advantage at scale",
                 row.model, row.config
             ));
+        }
+        if row.synth < WALL_SUBLINEAR_FROM_SYNTH {
+            continue;
+        }
+        let unit = cur_scaling
+            .iter()
+            .find(|r| r.model == row.model && r.synth == 0.0)
+            .and_then(|r| r.backends.get("fused"));
+        if let Some(unit) = unit {
+            let unit_wall = unit.min_wall_ms.unwrap_or(unit.wall_ms);
+            if fused_wall > WALL_SUBLINEAR_FACTOR * unit_wall {
+                failures.push(format!(
+                    "{}/rules:{}: fused wall {fused_wall:.3}ms is more than \
+                     {WALL_SUBLINEAR_FACTOR}x its {unit_wall:.3}ms at 1x rules — \
+                     the fused matcher's wall-clock stopped being sublinear in rule count",
+                    row.model, row.config
+                ));
+            }
         }
     }
     // Intra-document gate: a v3 per-jobs sub-series (`P@jobsN`) must
@@ -590,18 +618,11 @@ mod tests {
         std::fs::remove_file(b).ok();
     }
 
-    /// A v5 document: one ordinary row plus one `rules_scaling` row
-    /// with both matcher backends at the given synth level.
-    fn doc_with_scaling(
-        synth: f64,
-        fused_attempts: f64,
-        fused_probes: f64,
-        fused_wall: f64,
-    ) -> String {
-        let base = doc(1.0, 100.0).replace("]}", "],");
+    /// One `rules_scaling` row with both matcher backends at the given
+    /// synth level.
+    fn scaling_row(synth: f64, fused_attempts: f64, fused_probes: f64, fused_wall: f64) -> String {
         format!(
-            r#"{base} "rules_scaling": [
-                {{"model": "m", "config": "all+synth{synth}", "synth": {synth},
+            r#"{{"model": "m", "config": "all+synth{synth}", "synth": {synth},
                   "rule_patterns": 52, "runs": 2,
                   "backends": {{
                     "per-pattern": {{"mean_wall_ms": 2.0, "min_wall_ms": 2.0,
@@ -611,8 +632,24 @@ mod tests {
                     "fused": {{"mean_wall_ms": {fused_wall}, "min_wall_ms": {fused_wall},
                       "mean_match_attempts": {fused_attempts}, "mean_matches_found": 2.0,
                       "mean_rewrites_fired": 2.0, "mean_pairs_admitted": 10.0,
-                      "probes_per_node": {fused_probes}}}}}}}]}}"#
+                      "probes_per_node": {fused_probes}}}}}}}"#
         )
+    }
+
+    /// A v5 document: one ordinary row plus the given `rules_scaling`
+    /// rows.
+    fn doc_with_scaling_rows(rows: &[String]) -> String {
+        let base = doc(1.0, 100.0).replace("]}", "],");
+        format!(r#"{base} "rules_scaling": [{}]}}"#, rows.join(","))
+    }
+
+    fn doc_with_scaling(
+        synth: f64,
+        fused_attempts: f64,
+        fused_probes: f64,
+        fused_wall: f64,
+    ) -> String {
+        doc_with_scaling_rows(&[scaling_row(synth, fused_attempts, fused_probes, fused_wall)])
     }
 
     #[test]
@@ -676,6 +713,40 @@ mod tests {
         ])
         .is_ok());
         std::fs::remove_file(a).ok();
+    }
+
+    #[test]
+    fn fused_wall_growing_with_the_rule_count_fails_intra_document() {
+        let doc_at = |unit_wall: f64, wall_at_16x: f64| {
+            doc_with_scaling_rows(&[
+                scaling_row(0.0, 100.0, 8.0, unit_wall),
+                scaling_row(195.0, 100.0, 8.0, wall_at_16x),
+            ])
+        };
+        // 2.4x the 1x wall at 16x rules: within the 2.5x bar.
+        let a = write("wsub_a", &doc_at(1.0, 2.4));
+        assert!(run(&[a.clone(), a.clone()]).is_ok());
+        // 2.4ms over a 0.9ms unit is 2.67x — while still well ahead of
+        // per-pattern's 2.0ms + 25%, so only the new bar can object.
+        let b = write("wsub_b", &doc_at(0.9, 2.4));
+        let err = run(&[b.clone(), b.clone()]).unwrap_err();
+        assert_eq!(err.len(), 1, "{err:?}");
+        assert!(
+            err[0].contains("wall-clock stopped being sublinear in rule count"),
+            "{err:?}"
+        );
+        // Below 16x the same growth is not gated.
+        let c = write(
+            "wsub_c",
+            &doc_with_scaling_rows(&[
+                scaling_row(0.0, 100.0, 8.0, 0.9),
+                scaling_row(39.0, 100.0, 8.0, 2.4),
+            ]),
+        );
+        assert!(run(&[c.clone(), c.clone()]).is_ok());
+        for path in [a, b, c] {
+            std::fs::remove_file(path).ok();
+        }
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! The tensor interpretation (`shape.rank`, `eltType`, …) lives in the
 //! `pypm-graph` crate, where tensor metadata is available.
 
+use crate::idhash::IdMap;
 use crate::symbol::{Attr, SymbolTable};
 use crate::term::{TermId, TermStore};
-use std::collections::HashMap;
 
 /// The interpretation function `⟦·⟧ : A → Term ⇀ i64`.
 ///
@@ -57,7 +57,7 @@ impl AttrInterp for NoAttrs {
 /// A finite, explicitly tabulated interpretation.
 #[derive(Debug, Clone, Default)]
 pub struct TableAttrInterp {
-    table: HashMap<(TermId, Attr), i64>,
+    table: IdMap<(TermId, Attr), i64>,
 }
 
 impl TableAttrInterp {

@@ -215,31 +215,43 @@ impl FusedSet {
     /// guaranteed machine failure on `t`. `steps` is incremented once
     /// per trie state expanded (the work metric of the walk).
     pub fn candidates(&self, terms: &TermStore, t: TermId, steps: &mut u64) -> Vec<u32> {
-        self.candidates_bounded(terms, t, steps, None)
+        let mut out = Vec::new();
+        self.candidates_bounded(terms, t, steps, None, &mut out);
+        out
     }
 
-    /// [`FusedSet::candidates`] under a cooperative [`Budget`]: the walk
-    /// charges its trie steps against the budget in
-    /// [`Budget::WALL_CHECK_MASK`]-sized batches and **abandons the walk
-    /// early** once the budget trips, returning whatever candidates it
-    /// had collected. A truncated candidate set is only ever *used* by
-    /// callers that abort the whole compile at their next budget check —
-    /// an un-tripped budget changes nothing, so results with headroom
-    /// stay byte-identical to the unbudgeted walk.
+    /// [`FusedSet::candidates`] *appended to* `out` (so a caller keeping
+    /// many terms' sets can pool them in one vector), under a
+    /// cooperative [`Budget`]: the walk charges its trie steps against
+    /// the budget in [`Budget::WALL_CHECK_MASK`]-sized batches and
+    /// **abandons the walk early** once the budget trips, appending
+    /// whatever candidates it had collected. A truncated candidate set
+    /// is only ever *used* by callers that abort the whole compile at
+    /// their next budget check — an un-tripped budget changes nothing,
+    /// so results with headroom stay byte-identical to the unbudgeted
+    /// walk.
     pub fn candidates_bounded(
         &self,
         terms: &TermStore,
         t: TermId,
         steps: &mut u64,
         budget: Option<&Budget>,
-    ) -> Vec<u32> {
-        let mut out: Vec<u32> = Vec::new();
-        // Depth-first over (trie node, stack of term subtrees still to
-        // consume). Skeletons are saturated preorder strings, so a leaf
-        // is valid exactly when the stack empties.
-        let mut work: Vec<(u32, Vec<TermId>)> = vec![(0, vec![t])];
+        out: &mut Vec<u32>,
+    ) {
+        /// The empty continuation: nothing left to consume.
+        const DONE: u32 = u32::MAX;
+        let start = out.len();
+        // Depth-first over (trie node, subterms still to consume).
+        // Skeletons are saturated preorder strings, so a leaf is valid
+        // exactly when nothing is left. What is left is a linked stack
+        // in `cells` — (subterm, index of the cell below) — of which a
+        // work item holds the top: a Star edge continues from the cell
+        // below, an Op edge links the arguments above it, and both
+        // share everything underneath, so no edge copies the remainder.
+        let mut cells: Vec<(TermId, u32)> = vec![(t, DONE)];
+        let mut work: Vec<(u32, u32)> = vec![(0, 0)];
         let mut unbilled: u64 = 0;
-        while let Some((n, mut stack)) = work.pop() {
+        while let Some((n, top)) = work.pop() {
             *steps += 1;
             if let Some(b) = budget {
                 unbilled += 1;
@@ -251,24 +263,25 @@ impl FusedSet {
                 }
             }
             let node = &self.nodes[n as usize];
-            let Some(&cur) = stack.last() else {
+            if top == DONE {
                 out.extend_from_slice(&node.leaves);
                 continue;
-            };
+            }
+            let (cur, below) = cells[top as usize];
             // Star edge: the current subterm is skipped whole.
             if let Some(star) = node.star {
-                let mut rest = stack.clone();
-                rest.pop();
-                work.push((star, rest));
+                work.push((star, below));
             }
-            // Operator edge: consume the head, push its arguments
-            // (reversed, so they pop in left-to-right order).
+            // Operator edge: consume the head, link its arguments
+            // (last first, so the leftmost ends up on top).
             let op = terms.op(cur);
             if let Ok(i) = node.ops.binary_search_by_key(&op, |e| e.0) {
-                let child = node.ops[i].1;
-                stack.pop();
-                stack.extend(terms.args(cur).iter().rev());
-                work.push((child, stack));
+                let mut top = below;
+                for &arg in terms.args(cur).iter().rev() {
+                    cells.push((arg, top));
+                    top = (cells.len() - 1) as u32;
+                }
+                work.push((node.ops[i].1, top));
             }
         }
         if let Some(b) = budget {
@@ -276,19 +289,16 @@ impl FusedSet {
                 b.charge(unbilled);
             }
         }
-        out.sort_unstable();
-        out.dedup();
-        out
-    }
-
-    /// Whether pattern `index` is a candidate at `t` — a binary search
-    /// over [`FusedSet::candidates`] output; callers probing many
-    /// patterns at one term should compute the candidate set once and
-    /// search it instead of calling this repeatedly.
-    pub fn admits(&self, terms: &TermStore, t: TermId, index: usize, steps: &mut u64) -> bool {
-        self.candidates(terms, t, steps)
-            .binary_search(&(index as u32))
-            .is_ok()
+        // Sort and dedup this walk's tail of `out` in place.
+        out[start..].sort_unstable();
+        let mut kept = start;
+        for i in start..out.len() {
+            if kept == start || out[kept - 1] != out[i] {
+                out[kept] = out[i];
+                kept += 1;
+            }
+        }
+        out.truncate(kept);
     }
 }
 
@@ -427,8 +437,6 @@ mod tests {
         // Relu(a): only the Relu pattern.
         assert_eq!(fused.candidates(&terms, t_relu, &mut steps), vec![2]);
         assert!(steps > 0);
-        assert!(fused.admits(&terms, t_relu, 2, &mut steps));
-        assert!(!fused.admits(&terms, t_relu, 0, &mut steps));
     }
 
     #[test]
@@ -524,6 +532,67 @@ mod tests {
         let mut steps = 0;
         // Collapse means: candidate at every term, even non-f4 ones.
         assert_eq!(fused.candidates(&terms, k, &mut steps), vec![0]);
+    }
+
+    /// The walk this module shipped before the shared continuation: an
+    /// owned stack of remaining subterms per work item, cloned at every
+    /// `Star` edge. Kept as the reference for the sets and — state for
+    /// state — the `trie_steps` of the linked walk.
+    fn cloning_walk(set: &FusedSet, terms: &TermStore, t: TermId, steps: &mut u64) -> Vec<u32> {
+        let mut out: Vec<u32> = Vec::new();
+        let mut work: Vec<(u32, Vec<TermId>)> = vec![(0, vec![t])];
+        while let Some((n, mut stack)) = work.pop() {
+            *steps += 1;
+            let node = &set.nodes[n as usize];
+            let Some(&cur) = stack.last() else {
+                out.extend_from_slice(&node.leaves);
+                continue;
+            };
+            if let Some(star) = node.star {
+                let mut rest = stack.clone();
+                rest.pop();
+                work.push((star, rest));
+            }
+            if let Ok(i) = node.ops.binary_search_by_key(&terms.op(cur), |e| e.0) {
+                stack.pop();
+                stack.extend(terms.args(cur).iter().rev());
+                work.push((node.ops[i].1, stack));
+            }
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    #[test]
+    fn linked_walk_equals_the_cloning_walk_state_for_state() {
+        use crate::testing::{PatternGen, TermGen, TestSig};
+        let mut nonempty = 0;
+        for seed in 0..200u64 {
+            let mut sig = TestSig::new();
+            let mut pats = PatternStore::new();
+            let mut terms = TermStore::new();
+            let mut gen = PatternGen::new(seed);
+            let patterns: Vec<PatternId> = (0..6)
+                .map(|_| gen.pattern(&mut sig, &mut pats, 4))
+                .collect();
+            let fused = FusedSet::build(&pats, &patterns);
+            let mut tgen = TermGen::new(seed ^ 0xA5A5);
+            // Appending to a non-empty pool must leave what is there.
+            let mut pool = vec![7, 7, 3];
+            for _ in 0..8 {
+                let t = tgen.term(&sig, &mut terms, 5);
+                let (mut linked, mut cloned) = (0, 0);
+                let expected = cloning_walk(&fused, &terms, t, &mut cloned);
+                let start = pool.len();
+                fused.candidates_bounded(&terms, t, &mut linked, None, &mut pool);
+                assert_eq!(pool[start..], expected[..], "seed {seed}");
+                assert_eq!(linked, cloned, "trie_steps moved (seed {seed})");
+                nonempty += usize::from(!expected.is_empty());
+            }
+            assert_eq!(pool[..3], [7, 7, 3]);
+        }
+        assert!(nonempty > 200, "only {nonempty} non-empty candidate sets");
     }
 
     /// The soundness contract, pinned by direct machine runs: whenever

@@ -70,6 +70,7 @@ pub mod clock;
 pub mod declarative;
 pub mod fused;
 pub mod guard;
+pub mod idhash;
 pub mod json;
 pub mod machine;
 pub mod pattern;
@@ -83,6 +84,7 @@ pub use budget::Budget;
 pub use clock::{system_clock, Clock, SystemClock, VirtualClock};
 pub use fused::FusedSet;
 pub use guard::{Expr, Guard, GuardValue};
+pub use idhash::{IdHasher, IdMap, IdSet};
 pub use machine::{Action, Machine, MachineError, MachineStats, Outcome, RuleName};
 pub use pattern::{Pattern, PatternError, PatternId, PatternStore};
 pub use subst::{FunSubst, Subst, Witness};

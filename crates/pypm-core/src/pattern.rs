@@ -17,6 +17,7 @@
 //! repeatedly generated unfoldings of recursive patterns for free.
 
 use crate::guard::Guard;
+use crate::idhash::{IdMap, IdSet};
 use crate::symbol::{FunVar, PatName, Symbol, SymbolTable, Var};
 use crate::term::TermStore;
 use std::collections::HashMap;
@@ -103,7 +104,7 @@ pub struct PatternStore {
     nodes: Vec<Pattern>,
     dedup: HashMap<Pattern, PatternId>,
     /// Memoized μ-unfoldings.
-    unfold_cache: HashMap<PatternId, PatternId>,
+    unfold_cache: IdMap<PatternId, PatternId>,
 }
 
 impl PatternStore {
@@ -442,7 +443,7 @@ impl PatternStore {
         let mut out = Vec::new();
         let mut bound = Vec::new();
         self.free_vars_into(p, &mut bound, &mut out);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         out.retain(|x| seen.insert(*x));
         out
     }
@@ -516,7 +517,7 @@ impl PatternStore {
     pub fn fun_vars(&self, p: PatternId) -> Vec<FunVar> {
         let mut out = Vec::new();
         self.fun_vars_into(p, &mut out);
-        let mut seen = std::collections::HashSet::new();
+        let mut seen = IdSet::default();
         out.retain(|x| seen.insert(*x));
         out
     }

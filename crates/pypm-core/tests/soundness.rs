@@ -11,6 +11,12 @@
 //!   `running(∅, [], [match(p,t)])` to `success(θ, φ)` then
 //!   `p @ ⟨θ, φ⟩ ≈ t`; if it runs to `failure` then no witness exists.
 //!
+//! Next to Theorem 2 sits the contract of the fused matcher index
+//! ([`FusedSet`]), which decides which `(pattern, term)` pairs the engine
+//! hands to the machine at all: *a pair the index does not report is a
+//! machine `failure`*. With Theorem 2's failure direction that makes a
+//! rejection mean "no witness exists".
+//!
 //! For the failure direction we compare against the declarative
 //! *enumerator*, which performs a clairvoyant (complete, bounded) search
 //! for witnesses. Cases where either side runs out of fuel (possible with
@@ -20,7 +26,9 @@
 use proptest::prelude::*;
 use pypm_core::declarative::{check, enumerate, DeclError};
 use pypm_core::testing::{PatternGen, TermGen, TestSig};
-use pypm_core::{Machine, MachineError, Outcome, PatternStore, Subst, TermStore, Witness};
+use pypm_core::{
+    FusedSet, Machine, MachineError, Outcome, PatternStore, Subst, TermStore, Witness,
+};
 
 const MACHINE_FUEL: u64 = 200_000;
 const DECL_FUEL: u64 = 400_000;
@@ -33,17 +41,26 @@ struct Case {
     t: pypm_core::TermId,
 }
 
+fn random_term(
+    sig: &TestSig,
+    terms: &mut TermStore,
+    term_seed: u64,
+    term_depth: u32,
+) -> pypm_core::TermId {
+    if term_seed % 3 == 0 {
+        // Towers exercise the recursive patterns.
+        TermGen::new(term_seed).tower(sig, terms, term_depth)
+    } else {
+        TermGen::new(term_seed).term(sig, terms, term_depth)
+    }
+}
+
 fn build_case(pat_seed: u64, term_seed: u64, pat_depth: u32, term_depth: u32) -> Case {
     let mut sig = TestSig::new();
     let mut terms = TermStore::new();
     let mut pats = PatternStore::new();
     let p = PatternGen::new(pat_seed).pattern(&mut sig, &mut pats, pat_depth);
-    let t = if term_seed % 3 == 0 {
-        // Towers exercise the recursive patterns.
-        TermGen::new(term_seed).tower(&sig, &mut terms, term_depth)
-    } else {
-        TermGen::new(term_seed).term(&sig, &mut terms, term_depth)
-    };
+    let t = random_term(&sig, &mut terms, term_seed, term_depth);
     Case {
         sig,
         terms,
@@ -51,6 +68,50 @@ fn build_case(pat_seed: u64, term_seed: u64, pat_depth: u32, term_depth: u32) ->
         p,
         t,
     }
+}
+
+/// One case of the fused-admission oracle: a handful of random patterns
+/// (guards, alternates, μ and all) fused into one index, one random
+/// term, and a machine run for every pair the index does **not**
+/// report. Returns `(pairs rejected and confirmed failures, pairs
+/// reported)`; fuel-exhausted runs are inconclusive and count as
+/// neither.
+fn fused_rejections_fail(
+    pat_seed: u64,
+    term_seed: u64,
+    pat_depth: u32,
+    term_depth: u32,
+) -> Result<(u32, u32), String> {
+    let mut sig = TestSig::new();
+    let mut terms = TermStore::new();
+    let mut pats = PatternStore::new();
+    let mut gen = PatternGen::new(pat_seed);
+    let patterns: Vec<_> = (0..5)
+        .map(|_| gen.pattern(&mut sig, &mut pats, pat_depth))
+        .collect();
+    let t = random_term(&sig, &mut terms, term_seed, term_depth);
+    let fused = FusedSet::build(&pats, &patterns);
+    let reported = fused.candidates(&terms, t, &mut 0);
+    let interp = sig.interp();
+    let mut confirmed = 0;
+    for (i, &p) in patterns.iter().enumerate() {
+        if reported.binary_search(&(i as u32)).is_ok() {
+            continue;
+        }
+        match Machine::new(&mut pats, &terms, &interp).run(p, t, MACHINE_FUEL) {
+            Ok(Outcome::Failure) => confirmed += 1,
+            Err(MachineError::OutOfFuel { .. }) => {}
+            Ok(Outcome::Success(w)) => {
+                return Err(format!(
+                    "the index rejected a pair the machine matches\n  p = {}\n  t = {}\n  θ = {}",
+                    pats.display(&sig.syms, p),
+                    terms.display(&sig.syms, t),
+                    w.theta.display(&sig.syms, &terms),
+                ))
+            }
+        }
+    }
+    Ok((confirmed, reported.len() as u32))
 }
 
 proptest! {
@@ -114,6 +175,19 @@ proptest! {
                 Err(DeclError::OutOfFuel) => {} // inconclusive
             }
         }
+    }
+
+    /// The fused index's contract: a (pattern, term) pair the trie does
+    /// not report is a machine failure.
+    #[test]
+    fn fused_rejection_implies_machine_failure(
+        pat_seed in any::<u64>(),
+        term_seed in any::<u64>(),
+        pat_depth in 2u32..5,
+        term_depth in 1u32..5,
+    ) {
+        let checked = fused_rejections_fail(pat_seed, term_seed, pat_depth, term_depth);
+        prop_assert!(checked.is_ok(), "{}", checked.unwrap_err());
     }
 
     /// The machine's witness always appears in the enumerator's witness
@@ -246,6 +320,23 @@ fn seed_sweep_regression() {
     // The distribution must exercise both directions substantially.
     assert!(successes > 50, "only {successes} successes in sweep");
     assert!(failures > 50, "only {failures} failures in sweep");
+}
+
+/// The fused-admission oracle over the same pinned sweep, counted: the
+/// property above is only worth its name if the index both rejects and
+/// reports a good share of the pairs it is asked about.
+#[test]
+fn fused_seed_sweep_rejects_and_reports() {
+    let (mut rejected, mut reported) = (0, 0);
+    for pat_seed in 0..60 {
+        for term_seed in 0..12 {
+            let (r, a) = fused_rejections_fail(pat_seed, term_seed, 4, 4).unwrap();
+            rejected += r;
+            reported += a;
+        }
+    }
+    assert!(rejected > 500, "only {rejected} rejections in sweep");
+    assert!(reported > 500, "only {reported} reported pairs in sweep");
 }
 
 /// The incompleteness example of §3.1.2 pinned as a regression test: the

@@ -24,31 +24,33 @@
 //!
 //! ## The contract
 //!
-//! [`Matcher::admits`] returning `false` must mean the machine run for
-//! that pair is a **guaranteed failure**. Under that contract every
-//! backend fires byte-identical rewrite sequences: the pass still
-//! iterates patterns in rule-set order at every node, `match_attempts`
+//! A pattern missing from [`Matcher::candidates`] must mean the machine
+//! run for that pair is a **guaranteed failure**. Under that contract
+//! every backend fires byte-identical rewrite sequences: a node visit
+//! fetches its term's candidate set once, probes its rule-bearing
+//! members in rule-set order, and *accounts* the pairs it skipped as if
+//! the paper's every-pattern loop had tried them, so `match_attempts`
 //! / `matches_found` / `rewrites_fired` are backend-independent, and
 //! only the machine-work counters (`machine_steps`,
 //! `machine_backtracks`) and the admission counters in [`MatcherStats`]
 //! vary — the same counter-shrinkage contract the sweep policies
-//! already document.
+//! already document. A visit costs one lookup plus its candidates,
+//! whatever the size of the rule set.
 //!
 //! ## When per-pattern still wins
 //!
 //! The fused tree pays an up-front build (once per pass) and a walk per
-//! distinct term. For tiny rule sets (a handful of patterns), for
-//! single-shot matching over small graphs, or for pattern sets that
-//! collapse to wildcards (every pattern variable-rooted), the tree
-//! admits nearly everything and the build is pure overhead — that is
-//! what `--matcher per-pattern` is for, and why the bench suite records
-//! both backends across the rules-count series.
+//! distinct term. For pattern sets that collapse to wildcards (every
+//! pattern variable-rooted, or past the build caps) the tree admits
+//! nearly everything and build and walks are pure overhead — that is
+//! what `--matcher per-pattern` is for, besides being the reference
+//! the equivalence suites hold the tree against, and why the bench
+//! suite records both backends across the rules-count series.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use pypm_core::{Budget, FusedSet, PatternId, PatternStore, TermId, TermStore};
+use pypm_core::{Budget, FusedSet, IdMap, PatternId, PatternStore, TermId, TermStore};
 
 /// Which candidate-discovery index the rewrite pass runs above the
 /// abstract machine. See the module docs for the trade-off.
@@ -138,12 +140,13 @@ impl MatcherStats {
 ///
 /// # Contract
 ///
-/// [`Matcher::admits`] may return `false` **only** when running the
-/// abstract machine on `(pattern index, term)` is a guaranteed failure.
-/// `true` promises nothing — the machine is always the arbiter. Under
-/// this contract, backends are observationally equivalent: identical
-/// firing sequences, identical `match_attempts` / `matches_found` /
-/// `rewrites_fired`; only machine-work and admission counters differ.
+/// [`Matcher::candidates`] may leave a pattern out **only** when running
+/// the abstract machine on `(pattern index, term)` is a guaranteed
+/// failure. Being listed promises nothing — the machine is always the
+/// arbiter. Under this contract, backends are observationally
+/// equivalent: identical firing sequences, identical `match_attempts` /
+/// `matches_found` / `rewrites_fired`; only machine-work and admission
+/// counters differ.
 ///
 /// Implementations may mutate themselves on query (memoization); the
 /// driver owns one matcher per pass, built after the rule set is fixed.
@@ -151,40 +154,46 @@ impl MatcherStats {
 /// give changed nodes fresh terms — the same property the probe cache
 /// relies on.
 pub trait Matcher: fmt::Debug + Send {
-    /// Whether the machine should run pattern `pi` against `t`.
-    /// Walk-side counters (`terms_walked`,
-    /// `trie_steps`) are recorded on `stats`; the *caller* accounts the
-    /// pair-level verdict, so a discovery phase and a commit phase can
-    /// share one matcher without double-counting pairs.
-    fn admits(&mut self, pi: usize, t: TermId, terms: &TermStore, stats: &mut MatcherStats)
-        -> bool;
+    /// The patterns the machine should run against `t`, as ascending
+    /// indices into the rule set — pattern-only definitions included,
+    /// the index knows nothing of rules. Walk-side counters
+    /// (`terms_walked`, `trie_steps`) are recorded on `stats`; the
+    /// *caller* accounts the pair-level verdicts, so a discovery phase
+    /// and a commit phase can share one matcher without double-counting
+    /// pairs.
+    fn candidates(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> &[u32];
 
     /// Installs (or clears) the run's cooperative [`Budget`]. Backends
-    /// whose admission work is per-pair constant ignore it; the fused
-    /// tree charges its trie walks and truncates them once the budget
-    /// trips. A truncated walk may produce conservative verdicts, which
-    /// is sound here only because the driver aborts the whole pass at
-    /// its next budget check — an un-tripped budget never changes a
+    /// whose admission work is constant ignore it; the fused tree
+    /// charges its trie walks and truncates them once the budget trips.
+    /// A truncated walk may produce conservative verdicts, which is
+    /// sound here only because the driver aborts the whole pass at its
+    /// next budget check — an un-tripped budget never changes a
     /// verdict.
     fn set_budget(&mut self, budget: Option<Arc<Budget>>) {
         let _ = budget;
     }
 }
 
-/// The reference discovery path: admits every pair (see
-/// [`MatcherBackend::PerPattern`]).
+/// The reference discovery path: every pattern is a candidate at every
+/// term (see [`MatcherBackend::PerPattern`]).
 #[derive(Debug)]
-pub struct PerPatternMatcher;
+pub struct PerPatternMatcher {
+    all: Vec<u32>,
+}
+
+impl PerPatternMatcher {
+    /// The matcher over a rule set of `patterns` patterns.
+    pub fn new(patterns: usize) -> Self {
+        PerPatternMatcher {
+            all: (0..patterns as u32).collect(),
+        }
+    }
+}
 
 impl Matcher for PerPatternMatcher {
-    fn admits(
-        &mut self,
-        _pi: usize,
-        _t: TermId,
-        _terms: &TermStore,
-        _stats: &mut MatcherStats,
-    ) -> bool {
-        true
+    fn candidates(&mut self, _t: TermId, _terms: &TermStore, _stats: &mut MatcherStats) -> &[u32] {
+        &self.all
     }
 }
 
@@ -193,10 +202,17 @@ impl Matcher for PerPatternMatcher {
 #[derive(Debug)]
 pub struct FusedMatcher {
     set: FusedSet,
-    /// Candidate sets per distinct term, memoized across nodes *and*
-    /// sweeps: hash-consed [`TermId`]s never change meaning, so a walk
-    /// is paid once per distinct subject term per pass.
-    memo: HashMap<TermId, Vec<u32>>,
+    /// Where each walked term's candidate set lies in `pool`, as
+    /// `(start, len)`. Memoized across nodes *and* sweeps: hash-consed
+    /// [`TermId`]s never change meaning, so a walk is paid once per
+    /// distinct subject term per pass. A map, not a vector indexed by
+    /// term: a serve session's [`TermStore`] grows for the life of the
+    /// process, a pass touches the terms of one graph.
+    memo: IdMap<TermId, (u32, u32)>,
+    /// Every walked term's candidates, end to end. Most terms have
+    /// none, so most memo entries cost no pool space and no term ever
+    /// costs an allocation of its own.
+    pool: Vec<u32>,
     /// The run's cooperative budget; walks charge their trie steps
     /// against it and truncate once it trips (see
     /// [`Matcher::set_budget`]).
@@ -208,7 +224,8 @@ impl FusedMatcher {
     pub fn new(pats: &PatternStore, patterns: &[PatternId]) -> Self {
         FusedMatcher {
             set: FusedSet::build(pats, patterns),
-            memo: HashMap::new(),
+            memo: IdMap::default(),
+            pool: Vec::new(),
             budget: None,
         }
     }
@@ -220,24 +237,25 @@ impl FusedMatcher {
 }
 
 impl Matcher for FusedMatcher {
-    fn admits(
-        &mut self,
-        pi: usize,
-        t: TermId,
-        terms: &TermStore,
-        stats: &mut MatcherStats,
-    ) -> bool {
-        if !self.memo.contains_key(&t) {
-            stats.terms_walked += 1;
-            let candidates = self.set.candidates_bounded(
-                terms,
-                t,
-                &mut stats.trie_steps,
-                self.budget.as_deref(),
-            );
-            self.memo.insert(t, candidates);
-        }
-        self.memo[&t].binary_search(&(pi as u32)).is_ok()
+    fn candidates(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> &[u32] {
+        let (start, len) = match self.memo.get(&t) {
+            Some(&span) => span,
+            None => {
+                stats.terms_walked += 1;
+                let start = self.pool.len();
+                self.set.candidates_bounded(
+                    terms,
+                    t,
+                    &mut stats.trie_steps,
+                    self.budget.as_deref(),
+                    &mut self.pool,
+                );
+                let span = (start as u32, (self.pool.len() - start) as u32);
+                self.memo.insert(t, span);
+                span
+            }
+        };
+        &self.pool[start as usize..][..len as usize]
     }
 
     fn set_budget(&mut self, budget: Option<Arc<Budget>>) {
@@ -252,7 +270,7 @@ pub fn build_matcher(
     patterns: &[PatternId],
 ) -> Box<dyn Matcher> {
     match backend {
-        MatcherBackend::PerPattern => Box::new(PerPatternMatcher),
+        MatcherBackend::PerPattern => Box::new(PerPatternMatcher::new(patterns.len())),
         MatcherBackend::Fused => Box::new(FusedMatcher::new(pats, patterns)),
     }
 }
@@ -287,8 +305,8 @@ mod tests {
 
         // Even a head mismatch goes to the machine.
         let mut stats = MatcherStats::default();
-        let mut matcher = build_matcher(MatcherBackend::PerPattern, &pats, &[pf]);
-        assert!(matcher.admits(0, tg, &terms, &mut stats));
+        let mut matcher = build_matcher(MatcherBackend::PerPattern, &pats, &[pf, px]);
+        assert_eq!(matcher.candidates(tg, &terms, &mut stats), [0, 1]);
     }
 
     #[test]
@@ -305,12 +323,17 @@ mod tests {
 
         let mut stats = MatcherStats::default();
         let mut m = FusedMatcher::new(&pats, &[pf, px]);
-        assert!(m.admits(0, tf, &terms, &mut stats));
-        assert!(m.admits(1, tf, &terms, &mut stats));
-        assert!(!m.admits(0, c, &terms, &mut stats));
-        assert!(m.admits(1, c, &terms, &mut stats));
+        assert_eq!(m.candidates(tf, &terms, &mut stats), [0, 1]);
+        assert_eq!(m.candidates(c, &terms, &mut stats), [1]);
+        assert_eq!(m.candidates(tf, &terms, &mut stats), [0, 1]);
         assert_eq!(stats.terms_walked, 2, "one walk per distinct term");
         assert!(stats.trie_steps > 0);
+        // A term with no candidates takes a memo entry and no pool space.
+        let tg = terms.app(syms.op("g", 1), vec![c]);
+        let mut none = FusedMatcher::new(&pats, &[pf]);
+        assert!(none.candidates(tg, &terms, &mut stats).is_empty());
+        assert!(none.pool.is_empty());
+        assert_eq!(none.memo.len(), 1);
     }
 
     #[test]

@@ -14,9 +14,9 @@
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx};
 use crate::rewriter::find_matches;
 use crate::session::Session;
+use pypm_core::IdSet;
 use pypm_dsl::{LibraryConfig, RuleSet};
 use pypm_graph::{Graph, NodeId, TermView};
-use std::collections::HashSet;
 
 /// One claimed subgraph region.
 #[derive(Debug, Clone)]
@@ -63,7 +63,7 @@ fn partition(
         &mut session.terms,
         &session.registry,
     );
-    let mut claimed: HashSet<NodeId> = HashSet::new();
+    let mut claimed: IdSet<NodeId> = IdSet::default();
     let mut out = Vec::new();
     for report in reports {
         let mut nodes: Vec<NodeId> = Vec::new();
@@ -89,7 +89,7 @@ fn partition(
             continue;
         }
         claimed.extend(nodes.iter().copied());
-        let member: HashSet<NodeId> = nodes.iter().copied().collect();
+        let member: IdSet<NodeId> = nodes.iter().copied().collect();
         let mut frontier = Vec::new();
         for &n in &nodes {
             for &input in &graph.node(n).inputs {
@@ -293,7 +293,7 @@ mod tests {
         assert_eq!(parts.len(), 2);
         // Each region covers its matmul and its relu (4 nodes total,
         // disjoint).
-        let all: HashSet<NodeId> = parts.iter().flat_map(|p| p.nodes.clone()).collect();
+        let all: IdSet<NodeId> = parts.iter().flat_map(|p| p.nodes.clone()).collect();
         assert_eq!(all.len(), 4, "partitions must not overlap");
         assert!(!all.contains(&sum), "Add is not part of any epilog region");
     }

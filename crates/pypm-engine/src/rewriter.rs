@@ -43,11 +43,10 @@ use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx, RejectReason};
 use crate::session::Session;
 use crate::shard::{warm_probes, ParallelConfig, ParallelStats, ProbeCache, ProbeKey, ProbeResult};
-use pypm_core::{Budget, Machine, Outcome, PatternId, Subst, TermId, Witness};
+use pypm_core::{Budget, IdSet, Machine, Outcome, PatternId, Subst, TermId, Witness};
 use pypm_dsl::{Rhs, RuleSet};
 use pypm_graph::{Graph, NodeId, TermView};
 use pypm_perf::pool::WorkerPool;
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -367,13 +366,15 @@ struct Driver<'a> {
     /// `rules.patterns[i].pattern` per index — the tiny handle table
     /// warm-phase worker tasks clone instead of the rule set.
     pattern_ids: Vec<PatternId>,
+    /// `rank[i]` = how many of the first `i` patterns bear rules
+    /// (`rank[P]` = all that do): what a visit that never reaches a
+    /// pattern still has to *account* for it (see
+    /// [`Driver::visit_node`]).
+    rank: Vec<u32>,
     /// Memoized probe outcomes, keyed by (pattern index, term). Only
     /// populated when `parallel.is_parallel()`; a term key can never go
     /// stale because rewrites give every changed node a fresh term.
     cache: ProbeCache,
-    /// The candidate-discovery index (see [`crate::matcher`]) over the
-    /// rule set's patterns, in rule-set order.
-    matcher: Box<dyn Matcher>,
     /// The run's cooperative resource budget; `None` (the default)
     /// means unlimited.
     budget: Option<Arc<Budget>>,
@@ -383,23 +384,33 @@ impl<'a> Driver<'a> {
     /// Sets the engine up for one run: the parallel match-phase
     /// configuration, pool and budget come from `cx`.
     fn new(session: &'a mut Session, pass: &'a RewritePass, cx: &PipelineCx) -> Self {
-        let parallel = cx.parallel();
-        let budget = cx.budget().cloned();
-        let pattern_ids: Vec<PatternId> = pass.rules.patterns.iter().map(|d| d.pattern).collect();
-        let mut matcher = build_matcher(pass.matcher, &session.pats, &pattern_ids);
-        // The fused matcher charges its trie walks against the budget
-        // (and truncates them once it trips).
-        matcher.set_budget(budget.clone());
+        let patterns = &pass.rules.patterns;
+        let mut rank = vec![0u32; patterns.len() + 1];
+        for (pi, def) in patterns.iter().enumerate() {
+            rank[pi + 1] = rank[pi] + u32::from(!def.rules.is_empty());
+        }
         Driver {
             session,
             pass,
-            parallel,
+            parallel: cx.parallel(),
             pool: cx.pool(),
-            pattern_ids,
-            cache: ProbeCache::new(),
-            matcher,
-            budget,
+            pattern_ids: patterns.iter().map(|d| d.pattern).collect(),
+            rank,
+            cache: ProbeCache::default(),
+            budget: cx.budget().cloned(),
         }
+    }
+
+    /// Whether pattern `pi` has rules to fire. Pattern-only definitions
+    /// (e.g. `PwSubgraph`) are matched by [`find_matches`] and
+    /// partitioning, never by this pass.
+    fn bears_rules(&self, pi: usize) -> bool {
+        self.rank[pi + 1] > self.rank[pi]
+    }
+
+    /// How many of the loaded patterns bear rules.
+    fn rule_bearing(&self) -> u32 {
+        self.rank[self.pattern_ids.len()]
     }
 
     /// Runs the pass to fixpoint, mutating `graph` in place and
@@ -413,11 +424,17 @@ impl<'a> Driver<'a> {
         if self.parallel.is_parallel() {
             stats.parallel.probes_by_shard = vec![0; self.parallel.jobs];
         }
+        // The candidate-discovery index (see [`crate::matcher`]) over
+        // the rule set's patterns, in rule-set order. The fused backend
+        // charges its trie walks against the budget (and truncates them
+        // once it trips).
+        let mut matcher = build_matcher(self.pass.matcher, &self.session.pats, &self.pattern_ids);
+        matcher.set_budget(self.budget.clone());
         // The scan collects by reference count, which is exact only on a
         // graph that holds no garbage to begin with: one mark-sweep
         // before it for whatever the caller left unreferenced …
         graph.gc();
-        self.scan(graph, cx, &mut stats)?;
+        self.scan(graph, matcher.as_mut(), cx, &mut stats)?;
         // … and one after it, which then has nothing left to find.
         let missed = graph.gc();
         debug_assert!(missed.is_empty(), "the scan left {missed:?} uncollected");
@@ -438,24 +455,43 @@ impl<'a> Driver<'a> {
     }
 
     /// The parallel discovery phase of one scan round: collects the
-    /// round's candidate probes — the members of `ahead` (the scan
-    /// order from the cursor on, reversed) the serial scan will visit
-    /// (all of them, or under a worklist only the `dirty` ones), in
-    /// scan order, every rule-bearing pattern per candidate — and fans
+    /// round's probes — for every member of `ahead` (the scan order
+    /// from the cursor on, reversed) the serial scan will visit (all of
+    /// them, or under a worklist only the `dirty` ones), in scan order,
+    /// the rule-bearing members of its term's candidate set — and fans
     /// the uncached ones across the pool workers. A no-op under
     /// `jobs = 1`.
+    ///
+    /// **Under a worklist only round one can queue anything**, so later
+    /// rounds return without walking the order. A round queues a dirty
+    /// node that has a *clean* term. Whatever a firing dirties lies in
+    /// the cone [`TermView::patch`] marks stale, fresh nodes included,
+    /// and a stale node has no term until a visit repairs it — its own
+    /// (which also cleans it), or that of a user, which comes later in
+    /// the order than the node's own. So a node found dirty with a
+    /// clean term in a later round has been both, with that term, since
+    /// round one, which queued its every admitted pair; the cache never
+    /// evicts, and a warm phase the budget cut short aborts the pass.
+    /// Dev-profile builds recompute a skipped round's queue and assert
+    /// it empty. The reference scan does warm every round: its
+    /// candidates include the nodes earlier rounds repaired.
     fn warm_round(
         &mut self,
+        matcher: &mut dyn Matcher,
         ahead: &[NodeId],
         dirty: Option<&NodeFlags>,
         view: &TermView,
         stats: &mut PassStats,
     ) -> Result<(), RewriteError> {
-        if !self.parallel.is_parallel() {
+        if !self.parallel.is_parallel() || self.rule_bearing() == 0 {
+            return Ok(());
+        }
+        let settled = dirty.is_some() && stats.sweeps > 1;
+        if settled && !cfg!(debug_assertions) {
             return Ok(());
         }
         let mut todo: Vec<ProbeKey> = Vec::new();
-        let mut queued: HashSet<ProbeKey> = HashSet::new();
+        let mut queued: IdSet<ProbeKey> = IdSet::default();
         for &node in ahead.iter().rev() {
             if dirty.is_some_and(|d| !d.has(node, NodeFlags::DIRTY)) {
                 continue;
@@ -469,30 +505,23 @@ impl<'a> Driver<'a> {
             let Some(t) = view.term_of(node) else {
                 continue;
             };
-            for (pi, def) in self.pass.rules.patterns.iter().enumerate() {
-                if def.rules.is_empty() {
-                    continue;
-                }
-                // Discovery index first: guaranteed failures are never
-                // queued (nor cached — the consume path re-derives the
-                // verdict from the same index; the fused backend
-                // answers it from its per-term memo). Pair counters
-                // stay with the consume path so each (pattern, term)
-                // verdict is accounted exactly once.
-                if !self
-                    .matcher
-                    .admits(pi, t, &self.session.terms, &mut stats.matcher)
-                {
-                    continue;
-                }
-                let key = (pi, t);
-                if !self.cache.contains_key(&key) && queued.insert(key) {
-                    // Distinct nodes can share a term; queue each
-                    // (pattern, term) probe once.
+            // Discovery index first: guaranteed failures are never
+            // queued (nor cached — the visit reads the same set back
+            // from the matcher). Pair counters stay with the visit, so
+            // each (pattern, term) verdict is accounted exactly once.
+            for &pi in matcher.candidates(t, &self.session.terms, &mut stats.matcher) {
+                let key = (pi as usize, t);
+                // Distinct nodes can share a term; queue each
+                // (pattern, term) probe once.
+                if self.bears_rules(key.0) && !self.cache.contains_key(&key) && queued.insert(key) {
                     todo.push(key);
                 }
             }
         }
+        debug_assert!(
+            !settled || todo.is_empty(),
+            "a worklist round after the first had {todo:?} to warm"
+        );
         // The attrs handle is dropped again before this round's commit
         // scan can patch the view, so view maintenance never pays a
         // copy-on-write.
@@ -515,14 +544,15 @@ impl<'a> Driver<'a> {
         })
     }
 
-    /// Probes one (pattern, term) candidate: consults the discovery
-    /// index first (a rejected pair is a guaranteed failure — no
-    /// machine, no cache entry), then consumes the memoized outcome
-    /// when the parallel match phase is on (falling back to an inline
-    /// machine run on a miss), or runs the machine directly in serial
-    /// mode. Counter accounting is identical on every path — cached
-    /// probes replay the [`pypm_core::MachineStats`] a serial run of
-    /// the same probe would have produced.
+    /// Probes one *admitted* (pattern, term) pair — a member of the
+    /// term's candidate set; the pairs outside it are guaranteed
+    /// failures that [`Driver::visit_node`] accounts without coming
+    /// here. Consumes the memoized outcome when the parallel match
+    /// phase is on (falling back to an inline machine run on a miss),
+    /// or runs the machine directly in serial mode. Counter accounting
+    /// is identical on every path — cached probes replay the
+    /// [`pypm_core::MachineStats`] a serial run of the same probe would
+    /// have produced.
     fn probe(
         &mut self,
         pi: usize,
@@ -530,18 +560,6 @@ impl<'a> Driver<'a> {
         view: &TermView,
         stats: &mut PassStats,
     ) -> Option<Witness> {
-        if !self
-            .matcher
-            .admits(pi, t, &self.session.terms, &mut stats.matcher)
-        {
-            // A rejected pair is a guaranteed machine failure — no
-            // cache entry, no machine run.
-            stats.matcher.pairs_rejected += 1;
-            if self.parallel.is_parallel() {
-                stats.parallel.probes_filtered += 1;
-            }
-            return None;
-        }
         stats.matcher.pairs_admitted += 1;
         if self.parallel.is_parallel() {
             if let Some(cached) = self.cache.get(&(pi, t)) {
@@ -573,18 +591,33 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// Visits one node: counts the visit, tries every pattern in
+    /// Visits one node: counts the visit, tries the loaded patterns in
     /// rule-set order, and fires the first applicable rule. Both
     /// policies share this step, so the byte-identity contract between
     /// [`SweepPolicy::RestartOnRewrite`] and
     /// [`SweepPolicy::Incremental`] rests on the candidate set alone.
     ///
+    /// "Tries the loaded patterns" is the paper's loop with the
+    /// guaranteed failures taken out of it: one
+    /// [`Matcher::candidates`] lookup yields the patterns that can
+    /// match the node's term, only those are probed, and the pairs
+    /// skipped are *accounted, not executed* — had the loop reached
+    /// pattern `pi` it would have attempted the `rank[pi] + 1`
+    /// rule-bearing patterns up to it, and every one of them outside
+    /// the candidate set would have been one `pairs_rejected` (and one
+    /// `probes_filtered` under `jobs > 1`). A visit therefore costs its
+    /// candidates, not the rule set, while every counter reads as if
+    /// the loop had run (the `literal_loop_oracle_*` tests keep that loop
+    /// and compare).
+    ///
     /// On a firing, the graph is already rewritten and collected; the
     /// returned [`Fired`] carries the dirty seed for
     /// [`Driver::repair_view`].
+    #[allow(clippy::too_many_arguments)]
     fn visit_node(
         &mut self,
         graph: &mut Graph,
+        matcher: &mut dyn Matcher,
         view: &mut TermView,
         node: NodeId,
         flags: &mut NodeFlags,
@@ -608,44 +641,123 @@ impl<'a> Driver<'a> {
             Some(t) => t,
             None => return Ok(None),
         };
-        for (pi, def) in self.pass.rules.patterns.iter().enumerate() {
-            if def.rules.is_empty() {
-                // Pattern-only definitions (e.g. PwSubgraph) are
-                // matched by find_matches/partitioning, not by the
-                // rewriting pass.
+        if self.rule_bearing() == 0 {
+            return Ok(None);
+        }
+        #[cfg(test)]
+        if self.pass.literal_loop {
+            return self.visit_node_literally(graph, matcher, view, node, t, stats, cx);
+        }
+        let mut admitted = 0;
+        // Where the loop stopped: at the firing pattern, else past the
+        // last one.
+        let mut stop = self.pattern_ids.len();
+        let mut fired = None;
+        for &pi in matcher.candidates(t, &self.session.terms, &mut stats.matcher) {
+            let pi = pi as usize;
+            if !self.bears_rules(pi) {
                 continue;
             }
-            stats.match_attempts += 1;
+            admitted += 1;
             let Some(witness) = self.probe(pi, t, view, stats) else {
                 continue;
             };
-            stats.matches_found += 1;
-            // "PyPM runs each of the corresponding rules one by one …
-            // The first rule whose assertions pass is fired."
-            let alloc_mark = graph.allocated_count();
-            match self.fire_first_rule(graph, view, node, pi, &witness, cx)? {
-                FireResult::Fired {
-                    replacement,
-                    rewired,
-                } => {
-                    stats.rewrites_fired += 1;
-                    // The root lost its last reader; what only it kept
-                    // alive goes with it.
-                    let collected = graph.collect(node);
-                    debug_assert_eq!(graph.validate(), Ok(()));
-                    return Ok(Some(Fired {
-                        replacement,
-                        rewired,
-                        fresh: graph.allocated_since(alloc_mark),
-                        collected,
-                    }));
+            fired = self.on_match(graph, view, node, pi, &witness, stats, cx)?;
+            if fired.is_some() {
+                stop = pi;
+                break;
+            }
+        }
+        let attempts = u64::from(self.rank[stop]) + u64::from(fired.is_some());
+        stats.match_attempts += attempts;
+        stats.matcher.pairs_rejected += attempts - admitted;
+        if self.parallel.is_parallel() {
+            stats.parallel.probes_filtered += attempts - admitted;
+        }
+        Ok(fired)
+    }
+
+    /// The visit as the paper words it — every rule-bearing pattern in
+    /// turn, each pair asked of the index and counted where it is
+    /// tried. The oracle the `literal_loop_oracle_*` tests hold
+    /// [`Driver::visit_node`]'s arithmetic against.
+    #[cfg(test)]
+    #[allow(clippy::too_many_arguments)]
+    fn visit_node_literally(
+        &mut self,
+        graph: &mut Graph,
+        matcher: &mut dyn Matcher,
+        view: &mut TermView,
+        node: NodeId,
+        t: TermId,
+        stats: &mut PassStats,
+        cx: &mut PipelineCx,
+    ) -> Result<Option<Fired>, RewriteError> {
+        for pi in 0..self.pattern_ids.len() {
+            if self.pass.rules.patterns[pi].rules.is_empty() {
+                continue;
+            }
+            stats.match_attempts += 1;
+            let admits = matcher
+                .candidates(t, &self.session.terms, &mut stats.matcher)
+                .binary_search(&(pi as u32))
+                .is_ok();
+            if !admits {
+                stats.matcher.pairs_rejected += 1;
+                if self.parallel.is_parallel() {
+                    stats.parallel.probes_filtered += 1;
                 }
-                FireResult::Rejected(reason) => {
-                    cx.emit_match_rejected(&def.name, node, reason);
-                }
+                continue;
+            }
+            let Some(witness) = self.probe(pi, t, view, stats) else {
+                continue;
+            };
+            if let Some(fired) = self.on_match(graph, view, node, pi, &witness, stats, cx)? {
+                return Ok(Some(fired));
             }
         }
         Ok(None)
+    }
+
+    /// Pattern `pi` matched at `node`: "PyPM runs each of the
+    /// corresponding rules one by one … The first rule whose assertions
+    /// pass is fired." Returns the firing, or `None` after reporting
+    /// why no rule fired.
+    #[allow(clippy::too_many_arguments)]
+    fn on_match(
+        &mut self,
+        graph: &mut Graph,
+        view: &TermView,
+        node: NodeId,
+        pi: usize,
+        witness: &Witness,
+        stats: &mut PassStats,
+        cx: &mut PipelineCx,
+    ) -> Result<Option<Fired>, RewriteError> {
+        stats.matches_found += 1;
+        let alloc_mark = graph.allocated_count();
+        match self.fire_first_rule(graph, view, node, pi, witness, cx)? {
+            FireResult::Fired {
+                replacement,
+                rewired,
+            } => {
+                stats.rewrites_fired += 1;
+                // The root lost its last reader; what only it kept
+                // alive goes with it.
+                let collected = graph.collect(node);
+                debug_assert_eq!(graph.validate(), Ok(()));
+                Ok(Some(Fired {
+                    replacement,
+                    rewired,
+                    fresh: graph.allocated_since(alloc_mark),
+                    collected,
+                }))
+            }
+            FireResult::Rejected(reason) => {
+                cx.emit_match_rejected(&self.pass.rules.patterns[pi].name, node, reason);
+                Ok(None)
+            }
+        }
     }
 
     /// Repairs the view's bookkeeping after a fired rewrite: the
@@ -766,6 +878,7 @@ impl<'a> Driver<'a> {
     fn scan(
         &mut self,
         graph: &mut Graph,
+        matcher: &mut dyn Matcher,
         cx: &mut PipelineCx,
         stats: &mut PassStats,
     ) -> Result<(), RewriteError> {
@@ -811,7 +924,7 @@ impl<'a> Driver<'a> {
             // the pool workers before the serial scan consumes them.
             // The probe cache persists across rounds (terms are
             // hash-consed), so a restart round mostly re-warms nothing.
-            self.warm_round(&ahead, worklist.then_some(&flags), &view, stats)?;
+            self.warm_round(matcher, &ahead, worklist.then_some(&flags), &view, stats)?;
             while let Some(node) = ahead.pop() {
                 stats.cursor_steps += 1;
                 flags.set(node, NodeFlags::PASSED);
@@ -822,7 +935,8 @@ impl<'a> Driver<'a> {
                     continue;
                 }
                 self.check_budget()?;
-                let Some(fired) = self.visit_node(graph, &mut view, node, &mut flags, stats, cx)?
+                let Some(fired) =
+                    self.visit_node(graph, matcher, &mut view, node, &mut flags, stats, cx)?
                 else {
                     continue;
                 };
@@ -1081,6 +1195,9 @@ pub struct RewritePass {
     max_rewrites: usize,
     policy: SweepPolicy,
     matcher: MatcherBackend,
+    /// Visit with [`Driver::visit_node_literally`], the reference loop.
+    #[cfg(test)]
+    literal_loop: bool,
 }
 
 impl RewritePass {
@@ -1098,6 +1215,8 @@ impl RewritePass {
             max_rewrites: 100_000,
             policy: SweepPolicy::default(),
             matcher: MatcherBackend::default(),
+            #[cfg(test)]
+            literal_loop: false,
         }
     }
 
@@ -1573,6 +1692,164 @@ mod tests {
         assert!(inc.cursor_steps > nodes + (allocated - nodes));
         assert_eq!(inc.nodes_visited, 7);
         assert_eq!(inc.nodes_revisited, 0);
+    }
+
+    /// What one run shows of its visits: every counter a visit
+    /// touches, the fired and the rejected matches in event order, and
+    /// the graph it left.
+    #[derive(Debug, PartialEq)]
+    struct Observed {
+        counters: [u64; 8],
+        events: Vec<String>,
+        live_nodes: usize,
+    }
+
+    #[derive(Default)]
+    struct EventLog(Vec<String>);
+
+    impl crate::Observer for EventLog {
+        fn on_rewrite_fired(&mut self, e: &crate::RewriteFired) {
+            self.0
+                .push(format!("fired {} {:?} @{}", e.pattern, e.node, e.sweep));
+        }
+
+        fn on_match_rejected(&mut self, e: &crate::MatchRejected) {
+            self.0.push(format!(
+                "rejected {} {:?} {:?} @{}",
+                e.pattern, e.node, e.reason, e.sweep
+            ));
+        }
+    }
+
+    fn observe((mut s, mut g): (Session, Graph), pass: RewritePass, jobs: usize) -> Observed {
+        let log = std::rc::Rc::new(std::cell::RefCell::new(EventLog::default()));
+        let stats = Pipeline::new(&mut s)
+            .parallelism(ParallelConfig::with_jobs(jobs))
+            .observe(log.clone())
+            .with(pass)
+            .run(&mut g)
+            .unwrap()
+            .total();
+        let events = std::mem::take(&mut log.borrow_mut().0);
+        Observed {
+            counters: [
+                stats.match_attempts,
+                stats.matches_found,
+                stats.matcher.pairs_admitted,
+                stats.matcher.pairs_rejected,
+                stats.parallel.probes_filtered,
+                stats.machine_steps,
+                stats.nodes_visited,
+                stats.rewrites_fired,
+            ],
+            events,
+            live_nodes: g.live_count(),
+        }
+    }
+
+    /// Every third definition of the full library demoted to
+    /// pattern-only, so rule-less patterns sit *between* rule-bearing
+    /// ones and the prefix counts are not the indices.
+    fn interleaved(s: &mut Session) -> RuleSet {
+        let mut rules = s.load_library(LibraryConfig::all());
+        for def in rules.patterns.iter_mut().skip(1).step_by(3) {
+            def.rules.clear();
+        }
+        rules
+    }
+
+    /// [`Driver::visit_node`] accounts the pairs it skips by
+    /// arithmetic; [`Driver::visit_node_literally`] tries and counts
+    /// them one by one. Same counters, same events, on one model ×
+    /// three rule sets × both policies × both backends × jobs 1 and 2.
+    /// Returns whether some visit fired at a pattern with a
+    /// pattern-only definition before it and rule-bearing ones on both
+    /// sides — the case the prefix count exists for.
+    fn literal_loop_agrees(model: &str, build: &dyn Fn() -> (Session, Graph)) -> bool {
+        type Rules = fn(&mut Session) -> RuleSet;
+        let rule_sets: [(&str, Rules); 3] = [
+            ("both", |s| s.load_library(LibraryConfig::both())),
+            ("all+synth39", |s| {
+                s.load_library(LibraryConfig::all().with_synth(39))
+            }),
+            ("interleaved", interleaved),
+        ];
+        let mid_set: Vec<String> = {
+            let defs = interleaved(&mut Session::new()).patterns;
+            let bearing: Vec<usize> = (0..defs.len())
+                .filter(|&pi| !defs[pi].rules.is_empty())
+                .collect();
+            bearing[1..bearing.len() - 1]
+                .iter()
+                .filter(|&&pi| defs[..pi].iter().any(|d| d.rules.is_empty()))
+                .map(|&pi| format!("fired {} ", defs[pi].name))
+                .collect()
+        };
+        let mut fired_mid_set = false;
+        for (rname, rules) in rule_sets {
+            for policy in SweepPolicy::ALL {
+                for backend in MatcherBackend::ALL {
+                    for jobs in [1, 2] {
+                        let run = |literal_loop| {
+                            let (mut s, g) = build();
+                            let pass = RewritePass {
+                                literal_loop,
+                                ..RewritePass::new(rules(&mut s))
+                                    .policy(policy)
+                                    .matcher(backend)
+                            };
+                            observe((s, g), pass, jobs)
+                        };
+                        let (by_arithmetic, literal) = (run(false), run(true));
+                        assert_eq!(
+                            by_arithmetic, literal,
+                            "{model}/{rname}/{policy}/{backend}/jobs={jobs}"
+                        );
+                        fired_mid_set |= rname == "interleaved"
+                            && literal
+                                .events
+                                .iter()
+                                .any(|e| mid_set.iter().any(|m| e.starts_with(m)));
+                    }
+                }
+            }
+        }
+        fired_mid_set
+    }
+
+    // `pypm-models` builds into the engine *it* links — this crate as
+    // its dependents see it, not this test build of it — so the
+    // `Session` it takes is a type this module cannot name. `Default`
+    // lets inference name it, and the stores inside are `pypm-core` and
+    // `pypm-graph` types on both sides, so they move across.
+    macro_rules! adopted {
+        ($cfg:expr) => {
+            || {
+                let mut theirs = Default::default();
+                let g = $cfg.build(&mut theirs);
+                let mut s = Session::new();
+                s.syms = theirs.syms;
+                s.registry = theirs.registry;
+                s.ops = theirs.ops;
+                s.tattrs = theirs.tattrs;
+                (s, g)
+            }
+        };
+    }
+
+    #[test]
+    fn literal_loop_oracle_hf_zoo() {
+        for cfg in pypm_models::hf_zoo() {
+            let fired_mid_set = literal_loop_agrees(cfg.name, &adopted!(cfg));
+            assert!(fired_mid_set, "{}: no firing at a middle pattern", cfg.name);
+        }
+    }
+
+    #[test]
+    fn literal_loop_oracle_tv_zoo() {
+        for cfg in pypm_models::tv_zoo() {
+            literal_loop_agrees(cfg.name, &adopted!(cfg));
+        }
     }
 
     #[test]

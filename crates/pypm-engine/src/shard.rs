@@ -60,11 +60,12 @@
 //! subgraphs carry equal metadata) — the invariant documented on that
 //! variant and hunted by the nightly randomized divergence suites.
 
-use pypm_core::{Budget, Machine, Outcome, PatternId, PatternStore, TermId, TermStore, Witness};
+use pypm_core::{
+    Budget, IdMap, Machine, Outcome, PatternId, PatternStore, TermId, TermStore, Witness,
+};
 use pypm_graph::GraphAttrInterp;
 use pypm_perf::parallel::{available_jobs, shard_ranges};
 use pypm_perf::pool::{PoolError, WorkerPool};
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -257,7 +258,7 @@ impl ProbeResult {
 pub(crate) type ProbeKey = (usize, TermId);
 
 /// The probe cache one pass run accumulates.
-pub(crate) type ProbeCache = HashMap<ProbeKey, ProbeResult>;
+pub(crate) type ProbeCache = IdMap<ProbeKey, ProbeResult>;
 
 /// Don't dispatch a pool task for fewer probes than this — below it,
 /// the per-task cost (pattern-store clone + two channel transfers)
@@ -436,7 +437,7 @@ pub(crate) fn warm_probes(
     // Merge in shard order — candidate order, since chunks are
     // contiguous. Keys are unique (deduplicated upstream), so the
     // merge order only matters for determinism of iteration-free maps,
-    // which a keyed HashMap gives us for free; ordering is preserved
+    // which a keyed map gives us for free; ordering is preserved
     // where it matters, in the serial commit scan.
     for (shard, buffer) in buffers.into_iter().enumerate() {
         let probes = buffer.len() as u64;
@@ -512,7 +513,7 @@ mod tests {
 
         let patterns: Vec<_> = rules.patterns.iter().map(|d| d.pattern).collect();
         let pool = WorkerPool::new(3);
-        let mut cache = ProbeCache::new();
+        let mut cache = ProbeCache::default();
         let mut stats = ParallelStats::default();
         let attrs = view.attrs_shared();
         warm_probes(
@@ -576,7 +577,7 @@ mod tests {
         let mut s = Session::new();
         let rules = s.load_library(LibraryConfig::both());
         let patterns: Vec<_> = rules.patterns.iter().map(|d| d.pattern).collect();
-        let mut cache = ProbeCache::new();
+        let mut cache = ProbeCache::default();
         let mut stats = ParallelStats::default();
         let g = Graph::new();
         let view = TermView::build(&g, &mut s.syms, &mut s.terms, &s.registry);
@@ -653,7 +654,7 @@ mod tests {
         let terms_before = s.terms.len();
         assert!(terms_before > 0);
 
-        let mut cache = ProbeCache::new();
+        let mut cache = ProbeCache::default();
         let mut stats = ParallelStats::default();
         pypm_faults::arm("worker.panic=panic*1").unwrap();
         let err = warm_probes(
@@ -678,7 +679,7 @@ mod tests {
             "the loan guard must restore the term store on the error path"
         );
 
-        let mut cache = ProbeCache::new();
+        let mut cache = ProbeCache::default();
         let mut stats = ParallelStats::default();
         warm_probes(
             ParallelConfig::with_jobs(4),
@@ -748,7 +749,7 @@ mod tests {
             .map(|pi| (pi, t))
             .collect();
         let pool = WorkerPool::new(2);
-        let mut cache = ProbeCache::new();
+        let mut cache = ProbeCache::default();
         let mut stats = ParallelStats::default();
         let attrs = view.attrs_shared();
         warm_probes(

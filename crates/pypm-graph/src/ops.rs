@@ -8,8 +8,7 @@
 //! inference when rewrites build replacement nodes.
 
 use crate::tensor::TensorMeta;
-use pypm_core::{Symbol, SymbolTable};
-use std::collections::HashMap;
+use pypm_core::{IdMap, Symbol, SymbolTable};
 use std::fmt;
 
 /// Semantic class of an operator, exposed to guards as the `op_class`
@@ -153,7 +152,7 @@ impl std::error::Error for ShapeError {}
 /// The operator registry.
 #[derive(Debug, Clone, Default)]
 pub struct OpRegistry {
-    by_symbol: HashMap<Symbol, OpInfo>,
+    by_symbol: IdMap<Symbol, OpInfo>,
 }
 
 impl OpRegistry {

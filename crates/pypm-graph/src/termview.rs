@@ -18,8 +18,7 @@
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::ops::OpRegistry;
 use crate::tensor::TensorMeta;
-use pypm_core::{Attr, AttrInterp, Symbol, SymbolTable, TermId, TermStore};
-use std::collections::{HashMap, HashSet};
+use pypm_core::{Attr, AttrInterp, IdMap, Symbol, SymbolTable, TermId, TermStore};
 use std::sync::Arc;
 
 /// The ordered producer set of one term, id-sorted so the canonical
@@ -117,49 +116,59 @@ impl TensorAttrs {
     }
 }
 
-/// The attribute interpretation backed by a term view's side tables.
+/// What a term view records about one term: copied from the term's
+/// first producer (any producer carries the same values, see
+/// [`TermView`]).
+#[derive(Debug, Clone)]
+struct TermAttrs {
+    meta: TensorMeta,
+    /// The [`OpClass`](crate::ops::OpClass) code of the head operator.
+    class_code: i64,
+    /// Operator attributes attached to the node (stride, value_milli,
+    /// epilog, …).
+    node_attrs: Vec<(Attr, i64)>,
+}
+
+/// The attribute interpretation backed by a term view's side table.
 #[derive(Debug, Clone, Default)]
 pub struct GraphAttrInterp {
-    meta: HashMap<TermId, TensorMeta>,
-    class_code: HashMap<TermId, i64>,
-    node_attrs: HashMap<TermId, Vec<(Attr, i64)>>,
+    by_term: IdMap<TermId, TermAttrs>,
     handles: Option<TensorAttrs>,
 }
 
 impl GraphAttrInterp {
     /// Metadata recorded for a term, if any.
     pub fn meta(&self, t: TermId) -> Option<&TensorMeta> {
-        self.meta.get(&t)
+        self.by_term.get(&t).map(|entry| &entry.meta)
     }
 }
 
 impl AttrInterp for GraphAttrInterp {
     fn attr(&self, _terms: &TermStore, t: TermId, attr: Attr) -> Option<i64> {
         let handles = self.handles?;
+        let TermAttrs {
+            meta,
+            class_code,
+            node_attrs,
+        } = self.by_term.get(&t)?;
         if attr == handles.op_class {
-            return self.class_code.get(&t).copied();
+            return Some(*class_code);
         }
-        if let Some(meta) = self.meta.get(&t) {
-            if attr == handles.rank {
-                return Some(meta.shape.rank() as i64);
-            }
-            if attr == handles.elt_type {
-                return Some(meta.dtype.code());
-            }
-            if attr == handles.numel {
-                return Some(meta.shape.numel());
-            }
-            for (i, &d) in handles.dims.iter().enumerate() {
-                if attr == d {
-                    return meta.shape.dim(i);
-                }
+        if attr == handles.rank {
+            return Some(meta.shape.rank() as i64);
+        }
+        if attr == handles.elt_type {
+            return Some(meta.dtype.code());
+        }
+        if attr == handles.numel {
+            return Some(meta.shape.numel());
+        }
+        for (i, &d) in handles.dims.iter().enumerate() {
+            if attr == d {
+                return meta.shape.dim(i);
             }
         }
-        // Operator attributes attached to the node (stride, value_milli,
-        // epilog, …).
-        self.node_attrs
-            .get(&t)
-            .and_then(|attrs| attrs.iter().find(|(k, _)| *k == attr).map(|&(_, v)| v))
+        node_attrs.iter().find(|(k, _)| *k == attr).map(|&(_, v)| v)
     }
 }
 
@@ -224,26 +233,32 @@ fn specialized_const(syms: &mut SymbolTable, op: Symbol, attrs: &[(Attr, i64)]) 
 #[derive(Debug, Clone)]
 pub struct TermView {
     revision: u64,
-    /// node → term for **clean** nodes only; a stale node has no entry
-    /// until it is repaired.
-    term_of_node: HashMap<NodeId, TermId>,
+    /// node → term for **clean** nodes only, by [`NodeId::index`]; a
+    /// stale node has `None` until it is repaired. Per-node state is a
+    /// dense vector (node ids are a graph's own, allocated from zero);
+    /// per-term state is a map, because the [`TermStore`] may be a
+    /// long-lived session's and dwarf the graph.
+    term_of_node: Vec<Option<TermId>>,
+    /// How many nodes have a term ([`TermView::len`]).
+    clean: usize,
     /// Ordered first-producer bookkeeping: every live producer of a
     /// term, ordered by node id ([`Producers`]). The canonical producer
     /// is the first element; erasing or adding a producer is
     /// O(log |producers|). Stale nodes are absent.
-    producers: HashMap<TermId, Producers>,
+    producers: IdMap<TermId, Producers>,
     /// Attribute side tables, shared with parallel match workers
     /// through [`TermView::attrs_shared`]. Mutations go through
     /// [`Arc::make_mut`], which stays in place (no copy) as long as no
     /// worker handle is outstanding — the engine drops worker handles
     /// before patching.
     attrs: Arc<GraphAttrInterp>,
-    /// Nodes marked dirty by [`TermView::invalidate`], consumed by the
-    /// next [`TermView::patch`].
-    pending: HashSet<NodeId>,
-    /// Nodes awaiting on-demand repair — marked by [`TermView::patch`],
-    /// already removed from the clean maps.
-    stale: HashSet<NodeId>,
+    /// Nodes marked dirty by [`TermView::invalidate`] (repeats allowed),
+    /// consumed by the next [`TermView::patch`].
+    pending: Vec<NodeId>,
+    /// Whether a node awaits on-demand repair — marked by
+    /// [`TermView::patch`], already removed from the clean maps. By
+    /// [`NodeId::index`]; ids past the end are not stale.
+    stale: Vec<bool>,
     /// Terms recomputed by on-demand repair over the view's lifetime
     /// (see [`TermView::terms_recomputed`]).
     recomputed: u64,
@@ -261,14 +276,15 @@ impl TermView {
         let handles = TensorAttrs::intern(syms);
         let mut view = TermView {
             revision: graph.revision(),
-            term_of_node: HashMap::new(),
-            producers: HashMap::new(),
+            term_of_node: vec![None; graph.allocated_count()],
+            clean: 0,
+            producers: IdMap::default(),
             attrs: Arc::new(GraphAttrInterp {
                 handles: Some(handles),
                 ..GraphAttrInterp::default()
             }),
-            pending: HashSet::new(),
-            stale: HashSet::new(),
+            pending: Vec::new(),
+            stale: vec![false; graph.allocated_count()],
             recomputed: 0,
         };
         for n in graph.topo_order() {
@@ -315,21 +331,23 @@ impl TermView {
     /// the linear walk this method exists to avoid).
     pub fn patch(&mut self, graph: &Graph) -> Vec<NodeId> {
         self.revision = graph.revision();
-        let seed = std::mem::take(&mut self.pending);
-        let mut queue: Vec<NodeId> = Vec::new();
-        for n in seed {
-            if graph.is_alive(n) {
-                queue.push(n);
-            } else {
+        if self.stale.len() < graph.allocated_count() {
+            self.stale.resize(graph.allocated_count(), false);
+        }
+        let mut queue = std::mem::take(&mut self.pending);
+        queue.retain(|&n| {
+            let alive = graph.is_alive(n);
+            if !alive {
                 // Dead: gone from the clean maps, gone from the stale
                 // set — exactly like a fresh build would not see it.
-                self.stale.remove(&n);
+                self.stale[n.index()] = false;
                 self.erase(n);
             }
-        }
+            alive
+        });
         let mut marked: Vec<NodeId> = Vec::new();
         while let Some(n) = queue.pop() {
-            if !self.stale.insert(n) {
+            if std::mem::replace(&mut self.stale[n.index()], true) {
                 continue;
             }
             // The old term leaves the index *now*, so node_of can never
@@ -337,11 +355,13 @@ impl TermView {
             self.erase(n);
             marked.push(n);
             for &u in graph.users_of(n) {
-                if !self.stale.contains(&u) {
+                if !self.stale[u.index()] {
                     queue.push(u);
                 }
             }
         }
+        // Drained; hand the allocation back for the next seed.
+        self.pending = queue;
         marked.sort_unstable();
         marked
     }
@@ -362,37 +382,38 @@ impl TermView {
         registry: &OpRegistry,
         n: NodeId,
     ) -> Option<TermId> {
-        if let Some(&t) = self.term_of_node.get(&n) {
+        if let Some(t) = self.term_of(n) {
             return Some(t);
         }
-        if !self.stale.contains(&n) {
+        if !self.is_stale(n) {
             return None;
         }
         // Iterative input-first DFS over the stale region: rewiring
         // points users at later-allocated replacement nodes, so node
-        // ids carry no topological order we could lean on.
+        // ids carry no topological order we could lean on. A node is
+        // pushed once per stale path to it and repaired the first time
+        // it surfaces with clean inputs.
         let mut stack = vec![n];
         while let Some(&top) = stack.last() {
-            let mut deferred = false;
-            for &i in &graph.node(top).inputs {
-                if self.stale.contains(&i) && !stack.contains(&i) {
-                    stack.push(i);
-                    deferred = true;
-                }
-            }
-            if deferred {
+            let below = stack.len();
+            stack.extend(graph.node(top).inputs.iter().filter(|i| self.is_stale(**i)));
+            if stack.len() > below {
                 continue;
             }
             stack.pop();
-            if !self.stale.remove(&top) {
-                // Repaired by a sibling branch of this very DFS.
+            if !std::mem::replace(&mut self.stale[top.index()], false) {
+                // Repaired on another path of this very DFS.
                 continue;
             }
             let term = Self::term_for(graph, top, syms, terms, &self.term_of_node);
             self.recomputed += 1;
             self.record(graph, registry, top, term);
         }
-        self.term_of_node.get(&n).copied()
+        self.term_of(n)
+    }
+
+    fn is_stale(&self, n: NodeId) -> bool {
+        self.stale.get(n.index()).is_some_and(|&stale| stale)
     }
 
     /// Repairs every stale node reachable from the graph outputs,
@@ -409,9 +430,13 @@ impl TermView {
         for n in graph.topo_order() {
             self.term_of_repaired(graph, syms, terms, registry, n);
         }
-        // Stale ids that are dead or unreachable by now can never be
-        // repaired (or observed); drop them.
-        self.stale.retain(|&n| graph.is_alive(n));
+        // Stale ids that are dead by now can never be repaired (or
+        // observed); drop them.
+        for n in graph.allocated_since(0) {
+            if !graph.is_alive(n) && self.is_stale(n) {
+                self.stale[n.index()] = false;
+            }
+        }
     }
 
     /// The term denoted by one node, computed from its kind and its
@@ -423,7 +448,7 @@ impl TermView {
         n: NodeId,
         syms: &mut SymbolTable,
         terms: &mut TermStore,
-        term_of_node: &HashMap<NodeId, TermId>,
+        term_of_node: &[Option<TermId>],
     ) -> TermId {
         let node = graph.node(n);
         match node.kind {
@@ -447,9 +472,11 @@ impl TermView {
                     .inputs
                     .iter()
                     .map(|i| {
-                        *term_of_node
-                            .get(i)
-                            .expect("inputs resolve before their users (build walks topo order; patch defers to pending inputs)")
+                        term_of_node
+                            .get(i.index())
+                            .copied()
+                            .flatten()
+                            .expect("inputs resolve before their users (build walks topo order; repair defers to stale inputs)")
                     })
                     .collect();
                 terms.app(node.op, args)
@@ -464,7 +491,12 @@ impl TermView {
     /// `SweepPolicy::Incremental`), so tables need no refresh when a
     /// second producer arrives.
     fn record(&mut self, graph: &Graph, registry: &OpRegistry, n: NodeId, term: TermId) {
-        self.term_of_node.insert(n, term);
+        if n.index() >= self.term_of_node.len() {
+            self.term_of_node.resize(n.index() + 1, None);
+        }
+        if self.term_of_node[n.index()].replace(term).is_none() {
+            self.clean += 1;
+        }
         let mut first = false;
         self.producers
             .entry(term)
@@ -475,14 +507,14 @@ impl TermView {
             });
         if first {
             let node = graph.node(n);
-            let attrs = Arc::make_mut(&mut self.attrs);
-            attrs.meta.insert(term, node.meta.clone());
-            attrs
-                .class_code
-                .insert(term, registry.class(node.op).code());
-            if !node.attrs.is_empty() {
-                attrs.node_attrs.insert(term, node.attrs.clone());
-            }
+            Arc::make_mut(&mut self.attrs).by_term.insert(
+                term,
+                TermAttrs {
+                    meta: node.meta.clone(),
+                    class_code: registry.class(node.op).code(),
+                    node_attrs: node.attrs.clone(),
+                },
+            );
         }
     }
 
@@ -490,16 +522,14 @@ impl TermView {
     /// term's producer set, and — when the last producer disappears —
     /// the term's attribute side-table entries.
     fn erase(&mut self, n: NodeId) {
-        let Some(term) = self.term_of_node.remove(&n) else {
+        let Some(term) = self.term_of_node.get_mut(n.index()).and_then(Option::take) else {
             return;
         };
+        self.clean -= 1;
         if let Some(set) = self.producers.get_mut(&term) {
             if set.remove(n) {
                 self.producers.remove(&term);
-                let attrs = Arc::make_mut(&mut self.attrs);
-                attrs.meta.remove(&term);
-                attrs.class_code.remove(&term);
-                attrs.node_attrs.remove(&term);
+                Arc::make_mut(&mut self.attrs).by_term.remove(&term);
             }
         }
     }
@@ -527,7 +557,7 @@ impl TermView {
     /// `None` here until [`TermView::term_of_repaired`] recomputes it —
     /// a stale term must never leak into matching.
     pub fn term_of(&self, n: NodeId) -> Option<TermId> {
-        self.term_of_node.get(&n).copied()
+        self.term_of_node.get(n.index()).copied().flatten()
     }
 
     /// The canonical node producing the given term, if any: the live
@@ -552,12 +582,12 @@ impl TermView {
 
     /// Number of clean (repaired) viewed nodes.
     pub fn len(&self) -> usize {
-        self.term_of_node.len()
+        self.clean
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.term_of_node.is_empty()
+        self.clean == 0
     }
 }
 
@@ -718,15 +748,22 @@ mod tests {
     fn assert_patched_equals_rebuilt(f: &mut Fx, view: &mut TermView) {
         view.repair_all(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let fresh = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
-        assert_eq!(
-            view.term_of_node, fresh.term_of_node,
-            "patched term_of_node diverges from a fresh build"
-        );
+        for n in f.g.allocated_since(0) {
+            assert_eq!(
+                view.term_of(n),
+                fresh.term_of(n),
+                "patched term of {n:?} diverges from a fresh build"
+            );
+        }
+        assert_eq!(view.len(), fresh.len());
         assert_eq!(
             view.producers, fresh.producers,
             "patched producer bookkeeping diverges from a fresh build"
         );
-        assert!(view.stale.is_empty(), "repair_all leaves no stale node");
+        assert!(
+            !view.stale.contains(&true),
+            "repair_all leaves no stale node"
+        );
     }
 
     #[test]
@@ -780,6 +817,35 @@ mod tests {
         assert_patched_equals_rebuilt(&mut f, &mut view);
         // Everything was already repaired: no further recomputes.
         assert_eq!(view.terms_recomputed(), 4);
+    }
+
+    #[test]
+    fn repair_reaches_a_stale_input_shared_by_two_stale_paths() {
+        // add(r, tanh(r)) with all three stale: the DFS from `add`
+        // stacks r below tanh, then meets r again as tanh's input — it
+        // must be repaired on that path, not assumed done because it is
+        // already on the stack.
+        let mut f = fx();
+        let a =
+            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let r =
+            f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
+                .unwrap();
+        let t =
+            f.g.op(&mut f.syms, &f.reg, f.ops.tanh, vec![r], vec![])
+                .unwrap();
+        let add =
+            f.g.op(&mut f.syms, &f.reg, f.ops.add, vec![r, t], vec![])
+                .unwrap();
+        f.g.mark_output(add);
+        let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
+        let before = view.term_of(add);
+        view.invalidate([r]);
+        assert_eq!(view.patch(&f.g), vec![r, t, add]);
+        let after = view.term_of_repaired(&f.g, &mut f.syms, &mut f.terms, &f.reg, add);
+        assert_eq!(after, before);
+        assert_eq!(view.terms_recomputed(), 3);
+        assert_patched_equals_rebuilt(&mut f, &mut view);
     }
 
     #[test]

@@ -225,7 +225,7 @@ pub fn partitioned_graph_cost(
     ops: &StdOps,
     regions: &[(Vec<NodeId>, Vec<NodeId>, NodeId)],
 ) -> f64 {
-    let mut covered = std::collections::HashSet::new();
+    let mut covered = pypm_core::IdSet::default();
     for (nodes, _, _) in regions {
         covered.extend(nodes.iter().copied());
     }
