@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, BenchmarkId, Criterion};
 use pypm_dsl::LibraryConfig;
-use pypm_engine::{ParallelConfig, PartitionPass, Pipeline, RewritePass, Session, SweepPolicy};
+use pypm_engine::{PartitionPass, Pipeline, RewritePass, Session, SweepPolicy};
 
 fn bench_hf_pass(c: &mut Criterion) {
     let mut group = c.benchmark_group("hf_rewrite_pass");
@@ -92,37 +92,6 @@ fn bench_sweep_policies(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_parallel_jobs(c: &mut Criterion) {
-    // The parallel match phase on the acceptance model: sharded
-    // discovery + serial commit at increasing worker counts, against
-    // the serial reference (paper-faithful restart policy).
-    let mut group = c.benchmark_group("parallel_jobs");
-    group.sample_size(10);
-    let cfg = pypm_models::hf_zoo()
-        .into_iter()
-        .find(|m| m.name == "bert-small")
-        .unwrap();
-    for jobs in [1usize, 2, 4, 8] {
-        group.bench_with_input(
-            BenchmarkId::new("bert-small/restart", jobs),
-            &cfg,
-            |b, cfg| {
-                b.iter(|| {
-                    let mut s = Session::new();
-                    let mut g = cfg.build(&mut s);
-                    let rs = s.load_library(LibraryConfig::both());
-                    Pipeline::new(&mut s)
-                        .with(RewritePass::new(rs).policy(SweepPolicy::RestartOnRewrite))
-                        .parallelism(ParallelConfig::with_jobs(jobs))
-                        .run(&mut g)
-                        .unwrap()
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_partitioning(c: &mut Criterion) {
     // §4.2: directed graph partitioning over a transformer model.
     let mut group = c.benchmark_group("graph_partitioning");
@@ -150,7 +119,6 @@ criterion_group!(
     bench_hf_pass,
     bench_tv_pass,
     bench_sweep_policies,
-    bench_parallel_jobs,
     bench_partitioning
 );
 

@@ -5,9 +5,10 @@
 //! ```
 //!
 //! Compares two `BENCH_rewrite_pass.json` documents (schema
-//! `pypm.bench.rewrite_pass.v5`, row-compatible with v4, v3, v2 and
-//! v1) and exits non-zero when the current run regressed against the
-//! checked-in baseline:
+//! `pypm.bench.rewrite_pass.v6`, row-compatible with v5 down to v1 —
+//! the per-jobs sub-series v3–v5 carried are not read) and exits
+//! non-zero when the current run regressed against the checked-in
+//! baseline:
 //!
 //! * **Counter drift fails, always.** `mean_match_attempts`,
 //!   `mean_matches_found` and `mean_rewrites_fired` are deterministic
@@ -15,23 +16,15 @@
 //!   cell present in both documents means the rewrite behaviour changed
 //!   and the baseline must be regenerated deliberately (with the
 //!   change's justification in the PR).
-//! * **Parallel-vs-serial drift fails, always.** Within the *current*
-//!   document, every v3 per-jobs sub-series (`policies.P.jobs.N`) must
-//!   carry exactly the serial series' counters — the sharded match
-//!   phase's byte-identity contract, checked on every gate run, not
-//!   just against the baseline.
 //! * **Wall-clock regressions beyond the tolerance fail.** Each cell's
 //!   wall-clock may regress up to `--wall-tolerance` (default 0.25 =
 //!   +25%); speedups always pass. The compared statistic is
 //!   `min_wall_ms` when both documents carry it (the best case of a
 //!   deterministic CPU-bound loop is insensitive to scheduler
 //!   interference), falling back to `mean_wall_ms` for v1 documents.
-//!   Per-jobs sub-series compare as their own `P@jobsN` series, so a
-//!   parallel-path slowdown is caught even while the serial path holds.
-//! * **Lost coverage fails.** A (model, config) row, a policy series,
-//!   or a per-jobs sub-series present in the baseline but missing from
-//!   the current document means the bench silently stopped measuring
-//!   something.
+//! * **Lost coverage fails.** A (model, config) row or a policy series
+//!   present in the baseline but missing from the current document
+//!   means the bench silently stopped measuring something.
 //!
 //! * **Fused-matcher scaling regressions fail.** Within the *current*
 //!   document's v5 `rules_scaling` section, the matcher backends must
@@ -46,7 +39,7 @@
 //!   against the baseline like ordinary rows (as `rules:<config>`
 //!   series keyed by backend).
 //!
-//! New rows/policies/jobs in the current document are reported but pass
+//! New rows/policies in the current document are reported but pass
 //! (the trajectory is allowed to grow).
 
 use pypm::core::json::{self, Value};
@@ -230,34 +223,6 @@ fn run(args: &[String]) -> Result<String, Vec<String>> {
             }
         }
     }
-    // Intra-document gate: a v3 per-jobs sub-series (`P@jobsN`) must
-    // carry exactly the counters of its serial policy series `P` — the
-    // parallel match phase's byte-identity contract.
-    for (cell, policies) in &current {
-        for (name, series) in policies {
-            let Some((base_name, jobs)) = name.split_once("@jobs") else {
-                continue;
-            };
-            let Some(base) = policies.get(base_name) else {
-                continue;
-            };
-            // Name-based lookup: the serial policy series carries more
-            // counters (e.g. v4's mean_nodes_reindexed) than the jobs
-            // sub-series; only the shared ones are comparable.
-            for (cname, cur_v) in &series.counters {
-                let Some(base_v) = base.counter(cname) else {
-                    continue;
-                };
-                if *cur_v != base_v {
-                    failures.push(format!(
-                        "{}/{}/{base_name}: jobs={jobs} {cname} drifted from serial \
-                         ({base_v} -> {cur_v}) — parallel match phase broke byte-identity",
-                        cell.0, cell.1
-                    ));
-                }
-            }
-        }
-    }
     let mut compared = 0usize;
     for (cell, base_policies) in &baseline {
         let Some(cur_policies) = current.get(cell) else {
@@ -364,23 +329,10 @@ fn load_table(path: &str) -> Result<(Table, Vec<ScalingRow>), String> {
             .to_owned();
         let mut policies = BTreeMap::new();
         match row.get("policies") {
-            // v2/v3: one series per policy.
+            // v2 on: one series per policy.
             Some(Value::Object(map)) => {
                 for (policy, series) in map {
                     policies.insert(policy.clone(), read_series(path, series)?);
-                    // v3: per-jobs sub-series become their own
-                    // comparable series, named `P@jobsN`. The serial
-                    // entry duplicates the policy series, so only
-                    // parallel counts are added.
-                    if let Some(Value::Object(jobs_map)) = series.get("jobs") {
-                        for (jobs, sub) in jobs_map {
-                            if jobs == "1" {
-                                continue;
-                            }
-                            policies
-                                .insert(format!("{policy}@jobs{jobs}"), read_series(path, sub)?);
-                        }
-                    }
                 }
             }
             // v1 rows carry the restart numbers at the top level.
@@ -460,28 +412,17 @@ fn read_series(path: &str, v: &Value) -> Result<Series, String> {
 mod tests {
     use super::*;
 
-    fn doc_with_jobs(wall: f64, attempts: f64, jobs4_attempts: f64) -> String {
+    fn doc(wall: f64, attempts: f64) -> String {
         format!(
-            r#"{{"schema": "pypm.bench.rewrite_pass.v3", "rows": [
+            r#"{{"schema": "pypm.bench.rewrite_pass.v6", "rows": [
                 {{"model": "m", "config": "both", "runs": 5,
                   "mean_wall_ms": {wall}, "mean_match_attempts": {attempts},
                   "mean_matches_found": 2.0, "mean_rewrites_fired": 2.0,
                   "policies": {{"restart": {{"mean_wall_ms": {wall}, "min_wall_ms": {wall},
                     "mean_match_attempts": {attempts}, "mean_matches_found": 2.0,
                     "mean_rewrites_fired": 2.0, "mean_view_builds": 3.0,
-                    "mean_view_patches": 0.0, "mean_nodes_revisited": 9.0,
-                    "jobs": {{
-                      "1": {{"mean_wall_ms": {wall}, "min_wall_ms": {wall},
-                        "mean_match_attempts": {attempts}, "mean_matches_found": 2.0,
-                        "mean_rewrites_fired": 2.0}},
-                      "4": {{"mean_wall_ms": {wall}, "min_wall_ms": {wall},
-                        "mean_match_attempts": {jobs4_attempts}, "mean_matches_found": 2.0,
-                        "mean_rewrites_fired": 2.0}}}}}}}}}}]}}"#
+                    "mean_view_patches": 0.0, "mean_nodes_revisited": 9.0}}}}}}]}}"#
         )
-    }
-
-    fn doc(wall: f64, attempts: f64) -> String {
-        doc_with_jobs(wall, attempts, attempts)
     }
 
     fn write(name: &str, content: &str) -> String {
@@ -507,59 +448,6 @@ mod tests {
         let err = run(&[a.clone(), b.clone()]).unwrap_err();
         assert!(
             err[0].contains("mean_match_attempts drifted 100 -> 99"),
-            "{err:?}"
-        );
-        std::fs::remove_file(a).ok();
-        std::fs::remove_file(b).ok();
-    }
-
-    #[test]
-    fn parallel_vs_serial_drift_fails_within_the_current_document() {
-        // Baseline is clean; the current run's jobs=4 sub-series
-        // disagrees with its own serial series — the parallel match
-        // phase broke byte-identity, even though nothing drifted
-        // against the baseline's serial numbers.
-        let clean = doc(1.0, 100.0);
-        let broken = doc_with_jobs(1.0, 100.0, 99.0);
-        let a = write("pdrift_a", &clean);
-        let b = write("pdrift_b", &broken);
-        let err = run(&[a.clone(), b.clone()]).unwrap_err();
-        assert!(
-            err.iter()
-                .any(|f| f.contains("parallel match phase broke byte-identity")),
-            "{err:?}"
-        );
-        // The same document as its own baseline still fails: the check
-        // is intra-document.
-        let err = run(&[b.clone(), b.clone()]).unwrap_err();
-        assert!(
-            err.iter()
-                .any(|f| f.contains("jobs=4 mean_match_attempts drifted from serial")),
-            "{err:?}"
-        );
-        std::fs::remove_file(a).ok();
-        std::fs::remove_file(b).ok();
-    }
-
-    #[test]
-    fn lost_jobs_series_fails() {
-        // Baseline carries a jobs=4 sub-series; the current document
-        // lost it (v3 baseline vs v2-shaped current row).
-        let v3 = doc(1.0, 100.0);
-        let v2 = r#"{"schema": "pypm.bench.rewrite_pass.v2", "rows": [
-            {"model": "m", "config": "both", "runs": 5, "mean_wall_ms": 1.0,
-             "mean_match_attempts": 100.0, "mean_matches_found": 2.0,
-             "mean_rewrites_fired": 2.0,
-             "policies": {"restart": {"mean_wall_ms": 1.0, "min_wall_ms": 1.0,
-               "mean_match_attempts": 100.0, "mean_matches_found": 2.0,
-               "mean_rewrites_fired": 2.0, "mean_view_builds": 3.0,
-               "mean_view_patches": 0.0, "mean_nodes_revisited": 9.0}}}]}"#;
-        let a = write("ljobs_a", &v3);
-        let b = write("ljobs_b", v2);
-        let err = run(&[a.clone(), b.clone()]).unwrap_err();
-        assert!(
-            err.iter()
-                .any(|f| f.contains("restart@jobs4") && f.contains("lost")),
             "{err:?}"
         );
         std::fs::remove_file(a).ok();
@@ -636,7 +524,7 @@ mod tests {
         )
     }
 
-    /// A v5 document: one ordinary row plus the given `rules_scaling`
+    /// A document with one ordinary row plus the given `rules_scaling`
     /// rows.
     fn doc_with_scaling_rows(rows: &[String]) -> String {
         let base = doc(1.0, 100.0).replace("]}", "],");

@@ -15,13 +15,10 @@
 use pypm::core::json::{Layout, Writer};
 use pypm_dsl::LibraryConfig;
 use pypm_engine::{
-    MatcherBackend, ParallelConfig, PassStats, Pipeline, PipelineReport, RewritePass, Session,
-    SweepPolicy,
+    MatcherBackend, PassStats, Pipeline, PipelineReport, RewritePass, Session, SweepPolicy,
 };
 use pypm_graph::Graph;
-use pypm_perf::pool::WorkerPool;
 use pypm_perf::CostModel;
-use std::sync::Arc;
 
 /// The four compile configurations of §4.1, in the paper's order.
 pub const CONFIG_NAMES: [&str; 4] = ["baseline", "fmha", "epilog", "both"];
@@ -30,17 +27,12 @@ pub const CONFIG_NAMES: [&str; 4] = ["baseline", "fmha", "epilog", "both"];
 /// in schema order (`SweepPolicy::ALL`, by its stable names).
 pub const POLICY_NAMES: [&str; 2] = ["restart", "incremental"];
 
-/// The worker counts every policy series is measured at (schema v3's
-/// per-jobs sub-series). `1` is the serial reference; `4` exercises the
-/// sharded parallel match phase.
-pub const JOBS_SERIES: [usize; 2] = [1, 4];
-
 /// The synthetic-rule counts of the rules-count scaling series (schema
 /// v5): the `all` library carries 13 rule-bearing patterns, so the
 /// points are 1×, 2×, 4× and 16× the base rule count (the last one
 /// puts the library past 200 patterns). Each point compiles
-/// [`RULES_SCALING_MODEL`] once per matcher backend at `jobs = 1`
-/// under the restart policy.
+/// [`RULES_SCALING_MODEL`] once per matcher backend under the restart
+/// policy.
 pub const SYNTH_SERIES: [u16; 4] = [0, 13, 39, 195];
 
 /// The model the rules-count scaling series measures — the acceptance
@@ -202,36 +194,15 @@ pub fn histogram(title: &str, values: &[f64]) -> String {
     s
 }
 
-/// One (policy, jobs) cell's aggregated numbers: means over `runs`
-/// pipeline runs at one worker count.
-#[derive(Debug, Clone)]
-pub struct JobsSeries {
-    /// Worker count (see [`JOBS_SERIES`]).
-    pub jobs: usize,
-    /// Mean pipeline wall-clock, ms.
-    pub mean_wall_ms: f64,
-    /// Minimum pipeline wall-clock across the runs, ms.
-    pub min_wall_ms: f64,
-    /// Mean pattern match attempts.
-    pub mean_match_attempts: f64,
-    /// Mean successful matches.
-    pub mean_matches_found: f64,
-    /// Mean rewrites fired.
-    pub mean_rewrites_fired: f64,
-}
-
 /// One sweep policy's aggregated series within a
-/// [`PassBenchRow`]: means over `runs` pipeline runs. The top-level
-/// fields carry the serial (`jobs = 1`) numbers — the v2 schema's
-/// meaning — and [`PolicySeries::jobs_series`] adds one sub-series per
-/// worker count (schema v3).
+/// [`PassBenchRow`]: means over `runs` pipeline runs.
 #[derive(Debug, Clone)]
 pub struct PolicySeries {
     /// Policy series name (see [`POLICY_NAMES`]).
     pub policy: &'static str,
-    /// Mean pipeline wall-clock, ms (serial).
+    /// Mean pipeline wall-clock, ms.
     pub mean_wall_ms: f64,
-    /// Minimum pipeline wall-clock across the runs, ms (serial). The
+    /// Minimum pipeline wall-clock across the runs, ms. The
     /// best case of a deterministic CPU-bound loop is insensitive to
     /// scheduler interference, so this — not the mean — is what the
     /// `bench_compare` wall gate compares across machines.
@@ -253,10 +224,6 @@ pub struct PolicySeries {
     /// sublinear index-maintenance payoff — O(cone) per rewrite where
     /// the pre-v4 engine paid one linear pass over the live graph.
     pub mean_nodes_reindexed: f64,
-    /// Per-jobs sub-series in [`JOBS_SERIES`] order. The semantic
-    /// counters must agree across all entries (parallel-vs-serial drift
-    /// is a `bench_compare` failure); wall-clock is the payoff.
-    pub jobs_series: Vec<JobsSeries>,
 }
 
 /// One aggregated row of the `BENCH_rewrite_pass.json` trajectory: a
@@ -303,69 +270,43 @@ pub fn rewrite_pass_row(
     let mut policies = Vec::with_capacity(SweepPolicy::ALL.len());
     let mut last: Option<PipelineReport> = None;
     for sweep in SweepPolicy::ALL {
-        let pname = sweep.name();
-        let mut jobs_series = Vec::with_capacity(JOBS_SERIES.len());
-        let mut serial_totals = PassStats::default();
-        for jobs in JOBS_SERIES {
-            let mut wall_ms = 0.0;
-            let mut min_wall_ms = f64::INFINITY;
-            let mut totals = PassStats::default();
-            // One persistent pool per (policy, jobs) cell, shared by
-            // every run via `Pipeline::with_pool`: the measured wall is
-            // the warm steady state a long-lived compiler service sees,
-            // not `runs` repetitions of thread startup.
-            let pool = (jobs > 1).then(|| Arc::new(WorkerPool::new(jobs - 1)));
-            for _ in 0..runs {
-                let mut session = Session::new();
-                let mut graph = build(&mut session);
-                let rules = session.load_library(lib);
-                let mut pipeline = Pipeline::new(&mut session)
-                    .with(RewritePass::new(rules).policy(sweep))
-                    .parallelism(ParallelConfig::with_jobs(jobs));
-                if let Some(pool) = &pool {
-                    pipeline = pipeline.with_pool(Arc::clone(pool));
-                }
-                let report = pipeline.run(&mut graph).expect("rewrite pass succeeds");
-                let total = report.total();
-                let run_ms = total.duration.as_secs_f64() * 1e3;
-                wall_ms += run_ms;
-                min_wall_ms = min_wall_ms.min(run_ms);
-                totals.match_attempts += total.match_attempts;
-                totals.matches_found += total.matches_found;
-                totals.rewrites_fired += total.rewrites_fired;
-                totals.view_builds += total.view_builds;
-                totals.view_patches += total.view_patches;
-                totals.nodes_revisited += total.nodes_revisited;
-                totals.nodes_reindexed += total.nodes_reindexed;
-                if pname == "restart" && jobs == 1 {
-                    last = Some(report);
-                }
+        let mut wall_ms = 0.0;
+        let mut min_wall_ms = f64::INFINITY;
+        let mut totals = PassStats::default();
+        for _ in 0..runs {
+            let mut session = Session::new();
+            let mut graph = build(&mut session);
+            let rules = session.load_library(lib);
+            let report = Pipeline::new(&mut session)
+                .with(RewritePass::new(rules).policy(sweep))
+                .run(&mut graph)
+                .expect("rewrite pass succeeds");
+            let total = report.total();
+            let run_ms = total.duration.as_secs_f64() * 1e3;
+            wall_ms += run_ms;
+            min_wall_ms = min_wall_ms.min(run_ms);
+            totals.match_attempts += total.match_attempts;
+            totals.matches_found += total.matches_found;
+            totals.rewrites_fired += total.rewrites_fired;
+            totals.view_builds += total.view_builds;
+            totals.view_patches += total.view_patches;
+            totals.nodes_revisited += total.nodes_revisited;
+            totals.nodes_reindexed += total.nodes_reindexed;
+            if sweep == SweepPolicy::RestartOnRewrite {
+                last = Some(report);
             }
-            if jobs == 1 {
-                serial_totals = totals.clone();
-            }
-            jobs_series.push(JobsSeries {
-                jobs,
-                mean_wall_ms: wall_ms / n,
-                min_wall_ms,
-                mean_match_attempts: totals.match_attempts as f64 / n,
-                mean_matches_found: totals.matches_found as f64 / n,
-                mean_rewrites_fired: totals.rewrites_fired as f64 / n,
-            });
         }
-        let serial = &jobs_series[0];
         policies.push(PolicySeries {
-            policy: pname,
-            mean_wall_ms: serial.mean_wall_ms,
-            min_wall_ms: serial.min_wall_ms,
-            mean_match_attempts: serial.mean_match_attempts,
-            mean_matches_found: serial.mean_matches_found,
-            mean_rewrites_fired: serial.mean_rewrites_fired,
-            mean_view_builds: serial_totals.view_builds as f64 / n,
-            mean_view_patches: serial_totals.view_patches as f64 / n,
-            mean_nodes_revisited: serial_totals.nodes_revisited as f64 / n,
-            mean_nodes_reindexed: serial_totals.nodes_reindexed as f64 / n,
-            jobs_series,
+            policy: sweep.name(),
+            mean_wall_ms: wall_ms / n,
+            min_wall_ms,
+            mean_match_attempts: totals.match_attempts as f64 / n,
+            mean_matches_found: totals.matches_found as f64 / n,
+            mean_rewrites_fired: totals.rewrites_fired as f64 / n,
+            mean_view_builds: totals.view_builds as f64 / n,
+            mean_view_patches: totals.view_patches as f64 / n,
+            mean_nodes_revisited: totals.nodes_revisited as f64 / n,
+            mean_nodes_reindexed: totals.nodes_reindexed as f64 / n,
         });
     }
     let restart = &policies[0];
@@ -383,7 +324,7 @@ pub fn rewrite_pass_row(
 }
 
 /// One matcher backend's aggregated numbers at one rules-count scaling
-/// point: means over `runs` serial restart-policy pipeline runs.
+/// point: means over `runs` restart-policy pipeline runs.
 #[derive(Debug, Clone)]
 pub struct MatcherSeries {
     /// Backend series name (`MatcherBackend::name`).
@@ -421,7 +362,7 @@ pub struct MatcherSeries {
 }
 
 /// One point of the rules-count scaling series: one model compiled with
-/// `all+synthN` once per matcher backend, serial, restart policy.
+/// `all+synthN` once per matcher backend, restart policy.
 #[derive(Debug, Clone)]
 pub struct RulesScalingRow {
     /// Model name.
@@ -438,7 +379,7 @@ pub struct RulesScalingRow {
     pub backends: Vec<MatcherSeries>,
 }
 
-/// Runs the serial restart-policy pipeline `runs` times per matcher
+/// Runs the restart-policy pipeline `runs` times per matcher
 /// backend at one rules-count point and aggregates a
 /// [`RulesScalingRow`].
 pub fn rules_scaling_row(
@@ -534,16 +475,14 @@ pub fn rules_scaling_rows(runs: usize) -> Vec<RulesScalingRow> {
 }
 
 /// Renders the `BENCH_rewrite_pass.json` document (schema
-/// `pypm.bench.rewrite_pass.v5` — v4 plus the top-level
-/// `rules_scaling` section: per-matcher-backend probe/wall series at
-/// growing rule counts; the policy-level `mean_*` fields still carry
-/// the serial numbers and the top-level `mean_*` fields the restart
-/// series, so v1–v4 consumers keep reading the paper-faithful values)
-/// from aggregated rows.
+/// `pypm.bench.rewrite_pass.v6` — v5 without the per-policy `jobs`
+/// objects, which went with the axis; the top-level `mean_*` fields
+/// carry the restart series, so v1–v5 consumers keep reading the
+/// paper-faithful values) from aggregated rows.
 pub fn rows_to_json(rows: &[PassBenchRow], scaling: &[RulesScalingRow]) -> String {
     let mut w = Writer::new();
     w.begin_object(Layout::Lines);
-    w.key("schema").string("pypm.bench.rewrite_pass.v5");
+    w.key("schema").string("pypm.bench.rewrite_pass.v6");
     w.key("rows").begin_array(Layout::Lines);
     for row in rows {
         w.begin_object(Layout::Inline);
@@ -570,19 +509,6 @@ pub fn rows_to_json(rows: &[PassBenchRow], scaling: &[RulesScalingRow]) -> Strin
                 .fixed(p.mean_nodes_revisited, 1);
             w.key("mean_nodes_reindexed")
                 .fixed(p.mean_nodes_reindexed, 1);
-            w.key("jobs").begin_object(Layout::Inline);
-            for js in &p.jobs_series {
-                w.key(&js.jobs.to_string()).begin_object(Layout::Inline);
-                w.key("mean_wall_ms").fixed(js.mean_wall_ms, 6);
-                w.key("min_wall_ms").fixed(js.min_wall_ms, 6);
-                w.key("mean_match_attempts")
-                    .fixed(js.mean_match_attempts, 1);
-                w.key("mean_matches_found").fixed(js.mean_matches_found, 1);
-                w.key("mean_rewrites_fired")
-                    .fixed(js.mean_rewrites_fired, 1);
-                w.end();
-            }
-            w.end();
             w.end();
         }
         w.end();
@@ -670,7 +596,7 @@ pub fn rewrite_pass_rows(runs: usize) -> Vec<PassBenchRow> {
 /// Propagates the filesystem write failure.
 pub fn emit_rewrite_pass_json() -> std::io::Result<String> {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_rewrite_pass.json");
-    // 48 runs per (model, config, policy, jobs) cell. The gate
+    // 48 runs per (model, config, policy) cell. The gate
     // compares best-of-N `min_wall_ms`, and on sub-0.1ms cells the
     // emit-to-emit noise of min-of-20 measured at ~50% on shared
     // runners — best-of-48 pins the deterministic best case tightly
@@ -781,25 +707,6 @@ mod tests {
         );
         for p in &row.policies {
             assert!(p.min_wall_ms > 0.0 && p.min_wall_ms <= p.mean_wall_ms);
-            // One sub-series per worker count, and no parallel-vs-serial
-            // counter drift within the policy.
-            assert_eq!(
-                p.jobs_series.iter().map(|j| j.jobs).collect::<Vec<_>>(),
-                JOBS_SERIES
-            );
-            for js in &p.jobs_series {
-                assert_eq!(
-                    js.mean_match_attempts, p.mean_match_attempts,
-                    "{}",
-                    p.policy
-                );
-                assert_eq!(js.mean_matches_found, p.mean_matches_found, "{}", p.policy);
-                assert_eq!(
-                    js.mean_rewrites_fired, p.mean_rewrites_fired,
-                    "{}",
-                    p.policy
-                );
-            }
         }
         let scaling = rules_scaling_row("bert-tiny", 13, 1, |s| cfg.build(s));
         let json = rows_to_json(std::slice::from_ref(&row), std::slice::from_ref(&scaling));
@@ -808,7 +715,7 @@ mod tests {
         let text = |v: &Value, key: &str| v.get(key).and_then(Value::as_str).map(str::to_owned);
         assert_eq!(
             text(&doc, "schema").as_deref(),
-            Some("pypm.bench.rewrite_pass.v5")
+            Some("pypm.bench.rewrite_pass.v6")
         );
         let rows = doc.get("rows").and_then(Value::as_array).expect("rows");
         assert_eq!(rows.len(), 1);
@@ -817,13 +724,6 @@ mod tests {
         for policy in POLICY_NAMES {
             let series = policies.get(policy).expect("policy series");
             assert!(series.get("mean_nodes_reindexed").is_some(), "{policy}");
-            for jobs in JOBS_SERIES {
-                let sub = series.get("jobs").and_then(|j| j.get(&jobs.to_string()));
-                assert!(
-                    sub.and_then(|s| s.get("mean_wall_ms")).is_some(),
-                    "{policy}@jobs{jobs}"
-                );
-            }
         }
         assert_eq!(
             rows[0]
@@ -869,7 +769,7 @@ mod tests {
         // What shrinks: admitted probes and machine steps.
         assert!(fused.mean_machine_steps <= per.mean_machine_steps);
         assert!(fused.mean_pairs_admitted < per.mean_pairs_admitted);
-        // Per-pattern serial admits everything: probes/node is exactly
+        // Per-pattern admits everything: probes/node is exactly
         // the pattern count; fused must be at least 3x below at 4x
         // rules (the acceptance bar the CI gate enforces).
         assert!((per.probes_per_node - row.rule_patterns as f64).abs() < 1e-9);

@@ -3,13 +3,13 @@
 //!
 //! A [`Budget`] is **cooperative**: nothing preempts a compile. Instead
 //! the owning pipeline threads an `Arc<Budget>` through its context and
-//! the hot loops — the commit loop, shard workers, and the fused
+//! the hot loops — the commit loop and the fused
 //! discrimination-tree walks — call [`Budget::charge`] /
 //! [`Budget::check`] at coarse intervals. The first check past the
 //! limit trips a **sticky** exceeded flag; every later check on any
 //! thread observes it immediately, so the whole compile unwinds through
-//! ordinary `Result` plumbing within one check interval. Sessions,
-//! pools and caches stay fully reusable afterwards — exceeding a budget
+//! ordinary `Result` plumbing within one check interval. Sessions
+//! and caches stay fully reusable afterwards — exceeding a budget
 //! is an error *return*, never a teardown.
 //!
 //! Checks are designed to be cheap enough for inner loops: a step
@@ -33,8 +33,8 @@ use std::time::{Duration, Instant};
 
 /// A cooperative per-compile resource budget. See the module docs.
 ///
-/// `Budget` is `Send + Sync`; share one across shard workers behind an
-/// `Arc`. A default-constructed budget is unlimited and never trips.
+/// `Budget` is `Send + Sync`; share one behind an `Arc`. A
+/// default-constructed budget is unlimited and never trips.
 #[derive(Debug)]
 pub struct Budget {
     /// The originally requested timeout span (kept for error messages).
@@ -43,8 +43,7 @@ pub struct Budget {
     deadline: Option<Instant>,
     /// Cap on charged machine steps, if any.
     step_limit: Option<u64>,
-    /// Machine steps charged so far (approximate under concurrency —
-    /// workers batch their charges).
+    /// Machine steps charged so far.
     steps: AtomicU64,
     /// Sticky: set by the first check that observes an exhausted
     /// budget, observed by every later check.
@@ -147,7 +146,7 @@ impl Budget {
 
     /// Checks the budget without charging steps — the wall clock is
     /// always sampled. Returns whether work may continue. Use at coarse
-    /// scheduling points (per node, per sweep, per shard chunk).
+    /// scheduling points (per node, per sweep).
     pub fn check(&self) -> bool {
         if self.exceeded.load(Ordering::Relaxed) {
             return false;

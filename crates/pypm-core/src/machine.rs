@@ -202,20 +202,6 @@ pub struct MachineStats {
 /// A `Machine` borrows the pattern store mutably (μ-unfolding interns new
 /// patterns) and the term store and attribute interpretation immutably.
 ///
-/// ## Thread-safety (parallel probing)
-///
-/// Probing is Send-clean: every store the machine touches is plain
-/// owned data, so a parallel match phase can run machines on worker
-/// threads by sharing `&TermStore` / `&impl AttrInterp` read-only and
-/// handing each worker its **own clone** of the [`PatternStore`] (the
-/// one store a run mutates, via μ-unfolding). Outcomes reference only
-/// globally interned [`TermId`]s and operator
-/// [`Symbol`](crate::Symbol)s — never pattern ids — so witnesses
-/// produced against a cloned store are interchangeable with serially
-/// produced ones, and the machine itself is deterministic per
-/// `(pattern, term, attrs)` triple. The `_assert_probe_thread_safety`
-/// item below is the compile-time proof.
-///
 /// # Examples
 ///
 /// ```
@@ -567,31 +553,6 @@ impl PatternStore {
     pub fn app0_like(&mut self, c: crate::symbol::Symbol) -> PatternId {
         self.app(c, Vec::new())
     }
-}
-
-// Compile-time proof that pattern probing can be fanned across threads
-// (see the thread-safety section on [`Machine`]): the shared stores are
-// `Sync`, the per-worker pattern store is `Send + Clone`, and the
-// buffered results (witnesses and their substitutions) are `Send`.
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    fn assert_send<T: Send>() {}
-    fn assert_clone<T: Clone>() {}
-    assert_sync::<TermStore>();
-    assert_sync::<PatternStore>();
-    assert_send::<PatternStore>();
-    assert_clone::<PatternStore>();
-    assert_send::<Witness>();
-    assert_send::<Subst>();
-    assert_send::<FunSubst>();
-    assert_send::<Outcome>();
-    assert_send::<MachineStats>();
-};
-
-// A loaded machine itself moves to a worker thread (it only borrows
-// `Sync` stores plus its worker-local pattern store).
-fn _machine_is_send<A: AttrInterp + Sync>(m: Machine<'_, A>) -> impl Send + '_ {
-    m
 }
 
 #[cfg(test)]

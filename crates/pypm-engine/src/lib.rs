@@ -60,54 +60,14 @@
 //! `view_patches`, `nodes_revisited`, `nodes_reindexed`) and in the
 //! additive `incremental` block of [`PipelineReport::to_json`].
 //!
-//! ## Parallel matching (threading)
+//! ## The match phase is serial
 //!
-//! Orthogonal to the sweep policy, the match phase shards across a
-//! **persistent worker pool**:
-//! `Pipeline::new(&mut s).parallelism(ParallelConfig::with_jobs(n))`
-//! fans every scan round's `(node × pattern)` probes over `n` shards
-//! with static contiguous chunking (no work stealing). Shard 0 probes
-//! on the calling thread; the rest are submitted to a
-//! [`pypm_perf::pool::WorkerPool`] whose threads are spawned once per
-//! run and stay warm across rounds, sweeps, passes, and — under
-//! [`Pipeline::run_batch`] — every graph of a batched compilation
-//! (`pool_rounds` / `pool_spawn_reuse` / `batch_graphs` measure the
-//! reuse). A pool can even outlive pipelines: share one with
-//! [`Pipeline::with_pool`]. Serial runs (`jobs = 1`) never construct a
-//! pool at all, and rounds below the dispatch grain probe inline.
-//!
-//! **Commit stays serial — that is the point.** Workers only
-//! *discover*: they share the frozen [`pypm_graph::TermView`]'s
-//! attribute tables and the [`pypm_core::TermStore`] read-only behind
-//! `Arc`s for the duration of one batch (the collect barrier returns
-//! ownership; each worker clones the one store a machine run mutates,
-//! the [`pypm_core::PatternStore`]), and the buffers merge in shard
-//! order into a probe cache keyed by `(pattern, term)`. The unchanged
-//! serial fixpoint loop then consumes cached outcomes in its canonical
-//! (topo-order, rule-priority) order and performs every guard
-//! evaluation, identity rejection and graph mutation single-threaded.
-//! Firing sequences, final graphs and all [`PassStats`] counters are
-//! therefore **byte-identical to `jobs = 1`** under both sweep
-//! policies and any batch size — `tests/parallel_equivalence.rs`
-//! (crate `pypm`) proves it zoo-wide, and the batch proptest in
-//! `pass_properties.rs` randomizes batch size alongside jobs. Because
-//! the cache key is the term, rewrites invalidate by construction
-//! (changed nodes get fresh terms) and unchanged probes are memoized
-//! across sweeps; like `Incremental`, this relies on attribute tables
-//! being deterministic per term. One deliberate trade-off: warm phases
-//! skip candidates whose term is awaiting lazy repair (they probe
-//! inline at visit time, after the same on-demand repair a serial run
-//! performs) — this keeps `nodes_reindexed` byte-identical across job
-//! counts, at the cost of less speculation under
-//! [`SweepPolicy::Incremental`], whose post-rewrite worklists are
-//! mostly stale; the restart policy, whose rounds rescan everything,
-//! keeps nearly all of its warm coverage. A worker panic surfaces as a
-//! clean [`RewriteError::WorkerPanicked`] (never a hang; the pool
-//! survives).
-//! The speculative-work counters land in [`ParallelStats`] and the
-//! additive `parallel` block of [`PipelineReport::to_json`]; the shard
-//! scheduler lives in [`shard`], its chunking utilities in
-//! [`pypm_perf::parallel`], the pool in [`pypm_perf::pool`].
+//! A sharded, pooled match phase (`jobs > 1`) existed and was measured
+//! against this loop on 32 cells of a 50–400-layer ladder; it won none
+//! and was deleted (ROADMAP.md, profile ledger, PR 16). What is left is
+//! in [`retired`]: the `parallel` block of [`PipelineReport::to_json`],
+//! now constant apart from `jobs` and `batch_graphs`, and two inert
+//! names the repo benchmark still compiles against.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -117,9 +77,9 @@ pub mod matcher;
 pub mod partition;
 pub mod pass;
 pub mod pipeline;
+pub mod retired;
 pub mod rewriter;
 pub mod session;
-pub mod shard;
 
 pub use explain::{explain_at, ExplainObserver, Explanation};
 pub use matcher::{FusedMatcher, Matcher, MatcherBackend, MatcherStats, PerPatternMatcher};
@@ -129,6 +89,6 @@ pub use pass::{
     RejectReason, RewriteFired, Severity,
 };
 pub use pipeline::{Pipeline, PipelineError, PipelineReport};
+pub use retired::{ParallelConfig, ParallelStats};
 pub use rewriter::{find_matches, MatchReport, PassStats, RewriteError, RewritePass, SweepPolicy};
 pub use session::Session;
-pub use shard::{ParallelConfig, ParallelStats};

@@ -9,7 +9,7 @@
 //! that seam as the [`Matcher`] trait and ships both backends:
 //!
 //! * [`PerPatternMatcher`] — the reference: no index, every pair goes
-//!   to the machine, at every job count.
+//!   to the machine.
 //! * [`FusedMatcher`] — the whole rule set compiled into one
 //!   [`FusedSet`] discrimination tree; each distinct term is walked
 //!   once (memoized across sweeps — hash-consing means a [`TermId`]'s
@@ -17,10 +17,9 @@
 //!   single traversal.
 //!
 //! Everything *above* the seam is backend-agnostic and unchanged: the
-//! sharded warm phase, the probe cache, cross-sweep memoization and the
-//! canonical serial commit loop all consume admission verdicts without
-//! caring how they were computed. That is what makes the two backends
-//! interchangeable at the CLI (`pypmc compile --matcher …`).
+//! scan loop consumes admission verdicts without caring how they were
+//! computed. That is what makes the two backends interchangeable at
+//! the CLI (`pypmc compile --matcher …`).
 //!
 //! ## The contract
 //!
@@ -113,8 +112,7 @@ pub struct MatcherStats {
     /// [`MatcherBackend::PerPattern`].
     pub trie_steps: u64,
     /// `(pattern, term)` pairs the index admitted to the machine on the
-    /// commit path — each is one machine probe (inline, or replayed
-    /// from the warm-phase cache).
+    /// commit path — each is one machine probe.
     pub pairs_admitted: u64,
     /// Pairs rejected by the index on the commit path — guaranteed
     /// machine failures resolved without machine work.
@@ -151,16 +149,13 @@ impl MatcherStats {
 /// Implementations may mutate themselves on query (memoization); the
 /// driver owns one matcher per pass, built after the rule set is fixed.
 /// Term keys never go stale because terms are hash-consed and rewrites
-/// give changed nodes fresh terms — the same property the probe cache
-/// relies on.
+/// give changed nodes fresh terms.
 pub trait Matcher: fmt::Debug + Send {
     /// The patterns the machine should run against `t`, as ascending
     /// indices into the rule set — pattern-only definitions included,
     /// the index knows nothing of rules. Walk-side counters
     /// (`terms_walked`, `trie_steps`) are recorded on `stats`; the
-    /// *caller* accounts the pair-level verdicts, so a discovery phase
-    /// and a commit phase can share one matcher without double-counting
-    /// pairs.
+    /// *caller* accounts the pair-level verdicts.
     fn candidates(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> &[u32];
 
     /// Installs (or clears) the run's cooperative [`Budget`]. Backends

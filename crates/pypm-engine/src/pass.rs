@@ -12,10 +12,8 @@
 
 use crate::rewriter::{PassStats, RewriteError};
 use crate::session::Session;
-use crate::shard::ParallelConfig;
 use pypm_core::Budget;
 use pypm_graph::{Graph, NodeId};
-use pypm_perf::pool::WorkerPool;
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -84,7 +82,7 @@ pub enum PassError {
         reason: String,
     },
     /// The compile's cooperative [`pypm_core::Budget`] was exhausted
-    /// mid-pass. The session, pool and graph stores remain fully
+    /// mid-pass. The session and graph stores remain fully
     /// reusable; the graph may have been partially rewritten.
     BudgetExceeded {
         /// The exhausted limits, e.g. `"timeout_ms=50 step_limit=1000"`.
@@ -303,14 +301,6 @@ pub struct PipelineCx {
     artifacts: BTreeMap<String, Box<dyn Any>>,
     current: String,
     current_sweep: u64,
-    parallel: ParallelConfig,
-    /// The persistent worker pool parallel passes submit to. Owned by
-    /// the pipeline run (created once, before the first pass) so the
-    /// threads stay warm across rounds, sweeps, passes and — under
-    /// [`crate::Pipeline::run_batch`] — whole graphs; `None` for serial
-    /// runs, which never construct a pool. An externally shared pool
-    /// ([`crate::Pipeline::with_pool`]) lands here too.
-    pool: Option<Arc<WorkerPool>>,
     /// Graphs compiled by the owning run (1 for `Pipeline::run`, the
     /// batch length for `Pipeline::run_batch`); surfaces as the
     /// `batch_graphs` counter.
@@ -329,8 +319,6 @@ impl Default for PipelineCx {
             artifacts: BTreeMap::new(),
             current: String::new(),
             current_sweep: 0,
-            parallel: ParallelConfig::default(),
-            pool: None,
             batch_graphs: 1,
             budget: None,
         }
@@ -345,7 +333,6 @@ impl fmt::Debug for PipelineCx {
             .field("observers", &self.observers.len())
             .field("artifacts", &self.artifacts.keys().collect::<Vec<_>>())
             .field("current", &self.current)
-            .field("parallel", &self.parallel)
             .finish()
     }
 }
@@ -359,29 +346,6 @@ impl PipelineCx {
     /// Registers an observer.
     pub(crate) fn add_observer(&mut self, obs: Box<dyn Observer>) {
         self.observers.push(obs);
-    }
-
-    /// The parallel match-phase configuration passes should honour
-    /// (set once per pipeline via [`crate::Pipeline::parallelism`];
-    /// defaults to serial).
-    pub fn parallel(&self) -> ParallelConfig {
-        self.parallel
-    }
-
-    /// Sets the parallel match-phase configuration.
-    pub(crate) fn set_parallel(&mut self, parallel: ParallelConfig) {
-        self.parallel = parallel;
-    }
-
-    /// The persistent worker pool for parallel match phases, if one is
-    /// installed (always, once the pipeline runs with `jobs > 1`).
-    pub fn pool(&self) -> Option<Arc<WorkerPool>> {
-        self.pool.clone()
-    }
-
-    /// Installs the worker pool this run's passes share.
-    pub(crate) fn set_pool(&mut self, pool: Arc<WorkerPool>) {
-        self.pool = Some(pool);
     }
 
     /// Number of graphs the owning run compiles (1 for a plain
@@ -510,8 +474,8 @@ impl PipelineCx {
     }
 
     /// Drains the per-graph parts (records, diagnostics, artifacts)
-    /// while keeping the run-scoped state — observers, parallel config
-    /// and the warm worker pool — in place. This is what lets
+    /// while keeping the run-scoped state — observers, batch size and
+    /// budget — in place. This is what lets
     /// [`crate::Pipeline::run_batch`] emit one report per graph over a
     /// single long-lived context.
     pub(crate) fn take_parts(&mut self) -> PipelineParts {

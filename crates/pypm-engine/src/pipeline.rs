@@ -34,7 +34,6 @@ use crate::session::Session;
 use pypm_core::json::{Layout, Writer};
 use pypm_core::Budget;
 use pypm_graph::Graph;
-use pypm_perf::pool::WorkerPool;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -108,70 +107,16 @@ impl<'s> Pipeline<'s> {
         self
     }
 
-    /// Selects the parallel match-phase configuration for every pass in
-    /// the pipeline (default: serial). With `jobs > 1`,
-    /// [`crate::RewritePass`] fans candidate discovery across that many
-    /// shard workers while committing rewrites serially — byte-identical
-    /// results, lower wall-clock; see the [`crate::shard`] module docs.
-    pub fn parallelism(mut self, parallel: crate::shard::ParallelConfig) -> Self {
-        self.cx.set_parallel(parallel);
-        self
-    }
-
-    /// Shares an existing persistent [`WorkerPool`] with this pipeline
-    /// instead of letting the run construct its own. Because a
-    /// [`Pipeline`] is consumed per run, this is how worker threads
-    /// stay warm *across* pipeline runs:
-    ///
-    /// ```
-    /// use pypm_engine::{ParallelConfig, Pipeline, RewritePass, Session};
-    /// use pypm_perf::pool::WorkerPool;
-    /// use pypm_dsl::LibraryConfig;
-    /// use pypm_graph::Graph;
-    /// use std::sync::Arc;
-    ///
-    /// let pool = Arc::new(WorkerPool::new(3));
-    /// for _ in 0..2 {
-    ///     let mut s = Session::new();
-    ///     let rules = s.load_library(LibraryConfig::both());
-    ///     let mut g = Graph::new();
-    ///     Pipeline::new(&mut s)
-    ///         .with(RewritePass::new(rules))
-    ///         .parallelism(ParallelConfig::with_jobs(4))
-    ///         .with_pool(Arc::clone(&pool))
-    ///         .run(&mut g)
-    ///         .unwrap();
-    /// }
-    /// ```
-    pub fn with_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.cx.set_pool(pool);
-        self
-    }
-
     /// Installs a cooperative resource [`Budget`] (wall deadline and/or
     /// machine-step cap) for this run. Passes check it at their
-    /// scheduling points — the commit loop, shard workers and fused
-    /// matcher walks — and the run stops at the first pass to observe
-    /// exhaustion, failing with [`PassError::BudgetExceeded`]. The
-    /// session and any shared pool remain fully reusable afterwards,
-    /// and a budget that never trips changes nothing: results stay
-    /// byte-identical to an unbudgeted run.
+    /// scheduling points — the commit loop and fused matcher walks —
+    /// and the run stops at the first pass to observe exhaustion,
+    /// failing with [`PassError::BudgetExceeded`]. The session remains
+    /// fully reusable afterwards, and a budget that never trips changes
+    /// nothing: results stay byte-identical to an unbudgeted run.
     pub fn with_budget(mut self, budget: Arc<Budget>) -> Self {
         self.cx.set_budget(budget);
         self
-    }
-
-    /// Installs the run-scoped worker pool: created here, once, when
-    /// the run is parallel and no shared pool was provided — so serial
-    /// runs never construct a pool (zero thread startup), and parallel
-    /// runs keep one warm set of threads for their whole lifetime. The
-    /// pool gets `jobs - 1` threads because shard 0 of every warm
-    /// phase runs on the calling thread.
-    fn ensure_pool(&mut self) {
-        let cfg = self.cx.parallel();
-        if cfg.is_parallel() && self.cx.pool().is_none() {
-            self.cx.set_pool(Arc::new(WorkerPool::new(cfg.jobs - 1)));
-        }
     }
 
     /// Runs every pass in order over `graph`.
@@ -185,15 +130,14 @@ impl<'s> Pipeline<'s> {
     }
 
     /// Runs every pass in order over each graph of a batch, reusing the
-    /// session stores, the passes, and — in parallel mode — one warm
-    /// [`WorkerPool`] across all of them. Returns one
+    /// session stores and the passes across all of them. Returns one
     /// [`PipelineReport`] per graph, in input order; each report's
     /// `batch_graphs` counter records the batch size.
     ///
     /// Batching changes throughput, never results: each graph's firing
     /// sequence, final form and semantic counters are byte-identical to
     /// a standalone [`Pipeline::run`] over the same session state
-    /// (`tests/parallel_equivalence.rs` and the batch proptest in
+    /// (`tests/batch_equivalence.rs` and the batch proptest in
     /// `pass_properties.rs` prove it).
     ///
     /// # Errors
@@ -201,7 +145,6 @@ impl<'s> Pipeline<'s> {
     /// Stops at the first failing pass of the first failing graph.
     pub fn run_batch(mut self, graphs: &mut [Graph]) -> Result<Vec<PipelineReport>, PipelineError> {
         self.cx.set_batch_graphs(graphs.len() as u64);
-        self.ensure_pool();
         let mut reports = Vec::with_capacity(graphs.len());
         for graph in graphs {
             self.run_one(graph)?;
@@ -314,23 +257,6 @@ impl PipelineReport {
             total.nodes_reindexed += s.nodes_reindexed;
             total.parallel.jobs = total.parallel.jobs.max(s.parallel.jobs);
             total.parallel.batch_graphs = total.parallel.batch_graphs.max(s.parallel.batch_graphs);
-            total.parallel.warm_batches += s.parallel.warm_batches;
-            total.parallel.pool_rounds += s.parallel.pool_rounds;
-            total.parallel.pool_spawn_reuse += s.parallel.pool_spawn_reuse;
-            total.parallel.probes_executed += s.parallel.probes_executed;
-            total.parallel.probes_filtered += s.parallel.probes_filtered;
-            total.parallel.probes_reused += s.parallel.probes_reused;
-            total.parallel.probes_inline += s.parallel.probes_inline;
-            total.parallel.warm_wall += s.parallel.warm_wall;
-            if total.parallel.probes_by_shard.len() < s.parallel.probes_by_shard.len() {
-                total
-                    .parallel
-                    .probes_by_shard
-                    .resize(s.parallel.probes_by_shard.len(), 0);
-            }
-            for (shard, probes) in s.parallel.probes_by_shard.iter().enumerate() {
-                total.parallel.probes_by_shard[shard] += probes;
-            }
             total.matcher.absorb(&s.matcher);
         }
         total
@@ -380,7 +306,12 @@ impl PipelineReport {
         }
         w.end();
         w.key("totals").begin_object(Layout::Inline);
-        let wall_ms: f64 = self.passes.iter().map(|r| r.wall.as_secs_f64() * 1e3).sum();
+        // Folded from +0.0: `Iterator::sum`'s empty float sum is -0.0
+        // on current toolchains and +0.0 on older ones.
+        let wall_ms = self
+            .passes
+            .iter()
+            .fold(0.0, |ms, r| ms + r.wall.as_secs_f64() * 1e3);
         w.key("passes").scalar(self.passes.len());
         w.key("wall_ms").fixed(wall_ms, 6);
         stats_fields(&mut w, &self.total());
@@ -403,10 +334,10 @@ impl PipelineReport {
 /// object `w` has open. The trailing `incremental`, `parallel` and
 /// `matcher` objects are the schema's additive blocks:
 /// incremental-rewriting view maintenance (all zero for passes that
-/// never build a term view), the parallel match-phase counters (`jobs`
-/// records the configured worker count and `batch_graphs` the owning
-/// run's batch size; everything else is zero under `jobs = 1`), and the
-/// candidate-discovery counters of the configured matcher backend
+/// never build a term view), what the retired parallel match phase
+/// left of its block ([`crate::ParallelStats`]: `jobs` and
+/// `batch_graphs` are live, the other nine keys are literal zeros), and
+/// the candidate-discovery counters of the configured matcher backend
 /// (`backend` is empty for passes that never probe).
 fn stats_fields(w: &mut Writer, s: &PassStats) {
     w.key("duration_ms")
@@ -428,19 +359,19 @@ fn stats_fields(w: &mut Writer, s: &PassStats) {
     w.key("parallel").begin_object(Layout::Inline);
     w.key("jobs").scalar(p.jobs);
     w.key("batch_graphs").scalar(p.batch_graphs);
-    w.key("warm_batches").scalar(p.warm_batches);
-    w.key("pool_rounds").scalar(p.pool_rounds);
-    w.key("pool_spawn_reuse").scalar(p.pool_spawn_reuse);
-    w.key("probes_executed").scalar(p.probes_executed);
-    w.key("probes_filtered").scalar(p.probes_filtered);
-    w.key("probes_reused").scalar(p.probes_reused);
-    w.key("probes_inline").scalar(p.probes_inline);
-    w.key("warm_wall_ms")
-        .fixed(p.warm_wall.as_secs_f64() * 1e3, 6);
-    w.key("probes_by_shard").begin_array(Layout::Inline);
-    for probes in &p.probes_by_shard {
-        w.scalar(probes);
+    for retired in [
+        "warm_batches",
+        "pool_rounds",
+        "pool_spawn_reuse",
+        "probes_executed",
+        "probes_filtered",
+        "probes_reused",
+        "probes_inline",
+    ] {
+        w.key(retired).scalar(0);
     }
+    w.key("warm_wall_ms").fixed(0.0, 6);
+    w.key("probes_by_shard").begin_array(Layout::Inline);
     w.end();
     w.end();
     let m = &s.matcher;
@@ -458,7 +389,7 @@ mod tests {
     use super::*;
     use crate::matcher::MatcherStats;
     use crate::pass::Severity;
-    use crate::shard::ParallelStats;
+    use crate::retired::ParallelStats;
     use std::time::Duration;
 
     /// A report with every counter distinct, two passes (one with an
@@ -479,17 +410,9 @@ mod tests {
             cursor_steps: 0,
             nodes_reindexed: 111,
             parallel: ParallelStats {
-                jobs: 4,
-                warm_batches: 112,
-                pool_rounds: 113,
-                pool_spawn_reuse: 114,
+                jobs: 1,
                 batch_graphs: 2,
-                probes_executed: 115,
-                probes_filtered: 116,
-                probes_reused: 117,
-                probes_inline: 118,
-                probes_by_shard: vec![50, 40, 20, 5],
-                warm_wall: Duration::from_nanos(7_654_321),
+                probes_executed: 0,
             },
             matcher: MatcherStats {
                 backend: "fused",
@@ -538,14 +461,27 @@ mod tests {
             fixed_report().to_json(),
             include_str!("../../../tests/golden/pipeline_v1.json")
         );
-        let empty = PipelineReport {
+        assert_eq!(
+            empty_report().to_json(),
+            include_str!("../../../tests/golden/pipeline_v1_empty.json")
+        );
+    }
+
+    /// What `--config baseline` compiles to: no pass ran.
+    fn empty_report() -> PipelineReport {
+        PipelineReport {
             passes: Vec::new(),
             diagnostics: Vec::new(),
             artifacts: BTreeMap::new(),
-        };
-        assert_eq!(
-            empty.to_json(),
-            include_str!("../../../tests/golden/pipeline_v1_empty.json")
-        );
+        }
+    }
+
+    /// The total wall of no passes is `+0.0` on every toolchain (the
+    /// float `Sum` identity is `-0.0` on current ones).
+    #[test]
+    fn a_pass_less_report_renders_a_non_negative_zero() {
+        let json = empty_report().to_json();
+        assert!(json.contains("\"wall_ms\": 0.000000"), "{json}");
+        assert!(!json.contains("-0."), "{json}");
     }
 }

@@ -25,15 +25,6 @@
 //! [`SweepPolicy::RestartOnRewrite`] is the reference it is compared
 //! against.
 //!
-//! Orthogonally to the sweep policy, the match phase can run **in
-//! parallel**: with [`ParallelConfig`] `jobs > 1` (plumbed through
-//! [`crate::PipelineCx`], see [`crate::Pipeline::parallelism`]), each
-//! scan round's candidate probes are fanned across shard workers and
-//! memoized, and the serial scan consumes the memoized outcomes in its
-//! canonical order — firing sequences, final graphs and every counter
-//! stay byte-identical to `jobs = 1`. The [`crate::shard`] module
-//! documents the discover-parallel / commit-serial contract.
-//!
 //! [`PassStats`] records the counters behind the paper's compile-time
 //! figures (Figs. 12–13): wall-clock matching time, match attempts
 //! (including the "partial matches that don't end up actually matching"),
@@ -41,12 +32,11 @@
 
 use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx, RejectReason};
+use crate::retired::ParallelStats;
 use crate::session::Session;
-use crate::shard::{warm_probes, ParallelConfig, ParallelStats, ProbeCache, ProbeKey, ProbeResult};
-use pypm_core::{Budget, IdSet, Machine, Outcome, PatternId, Subst, TermId, Witness};
+use pypm_core::{Budget, Machine, Outcome, PatternId, Subst, TermId, Witness};
 use pypm_dsl::{Rhs, RuleSet};
 use pypm_graph::{Graph, NodeId, TermView};
-use pypm_perf::pool::WorkerPool;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -156,9 +146,8 @@ pub struct PassStats {
     /// reduction is measured against. Identical under restart and
     /// incremental scheduling (same fires, same repairs).
     pub nodes_reindexed: u64,
-    /// Parallel match-phase counters (`jobs` records the configured
-    /// worker count; everything else is zero when `jobs = 1`); see
-    /// [`ParallelStats`] and the [`crate::shard`] module docs.
+    /// The `parallel` block of the report document; see
+    /// [`ParallelStats`].
     pub parallel: ParallelStats,
     /// Candidate-discovery counters for the configured matcher backend;
     /// see [`MatcherStats`] and the [`crate::matcher`] module docs.
@@ -201,16 +190,8 @@ pub enum RewriteError {
         /// Human-readable reason.
         reason: String,
     },
-    /// A parallel match worker panicked. The worker pool survives (the
-    /// panic is caught at the task boundary — see
-    /// [`pypm_perf::pool::PoolError`]); the pass is aborted with this
-    /// clean error instead of hanging or poisoning the pipeline.
-    WorkerPanicked {
-        /// The panic message.
-        reason: String,
-    },
     /// The run's cooperative [`pypm_core::Budget`] was exhausted. The
-    /// session, pool and stores remain reusable; the graph may have
+    /// session and its stores remain reusable; the graph may have
     /// been partially rewritten. Surfaced to pipeline callers as
     /// [`crate::PassError::BudgetExceeded`].
     BudgetExceeded {
@@ -230,9 +211,6 @@ impl fmt::Display for RewriteError {
             }
             RewriteError::NoNodeForTerm => write!(f, "matched term has no graph node"),
             RewriteError::BuildFailed { reason } => write!(f, "replacement build failed: {reason}"),
-            RewriteError::WorkerPanicked { reason } => {
-                write!(f, "parallel match worker panicked: {reason}")
-            }
             RewriteError::BudgetExceeded { limits } => {
                 if limits.is_empty() {
                     write!(f, "compile budget exceeded")
@@ -352,37 +330,24 @@ impl NodeFlags {
 }
 
 /// The internal engine behind [`RewritePass`]: the paper's greedy
-/// fixpoint loop, optionally preceded by sharded parallel candidate
-/// discovery (see [`crate::shard`]).
+/// fixpoint loop.
 struct Driver<'a> {
     session: &'a mut Session,
     pass: &'a RewritePass,
-    parallel: ParallelConfig,
-    /// The persistent worker pool warm phases submit to. A `--jobs 1`
-    /// run never constructs (or touches) a pool. Shared (`Arc`) so one
-    /// pool outlives passes, graphs of a batched run, and even whole
-    /// pipelines (see [`crate::Pipeline::with_pool`]).
-    pool: Option<Arc<WorkerPool>>,
-    /// `rules.patterns[i].pattern` per index — the tiny handle table
-    /// warm-phase worker tasks clone instead of the rule set.
+    /// `rules.patterns[i].pattern` per index.
     pattern_ids: Vec<PatternId>,
     /// `rank[i]` = how many of the first `i` patterns bear rules
     /// (`rank[P]` = all that do): what a visit that never reaches a
     /// pattern still has to *account* for it (see
     /// [`Driver::visit_node`]).
     rank: Vec<u32>,
-    /// Memoized probe outcomes, keyed by (pattern index, term). Only
-    /// populated when `parallel.is_parallel()`; a term key can never go
-    /// stale because rewrites give every changed node a fresh term.
-    cache: ProbeCache,
     /// The run's cooperative resource budget; `None` (the default)
     /// means unlimited.
     budget: Option<Arc<Budget>>,
 }
 
 impl<'a> Driver<'a> {
-    /// Sets the engine up for one run: the parallel match-phase
-    /// configuration, pool and budget come from `cx`.
+    /// Sets the engine up for one run; the budget comes from `cx`.
     fn new(session: &'a mut Session, pass: &'a RewritePass, cx: &PipelineCx) -> Self {
         let patterns = &pass.rules.patterns;
         let mut rank = vec![0u32; patterns.len() + 1];
@@ -392,11 +357,8 @@ impl<'a> Driver<'a> {
         Driver {
             session,
             pass,
-            parallel: cx.parallel(),
-            pool: cx.pool(),
             pattern_ids: patterns.iter().map(|d| d.pattern).collect(),
             rank,
-            cache: ProbeCache::default(),
             budget: cx.budget().cloned(),
         }
     }
@@ -419,11 +381,8 @@ impl<'a> Driver<'a> {
         let start = Instant::now();
         let mut stats = PassStats::default();
         stats.matcher.backend = self.pass.matcher.name();
-        stats.parallel.jobs = self.parallel.jobs as u64;
+        stats.parallel.jobs = 1;
         stats.parallel.batch_graphs = cx.batch_graphs();
-        if self.parallel.is_parallel() {
-            stats.parallel.probes_by_shard = vec![0; self.parallel.jobs];
-        }
         // The candidate-discovery index (see [`crate::matcher`]) over
         // the rule set's patterns, in rule-set order. The fused backend
         // charges its trie walks against the budget (and truncates them
@@ -454,105 +413,10 @@ impl<'a> Driver<'a> {
         }
     }
 
-    /// The parallel discovery phase of one scan round: collects the
-    /// round's probes — for every member of `ahead` (the scan order
-    /// from the cursor on, reversed) the serial scan will visit (all of
-    /// them, or under a worklist only the `dirty` ones), in scan order,
-    /// the rule-bearing members of its term's candidate set — and fans
-    /// the uncached ones across the pool workers. A no-op under
-    /// `jobs = 1`.
-    ///
-    /// **Under a worklist only round one can queue anything**, so later
-    /// rounds return without walking the order. A round queues a dirty
-    /// node that has a *clean* term. Whatever a firing dirties lies in
-    /// the cone [`TermView::patch`] marks stale, fresh nodes included,
-    /// and a stale node has no term until a visit repairs it — its own
-    /// (which also cleans it), or that of a user, which comes later in
-    /// the order than the node's own. So a node found dirty with a
-    /// clean term in a later round has been both, with that term, since
-    /// round one, which queued its every admitted pair; the cache never
-    /// evicts, and a warm phase the budget cut short aborts the pass.
-    /// Dev-profile builds recompute a skipped round's queue and assert
-    /// it empty. The reference scan does warm every round: its
-    /// candidates include the nodes earlier rounds repaired.
-    fn warm_round(
-        &mut self,
-        matcher: &mut dyn Matcher,
-        ahead: &[NodeId],
-        dirty: Option<&NodeFlags>,
-        view: &TermView,
-        stats: &mut PassStats,
-    ) -> Result<(), RewriteError> {
-        if !self.parallel.is_parallel() || self.rule_bearing() == 0 {
-            return Ok(());
-        }
-        let settled = dirty.is_some() && stats.sweeps > 1;
-        if settled && !cfg!(debug_assertions) {
-            return Ok(());
-        }
-        let mut todo: Vec<ProbeKey> = Vec::new();
-        let mut queued: IdSet<ProbeKey> = IdSet::default();
-        for &node in ahead.iter().rev() {
-            if dirty.is_some_and(|d| !d.has(node, NodeFlags::DIRTY)) {
-                continue;
-            }
-            // Stale candidates report no term and are skipped here on
-            // purpose: eagerly repairing them for speculation would
-            // undo the lazy view maintenance (their probes run inline
-            // at visit time instead, after the on-demand repair — the
-            // same repairs a serial run performs, keeping
-            // `nodes_reindexed` byte-identical across job counts).
-            let Some(t) = view.term_of(node) else {
-                continue;
-            };
-            // Discovery index first: guaranteed failures are never
-            // queued (nor cached — the visit reads the same set back
-            // from the matcher). Pair counters stay with the visit, so
-            // each (pattern, term) verdict is accounted exactly once.
-            for &pi in matcher.candidates(t, &self.session.terms, &mut stats.matcher) {
-                let key = (pi as usize, t);
-                // Distinct nodes can share a term; queue each
-                // (pattern, term) probe once.
-                if self.bears_rules(key.0) && !self.cache.contains_key(&key) && queued.insert(key) {
-                    todo.push(key);
-                }
-            }
-        }
-        debug_assert!(
-            !settled || todo.is_empty(),
-            "a worklist round after the first had {todo:?} to warm"
-        );
-        // The attrs handle is dropped again before this round's commit
-        // scan can patch the view, so view maintenance never pays a
-        // copy-on-write.
-        let attrs = view.attrs_shared();
-        warm_probes(
-            self.parallel,
-            self.pool.as_deref(),
-            &self.pattern_ids,
-            &mut self.session.pats,
-            &mut self.session.terms,
-            &attrs,
-            self.pass.machine_fuel,
-            &todo,
-            &mut self.cache,
-            &mut stats.parallel,
-            self.budget.clone(),
-        )
-        .map_err(|e| RewriteError::WorkerPanicked {
-            reason: e.to_string(),
-        })
-    }
-
     /// Probes one *admitted* (pattern, term) pair — a member of the
     /// term's candidate set; the pairs outside it are guaranteed
     /// failures that [`Driver::visit_node`] accounts without coming
-    /// here. Consumes the memoized outcome when the parallel match
-    /// phase is on (falling back to an inline machine run on a miss),
-    /// or runs the machine directly in serial mode. Counter accounting
-    /// is identical on every path — cached probes replay the
-    /// [`pypm_core::MachineStats`] a serial run of the same probe would
-    /// have produced.
+    /// here. Fuel exhaustion counts as "no match".
     fn probe(
         &mut self,
         pi: usize,
@@ -561,33 +425,19 @@ impl<'a> Driver<'a> {
         stats: &mut PassStats,
     ) -> Option<Witness> {
         stats.matcher.pairs_admitted += 1;
-        if self.parallel.is_parallel() {
-            if let Some(cached) = self.cache.get(&(pi, t)) {
-                stats.machine_steps += cached.steps;
-                stats.machine_backtracks += cached.backtracks;
-                stats.parallel.probes_reused += 1;
-                return cached.witness.clone();
-            }
-        }
         let mut machine = Machine::new(&mut self.session.pats, &self.session.terms, view.attrs());
         let outcome = machine.run(self.pattern_ids[pi], t, self.pass.machine_fuel);
-        let result = ProbeResult::from_run(outcome, machine.stats());
+        let mstats = machine.stats();
         if let Some(b) = &self.budget {
             // Machine transitions are the step currency of the budget's
-            // `machine_steps` cap; a replayed cached probe re-runs no
-            // machine, so it charges nothing.
-            b.charge(result.steps);
+            // `machine_steps` cap.
+            b.charge(mstats.steps);
         }
-        stats.machine_steps += result.steps;
-        stats.machine_backtracks += result.backtracks;
-        if self.parallel.is_parallel() {
-            stats.parallel.probes_inline += 1;
-            let witness = result.witness.clone();
-            self.cache.insert((pi, t), result);
-            witness
-        } else {
-            // Serial hot path: the witness moves out, no clone.
-            result.witness
+        stats.machine_steps += mstats.steps;
+        stats.machine_backtracks += mstats.backtracks;
+        match outcome {
+            Ok(Outcome::Success(witness)) => Some(witness),
+            Ok(Outcome::Failure) | Err(_) => None,
         }
     }
 
@@ -604,8 +454,8 @@ impl<'a> Driver<'a> {
     /// skipped are *accounted, not executed* — had the loop reached
     /// pattern `pi` it would have attempted the `rank[pi] + 1`
     /// rule-bearing patterns up to it, and every one of them outside
-    /// the candidate set would have been one `pairs_rejected` (and one
-    /// `probes_filtered` under `jobs > 1`). A visit therefore costs its
+    /// the candidate set would have been one `pairs_rejected`. A visit
+    /// therefore costs its
     /// candidates, not the rule set, while every counter reads as if
     /// the loop had run (the `literal_loop_oracle_*` tests keep that loop
     /// and compare).
@@ -671,9 +521,6 @@ impl<'a> Driver<'a> {
         let attempts = u64::from(self.rank[stop]) + u64::from(fired.is_some());
         stats.match_attempts += attempts;
         stats.matcher.pairs_rejected += attempts - admitted;
-        if self.parallel.is_parallel() {
-            stats.parallel.probes_filtered += attempts - admitted;
-        }
         Ok(fired)
     }
 
@@ -704,9 +551,6 @@ impl<'a> Driver<'a> {
                 .is_ok();
             if !admits {
                 stats.matcher.pairs_rejected += 1;
-                if self.parallel.is_parallel() {
-                    stats.parallel.probes_filtered += 1;
-                }
                 continue;
             }
             let Some(witness) = self.probe(pi, t, view, stats) else {
@@ -920,11 +764,6 @@ impl<'a> Driver<'a> {
                     graph.topo_order().into_iter().filter(dirty).collect();
                 debug_assert_eq!(resumed, recomputed, "resumed scan order diverged");
             }
-            // Parallel discovery: probe this round's candidates across
-            // the pool workers before the serial scan consumes them.
-            // The probe cache persists across rounds (terms are
-            // hash-consed), so a restart round mostly re-warms nothing.
-            self.warm_round(matcher, &ahead, worklist.then_some(&flags), &view, stats)?;
             while let Some(node) = ahead.pop() {
                 stats.cursor_steps += 1;
                 flags.set(node, NodeFlags::PASSED);
@@ -1699,7 +1538,7 @@ mod tests {
     /// the graph it left.
     #[derive(Debug, PartialEq)]
     struct Observed {
-        counters: [u64; 8],
+        counters: [u64; 7],
         events: Vec<String>,
         live_nodes: usize,
     }
@@ -1721,10 +1560,9 @@ mod tests {
         }
     }
 
-    fn observe((mut s, mut g): (Session, Graph), pass: RewritePass, jobs: usize) -> Observed {
+    fn observe((mut s, mut g): (Session, Graph), pass: RewritePass) -> Observed {
         let log = std::rc::Rc::new(std::cell::RefCell::new(EventLog::default()));
         let stats = Pipeline::new(&mut s)
-            .parallelism(ParallelConfig::with_jobs(jobs))
             .observe(log.clone())
             .with(pass)
             .run(&mut g)
@@ -1737,7 +1575,6 @@ mod tests {
                 stats.matches_found,
                 stats.matcher.pairs_admitted,
                 stats.matcher.pairs_rejected,
-                stats.parallel.probes_filtered,
                 stats.machine_steps,
                 stats.nodes_visited,
                 stats.rewrites_fired,
@@ -1761,7 +1598,7 @@ mod tests {
     /// [`Driver::visit_node`] accounts the pairs it skips by
     /// arithmetic; [`Driver::visit_node_literally`] tries and counts
     /// them one by one. Same counters, same events, on one model ×
-    /// three rule sets × both policies × both backends × jobs 1 and 2.
+    /// three rule sets × both policies × both backends.
     /// Returns whether some visit fired at a pattern with a
     /// pattern-only definition before it and rule-bearing ones on both
     /// sides — the case the prefix count exists for.
@@ -1789,28 +1626,23 @@ mod tests {
         for (rname, rules) in rule_sets {
             for policy in SweepPolicy::ALL {
                 for backend in MatcherBackend::ALL {
-                    for jobs in [1, 2] {
-                        let run = |literal_loop| {
-                            let (mut s, g) = build();
-                            let pass = RewritePass {
-                                literal_loop,
-                                ..RewritePass::new(rules(&mut s))
-                                    .policy(policy)
-                                    .matcher(backend)
-                            };
-                            observe((s, g), pass, jobs)
+                    let run = |literal_loop| {
+                        let (mut s, g) = build();
+                        let pass = RewritePass {
+                            literal_loop,
+                            ..RewritePass::new(rules(&mut s))
+                                .policy(policy)
+                                .matcher(backend)
                         };
-                        let (by_arithmetic, literal) = (run(false), run(true));
-                        assert_eq!(
-                            by_arithmetic, literal,
-                            "{model}/{rname}/{policy}/{backend}/jobs={jobs}"
-                        );
-                        fired_mid_set |= rname == "interleaved"
-                            && literal
-                                .events
-                                .iter()
-                                .any(|e| mid_set.iter().any(|m| e.starts_with(m)));
-                    }
+                        observe((s, g), pass)
+                    };
+                    let (by_arithmetic, literal) = (run(false), run(true));
+                    assert_eq!(by_arithmetic, literal, "{model}/{rname}/{policy}/{backend}");
+                    fired_mid_set |= rname == "interleaved"
+                        && literal
+                            .events
+                            .iter()
+                            .any(|e| mid_set.iter().any(|m| e.starts_with(m)));
                 }
             }
         }

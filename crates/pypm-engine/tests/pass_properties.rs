@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 use pypm_dsl::LibraryConfig;
-use pypm_engine::{
-    MatcherBackend, ParallelConfig, PassStats, Pipeline, RewritePass, Session, SweepPolicy,
-};
+use pypm_engine::{MatcherBackend, PassStats, Pipeline, RewritePass, Session, SweepPolicy};
 use pypm_graph::{DType, Graph, NodeId, TensorMeta};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -149,61 +147,10 @@ proptest! {
         );
     }
 
-    /// The parallel match phase must be byte-identical to the serial
-    /// pass on random graphs × random rule subsets × random worker
-    /// counts × every sweep policy — the jobs half of the nightly
-    /// divergence hunt (the scheduler is exercised for real: worker
-    /// counts beyond the host's cores are valid and must not diverge).
-    #[test]
-    fn parallel_is_byte_identical_on_random_rule_subsets(
-        seed in any::<u64>(),
-        size in 1usize..30,
-        mask in 1u32..u32::MAX,
-        jobs in 2usize..9,
-        policy_idx in 0usize..2,
-    ) {
-        let policy = SweepPolicy::ALL[policy_idx];
-        let mut snapshots = Vec::new();
-        for jobs in [1usize, jobs] {
-            let mut s = Session::new();
-            let mut g = random_graph(&mut s, seed, size);
-            let mut rules = s.load_library(LibraryConfig::all());
-            let kept: Vec<_> = rules
-                .patterns
-                .drain(..)
-                .enumerate()
-                .filter(|(i, _)| mask >> (i % 32) & 1 == 1)
-                .map(|(_, p)| p)
-                .collect();
-            rules.patterns = kept;
-            let report = Pipeline::new(&mut s)
-                .with(RewritePass::new(rules).policy(policy))
-                .parallelism(ParallelConfig::with_jobs(jobs))
-                .run(&mut g)
-                .unwrap();
-            let stats = report.total();
-            g.validate().unwrap();
-            let snap: Vec<(NodeId, String, Vec<NodeId>)> = g
-                .topo_order()
-                .into_iter()
-                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.node(n).inputs.clone()))
-                .collect();
-            snapshots.push((
-                stats.rewrites_fired,
-                stats.match_attempts,
-                stats.matches_found,
-                stats.sweeps,
-                snap,
-                g.outputs().to_vec(),
-            ));
-        }
-        prop_assert_eq!(&snapshots[0], &snapshots[1]);
-    }
-
     /// The fused discrimination-tree matcher must be byte-identical to
     /// per-pattern discovery on random graphs × random rule subsets ×
-    /// random worker counts × every sweep policy — the matcher half of
-    /// the nightly divergence hunt. The tree may only *skip* machine
+    /// every sweep policy — the matcher half of the nightly divergence
+    /// hunt. The tree may only *skip* machine
     /// runs that were guaranteed to fail, so every semantic counter and
     /// the final graph (node ids included) must agree, and machine work
     /// may only shrink.
@@ -212,7 +159,6 @@ proptest! {
         seed in any::<u64>(),
         size in 1usize..30,
         mask in 1u32..u32::MAX,
-        jobs in 1usize..6,
         policy_idx in 0usize..2,
     ) {
         let policy = SweepPolicy::ALL[policy_idx];
@@ -232,7 +178,6 @@ proptest! {
             rules.patterns = kept;
             let report = Pipeline::new(&mut s)
                 .with(RewritePass::new(rules).policy(policy).matcher(backend))
-                .parallelism(ParallelConfig::with_jobs(jobs))
                 .run(&mut g)
                 .unwrap();
             let stats = report.total();
@@ -263,16 +208,14 @@ proptest! {
 
     /// Batch compilation is invisible in the results: a
     /// `Pipeline::run_batch` over random graphs — at a random batch
-    /// size, worker count and sweep policy, sharing one session and
-    /// one warm worker pool — must produce, per graph, exactly what
-    /// sequential `Pipeline::run` calls over an identically seeded
-    /// session produce. The nightly CI job reruns this at high case
-    /// counts, randomizing batch size alongside jobs.
+    /// size and sweep policy, sharing one session — must produce, per
+    /// graph, exactly what sequential `Pipeline::run` calls over an
+    /// identically seeded session produce. The nightly CI job reruns
+    /// this at high case counts.
     #[test]
     fn batch_compile_is_byte_identical_to_sequential_runs(
         seed in any::<u64>(),
         sizes in prop::collection::vec(1usize..20, 1..4),
-        jobs in 1usize..6,
         policy_idx in 0usize..2,
     ) {
         let policy = SweepPolicy::ALL[policy_idx];
@@ -295,7 +238,6 @@ proptest! {
             let rules = s_seq.load_library(LibraryConfig::both());
             let report = Pipeline::new(&mut s_seq)
                 .with(RewritePass::new(rules).policy(policy))
-                .parallelism(ParallelConfig::with_jobs(jobs))
                 .run(g)
                 .unwrap();
             let t = report.total();
@@ -311,7 +253,6 @@ proptest! {
         let rules = s_batch.load_library(LibraryConfig::both());
         let reports = Pipeline::new(&mut s_batch)
             .with(RewritePass::new(rules).policy(policy))
-            .parallelism(ParallelConfig::with_jobs(jobs))
             .run_batch(&mut graphs)
             .unwrap();
         prop_assert_eq!(reports.len(), sizes.len());

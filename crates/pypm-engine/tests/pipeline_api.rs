@@ -321,72 +321,86 @@ fn empty_batch_is_fine() {
     assert!(reports.is_empty());
 }
 
+/// The two names the repo benchmark still compiles against are inert:
+/// a pipeline told `with_jobs(8)` runs the serial pass — same graph,
+/// and the same report once the wall clocks are dropped.
 #[test]
-fn shared_pool_is_reused_across_pipeline_runs() {
+fn retired_parallelism_setter_runs_the_serial_pass() {
     use pypm_engine::ParallelConfig;
-    use pypm_perf::pool::WorkerPool;
-    use std::sync::Arc;
 
-    // A graph wide enough that warm rounds exceed the pool dispatch
-    // grain: many independent MatMul(a, Trans(b)) islands.
-    let wide = |s: &mut Session| -> Graph {
-        let mut g = Graph::new();
-        for _ in 0..48 {
-            let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
-            let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
-            let (trans, matmul, relu) = (s.ops.trans, s.ops.matmul, s.ops.relu);
-            let bt = g
-                .op(&mut s.syms, &s.registry, trans, vec![b], vec![])
-                .unwrap();
-            let mm = g
-                .op(&mut s.syms, &s.registry, matmul, vec![a, bt], vec![])
-                .unwrap();
-            let act = g
-                .op(&mut s.syms, &s.registry, relu, vec![mm], vec![])
-                .unwrap();
-            g.mark_output(act);
+    fn strip_clocks(v: &mut Value) {
+        match v {
+            Value::Object(map) => {
+                map.retain(|k, _| k != "wall_ms" && k != "duration_ms");
+                map.values_mut().for_each(strip_clocks);
+            }
+            Value::Array(items) => items.iter_mut().for_each(strip_clocks),
+            _ => {}
         }
-        g
-    };
-
-    let pool = Arc::new(WorkerPool::new(3));
-    let mut fired = Vec::new();
-    let mut pooled_rounds = 0;
-    for _ in 0..2 {
-        let mut s = Session::new();
-        let mut g = wide(&mut s);
-        let rules = s.load_library(LibraryConfig::all());
-        let report = Pipeline::new(&mut s)
-            .with(RewritePass::new(rules))
-            .parallelism(ParallelConfig::with_jobs(4))
-            .with_pool(Arc::clone(&pool))
-            .run(&mut g)
-            .unwrap();
-        let total = report.total();
-        fired.push(total.rewrites_fired);
-        pooled_rounds += total.parallel.pool_rounds;
     }
-    assert_eq!(fired[0], fired[1], "pool reuse must not change results");
-    assert!(pooled_rounds >= 2, "both runs must actually use the pool");
-    assert_eq!(
-        pool.batches_run(),
-        pooled_rounds,
-        "every pooled round went through the one shared pool"
-    );
-    // The second run's first pooled round found warm threads: reuse
-    // crosses Pipeline::run boundaries.
-    let mut s = Session::new();
-    let mut g = wide(&mut s);
-    let rules = s.load_library(LibraryConfig::all());
-    let report = Pipeline::new(&mut s)
-        .with(RewritePass::new(rules))
-        .parallelism(ParallelConfig::with_jobs(4))
-        .with_pool(Arc::clone(&pool))
-        .run(&mut g)
+    let cfg = pypm_models::hf_zoo()
+        .into_iter()
+        .find(|c| c.name == "bert-small")
         .unwrap();
-    let total = report.total();
-    assert_eq!(
-        total.parallel.pool_spawn_reuse, total.parallel.pool_rounds,
-        "a pre-warmed pool makes every round a reuse"
-    );
+    let run = |jobs: Option<usize>| {
+        let mut s = Session::new();
+        let mut g = cfg.build(&mut s);
+        let rules = s.load_library(LibraryConfig::all());
+        let mut pipeline = Pipeline::new(&mut s).with(RewritePass::new(rules));
+        if let Some(jobs) = jobs {
+            pipeline = pipeline.parallelism(ParallelConfig::with_jobs(jobs));
+        }
+        let report = pipeline.run(&mut g).unwrap();
+        let total = report.total();
+        assert_eq!(total.parallel.jobs, 1);
+        assert_eq!(total.parallel.probes_executed, 0);
+        let mut doc = pypm_core::json::parse(&report.to_json()).unwrap();
+        strip_clocks(&mut doc);
+        let nodes: Vec<_> = g
+            .topo_order()
+            .into_iter()
+            .map(|n| (n, g.node(n).op, g.node(n).inputs.clone()))
+            .collect();
+        (doc, nodes)
+    };
+    let default = run(None);
+    assert_eq!(run(Some(8)), default);
+    assert_eq!(run(Some(0)), default);
+}
+
+/// The `parallel` block of `pypm.pipeline.v1` is the constant serial
+/// one until the benchmark's frozen surface lets it go (ROADMAP item
+/// 6 e): byte for byte, zoo-wide, under every policy and backend.
+#[test]
+fn parallel_block_is_the_constant_serial_one_zoo_wide() {
+    use pypm_engine::MatcherBackend;
+
+    const SERIAL: &str = r#""parallel": {"jobs": 1, "batch_graphs": 1, "warm_batches": 0, "pool_rounds": 0, "pool_spawn_reuse": 0, "probes_executed": 0, "probes_filtered": 0, "probes_reused": 0, "probes_inline": 0, "warm_wall_ms": 0.000000, "probes_by_shard": []}"#;
+    let check = |name: &str, build: &dyn Fn(&mut Session) -> Graph| {
+        for policy in SweepPolicy::ALL {
+            for backend in MatcherBackend::ALL {
+                let mut s = Session::new();
+                let mut g = build(&mut s);
+                let rules = s.load_library(LibraryConfig::both());
+                let json = Pipeline::new(&mut s)
+                    .with(RewritePass::new(rules).policy(policy).matcher(backend))
+                    .run(&mut g)
+                    .unwrap()
+                    .to_json();
+                // One per pass, one in the totals.
+                assert_eq!(
+                    json.matches(SERIAL).count(),
+                    2,
+                    "{name}/{policy}/{backend}:\n{json}"
+                );
+                assert_eq!(json.matches("\"parallel\": ").count(), 2);
+            }
+        }
+    };
+    for cfg in pypm_models::hf_zoo() {
+        check(cfg.name, &|s| cfg.build(s));
+    }
+    for cfg in pypm_models::tv_zoo() {
+        check(cfg.name, &|s| cfg.build(s));
+    }
 }

@@ -1,7 +1,7 @@
 //! # pypm-faults — a failpoint registry for chaos testing
 //!
 //! Production code declares **named injection sites** (`"cache.read"`,
-//! `"worker.panic"`, …) by calling [`fires`] at the point where a fault
+//! `"serve.compile"`, …) by calling [`fires`] at the point where a fault
 //! could plausibly occur. A disarmed registry — the default — reduces
 //! every site to one relaxed atomic load, so shipping the hooks costs
 //! nothing. Tests (or an operator reproducing a failure) arm the
@@ -26,8 +26,8 @@
 //! * Entries are matched in order; the first live entry whose site
 //!   matches decides the outcome.
 //!
-//! Example: `PYPM_FAULTS="seed=42;cache.write=io%25;worker.panic=panic*1"`
-//! fails a quarter of cache-dir writes and panics the first pool worker.
+//! Example: `PYPM_FAULTS="seed=42;cache.write=io%25;serve.compile=panic*1"`
+//! fails a quarter of cache-dir writes and panics the first served compile.
 //!
 //! ## Interpreting actions
 //!
@@ -40,9 +40,6 @@
 //! a test route every `delay:ms` action onto a shared
 //! `pypm_core::VirtualClock`, so injected slowness advances virtual
 //! time instantly instead of stalling the test suite.
-//!
-//! This module replaces the ad-hoc `inject_worker_panic_once` test hook
-//! that previously lived in `pypm-engine::shard`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

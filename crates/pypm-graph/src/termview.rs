@@ -19,7 +19,6 @@ use crate::graph::{Graph, NodeId, NodeKind};
 use crate::ops::OpRegistry;
 use crate::tensor::TensorMeta;
 use pypm_core::{Attr, AttrInterp, IdMap, Symbol, SymbolTable, TermId, TermStore};
-use std::sync::Arc;
 
 /// The ordered producer set of one term, id-sorted so the canonical
 /// producer (the first element) is deterministic and O(1) to read.
@@ -246,12 +245,8 @@ pub struct TermView {
     /// is the first element; erasing or adding a producer is
     /// O(log |producers|). Stale nodes are absent.
     producers: IdMap<TermId, Producers>,
-    /// Attribute side tables, shared with parallel match workers
-    /// through [`TermView::attrs_shared`]. Mutations go through
-    /// [`Arc::make_mut`], which stays in place (no copy) as long as no
-    /// worker handle is outstanding — the engine drops worker handles
-    /// before patching.
-    attrs: Arc<GraphAttrInterp>,
+    /// Attribute side tables.
+    attrs: GraphAttrInterp,
     /// Nodes marked dirty by [`TermView::invalidate`] (repeats allowed),
     /// consumed by the next [`TermView::patch`].
     pending: Vec<NodeId>,
@@ -279,10 +274,10 @@ impl TermView {
             term_of_node: vec![None; graph.allocated_count()],
             clean: 0,
             producers: IdMap::default(),
-            attrs: Arc::new(GraphAttrInterp {
+            attrs: GraphAttrInterp {
                 handles: Some(handles),
                 ..GraphAttrInterp::default()
-            }),
+            },
             pending: Vec::new(),
             stale: vec![false; graph.allocated_count()],
             recomputed: 0,
@@ -507,7 +502,7 @@ impl TermView {
             });
         if first {
             let node = graph.node(n);
-            Arc::make_mut(&mut self.attrs).by_term.insert(
+            self.attrs.by_term.insert(
                 term,
                 TermAttrs {
                     meta: node.meta.clone(),
@@ -529,7 +524,7 @@ impl TermView {
         if let Some(set) = self.producers.get_mut(&term) {
             if set.remove(n) {
                 self.producers.remove(&term);
-                Arc::make_mut(&mut self.attrs).by_term.remove(&term);
+                self.attrs.by_term.remove(&term);
             }
         }
     }
@@ -568,16 +563,7 @@ impl TermView {
 
     /// The attribute interpretation for guard evaluation.
     pub fn attrs(&self) -> &GraphAttrInterp {
-        self.attrs.as_ref()
-    }
-
-    /// A shared handle on the attribute interpretation, for handing to
-    /// long-lived parallel match workers without cloning the tables.
-    /// Callers must drop worker handles before [`TermView::patch`] runs,
-    /// or the next mutation pays a copy-on-write of the whole table
-    /// (correct, but linear).
-    pub fn attrs_shared(&self) -> Arc<GraphAttrInterp> {
-        Arc::clone(&self.attrs)
+        &self.attrs
     }
 
     /// Number of clean (repaired) viewed nodes.
@@ -590,16 +576,6 @@ impl TermView {
         self.clean == 0
     }
 }
-
-// The parallel match phase (pypm-engine's shard scheduler) shares one
-// frozen view across worker threads; this is the compile-time proof
-// that `&TermView` — and the attribute interpretation guards evaluate
-// against — can cross thread boundaries.
-const _: fn() = || {
-    fn assert_sync<T: Sync>() {}
-    assert_sync::<TermView>();
-    assert_sync::<GraphAttrInterp>();
-};
 
 #[cfg(test)]
 mod tests {

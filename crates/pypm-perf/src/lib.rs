@@ -15,21 +15,9 @@
 //! kernels for exactly those savings, so relative speedups have the same
 //! *shape* (who wins, and roughly by how much) as the hardware numbers,
 //! without pretending to reproduce absolute milliseconds.
-//!
-//! Beyond the cost model, this crate is also the home of the threading
-//! substrate behind the rewrite engine's parallel match phase: the
-//! [`parallel`] utilities — worker-count resolution and static shard
-//! chunking — and the [`pool`] module's persistent [`pool::WorkerPool`]
-//! (long-lived workers, batch submit/collect with index-ordered merge),
-//! which keeps threads warm across scan rounds, passes and batched
-//! graphs instead of paying a `std::thread::scope` spawn/join per
-//! round.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod parallel;
-pub mod pool;
 
 use pypm_core::SymbolTable;
 use pypm_graph::{Graph, NodeId, NodeKind, OpClass, OpRegistry, StdOps};

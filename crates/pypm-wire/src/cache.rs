@@ -2,9 +2,9 @@
 //!
 //! The engine's inputs are fully described by bytes: the canonical
 //! graph encoding, the rule-set encoding, and the semantic knobs
-//! (sweep policy, library configuration, job count — jobs changes the
-//! machine-step/backtrack counters, so it is part of the key, not a
-//! volatile detail). Hash them together ([`CacheKey`]) and a repeat
+//! (sweep policy, library configuration, matcher backend — the backend
+//! changes the machine-step/backtrack counters, so it is part of the
+//! key, not a volatile detail). Hash them together ([`CacheKey`]) and a repeat
 //! compile request is a lookup: the stored `pypm.pipeline.v1` report
 //! is returned verbatim, byte-identical to what a cold compile would
 //! produce.

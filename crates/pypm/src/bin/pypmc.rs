@@ -3,11 +3,11 @@
 //! ```text
 //! pypmc list-models                         list both model zoos
 //! pypmc compile <model>... [--config C] [--sweep-policy P] [--matcher M]
-//!                          [--jobs N] [--stats-json FILE] [--dot]
+//!                          [--stats-json FILE] [--dot]
 //!                                           compile one or more models and
 //!                                           report rewrite stats + simulated
 //!                                           cost per model
-//! pypmc serve [--addr A] [--jobs N] [--workers N] [--queue N]
+//! pypmc serve [--addr A] [--workers N] [--queue N]
 //!             [--cache N] [--cache-dir DIR] [--cache-dir-max-bytes N]
 //!             [--request-timeout-ms N] [--step-limit N]
 //!             [--idle-timeout-ms N]
@@ -32,14 +32,11 @@
 //! scan; identical result, more match attempts). Matcher backends `M`:
 //! `fused` (default — one discrimination tree over the whole rule set) or
 //! `per-pattern` (the reference ablation); both fire byte-identical
-//! rewrite sequences. `--jobs N` selects the parallel match phase's
-//! worker count (sharded discovery, serial commit — byte-identical
-//! results); the default is `1`, the pure serial path — no worker pool
-//! is constructed, no thread starts — overridable with the `PYPM_JOBS`
-//! environment variable (the explicit flag wins). `--jobs 0` and
-//! non-numeric values are rejected with exit code 2. With several
-//! models, the whole batch compiles through one `Pipeline::run_batch` —
-//! shared session stores, one warm worker pool across all graphs.
+//! rewrite sequences. `--jobs` is retired with the parallel match phase
+//! it selected: `--jobs 1` is accepted as a no-op, any other value is
+//! rejected with exit code 2 and a message saying so. With several
+//! models, the whole batch compiles through one `Pipeline::run_batch`
+//! over shared session stores.
 //! `--stats-json` writes the pipeline report in the stable
 //! `pypm.pipeline.v1` schema (including the additive `incremental` and
 //! `parallel` counter blocks); for a batch it writes a `pypm.batch.v1`
@@ -132,7 +129,7 @@ fn list_models(args: &[String]) -> i32 {
 fn compile(args: &[String]) -> i32 {
     let spec = Spec {
         usage: "pypmc compile <model>... [--config C] [--sweep-policy P] [--matcher M] \
-                [--jobs N] [--stats-json FILE] [--dot]",
+                [--stats-json FILE] [--dot]",
         positionals: (1, usize::MAX),
         value_flags: &[
             "--config",
@@ -167,22 +164,14 @@ fn compile(args: &[String]) -> i32 {
             return 2;
         }
     };
-    // Worker count: explicit --jobs wins, then the PYPM_JOBS override,
-    // then serial. Invalid values (0, non-numeric) fail loudly on
-    // either path.
-    let jobs = match cli_args::resolve_jobs(&parsed) {
-        Ok(Some(jobs)) => jobs,
-        Ok(None) => 1,
-        Err(e) => {
-            eprintln!("error: {e}");
-            eprintln!("usage: {}", spec.usage);
-            return 2;
-        }
-    };
+    if let Some(Err(e)) = parsed.value("--jobs").map(cli_args::retired_jobs) {
+        eprintln!("error: {e}");
+        eprintln!("usage: {}", spec.usage);
+        return 2;
+    }
 
     // One session for the whole batch: shared symbol/term/pattern
-    // stores, and (with jobs > 1) one warm worker pool across every
-    // graph — the Pipeline::run_batch entry point.
+    // stores across every graph — the Pipeline::run_batch entry point.
     let mut s = Session::new();
     let mut graphs = Vec::with_capacity(models.len());
     for model in models {
@@ -207,8 +196,6 @@ fn compile(args: &[String]) -> i32 {
     let recipe = pypm::CompileRecipe {
         policy,
         matcher,
-        jobs,
-        pool: None,
         budget: None,
     };
     let reports = match pypm::compile_batch(&mut s, &mut graphs, rules, recipe) {
@@ -252,23 +239,6 @@ fn compile(args: &[String]) -> i32 {
             stats.matcher.terms_walked,
             stats.matcher.trie_steps
         );
-        if jobs > 1 {
-            println!(
-                "parallel   {jobs} jobs, {} probes executed / {} filtered / {} reused / {} inline",
-                stats.parallel.probes_executed,
-                stats.parallel.probes_filtered,
-                stats.parallel.probes_reused,
-                stats.parallel.probes_inline
-            );
-            println!(
-                "pool       {} rounds, {} warm reuses, batch of {}",
-                stats.parallel.pool_rounds,
-                stats.parallel.pool_spawn_reuse,
-                stats.parallel.batch_graphs
-            );
-        } else {
-            println!("parallel   1 job (serial match phase, no pool)");
-        }
         println!(
             "inference  {before_cost:.1} µs -> {after_cost:.1} µs ({:.3}x)",
             before_cost / after_cost
@@ -337,7 +307,7 @@ fn number<T: std::str::FromStr>(
 
 fn try_serve(args: &[String]) -> Result<i32, i32> {
     let spec = Spec {
-        usage: "pypmc serve [--addr A] [--jobs N] [--workers N] [--queue N] \
+        usage: "pypmc serve [--addr A] [--workers N] [--queue N] \
                 [--cache N] [--cache-dir DIR] [--cache-dir-max-bytes N] \
                 [--request-timeout-ms N] [--step-limit N] [--idle-timeout-ms N]",
         positionals: (0, 0),
@@ -365,10 +335,8 @@ fn try_serve(args: &[String]) -> Result<i32, i32> {
     if let Some(addr) = parsed.value("--addr") {
         config.addr = addr.to_owned();
     }
-    // Same resolution order as `compile`: flag, then PYPM_JOBS, then
-    // serial (the ServeConfig default).
-    if let Some(jobs) = cli_args::resolve_jobs(&parsed).map_err(usage_error)? {
-        config.jobs = jobs;
+    if let Some(jobs) = parsed.value("--jobs") {
+        cli_args::retired_jobs(jobs).map_err(usage_error)?;
     }
     config.cache_dir = parsed.value("--cache-dir").map(str::to_owned);
     config.cache_dir_max_bytes =

@@ -20,8 +20,8 @@
 //!   [`SweepPolicy::default`],
 //! * **matcher backends** ([`resolve_matcher`]) —
 //!   `per-pattern|fused` behind `--matcher`, defaulting to fused,
-//! * **job counts** ([`resolve_jobs`]) — explicit flag, then the
-//!   `PYPM_JOBS` environment override, then serial.
+//! * **the retired job count** ([`retired_jobs`]) — `--jobs 1` /
+//!   `jobs=1` is a no-op, anything else names the retirement.
 
 use crate::dsl::LibraryConfig;
 use crate::engine::{MatcherBackend, SweepPolicy};
@@ -199,22 +199,24 @@ pub fn resolve_matcher(parsed: &Parsed) -> Result<MatcherBackend, String> {
     }
 }
 
-/// Resolves the match-phase worker count: the explicit `--jobs` flag
-/// wins, then the `PYPM_JOBS` environment override; `Ok(None)` means
-/// neither was given and the caller keeps its default (serial, for
-/// `compile` and `serve` alike). Invalid values — 0, non-numeric — fail
-/// loudly on either path.
+/// Answers `--jobs <value>` (`pypmc compile`, `pypmc serve`) and the
+/// serve key `jobs=<value>`: the parallel match phase was measured
+/// against the serial pass, won no cell and was deleted (ROADMAP.md,
+/// profile ledger, PR 16), so exactly `1` is accepted as a no-op —
+/// scripts that pinned the serial path keep working — and anything else
+/// is an error.
 ///
 /// # Errors
 ///
-/// The diagnostic to print (the caller prefixes `error: ` and adds its
-/// usage line, exit 2).
-pub fn resolve_jobs(parsed: &Parsed) -> Result<Option<usize>, String> {
-    match parsed.value("--jobs") {
-        Some(v) => crate::perf::parallel::parse_jobs(v)
-            .map(Some)
-            .map_err(|e| format!("invalid --jobs {v}: {e}")),
-        None => crate::perf::parallel::jobs_from_env("PYPM_JOBS").map_err(|e| e.to_string()),
+/// The one retirement message (the CLI prints it with its usage line
+/// and exits 2; the server answers `BAD_REQUEST` with it).
+pub fn retired_jobs(value: &str) -> Result<(), String> {
+    match value {
+        "1" => Ok(()),
+        _ => Err(format!(
+            "jobs {value} is not accepted: the jobs axis is retired (no parallel \
+             configuration beat the serial match phase; see ROADMAP.md) — drop the flag"
+        )),
     }
 }
 
@@ -287,6 +289,16 @@ mod tests {
         let retired = parse(&["--sweep-policy", "continue"]).unwrap();
         let err = resolve_policy(&retired).unwrap_err();
         assert!(err.contains("restart|incremental"), "{err}");
+    }
+
+    #[test]
+    fn retired_jobs_accepts_exactly_one() {
+        assert_eq!(retired_jobs("1"), Ok(()));
+        for value in ["0", "2", "01", " 1", "x", ""] {
+            let err = retired_jobs(value).unwrap_err();
+            assert!(err.contains("retired"), "{value:?}: {err}");
+            assert!(err.contains("drop the flag"), "{value:?}: {err}");
+        }
     }
 
     #[test]

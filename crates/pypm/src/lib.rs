@@ -98,12 +98,6 @@ pub struct CompileRecipe {
     pub policy: engine::SweepPolicy,
     /// Matcher backend of the rewrite pass.
     pub matcher: engine::MatcherBackend,
-    /// Match-phase worker count; `1` is the serial path, which never
-    /// touches a pool.
-    pub jobs: usize,
-    /// A warm pool to run parallel match phases on. `None` lets a
-    /// parallel run build its own for the batch.
-    pub pool: Option<Arc<perf::pool::WorkerPool>>,
     /// The cooperative budget the whole run charges against, if any.
     pub budget: Option<Arc<core::Budget>>,
 }
@@ -123,11 +117,7 @@ pub fn compile_batch(
     rules: dsl::RuleSet,
     recipe: CompileRecipe,
 ) -> Result<Vec<engine::PipelineReport>, engine::PipelineError> {
-    let mut pipeline =
-        engine::Pipeline::new(session).parallelism(engine::ParallelConfig::with_jobs(recipe.jobs));
-    if let Some(pool) = recipe.pool {
-        pipeline = pipeline.with_pool(pool);
-    }
+    let mut pipeline = engine::Pipeline::new(session);
     if let Some(budget) = recipe.budget {
         pipeline = pipeline.with_budget(budget);
     }

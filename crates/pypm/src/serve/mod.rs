@@ -9,8 +9,8 @@
 //!
 //! The paper's matcher is designed to sit inside a long-running
 //! DL-compiler session: patterns loaded once, many graphs compiled.
-//! This module keeps that state — warm [`crate::perf::pool::WorkerPool`]
-//! threads, per-worker [`crate::engine::Session`] stores, a ruleset cache — alive
+//! This module keeps that state — per-worker
+//! [`crate::engine::Session`] stores, a ruleset cache — alive
 //! across requests, turning the one-shot `pypmc compile` into a
 //! service. Std-only: a plain TCP accept loop plus a bounded worker
 //! queue, no async runtime.
@@ -33,10 +33,13 @@
 //! ping
 //! stats
 //! shutdown
-//! compile <model> [config=<C>] [policy=<P>] [matcher=<M>] [jobs=<N>]
+//! compile <model> [config=<C>] [policy=<P>] [matcher=<M>]
 //!         [timeout_ms=<T>] [step_limit=<S>]
 //! ```
 //!
+//! The retired `jobs=<N>` key is answered by
+//! [`crate::cli_args::retired_jobs`]: `jobs=1` is a no-op, any other
+//! value is [`protocol::STATUS_BAD_REQUEST`].
 //! `C`, `P` and `M` take exactly the `pypmc compile` vocabulary
 //! ([`crate::cli_args`]: `baseline|fmha|epilog|both|all` with an
 //! optional `+synthN` scaling suffix, `restart|incremental`,
@@ -45,8 +48,7 @@
 //! A successful `compile` responds with the request's
 //! `pypm.pipeline.v1` stats JSON — the same document `pypmc compile
 //! --stats-json` writes, byte-identical in every semantic counter (the
-//! wall-clock fields and the warm-pool reuse counter legitimately
-//! differ on a warm server). `stats` responds with a
+//! wall-clock fields legitimately differ). `stats` responds with a
 //! `pypm.serve.stats.v1` JSON document carrying the cache counters.
 //!
 //! ## The result cache
@@ -54,11 +56,10 @@
 //! Every worker shares one [`crate::wire::cache::ResultCache`]: before compiling, the
 //! request is content-addressed — a [`crate::wire::cache::CacheKey`] over the engine
 //! version, the canonical `PYPMWIRE` graph bytes, the rule-set bytes,
-//! the library configuration, the sweep policy, the matcher backend
-//! and the effective job count — and a hit returns the stored
-//! `pypm.pipeline.v1` report verbatim. Jobs and the matcher backend
-//! are part of the key because they change the
-//! machine-step/backtrack/admission counters; the engine version
+//! the library configuration, the sweep policy and the matcher
+//! backend — and a hit returns the stored `pypm.pipeline.v1` report
+//! verbatim. The matcher backend is part of the key because it changes
+//! the machine-step/backtrack/admission counters; the engine version
 //! (`CARGO_PKG_VERSION`) is part of it so a persistent store written
 //! by an older build reads as a miss rather than serving a report the
 //! current engine would not produce. The cached report is
@@ -89,10 +90,10 @@
 //! [`crate::core::Budget`] to one compile; `pypmc serve
 //! --request-timeout-ms` / `--step-limit` set server-side defaults a
 //! request can override. The budget is checked at every commit-loop
-//! node, inside shard workers and during discrimination-tree walks, so
+//! node and during discrimination-tree walks, so
 //! an exceeded compile unwinds within a bounded number of machine
 //! steps, answers [`protocol::STATUS_DEADLINE_EXCEEDED`] (the payload names the
-//! exhausted limits), and leaves the worker's session and warm pool
+//! exhausted limits), and leaves the worker's session
 //! fully reusable — the next request on the same worker compiles
 //! byte-identically to a cold `pypmc compile`. Budget keys are *not*
 //! part of the cache key: a compile that finishes under budget produces
@@ -152,10 +153,7 @@
 //! A compile worker survives everything a request can throw at it: a
 //! panicking request handler is caught ([`std::panic::catch_unwind`])
 //! and answered with [`protocol::STATUS_ERROR`], and the worker's session is
-//! rebuilt before the next request. Worker-pool task panics inside the
-//! parallel match phase surface as clean pass errors (the engine's
-//! term-store loan guard restores the session stores), so the same
-//! session keeps serving.
+//! rebuilt before the next request.
 
 pub mod protocol;
 mod queue;

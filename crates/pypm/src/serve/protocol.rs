@@ -219,7 +219,6 @@ pub(crate) struct CompileRequest {
     pub config: LibraryConfig,
     pub policy: SweepPolicy,
     pub matcher: MatcherBackend,
-    pub jobs: Option<usize>,
     pub timeout_ms: Option<u64>,
     pub step_limit: Option<u64>,
 }
@@ -250,7 +249,6 @@ pub(crate) fn parse_request(line: &str) -> Result<Request, String> {
                 config: LibraryConfig::both(),
                 policy: SweepPolicy::default(),
                 matcher: MatcherBackend::default(),
-                jobs: None,
                 timeout_ms: None,
                 step_limit: None,
             };
@@ -269,12 +267,7 @@ pub(crate) fn parse_request(line: &str) -> Result<Request, String> {
                     "matcher" => {
                         req.matcher = crate::cli_args::parse_matcher(value)?;
                     }
-                    "jobs" => {
-                        req.jobs = Some(
-                            crate::perf::parallel::parse_jobs(value)
-                                .map_err(|e| format!("invalid jobs={value}: {e}"))?,
-                        );
-                    }
+                    "jobs" => crate::cli_args::retired_jobs(value)?,
                     "timeout_ms" => {
                         req.timeout_ms = Some(parse_budget_value("timeout_ms", value)?);
                     }

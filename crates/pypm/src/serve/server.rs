@@ -34,10 +34,6 @@ const IDLE_POLL: Duration = Duration::from_millis(25);
 pub struct ServeConfig {
     /// Listen address; port 0 picks a free port (see [`Server::addr`]).
     pub addr: String,
-    /// Default per-request match-phase worker count (a request's
-    /// `jobs=N` wins). `1` (the default) compiles serially, like `pypmc
-    /// compile --jobs 1`.
-    pub jobs: usize,
     /// Compile worker threads — concurrent compiles in flight.
     pub workers: usize,
     /// Bounded admission queue depth: compiles waiting beyond the ones
@@ -78,7 +74,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:0".to_owned(),
-            jobs: 1,
             workers: 2,
             queue_depth: 16,
             cache_capacity: 128,
@@ -180,7 +175,6 @@ impl Server {
             None => ResultCache::in_memory(config.cache_capacity),
         });
         let cx = WorkerContext {
-            default_jobs: config.jobs.max(1),
             defaults: BudgetDefaults {
                 timeout_ms: config.request_timeout_ms,
                 step_limit: config.step_limit,

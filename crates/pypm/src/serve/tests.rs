@@ -24,14 +24,13 @@ fn request_grammar_parses_the_documented_forms() {
             config: LibraryConfig::both(),
             policy: SweepPolicy::Incremental,
             matcher: MatcherBackend::Fused,
-            jobs: None,
             timeout_ms: None,
             step_limit: None,
         }))
     );
     assert_eq!(
         parse_request(
-            "compile vgg11 config=all+synth39 policy=restart matcher=per-pattern jobs=4 \
+            "compile vgg11 config=all+synth39 policy=restart matcher=per-pattern jobs=1 \
              timeout_ms=250 step_limit=100000"
         ),
         Ok(Request::Compile(CompileRequest {
@@ -39,7 +38,6 @@ fn request_grammar_parses_the_documented_forms() {
             config: LibraryConfig::all().with_synth(39),
             policy: SweepPolicy::RestartOnRewrite,
             matcher: MatcherBackend::PerPattern,
-            jobs: Some(4),
             timeout_ms: Some(250),
             step_limit: Some(100_000),
         }))
@@ -58,8 +56,11 @@ fn request_grammar_rejects_garbage_with_reasons() {
         .unwrap_err()
         .contains("restart|incremental"));
     assert!(parse_request("compile m matcher=bogus").is_err());
-    assert!(parse_request("compile m jobs=0").is_err());
-    assert!(parse_request("compile m jobs=four").is_err());
+    for retired in ["jobs=0", "jobs=2", "jobs=four"] {
+        assert!(parse_request(&format!("compile m {retired}"))
+            .unwrap_err()
+            .contains("retired"));
+    }
     assert!(parse_request("compile m stray").is_err());
     assert!(parse_request("compile m color=red").is_err());
     // Budget keys: zero and non-numeric are rejected with reasons
@@ -156,7 +157,7 @@ fn request_frame(line: &str) -> Vec<u8> {
 
 #[test]
 fn frames_round_trip_whole_and_one_byte_at_a_time() {
-    let frame = request_frame("compile bert-tiny jobs=2");
+    let frame = request_frame("compile bert-tiny jobs=1");
     assert_eq!(&frame[..4], &24u32.to_le_bytes());
     let mut two = frame.clone();
     two.extend_from_slice(&request_frame(""));
@@ -166,7 +167,7 @@ fn frames_round_trip_whole_and_one_byte_at_a_time() {
     ] {
         let mut reader = reader;
         let first = read_request(&mut reader, &mut Strict).unwrap();
-        assert_eq!(first.as_deref(), Some(&b"compile bert-tiny jobs=2"[..]));
+        assert_eq!(first.as_deref(), Some(&b"compile bert-tiny jobs=1"[..]));
         let second = read_request(&mut reader, &mut Strict).unwrap();
         assert_eq!(
             second.as_deref(),
@@ -285,7 +286,6 @@ fn edf_select_prefers_earliest_deadline_then_fifo() {
             config: LibraryConfig::both(),
             policy: SweepPolicy::RestartOnRewrite,
             matcher: MatcherBackend::Fused,
-            jobs: None,
             timeout_ms: None,
             step_limit: None,
         },

@@ -1,6 +1,6 @@
 //! The compile workers: what one request costs once it leaves the
 //! queue — shed, cache probe, build, key, compile, render — over a
-//! session and pool kept warm across requests.
+//! session kept warm across requests.
 
 use super::protocol::{
     shed_payload, CompileRequest, RETRY_AFTER_HINT_MS, STATUS_DEADLINE_EXCEEDED, STATUS_ERROR,
@@ -11,7 +11,6 @@ use crate::core::clock::Clock;
 use crate::core::Budget;
 use crate::dsl::LibraryConfig;
 use crate::engine::{PassError, Session};
-use crate::perf::pool::WorkerPool;
 use crate::wire::cache::{CacheKey, ResultCache};
 use crate::CompileRecipe;
 use std::collections::HashMap;
@@ -81,7 +80,6 @@ impl Counters {
 /// What every worker of one server shares.
 #[derive(Clone)]
 pub(super) struct WorkerContext {
-    pub(super) default_jobs: usize,
     pub(super) defaults: BudgetDefaults,
     pub(super) cache: Arc<ResultCache>,
     pub(super) clock: Arc<dyn Clock>,
@@ -89,39 +87,25 @@ pub(super) struct WorkerContext {
 }
 
 /// The state one compile worker keeps warm across requests: its own
-/// session stores (rebuilt only after a caught handler panic) and one
-/// persistent worker pool for parallel match phases.
+/// session stores (rebuilt only after a caught handler panic).
 struct WorkerState {
     session: Session,
-    pool: Option<Arc<WorkerPool>>,
     cx: WorkerContext,
     /// Request determinants → content hash. The zoo builders are pure,
     /// so the canonical graph/ruleset bytes — and therefore the cache
-    /// key — are a function of (model, config, policy, matcher, jobs);
+    /// key — are a function of (model, config, policy, matcher);
     /// once a worker has hashed a request's content it never rebuilds
     /// the graph just to rediscover the same key.
-    key_memo: HashMap<(String, LibraryConfig, &'static str, &'static str, usize), CacheKey>,
+    key_memo: HashMap<(String, LibraryConfig, &'static str, &'static str), CacheKey>,
 }
 
 impl WorkerState {
     fn new(cx: WorkerContext) -> Self {
         WorkerState {
             session: Session::new(),
-            pool: None,
             cx,
             key_memo: HashMap::new(),
         }
-    }
-
-    /// The worker's warm pool, created on the first parallel request
-    /// with `jobs - 1` threads (shard 0 of every warm phase runs on
-    /// the compile worker itself — the same sizing `pypmc compile`
-    /// uses).
-    fn pool(&mut self, jobs: usize) -> Arc<WorkerPool> {
-        Arc::clone(
-            self.pool
-                .get_or_insert_with(|| Arc::new(WorkerPool::new(jobs.max(2) - 1))),
-        )
     }
 
     /// Serves one compile: exactly the `pypmc compile` pipeline
@@ -146,7 +130,6 @@ impl WorkerState {
         // shedding is observed behind it, `panic` exercises the
         // session-rebuild path.
         super::failpoint("serve.compile").map_err(|e| (STATUS_ERROR, e))?;
-        let jobs = req.jobs.unwrap_or(self.cx.default_jobs).max(1);
         // The cooperative whole-request budget: request keys win over
         // the server defaults. Deliberately *not* part of the cache
         // key — a compile that finishes under budget produces the
@@ -189,7 +172,6 @@ impl WorkerState {
             req.config,
             req.policy.name(),
             req.matcher.name(),
-            jobs,
         );
         let mut probed = false;
         if self.cx.cache.is_enabled() {
@@ -212,8 +194,8 @@ impl WorkerState {
         charge(graph.live_count() as u64)?;
         let rules = self.session.load_library_cached(req.config);
         // Content-address the request: the canonical graph bytes plus
-        // everything else that shapes the report. Jobs and the matcher
-        // backend are in the key because they change the
+        // everything else that shapes the report. The matcher backend
+        // is in the key because it changes the
         // machine-step/backtrack/admission counters; the engine version
         // is in it so a persistent store outliving this binary (an
         // upgraded server over an old --cache-dir) misses instead of
@@ -238,7 +220,6 @@ impl WorkerState {
                 format!("{:?}", req.config).as_bytes(),
                 req.policy.name().as_bytes(),
                 req.matcher.name().as_bytes(),
-                &(jobs as u64).to_le_bytes(),
             ]);
             self.key_memo.insert(memo, key);
             Some(key)
@@ -255,10 +236,6 @@ impl WorkerState {
         let recipe = CompileRecipe {
             policy: req.policy,
             matcher: req.matcher,
-            jobs,
-            // Serial requests never touch a pool (the `--jobs 1`
-            // contract); parallel ones share this worker's warm one.
-            pool: (jobs > 1).then(|| self.pool(jobs)),
             budget: budget.clone(),
         };
         let reports = crate::compile_batch(

@@ -3,10 +3,9 @@
 //!
 //! Each schedule arms a random set of failpoints (cache read/write/
 //! evict I/O errors, torn cache writes, dropped frame reads/writes,
-//! slow and panicking pool workers), brings up a server with randomized
-//! limits, and sweeps randomized requests across zoo models × sweep
-//! policies × job counts — some carrying `timeout_ms=`/`step_limit=`
-//! budgets. The robustness contract under fire:
+//! slow compiles), brings up a server with randomized limits, and
+//! sweeps randomized requests across zoo models × sweep policies —
+//! some carrying `timeout_ms=`/`step_limit=` budgets. The robustness contract under fire:
 //!
 //! * no panic escapes a worker (the server keeps answering),
 //! * virtual time is exactly accounted: each schedule runs its server
@@ -89,19 +88,18 @@ impl Rng {
 
 const MODELS: &[&str] = &["bert-tiny", "bert-small", "vgg11"];
 const POLICIES: &[&str] = &["restart", "incremental"];
-const JOBS: &[usize] = &[1, 2, 4];
 
 /// A cold in-process compile of one request — the byte-identity
 /// reference. Must only run while the registry is disarmed: it shares
 /// this process's failpoint sites.
-fn cold_report(model: &str, policy: &str, jobs: usize) -> String {
-    use pypm::engine::{ParallelConfig, Pipeline, RewritePass, Session};
+fn cold_report(model: &str, policy: &str) -> String {
+    use pypm::engine::{Pipeline, RewritePass, Session};
     assert!(!pypm::faults::armed(), "cold reference needs faults off");
     let mut s = Session::new();
     let mut g = pypm::build_model(&mut s, model).expect("zoo model");
     let rules = s.load_library(pypm::dsl::LibraryConfig::both());
     let policy = pypm::cli_args::parse_policy(policy).expect("policy");
-    let mut pipeline = Pipeline::new(&mut s).parallelism(ParallelConfig::with_jobs(jobs));
+    let mut pipeline = Pipeline::new(&mut s);
     if !rules.is_empty() {
         pipeline = pipeline.with(RewritePass::new(rules).policy(policy));
     }
@@ -111,18 +109,16 @@ fn cold_report(model: &str, policy: &str, jobs: usize) -> String {
     reports[0].to_json()
 }
 
-/// The masked reference report for every (model, policy, jobs) combo a
+/// The masked reference report for every (model, policy) combo a
 /// schedule can request, computed before any fault is armed.
-fn reference_matrix() -> HashMap<(String, String, usize), Value> {
+fn reference_matrix() -> HashMap<(String, String), Value> {
     let mut refs = HashMap::new();
     for model in MODELS {
         for policy in POLICIES {
-            for &jobs in JOBS {
-                refs.insert(
-                    ((*model).to_owned(), (*policy).to_owned(), jobs),
-                    mask_volatile(&cold_report(model, policy, jobs)),
-                );
-            }
+            refs.insert(
+                ((*model).to_owned(), (*policy).to_owned()),
+                mask_volatile(&cold_report(model, policy)),
+            );
         }
     }
     refs
@@ -155,21 +151,15 @@ fn random_fault_spec(rng: &mut Rng) -> String {
     if rng.chance(40) {
         parts.push(format!("frame.write=io%{}", 5 + rng.below(15)));
     }
-    if rng.chance(40) {
-        parts.push(format!("worker.slow=delay:{}%20", 1 + rng.below(5)));
-    }
     if rng.chance(30) {
         parts.push(format!("serve.compile=delay:{}%25", 1 + rng.below(50)));
-    }
-    if rng.chance(40) {
-        parts.push(format!("worker.panic=panic*{}", 1 + rng.below(2)));
     }
     parts.join(";")
 }
 
 /// Runs one schedule: arm, serve randomized requests, assert the
 /// contract, disarm. Returns how many requests were served.
-fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize), Value>) -> u64 {
+fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String), Value>) -> u64 {
     let mut rng = Rng(seed ^ (schedule.wrapping_mul(0x0100_0000_01b3)));
     let cache_dir = rng.chance(50).then(|| {
         std::env::temp_dir().join(format!(
@@ -187,7 +177,6 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
     // possible.
     let vclock = Arc::new(VirtualClock::new());
     let config = ServeConfig {
-        jobs: 2,
         workers: 1 + rng.below(2) as usize,
         queue_depth: *rng.pick(&[0usize, 2, 8]),
         cache_capacity: *rng.pick(&[0usize, 8, 64]),
@@ -228,8 +217,7 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
     for _ in 0..8 {
         let model = *rng.pick(MODELS);
         let policy = *rng.pick(POLICIES);
-        let jobs = *rng.pick(JOBS);
-        let mut line = format!("compile {model} policy={policy} jobs={jobs}");
+        let mut line = format!("compile {model} policy={policy}");
         let timeout_ms = rng.chance(30).then(|| 10 + rng.below(40));
         if let Some(t) = timeout_ms {
             line.push_str(&format!(" timeout_ms={t}"));
@@ -251,7 +239,7 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
         served += 1;
 
         // Exact virtual accounting: the only thing that advances the
-        // schedule's clock is a recorded sleep (injected worker/frame
+        // schedule's clock is a recorded sleep (injected compile/frame
         // delays). Any other drift would mean a hidden wait the
         // harness cannot see.
         assert_eq!(
@@ -273,7 +261,7 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
         // one.
         match status {
             STATUS_OK => {
-                let expected = &refs[&(model.to_owned(), policy.to_owned(), jobs)];
+                let expected = &refs[&(model.to_owned(), policy.to_owned())];
                 assert_eq!(
                     &mask_volatile(&body),
                     expected,
@@ -323,7 +311,6 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
     // serving uncorrupted results.
     if let Some(dir) = &cache_dir {
         let fresh = Server::bind(ServeConfig {
-            jobs: 2,
             workers: 1,
             queue_depth: 4,
             cache_capacity: 8,
@@ -332,13 +319,11 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String, usize)
         })
         .expect("rebind on the chaos cache dir");
         let mut c = Client::connect(fresh.addr()).expect("connect");
-        let (status, body) = c
-            .request("compile bert-tiny policy=restart jobs=2")
-            .unwrap();
+        let (status, body) = c.request("compile bert-tiny policy=restart").unwrap();
         assert_eq!(status, STATUS_OK, "{body}");
         assert_eq!(
             &mask_volatile(&body),
-            &refs[&("bert-tiny".to_owned(), "restart".to_owned(), 2)],
+            &refs[&("bert-tiny".to_owned(), "restart".to_owned())],
             "[schedule {schedule}] post-restart compile diverged"
         );
         let (_, stats) = c.request("stats").unwrap();
@@ -371,7 +356,6 @@ fn with_faults_disabled_served_results_are_byte_identical_zoo_wide() {
     pypm::faults::disarm();
     let refs = reference_matrix();
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 2,
         queue_depth: 8,
         ..ServeConfig::default()
@@ -380,17 +364,15 @@ fn with_faults_disabled_served_results_are_byte_identical_zoo_wide() {
     let mut client = Client::connect(server.addr()).unwrap();
     for model in MODELS {
         for policy in POLICIES {
-            for &jobs in JOBS {
-                let (status, body) = client
-                    .request_with_retry(&format!("compile {model} policy={policy} jobs={jobs}"), 8)
-                    .unwrap();
-                assert_eq!(status, STATUS_OK, "{model}/{policy}/{jobs}: {body}");
-                assert_eq!(
-                    &mask_volatile(&body),
-                    &refs[&((*model).to_owned(), (*policy).to_owned(), jobs)],
-                    "{model}/{policy}/jobs={jobs} diverged with faults disabled"
-                );
-            }
+            let (status, body) = client
+                .request_with_retry(&format!("compile {model} policy={policy}"), 8)
+                .unwrap();
+            assert_eq!(status, STATUS_OK, "{model}/{policy}: {body}");
+            assert_eq!(
+                &mask_volatile(&body),
+                &refs[&((*model).to_owned(), (*policy).to_owned())],
+                "{model}/{policy} diverged with faults disabled"
+            );
         }
     }
     let (status, _) = client.request("shutdown").unwrap();

@@ -81,80 +81,33 @@ fn compile_policy_alias_is_rejected() {
     assert!(err.contains("usage: pypmc compile"), "{err}");
 }
 
-/// Spawns pypmc with an explicit `PYPM_JOBS` state: `Some(v)` sets it,
-/// `None` guarantees it is unset (the ambient CI matrix leg exports it).
-fn pypmc_with_jobs_env(args: &[&str], jobs_env: Option<&str>) -> Output {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_pypmc"));
-    cmd.args(args);
-    match jobs_env {
-        Some(v) => cmd.env("PYPM_JOBS", v),
-        None => cmd.env_remove("PYPM_JOBS"),
-    };
-    cmd.output().expect("failed to spawn pypmc")
-}
-
-#[test]
-fn compile_jobs_flag_reports_parallel_stats() {
-    // All job counts compile to the same result; the report names the
-    // worker count and the probe accounting.
-    let mut rewrite_lines = Vec::new();
-    for jobs in ["1", "2", "4"] {
-        let out = pypmc(&["compile", "bert-tiny", "--jobs", jobs]);
-        assert!(out.status.success(), "--jobs {jobs}: {out:?}");
-        let text = stdout(&out);
-        assert!(text.contains("parallel"), "--jobs {jobs}: {text}");
-        if jobs == "1" {
-            assert!(
-                text.contains("1 job (serial match phase, no pool)"),
-                "{text}"
-            );
-        } else {
-            assert!(text.contains(&format!("{jobs} jobs")), "{text}");
-            assert!(text.contains("probes executed"), "{text}");
-            assert!(text.contains("pool"), "{text}");
-        }
-        rewrite_lines.push(rewrites_line(&text).to_owned());
-    }
-    assert_eq!(rewrite_lines[0], rewrite_lines[1]);
-    assert_eq!(rewrite_lines[0], rewrite_lines[2]);
-}
-
 #[test]
 fn compile_jobs_zero_and_garbage_are_rejected() {
-    for bad in ["0", "four", "-3", ""] {
+    // The axis is retired: every value but the no-op `1` exits 2 with
+    // the one retirement message, before anything is printed.
+    for bad in ["2", "0", "x", "four", "-3", ""] {
         let out = pypmc(&["compile", "bert-tiny", "--jobs", bad]);
         assert_eq!(out.status.code(), Some(2), "--jobs {bad:?}: {out:?}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert!(err.contains("invalid --jobs"), "--jobs {bad:?}: {err}");
+        assert!(err.contains("retired"), "--jobs {bad:?}: {err}");
+        assert!(err.contains("drop the flag"), "--jobs {bad:?}: {err}");
         assert!(err.contains("usage: pypmc compile"), "{err}");
+        assert!(out.stdout.is_empty(), "--jobs {bad:?}: {out:?}");
     }
 }
 
 #[test]
-fn compile_jobs_env_override_and_flag_precedence() {
-    // PYPM_JOBS selects the worker count when no flag is given…
-    let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], Some("3"));
-    assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("3 jobs"), "{}", stdout(&out));
-    // …the explicit flag wins over the environment…
-    let out = pypmc_with_jobs_env(&["compile", "bert-tiny", "--jobs", "2"], Some("3"));
-    assert!(out.status.success(), "{out:?}");
-    assert!(stdout(&out).contains("2 jobs"), "{}", stdout(&out));
-    // …a set-but-broken override fails loudly (exit 2, naming it)…
-    let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], Some("fuor"));
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("invalid PYPM_JOBS=fuor"),
-        "{out:?}"
+fn compile_jobs_one_is_a_no_op_and_the_environment_is_not_read() {
+    let (_, plain) = compile_stats_json(&["bert-tiny"]);
+    let (_, flagged) = compile_stats_json(&["bert-tiny", "--jobs", "1"]);
+    assert_eq!(
+        common::mask_volatile(&flagged),
+        common::mask_volatile(&plain)
     );
-    // …and with neither, the compile is serial.
-    let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], None);
-    assert!(out.status.success(), "{out:?}");
-    assert!(
-        stdout(&out).contains("1 job (serial match phase, no pool)"),
-        "{}",
-        stdout(&out)
-    );
+    // The environment override of the worker count is gone with it.
+    let (_, json) = common::compile_stats_json_with_env(&["bert-tiny"], &[("PYPM_JOBS", "4")]);
+    assert_eq!(common::mask_volatile(&json), common::mask_volatile(&plain));
+    assert_eq!(uint_at(&common::parse(&json), "totals.parallel.jobs"), 1);
 }
 
 #[test]
@@ -277,18 +230,16 @@ fn stray_positionals_are_rejected_with_usage() {
 fn batch_compile_reports_every_model_and_matches_individual_runs() {
     // One invocation, three graphs: per-model blocks in input order,
     // and each model's rewrite line byte-identical to its standalone
-    // compile (batching shares stores + pool but never changes
-    // results).
-    let batch = pypmc(&["compile", "bert-tiny", "vgg11", "bert-tiny", "--jobs", "4"]);
+    // compile (batching shares stores but never changes results).
+    let batch = pypmc(&["compile", "bert-tiny", "vgg11", "bert-tiny"]);
     assert!(batch.status.success(), "{batch:?}");
     let text = stdout(&batch);
     assert_eq!(text.matches("model      bert-tiny").count(), 2, "{text}");
     assert_eq!(text.matches("model      vgg11").count(), 1, "{text}");
-    assert_eq!(text.matches("batch of 3").count(), 3, "{text}");
     let batch_rewrites: Vec<&str> = text.lines().filter(|l| l.starts_with("rewrites")).collect();
     assert_eq!(batch_rewrites.len(), 3, "{text}");
     for (i, model) in ["bert-tiny", "vgg11"].into_iter().enumerate() {
-        let solo = pypmc(&["compile", model, "--jobs", "4"]);
+        let solo = pypmc(&["compile", model]);
         assert!(solo.status.success(), "{solo:?}");
         assert_eq!(batch_rewrites[i], rewrites_line(&stdout(&solo)), "{model}");
     }
@@ -299,7 +250,7 @@ fn batch_compile_reports_every_model_and_matches_individual_runs() {
 
 #[test]
 fn batch_compile_stats_json_wraps_per_model_reports() {
-    let (_, json) = compile_stats_json(&["bert-tiny", "vgg11", "--jobs", "2"]);
+    let (_, json) = compile_stats_json(&["bert-tiny", "vgg11"]);
     let doc = common::parse(&json);
     assert_eq!(text_at(&doc, "schema"), "pypm.batch.v1");
     let graphs = at(&doc, "graphs").as_array().expect("graphs array");
@@ -309,32 +260,6 @@ fn batch_compile_stats_json_wraps_per_model_reports() {
         assert_eq!(text_at(graph, "report.schema"), "pypm.pipeline.v1");
         assert_eq!(uint_at(graph, "report.totals.parallel.batch_graphs"), 2);
     }
-}
-
-#[test]
-fn serial_compile_bypasses_the_pool_entirely() {
-    // --jobs 1 is the pure serial path: no pool is constructed, no
-    // probe is cached or run inline — the parallel block stays zero.
-    let (out, json) = compile_stats_json(&["bert-small", "--jobs", "1"]);
-    assert!(
-        stdout(&out).contains("1 job (serial match phase, no pool)"),
-        "{}",
-        stdout(&out)
-    );
-    let doc = common::parse(&json);
-    let parallel = at(&doc, "totals.parallel");
-    for zeroed in [
-        "probes_inline",
-        "probes_executed",
-        "probes_reused",
-        "pool_rounds",
-        "pool_spawn_reuse",
-        "warm_batches",
-    ] {
-        assert_eq!(uint_at(parallel, zeroed), 0, "{zeroed}:\n{json}");
-    }
-    assert_eq!(uint_at(parallel, "jobs"), 1, "{json}");
-    assert_eq!(uint_at(parallel, "batch_graphs"), 1, "{json}");
 }
 
 #[test]
@@ -386,25 +311,10 @@ fn compile_stats_json_unwritable_path_fails_cleanly() {
 }
 
 #[test]
-fn compile_empty_jobs_env_is_treated_as_unset() {
-    // `PYPM_JOBS= pypmc …` is the shell idiom for "unset": it must run
-    // with the default (serial) worker count, not die on a parse error.
-    for empty in ["", "  "] {
-        let out = pypmc_with_jobs_env(&["compile", "bert-tiny"], Some(empty));
-        assert!(out.status.success(), "PYPM_JOBS={empty:?}: {out:?}");
-        assert!(
-            stdout(&out).contains("parallel   1 job"),
-            "{}",
-            stdout(&out)
-        );
-    }
-}
-
-#[test]
 fn serve_subcommand_listens_compiles_and_drains() {
     use std::io::BufRead;
     let mut child = Command::new(env!("CARGO_BIN_EXE_pypmc"))
-        .args(["serve", "--jobs", "2", "--workers", "1"])
+        .args(["serve", "--workers", "1"])
         .stdout(std::process::Stdio::piped())
         .spawn()
         .expect("failed to spawn pypmc serve");
@@ -419,10 +329,10 @@ fn serve_subcommand_listens_compiles_and_drains() {
         .parse()
         .expect("bound address");
     let mut c = pypm::client::Client::connect(addr).unwrap();
-    let (status, body) = c.request("compile bert-tiny jobs=2").unwrap();
+    let (status, body) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, pypm::serve::protocol::STATUS_OK, "{body}");
     let report = common::parse_report(&body);
-    assert_eq!(uint_at(&report, "totals.parallel.jobs"), 2);
+    assert_eq!(uint_at(&report, "totals.parallel.jobs"), 1);
     let (status, _) = c.request("shutdown").unwrap();
     assert_eq!(status, pypm::serve::protocol::STATUS_OK);
     let out = child.wait().expect("server exits after drain");
@@ -434,8 +344,14 @@ fn serve_rejects_bad_flags_and_values() {
     let out = pypmc(&["serve", "--bogus"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag --bogus"));
-    let out = pypmc(&["serve", "--jobs", "0"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    for retired in ["0", "2", "x"] {
+        let out = pypmc(&["serve", "--jobs", retired]);
+        assert_eq!(out.status.code(), Some(2), "--jobs {retired}: {out:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("retired"), "--jobs {retired}: {err}");
+        assert!(err.contains("drop the flag"), "--jobs {retired}: {err}");
+        assert!(out.stdout.is_empty(), "--jobs {retired}: {out:?}");
+    }
     let out = pypmc(&["serve", "--workers", "0"]);
     assert_eq!(out.status.code(), Some(2), "{out:?}");
     let out = pypmc(&["serve", "--queue", "lots"]);

@@ -7,8 +7,7 @@
 use pypm::core::json::{self, Value};
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{
-    MatcherBackend, Observer, ParallelConfig, PassStats, Pipeline, RewriteFired, RewritePass,
-    Session, SweepPolicy,
+    MatcherBackend, Observer, PassStats, Pipeline, RewriteFired, RewritePass, Session, SweepPolicy,
 };
 use pypm::graph::{Graph, NodeId};
 use std::cell::RefCell;
@@ -17,10 +16,8 @@ use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The `pypm.pipeline.v1` keys that legitimately differ between two
-/// runs of the same compile: wall clocks, and the warm-pool reuse
-/// counter (a warm server's pool has run batches before; a cold CLI's
-/// has not).
-const VOLATILE: [&str; 4] = ["wall_ms", "duration_ms", "warm_wall_ms", "pool_spawn_reuse"];
+/// runs of the same compile: wall clocks.
+const VOLATILE: [&str; 2] = ["wall_ms", "duration_ms"];
 
 /// Parses a document, panicking with its text when it is not JSON.
 pub(crate) fn parse(text: &str) -> Value {
@@ -78,6 +75,11 @@ pub(crate) fn text_at<'a>(doc: &'a Value, path: &str) -> &'a str {
 /// Runs `pypmc compile <args> --stats-json <fresh temp file>` and
 /// returns the process output with the document it wrote.
 pub(crate) fn compile_stats_json(args: &[&str]) -> (Output, String) {
+    compile_stats_json_with_env(args, &[])
+}
+
+/// [`compile_stats_json`] with extra environment variables set.
+pub(crate) fn compile_stats_json_with_env(args: &[&str], env: &[(&str, &str)]) -> (Output, String) {
     static RUNS: AtomicU64 = AtomicU64::new(0);
     let path = std::env::temp_dir().join(format!(
         "pypmc_stats_{}_{}.json",
@@ -89,6 +91,7 @@ pub(crate) fn compile_stats_json(args: &[&str]) -> (Output, String) {
         .args(args)
         .arg("--stats-json")
         .arg(&path)
+        .envs(env.iter().copied())
         .output()
         .expect("failed to spawn pypmc");
     assert!(out.status.success(), "{args:?}: {out:?}");
@@ -133,10 +136,10 @@ pub(crate) fn node_rows(g: &Graph, s: &Session) -> Vec<(NodeId, String, Vec<Node
 
 /// One rewrite run's observable result: the firing sequence, the final
 /// graph down to node identities, and every semantic counter.
-/// Wall-clock, the speculative parallel block, the machine-*work*
-/// diagnostics (`machine_steps`/`machine_backtracks`) and the matcher's
-/// admission counters are deliberately absent — those are the only
-/// fields job counts and matcher backends may disagree on.
+/// Wall-clock, the machine-*work* diagnostics
+/// (`machine_steps`/`machine_backtracks`) and the matcher's admission
+/// counters are deliberately absent — those are the only fields
+/// matcher backends may disagree on.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Outcome {
     pub(crate) fired: Vec<(String, usize, NodeId)>,
@@ -155,12 +158,11 @@ pub(crate) struct Outcome {
 }
 
 /// Builds a graph in a fresh session and rewrites it to fixpoint with
-/// the `cfg` library under the given policy, job count and backend.
+/// the `cfg` library under the given policy and backend.
 pub(crate) fn run_rewrite(
     build: &dyn Fn(&mut Session) -> Graph,
     cfg: LibraryConfig,
     policy: SweepPolicy,
-    jobs: usize,
     backend: MatcherBackend,
 ) -> (Outcome, PassStats) {
     let mut s = Session::new();
@@ -169,7 +171,6 @@ pub(crate) fn run_rewrite(
     let log = Rc::new(RefCell::new(FiringLog::default()));
     let report = Pipeline::new(&mut s)
         .with(RewritePass::new(rules).policy(policy).matcher(backend))
-        .parallelism(ParallelConfig::with_jobs(jobs))
         .observe(log.clone())
         .run(&mut g)
         .expect("pass succeeds");

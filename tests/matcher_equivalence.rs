@@ -3,7 +3,7 @@
 //! per-pattern backend — same firing sequence, same final graph down to
 //! node ids, and the same value for every semantic counter
 //! (`match_attempts`, `matches_found`, `rewrites_fired`, …) — under both
-//! sweep policies, at jobs 1 and 4, across the full model zoo.
+//! sweep policies, across the full model zoo.
 //!
 //! The correctness argument is local (the tree only rejects a
 //! `(pattern, node)` pair when the pattern's every alternative is
@@ -26,34 +26,31 @@ fn assert_backend_equivalent(name: &str, build: &dyn Fn(&mut Session) -> Graph) 
         ("all", LibraryConfig::all),
     ] {
         for policy in SweepPolicy::ALL {
-            for jobs in [1usize, 4] {
-                let (per, per_stats) = run(build, cfg(), policy, jobs, MatcherBackend::PerPattern);
-                let (fused, fused_stats) = run(build, cfg(), policy, jobs, MatcherBackend::Fused);
-                assert_eq!(
-                    per, fused,
-                    "{name}/{cname}/{policy}: jobs={jobs} fused diverged from per-pattern"
-                );
-                // The tree only ever *skips* machine runs that were
-                // guaranteed to fail; it can never add machine work.
-                assert!(
-                    fused_stats.machine_steps <= per_stats.machine_steps,
-                    "{name}/{cname}/{policy}: jobs={jobs} fused did more machine work \
-                     ({} vs {})",
-                    fused_stats.machine_steps,
-                    per_stats.machine_steps,
-                );
-                // Each backend accounts every consumed probe: admitted
-                // plus rejected covers exactly the per-pattern attempt
-                // count (the fused tree's rejections stand in for the
-                // machine failures it skipped).
-                assert_eq!(fused_stats.matcher.backend, "fused");
-                assert_eq!(per_stats.matcher.backend, "per-pattern");
-                assert_eq!(
-                    fused_stats.matcher.pairs_admitted + fused_stats.matcher.pairs_rejected,
-                    per_stats.match_attempts,
-                    "{name}/{cname}/{policy}: jobs={jobs} fused admission accounting leaked"
-                );
-            }
+            let (per, per_stats) = run(build, cfg(), policy, MatcherBackend::PerPattern);
+            let (fused, fused_stats) = run(build, cfg(), policy, MatcherBackend::Fused);
+            assert_eq!(
+                per, fused,
+                "{name}/{cname}/{policy}: fused diverged from per-pattern"
+            );
+            // The tree only ever *skips* machine runs that were
+            // guaranteed to fail; it can never add machine work.
+            assert!(
+                fused_stats.machine_steps <= per_stats.machine_steps,
+                "{name}/{cname}/{policy}: fused did more machine work ({} vs {})",
+                fused_stats.machine_steps,
+                per_stats.machine_steps,
+            );
+            // Each backend accounts every consumed probe: admitted
+            // plus rejected covers exactly the per-pattern attempt
+            // count (the fused tree's rejections stand in for the
+            // machine failures it skipped).
+            assert_eq!(fused_stats.matcher.backend, "fused");
+            assert_eq!(per_stats.matcher.backend, "per-pattern");
+            assert_eq!(
+                fused_stats.matcher.pairs_admitted + fused_stats.matcher.pairs_rejected,
+                per_stats.match_attempts,
+                "{name}/{cname}/{policy}: fused admission accounting leaked"
+            );
         }
     }
 }
@@ -91,14 +88,12 @@ fn fused_filters_synthetic_rules_wholesale_on_bert_small() {
         &|s| cfg.build(s),
         lib,
         SweepPolicy::RestartOnRewrite,
-        1,
         MatcherBackend::PerPattern,
     );
     let (fused, fused_stats) = run(
         &|s| cfg.build(s),
         lib,
         SweepPolicy::RestartOnRewrite,
-        1,
         MatcherBackend::Fused,
     );
     assert!(per.rewrites_fired > 0, "model must actually rewrite");

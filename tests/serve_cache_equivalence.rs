@@ -1,7 +1,7 @@
 //! The result-cache correctness story: a cache hit must be
 //! **byte-identical** to the cold compile it replays — for every zoo
-//! model, every sweep policy, serial and parallel — the cache must
-//! key on everything that shapes the counters (jobs included), must
+//! model and every sweep policy — the cache must key on everything
+//! that shapes the counters, must
 //! survive a server restart via `--cache-dir`, and must stay invisible
 //! when disabled.
 
@@ -13,11 +13,11 @@ use pypm::core::json::Value;
 use pypm::serve::protocol::STATUS_OK;
 use pypm::serve::{ServeConfig, Server};
 
-fn compile_ok(client: &mut Client, model: &str, policy: &str, jobs: usize) -> String {
+fn compile_ok(client: &mut Client, model: &str, policy: &str) -> String {
     let (status, body) = client
-        .request(&format!("compile {model} policy={policy} jobs={jobs}"))
+        .request(&format!("compile {model} policy={policy}"))
         .unwrap();
-    assert_eq!(status, STATUS_OK, "{model}/{policy}/jobs={jobs}: {body}");
+    assert_eq!(status, STATUS_OK, "{model}/{policy}: {body}");
     body
 }
 
@@ -30,14 +30,12 @@ fn cache_stats(client: &mut Client) -> Value {
     at(&doc, "cache").clone()
 }
 
-/// Every zoo model × every sweep policy × serial and parallel jobs:
-/// the second identical request is a cache hit and its response is
+/// Every zoo model × every sweep policy: the second identical request is a cache hit and its response is
 /// **byte-identical** to the cold compile's — not just masked-equal;
 /// the cached report is the cold report, verbatim.
 #[test]
 fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
@@ -47,15 +45,13 @@ fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
     let mut expected_hits = 0;
     for name in zoo_names() {
         for policy in ["restart", "incremental"] {
-            for jobs in [1, 4] {
-                let cold = compile_ok(&mut client, name, policy, jobs);
-                let hit = compile_ok(&mut client, name, policy, jobs);
-                assert_eq!(
-                    hit, cold,
-                    "{name}/{policy}/jobs={jobs}: cache hit diverged from the cold compile"
-                );
-                expected_hits += 1;
-            }
+            let cold = compile_ok(&mut client, name, policy);
+            let hit = compile_ok(&mut client, name, policy);
+            assert_eq!(
+                hit, cold,
+                "{name}/{policy}: cache hit diverged from the cold compile"
+            );
+            expected_hits += 1;
         }
     }
     let stats = cache_stats(&mut client);
@@ -78,48 +74,24 @@ fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
 #[test]
 fn cache_hits_match_the_cold_cli_after_masking() {
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
     })
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    for (model, policy, jobs) in [("bert-small", "restart", 4), ("vgg16", "incremental", 1)] {
-        compile_ok(&mut client, model, policy, jobs); // prime: miss
-        let hit = compile_ok(&mut client, model, policy, jobs);
+    for (model, policy) in [("bert-small", "restart"), ("vgg16", "incremental")] {
+        compile_ok(&mut client, model, policy); // prime: miss
+        let hit = compile_ok(&mut client, model, policy);
 
-        let jobs_flag = jobs.to_string();
-        let (_, cli) = compile_stats_json(&[model, "--sweep-policy", policy, "--jobs", &jobs_flag]);
+        let (_, cli) = compile_stats_json(&[model, "--sweep-policy", policy]);
 
         assert_eq!(
             mask_volatile(&hit),
             mask_volatile(&cli),
-            "{model}/{policy}/jobs={jobs}: cached response diverged from the cold CLI"
+            "{model}/{policy}: cached response diverged from the cold CLI"
         );
     }
-    server.shutdown();
-    server.join();
-}
-
-/// Jobs is part of the cache key: the same model and policy at a
-/// different job count has different machine-step counters and must
-/// *miss*, not replay the wrong report.
-#[test]
-fn different_job_counts_never_share_a_cache_entry() {
-    let server = Server::bind(ServeConfig {
-        jobs: 4,
-        workers: 1,
-        queue_depth: 4,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    compile_ok(&mut client, "bert-tiny", "restart", 1);
-    compile_ok(&mut client, "bert-tiny", "restart", 4);
-    let stats = cache_stats(&mut client);
-    assert_eq!(uint_at(&stats, "hits"), 0, "{stats:?}");
-    assert_eq!(uint_at(&stats, "misses"), 2, "{stats:?}");
     server.shutdown();
     server.join();
 }
@@ -138,7 +110,6 @@ fn cache_dir_persists_across_server_restart() {
     let dir_s = dir.to_str().unwrap().to_owned();
 
     let first = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         cache_dir: Some(dir_s.clone()),
@@ -146,7 +117,7 @@ fn cache_dir_persists_across_server_restart() {
     })
     .unwrap();
     let mut client = Client::connect(first.addr()).unwrap();
-    let cold = compile_ok(&mut client, "bert-tiny", "incremental", 2);
+    let cold = compile_ok(&mut client, "bert-tiny", "incremental");
     let stats = cache_stats(&mut client);
     assert_eq!(uint_at(&stats, "stores"), 1, "{stats:?}");
     drop(client);
@@ -155,7 +126,6 @@ fn cache_dir_persists_across_server_restart() {
 
     // A restarted server — fresh memory, same directory.
     let second = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         cache_dir: Some(dir_s),
@@ -163,7 +133,7 @@ fn cache_dir_persists_across_server_restart() {
     })
     .unwrap();
     let mut client = Client::connect(second.addr()).unwrap();
-    let warm = compile_ok(&mut client, "bert-tiny", "incremental", 2);
+    let warm = compile_ok(&mut client, "bert-tiny", "incremental");
     assert_eq!(
         warm, cold,
         "the restarted server's disk hit diverged from the original cold compile"
@@ -183,7 +153,6 @@ fn cache_dir_persists_across_server_restart() {
 #[test]
 fn a_disabled_cache_recompiles_and_counts_nothing() {
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         cache_capacity: 0,
@@ -191,8 +160,8 @@ fn a_disabled_cache_recompiles_and_counts_nothing() {
     })
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
-    let a = compile_ok(&mut client, "bert-tiny", "restart", 2);
-    let b = compile_ok(&mut client, "bert-tiny", "restart", 2);
+    let a = compile_ok(&mut client, "bert-tiny", "restart");
+    let b = compile_ok(&mut client, "bert-tiny", "restart");
     assert_eq!(mask_volatile(&a), mask_volatile(&b));
     let stats = cache_stats(&mut client);
     assert_eq!(uint_at(&stats, "hits"), 0, "{stats:?}");

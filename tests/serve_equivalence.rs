@@ -1,10 +1,8 @@
 //! The serve correctness story: a graph compiled through `pypmc serve`
 //! must produce **byte-identical counters** to `pypmc compile` — same
 //! `pypm.pipeline.v1` document after dropping the only legitimately
-//! volatile fields (wall clocks, and the warm-pool reuse counter: a
-//! warm server's pool has run batches before, a cold CLI's has not).
-//! Swept over the full model zoo, the sweep policies, and serial vs
-//! parallel job counts.
+//! volatile fields (wall clocks). Swept over the full model zoo and the
+//! sweep policies.
 
 mod common;
 
@@ -15,53 +13,35 @@ use pypm::serve::{ServeConfig, Server};
 
 /// One `pypmc compile` invocation's `pypm.pipeline.v1` JSON, via
 /// `--stats-json` (the CLI is the equivalence reference).
-fn cli_compile_json(model: &str, config: &str, policy: &str, jobs: usize) -> String {
-    let jobs = jobs.to_string();
-    let flags = [
-        "--config",
-        config,
-        "--sweep-policy",
-        policy,
-        "--jobs",
-        &jobs,
-    ];
-    compile_stats_json(&[&[model], &flags[..]].concat()).1
+fn cli_compile_json(model: &str, config: &str, policy: &str) -> String {
+    compile_stats_json(&[model, "--config", config, "--sweep-policy", policy]).1
 }
 
 /// The same compile through a running server.
-fn served_compile_json(
-    client: &mut Client,
-    model: &str,
-    config: &str,
-    policy: &str,
-    jobs: usize,
-) -> String {
+fn served_compile_json(client: &mut Client, model: &str, config: &str, policy: &str) -> String {
     let (status, body) = client
-        .request(&format!(
-            "compile {model} config={config} policy={policy} jobs={jobs}"
-        ))
+        .request(&format!("compile {model} config={config} policy={policy}"))
         .unwrap();
     assert_eq!(status, STATUS_OK, "{model}: {body}");
     body
 }
 
-fn assert_equivalent(client: &mut Client, model: &str, config: &str, policy: &str, jobs: usize) {
-    let cli = mask_volatile(&cli_compile_json(model, config, policy, jobs));
-    let served = mask_volatile(&served_compile_json(client, model, config, policy, jobs));
+fn assert_equivalent(client: &mut Client, model: &str, config: &str, policy: &str) {
+    let cli = mask_volatile(&cli_compile_json(model, config, policy));
+    let served = mask_volatile(&served_compile_json(client, model, config, policy));
     assert_eq!(
         served, cli,
-        "{model}/{config}/{policy}/jobs={jobs}: served counters diverged from the CLI"
+        "{model}/{config}/{policy}: served counters diverged from the CLI"
     );
 }
 
-/// Every model of both zoos, parallel compile, default config/policy —
-/// one warm server serving the whole sweep (so the server-side session,
-/// ruleset cache and pool are maximally reused while the CLI reference
-/// starts cold every time: the counters must not care).
+/// Every model of both zoos, default config, restart policy — one warm
+/// server serving the whole sweep (so the server-side session and
+/// ruleset cache are maximally reused while the CLI reference starts
+/// cold every time: the counters must not care).
 #[test]
 fn served_counters_match_the_cli_across_the_zoo() {
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
@@ -69,19 +49,17 @@ fn served_counters_match_the_cli_across_the_zoo() {
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     for name in zoo_names() {
-        assert_equivalent(&mut client, name, "both", "restart", 4);
+        assert_equivalent(&mut client, name, "both", "restart");
     }
     server.shutdown();
     server.join();
 }
 
-/// The policy × jobs × config cross-section on representative models
-/// from each zoo — including the serial path, which must bypass the
-/// server's pool exactly like `--jobs 1` bypasses the CLI's.
+/// The policy × config cross-section on representative models from
+/// each zoo.
 #[test]
 fn served_counters_match_the_cli_across_policies_and_jobs() {
     let server = Server::bind(ServeConfig {
-        jobs: 4,
         workers: 2,
         queue_depth: 8,
         ..ServeConfig::default()
@@ -90,14 +68,12 @@ fn served_counters_match_the_cli_across_policies_and_jobs() {
     let mut client = Client::connect(server.addr()).unwrap();
     for model in ["bert-small", "vgg16"] {
         for policy in ["restart", "incremental"] {
-            for jobs in [1, 4] {
-                assert_equivalent(&mut client, model, "all", policy, jobs);
-            }
+            assert_equivalent(&mut client, model, "all", policy);
         }
     }
     // Repeating a request against the (now very warm) server still
     // matches the cold CLI.
-    assert_equivalent(&mut client, "bert-small", "all", "incremental", 4);
+    assert_equivalent(&mut client, "bert-small", "all", "incremental");
     server.shutdown();
     server.join();
 }

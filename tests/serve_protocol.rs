@@ -9,17 +9,16 @@ use common::{mask_volatile, text_at, uint_at};
 use pypm::client::Client;
 use pypm::core::VirtualClock;
 use pypm::serve::protocol::{
-    MAX_FRAME, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_ERROR, STATUS_OK,
-    STATUS_OVERLOADED, STATUS_SHUTTING_DOWN, STATUS_UNKNOWN_MODEL,
+    MAX_FRAME, STATUS_BAD_REQUEST, STATUS_DEADLINE_EXCEEDED, STATUS_OK, STATUS_OVERLOADED,
+    STATUS_SHUTTING_DOWN, STATUS_UNKNOWN_MODEL,
 };
 use pypm::serve::{ServeConfig, Server};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A small server for most tests: modest queue, parallel compiles.
+/// A small server for most tests: modest queue, two workers.
 fn spawn_server() -> Server {
     Server::bind(ServeConfig {
-        jobs: 4,
         workers: 2,
         queue_depth: 32,
         ..ServeConfig::default()
@@ -42,7 +41,7 @@ fn ping_compile_and_errors_over_one_connection() {
     let (status, body) = c.request("ping").unwrap();
     assert_eq!((status, body.as_str()), (STATUS_OK, "pong"));
 
-    let (status, body) = c.request("compile bert-tiny jobs=4").unwrap();
+    let (status, body) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
     let report = common::parse_report(&body);
     assert!(uint_at(&report, "totals.rewrites_fired") > 0, "{body}");
@@ -61,6 +60,15 @@ fn ping_compile_and_errors_over_one_connection() {
     assert_eq!(status, STATUS_BAD_REQUEST, "{body}");
     assert!(body.contains("restart|incremental"), "{body}");
 
+    // The retired `jobs` key: anything but the no-op `jobs=1` names
+    // the retirement.
+    for retired in ["jobs=2", "jobs=0", "jobs=x"] {
+        let (status, body) = c.request(&format!("compile bert-tiny {retired}")).unwrap();
+        assert_eq!(status, STATUS_BAD_REQUEST, "{retired}: {body}");
+        assert!(body.contains("retired"), "{retired}: {body}");
+        assert!(body.contains("drop the flag"), "{retired}: {body}");
+    }
+
     // The connection survives every rejected request: it still serves.
     let (status, _) = c.request("ping").unwrap();
     assert_eq!(status, STATUS_OK);
@@ -72,8 +80,8 @@ fn all_request_parameters_are_honored() {
     let server = spawn_server();
     let mut c = Client::connect(server.addr()).unwrap();
     for line in [
-        "compile bert-tiny config=baseline policy=incremental jobs=1",
-        "compile vgg11 config=all policy=restart jobs=2",
+        "compile bert-tiny config=baseline policy=incremental",
+        "compile vgg11 config=all policy=restart",
         "compile bert-tiny config=fmha",
         "compile bert-tiny config=epilog policy=restart",
     ] {
@@ -81,10 +89,13 @@ fn all_request_parameters_are_honored() {
         assert_eq!(status, STATUS_OK, "{line}: {body}");
         common::parse_report(&body);
     }
-    // `jobs=1` really ran serial: the parallel block reports one job.
-    let (status, body) = c.request("compile bert-tiny jobs=1").unwrap();
+    // `jobs=1` is a no-op: the same document as without the key.
+    let (status, plain) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, STATUS_OK);
-    assert_eq!(uint_at(&common::parse(&body), "totals.parallel.jobs"), 1);
+    let (status, keyed) = c.request("compile bert-tiny jobs=1").unwrap();
+    assert_eq!(status, STATUS_OK);
+    assert_eq!(mask_volatile(&keyed), mask_volatile(&plain));
+    assert_eq!(uint_at(&common::parse(&keyed), "totals.parallel.jobs"), 1);
     shutdown_and_join(server);
 }
 
@@ -94,12 +105,11 @@ fn eight_concurrent_clients_get_identical_counters() {
     let addr = server.addr();
     // One reference response, then 8 clients × 3 requests each, all in
     // flight at once. Every successful response must match the
-    // reference after dropping the wall-clock fields and the
-    // warm-pool reuse counter (the only legitimately volatile fields —
-    // see the serve module docs).
+    // reference after dropping the wall-clock fields (the only
+    // legitimately volatile fields — see the serve module docs).
     let reference = {
         let mut c = Client::connect(addr).unwrap();
-        let (status, body) = c.request("compile bert-tiny jobs=4").unwrap();
+        let (status, body) = c.request("compile bert-tiny").unwrap();
         assert_eq!(status, STATUS_OK);
         mask_volatile(&body)
     };
@@ -109,7 +119,7 @@ fn eight_concurrent_clients_get_identical_counters() {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
                 for _ in 0..3 {
-                    let (status, body) = c.request("compile bert-tiny jobs=4").unwrap();
+                    let (status, body) = c.request("compile bert-tiny").unwrap();
                     // Admission control may push back under the burst;
                     // retry is the documented client behaviour.
                     if status == STATUS_OVERLOADED {
@@ -133,7 +143,6 @@ fn rendezvous_queue_rejects_the_burst_with_overloaded() {
     // A burst of concurrent compiles must see at least one immediate
     // STATUS_OVERLOADED — and every admitted request must succeed.
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 0,
         ..ServeConfig::default()
@@ -147,7 +156,7 @@ fn rendezvous_queue_rejects_the_burst_with_overloaded() {
                 let mut ok = 0u32;
                 let mut overloaded = 0u32;
                 for _ in 0..4 {
-                    let (status, body) = c.request("compile bert-small jobs=2").unwrap();
+                    let (status, body) = c.request("compile bert-small").unwrap();
                     match status {
                         STATUS_OK => {
                             common::parse_report(&body);
@@ -203,37 +212,8 @@ fn garbage_and_truncated_frames_do_not_kill_the_server() {
     assert_eq!(status, STATUS_BAD_REQUEST, "{body}");
 
     // And the server still compiles after all of it.
-    let (status, body) = c.request("compile bert-tiny jobs=2").unwrap();
+    let (status, body) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
-    shutdown_and_join(server);
-}
-
-#[test]
-fn server_survives_an_injected_worker_pool_panic() {
-    let server = spawn_server();
-    let mut c = Client::connect(server.addr()).unwrap();
-
-    // Arm a one-shot panic failpoint inside the engine's parallel
-    // match phase. The request pins the per-pattern backend: the fused
-    // matcher filters warm rounds below the pool's dispatch grain, so
-    // the armed failpoint would never fire inside a pool task (and
-    // would leak into another test's run). The request must fail with
-    // a server-side error…
-    pypm::faults::arm("worker.panic=panic*1").unwrap();
-    let (status, body) = c
-        .request("compile bert-small jobs=4 matcher=per-pattern")
-        .unwrap();
-    pypm::faults::disarm();
-    assert_eq!(status, STATUS_ERROR, "{body}");
-    assert!(body.contains("panic"), "{body}");
-
-    // …and the *same* worker (same session, same warm pool) serves the
-    // next request cleanly.
-    let (status, body) = c
-        .request("compile bert-small jobs=4 matcher=per-pattern")
-        .unwrap();
-    assert_eq!(status, STATUS_OK, "{body}");
-    assert!(uint_at(&common::parse(&body), "totals.rewrites_fired") > 0);
     shutdown_and_join(server);
 }
 
@@ -243,27 +223,25 @@ fn deadline_exceeded_compiles_leave_the_worker_reusable() {
     // DEADLINE_EXCEEDED naming the exhausted limit, and the *same*
     // worker (workers=1 pins it) must serve the next request cleanly.
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
     })
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    let (status, body) = c.request("compile bert-small jobs=2 step_limit=1").unwrap();
+    let (status, body) = c.request("compile bert-small step_limit=1").unwrap();
     assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{body}");
     assert!(body.contains("step_limit=1"), "{body}");
 
-    // Same worker, same session and warm pool: an uncapped repeat
-    // succeeds…
-    let (status, body) = c.request("compile bert-small jobs=2").unwrap();
+    // Same worker, same session: an uncapped repeat succeeds…
+    let (status, body) = c.request("compile bert-small").unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
     common::parse_report(&body);
 
     // …and a generous budget is not part of the cache key, so the
     // same request with limits attached answers byte-identically.
     let (status2, body2) = c
-        .request("compile bert-small jobs=2 timeout_ms=600000 step_limit=1000000000")
+        .request("compile bert-small timeout_ms=600000 step_limit=1000000000")
         .unwrap();
     assert_eq!(status2, STATUS_OK, "{body2}");
     assert_eq!(
@@ -277,7 +255,6 @@ fn deadline_exceeded_compiles_leave_the_worker_reusable() {
 fn server_side_default_budgets_apply_and_requests_override_them() {
     // --step-limit as a ServeConfig default: every compile trips it…
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         step_limit: Some(1),
@@ -285,11 +262,11 @@ fn server_side_default_budgets_apply_and_requests_override_them() {
     })
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
-    let (status, body) = c.request("compile bert-tiny jobs=2").unwrap();
+    let (status, body) = c.request("compile bert-tiny").unwrap();
     assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{body}");
     // …unless the request brings its own, roomier budget.
     let (status, body) = c
-        .request("compile bert-tiny jobs=2 step_limit=1000000000")
+        .request("compile bert-tiny step_limit=1000000000")
         .unwrap();
     assert_eq!(status, STATUS_OK, "{body}");
     shutdown_and_join(server);
@@ -322,7 +299,7 @@ fn stats_stay_coherent_under_concurrent_load() {
                 let mut c = Client::connect(addr).unwrap();
                 for _ in 0..3 {
                     let (status, body) = c
-                        .request_with_retry("compile bert-tiny jobs=2 step_limit=1", 8)
+                        .request_with_retry("compile bert-tiny step_limit=1", 8)
                         .unwrap();
                     assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{body}");
                 }
@@ -350,7 +327,6 @@ fn stats_stay_coherent_under_concurrent_load() {
 #[test]
 fn shutdown_drains_in_flight_work_and_refuses_new_work() {
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 4,
         ..ServeConfig::default()
@@ -364,7 +340,7 @@ fn shutdown_drains_in_flight_work_and_refuses_new_work() {
         .map(|_| {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
-                c.request("compile bert-small jobs=2").unwrap()
+                c.request("compile bert-small").unwrap()
             })
         })
         .collect();
@@ -392,7 +368,6 @@ fn compiles_admitted_before_shutdown_complete_with_ok() {
     // to the worker), then shut down. The admitted compile must finish
     // OK; a compile sent after the drain flag is refused.
     let server = Server::bind(ServeConfig {
-        jobs: 2,
         workers: 1,
         queue_depth: 1,
         ..ServeConfig::default()
@@ -406,7 +381,7 @@ fn compiles_admitted_before_shutdown_complete_with_ok() {
     assert_eq!(status, STATUS_OK);
     let admitted = std::thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.request("compile bert-small jobs=2").unwrap()
+        c.request("compile bert-small").unwrap()
     });
     // The request above is in flight; let the worker pick it up.
     std::thread::sleep(std::time::Duration::from_millis(30));
@@ -427,7 +402,6 @@ fn compiles_admitted_before_shutdown_complete_with_ok() {
 fn stats_document_is_byte_identical_to_the_pinned_golden() {
     let vclock = Arc::new(VirtualClock::new());
     let server = Server::bind(ServeConfig {
-        jobs: 1,
         workers: 1,
         clock: vclock.clone(),
         ..ServeConfig::default()

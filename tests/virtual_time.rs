@@ -170,7 +170,6 @@ fn a_request_expiring_in_queue_is_shed_without_touching_a_session() {
     let vclock = Arc::new(VirtualClock::new());
     let server = Server::bind(ServeConfig {
         workers: 1,
-        jobs: 2,
         queue_depth: 8,
         cache_capacity: 0,
         clock: vclock.clone(),
@@ -186,7 +185,7 @@ fn a_request_expiring_in_queue_is_shed_without_touching_a_session() {
 
     let a = std::thread::spawn(move || {
         let mut c = Client::connect(addr).expect("connect A");
-        c.request("compile bert-tiny jobs=2").expect("A answers")
+        c.request("compile bert-tiny").expect("A answers")
     });
     // Admit B only after A holds the worker (in_flight hits 1), so the
     // fault is guaranteed to have been claimed by A's compile.
@@ -202,7 +201,7 @@ fn a_request_expiring_in_queue_is_shed_without_touching_a_session() {
     wait_for_in_flight(&mut stats_client, 1);
     let b = std::thread::spawn(move || {
         let mut c = Client::connect(addr).expect("connect B");
-        c.request("compile bert-tiny jobs=2 timeout_ms=100")
+        c.request("compile bert-tiny timeout_ms=100")
             .expect("B answers")
     });
     wait_for_in_flight(&mut stats_client, 2);
