@@ -34,9 +34,9 @@ use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx, RejectReason};
 use crate::retired::ParallelStats;
 use crate::session::Session;
-use pypm_core::{Budget, Machine, Outcome, PatternId, Subst, TermId, Witness};
+use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Subst, Symbol, TermId, Witness};
 use pypm_dsl::{Rhs, RuleSet};
-use pypm_graph::{Graph, NodeId, TermView};
+use pypm_graph::{Graph, NodeId, TensorMeta, TermView};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -843,7 +843,7 @@ impl<'a> Driver<'a> {
                 continue;
             }
             let root_meta = graph.node(node).meta.clone();
-            let replacement = self.instantiate_root(graph, view, &rule.rhs, witness, root_meta)?;
+            let replacement = self.instantiate(graph, view, &rule.rhs, witness, Some(root_meta))?;
             let rewired =
                 graph
                     .replace_traced(node, replacement)
@@ -863,79 +863,35 @@ impl<'a> Driver<'a> {
         }))
     }
 
-    /// Builds the RHS root. A rewrite replaces a subgraph by an
-    /// equivalent one, so the replacement's output metadata is the
-    /// matched root's metadata verbatim (shape inference cannot always
-    /// recover it — e.g. the fused ConvBiasAct kernel carries its stride
-    /// internally).
-    fn instantiate_root(
-        &mut self,
-        graph: &mut Graph,
-        view: &TermView,
-        rhs: &Rhs,
-        witness: &Witness,
-        root_meta: pypm_graph::TensorMeta,
-    ) -> Result<NodeId, RewriteError> {
+    /// What one RHS template node denotes under `witness` — the step
+    /// every RHS walker shares, and the one place the two unbound-variable
+    /// errors are raised.
+    fn resolve<'r>(&self, rhs: &'r Rhs, witness: &Witness) -> Result<Resolved<'r>, RewriteError> {
         match rhs {
-            Rhs::Var(_) => self.instantiate(graph, view, rhs, witness),
-            Rhs::App { op, args, attrs } => {
-                let mut inputs = Vec::with_capacity(args.len());
-                for a in args {
-                    inputs.push(self.instantiate(graph, view, a, witness)?);
+            Rhs::Var(x) => witness.theta.get(*x).map(Resolved::Bound).ok_or_else(|| {
+                RewriteError::UnboundRhsVar {
+                    var: self.session.syms.var_name(*x).to_owned(),
                 }
-                graph
-                    .op_with_meta(*op, inputs, attrs.clone(), root_meta)
-                    .map_err(|e| RewriteError::BuildFailed {
-                        reason: e.to_string(),
-                    })
-            }
-            Rhs::FunApp(fv, args) => {
-                let op = witness
-                    .phi
-                    .get(*fv)
-                    .ok_or_else(|| RewriteError::UnboundRhsFunVar {
-                        fun_var: self.session.syms.fun_var_name(*fv).to_owned(),
-                    })?;
-                let mut inputs = Vec::with_capacity(args.len());
-                for a in args {
-                    inputs.push(self.instantiate(graph, view, a, witness)?);
-                }
-                graph
-                    .op_with_meta(op, inputs, Vec::new(), root_meta)
-                    .map_err(|e| RewriteError::BuildFailed {
-                        reason: e.to_string(),
-                    })
-            }
+            }),
+            Rhs::App { op, args, attrs } => Ok(Resolved::Apply(*op, args, attrs)),
+            Rhs::FunApp(fv, args) => match witness.phi.get(*fv) {
+                Some(op) => Ok(Resolved::Apply(op, args, &[])),
+                None => Err(RewriteError::UnboundRhsFunVar {
+                    fun_var: self.session.syms.fun_var_name(*fv).to_owned(),
+                }),
+            },
         }
     }
 
     /// The term the instantiated RHS template would denote, folded
     /// structurally through the hash-consed term store *without*
-    /// touching the graph — exactly the term [`Driver::instantiate_root`]
+    /// touching the graph — exactly the term [`Driver::instantiate`]
     /// would produce nodes for. Used by the identity check so that
     /// rejected rules allocate no graph nodes.
     fn term_of_rhs(&mut self, rhs: &Rhs, witness: &Witness) -> Result<TermId, RewriteError> {
-        match rhs {
-            Rhs::Var(x) => witness
-                .theta
-                .get(*x)
-                .ok_or_else(|| RewriteError::UnboundRhsVar {
-                    var: self.session.syms.var_name(*x).to_owned(),
-                }),
-            Rhs::App { op, args, .. } => {
-                let mut terms = Vec::with_capacity(args.len());
-                for a in args {
-                    terms.push(self.term_of_rhs(a, witness)?);
-                }
-                Ok(self.session.terms.app(*op, terms))
-            }
-            Rhs::FunApp(fv, args) => {
-                let op = witness
-                    .phi
-                    .get(*fv)
-                    .ok_or_else(|| RewriteError::UnboundRhsFunVar {
-                        fun_var: self.session.syms.fun_var_name(*fv).to_owned(),
-                    })?;
+        match self.resolve(rhs, witness)? {
+            Resolved::Bound(t) => Ok(t),
+            Resolved::Apply(op, args, _) => {
                 let mut terms = Vec::with_capacity(args.len());
                 for a in args {
                     terms.push(self.term_of_rhs(a, witness)?);
@@ -946,66 +902,52 @@ impl<'a> Driver<'a> {
     }
 
     /// Builds the RHS template into the graph, reusing matched subgraphs
-    /// for variables.
+    /// for variables. The RHS root passes `Some(root_meta)`: a rewrite
+    /// replaces a subgraph by an equivalent one, so the replacement's
+    /// output metadata is the matched root's metadata verbatim (shape
+    /// inference cannot always recover it — e.g. the fused ConvBiasAct
+    /// kernel carries its stride internally). Every node below the root
+    /// passes `None` and has its metadata inferred.
     fn instantiate(
         &mut self,
         graph: &mut Graph,
         view: &TermView,
         rhs: &Rhs,
         witness: &Witness,
+        root_meta: Option<TensorMeta>,
     ) -> Result<NodeId, RewriteError> {
-        match rhs {
-            Rhs::Var(x) => {
-                let t = witness
-                    .theta
-                    .get(*x)
-                    .ok_or_else(|| RewriteError::UnboundRhsVar {
-                        var: self.session.syms.var_name(*x).to_owned(),
-                    })?;
-                view.node_of(t).ok_or(RewriteError::NoNodeForTerm)
-            }
-            Rhs::App { op, args, attrs } => {
-                let mut inputs = Vec::with_capacity(args.len());
-                for a in args {
-                    inputs.push(self.instantiate(graph, view, a, witness)?);
-                }
-                graph
-                    .op(
-                        &mut self.session.syms,
-                        &self.session.registry,
-                        *op,
-                        inputs,
-                        attrs.clone(),
-                    )
-                    .map_err(|e| RewriteError::BuildFailed {
-                        reason: e.to_string(),
-                    })
-            }
-            Rhs::FunApp(fv, args) => {
-                let op = witness
-                    .phi
-                    .get(*fv)
-                    .ok_or_else(|| RewriteError::UnboundRhsFunVar {
-                        fun_var: self.session.syms.fun_var_name(*fv).to_owned(),
-                    })?;
-                let mut inputs = Vec::with_capacity(args.len());
-                for a in args {
-                    inputs.push(self.instantiate(graph, view, a, witness)?);
-                }
-                graph
-                    .op(
-                        &mut self.session.syms,
-                        &self.session.registry,
-                        op,
-                        inputs,
-                        Vec::new(),
-                    )
-                    .map_err(|e| RewriteError::BuildFailed {
-                        reason: e.to_string(),
-                    })
-            }
+        let (op, args, attrs) = match self.resolve(rhs, witness)? {
+            Resolved::Bound(t) => return view.node_of(t).ok_or(RewriteError::NoNodeForTerm),
+            Resolved::Apply(op, args, attrs) => (op, args, attrs.to_vec()),
+        };
+        let mut inputs = Vec::with_capacity(args.len());
+        for a in args {
+            inputs.push(self.instantiate(graph, view, a, witness, None)?);
         }
+        match root_meta {
+            Some(meta) => graph.op_with_meta(op, inputs, attrs, meta),
+            None => graph.op(
+                &mut self.session.syms,
+                &self.session.registry,
+                op,
+                inputs,
+                attrs,
+            ),
+        }
+        .map_err(|e| RewriteError::BuildFailed {
+            reason: e.to_string(),
+        })
     }
+}
+
+/// An RHS template node resolved against a witness.
+enum Resolved<'r> {
+    /// A variable: the matched term bound to it.
+    Bound(TermId),
+    /// An application — of a literal operator, or of the operator a
+    /// function variable matched (which carries no attributes):
+    /// operator, argument templates, node attributes.
+    Apply(Symbol, &'r [Rhs], &'r [(Attr, i64)]),
 }
 
 /// The greedy fixpoint rewrite stage (paper §2.4), as a [`Pass`].

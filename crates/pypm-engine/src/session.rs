@@ -10,7 +10,10 @@ use pypm_dsl::{library, LibraryConfig, RuleSet};
 use pypm_graph::{OpRegistry, StdOps, TensorAttrs};
 
 /// Shared state for one compilation: symbols, terms, patterns, the
-/// operator registry and the standard operator set.
+/// operator registry and the standard operator set. `Clone` copies
+/// every store, so a session that has loaded a library and seen no
+/// graph can stand as a template: `pypmc serve` clones one per request
+/// rather than compiling many graphs into one.
 ///
 /// # Examples
 ///
@@ -22,7 +25,7 @@ use pypm_graph::{OpRegistry, StdOps, TensorAttrs};
 /// let rules = session.load_library(LibraryConfig::both());
 /// assert!(rules.find("MHA").is_some());
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Session {
     /// Identifier interners and the signature Σ.
     pub syms: SymbolTable,
@@ -36,10 +39,6 @@ pub struct Session {
     pub ops: StdOps,
     /// Tensor attribute handles (`rank`, `eltType`, …).
     pub tattrs: TensorAttrs,
-    /// Rule sets already built into this session, by configuration —
-    /// the cache behind [`Session::load_library_cached`]. Linear, tiny:
-    /// there are only a handful of distinct configurations.
-    lib_cache: Vec<(LibraryConfig, RuleSet)>,
 }
 
 impl Session {
@@ -56,7 +55,6 @@ impl Session {
             registry,
             ops,
             tattrs,
-            lib_cache: Vec::new(),
         }
     }
 
@@ -65,23 +63,6 @@ impl Session {
     /// user-specified set of pattern binaries" (§2.4).
     pub fn load_library(&mut self, cfg: LibraryConfig) -> RuleSet {
         library::build_library_into(cfg, &mut self.syms, &mut self.pats, &self.ops, &self.tattrs)
-    }
-
-    /// [`Session::load_library`] with a per-session cache: the first
-    /// load of a configuration builds (and interns) its patterns; later
-    /// loads return a clone of the cached rule set without touching the
-    /// stores. Long-lived sessions — `pypmc serve` compiles many graphs
-    /// against a handful of configurations — pay the library build once
-    /// per configuration instead of once per request. Patterns are
-    /// hash-consed, so a cache hit observes exactly the stores a
-    /// rebuild would have produced.
-    pub fn load_library_cached(&mut self, cfg: LibraryConfig) -> RuleSet {
-        if let Some((_, rules)) = self.lib_cache.iter().find(|(c, _)| *c == cfg) {
-            return rules.clone();
-        }
-        let rules = self.load_library(cfg);
-        self.lib_cache.push((cfg, rules.clone()));
-        rules
     }
 
     /// Loads a rule set from its portable binary encoding (§2.4).
@@ -170,24 +151,6 @@ mod tests {
         assert!(s.syms.find_op("MatMul").is_some());
         assert!(s.syms.find_op("FMHA").is_some());
         assert_eq!(s.syms.arity(s.ops.fmha), 3);
-    }
-
-    #[test]
-    fn load_library_cached_builds_once_per_config() {
-        let mut s = Session::new();
-        let a = s.load_library_cached(LibraryConfig::both());
-        let pats_after_first = s.pats.len();
-        let b = s.load_library_cached(LibraryConfig::both());
-        assert_eq!(s.pats.len(), pats_after_first, "cache hit interns nothing");
-        assert_eq!(a.len(), b.len());
-        assert_eq!(
-            a.patterns.iter().map(|p| p.pattern).collect::<Vec<_>>(),
-            b.patterns.iter().map(|p| p.pattern).collect::<Vec<_>>(),
-            "cached set references the same interned patterns"
-        );
-        // A different configuration still builds (and caches) fresh.
-        let c = s.load_library_cached(LibraryConfig::all());
-        assert!(c.len() >= a.len());
     }
 
     #[test]

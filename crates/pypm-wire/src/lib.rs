@@ -50,8 +50,8 @@
 //!
 //! [`cache::ResultCache`] keys compile results by a stable content
 //! hash ([`cache::CacheKey`]) over the *encoded* graph and rule-set
-//! bytes plus every semantic knob (policy, library configuration, job
-//! count). Identical compile requests return the stored report —
+//! bytes plus every semantic knob (policy, library configuration,
+//! matcher backend). Identical compile requests return the stored report —
 //! byte-identical to a cold compile — from an in-memory LRU, or from
 //! an on-disk store that survives server restarts (`pypmc serve
 //! --cache-dir`).

@@ -9,11 +9,13 @@
 //!
 //! The paper's matcher is designed to sit inside a long-running
 //! DL-compiler session: patterns loaded once, many graphs compiled.
-//! This module keeps that state — per-worker
-//! [`crate::engine::Session`] stores, a ruleset cache — alive
-//! across requests, turning the one-shot `pypmc compile` into a
-//! service. Std-only: a plain TCP accept loop plus a bounded worker
-//! queue, no async runtime.
+//! What this module keeps alive across requests is exactly that — per
+//! worker, one pristine [`crate::engine::Session`] per library
+//! configuration, never shown a graph. A compile clones the one it
+//! needs, builds its graph into the clone and drops it with the reply,
+//! so a compile owns its stores and a worker's memory does not grow
+//! with the requests it has served. Std-only: a plain TCP accept loop
+//! plus a bounded worker queue, no async runtime.
 //!
 //! ## Protocol
 //!
@@ -93,9 +95,10 @@
 //! node and during discrimination-tree walks, so
 //! an exceeded compile unwinds within a bounded number of machine
 //! steps, answers [`protocol::STATUS_DEADLINE_EXCEEDED`] (the payload names the
-//! exhausted limits), and leaves the worker's session
-//! fully reusable — the next request on the same worker compiles
-//! byte-identically to a cold `pypmc compile`. Budget keys are *not*
+//! exhausted limits), and leaves nothing behind — the half-rewritten
+//! stores were the request's own and are dropped with it, so the next
+//! request on the same worker compiles byte-identically to a cold
+//! `pypmc compile`. Budget keys are *not*
 //! part of the cache key: a compile that finishes under budget produces
 //! the same report any budget would, and an exceeded one is an error
 //! and is never cached.
@@ -152,7 +155,7 @@
 //!
 //! A compile worker survives everything a request can throw at it: a
 //! panicking request handler is caught ([`std::panic::catch_unwind`])
-//! and answered with [`protocol::STATUS_ERROR`], and the worker's session is
+//! and answered with [`protocol::STATUS_ERROR`], and the worker's state is
 //! rebuilt before the next request.
 
 pub mod protocol;

@@ -1,6 +1,8 @@
 //! The compile workers: what one request costs once it leaves the
-//! queue — shed, cache probe, build, key, compile, render — over a
-//! session kept warm across requests.
+//! queue — shed, cache probe, build, key, compile, render. What a worker
+//! keeps warm is the *library*: one pristine session per configuration,
+//! cloned per request, so a compile owns its stores and nothing
+//! engine-side outlives it.
 
 use super::protocol::{
     shed_payload, CompileRequest, RETRY_AFTER_HINT_MS, STATUS_DEADLINE_EXCEEDED, STATUS_ERROR,
@@ -9,11 +11,11 @@ use super::protocol::{
 use super::queue::{JobQueue, Popped};
 use crate::core::clock::Clock;
 use crate::core::Budget;
-use crate::dsl::LibraryConfig;
+use crate::dsl::{LibraryConfig, RuleSet};
 use crate::engine::{PassError, Session};
 use crate::wire::cache::{CacheKey, ResultCache};
 use crate::CompileRecipe;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -86,31 +88,74 @@ pub(super) struct WorkerContext {
     pub(super) counters: Arc<Counters>,
 }
 
-/// The state one compile worker keeps warm across requests: its own
-/// session stores (rebuilt only after a caught handler panic).
-struct WorkerState {
+/// How many pristine library sessions a worker retains, oldest out.
+/// `config=` names 5 × 513 configurations (`+synthN`, N ≤
+/// [`LibraryConfig::MAX_SYNTH`]) and a session's size grows with N, so
+/// the list is capped; the zoo traffic uses four.
+const MAX_LIBRARIES: usize = 8;
+
+/// A library loaded once and never shown a graph: exactly
+/// `Session::new()` followed by `load_library(cfg)`, the two calls
+/// `pypmc compile` makes, kept beside the rule set they returned.
+struct Library {
+    cfg: LibraryConfig,
     session: Session,
+    rules: RuleSet,
+}
+
+/// The state one compile worker keeps warm across requests (rebuilt
+/// only after a caught handler panic).
+struct WorkerState {
+    /// At most [`MAX_LIBRARIES`] pristine sessions, oldest first.
+    libraries: VecDeque<Library>,
     cx: WorkerContext,
     /// Request determinants → content hash. The zoo builders are pure,
     /// so the canonical graph/ruleset bytes — and therefore the cache
     /// key — are a function of (model, config, policy, matcher);
     /// once a worker has hashed a request's content it never rebuilds
-    /// the graph just to rediscover the same key.
+    /// the graph just to rediscover the same key. Bounded by what a
+    /// client can name: known models × nameable configs × 2 policies ×
+    /// 2 matchers, and only a model that built is ever inserted.
     key_memo: HashMap<(String, LibraryConfig, &'static str, &'static str), CacheKey>,
 }
 
 impl WorkerState {
     fn new(cx: WorkerContext) -> Self {
         WorkerState {
-            session: Session::new(),
+            libraries: VecDeque::new(),
             cx,
             key_memo: HashMap::new(),
         }
     }
 
+    /// A fresh copy of the `cfg` library's session and rule set for one
+    /// compile to own, loading the library first if this worker does
+    /// not hold it (evicting the oldest at [`MAX_LIBRARIES`]).
+    fn library(&mut self, cfg: LibraryConfig) -> (Session, RuleSet) {
+        let at = match self.libraries.iter().position(|lib| lib.cfg == cfg) {
+            Some(at) => at,
+            None => {
+                if self.libraries.len() == MAX_LIBRARIES {
+                    self.libraries.pop_front();
+                }
+                let mut session = Session::new();
+                let rules = session.load_library(cfg);
+                self.libraries.push_back(Library {
+                    cfg,
+                    session,
+                    rules,
+                });
+                self.libraries.len() - 1
+            }
+        };
+        let lib = &self.libraries[at];
+        (lib.session.clone(), lib.rules.clone())
+    }
+
     /// Serves one compile: exactly the `pypmc compile` pipeline
-    /// ([`crate::compile_batch`]) over this worker's long-lived
-    /// session. Returns the request's `pypm.pipeline.v1` JSON.
+    /// ([`crate::compile_batch`]) over a session this request owns — a
+    /// clone of the pristine [`Library`], dropped with the request.
+    /// Returns the request's `pypm.pipeline.v1` JSON.
     /// `deadline` is the absolute deadline stamped at admission: the
     /// budget is anchored there, so queue wait already spent part of
     /// it, and *every* phase — graph build, wire encode, the rewrite
@@ -182,7 +227,8 @@ impl WorkerState {
                 probed = true;
             }
         }
-        let Some(mut graph) = crate::build_model(&mut self.session, &req.model) else {
+        let (mut session, rules) = self.library(req.config);
+        let Some(mut graph) = crate::build_model(&mut session, &req.model) else {
             return Err((
                 STATUS_UNKNOWN_MODEL,
                 format!("unknown model {}; try `pypmc list-models`", req.model),
@@ -192,7 +238,6 @@ impl WorkerState {
         // live node, so a deadline that expired during the build is
         // caught here instead of surviving into the match phase.
         charge(graph.live_count() as u64)?;
-        let rules = self.session.load_library_cached(req.config);
         // Content-address the request: the canonical graph bytes plus
         // everything else that shapes the report. The matcher backend
         // is in the key because it changes the
@@ -205,12 +250,11 @@ impl WorkerState {
         // unbudgeted.
         let key = if self.cx.cache.is_enabled() {
             let graph_bytes =
-                crate::wire::encode_graph_budgeted(&graph, &self.session.syms, budget.as_deref())
+                crate::wire::encode_graph_budgeted(&graph, &session.syms, budget.as_deref())
                     .map_err(|_| {
-                    over_budget(&budget.as_deref().expect("only a budget errs").describe())
-                })?;
-            let ruleset_bytes =
-                crate::wire::encode_ruleset(&rules, &self.session.syms, &self.session.pats);
+                        over_budget(&budget.as_deref().expect("only a budget errs").describe())
+                    })?;
+            let ruleset_bytes = crate::wire::encode_ruleset(&rules, &session.syms, &session.pats);
             charge(ruleset_bytes.len() as u64 / 64 + 1)?;
             let key = CacheKey::of(&[
                 b"pypm.serve.compile.v1",
@@ -239,7 +283,7 @@ impl WorkerState {
             budget: budget.clone(),
         };
         let reports = crate::compile_batch(
-            &mut self.session,
+            &mut session,
             std::slice::from_mut(&mut graph),
             rules,
             recipe,
@@ -262,8 +306,8 @@ impl WorkerState {
 
 /// The compile-worker loop: pull admitted jobs off the shared queue
 /// until poisoned. A panicking handler is caught and reported as
-/// [`STATUS_ERROR`]; the session is rebuilt before the next job so one
-/// poisoned request can never corrupt later ones.
+/// [`STATUS_ERROR`]; the worker's state is rebuilt before the next job so
+/// one poisoned request can never corrupt later ones.
 ///
 /// Before touching a session the worker sheds any dequeued entry whose
 /// deadline already passed while it sat in the queue: the client gets
@@ -321,5 +365,96 @@ pub(super) fn worker_loop(queue: &JobQueue, cx: WorkerContext) {
         };
         // A vanished client is its own problem.
         let _ = entry.reply.send(response);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::core::clock::system_clock;
+    use crate::core::json::{self, Value};
+    use crate::serve::protocol::{parse_request, Request};
+
+    /// A worker with the result cache disabled, so every request compiles.
+    fn uncached_worker() -> WorkerState {
+        WorkerState::new(WorkerContext {
+            defaults: BudgetDefaults::default(),
+            cache: Arc::new(ResultCache::disabled()),
+            clock: system_clock(),
+            counters: Arc::new(Counters::default()),
+        })
+    }
+
+    /// One served compile's reply with the wall-clock keys dropped at
+    /// every depth — the masking `tests/common` applies.
+    fn compile(state: &mut WorkerState, model: &str, config: &str) -> Value {
+        fn strip(v: &mut Value) {
+            match v {
+                Value::Object(map) => {
+                    map.retain(|k, _| k != "wall_ms" && k != "duration_ms");
+                    map.values_mut().for_each(strip);
+                }
+                Value::Array(items) => items.iter_mut().for_each(strip),
+                _ => {}
+            }
+        }
+        let line = format!("compile {model} config={config}");
+        let Ok(Request::Compile(req)) = parse_request(&line) else {
+            panic!("`{line}` is not a compile request");
+        };
+        let reply = state.compile(&req, None).expect(&line);
+        let mut doc = json::parse(&reply).expect(&line);
+        strip(&mut doc);
+        doc
+    }
+
+    /// The direct oracle for "a compile owns its stores": two passes over
+    /// the zoo leave every retained session size-for-size what
+    /// `Session::new()` then `load_library(cfg)` makes — no graph ever
+    /// reached one — and the second pass answers what the first did.
+    #[test]
+    fn retained_sessions_stay_pristine_across_the_zoo() {
+        let zoo: Vec<&str> = (crate::models::hf_zoo().into_iter().map(|c| c.name))
+            .chain(crate::models::tv_zoo().into_iter().map(|c| c.name))
+            .collect();
+        let configs = ["baseline", "fmha", "epilog", "both"];
+        let mut state = uncached_worker();
+        let mut round = || -> Vec<Value> {
+            zoo.iter()
+                .flat_map(|model| configs.map(|config| compile(&mut state, model, config)))
+                .collect()
+        };
+        let first = round();
+        let second = round();
+        assert_eq!(second, first, "a repeated request answers differently");
+
+        assert_eq!(state.libraries.len(), configs.len());
+        for lib in &state.libraries {
+            let mut fresh = Session::new();
+            fresh.load_library(lib.cfg);
+            let sizes = |s: &Session| {
+                (
+                    s.terms.len(),
+                    s.syms.op_count(),
+                    s.syms.var_count(),
+                    s.pats.len(),
+                )
+            };
+            assert_eq!(sizes(&lib.session), sizes(&fresh), "{:?}", lib.cfg);
+        }
+    }
+
+    #[test]
+    fn the_library_list_is_capped_and_an_evicted_config_answers_the_same() {
+        let mut state = uncached_worker();
+        let config = |k: usize| format!("both+synth{k}");
+        let first = compile(&mut state, "bert-tiny", &config(1));
+        for k in 2..=20 {
+            compile(&mut state, "bert-tiny", &config(k));
+            assert!(state.libraries.len() <= MAX_LIBRARIES, "after {k} configs");
+        }
+        let evicted = crate::cli_args::lib_config(&config(1)).unwrap();
+        assert!(state.libraries.iter().all(|lib| lib.cfg != evicted));
+        assert_eq!(compile(&mut state, "bert-tiny", &config(1)), first);
     }
 }
