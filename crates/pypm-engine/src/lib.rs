@@ -32,12 +32,14 @@
 //!
 //! | [`SweepPolicy`] | after a rewrite fires | cost of the pass |
 //! |---|---|---|
-//! | `Incremental` (default) | re-enqueue only the rewrite's cone of influence; resume the scan order where the root stood | O(initial graph + Σ cone sizes + Σ replacement ancestors) |
+//! | `Incremental` (default) | re-enqueue only the rewrite's cone of influence; resume the scan order where the root stood | O(initial graph + Σ cone sizes) |
 //! | `RestartOnRewrite` (reference/oracle) | recompute the order, rescan from the first node | O(graph × rewrites) visits |
 //!
 //! The commit is as local as the match: [`pypm_graph::Graph::replace_traced`]
-//! rewires through the reverse adjacency and [`pypm_graph::Graph::collect`]
-//! frees the replaced root's cone by reference count.
+//! rewires through the reverse adjacency and bounds its cycle check by
+//! the graph's maintained topological levels, and
+//! [`pypm_graph::Graph::collect`] frees the replaced root's cone by
+//! reference count.
 //!
 //! View maintenance is shared: one [`pypm_graph::TermView::build`],
 //! then **lazy in-place patches** — a patch marks the rewrite's cone

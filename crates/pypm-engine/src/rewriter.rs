@@ -67,9 +67,9 @@ pub enum SweepPolicy {
     /// dirties only its fresh nodes — which take the replaced root's
     /// place in the order — and nodes downstream of the root, so the
     /// scan's cursor only ever moves forward, and a firing costs its
-    /// cone plus one walk over the replacement's ancestors, not a pass
-    /// over the graph. The reference recomputes its order every round,
-    /// which keeps it an independent oracle of the resumed one.
+    /// cone, not a pass over the graph. The reference recomputes its
+    /// order every round, which keeps it an independent oracle of the
+    /// resumed one.
     #[default]
     Incremental,
 }
@@ -644,9 +644,12 @@ impl<'a> Driver<'a> {
     /// worklist **resumes** — the order is computed once, the cursor
     /// only moves forward, and a firing puts its fresh nodes where the
     /// replaced root stood. With that, and with [`Graph::replace_traced`]
-    /// and [`Graph::collect`] working off the reverse adjacency, a firing
-    /// under the worklist costs what it changed plus one walk over the
-    /// replacement's ancestors (the cycle check), not the graph.
+    /// and [`Graph::collect`] working off the reverse adjacency and the
+    /// graph's maintained levels (which bound the cycle check), a firing
+    /// under the worklist costs what it changed, not the graph. The
+    /// order itself is *not* read off those levels: a level numbering
+    /// does not determine the outputs-first post-order the reference
+    /// recomputes, and byte-identity with it rests on that order.
     ///
     /// The term view is built once and then *repaired in place* after
     /// every firing: a repaired view is contractually

@@ -12,12 +12,17 @@
 //! users of the matched root to the replacement subgraph, and
 //! [`Graph::collect`] drops the subgraph that thereby lost its last
 //! reader ([`Graph::gc`] is the whole-graph mark-sweep it is checked
-//! against).
+//! against). Both work off two maintained indices — the reverse
+//! adjacency and a topological *level* per node — so committing a
+//! rewrite costs what the rewrite changed, not the graph: the cycle
+//! check searches only nodes levelled above the replaced root
+//! (Pearce & Kelly, *A Dynamic Topological Sort Algorithm for Directed
+//! Acyclic Graphs*, JEA 2006), with [`Graph::depends_on`] as its
+//! whole-graph oracle.
 
 use crate::ops::OpRegistry;
 use crate::tensor::TensorMeta;
 use pypm_core::{Attr, Symbol, SymbolTable};
-use std::collections::HashMap;
 use std::fmt;
 
 /// A node handle. Stable across rewrites until the node is collected.
@@ -122,6 +127,17 @@ pub enum GraphError {
         /// The input whose user list disagrees.
         input: NodeId,
     },
+    /// A live edge whose input is not levelled strictly below its user
+    /// — an internal invariant violation surfaced by
+    /// [`Graph::validate`] (the levels bound
+    /// [`Graph::replace_traced`]'s cycle search, so drift here could
+    /// let a cyclic replacement through).
+    LevelOrder {
+        /// The user, levelled at or below its input.
+        node: NodeId,
+        /// The input.
+        input: NodeId,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -140,6 +156,10 @@ impl fmt::Display for GraphError {
             GraphError::UsersIndexMismatch { node, input } => write!(
                 f,
                 "users index out of sync: edge {input:?} -> {node:?} miscounted"
+            ),
+            GraphError::LevelOrder { node, input } => write!(
+                f,
+                "levels out of order: {input:?} is not levelled below its user {node:?}"
             ),
         }
     }
@@ -178,11 +198,26 @@ pub struct Graph {
     /// patching ([`crate::TermView::patch`]) uses to walk a rewrite's
     /// cone of influence without touching the rest of the graph.
     users: Vec<Vec<NodeId>>,
+    /// A topological numbering, maintained incrementally: on every live
+    /// edge `level[input] < level[user]`. A valid numbering, not an
+    /// exact depth — a node may sit higher than its longest input path
+    /// requires — so collecting nodes never touches it; only
+    /// [`Graph::replace_traced`] can put an input above a user, and
+    /// raises the users it rewired until the order holds again. What it
+    /// buys: no ancestor of a node levelled at or below `root` can be
+    /// `root`, which bounds the cycle check to the region a rewrite can
+    /// affect.
+    level: Vec<u32>,
+    /// Scratch of the bounded cycle search: `seen[i] == epoch` marks
+    /// node `i` expanded in the current search, so a search clears
+    /// nothing and allocates nothing once the vector has grown.
+    seen: Vec<u32>,
+    epoch: u32,
     /// Monotone revision counter, bumped on every mutation; term views use
     /// it to invalidate caches.
     revision: u64,
-    /// Nodes [`Graph::replace_traced`] rewired and [`Graph::collect`]
-    /// examined, see [`Graph::touches`].
+    /// Nodes [`Graph::replace_traced`] and [`Graph::collect`] examined,
+    /// see [`Graph::touches`].
     #[cfg(debug_assertions)]
     touches: u64,
 }
@@ -208,6 +243,7 @@ impl Graph {
             alive: true,
         });
         self.users.push(Vec::new());
+        self.level.push(0);
         self.revision += 1;
         id
     }
@@ -300,9 +336,12 @@ impl Graph {
         kind: NodeKind,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
+        let mut level = 0;
         for &i in &inputs {
             self.users[i.index()].push(id);
+            level = level.max(self.level[i.index()] + 1);
         }
+        self.level.push(level);
         self.nodes.push(Node {
             op,
             term_const: None,
@@ -392,19 +431,6 @@ impl Graph {
         order
     }
 
-    /// Users of each live node, as a map (one entry per node with at
-    /// least one user, one element per edge). A view over the
-    /// incrementally maintained reverse adjacency — the single source
-    /// of truth [`Graph::users_of`] reads directly.
-    pub fn users(&self) -> HashMap<NodeId, Vec<NodeId>> {
-        self.users
-            .iter()
-            .enumerate()
-            .filter(|(_, users)| !users.is_empty())
-            .map(|(i, users)| (NodeId(i as u32), users.clone()))
-            .collect()
-    }
-
     /// The live nodes reading `n`, once per edge (a user reading `n`
     /// twice appears twice), from the incrementally maintained reverse
     /// adjacency — O(1), no graph walk. Dead nodes have no users.
@@ -416,7 +442,21 @@ impl Graph {
         self.users.get(n.index()).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Whether `ancestor` is reachable from `n` by following inputs.
+    /// The topological level of `n`: strictly above the level of every
+    /// input of `n` while `n` is alive. A valid numbering rather than a
+    /// depth — rewrites may leave slack — maintained so that
+    /// [`Graph::replace_traced`] can bound its cycle check.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    pub fn level_of(&self, n: NodeId) -> u32 {
+        self.level[n.index()]
+    }
+
+    /// Whether `ancestor` is reachable from `n` by following inputs: a
+    /// walk over every ancestor of `n`, whatever their levels — the
+    /// oracle of the level-bounded search in [`Graph::replace_traced`].
     pub fn depends_on(&self, n: NodeId, ancestor: NodeId) -> bool {
         if n == ancestor {
             return true;
@@ -468,9 +508,15 @@ impl Graph {
     /// the seed of the rewrite's cone of influence that incremental
     /// rewriting feeds to [`crate::TermView::invalidate`].
     ///
-    /// The users come from the reverse adjacency, so rewiring costs the
-    /// root's fan-out; the cycle check is one walk over the
-    /// replacement's ancestors.
+    /// The commit follows the rewrite's size, not the graph's: the users
+    /// come from the reverse adjacency, so rewiring costs the root's
+    /// fan-out; the cycle check searches backwards from the replacement
+    /// through nodes levelled above `root` only (see
+    /// [`Graph::depends_on`] for the unbounded walk it is asserted
+    /// against in debug builds); and a rewired user that ends up
+    /// levelled at or below the replacement is raised, with whatever
+    /// that pushes up downstream. A replacement no deeper than the root
+    /// it replaces — any fusion — searches and raises nothing.
     ///
     /// # Errors
     ///
@@ -480,20 +526,26 @@ impl Graph {
         root: NodeId,
         replacement: NodeId,
     ) -> Result<Vec<NodeId>, GraphError> {
-        if root == replacement {
-            return Ok(Vec::new());
-        }
         for node in [root, replacement] {
             if !self.is_alive(node) {
                 return Err(GraphError::DeadInput { node });
             }
+        }
+        if root == replacement {
+            return Ok(Vec::new());
         }
         // The replacement may legitimately depend on root's *inputs*;
         // what must not happen is a user of root becoming an ancestor
         // of the replacement. Every path from the replacement down to
         // root ends in an edge out of one of root's users, so that is
         // the same as the replacement depending on root.
-        if self.depends_on(replacement, root) {
+        let cyclic = self.reaches_through_higher_levels(replacement, root);
+        debug_assert_eq!(
+            cyclic,
+            self.depends_on(replacement, root),
+            "level-bounded cycle check of {root:?} -> {replacement:?}"
+        );
+        if cyclic {
             return Err(GraphError::WouldCycle { root, replacement });
         }
         // Every entry of the root's user list is an edge to rewire;
@@ -518,8 +570,73 @@ impl Graph {
         {
             self.touches += rewired.len() as u64;
         }
+        self.raise_users_of(replacement);
         self.revision += 1;
         Ok(rewired)
+    }
+
+    /// Whether `target` is reachable from `from` by following inputs —
+    /// [`Graph::depends_on`], bounded by the levels: a node levelled at
+    /// or below `target` has only lower-levelled ancestors, none of
+    /// which is `target`, so the search never expands one.
+    fn reaches_through_higher_levels(&mut self, from: NodeId, target: NodeId) -> bool {
+        let floor = self.level[target.index()];
+        if self.level[from.index()] <= floor {
+            return from == target;
+        }
+        self.seen.resize(self.nodes.len(), 0);
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Stamps left 2^32 searches ago would read as current.
+            self.seen.fill(0);
+            self.epoch = 1;
+        }
+        let mut stack = vec![from];
+        while let Some(cur) = stack.pop() {
+            if std::mem::replace(&mut self.seen[cur.index()], self.epoch) == self.epoch {
+                continue;
+            }
+            #[cfg(debug_assertions)]
+            {
+                self.touches += 1;
+            }
+            for &input in &self.nodes[cur.index()].inputs {
+                if input == target {
+                    return true;
+                }
+                if self.level[input.index()] > floor {
+                    stack.push(input);
+                }
+            }
+        }
+        false
+    }
+
+    /// Restores `level[input] < level[user]` after edges were moved
+    /// onto `n`: raises each user levelled at or below `n` just above
+    /// it, then the users that in turn overtakes, and so on. The graph
+    /// is acyclic, so the cascade ends; it reaches only nodes whose
+    /// level was actually violated.
+    fn raise_users_of(&mut self, n: NodeId) {
+        // Empty until something is raised: the common commit raises
+        // nothing and allocates nothing.
+        let mut raised = Vec::new();
+        let mut input = n;
+        loop {
+            let above = self.level[input.index()] + 1;
+            for &user in &self.users[input.index()] {
+                if self.level[user.index()] < above {
+                    self.level[user.index()] = above;
+                    #[cfg(debug_assertions)]
+                    {
+                        self.touches += 1;
+                    }
+                    raised.push(user);
+                }
+            }
+            let Some(next) = raised.pop() else { break };
+            input = next;
+        }
     }
 
     /// Collects `n` if nothing reads it any more — it has no user and
@@ -569,12 +686,11 @@ impl Graph {
         freed
     }
 
-    /// Nodes [`Graph::replace_traced`] rewired plus nodes
-    /// [`Graph::collect`] examined, over the graph's lifetime — the work
-    /// a rewrite's commit does through the reverse adjacency, which must
-    /// follow the rewrite's size and not the graph's. The ancestor walk
-    /// of the cycle check is not counted: it is as long as the
-    /// replacement's input cone is deep. Debug builds only.
+    /// Everything a rewrite's commit looks at, over the graph's
+    /// lifetime: nodes [`Graph::replace_traced`] rewired, nodes its
+    /// cycle search expanded, levels it raised, and nodes
+    /// [`Graph::collect`] examined — work that must follow the
+    /// rewrite's size and not the graph's. Debug builds only.
     #[cfg(debug_assertions)]
     pub fn touches(&self) -> u64 {
         self.touches
@@ -619,20 +735,33 @@ impl Graph {
 
     /// Validates structural invariants in time linear in nodes plus
     /// edges: every input of a live node is alive, the live graph is
-    /// acyclic, and the reverse adjacency lists exactly the forward
-    /// edges — each user once per edge, nothing else.
+    /// acyclic, every input is levelled below its user, and the reverse
+    /// adjacency lists exactly the forward edges — each user once per
+    /// edge, nothing else.
     ///
     /// # Errors
     ///
     /// Returns the first violation found, in that order of checks.
     pub fn validate(&self) -> Result<(), GraphError> {
         let live = || self.nodes.iter().enumerate().filter(|(_, n)| n.alive);
-        for (_, node) in live() {
-            if let Some(&dead) = node.inputs.iter().find(|&&i| !self.is_alive(i)) {
-                return Err(GraphError::DeadInput { node: dead });
+        // A cycle cannot be levelled either, and is the better report:
+        // the level check of this pass waits for the acyclicity one.
+        let mut out_of_order = None;
+        for (i, node) in live() {
+            for &input in &node.inputs {
+                if !self.is_alive(input) {
+                    return Err(GraphError::DeadInput { node: input });
+                }
+                if out_of_order.is_none() && self.level[input.index()] >= self.level[i] {
+                    let node = NodeId(i as u32);
+                    out_of_order = Some(GraphError::LevelOrder { node, input });
+                }
             }
         }
         self.check_acyclic()?;
+        if let Some(drift) = out_of_order {
+            return Err(drift);
+        }
         // The users index backs `users_of`-driven cone expansion and
         // `collect`: a missing entry would silently shrink a cone, a
         // surplus one would keep garbage alive. First, every listed
@@ -890,8 +1019,87 @@ mod tests {
         let rewired = f.g.replace_traced(relu, gelu).unwrap();
         assert_eq!(rewired, vec![twice, once]);
         assert_eq!(f.g.node(twice).inputs, vec![gelu, gelu]);
-        // Replacing a node by itself rewires nothing.
+        // Replacing a node by itself rewires nothing …
         assert_eq!(f.g.replace_traced(gelu, gelu).unwrap(), vec![]);
+        // … unless it is dead: liveness is checked before the shortcut.
+        assert_eq!(f.g.collect(relu), vec![relu]);
+        assert_eq!(
+            f.g.replace_traced(relu, relu),
+            Err(GraphError::DeadInput { node: relu })
+        );
+    }
+
+    /// The path no fusion takes: the replacement sits *deeper* than
+    /// the root's users, so committing it has to raise them.
+    #[test]
+    fn a_deeper_replacement_raises_the_levels_downstream() {
+        let mut f = fx();
+        let a = mat(&mut f, 4, 4);
+        let mut unary = |g: &mut Graph, x: NodeId| {
+            g.op(&mut f.syms, &f.reg, f.ops.relu, vec![x], vec![])
+                .unwrap()
+        };
+        let root = unary(&mut f.g, a);
+        // A diamond over the root, then a chain below the diamond.
+        let left = unary(&mut f.g, root);
+        let right = unary(&mut f.g, root);
+        let meta = f.g.node(a).meta.clone();
+        let join =
+            f.g.op_with_meta(f.ops.add, vec![left, right], vec![], meta)
+                .unwrap();
+        let tail1 = unary(&mut f.g, join);
+        let tail2 = unary(&mut f.g, tail1);
+        // A second, longer chain off the input, unrelated to the root.
+        let mut deep = a;
+        let side: Vec<NodeId> = (0..6)
+            .map(|_| {
+                deep = unary(&mut f.g, deep);
+                deep
+            })
+            .collect();
+        f.g.mark_output(tail2);
+        f.g.mark_output(deep);
+        let levels = |g: &Graph, ns: &[NodeId]| -> Vec<u32> {
+            ns.iter().map(|n| g.level[n.index()]).collect()
+        };
+        let cone = [root, left, right, join, tail1, tail2];
+        assert_eq!(levels(&f.g, &cone), [1, 2, 2, 3, 4, 5]);
+        assert_eq!(levels(&f.g, &side), [1, 2, 3, 4, 5, 6]);
+
+        // Level 6 replaces level 1: both arms of the diamond are
+        // raised above it, the join above them, the chain above that.
+        #[cfg(debug_assertions)]
+        let touches = f.g.touches();
+        assert_eq!(f.g.replace_traced(root, deep), Ok(vec![left, right]));
+        assert_eq!(levels(&f.g, &cone[1..]), [7, 7, 8, 9, 10]);
+        assert_eq!(levels(&f.g, &side), [1, 2, 3, 4, 5, 6]);
+        // Two users rewired, the five `side` nodes above level 1
+        // searched, five levels raised (the join once, not per arm).
+        #[cfg(debug_assertions)]
+        assert_eq!(f.g.touches() - touches, 2 + 5 + 5);
+        f.g.validate().unwrap();
+        assert_eq!(f.g.collect(root), vec![root]);
+
+        // The next verdict hangs on the raise: `tail1` now reads
+        // `side[4]` through `deep`, and only its new level (9, was 4)
+        // puts it above `side[4]` (level 5) so that the search runs.
+        assert!(f.g.depends_on(tail1, side[4]));
+        assert_eq!(
+            f.g.replace_traced(side[4], tail1),
+            Err(GraphError::WouldCycle {
+                root: side[4],
+                replacement: tail1
+            })
+        );
+        // Whereas `side[1]` (level 2) replaces `left` (level 7) with
+        // neither a search nor a raise.
+        #[cfg(debug_assertions)]
+        let touches = f.g.touches();
+        assert_eq!(f.g.replace_traced(left, side[1]), Ok(vec![join]));
+        #[cfg(debug_assertions)]
+        assert_eq!(f.g.touches() - touches, 1);
+        assert_eq!(levels(&f.g, &[join, tail1, tail2]), [8, 9, 10]);
+        f.g.validate().unwrap();
     }
 
     #[test]
@@ -1067,6 +1275,31 @@ mod tests {
         stray.users[a.index()].push(r2);
         assert_eq!(drift(&stray), Some((r2, a)));
         assert_eq!(validate_quadratic(&stray), Ok(()));
+    }
+
+    #[test]
+    fn validate_reports_level_drift() {
+        let mut f = fx();
+        let [a, r1, r2, r3] = relu_chain(&mut f);
+        assert_eq!(f.g.level, [0, 1, 2, 3]);
+        // Slack is fine: a numbering, not a depth.
+        f.g.level[r3.index()] = 9;
+        f.g.validate().unwrap();
+        // An input level with its user is not.
+        f.g.level[r1.index()] = 2;
+        assert_eq!(
+            f.g.validate(),
+            Err(GraphError::LevelOrder {
+                node: r2,
+                input: r1
+            })
+        );
+        // The other three checks do not read the levels.
+        assert_eq!(validate_quadratic(&f.g), Ok(()));
+        // A dead node's levels are nobody's business.
+        f.g.replace(r1, a).unwrap();
+        f.g.collect(r1);
+        f.g.validate().unwrap();
     }
 
     /// `Graph::validate` as it was before it became linear: a fresh

@@ -88,10 +88,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// `replace_traced` reads the rewired users off the reverse
-    /// adjacency and decides `WouldCycle` with one ancestor walk. The
-    /// oracle scans every node for readers of the root and asks
-    /// `depends_on` once per reader — over a sequence of rewrites, so
-    /// that later ones see edges pointing at higher ids.
+    /// adjacency and decides `WouldCycle` with a search bounded by the
+    /// maintained levels. The oracle scans every node for readers of
+    /// the root and asks `depends_on` once per reader — over a sequence
+    /// of rewrites, so that later ones see edges pointing at higher ids
+    /// and levels an earlier one raised. `validate` checks the levels
+    /// after every verdict; a rejection must not have moved one.
     #[test]
     fn replace_traced_agrees_with_a_scan_of_every_node(seed in any::<u64>(), size in 2usize..40) {
         let mut f = fx();
@@ -115,6 +117,7 @@ proptest! {
                     for &u in &rewired {
                         prop_assert!(!g.node(u).inputs.contains(&root));
                     }
+                    g.validate().unwrap();
                     g.collect(root);
                 }
                 Err(e) => {
@@ -125,12 +128,26 @@ proptest! {
                     for n in g.allocated_since(0) {
                         prop_assert_eq!(&g.node(n).inputs, &before.node(n).inputs);
                         prop_assert_eq!(g.users_of(n), before.users_of(n));
+                        prop_assert_eq!(g.level_of(n), before.level_of(n));
                     }
+                    g.validate().unwrap();
                     // (The fresh replacement, if any, is garbage now.)
                     g.gc();
                 }
             }
             g.validate().unwrap();
+        }
+        // Decoding builds through the public constructors, so a
+        // rewritten graph comes back levelled (and canonical). A
+        // replacement can leave one node listed as both outputs, which
+        // `mark_output` never does and the decoder refuses.
+        if g.outputs()[0] != g.outputs()[1] {
+            let bytes = pypm_wire::encode_graph(&g, &f.syms);
+            let mut fresh = SymbolTable::new();
+            let decoded = pypm_wire::decode_graph(&bytes, &mut fresh).unwrap();
+            decoded.validate().unwrap();
+            prop_assert_eq!(decoded.live_count(), g.live_count());
+            prop_assert_eq!(pypm_wire::encode_graph(&decoded, &fresh), bytes);
         }
     }
 
@@ -264,7 +281,7 @@ proptest! {
     }
 }
 
-/// Deterministic regression: users() lists each user once per edge.
+/// Deterministic regression: `users_of` lists each user once per edge.
 #[test]
 fn users_counts_multi_edges() {
     let mut f = fx();
@@ -274,6 +291,5 @@ fn users_counts_multi_edges() {
         .op(&mut f.syms, &f.reg, f.ops.add, vec![a, a], vec![])
         .unwrap();
     g.mark_output(add);
-    let users = g.users();
-    assert_eq!(users[&a], vec![add, add]);
+    assert_eq!(g.users_of(a), &[add, add]);
 }
