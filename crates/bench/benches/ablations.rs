@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md calls out:
+//! Ablation benchmarks for the design choices README.md calls out
+//! ("Sweep policies", "Fused matching"):
 //!
 //! * **Sweep scheduling** — the paper's restart-on-rewrite scan vs.
 //!   the incremental dirty-node worklist.

@@ -86,6 +86,16 @@ struct TrieNode {
     leaves: Vec<u32>,
 }
 
+/// The two stacks one [`FusedSet::candidates_bounded`] walk runs on,
+/// owned by the caller so that consecutive walks reuse their storage.
+#[derive(Debug, Clone, Default)]
+pub struct WalkStacks {
+    /// The linked continuations: (subterm, index of the cell below).
+    cells: Vec<(TermId, u32)>,
+    /// Pending states: (trie node, top continuation cell).
+    work: Vec<(u32, u32)>,
+}
+
 /// A whole pattern set compiled into one discrimination tree.
 ///
 /// Owns no references into the originating [`PatternStore`], so a built
@@ -216,7 +226,7 @@ impl FusedSet {
     /// per trie state expanded (the work metric of the walk).
     pub fn candidates(&self, terms: &TermStore, t: TermId, steps: &mut u64) -> Vec<u32> {
         let mut out = Vec::new();
-        self.candidates_bounded(terms, t, steps, None, &mut out);
+        self.candidates_bounded(terms, t, steps, None, &mut WalkStacks::default(), &mut out);
         out
     }
 
@@ -229,13 +239,16 @@ impl FusedSet {
     /// is only ever *used* by callers that abort the whole compile at
     /// their next budget check — an un-tripped budget changes nothing,
     /// so results with headroom stay byte-identical to the unbudgeted
-    /// walk.
+    /// walk. The walk runs on the caller's `stacks` (any state is fine;
+    /// they are cleared first), so a caller walking many terms pays for
+    /// their storage once.
     pub fn candidates_bounded(
         &self,
         terms: &TermStore,
         t: TermId,
         steps: &mut u64,
         budget: Option<&Budget>,
+        stacks: &mut WalkStacks,
         out: &mut Vec<u32>,
     ) {
         /// The empty continuation: nothing left to consume.
@@ -248,8 +261,11 @@ impl FusedSet {
         // work item holds the top: a Star edge continues from the cell
         // below, an Op edge links the arguments above it, and both
         // share everything underneath, so no edge copies the remainder.
-        let mut cells: Vec<(TermId, u32)> = vec![(t, DONE)];
-        let mut work: Vec<(u32, u32)> = vec![(0, 0)];
+        let WalkStacks { cells, work } = stacks;
+        cells.clear();
+        cells.push((t, DONE));
+        work.clear();
+        work.push((0, 0));
         let mut unbilled: u64 = 0;
         while let Some((n, top)) = work.pop() {
             *steps += 1;
@@ -580,12 +596,15 @@ mod tests {
             let mut tgen = TermGen::new(seed ^ 0xA5A5);
             // Appending to a non-empty pool must leave what is there.
             let mut pool = vec![7, 7, 3];
+            // One pair of stacks across walks: a walk must not see what
+            // the last one left on them.
+            let mut stacks = WalkStacks::default();
             for _ in 0..8 {
                 let t = tgen.term(&sig, &mut terms, 5);
                 let (mut linked, mut cloned) = (0, 0);
                 let expected = cloning_walk(&fused, &terms, t, &mut cloned);
                 let start = pool.len();
-                fused.candidates_bounded(&terms, t, &mut linked, None, &mut pool);
+                fused.candidates_bounded(&terms, t, &mut linked, None, &mut stacks, &mut pool);
                 assert_eq!(pool[start..], expected[..], "seed {seed}");
                 assert_eq!(linked, cloned, "trie_steps moved (seed {seed})");
                 nonempty += usize::from(!expected.is_empty());

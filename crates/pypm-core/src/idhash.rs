@@ -5,6 +5,15 @@
 //! nothing and its cost is most of a probe; one multiplication spreads
 //! them. Maps keyed by anything that arrives from outside — symbol
 //! names, cache-key bytes — keep the default hasher.
+//!
+//! The [`TermStore`](crate::TermStore)'s index hashes an application's
+//! `(op, argument ids)` with the same fold. That key qualifies today
+//! because every component is an id this process assigned and the
+//! graphs whose terms are interned are ones it built itself (a served
+//! request names a zoo model), so nobody outside chooses which
+//! applications exist. Once graphs arrive over the wire (ROADMAP item
+//! 2) term *shapes* are client-supplied, and ROADMAP item 10 must
+//! revisit whether an unkeyed hash may still back that index.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

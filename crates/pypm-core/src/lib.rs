@@ -82,7 +82,7 @@ pub mod testing;
 pub use attr::{AttrInterp, NoAttrs, StructuralAttrInterp, TableAttrInterp};
 pub use budget::Budget;
 pub use clock::{system_clock, Clock, SystemClock, VirtualClock};
-pub use fused::FusedSet;
+pub use fused::{FusedSet, WalkStacks};
 pub use guard::{Expr, Guard, GuardValue};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use machine::{Action, Machine, MachineError, MachineStats, Outcome, RuleName};

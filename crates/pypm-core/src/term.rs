@@ -6,10 +6,18 @@
 //! the role of node identity in DLCB's computation graphs while keeping the
 //! calculus tree-shaped, exactly as the paper abstracts graphs into syntax
 //! trees (§3).
+//!
+//! The store is the hash-cons table of Filliâtre & Conchon (*Type-Safe
+//! Modular Hash-Consing*, ML 2006) laid out flat: one vector of head
+//! symbols, one arena holding every term's arguments end to end, and an
+//! open-addressed index of term ids. Interning a term that exists is
+//! one probe; interning a new one appends to the vectors — no term owns
+//! an allocation, and the caller lends its arguments as a slice.
 
+use crate::idhash::IdHasher;
 use crate::symbol::{Symbol, SymbolTable};
-use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A hash-consed term. Equal ids ⇔ structurally equal terms.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -28,14 +36,10 @@ impl fmt::Debug for TermId {
     }
 }
 
-/// Interior node data: a correctly-saturated operator application.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct TermNode {
-    op: Symbol,
-    args: Vec<TermId>,
-}
-
 /// Arena of hash-consed terms.
+///
+/// Ids are dense and handed out in interning order, so a per-term side
+/// table can be a vector indexed by [`TermId::index`].
 ///
 /// # Examples
 ///
@@ -49,17 +53,42 @@ struct TermNode {
 /// let mut terms = TermStore::new();
 /// let z = terms.app0(zero);
 /// let one = terms.app(succ, vec![z]);
-/// let one_again = terms.app(succ, vec![z]);
+/// let one_again = terms.app(succ, [z]);
 /// assert_eq!(one, one_again); // hash-consing
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct TermStore {
-    nodes: Vec<TermNode>,
-    dedup: HashMap<TermNode, TermId>,
+    /// Head operator per term.
+    heads: Vec<Symbol>,
+    /// Where each term's arguments begin in `arena`; they end where the
+    /// next term's begin (the last term's, at the arena's end).
+    starts: Vec<u32>,
+    /// Every term's arguments, end to end, in interning order.
+    arena: Vec<TermId>,
+    /// The hash-cons index: open addressing with linear probing over a
+    /// power-of-two table kept at most half full. A slot holds a term
+    /// id plus one, zero when empty; the key is read back from `heads`
+    /// and `arena`, so the index stores nothing else and is rebuilt from
+    /// them on growth.
+    index: Vec<u32>,
     /// Cached size (number of operator applications) per term.
     sizes: Vec<u64>,
     /// Cached height (leaf = 1) per term.
     heights: Vec<u64>,
+}
+
+/// Slots of the smallest index (a power of two).
+const MIN_INDEX: usize = 16;
+
+/// The slot an application's probe starts at in an index of `slots`
+/// slots: the multiplicative fold every id-keyed table uses (see
+/// [`crate::idhash`]), taken from the top bits, where a product mixes
+/// all of its input.
+fn home_slot(op: Symbol, args: &[TermId], slots: usize) -> usize {
+    let mut h = IdHasher::default();
+    op.hash(&mut h);
+    args.hash(&mut h);
+    (h.finish() >> (u64::BITS - slots.trailing_zeros())) as usize
 }
 
 impl TermStore {
@@ -68,41 +97,73 @@ impl TermStore {
         Self::default()
     }
 
-    /// Interns the application `op(args…)`.
+    /// Interns the application `op(args…)`. The arguments are only
+    /// read — a vector, an array or a slice all pass.
     ///
     /// # Panics
     ///
     /// Does **not** check arity against a [`SymbolTable`]; use
     /// [`TermStore::app_checked`] when the caller cannot guarantee
     /// saturation.
-    pub fn app(&mut self, op: Symbol, args: Vec<TermId>) -> TermId {
-        let node = TermNode { op, args };
-        if let Some(&id) = self.dedup.get(&node) {
-            return id;
+    pub fn app(&mut self, op: Symbol, args: impl AsRef<[TermId]>) -> TermId {
+        self.intern(op, args.as_ref())
+    }
+
+    fn intern(&mut self, op: Symbol, args: &[TermId]) -> TermId {
+        if (self.len() + 1) * 2 > self.index.len() {
+            self.grow_index();
         }
-        let id = TermId(self.nodes.len() as u32);
+        let mask = self.index.len() - 1;
+        let mut slot = home_slot(op, args, self.index.len());
+        while let Some(found) = self.index[slot].checked_sub(1) {
+            let found = TermId(found);
+            if self.op(found) == op && self.args(found) == args {
+                return found;
+            }
+            slot = (slot + 1) & mask;
+        }
+        // What the slot holds: the new id plus one.
+        let entry = u32::try_from(self.len() + 1).expect("term ids fit in 32 bits");
+        let start = u32::try_from(self.arena.len()).expect("argument offsets fit in 32 bits");
         // Sharing is expanded, so a residual stream doubles the size per
         // block: a 50-layer transformer is past `u64`. Saturate.
-        let size = node
-            .args
+        let size = args
             .iter()
             .fold(1u64, |n, a| n.saturating_add(self.sizes[a.index()]));
-        let height = 1 + node
-            .args
+        let height = 1 + args
             .iter()
             .map(|a| self.heights[a.index()])
             .max()
             .unwrap_or(0);
+        self.index[slot] = entry;
+        self.heads.push(op);
+        self.starts.push(start);
+        self.arena.extend_from_slice(args);
         self.sizes.push(size);
         self.heights.push(height);
-        self.dedup.insert(node.clone(), id);
-        self.nodes.push(node);
-        id
+        TermId(entry - 1)
+    }
+
+    /// Doubles the index and re-enters every term. Ids are distinct, so
+    /// re-entering needs no key comparison: the first empty slot of each
+    /// probe run is the term's.
+    fn grow_index(&mut self) {
+        let slots = (self.index.len() * 2).max(MIN_INDEX);
+        let mut index = vec![0u32; slots];
+        for id in 0..self.len() as u32 {
+            let t = TermId(id);
+            let mut slot = home_slot(self.op(t), self.args(t), slots);
+            while index[slot] != 0 {
+                slot = (slot + 1) & (slots - 1);
+            }
+            index[slot] = id + 1;
+        }
+        self.index = index;
     }
 
     /// Interns a constant (nullary application).
     pub fn app0(&mut self, op: Symbol) -> TermId {
-        self.app(op, Vec::new())
+        self.intern(op, &[])
     }
 
     /// Interns `op(args…)` after validating saturation against `syms`.
@@ -114,8 +175,9 @@ impl TermStore {
         &mut self,
         syms: &SymbolTable,
         op: Symbol,
-        args: Vec<TermId>,
+        args: impl AsRef<[TermId]>,
     ) -> Result<TermId, ArityError> {
+        let args = args.as_ref();
         let expected = syms.arity(op);
         if args.len() != expected {
             return Err(ArityError {
@@ -124,17 +186,22 @@ impl TermStore {
                 got: args.len(),
             });
         }
-        Ok(self.app(op, args))
+        Ok(self.intern(op, args))
     }
 
     /// Head operator of a term.
     pub fn op(&self, t: TermId) -> Symbol {
-        self.nodes[t.index()].op
+        self.heads[t.index()]
     }
 
     /// Argument list of a term.
     pub fn args(&self, t: TermId) -> &[TermId] {
-        &self.nodes[t.index()].args
+        let start = self.starts[t.index()] as usize;
+        let end = self
+            .starts
+            .get(t.index() + 1)
+            .map_or(self.arena.len(), |&next| next as usize);
+        &self.arena[start..end]
     }
 
     /// Number of operator applications in `t`, with sharing expanded;
@@ -150,17 +217,17 @@ impl TermStore {
 
     /// Total number of distinct terms interned.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.heads.len()
     }
 
     /// Whether the store contains no terms.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.heads.is_empty()
     }
 
     /// All distinct subterms of `t`, including `t` itself (preorder).
     pub fn subterms(&self, t: TermId) -> Vec<TermId> {
-        let mut seen = vec![false; self.nodes.len()];
+        let mut seen = vec![false; self.len()];
         let mut out = Vec::new();
         let mut stack = vec![t];
         while let Some(u) = stack.pop() {
@@ -340,6 +407,66 @@ mod tests {
         let t2 = terms.app(f, vec![a, a]);
         assert_eq!(t1, t2);
         assert_eq!(terms.len(), 2);
+    }
+
+    /// How far the worst-placed term sits from its home slot, in probes
+    /// (1 = every term is found at the first slot looked at).
+    fn longest_probe(terms: &TermStore) -> usize {
+        let slots = terms.index.len();
+        let displaced = |(slot, &entry): (usize, &u32)| {
+            let t = TermId(entry.checked_sub(1)?);
+            let home = home_slot(terms.op(t), terms.args(t), slots);
+            Some((slot + slots - home) % slots)
+        };
+        1 + terms
+            .index
+            .iter()
+            .enumerate()
+            .filter_map(displaced)
+            .max()
+            .unwrap_or(0)
+    }
+
+    #[test]
+    fn residual_stream_terms_probe_in_short_runs() {
+        // What a transformer's view interns: two-argument applications
+        // over consecutive ids under a handful of heads — keys that
+        // differ in a few low bits, the worst case for a multiplicative
+        // hash read from the wrong end. The `idhash` spread test's
+        // analogue for the store's own index.
+        let (mut syms, mut terms) = setup();
+        let heads: Vec<Symbol> = ["Add", "MatMul", "Mul", "Sub", "Div"]
+            .iter()
+            .map(|name| syms.op(name, 2))
+            .collect();
+        let mut prev = terms.app0(syms.op("x", 0));
+        let mut last = terms.app0(syms.op("w", 0));
+        while terms.len() < 10_000 {
+            let next = terms.app(heads[terms.len() % heads.len()], [prev, last]);
+            (prev, last) = (last, next);
+        }
+        assert!(terms.index.len().is_power_of_two());
+        assert!(terms.len() * 2 <= terms.index.len(), "at most half full");
+        let longest = longest_probe(&terms);
+        assert!(longest <= 16, "longest probe run {longest}");
+    }
+
+    #[test]
+    fn every_term_is_found_again_across_index_growth() {
+        let (mut syms, mut terms) = setup();
+        let c = terms.app0(syms.op("c", 0));
+        let g = syms.op("g", 1);
+        let mut chain = vec![c];
+        for _ in 0..200 {
+            chain.push(terms.app(g, [*chain.last().unwrap()]));
+        }
+        assert_eq!(terms.len(), 201);
+        assert!(terms.index.len() > 4 * MIN_INDEX, "the index grew");
+        for pair in chain.windows(2) {
+            assert_eq!(terms.app(g, [pair[0]]), pair[1]);
+            assert_eq!(terms.args(pair[1]), [pair[0]]);
+        }
+        assert_eq!(terms.len(), 201);
     }
 
     #[test]

@@ -49,7 +49,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use pypm_core::{Budget, FusedSet, IdMap, PatternId, PatternStore, TermId, TermStore};
+use pypm_core::{Budget, FusedSet, PatternId, PatternStore, TermId, TermStore, WalkStacks};
 
 /// Which candidate-discovery index the rewrite pass runs above the
 /// abstract machine. See the module docs for the trade-off.
@@ -198,29 +198,37 @@ impl Matcher for PerPatternMatcher {
 pub struct FusedMatcher {
     set: FusedSet,
     /// Where each walked term's candidate set lies in `pool`, as
-    /// `(start, len)`. Memoized across nodes *and* sweeps: hash-consed
-    /// [`TermId`]s never change meaning, so a walk is paid once per
-    /// distinct subject term per pass. A map, not a vector indexed by
-    /// term: a serve session's [`TermStore`] grows for the life of the
-    /// process, a pass touches the terms of one graph.
-    memo: IdMap<TermId, (u32, u32)>,
+    /// `(start, len)`, by [`TermId::index`]; [`UNWALKED`] until the
+    /// term's first query, and past the end for terms interned since
+    /// the table last grew. Memoized across nodes *and* sweeps:
+    /// hash-consed [`TermId`]s never change meaning, so a walk is paid
+    /// once per distinct subject term per pass. A vector, not a map: a
+    /// compile owns its [`TermStore`], which holds one graph's terms.
+    memo: Vec<(u32, u32)>,
     /// Every walked term's candidates, end to end. Most terms have
     /// none, so most memo entries cost no pool space and no term ever
     /// costs an allocation of its own.
     pool: Vec<u32>,
+    /// What every walk runs on (see [`WalkStacks`]).
+    stacks: WalkStacks,
     /// The run's cooperative budget; walks charge their trie steps
     /// against it and truncate once it trips (see
     /// [`Matcher::set_budget`]).
     budget: Option<Arc<Budget>>,
 }
 
+/// The memo entry of a term no walk has answered yet (no pool offset
+/// gets that far: the pool's spans are `u32`s).
+const UNWALKED: (u32, u32) = (u32::MAX, 0);
+
 impl FusedMatcher {
     /// Compiles the rule set's patterns into one discrimination tree.
     pub fn new(pats: &PatternStore, patterns: &[PatternId]) -> Self {
         FusedMatcher {
             set: FusedSet::build(pats, patterns),
-            memo: IdMap::default(),
+            memo: Vec::new(),
             pool: Vec::new(),
+            stacks: WalkStacks::default(),
             budget: None,
         }
     }
@@ -233,23 +241,23 @@ impl FusedMatcher {
 
 impl Matcher for FusedMatcher {
     fn candidates(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> &[u32] {
-        let (start, len) = match self.memo.get(&t) {
-            Some(&span) => span,
-            None => {
-                stats.terms_walked += 1;
-                let start = self.pool.len();
-                self.set.candidates_bounded(
-                    terms,
-                    t,
-                    &mut stats.trie_steps,
-                    self.budget.as_deref(),
-                    &mut self.pool,
-                );
-                let span = (start as u32, (self.pool.len() - start) as u32);
-                self.memo.insert(t, span);
-                span
-            }
-        };
+        if self.memo.len() <= t.index() {
+            self.memo.resize(terms.len(), UNWALKED);
+        }
+        if self.memo[t.index()] == UNWALKED {
+            stats.terms_walked += 1;
+            let start = self.pool.len();
+            self.set.candidates_bounded(
+                terms,
+                t,
+                &mut stats.trie_steps,
+                self.budget.as_deref(),
+                &mut self.stacks,
+                &mut self.pool,
+            );
+            self.memo[t.index()] = (start as u32, (self.pool.len() - start) as u32);
+        }
+        let (start, len) = self.memo[t.index()];
         &self.pool[start as usize..][..len as usize]
     }
 
@@ -323,12 +331,15 @@ mod tests {
         assert_eq!(m.candidates(tf, &terms, &mut stats), [0, 1]);
         assert_eq!(stats.terms_walked, 2, "one walk per distinct term");
         assert!(stats.trie_steps > 0);
-        // A term with no candidates takes a memo entry and no pool space.
+        // A term with no candidates is memoized like any other — asked
+        // twice, walked once — and takes no pool space.
         let tg = terms.app(syms.op("g", 1), vec![c]);
         let mut none = FusedMatcher::new(&pats, &[pf]);
+        let mut stats = MatcherStats::default();
         assert!(none.candidates(tg, &terms, &mut stats).is_empty());
+        assert!(none.candidates(tg, &terms, &mut stats).is_empty());
+        assert_eq!(stats.terms_walked, 1);
         assert!(none.pool.is_empty());
-        assert_eq!(none.memo.len(), 1);
     }
 
     #[test]

@@ -138,6 +138,14 @@ pub enum GraphError {
         /// The input.
         input: NodeId,
     },
+    /// A node listed more than once in [`Graph::outputs`] — an internal
+    /// invariant violation surfaced by [`Graph::validate`]
+    /// ([`Graph::mark_output`] and [`Graph::replace_traced`] both keep
+    /// the list a set, and the wire decoder refuses anything else).
+    DuplicateOutput {
+        /// The repeated output.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -161,6 +169,9 @@ impl fmt::Display for GraphError {
                 f,
                 "levels out of order: {input:?} is not levelled below its user {node:?}"
             ),
+            GraphError::DuplicateOutput { node } => {
+                write!(f, "output {node:?} is listed more than once")
+            }
         }
     }
 }
@@ -561,9 +572,15 @@ impl Graph {
                 }
             }
         }
-        for out in &mut self.outputs {
-            if *out == root {
-                *out = replacement;
+        if let Some(at) = self.outputs.iter().position(|&out| out == root) {
+            // An output is listed once: when the replacement already is
+            // one, the two entries merge into whichever comes first.
+            match self.outputs.iter().position(|&out| out == replacement) {
+                None => self.outputs[at] = replacement,
+                Some(other) => {
+                    self.outputs[at.min(other)] = replacement;
+                    self.outputs.remove(at.max(other));
+                }
             }
         }
         #[cfg(debug_assertions)]
@@ -735,9 +752,9 @@ impl Graph {
 
     /// Validates structural invariants in time linear in nodes plus
     /// edges: every input of a live node is alive, the live graph is
-    /// acyclic, every input is levelled below its user, and the reverse
+    /// acyclic, every input is levelled below its user, the reverse
     /// adjacency lists exactly the forward edges — each user once per
-    /// edge, nothing else.
+    /// edge, nothing else — and no output is listed twice.
     ///
     /// # Errors
     ///
@@ -801,7 +818,12 @@ impl Graph {
             });
             return Err(unlisted.expect("fewer reverse than forward edges: one is unlisted"));
         }
-        Ok(())
+        let mut outputs = self.outputs.clone();
+        outputs.sort_unstable();
+        match outputs.windows(2).find(|pair| pair[0] == pair[1]) {
+            Some(pair) => Err(GraphError::DuplicateOutput { node: pair[0] }),
+            None => Ok(()),
+        }
     }
 
     /// One three-colour depth-first search over the live nodes: an
@@ -1294,12 +1316,38 @@ mod tests {
                 input: r1
             })
         );
-        // The other three checks do not read the levels.
+        // The other checks do not read the levels.
         assert_eq!(validate_quadratic(&f.g), Ok(()));
         // A dead node's levels are nobody's business.
         f.g.replace(r1, a).unwrap();
         f.g.collect(r1);
         f.g.validate().unwrap();
+    }
+
+    #[test]
+    fn replacing_one_output_by_another_keeps_the_outputs_a_set() {
+        let mut f = fx();
+        let [a, r1, r2, r3] = relu_chain(&mut f);
+        f.g.mark_output(r1);
+        f.g.mark_output(a);
+        assert_eq!(f.g.outputs(), [r3, r1, a]);
+        // The later entry merges into the earlier one, whichever of the
+        // two the root was.
+        f.g.replace(r1, a).unwrap();
+        assert_eq!(f.g.outputs(), [r3, a]);
+        f.g.collect(r1);
+        f.g.validate().unwrap();
+        f.g.replace(r3, a).unwrap();
+        assert_eq!(f.g.outputs(), [a]);
+        f.g.collect(r3);
+        assert_eq!(f.g.live_count(), 1, "{r2:?} went with its only reader");
+        f.g.validate().unwrap();
+
+        // What `validate` is there to catch, were the merge to go.
+        f.g.outputs.push(a);
+        let repeated = Err(GraphError::DuplicateOutput { node: a });
+        assert_eq!(f.g.validate(), repeated);
+        assert_eq!(validate_quadratic(&f.g), repeated);
     }
 
     /// `Graph::validate` as it was before it became linear: a fresh
@@ -1328,7 +1376,11 @@ mod tests {
                 }
             }
         }
-        Ok(())
+        let repeated = |&&node: &&NodeId| g.outputs.iter().filter(|&&o| o == node).count() > 1;
+        match g.outputs.iter().filter(repeated).min() {
+            Some(&node) => Err(GraphError::DuplicateOutput { node }),
+            None => Ok(()),
+        }
     }
 
     /// A random DAG of unary and binary ops over three inputs, then a

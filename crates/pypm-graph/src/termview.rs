@@ -9,16 +9,17 @@
 //! the term level in a side table so that guards can evaluate attributes
 //! like `x.rank` and `x.eltType`.
 //!
-//! The side table is keyed by [`TermId`]. Hash-consing makes structurally
-//! equal subgraphs share a term id; because distinct input nodes are
-//! distinct constants and shape inference is deterministic, structurally
-//! equal subgraphs always carry identical metadata, so the table is
-//! well-defined.
+//! The side table is indexed by [`TermId`]. Hash-consing makes
+//! structurally equal subgraphs share a term id; because distinct input
+//! nodes are distinct constants and shape inference is deterministic,
+//! structurally equal subgraphs always carry identical metadata, so the
+//! table is well-defined.
 
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::ops::OpRegistry;
 use crate::tensor::TensorMeta;
 use pypm_core::{Attr, AttrInterp, IdMap, Symbol, SymbolTable, TermId, TermStore};
+use std::collections::HashMap;
 
 /// The ordered producer set of one term, id-sorted so the canonical
 /// producer (the first element) is deterministic and O(1) to read.
@@ -131,15 +132,19 @@ struct TermAttrs {
 /// The attribute interpretation backed by a term view's side table.
 #[derive(Debug, Clone, Default)]
 pub struct GraphAttrInterp {
-    by_term: IdMap<TermId, TermAttrs>,
+    /// By [`TermId::index`]; `None` (or past the end) for a term no
+    /// clean node of the view produces.
+    by_term: Vec<Option<TermAttrs>>,
     handles: Option<TensorAttrs>,
 }
 
-impl GraphAttrInterp {
-    /// Metadata recorded for a term, if any.
-    pub fn meta(&self, t: TermId) -> Option<&TensorMeta> {
-        self.by_term.get(&t).map(|entry| &entry.meta)
+/// The entry of `t` in a table indexed by [`TermId::index`], grown on
+/// demand: a view learns of a term when one of its nodes produces it.
+fn slot_mut<T>(table: &mut Vec<Option<T>>, t: TermId) -> &mut Option<T> {
+    if table.len() <= t.index() {
+        table.resize_with(t.index() + 1, || None);
     }
+    &mut table[t.index()]
 }
 
 impl AttrInterp for GraphAttrInterp {
@@ -149,7 +154,7 @@ impl AttrInterp for GraphAttrInterp {
             meta,
             class_code,
             node_attrs,
-        } = self.by_term.get(&t)?;
+        } = self.by_term.get(t.index())?.as_ref()?;
         if attr == handles.op_class {
             return Some(*class_code);
         }
@@ -233,18 +238,20 @@ fn specialized_const(syms: &mut SymbolTable, op: Symbol, attrs: &[(Attr, i64)]) 
 pub struct TermView {
     revision: u64,
     /// node → term for **clean** nodes only, by [`NodeId::index`]; a
-    /// stale node has `None` until it is repaired. Per-node state is a
-    /// dense vector (node ids are a graph's own, allocated from zero);
-    /// per-term state is a map, because the [`TermStore`] may be a
-    /// long-lived session's and dwarf the graph.
+    /// stale node has `None` until it is repaired. Per-node and
+    /// per-term state are both dense vectors: node ids are a graph's
+    /// own, allocated from zero, and a compile owns its [`TermStore`],
+    /// whose ids are dense and belong to this graph's terms.
     term_of_node: Vec<Option<TermId>>,
     /// How many nodes have a term ([`TermView::len`]).
     clean: usize,
     /// Ordered first-producer bookkeeping: every live producer of a
     /// term, ordered by node id ([`Producers`]). The canonical producer
     /// is the first element; erasing or adding a producer is
-    /// O(log |producers|). Stale nodes are absent.
-    producers: IdMap<TermId, Producers>,
+    /// O(log |producers|). Stale nodes are absent. By
+    /// [`TermId::index`]; `None` (or past the end) for a term nothing
+    /// clean produces.
+    producers: Vec<Option<Producers>>,
     /// Attribute side tables.
     attrs: GraphAttrInterp,
     /// Nodes marked dirty by [`TermView::invalidate`] (repeats allowed),
@@ -257,6 +264,14 @@ pub struct TermView {
     /// Terms recomputed by on-demand repair over the view's lifetime
     /// (see [`TermView::terms_recomputed`]).
     recomputed: u64,
+    /// Where [`TermView::term_for`] gathers a node's argument terms
+    /// before lending them to [`TermStore::app`].
+    args: Vec<TermId>,
+    /// The value-specialized symbol of every attribute-carrying
+    /// constant met so far, by operator and then attribute list, so
+    /// that only the first meeting spells the name out. The outer key
+    /// is a symbol of this process; attribute values are a graph's.
+    consts: IdMap<Symbol, HashMap<Vec<(Attr, i64)>, Symbol>>,
 }
 
 impl TermView {
@@ -273,7 +288,7 @@ impl TermView {
             revision: graph.revision(),
             term_of_node: vec![None; graph.allocated_count()],
             clean: 0,
-            producers: IdMap::default(),
+            producers: Vec::new(),
             attrs: GraphAttrInterp {
                 handles: Some(handles),
                 ..GraphAttrInterp::default()
@@ -281,9 +296,11 @@ impl TermView {
             pending: Vec::new(),
             stale: vec![false; graph.allocated_count()],
             recomputed: 0,
+            args: Vec::new(),
+            consts: IdMap::default(),
         };
         for n in graph.topo_order() {
-            let term = Self::term_for(graph, n, syms, terms, &view.term_of_node);
+            let term = view.term_for(graph, n, syms, terms);
             view.record(graph, registry, n, term);
         }
         view
@@ -400,7 +417,7 @@ impl TermView {
                 // Repaired on another path of this very DFS.
                 continue;
             }
-            let term = Self::term_for(graph, top, syms, terms, &self.term_of_node);
+            let term = self.term_for(graph, top, syms, terms);
             self.recomputed += 1;
             self.record(graph, registry, top, term);
         }
@@ -439,11 +456,11 @@ impl TermView {
     /// linear walk and [`TermView::patch`]'s cone worklist so the two
     /// paths cannot diverge.
     fn term_for(
+        &mut self,
         graph: &Graph,
         n: NodeId,
         syms: &mut SymbolTable,
         terms: &mut TermStore,
-        term_of_node: &[Option<TermId>],
     ) -> TermId {
         let node = graph.node(n);
         match node.kind {
@@ -459,22 +476,28 @@ impl TermView {
                 // valuation so that distinct constants are distinct
                 // terms while equal constants still share (needed for
                 // nonlinear patterns and correct attribute lookup).
-                let c = specialized_const(syms, node.op, &node.attrs);
+                let known = self.consts.entry(node.op).or_default();
+                let c = match known.get(node.attrs.as_slice()) {
+                    Some(&c) => c,
+                    None => {
+                        let c = specialized_const(syms, node.op, &node.attrs);
+                        known.insert(node.attrs.clone(), c);
+                        c
+                    }
+                };
                 terms.app0(c)
             }
             NodeKind::Op => {
-                let args: Vec<TermId> = node
-                    .inputs
-                    .iter()
-                    .map(|i| {
-                        term_of_node
-                            .get(i.index())
-                            .copied()
-                            .flatten()
-                            .expect("inputs resolve before their users (build walks topo order; repair defers to stale inputs)")
-                    })
-                    .collect();
-                terms.app(node.op, args)
+                let term_of_node = &self.term_of_node;
+                self.args.clear();
+                self.args.extend(node.inputs.iter().map(|i| {
+                    term_of_node
+                        .get(i.index())
+                        .copied()
+                        .flatten()
+                        .expect("inputs resolve before their users (build walks topo order; repair defers to stale inputs)")
+                }));
+                terms.app(node.op, &self.args)
             }
         }
     }
@@ -492,24 +515,17 @@ impl TermView {
         if self.term_of_node[n.index()].replace(term).is_none() {
             self.clean += 1;
         }
-        let mut first = false;
-        self.producers
-            .entry(term)
-            .and_modify(|set| set.insert(n))
-            .or_insert_with(|| {
-                first = true;
-                Producers::One(n)
-            });
-        if first {
-            let node = graph.node(n);
-            self.attrs.by_term.insert(
-                term,
-                TermAttrs {
+        match slot_mut(&mut self.producers, term) {
+            Some(set) => set.insert(n),
+            first => {
+                *first = Some(Producers::One(n));
+                let node = graph.node(n);
+                *slot_mut(&mut self.attrs.by_term, term) = Some(TermAttrs {
                     meta: node.meta.clone(),
                     class_code: registry.class(node.op).code(),
                     node_attrs: node.attrs.clone(),
-                },
-            );
+                });
+            }
         }
     }
 
@@ -521,11 +537,10 @@ impl TermView {
             return;
         };
         self.clean -= 1;
-        if let Some(set) = self.producers.get_mut(&term) {
-            if set.remove(n) {
-                self.producers.remove(&term);
-                self.attrs.by_term.remove(&term);
-            }
+        let producers = &mut self.producers[term.index()];
+        if producers.as_mut().is_some_and(|set| set.remove(n)) {
+            *producers = None;
+            self.attrs.by_term[term.index()] = None;
         }
     }
 
@@ -558,7 +573,10 @@ impl TermView {
     /// The canonical node producing the given term, if any: the live
     /// producer with the lowest [`NodeId`] (see the type docs).
     pub fn node_of(&self, t: TermId) -> Option<NodeId> {
-        self.producers.get(&t).map(Producers::first)
+        self.producers
+            .get(t.index())?
+            .as_ref()
+            .map(Producers::first)
     }
 
     /// The attribute interpretation for guard evaluation.
@@ -732,8 +750,15 @@ mod tests {
             );
         }
         assert_eq!(view.len(), fresh.len());
+        // The tables are as long as the highest term each view has met,
+        // which a patched view's history may put further out.
+        let produced = |v: &TermView| -> Vec<(usize, Producers)> {
+            let entries = v.producers.iter().cloned().enumerate();
+            entries.filter_map(|(t, set)| Some((t, set?))).collect()
+        };
         assert_eq!(
-            view.producers, fresh.producers,
+            produced(view),
+            produced(&fresh),
             "patched producer bookkeeping diverges from a fresh build"
         );
         assert!(
@@ -1016,6 +1041,77 @@ mod tests {
             "surviving producer takes over"
         );
         assert_patched_equals_rebuilt(&mut f, &mut view);
+    }
+
+    /// `relu(tanh(a))` over an `I8` input, output marked.
+    fn small_chain(f: &mut Fx) -> [NodeId; 3] {
+        let a =
+            f.g.input(&mut f.syms, TensorMeta::new(DType::I8, vec![3, 5]));
+        let t =
+            f.g.op(&mut f.syms, &f.reg, f.ops.tanh, vec![a], vec![])
+                .unwrap();
+        let r =
+            f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![t], vec![])
+                .unwrap();
+        f.g.mark_output(r);
+        [a, t, r]
+    }
+
+    #[test]
+    fn terms_the_view_never_recorded_have_no_node_and_no_attributes() {
+        let mut f = fx();
+        let nodes = small_chain(&mut f);
+        // Inside the tables, below the view's own terms: the store held
+        // it before the build.
+        let c = f.syms.op("c", 0);
+        let earlier = f.terms.app0(c);
+        let view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
+        // Past the tables' end: interned after the build.
+        let later = f.terms.app(f.ops.relu, [earlier]);
+        let h = TensorAttrs::intern(&mut f.syms);
+        for t in [earlier, later] {
+            assert_eq!(view.node_of(t), None);
+            assert_eq!(view.attrs().attr(&f.terms, t, h.rank), None);
+            assert_eq!(view.attrs().attr(&f.terms, t, h.op_class), None);
+        }
+        let root = view.term_of(nodes[2]).unwrap();
+        assert!(earlier < root && root < later);
+        assert_eq!(view.node_of(root), Some(nodes[2]));
+        assert_eq!(view.attrs().attr(&f.terms, root, h.rank), Some(2));
+    }
+
+    #[test]
+    fn a_store_holding_unrelated_terms_changes_ids_only() {
+        let mut fresh = fx();
+        let nodes = small_chain(&mut fresh);
+        let mut used = fx();
+        assert_eq!(small_chain(&mut used), nodes);
+        let c = used.syms.op("c", 0);
+        let mut t = used.terms.app0(c);
+        for _ in 0..40 {
+            t = used.terms.app(used.ops.relu, [t]);
+        }
+        let offset = used.terms.len();
+
+        let v_fresh = TermView::build(&fresh.g, &mut fresh.syms, &mut fresh.terms, &fresh.reg);
+        let v_used = TermView::build(&used.g, &mut used.syms, &mut used.terms, &used.reg);
+        assert_eq!(v_used.len(), v_fresh.len());
+        let h = TensorAttrs::intern(&mut fresh.syms);
+        for n in nodes {
+            let (tf, tu) = (v_fresh.term_of(n).unwrap(), v_used.term_of(n).unwrap());
+            assert_eq!(tu.index(), tf.index() + offset, "same order, shifted");
+            assert_eq!(
+                used.terms.display(&used.syms, tu),
+                fresh.terms.display(&fresh.syms, tf)
+            );
+            assert_eq!(v_used.node_of(tu), v_fresh.node_of(tf));
+            for attr in [h.rank, h.elt_type, h.numel, h.dims[1], h.op_class] {
+                assert_eq!(
+                    v_used.attrs().attr(&used.terms, tu, attr),
+                    v_fresh.attrs().attr(&fresh.terms, tf, attr)
+                );
+            }
+        }
     }
 
     #[test]

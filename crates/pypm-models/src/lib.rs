@@ -8,10 +8,11 @@
 //! * [`vision`] — ~20 TorchVision-style CNN graphs with conv→bias→act
 //!   blocks and dense classifier tails.
 //!
-//! The substitution is documented in `DESIGN.md`: pattern matching and
-//! the cost model only see operator graphs, so synthetic graphs with the
-//! real models' operator structure exercise the same code paths as the
-//! paper's pre-trained checkpoints.
+//! Why the substitution holds (README.md, "Workspace layout", lists it
+//! beside the cost model's): pattern matching and the cost model only
+//! see operator graphs, so synthetic graphs with the real models'
+//! operator structure exercise the same code paths as the paper's
+//! pre-trained checkpoints.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

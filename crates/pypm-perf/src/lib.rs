@@ -2,10 +2,11 @@
 //!
 //! The paper benchmarks inference wall-clock on an NVIDIA RTX A6000
 //! (§4.1). We have no GPU, so this crate substitutes an **analytical
-//! roofline cost model** (documented in `DESIGN.md`): each operator node
-//! costs one kernel launch plus the larger of its compute time
-//! (FLOPs / throughput) and its memory time (bytes moved / bandwidth),
-//! and a graph executes its topological order sequentially.
+//! roofline cost model** (README.md, "Workspace layout", names the
+//! substitution): each operator node costs one kernel launch plus the
+//! larger of its compute time (FLOPs / throughput) and its memory time
+//! (bytes moved / bandwidth), and a graph executes its topological
+//! order sequentially.
 //!
 //! Why this preserves the paper's claims: the evaluation's effects are
 //! *structural*. Fusing the five nodes of naive attention into one FMHA

@@ -1,0 +1,195 @@
+//! Interning costs a probe, not an allocation — held as a count.
+//!
+//! A wall-clock gate on a cold compile flakes with the box; the number
+//! of times a compile enters the allocator does not. This binary
+//! installs a counting global allocator and compiles the benchmark's
+//! ladder program (hidden 48, `both`, incremental, fused) at a few
+//! depths, asserting three budgets: what `TermView::build` allocates
+//! per node, what one `Pipeline::run` allocates in all, and that
+//! neither per-node figure grows with the graph.
+//!
+//! Where the allocations were: before the flat `TermStore`, every
+//! interned term cost a caller-side argument `Vec`, a clone of it into
+//! the dedup map and (amortised) the map's own growth — at 100 layers
+//! (3 004 nodes) 9 137 in the build and 34 052 in the pass, against
+//! 2 786 and 15 491 now. What is left is one shape vector per distinct
+//! term (`TermAttrs::meta`), the graph's own per-node vectors for the
+//! nodes a rewrite creates, and the doubling of a few long-lived
+//! tables.
+//!
+//! The allocator below is the workspace's one `unsafe impl`; every
+//! library crate keeps `#![forbid(unsafe_code)]`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pypm::dsl::LibraryConfig;
+use pypm::engine::{Pipeline, RewritePass, Session, SweepPolicy};
+use pypm::graph::{Graph, TermView};
+use pypm::models::{GeluVariant, ScaleVariant, TransformerConfig};
+
+thread_local! {
+    /// Calls this thread has made that obtain memory. Const-initialised
+    /// and without a destructor, so reading it inside the allocator
+    /// never allocates or touches a torn-down slot.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The system allocator, counting per thread — the test harness runs
+/// tests on threads of their own, and each must see only its own work.
+struct Counting;
+
+fn count() {
+    // A thread being torn down may allocate after its slot is gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a plain
+// thread-local integer and never unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are passed on as they are.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as above; `ptr` came from this allocator, which only
+        // ever hands out `System`'s blocks.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Runs `f`, returning how often it entered the allocator for memory.
+fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = f();
+    (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// The ladder program of `benchmark/harness/src/probes.rs` at `layers`
+/// layers, in a session that holds the `both` library.
+fn ladder_program(layers: usize) -> (Session, Graph, pypm::dsl::RuleSet) {
+    let cfg = TransformerConfig {
+        name: "deep",
+        layers,
+        hidden: 48,
+        seq: 64,
+        batch: 1,
+        mlp_factor: 4,
+        gelu: GeluVariant::DivTwo,
+        scale: ScaleVariant::Mul,
+        opaque_layernorm: false,
+    };
+    let mut s = Session::new();
+    let g = cfg.build(&mut s);
+    let rules = s.load_library(LibraryConfig::both());
+    (s, g, rules)
+}
+
+/// What one compile allocates at `layers` layers.
+struct Counted {
+    nodes: u64,
+    /// In `TermView::build` over the input graph, in a session that has
+    /// seen no graph.
+    build: u64,
+    /// In one `Pipeline::run` (which builds its own view), likewise.
+    pass: u64,
+}
+
+impl Counted {
+    fn build_per_node(&self) -> f64 {
+        self.build as f64 / self.nodes as f64
+    }
+
+    fn pass_per_node(&self) -> f64 {
+        self.pass as f64 / self.nodes as f64
+    }
+}
+
+fn count_at(layers: usize) -> Counted {
+    let (mut s, g, _) = ladder_program(layers);
+    let (view, build) =
+        allocations_of(|| TermView::build(&g, &mut s.syms, &mut s.terms, &s.registry));
+    assert_eq!(view.len(), g.live_count());
+
+    let (mut s, mut g, rules) = ladder_program(layers);
+    let nodes = g.live_count() as u64;
+    let (report, pass) = allocations_of(|| {
+        Pipeline::new(&mut s)
+            .with(RewritePass::new(rules).policy(SweepPolicy::Incremental))
+            .run(&mut g)
+    });
+    let stats = report.expect("pass succeeds").total();
+    assert!(
+        stats.rewrites_fired >= layers as u64,
+        "every layer rewrites"
+    );
+    Counted { nodes, build, pass }
+}
+
+/// The dev profile's per-firing oracles (`Graph::validate`, the resumed
+/// scan order against a recomputed one) allocate inside the pass, so
+/// the pass is budgeted where the product is built: in release.
+const PASS_IS_THE_PRODUCTS: bool = !cfg!(debug_assertions);
+
+#[test]
+fn a_100_layer_compile_stays_inside_its_allocation_budget() {
+    let at_100 = count_at(100);
+    assert_eq!(at_100.nodes, 3004);
+    assert!(
+        at_100.build_per_node() <= 1.0,
+        "TermView::build made {} allocations over {} nodes",
+        at_100.build,
+        at_100.nodes
+    );
+    if PASS_IS_THE_PRODUCTS {
+        assert!(
+            at_100.pass <= 18_000,
+            "one 100-layer Pipeline::run made {} allocations",
+            at_100.pass
+        );
+    }
+}
+
+#[test]
+fn allocations_per_node_do_not_grow_with_the_graph() {
+    let (shallow, deep) = (count_at(50), count_at(200));
+    assert!(
+        deep.build_per_node() <= 1.05 * shallow.build_per_node(),
+        "TermView::build: {:.3} allocations per node at 50 layers, {:.3} at 200",
+        shallow.build_per_node(),
+        deep.build_per_node()
+    );
+    if PASS_IS_THE_PRODUCTS {
+        assert!(
+            deep.pass_per_node() <= 1.05 * shallow.pass_per_node(),
+            "Pipeline::run: {:.3} allocations per node at 50 layers, {:.3} at 200",
+            shallow.pass_per_node(),
+            deep.pass_per_node()
+        );
+    }
+    eprintln!(
+        "allocations per node — build {:.3} / {:.3}, pass {:.3} / {:.3} (50 / 200 layers)",
+        shallow.build_per_node(),
+        deep.build_per_node(),
+        shallow.pass_per_node(),
+        deep.pass_per_node()
+    );
+}
