@@ -1,7 +1,7 @@
 //! `bench_compare` — the CI bench-regression gate.
 //!
 //! ```text
-//! bench_compare <baseline.json> <current.json> [--wall-tolerance F]
+//! bench_compare <baseline.json> <current.json>
 //! ```
 //!
 //! Compares two `BENCH_rewrite_pass.json` documents (schema
@@ -16,12 +16,11 @@
 //!   cell present in both documents means the rewrite behaviour changed
 //!   and the baseline must be regenerated deliberately (with the
 //!   change's justification in the PR).
-//! * **Wall-clock regressions beyond the tolerance fail.** Each cell's
-//!   wall-clock may regress up to `--wall-tolerance` (default 0.25 =
-//!   +25%); speedups always pass. The compared statistic is
-//!   `min_wall_ms` when both documents carry it (the best case of a
-//!   deterministic CPU-bound loop is insensitive to scheduler
-//!   interference), falling back to `mean_wall_ms` for v1 documents.
+//! * **Wall-clocks across the two documents are printed, not gated.**
+//!   The baseline was timed on one machine and the current run on
+//!   another, on sub-millisecond cells; the two walls of each cell are
+//!   information (`min_wall_ms` when both documents carry it, the mean
+//!   otherwise). Speed claims are checked by the repo benchmark.
 //! * **Lost coverage fails.** A (model, config) row or a policy series
 //!   present in the baseline but missing from the current document
 //!   means the bench silently stopped measuring something.
@@ -31,8 +30,8 @@
 //!   agree exactly on the semantic counters (the fused matcher's
 //!   admission-soundness contract), and at ≥4× rules (`synth >= 39`)
 //!   the fused backend must admit at least 3× fewer match probes per
-//!   node than per-pattern, with its wall-clock no worse than
-//!   per-pattern's beyond the tolerance; and at 16× rules
+//!   node than per-pattern, with its wall-clock at most 25 % above
+//!   per-pattern's in the same document; and at 16× rules
 //!   (`synth >= 195`) the fused wall-clock may be at most 2.5× what it
 //!   is on the same model at 1× (`synth == 0`) — fewer probes must show
 //!   as time, not only as a count. Scaling cells also compare
@@ -77,6 +76,11 @@ const SUBLINEAR_FACTOR: f64 = 3.0;
 const WALL_SUBLINEAR_FROM_SYNTH: f64 = 195.0;
 const WALL_SUBLINEAR_FACTOR: f64 = 2.5;
 
+/// How far above per-pattern's wall the fused wall of the same scaling
+/// row — same document, same machine, same run — may read from
+/// [`SUBLINEAR_FROM_SYNTH`] on.
+const FUSED_WALL_TOLERANCE: f64 = 0.25;
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
@@ -104,6 +108,13 @@ struct Series {
 }
 
 impl Series {
+    /// The wall to compare inside one document: the min of the runs
+    /// where the schema has it (the best case of a deterministic
+    /// CPU-bound loop is insensitive to scheduler interference).
+    fn wall(&self) -> f64 {
+        self.min_wall_ms.unwrap_or(self.wall_ms)
+    }
+
     /// Counter value by name, if this series carries it.
     fn counter(&self, name: &str) -> Option<f64> {
         self.counters
@@ -128,27 +139,13 @@ struct ScalingRow {
 }
 
 fn run(args: &[String]) -> Result<String, Vec<String>> {
-    let usage = "usage: bench_compare <baseline.json> <current.json> [--wall-tolerance F]";
-    let mut paths = Vec::new();
-    let mut tolerance = 0.25f64;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        if arg == "--wall-tolerance" {
-            let v = it
-                .next()
-                .ok_or_else(|| vec!["missing value for --wall-tolerance".to_owned()])?;
-            tolerance = v
-                .parse()
-                .map_err(|_| vec![format!("bad --wall-tolerance {v}")])?;
-        } else {
-            paths.push(arg.clone());
-        }
-    }
-    if paths.len() != 2 {
-        return Err(vec![usage.to_owned()]);
-    }
-    let (baseline, _) = load_table(&paths[0]).map_err(|e| vec![e])?;
-    let (current, cur_scaling) = load_table(&paths[1]).map_err(|e| vec![e])?;
+    let [baseline, current] = args else {
+        return Err(vec![
+            "usage: bench_compare <baseline.json> <current.json>".to_owned()
+        ]);
+    };
+    let (baseline, _) = load_table(baseline).map_err(|e| vec![e])?;
+    let (current, cur_scaling) = load_table(current).map_err(|e| vec![e])?;
 
     let mut failures = Vec::new();
     let mut lines = Vec::new();
@@ -193,11 +190,8 @@ fn run(args: &[String]) -> Result<String, Vec<String>> {
             )),
             _ => {}
         }
-        let (per_wall, fused_wall) = (
-            per.min_wall_ms.unwrap_or(per.wall_ms),
-            fused.min_wall_ms.unwrap_or(fused.wall_ms),
-        );
-        if per_wall > 0.0 && fused_wall / per_wall > 1.0 + tolerance {
+        let (per_wall, fused_wall) = (per.wall(), fused.wall());
+        if per_wall > 0.0 && fused_wall / per_wall > 1.0 + FUSED_WALL_TOLERANCE {
             failures.push(format!(
                 "{}/rules:{}: fused wall {fused_wall:.3}ms exceeds per-pattern's \
                  {per_wall:.3}ms beyond tolerance — fused lost its wall advantage at scale",
@@ -212,7 +206,7 @@ fn run(args: &[String]) -> Result<String, Vec<String>> {
             .find(|r| r.model == row.model && r.synth == 0.0)
             .and_then(|r| r.backends.get("fused"));
         if let Some(unit) = unit {
-            let unit_wall = unit.min_wall_ms.unwrap_or(unit.wall_ms);
+            let unit_wall = unit.wall();
             if fused_wall > WALL_SUBLINEAR_FACTOR * unit_wall {
                 failures.push(format!(
                     "{}/rules:{}: fused wall {fused_wall:.3}ms is more than \
@@ -258,31 +252,16 @@ fn run(args: &[String]) -> Result<String, Vec<String>> {
                     ));
                 }
             }
+            // Two machines, so information only — and the same
+            // statistic on both sides, or it is not even that.
             let (stat, base_wall, cur_wall) = match (base.min_wall_ms, cur.min_wall_ms) {
                 (Some(b), Some(c)) => ("min", b, c),
                 _ => ("mean", base.wall_ms, cur.wall_ms),
             };
-            let ratio = if base_wall > 0.0 {
-                cur_wall / base_wall
-            } else {
-                1.0
-            };
-            if ratio > 1.0 + tolerance {
-                failures.push(format!(
-                    "{}/{}/{policy}: {stat} wall-clock regressed {base_wall:.3}ms -> {cur_wall:.3}ms ({:+.1}%, tolerance {:+.0}%)",
-                    cell.0,
-                    cell.1,
-                    (ratio - 1.0) * 100.0,
-                    tolerance * 100.0,
-                ));
-            } else {
-                lines.push(format!(
-                    "  {}/{}/{policy}: {stat} wall {base_wall:.3}ms -> {cur_wall:.3}ms ({:+.1}%), counters exact",
-                    cell.0,
-                    cell.1,
-                    (ratio - 1.0) * 100.0,
-                ));
-            }
+            lines.push(format!(
+                "  {}/{}/{policy}: {stat} wall {base_wall:.3}ms -> {cur_wall:.3}ms (not gated)",
+                cell.0, cell.1,
+            ));
         }
     }
     for cell in current.keys() {
@@ -295,8 +274,7 @@ fn run(args: &[String]) -> Result<String, Vec<String>> {
     }
     if failures.is_empty() {
         Ok(format!(
-            "bench-compare: {compared} policy series compared, wall tolerance {:+.0}%\n{}",
-            tolerance * 100.0,
+            "bench-compare: {compared} policy series compared, counters exact\n{}",
             lines.join("\n")
         ))
     } else {
@@ -345,7 +323,7 @@ fn load_table(path: &str) -> Result<(Table, Vec<ScalingRow>), String> {
     // v5: the `rules_scaling` section. Each row lands twice — in the
     // structured list for the intra-document sublinearity gate, and in
     // the table as a `rules:<config>` row (policy keys = backend names)
-    // so the ordinary drift/wall/coverage gates cover it too.
+    // so the ordinary drift/coverage gates cover it too.
     let mut scaling = Vec::new();
     if let Some(Value::Array(rows)) = doc.get("rules_scaling") {
         for row in rows {
@@ -397,10 +375,7 @@ fn read_series(path: &str, v: &Value) -> Result<Series, String> {
             counters.push((key.to_owned(), value));
         }
     }
-    // Prefer the noise-robust min-of-runs; v1 documents only have the
-    // mean. Comparing a min baseline against a mean current (or vice
-    // versa) would be apples-to-oranges, so the caller falls back to
-    // mean whenever either side lacks the min.
+    // v1 documents only have the mean.
     Ok(Series {
         wall_ms: num("mean_wall_ms")?,
         min_wall_ms: v.get("min_wall_ms").and_then(Value::as_f64),
@@ -455,19 +430,21 @@ mod tests {
     }
 
     #[test]
-    fn wall_regression_beyond_tolerance_fails() {
+    fn walls_across_documents_are_printed_not_gated() {
         let a = write("wall_a", &doc(1.0, 100.0));
         let b = write("wall_b", &doc(1.3, 100.0));
-        let err = run(&[a.clone(), b.clone()]).unwrap_err();
-        assert!(err[0].contains("min wall-clock regressed"), "{err:?}");
-        // A wider tolerance lets the same pair pass.
-        assert!(run(&[
+        let summary = run(&[a.clone(), b.clone()]).unwrap();
+        assert!(
+            summary.contains("m/both/restart: min wall 1.000ms -> 1.300ms (not gated)"),
+            "{summary}"
+        );
+        let err = run(&[
             a.clone(),
             b.clone(),
             "--wall-tolerance".into(),
-            "0.5".into()
-        ])
-        .is_ok());
+            "0.5".into(),
+        ]);
+        assert!(err.unwrap_err()[0].starts_with("usage:"));
         std::fs::remove_file(a).ok();
         std::fs::remove_file(b).ok();
     }
@@ -490,20 +467,6 @@ mod tests {
         assert!(run(&[one.clone(), two.clone()]).is_ok());
         std::fs::remove_file(one).ok();
         std::fs::remove_file(two).ok();
-    }
-
-    #[test]
-    fn wall_statistic_falls_back_to_mean_when_min_is_one_sided() {
-        // Baseline without min_wall_ms vs current with it: comparing
-        // min-to-mean would be apples-to-oranges, so the mean is used
-        // (1.3 vs 1.0 mean still fails, naming the statistic).
-        let without_min = doc(1.3, 100.0).replace(r#", "min_wall_ms": 1.3"#, "");
-        let a = write("mixed_a", &without_min);
-        let b = write("mixed_b", &doc(1.0, 100.0));
-        let err = run(&[b.clone(), a.clone()]).unwrap_err();
-        assert!(err[0].contains("mean wall-clock regressed"), "{err:?}");
-        std::fs::remove_file(a).ok();
-        std::fs::remove_file(b).ok();
     }
 
     /// One `rules_scaling` row with both matcher backends at the given
@@ -582,8 +545,8 @@ mod tests {
 
     #[test]
     fn fused_wall_regression_at_scale_fails_intra_document() {
-        // Fused 3.0ms vs per-pattern 2.0ms: +50% is beyond the default
-        // +25% tolerance — fused lost its wall advantage.
+        // Fused 3.0ms vs per-pattern 2.0ms: +50% is beyond the +25%
+        // allowed — fused lost its wall advantage.
         let slow = doc_with_scaling(39.0, 100.0, 8.0, 3.0);
         let a = write("fwall_a", &slow);
         let err = run(&[a.clone(), a.clone()]).unwrap_err();
@@ -592,15 +555,11 @@ mod tests {
                 .any(|f| f.contains("lost its wall advantage at scale")),
             "{err:?}"
         );
-        // A wider tolerance accepts it.
-        assert!(run(&[
-            a.clone(),
-            a.clone(),
-            "--wall-tolerance".into(),
-            "0.6".into()
-        ])
-        .is_ok());
+        // 2.4ms is +20%: inside it.
+        let b = write("fwall_b", &doc_with_scaling(39.0, 100.0, 8.0, 2.4));
+        assert!(run(&[b.clone(), b.clone()]).is_ok());
         std::fs::remove_file(a).ok();
+        std::fs::remove_file(b).ok();
     }
 
     #[test]

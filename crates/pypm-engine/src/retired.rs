@@ -1,5 +1,5 @@
-//! What outlives the retired `jobs` axis (ROADMAP item 3 and its ledger
-//! entry): the two live keys of the `parallel` block of
+//! What outlives the retired `jobs` axis (PR 16: ROADMAP's "Closed since
+//! the last re-anchor" and its profile ledger): the two live keys of the `parallel` block of
 //! `pypm.pipeline.v1`, and the names the repo benchmark's frozen
 //! measured surface still compiles against.
 
@@ -14,18 +14,18 @@ pub struct ParallelStats {
     /// [`crate::Pipeline::run_batch`] invocation (1 for a plain `run`).
     pub batch_graphs: u64,
     /// Always 0 — inert; kept for the benchmark's frozen surface;
-    /// removed with ROADMAP item 6 (e).
+    /// removed with ROADMAP item 4 (e).
     pub probes_executed: u64,
 }
 
 /// Inert; kept for the benchmark's frozen surface; removed with ROADMAP
-/// item 6 (e).
+/// item 4 (e).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ParallelConfig;
 
 impl ParallelConfig {
     /// Inert; kept for the benchmark's frozen surface; removed with
-    /// ROADMAP item 6 (e). Any count means the serial pass.
+    /// ROADMAP item 4 (e). Any count means the serial pass.
     pub fn with_jobs(_jobs: usize) -> Self {
         ParallelConfig
     }
@@ -33,7 +33,7 @@ impl ParallelConfig {
 
 impl crate::Pipeline<'_> {
     /// Inert; kept for the benchmark's frozen surface; removed with
-    /// ROADMAP item 6 (e). Returns the pipeline unchanged.
+    /// ROADMAP item 4 (e). Returns the pipeline unchanged.
     pub fn parallelism(self, _parallel: ParallelConfig) -> Self {
         self
     }

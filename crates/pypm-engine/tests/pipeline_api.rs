@@ -370,31 +370,35 @@ fn retired_parallelism_setter_runs_the_serial_pass() {
 
 /// The `parallel` block of `pypm.pipeline.v1` is the constant serial
 /// one until the benchmark's frozen surface lets it go (ROADMAP item
-/// 6 e): byte for byte, zoo-wide, under every policy and backend.
+/// 4 e): byte for byte, zoo-wide, in the three policy × backend cells
+/// the equivalence suites keep — the reference, and the two fused ones.
 #[test]
 fn parallel_block_is_the_constant_serial_one_zoo_wide() {
-    use pypm_engine::MatcherBackend;
+    use pypm_engine::MatcherBackend::{Fused, PerPattern};
+    use SweepPolicy::{Incremental, RestartOnRewrite};
 
     const SERIAL: &str = r#""parallel": {"jobs": 1, "batch_graphs": 1, "warm_batches": 0, "pool_rounds": 0, "pool_spawn_reuse": 0, "probes_executed": 0, "probes_filtered": 0, "probes_reused": 0, "probes_inline": 0, "warm_wall_ms": 0.000000, "probes_by_shard": []}"#;
     let check = |name: &str, build: &dyn Fn(&mut Session) -> Graph| {
-        for policy in SweepPolicy::ALL {
-            for backend in MatcherBackend::ALL {
-                let mut s = Session::new();
-                let mut g = build(&mut s);
-                let rules = s.load_library(LibraryConfig::both());
-                let json = Pipeline::new(&mut s)
-                    .with(RewritePass::new(rules).policy(policy).matcher(backend))
-                    .run(&mut g)
-                    .unwrap()
-                    .to_json();
-                // One per pass, one in the totals.
-                assert_eq!(
-                    json.matches(SERIAL).count(),
-                    2,
-                    "{name}/{policy}/{backend}:\n{json}"
-                );
-                assert_eq!(json.matches("\"parallel\": ").count(), 2);
-            }
+        for (policy, backend) in [
+            (RestartOnRewrite, PerPattern),
+            (RestartOnRewrite, Fused),
+            (Incremental, Fused),
+        ] {
+            let mut s = Session::new();
+            let mut g = build(&mut s);
+            let rules = s.load_library(LibraryConfig::both());
+            let json = Pipeline::new(&mut s)
+                .with(RewritePass::new(rules).policy(policy).matcher(backend))
+                .run(&mut g)
+                .unwrap()
+                .to_json();
+            // One per pass, one in the totals.
+            assert_eq!(
+                json.matches(SERIAL).count(),
+                2,
+                "{name}/{policy}/{backend}:\n{json}"
+            );
+            assert_eq!(json.matches("\"parallel\": ").count(), 2);
         }
     };
     for cfg in pypm_models::hf_zoo() {

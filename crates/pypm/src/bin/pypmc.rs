@@ -54,7 +54,9 @@
 //! `step_limit=` keys win, and an exhausted budget answers
 //! `DEADLINE_EXCEEDED` while the worker keeps serving. Zero or
 //! non-numeric budget values are rejected with exit code 2 — omit the
-//! flag for no limit. `dump`/`load`
+//! flag for no limit. The server compiles `(incremental, fused)` over
+//! the five plain configurations; `P`, `M` and `+synthN` are `compile`
+//! flags, not request keys. `dump`/`load`
 //! round-trip graphs and rulesets through the `PYPMWIRE` container
 //! format (`pypm::wire`): `dump` writes the canonical encoding, `load`
 //! decodes any container (or a legacy raw `PYPMB1` ruleset) and reports
@@ -164,7 +166,7 @@ fn compile(args: &[String]) -> i32 {
             return 2;
         }
     };
-    if let Some(Err(e)) = parsed.value("--jobs").map(cli_args::retired_jobs) {
+    if let Err(e) = cli_args::retired("jobs", parsed.value("--jobs").unwrap_or("1"), "1") {
         eprintln!("error: {e}");
         eprintln!("usage: {}", spec.usage);
         return 2;
@@ -335,9 +337,7 @@ fn try_serve(args: &[String]) -> Result<i32, i32> {
     if let Some(addr) = parsed.value("--addr") {
         config.addr = addr.to_owned();
     }
-    if let Some(jobs) = parsed.value("--jobs") {
-        cli_args::retired_jobs(jobs).map_err(usage_error)?;
-    }
+    cli_args::retired("jobs", parsed.value("--jobs").unwrap_or("1"), "1").map_err(usage_error)?;
     config.cache_dir = parsed.value("--cache-dir").map(str::to_owned);
     config.cache_dir_max_bytes =
         number(&parsed, "--cache-dir-max-bytes", "a non-negative integer").map_err(usage_error)?;

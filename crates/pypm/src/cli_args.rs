@@ -6,9 +6,10 @@
 //! [`parse_args`]/[`parse_or_usage`] parse against it under the CLI's
 //! loud-failure contract (unknown flags, missing flag values and
 //! out-of-range positional counts exit 2 with a usage line), and the
-//! `resolve_*`/`parse_*` helpers implement the vocabularies shared by
-//! `compile`, `dump`, `serve` *and* the serve protocol's `compile`
-//! verb, so a flag and its `key=value` twin can never drift apart:
+//! helpers below implement the vocabularies shared by `compile`, `dump`
+//! and `serve`. `--config` and the serve key `config=` are the same
+//! parser, so that flag and its `key=value` twin can never drift apart;
+//! the policy and the matcher are flags only:
 //!
 //! * **library configurations** ([`lib_config`]) —
 //!   `baseline|fmha|epilog|both|all`, each optionally suffixed
@@ -20,8 +21,9 @@
 //!   [`SweepPolicy::default`],
 //! * **matcher backends** ([`resolve_matcher`]) —
 //!   `per-pattern|fused` behind `--matcher`, defaulting to fused,
-//! * **the retired job count** ([`retired_jobs`]) — `--jobs 1` /
-//!   `jobs=1` is a no-op, anything else names the retirement.
+//! * **retired axes** ([`retired`]) — `--jobs 1` / `jobs=1` and the
+//!   serve keys `policy=incremental` / `matcher=fused` are no-ops,
+//!   anything else names the retirement.
 
 use crate::dsl::LibraryConfig;
 use crate::engine::{MatcherBackend, SweepPolicy};
@@ -127,9 +129,9 @@ pub fn parse_or_usage(spec: &Spec, args: &[String]) -> Result<Parsed, i32> {
 /// `pypmc dump` and the serve protocol: a base configuration
 /// (`baseline|fmha|epilog|both|all`), optionally suffixed `+synthN` to
 /// append `N` synthetic never-matching rules for matcher-scaling
-/// experiments (`all+synth39` ≈ 4× the rule-bearing pattern count).
-/// `None` for anything else — including a malformed or out-of-range
-/// synth count.
+/// experiments (`all+synth39` ≈ 4× the rule-bearing pattern count; the
+/// server refuses the suffix before calling this). `None` for anything
+/// else — including a malformed or out-of-range synth count.
 pub fn lib_config(name: &str) -> Option<LibraryConfig> {
     let (base, synth) = match name.split_once("+synth") {
         Some((base, digits)) => (base, Some(digits.parse::<u16>().ok()?)),
@@ -149,40 +151,19 @@ pub fn lib_config(name: &str) -> Option<LibraryConfig> {
     })
 }
 
-/// Parses a sweep-policy name with the shared diagnostic.
-///
-/// # Errors
-///
-/// Names the unknown policy and the accepted vocabulary.
-pub fn parse_policy(name: &str) -> Result<SweepPolicy, String> {
-    SweepPolicy::parse(name).ok_or_else(|| {
-        let vocabulary = SweepPolicy::ALL.map(SweepPolicy::name).join("|");
-        format!("unknown sweep policy {name} (want {vocabulary})")
-    })
-}
-
 /// Resolves the sweep policy from `--sweep-policy`, falling back to the
 /// engine default ([`SweepPolicy::default`]).
 ///
 /// # Errors
 ///
-/// Propagates [`parse_policy`]'s diagnostic.
+/// Names the unknown policy and the accepted vocabulary.
 pub fn resolve_policy(parsed: &Parsed) -> Result<SweepPolicy, String> {
-    match parsed.value("--sweep-policy") {
-        Some(name) => parse_policy(name),
-        None => Ok(SweepPolicy::default()),
-    }
-}
-
-/// Parses a matcher-backend name with the shared diagnostic.
-///
-/// # Errors
-///
-/// Names the unknown backend and the accepted vocabulary.
-pub fn parse_matcher(name: &str) -> Result<MatcherBackend, String> {
-    MatcherBackend::parse(name).ok_or_else(|| {
-        let vocabulary = MatcherBackend::ALL.map(MatcherBackend::name).join("|");
-        format!("unknown matcher backend {name} (want {vocabulary})")
+    let Some(name) = parsed.value("--sweep-policy") else {
+        return Ok(SweepPolicy::default());
+    };
+    SweepPolicy::parse(name).ok_or_else(|| {
+        let vocabulary = SweepPolicy::ALL.map(SweepPolicy::name).join("|");
+        format!("unknown sweep policy {name} (want {vocabulary})")
     })
 }
 
@@ -191,33 +172,43 @@ pub fn parse_matcher(name: &str) -> Result<MatcherBackend, String> {
 ///
 /// # Errors
 ///
-/// Propagates [`parse_matcher`]'s diagnostic.
+/// Names the unknown backend and the accepted vocabulary.
 pub fn resolve_matcher(parsed: &Parsed) -> Result<MatcherBackend, String> {
-    match parsed.value("--matcher") {
-        Some(v) => parse_matcher(v),
-        None => Ok(MatcherBackend::default()),
-    }
+    let Some(name) = parsed.value("--matcher") else {
+        return Ok(MatcherBackend::default());
+    };
+    MatcherBackend::parse(name).ok_or_else(|| {
+        let vocabulary = MatcherBackend::ALL.map(MatcherBackend::name).join("|");
+        format!("unknown matcher backend {name} (want {vocabulary})")
+    })
 }
 
-/// Answers `--jobs <value>` (`pypmc compile`, `pypmc serve`) and the
-/// serve key `jobs=<value>`: the parallel match phase was measured
-/// against the serial pass, won no cell and was deleted (ROADMAP.md,
-/// profile ledger, PR 16), so exactly `1` is accepted as a no-op —
-/// scripts that pinned the serial path keep working — and anything else
-/// is an error.
+/// Answers a retired axis — `--jobs` / `jobs=` (the parallel match
+/// phase won no cell against the serial pass: ROADMAP.md, PR 16) and
+/// the serve keys `policy=` / `matcher=` (the server compiles the
+/// defaults only; the oracles stay `pypmc compile` flags): exactly
+/// `only`, the one value the axis still has, is a no-op — scripts that
+/// pinned it keep working — and anything else is an error.
 ///
 /// # Errors
 ///
-/// The one retirement message (the CLI prints it with its usage line
-/// and exits 2; the server answers `BAD_REQUEST` with it).
-pub fn retired_jobs(value: &str) -> Result<(), String> {
-    match value {
-        "1" => Ok(()),
-        _ => Err(format!(
+/// The retirement message (the CLI prints it with its usage line and
+/// exits 2; the server answers `BAD_REQUEST` with it).
+pub fn retired(key: &str, value: &str, only: &str) -> Result<(), String> {
+    if value == only {
+        return Ok(());
+    }
+    Err(match key {
+        "jobs" => format!(
             "jobs {value} is not accepted: the jobs axis is retired (no parallel \
              configuration beat the serial match phase; see ROADMAP.md) — drop the flag"
-        )),
-    }
+        ),
+        _ => format!(
+            "{key}={value} is not served: the {key} key is retired (the server compiles \
+             {key}={only} only; the reference engine still runs as `pypmc compile \
+             --sweep-policy restart --matcher per-pattern`) — drop the key"
+        ),
+    })
 }
 
 #[cfg(test)]
@@ -293,9 +284,9 @@ mod tests {
 
     #[test]
     fn retired_jobs_accepts_exactly_one() {
-        assert_eq!(retired_jobs("1"), Ok(()));
+        assert_eq!(retired("jobs", "1", "1"), Ok(()));
         for value in ["0", "2", "01", " 1", "x", ""] {
-            let err = retired_jobs(value).unwrap_err();
+            let err = retired("jobs", value, "1").unwrap_err();
             assert!(err.contains("retired"), "{value:?}: {err}");
             assert!(err.contains("drop the flag"), "{value:?}: {err}");
         }

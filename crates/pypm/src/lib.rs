@@ -90,8 +90,9 @@ pub fn build_model(session: &mut engine::Session, name: &str) -> Option<graph::G
     None
 }
 
-/// How [`compile_batch`] runs its graphs — everything `pypmc compile`
-/// takes from flags and a serve worker takes from a request.
+/// How [`compile_batch`] runs its graphs — what `pypmc compile` takes
+/// from flags. A serve worker takes only the budget from a request and
+/// runs the default policy and backend.
 #[derive(Debug, Clone)]
 pub struct CompileRecipe {
     /// Sweep policy of the rewrite pass.

@@ -35,18 +35,19 @@
 //! ping
 //! stats
 //! shutdown
-//! compile <model> [config=<C>] [policy=<P>] [matcher=<M>]
-//!         [timeout_ms=<T>] [step_limit=<S>]
+//! compile <model> [config=<C>] [timeout_ms=<T>] [step_limit=<S>]
 //! ```
 //!
-//! The retired `jobs=<N>` key is answered by
-//! [`crate::cli_args::retired_jobs`]: `jobs=1` is a no-op, any other
-//! value is [`protocol::STATUS_BAD_REQUEST`].
-//! `C`, `P` and `M` take exactly the `pypmc compile` vocabulary
-//! ([`crate::cli_args`]: `baseline|fmha|epilog|both|all` with an
-//! optional `+synthN` scaling suffix, `restart|incremental`,
-//! `per-pattern|fused` — both spellings are the *same* parser, so the
-//! flag and its `key=value` twin can never drift).
+//! `C` is one of `baseline|fmha|epilog|both|all` — the `pypmc compile
+//! --config` parser ([`crate::cli_args::lib_config`]) minus its
+//! `+synthN` benchmark suffix, which is [`protocol::STATUS_BAD_REQUEST`]
+//! here. A key may be given once; a repeat is `BAD_REQUEST` too.
+//! The server compiles one engine, the default `(incremental, fused)`:
+//! the retired keys `policy=`, `matcher=` and `jobs=` are answered by
+//! [`crate::cli_args::retired`] — `incremental`, `fused` and `1` are
+//! no-ops, anything else is `BAD_REQUEST` naming the retirement and
+//! `pypmc compile --sweep-policy restart --matcher per-pattern`, where
+//! the oracles still run.
 //! A successful `compile` responds with the request's
 //! `pypm.pipeline.v1` stats JSON — the same document `pypmc compile
 //! --stats-json` writes, byte-identical in every semantic counter (the
@@ -58,10 +59,11 @@
 //! Every worker shares one [`crate::wire::cache::ResultCache`]: before compiling, the
 //! request is content-addressed — a [`crate::wire::cache::CacheKey`] over the engine
 //! version, the canonical `PYPMWIRE` graph bytes, the rule-set bytes,
-//! the library configuration, the sweep policy and the matcher
-//! backend — and a hit returns the stored `pypm.pipeline.v1` report
-//! verbatim. The matcher backend is part of the key because it changes
-//! the machine-step/backtrack/admission counters; the engine version
+//! the library configuration, and the names of the sweep policy and
+//! the matcher backend — and a hit returns the stored
+//! `pypm.pipeline.v1` report verbatim. The last two parts are
+//! constants, kept where they were as request keys so a `--cache-dir`
+//! written then keeps hitting. The engine version
 //! (`CARGO_PKG_VERSION`) is part of it so a persistent store written
 //! by an older build reads as a miss rather than serving a report the
 //! current engine would not produce. The cached report is

@@ -5,6 +5,7 @@
 //! untrusted surface can be driven from an `io::Cursor` without a
 //! socket.
 
+use crate::cli_args::retired;
 use crate::dsl::LibraryConfig;
 use crate::engine::{MatcherBackend, SweepPolicy};
 use std::io::{self, Read, Write};
@@ -212,13 +213,12 @@ fn hint(payload: &str, key: &str) -> Option<u64> {
     rest[..digits].parse().ok()
 }
 
-/// A parsed `compile` request.
+/// A parsed `compile` request: a model, one of the five plain
+/// configurations, a budget. The engine is not a request's to choose.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct CompileRequest {
     pub model: String,
     pub config: LibraryConfig,
-    pub policy: SweepPolicy,
-    pub matcher: MatcherBackend,
     pub timeout_ms: Option<u64>,
     pub step_limit: Option<u64>,
 }
@@ -247,27 +247,35 @@ pub(crate) fn parse_request(line: &str) -> Result<Request, String> {
             let mut req = CompileRequest {
                 model: model.to_owned(),
                 config: LibraryConfig::both(),
-                policy: SweepPolicy::default(),
-                matcher: MatcherBackend::default(),
                 timeout_ms: None,
                 step_limit: None,
             };
+            let mut seen = Vec::new();
             for word in words {
                 let Some((key, value)) = word.split_once('=') else {
                     return Err(format!("expected key=value, got '{word}'"));
                 };
+                // A repeat would win silently (the second budget, the
+                // second library); retired no-op keys count too.
+                if seen.contains(&key) {
+                    return Err(format!("key '{key}' given twice"));
+                }
+                seen.push(key);
                 match key {
+                    "config" if value.contains("+synth") => {
+                        return Err(format!(
+                            "config {value} is not served: the +synthN suffix is a benchmark \
+                             axis, retired on the serve boundary (want \
+                             baseline|fmha|epilog|both|all) — run `pypmc compile --config {value}`"
+                        ));
+                    }
                     "config" => {
                         req.config = crate::cli_args::lib_config(value)
                             .ok_or_else(|| format!("unknown config {value}"))?;
                     }
-                    "policy" => {
-                        req.policy = crate::cli_args::parse_policy(value)?;
-                    }
-                    "matcher" => {
-                        req.matcher = crate::cli_args::parse_matcher(value)?;
-                    }
-                    "jobs" => crate::cli_args::retired_jobs(value)?,
+                    "policy" => retired(key, value, SweepPolicy::default().name())?,
+                    "matcher" => retired(key, value, MatcherBackend::default().name())?,
+                    "jobs" => retired(key, value, "1")?,
                     "timeout_ms" => {
                         req.timeout_ms = Some(parse_budget_value("timeout_ms", value)?);
                     }

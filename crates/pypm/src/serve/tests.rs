@@ -7,7 +7,6 @@ use super::queue::{JobQueue, QueueEntry};
 use super::worker::{Counters, RETRY_AFTER_HINT_CAP_MS};
 use crate::core::clock::system_clock;
 use crate::dsl::LibraryConfig;
-use crate::engine::{MatcherBackend, SweepPolicy};
 use std::io::{self, Cursor, Read};
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -22,22 +21,20 @@ fn request_grammar_parses_the_documented_forms() {
         Ok(Request::Compile(CompileRequest {
             model: "bert-tiny".to_owned(),
             config: LibraryConfig::both(),
-            policy: SweepPolicy::Incremental,
-            matcher: MatcherBackend::Fused,
             timeout_ms: None,
             step_limit: None,
         }))
     );
+    // The retired keys, spelled with the one value each has left, are
+    // no-ops.
     assert_eq!(
         parse_request(
-            "compile vgg11 config=all+synth39 policy=restart matcher=per-pattern jobs=1 \
+            "compile vgg11 config=all policy=incremental matcher=fused jobs=1 \
              timeout_ms=250 step_limit=100000"
         ),
         Ok(Request::Compile(CompileRequest {
             model: "vgg11".to_owned(),
-            config: LibraryConfig::all().with_synth(39),
-            policy: SweepPolicy::RestartOnRewrite,
-            matcher: MatcherBackend::PerPattern,
+            config: LibraryConfig::all(),
             timeout_ms: Some(250),
             step_limit: Some(100_000),
         }))
@@ -50,16 +47,32 @@ fn request_grammar_rejects_garbage_with_reasons() {
     assert!(parse_request("frobnicate").is_err());
     assert!(parse_request("compile").is_err());
     assert!(parse_request("compile m config=bogus").is_err());
-    assert!(parse_request("compile m config=all+synthX").is_err());
-    assert!(parse_request("compile m policy=bogus").is_err());
-    assert!(parse_request("compile m policy=continue")
-        .unwrap_err()
-        .contains("restart|incremental"));
-    assert!(parse_request("compile m matcher=bogus").is_err());
-    for retired in ["jobs=0", "jobs=2", "jobs=four"] {
-        assert!(parse_request(&format!("compile m {retired}"))
-            .unwrap_err()
-            .contains("retired"));
+    let refusal = |request: &str| parse_request(&format!("compile m {request}")).unwrap_err();
+    // Every retired axis has one value left; anything else names the
+    // retirement, and the engine keys say where the oracles still run.
+    let retired = "jobs=0 jobs=2 jobs=four policy=restart policy=continue policy=bogus \
+                   matcher=per-pattern matcher=bogus";
+    for request in retired.split_whitespace() {
+        let err = refusal(request);
+        assert!(err.contains("retired"), "{request}: {err}");
+        let points_at_the_cli = err.contains("`pypmc compile --sweep-policy restart --matcher");
+        assert_eq!(points_at_the_cli, !request.starts_with("jobs"), "{err}");
+    }
+    // The matcher-scaling suffix is a `pypmc compile` flag, not a
+    // request: well-formed or not, it is refused with the pointer.
+    for synth in ["all+synth39", "both+synth0", "all+synthX", "bogus+synth4"] {
+        let err = refusal(&format!("config={synth}"));
+        assert!(err.contains("not served"), "{synth}: {err}");
+        assert!(err.contains(&format!("`pypmc compile --config {synth}`")));
+    }
+    // A key may be said once: a repeat would silently win otherwise.
+    for (request, key) in [
+        ("timeout_ms=5 timeout_ms=600000", "timeout_ms"),
+        ("config=both step_limit=7 config=all", "config"),
+        ("policy=incremental policy=incremental", "policy"),
+        ("jobs=1 matcher=fused jobs=1", "jobs"),
+    ] {
+        assert_eq!(refusal(request), format!("key '{key}' given twice"));
     }
     assert!(parse_request("compile m stray").is_err());
     assert!(parse_request("compile m color=red").is_err());
@@ -284,8 +297,6 @@ fn edf_select_prefers_earliest_deadline_then_fifo() {
         req: CompileRequest {
             model: "m".to_owned(),
             config: LibraryConfig::both(),
-            policy: SweepPolicy::RestartOnRewrite,
-            matcher: MatcherBackend::Fused,
             timeout_ms: None,
             step_limit: None,
         },

@@ -12,10 +12,10 @@ use super::queue::{JobQueue, Popped};
 use crate::core::clock::Clock;
 use crate::core::Budget;
 use crate::dsl::{LibraryConfig, RuleSet};
-use crate::engine::{PassError, Session};
+use crate::engine::{MatcherBackend, PassError, Session, SweepPolicy};
 use crate::wire::cache::{CacheKey, ResultCache};
 use crate::CompileRecipe;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -88,15 +88,10 @@ pub(super) struct WorkerContext {
     pub(super) counters: Arc<Counters>,
 }
 
-/// How many pristine library sessions a worker retains, oldest out.
-/// `config=` names 5 × 513 configurations (`+synthN`, N ≤
-/// [`LibraryConfig::MAX_SYNTH`]) and a session's size grows with N, so
-/// the list is capped; the zoo traffic uses four.
-const MAX_LIBRARIES: usize = 8;
-
 /// A library loaded once and never shown a graph: exactly
 /// `Session::new()` followed by `load_library(cfg)`, the two calls
 /// `pypmc compile` makes, kept beside the rule set they returned.
+/// `config=` names five configurations, so a worker holds at most five.
 struct Library {
     cfg: LibraryConfig,
     session: Session,
@@ -106,23 +101,22 @@ struct Library {
 /// The state one compile worker keeps warm across requests (rebuilt
 /// only after a caught handler panic).
 struct WorkerState {
-    /// At most [`MAX_LIBRARIES`] pristine sessions, oldest first.
-    libraries: VecDeque<Library>,
+    /// One pristine session per configuration a request has named.
+    libraries: Vec<Library>,
     cx: WorkerContext,
     /// Request determinants → content hash. The zoo builders are pure,
     /// so the canonical graph/ruleset bytes — and therefore the cache
-    /// key — are a function of (model, config, policy, matcher);
-    /// once a worker has hashed a request's content it never rebuilds
-    /// the graph just to rediscover the same key. Bounded by what a
-    /// client can name: known models × nameable configs × 2 policies ×
-    /// 2 matchers, and only a model that built is ever inserted.
-    key_memo: HashMap<(String, LibraryConfig, &'static str, &'static str), CacheKey>,
+    /// key — are a function of (model, config); once a worker has
+    /// hashed a request's content it never rebuilds the graph just to
+    /// rediscover the same key. Bounded by what a client can name: zoo
+    /// models × five configs, and only a model that built is inserted.
+    key_memo: HashMap<(String, LibraryConfig), CacheKey>,
 }
 
 impl WorkerState {
     fn new(cx: WorkerContext) -> Self {
         WorkerState {
-            libraries: VecDeque::new(),
+            libraries: Vec::new(),
             cx,
             key_memo: HashMap::new(),
         }
@@ -130,17 +124,14 @@ impl WorkerState {
 
     /// A fresh copy of the `cfg` library's session and rule set for one
     /// compile to own, loading the library first if this worker does
-    /// not hold it (evicting the oldest at [`MAX_LIBRARIES`]).
+    /// not hold it.
     fn library(&mut self, cfg: LibraryConfig) -> (Session, RuleSet) {
         let at = match self.libraries.iter().position(|lib| lib.cfg == cfg) {
             Some(at) => at,
             None => {
-                if self.libraries.len() == MAX_LIBRARIES {
-                    self.libraries.pop_front();
-                }
                 let mut session = Session::new();
                 let rules = session.load_library(cfg);
-                self.libraries.push_back(Library {
+                self.libraries.push(Library {
                     cfg,
                     session,
                     rules,
@@ -212,12 +203,7 @@ impl WorkerState {
         // the graph builder. A memoized *miss* (the entry was evicted)
         // falls through to recompile without probing again — the
         // recomputed key is the same hash of the same bytes.
-        let memo = (
-            req.model.clone(),
-            req.config,
-            req.policy.name(),
-            req.matcher.name(),
-        );
+        let memo = (req.model.clone(), req.config);
         let mut probed = false;
         if self.cx.cache.is_enabled() {
             if let Some(key) = self.key_memo.get(&memo) {
@@ -239,12 +225,12 @@ impl WorkerState {
         // caught here instead of surviving into the match phase.
         charge(graph.live_count() as u64)?;
         // Content-address the request: the canonical graph bytes plus
-        // everything else that shapes the report. The matcher backend
-        // is in the key because it changes the
-        // machine-step/backtrack/admission counters; the engine version
-        // is in it so a persistent store outliving this binary (an
-        // upgraded server over an old --cache-dir) misses instead of
-        // replaying a stale report. Both encodes charge the budget —
+        // everything else that shapes the report. The policy and the
+        // matcher are constants now, kept where they were as request
+        // keys so a --cache-dir written then keeps hitting; the engine
+        // version is in it so a persistent store outliving this binary
+        // (an upgraded server over an old --cache-dir) misses instead
+        // of replaying a stale report. Both encodes charge the budget —
         // the graph codec per node, the rule-set bytes per 64-byte
         // chunk — so key construction cannot outlive the deadline
         // unbudgeted.
@@ -262,8 +248,8 @@ impl WorkerState {
                 &graph_bytes,
                 &ruleset_bytes,
                 format!("{:?}", req.config).as_bytes(),
-                req.policy.name().as_bytes(),
-                req.matcher.name().as_bytes(),
+                SweepPolicy::default().name().as_bytes(),
+                MatcherBackend::default().name().as_bytes(),
             ]);
             self.key_memo.insert(memo, key);
             Some(key)
@@ -278,8 +264,8 @@ impl WorkerState {
             }
         }
         let recipe = CompileRecipe {
-            policy: req.policy,
-            matcher: req.matcher,
+            policy: SweepPolicy::default(),
+            matcher: MatcherBackend::default(),
             budget: budget.clone(),
         };
         let reports = crate::compile_batch(
@@ -417,7 +403,7 @@ mod tests {
         let zoo: Vec<&str> = (crate::models::hf_zoo().into_iter().map(|c| c.name))
             .chain(crate::models::tv_zoo().into_iter().map(|c| c.name))
             .collect();
-        let configs = ["baseline", "fmha", "epilog", "both"];
+        let configs = ["baseline", "fmha", "epilog", "both", "all"];
         let mut state = uncached_worker();
         let mut round = || -> Vec<Value> {
             zoo.iter()
@@ -428,7 +414,7 @@ mod tests {
         let second = round();
         assert_eq!(second, first, "a repeated request answers differently");
 
-        assert_eq!(state.libraries.len(), configs.len());
+        assert_eq!(state.libraries.len(), 5, "every nameable config, once");
         for lib in &state.libraries {
             let mut fresh = Session::new();
             fresh.load_library(lib.cfg);
@@ -442,19 +428,5 @@ mod tests {
             };
             assert_eq!(sizes(&lib.session), sizes(&fresh), "{:?}", lib.cfg);
         }
-    }
-
-    #[test]
-    fn the_library_list_is_capped_and_an_evicted_config_answers_the_same() {
-        let mut state = uncached_worker();
-        let config = |k: usize| format!("both+synth{k}");
-        let first = compile(&mut state, "bert-tiny", &config(1));
-        for k in 2..=20 {
-            compile(&mut state, "bert-tiny", &config(k));
-            assert!(state.libraries.len() <= MAX_LIBRARIES, "after {k} configs");
-        }
-        let evicted = crate::cli_args::lib_config(&config(1)).unwrap();
-        assert!(state.libraries.iter().all(|lib| lib.cfg != evicted));
-        assert_eq!(compile(&mut state, "bert-tiny", &config(1)), first);
     }
 }

@@ -4,8 +4,9 @@
 //! Each schedule arms a random set of failpoints (cache read/write/
 //! evict I/O errors, torn cache writes, dropped frame reads/writes,
 //! slow compiles), brings up a server with randomized limits, and
-//! sweeps randomized requests across zoo models × sweep policies —
-//! some carrying `timeout_ms=`/`step_limit=` budgets. The robustness contract under fire:
+//! sweeps randomized requests across zoo models — some carrying
+//! `timeout_ms=`/`step_limit=` budgets. The robustness contract under
+//! fire:
 //!
 //! * no panic escapes a worker (the server keeps answering),
 //! * virtual time is exactly accounted: each schedule runs its server
@@ -87,41 +88,25 @@ impl Rng {
 }
 
 const MODELS: &[&str] = &["bert-tiny", "bert-small", "vgg11"];
-const POLICIES: &[&str] = &["restart", "incremental"];
 
-/// A cold in-process compile of one request — the byte-identity
-/// reference. Must only run while the registry is disarmed: it shares
-/// this process's failpoint sites.
-fn cold_report(model: &str, policy: &str) -> String {
+/// The masked reference report for every model a schedule can request:
+/// a cold in-process compile, the byte-identity reference. Must only
+/// run while the registry is disarmed — it shares this process's
+/// failpoint sites — so it is computed before any fault is armed.
+fn references() -> HashMap<&'static str, Value> {
     use pypm::engine::{Pipeline, RewritePass, Session};
     assert!(!pypm::faults::armed(), "cold reference needs faults off");
-    let mut s = Session::new();
-    let mut g = pypm::build_model(&mut s, model).expect("zoo model");
-    let rules = s.load_library(pypm::dsl::LibraryConfig::both());
-    let policy = pypm::cli_args::parse_policy(policy).expect("policy");
-    let mut pipeline = Pipeline::new(&mut s);
-    if !rules.is_empty() {
-        pipeline = pipeline.with(RewritePass::new(rules).policy(policy));
-    }
-    let reports = pipeline
-        .run_batch(std::slice::from_mut(&mut g))
-        .expect("cold compile");
-    reports[0].to_json()
-}
-
-/// The masked reference report for every (model, policy) combo a
-/// schedule can request, computed before any fault is armed.
-fn reference_matrix() -> HashMap<(String, String), Value> {
-    let mut refs = HashMap::new();
-    for model in MODELS {
-        for policy in POLICIES {
-            refs.insert(
-                ((*model).to_owned(), (*policy).to_owned()),
-                mask_volatile(&cold_report(model, policy)),
-            );
-        }
-    }
-    refs
+    let cold = |&model: &&'static str| {
+        let mut s = Session::new();
+        let mut g = pypm::build_model(&mut s, model).expect("zoo model");
+        let rules = s.load_library(pypm::dsl::LibraryConfig::both());
+        let report = Pipeline::new(&mut s)
+            .with(RewritePass::new(rules))
+            .run(&mut g)
+            .expect("cold compile");
+        (model, mask_volatile(&report.to_json()))
+    };
+    MODELS.iter().map(cold).collect()
 }
 
 /// One randomized fault spec. Counted entries exhaust on their own;
@@ -159,7 +144,7 @@ fn random_fault_spec(rng: &mut Rng) -> String {
 
 /// Runs one schedule: arm, serve randomized requests, assert the
 /// contract, disarm. Returns how many requests were served.
-fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String), Value>) -> u64 {
+fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<&'static str, Value>) -> u64 {
     let mut rng = Rng(seed ^ (schedule.wrapping_mul(0x0100_0000_01b3)));
     let cache_dir = rng.chance(50).then(|| {
         std::env::temp_dir().join(format!(
@@ -216,8 +201,7 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String), Value
     let mut served = 0;
     for _ in 0..8 {
         let model = *rng.pick(MODELS);
-        let policy = *rng.pick(POLICIES);
-        let mut line = format!("compile {model} policy={policy}");
+        let mut line = format!("compile {model}");
         let timeout_ms = rng.chance(30).then(|| 10 + rng.below(40));
         if let Some(t) = timeout_ms {
             line.push_str(&format!(" timeout_ms={t}"));
@@ -261,10 +245,9 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String), Value
         // one.
         match status {
             STATUS_OK => {
-                let expected = &refs[&(model.to_owned(), policy.to_owned())];
                 assert_eq!(
                     &mask_volatile(&body),
-                    expected,
+                    &refs[model],
                     "[schedule {schedule}] '{line}' served corrupt or divergent bytes"
                 );
             }
@@ -319,11 +302,11 @@ fn run_schedule(schedule: u64, seed: u64, refs: &HashMap<(String, String), Value
         })
         .expect("rebind on the chaos cache dir");
         let mut c = Client::connect(fresh.addr()).expect("connect");
-        let (status, body) = c.request("compile bert-tiny policy=restart").unwrap();
+        let (status, body) = c.request("compile bert-tiny").unwrap();
         assert_eq!(status, STATUS_OK, "{body}");
         assert_eq!(
             &mask_volatile(&body),
-            &refs[&("bert-tiny".to_owned(), "restart".to_owned())],
+            &refs["bert-tiny"],
             "[schedule {schedule}] post-restart compile diverged"
         );
         let (_, stats) = c.request("stats").unwrap();
@@ -342,7 +325,7 @@ fn seeded_fault_schedules_never_corrupt_hang_or_kill_the_server() {
     pypm::faults::disarm();
     let schedules = env_u64("PYPM_CHAOS_SCHEDULES", 4);
     let seed = env_u64("PYPM_CHAOS_SEED", 0xC0FFEE);
-    let refs = reference_matrix();
+    let refs = references();
     let mut served = 0;
     for schedule in 0..schedules {
         served += run_schedule(schedule, seed, &refs);
@@ -354,7 +337,7 @@ fn seeded_fault_schedules_never_corrupt_hang_or_kill_the_server() {
 fn with_faults_disabled_served_results_are_byte_identical_zoo_wide() {
     let _guard = chaos_lock();
     pypm::faults::disarm();
-    let refs = reference_matrix();
+    let refs = references();
     let server = Server::bind(ServeConfig {
         workers: 2,
         queue_depth: 8,
@@ -363,17 +346,15 @@ fn with_faults_disabled_served_results_are_byte_identical_zoo_wide() {
     .unwrap();
     let mut client = Client::connect(server.addr()).unwrap();
     for model in MODELS {
-        for policy in POLICIES {
-            let (status, body) = client
-                .request_with_retry(&format!("compile {model} policy={policy}"), 8)
-                .unwrap();
-            assert_eq!(status, STATUS_OK, "{model}/{policy}: {body}");
-            assert_eq!(
-                &mask_volatile(&body),
-                &refs[&((*model).to_owned(), (*policy).to_owned())],
-                "{model}/{policy} diverged with faults disabled"
-            );
-        }
+        let (status, body) = client
+            .request_with_retry(&format!("compile {model}"), 8)
+            .unwrap();
+        assert_eq!(status, STATUS_OK, "{model}: {body}");
+        assert_eq!(
+            &mask_volatile(&body),
+            &refs[model],
+            "{model} diverged with faults disabled"
+        );
     }
     let (status, _) = client.request("shutdown").unwrap();
     assert_eq!(status, STATUS_OK);

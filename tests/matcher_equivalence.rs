@@ -2,8 +2,17 @@
 //! discrimination-tree backend must be **byte-identical** to the
 //! per-pattern backend — same firing sequence, same final graph down to
 //! node ids, and the same value for every semantic counter
-//! (`match_attempts`, `matches_found`, `rewrites_fired`, …) — under both
-//! sweep policies, across the full model zoo.
+//! (`match_attempts`, `matches_found`, `rewrites_fired`, …) — across
+//! the full model zoo.
+//!
+//! Three cells of the policy × backend square are run: `(restart,
+//! per-pattern)` is the reference, `(restart, fused)` is compared to
+//! it counter for counter, and `(incremental, fused)` — what ships —
+//! is held to its firing sequence and final graph (its counters
+//! against `(restart, fused)` are `incremental_equivalence`'s).
+//! `(incremental, per-pattern)` is neither production nor reference;
+//! `fused_matcher_is_byte_identical_on_random_rule_subsets`
+//! (`pass_properties.rs`) still draws it.
 //!
 //! The correctness argument is local (the tree only rejects a
 //! `(pattern, node)` pair when the pattern's every alternative is
@@ -21,37 +30,46 @@ use pypm::engine::{MatcherBackend, Session, SweepPolicy};
 use pypm::graph::Graph;
 
 fn assert_backend_equivalent(name: &str, build: &dyn Fn(&mut Session) -> Graph) {
+    use MatcherBackend::{Fused, PerPattern};
+    use SweepPolicy::{Incremental, RestartOnRewrite};
     for (cname, cfg) in [
         ("both", LibraryConfig::both as fn() -> LibraryConfig),
         ("all", LibraryConfig::all),
     ] {
-        for policy in SweepPolicy::ALL {
-            let (per, per_stats) = run(build, cfg(), policy, MatcherBackend::PerPattern);
-            let (fused, fused_stats) = run(build, cfg(), policy, MatcherBackend::Fused);
-            assert_eq!(
-                per, fused,
-                "{name}/{cname}/{policy}: fused diverged from per-pattern"
-            );
-            // The tree only ever *skips* machine runs that were
-            // guaranteed to fail; it can never add machine work.
-            assert!(
-                fused_stats.machine_steps <= per_stats.machine_steps,
-                "{name}/{cname}/{policy}: fused did more machine work ({} vs {})",
-                fused_stats.machine_steps,
-                per_stats.machine_steps,
-            );
-            // Each backend accounts every consumed probe: admitted
-            // plus rejected covers exactly the per-pattern attempt
-            // count (the fused tree's rejections stand in for the
-            // machine failures it skipped).
-            assert_eq!(fused_stats.matcher.backend, "fused");
-            assert_eq!(per_stats.matcher.backend, "per-pattern");
-            assert_eq!(
-                fused_stats.matcher.pairs_admitted + fused_stats.matcher.pairs_rejected,
-                per_stats.match_attempts,
-                "{name}/{cname}/{policy}: fused admission accounting leaked"
-            );
-        }
+        let (per, per_stats) = run(build, cfg(), RestartOnRewrite, PerPattern);
+        let (fused, fused_stats) = run(build, cfg(), RestartOnRewrite, Fused);
+        assert_eq!(
+            per, fused,
+            "{name}/{cname}: (restart, fused) diverged from the reference"
+        );
+        // The tree only ever *skips* machine runs that were
+        // guaranteed to fail; it can never add machine work.
+        assert!(
+            fused_stats.machine_steps <= per_stats.machine_steps,
+            "{name}/{cname}: fused did more machine work ({} vs {})",
+            fused_stats.machine_steps,
+            per_stats.machine_steps,
+        );
+        // Each backend accounts every consumed probe: admitted plus
+        // rejected covers exactly the per-pattern attempt count (the
+        // fused tree's rejections stand in for the machine failures
+        // it skipped).
+        assert_eq!(fused_stats.matcher.backend, "fused");
+        assert_eq!(per_stats.matcher.backend, "per-pattern");
+        assert_eq!(
+            fused_stats.matcher.pairs_admitted + fused_stats.matcher.pairs_rejected,
+            per_stats.match_attempts,
+            "{name}/{cname}: fused admission accounting leaked"
+        );
+
+        // What ships: the reference's rewrites in the reference's
+        // order, and its graph.
+        let (shipped, _) = run(build, cfg(), Incremental, Fused);
+        assert_eq!(
+            (shipped.fired, shipped.nodes, shipped.output_ids),
+            (per.fired, per.nodes, per.output_ids),
+            "{name}/{cname}: (incremental, fused) diverged from the reference"
+        );
     }
 }
 

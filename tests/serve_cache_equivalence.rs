@@ -1,23 +1,37 @@
 //! The result-cache correctness story: a cache hit must be
 //! **byte-identical** to the cold compile it replays — for every zoo
-//! model and every sweep policy — the cache must key on everything
-//! that shapes the counters, must
-//! survive a server restart via `--cache-dir`, and must stay invisible
-//! when disabled.
+//! model — the cache key must keep the layout an existing `--cache-dir`
+//! was written under (the retired request keys are no-ops on it, not
+//! only on the document), must survive a server restart via
+//! `--cache-dir`, and must stay invisible when disabled.
 
 mod common;
 
 use common::{at, compile_stats_json, mask_volatile, uint_at, zoo_names};
 use pypm::client::Client;
 use pypm::core::json::Value;
+use pypm::dsl::LibraryConfig;
+use pypm::engine::Session;
 use pypm::serve::protocol::STATUS_OK;
 use pypm::serve::{ServeConfig, Server};
+use pypm::wire::cache::CacheKey;
 
-fn compile_ok(client: &mut Client, model: &str, policy: &str) -> String {
-    let (status, body) = client
-        .request(&format!("compile {model} policy={policy}"))
-        .unwrap();
-    assert_eq!(status, STATUS_OK, "{model}/{policy}: {body}");
+/// A one-worker server over `config`, and a client connected to it.
+fn serve(config: ServeConfig) -> (Server, Client) {
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        queue_depth: 4,
+        ..config
+    })
+    .unwrap();
+    let client = Client::connect(server.addr()).unwrap();
+    (server, client)
+}
+
+/// One `compile <request>` and its `OK` body.
+fn compile_ok(client: &mut Client, request: &str) -> String {
+    let (status, body) = client.request(&format!("compile {request}")).unwrap();
+    assert_eq!(status, STATUS_OK, "{request}: {body}");
     body
 }
 
@@ -30,29 +44,21 @@ fn cache_stats(client: &mut Client) -> Value {
     at(&doc, "cache").clone()
 }
 
-/// Every zoo model × every sweep policy: the second identical request is a cache hit and its response is
-/// **byte-identical** to the cold compile's — not just masked-equal;
-/// the cached report is the cold report, verbatim.
+/// Every zoo model: the second identical request is a cache hit and its
+/// response is **byte-identical** to the cold compile's — not just
+/// masked-equal; the cached report is the cold report, verbatim.
 #[test]
-fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
-    let server = Server::bind(ServeConfig {
-        workers: 1,
-        queue_depth: 4,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
+fn cache_hits_are_byte_identical_across_the_zoo() {
+    let (server, mut client) = serve(ServeConfig::default());
     let mut expected_hits = 0;
     for name in zoo_names() {
-        for policy in ["restart", "incremental"] {
-            let cold = compile_ok(&mut client, name, policy);
-            let hit = compile_ok(&mut client, name, policy);
-            assert_eq!(
-                hit, cold,
-                "{name}/{policy}: cache hit diverged from the cold compile"
-            );
-            expected_hits += 1;
-        }
+        let cold = compile_ok(&mut client, name);
+        let hit = compile_ok(&mut client, name);
+        assert_eq!(
+            hit, cold,
+            "{name}: cache hit diverged from the cold compile"
+        );
+        expected_hits += 1;
     }
     let stats = cache_stats(&mut client);
     // Every immediate repeat hits; the key is *content*-addressed, so
@@ -73,25 +79,57 @@ fn cache_hits_are_byte_identical_across_the_zoo_policies_and_jobs() {
 /// equivalence contract extends to cached responses.
 #[test]
 fn cache_hits_match_the_cold_cli_after_masking() {
-    let server = Server::bind(ServeConfig {
-        workers: 1,
-        queue_depth: 4,
-        ..ServeConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    for (model, policy) in [("bert-small", "restart"), ("vgg16", "incremental")] {
-        compile_ok(&mut client, model, policy); // prime: miss
-        let hit = compile_ok(&mut client, model, policy);
+    let (server, mut client) = serve(ServeConfig::default());
+    for model in ["bert-small", "vgg16"] {
+        compile_ok(&mut client, model); // prime: miss
+        let hit = compile_ok(&mut client, model);
 
-        let (_, cli) = compile_stats_json(&[model, "--sweep-policy", policy]);
+        let (_, cli) = compile_stats_json(&[model]);
 
         assert_eq!(
             mask_volatile(&hit),
             mask_volatile(&cli),
-            "{model}/{policy}: cached response diverged from the cold CLI"
+            "{model}: cached response diverged from the cold CLI"
         );
     }
+    server.shutdown();
+    server.join();
+}
+
+/// The retired keys are no-ops on the cache *key*, not only on the
+/// document. The key material's layout, recomputed from the public
+/// API: schema tag, engine version, canonical graph bytes, rule-set
+/// bytes, the configuration, and the two engine names the server holds
+/// constant where `policy=` / `matcher=` used to be — which is what
+/// keeps a `--cache-dir` written by an older server hitting. And the
+/// retired keys spelled with their defaults name that same entry.
+#[test]
+fn the_cache_key_layout_still_matches_an_old_cache_dir() {
+    let (server, mut client) = serve(ServeConfig::default());
+    let cold = compile_ok(&mut client, "bert-tiny");
+    // What a worker does: the library into a fresh session, then the
+    // model, so the symbol ids the encoders see are the worker's.
+    let config = LibraryConfig::both();
+    let mut session = Session::new();
+    let rules = session.load_library(config);
+    let graph = pypm::build_model(&mut session, "bert-tiny").unwrap();
+    let key = CacheKey::of(&[
+        b"pypm.serve.compile.v1",
+        env!("CARGO_PKG_VERSION").as_bytes(),
+        &pypm::wire::encode_graph(&graph, &session.syms),
+        &pypm::wire::encode_ruleset(&rules, &session.syms, &session.pats),
+        format!("{config:?}").as_bytes(),
+        b"incremental",
+        b"fused",
+    ]);
+    let stats = cache_stats(&mut client);
+    assert_eq!(common::text_at(&stats, "last_key"), key.to_hex());
+
+    let keyed = "bert-tiny policy=incremental matcher=fused jobs=1";
+    assert_eq!(compile_ok(&mut client, keyed), cold);
+    let stats = cache_stats(&mut client);
+    assert_eq!(uint_at(&stats, "hits"), 1, "{stats:?}");
+    assert_eq!(uint_at(&stats, "misses"), 1, "{stats:?}");
     server.shutdown();
     server.join();
 }
@@ -109,15 +147,11 @@ fn cache_dir_persists_across_server_restart() {
     let _ = std::fs::remove_dir_all(&dir);
     let dir_s = dir.to_str().unwrap().to_owned();
 
-    let first = Server::bind(ServeConfig {
-        workers: 1,
-        queue_depth: 4,
+    let (first, mut client) = serve(ServeConfig {
         cache_dir: Some(dir_s.clone()),
         ..ServeConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(first.addr()).unwrap();
-    let cold = compile_ok(&mut client, "bert-tiny", "incremental");
+    });
+    let cold = compile_ok(&mut client, "bert-tiny");
     let stats = cache_stats(&mut client);
     assert_eq!(uint_at(&stats, "stores"), 1, "{stats:?}");
     drop(client);
@@ -125,15 +159,11 @@ fn cache_dir_persists_across_server_restart() {
     first.join();
 
     // A restarted server — fresh memory, same directory.
-    let second = Server::bind(ServeConfig {
-        workers: 1,
-        queue_depth: 4,
+    let (second, mut client) = serve(ServeConfig {
         cache_dir: Some(dir_s),
         ..ServeConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(second.addr()).unwrap();
-    let warm = compile_ok(&mut client, "bert-tiny", "incremental");
+    });
+    let warm = compile_ok(&mut client, "bert-tiny");
     assert_eq!(
         warm, cold,
         "the restarted server's disk hit diverged from the original cold compile"
@@ -152,16 +182,12 @@ fn cache_dir_persists_across_server_restart() {
 /// still masked-equal, but nothing is counted or stored.
 #[test]
 fn a_disabled_cache_recompiles_and_counts_nothing() {
-    let server = Server::bind(ServeConfig {
-        workers: 1,
-        queue_depth: 4,
+    let (server, mut client) = serve(ServeConfig {
         cache_capacity: 0,
         ..ServeConfig::default()
-    })
-    .unwrap();
-    let mut client = Client::connect(server.addr()).unwrap();
-    let a = compile_ok(&mut client, "bert-tiny", "restart");
-    let b = compile_ok(&mut client, "bert-tiny", "restart");
+    });
+    let a = compile_ok(&mut client, "bert-tiny");
+    let b = compile_ok(&mut client, "bert-tiny");
     assert_eq!(mask_volatile(&a), mask_volatile(&b));
     let stats = cache_stats(&mut client);
     assert_eq!(uint_at(&stats, "hits"), 0, "{stats:?}");

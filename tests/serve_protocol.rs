@@ -52,22 +52,35 @@ fn ping_compile_and_errors_over_one_connection() {
     let (status, body) = c.request("frobnicate").unwrap();
     assert_eq!(status, STATUS_BAD_REQUEST, "{body}");
 
-    let (status, body) = c.request("compile bert-tiny policy=bogus").unwrap();
-    assert_eq!(status, STATUS_BAD_REQUEST, "{body}");
-    assert!(body.contains("bogus"), "{body}");
-
-    let (status, body) = c.request("compile bert-tiny policy=continue").unwrap();
-    assert_eq!(status, STATUS_BAD_REQUEST, "{body}");
-    assert!(body.contains("restart|incremental"), "{body}");
-
-    // The retired `jobs` key: anything but the no-op `jobs=1` names
-    // the retirement.
-    for retired in ["jobs=2", "jobs=0", "jobs=x"] {
-        let (status, body) = c.request(&format!("compile bert-tiny {retired}")).unwrap();
-        assert_eq!(status, STATUS_BAD_REQUEST, "{retired}: {body}");
-        assert!(body.contains("retired"), "{retired}: {body}");
-        assert!(body.contains("drop the flag"), "{retired}: {body}");
+    // Refused at the grammar, naming the retirement and what to do
+    // instead: the `jobs` key with anything but the no-op `jobs=1`, the
+    // engine keys with anything but the defaults, the `+synthN`
+    // configurations — and a key said twice. None reaches a worker.
+    let compiles_started = |c: &mut Client| {
+        let (_, body) = c.request("stats").unwrap();
+        uint_at(&common::parse(&body), "compiles_started")
+    };
+    let before = compiles_started(&mut c);
+    let cli = "retired|not served|`pypmc compile --";
+    for (refused, says) in [
+        ("jobs=2", "retired|drop the flag"),
+        ("jobs=0", "retired|drop the flag"),
+        ("jobs=x", "retired|drop the flag"),
+        ("policy=restart", cli),
+        ("policy=bogus", cli),
+        ("matcher=per-pattern", cli),
+        ("config=all+synth39", cli),
+        ("config=both+synth0", cli),
+        ("timeout_ms=5 timeout_ms=600000", "'timeout_ms' given twice"),
+    ] {
+        let (status, body) = c.request(&format!("compile bert-tiny {refused}")).unwrap();
+        assert_eq!(status, STATUS_BAD_REQUEST, "{refused}: {body}");
+        assert!(
+            says.split('|').all(|needle| body.contains(needle)),
+            "{refused}: {body}"
+        );
     }
+    assert_eq!(compiles_started(&mut c), before, "a refusal compiled");
 
     // The connection survives every rejected request: it still serves.
     let (status, _) = c.request("ping").unwrap();
@@ -81,9 +94,9 @@ fn all_request_parameters_are_honored() {
     let mut c = Client::connect(server.addr()).unwrap();
     for line in [
         "compile bert-tiny config=baseline policy=incremental",
-        "compile vgg11 config=all policy=restart",
+        "compile vgg11 config=all matcher=fused",
         "compile bert-tiny config=fmha",
-        "compile bert-tiny config=epilog policy=restart",
+        "compile bert-tiny config=epilog timeout_ms=600000 step_limit=100000000",
     ] {
         let (status, body) = c.request(line).unwrap();
         assert_eq!(status, STATUS_OK, "{line}: {body}");
