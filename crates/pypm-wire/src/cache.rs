@@ -89,7 +89,11 @@ struct State {
     /// MRU-first. Linear scans are fine: capacity is small (hundreds)
     /// and the values are shared, so moves are cheap.
     entries: Vec<(CacheKey, String)>,
+    /// Everything but `last_key`, which [`ResultCache::stats`] renders
+    /// from the field below: a probe stores sixteen bytes under the
+    /// lock instead of formatting a string there.
     stats: CacheStats,
+    last_key: Option<CacheKey>,
 }
 
 /// An in-memory LRU of compile results, optionally backed by a
@@ -129,6 +133,7 @@ impl ResultCache {
             state: Mutex::new(State {
                 entries: Vec::new(),
                 stats: CacheStats::default(),
+                last_key: None,
             }),
         }
     }
@@ -199,7 +204,7 @@ impl ResultCache {
             return None;
         }
         let mut state = self.state.lock().expect("cache lock");
-        state.stats.last_key = Some(key.to_hex());
+        state.last_key = Some(key);
         if let Some(at) = state.entries.iter().position(|(k, _)| *k == key) {
             let entry = state.entries.remove(at);
             let payload = entry.1.clone();
@@ -239,7 +244,7 @@ impl ResultCache {
             return;
         }
         let mut state = self.state.lock().expect("cache lock");
-        state.stats.last_key = Some(key.to_hex());
+        state.last_key = Some(key);
         if state.entries.iter().any(|(k, _)| *k == key) {
             return;
         }
@@ -280,7 +285,14 @@ impl ResultCache {
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        self.state.lock().expect("cache lock").stats.clone()
+        let (stats, last_key) = {
+            let state = self.state.lock().expect("cache lock");
+            (state.stats.clone(), state.last_key)
+        };
+        CacheStats {
+            last_key: last_key.map(CacheKey::to_hex),
+            ..stats
+        }
     }
 
     /// The additive `cache` stats block, as one stable JSON object —

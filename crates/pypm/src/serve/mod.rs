@@ -4,8 +4,8 @@
 //! |---|---|
 //! | [`protocol`] | the wire format: status bytes, the frame codec, the request grammar, payload hints |
 //! | `queue` | admission and dequeue order: bounded, earliest-deadline-first |
-//! | `worker` | what a request costs: shed, cache probe, build, key, compile, render |
-//! | `server` | transport and lifecycle: accept, per-connection threads, idle reaping, `stats`, drain |
+//! | `worker` | what a request costs once it needs a worker: shed, build, key, compile, render, store; the server-wide key memo |
+//! | `server` | transport and lifecycle: accept, per-connection threads, the inline cache probe, idle reaping, `stats`, drain |
 //!
 //! The paper's matcher is designed to sit inside a long-running
 //! DL-compiler session: patterns loaded once, many graphs compiled.
@@ -56,7 +56,7 @@
 //!
 //! ## The result cache
 //!
-//! Every worker shares one [`crate::wire::cache::ResultCache`]: before compiling, the
+//! Every thread shares one [`crate::wire::cache::ResultCache`]: before compiling, the
 //! request is content-addressed — a [`crate::wire::cache::CacheKey`] over the engine
 //! version, the canonical `PYPMWIRE` graph bytes, the rule-set bytes,
 //! the library configuration, and the names of the sweep policy and
@@ -74,6 +74,28 @@
 //! [`ServeConfig::cache_dir_max_bytes`] caps that directory with
 //! oldest-first eviction (the `disk_evictions` counter in the `stats`
 //! document).
+//!
+//! ## Who answers a hit, who answers a miss
+//!
+//! The key is a hash of a graph only a worker can build, so the first
+//! worker to key a request publishes it in the server's one *key memo*:
+//! (model, config) → the key and the budget steps its two encodes
+//! charged. The zoo builders are pure, so that entry never goes stale,
+//! and a client can name at most zoo models × five of them. From then
+//! on the connection thread that reads such a request probes the cache
+//! itself, after the drain check and unless the request's deadline has
+//! already passed. A **hit** is answered there — it never touches the
+//! queue, a channel, `in_flight` or the service EWMA, so a full queue
+//! cannot refuse it and a busy worker cannot delay it; `compiles_started`
+//! counts it once and `inline_hits` counts it too. A **miss** is queued
+//! with its key: the worker builds and compiles, skips both encodes and
+//! the hash, charges the budget the remembered steps instead (so whether
+//! a `step_limit=` request ends in [`protocol::STATUS_DEADLINE_EXCEEDED`]
+//! does not depend on what the server has seen before), and stores under
+//! the key it was handed. A request the memo does not know is queued
+//! without one, and the worker does it all — build, encode, hash,
+//! publish, probe once, compile. Either way a request is probed exactly
+//! once. With the cache disabled the memo is never consulted or filled.
 //!
 //! ## Status bytes
 //!
@@ -136,15 +158,19 @@
 //! the client retries, the server never buffers unboundedly. The
 //! `retry-after-ms=` hint in that payload tracks an EWMA of observed
 //! service times, so clients back off roughly one service interval
-//! instead of a constant.
+//! instead of a constant. Only queued work feeds that EWMA, and only a
+//! request that needs a worker can be refused: a hit holds no slot.
 //!
 //! Workers dequeue **earliest-deadline-first** among budgeted requests
 //! (unbudgeted ones have an infinite deadline: they run FIFO among
 //! themselves, after any budgeted work) and **shed** entries whose
 //! deadline already expired while queued: those are answered
 //! [`protocol::STATUS_DEADLINE_EXCEEDED`] without touching a session — no graph
-//! build, no compile. The `shed_in_queue` and `compiles_started`
-//! counters in the `stats` document make the distinction observable.
+//! build, no compile — and no cache probe: a request that has expired
+//! by the time it is admitted is shed even if it would have hit. The
+//! `shed_in_queue`, `compiles_started` (requests served: answered inline
+//! or begun by a worker) and `inline_hits` counters in the `stats`
+//! document make the distinction observable.
 //! Because the worker's budget is anchored at the *admission* instant
 //! ([`crate::core::Budget::deadline_at`]), queue wait also counts against a request
 //! that does start compiling: `timeout_ms=` bounds the whole request,
@@ -158,7 +184,8 @@
 //! A compile worker survives everything a request can throw at it: a
 //! panicking request handler is caught ([`std::panic::catch_unwind`])
 //! and answered with [`protocol::STATUS_ERROR`], and the worker's state is
-//! rebuilt before the next request.
+//! rebuilt before the next request. The key memo is the server's, not
+//! the worker's, and survives the rebuild.
 
 pub mod protocol;
 mod queue;

@@ -8,6 +8,7 @@
 //! can still be lost to time).
 
 use super::protocol::CompileRequest;
+use super::worker::Keyed;
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
@@ -22,6 +23,10 @@ pub(super) struct QueueEntry {
     /// `timeout_ms`), if it has one. Drives both the EDF dequeue order
     /// and queue-time shedding.
     pub(super) deadline: Option<Instant>,
+    /// The key the connection thread probed the cache under, and
+    /// missed, when the server had keyed this request before: the
+    /// worker compiles and stores under it without recomputing it.
+    pub(super) keyed: Option<Keyed>,
     /// Admission order — the FIFO tiebreak.
     pub(super) seq: u64,
 }
@@ -92,6 +97,7 @@ impl JobQueue {
         reply: mpsc::Sender<(u8, String)>,
         admitted_at: Instant,
         deadline: Option<Instant>,
+        keyed: Option<Keyed>,
     ) -> Result<(), AdmitError> {
         let mut inner = self.lock();
         if inner.closed {
@@ -107,6 +113,7 @@ impl JobQueue {
             reply,
             admitted_at,
             deadline,
+            keyed,
             seq,
         });
         self.ready.notify_one();

@@ -1,12 +1,14 @@
 //! The transport: listener, accept loop, one thread per connection,
-//! admission into the queue, the `stats` document and the drain.
+//! the cache probe for a request the server has keyed before, admission
+//! into the queue for everything else, the `stats` document and the
+//! drain.
 
 use super::protocol::{
     self, overloaded_payload, parse_request, CompileRequest, Idle, Request, STATUS_BAD_REQUEST,
     STATUS_DEADLINE_EXCEEDED, STATUS_OK, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
 };
 use super::queue::{AdmitError, JobQueue};
-use super::worker::{worker_loop, BudgetDefaults, Counters, WorkerContext};
+use super::worker::{worker_loop, BudgetDefaults, Counters, KeyMemo, WorkerContext};
 use crate::core::clock::{system_clock, Clock};
 use crate::core::json::{Layout, Writer};
 use crate::wire::cache::ResultCache;
@@ -94,15 +96,19 @@ struct Shared {
     shutting_down: AtomicBool,
     addr: SocketAddr,
     /// What the workers share, read here too: the clock (virtual in
-    /// tests, system in prod), the cache and worker-side counters the
-    /// `stats` verb surfaces, and the server-default budget keys —
-    /// needed at admission to stamp the request deadline before a
-    /// worker ever sees the entry.
+    /// tests, system in prod), the cache and the key memo a connection
+    /// thread answers hits from, the counters the `stats` verb
+    /// surfaces, and the server-default budget keys — needed at
+    /// admission to stamp the request deadline before a worker ever
+    /// sees the entry.
     cx: WorkerContext,
     /// When the server came up — the `stats` verb's `uptime_ms`.
     started: Instant,
     /// Compiles admitted through the queue and not yet answered.
     in_flight: AtomicU64,
+    /// Compiles answered from the cache by their connection thread,
+    /// without a queue slot or a worker.
+    inline_hits: AtomicU64,
     /// Compiles that exhausted their budget since startup (whether
     /// mid-compile or shed while queued).
     deadline_exceeded: AtomicU64,
@@ -136,6 +142,7 @@ impl Shared {
             .scalar(counter(&self.cx.counters.compiles_started));
         w.key("shed_in_queue")
             .scalar(counter(&self.cx.counters.shed_in_queue));
+        w.key("inline_hits").scalar(counter(&self.inline_hits));
         w.key("service_ewma_us")
             .scalar(counter(&self.cx.counters.service_ewma_us));
         w.key("cache").raw(&self.cx.cache.stats_json());
@@ -182,6 +189,7 @@ impl Server {
             cache,
             clock: config.clock,
             counters: Arc::new(Counters::default()),
+            key_memo: Arc::new(KeyMemo::default()),
         };
         let shared = Arc::new(Shared {
             queue: Arc::clone(&queue),
@@ -190,6 +198,7 @@ impl Server {
             started: cx.clock.now(),
             cx: cx.clone(),
             in_flight: AtomicU64::new(0),
+            inline_hits: AtomicU64::new(0),
             deadline_exceeded: AtomicU64::new(0),
             idle_timeout: config.idle_timeout_ms.map(Duration::from_millis),
         });
@@ -323,8 +332,12 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     }
 }
 
-/// Admits one compile through the bounded queue and waits for its
-/// result. Refusals (overload, drain) are immediate.
+/// Serves one compile. A request the server has keyed before is probed
+/// against the cache right here, and a hit is answered by this thread:
+/// it needs no queue slot, so a full queue cannot refuse it and queued
+/// compiles cannot delay it. Everything else is admitted through the
+/// bounded queue and waits for a worker's result. Refusals (overload,
+/// drain) are immediate.
 ///
 /// The whole-request deadline is stamped *here*, at admission: queue
 /// wait, wire decode, compile and report render all charge against the
@@ -334,16 +347,33 @@ fn serve_compile(shared: &Shared, req: CompileRequest) -> (u8, String) {
     if shared.shutting_down.load(Ordering::SeqCst) {
         return (STATUS_SHUTTING_DOWN, "server is draining".to_owned());
     }
-    let admitted_at = shared.cx.clock.now();
+    let cx = &shared.cx;
+    let admitted_at = cx.clock.now();
     let deadline = req
         .timeout_ms
-        .or(shared.cx.defaults.timeout_ms)
+        .or(cx.defaults.timeout_ms)
         .map(|ms| admitted_at + Duration::from_millis(ms));
+    // A request whose deadline has passed before it starts is shed in
+    // the queue even if it would have hit, so it is not probed.
+    let expired = deadline.is_some_and(|deadline| deadline <= admitted_at);
+    let keyed = if cx.cache.is_enabled() && !expired {
+        cx.key_memo.get(&req.model, req.config)
+    } else {
+        None
+    };
+    if let Some(report) = keyed.and_then(|keyed| cx.cache.get(keyed.key)) {
+        cx.counters.compiles_started.fetch_add(1, Ordering::Relaxed);
+        shared.inline_hits.fetch_add(1, Ordering::Relaxed);
+        return (STATUS_OK, report);
+    }
     let (reply, result) = mpsc::channel();
-    match shared.queue.try_admit(req, reply, admitted_at, deadline) {
+    match shared
+        .queue
+        .try_admit(req, reply, admitted_at, deadline, keyed)
+    {
         Err(AdmitError::Full) => (
             STATUS_OVERLOADED,
-            overloaded_payload(shared.cx.counters.retry_after_hint_ms()),
+            overloaded_payload(cx.counters.retry_after_hint_ms()),
         ),
         Err(AdmitError::Closed) => (STATUS_SHUTTING_DOWN, "server is draining".to_owned()),
         Ok(()) => {

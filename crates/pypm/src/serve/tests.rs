@@ -303,6 +303,7 @@ fn edf_select_prefers_earliest_deadline_then_fifo() {
         reply: mpsc::channel().0,
         admitted_at: now,
         deadline,
+        keyed: None,
         seq,
     };
     // Budgeted entries beat unbudgeted ones regardless of order.

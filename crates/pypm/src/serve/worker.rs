@@ -1,8 +1,11 @@
 //! The compile workers: what one request costs once it leaves the
-//! queue — shed, cache probe, build, key, compile, render. What a worker
-//! keeps warm is the *library*: one pristine session per configuration,
+//! queue — shed, build, key (encode and hash, or the steps the server
+//! remembers them costing), compile, render, store. What a worker keeps
+//! warm is the *library*: one pristine session per configuration,
 //! cloned per request, so a compile owns its stores and nothing
-//! engine-side outlives it.
+//! engine-side outlives it. What the whole server keeps is the
+//! [`KeyMemo`]: a request keyed once is probed by the connection thread
+//! that read it, and reaches a worker only as a miss.
 
 use super::protocol::{
     shed_payload, CompileRequest, RETRY_AFTER_HINT_MS, STATUS_DEADLINE_EXCEEDED, STATUS_ERROR,
@@ -18,7 +21,7 @@ use crate::CompileRecipe;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 /// Ceiling on the EWMA-derived `retry-after-ms=` hint: however slow
@@ -37,15 +40,17 @@ pub(super) struct BudgetDefaults {
 /// workers and the `stats` verb.
 #[derive(Debug, Default)]
 pub(super) struct Counters {
-    /// Requests a worker began serving (cache probe or compile). A
-    /// request shed in the queue never increments this.
+    /// Requests served: answered inline from the cache or begun by a
+    /// worker. A request shed in the queue never increments this.
     pub(super) compiles_started: AtomicU64,
     /// Requests answered [`STATUS_DEADLINE_EXCEEDED`] at dequeue, with
     /// no session touched, because their deadline passed while queued.
     pub(super) shed_in_queue: AtomicU64,
     /// EWMA of observed service times, in microseconds (α = 1/4). Zero
-    /// until the first service completes. Feeds the `retry-after-ms=`
-    /// hint in `STATUS_OVERLOADED` payloads.
+    /// until the first service completes. Only queued work feeds it — a
+    /// hit answered inline needs no queue slot, so it says nothing about
+    /// how long one takes to free up. Feeds the `retry-after-ms=` hint
+    /// in `STATUS_OVERLOADED` payloads.
     pub(super) service_ewma_us: AtomicU64,
 }
 
@@ -79,13 +84,81 @@ impl Counters {
     }
 }
 
-/// What every worker of one server shares.
+/// What the server remembers of a request it has keyed once.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(super) struct Keyed {
+    pub(super) key: CacheKey,
+    /// The budget steps the graph and rule-set encodes behind `key`
+    /// charged. A compile that skips them charges this instead, so
+    /// whether a `step_limit=` request ends in `DEADLINE_EXCEEDED` does
+    /// not depend on what the server has seen before.
+    pub(super) encode_steps: u64,
+}
+
+/// Request determinants → content hash, one per server. The zoo
+/// builders are pure, so the canonical graph/ruleset bytes — and
+/// therefore the cache key — are a function of (model, config): once a
+/// worker has hashed a request's content, the connection threads probe
+/// the cache under that key themselves and no worker encodes a graph
+/// just to rediscover it. Bounded by what a client can name: zoo models
+/// × five configs, and only a model that built is inserted — written
+/// that many times in a server's life, read once per request.
+#[derive(Default)]
+pub(super) struct KeyMemo {
+    /// Model name first, so a lookup borrows the request's.
+    by_model: RwLock<HashMap<String, Vec<(LibraryConfig, Keyed)>>>,
+}
+
+impl KeyMemo {
+    pub(super) fn get(&self, model: &str, config: LibraryConfig) -> Option<Keyed> {
+        let by_model = self.by_model.read().unwrap_or_else(|p| p.into_inner());
+        let (_, keyed) = by_model.get(model)?.iter().find(|(c, _)| *c == config)?;
+        Some(*keyed)
+    }
+
+    /// Records what a worker computed. Two workers keying the same
+    /// request at once computed the same thing; the first one in stays.
+    fn publish(&self, model: &str, config: LibraryConfig, keyed: Keyed) {
+        let mut by_model = self.by_model.write().unwrap_or_else(|p| p.into_inner());
+        let configs = by_model.entry(model.to_owned()).or_default();
+        if configs.iter().all(|(c, _)| *c != config) {
+            configs.push((config, keyed));
+        }
+    }
+}
+
+/// What every thread of one server shares.
 #[derive(Clone)]
 pub(super) struct WorkerContext {
     pub(super) defaults: BudgetDefaults,
     pub(super) cache: Arc<ResultCache>,
     pub(super) clock: Arc<dyn Clock>,
     pub(super) counters: Arc<Counters>,
+    pub(super) key_memo: Arc<KeyMemo>,
+}
+
+impl WorkerContext {
+    /// The cooperative whole-request budget: request keys win over the
+    /// server defaults, and the wall deadline is the one stamped at
+    /// admission, so queue wait already spent part of it. Deliberately
+    /// *not* part of the cache key — a compile that finishes under
+    /// budget produces the report any budget would, and an exceeded one
+    /// errors and is never cached.
+    fn budget(&self, req: &CompileRequest, deadline: Option<Instant>) -> Option<Arc<Budget>> {
+        let timeout_ms = req.timeout_ms.or(self.defaults.timeout_ms);
+        let step_limit = req.step_limit.or(self.defaults.step_limit);
+        (timeout_ms.is_some() || step_limit.is_some()).then(|| {
+            let mut budget = Budget::with_clock(
+                timeout_ms.map(Duration::from_millis),
+                step_limit,
+                Arc::clone(&self.clock),
+            );
+            if let Some(deadline) = deadline {
+                budget = budget.deadline_at(deadline);
+            }
+            Arc::new(budget)
+        })
+    }
 }
 
 /// A library loaded once and never shown a graph: exactly
@@ -104,13 +177,6 @@ struct WorkerState {
     /// One pristine session per configuration a request has named.
     libraries: Vec<Library>,
     cx: WorkerContext,
-    /// Request determinants → content hash. The zoo builders are pure,
-    /// so the canonical graph/ruleset bytes — and therefore the cache
-    /// key — are a function of (model, config); once a worker has
-    /// hashed a request's content it never rebuilds the graph just to
-    /// rediscover the same key. Bounded by what a client can name: zoo
-    /// models × five configs, and only a model that built is inserted.
-    key_memo: HashMap<(String, LibraryConfig), CacheKey>,
 }
 
 impl WorkerState {
@@ -118,7 +184,6 @@ impl WorkerState {
         WorkerState {
             libraries: Vec::new(),
             cx,
-            key_memo: HashMap::new(),
         }
     }
 
@@ -147,15 +212,15 @@ impl WorkerState {
     /// ([`crate::compile_batch`]) over a session this request owns — a
     /// clone of the pristine [`Library`], dropped with the request.
     /// Returns the request's `pypm.pipeline.v1` JSON.
-    /// `deadline` is the absolute deadline stamped at admission: the
-    /// budget is anchored there, so queue wait already spent part of
-    /// it, and *every* phase — graph build, wire encode, the rewrite
-    /// pipeline, report rendering — charges against one whole-request
-    /// budget.
+    /// `budget` is the whole-request budget ([`WorkerContext::budget`]):
+    /// *every* phase — graph build, wire encode, the rewrite pipeline,
+    /// report rendering — charges against it. `keyed` is what the
+    /// connection thread probed the cache under, and missed.
     fn compile(
         &mut self,
         req: &CompileRequest,
-        deadline: Option<Instant>,
+        budget: Option<&Arc<Budget>>,
+        keyed: Option<Keyed>,
     ) -> Result<String, (u8, String)> {
         self.cx
             .counters
@@ -166,24 +231,6 @@ impl WorkerState {
         // shedding is observed behind it, `panic` exercises the
         // session-rebuild path.
         super::failpoint("serve.compile").map_err(|e| (STATUS_ERROR, e))?;
-        // The cooperative whole-request budget: request keys win over
-        // the server defaults. Deliberately *not* part of the cache
-        // key — a compile that finishes under budget produces the
-        // report any budget would, and an exceeded one errors and is
-        // never cached.
-        let timeout_ms = req.timeout_ms.or(self.cx.defaults.timeout_ms);
-        let step_limit = req.step_limit.or(self.cx.defaults.step_limit);
-        let budget = (timeout_ms.is_some() || step_limit.is_some()).then(|| {
-            let mut budget = Budget::with_clock(
-                timeout_ms.map(Duration::from_millis),
-                step_limit,
-                Arc::clone(&self.cx.clock),
-            );
-            if let Some(deadline) = deadline {
-                budget = budget.deadline_at(deadline);
-            }
-            Arc::new(budget)
-        });
         let over_budget = |limits: &str| {
             (
                 STATUS_DEADLINE_EXCEEDED,
@@ -193,26 +240,10 @@ impl WorkerState {
             )
         };
         // Charges `steps` against the budget, if there is one.
-        let charge = |steps: u64| match budget.as_deref() {
+        let charge = |steps: u64| match budget {
             Some(b) if !b.charge(steps) => Err(over_budget(&b.describe())),
             _ => Ok(()),
         };
-        // Repeat requests skip the build entirely: the memo maps the
-        // request determinants to the content hash this worker already
-        // computed, so a warm hit costs one LRU probe and never touches
-        // the graph builder. A memoized *miss* (the entry was evicted)
-        // falls through to recompile without probing again — the
-        // recomputed key is the same hash of the same bytes.
-        let memo = (req.model.clone(), req.config);
-        let mut probed = false;
-        if self.cx.cache.is_enabled() {
-            if let Some(key) = self.key_memo.get(&memo) {
-                if let Some(report) = self.cx.cache.get(*key) {
-                    return Ok(report);
-                }
-                probed = true;
-            }
-        }
         let (mut session, rules) = self.library(req.config);
         let Some(mut graph) = crate::build_model(&mut session, &req.model) else {
             return Err((
@@ -224,49 +255,65 @@ impl WorkerState {
         // live node, so a deadline that expired during the build is
         // caught here instead of surviving into the match phase.
         charge(graph.live_count() as u64)?;
-        // Content-address the request: the canonical graph bytes plus
-        // everything else that shapes the report. The policy and the
-        // matcher are constants now, kept where they were as request
-        // keys so a --cache-dir written then keeps hitting; the engine
-        // version is in it so a persistent store outliving this binary
-        // (an upgraded server over an old --cache-dir) misses instead
-        // of replaying a stale report. Both encodes charge the budget —
-        // the graph codec per node, the rule-set bytes per 64-byte
-        // chunk — so key construction cannot outlive the deadline
-        // unbudgeted.
-        let key = if self.cx.cache.is_enabled() {
-            let graph_bytes =
-                crate::wire::encode_graph_budgeted(&graph, &session.syms, budget.as_deref())
-                    .map_err(|_| {
-                        over_budget(&budget.as_deref().expect("only a budget errs").describe())
-                    })?;
-            let ruleset_bytes = crate::wire::encode_ruleset(&rules, &session.syms, &session.pats);
-            charge(ruleset_bytes.len() as u64 / 64 + 1)?;
-            let key = CacheKey::of(&[
-                b"pypm.serve.compile.v1",
-                env!("CARGO_PKG_VERSION").as_bytes(),
-                &graph_bytes,
-                &ruleset_bytes,
-                format!("{:?}", req.config).as_bytes(),
-                SweepPolicy::default().name().as_bytes(),
-                MatcherBackend::default().name().as_bytes(),
-            ]);
-            self.key_memo.insert(memo, key);
-            Some(key)
-        } else {
-            None
-        };
-        if let Some(key) = key {
-            if !probed {
+        let key = match keyed {
+            // Keyed and probed at admission: the encodes and the hash
+            // would reproduce `keyed.key` from the same bytes, so they
+            // are skipped and the steps they charged the first time are
+            // charged again.
+            Some(keyed) => {
+                charge(keyed.encode_steps)?;
+                Some(keyed.key)
+            }
+            // Content-address the request: the canonical graph bytes
+            // plus everything else that shapes the report. The policy
+            // and the matcher are constants now, kept where they were
+            // as request keys so a --cache-dir written then keeps
+            // hitting; the engine version is in it so a persistent
+            // store outliving this binary (an upgraded server over an
+            // old --cache-dir) misses instead of replaying a stale
+            // report. Both encodes charge the budget — the graph codec
+            // per node, the rule-set bytes per 64-byte chunk — so key
+            // construction cannot outlive the deadline unbudgeted; an
+            // unbudgeted request still counts them, for the memo.
+            None if self.cx.cache.is_enabled() => {
+                let counting = Budget::new(None, Some(u64::MAX));
+                let meter: &Budget = budget.map_or(&counting, |b| b);
+                let before = meter.steps();
+                let graph_bytes =
+                    crate::wire::encode_graph_budgeted(&graph, &session.syms, Some(meter))
+                        .map_err(|_| over_budget(&meter.describe()))?;
+                let ruleset_bytes =
+                    crate::wire::encode_ruleset(&rules, &session.syms, &session.pats);
+                if !meter.charge(ruleset_bytes.len() as u64 / 64 + 1) {
+                    return Err(over_budget(&meter.describe()));
+                }
+                let key = CacheKey::of(&[
+                    b"pypm.serve.compile.v1",
+                    env!("CARGO_PKG_VERSION").as_bytes(),
+                    &graph_bytes,
+                    &ruleset_bytes,
+                    format!("{:?}", req.config).as_bytes(),
+                    SweepPolicy::default().name().as_bytes(),
+                    MatcherBackend::default().name().as_bytes(),
+                ]);
+                let encode_steps = meter.steps() - before;
+                self.cx
+                    .key_memo
+                    .publish(&req.model, req.config, Keyed { key, encode_steps });
+                // The request's one probe: a name another name's graph
+                // already answers, or a report a previous process left
+                // in the --cache-dir.
                 if let Some(report) = self.cx.cache.get(key) {
                     return Ok(report);
                 }
+                Some(key)
             }
-        }
+            None => None,
+        };
         let recipe = CompileRecipe {
             policy: SweepPolicy::default(),
             matcher: MatcherBackend::default(),
-            budget: budget.clone(),
+            budget: budget.cloned(),
         };
         let reports = crate::compile_batch(
             &mut session,
@@ -328,8 +375,9 @@ pub(super) fn worker_loop(queue: &JobQueue, cx: WorkerContext) {
             }
         }
         let started = cx.clock.now();
+        let budget = cx.budget(&entry.req, entry.deadline);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            state.compile(&entry.req, entry.deadline)
+            state.compile(&entry.req, budget.as_ref(), entry.keyed)
         }));
         let response = match outcome {
             Ok(Ok(json)) => {
@@ -361,19 +409,27 @@ mod tests {
     use crate::core::json::{self, Value};
     use crate::serve::protocol::{parse_request, Request};
 
-    /// A worker with the result cache disabled, so every request compiles.
-    fn uncached_worker() -> WorkerState {
-        WorkerState::new(WorkerContext {
+    /// A server's shared state over `cache`, without the server.
+    fn context(cache: ResultCache) -> WorkerContext {
+        WorkerContext {
             defaults: BudgetDefaults::default(),
-            cache: Arc::new(ResultCache::disabled()),
+            cache: Arc::new(cache),
             clock: system_clock(),
             counters: Arc::new(Counters::default()),
-        })
+            key_memo: Arc::new(KeyMemo::default()),
+        }
     }
 
-    /// One served compile's reply with the wall-clock keys dropped at
-    /// every depth — the masking `tests/common` applies.
-    fn compile(state: &mut WorkerState, model: &str, config: &str) -> Value {
+    fn request(line: &str) -> CompileRequest {
+        let Ok(Request::Compile(req)) = parse_request(line) else {
+            panic!("`{line}` is not a compile request");
+        };
+        req
+    }
+
+    /// A reply with the wall-clock keys dropped at every depth — the
+    /// masking `tests/common` applies.
+    fn masked(reply: &str) -> Value {
         fn strip(v: &mut Value) {
             match v {
                 Value::Object(map) => {
@@ -384,14 +440,15 @@ mod tests {
                 _ => {}
             }
         }
-        let line = format!("compile {model} config={config}");
-        let Ok(Request::Compile(req)) = parse_request(&line) else {
-            panic!("`{line}` is not a compile request");
-        };
-        let reply = state.compile(&req, None).expect(&line);
-        let mut doc = json::parse(&reply).expect(&line);
+        let mut doc = json::parse(reply).expect(reply);
         strip(&mut doc);
         doc
+    }
+
+    /// One served compile's masked reply.
+    fn compile(state: &mut WorkerState, model: &str, config: &str) -> Value {
+        let line = format!("compile {model} config={config}");
+        masked(&state.compile(&request(&line), None, None).expect(&line))
     }
 
     /// The direct oracle for "a compile owns its stores": two passes over
@@ -404,7 +461,8 @@ mod tests {
             .chain(crate::models::tv_zoo().into_iter().map(|c| c.name))
             .collect();
         let configs = ["baseline", "fmha", "epilog", "both", "all"];
-        let mut state = uncached_worker();
+        // The result cache disabled, so every request compiles.
+        let mut state = WorkerState::new(context(ResultCache::disabled()));
         let mut round = || -> Vec<Value> {
             zoo.iter()
                 .flat_map(|model| configs.map(|config| compile(&mut state, model, config)))
@@ -428,5 +486,76 @@ mod tests {
             };
             assert_eq!(sizes(&lib.session), sizes(&fresh), "{:?}", lib.cfg);
         }
+    }
+
+    /// A memoized miss — the server keyed the request before, the
+    /// connection thread probed under that key and missed — compiles
+    /// without encoding or hashing anything, and charges what the cold
+    /// compile of the same request charged.
+    #[test]
+    fn a_memoized_miss_charges_what_the_cold_compile_charged() {
+        let mut state = WorkerState::new(context(ResultCache::in_memory(1)));
+        let req = request("compile bert-tiny");
+        let counting = || Arc::new(Budget::new(None, Some(u64::MAX)));
+
+        let cold = counting();
+        let first = state.compile(&req, Some(&cold), None).expect("cold");
+        let keyed = (state.cx.key_memo)
+            .get(&req.model, req.config)
+            .expect("published");
+        assert!(keyed.encode_steps >= 2, "a step per node and per chunk");
+        // An unbudgeted cold compile counts the same steps for the memo.
+        let mut unbudgeted = WorkerState::new(context(ResultCache::in_memory(1)));
+        unbudgeted.compile(&req, None, None).expect("unbudgeted");
+        assert_eq!(
+            unbudgeted.cx.key_memo.get(&req.model, req.config),
+            Some(keyed)
+        );
+
+        // A second request evicts the first; the connection thread's
+        // probe misses, and the key rides to the worker.
+        state
+            .compile(&request("compile vgg11"), None, None)
+            .expect("evictor");
+        assert_eq!(state.cx.cache.get(keyed.key), None);
+
+        // One step short of what the request costs trips with and
+        // without the key: the remembered encode steps are on the bill.
+        for keyed in [None, Some(keyed)] {
+            let short = Arc::new(Budget::new(None, Some(cold.steps() - 1)));
+            let (status, _) = state.compile(&req, Some(&short), keyed).unwrap_err();
+            assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{keyed:?}");
+        }
+
+        let warm = counting();
+        let again = state
+            .compile(&req, Some(&warm), Some(keyed))
+            .expect("memoized miss");
+        assert_eq!(warm.steps(), cold.steps());
+        assert_eq!(masked(&again), masked(&first));
+        // Three cold probes and the one made by hand: a memoized miss
+        // does not probe again, and it stores under the key it was given.
+        let stats = state.cx.cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.stores), (0, 4, 3));
+        assert_eq!(state.cx.cache.get(keyed.key), Some(again));
+    }
+
+    /// Two workers keying the same request at once publish one entry and
+    /// answer the same report.
+    #[test]
+    fn racing_workers_publish_one_memo_entry() {
+        let cx = context(ResultCache::in_memory(4));
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                let mut state = WorkerState::new(cx.clone());
+                std::thread::spawn(move || compile(&mut state, "bert-tiny", "fmha"))
+            })
+            .collect();
+        let replies: Vec<Value> = workers.into_iter().map(|w| w.join().unwrap()).collect();
+        assert_eq!(replies[0], replies[1]);
+        let by_model = cx.key_memo.by_model.read().unwrap();
+        assert_eq!(by_model.len(), 1);
+        assert_eq!(by_model["bert-tiny"].len(), 1);
+        assert_eq!(cx.cache.stats().stores, 1, "the second put found the first");
     }
 }
