@@ -32,9 +32,10 @@
 //!   the fused backend must admit at least 3× fewer match probes per
 //!   node than per-pattern, with its wall-clock at most 25 % above
 //!   per-pattern's in the same document; and at 16× rules
-//!   (`synth >= 195`) the fused wall-clock may be at most 2.5× what it
-//!   is on the same model at 1× (`synth == 0`) — fewer probes must show
-//!   as time, not only as a count. Scaling cells also compare
+//!   (`synth >= 195`) the fused wall-clock may have grown from 1×
+//!   (`synth == 0`, same model) by at most 0.04 of what per-pattern's
+//!   grew over the same rows — fewer probes must show as time, not
+//!   only as a count. Scaling cells also compare
 //!   against the baseline like ordinary rows (as `rules:<config>`
 //!   series keyed by backend).
 //!
@@ -70,11 +71,19 @@ const SUBLINEAR_FROM_SYNTH: f64 = 39.0;
 const SUBLINEAR_FACTOR: f64 = 3.0;
 
 /// The wall-clock bar beside it: from this synth level (16× the base
-/// rule count) the fused wall may be at most this multiple of the same
-/// model's wall at `synth == 0`. A visit that asked every pattern about
-/// every node read 5.1× with the probes/node bar long met.
+/// rule count) the fused backend's *marginal* wall — its wall here less
+/// its wall on the same model at `synth == 0` — may be at most this
+/// share of per-pattern's marginal wall over the same two rows. A
+/// difference inside one document cancels the fixed cost of the pass
+/// under both (the restart scan, the view, the firings), so what is
+/// left is what the added rules cost; per-pattern probes every rule at
+/// every node, so its marginal is the linear yardstick. Fused read
+/// 0.016–0.020 of it over eight emits (four before and four after the
+/// restart scan's order went lazy); a visit that asked every pattern
+/// about every node — the test-only literal loop, forced on — read
+/// 0.058–0.064 with the probes/node bar still met.
 const WALL_SUBLINEAR_FROM_SYNTH: f64 = 195.0;
-const WALL_SUBLINEAR_FACTOR: f64 = 2.5;
+const WALL_MARGINAL_SHARE: f64 = 0.04;
 
 /// How far above per-pattern's wall the fused wall of the same scaling
 /// row — same document, same machine, same run — may read from
@@ -201,16 +210,19 @@ fn run(args: &[String]) -> Result<String, Vec<String>> {
         if row.synth < WALL_SUBLINEAR_FROM_SYNTH {
             continue;
         }
+        // A unit row missing a backend is reported where it is visited.
         let unit = cur_scaling
             .iter()
-            .find(|r| r.model == row.model && r.synth == 0.0)
-            .and_then(|r| r.backends.get("fused"));
-        if let Some(unit) = unit {
-            let unit_wall = unit.wall();
-            if fused_wall > WALL_SUBLINEAR_FACTOR * unit_wall {
+            .find(|r| r.model == row.model && r.synth == 0.0);
+        if let Some((unit_per, unit_fused)) =
+            unit.and_then(|r| Some((r.backends.get("per-pattern")?, r.backends.get("fused")?)))
+        {
+            let fused_marginal = fused_wall - unit_fused.wall();
+            let per_marginal = per_wall - unit_per.wall();
+            if fused_marginal > WALL_MARGINAL_SHARE * per_marginal {
                 failures.push(format!(
-                    "{}/rules:{}: fused wall {fused_wall:.3}ms is more than \
-                     {WALL_SUBLINEAR_FACTOR}x its {unit_wall:.3}ms at 1x rules — \
+                    "{}/rules:{}: fused wall grew {fused_marginal:.3}ms from 1x rules, more than \
+                     {WALL_MARGINAL_SHARE} of per-pattern's {per_marginal:.3}ms — \
                      the fused matcher's wall-clock stopped being sublinear in rule count",
                     row.model, row.config
                 ));
@@ -470,13 +482,23 @@ mod tests {
     }
 
     /// One `rules_scaling` row with both matcher backends at the given
-    /// synth level.
+    /// synth level, per-pattern reading 2 ms.
     fn scaling_row(synth: f64, fused_attempts: f64, fused_probes: f64, fused_wall: f64) -> String {
+        scaling_row_walls(synth, fused_attempts, fused_probes, 2.0, fused_wall)
+    }
+
+    fn scaling_row_walls(
+        synth: f64,
+        fused_attempts: f64,
+        fused_probes: f64,
+        per_wall: f64,
+        fused_wall: f64,
+    ) -> String {
         format!(
             r#"{{"model": "m", "config": "all+synth{synth}", "synth": {synth},
                   "rule_patterns": 52, "runs": 2,
                   "backends": {{
-                    "per-pattern": {{"mean_wall_ms": 2.0, "min_wall_ms": 2.0,
+                    "per-pattern": {{"mean_wall_ms": {per_wall}, "min_wall_ms": {per_wall},
                       "mean_match_attempts": 100.0, "mean_matches_found": 2.0,
                       "mean_rewrites_fired": 2.0, "mean_pairs_admitted": 100.0,
                       "probes_per_node": 52.0}},
@@ -564,34 +586,35 @@ mod tests {
 
     #[test]
     fn fused_wall_growing_with_the_rule_count_fails_intra_document() {
-        let doc_at = |unit_wall: f64, wall_at_16x: f64| {
+        // Per-pattern reads 2ms at 1x and 12ms at `synth`: a 10ms
+        // marginal, so fused may grow by 0.4ms.
+        let doc_at = |synth: f64, unit_wall: f64, wall_at_synth: f64| {
             doc_with_scaling_rows(&[
-                scaling_row(0.0, 100.0, 8.0, unit_wall),
-                scaling_row(195.0, 100.0, 8.0, wall_at_16x),
+                scaling_row_walls(0.0, 100.0, 8.0, 2.0, unit_wall),
+                scaling_row_walls(synth, 100.0, 8.0, 12.0, wall_at_synth),
             ])
         };
-        // 2.4x the 1x wall at 16x rules: within the 2.5x bar.
-        let a = write("wsub_a", &doc_at(1.0, 2.4));
+        // 1.0 -> 1.3ms: a 0.3ms marginal, 0.03 of per-pattern's.
+        let a = write("wsub_a", &doc_at(195.0, 1.0, 1.3));
         assert!(run(&[a.clone(), a.clone()]).is_ok());
-        // 2.4ms over a 0.9ms unit is 2.67x — while still well ahead of
-        // per-pattern's 2.0ms + 25%, so only the new bar can object.
-        let b = write("wsub_b", &doc_at(0.9, 2.4));
+        // 1.0 -> 1.5ms: 0.05 of per-pattern's — while still far below
+        // per-pattern's 12ms, so only this bar can object.
+        let b = write("wsub_b", &doc_at(195.0, 1.0, 1.5));
         let err = run(&[b.clone(), b.clone()]).unwrap_err();
         assert_eq!(err.len(), 1, "{err:?}");
         assert!(
             err[0].contains("wall-clock stopped being sublinear in rule count"),
             "{err:?}"
         );
-        // Below 16x the same growth is not gated.
-        let c = write(
-            "wsub_c",
-            &doc_with_scaling_rows(&[
-                scaling_row(0.0, 100.0, 8.0, 0.9),
-                scaling_row(39.0, 100.0, 8.0, 2.4),
-            ]),
-        );
+        // A smaller fixed cost under both backends moves no marginal:
+        // 0.1 -> 0.35ms is 3.5x the 1x wall and 0.025 of per-pattern's
+        // growth.
+        let c = write("wsub_c", &doc_at(195.0, 0.1, 0.35));
         assert!(run(&[c.clone(), c.clone()]).is_ok());
-        for path in [a, b, c] {
+        // Below 16x the same growth is not gated.
+        let d = write("wsub_d", &doc_at(39.0, 1.0, 1.5));
+        assert!(run(&[d.clone(), d.clone()]).is_ok());
+        for path in [a, b, c, d] {
             std::fs::remove_file(path).ok();
         }
     }

@@ -33,7 +33,7 @@
 //! | [`SweepPolicy`] | after a rewrite fires | cost of the pass |
 //! |---|---|---|
 //! | `Incremental` (default) | re-enqueue only the rewrite's cone of influence; resume the scan order where the root stood | O(initial graph + Σ cone sizes) |
-//! | `RestartOnRewrite` (reference/oracle) | recompute the order, rescan from the first node | O(graph × rewrites) visits |
+//! | `RestartOnRewrite` (reference/oracle) | walk the order afresh from the first node, lazily: a round pays for the prefix it scans | O(graph × rewrites) visits |
 //!
 //! The commit is as local as the match: [`pypm_graph::Graph::replace_traced`]
 //! rewires through the reverse adjacency and bounds its cycle check by

@@ -36,7 +36,7 @@ use crate::retired::ParallelStats;
 use crate::session::Session;
 use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Subst, Symbol, TermId, Witness};
 use pypm_dsl::{Rhs, RuleSet};
-use pypm_graph::{Graph, NodeId, TensorMeta, TermView};
+use pypm_graph::{Graph, NodeId, TensorMeta, TermView, TopoWalk};
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -48,6 +48,13 @@ pub enum SweepPolicy {
     /// "repeatedly traverses the graph" loop (§2.4). Kept as the
     /// reference the equivalence suites compare
     /// [`SweepPolicy::Incremental`] against; reachable only by name.
+    ///
+    /// Every round derives its order from the graph alone: a fresh
+    /// [`TopoWalk`] — the outputs-first post-order of
+    /// [`Graph::topo_order`] — from the first node on, nothing carried
+    /// over from the last round. The walk is lazy, so a round pays for
+    /// the prefix it scans: the part of the order past the round's
+    /// firing is never produced.
     RestartOnRewrite,
     /// Incremental rewriting via a dirty-node worklist: after a rewrite
     /// fires, only the cone of influence (the rewired users of the
@@ -67,8 +74,8 @@ pub enum SweepPolicy {
     /// dirties only its fresh nodes — which take the replaced root's
     /// place in the order — and nodes downstream of the root, so the
     /// scan's cursor only ever moves forward, and a firing costs its
-    /// cone, not a pass over the graph. The reference recomputes its
-    /// order every round, which keeps it an independent oracle of the
+    /// cone, not a pass over the graph. The reference walks its order
+    /// afresh every round, which keeps it an independent oracle of the
     /// resumed one.
     #[default]
     Incremental,
@@ -298,7 +305,9 @@ impl NodeFlags {
     const DIRTY: u8 = 1;
     /// The node was visited before in this pass.
     const VISITED: u8 = 2;
-    /// The scan's cursor has moved past the node in the current order.
+    /// The worklist's cursor has moved past the node in the current
+    /// order (kept under [`SweepPolicy::Incremental`] only: only
+    /// [`Fired::splices_at_cursor`] reads it).
     const PASSED: u8 = 4;
 
     fn has(&self, n: NodeId, flag: u8) -> bool {
@@ -394,9 +403,13 @@ impl<'a> Driver<'a> {
         // before it for whatever the caller left unreferenced …
         graph.gc();
         self.scan(graph, matcher.as_mut(), cx, &mut stats)?;
-        // … and one after it, which then has nothing left to find.
-        let missed = graph.gc();
-        debug_assert!(missed.is_empty(), "the scan left {missed:?} uncollected");
+        // … and, in debug builds, one after it, which then has nothing
+        // left to find.
+        #[cfg(debug_assertions)]
+        {
+            let missed = graph.gc();
+            assert!(missed.is_empty(), "the scan left {missed:?} uncollected");
+        }
         stats.duration = start.elapsed();
         Ok(stats)
     }
@@ -639,17 +652,19 @@ impl<'a> Driver<'a> {
     /// [`SweepPolicy::RestartOnRewrite`] every live node in every
     /// round — the reference scan; under [`SweepPolicy::Incremental`]
     /// the worklist of nodes whose term changed since their last visit.
-    /// *Where a round starts:* the reference recomputes
-    /// [`Graph::topo_order`] and rewinds the cursor to its start; the
-    /// worklist **resumes** — the order is computed once, the cursor
-    /// only moves forward, and a firing puts its fresh nodes where the
-    /// replaced root stood. With that, and with [`Graph::replace_traced`]
-    /// and [`Graph::collect`] working off the reverse adjacency and the
-    /// graph's maintained levels (which bound the cycle check), a firing
-    /// under the worklist costs what it changed, not the graph. The
-    /// order itself is *not* read off those levels: a level numbering
-    /// does not determine the outputs-first post-order the reference
-    /// recomputes, and byte-identity with it rests on that order.
+    /// *Where a round starts:* the reference restarts a [`TopoWalk`] —
+    /// the order of [`Graph::topo_order`], derived afresh from the
+    /// graph — at its first node and steps it lazily, so the order past
+    /// the round's firing is never built; the worklist **resumes** — the
+    /// order is computed once, the cursor only moves forward, and a
+    /// firing puts its fresh nodes where the replaced root stood. With
+    /// that, and with [`Graph::replace_traced`] and [`Graph::collect`]
+    /// working off the reverse adjacency and the graph's maintained
+    /// levels (which bound the cycle check), a firing under the worklist
+    /// costs what it changed, not the graph. The order itself is *not*
+    /// read off those levels: a level numbering does not determine the
+    /// outputs-first post-order the reference walks, and byte-identity
+    /// with it rests on that order.
     ///
     /// The term view is built once and then *repaired in place* after
     /// every firing: a repaired view is contractually
@@ -711,16 +726,18 @@ impl<'a> Driver<'a> {
     ///    input cone that the walk first found through the root and now
     ///    finds through a later user; they are never candidates again
     ///    under the worklist, but they are visited — and counted — by
-    ///    the reference, which is why the reference recomputes its
-    ///    order, and what keeps it an oracle independent of this
-    ///    argument. When the replacement does read a node ahead of the
-    ///    cursor, the worklist falls back to what the reference does,
-    ///    once: recompute the order, rewind the cursor, keep the dirty
-    ///    flags.
+    ///    the reference, which is why the reference walks its order
+    ///    afresh every round, and what keeps it an oracle independent of
+    ///    this argument. When the replacement does read a node ahead of
+    ///    the cursor, the worklist falls back to what the reference
+    ///    does, once: recompute the order, rewind the cursor, keep the
+    ///    dirty flags.
     ///
     /// Debug builds check (4) after every firing — the order ahead of
     /// the cursor, filtered to dirty nodes, against a recomputed
-    /// [`Graph::topo_order`] filtered the same way — and
+    /// [`Graph::topo_order`] filtered the same way — check that every
+    /// node the reference's walk yields in a round is the next node of
+    /// a [`Graph::topo_order`] taken when the round started, and
     /// [`Graph::validate`] the graph after every commit.
     fn scan(
         &mut self,
@@ -737,26 +754,33 @@ impl<'a> Driver<'a> {
         );
         stats.view_builds += 1;
         let worklist = self.pass.policy == SweepPolicy::Incremental;
-        // The scan order from the cursor on, reversed: the next node is
-        // the last element, a step of the cursor is a pop, and splicing
-        // fresh nodes in at the cursor is a push.
+        // The worklist's scan order from the cursor on, reversed: the
+        // next node is the last element, a step of the cursor is a pop,
+        // and splicing fresh nodes in at the cursor is a push.
         let reversed_order = |graph: &Graph| {
             let mut order = graph.topo_order();
             order.reverse();
             order
         };
-        let mut ahead = reversed_order(graph);
+        let mut ahead = if worklist {
+            reversed_order(graph)
+        } else {
+            Vec::new()
+        };
+        // The reference's order, walked afresh every round and only as
+        // far as the round's firing.
+        let mut walk = TopoWalk::default();
         let mut flags = NodeFlags::default();
-        if worklist {
-            for &node in &ahead {
-                flags.set(node, NodeFlags::DIRTY);
-            }
+        for &node in &ahead {
+            flags.set(node, NodeFlags::DIRTY);
         }
         let mut resume = true;
         'rounds: loop {
             stats.sweeps += 1;
             cx.set_sweep(stats.sweeps);
-            if !resume {
+            if !worklist {
+                walk.restart(graph);
+            } else if !resume {
                 ahead = reversed_order(graph);
                 flags.clear_all(NodeFlags::PASSED);
             }
@@ -767,14 +791,32 @@ impl<'a> Driver<'a> {
                     graph.topo_order().into_iter().filter(dirty).collect();
                 debug_assert_eq!(resumed, recomputed, "resumed scan order diverged");
             }
-            while let Some(node) = ahead.pop() {
+            // What the reference's walk must yield this round, reversed
+            // like `ahead` (debug builds only; empty, and never
+            // allocated, otherwise).
+            let mut walked_order = if cfg!(debug_assertions) && !worklist {
+                reversed_order(graph)
+            } else {
+                Vec::new()
+            };
+            loop {
+                let step = if worklist {
+                    ahead.pop()
+                } else {
+                    walk.next(graph)
+                };
+                let Some(node) = step else { break };
                 stats.cursor_steps += 1;
-                flags.set(node, NodeFlags::PASSED);
-                // Under a worklist only its members are candidates;
-                // visiting cleans the node (it is re-enqueued if a
-                // later rewrite changes its term).
-                if worklist && !flags.clear(node, NodeFlags::DIRTY) {
-                    continue;
+                if worklist {
+                    flags.set(node, NodeFlags::PASSED);
+                    // Only the worklist's members are candidates;
+                    // visiting cleans the node (it is re-enqueued if a
+                    // later rewrite changes its term).
+                    if !flags.clear(node, NodeFlags::DIRTY) {
+                        continue;
+                    }
+                } else {
+                    debug_assert_eq!(walked_order.pop(), Some(node), "restart walk diverged");
                 }
                 self.check_budget()?;
                 let Some(fired) =
@@ -805,6 +847,7 @@ impl<'a> Driver<'a> {
             }
             // Every firing ends the round, so running out of nodes
             // means nothing fired: fixpoint reached.
+            debug_assert!(walked_order.is_empty(), "restart walk ended early");
             break;
         }
         stats.nodes_reindexed += view.terms_recomputed();

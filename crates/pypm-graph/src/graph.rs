@@ -409,37 +409,15 @@ impl Graph {
         self.revision
     }
 
-    /// All live node ids in reverse-postorder (inputs before users),
-    /// restricted to nodes reachable from the outputs.
+    /// All live node ids in post-order (inputs before users), restricted
+    /// to nodes reachable from the outputs: a [`TopoWalk`] started on
+    /// the graph and drained. A caller that stops early — the restart
+    /// scan, which ends a round at its first firing — steps the walk
+    /// itself and never builds the rest.
     pub fn topo_order(&self) -> Vec<NodeId> {
-        let mut visited = vec![false; self.nodes.len()];
-        let mut order = Vec::new();
-        // Iterative postorder DFS.
-        for &out in &self.outputs {
-            if !self.is_alive(out) {
-                continue;
-            }
-            let mut stack = vec![(out, 0usize)];
-            while let Some(&mut (n, ref mut child)) = stack.last_mut() {
-                if visited[n.index()] && *child == 0 {
-                    stack.pop();
-                    continue;
-                }
-                let node = &self.nodes[n.index()];
-                if *child < node.inputs.len() {
-                    let next = node.inputs[*child];
-                    *child += 1;
-                    if !visited[next.index()] {
-                        stack.push((next, 0));
-                    }
-                } else {
-                    visited[n.index()] = true;
-                    order.push(n);
-                    stack.pop();
-                }
-            }
-        }
-        order
+        let mut walk = TopoWalk::default();
+        walk.restart(self);
+        std::iter::from_fn(|| walk.next(self)).collect()
     }
 
     /// The live nodes reading `n`, once per edge (a user reading `n`
@@ -881,6 +859,74 @@ impl Graph {
         }
         s.push_str("}\n");
         s
+    }
+}
+
+/// The graph's post-order, one node per step: an iterative depth-first
+/// search from each live output in turn, emitting a node once all its
+/// inputs are emitted. [`Graph::topo_order`] is this walk drained.
+///
+/// The walk borrows the graph per call rather than holding it, so a
+/// caller may mutate the graph between walks; within one walk — from
+/// [`TopoWalk::restart`] to the last [`TopoWalk::next`] read — the
+/// graph must not change (debug builds assert its revision at every
+/// step). A walk starts with a restart; a restart rewinds it and keeps
+/// its buffers, so once they have grown to the graph a walk allocates
+/// nothing.
+#[derive(Debug, Clone, Default)]
+pub struct TopoWalk {
+    /// `visited[i]`: node `i` was emitted in this walk.
+    visited: Vec<bool>,
+    /// The search path: each node with the index of its next input.
+    stack: Vec<(NodeId, usize)>,
+    /// The next output to start a search from.
+    next_output: usize,
+    /// [`Graph::revision`] at the restart.
+    revision: u64,
+}
+
+impl TopoWalk {
+    /// Rewinds the walk to the start of `graph`'s order.
+    pub fn restart(&mut self, graph: &Graph) {
+        self.visited.clear();
+        self.visited.resize(graph.nodes.len(), false);
+        self.stack.clear();
+        self.next_output = 0;
+        self.revision = graph.revision;
+    }
+
+    /// The next node of the order, or `None` once every node reachable
+    /// from a live output has been emitted.
+    ///
+    /// # Panics
+    ///
+    /// In debug builds, if `graph` changed since [`TopoWalk::restart`].
+    pub fn next(&mut self, graph: &Graph) -> Option<NodeId> {
+        debug_assert_eq!(
+            self.revision, graph.revision,
+            "the graph changed under a topological walk"
+        );
+        loop {
+            let Some(&mut (n, ref mut child)) = self.stack.last_mut() else {
+                let out = *graph.outputs.get(self.next_output)?;
+                self.next_output += 1;
+                if graph.is_alive(out) && !self.visited[out.index()] {
+                    self.stack.push((out, 0));
+                }
+                continue;
+            };
+            let inputs = &graph.nodes[n.index()].inputs;
+            if let Some(&input) = inputs.get(*child) {
+                *child += 1;
+                if !self.visited[input.index()] {
+                    self.stack.push((input, 0));
+                }
+            } else {
+                self.visited[n.index()] = true;
+                self.stack.pop();
+                return Some(n);
+            }
+        }
     }
 }
 

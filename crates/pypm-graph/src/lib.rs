@@ -25,7 +25,7 @@ pub mod ops;
 pub mod tensor;
 pub mod termview;
 
-pub use graph::{Graph, GraphError, Node, NodeId, NodeKind};
+pub use graph::{Graph, GraphError, Node, NodeId, NodeKind, TopoWalk};
 pub use ops::{Activation, OpClass, OpInfo, OpRegistry, ShapeError, ShapeRule, StdOps};
 pub use tensor::{DType, Shape, TensorMeta};
 pub use termview::{GraphAttrInterp, TensorAttrs, TermView};

@@ -3,7 +3,9 @@
 
 use proptest::prelude::*;
 use pypm_core::{SymbolTable, TermStore};
-use pypm_graph::{DType, Graph, GraphError, NodeId, OpRegistry, StdOps, TensorMeta, TermView};
+use pypm_graph::{
+    DType, Graph, GraphError, NodeId, OpRegistry, StdOps, TensorMeta, TermView, TopoWalk,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -82,6 +84,124 @@ fn random_replacement(fx: &mut Fx, g: &mut Graph, rng: &mut StdRng) -> (NodeId, 
             .unwrap()
     };
     (root, replacement)
+}
+
+/// The outputs-first post-order, written out recursively: from each
+/// live output in turn, a node follows all its inputs, and a node
+/// reached twice is emitted the first time. The oracle of `TopoWalk`,
+/// which `topo_order` is built on and so cannot be.
+fn recursive_post_order(g: &Graph) -> Vec<NodeId> {
+    fn visit(g: &Graph, n: NodeId, seen: &mut [bool], order: &mut Vec<NodeId>) {
+        if std::mem::replace(&mut seen[n.index()], true) {
+            return;
+        }
+        for &input in &g.node(n).inputs {
+            visit(g, input, seen, order);
+        }
+        order.push(n);
+    }
+    let mut seen = vec![false; g.allocated_count()];
+    let mut order = Vec::new();
+    for &out in g.outputs() {
+        if g.is_alive(out) {
+            visit(g, out, &mut seen, &mut order);
+        }
+    }
+    order
+}
+
+/// `walk` restarted on `g` and drained.
+fn drain(walk: &mut TopoWalk, g: &Graph) -> Vec<NodeId> {
+    walk.restart(g);
+    std::iter::from_fn(|| walk.next(g)).collect()
+}
+
+/// A random graph with every shape the walk must get right: garbage
+/// (`random_graph` leaves some, and one more unread node), three
+/// outputs of which one is dead, and a node that reads one input twice.
+fn walk_fixture(fx: &mut Fx, seed: u64, size: usize) -> Graph {
+    let mut g = random_graph(fx, seed, size);
+    let last = g.outputs()[0];
+    let twice = g
+        .op(&mut fx.syms, &fx.reg, fx.ops.add, vec![last, last], vec![])
+        .unwrap();
+    g.mark_output(twice);
+    // A node nothing reads, collected, then listed as an output.
+    let dead = g
+        .op(&mut fx.syms, &fx.reg, fx.ops.relu, vec![twice], vec![])
+        .unwrap();
+    assert_eq!(g.collect(dead), vec![dead]);
+    g.mark_output(dead);
+    g.op(&mut fx.syms, &fx.reg, fx.ops.gelu, vec![last], vec![])
+        .unwrap();
+    g
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `TopoWalk`, the one post-order DFS of the graph, against the
+    /// recursive definition: drained, it yields the same order; stopped
+    /// after `k` nodes — as a restart round stops at its firing — and
+    /// restarted after a rewrite, it yields the rewritten graph's order
+    /// from the first node, with nothing left over from the first walk;
+    /// and restarted on a graph that grew past the buffers it last
+    /// sized, it covers the new nodes too.
+    #[test]
+    fn topo_walk_is_the_recursive_post_order(
+        seed in any::<u64>(),
+        size in 2usize..40,
+        stop in 0usize..48,
+    ) {
+        let mut f = fx();
+        let mut g = walk_fixture(&mut f, seed, size);
+        let mut walk = TopoWalk::default();
+        let order = drain(&mut walk, &g);
+        prop_assert_eq!(&order, &recursive_post_order(&g));
+        prop_assert_eq!(&order, &g.topo_order());
+
+        // Stop after k nodes, rewrite, restart.
+        walk.restart(&g);
+        let k = stop.min(order.len());
+        for &expected in &order[..k] {
+            prop_assert_eq!(walk.next(&g), Some(expected));
+        }
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x7a1c);
+        let (root, replacement) = random_replacement(&mut f, &mut g, &mut rng);
+        if g.replace_traced(root, replacement).is_ok() {
+            g.collect(root);
+        }
+        let rewritten = drain(&mut walk, &g);
+        prop_assert_eq!(&rewritten, &recursive_post_order(&g));
+        prop_assert_eq!(&rewritten, &g.topo_order());
+
+        // Grow the graph past the walk's `visited` length.
+        let top = *rewritten.last().unwrap();
+        let grown = g
+            .op(&mut f.syms, &f.reg, f.ops.relu, vec![top], vec![])
+            .unwrap();
+        g.mark_output(grown);
+        let after_growth = drain(&mut walk, &g);
+        prop_assert_eq!(after_growth.last(), Some(&grown));
+        prop_assert_eq!(&after_growth, &recursive_post_order(&g));
+    }
+}
+
+/// A walk is one graph's: mutating the graph under a started walk trips
+/// the debug builds' revision check at the next step.
+#[test]
+#[cfg(debug_assertions)]
+#[should_panic(expected = "the graph changed under a topological walk")]
+fn a_walk_refuses_a_graph_that_changed_under_it() {
+    let mut f = fx();
+    let mut g = walk_fixture(&mut f, 7, 12);
+    let mut walk = TopoWalk::default();
+    walk.restart(&g);
+    assert!(walk.next(&g).is_some());
+    let top = g.outputs()[0];
+    g.op(&mut f.syms, &f.reg, f.ops.relu, vec![top], vec![])
+        .unwrap();
+    walk.next(&g);
 }
 
 proptest! {

@@ -4,18 +4,23 @@
 //! of times a compile enters the allocator does not. This binary
 //! installs a counting global allocator and compiles the benchmark's
 //! ladder program (hidden 48, `both`, incremental, fused) at a few
-//! depths, asserting three budgets: what `TermView::build` allocates
-//! per node, what one `Pipeline::run` allocates in all, and that
-//! neither per-node figure grows with the graph.
+//! depths, asserting four budgets: what `TermView::build` allocates
+//! per node, what one `Pipeline::run` allocates in all, that neither
+//! per-node figure grows with the graph, and that the same run under
+//! the restart policy — one walk of the order per round — allocates no
+//! more than the incremental one plus a constant: a round allocates
+//! nothing.
 //!
 //! Where the allocations were: before the flat `TermStore`, every
 //! interned term cost a caller-side argument `Vec`, a clone of it into
 //! the dedup map and (amortised) the map's own growth — at 100 layers
 //! (3 004 nodes) 9 137 in the build and 34 052 in the pass, against
-//! 2 786 and 15 491 now. What is left is one shape vector per distinct
+//! 2 786 and 15 479 now. What is left is one shape vector per distinct
 //! term (`TermAttrs::meta`), the graph's own per-node vectors for the
 //! nodes a rewrite creates, and the doubling of a few long-lived
-//! tables.
+//! tables. The restart pass made 21 739 while each of its 302 rounds
+//! materialised the whole topological order; walking it lazily over
+//! reused buffers, it makes 15 477.
 //!
 //! The allocator below is the workspace's one `unsafe impl`; every
 //! library crate keeps `#![forbid(unsafe_code)]`.
@@ -128,12 +133,20 @@ fn count_at(layers: usize) -> Counted {
     let (view, build) =
         allocations_of(|| TermView::build(&g, &mut s.syms, &mut s.terms, &s.registry));
     assert_eq!(view.len(), g.live_count());
+    Counted {
+        nodes: g.live_count() as u64,
+        build,
+        pass: pass_allocations(layers, SweepPolicy::Incremental),
+    }
+}
 
+/// What one `Pipeline::run` of the ladder program at `layers` layers
+/// allocates under `policy`, in a session that has seen no graph.
+fn pass_allocations(layers: usize, policy: SweepPolicy) -> u64 {
     let (mut s, mut g, rules) = ladder_program(layers);
-    let nodes = g.live_count() as u64;
     let (report, pass) = allocations_of(|| {
         Pipeline::new(&mut s)
-            .with(RewritePass::new(rules).policy(SweepPolicy::Incremental))
+            .with(RewritePass::new(rules).policy(policy))
             .run(&mut g)
     });
     let stats = report.expect("pass succeeds").total();
@@ -141,11 +154,12 @@ fn count_at(layers: usize) -> Counted {
         stats.rewrites_fired >= layers as u64,
         "every layer rewrites"
     );
-    Counted { nodes, build, pass }
+    pass
 }
 
 /// The dev profile's per-firing oracles (`Graph::validate`, the resumed
-/// scan order against a recomputed one) allocate inside the pass, so
+/// scan order and the restart walk against a recomputed one) allocate
+/// inside the pass, so
 /// the pass is budgeted where the product is built: in release.
 const PASS_IS_THE_PRODUCTS: bool = !cfg!(debug_assertions);
 
@@ -164,6 +178,30 @@ fn a_100_layer_compile_stays_inside_its_allocation_budget() {
             at_100.pass <= 18_000,
             "one 100-layer Pipeline::run made {} allocations",
             at_100.pass
+        );
+    }
+}
+
+/// How far a restart pass may allocate past its incremental twin. The
+/// two fire the same rewrites and build the same view; what restart
+/// adds is one walk whose buffers grow to the graph once. Materialising
+/// an order per round instead costs about 20 allocations a round —
+/// 3 000 to 12 000 over these programs.
+const RESTART_OVER_INCREMENTAL: u64 = 64;
+
+#[test]
+fn a_restart_round_allocates_nothing() {
+    if !PASS_IS_THE_PRODUCTS {
+        return;
+    }
+    for layers in [50, 100, 200] {
+        let restart = pass_allocations(layers, SweepPolicy::RestartOnRewrite);
+        let incremental = pass_allocations(layers, SweepPolicy::Incremental);
+        eprintln!("{layers} layers: restart {restart}, incremental {incremental} allocations");
+        assert!(
+            restart <= incremental + RESTART_OVER_INCREMENTAL,
+            "a {layers}-layer restart pass made {restart} allocations, \
+             its incremental twin {incremental}"
         );
     }
 }
