@@ -8,7 +8,9 @@
 //! whose `now()` only moves when someone calls [`VirtualClock::advance`]
 //! (or sleeps on it, which advances instantly): retry schedules, queue
 //! shedding and deadline trips become exact, repeatable assertions
-//! instead of wall-clock races.
+//! instead of wall-clock races. A [`TickingClock`] moves a fixed tick
+//! per read instead, and counts its reads: what a stage recorder laps on
+//! it is a count of reads, exact, and so is the cost of reading it.
 //!
 //! `std::time::Instant` is opaque — it cannot be fabricated — so the
 //! virtual clock anchors itself to one real instant captured at
@@ -147,9 +149,65 @@ impl Clock for VirtualClock {
     }
 }
 
+/// A clock that moves forward a fixed tick every time it is read, and
+/// counts the reads. Laps of a [`Stages`](crate::Stages) recorder on it
+/// are whole ticks, so stage sums are exact assertions, and the read
+/// count is what a code path costs in clock reads. Sleeps advance it
+/// instantly, like [`VirtualClock`].
+#[derive(Debug)]
+pub struct TickingClock {
+    base: Instant,
+    tick: u64,
+    /// Nanoseconds advanced so far.
+    offset: AtomicU64,
+    reads: AtomicU64,
+}
+
+impl TickingClock {
+    /// A clock anchored at the current real instant that moves `tick`
+    /// per read.
+    pub fn new(tick: Duration) -> Self {
+        TickingClock {
+            base: Instant::now(),
+            tick: u64::try_from(tick.as_nanos()).unwrap_or(u64::MAX),
+            offset: AtomicU64::new(0),
+            reads: AtomicU64::new(0),
+        }
+    }
+
+    /// How often the clock has been read.
+    pub fn reads(&self) -> u64 {
+        self.reads.load(Ordering::Acquire)
+    }
+}
+
+impl Clock for TickingClock {
+    fn now(&self) -> Instant {
+        self.reads.fetch_add(1, Ordering::AcqRel);
+        let before = self.offset.fetch_add(self.tick, Ordering::AcqRel);
+        self.base + Duration::from_nanos(before + self.tick)
+    }
+
+    fn sleep(&self, d: Duration) {
+        let nanos = u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.offset.fetch_add(nanos, Ordering::AcqRel);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_ticking_clock_moves_one_tick_per_read() {
+        let c = TickingClock::new(Duration::from_millis(1));
+        let a = c.now();
+        let b = c.now();
+        assert_eq!(b - a, Duration::from_millis(1));
+        c.sleep(Duration::from_millis(5));
+        assert_eq!(c.now() - b, Duration::from_millis(6));
+        assert_eq!(c.reads(), 3);
+    }
 
     #[test]
     fn system_clock_moves_forward() {

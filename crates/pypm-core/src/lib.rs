@@ -74,6 +74,7 @@ pub mod idhash;
 pub mod json;
 pub mod machine;
 pub mod pattern;
+pub mod stage;
 pub mod subst;
 pub mod symbol;
 pub mod term;
@@ -81,12 +82,13 @@ pub mod testing;
 
 pub use attr::{AttrInterp, NoAttrs, StructuralAttrInterp, TableAttrInterp};
 pub use budget::Budget;
-pub use clock::{system_clock, Clock, SystemClock, VirtualClock};
+pub use clock::{system_clock, Clock, SystemClock, TickingClock, VirtualClock};
 pub use fused::{FusedSet, WalkStacks};
 pub use guard::{Expr, Guard, GuardValue};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use machine::{Action, Machine, MachineError, MachineStats, Outcome, RuleName};
 pub use pattern::{Pattern, PatternError, PatternId, PatternStore};
+pub use stage::{Stage, StageTotals, Stages, Tally};
 pub use subst::{FunSubst, Subst, Witness};
 pub use symbol::{Attr, FunVar, PatName, Symbol, SymbolTable, Var};
 pub use term::{ArityError, TermId, TermStore};

@@ -14,14 +14,25 @@
 //!
 //! Patterns are hash-consed inside a [`PatternStore`]; μ-unfolding
 //! (`unfold_mu`, rule `P-Mu` / `ST-Match-Mu`) therefore memoizes the
-//! repeatedly generated unfoldings of recursive patterns for free.
+//! repeatedly generated unfoldings of recursive patterns for free. The
+//! fused discrimination tree over a list of patterns
+//! ([`PatternStore::fused`]) is the same kind of pure function of
+//! hash-consed patterns, and is memoized beside the unfoldings.
+//!
+//! A store is copy-on-write: its contents sit behind one `Arc`, so a
+//! clone is a reference count, and the first write to a shared store —
+//! a new pattern, a new unfolding, a new trie — copies it once. A
+//! library loaded into a template session and cloned per compile is
+//! shared by every clone until one of them interns something.
 
+use crate::fused::FusedSet;
 use crate::guard::Guard;
 use crate::idhash::{IdMap, IdSet};
 use crate::symbol::{FunVar, PatName, Symbol, SymbolTable, Var};
 use crate::term::TermStore;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// A hash-consed pattern. Equal ids ⇔ structurally equal patterns.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -101,10 +112,19 @@ pub enum Pattern {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PatternStore {
+    /// Shared until written (see the module docs).
+    inner: Arc<Patterns>,
+}
+
+/// What a [`PatternStore`] holds.
+#[derive(Debug, Clone, Default)]
+struct Patterns {
     nodes: Vec<Pattern>,
     dedup: HashMap<Pattern, PatternId>,
     /// Memoized μ-unfoldings.
     unfold_cache: IdMap<PatternId, PatternId>,
+    /// Memoized tries, by the pattern list they were built over.
+    fused: IdMap<Box<[PatternId]>, Arc<FusedSet>>,
 }
 
 impl PatternStore {
@@ -115,28 +135,46 @@ impl PatternStore {
 
     /// Interns a pattern node.
     pub fn intern(&mut self, p: Pattern) -> PatternId {
-        if let Some(&id) = self.dedup.get(&p) {
+        if let Some(&id) = self.inner.dedup.get(&p) {
             return id;
         }
-        let id = PatternId(self.nodes.len() as u32);
-        self.dedup.insert(p.clone(), id);
-        self.nodes.push(p);
+        let inner = Arc::make_mut(&mut self.inner);
+        let id = PatternId(inner.nodes.len() as u32);
+        inner.dedup.insert(p.clone(), id);
+        inner.nodes.push(p);
         id
     }
 
     /// The node behind an id.
     pub fn get(&self, id: PatternId) -> &Pattern {
-        &self.nodes[id.index()]
+        &self.inner.nodes[id.index()]
     }
 
     /// Total number of distinct patterns interned.
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.inner.nodes.len()
     }
 
     /// Whether the store is empty.
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.inner.nodes.is_empty()
+    }
+
+    /// The fused discrimination tree over `patterns` (in order; see
+    /// [`FusedSet::build`]), built on the first request for that list
+    /// and shared from then on. Patterns are hash-consed and never
+    /// change, so a memoized tree never goes stale; a store that was
+    /// asked before it was cloned answers every clone from the same
+    /// tree.
+    pub fn fused(&mut self, patterns: &[PatternId]) -> Arc<FusedSet> {
+        if let Some(set) = self.inner.fused.get(patterns) {
+            return Arc::clone(set);
+        }
+        let set = Arc::new(FusedSet::build(self, patterns));
+        Arc::make_mut(&mut self.inner)
+            .fused
+            .insert(patterns.into(), Arc::clone(&set));
+        set
     }
 
     // --- convenience constructors ------------------------------------
@@ -246,7 +284,7 @@ impl PatternStore {
     ///
     /// Panics if `mu` is not a `Pattern::Mu`.
     pub fn unfold_mu(&mut self, mu: PatternId) -> PatternId {
-        if let Some(&cached) = self.unfold_cache.get(&mu) {
+        if let Some(&cached) = self.inner.unfold_cache.get(&mu) {
             return cached;
         }
         let (name, params, args, body) = match self.get(mu).clone() {
@@ -260,7 +298,9 @@ impl PatternStore {
         };
         let ren: HashMap<Var, Var> = params.iter().copied().zip(args.iter().copied()).collect();
         let result = self.substitute(body, name, &params, body, &ren);
-        self.unfold_cache.insert(mu, result);
+        Arc::make_mut(&mut self.inner)
+            .unfold_cache
+            .insert(mu, result);
         result
     }
 

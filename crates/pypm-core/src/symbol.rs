@@ -13,9 +13,20 @@
 //!
 //! All identifier types are small `Copy` indices; the table maps them back to
 //! human-readable names for display and diagnostics.
+//!
+//! Each name space is one flat interner: the names end to end in one
+//! text arena, an end offset per id, and an open-addressed table of ids
+//! probed by a *keyed* hash — names arrive from outside (wire decode,
+//! rule-set text), so the rule of [`crate::idhash`] applies. A clone is
+//! three buffer copies per name space, which is what a serve worker pays
+//! per request for the library session it copies, and a fresh constant
+//! (one per graph input) writes its name straight into the arena:
+//! nothing is allocated once the buffers have grown.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::fmt::Write as _;
+use std::hash::BuildHasher;
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -73,34 +84,107 @@ id_type!(
     "P"
 );
 
-/// One interner: name ↔ index, in insertion order.
+/// One interner: name ↔ index, in insertion order (see the module docs).
 #[derive(Debug, Clone, Default)]
 struct Interner {
-    names: Vec<String>,
-    by_name: HashMap<String, u32>,
+    /// Every name, end to end.
+    text: String,
+    /// Where each name ends in `text`; it starts where the one before
+    /// it ends.
+    ends: Vec<u32>,
+    /// Open-addressed ids: a slot holds id + 1, 0 is empty. A power of
+    /// two at most half full (or empty), probed linearly from the
+    /// hash's low bits.
+    table: Vec<u32>,
+    hasher: RandomState,
 }
 
+/// An unoccupied slot of [`Interner::table`].
+const EMPTY: u32 = 0;
+
 impl Interner {
-    fn intern(&mut self, name: &str) -> u32 {
-        if let Some(&i) = self.by_name.get(name) {
-            return i;
-        }
-        let i = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), i);
-        i
-    }
-
-    fn lookup(&self, name: &str) -> Option<u32> {
-        self.by_name.get(name).copied()
-    }
-
     fn name(&self, i: u32) -> &str {
-        &self.names[i as usize]
+        let i = i as usize;
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.text[start..self.ends[i] as usize]
     }
 
     fn len(&self) -> usize {
-        self.names.len()
+        self.ends.len()
+    }
+
+    /// The slot holding `name`, or the empty one it would take. The
+    /// table must not be empty.
+    fn probe(&self, name: &str, hash: u64) -> usize {
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.table[slot] {
+                EMPTY => return slot,
+                id if self.name(id - 1) == name => return slot,
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    fn lookup(&self, name: &str) -> Option<u32> {
+        if self.table.is_empty() {
+            return None;
+        }
+        let slot = self.probe(name, self.hasher.hash_one(name));
+        self.table[slot].checked_sub(1)
+    }
+
+    fn intern(&mut self, name: &str) -> u32 {
+        let start = self.text.len();
+        self.text.push_str(name);
+        self.intern_tail(start).unwrap_or_else(|known| known)
+    }
+
+    /// Interns `%{hint}{n}` unless that name is taken; `None` if it is.
+    fn intern_fresh(&mut self, hint: &str, n: u64) -> Option<u32> {
+        let start = self.text.len();
+        write!(self.text, "%{hint}{n}").expect("writing to a String cannot fail");
+        self.intern_tail(start).ok()
+    }
+
+    /// Interns the name written at `text[start..]`: `Ok` with a new id,
+    /// or `Err` with the id it already had, the tail truncated away.
+    fn intern_tail(&mut self, start: usize) -> Result<u32, u32> {
+        if 2 * (self.len() + 1) > self.table.len() {
+            self.grow();
+        }
+        let slot = self.probe(
+            &self.text[start..],
+            self.hasher.hash_one(&self.text[start..]),
+        );
+        match self.table[slot] {
+            EMPTY => {
+                let id = self.len() as u32;
+                let end = u32::try_from(self.text.len()).expect("symbol names exceed 4 GiB");
+                self.ends.push(end);
+                self.table[slot] = id + 1;
+                Ok(id)
+            }
+            known => {
+                self.text.truncate(start);
+                Err(known - 1)
+            }
+        }
+    }
+
+    /// Doubles the table (16 slots at first) and re-places every id.
+    fn grow(&mut self) {
+        let slots = (2 * self.table.len()).max(16);
+        let mut table = vec![EMPTY; slots];
+        for id in 0..self.len() as u32 {
+            let mut slot = self.hasher.hash_one(self.name(id)) as usize & (slots - 1);
+            while table[slot] != EMPTY {
+                slot = (slot + 1) & (slots - 1);
+            }
+            table[slot] = id + 1;
+        }
+        self.table = table;
     }
 }
 
@@ -193,9 +277,8 @@ impl SymbolTable {
     pub fn fresh_var(&mut self) -> Var {
         loop {
             self.fresh_counter += 1;
-            let name = format!("%v{}", self.fresh_counter);
-            if self.vars.lookup(&name).is_none() {
-                return Var(self.vars.intern(&name));
+            if let Some(i) = self.vars.intern_fresh("v", self.fresh_counter) {
+                return Var(i);
             }
         }
     }
@@ -248,13 +331,14 @@ impl SymbolTable {
     /// Generates a fresh nullary operator symbol.
     ///
     /// Used by the graph substrate to turn graph inputs and opaque nodes
-    /// into distinct constants of the term algebra.
+    /// into distinct constants of the term algebra. The name `%{hint}{n}`
+    /// takes the next counter value `n` no declared operator already has.
     pub fn fresh_const(&mut self, hint: &str) -> Symbol {
         loop {
             self.fresh_counter += 1;
-            let name = format!("%{hint}{}", self.fresh_counter);
-            if self.ops.lookup(&name).is_none() {
-                return self.op(&name, 0);
+            if let Some(i) = self.ops.intern_fresh(hint, self.fresh_counter) {
+                self.arities.push(0);
+                return Symbol(i);
             }
         }
     }

@@ -94,3 +94,13 @@ pub use pipeline::{Pipeline, PipelineError, PipelineReport};
 pub use retired::{ParallelConfig, ParallelStats};
 pub use rewriter::{find_matches, MatchReport, PassStats, RewriteError, RewritePass, SweepPolicy};
 pub use session::Session;
+
+/// Which engine produced an output. Two builds with the same epoch
+/// produce byte-identical final graphs and reports for every zoo model
+/// and configuration; a change that moves any of them bumps it. A
+/// persistent result cache keys its entries on it, so an upgraded
+/// server over an old cache directory misses entries the new engine
+/// would not reproduce instead of replaying them.
+/// `tests/engine_epoch.rs` pins it to a digest of those outputs, and
+/// fails until a change that moves them bumps it.
+pub const ENGINE_OUTPUT_EPOCH: u32 = 1;

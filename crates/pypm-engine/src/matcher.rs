@@ -14,7 +14,10 @@
 //!   [`FusedSet`] discrimination tree; each distinct term is walked
 //!   once (memoized across sweeps — hash-consing means a [`TermId`]'s
 //!   meaning never changes) and all candidate patterns fall out of that
-//!   single traversal.
+//!   single traversal. The tree itself is memoized in the
+//!   [`PatternStore`] ([`PatternStore::fused`]), so a pass over a
+//!   library whose tree was built before — by an earlier pass, or in the
+//!   template a serve worker clones its sessions from — builds nothing.
 //!
 //! Everything *above* the seam is backend-agnostic and unchanged: the
 //! scan loop consumes admission verdicts without caring how they were
@@ -38,9 +41,10 @@
 //!
 //! ## When per-pattern still wins
 //!
-//! The fused tree pays an up-front build (once per pass) and a walk per
-//! distinct term. For pattern sets that collapse to wildcards (every
-//! pattern variable-rooted, or past the build caps) the tree admits
+//! The fused tree pays an up-front build (once per pattern store and
+//! rule set) and a walk per distinct term. For pattern sets that
+//! collapse to wildcards (every pattern variable-rooted, or past the
+//! build caps) the tree admits
 //! nearly everything and build and walks are pure overhead — that is
 //! what `--matcher per-pattern` is for, besides being the reference
 //! the equivalence suites hold the tree against, and why the bench
@@ -196,7 +200,7 @@ impl Matcher for PerPatternMatcher {
 /// and [`FusedSet`]).
 #[derive(Debug)]
 pub struct FusedMatcher {
-    set: FusedSet,
+    set: Arc<FusedSet>,
     /// Where each walked term's candidate set lies in `pool`, as
     /// `(start, len)`, by [`TermId::index`]; [`UNWALKED`] until the
     /// term's first query, and past the end for terms interned since
@@ -222,10 +226,17 @@ pub struct FusedMatcher {
 const UNWALKED: (u32, u32) = (u32::MAX, 0);
 
 impl FusedMatcher {
-    /// Compiles the rule set's patterns into one discrimination tree.
+    /// Compiles the rule set's patterns into one discrimination tree of
+    /// its own (the rewrite pass takes the store's memoized one instead,
+    /// through [`build_matcher`]).
     pub fn new(pats: &PatternStore, patterns: &[PatternId]) -> Self {
+        Self::over(Arc::new(FusedSet::build(pats, patterns)))
+    }
+
+    /// A matcher walking an already built tree.
+    pub(crate) fn over(set: Arc<FusedSet>) -> Self {
         FusedMatcher {
-            set: FusedSet::build(pats, patterns),
+            set,
             memo: Vec::new(),
             pool: Vec::new(),
             stacks: WalkStacks::default(),
@@ -267,14 +278,15 @@ impl Matcher for FusedMatcher {
 }
 
 /// Builds the configured backend over `patterns` (in rule-set order).
+/// The fused tree comes from the store's memo ([`PatternStore::fused`]).
 pub fn build_matcher(
     backend: MatcherBackend,
-    pats: &PatternStore,
+    pats: &mut PatternStore,
     patterns: &[PatternId],
 ) -> Box<dyn Matcher> {
     match backend {
         MatcherBackend::PerPattern => Box::new(PerPatternMatcher::new(patterns.len())),
-        MatcherBackend::Fused => Box::new(FusedMatcher::new(pats, patterns)),
+        MatcherBackend::Fused => Box::new(FusedMatcher::over(pats.fused(patterns))),
     }
 }
 
@@ -308,7 +320,7 @@ mod tests {
 
         // Even a head mismatch goes to the machine.
         let mut stats = MatcherStats::default();
-        let mut matcher = build_matcher(MatcherBackend::PerPattern, &pats, &[pf, px]);
+        let mut matcher = build_matcher(MatcherBackend::PerPattern, &mut pats, &[pf, px]);
         assert_eq!(matcher.candidates(tg, &terms, &mut stats), [0, 1]);
     }
 

@@ -4,15 +4,15 @@
 //! and match explanation as stages of a single compilation. A [`Pass`]
 //! is one such stage; a [`crate::Pipeline`] schedules passes in order
 //! and a [`PipelineCx`] carries what they share: diagnostics, per-pass
-//! instrumentation, published artifacts, and [`Observer`] hooks that
-//! stream match/rewrite events as they happen.
+//! instrumentation, the run's stage recorder, published artifacts, and
+//! [`Observer`] hooks that stream match/rewrite events as they happen.
 //!
 //! The built-ins are [`crate::RewritePass`], [`crate::PartitionPass`]
 //! and the [`crate::ExplainObserver`] hook.
 
 use crate::rewriter::{PassStats, RewriteError};
 use crate::session::Session;
-use pypm_core::Budget;
+use pypm_core::{system_clock, Budget, Stage, Stages};
 use pypm_graph::{Graph, NodeId};
 use std::any::Any;
 use std::cell::RefCell;
@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// One compilation stage, run by a [`crate::Pipeline`].
 ///
@@ -283,17 +283,18 @@ pub struct PassRecord {
     pub wall: Duration,
 }
 
-/// What a finished pipeline run decomposes into: records, diagnostics
-/// and artifacts.
+/// What a finished pipeline run decomposes into: records, diagnostics,
+/// artifacts and stages.
 pub(crate) type PipelineParts = (
     Vec<PassRecord>,
     Vec<Diagnostic>,
     BTreeMap<String, Box<dyn Any>>,
+    Stages,
 );
 
 /// Shared state threaded through every pass of a pipeline run:
-/// diagnostics, per-pass records, published artifacts, and the
-/// registered [`Observer`]s.
+/// diagnostics, per-pass records, the stage recorder, published
+/// artifacts, and the registered [`Observer`]s.
 pub struct PipelineCx {
     diagnostics: Vec<Diagnostic>,
     records: Vec<PassRecord>,
@@ -308,6 +309,9 @@ pub struct PipelineCx {
     /// Cooperative resource budget for the run, checked by passes at
     /// their scheduling points; `None` = unlimited.
     budget: Option<Arc<Budget>>,
+    /// Where the run's time goes, by [`Stage`]: the one clock the
+    /// pipeline reads.
+    stages: Stages,
 }
 
 impl Default for PipelineCx {
@@ -321,6 +325,7 @@ impl Default for PipelineCx {
             current_sweep: 0,
             batch_graphs: 1,
             budget: None,
+            stages: Stages::new(system_clock()),
         }
     }
 }
@@ -364,6 +369,29 @@ impl PipelineCx {
     /// Installs the run's cooperative resource budget.
     pub(crate) fn set_budget(&mut self, budget: Arc<Budget>) {
         self.budget = Some(budget);
+    }
+
+    /// The run's stage recorder so far.
+    pub(crate) fn stages(&self) -> &Stages {
+        &self.stages
+    }
+
+    /// Ends `stage` now (see [`Stages::lap`]); returns the boundary.
+    pub(crate) fn lap(&mut self, stage: Stage) -> Instant {
+        self.stages.lap(stage)
+    }
+
+    /// Replaces the run's stage recorder; a started one is continued.
+    pub(crate) fn set_stages(&mut self, stages: Stages) {
+        self.stages = stages;
+    }
+
+    /// Starts the stage recorder unless it already runs.
+    pub(crate) fn start_stages(&mut self) -> Instant {
+        match self.stages.last() {
+            Some(at) => at,
+            None => self.stages.start(),
+        }
     }
 
     /// Records the batch size of the owning run.
@@ -473,16 +501,19 @@ impl PipelineCx {
         self.records.push(record);
     }
 
-    /// Drains the per-graph parts (records, diagnostics, artifacts)
-    /// while keeping the run-scoped state — observers, batch size and
-    /// budget — in place. This is what lets
-    /// [`crate::Pipeline::run_batch`] emit one report per graph over a
-    /// single long-lived context.
+    /// Drains the per-graph parts (records, diagnostics, artifacts,
+    /// stages) while keeping the run-scoped state — observers, batch
+    /// size, budget, the stage clock and its last boundary — in place.
+    /// This is what lets [`crate::Pipeline::run_batch`] emit one report
+    /// per graph over a single long-lived context.
     pub(crate) fn take_parts(&mut self) -> PipelineParts {
+        let stages = self.stages.clone();
+        self.stages.clear();
         (
             std::mem::take(&mut self.records),
             std::mem::take(&mut self.diagnostics),
             std::mem::take(&mut self.artifacts),
+            stages,
         )
     }
 }

@@ -3,7 +3,11 @@
 //! A pipeline borrows the [`Session`] for the duration of a compilation,
 //! runs its passes in order over one graph, validates the graph after
 //! each mutating pass, and returns a [`PipelineReport`] with per-pass
-//! wall-clock and counters, diagnostics, and published artifacts.
+//! wall-clock and counters, diagnostics, published artifacts, and the
+//! run's [`Stages`]: the rewrite pass laps its setup, trie build,
+//! collection, term-view build and scan, and the pipeline laps each
+//! pass's validation, all on one clock — the system clock unless
+//! [`Pipeline::with_stages`] hands in a recorder of another.
 //!
 //! ```
 //! use pypm_engine::{Pipeline, RewritePass, Session};
@@ -32,13 +36,12 @@ use crate::pass::{Diagnostic, Observer, Pass, PassError, PassRecord, PipelineCx}
 use crate::rewriter::PassStats;
 use crate::session::Session;
 use pypm_core::json::{Layout, Writer};
-use pypm_core::Budget;
+use pypm_core::{Budget, Stage, Stages};
 use pypm_graph::Graph;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A failure in one pass of a pipeline run.
 #[derive(Debug)]
@@ -119,6 +122,17 @@ impl<'s> Pipeline<'s> {
         self
     }
 
+    /// Records the run's stages into `stages`, reading its clock. A
+    /// recorder that was started already is continued: the run's first
+    /// stage is charged from its last boundary, so a caller lapping its
+    /// own stages around the run shares one timeline with it. The
+    /// report of each graph carries that graph's stages
+    /// ([`PipelineReport::stages`]).
+    pub fn with_stages(mut self, stages: Stages) -> Self {
+        self.cx.set_stages(stages);
+        self
+    }
+
     /// Runs every pass in order over `graph`.
     ///
     /// # Errors
@@ -148,22 +162,24 @@ impl<'s> Pipeline<'s> {
         let mut reports = Vec::with_capacity(graphs.len());
         for graph in graphs {
             self.run_one(graph)?;
-            let (passes, diagnostics, artifacts) = self.cx.take_parts();
+            let (passes, diagnostics, artifacts, stages) = self.cx.take_parts();
             reports.push(PipelineReport {
                 passes,
                 diagnostics,
                 artifacts,
+                stages,
             });
         }
         Ok(reports)
     }
 
-    /// One graph through every pass.
+    /// One graph through every pass. A pass's wall runs from the stage
+    /// boundary before it to the end of its validation.
     fn run_one(&mut self, graph: &mut Graph) -> Result<(), PipelineError> {
+        let mut started = self.cx.start_stages();
         for pass in &mut self.passes {
             let name = pass.name().to_owned();
             self.cx.begin_pass(&name, graph);
-            let started = Instant::now();
             let outcome = pass
                 .run(self.session, graph, &mut self.cx)
                 .map_err(|error| PipelineError {
@@ -178,18 +194,21 @@ impl<'s> Pipeline<'s> {
                     },
                 })?;
             }
-            self.cx.finish_pass(outcome, started.elapsed());
+            let ended = self.cx.lap(Stage::Validate);
+            self.cx.finish_pass(outcome, ended - started);
+            started = ended;
         }
         Ok(())
     }
 }
 
 /// Everything a pipeline run produced besides the rewritten graph:
-/// per-pass records, diagnostics and published artifacts.
+/// per-pass records, diagnostics, published artifacts and stages.
 pub struct PipelineReport {
     passes: Vec<PassRecord>,
     diagnostics: Vec<Diagnostic>,
     artifacts: BTreeMap<String, Box<dyn Any>>,
+    stages: Stages,
 }
 
 impl fmt::Debug for PipelineReport {
@@ -198,11 +217,18 @@ impl fmt::Debug for PipelineReport {
             .field("passes", &self.passes)
             .field("diagnostics", &self.diagnostics)
             .field("artifacts", &self.artifacts.keys().collect::<Vec<_>>())
+            .field("stages", &self.stages)
             .finish()
     }
 }
 
 impl PipelineReport {
+    /// Where the run's time went for this graph, by stage. Not part of
+    /// the `pypm.pipeline.v1` document.
+    pub fn stages(&self) -> &Stages {
+        &self.stages
+    }
+
     /// Per-pass records, in run order.
     pub fn passes(&self) -> &[PassRecord] {
         &self.passes
@@ -390,6 +416,7 @@ mod tests {
     use crate::matcher::MatcherStats;
     use crate::pass::Severity;
     use crate::retired::ParallelStats;
+    use pypm_core::system_clock;
     use std::time::Duration;
 
     /// A report with every counter distinct, two passes (one with an
@@ -450,6 +477,7 @@ mod tests {
                 },
             ],
             artifacts: BTreeMap::new(),
+            stages: Stages::new(system_clock()),
         }
     }
 
@@ -473,6 +501,7 @@ mod tests {
             passes: Vec::new(),
             diagnostics: Vec::new(),
             artifacts: BTreeMap::new(),
+            stages: Stages::new(system_clock()),
         }
     }
 

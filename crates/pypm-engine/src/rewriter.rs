@@ -34,12 +34,12 @@ use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx, RejectReason};
 use crate::retired::ParallelStats;
 use crate::session::Session;
-use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Subst, Symbol, TermId, Witness};
+use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Stage, Subst, Symbol, TermId, Witness};
 use pypm_dsl::{Rhs, RuleSet};
 use pypm_graph::{Graph, NodeId, TensorMeta, TermView, TopoWalk};
 use std::fmt;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which nodes the pass re-examines after a rewrite fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -129,7 +129,9 @@ pub struct PassStats {
     /// Full sweeps over the graph (worklist rounds under
     /// [`SweepPolicy::Incremental`]).
     pub sweeps: u64,
-    /// Wall-clock time of the pass.
+    /// Wall-clock time of the pass, on the pipeline's clock: from the
+    /// stage boundary before it to the end of its scan (its setup, trie
+    /// build, collection, view build and scan stages).
     pub duration: Duration,
     /// Term views built from scratch ([`TermView::build`]).
     pub view_builds: u64,
@@ -385,23 +387,32 @@ impl<'a> Driver<'a> {
     }
 
     /// Runs the pass to fixpoint, mutating `graph` in place and
-    /// streaming match/rewrite events through `cx`.
+    /// streaming match/rewrite events through `cx`, and lapping its
+    /// stages on `cx`'s recorder: [`Stage::PassSetup`] (everything from
+    /// the last boundary to here), [`Stage::TrieBuild`], [`Stage::Gc`],
+    /// then [`Stage::ViewBuild`] and [`Stage::Scan`] in
+    /// [`Driver::scan`].
     fn run(&mut self, graph: &mut Graph, cx: &mut PipelineCx) -> Result<PassStats, RewriteError> {
-        let start = Instant::now();
+        let start = cx.stages().last();
+        cx.lap(Stage::PassSetup);
         let mut stats = PassStats::default();
         stats.matcher.backend = self.pass.matcher.name();
         stats.parallel.jobs = 1;
         stats.parallel.batch_graphs = cx.batch_graphs();
         // The candidate-discovery index (see [`crate::matcher`]) over
-        // the rule set's patterns, in rule-set order. The fused backend
-        // charges its trie walks against the budget (and truncates them
-        // once it trips).
-        let mut matcher = build_matcher(self.pass.matcher, &self.session.pats, &self.pattern_ids);
+        // the rule set's patterns, in rule-set order; the fused trie is
+        // the pattern store's, built once per store and rule set. The
+        // fused backend charges its trie walks against the budget (and
+        // truncates them once it trips).
+        let mut matcher =
+            build_matcher(self.pass.matcher, &mut self.session.pats, &self.pattern_ids);
         matcher.set_budget(self.budget.clone());
+        cx.lap(Stage::TrieBuild);
         // The scan collects by reference count, which is exact only on a
         // graph that holds no garbage to begin with: one mark-sweep
         // before it for whatever the caller left unreferenced …
         graph.gc();
+        cx.lap(Stage::Gc);
         self.scan(graph, matcher.as_mut(), cx, &mut stats)?;
         // … and, in debug builds, one after it, which then has nothing
         // left to find.
@@ -409,8 +420,11 @@ impl<'a> Driver<'a> {
         {
             let missed = graph.gc();
             assert!(missed.is_empty(), "the scan left {missed:?} uncollected");
+            cx.lap(Stage::Gc);
         }
-        stats.duration = start.elapsed();
+        if let (Some(start), Some(end)) = (start, cx.stages().last()) {
+            stats.duration = end - start;
+        }
         Ok(stats)
     }
 
@@ -753,6 +767,7 @@ impl<'a> Driver<'a> {
             &self.session.registry,
         );
         stats.view_builds += 1;
+        cx.lap(Stage::ViewBuild);
         let worklist = self.pass.policy == SweepPolicy::Incremental;
         // The worklist's scan order from the cursor on, reversed: the
         // next node is the last element, a step of the cursor is a pop,
@@ -851,6 +866,7 @@ impl<'a> Driver<'a> {
             break;
         }
         stats.nodes_reindexed += view.terms_recomputed();
+        cx.lap(Stage::Scan);
         Ok(())
     }
 

@@ -408,3 +408,55 @@ fn parallel_block_is_the_constant_serial_one_zoo_wide() {
         check(cfg.name, &|s| cfg.build(s));
     }
 }
+
+/// Clock reads of one cold single-pass compile: the run's start, then
+/// the pass setup, trie build, collection, view build, scan and
+/// validation laps — plus the dev profile's post-scan collection.
+const COLD_COMPILE_READS: u64 = 8;
+
+/// The stage spine's contract on a compile. Under a clock that moves
+/// one tick per read, the stages sum exactly to the span between the
+/// run's first and last clock read, the pass's wall is that span and
+/// its duration the part before validation, and the run reads the clock
+/// a fixed handful of times whatever the graph.
+#[test]
+fn a_compile_laps_its_stages_exactly_and_reads_the_clock_a_handful_of_times() {
+    use pypm_core::{Stage, Stages, TickingClock};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    let tick = Duration::from_micros(1);
+    for cfg in pypm_models::hf_zoo().into_iter().take(6) {
+        let mut s = Session::new();
+        let mut g = cfg.build(&mut s);
+        let rules = s.load_library(LibraryConfig::both());
+        let clock = Arc::new(TickingClock::new(tick));
+        let report = Pipeline::new(&mut s)
+            .with(RewritePass::new(rules))
+            .with_stages(Stages::new(clock.clone()))
+            .run(&mut g)
+            .unwrap();
+        let reads = clock.reads();
+        assert!(
+            reads <= COLD_COMPILE_READS,
+            "{}: {reads} clock reads",
+            cfg.name
+        );
+        let stages = report.stages();
+        assert_eq!(stages.total(), tick * (reads as u32 - 1), "{}", cfg.name);
+        let pass = &report.passes()[0];
+        assert_eq!(pass.wall, stages.total());
+        assert_eq!(
+            pass.stats.duration,
+            stages.total() - tick * stages.get(Stage::Validate).count as u32
+        );
+        for stage in [
+            Stage::TrieBuild,
+            Stage::ViewBuild,
+            Stage::Scan,
+            Stage::Validate,
+        ] {
+            assert_eq!(stages.get(stage).count, 1, "{}: {stage}", cfg.name);
+        }
+    }
+}

@@ -199,6 +199,7 @@ fn compile(args: &[String]) -> i32 {
         policy,
         matcher,
         budget: None,
+        stages: None,
     };
     let reports = match pypm::compile_batch(&mut s, &mut graphs, rules, recipe) {
         Ok(reports) => reports,

@@ -101,6 +101,10 @@ pub struct CompileRecipe {
     pub matcher: engine::MatcherBackend,
     /// The cooperative budget the whole run charges against, if any.
     pub budget: Option<Arc<core::Budget>>,
+    /// The stage recorder the run laps into, continued from its last
+    /// boundary ([`engine::Pipeline::with_stages`]); `None` starts one
+    /// on the system clock.
+    pub stages: Option<core::Stages>,
 }
 
 /// Rewrites `graphs` with `rules` to fixpoint through one
@@ -121,6 +125,9 @@ pub fn compile_batch(
     let mut pipeline = engine::Pipeline::new(session);
     if let Some(budget) = recipe.budget {
         pipeline = pipeline.with_budget(budget);
+    }
+    if let Some(stages) = recipe.stages {
+        pipeline = pipeline.with_stages(stages);
     }
     if !rules.is_empty() {
         pipeline = pipeline.with(

@@ -4,8 +4,8 @@
 //! |---|---|
 //! | [`protocol`] | the wire format: status bytes, the frame codec, the request grammar, payload hints |
 //! | `queue` | admission and dequeue order: bounded, earliest-deadline-first |
-//! | `worker` | what a request costs once it needs a worker: shed, build, key, compile, render, store; the server-wide key memo |
-//! | `server` | transport and lifecycle: accept, per-connection threads, the inline cache probe, idle reaping, `stats`, drain |
+//! | `worker` | what a request costs once it needs a worker: shed, build, key, compile, render, store; the server-wide key memo; the worker's stage laps |
+//! | `server` | transport and lifecycle: accept, per-connection threads, the inline cache probe, idle reaping, `stats`, drain; the connection's stage laps |
 //!
 //! The paper's matcher is designed to sit inside a long-running
 //! DL-compiler session: patterns loaded once, many graphs compiled.
@@ -52,23 +52,29 @@
 //! `pypm.pipeline.v1` stats JSON — the same document `pypmc compile
 //! --stats-json` writes, byte-identical in every semantic counter (the
 //! wall-clock fields legitimately differ). `stats` responds with a
-//! `pypm.serve.stats.v1` JSON document carrying the cache counters.
+//! `pypm.serve.stats.v1` JSON document carrying the cache counters and
+//! the `stages` object: per [`crate::core::Stage`], in enum order, the
+//! laps that ended it and their total in microseconds — a worker's
+//! stages for every `OK` reply, a connection thread's for every compile
+//! request.
 //!
 //! ## The result cache
 //!
 //! Every thread shares one [`crate::wire::cache::ResultCache`]: before compiling, the
-//! request is content-addressed — a [`crate::wire::cache::CacheKey`] over the engine
-//! version, the canonical `PYPMWIRE` graph bytes, the rule-set bytes,
-//! the library configuration, and the names of the sweep policy and
-//! the matcher backend — and a hit returns the stored
+//! request is content-addressed — a [`crate::wire::cache::CacheKey`] over the engine's
+//! output epoch, the canonical `PYPMWIRE` graph bytes, the rule-set
+//! bytes, the library configuration, and the names of the sweep policy
+//! and the matcher backend — and a hit returns the stored
 //! `pypm.pipeline.v1` report verbatim. The last two parts are
-//! constants, kept where they were as request keys so a `--cache-dir`
-//! written then keeps hitting. The engine version
-//! (`CARGO_PKG_VERSION`) is part of it so a persistent store written
-//! by an older build reads as a miss rather than serving a report the
-//! current engine would not produce. The cached report is
-//! byte-identical to what a cold compile of the same request would
-//! produce. With [`ServeConfig::cache_dir`] set (`pypmc serve
+//! constants, kept where they were as request keys. The epoch
+//! ([`crate::engine::ENGINE_OUTPUT_EPOCH`]) is part of it so a
+//! persistent store written by an engine that answered differently
+//! reads as a miss rather than serving a report the current engine
+//! would not produce; `tests/engine_epoch.rs` fails any change that
+//! moves an output without bumping it. A `--cache-dir` written before
+//! the epoch existed (that part was the crate version) misses once. The
+//! cached report is byte-identical to what a cold compile of the same
+//! request would produce. With [`ServeConfig::cache_dir`] set (`pypmc serve
 //! --cache-dir`), entries also persist as checksummed report
 //! containers on disk, so a restarted server keeps hitting;
 //! [`ServeConfig::cache_dir_max_bytes`] caps that directory with

@@ -13,15 +13,29 @@ use std::sync::mpsc;
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
+/// What a worker sends back for one entry: the response and the two
+/// stamps the connection thread splits its wait by.
+pub(super) struct Reply {
+    pub(super) status: u8,
+    pub(super) payload: String,
+    /// When the worker took the entry: the end of its queue wait.
+    pub(super) started: Instant,
+    /// The worker's last stage boundary before it sent this reply.
+    pub(super) sent: Instant,
+}
+
 /// One admitted compile, stamped for deadline-aware scheduling.
 pub(super) struct QueueEntry {
     pub(super) req: CompileRequest,
-    pub(super) reply: mpsc::Sender<(u8, String)>,
-    /// When admission control accepted this request.
+    /// A one-slot channel the connection thread made before admission,
+    /// so the worker's send is a store and a wake.
+    pub(super) reply: mpsc::SyncSender<Reply>,
+    /// When admission control accepted this request: its cache probe
+    /// is behind it, its queue wait starts here.
     pub(super) admitted_at: Instant,
-    /// The request's absolute deadline (`admitted_at` + its effective
-    /// `timeout_ms`), if it has one. Drives both the EDF dequeue order
-    /// and queue-time shedding.
+    /// The request's absolute deadline (its effective `timeout_ms` from
+    /// the end of its frame read, just before `admitted_at`), if it has
+    /// one. Drives both the EDF dequeue order and queue-time shedding.
     pub(super) deadline: Option<Instant>,
     /// The key the connection thread probed the cache under, and
     /// missed, when the server had keyed this request before: the
@@ -94,7 +108,7 @@ impl JobQueue {
     pub(super) fn try_admit(
         &self,
         req: CompileRequest,
-        reply: mpsc::Sender<(u8, String)>,
+        reply: mpsc::SyncSender<Reply>,
         admitted_at: Instant,
         deadline: Option<Instant>,
         keyed: Option<Keyed>,

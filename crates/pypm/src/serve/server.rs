@@ -1,16 +1,20 @@
 //! The transport: listener, accept loop, one thread per connection,
 //! the cache probe for a request the server has keyed before, admission
 //! into the queue for everything else, the `stats` document and the
-//! drain.
+//! drain. A connection thread laps its own stages of every compile
+//! request — frame read, cache probe, queue wait, reply wake, frame
+//! write — on the server clock, splitting its wait for a worker by the
+//! two stamps the reply carries.
 
 use super::protocol::{
     self, overloaded_payload, parse_request, CompileRequest, Idle, Request, STATUS_BAD_REQUEST,
     STATUS_DEADLINE_EXCEEDED, STATUS_OK, STATUS_OVERLOADED, STATUS_SHUTTING_DOWN,
 };
-use super::queue::{AdmitError, JobQueue};
+use super::queue::{AdmitError, JobQueue, Reply};
 use super::worker::{worker_loop, BudgetDefaults, Counters, KeyMemo, WorkerContext};
 use crate::core::clock::{system_clock, Clock};
 use crate::core::json::{Layout, Writer};
+use crate::core::{Stage, Stages};
 use crate::wire::cache::ResultCache;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -146,6 +150,15 @@ impl Shared {
         w.key("service_ewma_us")
             .scalar(counter(&self.cx.counters.service_ewma_us));
         w.key("cache").raw(&self.cx.cache.stats_json());
+        w.key("stages").begin_object(Layout::Inline);
+        for stage in Stage::ALL {
+            let tally = self.cx.counters.stages.get(stage);
+            w.key(stage.name()).begin_object(Layout::Inline);
+            w.key("count").scalar(tally.count);
+            w.key("total_us").scalar(tally.nanos / 1_000);
+            w.end();
+        }
+        w.end();
         w.end();
         w.finish()
     }
@@ -292,6 +305,8 @@ fn write_response(stream: &mut TcpStream, status: u8, payload: &[u8]) -> io::Res
 /// unrecoverable framing error.
 fn handle_connection(mut stream: TcpStream, shared: &Shared) {
     let mut idle = IdleWatch::new(shared);
+    // One recorder for the connection's life, cleared per request.
+    let mut stages = Stages::new(Arc::clone(&shared.cx.clock));
     loop {
         let read = frame_failpoint("frame.read")
             .and_then(|()| protocol::read_request(&mut stream, &mut idle));
@@ -308,6 +323,8 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
             // Truncated frame or transport error: nothing sane to say.
             Err(_) => return,
         };
+        let frame_started = idle.frame_started.take();
+        let mut compiled = false;
         let response = match std::str::from_utf8(&payload) {
             Err(_) => (STATUS_BAD_REQUEST, "request is not UTF-8".to_owned()),
             Ok(text) => match parse_request(text) {
@@ -323,11 +340,20 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
                     shared.initiate_shutdown();
                     return;
                 }
-                Ok(Request::Compile(req)) => serve_compile(shared, req),
+                Ok(Request::Compile(req)) => {
+                    compiled = true;
+                    stages.skip_to(frame_started.unwrap_or_else(|| shared.cx.clock.now()));
+                    serve_compile(shared, req, &mut stages)
+                }
             },
         };
         if write_response(&mut stream, response.0, response.1.as_bytes()).is_err() {
             return;
+        }
+        if compiled {
+            stages.lap(Stage::FrameWrite);
+            shared.cx.counters.stages.add(&stages);
+            stages.clear();
         }
     }
 }
@@ -343,12 +369,17 @@ fn handle_connection(mut stream: TcpStream, shared: &Shared) {
 /// wait, wire decode, compile and report render all charge against the
 /// same absolute instant, so a request cannot launder queue time into
 /// extra compile time.
-fn serve_compile(shared: &Shared, req: CompileRequest) -> (u8, String) {
+///
+/// `stages` started at the frame's first byte; this laps the frame
+/// read, the probe and — for a queued request — the queue wait (until
+/// the worker's start stamp) and the reply wake (from the worker's send
+/// stamp). The worker's own stages lie between those two stamps.
+fn serve_compile(shared: &Shared, req: CompileRequest, stages: &mut Stages) -> (u8, String) {
+    let admitted_at = stages.lap(Stage::FrameRead);
     if shared.shutting_down.load(Ordering::SeqCst) {
         return (STATUS_SHUTTING_DOWN, "server is draining".to_owned());
     }
     let cx = &shared.cx;
-    let admitted_at = cx.clock.now();
     let deadline = req
         .timeout_ms
         .or(cx.defaults.timeout_ms)
@@ -361,16 +392,15 @@ fn serve_compile(shared: &Shared, req: CompileRequest) -> (u8, String) {
     } else {
         None
     };
-    if let Some(report) = keyed.and_then(|keyed| cx.cache.get(keyed.key)) {
+    let hit = keyed.and_then(|keyed| cx.cache.get(keyed.key));
+    let probed = stages.lap(Stage::CacheProbe);
+    if let Some(report) = hit {
         cx.counters.compiles_started.fetch_add(1, Ordering::Relaxed);
         shared.inline_hits.fetch_add(1, Ordering::Relaxed);
         return (STATUS_OK, report);
     }
-    let (reply, result) = mpsc::channel();
-    match shared
-        .queue
-        .try_admit(req, reply, admitted_at, deadline, keyed)
-    {
+    let (reply, result) = mpsc::sync_channel(1);
+    match shared.queue.try_admit(req, reply, probed, deadline, keyed) {
         Err(AdmitError::Full) => (
             STATUS_OVERLOADED,
             overloaded_payload(cx.counters.retry_after_hint_ms()),
@@ -379,7 +409,17 @@ fn serve_compile(shared: &Shared, req: CompileRequest) -> (u8, String) {
         Ok(()) => {
             shared.in_flight.fetch_add(1, Ordering::Relaxed);
             let response = match result.recv() {
-                Ok(response) => response,
+                Ok(Reply {
+                    status,
+                    payload,
+                    started,
+                    sent,
+                }) => {
+                    stages.lap_at(Stage::QueueWait, started);
+                    stages.skip_to(sent);
+                    stages.lap(Stage::ReplyWake);
+                    (status, payload)
+                }
                 Err(_) => (
                     STATUS_SHUTTING_DOWN,
                     "server shut down before the compile ran".to_owned(),
@@ -405,9 +445,13 @@ fn serve_compile(shared: &Shared, req: CompileRequest) -> (u8, String) {
 /// arrival of the last request byte, so time advanced while the
 /// connection sat between frames counts as inactivity no matter which
 /// call observes it.
+///
+/// The first bytes of a frame also start its frame-read stage:
+/// `frame_started` holds that instant until the connection takes it.
 struct IdleWatch<'a> {
     shared: &'a Shared,
     last_activity: Instant,
+    frame_started: Option<Instant>,
 }
 
 impl<'a> IdleWatch<'a> {
@@ -415,6 +459,7 @@ impl<'a> IdleWatch<'a> {
         IdleWatch {
             shared,
             last_activity: shared.cx.clock.now(),
+            frame_started: None,
         }
     }
 }
@@ -423,6 +468,7 @@ impl Idle for IdleWatch<'_> {
     /// Any bytes arrived: the connection is live again.
     fn touch(&mut self) {
         self.last_activity = self.shared.cx.clock.now();
+        self.frame_started.get_or_insert(self.last_activity);
     }
 
     /// A read error is worth retrying iff it was a poll tick and the

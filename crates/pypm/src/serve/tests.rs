@@ -300,7 +300,7 @@ fn edf_select_prefers_earliest_deadline_then_fifo() {
             timeout_ms: None,
             step_limit: None,
         },
-        reply: mpsc::channel().0,
+        reply: mpsc::sync_channel(1).0,
         admitted_at: now,
         deadline,
         keyed: None,

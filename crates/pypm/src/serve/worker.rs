@@ -3,19 +3,33 @@
 //! remembers them costing), compile, render, store. What a worker keeps
 //! warm is the *library*: one pristine session per configuration,
 //! cloned per request, so a compile owns its stores and nothing
-//! engine-side outlives it. What the whole server keeps is the
-//! [`KeyMemo`]: a request keyed once is probed by the connection thread
-//! that read it, and reaches a worker only as a miss.
+//! engine-side outlives it. The clone is cheap because what the library
+//! put in a session is flat or shared: the symbol table is a few flat
+//! buffers, the pattern store is copy-on-write, and the fused trie over
+//! the library's patterns is built once, when the library loads, and
+//! memoized in that store for every clone. What the whole server keeps
+//! is the [`KeyMemo`]: a request keyed once is probed by the connection
+//! thread that read it, and reaches a worker only as a miss.
+//!
+//! A worker laps its own stages per request — session copy, model
+//! build, cache key, the pipeline's trie build, collection, view build,
+//! scan and validation, render, cache put, session drop, reply send —
+//! on the server's clock, and adds them to the server's totals when the
+//! reply is `OK`. The stages through the session drop sum to the
+//! request's service time, the sample the `retry-after-ms=` hint
+//! averages. With one worker, a miss waits for the service times of the
+//! misses admitted before it: a µs off this cycle is a µs off each of
+//! theirs.
 
 use super::protocol::{
     shed_payload, CompileRequest, RETRY_AFTER_HINT_MS, STATUS_DEADLINE_EXCEEDED, STATUS_ERROR,
     STATUS_OK, STATUS_UNKNOWN_MODEL,
 };
-use super::queue::{JobQueue, Popped};
+use super::queue::{JobQueue, Popped, QueueEntry, Reply};
 use crate::core::clock::Clock;
-use crate::core::Budget;
+use crate::core::{Budget, Stage, StageTotals, Stages};
 use crate::dsl::{LibraryConfig, RuleSet};
-use crate::engine::{MatcherBackend, PassError, Session, SweepPolicy};
+use crate::engine::{MatcherBackend, PassError, Session, SweepPolicy, ENGINE_OUTPUT_EPOCH};
 use crate::wire::cache::{CacheKey, ResultCache};
 use crate::CompileRecipe;
 use std::collections::HashMap;
@@ -52,6 +66,10 @@ pub(super) struct Counters {
     /// how long one takes to free up. Feeds the `retry-after-ms=` hint
     /// in `STATUS_OVERLOADED` payloads.
     pub(super) service_ewma_us: AtomicU64,
+    /// Where compiles spent their time: the worker stages of every
+    /// request a worker answered `OK`, and the connection-thread stages
+    /// of every compile request (the `stats` document's `stages`).
+    pub(super) stages: StageTotals,
 }
 
 impl Counters {
@@ -189,13 +207,16 @@ impl WorkerState {
 
     /// A fresh copy of the `cfg` library's session and rule set for one
     /// compile to own, loading the library first if this worker does
-    /// not hold it.
+    /// not hold it — and building its fused trie there, so every copy
+    /// shares it.
     fn library(&mut self, cfg: LibraryConfig) -> (Session, RuleSet) {
         let at = match self.libraries.iter().position(|lib| lib.cfg == cfg) {
             Some(at) => at,
             None => {
                 let mut session = Session::new();
                 let rules = session.load_library(cfg);
+                let patterns: Vec<_> = rules.patterns.iter().map(|d| d.pattern).collect();
+                session.pats.fused(&patterns);
                 self.libraries.push(Library {
                     cfg,
                     session,
@@ -210,8 +231,9 @@ impl WorkerState {
 
     /// Serves one compile: exactly the `pypmc compile` pipeline
     /// ([`crate::compile_batch`]) over a session this request owns — a
-    /// clone of the pristine [`Library`], dropped with the request.
-    /// Returns the request's `pypm.pipeline.v1` JSON.
+    /// clone of the pristine [`Library`], dropped before the reply.
+    /// Returns the request's `pypm.pipeline.v1` JSON, and laps its
+    /// stages on `stages` from the session copy to the session drop.
     /// `budget` is the whole-request budget ([`WorkerContext::budget`]):
     /// *every* phase — graph build, wire encode, the rewrite pipeline,
     /// report rendering — charges against it. `keyed` is what the
@@ -221,6 +243,7 @@ impl WorkerState {
         req: &CompileRequest,
         budget: Option<&Arc<Budget>>,
         keyed: Option<Keyed>,
+        stages: &mut Stages,
     ) -> Result<String, (u8, String)> {
         self.cx
             .counters
@@ -231,6 +254,26 @@ impl WorkerState {
         // shedding is observed behind it, `panic` exercises the
         // session-rebuild path.
         super::failpoint("serve.compile").map_err(|e| (STATUS_ERROR, e))?;
+        let (mut session, rules) = self.library(req.config);
+        stages.lap(Stage::SessionCopy);
+        let outcome = self.compile_in(&mut session, rules, req, budget, keyed, stages);
+        drop(session);
+        stages.lap(Stage::SessionDrop);
+        outcome
+    }
+
+    /// [`WorkerState::compile`] inside its session: build, key, compile,
+    /// render, store. Whatever it leaves — the graph — it drops on
+    /// return, into the session drop.
+    fn compile_in(
+        &self,
+        session: &mut Session,
+        rules: RuleSet,
+        req: &CompileRequest,
+        budget: Option<&Arc<Budget>>,
+        keyed: Option<Keyed>,
+        stages: &mut Stages,
+    ) -> Result<String, (u8, String)> {
         let over_budget = |limits: &str| {
             (
                 STATUS_DEADLINE_EXCEEDED,
@@ -244,13 +287,13 @@ impl WorkerState {
             Some(b) if !b.charge(steps) => Err(over_budget(&b.describe())),
             _ => Ok(()),
         };
-        let (mut session, rules) = self.library(req.config);
-        let Some(mut graph) = crate::build_model(&mut session, &req.model) else {
+        let Some(mut graph) = crate::build_model(session, &req.model) else {
             return Err((
                 STATUS_UNKNOWN_MODEL,
                 format!("unknown model {}; try `pypmc list-models`", req.model),
             ));
         };
+        stages.lap(Stage::ModelBuild);
         // Whole-request coverage: the graph build charges one step per
         // live node, so a deadline that expired during the build is
         // caught here instead of surviving into the match phase.
@@ -267,14 +310,14 @@ impl WorkerState {
             // Content-address the request: the canonical graph bytes
             // plus everything else that shapes the report. The policy
             // and the matcher are constants now, kept where they were
-            // as request keys so a --cache-dir written then keeps
-            // hitting; the engine version is in it so a persistent
-            // store outliving this binary (an upgraded server over an
-            // old --cache-dir) misses instead of replaying a stale
-            // report. Both encodes charge the budget — the graph codec
-            // per node, the rule-set bytes per 64-byte chunk — so key
-            // construction cannot outlive the deadline unbudgeted; an
-            // unbudgeted request still counts them, for the memo.
+            // as request keys; the engine's output epoch is in it so a
+            // persistent store outliving this binary (an upgraded
+            // server over an old --cache-dir) misses instead of
+            // replaying a report this engine would not produce. Both
+            // encodes charge the budget — the graph codec per node, the
+            // rule-set bytes per 64-byte chunk — so key construction
+            // cannot outlive the deadline unbudgeted; an unbudgeted
+            // request still counts them, for the memo.
             None if self.cx.cache.is_enabled() => {
                 let counting = Budget::new(None, Some(u64::MAX));
                 let meter: &Budget = budget.map_or(&counting, |b| b);
@@ -289,7 +332,7 @@ impl WorkerState {
                 }
                 let key = CacheKey::of(&[
                     b"pypm.serve.compile.v1",
-                    env!("CARGO_PKG_VERSION").as_bytes(),
+                    &ENGINE_OUTPUT_EPOCH.to_le_bytes(),
                     &graph_bytes,
                     &ruleset_bytes,
                     format!("{:?}", req.config).as_bytes(),
@@ -304,28 +347,29 @@ impl WorkerState {
                 // already answers, or a report a previous process left
                 // in the --cache-dir.
                 if let Some(report) = self.cx.cache.get(key) {
+                    stages.lap(Stage::CacheKey);
                     return Ok(report);
                 }
                 Some(key)
             }
             None => None,
         };
+        stages.lap(Stage::CacheKey);
         let recipe = CompileRecipe {
             policy: SweepPolicy::default(),
             matcher: MatcherBackend::default(),
             budget: budget.cloned(),
+            stages: Some(stages.clone()),
         };
-        let reports = crate::compile_batch(
-            &mut session,
-            std::slice::from_mut(&mut graph),
-            rules,
-            recipe,
-        )
-        .map_err(|e| match &e.error {
-            PassError::BudgetExceeded { limits } => over_budget(limits),
-            _ => (STATUS_ERROR, format!("rewrite pass failed: {e}")),
-        })?;
+        let reports =
+            crate::compile_batch(session, std::slice::from_mut(&mut graph), rules, recipe)
+                .map_err(|e| match &e.error {
+                    PassError::BudgetExceeded { limits } => over_budget(limits),
+                    _ => (STATUS_ERROR, format!("rewrite pass failed: {e}")),
+                })?;
+        *stages = reports[0].stages().clone();
         let report = reports[0].to_json();
+        stages.lap(Stage::Render);
         // Report rendering is the last unbudgeted edge: charge it (per
         // 64-byte chunk) so DEADLINE_EXCEEDED is a whole-request
         // guarantee, and never cache a report whose budget tripped.
@@ -333,72 +377,90 @@ impl WorkerState {
         if let Some(key) = key {
             self.cx.cache.put(key, &report);
         }
+        stages.lap(Stage::CachePut);
         Ok(report)
     }
-}
 
-/// The compile-worker loop: pull admitted jobs off the shared queue
-/// until poisoned. A panicking handler is caught and reported as
-/// [`STATUS_ERROR`]; the worker's state is rebuilt before the next job so
-/// one poisoned request can never corrupt later ones.
-///
-/// Before touching a session the worker sheds any dequeued entry whose
-/// deadline already passed while it sat in the queue: the client gets
-/// [`STATUS_DEADLINE_EXCEEDED`] without a compile ever starting, which
-/// is both cheaper and more honest than compiling a result nobody is
-/// still waiting for.
-pub(super) fn worker_loop(queue: &JobQueue, cx: WorkerContext) {
-    let mut state = WorkerState::new(cx.clone());
-    loop {
-        let entry = match queue.pop() {
-            Popped::Entry(entry) => entry,
-            Popped::Poison => return,
-        };
+    /// Answers one dequeued entry, lapping the worker's stages on the
+    /// server clock from the instant it took the entry. Before touching
+    /// a session it sheds an entry whose deadline already passed while
+    /// it sat in the queue: the client gets [`STATUS_DEADLINE_EXCEEDED`]
+    /// without a compile ever starting, which is both cheaper and more
+    /// honest than compiling a result nobody is still waiting for. A
+    /// panicking handler is caught and reported as [`STATUS_ERROR`]; the
+    /// worker's state is rebuilt so one poisoned request can never
+    /// corrupt later ones.
+    fn serve(&mut self, entry: QueueEntry) {
+        let mut stages = Stages::new(Arc::clone(&self.cx.clock));
+        let started = stages.start();
         // Queue-time shedding: expired-in-queue requests never reach a
         // session. `compiles_started` stays untouched, which is what
         // the shed tests assert on.
-        if let Some(deadline) = entry.deadline {
-            let now = cx.clock.now();
-            if now >= deadline {
-                cx.counters.shed_in_queue.fetch_add(1, Ordering::Relaxed);
-                let timeout_ms = entry
-                    .req
-                    .timeout_ms
-                    .or(cx.defaults.timeout_ms)
-                    .unwrap_or_default();
-                let queued_ms = now.saturating_duration_since(entry.admitted_at).as_millis();
-                let _ = entry.reply.send((
-                    STATUS_DEADLINE_EXCEEDED,
-                    shed_payload(timeout_ms, queued_ms),
-                ));
-                continue;
-            }
+        if entry.deadline.is_some_and(|deadline| started >= deadline) {
+            self.cx
+                .counters
+                .shed_in_queue
+                .fetch_add(1, Ordering::Relaxed);
+            let timeout_ms = entry
+                .req
+                .timeout_ms
+                .or(self.cx.defaults.timeout_ms)
+                .unwrap_or_default();
+            let queued_ms = started
+                .saturating_duration_since(entry.admitted_at)
+                .as_millis();
+            let _ = entry.reply.send(Reply {
+                status: STATUS_DEADLINE_EXCEEDED,
+                payload: shed_payload(timeout_ms, queued_ms),
+                started,
+                sent: started,
+            });
+            return;
         }
-        let started = cx.clock.now();
-        let budget = cx.budget(&entry.req, entry.deadline);
+        let budget = self.cx.budget(&entry.req, entry.deadline);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            state.compile(&entry.req, budget.as_ref(), entry.keyed)
+            self.compile(&entry.req, budget.as_ref(), entry.keyed, &mut stages)
         }));
-        let response = match outcome {
+        let sent = stages.last().unwrap_or(started);
+        let (status, payload) = match outcome {
             Ok(Ok(json)) => {
                 // Only successful compiles feed the EWMA: errors are
                 // usually fast rejections and would bias the
                 // retry-after hint toward hot spinning.
-                cx.counters
-                    .record_service(cx.clock.now().saturating_duration_since(started));
+                let service = sent.saturating_duration_since(started);
+                self.cx.counters.record_service(service);
                 (STATUS_OK, json)
             }
             Ok(Err(err)) => err,
             Err(_) => {
-                state = WorkerState::new(cx.clone());
+                *self = WorkerState::new(self.cx.clone());
                 (
                     STATUS_ERROR,
                     "request handler panicked; session rebuilt".to_owned(),
                 )
             }
         };
+        let ok = status == STATUS_OK;
         // A vanished client is its own problem.
-        let _ = entry.reply.send(response);
+        let _ = entry.reply.send(Reply {
+            status,
+            payload,
+            started,
+            sent,
+        });
+        stages.lap(Stage::ReplySend);
+        if ok {
+            self.cx.counters.stages.add(&stages);
+        }
+    }
+}
+
+/// The compile-worker loop: answer admitted jobs off the shared queue
+/// ([`WorkerState::serve`]) until poisoned.
+pub(super) fn worker_loop(queue: &JobQueue, cx: WorkerContext) {
+    let mut state = WorkerState::new(cx);
+    while let Popped::Entry(entry) = queue.pop() {
+        state.serve(entry);
     }
 }
 
@@ -445,10 +507,22 @@ mod tests {
         doc
     }
 
+    /// One compile through `state`, lapped on a recorder of its own.
+    fn compile_raw(
+        state: &mut WorkerState,
+        req: &CompileRequest,
+        budget: Option<&Arc<Budget>>,
+        keyed: Option<Keyed>,
+    ) -> Result<String, (u8, String)> {
+        let mut stages = Stages::new(Arc::clone(&state.cx.clock));
+        stages.start();
+        state.compile(req, budget, keyed, &mut stages)
+    }
+
     /// One served compile's masked reply.
     fn compile(state: &mut WorkerState, model: &str, config: &str) -> Value {
         let line = format!("compile {model} config={config}");
-        masked(&state.compile(&request(&line), None, None).expect(&line))
+        masked(&compile_raw(state, &request(&line), None, None).expect(&line))
     }
 
     /// The direct oracle for "a compile owns its stores": two passes over
@@ -499,14 +573,14 @@ mod tests {
         let counting = || Arc::new(Budget::new(None, Some(u64::MAX)));
 
         let cold = counting();
-        let first = state.compile(&req, Some(&cold), None).expect("cold");
+        let first = compile_raw(&mut state, &req, Some(&cold), None).expect("cold");
         let keyed = (state.cx.key_memo)
             .get(&req.model, req.config)
             .expect("published");
         assert!(keyed.encode_steps >= 2, "a step per node and per chunk");
         // An unbudgeted cold compile counts the same steps for the memo.
         let mut unbudgeted = WorkerState::new(context(ResultCache::in_memory(1)));
-        unbudgeted.compile(&req, None, None).expect("unbudgeted");
+        compile_raw(&mut unbudgeted, &req, None, None).expect("unbudgeted");
         assert_eq!(
             unbudgeted.cx.key_memo.get(&req.model, req.config),
             Some(keyed)
@@ -514,23 +588,19 @@ mod tests {
 
         // A second request evicts the first; the connection thread's
         // probe misses, and the key rides to the worker.
-        state
-            .compile(&request("compile vgg11"), None, None)
-            .expect("evictor");
+        compile_raw(&mut state, &request("compile vgg11"), None, None).expect("evictor");
         assert_eq!(state.cx.cache.get(keyed.key), None);
 
         // One step short of what the request costs trips with and
         // without the key: the remembered encode steps are on the bill.
         for keyed in [None, Some(keyed)] {
             let short = Arc::new(Budget::new(None, Some(cold.steps() - 1)));
-            let (status, _) = state.compile(&req, Some(&short), keyed).unwrap_err();
+            let (status, _) = compile_raw(&mut state, &req, Some(&short), keyed).unwrap_err();
             assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{keyed:?}");
         }
 
         let warm = counting();
-        let again = state
-            .compile(&req, Some(&warm), Some(keyed))
-            .expect("memoized miss");
+        let again = compile_raw(&mut state, &req, Some(&warm), Some(keyed)).expect("memoized miss");
         assert_eq!(warm.steps(), cold.steps());
         assert_eq!(masked(&again), masked(&first));
         // Three cold probes and the one made by hand: a memoized miss

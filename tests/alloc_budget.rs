@@ -11,6 +11,12 @@
 //! more than the incremental one plus a constant: a round allocates
 //! nothing.
 //!
+//! And what a served miss pays for its library rather than its graph:
+//! copying a loaded library session (what a serve worker does per
+//! request), building a fresh session, and naming a graph input — a
+//! fresh constant per input, which wrote a `format!`ed name and two
+//! owned copies of it into a map before the symbol table was flat.
+//!
 //! Where the allocations were: before the flat `TermStore`, every
 //! interned term cost a caller-side argument `Vec`, a clone of it into
 //! the dedup map and (amortised) the map's own growth — at 100 layers
@@ -28,9 +34,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use pypm::core::SymbolTable;
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{Pipeline, RewritePass, Session, SweepPolicy};
-use pypm::graph::{Graph, TermView};
+use pypm::graph::{Graph, NodeKind, TermView};
 use pypm::models::{GeluVariant, ScaleVariant, TransformerConfig};
 
 thread_local! {
@@ -91,7 +98,15 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
 /// The ladder program of `benchmark/harness/src/probes.rs` at `layers`
 /// layers, in a session that holds the `both` library.
 fn ladder_program(layers: usize) -> (Session, Graph, pypm::dsl::RuleSet) {
-    let cfg = TransformerConfig {
+    let mut s = Session::new();
+    let g = ladder(layers).build(&mut s);
+    let rules = s.load_library(LibraryConfig::both());
+    (s, g, rules)
+}
+
+/// The ladder program's model at `layers` layers.
+fn ladder(layers: usize) -> TransformerConfig {
+    TransformerConfig {
         name: "deep",
         layers,
         hidden: 48,
@@ -101,11 +116,7 @@ fn ladder_program(layers: usize) -> (Session, Graph, pypm::dsl::RuleSet) {
         gelu: GeluVariant::DivTwo,
         scale: ScaleVariant::Mul,
         opaque_layernorm: false,
-    };
-    let mut s = Session::new();
-    let g = cfg.build(&mut s);
-    let rules = s.load_library(LibraryConfig::both());
-    (s, g, rules)
+    }
 }
 
 /// What one compile allocates at `layers` layers.
@@ -229,5 +240,76 @@ fn allocations_per_node_do_not_grow_with_the_graph() {
         deep.build_per_node(),
         shallow.pass_per_node(),
         deep.pass_per_node()
+    );
+}
+
+/// A copy of a library session — what a serve worker clones per
+/// request — made 226 (`both`) and 316 (`all`) allocations while every
+/// name was a `String` twice over and every pattern was stored twice.
+/// The symbol table is now three flat buffers per name space and the
+/// pattern store a shared reference, its fused trie included.
+const SESSION_COPY: u64 = 20;
+
+/// `Session::new` made 98 with one `String` pair per declared name.
+const SESSION_NEW: u64 = 40;
+
+#[test]
+fn a_library_session_copies_in_a_handful_of_allocations() {
+    let (fresh, made) = allocations_of(Session::new);
+    eprintln!("Session::new made {made} allocations");
+    assert!(made <= SESSION_NEW, "Session::new made {made} allocations");
+    drop(fresh);
+    for cfg in [LibraryConfig::both(), LibraryConfig::all()] {
+        let mut template = Session::new();
+        let rules = template.load_library(cfg);
+        let patterns: Vec<_> = rules.patterns.iter().map(|d| d.pattern).collect();
+        template.pats.fused(&patterns);
+        let (copy, made) = allocations_of(|| template.clone());
+        eprintln!("{cfg:?}: a session copy made {made} allocations");
+        assert!(made <= SESSION_COPY, "{cfg:?}: a session copy made {made}");
+        assert_eq!(copy.syms.op_count(), template.syms.op_count());
+    }
+}
+
+/// Past its first few, a fresh constant allocates only when one of the
+/// four buffers it writes — the name arena, the end offsets, the arity
+/// list, the probe table — doubles, which each does at most once
+/// between `n` and `2n` constants.
+#[test]
+fn a_fresh_constant_allocates_only_when_a_buffer_doubles() {
+    let mut syms = SymbolTable::new();
+    let per_call: Vec<u64> = (0..10_000)
+        .map(|_| allocations_of(|| syms.fresh_const("in")).1)
+        .collect();
+    let total: u64 = per_call.iter().sum();
+    let allocating_late = per_call[5_000..].iter().filter(|&&n| n > 0).count();
+    assert!(
+        total <= 64,
+        "10 000 fresh constants made {total} allocations"
+    );
+    assert!(
+        allocating_late <= 4,
+        "{allocating_late} of the last 5 000 fresh constants allocated"
+    );
+}
+
+/// The 100-layer ladder model's build made 13 570 allocations, four of
+/// them per graph input for its fresh constant; it must stay at least
+/// one per input below that.
+const LADDER_BUILD_BEFORE: u64 = 13_570;
+
+#[test]
+fn a_model_build_names_its_inputs_without_allocating() {
+    let mut s = Session::new();
+    let (g, made) = allocations_of(|| ladder(100).build(&mut s));
+    let inputs = g
+        .topo_order()
+        .into_iter()
+        .filter(|&n| g.node(n).kind == NodeKind::Input)
+        .count() as u64;
+    eprintln!("100-layer ladder build: {made} allocations, {inputs} inputs");
+    assert!(
+        made + inputs <= LADDER_BUILD_BEFORE,
+        "the 100-layer ladder build made {made} allocations over {inputs} inputs"
     );
 }

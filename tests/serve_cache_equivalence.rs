@@ -1,9 +1,10 @@
 //! The result-cache correctness story: a cache hit must be
 //! **byte-identical** to the cold compile it replays — for every zoo
-//! model — the cache key must keep the layout an existing `--cache-dir`
-//! was written under (the retired request keys are no-ops on it, not
-//! only on the document), must survive a server restart via
-//! `--cache-dir`, and must stay invisible when disabled.
+//! model — the cache key must keep its layout (the retired request keys
+//! are no-ops on it, not only on the document) and name the engine's
+//! output epoch, so a `--cache-dir` an older engine wrote misses instead
+//! of replaying, must survive a server restart via `--cache-dir`, and
+//! must stay invisible when disabled.
 
 mod common;
 
@@ -11,10 +12,10 @@ use common::{at, compile_stats_json, mask_volatile, uint_at, zoo_names};
 use pypm::client::Client;
 use pypm::core::json::Value;
 use pypm::dsl::LibraryConfig;
-use pypm::engine::Session;
+use pypm::engine::{Session, ENGINE_OUTPUT_EPOCH};
 use pypm::serve::protocol::STATUS_OK;
 use pypm::serve::{ServeConfig, Server};
-use pypm::wire::cache::CacheKey;
+use pypm::wire::cache::{CacheKey, ResultCache};
 
 /// A one-worker server over `config`, and a client connected to it.
 fn serve(config: ServeConfig) -> (Server, Client) {
@@ -96,34 +97,59 @@ fn cache_hits_match_the_cold_cli_after_masking() {
     server.join();
 }
 
-/// The retired keys are no-ops on the cache *key*, not only on the
-/// document. The key material's layout, recomputed from the public
-/// API: schema tag, engine version, canonical graph bytes, rule-set
-/// bytes, the configuration, and the two engine names the server holds
-/// constant where `policy=` / `matcher=` used to be — which is what
-/// keeps a `--cache-dir` written by an older server hitting. And the
-/// retired keys spelled with their defaults name that same entry.
+/// The cache key's layout, recomputed from the public API: schema tag,
+/// the engine's output epoch, canonical graph bytes, rule-set bytes, the
+/// configuration, and the two engine names the server holds constant
+/// where `policy=` / `matcher=` used to be; the retired keys spelled
+/// with their defaults name that same entry. A `--cache-dir` written
+/// before the epoch existed — its keys' second part was the crate
+/// version, `0.1.0` since the first server — misses once, on purpose:
+/// its entries name an engine this one need not reproduce.
 #[test]
 fn the_cache_key_layout_still_matches_an_old_cache_dir() {
-    let (server, mut client) = serve(ServeConfig::default());
-    let cold = compile_ok(&mut client, "bert-tiny");
+    let dir = std::env::temp_dir().join(format!(
+        "pypmc_cache_epoch_{}_{:?}",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
     // What a worker does: the library into a fresh session, then the
     // model, so the symbol ids the encoders see are the worker's.
     let config = LibraryConfig::both();
     let mut session = Session::new();
     let rules = session.load_library(config);
     let graph = pypm::build_model(&mut session, "bert-tiny").unwrap();
-    let key = CacheKey::of(&[
-        b"pypm.serve.compile.v1",
-        env!("CARGO_PKG_VERSION").as_bytes(),
-        &pypm::wire::encode_graph(&graph, &session.syms),
-        &pypm::wire::encode_ruleset(&rules, &session.syms, &session.pats),
-        format!("{config:?}").as_bytes(),
-        b"incremental",
-        b"fused",
-    ]);
+    let graph_bytes = pypm::wire::encode_graph(&graph, &session.syms);
+    let ruleset_bytes = pypm::wire::encode_ruleset(&rules, &session.syms, &session.pats);
+    let key_under = |engine: &[u8]| {
+        CacheKey::of(&[
+            b"pypm.serve.compile.v1",
+            engine,
+            &graph_bytes,
+            &ruleset_bytes,
+            format!("{config:?}").as_bytes(),
+            b"incremental",
+            b"fused",
+        ])
+    };
+    let pre_epoch = key_under(b"0.1.0");
+    let key = key_under(&ENGINE_OUTPUT_EPOCH.to_le_bytes());
+    const STALE: &str = "a report an older engine stored";
+    ResultCache::persistent(4, &dir)
+        .unwrap()
+        .put(pre_epoch, STALE);
+
+    let (server, mut client) = serve(ServeConfig {
+        cache_dir: Some(dir.to_str().unwrap().to_owned()),
+        ..ServeConfig::default()
+    });
+    let cold = compile_ok(&mut client, "bert-tiny");
+    assert_ne!(cold, STALE, "the pre-epoch entry was replayed");
     let stats = cache_stats(&mut client);
     assert_eq!(common::text_at(&stats, "last_key"), key.to_hex());
+    assert_eq!(uint_at(&stats, "disk_hits"), 0, "{stats:?}");
+    assert_eq!(uint_at(&stats, "misses"), 1, "{stats:?}");
+    assert_eq!(uint_at(&stats, "stores"), 1, "{stats:?}");
 
     let keyed = "bert-tiny policy=incremental matcher=fused jobs=1";
     assert_eq!(compile_ok(&mut client, keyed), cold);
@@ -132,6 +158,7 @@ fn the_cache_key_layout_still_matches_an_old_cache_dir() {
     assert_eq!(uint_at(&stats, "misses"), 1, "{stats:?}");
     server.shutdown();
     server.join();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `--cache-dir` persistence: a second server over the same directory

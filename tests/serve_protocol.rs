@@ -408,9 +408,12 @@ fn compiles_admitted_before_shutdown_complete_with_ok() {
 
 /// `pypm.serve.stats.v1` is pinned byte-for-byte to a document captured
 /// from the `format!`-built renderer the JSON writer replaced. Under a
-/// virtual clock every field is deterministic: one compile trips its
-/// step budget before the cache is probed, then 1234 virtual
-/// milliseconds pass.
+/// virtual clock every field is deterministic: 1234 virtual
+/// milliseconds pass, then one compile trips its step budget before the
+/// cache is probed. Its connection thread's five stages are counted, at
+/// zero virtual time (the thread laps its frame write after the reply
+/// is out, so the clock must not move while the client reads it); a
+/// worker adds its own stages only for an `OK` reply.
 #[test]
 fn stats_document_is_byte_identical_to_the_pinned_golden() {
     let vclock = Arc::new(VirtualClock::new());
@@ -421,9 +424,9 @@ fn stats_document_is_byte_identical_to_the_pinned_golden() {
     })
     .unwrap();
     let mut c = Client::connect(server.addr()).unwrap();
+    vclock.advance(Duration::from_millis(1234));
     let (status, body) = c.request("compile bert-tiny step_limit=1").unwrap();
     assert_eq!(status, STATUS_DEADLINE_EXCEEDED, "{body}");
-    vclock.advance(Duration::from_millis(1234));
     let (status, body) = c.request("stats").unwrap();
     assert_eq!(status, STATUS_OK);
     assert_eq!(body, include_str!("golden/serve_stats_v1.json"));

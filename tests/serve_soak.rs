@@ -1,9 +1,9 @@
-//! A server whose Nth request costs what its first did (ROADMAP item 4):
-//! with the result cache off, so every request compiles, a worker's
-//! resident memory must be flat over zoo-wide traffic. Its own test
-//! binary, so the process measured holds this one server and nothing
-//! else. No latency is asserted — the box drifts; the benchmark owns
-//! timings.
+//! A server whose Nth request costs what its first did (a compile owns
+//! its stores): with the result cache off, so every request compiles, a
+//! worker's resident memory must be flat over zoo-wide traffic. Its own
+//! test binary, so the process measured holds this one server and
+//! nothing else. No latency is asserted — the box drifts; the benchmark
+//! owns timings.
 #![cfg(target_os = "linux")]
 
 mod common;

@@ -1,7 +1,8 @@
 //! Virtual-time tests for the serve path: exact retry-backoff
-//! sequences, queue-time load shedding, and idle reaping — all driven
-//! by a shared [`VirtualClock`] so nothing here waits on a real
-//! schedule except the deliberately-blocked worker in the shed test.
+//! sequences, queue-time load shedding, idle reaping — all driven by a
+//! shared [`VirtualClock`] so nothing here waits on a real schedule
+//! except the deliberately-blocked worker in the shed test — and the
+//! stage spine of a served miss, lapped on a clock that ticks per read.
 //!
 //! Runs as its own test binary because the shed test arms the
 //! process-global failpoint registry.
@@ -10,7 +11,7 @@ mod common;
 
 use common::uint_at;
 use pypm::client::{Client, RetryPolicy};
-use pypm::core::VirtualClock;
+use pypm::core::{TickingClock, VirtualClock};
 use pypm::serve::protocol::{
     self, parse_queued_ms, Strict, STATUS_DEADLINE_EXCEEDED, STATUS_OK, STATUS_OVERLOADED,
 };
@@ -272,6 +273,100 @@ fn idle_connections_are_reaped_by_virtual_time_not_wall_time() {
 
     let mut fresh = Client::connect(server.addr()).expect("reconnect");
     let (status, _) = fresh.request("shutdown").expect("shutdown");
+    assert_eq!(status, STATUS_OK);
+    server.join();
+}
+
+/// Clock reads one served miss makes, server-wide: the connection
+/// thread's two frame chunks, frame read, cache probe, reply wake and
+/// frame write (6); the worker's start, session copy, model build, cache
+/// key, pass setup, trie build, collection, view build, scan,
+/// validation, render, cache put, session drop and reply send (14, 15
+/// with the dev profile's post-scan collection); and a little slack for
+/// a frame that arrives in more pieces.
+const SERVED_MISS_READS: u64 = 24;
+
+/// The worker's stages of a miss, session copy through session drop:
+/// its service time.
+const SERVICE_STAGES: [&str; 12] = [
+    "session_copy",
+    "model_build",
+    "cache_key",
+    "pass_setup",
+    "trie_build",
+    "gc",
+    "view_build",
+    "scan",
+    "validate",
+    "render",
+    "cache_put",
+    "session_drop",
+];
+
+/// The connection thread's stages of a queued request.
+const CONNECTION_STAGES: [&str; 5] = [
+    "frame_read",
+    "cache_probe",
+    "queue_wait",
+    "reply_wake",
+    "frame_write",
+];
+
+/// The spine's contract on a served miss. On a clock that moves one
+/// millisecond per read, the worker's stages from the session copy to
+/// the session drop sum exactly to the service time it reports, its
+/// reply send is one tick, the connection thread's stages plus the
+/// service account for no more time than the clock moved, and the whole
+/// miss reads the clock a bounded number of times.
+#[test]
+fn a_served_miss_sums_its_stages_to_its_service_time() {
+    let _guard = suite_lock();
+    let tick = Duration::from_millis(1);
+    let clock = Arc::new(TickingClock::new(tick));
+    let server = Server::bind(ServeConfig {
+        workers: 1,
+        idle_timeout_ms: None,
+        clock: clock.clone(),
+        ..ServeConfig::default()
+    })
+    .expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let (status, _) = client.request("ping").expect("ping");
+    assert_eq!(status, STATUS_OK);
+
+    let before = clock.reads();
+    let (status, body) = client.request("compile bert-tiny").expect("compile");
+    assert_eq!(status, STATUS_OK, "{body}");
+    // The worker laps its reply send after the reply is on its way.
+    std::thread::sleep(Duration::from_millis(100));
+    let reads = clock.reads() - before;
+    eprintln!("one served miss read the clock {reads} times");
+    assert!(
+        reads <= SERVED_MISS_READS,
+        "one miss read the clock {reads} times"
+    );
+
+    let (_, stats) = client.request("stats").expect("stats");
+    let doc = common::parse(&stats);
+    let stage = |name: &str, field: &str| uint_at(&doc, &format!("stages.{name}.{field}"));
+    let service_us: u64 = SERVICE_STAGES.iter().map(|s| stage(s, "total_us")).sum();
+    assert_eq!(service_us, uint_at(&doc, "service_ewma_us"), "{stats}");
+    assert!(
+        service_us >= 11_000,
+        "one tick per worker lap at least: {stats}"
+    );
+    assert_eq!(stage("reply_send", "count"), 1, "{stats}");
+    assert_eq!(stage("reply_send", "total_us"), 1_000, "{stats}");
+    for name in SERVICE_STAGES.iter().chain(&CONNECTION_STAGES) {
+        assert!(stage(name, "count") >= 1, "{name} never lapped: {stats}");
+    }
+    let connection_us: u64 = CONNECTION_STAGES.iter().map(|s| stage(s, "total_us")).sum();
+    assert!(
+        connection_us + service_us <= reads * 1_000,
+        "the stages account for more than the clock moved: {stats}"
+    );
+
+    let (status, _) = client.request("shutdown").expect("shutdown");
     assert_eq!(status, STATUS_OK);
     server.join();
 }
