@@ -33,7 +33,6 @@
 //! [`MachineError::OutOfFuel`] when the bound is hit.
 
 use crate::attr::AttrInterp;
-use crate::guard::Guard;
 use crate::pattern::{Pattern, PatternId, PatternStore};
 use crate::subst::{FunSubst, Subst, Witness};
 use crate::symbol::Var;
@@ -41,12 +40,17 @@ use crate::term::{TermId, TermStore};
 use std::fmt;
 
 /// A continuation action `a`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Patterns are hash-consed and the machine never mutates one, so an
+/// action names the pattern syntax it came from by id instead of copying
+/// it: a saved continuation is a flat copy of ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// `match(p, t)` — match pattern `p` against term `t`.
     Match(PatternId, TermId),
-    /// `guard(g)` — check `⟦g[θ]⟧ = True`.
-    Guard(Guard),
+    /// `guard(g)` — check `⟦g[θ]⟧ = True`, where `g` is the guard of the
+    /// named `p ; guard(g)` pattern.
+    Guard(PatternId),
     /// `checkName(x)` — require `x` to be bound.
     CheckName(Var),
     /// `matchConstr(p, x)` — require `θ(x)` to match `p`.
@@ -386,8 +390,11 @@ impl<'a, A: AttrInterp + ?Sized> Machine<'a, A> {
 
         let rule = match action {
             Action::Match(p, t) => self.step_match(p, t),
-            Action::Guard(g) => {
+            Action::Guard(p) => {
                 // ST-CheckGuard-{Continue, Backtrack}
+                let Pattern::Guard(_, g) = self.pats.get(p) else {
+                    unreachable!("guard({p:?}) names a pattern without a guard")
+                };
                 if g.eval(&self.theta, self.terms, self.interp).holds() {
                     RuleName::CheckGuardContinue
                 } else {
@@ -422,9 +429,11 @@ impl<'a, A: AttrInterp + ?Sized> Machine<'a, A> {
         Some(rule)
     }
 
+    /// One `match(p, t)` step, reading `p` in place: the store is written
+    /// only by `ST-Match-Mu`'s unfolding, after the match on `p` is done.
     fn step_match(&mut self, p: PatternId, t: TermId) -> RuleName {
-        match self.pats.get(p).clone() {
-            Pattern::Var(x) => match self.theta.get(x) {
+        match self.pats.get(p) {
+            &Pattern::Var(x) => match self.theta.get(x) {
                 // ST-Match-Var-Bind
                 None => {
                     self.theta.bind(x, t);
@@ -441,7 +450,7 @@ impl<'a, A: AttrInterp + ?Sized> Machine<'a, A> {
             Pattern::App(f, pargs) => {
                 let g = self.terms.op(t);
                 let targs = self.terms.args(t);
-                if f == g && pargs.len() == targs.len() {
+                if *f == g && pargs.len() == targs.len() {
                     // ST-Match-Fun: k ← [match(p₁,t₁),…,match(pₙ,tₙ)] ++ k
                     // Head of kont is the vector end, so push in reverse.
                     self.coverage.push(t);
@@ -463,10 +472,10 @@ impl<'a, A: AttrInterp + ?Sized> Machine<'a, A> {
                     self.backtrack();
                     return RuleName::MatchFunVarConflict;
                 }
-                match self.phi.get(fv) {
+                match self.phi.get(*fv) {
                     // ST-Match-Fun-Var-Bind
                     None => {
-                        self.phi.bind(fv, g);
+                        self.phi.bind(*fv, g);
                         self.coverage.push(t);
                         for (&pi, &ti) in pargs.iter().zip(targs.iter()).rev() {
                             self.kont.push(Action::Match(pi, ti));
@@ -488,7 +497,7 @@ impl<'a, A: AttrInterp + ?Sized> Machine<'a, A> {
                     }
                 }
             }
-            Pattern::Alt(p1, p2) => {
+            &Pattern::Alt(p1, p2) => {
                 // ST-Match-Alt: push (θ, φ, match(p′,t)::k) and try p.
                 let mut saved_kont = self.kont.clone();
                 saved_kont.push(Action::Match(p2, t));
@@ -501,20 +510,20 @@ impl<'a, A: AttrInterp + ?Sized> Machine<'a, A> {
                 self.kont.push(Action::Match(p1, t));
                 RuleName::MatchAlt
             }
-            Pattern::Guard(inner, g) => {
+            &Pattern::Guard(inner, _) => {
                 // ST-Match-Guard: match(p;guard(g),t)::k ↦
                 //                 match(p,t)::guard(g)::k
-                self.kont.push(Action::Guard(g));
+                self.kont.push(Action::Guard(p));
                 self.kont.push(Action::Match(inner, t));
                 RuleName::MatchGuard
             }
-            Pattern::Exists(x, inner) => {
+            &Pattern::Exists(x, inner) => {
                 // ST-Match-Exists: k′ = checkName(x)::k; push match(p,t).
                 self.kont.push(Action::CheckName(x));
                 self.kont.push(Action::Match(inner, t));
                 RuleName::MatchExists
             }
-            Pattern::MatchConstr {
+            &Pattern::MatchConstr {
                 main,
                 constraint,
                 var,

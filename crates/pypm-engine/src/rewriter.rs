@@ -866,6 +866,8 @@ impl<'a> Driver<'a> {
             break;
         }
         stats.nodes_reindexed += view.terms_recomputed();
+        // The view's teardown is the scan's, not the validation after it.
+        drop(view);
         cx.lap(Stage::Scan);
         Ok(())
     }

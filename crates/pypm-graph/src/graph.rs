@@ -287,16 +287,21 @@ impl Graph {
                 return Err(GraphError::DeadInput { node: i });
             }
         }
-        let metas: Vec<&TensorMeta> = inputs
-            .iter()
-            .map(|&i| &self.nodes[i.index()].meta)
-            .collect();
-        let meta = registry
-            .infer(syms, op, &metas, &attrs)
-            .map_err(|e| GraphError::Shape {
-                op: syms.op_name(op).to_owned(),
-                reason: e.to_string(),
-            })?;
+        let meta_of = |i: NodeId| &self.nodes[i.index()].meta;
+        // Nearly every operator reads one or two tensors: lend those
+        // from the stack.
+        let inferred = match *inputs.as_slice() {
+            [a] => registry.infer(syms, op, &[meta_of(a)], &attrs),
+            [a, b] => registry.infer(syms, op, &[meta_of(a), meta_of(b)], &attrs),
+            _ => {
+                let metas: Vec<&TensorMeta> = inputs.iter().map(|&i| meta_of(i)).collect();
+                registry.infer(syms, op, &metas, &attrs)
+            }
+        };
+        let meta = inferred.map_err(|e| GraphError::Shape {
+            op: syms.op_name(op).to_owned(),
+            reason: e.to_string(),
+        })?;
         Ok(self.push_node(op, inputs, attrs, meta, NodeKind::Op))
     }
 

@@ -7,7 +7,7 @@
 //! Fig. 14's `PwSubgraph` pattern) and a [`ShapeRule`] used for shape
 //! inference when rewrites build replacement nodes.
 
-use crate::tensor::TensorMeta;
+use crate::tensor::{Shape, TensorMeta};
 use pypm_core::{IdMap, Symbol, SymbolTable};
 use std::fmt;
 
@@ -273,10 +273,7 @@ impl OpRegistry {
                         reason: format!("contraction mismatch {k1} vs {k2}"),
                     });
                 }
-                let mut dims: Vec<i64> = a.shape.dims()[..ra - 2].to_vec();
-                dims.push(m);
-                dims.push(n);
-                Ok(TensorMeta::new(a.dtype, dims))
+                Ok(TensorMeta::new(a.dtype, batched(a, [m, n])))
             }
             ShapeRule::MatMulNT => {
                 let (a, b) = (inputs[0], inputs[1]);
@@ -295,10 +292,7 @@ impl OpRegistry {
                         reason: format!("contraction mismatch {k1} vs {k2}"),
                     });
                 }
-                let mut dims: Vec<i64> = a.shape.dims()[..ra - 2].to_vec();
-                dims.push(m);
-                dims.push(n);
-                Ok(TensorMeta::new(a.dtype, dims))
+                Ok(TensorMeta::new(a.dtype, batched(a, [m, n])))
             }
             ShapeRule::Transpose => Ok(TensorMeta::new(
                 inputs[0].dtype,
@@ -329,7 +323,7 @@ impl OpRegistry {
                 // Same-padding model: spatial dims divide by stride.
                 Ok(TensorMeta::new(
                     x.dtype,
-                    vec![
+                    [
                         n,
                         out_c,
                         (h + stride - 1) / stride,
@@ -345,11 +339,18 @@ impl OpRegistry {
                 } else {
                     1
                 };
-                Ok(TensorMeta::new(x.dtype, vec![batch, rest]))
+                Ok(TensorMeta::new(x.dtype, [batch, rest]))
             }
             ShapeRule::Explicit => Err(ShapeError::NeedsExplicitMeta { op: name() }),
         }
     }
+}
+
+/// A rank ≥ 2 input's batch dimensions followed by `tail`, allocated
+/// once.
+fn batched(input: &TensorMeta, tail: [i64; 2]) -> Shape {
+    let dims = input.shape.dims();
+    dims[..dims.len() - 2].iter().copied().chain(tail).collect()
 }
 
 /// The standard operator set used by the model zoo and the pattern

@@ -6,6 +6,7 @@
 //! attributes are computed from.
 
 use std::fmt;
+use std::sync::{Arc, LazyLock};
 
 /// Element data types supported by the IR.
 ///
@@ -97,18 +98,34 @@ impl fmt::Display for DType {
 ///
 /// A scalar has rank 0. Extents are `i64` to line up with guard
 /// arithmetic.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct Shape(Vec<i64>);
+///
+/// The extents are shared and never change, so a clone is a reference
+/// count, not a copy: a node's metadata, the term view's side table and
+/// a rewrite's replacement all hold the same extents. Shape rules share
+/// an input's shape whenever the output equals it (a pointwise op, a
+/// broadcast against a smaller operand, a square transpose), and every
+/// rank-0 shape shares one empty list. Equality and hashing compare
+/// extents.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct Shape(Arc<[i64]>);
+
+/// The extents of every rank-0 shape.
+static SCALAR: LazyLock<Arc<[i64]>> = LazyLock::new(|| Arc::new([]));
 
 impl Shape {
     /// A scalar shape (rank 0).
     pub fn scalar() -> Self {
-        Shape(Vec::new())
+        Shape(Arc::clone(&SCALAR))
     }
 
     /// Builds a shape from dimension extents.
-    pub fn new(dims: impl Into<Vec<i64>>) -> Self {
-        Shape(dims.into())
+    pub fn new(dims: impl AsRef<[i64]>) -> Self {
+        let dims = dims.as_ref();
+        if dims.is_empty() {
+            Shape::scalar()
+        } else {
+            Shape(dims.into())
+        }
     }
 
     /// The rank (number of dimensions).
@@ -141,7 +158,8 @@ impl Shape {
             .all(|(&a, &b)| a == b || a == 1 || b == 1)
     }
 
-    /// The broadcast of two compatible shapes.
+    /// The broadcast of two compatible shapes: an input's own shape when
+    /// the result equals it.
     ///
     /// Returns `None` when the shapes are incompatible.
     pub fn broadcast(&self, other: &Shape) -> Option<Shape> {
@@ -149,32 +167,49 @@ impl Shape {
             return None;
         }
         let rank = self.rank().max(other.rank());
-        let mut dims = vec![1i64; rank];
-        for (i, d) in dims.iter_mut().enumerate() {
-            let a = if i + self.rank() >= rank {
-                self.0[i + self.rank() - rank]
-            } else {
-                1
-            };
-            let b = if i + other.rank() >= rank {
-                other.0[i + other.rank() - rank]
-            } else {
-                1
-            };
-            *d = a.max(b);
+        // Extent `i` of `s` right-aligned to `rank`, 1 where `s` has none.
+        let extent = |s: &Shape, i: usize| (i + s.rank()).checked_sub(rank).map_or(1, |at| s.0[at]);
+        let dim = |i: usize| extent(self, i).max(extent(other, i));
+        for input in [self, other] {
+            if input.rank() == rank && (0..rank).all(|i| dim(i) == input.0[i]) {
+                return Some(input.clone());
+            }
         }
-        Some(Shape(dims))
+        Some((0..rank).map(dim).collect())
     }
 
     /// The transpose of a rank ≥ 2 shape (last two dims swapped); lower
-    /// ranks are returned unchanged (transpose of a vector/scalar).
+    /// ranks, and shapes whose last two dims are equal, are returned
+    /// unchanged.
     pub fn transposed(&self) -> Shape {
-        let mut dims = self.0.clone();
-        let n = dims.len();
-        if n >= 2 {
-            dims.swap(n - 2, n - 1);
+        let n = self.rank();
+        if n < 2 || self.0[n - 2] == self.0[n - 1] {
+            return self.clone();
         }
-        Shape(dims)
+        let d = self.dims();
+        d[..n - 2]
+            .iter()
+            .copied()
+            .chain([d[n - 1], d[n - 2]])
+            .collect()
+    }
+}
+
+impl Default for Shape {
+    fn default() -> Self {
+        Shape::scalar()
+    }
+}
+
+impl FromIterator<i64> for Shape {
+    /// Collects extents, allocating once for an exact-size iterator.
+    fn from_iter<I: IntoIterator<Item = i64>>(dims: I) -> Self {
+        let dims: Arc<[i64]> = dims.into_iter().collect();
+        if dims.is_empty() {
+            Shape::scalar()
+        } else {
+            Shape(dims)
+        }
     }
 }
 
@@ -193,13 +228,19 @@ impl fmt::Display for Shape {
 
 impl From<Vec<i64>> for Shape {
     fn from(dims: Vec<i64>) -> Self {
-        Shape(dims)
+        Shape::new(dims)
     }
 }
 
 impl From<&[i64]> for Shape {
     fn from(dims: &[i64]) -> Self {
-        Shape(dims.to_vec())
+        Shape::new(dims)
+    }
+}
+
+impl<const N: usize> From<[i64; N]> for Shape {
+    fn from(dims: [i64; N]) -> Self {
+        Shape::new(dims)
     }
 }
 
@@ -302,6 +343,21 @@ mod tests {
             Shape::scalar().broadcast(&Shape::new(vec![7])),
             Some(Shape::new(vec![7]))
         );
+    }
+
+    #[test]
+    fn a_result_equal_to_an_input_shares_its_extents() {
+        let shares = |a: &Shape, b: &Shape| Arc::ptr_eq(&a.0, &b.0);
+        let (wide, row) = (Shape::new([4, 8]), Shape::new([1, 8]));
+        assert!(shares(&wide.broadcast(&row).unwrap(), &wide));
+        assert!(shares(&row.broadcast(&wide).unwrap(), &wide));
+        let mixed = Shape::new([4, 1]).broadcast(&row).unwrap();
+        assert_eq!(mixed, wide);
+        assert!(!shares(&mixed, &wide));
+        let square = Shape::new([2, 3, 3]);
+        assert!(shares(&square.transposed(), &square));
+        assert!(shares(&Shape::new(Vec::new()), &Shape::scalar()));
+        assert!(shares(&Shape::default(), &Shape::scalar()));
     }
 
     #[test]

@@ -267,6 +267,9 @@ pub struct TermView {
     /// Where [`TermView::term_for`] gathers a node's argument terms
     /// before lending them to [`TermStore::app`].
     args: Vec<TermId>,
+    /// The depth-first stack of [`TermView::term_of_repaired`], empty
+    /// between calls.
+    repair_stack: Vec<NodeId>,
     /// The value-specialized symbol of every attribute-carrying
     /// constant met so far, by operator and then attribute list, so
     /// that only the first meeting spells the name out. The outer key
@@ -297,6 +300,7 @@ impl TermView {
             stale: vec![false; graph.allocated_count()],
             recomputed: 0,
             args: Vec::new(),
+            repair_stack: Vec::new(),
             consts: IdMap::default(),
         };
         for n in graph.topo_order() {
@@ -405,7 +409,8 @@ impl TermView {
         // ids carry no topological order we could lean on. A node is
         // pushed once per stale path to it and repaired the first time
         // it surfaces with clean inputs.
-        let mut stack = vec![n];
+        let mut stack = std::mem::take(&mut self.repair_stack);
+        stack.push(n);
         while let Some(&top) = stack.last() {
             let below = stack.len();
             stack.extend(graph.node(top).inputs.iter().filter(|i| self.is_stale(**i)));
@@ -421,6 +426,8 @@ impl TermView {
             self.recomputed += 1;
             self.record(graph, registry, top, term);
         }
+        // Drained; keep the allocation for the next repair.
+        self.repair_stack = stack;
         self.term_of(n)
     }
 

@@ -70,7 +70,7 @@ impl TransformerConfig {
         let h = self.hidden;
         let x0 = g.input(
             &mut session.syms,
-            TensorMeta::new(dtype, vec![self.batch, self.seq, h]),
+            TensorMeta::new(dtype, [self.batch, self.seq, h]),
         );
         let mut x = x0;
         for _ in 0..self.layers {
@@ -173,7 +173,7 @@ impl TransformerConfig {
 }
 
 fn weight(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
-    g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.to_vec()))
+    g.input(&mut s.syms, TensorMeta::new(DType::F32, dims))
 }
 
 fn const_scalar(s: &mut Session, g: &mut Graph, milli: i64) -> NodeId {

@@ -65,7 +65,7 @@ impl VisionConfig {
         let mut g = Graph::new();
         let mut x = g.input(
             &mut session.syms,
-            TensorMeta::new(DType::F32, vec![1, 3, self.resolution, self.resolution]),
+            TensorMeta::new(DType::F32, [1, 3, self.resolution, self.resolution]),
         );
         let mut in_c = 3;
         for stage in &self.stages {
@@ -151,7 +151,7 @@ fn pool(s: &mut Session, g: &mut Graph, x: NodeId, opaque: bool) -> NodeId {
 }
 
 fn weight(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
-    g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.to_vec()))
+    g.input(&mut s.syms, TensorMeta::new(DType::F32, dims))
 }
 
 fn op(s: &mut Session, g: &mut Graph, sym: pypm_core::Symbol, inputs: Vec<NodeId>) -> NodeId {

@@ -167,6 +167,8 @@ pub(crate) fn decode_section_budgeted(
     // any allocation.
     let node_count = r.count(10, "node count")?;
     let mut ids: Vec<NodeId> = Vec::with_capacity(node_count);
+    // A node's extents, read here and copied once into its shape.
+    let mut dims: Vec<i64> = Vec::new();
     for index in 0..node_count {
         charge_node(budget)?;
         let kind = r.u8()?;
@@ -214,11 +216,11 @@ pub(crate) fn decode_section_budgeted(
         let dtype = DType::from_code(i64::from(r.u8()?))
             .ok_or(WireError::Malformed { what: "dtype code" })?;
         let rank = r.count(8, "rank")?;
-        let mut dims = Vec::with_capacity(rank);
+        dims.clear();
         for _ in 0..rank {
             dims.push(r.i64()?);
         }
-        let meta = TensorMeta::new(dtype, dims);
+        let meta = TensorMeta::new(dtype, dims.as_slice());
         let id = match kind {
             KIND_INPUT => {
                 if !inputs.is_empty() {

@@ -1,8 +1,9 @@
 //! Virtual-time tests for the serve path: exact retry-backoff
 //! sequences, queue-time load shedding, idle reaping — all driven by a
-//! shared [`VirtualClock`] so nothing here waits on a real schedule
-//! except the deliberately-blocked worker in the shed test — and the
-//! stage spine of a served miss, lapped on a clock that ticks per read.
+//! shared [`VirtualClock`] so nothing here waits on a real schedule (the
+//! shed test's blocked worker waits on a gate the test opens, not on a
+//! sleep) — and the stage spine of a served miss, lapped on a clock that
+//! ticks per read.
 //!
 //! Runs as its own test binary because the shed test arms the
 //! process-global failpoint registry.
@@ -11,21 +12,51 @@ mod common;
 
 use common::uint_at;
 use pypm::client::{Client, RetryPolicy};
-use pypm::core::{TickingClock, VirtualClock};
+use pypm::core::{Clock, TickingClock, VirtualClock};
 use pypm::serve::protocol::{
     self, parse_queued_ms, Strict, STATUS_DEADLINE_EXCEEDED, STATUS_OK, STATUS_OVERLOADED,
 };
 use pypm::serve::{ServeConfig, Server};
 use std::net::{SocketAddr, TcpListener};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Serializes the suite: the failpoint registry and fault clock are
 /// process-global.
 fn suite_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// A fault clock whose `sleep` blocks, whatever its duration, until the
+/// test calls [`Gate::open`]: a `delay:` failpoint routed onto it holds
+/// its thread for exactly as long as the test needs, not for a stretch of
+/// wall time the test thread might outrun or fall behind.
+#[derive(Debug, Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn open(&self) {
+        *self.open.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.opened.notify_all();
+    }
+}
+
+impl Clock for Gate {
+    fn now(&self) -> Instant {
+        Instant::now()
+    }
+
+    fn sleep(&self, _: Duration) {
+        let open = self.open.lock().unwrap_or_else(PoisonError::into_inner);
+        let _open = self
+            .opened
+            .wait_while(open, |open| !*open)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
 }
 
 /// A protocol stub that answers every request with `OVERLOADED` and a
@@ -179,9 +210,12 @@ fn a_request_expiring_in_queue_is_shed_without_touching_a_session() {
     .expect("bind");
     let addr = server.addr();
 
-    // Block the only worker for real wall time: `serve.compile` sleeps
-    // on the system clock here (no fault clock registered), so request
-    // A pins the worker while B expires behind it in virtual time.
+    // Block the only worker until the test says so: `serve.compile`'s
+    // delay sleeps on a gate that opens only after B has expired, so
+    // request A pins the worker while B expires behind it in virtual
+    // time, however slowly this thread runs.
+    let gate = Arc::new(Gate::default());
+    pypm::faults::set_clock(gate.clone());
     pypm::faults::arm("serve.compile=delay:1500*1").expect("spec");
 
     let a = std::thread::spawn(move || {
@@ -211,6 +245,7 @@ fn a_request_expiring_in_queue_is_shed_without_touching_a_session() {
     // virtual clock; ten virtual seconds blow straight through it while
     // A's compile still owns the worker.
     vclock.advance(Duration::from_secs(10));
+    gate.open();
 
     let (a_status, a_body) = a.join().expect("A thread");
     assert_eq!(
@@ -236,6 +271,7 @@ fn a_request_expiring_in_queue_is_shed_without_touching_a_session() {
     assert_eq!(uint_at(&doc, "deadline_exceeded"), 1, "{stats}");
 
     pypm::faults::disarm();
+    pypm::faults::reset_clock();
     let (status, _) = stats_client.request("shutdown").expect("shutdown");
     assert_eq!(status, STATUS_OK);
     server.join();
@@ -315,9 +351,14 @@ const CONNECTION_STAGES: [&str; 5] = [
 /// The spine's contract on a served miss. On a clock that moves one
 /// millisecond per read, the worker's stages from the session copy to
 /// the session drop sum exactly to the service time it reports, its
-/// reply send is one tick, the connection thread's stages plus the
-/// service account for no more time than the clock moved, and the whole
-/// miss reads the clock a bounded number of times.
+/// reply send is at least one tick, the connection thread's stages plus
+/// the service — and the worker's own timeline, reply send included —
+/// account for no more time than the clock moved, and the whole miss
+/// reads the clock a bounded number of times.
+///
+/// The reply send is not exactly one tick: once the reply is in the
+/// channel the connection thread may wake and lap its reply wake and
+/// frame write on the same clock before the worker reads it.
 #[test]
 fn a_served_miss_sums_its_stages_to_its_service_time() {
     let _guard = suite_lock();
@@ -356,7 +397,8 @@ fn a_served_miss_sums_its_stages_to_its_service_time() {
         "one tick per worker lap at least: {stats}"
     );
     assert_eq!(stage("reply_send", "count"), 1, "{stats}");
-    assert_eq!(stage("reply_send", "total_us"), 1_000, "{stats}");
+    let reply_send_us = stage("reply_send", "total_us");
+    assert!(reply_send_us >= 1_000, "{stats}");
     for name in SERVICE_STAGES.iter().chain(&CONNECTION_STAGES) {
         assert!(stage(name, "count") >= 1, "{name} never lapped: {stats}");
     }
@@ -364,6 +406,10 @@ fn a_served_miss_sums_its_stages_to_its_service_time() {
     assert!(
         connection_us + service_us <= reads * 1_000,
         "the stages account for more than the clock moved: {stats}"
+    );
+    assert!(
+        service_us + reply_send_us <= reads * 1_000,
+        "the worker's stages account for more than the clock moved: {stats}"
     );
 
     let (status, _) = client.request("shutdown").expect("shutdown");
