@@ -67,6 +67,7 @@ pub mod analysis;
 pub mod attr;
 pub mod budget;
 pub mod clock;
+pub mod codec;
 pub mod declarative;
 pub mod fused;
 pub mod guard;

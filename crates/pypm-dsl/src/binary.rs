@@ -24,7 +24,7 @@
 //! ```
 
 use crate::ruleset::{PatternDef, Rhs, RuleDef, RuleSet};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use pypm_core::codec::{Cursor, Put, ReadError};
 use pypm_core::{Expr, Guard, Pattern, PatternId, PatternStore, SymbolTable};
 use std::fmt;
 
@@ -98,9 +98,8 @@ impl std::error::Error for BinError {}
 // ---------------------------------------------------------------------
 
 /// Serializes a rule set to the binary format.
-pub fn encode(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(MAGIC);
+pub fn encode(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Vec<u8> {
+    let mut buf = MAGIC.to_vec();
 
     // Operator table: every op any pattern or rhs mentions.
     let mut ops: std::collections::BTreeMap<String, usize> = Default::default();
@@ -112,30 +111,30 @@ pub fn encode(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Bytes {
     }
     buf.put_u32_le(ops.len() as u32);
     for (name, arity) in &ops {
-        put_str(&mut buf, name);
+        buf.put_str(name);
         buf.put_u32_le(*arity as u32);
     }
 
     buf.put_u32_le(rs.patterns.len() as u32);
     for def in &rs.patterns {
-        put_str(&mut buf, &def.name);
+        buf.put_str(&def.name);
         buf.put_u32_le(def.params.len() as u32);
         for &p in &def.params {
-            put_str(&mut buf, syms.var_name(p));
+            buf.put_str(syms.var_name(p));
         }
         buf.put_u32_le(def.fun_params.len() as u32);
         for &fp in &def.fun_params {
-            put_str(&mut buf, syms.fun_var_name(fp));
+            buf.put_str(syms.fun_var_name(fp));
         }
         put_pattern(&mut buf, syms, pats, def.pattern);
         buf.put_u32_le(def.rules.len() as u32);
         for rule in &def.rules {
-            put_str(&mut buf, &rule.name);
+            buf.put_str(&rule.name);
             put_guard(&mut buf, syms, &rule.guard);
             put_rhs(&mut buf, syms, &rule.rhs);
         }
     }
-    buf.freeze()
+    buf
 }
 
 fn collect_ops(
@@ -195,20 +194,15 @@ fn collect_rhs_ops(
     }
 }
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn put_pattern(buf: &mut BytesMut, syms: &SymbolTable, pats: &PatternStore, p: PatternId) {
+fn put_pattern(buf: &mut Vec<u8>, syms: &SymbolTable, pats: &PatternStore, p: PatternId) {
     match pats.get(p) {
         Pattern::Var(x) => {
             buf.put_u8(0);
-            put_str(buf, syms.var_name(*x));
+            buf.put_str(syms.var_name(*x));
         }
         Pattern::App(f, args) => {
             buf.put_u8(1);
-            put_str(buf, syms.op_name(*f));
+            buf.put_str(syms.op_name(*f));
             buf.put_u32_le(args.len() as u32);
             for &a in args {
                 put_pattern(buf, syms, pats, a);
@@ -216,7 +210,7 @@ fn put_pattern(buf: &mut BytesMut, syms: &SymbolTable, pats: &PatternStore, p: P
         }
         Pattern::FunApp(fv, args) => {
             buf.put_u8(2);
-            put_str(buf, syms.fun_var_name(*fv));
+            buf.put_str(syms.fun_var_name(*fv));
             buf.put_u32_le(args.len() as u32);
             for &a in args {
                 put_pattern(buf, syms, pats, a);
@@ -234,7 +228,7 @@ fn put_pattern(buf: &mut BytesMut, syms: &SymbolTable, pats: &PatternStore, p: P
         }
         Pattern::Exists(x, inner) => {
             buf.put_u8(5);
-            put_str(buf, syms.var_name(*x));
+            buf.put_str(syms.var_name(*x));
             put_pattern(buf, syms, pats, *inner);
         }
         Pattern::MatchConstr {
@@ -245,7 +239,7 @@ fn put_pattern(buf: &mut BytesMut, syms: &SymbolTable, pats: &PatternStore, p: P
             buf.put_u8(6);
             put_pattern(buf, syms, pats, *main);
             put_pattern(buf, syms, pats, *constraint);
-            put_str(buf, syms.var_name(*var));
+            buf.put_str(syms.var_name(*var));
         }
         Pattern::Mu {
             name,
@@ -254,29 +248,29 @@ fn put_pattern(buf: &mut BytesMut, syms: &SymbolTable, pats: &PatternStore, p: P
             body,
         } => {
             buf.put_u8(7);
-            put_str(buf, syms.pat_name_text(*name));
+            buf.put_str(syms.pat_name_text(*name));
             buf.put_u32_le(params.len() as u32);
             for &x in params {
-                put_str(buf, syms.var_name(x));
+                buf.put_str(syms.var_name(x));
             }
             buf.put_u32_le(args.len() as u32);
             for &y in args {
-                put_str(buf, syms.var_name(y));
+                buf.put_str(syms.var_name(y));
             }
             put_pattern(buf, syms, pats, *body);
         }
         Pattern::Call(name, args) => {
             buf.put_u8(8);
-            put_str(buf, syms.pat_name_text(*name));
+            buf.put_str(syms.pat_name_text(*name));
             buf.put_u32_le(args.len() as u32);
             for &y in args {
-                put_str(buf, syms.var_name(y));
+                buf.put_str(syms.var_name(y));
             }
         }
     }
 }
 
-fn put_guard(buf: &mut BytesMut, syms: &SymbolTable, g: &Guard) {
+fn put_guard(buf: &mut Vec<u8>, syms: &SymbolTable, g: &Guard) {
     match g {
         Guard::Eq(l, r) => {
             buf.put_u8(0);
@@ -305,7 +299,7 @@ fn put_guard(buf: &mut BytesMut, syms: &SymbolTable, g: &Guard) {
     }
 }
 
-fn put_expr(buf: &mut BytesMut, syms: &SymbolTable, e: &Expr) {
+fn put_expr(buf: &mut Vec<u8>, syms: &SymbolTable, e: &Expr) {
     match e {
         Expr::Const(n) => {
             buf.put_u8(0);
@@ -313,8 +307,8 @@ fn put_expr(buf: &mut BytesMut, syms: &SymbolTable, e: &Expr) {
         }
         Expr::VarAttr(x, a) => {
             buf.put_u8(1);
-            put_str(buf, syms.var_name(*x));
-            put_str(buf, syms.attr_name(*a));
+            buf.put_str(syms.var_name(*x));
+            buf.put_str(syms.attr_name(*a));
         }
         Expr::Add(l, r) => {
             buf.put_u8(2);
@@ -337,28 +331,28 @@ fn put_expr(buf: &mut BytesMut, syms: &SymbolTable, e: &Expr) {
     }
 }
 
-fn put_rhs(buf: &mut BytesMut, syms: &SymbolTable, rhs: &Rhs) {
+fn put_rhs(buf: &mut Vec<u8>, syms: &SymbolTable, rhs: &Rhs) {
     match rhs {
         Rhs::Var(x) => {
             buf.put_u8(0);
-            put_str(buf, syms.var_name(*x));
+            buf.put_str(syms.var_name(*x));
         }
         Rhs::App { op, args, attrs } => {
             buf.put_u8(1);
-            put_str(buf, syms.op_name(*op));
+            buf.put_str(syms.op_name(*op));
             buf.put_u32_le(args.len() as u32);
             for a in args {
                 put_rhs(buf, syms, a);
             }
             buf.put_u32_le(attrs.len() as u32);
             for (a, v) in attrs {
-                put_str(buf, syms.attr_name(*a));
+                buf.put_str(syms.attr_name(*a));
                 buf.put_i64_le(*v);
             }
         }
         Rhs::FunApp(fv, args) => {
             buf.put_u8(2);
-            put_str(buf, syms.fun_var_name(*fv));
+            buf.put_str(syms.fun_var_name(*fv));
             buf.put_u32_le(args.len() as u32);
             for a in args {
                 put_rhs(buf, syms, a);
@@ -375,22 +369,23 @@ fn put_rhs(buf: &mut BytesMut, syms: &SymbolTable, rhs: &Rhs) {
 ///
 /// # Errors
 ///
-/// See [`BinError`].
+/// See [`BinError`]. Bytes left over after the last pattern are
+/// [`BinError::Malformed`]: a rule set is the whole input.
 pub fn decode(
-    mut data: Bytes,
+    data: &[u8],
     syms: &mut SymbolTable,
     pats: &mut PatternStore,
 ) -> Result<RuleSet, BinError> {
-    if data.remaining() < MAGIC.len() || &data.chunk()[..MAGIC.len()] != MAGIC {
-        return Err(BinError::BadMagic);
-    }
-    data.advance(MAGIC.len());
+    let body = data
+        .strip_prefix(MAGIC.as_slice())
+        .ok_or(BinError::BadMagic)?;
+    let r = &mut Cursor::new(body);
 
-    let op_count = get_count(&mut data)?;
+    let op_count = r.count(1)?;
     for _ in 0..op_count {
-        let name = get_str(&mut data)?;
-        let arity = get_u32(&mut data)? as usize;
-        match syms.find_op(&name) {
+        let name = r.str()?;
+        let arity = r.u32()? as usize;
+        match syms.find_op(name) {
             Some(existing) if syms.arity(existing) != arity => {
                 return Err(BinError::Inconsistent {
                     what: format!(
@@ -401,34 +396,32 @@ pub fn decode(
             }
             Some(_) => {}
             None => {
-                syms.op(&name, arity);
+                syms.op(name, arity);
             }
         }
     }
 
-    let pat_count = get_count(&mut data)?;
+    let pat_count = r.count(1)?;
     let mut rs = RuleSet::new();
     for _ in 0..pat_count {
-        let name = get_str(&mut data)?;
-        let n_params = get_count(&mut data)?;
+        let name = r.str()?.to_owned();
+        let n_params = r.count(1)?;
         let mut params = Vec::with_capacity(n_params);
         for _ in 0..n_params {
-            let pn = get_str(&mut data)?;
-            params.push(syms.var(&pn));
+            params.push(syms.var(r.str()?));
         }
-        let n_fparams = get_count(&mut data)?;
+        let n_fparams = r.count(1)?;
         let mut fun_params = Vec::with_capacity(n_fparams);
         for _ in 0..n_fparams {
-            let fp = get_str(&mut data)?;
-            fun_params.push(syms.fun_var(&fp));
+            fun_params.push(syms.fun_var(r.str()?));
         }
-        let pattern = get_pattern(&mut data, syms, pats, 0)?;
-        let n_rules = get_count(&mut data)?;
+        let pattern = get_pattern(r, syms, pats, 0)?;
+        let n_rules = r.count(1)?;
         let mut rules = Vec::with_capacity(n_rules);
         for _ in 0..n_rules {
-            let rname = get_str(&mut data)?;
-            let guard = get_guard(&mut data, syms, 0)?;
-            let rhs = get_rhs(&mut data, syms, 0)?;
+            let rname = r.str()?.to_owned();
+            let guard = get_guard(r, syms, 0)?;
+            let rhs = get_rhs(r, syms, 0)?;
             rules.push(RuleDef {
                 name: rname,
                 guard,
@@ -443,27 +436,25 @@ pub fn decode(
             rules,
         });
     }
+    if !r.rest().is_empty() {
+        return Err(BinError::Malformed {
+            what: "trailing bytes after the rule set",
+        });
+    }
     Ok(rs)
 }
 
-fn get_u32(data: &mut Bytes) -> Result<u32, BinError> {
-    if data.remaining() < 4 {
-        return Err(BinError::Truncated);
+/// Every element a count here introduces occupies at least one byte, so
+/// a count past the bytes left is provably truncated (or a corrupted
+/// length field): [`Cursor::count`] refuses it before any
+/// `Vec::with_capacity`, and this format calls that `Truncated`.
+impl From<ReadError> for BinError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated | ReadError::CountTooLarge => BinError::Truncated,
+            ReadError::BadString => BinError::BadString,
+        }
     }
-    Ok(data.get_u32_le())
-}
-
-/// Reads an element count and validates it against the bytes actually
-/// left: every encodable element occupies at least one byte, so a count
-/// exceeding `data.remaining()` is provably truncated (or a corrupted
-/// length field). Checking *before* `Vec::with_capacity` keeps a
-/// byte-flipped count from requesting a multi-gigabyte allocation.
-fn get_count(data: &mut Bytes) -> Result<usize, BinError> {
-    let n = get_u32(data)? as usize;
-    if n > data.remaining() {
-        return Err(BinError::Truncated);
-    }
-    Ok(n)
 }
 
 /// Bumps the recursion depth, rejecting trees deeper than
@@ -475,103 +466,81 @@ fn descend(depth: u32, what: &'static str) -> Result<u32, BinError> {
     Ok(depth + 1)
 }
 
-fn get_i64(data: &mut Bytes) -> Result<i64, BinError> {
-    if data.remaining() < 8 {
-        return Err(BinError::Truncated);
-    }
-    Ok(data.get_i64_le())
-}
-
-fn get_u8(data: &mut Bytes) -> Result<u8, BinError> {
-    if data.remaining() < 1 {
-        return Err(BinError::Truncated);
-    }
-    Ok(data.get_u8())
-}
-
-fn get_str(data: &mut Bytes) -> Result<String, BinError> {
-    let len = get_u32(data)? as usize;
-    if data.remaining() < len {
-        return Err(BinError::Truncated);
-    }
-    let s = String::from_utf8(data.chunk()[..len].to_vec()).map_err(|_| BinError::BadString)?;
-    data.advance(len);
-    Ok(s)
-}
-
 fn get_pattern(
-    data: &mut Bytes,
+    r: &mut Cursor<'_>,
     syms: &mut SymbolTable,
     pats: &mut PatternStore,
     depth: u32,
 ) -> Result<PatternId, BinError> {
     let depth = descend(depth, "pattern")?;
-    let tag = get_u8(data)?;
+    let tag = r.u8()?;
     Ok(match tag {
         0 => {
-            let x = get_str(data)?;
-            let v = syms.var(&x);
+            let x = r.str()?;
+            let v = syms.var(x);
             pats.var(v)
         }
         1 => {
-            let name = get_str(data)?;
-            let n = get_count(data)?;
+            let name = r.str()?;
+            let n = r.count(1)?;
             let mut args = Vec::with_capacity(n);
             for _ in 0..n {
-                args.push(get_pattern(data, syms, pats, depth)?);
+                args.push(get_pattern(r, syms, pats, depth)?);
             }
-            let op = syms.find_op(&name).ok_or(BinError::UnknownOp { name })?;
+            let op = syms.find_op(name).ok_or_else(|| BinError::UnknownOp {
+                name: name.to_owned(),
+            })?;
             pats.app(op, args)
         }
         2 => {
-            let name = get_str(data)?;
-            let fv = syms.fun_var(&name);
-            let n = get_count(data)?;
+            let name = r.str()?;
+            let fv = syms.fun_var(name);
+            let n = r.count(1)?;
             let mut args = Vec::with_capacity(n);
             for _ in 0..n {
-                args.push(get_pattern(data, syms, pats, depth)?);
+                args.push(get_pattern(r, syms, pats, depth)?);
             }
             pats.fun_app(fv, args)
         }
         3 => {
-            let l = get_pattern(data, syms, pats, depth)?;
-            let r = get_pattern(data, syms, pats, depth)?;
-            pats.alt(l, r)
+            let left = get_pattern(r, syms, pats, depth)?;
+            let right = get_pattern(r, syms, pats, depth)?;
+            pats.alt(left, right)
         }
         4 => {
-            let inner = get_pattern(data, syms, pats, depth)?;
-            let g = get_guard(data, syms, depth)?;
+            let inner = get_pattern(r, syms, pats, depth)?;
+            let g = get_guard(r, syms, depth)?;
             pats.guarded(inner, g)
         }
         5 => {
-            let x = get_str(data)?;
-            let v = syms.var(&x);
-            let inner = get_pattern(data, syms, pats, depth)?;
+            let x = r.str()?;
+            let v = syms.var(x);
+            let inner = get_pattern(r, syms, pats, depth)?;
             pats.exists(v, inner)
         }
         6 => {
-            let main = get_pattern(data, syms, pats, depth)?;
-            let constraint = get_pattern(data, syms, pats, depth)?;
-            let x = get_str(data)?;
-            let v = syms.var(&x);
+            let main = get_pattern(r, syms, pats, depth)?;
+            let constraint = get_pattern(r, syms, pats, depth)?;
+            let x = r.str()?;
+            let v = syms.var(x);
             pats.match_constr(main, constraint, v)
         }
         7 => {
-            let name = get_str(data)?;
-            let pn = syms.pat_name(&name);
-            let n = get_count(data)?;
+            let name = r.str()?;
+            let pn = syms.pat_name(name);
+            let n = r.count(1)?;
             let mut params = Vec::with_capacity(n);
             for _ in 0..n {
-                let s = get_str(data)?;
-                params.push(syms.var(&s));
+                let s = r.str()?;
+                params.push(syms.var(s));
             }
-            let n = get_count(data)?;
+            let n = r.count(1)?;
             let mut args = Vec::with_capacity(n);
             for _ in 0..n {
-                let s = get_str(data)?;
-                args.push(syms.var(&s));
+                let s = r.str()?;
+                args.push(syms.var(s));
             }
-            let body = get_pattern(data, syms, pats, depth)?;
+            let body = get_pattern(r, syms, pats, depth)?;
             if params.len() != args.len() {
                 return Err(BinError::Inconsistent {
                     what: format!(
@@ -585,13 +554,13 @@ fn get_pattern(
             pats.mu(pn, params, args, body)
         }
         8 => {
-            let name = get_str(data)?;
-            let pn = syms.pat_name(&name);
-            let n = get_count(data)?;
+            let name = r.str()?;
+            let pn = syms.pat_name(name);
+            let n = r.count(1)?;
             let mut args = Vec::with_capacity(n);
             for _ in 0..n {
-                let s = get_str(data)?;
-                args.push(syms.var(&s));
+                let s = r.str()?;
+                args.push(syms.var(s));
             }
             pats.call(pn, args)
         }
@@ -608,77 +577,77 @@ fn get_owned_name(syms: &SymbolTable, pn: pypm_core::PatName) -> String {
     syms.pat_name_text(pn).to_owned()
 }
 
-fn get_guard(data: &mut Bytes, syms: &mut SymbolTable, depth: u32) -> Result<Guard, BinError> {
+fn get_guard(r: &mut Cursor<'_>, syms: &mut SymbolTable, depth: u32) -> Result<Guard, BinError> {
     let depth = descend(depth, "guard")?;
-    let tag = get_u8(data)?;
+    let tag = r.u8()?;
     Ok(match tag {
-        0 => Guard::Eq(get_expr(data, syms, depth)?, get_expr(data, syms, depth)?),
-        1 => Guard::Lt(get_expr(data, syms, depth)?, get_expr(data, syms, depth)?),
+        0 => Guard::Eq(get_expr(r, syms, depth)?, get_expr(r, syms, depth)?),
+        1 => Guard::Lt(get_expr(r, syms, depth)?, get_expr(r, syms, depth)?),
         2 => Guard::And(
-            Box::new(get_guard(data, syms, depth)?),
-            Box::new(get_guard(data, syms, depth)?),
+            Box::new(get_guard(r, syms, depth)?),
+            Box::new(get_guard(r, syms, depth)?),
         ),
         3 => Guard::Or(
-            Box::new(get_guard(data, syms, depth)?),
-            Box::new(get_guard(data, syms, depth)?),
+            Box::new(get_guard(r, syms, depth)?),
+            Box::new(get_guard(r, syms, depth)?),
         ),
-        4 => Guard::Not(Box::new(get_guard(data, syms, depth)?)),
+        4 => Guard::Not(Box::new(get_guard(r, syms, depth)?)),
         tag => return Err(BinError::BadTag { what: "guard", tag }),
     })
 }
 
-fn get_expr(data: &mut Bytes, syms: &mut SymbolTable, depth: u32) -> Result<Expr, BinError> {
+fn get_expr(r: &mut Cursor<'_>, syms: &mut SymbolTable, depth: u32) -> Result<Expr, BinError> {
     let depth = descend(depth, "expr")?;
-    let tag = get_u8(data)?;
+    let tag = r.u8()?;
     Ok(match tag {
-        0 => Expr::Const(get_i64(data)?),
+        0 => Expr::Const(r.i64()?),
         1 => {
-            let v = get_str(data)?;
-            let a = get_str(data)?;
-            Expr::var_attr(syms.var(&v), syms.attr(&a))
+            let v = r.str()?;
+            let a = r.str()?;
+            Expr::var_attr(syms.var(v), syms.attr(a))
         }
-        2 => get_expr(data, syms, depth)?.add(get_expr(data, syms, depth)?),
-        3 => get_expr(data, syms, depth)?.sub(get_expr(data, syms, depth)?),
-        4 => get_expr(data, syms, depth)?.mul(get_expr(data, syms, depth)?),
+        2 => get_expr(r, syms, depth)?.add(get_expr(r, syms, depth)?),
+        3 => get_expr(r, syms, depth)?.sub(get_expr(r, syms, depth)?),
+        4 => get_expr(r, syms, depth)?.mul(get_expr(r, syms, depth)?),
         tag => return Err(BinError::BadTag { what: "expr", tag }),
     })
 }
 
-fn get_rhs(data: &mut Bytes, syms: &mut SymbolTable, depth: u32) -> Result<Rhs, BinError> {
+fn get_rhs(r: &mut Cursor<'_>, syms: &mut SymbolTable, depth: u32) -> Result<Rhs, BinError> {
     let depth = descend(depth, "rhs")?;
-    let tag = get_u8(data)?;
+    let tag = r.u8()?;
     Ok(match tag {
         0 => {
-            let x = get_str(data)?;
-            Rhs::Var(syms.var(&x))
+            let x = r.str()?;
+            Rhs::Var(syms.var(x))
         }
         1 => {
-            let name = get_str(data)?;
-            let n = get_count(data)?;
+            let name = r.str()?;
+            let n = r.count(1)?;
             let mut args = Vec::with_capacity(n);
             for _ in 0..n {
-                args.push(get_rhs(data, syms, depth)?);
+                args.push(get_rhs(r, syms, depth)?);
             }
-            let n_attrs = get_count(data)?;
+            let n_attrs = r.count(1)?;
             let mut attrs = Vec::with_capacity(n_attrs);
             for _ in 0..n_attrs {
-                let a = get_str(data)?;
-                let v = get_i64(data)?;
-                attrs.push((syms.attr(&a), v));
+                let a = r.str()?;
+                let v = r.i64()?;
+                attrs.push((syms.attr(a), v));
             }
-            let op = match syms.find_op(&name) {
+            let op = match syms.find_op(name) {
                 Some(op) => op,
-                None => syms.op(&name, args.len()),
+                None => syms.op(name, args.len()),
             };
             Rhs::App { op, args, attrs }
         }
         2 => {
-            let name = get_str(data)?;
-            let fv = syms.fun_var(&name);
-            let n = get_count(data)?;
+            let name = r.str()?;
+            let fv = syms.fun_var(name);
+            let n = r.count(1)?;
             let mut args = Vec::with_capacity(n);
             for _ in 0..n {
-                args.push(get_rhs(data, syms, depth)?);
+                args.push(get_rhs(r, syms, depth)?);
             }
             Rhs::FunApp(fv, args)
         }
@@ -700,7 +669,7 @@ mod tests {
         let bin = encode(rs, syms, pats);
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let rs2 = decode(bin, &mut syms2, &mut pats2).unwrap();
+        let rs2 = decode(&bin, &mut syms2, &mut pats2).unwrap();
         (
             print_ruleset(rs, syms, pats),
             print_ruleset(&rs2, &syms2, &pats2),
@@ -754,7 +723,7 @@ mod tests {
         let mut syms = SymbolTable::new();
         let mut pats = PatternStore::new();
         assert!(matches!(
-            decode(Bytes::from_static(b"NOTPYPM"), &mut syms, &mut pats),
+            decode(b"NOTPYPM", &mut syms, &mut pats),
             Err(BinError::BadMagic)
         ));
     }
@@ -773,9 +742,31 @@ mod tests {
         for cut in [MAGIC.len(), bin.len() / 2, bin.len() - 1] {
             let mut syms2 = SymbolTable::new();
             let mut pats2 = PatternStore::new();
-            let r = decode(bin.slice(..cut), &mut syms2, &mut pats2);
+            let r = decode(&bin[..cut], &mut syms2, &mut pats2);
             assert!(r.is_err(), "cut at {cut} should fail");
         }
+    }
+
+    /// A rule set is the whole input: a valid encoding with a byte
+    /// appended used to load as if the byte were not there.
+    #[test]
+    fn trailing_bytes_are_malformed() {
+        let mut fe = Frontend::new();
+        let relu = fe.syms.op("Relu", 1);
+        fe.pattern("P", |p| {
+            let x = p.param("x");
+            let px = p.v(x);
+            p.op(relu, vec![px])
+        });
+        let (syms, pats, rs) = fe.serialize().unwrap();
+        let mut bin = encode(&rs, &syms, &pats);
+        bin.push(0);
+        assert_eq!(
+            decode(&bin, &mut SymbolTable::new(), &mut PatternStore::new()).err(),
+            Some(BinError::Malformed {
+                what: "trailing bytes after the rule set"
+            })
+        );
     }
 
     /// A frame that claims billions of elements must fail with
@@ -784,13 +775,12 @@ mod tests {
     #[test]
     fn absurd_count_claims_are_truncated_not_allocated() {
         // Truncated operator table: count says u32::MAX, zero entries.
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
+        let mut buf = MAGIC.to_vec();
         buf.put_u32_le(u32::MAX);
         let mut syms = SymbolTable::new();
         let mut pats = PatternStore::new();
         assert!(matches!(
-            decode(buf.freeze(), &mut syms, &mut pats),
+            decode(&buf, &mut syms, &mut pats),
             Err(BinError::Truncated)
         ));
 
@@ -804,14 +794,14 @@ mod tests {
         });
         let (syms, pats, rs) = fe.serialize().unwrap();
         let bin = encode(&rs, &syms, &pats);
-        let mut bytes = bin.to_vec();
+        let mut bytes = bin;
         // Layout: magic, op count (Relu), "Relu" + arity, pattern count.
         let pat_count_at = MAGIC.len() + 4 + (4 + 4) + 4;
         bytes[pat_count_at..pat_count_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
         assert!(matches!(
-            decode(Bytes::from(bytes), &mut syms2, &mut pats2),
+            decode(&bytes, &mut syms2, &mut pats2),
             Err(BinError::Truncated)
         ));
     }
@@ -821,11 +811,10 @@ mod tests {
     /// the stack (which aborts the process — fatal for a server).
     #[test]
     fn deeply_nested_pattern_is_malformed_not_a_crash() {
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
+        let mut buf = MAGIC.to_vec();
         buf.put_u32_le(0); // operator table: empty
         buf.put_u32_le(1); // one pattern
-        put_str(&mut buf, "Hostile");
+        buf.put_str("Hostile");
         buf.put_u32_le(0); // no params
         buf.put_u32_le(0); // no fun params
                            // Pattern tree: tag 4 (Guard) nested far past MAX_DEPTH.
@@ -835,7 +824,7 @@ mod tests {
         let mut syms = SymbolTable::new();
         let mut pats = PatternStore::new();
         assert!(matches!(
-            decode(buf.freeze(), &mut syms, &mut pats),
+            decode(&buf, &mut syms, &mut pats),
             Err(BinError::Malformed { what: "pattern" })
         ));
     }
@@ -863,12 +852,12 @@ mod tests {
         let bin = encode(&rs, &syms, &pats);
         for i in 0..bin.len() {
             for flip in [0x01u8, 0x80, 0xff] {
-                let mut bytes = bin.to_vec();
+                let mut bytes = bin.clone();
                 bytes[i] ^= flip;
                 let mut syms2 = SymbolTable::new();
                 let mut pats2 = PatternStore::new();
                 // Ok or Err both fine; what this pins is "no panic".
-                let _ = decode(Bytes::from(bytes), &mut syms2, &mut pats2);
+                let _ = decode(&bytes, &mut syms2, &mut pats2);
             }
         }
     }
@@ -889,7 +878,7 @@ mod tests {
         let bin = encode(&rs, &syms, &pats);
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let rs2 = decode(bin, &mut syms2, &mut pats2).unwrap();
+        let rs2 = decode(&bin, &mut syms2, &mut pats2).unwrap();
         rs2.validate(&pats2, &syms2).unwrap();
     }
 }

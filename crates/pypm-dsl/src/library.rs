@@ -673,7 +673,7 @@ mod tests {
         let bin = crate::binary::encode(&rs, &syms, &pats);
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let rs2 = crate::binary::decode(bin, &mut syms2, &mut pats2).unwrap();
+        let rs2 = crate::binary::decode(&bin, &mut syms2, &mut pats2).unwrap();
         assert_eq!(
             crate::text::print_ruleset(&rs, &syms, &pats),
             crate::text::print_ruleset(&rs2, &syms2, &pats2)

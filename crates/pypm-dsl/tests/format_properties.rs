@@ -48,7 +48,7 @@ proptest! {
         let blob = binary::encode(&rs, &syms, &pats);
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let rs2 = binary::decode(blob, &mut syms2, &mut pats2).unwrap();
+        let rs2 = binary::decode(&blob, &mut syms2, &mut pats2).unwrap();
         prop_assert_eq!(
             text::print_ruleset(&rs, &syms, &pats),
             text::print_ruleset(&rs2, &syms2, &pats2)
@@ -76,7 +76,7 @@ proptest! {
         let blob = binary::encode(&rs, &syms, &pats);
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let rs2 = binary::decode(blob, &mut syms2, &mut pats2).unwrap();
+        let rs2 = binary::decode(&blob, &mut syms2, &mut pats2).unwrap();
         let via_binary = text::print_ruleset(&rs2, &syms2, &pats2);
         prop_assert_eq!(direct, via_binary);
     }
@@ -90,7 +90,7 @@ proptest! {
         let cut = (blob.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let _ = binary::decode(blob.slice(..cut), &mut syms2, &mut pats2);
+        let _ = binary::decode(&blob[..cut], &mut syms2, &mut pats2);
     }
 
     /// Corrupting a valid binary — random byte flips, possibly many of
@@ -107,7 +107,7 @@ proptest! {
         let (syms, pats, rs) = random_ruleset(seed, 4);
         let blob = binary::encode(&rs, &syms, &pats);
         let cut = (blob.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
-        let mut bytes = blob.slice(..cut).to_vec();
+        let mut bytes = blob[..cut].to_vec();
         if !bytes.is_empty() {
             for &flip in &flips {
                 // Low bits choose the position, high bits the xor mask
@@ -119,7 +119,7 @@ proptest! {
         }
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let _ = binary::decode(bytes::Bytes::from(bytes), &mut syms2, &mut pats2);
+        let _ = binary::decode(&bytes, &mut syms2, &mut pats2);
     }
 
     /// Decoded rule sets still satisfy the structural and scoping
@@ -131,7 +131,7 @@ proptest! {
         let blob = binary::encode(&rs, &syms, &pats);
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let rs2 = binary::decode(blob, &mut syms2, &mut pats2).unwrap();
+        let rs2 = binary::decode(&blob, &mut syms2, &mut pats2).unwrap();
         rs2.validate(&pats2, &syms2).expect("decoded set valid");
     }
 }

@@ -65,18 +65,6 @@ impl Session {
         library::build_library_into(cfg, &mut self.syms, &mut self.pats, &self.ops, &self.tattrs)
     }
 
-    /// Loads a rule set from its portable binary encoding (§2.4).
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode failures.
-    pub fn load_binary(
-        &mut self,
-        data: bytes::Bytes,
-    ) -> Result<RuleSet, pypm_dsl::binary::BinError> {
-        pypm_dsl::binary::decode(data, &mut self.syms, &mut self.pats)
-    }
-
     /// Loads a rule set from the text format.
     ///
     /// # Errors
@@ -88,7 +76,7 @@ impl Session {
 
     /// Encodes a graph into a `PYPMWIRE` container against this
     /// session's symbol table.
-    pub fn wire_graph(&self, graph: &pypm_graph::Graph) -> bytes::Bytes {
+    pub fn wire_graph(&self, graph: &pypm_graph::Graph) -> Vec<u8> {
         pypm_wire::encode_graph(graph, &self.syms)
     }
 
@@ -108,7 +96,7 @@ impl Session {
 
     /// Encodes a graph and a rule set into one `PYPMWIRE` container —
     /// the payload `pypmc dump` writes.
-    pub fn wire_bundle(&self, graph: &pypm_graph::Graph, rules: &RuleSet) -> bytes::Bytes {
+    pub fn wire_bundle(&self, graph: &pypm_graph::Graph, rules: &RuleSet) -> Vec<u8> {
         pypm_wire::encode_bundle(graph, rules, &self.syms, &self.pats)
     }
 
@@ -124,8 +112,9 @@ impl Session {
         pypm_wire::decode_bundle(data, &mut self.syms, &mut self.pats)
     }
 
-    /// Loads a rule set from either a `PYPMWIRE` container or the
-    /// legacy raw `PYPMB1` encoding (dispatched on the magic).
+    /// Loads a rule set from either a `PYPMWIRE` container or its
+    /// portable binary encoding, the raw `PYPMB1` bytes the frontend
+    /// emits (§2.4; dispatched on the magic).
     ///
     /// # Errors
     ///
@@ -197,7 +186,7 @@ mod tests {
         let rs = s.load_library(LibraryConfig::all());
         let bin = pypm_dsl::binary::encode(&rs, &s.syms, &s.pats);
         let mut s2 = Session::new();
-        let rs2 = s2.load_binary(bin).unwrap();
+        let rs2 = s2.load_wire_ruleset(&bin).unwrap();
         assert_eq!(rs.len(), rs2.len());
     }
 }

@@ -2,7 +2,7 @@
 //! section table (layout in the crate docs).
 
 use crate::WireError;
-use bytes::{BufMut, Bytes, BytesMut};
+use pypm_core::codec::{Cursor, Put};
 
 /// The container magic, first on the wire.
 pub const MAGIC: &[u8; 8] = b"PYPMWIRE";
@@ -39,15 +39,16 @@ pub fn fnv1a64(data: &[u8]) -> u64 {
     h
 }
 
-/// Builds a container: add sections in order, then [`finish`].
+/// Builds a container: add sections in order, then [`finish`]. The
+/// writer borrows each payload and copies it once, into the container.
 ///
 /// [`finish`]: ContainerWriter::finish
 #[derive(Debug, Default)]
-pub struct ContainerWriter {
-    sections: Vec<(u32, Bytes)>,
+pub struct ContainerWriter<'a> {
+    sections: Vec<(u32, &'a [u8])>,
 }
 
-impl ContainerWriter {
+impl<'a> ContainerWriter<'a> {
     /// An empty writer.
     pub fn new() -> Self {
         Self::default()
@@ -55,7 +56,7 @@ impl ContainerWriter {
 
     /// Appends one section. Encoder-side limits are asserted (first-party
     /// encoders never exceed them; decoders must *reject*, not assert).
-    pub fn section(&mut self, kind: u32, payload: Bytes) -> &mut Self {
+    pub fn section(&mut self, kind: u32, payload: &'a [u8]) -> &mut Self {
         assert!(self.sections.len() < MAX_SECTIONS, "too many sections");
         assert!(payload.len() <= u32::MAX as usize, "section too large");
         self.sections.push((kind, payload));
@@ -63,70 +64,64 @@ impl ContainerWriter {
     }
 
     /// Serializes the container.
-    pub fn finish(&self) -> Bytes {
+    pub fn finish(&self) -> Vec<u8> {
         let total: usize = self.sections.iter().map(|(_, p)| p.len()).sum();
-        let mut buf = BytesMut::with_capacity(HEADER + ENTRY * self.sections.len() + total);
-        buf.put_slice(MAGIC);
-        buf.put_slice(&VERSION.to_le_bytes());
-        buf.put_slice(&(self.sections.len() as u16).to_le_bytes());
+        let mut buf = Vec::with_capacity(HEADER + ENTRY * self.sections.len() + total);
+        buf.extend_from_slice(MAGIC);
+        buf.put_u16_le(VERSION);
+        buf.put_u16_le(self.sections.len() as u16);
         for (kind, payload) in &self.sections {
             buf.put_u32_le(*kind);
             buf.put_u32_le(payload.len() as u32);
-            buf.put_slice(&fnv1a64(payload).to_le_bytes());
+            buf.put_u64_le(fnv1a64(payload));
         }
         for (_, payload) in &self.sections {
-            buf.put_slice(payload);
+            buf.extend_from_slice(payload);
         }
-        buf.freeze()
+        buf
     }
 }
 
-/// A parsed container: checksummed sections by kind.
+/// A parsed container: checksummed sections by kind, borrowed from the
+/// bytes it was parsed from.
 #[derive(Debug)]
-pub struct Container {
-    sections: Vec<(u32, Bytes)>,
+pub struct Container<'a> {
+    sections: Vec<(u32, &'a [u8])>,
 }
 
-impl Container {
+impl<'a> Container<'a> {
     /// Parses and fully validates a container: magic, version, section
     /// table, exact total length, and every section checksum.
     ///
     /// # Errors
     ///
     /// Any [`WireError`]; never panics, whatever the input.
-    pub fn parse(data: &[u8]) -> Result<Container, WireError> {
-        if data.len() < MAGIC.len() || &data[..MAGIC.len()] != MAGIC {
-            return Err(WireError::BadMagic);
-        }
-        if data.len() < HEADER {
-            return Err(WireError::Truncated);
-        }
-        let version = u16::from_le_bytes([data[8], data[9]]);
+    pub fn parse(data: &'a [u8]) -> Result<Container<'a>, WireError> {
+        let body = data
+            .strip_prefix(MAGIC.as_slice())
+            .ok_or(WireError::BadMagic)?;
+        let r = &mut Cursor::new(body);
+        let (version, count) = (r.u16()?, r.u16()? as usize);
         if version != VERSION {
             return Err(WireError::UnsupportedVersion { got: version });
         }
-        let count = u16::from_le_bytes([data[10], data[11]]) as usize;
         if count > MAX_SECTIONS {
             return Err(WireError::Malformed {
                 what: "section count",
             });
         }
-        let table_end = HEADER + ENTRY * count;
-        if data.len() < table_end {
-            return Err(WireError::Truncated);
+        let mut table = Vec::with_capacity(count);
+        for _ in 0..count {
+            table.push((r.u32()?, r.u32()? as usize, r.u64()?));
         }
-        let mut entries = Vec::with_capacity(count);
-        let mut total = table_end;
-        for i in 0..count {
-            let off = HEADER + ENTRY * i;
-            let kind = u32::from_le_bytes(data[off..off + 4].try_into().unwrap());
-            let len = u32::from_le_bytes(data[off + 4..off + 8].try_into().unwrap()) as usize;
-            let checksum = u64::from_le_bytes(data[off + 8..off + 16].try_into().unwrap());
-            total = total.checked_add(len).ok_or(WireError::Malformed {
+        let total = table
+            .iter()
+            .try_fold(HEADER + ENTRY * count, |total, &(_, len, _)| {
+                total.checked_add(len)
+            })
+            .ok_or(WireError::Malformed {
                 what: "section lengths overflow",
             })?;
-            entries.push((kind, len, checksum));
-        }
         if data.len() < total {
             return Err(WireError::Truncated);
         }
@@ -135,11 +130,9 @@ impl Container {
                 what: "trailing bytes after the last section",
             });
         }
-        let mut sections: Vec<(u32, Bytes)> = Vec::with_capacity(count);
-        let mut off = table_end;
-        for (kind, len, checksum) in entries {
-            let payload = &data[off..off + len];
-            off += len;
+        let mut sections: Vec<(u32, &'a [u8])> = Vec::with_capacity(count);
+        for (kind, len, checksum) in table {
+            let payload = r.take(len)?;
             if fnv1a64(payload) != checksum {
                 return Err(WireError::Corrupt { kind });
             }
@@ -148,7 +141,7 @@ impl Container {
                     what: "duplicate section kind",
                 });
             }
-            sections.push((kind, Bytes::from(payload.to_vec())));
+            sections.push((kind, payload));
         }
         Ok(Container { sections })
     }
@@ -156,11 +149,11 @@ impl Container {
     /// The payload of the section with this kind, if present. Unknown
     /// kinds are simply never asked for — that is the forward-compat
     /// story: older readers skip sections they do not understand.
-    pub fn section(&self, kind: u32) -> Option<&Bytes> {
+    pub fn section(&self, kind: u32) -> Option<&'a [u8]> {
         self.sections
             .iter()
             .find(|(k, _)| *k == kind)
-            .map(|(_, p)| p)
+            .map(|&(_, p)| p)
     }
 
     /// The section kinds present, in table order.
@@ -180,14 +173,14 @@ mod tests {
         assert_eq!(parsed.kinds().count(), 0);
 
         let mut w = ContainerWriter::new();
-        w.section(SECTION_GRAPH, Bytes::from_static(b"gg"));
-        w.section(SECTION_RULESET, Bytes::from_static(b""));
-        w.section(SECTION_REPORT, Bytes::from_static(b"{}"));
+        w.section(SECTION_GRAPH, b"gg");
+        w.section(SECTION_RULESET, b"");
+        w.section(SECTION_REPORT, b"{}");
         let bytes = w.finish();
         let parsed = Container::parse(&bytes).unwrap();
         assert_eq!(parsed.kinds().collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert_eq!(parsed.section(SECTION_GRAPH).unwrap().as_ref(), b"gg");
-        assert_eq!(parsed.section(SECTION_REPORT).unwrap().as_ref(), b"{}");
+        assert_eq!(parsed.section(SECTION_GRAPH), Some(&b"gg"[..]));
+        assert_eq!(parsed.section(SECTION_REPORT), Some(&b"{}"[..]));
         assert!(parsed.section(99).is_none());
     }
 
@@ -205,14 +198,14 @@ mod tests {
             Some(WireError::Truncated)
         );
         // Unsupported version.
-        let mut v2 = ContainerWriter::new().finish().to_vec();
+        let mut v2 = ContainerWriter::new().finish();
         v2[8] = 2;
         assert_eq!(
             Container::parse(&v2).err(),
             Some(WireError::UnsupportedVersion { got: 2 })
         );
         // Absurd section count.
-        let mut absurd = ContainerWriter::new().finish().to_vec();
+        let mut absurd = ContainerWriter::new().finish();
         absurd[10] = 0xff;
         absurd[11] = 0xff;
         assert_eq!(
@@ -222,7 +215,7 @@ mod tests {
             })
         );
         // Trailing bytes.
-        let mut trailing = ContainerWriter::new().finish().to_vec();
+        let mut trailing = ContainerWriter::new().finish();
         trailing.push(0);
         assert!(matches!(
             Container::parse(&trailing),
@@ -230,8 +223,8 @@ mod tests {
         ));
         // A flipped payload bit fails its checksum.
         let mut w = ContainerWriter::new();
-        w.section(SECTION_REPORT, Bytes::from_static(b"payload"));
-        let mut bytes = w.finish().to_vec();
+        w.section(SECTION_REPORT, b"payload");
+        let mut bytes = w.finish();
         let last = bytes.len() - 1;
         bytes[last] ^= 1;
         assert_eq!(
@@ -243,8 +236,8 @@ mod tests {
         // Duplicate kinds are rejected (one payload per kind, no
         // ambiguity about which one a reader would pick).
         let mut w = ContainerWriter::new();
-        w.section(SECTION_REPORT, Bytes::from_static(b"a"));
-        w.section(SECTION_REPORT, Bytes::from_static(b"b"));
+        w.section(SECTION_REPORT, b"a");
+        w.section(SECTION_REPORT, b"b");
         assert_eq!(
             Container::parse(&w.finish()).err(),
             Some(WireError::Malformed {

@@ -28,9 +28,16 @@
 //! Inputs are *backward references by construction*: the decoder
 //! rejects forward or self references, so a decoded graph is acyclic
 //! without a separate validation pass.
+//!
+//! Reads go through [`pypm_core::codec::Cursor`], the bounds-checked
+//! cursor the `PYPMB1` rule-set decoder reads through too. Each count is
+//! checked against the bytes left at its element's smallest encoding
+//! (a node is at least 10 bytes, an attribute 13) before anything is
+//! allocated for it; one that could not fit is
+//! [`WireError::Malformed`].
 
 use crate::WireError;
-use bytes::{BufMut, Bytes, BytesMut};
+use pypm_core::codec::{Cursor, Put};
 use pypm_core::{Budget, SymbolTable};
 use pypm_graph::{DType, Graph, NodeId, NodeKind, TensorMeta};
 use std::collections::BinaryHeap;
@@ -87,23 +94,19 @@ fn charge_node(budget: Option<&Budget>) -> Result<(), WireError> {
     }
 }
 
-/// Encodes the graph section payload (no container header).
-pub(crate) fn encode_section(g: &Graph, syms: &SymbolTable) -> Bytes {
-    encode_section_budgeted(g, syms, None).expect("unbudgeted encode cannot fail")
-}
-
-/// [`encode_section`] charging one budget step per node.
-pub(crate) fn encode_section_budgeted(
+/// Encodes the graph section payload (no container header), charging
+/// one budget step per node.
+pub(crate) fn encode_section(
     g: &Graph,
     syms: &SymbolTable,
     budget: Option<&Budget>,
-) -> Result<Bytes, WireError> {
+) -> Result<Vec<u8>, WireError> {
     let order = canonical_order(g);
     let mut dense = vec![u32::MAX; g.allocated_count()];
     for (i, &n) in order.iter().enumerate() {
         dense[n.index()] = i as u32;
     }
-    let mut buf = BytesMut::new();
+    let mut buf = Vec::new();
     buf.put_u32_le(order.len() as u32);
     for &n in &order {
         charge_node(budget)?;
@@ -114,7 +117,7 @@ pub(crate) fn encode_section_budgeted(
             NodeKind::Opaque => buf.put_u8(KIND_OPAQUE),
         }
         if node.kind != NodeKind::Input {
-            put_str(&mut buf, syms.op_name(node.op));
+            buf.put_str(syms.op_name(node.op));
             buf.put_u32_le(syms.arity(node.op) as u32);
         }
         buf.put_u32_le(node.inputs.len() as u32);
@@ -124,7 +127,7 @@ pub(crate) fn encode_section_budgeted(
         if node.kind == NodeKind::Op {
             buf.put_u32_le(node.attrs.len() as u32);
             for &(attr, value) in &node.attrs {
-                put_str(&mut buf, syms.attr_name(attr));
+                buf.put_str(syms.attr_name(attr));
                 buf.put_i64_le(value);
             }
         }
@@ -145,27 +148,22 @@ pub(crate) fn encode_section_budgeted(
     for o in outputs {
         buf.put_u32_le(o);
     }
-    Ok(buf.freeze())
+    Ok(buf)
 }
 
 /// Decodes a graph section payload, re-interning operator and attribute
-/// names into `syms`.
-pub(crate) fn decode_section(data: &[u8], syms: &mut SymbolTable) -> Result<Graph, WireError> {
-    decode_section_budgeted(data, syms, None)
-}
-
-/// [`decode_section`] charging one budget step per node.
-pub(crate) fn decode_section_budgeted(
+/// names into `syms` and charging one budget step per node.
+pub(crate) fn decode_section(
     data: &[u8],
     syms: &mut SymbolTable,
     budget: Option<&Budget>,
 ) -> Result<Graph, WireError> {
-    let mut r = Reader { data, pos: 0 };
+    let mut r = Cursor::new(data);
     let mut g = Graph::new();
     // A node occupies at least kind + input count + dtype + rank bytes;
     // a count claiming more nodes than that is garbage, rejected before
     // any allocation.
-    let node_count = r.count(10, "node count")?;
+    let node_count = r.count(10)?;
     let mut ids: Vec<NodeId> = Vec::with_capacity(node_count);
     // A node's extents, read here and copied once into its shape.
     let mut dims: Vec<i64> = Vec::new();
@@ -173,9 +171,9 @@ pub(crate) fn decode_section_budgeted(
         charge_node(budget)?;
         let kind = r.u8()?;
         let op = if kind != KIND_INPUT {
-            let name = r.str_()?;
+            let name = r.str()?;
             let arity = r.u32()? as usize;
-            let sym = match syms.find_op(&name) {
+            let sym = match syms.find_op(name) {
                 Some(sym) => {
                     if syms.arity(sym) != arity {
                         return Err(WireError::Inconsistent {
@@ -187,13 +185,13 @@ pub(crate) fn decode_section_budgeted(
                     }
                     sym
                 }
-                None => syms.op(&name, arity),
+                None => syms.op(name, arity),
             };
             Some(sym)
         } else {
             None
         };
-        let input_count = r.count(4, "input count")?;
+        let input_count = r.count(4)?;
         let mut inputs = Vec::with_capacity(input_count);
         for _ in 0..input_count {
             let i = r.u32()? as usize;
@@ -206,16 +204,16 @@ pub(crate) fn decode_section_budgeted(
         }
         let mut attrs = Vec::new();
         if kind == KIND_OP {
-            let attr_count = r.count(13, "attr count")?;
+            let attr_count = r.count(13)?;
             for _ in 0..attr_count {
-                let name = r.str_()?;
+                let name = r.str()?;
                 let value = r.i64()?;
-                attrs.push((syms.attr(&name), value));
+                attrs.push((syms.attr(name), value));
             }
         }
         let dtype = DType::from_code(i64::from(r.u8()?))
             .ok_or(WireError::Malformed { what: "dtype code" })?;
-        let rank = r.count(8, "rank")?;
+        let rank = r.count(8)?;
         dims.clear();
         for _ in 0..rank {
             dims.push(r.i64()?);
@@ -244,7 +242,7 @@ pub(crate) fn decode_section_budgeted(
         };
         ids.push(id);
     }
-    let output_count = r.count(4, "output count")?;
+    let output_count = r.count(4)?;
     let mut seen = vec![false; node_count];
     for _ in 0..output_count {
         let o = r.u32()? as usize;
@@ -261,73 +259,12 @@ pub(crate) fn decode_section_budgeted(
         seen[o] = true;
         g.mark_output(ids[o]);
     }
-    if r.pos != r.data.len() {
+    if !r.rest().is_empty() {
         return Err(WireError::Malformed {
             what: "trailing bytes in graph section",
         });
     }
     Ok(g)
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-/// A bounds-checked cursor: every read validates the remaining length
-/// first, so no input — however corrupt — can panic the decoder.
-struct Reader<'a> {
-    data: &'a [u8],
-    pos: usize,
-}
-
-impl Reader<'_> {
-    fn remaining(&self) -> usize {
-        self.data.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&[u8], WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated);
-        }
-        let s = &self.data[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    /// Reads a count field and validates it against the remaining
-    /// payload: `count` elements of at least `min_elem` bytes each must
-    /// fit, so a hostile count can never trigger a giant allocation —
-    /// the `binary::get_count` guard, ported.
-    fn count(&mut self, min_elem: usize, _what: &'static str) -> Result<usize, WireError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_elem) > self.remaining() {
-            return Err(WireError::Malformed {
-                what: "count exceeds remaining payload",
-            });
-        }
-        Ok(n)
-    }
-
-    fn str_(&mut self) -> Result<String, WireError> {
-        let len = self.count(1, "string length")?;
-        let bytes = self.take(len)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_owned)
-            .map_err(|_| WireError::BadString)
-    }
 }
 
 #[cfg(test)]
@@ -477,22 +414,22 @@ mod tests {
     fn hostile_graph_sections_are_rejected_cleanly() {
         let mut syms = SymbolTable::new();
         // An absurd node count against a tiny payload.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u32_le(u32::MAX);
         assert!(matches!(
-            decode_section(&buf.freeze(), &mut syms),
+            decode_section(&buf, &mut syms, None),
             Err(WireError::Malformed { .. })
         ));
         // A forward input reference.
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         buf.put_u32_le(1); // one node
         buf.put_u8(KIND_OP);
-        put_str(&mut buf, "TestLoop");
+        buf.put_str("TestLoop");
         buf.put_u32_le(1); // arity
         buf.put_u32_le(1); // one input…
         buf.put_u32_le(0); // …itself
         assert_eq!(
-            decode_section(&buf.freeze(), &mut syms).err(),
+            decode_section(&buf, &mut syms, None).err(),
             Some(WireError::Malformed {
                 what: "forward or self input reference"
             })

@@ -37,10 +37,12 @@
 //! ## Robustness
 //!
 //! Every decoder in this crate is panic-free on arbitrary input, the
-//! same contract as `pypm_dsl::binary::decode`: count fields are
-//! validated against the remaining payload before any allocation, the
-//! per-section checksums make bit flips an [`WireError::Corrupt`]
-//! error instead of a silent misparse, and the graph decoder accepts
+//! same contract as `pypm_dsl::binary::decode`, because both read
+//! through one bounds-checked cursor, [`pypm_core::codec::Cursor`]:
+//! count fields are validated against the remaining payload before any
+//! allocation, the per-section checksums make bit flips an
+//! [`WireError::Corrupt`] error instead of a silent misparse, and the
+//! graph decoder accepts
 //! only backward input references (so decoded graphs are acyclic by
 //! construction). The corruption property tests in
 //! `tests/corruption.rs` flip bits and truncate encoded zoo artifacts
@@ -68,7 +70,7 @@ pub use container::{
     SECTION_RULESET, VERSION,
 };
 
-use bytes::Bytes;
+use pypm_core::codec::ReadError;
 use pypm_core::{Budget, PatternStore, SymbolTable};
 use pypm_dsl::binary::BinError;
 use pypm_dsl::RuleSet;
@@ -170,16 +172,29 @@ impl From<BinError> for WireError {
     }
 }
 
+/// A short read is [`WireError::Truncated`]; a count too large for the
+/// bytes left is garbage no encoder writes, so it is
+/// [`WireError::Malformed`].
+impl From<ReadError> for WireError {
+    fn from(e: ReadError) -> Self {
+        match e {
+            ReadError::Truncated => WireError::Truncated,
+            ReadError::CountTooLarge => WireError::Malformed {
+                what: "count exceeds remaining payload",
+            },
+            ReadError::BadString => WireError::BadString,
+        }
+    }
+}
+
 /// Serializes a graph into a one-section `PYPMWIRE` container.
 ///
 /// The encoding is canonical: live nodes in dense allocation order,
 /// operators and attributes carried by name, inputs as backward
 /// references. Re-encoding a decoded graph reproduces the bytes
 /// exactly, which is what makes the encoding valid cache-key material.
-pub fn encode_graph(g: &Graph, syms: &SymbolTable) -> Bytes {
-    let mut w = ContainerWriter::new();
-    w.section(SECTION_GRAPH, graph_codec::encode_section(g, syms));
-    w.finish()
+pub fn encode_graph(g: &Graph, syms: &SymbolTable) -> Vec<u8> {
+    encode_graph_budgeted(g, syms, None).expect("unbudgeted encode cannot fail")
 }
 
 /// [`encode_graph`] with a cooperative [`Budget`]: one step is charged
@@ -194,13 +209,11 @@ pub fn encode_graph_budgeted(
     g: &Graph,
     syms: &SymbolTable,
     budget: Option<&Budget>,
-) -> Result<Bytes, WireError> {
-    let mut w = ContainerWriter::new();
-    w.section(
-        SECTION_GRAPH,
-        graph_codec::encode_section_budgeted(g, syms, budget)?,
-    );
-    Ok(w.finish())
+) -> Result<Vec<u8>, WireError> {
+    let section = graph_codec::encode_section(g, syms, budget)?;
+    Ok(ContainerWriter::new()
+        .section(SECTION_GRAPH, &section)
+        .finish())
 }
 
 /// Decodes a graph from a `PYPMWIRE` container, re-interning every
@@ -233,16 +246,17 @@ pub fn decode_graph_budgeted(
         .ok_or(WireError::MissingSection {
             kind: SECTION_GRAPH,
         })?;
-    graph_codec::decode_section_budgeted(section, syms, budget)
+    graph_codec::decode_section(section, syms, budget)
 }
 
 /// Serializes a rule set into a one-section `PYPMWIRE` container. The
 /// section payload is the legacy `PYPMB1` encoding, verbatim — the new
 /// header subsumes the old format rather than forking it.
-pub fn encode_ruleset(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Bytes {
-    let mut w = ContainerWriter::new();
-    w.section(SECTION_RULESET, pypm_dsl::binary::encode(rs, syms, pats));
-    w.finish()
+pub fn encode_ruleset(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Vec<u8> {
+    let section = pypm_dsl::binary::encode(rs, syms, pats);
+    ContainerWriter::new()
+        .section(SECTION_RULESET, &section)
+        .finish()
 }
 
 /// Decodes a rule set from either a `PYPMWIRE` container or a raw
@@ -264,24 +278,22 @@ pub fn decode_ruleset(
             .ok_or(WireError::MissingSection {
                 kind: SECTION_RULESET,
             })?;
-        return Ok(pypm_dsl::binary::decode(section.clone(), syms, pats)?);
+        return Ok(pypm_dsl::binary::decode(section, syms, pats)?);
     }
     // Legacy path: a bare PYPMB1 payload (its decoder rejects anything
     // else with its own BadMagic).
-    Ok(pypm_dsl::binary::decode(
-        Bytes::from(data.to_vec()),
-        syms,
-        pats,
-    )?)
+    Ok(pypm_dsl::binary::decode(data, syms, pats)?)
 }
 
 /// Serializes a graph and its rule set into one two-section container —
 /// the `pypmc dump` artifact.
-pub fn encode_bundle(g: &Graph, rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Bytes {
-    let mut w = ContainerWriter::new();
-    w.section(SECTION_GRAPH, graph_codec::encode_section(g, syms));
-    w.section(SECTION_RULESET, pypm_dsl::binary::encode(rs, syms, pats));
-    w.finish()
+pub fn encode_bundle(g: &Graph, rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Vec<u8> {
+    let graph = graph_codec::encode_section(g, syms, None).expect("unbudgeted encode cannot fail");
+    let rules = pypm_dsl::binary::encode(rs, syms, pats);
+    ContainerWriter::new()
+        .section(SECTION_GRAPH, &graph)
+        .section(SECTION_RULESET, &rules)
+        .finish()
 }
 
 /// Decodes a `pypmc dump` bundle: the graph and the rule set, both
@@ -306,18 +318,18 @@ pub fn decode_bundle(
         .ok_or(WireError::MissingSection {
             kind: SECTION_RULESET,
         })?;
-    let g = graph_codec::decode_section(graph_section, syms)?;
-    let rs = pypm_dsl::binary::decode(rules_section.clone(), syms, pats)?;
+    let g = graph_codec::decode_section(graph_section, syms, None)?;
+    let rs = pypm_dsl::binary::decode(rules_section, syms, pats)?;
     Ok((g, rs))
 }
 
 /// Wraps a `pypm.pipeline.v1` JSON document in a one-section container
 /// — the on-disk representation of a cached compile result, so a
 /// corrupted cache file fails its checksum instead of serving garbage.
-pub fn encode_report(json: &str) -> Bytes {
-    let mut w = ContainerWriter::new();
-    w.section(SECTION_REPORT, Bytes::from(json.as_bytes().to_vec()));
-    w.finish()
+pub fn encode_report(json: &str) -> Vec<u8> {
+    ContainerWriter::new()
+        .section(SECTION_REPORT, json.as_bytes())
+        .finish()
 }
 
 /// Extracts the JSON document from a report container.

@@ -8,8 +8,12 @@
 
 use proptest::prelude::*;
 use pypm_core::{PatternStore, SymbolTable};
+use pypm_dsl::binary::BinError;
 use pypm_graph::{DType, Graph, TensorMeta};
-use pypm_wire::{decode_bundle, decode_graph, decode_report, decode_ruleset, encode_graph};
+use pypm_wire::{
+    decode_bundle, decode_graph, decode_report, decode_ruleset, encode_graph, ContainerWriter,
+    WireError, SECTION_RULESET,
+};
 
 /// Deterministically builds a small random-shaped graph: a few inputs,
 /// then a chain of ops/opaques each reading previously built nodes.
@@ -69,6 +73,37 @@ fn mangle(blob: &[u8], flips: &[u32], cut_ppm: u32) -> Vec<u8> {
         }
     }
     bytes
+}
+
+/// A checksum vouches for the bytes, not for what they say: a rule-set
+/// section whose checksum is valid but which carries a byte past the
+/// end of its `PYPMB1` rule set is refused, through the container and
+/// bare.
+#[test]
+fn a_valid_checksum_over_a_rule_set_with_trailing_bytes_is_refused() {
+    let mut syms = SymbolTable::new();
+    let mut pats = PatternStore::new();
+    let rs = pypm_dsl::text::parse_ruleset(
+        "op A/1;\npattern P(x) {\n  A(x)\n}\nrule r for P when 1 = 1 => x;\n",
+        &mut syms,
+        &mut pats,
+    )
+    .expect("test ruleset parses");
+    let mut section = pypm_dsl::binary::encode(&rs, &syms, &pats);
+    section.push(0);
+    let container = ContainerWriter::new()
+        .section(SECTION_RULESET, &section)
+        .finish();
+    let trailing = WireError::Ruleset(BinError::Malformed {
+        what: "trailing bytes after the rule set",
+    });
+    for bytes in [&container, &section] {
+        let (mut s2, mut p2) = (SymbolTable::new(), PatternStore::new());
+        assert_eq!(
+            decode_ruleset(bytes, &mut s2, &mut p2).err(),
+            Some(trailing.clone())
+        );
+    }
 }
 
 proptest! {

@@ -410,7 +410,7 @@ fn library(args: &[String]) -> i32 {
     let format = parsed.value("--format").unwrap_or("text");
     let payload: Vec<u8> = match format {
         "text" => text::print_ruleset(&rules, &s.syms, &s.pats).into_bytes(),
-        "binary" => binary::encode(&rules, &s.syms, &s.pats).to_vec(),
+        "binary" => binary::encode(&rules, &s.syms, &s.pats),
         other => {
             eprintln!("unknown format {other} (want text|binary)");
             return 2;

@@ -66,7 +66,9 @@ fn main() {
     let n_text = rewrites_with(&mut via_text, &reloaded_text);
 
     let mut via_binary = Session::new();
-    let reloaded_bin = via_binary.load_binary(binary_form).expect("binary decodes");
+    let reloaded_bin = via_binary
+        .load_wire_ruleset(&binary_form)
+        .expect("binary decodes");
     let n_bin = rewrites_with(&mut via_binary, &reloaded_bin);
 
     println!("\nrewrites fired on the Fig. 1 graph:");

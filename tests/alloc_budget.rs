@@ -35,6 +35,10 @@
 //! And that a machine step allocates nothing: a warmed machine makes
 //! the same count whether a run takes 14 steps or 74.
 //!
+//! And that the wire formats own their bytes: a parsed container
+//! borrows its sections, and an encoded graph is copied once, into its
+//! container.
+//!
 //! The allocator below is the workspace's one `unsafe impl`; every
 //! library crate keeps `#![forbid(unsafe_code)]`.
 
@@ -52,6 +56,10 @@ thread_local! {
     /// and without a destructor, so reading it inside the allocator
     /// never allocates or touches a torn-down slot.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    /// Fresh blocks (not a buffer growing in place) of at least
+    /// `LARGE_FROM` bytes this thread has obtained.
+    static LARGE: Cell<u64> = const { Cell::new(0) };
+    static LARGE_FROM: Cell<usize> = const { Cell::new(usize::MAX) };
 }
 
 /// The system allocator, counting per thread — the test harness runs
@@ -63,18 +71,28 @@ fn count() {
     let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
 }
 
+fn count_fresh(size: usize) {
+    count();
+    if LARGE_FROM
+        .try_with(Cell::get)
+        .is_ok_and(|from| size >= from)
+    {
+        let _ = LARGE.try_with(|n| n.set(n.get() + 1));
+    }
+}
+
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a plain
-// thread-local integer and never unwinds.
+// which upholds the `GlobalAlloc` contract; the counters are plain
+// thread-local integers and never unwind.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count();
+        count_fresh(layout.size());
         // SAFETY: the caller's obligations are passed on as they are.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count();
+        count_fresh(layout.size());
         // SAFETY: as above.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -100,6 +118,16 @@ fn allocations_of<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (out, ALLOCATIONS.with(Cell::get) - before)
+}
+
+/// Runs `f`, returning how many fresh blocks of at least `bytes` bytes
+/// it obtained: how often it copied a payload of that size.
+fn blocks_of_at_least<T>(bytes: usize, f: impl FnOnce() -> T) -> (T, u64) {
+    LARGE_FROM.with(|from| from.set(bytes));
+    let before = LARGE.with(Cell::get);
+    let out = f();
+    LARGE_FROM.with(|from| from.set(usize::MAX));
+    (out, LARGE.with(Cell::get) - before)
 }
 
 /// The ladder program of `benchmark/harness/src/probes.rs` at `layers`
@@ -389,5 +417,55 @@ fn a_model_build_names_its_inputs_without_allocating() {
     assert!(
         made <= LADDER_BUILD,
         "the 100-layer ladder build made {made} allocations over {inputs} inputs"
+    );
+}
+
+/// A parsed container borrows its sections from the bytes it was
+/// parsed from: the section table and the section list, whatever the
+/// payloads weigh. While each section was copied into a shared buffer of
+/// its own, a two-section `pypmc dump` bundle cost 6 at either size
+/// (2 + 2 per section).
+const CONTAINER_PARSE: u64 = 2;
+
+#[test]
+fn parsing_a_container_copies_no_section() {
+    for layers in [10, 100] {
+        let (s, g, rules) = ladder_program(layers);
+        let bundle = s.wire_bundle(&g, &rules);
+        let (container, made) = allocations_of(|| pypm::wire::Container::parse(&bundle));
+        let container = container.expect("bundle parses");
+        assert_eq!(container.kinds().count(), 2);
+        eprintln!(
+            "{layers} layers: parsing a {}-byte bundle made {made} allocations",
+            bundle.len()
+        );
+        assert_eq!(
+            made,
+            CONTAINER_PARSE,
+            "parsing a {}-byte bundle made {made} allocations",
+            bundle.len()
+        );
+    }
+}
+
+/// `encode_graph` writes the graph section into a buffer of its own and
+/// copies it once, into the container. It copied it three times while
+/// both were frozen into shared buffers: the section, the container's
+/// buffer, and the container frozen.
+#[test]
+fn encoding_a_graph_copies_its_payload_once() {
+    let (s, g, _) = ladder_program(100);
+    let bytes = pypm::wire::encode_graph(&g, &s.syms);
+    let payload = pypm::wire::Container::parse(&bytes)
+        .expect("graph parses")
+        .section(pypm::wire::SECTION_GRAPH)
+        .expect("graph section")
+        .len();
+    let (again, copies) = blocks_of_at_least(payload, || pypm::wire::encode_graph(&g, &s.syms));
+    assert_eq!(again, bytes);
+    eprintln!("100-layer ladder: a {payload}-byte graph section, copied {copies} times");
+    assert_eq!(
+        copies, 1,
+        "the {payload}-byte graph section was copied {copies} times"
     );
 }

@@ -64,7 +64,7 @@ fn outputs(model: &str, config: &str) -> (Vec<u8>, String) {
         recipe,
     )
     .unwrap_or_else(|e| panic!("{model} {config}: {e}"));
-    let graph_bytes = pypm::wire::encode_graph(&graph, &session.syms).to_vec();
+    let graph_bytes = pypm::wire::encode_graph(&graph, &session.syms);
     (graph_bytes, mask_walls(&reports[0].to_json()))
 }
 

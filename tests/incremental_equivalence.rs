@@ -87,7 +87,7 @@ fn run_bounded(
         live_nodes: g.live_count(),
         nodes: node_rows(&g, &s),
         output_ids: g.outputs().to_vec(),
-        bytes: pypm::wire::encode_graph(&g, &s.syms).to_vec(),
+        bytes: pypm::wire::encode_graph(&g, &s.syms),
     };
     (outcome, stats)
 }

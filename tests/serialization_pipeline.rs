@@ -27,7 +27,7 @@ fn binary_transport_preserves_behaviour() {
 
     let blob = binary::encode(&rules, &author.syms, &author.pats);
     let mut backend = Session::new();
-    let reloaded = backend.load_binary(blob).unwrap();
+    let reloaded = backend.load_wire_ruleset(&blob).unwrap();
     let result = compile_model(&mut backend, &reloaded, "bert-small");
     assert_eq!(result, reference);
 }
@@ -59,7 +59,7 @@ fn double_roundtrip_is_stable() {
 
     let b1 = binary::encode(&rules, &author.syms, &author.pats);
     let mut s3 = Session::new();
-    let rs3 = s3.load_binary(b1.clone()).unwrap();
+    let rs3 = s3.load_wire_ruleset(&b1).unwrap();
     let b2 = binary::encode(&rs3, &s3.syms, &s3.pats);
     assert_eq!(b1, b2);
 }
@@ -71,7 +71,7 @@ fn reloaded_rulesets_validate() {
     let blob = binary::encode(&rules, &author.syms, &author.pats);
 
     let mut backend = Session::new();
-    let reloaded = backend.load_binary(blob).unwrap();
+    let reloaded = backend.load_wire_ruleset(&blob).unwrap();
     reloaded.validate(&backend.pats, &backend.syms).unwrap();
     assert_eq!(reloaded.len(), rules.len());
     for (a, b) in rules.patterns.iter().zip(&reloaded.patterns) {
@@ -93,7 +93,7 @@ fn corrupted_binaries_are_rejected_not_misloaded() {
         let mut corrupt = blob.to_vec();
         corrupt[i] ^= 0xFF;
         let mut backend = Session::new();
-        match backend.load_binary(corrupt.into()) {
+        match backend.load_wire_ruleset(&corrupt) {
             Err(_) => {}
             Ok(rs) => {
                 // Structurally decodable corruption: must still be a

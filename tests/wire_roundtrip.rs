@@ -91,7 +91,7 @@ fn corrupted_zoo_artifacts_always_err_never_panic() {
         let mut s = Session::new();
         let g = pypm::build_model(&mut s, name).unwrap();
         let rules = s.load_library(LibraryConfig::both());
-        let bundle = s.wire_bundle(&g, &rules).to_vec();
+        let bundle = s.wire_bundle(&g, &rules);
 
         // Single-byte corruption at a stride of positions across the
         // whole artifact: header, section table and payload bytes all
