@@ -165,9 +165,10 @@ pub fn compile_cost_points(
     out
 }
 
-/// Renders an ASCII histogram of speedups, in the style of the paper's
-/// Figs. 10–11.
-pub fn histogram(title: &str, values: &[f64]) -> String {
+/// The speedup buckets [`histogram`] draws: twelve equal-width buckets
+/// from 0.95× to 0.05× past the largest value (at least to 1.10×), as
+/// the lowest edge, the bucket width and the count in each bucket.
+pub fn histogram_buckets(values: &[f64]) -> (f64, f64, Vec<usize>) {
     let lo = 0.95f64;
     let hi = values.iter().cloned().fold(1.05f64, f64::max) + 0.05;
     let buckets = 12usize;
@@ -177,6 +178,13 @@ pub fn histogram(title: &str, values: &[f64]) -> String {
         let b = (((v - lo) / width) as usize).min(buckets - 1);
         counts[b] += 1;
     }
+    (lo, width, counts)
+}
+
+/// Renders an ASCII histogram of speedups, in the style of the paper's
+/// Figs. 10–11.
+pub fn histogram(title: &str, values: &[f64]) -> String {
+    let (lo, width, counts) = histogram_buckets(values);
     let max = counts.iter().copied().max().unwrap_or(1).max(1);
     let mut s = format!("{title}\n");
     for (i, &c) in counts.iter().enumerate() {
@@ -550,9 +558,10 @@ pub fn rows_to_json(rows: &[PassBenchRow], scaling: &[RulesScalingRow]) -> Strin
 }
 
 /// The representative model × configuration matrix the rewrite-pass
-/// trajectory tracks (mirrors the criterion groups in
-/// `benches/rewrite_pass.rs`). `bert-small` is the acceptance model for
-/// the incremental scheduler (≥30% fewer matches tried than restart).
+/// trajectory tracks: four HuggingFace models under `fmha`, `epilog` and
+/// `both`, three TorchVision models under `fmha` and `epilog`.
+/// `bert-small` is the acceptance model for the incremental scheduler
+/// (≥30% fewer matches tried than restart).
 pub fn rewrite_pass_rows(runs: usize) -> Vec<PassBenchRow> {
     let mut rows = Vec::new();
     for model in ["bert-tiny", "bert-small", "bert-base", "gpt2"] {

@@ -55,11 +55,6 @@ impl Subst {
         self.map.insert(x, t)
     }
 
-    /// Removes the binding for `x`, if any.
-    pub fn unbind(&mut self, x: Var) -> Option<TermId> {
-        self.map.remove(&x)
-    }
-
     /// Number of bound variables.
     pub fn len(&self) -> usize {
         self.map.len()

@@ -454,15 +454,6 @@ impl Frontend {
     }
 }
 
-/// Map from variable names to [`Var`]s, handy when rules need the same
-/// variables the pattern declared.
-pub fn params_of(def: &PatternDef, syms: &SymbolTable) -> HashMap<String, Var> {
-    def.params
-        .iter()
-        .map(|&v| (syms.var_name(v).to_owned(), v))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

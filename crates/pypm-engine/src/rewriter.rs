@@ -34,7 +34,7 @@ use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx, RejectReason};
 use crate::retired::ParallelStats;
 use crate::session::Session;
-use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Stage, Subst, Symbol, TermId, Witness};
+use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Stage, Symbol, TermId, Witness};
 use pypm_dsl::{Rhs, RuleSet};
 use pypm_graph::{Graph, NodeId, TensorMeta, TermView, TopoWalk};
 use std::fmt;
@@ -1155,17 +1155,6 @@ pub fn find_matches(
         }
     }
     out
-}
-
-/// Convenience: binds the substitution's entry for a named variable.
-pub fn binding_of(witness: &Witness, theta_name: &str, session: &Session) -> Option<TermId> {
-    let theta: &Subst = &witness.theta;
-    for (v, t) in theta.iter() {
-        if session.syms.var_name(v) == theta_name {
-            return Some(t);
-        }
-    }
-    None
 }
 
 #[cfg(test)]

@@ -71,11 +71,6 @@ impl DType {
             DType::F64 | DType::I64 => 8,
         }
     }
-
-    /// Whether this is a floating-point type.
-    pub fn is_float(self) -> bool {
-        matches!(self, DType::F32 | DType::F16 | DType::BF16 | DType::F64)
-    }
 }
 
 impl fmt::Display for DType {

@@ -165,11 +165,6 @@ impl TransformerConfig {
     pub fn expected_mha_sites(&self) -> usize {
         self.layers
     }
-
-    /// Number of expanded-GELU subgraphs (one per layer).
-    pub fn expected_gelu_sites(&self) -> usize {
-        self.layers
-    }
 }
 
 fn weight(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
