@@ -50,9 +50,11 @@ pub enum Stage {
     TrieBuild,
     /// Mark-sweep collection of the graph around the scan.
     Gc,
-    /// Building the term view of the graph.
+    /// Creating the rewrite scan's term view: its per-node tables, every
+    /// live node unseen. No term is interned here.
     ViewBuild,
-    /// The rewrite scan: admission, machine probes, commits, repair.
+    /// The rewrite scan: interning each node it reads, admission,
+    /// machine probes, commits, repair.
     Scan,
     /// Validating the graph after a pass (and whatever a pass that laps
     /// nothing of its own spent).

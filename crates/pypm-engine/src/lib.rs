@@ -41,16 +41,22 @@
 //! [`pypm_graph::Graph::collect`] frees the replaced root's cone by
 //! reference count.
 //!
-//! View maintenance is shared: one [`pypm_graph::TermView::build`],
-//! then **lazy in-place patches** — a patch marks the rewrite's cone
-//! stale (a pointer walk over the graph's incrementally maintained
-//! reverse adjacency) and drops the marked nodes from the ordered
-//! first-producer index; terms recompute on demand when the scan next
-//! visits a node ([`pypm_graph::TermView::term_of_repaired`]), so nodes
-//! dirtied by several consecutive rewrites recompute once. A fully
-//! repaired view is contractually indistinguishable from a rebuild,
-//! which is why even the paper-faithful restart *scan* pays no
-//! per-round rebuild. The recomputes are measured by the
+//! View maintenance is shared and lazy from the start: one
+//! [`pypm_graph::TermView::empty`] view, in which every live node is
+//! *unseen* and no term is interned, then **lazy in-place patches** — a
+//! patch marks the rewrite's cone stale (a pointer walk over the
+//! graph's incrementally maintained reverse adjacency) and drops the
+//! marked nodes from the ordered first-producer index. A node's term is
+//! interned when the scan first reads it, and recomputed there after a
+//! patch marked it ([`pypm_graph::TermView::term_of_repaired`]), so
+//! nodes dirtied by several consecutive rewrites recompute once and
+//! nodes a rewrite deletes before the scan reaches them are never
+//! interned. A fully interned view is contractually indistinguishable
+//! from a [`pypm_graph::TermView::build`], and the one read that could
+//! tell — the lowest-id producer of a term a rule's RHS variable names
+//! — is answered over unseen nodes too
+//! ([`pypm_graph::TermView::canonical_producer`]), which is why even
+//! the paper-faithful restart *scan* pays no per-round rebuild. The recomputes are measured by the
 //! `nodes_reindexed` counter — ~14× below the old linear-refresh floor
 //! on bert-small.
 //!

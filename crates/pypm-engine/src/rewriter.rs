@@ -133,7 +133,9 @@ pub struct PassStats {
     /// stage boundary before it to the end of its scan (its setup, trie
     /// build, collection, view build and scan stages).
     pub duration: Duration,
-    /// Term views built from scratch ([`TermView::build`]).
+    /// Term views the pass created: one per scan, which starts
+    /// [`TermView::empty`] and interns each node when it first reads
+    /// it.
     pub view_builds: u64,
     /// Term views repaired in place ([`TermView::patch`]).
     pub view_patches: u64,
@@ -390,7 +392,8 @@ impl<'a> Driver<'a> {
     /// streaming match/rewrite events through `cx`, and lapping its
     /// stages on `cx`'s recorder: [`Stage::PassSetup`] (everything from
     /// the last boundary to here), [`Stage::TrieBuild`], [`Stage::Gc`],
-    /// then [`Stage::ViewBuild`] and [`Stage::Scan`] in
+    /// then [`Stage::ViewBuild`] (the empty view's allocation) and
+    /// [`Stage::Scan`] (which interns what it reads) in
     /// [`Driver::scan`].
     fn run(&mut self, graph: &mut Graph, cx: &mut PipelineCx) -> Result<PassStats, RewriteError> {
         let start = cx.stages().last();
@@ -598,7 +601,7 @@ impl<'a> Driver<'a> {
     fn on_match(
         &mut self,
         graph: &mut Graph,
-        view: &TermView,
+        view: &mut TermView,
         node: NodeId,
         pi: usize,
         witness: &Witness,
@@ -680,11 +683,22 @@ impl<'a> Driver<'a> {
     /// outputs-first post-order the reference walks, and byte-identity
     /// with it rests on that order.
     ///
-    /// The term view is built once and then *repaired in place* after
-    /// every firing: a repaired view is contractually
-    /// indistinguishable from a rebuild (the equivalence the `termview`
-    /// suites prove), and a patch is an O(cone) marking walk with terms
-    /// recomputed on demand at visit time.
+    /// The term view is created once, empty ([`TermView::empty`]: every
+    /// live node *unseen*), and then *repaired in place* after every
+    /// firing. Nothing walks the graph to intern it: a visit interns
+    /// its node (and whatever of the node's input cone is still unseen)
+    /// the first time it reads it, so a node a rewrite deletes before
+    /// the scan reaches it is never interned. A patch is an O(cone)
+    /// marking walk that treats unseen nodes like clean ones, with terms
+    /// recomputed on demand at visit time; which nodes it marks, what
+    /// the worklist re-enqueues and every counter
+    /// (`nodes_reindexed` included) are what an eagerly built view
+    /// gives. The one read that could tell the difference is the node a
+    /// variable of the rule's RHS names — the canonical, lowest-id
+    /// producer of its term, which may be unseen, ahead of the cursor —
+    /// and [`TermView::canonical_producer`] answers it over unseen
+    /// nodes too (debug builds check each answer against a brute force
+    /// over the graph).
     ///
     /// Invariants that make the worklist byte-identical to the
     /// reference scan:
@@ -751,7 +765,9 @@ impl<'a> Driver<'a> {
     /// the cursor, filtered to dirty nodes, against a recomputed
     /// [`Graph::topo_order`] filtered the same way — check that every
     /// node the reference's walk yields in a round is the next node of
-    /// a [`Graph::topo_order`] taken when the round started, and
+    /// a [`Graph::topo_order`] taken when the round started, check
+    /// every canonical producer a variable resolves to against a brute
+    /// force over the graph ([`assert_canonical_producer`]), and
     /// [`Graph::validate`] the graph after every commit.
     fn scan(
         &mut self,
@@ -760,12 +776,7 @@ impl<'a> Driver<'a> {
         cx: &mut PipelineCx,
         stats: &mut PassStats,
     ) -> Result<(), RewriteError> {
-        let mut view = TermView::build(
-            graph,
-            &mut self.session.syms,
-            &mut self.session.terms,
-            &self.session.registry,
-        );
+        let mut view = TermView::empty(graph, &mut self.session.syms);
         stats.view_builds += 1;
         cx.lap(Stage::ViewBuild);
         let worklist = self.pass.policy == SweepPolicy::Incremental;
@@ -877,7 +888,7 @@ impl<'a> Driver<'a> {
     fn fire_first_rule(
         &mut self,
         graph: &mut Graph,
-        view: &TermView,
+        view: &mut TermView,
         node: NodeId,
         pattern_index: usize,
         witness: &Witness,
@@ -975,13 +986,26 @@ impl<'a> Driver<'a> {
     fn instantiate(
         &mut self,
         graph: &mut Graph,
-        view: &TermView,
+        view: &mut TermView,
         rhs: &Rhs,
         witness: &Witness,
         root_meta: Option<TensorMeta>,
     ) -> Result<NodeId, RewriteError> {
         let (op, args, attrs) = match self.resolve(rhs, witness)? {
-            Resolved::Bound(t) => return view.node_of(t).ok_or(RewriteError::NoNodeForTerm),
+            Resolved::Bound(t) => {
+                let producer = view
+                    .canonical_producer(
+                        graph,
+                        &mut self.session.syms,
+                        &mut self.session.terms,
+                        &self.session.registry,
+                        t,
+                    )
+                    .ok_or(RewriteError::NoNodeForTerm)?;
+                #[cfg(debug_assertions)]
+                assert_canonical_producer(graph, view, t, producer);
+                return Ok(producer);
+            }
             Resolved::Apply(op, args, attrs) => (op, args, attrs.to_vec()),
         };
         let mut inputs = Vec::with_capacity(args.len());
@@ -1002,6 +1026,88 @@ impl<'a> Driver<'a> {
             reason: e.to_string(),
         })
     }
+}
+
+/// Dev-build oracle of every variable binding the scan resolves to a
+/// node ([`TermView::canonical_producer`]), by brute force over the
+/// graph and sharing no code with the view or the term store: the
+/// answer is live, not stale, structurally equal to the lowest clean
+/// producer of `t`, and structurally equal to no live, non-stale node
+/// with a lower id.
+#[cfg(debug_assertions)]
+fn assert_canonical_producer(graph: &Graph, view: &TermView, t: TermId, producer: NodeId) {
+    let computed = view.node_of(t).expect("a bound term has a clean producer");
+    assert!(
+        graph.is_alive(producer) && !view.is_stale(producer),
+        "canonical producer {producer:?} is dead or stale"
+    );
+    assert!(
+        structurally_equal(graph, producer, computed),
+        "canonical producer {producer:?} differs from the clean producer {computed:?}"
+    );
+    let head = graph.node(producer);
+    for n in graph.allocated_since(0) {
+        if n >= producer {
+            break;
+        }
+        // Cheap first: the operator and arity, then the heads of the
+        // inputs.
+        let node = graph.node(n);
+        let near = node.op == head.op
+            && node.inputs.len() == head.inputs.len()
+            && same_head(graph, n, producer)
+            && (node.inputs.iter().zip(&head.inputs))
+                .all(|(&i, &j)| i == j || same_head(graph, i, j));
+        if near && graph.is_alive(n) && !view.is_stale(n) {
+            assert!(
+                !structurally_equal(graph, n, producer),
+                "{n:?} views as the term of {producer:?} and has the lower id"
+            );
+        }
+    }
+}
+
+/// Whether two distinct nodes agree at the head: both operator nodes,
+/// one operator at one arity, and — with no inputs — the same
+/// attributes in any order. Input and opaque nodes agree only with
+/// themselves.
+#[cfg(debug_assertions)]
+fn same_head(graph: &Graph, x: NodeId, y: NodeId) -> bool {
+    use pypm_graph::NodeKind;
+    let (nx, ny) = (graph.node(x), graph.node(y));
+    let sorted = |attrs: &[(Attr, i64)]| {
+        let mut attrs = attrs.to_vec();
+        attrs.sort_unstable();
+        attrs
+    };
+    nx.kind == NodeKind::Op
+        && ny.kind == NodeKind::Op
+        && nx.op == ny.op
+        && nx.inputs.len() == ny.inputs.len()
+        && (!nx.inputs.is_empty() || sorted(&nx.attrs) == sorted(&ny.attrs))
+}
+
+/// Whether two nodes denote the same tree: the same node, or nodes
+/// that agree at the head ([`same_head`]) over pairwise equal inputs.
+/// The pairs reached from `(a, b)` by taking the same input position
+/// on both sides are searched breadth first, each once: the two are
+/// equal exactly when no such pair of distinct nodes disagrees at the
+/// head, and the nearest disagreement ends the search.
+#[cfg(debug_assertions)]
+fn structurally_equal(graph: &Graph, a: NodeId, b: NodeId) -> bool {
+    let mut queue = std::collections::VecDeque::from([(a, b)]);
+    let mut seen = std::collections::HashSet::new();
+    while let Some((x, y)) = queue.pop_front() {
+        if x == y || !seen.insert((x, y)) {
+            continue;
+        }
+        if !same_head(graph, x, y) {
+            return false;
+        }
+        let inputs = |n: NodeId| graph.node(n).inputs.iter().copied();
+        queue.extend(inputs(x).zip(inputs(y)));
+    }
+    true
 }
 
 /// An RHS template node resolved against a witness.
@@ -1171,6 +1277,14 @@ mod tests {
     fn run(s: &mut Session, rs: &RuleSet, g: &mut Graph) -> PassStats {
         Pipeline::new(s)
             .with(RewritePass::new(rs.clone()))
+            .run(g)
+            .unwrap()
+            .total()
+    }
+
+    fn run_policy(s: &mut Session, rs: RuleSet, g: &mut Graph, policy: SweepPolicy) -> PassStats {
+        Pipeline::new(s)
+            .with(RewritePass::new(rs).policy(policy))
             .run(g)
             .unwrap()
             .total()
@@ -1526,6 +1640,79 @@ mod tests {
         assert!(inc.cursor_steps > nodes + (allocated - nodes));
         assert_eq!(inc.nodes_visited, 7);
         assert_eq!(inc.nodes_revisited, 0);
+    }
+
+    /// The same exception one level deeper: the variable binds
+    /// `Relu(Relu(w))`, built twice, and the lookup must climb two
+    /// levels from `w` to find the lower-id chain the scan has not
+    /// reached. No `ReluChain` rule, so both chains stay.
+    #[test]
+    fn a_two_level_twin_ahead_of_the_cursor_is_the_canonical_producer() {
+        for policy in SweepPolicy::ALL {
+            let mut s = Session::new();
+            let rs = s.load_library(LibraryConfig {
+                cublas: true,
+                ..LibraryConfig::none()
+            });
+            let mut g = Graph::new();
+            let x = mat(&mut s, &mut g, &[64, 32]);
+            let w = mat(&mut s, &mut g, &[16, 32]);
+            let (relu, trans, matmul) = (s.ops.relu, s.ops.trans, s.ops.matmul);
+            let mut relu_relu_w = |g: &mut Graph| {
+                let inner = g
+                    .op(&mut s.syms, &s.registry, relu, vec![w], vec![])
+                    .unwrap();
+                g.op(&mut s.syms, &s.registry, relu, vec![inner], vec![])
+                    .unwrap()
+            };
+            let ahead = relu_relu_w(&mut g);
+            let behind = relu_relu_w(&mut g);
+            let t = g
+                .op(&mut s.syms, &s.registry, trans, vec![behind], vec![])
+                .unwrap();
+            let mm = g
+                .op(&mut s.syms, &s.registry, matmul, vec![x, t], vec![])
+                .unwrap();
+            g.mark_output(mm);
+            g.mark_output(ahead);
+            let stats = run_policy(&mut s, rs, &mut g, policy);
+            assert_eq!(stats.rewrites_fired, 1, "{policy}");
+            let fused = g.outputs()[0];
+            assert_eq!(g.node(fused).op, s.ops.cublas_mm_xyt_f32);
+            assert_eq!(g.node(fused).inputs, vec![x, ahead], "{policy}");
+        }
+    }
+
+    /// And with no input to climb from: the variable of
+    /// `Trans(Trans(x)) → x` binds a `ConstScalar`, and its lower-id
+    /// twin — same operator, same value — sits ahead of the cursor.
+    #[test]
+    fn a_constant_twin_ahead_of_the_cursor_is_the_canonical_producer() {
+        for policy in SweepPolicy::ALL {
+            let mut s = Session::new();
+            let rs = s.load_library(LibraryConfig::all());
+            let mut g = Graph::new();
+            let (trans, const_scalar, value) =
+                (s.ops.trans, s.ops.const_scalar, s.ops.value_milli_attr);
+            let mut half = || {
+                let meta = TensorMeta::new(DType::F32, vec![4, 4]);
+                g.op_with_meta(const_scalar, vec![], vec![(value, 500)], meta)
+                    .unwrap()
+            };
+            let (ahead, behind) = (half(), half());
+            let inner = g
+                .op(&mut s.syms, &s.registry, trans, vec![behind], vec![])
+                .unwrap();
+            let outer = g
+                .op(&mut s.syms, &s.registry, trans, vec![inner], vec![])
+                .unwrap();
+            g.mark_output(outer);
+            g.mark_output(ahead);
+            let stats = run_policy(&mut s, rs, &mut g, policy);
+            assert_eq!(stats.rewrites_fired, 1, "{policy}");
+            assert_eq!(g.outputs(), &[ahead], "{policy}");
+            assert!(!g.is_alive(behind), "{policy}");
+        }
     }
 
     /// What one run shows of its visits: every counter a visit

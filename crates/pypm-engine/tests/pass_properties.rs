@@ -46,6 +46,93 @@ fn random_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
     g
 }
 
+/// Random DAG in which subgraphs recur. Besides fresh operators, a
+/// step re-issues an existing operator over the same inputs (a
+/// one-level twin), re-issues one of its inputs first and the operator
+/// over that copy (a two-level twin), or adds another `ConstScalar` of
+/// a value the graph may already hold (a constant twin); operands lean
+/// towards the newest node, and a step may build a rewrite site whose
+/// variable binds it — `Trans(Trans(x))`, `MatMul(y, Trans(x))`,
+/// `Relu(Relu(x))`, `MatMul(Trans(x), Trans(y))` — so rules fire over
+/// fresh twins.
+/// Every node no other node reads is an output, marked in shuffled
+/// order: nothing is garbage, and the post-order can reach a lower-id
+/// twin only after a higher-id one — the canonical producer a rewrite
+/// reads may sit ahead of the scan's cursor, not yet interned.
+fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut g = Graph::new();
+    let sq = TensorMeta::new(DType::F32, vec![8, 8]);
+    let (relu, trans, matmul) = (s.ops.relu, s.ops.trans, s.ops.matmul);
+    let unary = [relu, trans, s.ops.tanh, s.ops.gelu];
+    let binary = [matmul, s.ops.add, s.ops.mul];
+    let (const_scalar, value_milli) = (s.ops.const_scalar, s.ops.value_milli_attr);
+    let mut nodes: Vec<NodeId> = (0..2).map(|_| g.input(&mut s.syms, sq.clone())).collect();
+    for _ in 0..size {
+        let newest = *nodes.last().unwrap();
+        let mut pick = || match rng.gen_bool(0.5) {
+            true => newest,
+            false => nodes[rng.gen_range(0..nodes.len())],
+        };
+        let (n, m) = (pick(), pick());
+        let twin = g.node(n).clone();
+        let below = twin.inputs.iter().enumerate().find_map(|(at, &i)| {
+            let node = g.node(i);
+            (!node.inputs.is_empty()).then(|| (at, node.clone()))
+        });
+        // Square matrices make every op shape-compatible.
+        let mut apply = |op, inputs, attrs| {
+            g.op(&mut s.syms, &s.registry, op, inputs, attrs)
+                .expect("square ops compose")
+        };
+        let fresh = match rng.gen_range(0..13) {
+            0..=2 => apply(unary[rng.gen_range(0..unary.len())], vec![n], vec![]),
+            3 | 4 => apply(binary[rng.gen_range(0..binary.len())], vec![m, n], vec![]),
+            5 | 6 if !twin.inputs.is_empty() => apply(twin.op, twin.inputs, twin.attrs),
+            7 | 8 if below.is_some() => {
+                let (at, below) = below.unwrap();
+                let mut inputs = twin.inputs;
+                inputs[at] = apply(below.op, below.inputs, below.attrs);
+                apply(twin.op, inputs, twin.attrs)
+            }
+            9 => {
+                let t = apply(trans, vec![newest], vec![]);
+                apply(trans, vec![t], vec![])
+            }
+            10 => {
+                let t = apply(trans, vec![newest], vec![]);
+                apply(matmul, vec![m, t], vec![])
+            }
+            11 => {
+                let r = apply(relu, vec![newest], vec![]);
+                apply(relu, vec![r], vec![])
+            }
+            12 => {
+                let t = apply(trans, vec![newest], vec![]);
+                let u = apply(trans, vec![m], vec![]);
+                apply(matmul, vec![t, u], vec![])
+            }
+            _ => {
+                let milli = [500, 1000, 2000][rng.gen_range(0..3usize)];
+                g.op_with_meta(const_scalar, vec![], vec![(value_milli, milli)], sq.clone())
+                    .expect("a constant has no inputs to check")
+            }
+        };
+        nodes.push(fresh);
+    }
+    let mut sinks: Vec<NodeId> = nodes
+        .into_iter()
+        .filter(|&n| g.users_of(n).is_empty())
+        .collect();
+    for i in (1..sinks.len()).rev() {
+        sinks.swap(i, rng.gen_range(0..=i));
+    }
+    for o in sinks {
+        g.mark_output(o);
+    }
+    g
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -145,6 +232,44 @@ proptest! {
             attempts[1],
             attempts[0]
         );
+    }
+
+    /// Restart ≡ incremental, byte for byte, where subgraphs recur: on
+    /// [`twin_graph`]s × random rule subsets, a variable the rewrite
+    /// reads may name a term whose lowest-id producer the incremental
+    /// scan has not reached yet, and both policies must still read that
+    /// one. The dev profile checks every such lookup against a brute
+    /// force over the graph as well; the nightly CI job reruns this at
+    /// high case counts.
+    #[test]
+    fn incremental_is_byte_identical_on_twin_graphs(
+        seed in any::<u64>(),
+        size in 1usize..30,
+        mask in 1u32..u32::MAX,
+    ) {
+        let mut snapshots = Vec::new();
+        for policy in [SweepPolicy::RestartOnRewrite, SweepPolicy::Incremental] {
+            let mut s = Session::new();
+            let mut g = twin_graph(&mut s, seed, size);
+            let mut rules = s.load_library(LibraryConfig::all());
+            let kept: Vec<_> = rules
+                .patterns
+                .drain(..)
+                .enumerate()
+                .filter(|(i, _)| mask >> (i % 32) & 1 == 1)
+                .map(|(_, p)| p)
+                .collect();
+            rules.patterns = kept;
+            let stats = run_pass(&mut s, RewritePass::new(rules).policy(policy), &mut g);
+            g.validate().unwrap();
+            let snap: Vec<(NodeId, String, Vec<NodeId>)> = g
+                .topo_order()
+                .into_iter()
+                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.node(n).inputs.clone()))
+                .collect();
+            snapshots.push((stats.rewrites_fired, stats.nodes_reindexed, snap, g.outputs().to_vec()));
+        }
+        prop_assert_eq!(&snapshots[0], &snapshots[1]);
     }
 
     /// The fused discrimination-tree matcher must be byte-identical to

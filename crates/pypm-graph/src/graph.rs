@@ -34,6 +34,11 @@ impl NodeId {
     pub fn index(self) -> usize {
         self.0 as usize
     }
+
+    /// The id of the `i`-th allocated node.
+    pub(crate) fn from_index(i: usize) -> NodeId {
+        NodeId(i as u32)
+    }
 }
 
 impl fmt::Debug for NodeId {

@@ -133,7 +133,7 @@ struct TermAttrs {
 #[derive(Debug, Clone, Default)]
 pub struct GraphAttrInterp {
     /// By [`TermId::index`]; `None` (or past the end) for a term no
-    /// clean node of the view produces.
+    /// node of the view has produced.
     by_term: Vec<Option<TermAttrs>>,
     handles: Option<TensorAttrs>,
 }
@@ -194,22 +194,50 @@ fn specialized_const(syms: &mut SymbolTable, op: Symbol, attrs: &[(Attr, i64)]) 
     syms.op(&name, 0)
 }
 
+/// Where a node stands in a [`TermView`] apart from its term: whether
+/// the view still owes it one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Owed {
+    /// Nothing owed: the node is clean (it has a term), or the view
+    /// does not know it (dead, or allocated after the view and never
+    /// invalidated).
+    Nothing,
+    /// Marked by [`TermView::patch`]: its term may have changed.
+    Stale,
+    /// Live when the view was created and not interned since.
+    Unseen,
+}
+
 /// A cached term view of a [`Graph`].
 ///
-/// The view is valid for the graph revision it was built against. After
-/// a rewrite there are two ways to bring it up to date:
+/// Every node the view knows is in one of three states:
 ///
-/// * [`TermView::build`] — recompute everything from scratch (the
-///   original behaviour), or
-/// * [`TermView::invalidate`] the rewrite's dirty seed (the rewired
-///   users of the replaced root, the freshly created replacement nodes,
-///   and the ids [`Graph::collect`] freed), then [`TermView::patch`] —
-///   **mark** the seed's cone of influence stale (its transitive users,
-///   discovered through [`Graph::users_of`]; a cheap pointer walk, no
-///   interning) and drop the stale nodes from the index maps. Terms
-///   are then recomputed **lazily**, on demand, by
-///   [`TermView::term_of_repaired`] when the rewrite scheduler
-///   actually visits a node.
+/// * **clean** — its term is interned, [`TermView::term_of`] answers
+///   it, and it is one of its term's producers in the index;
+/// * **stale** — [`TermView::patch`] marked it: a rewrite upstream may
+///   have changed its term, so it has left the index until it is
+///   recomputed;
+/// * **unseen** — it was live when the view was created
+///   ([`TermView::empty`]) and nothing has read it since. Its term is
+///   the one a build would have given it, just not interned yet: no
+///   input of an unseen node is stale, because a patch marks every user
+///   of what it marks.
+///
+/// A view starts with every live node unseen. [`TermView::build`] is
+/// that view plus a walk interning every node reachable from the
+/// outputs; the rewrite scan never walks, and interns a node the first
+/// time it reads it ([`TermView::term_of_repaired`]), so a node a
+/// rewrite deletes before the scan reaches it is never interned at all.
+///
+/// After a rewrite, [`TermView::invalidate`] the rewrite's dirty seed
+/// (the rewired users of the replaced root, the freshly created
+/// replacement nodes, and the ids [`Graph::collect`] freed), then
+/// [`TermView::patch`] — **mark** the seed's cone of influence stale
+/// (its transitive users, discovered through [`Graph::users_of`]; a
+/// cheap pointer walk, no interning, over unseen and clean users alike)
+/// and drop the marked nodes from the index maps. Stale terms are then
+/// recomputed **lazily**, on demand, by [`TermView::term_of_repaired`]
+/// when the rewrite scheduler actually visits a node.
 ///
 /// Laziness is what makes the maintenance *sublinear in practice*, not
 /// just per-patch: a rewrite near the inputs dirties everything
@@ -217,50 +245,54 @@ fn specialized_const(syms: &mut SymbolTable, op: Symbol, attrs: &[(Attr, i64)]) 
 /// before the scheduler ever looks at it. Eager patching recomputes
 /// those nodes once per upstream rewrite; lazy repair recomputes each
 /// node at most once per *visit*, so consecutive rewrites coalesce.
-/// [`TermView::terms_recomputed`] counts the recomputes (the engine's
-/// `nodes_reindexed` counter).
+/// [`TermView::terms_recomputed`] counts the recomputes of stale nodes
+/// (the engine's `nodes_reindexed` counter); interning an unseen node
+/// is not a recompute, so the count is the one an eagerly built view
+/// would read.
 ///
 /// Index maps and attribute side tables are maintained incrementally
-/// via ordered first-producer bookkeeping (every term keeps its live
+/// via ordered first-producer bookkeeping (every term keeps its clean
 /// producers in an ordered set). Marking *removes* a stale node from
 /// the index before its new term is known, so [`TermView::node_of`]
 /// can never serve a stale mapping; repair re-inserts it. A view with
-/// no stale nodes (see [`TermView::repair_all`]) is indistinguishable
-/// from a fresh [`TermView::build`].
+/// no stale and no unseen nodes (see [`TermView::repair_all`]) is
+/// indistinguishable from a fresh [`TermView::build`].
 ///
 /// Canonical producer: when several live nodes view as the same term,
-/// [`TermView::node_of`] returns the one with the lowest [`NodeId`] —
-/// the earliest-allocated producer. Any live producer computes the same
-/// value (that is what sharing a term means), and the lowest id is the
-/// one ordering that build and patch can agree on without a graph walk,
-/// which is what makes the bookkeeping sublinear.
+/// the canonical one is the live, non-stale node with the lowest
+/// [`NodeId`] — the earliest-allocated producer. Any live producer
+/// computes the same value (that is what sharing a term means), and the
+/// lowest id is the one ordering that build and patch can agree on
+/// without a graph walk, which is what makes the bookkeeping sublinear.
+/// [`TermView::node_of`] reads it off the index, which holds clean
+/// nodes only; [`TermView::canonical_producer`] finds it among the
+/// unseen nodes too.
 #[derive(Debug, Clone)]
 pub struct TermView {
     revision: u64,
     /// node → term for **clean** nodes only, by [`NodeId::index`]; a
-    /// stale node has `None` until it is repaired. Per-node and
-    /// per-term state are both dense vectors: node ids are a graph's
-    /// own, allocated from zero, and a compile owns its [`TermStore`],
-    /// whose ids are dense and belong to this graph's terms.
+    /// stale or unseen node has `None` until it is interned. Per-node
+    /// and per-term state are both dense vectors: node ids are a
+    /// graph's own, allocated from zero, and a compile owns its
+    /// [`TermStore`], whose ids are dense and belong to this graph's
+    /// terms.
     term_of_node: Vec<Option<TermId>>,
     /// How many nodes have a term ([`TermView::len`]).
     clean: usize,
-    /// Ordered first-producer bookkeeping: every live producer of a
-    /// term, ordered by node id ([`Producers`]). The canonical producer
-    /// is the first element; erasing or adding a producer is
-    /// O(log |producers|). Stale nodes are absent. By
-    /// [`TermId::index`]; `None` (or past the end) for a term nothing
-    /// clean produces.
+    /// Ordered first-producer bookkeeping: every clean producer of a
+    /// term, ordered by node id ([`Producers`]). The lowest clean
+    /// producer is the first element; erasing or adding a producer is
+    /// O(log |producers|). By [`TermId::index`]; `None` (or past the
+    /// end) for a term nothing clean produces.
     producers: Vec<Option<Producers>>,
     /// Attribute side tables.
     attrs: GraphAttrInterp,
     /// Nodes marked dirty by [`TermView::invalidate`] (repeats allowed),
     /// consumed by the next [`TermView::patch`].
     pending: Vec<NodeId>,
-    /// Whether a node awaits on-demand repair — marked by
-    /// [`TermView::patch`], already removed from the clean maps. By
-    /// [`NodeId::index`]; ids past the end are not stale.
-    stale: Vec<bool>,
+    /// What the view owes each node, by [`NodeId::index`]; ids past the
+    /// end are owed nothing.
+    owed: Vec<Owed>,
     /// Terms recomputed by on-demand repair over the view's lifetime
     /// (see [`TermView::terms_recomputed`]).
     recomputed: u64,
@@ -270,6 +302,17 @@ pub struct TermView {
     /// The depth-first stack of [`TermView::term_of_repaired`], empty
     /// between calls.
     repair_stack: Vec<NodeId>,
+    /// The breadth-first search of [`TermView::canonical_producer`]
+    /// below the computed producer, empty between calls.
+    trail: Vec<Step>,
+    /// The candidates [`TermView::canonical_producer`] holds at one
+    /// level of its climb, and those it finds one level up; both empty
+    /// between calls.
+    frontier: Vec<NodeId>,
+    climbed: Vec<NodeId>,
+    /// The nodes on the trail, by [`NodeId::index`]; all `false`
+    /// between calls.
+    seen: Vec<bool>,
     /// The value-specialized symbol of every attribute-carrying
     /// constant met so far, by operator and then attribute list, so
     /// that only the first meeting spells the name out. The outer key
@@ -277,33 +320,72 @@ pub struct TermView {
     consts: IdMap<Symbol, HashMap<Vec<(Attr, i64)>, Symbol>>,
 }
 
+/// One node of the search [`TermView::canonical_producer`] makes below
+/// a producer: the node, and the step above it that reached it — the
+/// index of that step in the trail and the input position taken.
+#[derive(Debug, Clone, Copy)]
+struct Step {
+    node: NodeId,
+    above: Option<(u32, u32)>,
+}
+
+/// Whether two nodes' attribute lists hold the same pairs, in any
+/// order: nullary nodes with equal operators view as the same term
+/// exactly when this holds (see [`specialized_const`]).
+fn same_attr_set(a: &[(Attr, i64)], b: &[(Attr, i64)]) -> bool {
+    let count = |list: &[(Attr, i64)], pair| list.iter().filter(|&&p| p == pair).count();
+    a.len() == b.len() && a.iter().all(|&pair| count(a, pair) == count(b, pair))
+}
+
 impl TermView {
+    /// The view of `graph` with every live node unseen: no term is
+    /// interned. The rewrite scan starts here and interns what it reads.
+    pub fn empty(graph: &Graph, syms: &mut SymbolTable) -> TermView {
+        let owed = (0..graph.allocated_count())
+            .map(|i| {
+                if graph.is_alive(NodeId::from_index(i)) {
+                    Owed::Unseen
+                } else {
+                    Owed::Nothing
+                }
+            })
+            .collect();
+        TermView {
+            revision: graph.revision(),
+            term_of_node: vec![None; graph.allocated_count()],
+            clean: 0,
+            producers: Vec::new(),
+            attrs: GraphAttrInterp {
+                handles: Some(TensorAttrs::intern(syms)),
+                ..GraphAttrInterp::default()
+            },
+            pending: Vec::new(),
+            owed,
+            recomputed: 0,
+            args: Vec::new(),
+            repair_stack: Vec::new(),
+            trail: Vec::new(),
+            frontier: Vec::new(),
+            climbed: Vec::new(),
+            seen: Vec::new(),
+            consts: IdMap::default(),
+        }
+    }
+
     /// Builds the term view of every node reachable from the graph
-    /// outputs.
+    /// outputs: the [`TermView::empty`] view, with each such node
+    /// interned in topological order.
     pub fn build(
         graph: &Graph,
         syms: &mut SymbolTable,
         terms: &mut TermStore,
         registry: &OpRegistry,
     ) -> TermView {
-        let handles = TensorAttrs::intern(syms);
-        let mut view = TermView {
-            revision: graph.revision(),
-            term_of_node: vec![None; graph.allocated_count()],
-            clean: 0,
-            producers: Vec::new(),
-            attrs: GraphAttrInterp {
-                handles: Some(handles),
-                ..GraphAttrInterp::default()
-            },
-            pending: Vec::new(),
-            stale: vec![false; graph.allocated_count()],
-            recomputed: 0,
-            args: Vec::new(),
-            repair_stack: Vec::new(),
-            consts: IdMap::default(),
-        };
+        let mut view = TermView::empty(graph, syms);
         for n in graph.topo_order() {
+            // Inputs come first in this order, so this is the one step
+            // of `term_of_repaired` with nothing to search for.
+            view.owed[n.index()] = Owed::Nothing;
             let term = view.term_for(graph, n, syms, terms);
             view.record(graph, registry, n, term);
         }
@@ -334,12 +416,12 @@ impl TermView {
     /// looked at, so nodes dirtied by several consecutive rewrites are
     /// recomputed once, not once per rewrite.
     ///
-    /// Equivalence contract: once every stale node has been repaired
-    /// (e.g. after [`TermView::repair_all`]), the view is
+    /// Equivalence contract: once every stale and unseen node has been
+    /// interned (e.g. after [`TermView::repair_all`]), the view is
     /// indistinguishable from `TermView::build` on the current graph —
     /// same node→term map, same canonical producer (lowest-node-id,
-    /// see the type docs) for every term, equal-valued attribute side
-    /// tables.
+    /// see the type docs) for every term, and the same attributes for
+    /// every term a node produces.
     ///
     /// Like [`Self::invalidate`] documents, the caller must invalidate
     /// the ids `Graph::collect` freed: patch discovers deadness only for
@@ -347,23 +429,25 @@ impl TermView {
     /// the linear walk this method exists to avoid).
     pub fn patch(&mut self, graph: &Graph) -> Vec<NodeId> {
         self.revision = graph.revision();
-        if self.stale.len() < graph.allocated_count() {
-            self.stale.resize(graph.allocated_count(), false);
+        if self.owed.len() < graph.allocated_count() {
+            self.owed.resize(graph.allocated_count(), Owed::Nothing);
         }
         let mut queue = std::mem::take(&mut self.pending);
         queue.retain(|&n| {
             let alive = graph.is_alive(n);
             if !alive {
-                // Dead: gone from the clean maps, gone from the stale
-                // set — exactly like a fresh build would not see it.
-                self.stale[n.index()] = false;
+                // Dead: gone from the clean maps, owed nothing —
+                // exactly like a fresh build would not see it.
+                self.owed[n.index()] = Owed::Nothing;
                 self.erase(n);
             }
             alive
         });
         let mut marked: Vec<NodeId> = Vec::new();
         while let Some(n) = queue.pop() {
-            if std::mem::replace(&mut self.stale[n.index()], true) {
+            // An unseen node is marked like a clean one: an eager build
+            // would have had a term for it.
+            if std::mem::replace(&mut self.owed[n.index()], Owed::Stale) == Owed::Stale {
                 continue;
             }
             // The old term leaves the index *now*, so node_of can never
@@ -371,7 +455,7 @@ impl TermView {
             self.erase(n);
             marked.push(n);
             for &u in graph.users_of(n) {
-                if !self.stale[u.index()] {
+                if self.owed[u.index()] != Owed::Stale {
                     queue.push(u);
                 }
             }
@@ -382,10 +466,13 @@ impl TermView {
         marked
     }
 
-    /// The term rooted at `n`, repairing it first if a patch marked it
-    /// stale (recursively repairing stale inputs, memoized — each stale
-    /// node is recomputed once). Returns `None` for nodes the view has
-    /// never seen and that are not marked (dead or unreachable ids).
+    /// The term rooted at `n`, interning it first if the view owes it
+    /// one: recomputing it if a patch marked it stale, interning it if
+    /// it is unseen, and likewise every stale or unseen input first
+    /// (memoized — each node is interned once). Only the stale nodes
+    /// count as recomputes ([`TermView::terms_recomputed`]). Returns
+    /// `None` for nodes the view does not know (dead ids, or ids
+    /// allocated after the view and never invalidated).
     ///
     /// This is the lookup the rewrite scheduler uses at every visit;
     /// the read-only [`TermView::term_of`] deliberately returns `None`
@@ -401,29 +488,33 @@ impl TermView {
         if let Some(t) = self.term_of(n) {
             return Some(t);
         }
-        if !self.is_stale(n) {
+        if self.owed_to(n) == Owed::Nothing {
             return None;
         }
-        // Iterative input-first DFS over the stale region: rewiring
+        // Iterative input-first DFS over the owed region: rewiring
         // points users at later-allocated replacement nodes, so node
         // ids carry no topological order we could lean on. A node is
-        // pushed once per stale path to it and repaired the first time
+        // pushed once per owed path to it and interned the first time
         // it surfaces with clean inputs.
         let mut stack = std::mem::take(&mut self.repair_stack);
         stack.push(n);
         while let Some(&top) = stack.last() {
             let below = stack.len();
-            stack.extend(graph.node(top).inputs.iter().filter(|i| self.is_stale(**i)));
+            let owed = |i: &&NodeId| self.owed_to(**i) != Owed::Nothing;
+            stack.extend(graph.node(top).inputs.iter().filter(owed));
             if stack.len() > below {
                 continue;
             }
             stack.pop();
-            if !std::mem::replace(&mut self.stale[top.index()], false) {
-                // Repaired on another path of this very DFS.
+            let owed = std::mem::replace(&mut self.owed[top.index()], Owed::Nothing);
+            if owed == Owed::Nothing {
+                // Interned on another path of this very DFS.
                 continue;
             }
             let term = self.term_for(graph, top, syms, terms);
-            self.recomputed += 1;
+            if owed == Owed::Stale {
+                self.recomputed += 1;
+            }
             self.record(graph, registry, top, term);
         }
         // Drained; keep the allocation for the next repair.
@@ -431,14 +522,19 @@ impl TermView {
         self.term_of(n)
     }
 
-    fn is_stale(&self, n: NodeId) -> bool {
-        self.stale.get(n.index()).is_some_and(|&stale| stale)
+    fn owed_to(&self, n: NodeId) -> Owed {
+        self.owed.get(n.index()).copied().unwrap_or(Owed::Nothing)
     }
 
-    /// Repairs every stale node reachable from the graph outputs,
-    /// leaving the view equal to a fresh [`TermView::build`]. Useful
-    /// when a caller wants an eagerly consistent view (tests, external
-    /// consumers); the rewrite scheduler itself never needs it.
+    /// Whether a patch marked `n` and nothing has recomputed it since.
+    pub fn is_stale(&self, n: NodeId) -> bool {
+        self.owed_to(n) == Owed::Stale
+    }
+
+    /// Interns every stale or unseen node reachable from the graph
+    /// outputs, leaving the view equal to a fresh [`TermView::build`].
+    /// Useful when a caller wants an eagerly consistent view (tests,
+    /// external consumers); the rewrite scheduler itself never needs it.
     pub fn repair_all(
         &mut self,
         graph: &Graph,
@@ -449,19 +545,19 @@ impl TermView {
         for n in graph.topo_order() {
             self.term_of_repaired(graph, syms, terms, registry, n);
         }
-        // Stale ids that are dead by now can never be repaired (or
+        // Owed ids that are dead by now can never be interned (or
         // observed); drop them.
         for n in graph.allocated_since(0) {
-            if !graph.is_alive(n) && self.is_stale(n) {
-                self.stale[n.index()] = false;
+            if !graph.is_alive(n) && self.owed_to(n) != Owed::Nothing {
+                self.owed[n.index()] = Owed::Nothing;
             }
         }
     }
 
     /// The term denoted by one node, computed from its kind and its
-    /// inputs' already-known terms. Shared by [`TermView::build`]'s
-    /// linear walk and [`TermView::patch`]'s cone worklist so the two
-    /// paths cannot diverge.
+    /// inputs' already-known terms: the one step of
+    /// [`TermView::term_of_repaired`], for unseen and stale nodes
+    /// alike.
     fn term_for(
         &mut self,
         graph: &Graph,
@@ -502,7 +598,7 @@ impl TermView {
                         .get(i.index())
                         .copied()
                         .flatten()
-                        .expect("inputs resolve before their users (build walks topo order; repair defers to stale inputs)")
+                        .expect("inputs resolve before their users (repair defers to owed inputs)")
                 }));
                 terms.app(node.op, &self.args)
             }
@@ -510,11 +606,14 @@ impl TermView {
     }
 
     /// Registers `n` as a producer of `term`, maintaining the ordered
-    /// producer set and — when the term gains its first producer — the
+    /// producer set and — the first time the term has a producer — the
     /// attribute side tables. Values are identical across producers of
     /// one term (the determinism invariant the engine documents on
-    /// `SweepPolicy::Incremental`), so tables need no refresh when a
-    /// second producer arrives.
+    /// `SweepPolicy::Incremental`), so tables need no refresh when
+    /// another producer arrives, even one that arrives after the last
+    /// one left: a term whose producers the scan deletes one layer at a
+    /// time and interns again one layer later keeps the attributes it
+    /// has, instead of copying them again.
     fn record(&mut self, graph: &Graph, registry: &OpRegistry, n: NodeId, term: TermId) {
         if n.index() >= self.term_of_node.len() {
             self.term_of_node.resize(n.index() + 1, None);
@@ -527,7 +626,7 @@ impl TermView {
             first => {
                 *first = Some(Producers::One(n));
                 let node = graph.node(n);
-                *slot_mut(&mut self.attrs.by_term, term) = Some(TermAttrs {
+                slot_mut(&mut self.attrs.by_term, term).get_or_insert_with(|| TermAttrs {
                     meta: node.meta.clone(),
                     class_code: registry.class(node.op).code(),
                     node_attrs: node.attrs.clone(),
@@ -536,9 +635,9 @@ impl TermView {
         }
     }
 
-    /// Removes `n` from the view: its node→term entry, its slot in the
-    /// term's producer set, and — when the last producer disappears —
-    /// the term's attribute side-table entries.
+    /// Removes `n` from the view: its node→term entry and its slot in
+    /// the term's producer set. The term's attributes stay (see
+    /// [`TermView::record`]).
     fn erase(&mut self, n: NodeId) {
         let Some(term) = self.term_of_node.get_mut(n.index()).and_then(Option::take) else {
             return;
@@ -547,7 +646,6 @@ impl TermView {
         let producers = &mut self.producers[term.index()];
         if producers.as_mut().is_some_and(|set| set.remove(n)) {
             *producers = None;
-            self.attrs.by_term[term.index()] = None;
         }
     }
 
@@ -577,13 +675,149 @@ impl TermView {
         self.term_of_node.get(n.index()).copied().flatten()
     }
 
-    /// The canonical node producing the given term, if any: the live
-    /// producer with the lowest [`NodeId`] (see the type docs).
+    /// The lowest-id clean node producing the given term, if any. It
+    /// is the canonical producer (see the type docs) only on a view
+    /// with no unseen nodes, such as a [`TermView::build`] of a graph
+    /// that holds no garbage; [`TermView::canonical_producer`] answers
+    /// on any view.
     pub fn node_of(&self, t: TermId) -> Option<NodeId> {
         self.producers
             .get(t.index())?
             .as_ref()
             .map(Producers::first)
+    }
+
+    /// The canonical producer of `t` (see the type docs): the lowest-id
+    /// live node that views as `t` and that no patch has marked stale,
+    /// unseen nodes included. `None` when no clean node produces `t`.
+    ///
+    /// Every producer of `t` is structurally equal to the lowest clean
+    /// one, [`TermView::node_of`], so it reaches the same leaves by the
+    /// same input positions. The lookup searches below that producer,
+    /// breadth first, for the nearest leaf no other node views as — an
+    /// input or opaque node, each its own fresh constant — and climbs
+    /// back up the positions it took through [`Graph::users_of`],
+    /// keeping at each level the users that view as the subterm there;
+    /// what reaches the top views as `t`. A term with no such leaf is
+    /// built over nullary constants alone, and the climb then starts
+    /// from every live twin of the nearest one (same operator, same
+    /// attributes), found by a walk over the node table. Unseen
+    /// candidates are interned on the way — a first read, not a
+    /// recompute — and stale ones are skipped. Nothing is allocated
+    /// once the view's buffers have grown.
+    pub fn canonical_producer(
+        &mut self,
+        graph: &Graph,
+        syms: &mut SymbolTable,
+        terms: &mut TermStore,
+        registry: &OpRegistry,
+        t: TermId,
+    ) -> Option<NodeId> {
+        let computed = self.node_of(t)?;
+        let mut at = self.nearest_leaf(graph, computed);
+        let mut frontier = std::mem::take(&mut self.frontier);
+        let mut climbed = std::mem::take(&mut self.climbed);
+        let leaf = graph.node(self.trail[at].node);
+        if leaf.kind == NodeKind::Op {
+            for i in 0..graph.allocated_count() {
+                let n = NodeId::from_index(i);
+                let twin = graph.node(n);
+                let known = match self.owed_to(n) {
+                    Owed::Unseen => true,
+                    Owed::Stale => false,
+                    Owed::Nothing => self.term_of(n).is_some(),
+                };
+                if known
+                    && graph.is_alive(n)
+                    && twin.kind == NodeKind::Op
+                    && twin.inputs.is_empty()
+                    && twin.op == leaf.op
+                    && same_attr_set(&twin.attrs, &leaf.attrs)
+                {
+                    frontier.push(n);
+                }
+            }
+        } else {
+            frontier.push(self.trail[at].node);
+        }
+        while let Some((above, pos)) = self.trail[at].above {
+            at = above as usize;
+            let reference = self.trail[at].node;
+            let want = self
+                .term_of(reference)
+                .expect("every node below a clean one is clean");
+            let head = graph.node(reference);
+            climbed.clear();
+            for &v in &frontier {
+                for &u in graph.users_of(v) {
+                    let user = graph.node(u);
+                    if user.inputs.get(pos as usize) != Some(&v)
+                        || user.kind != NodeKind::Op
+                        || user.op != head.op
+                        || user.inputs.len() != head.inputs.len()
+                        || climbed.contains(&u)
+                    {
+                        continue;
+                    }
+                    let term = match self.owed_to(u) {
+                        Owed::Stale => continue,
+                        Owed::Unseen => self.term_of_repaired(graph, syms, terms, registry, u),
+                        Owed::Nothing => self.term_of(u),
+                    };
+                    if term == Some(want) {
+                        climbed.push(u);
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier, &mut climbed);
+        }
+        let canonical = frontier.iter().min().copied();
+        frontier.clear();
+        climbed.clear();
+        for step in self.trail.drain(..) {
+            self.seen[step.node.index()] = false;
+        }
+        self.frontier = frontier;
+        self.climbed = climbed;
+        canonical
+    }
+
+    /// Searches below `top` breadth first, recording the search in the
+    /// (empty) trail, for the nearest input or opaque node; failing
+    /// that, the nearest nullary node. Returns its index in the trail,
+    /// whose steps lead back up to `top`.
+    fn nearest_leaf(&mut self, graph: &Graph, top: NodeId) -> usize {
+        if self.seen.len() < graph.allocated_count() {
+            self.seen.resize(graph.allocated_count(), false);
+        }
+        self.trail.push(Step {
+            node: top,
+            above: None,
+        });
+        self.seen[top.index()] = true;
+        let mut nullary = None;
+        let mut next = 0;
+        while let Some(&Step { node: n, .. }) = self.trail.get(next) {
+            let node = graph.node(n);
+            match node.kind {
+                NodeKind::Input | NodeKind::Opaque => return next,
+                NodeKind::Op if node.inputs.is_empty() => {
+                    nullary.get_or_insert(next);
+                }
+                NodeKind::Op => {
+                    for (pos, &i) in node.inputs.iter().enumerate() {
+                        if !std::mem::replace(&mut self.seen[i.index()], true) {
+                            self.trail.push(Step {
+                                node: i,
+                                above: Some((next as u32, pos as u32)),
+                            });
+                        }
+                    }
+                }
+            }
+            next += 1;
+        }
+        nullary.expect("a term's leaves are inputs, opaque nodes or nullary constants")
     }
 
     /// The attribute interpretation for guard evaluation.
@@ -769,8 +1003,8 @@ mod tests {
             "patched producer bookkeeping diverges from a fresh build"
         );
         assert!(
-            !view.stale.contains(&true),
-            "repair_all leaves no stale node"
+            view.owed.iter().all(|&owed| owed == Owed::Nothing),
+            "repair_all leaves no stale or unseen node"
         );
     }
 
