@@ -92,7 +92,7 @@ fn partition(
         let member: IdSet<NodeId> = nodes.iter().copied().collect();
         let mut frontier = Vec::new();
         for &n in &nodes {
-            for &input in &graph.node(n).inputs {
+            for &input in graph.inputs(n) {
                 if !member.contains(&input) && !frontier.contains(&input) {
                     frontier.push(input);
                 }

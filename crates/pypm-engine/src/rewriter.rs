@@ -295,7 +295,7 @@ impl Fired {
             && self
                 .fresh
                 .iter()
-                .all(|&f| graph.node(f).inputs.iter().all(|&i| settled(i)))
+                .all(|&f| graph.inputs(f).iter().all(|&i| settled(i)))
     }
 }
 
@@ -357,6 +357,10 @@ struct Driver<'a> {
     /// The run's cooperative resource budget; `None` (the default)
     /// means unlimited.
     budget: Option<Arc<Budget>>,
+    /// The inputs of the RHS applications being built, as one stack:
+    /// each application pushes its inputs above its caller's and pops
+    /// them once its node exists ([`Driver::instantiate`]).
+    rhs_inputs: Vec<NodeId>,
 }
 
 impl<'a> Driver<'a> {
@@ -373,6 +377,7 @@ impl<'a> Driver<'a> {
             pattern_ids: patterns.iter().map(|d| d.pattern).collect(),
             rank,
             budget: cx.budget().cloned(),
+            rhs_inputs: Vec::new(),
         }
     }
 
@@ -1008,11 +1013,13 @@ impl<'a> Driver<'a> {
             }
             Resolved::Apply(op, args, attrs) => (op, args, attrs.to_vec()),
         };
-        let mut inputs = Vec::with_capacity(args.len());
+        let base = self.rhs_inputs.len();
         for a in args {
-            inputs.push(self.instantiate(graph, view, a, witness, None)?);
+            let input = self.instantiate(graph, view, a, witness, None)?;
+            self.rhs_inputs.push(input);
         }
-        match root_meta {
+        let inputs = &self.rhs_inputs[base..];
+        let built = match root_meta {
             Some(meta) => graph.op_with_meta(op, inputs, attrs, meta),
             None => graph.op(
                 &mut self.session.syms,
@@ -1021,8 +1028,9 @@ impl<'a> Driver<'a> {
                 inputs,
                 attrs,
             ),
-        }
-        .map_err(|e| RewriteError::BuildFailed {
+        };
+        self.rhs_inputs.truncate(base);
+        built.map_err(|e| RewriteError::BuildFailed {
             reason: e.to_string(),
         })
     }
@@ -1052,12 +1060,11 @@ fn assert_canonical_producer(graph: &Graph, view: &TermView, t: TermId, producer
         }
         // Cheap first: the operator and arity, then the heads of the
         // inputs.
-        let node = graph.node(n);
-        let near = node.op == head.op
-            && node.inputs.len() == head.inputs.len()
+        let (inputs, head_inputs) = (graph.inputs(n), graph.inputs(producer));
+        let near = graph.node(n).op == head.op
+            && inputs.len() == head_inputs.len()
             && same_head(graph, n, producer)
-            && (node.inputs.iter().zip(&head.inputs))
-                .all(|(&i, &j)| i == j || same_head(graph, i, j));
+            && (inputs.iter().zip(head_inputs)).all(|(&i, &j)| i == j || same_head(graph, i, j));
         if near && graph.is_alive(n) && !view.is_stale(n) {
             assert!(
                 !structurally_equal(graph, n, producer),
@@ -1083,8 +1090,8 @@ fn same_head(graph: &Graph, x: NodeId, y: NodeId) -> bool {
     nx.kind == NodeKind::Op
         && ny.kind == NodeKind::Op
         && nx.op == ny.op
-        && nx.inputs.len() == ny.inputs.len()
-        && (!nx.inputs.is_empty() || sorted(&nx.attrs) == sorted(&ny.attrs))
+        && graph.inputs(x).len() == graph.inputs(y).len()
+        && (!graph.inputs(x).is_empty() || sorted(&nx.attrs) == sorted(&ny.attrs))
 }
 
 /// Whether two nodes denote the same tree: the same node, or nodes
@@ -1104,7 +1111,7 @@ fn structurally_equal(graph: &Graph, a: NodeId, b: NodeId) -> bool {
         if !same_head(graph, x, y) {
             return false;
         }
-        let inputs = |n: NodeId| graph.node(n).inputs.iter().copied();
+        let inputs = |n: NodeId| graph.inputs(n).iter().copied();
         queue.extend(inputs(x).zip(inputs(y)));
     }
     true
@@ -1422,7 +1429,7 @@ mod tests {
         assert_eq!(stats.rewrites_fired, 1);
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.fmha);
-        assert_eq!(g.node(root).inputs, vec![q, k, v]);
+        assert_eq!(g.inputs(root), [q, k, v]);
     }
 
     #[test]
@@ -1517,7 +1524,7 @@ mod tests {
         assert_eq!(g.live_count(), 2);
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, relu);
-        assert_eq!(g.node(root).inputs, vec![x]);
+        assert_eq!(g.inputs(root), [x]);
     }
 
     #[test]
@@ -1627,7 +1634,7 @@ mod tests {
                 .total();
             let fused = g.outputs()[0];
             assert_eq!(g.node(fused).op, s.ops.cublas_mm_xyt_f32);
-            assert_eq!(g.node(fused).inputs, vec![x, ahead]);
+            assert_eq!(g.inputs(fused), [x, ahead]);
             (stats, nodes, g.allocated_count() as u64)
         };
         let (restart, ..) = run(SweepPolicy::RestartOnRewrite);
@@ -1679,7 +1686,7 @@ mod tests {
             assert_eq!(stats.rewrites_fired, 1, "{policy}");
             let fused = g.outputs()[0];
             assert_eq!(g.node(fused).op, s.ops.cublas_mm_xyt_f32);
-            assert_eq!(g.node(fused).inputs, vec![x, ahead], "{policy}");
+            assert_eq!(g.inputs(fused), [x, ahead], "{policy}");
         }
     }
 

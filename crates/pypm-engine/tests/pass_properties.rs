@@ -75,10 +75,9 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
             false => nodes[rng.gen_range(0..nodes.len())],
         };
         let (n, m) = (pick(), pick());
-        let twin = g.node(n).clone();
-        let below = twin.inputs.iter().enumerate().find_map(|(at, &i)| {
-            let node = g.node(i);
-            (!node.inputs.is_empty()).then(|| (at, node.clone()))
+        let (twin, twin_inputs) = (g.node(n).clone(), g.inputs(n).to_vec());
+        let below = twin_inputs.iter().enumerate().find_map(|(at, &i)| {
+            (!g.inputs(i).is_empty()).then(|| (at, g.node(i).clone(), g.inputs(i).to_vec()))
         });
         // Square matrices make every op shape-compatible.
         let mut apply = |op, inputs, attrs| {
@@ -88,11 +87,11 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
         let fresh = match rng.gen_range(0..13) {
             0..=2 => apply(unary[rng.gen_range(0..unary.len())], vec![n], vec![]),
             3 | 4 => apply(binary[rng.gen_range(0..binary.len())], vec![m, n], vec![]),
-            5 | 6 if !twin.inputs.is_empty() => apply(twin.op, twin.inputs, twin.attrs),
+            5 | 6 if !twin_inputs.is_empty() => apply(twin.op, twin_inputs, twin.attrs),
             7 | 8 if below.is_some() => {
-                let (at, below) = below.unwrap();
-                let mut inputs = twin.inputs;
-                inputs[at] = apply(below.op, below.inputs, below.attrs);
+                let (at, below, below_inputs) = below.unwrap();
+                let mut inputs = twin_inputs;
+                inputs[at] = apply(below.op, below_inputs, below.attrs);
                 apply(twin.op, inputs, twin.attrs)
             }
             9 => {
@@ -220,7 +219,7 @@ proptest! {
             let snap: Vec<(NodeId, String, Vec<NodeId>)> = g
                 .topo_order()
                 .into_iter()
-                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.node(n).inputs.clone()))
+                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.inputs(n).to_vec()))
                 .collect();
             snapshots.push((stats.rewrites_fired, snap, g.outputs().to_vec()));
             attempts.push(stats.match_attempts);
@@ -265,7 +264,7 @@ proptest! {
             let snap: Vec<(NodeId, String, Vec<NodeId>)> = g
                 .topo_order()
                 .into_iter()
-                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.node(n).inputs.clone()))
+                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.inputs(n).to_vec()))
                 .collect();
             snapshots.push((stats.rewrites_fired, stats.nodes_reindexed, snap, g.outputs().to_vec()));
         }
@@ -310,7 +309,7 @@ proptest! {
             let snap: Vec<(NodeId, String, Vec<NodeId>)> = g
                 .topo_order()
                 .into_iter()
-                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.node(n).inputs.clone()))
+                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.inputs(n).to_vec()))
                 .collect();
             snapshots.push((
                 stats.rewrites_fired,
@@ -347,7 +346,7 @@ proptest! {
         let snapshot = |s: &Session, g: &Graph| -> Vec<(NodeId, String, Vec<NodeId>)> {
             g.topo_order()
                 .into_iter()
-                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.node(n).inputs.clone()))
+                .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.inputs(n).to_vec()))
                 .collect()
         };
         // Sequential reference: graphs built up front (same

@@ -359,7 +359,7 @@ fn retired_parallelism_setter_runs_the_serial_pass() {
         let nodes: Vec<_> = g
             .topo_order()
             .into_iter()
-            .map(|n| (n, g.node(n).op, g.node(n).inputs.clone()))
+            .map(|n| (n, g.node(n).op, g.inputs(n).to_vec()))
             .collect();
         (doc, nodes)
     };

@@ -501,7 +501,7 @@ impl TermView {
         while let Some(&top) = stack.last() {
             let below = stack.len();
             let owed = |i: &&NodeId| self.owed_to(**i) != Owed::Nothing;
-            stack.extend(graph.node(top).inputs.iter().filter(owed));
+            stack.extend(graph.inputs(top).iter().filter(owed));
             if stack.len() > below {
                 continue;
             }
@@ -573,7 +573,7 @@ impl TermView {
                     .expect("inputs and opaque nodes carry a term constant");
                 terms.app0(c)
             }
-            NodeKind::Op if node.inputs.is_empty() && !node.attrs.is_empty() => {
+            NodeKind::Op if graph.inputs(n).is_empty() && !node.attrs.is_empty() => {
                 // Attribute-carrying constants (e.g. ConstScalar with
                 // value_milli): specialize the symbol per attribute
                 // valuation so that distinct constants are distinct
@@ -593,7 +593,7 @@ impl TermView {
             NodeKind::Op => {
                 let term_of_node = &self.term_of_node;
                 self.args.clear();
-                self.args.extend(node.inputs.iter().map(|i| {
+                self.args.extend(graph.inputs(n).iter().map(|i| {
                     term_of_node
                         .get(i.index())
                         .copied()
@@ -730,7 +730,7 @@ impl TermView {
                 if known
                     && graph.is_alive(n)
                     && twin.kind == NodeKind::Op
-                    && twin.inputs.is_empty()
+                    && graph.inputs(n).is_empty()
                     && twin.op == leaf.op
                     && same_attr_set(&twin.attrs, &leaf.attrs)
                 {
@@ -747,14 +747,16 @@ impl TermView {
                 .term_of(reference)
                 .expect("every node below a clean one is clean");
             let head = graph.node(reference);
+            let arity = graph.inputs(reference).len();
             climbed.clear();
             for &v in &frontier {
                 for &u in graph.users_of(v) {
                     let user = graph.node(u);
-                    if user.inputs.get(pos as usize) != Some(&v)
+                    let inputs = graph.inputs(u);
+                    if inputs.get(pos as usize) != Some(&v)
                         || user.kind != NodeKind::Op
                         || user.op != head.op
-                        || user.inputs.len() != head.inputs.len()
+                        || inputs.len() != arity
                         || climbed.contains(&u)
                     {
                         continue;
@@ -801,11 +803,11 @@ impl TermView {
             let node = graph.node(n);
             match node.kind {
                 NodeKind::Input | NodeKind::Opaque => return next,
-                NodeKind::Op if node.inputs.is_empty() => {
+                NodeKind::Op if graph.inputs(n).is_empty() => {
                     nullary.get_or_insert(next);
                 }
                 NodeKind::Op => {
-                    for (pos, &i) in node.inputs.iter().enumerate() {
+                    for (pos, &i) in graph.inputs(n).iter().enumerate() {
                         if !std::mem::replace(&mut self.seen[i.index()], true) {
                             self.trail.push(Step {
                                 node: i,

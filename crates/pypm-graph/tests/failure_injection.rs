@@ -102,7 +102,7 @@ fn cyclic_replacement_is_rejected() {
     assert!(matches!(err, GraphError::WouldCycle { .. }));
     // The graph is untouched and still valid.
     f.g.validate().unwrap();
-    assert_eq!(f.g.node(r2).inputs, vec![r1]);
+    assert_eq!(f.g.inputs(r2), [r1]);
 }
 
 #[test]

@@ -91,20 +91,29 @@ fn random_replacement(fx: &mut Fx, g: &mut Graph, rng: &mut StdRng) -> (NodeId, 
 /// reached twice is emitted the first time. The oracle of `TopoWalk`,
 /// which `topo_order` is built on and so cannot be.
 fn recursive_post_order(g: &Graph) -> Vec<NodeId> {
-    fn visit(g: &Graph, n: NodeId, seen: &mut [bool], order: &mut Vec<NodeId>) {
+    let inputs: Vec<Vec<NodeId>> = (g.allocated_since(0).into_iter())
+        .map(|n| g.inputs(n).to_vec())
+        .collect();
+    post_order_over(g, &inputs)
+}
+
+/// [`recursive_post_order`] over `g`'s outputs and liveness, following
+/// the edges of `inputs` (indexed by node) rather than the graph's.
+fn post_order_over(g: &Graph, inputs: &[Vec<NodeId>]) -> Vec<NodeId> {
+    fn visit(inputs: &[Vec<NodeId>], n: NodeId, seen: &mut [bool], order: &mut Vec<NodeId>) {
         if std::mem::replace(&mut seen[n.index()], true) {
             return;
         }
-        for &input in &g.node(n).inputs {
-            visit(g, input, seen, order);
+        for &input in &inputs[n.index()] {
+            visit(inputs, input, seen, order);
         }
         order.push(n);
     }
-    let mut seen = vec![false; g.allocated_count()];
+    let mut seen = vec![false; inputs.len()];
     let mut order = Vec::new();
     for &out in g.outputs() {
         if g.is_alive(out) {
-            visit(g, out, &mut seen, &mut order);
+            visit(inputs, out, &mut seen, &mut order);
         }
     }
     order
@@ -185,6 +194,84 @@ proptest! {
         prop_assert_eq!(after_growth.last(), Some(&grown));
         prop_assert_eq!(&after_growth, &recursive_post_order(&g));
     }
+
+    /// The edge arena against a shadow that keeps every node's inputs
+    /// in a vector of its own, through random `op` / `replace_traced` /
+    /// `collect` / `gc` sequences. The shadow knows only the contract:
+    /// a node is built reading what it was given, a replacement points
+    /// every live reader of the root at the replacement, and collecting
+    /// changes no node's inputs — a dead node keeps its run. After
+    /// every step, `Graph::inputs` reads the shadow for every allocated
+    /// node, dead ones included, and `topo_order` — the restart scan's
+    /// walk, drained — is the recursive post-order over the shadow.
+    #[test]
+    fn the_edge_arena_follows_a_vector_per_node(seed in any::<u64>(), steps in 1usize..48) {
+        let mut f = fx();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let foreign = f.syms.op("ForeignOp", 1);
+        let sq = TensorMeta::new(DType::F32, vec![8, 8]);
+        let mut g = Graph::new();
+        let mut shadow: Vec<Vec<NodeId>> = vec![Vec::new(); 2];
+        let mut ids: Vec<NodeId> = (0..2).map(|_| g.input(&mut f.syms, sq.clone())).collect();
+        g.mark_output(ids[0]);
+        for _ in 0..steps {
+            let live: Vec<NodeId> = ids.iter().copied().filter(|&n| g.is_alive(n)).collect();
+            let any = |rng: &mut StdRng| ids[rng.gen_range(0..ids.len())];
+            let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+            match rng.gen_range(0..10) {
+                0..=3 => {
+                    let inputs: Vec<NodeId> = match rng.gen_range(0..6) {
+                        0 => vec![],
+                        1 | 2 => vec![pick(&mut rng)],
+                        3 | 4 => vec![pick(&mut rng), pick(&mut rng)],
+                        _ => vec![pick(&mut rng), pick(&mut rng), pick(&mut rng)],
+                    };
+                    let n = match inputs.len() {
+                        0 => g.input(&mut f.syms, sq.clone()),
+                        1 if rng.gen_bool(0.3) => {
+                            g.opaque(&mut f.syms, foreign, &inputs, sq.clone()).unwrap()
+                        }
+                        1 => g.op(&mut f.syms, &f.reg, f.ops.relu, &inputs, vec![]).unwrap(),
+                        2 => g.op(&mut f.syms, &f.reg, f.ops.matmul, &inputs, vec![]).unwrap(),
+                        _ => g.op_with_meta(f.ops.fmha, &inputs, vec![], sq.clone()).unwrap(),
+                    };
+                    prop_assert_eq!(n.index(), shadow.len());
+                    ids.push(n);
+                    shadow.push(inputs);
+                    if rng.gen_bool(0.3) {
+                        g.mark_output(n);
+                    }
+                }
+                4..=6 => {
+                    let (root, replacement) = (any(&mut rng), pick(&mut rng));
+                    if g.replace_traced(root, replacement).is_ok() {
+                        for (&u, inputs) in ids.iter().zip(&mut shadow) {
+                            if g.is_alive(u) {
+                                for i in inputs.iter_mut().filter(|i| **i == root) {
+                                    *i = replacement;
+                                }
+                            }
+                        }
+                        if rng.gen_bool(0.5) {
+                            g.collect(root);
+                        }
+                    }
+                }
+                7 | 8 => {
+                    g.collect(any(&mut rng));
+                }
+                _ => {
+                    g.gc();
+                }
+            }
+            prop_assert_eq!(g.allocated_count(), shadow.len());
+            for (&n, inputs) in ids.iter().zip(&shadow) {
+                prop_assert_eq!(g.inputs(n), inputs.as_slice(), "inputs of {:?}", n);
+            }
+            prop_assert_eq!(g.topo_order(), post_order_over(&g, &shadow));
+            g.validate().unwrap();
+        }
+    }
 }
 
 /// A walk is one graph's: mutating the graph under a started walk trips
@@ -225,7 +312,7 @@ proptest! {
             let readers: Vec<NodeId> = g
                 .allocated_since(0)
                 .into_iter()
-                .filter(|&n| g.is_alive(n) && g.node(n).inputs.contains(&root))
+                .filter(|&n| g.is_alive(n) && g.inputs(n).contains(&root))
                 .collect();
             let cyclic = readers.iter().any(|&u| g.depends_on(replacement, u));
             let before = g.clone();
@@ -235,7 +322,7 @@ proptest! {
                     prop_assert!(!cyclic, "{root:?} -> {replacement:?} closes a cycle");
                     prop_assert_eq!(&rewired, &readers);
                     for &u in &rewired {
-                        prop_assert!(!g.node(u).inputs.contains(&root));
+                        prop_assert!(!g.inputs(u).contains(&root));
                     }
                     g.validate().unwrap();
                     g.collect(root);
@@ -246,7 +333,7 @@ proptest! {
                     // A rejected replacement changes nothing.
                     prop_assert_eq!(g.revision(), before.revision());
                     for n in g.allocated_since(0) {
-                        prop_assert_eq!(&g.node(n).inputs, &before.node(n).inputs);
+                        prop_assert_eq!(g.inputs(n), before.inputs(n));
                         prop_assert_eq!(g.users_of(n), before.users_of(n));
                         prop_assert_eq!(g.level_of(n), before.level_of(n));
                     }
@@ -309,7 +396,7 @@ proptest! {
         let pos: std::collections::HashMap<NodeId, usize> =
             order.iter().enumerate().map(|(i, &n)| (n, i)).collect();
         for &n in &order {
-            for &input in &g.node(n).inputs {
+            for &input in g.inputs(n) {
                 prop_assert!(pos[&input] < pos[&n], "{input:?} not before {n:?}");
             }
         }
@@ -384,10 +471,10 @@ proptest! {
         let candidates: Vec<NodeId> = g
             .topo_order()
             .into_iter()
-            .filter(|&n| !g.node(n).inputs.is_empty())
+            .filter(|&n| !g.inputs(n).is_empty())
             .collect();
         if let Some(&victim) = candidates.first() {
-            let bypass = g.node(victim).inputs[0];
+            let bypass = g.inputs(victim)[0];
             // Only sound if metadata agrees; skip otherwise (mirrors the
             // engine's semantics-preserving rewrites).
             if g.node(victim).meta == g.node(bypass).meta {

@@ -79,8 +79,8 @@ impl TransformerConfig {
         }
         // Pooler head: matmul + tanh, a small extra epilog site.
         let wp = weight(session, &mut g, &[h, h]);
-        let pooled = op(session, &mut g, session.ops.matmul, vec![x, wp]);
-        let out = op(session, &mut g, session.ops.tanh, vec![pooled]);
+        let pooled = op(session, &mut g, session.ops.matmul, &[x, wp]);
+        let out = op(session, &mut g, session.ops.tanh, &[pooled]);
         g.mark_output(out);
         g
     }
@@ -91,29 +91,29 @@ impl TransformerConfig {
         let wk = weight(s, g, &[h, h]);
         let wv = weight(s, g, &[h, h]);
         let wo = weight(s, g, &[h, h]);
-        let q = op(s, g, s.ops.matmul, vec![x, wq]);
-        let k = op(s, g, s.ops.matmul, vec![x, wk]);
-        let v = op(s, g, s.ops.matmul, vec![x, wv]);
-        let kt = op(s, g, s.ops.trans, vec![k]);
-        let scores = op(s, g, s.ops.matmul, vec![q, kt]);
+        let q = op(s, g, s.ops.matmul, &[x, wq]);
+        let k = op(s, g, s.ops.matmul, &[x, wk]);
+        let v = op(s, g, s.ops.matmul, &[x, wv]);
+        let kt = op(s, g, s.ops.trans, &[k]);
+        let scores = op(s, g, s.ops.matmul, &[q, kt]);
         let scaled = match self.scale {
             ScaleVariant::Mul => {
                 // 1/√h ≈ 125 milli for h = 64; the exact value is
                 // irrelevant to matching (the pattern only requires a
                 // scalar).
                 let c = const_scalar(s, g, 1_000_000 / (1000 * isqrt(h)));
-                op(s, g, s.ops.mul, vec![scores, c])
+                op(s, g, s.ops.mul, &[scores, c])
             }
             ScaleVariant::Div => {
                 let c = const_scalar(s, g, isqrt(h) * 1000);
-                op(s, g, s.ops.div, vec![scores, c])
+                op(s, g, s.ops.div, &[scores, c])
             }
             ScaleVariant::None => scores,
         };
-        let probs = op(s, g, s.ops.softmax, vec![scaled]);
-        let ctx = op(s, g, s.ops.matmul, vec![probs, v]);
-        let proj = op(s, g, s.ops.matmul, vec![ctx, wo]);
-        let residual = op(s, g, s.ops.add, vec![x, proj]);
+        let probs = op(s, g, s.ops.softmax, &[scaled]);
+        let ctx = op(s, g, s.ops.matmul, &[probs, v]);
+        let proj = op(s, g, s.ops.matmul, &[ctx, wo]);
+        let residual = op(s, g, s.ops.add, &[x, proj]);
         self.layernorm(s, g, residual)
     }
 
@@ -122,10 +122,10 @@ impl TransformerConfig {
         let inter = h * self.mlp_factor;
         let w1 = weight(s, g, &[h, inter]);
         let w2 = weight(s, g, &[inter, h]);
-        let up = op(s, g, s.ops.matmul, vec![x, w1]);
+        let up = op(s, g, s.ops.matmul, &[x, w1]);
         let act = self.expanded_gelu(s, g, up);
-        let down = op(s, g, s.ops.matmul, vec![act, w2]);
-        let residual = op(s, g, s.ops.add, vec![x, down]);
+        let down = op(s, g, s.ops.matmul, &[act, w2]);
+        let residual = op(s, g, s.ops.add, &[x, down]);
         self.layernorm(s, g, residual)
     }
 
@@ -135,29 +135,29 @@ impl TransformerConfig {
         let half = match self.gelu {
             GeluVariant::DivTwo => {
                 let two = const_scalar(s, g, 2000);
-                op(s, g, s.ops.div, vec![x, two])
+                op(s, g, s.ops.div, &[x, two])
             }
             GeluVariant::MulHalf => {
                 let half_c = const_scalar(s, g, 500);
-                op(s, g, s.ops.mul, vec![x, half_c])
+                op(s, g, s.ops.mul, &[x, half_c])
             }
         };
         let sqrt2 = const_scalar(s, g, 1414);
-        let xdiv = op(s, g, s.ops.div, vec![x, sqrt2]);
-        let erfx = op(s, g, s.ops.erf, vec![xdiv]);
+        let xdiv = op(s, g, s.ops.div, &[x, sqrt2]);
+        let erfx = op(s, g, s.ops.erf, &[xdiv]);
         let one = const_scalar(s, g, 1000);
-        let onep = op(s, g, s.ops.add, vec![one, erfx]);
-        op(s, g, s.ops.mul, vec![half, onep])
+        let onep = op(s, g, s.ops.add, &[one, erfx]);
+        op(s, g, s.ops.mul, &[half, onep])
     }
 
     fn layernorm(&self, s: &mut Session, g: &mut Graph, x: NodeId) -> NodeId {
         if self.opaque_layernorm {
             let meta = g.node(x).meta.clone();
             let foreign = s.syms.op("FusedLayerNormApex", 1);
-            g.opaque(&mut s.syms, foreign, vec![x], meta)
+            g.opaque(&mut s.syms, foreign, [x], meta)
                 .expect("opaque layernorm")
         } else {
-            op(s, g, s.ops.layernorm, vec![x])
+            op(s, g, s.ops.layernorm, &[x])
         }
     }
 
@@ -174,14 +174,14 @@ fn weight(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
 fn const_scalar(s: &mut Session, g: &mut Graph, milli: i64) -> NodeId {
     g.op_with_meta(
         s.ops.const_scalar,
-        vec![],
+        [],
         vec![(s.ops.value_milli_attr, milli)],
         TensorMeta::scalar(DType::F32),
     )
     .expect("const scalar")
 }
 
-fn op(s: &mut Session, g: &mut Graph, sym: pypm_core::Symbol, inputs: Vec<NodeId>) -> NodeId {
+fn op(s: &mut Session, g: &mut Graph, sym: pypm_core::Symbol, inputs: &[NodeId]) -> NodeId {
     g.op(&mut s.syms, &s.registry, sym, inputs, vec![])
         .expect("model construction is shape-correct")
 }

@@ -74,18 +74,18 @@ impl VisionConfig {
         }
         // Global pool + flatten.
         x = pool(session, &mut g, x, self.opaque_pooling);
-        x = op(session, &mut g, session.ops.flatten, vec![x]);
+        x = op(session, &mut g, session.ops.flatten, &[x]);
         // Dense classifier: matmul → bias? We keep matmul → relu to form
         // GEMM epilog sites (bias is folded for simplicity).
         let mut width = g.node(x).meta.shape.dim(1).expect("flattened");
         for &next in &self.classifier {
             let w = weight(session, &mut g, &[width, next]);
-            let mm = op(session, &mut g, session.ops.matmul, vec![x, w]);
-            x = op(session, &mut g, session.ops.relu, vec![mm]);
+            let mm = op(session, &mut g, session.ops.matmul, &[x, w]);
+            x = op(session, &mut g, session.ops.relu, &[mm]);
             width = next;
         }
         let w = weight(session, &mut g, &[width, self.classes]);
-        let logits = op(session, &mut g, session.ops.matmul, vec![x, w]);
+        let logits = op(session, &mut g, session.ops.matmul, &[x, w]);
         g.mark_output(logits);
         g
     }
@@ -123,15 +123,15 @@ fn build_stage(
                 &mut s.syms,
                 &s.registry,
                 s.ops.conv2d,
-                vec![x, w],
+                [x, w],
                 vec![(s.ops.stride_attr, stride)],
             )
             .expect("conv");
         let bias = weight(s, g, &[stage.channels, 1, 1]);
-        let biased = op(s, g, s.ops.bias_add, vec![conv, bias]);
-        let act = op(s, g, act_op, vec![biased]);
+        let biased = op(s, g, s.ops.bias_add, &[conv, bias]);
+        let act = op(s, g, act_op, &[biased]);
         x = if stage.residual && stride == 1 && in_c == stage.channels {
-            op(s, g, s.ops.add, vec![shortcut, act])
+            op(s, g, s.ops.add, &[shortcut, act])
         } else {
             act
         };
@@ -144,9 +144,9 @@ fn pool(s: &mut Session, g: &mut Graph, x: NodeId, opaque: bool) -> NodeId {
     if opaque {
         let meta = g.node(x).meta.clone();
         let foreign = s.syms.op("AdaptiveAvgPool2d", 1);
-        g.opaque(&mut s.syms, foreign, vec![x], meta).expect("pool")
+        g.opaque(&mut s.syms, foreign, [x], meta).expect("pool")
     } else {
-        op(s, g, s.ops.avgpool, vec![x])
+        op(s, g, s.ops.avgpool, &[x])
     }
 }
 
@@ -154,7 +154,7 @@ fn weight(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
     g.input(&mut s.syms, TensorMeta::new(DType::F32, dims))
 }
 
-fn op(s: &mut Session, g: &mut Graph, sym: pypm_core::Symbol, inputs: Vec<NodeId>) -> NodeId {
+fn op(s: &mut Session, g: &mut Graph, sym: pypm_core::Symbol, inputs: &[NodeId]) -> NodeId {
     g.op(&mut s.syms, &s.registry, sym, inputs, vec![])
         .expect("model construction is shape-correct")
 }

@@ -73,7 +73,7 @@ impl CostModel {
         let node = graph.node(n);
         let out_elems = node.meta.shape.numel().max(0) as f64;
         let op = node.op;
-        let in_meta = |i: usize| &graph.node(node.inputs[i]).meta;
+        let in_meta = |i: usize| &graph.node(graph.inputs(n)[i]).meta;
         if op == ops.matmul
             || op == ops.gemm_epilog
             || op == ops.cublas_mm_xyt_f32
@@ -116,7 +116,7 @@ impl CostModel {
     pub fn node_bytes(&self, graph: &Graph, n: NodeId) -> f64 {
         let node = graph.node(n);
         let mut total = node.meta.bytes() as f64;
-        for &i in &node.inputs {
+        for &i in graph.inputs(n) {
             total += graph.node(i).meta.bytes() as f64;
         }
         total
@@ -140,7 +140,7 @@ impl CostModel {
                     + self.node_bytes(graph, n) / self.device.bytes_per_us
             }
             NodeKind::Op => {
-                if node.inputs.is_empty() {
+                if graph.inputs(n).is_empty() {
                     // Constants are materialized once; free at inference.
                     return 0.0;
                 }

@@ -60,7 +60,7 @@ fn canonical_order(g: &Graph) -> Vec<NodeId> {
             continue;
         }
         live += 1;
-        indegree[n.index()] = g.node(n).inputs.len();
+        indegree[n.index()] = g.inputs(n).len();
     }
     let mut ready: BinaryHeap<std::cmp::Reverse<usize>> = g
         .allocated_since(0)
@@ -120,8 +120,9 @@ pub(crate) fn encode_section(
             buf.put_str(syms.op_name(node.op));
             buf.put_u32_le(syms.arity(node.op) as u32);
         }
-        buf.put_u32_le(node.inputs.len() as u32);
-        for &i in &node.inputs {
+        let inputs = g.inputs(n);
+        buf.put_u32_le(inputs.len() as u32);
+        for &i in inputs {
             buf.put_u32_le(dense[i.index()]);
         }
         if node.kind == NodeKind::Op {
@@ -165,12 +166,15 @@ pub(crate) fn decode_section(
     // any allocation.
     let node_count = r.count(10)?;
     let mut ids: Vec<NodeId> = Vec::with_capacity(node_count);
-    // A node's extents, read here and copied once into its shape.
+    // A node's inputs and extents, read here and copied once into the
+    // graph's edge arena and its shape.
+    let mut inputs: Vec<NodeId> = Vec::new();
     let mut dims: Vec<i64> = Vec::new();
     for index in 0..node_count {
         charge_node(budget)?;
         let kind = r.u8()?;
-        let op = if kind != KIND_INPUT {
+        // The operator and its arity; an input reads nothing.
+        let (op, arity) = if kind != KIND_INPUT {
             let name = r.str()?;
             let arity = r.u32()? as usize;
             let sym = match syms.find_op(name) {
@@ -187,12 +191,21 @@ pub(crate) fn decode_section(
                 }
                 None => syms.op(name, arity),
             };
-            Some(sym)
+            (Some(sym), arity)
         } else {
-            None
+            (None, 0)
         };
         let input_count = r.count(4)?;
-        let mut inputs = Vec::with_capacity(input_count);
+        if input_count != arity {
+            return Err(WireError::Malformed {
+                what: if kind == KIND_INPUT {
+                    "input node with inputs"
+                } else {
+                    "input count differs from the operator's arity"
+                },
+            });
+        }
+        inputs.clear();
         for _ in 0..input_count {
             let i = r.u32()? as usize;
             if i >= index {
@@ -220,19 +233,12 @@ pub(crate) fn decode_section(
         }
         let meta = TensorMeta::new(dtype, dims.as_slice());
         let id = match kind {
-            KIND_INPUT => {
-                if !inputs.is_empty() {
-                    return Err(WireError::Malformed {
-                        what: "input node with inputs",
-                    });
-                }
-                g.input(syms, meta)
-            }
+            KIND_INPUT => g.input(syms, meta),
             KIND_OP => g
-                .op_with_meta(op.expect("op has a symbol"), inputs, attrs, meta)
+                .op_with_meta(op.expect("op has a symbol"), &inputs, attrs, meta)
                 .map_err(|_| WireError::Malformed { what: "dead input" })?,
             KIND_OPAQUE => g
-                .opaque(syms, op.expect("opaque has a symbol"), inputs, meta)
+                .opaque(syms, op.expect("opaque has a symbol"), &inputs, meta)
                 .map_err(|_| WireError::Malformed { what: "dead input" })?,
             _ => {
                 return Err(WireError::Malformed {
@@ -310,7 +316,7 @@ mod tests {
             assert_eq!(a, b);
             assert_eq!(g.node(*a).kind, g2.node(*b).kind);
             assert_eq!(g.node(*a).meta, g2.node(*b).meta);
-            assert_eq!(g.node(*a).inputs, g2.node(*b).inputs);
+            assert_eq!(g.inputs(*a), g2.inputs(*b));
         }
         // Ops and attrs are re-interned by name.
         let m = g2.outputs()[1];
@@ -434,5 +440,66 @@ mod tests {
                 what: "forward or self input reference"
             })
         );
+    }
+
+    /// A checksummed container whose graph is two `[4, 4]` inputs and
+    /// one `op` node (declared at `arity`, with `attrs`) reading the
+    /// first `reads` of them, marked as the output.
+    fn one_op_container(op: &str, arity: u32, reads: u32, attrs: &[(&str, i64)]) -> Vec<u8> {
+        let dims = |buf: &mut Vec<u8>| {
+            buf.put_u8(DType::F32.code() as u8);
+            buf.put_u32_le(2);
+            buf.put_i64_le(4);
+            buf.put_i64_le(4);
+        };
+        let mut section = Vec::new();
+        section.put_u32_le(3);
+        for _ in 0..2 {
+            section.put_u8(KIND_INPUT);
+            section.put_u32_le(0);
+            dims(&mut section);
+        }
+        section.put_u8(KIND_OP);
+        section.put_str(op);
+        section.put_u32_le(arity);
+        section.put_u32_le(reads);
+        for i in 0..reads {
+            section.put_u32_le(i);
+        }
+        section.put_u32_le(attrs.len() as u32);
+        for &(name, value) in attrs {
+            section.put_str(name);
+            section.put_i64_le(value);
+        }
+        dims(&mut section);
+        section.put_u32_le(1);
+        section.put_u32_le(2);
+        crate::ContainerWriter::new()
+            .section(crate::SECTION_GRAPH, &section)
+            .finish()
+    }
+
+    /// A node's input count is its operator's arity: a binary
+    /// contraction reading one tensor used to decode, validate, and
+    /// then index past its inputs in the cost model.
+    #[test]
+    fn an_op_reading_fewer_inputs_than_its_arity_is_malformed() {
+        use pypm_graph::{OpRegistry, StdOps};
+        let mut syms = SymbolTable::new();
+        StdOps::declare(&mut OpRegistry::new(), &mut syms);
+        let stride = [("stride", 1)];
+        for (op, attrs) in [("MatMul", &[][..]), ("Conv2d", &stride[..])] {
+            let whole = one_op_container(op, 2, 2, attrs);
+            let g = decode_graph(&whole, &mut syms).expect(op);
+            assert_eq!(g.inputs(g.outputs()[0]).len(), 2, "{op}");
+            let short = one_op_container(op, 2, 1, attrs);
+            assert_eq!(
+                decode_graph(&short, &mut syms).err(),
+                Some(WireError::Malformed {
+                    what: "input count differs from the operator's arity"
+                }),
+                "{op}"
+            );
+        }
     }
 }

@@ -128,8 +128,11 @@ pub(crate) fn node_rows(g: &Graph, s: &Session) -> Vec<(NodeId, String, Vec<Node
     g.topo_order()
         .into_iter()
         .map(|n| {
-            let node = g.node(n);
-            (n, s.syms.op_name(node.op).to_owned(), node.inputs.clone())
+            (
+                n,
+                s.syms.op_name(g.node(n).op).to_owned(),
+                g.inputs(n).to_vec(),
+            )
         })
         .collect()
 }
