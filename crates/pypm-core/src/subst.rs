@@ -79,17 +79,29 @@ impl Subst {
     /// Renders the substitution with names from `syms` and terms from
     /// `terms`, e.g. `{x ↦ MatMul(a, b), y ↦ b}`.
     pub fn display(&self, syms: &SymbolTable, terms: &TermStore) -> String {
-        let mut s = String::from("{");
+        let mut s = String::new();
+        self.write(syms, terms, &mut s)
+            .expect("a String takes every write");
+        s
+    }
+
+    /// Writes [`Subst::display`]'s rendering into `out`, stopping at
+    /// the first write `out` refuses.
+    pub fn write(
+        &self,
+        syms: &SymbolTable,
+        terms: &TermStore,
+        out: &mut impl fmt::Write,
+    ) -> fmt::Result {
+        out.write_char('{')?;
         for (i, (x, t)) in self.iter().enumerate() {
             if i > 0 {
-                s.push_str(", ");
+                out.write_str(", ")?;
             }
-            s.push_str(syms.var_name(x));
-            s.push_str(" ↦ ");
-            s.push_str(&terms.display(syms, t));
+            write!(out, "{} ↦ ", syms.var_name(x))?;
+            terms.write(syms, t, out)?;
         }
-        s.push('}');
-        s
+        out.write_char('}')
     }
 }
 

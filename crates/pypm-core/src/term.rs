@@ -256,23 +256,27 @@ impl TermStore {
     /// Pretty-prints `t` using operator names from `syms`.
     pub fn display(&self, syms: &SymbolTable, t: TermId) -> String {
         let mut s = String::new();
-        self.write_term(syms, t, &mut s);
+        self.write(syms, t, &mut s)
+            .expect("a String takes every write");
         s
     }
 
-    fn write_term(&self, syms: &SymbolTable, t: TermId, out: &mut String) {
-        out.push_str(syms.op_name(self.op(t)));
+    /// Writes [`TermStore::display`]'s rendering of `t` into `out`,
+    /// stopping at the first write `out` refuses.
+    pub fn write(&self, syms: &SymbolTable, t: TermId, out: &mut impl fmt::Write) -> fmt::Result {
+        out.write_str(syms.op_name(self.op(t)))?;
         let args = self.args(t);
         if !args.is_empty() {
-            out.push('(');
+            out.write_char('(')?;
             for (i, &a) in args.iter().enumerate() {
                 if i > 0 {
-                    out.push_str(", ");
+                    out.write_str(", ")?;
                 }
-                self.write_term(syms, a, out);
+                self.write(syms, a, out)?;
             }
-            out.push(')');
+            out.write_char(')')?;
         }
+        Ok(())
     }
 
     /// Parses the `display` syntax back into a term, declaring unknown

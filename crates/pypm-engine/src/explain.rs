@@ -6,17 +6,16 @@
 //! of implementing the algorithmic semantics rule-for-rule is that every
 //! run carries its own explanation: the exact sequence of Fig. 17–18
 //! transitions. This module packages that trace into a report pattern
-//! authors can read.
+//! authors can read ([`explain_at`]), and renders what a rewrite pass
+//! decided from its [`FiringLog`] ([`summary`]).
 
-use crate::pass::{MatchRejected, Observer, PassRecord, RejectReason, RewriteFired};
+use crate::pass::{FiringLog, RejectReason};
 use crate::session::Session;
-use pypm_core::{Machine, Outcome, RuleName};
+use pypm_core::{Machine, Outcome, RuleName, Subst, SymbolTable, TermId, TermStore};
 use pypm_dsl::RuleSet;
 use pypm_graph::{Graph, NodeId, TermView};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
-use std::rc::Rc;
 
 /// Diagnostic report for one pattern at one node.
 #[derive(Debug, Clone)]
@@ -69,14 +68,80 @@ impl fmt::Display for Explanation {
     }
 }
 
-/// Truncates a rendered witness: bound subgraphs can be whole model
-/// prefixes, which would drown the diagnostic.
-fn truncate(s: &str, max: usize) -> String {
-    if s.chars().count() <= max {
-        return s.to_owned();
+/// Renders `theta` as [`Subst::display`] would, cut to its first `max`
+/// chars and followed by `… (N chars)` when it is longer: bound
+/// subgraphs can be whole model prefixes, which would drown the
+/// diagnostic. Terms are DAGs, so the full rendering can be exponential
+/// in the term's size; this writes at most `max` chars and reads the
+/// full length off a per-term memo (saturating at `u64::MAX`).
+fn display_truncated(theta: &Subst, syms: &SymbolTable, terms: &TermStore, max: usize) -> String {
+    let mut memo = HashMap::new();
+    let chars = |s: &str| s.chars().count() as u64;
+    // The braces, and `, ` between bindings.
+    let total = theta
+        .iter()
+        .fold(2 * theta.len().max(1) as u64, |n, (x, t)| {
+            let binding = chars(syms.var_name(x)) + chars(" ↦ ");
+            n.saturating_add(binding)
+                .saturating_add(term_chars(syms, terms, t, &mut memo))
+        });
+    let mut head = Head {
+        out: String::new(),
+        room: max,
+    };
+    // A refused write ends the rendering: the head is written.
+    let _ = theta.write(syms, terms, &mut head);
+    if total <= max as u64 {
+        return head.out;
     }
-    let head: String = s.chars().take(max).collect();
-    format!("{head}… ({} chars)", s.chars().count())
+    format!("{}… ({total} chars)", head.out)
+}
+
+/// The chars of `t`'s [`TermStore::display`], saturating, memoized per
+/// term. Iterative: a term's height is the depth of the model prefix it
+/// binds.
+fn term_chars(
+    syms: &SymbolTable,
+    terms: &TermStore,
+    t: TermId,
+    memo: &mut HashMap<TermId, u64>,
+) -> u64 {
+    let mut stack = vec![t];
+    while let Some(&u) = stack.last() {
+        let args = terms.args(u);
+        let pending = stack.len();
+        stack.extend(args.iter().filter(|a| !memo.contains_key(a)));
+        if stack.len() == pending {
+            stack.pop();
+            // `op(a, b)`: two parentheses, and `, ` between arguments.
+            let head = syms.op_name(terms.op(u)).chars().count() + 2 * args.len();
+            let n = args
+                .iter()
+                .fold(head as u64, |n, a| n.saturating_add(memo[a]));
+            memo.insert(u, n);
+        }
+    }
+    memo[&t]
+}
+
+/// A sink that keeps the first `room` chars written to it and refuses
+/// the rest.
+struct Head {
+    out: String,
+    room: usize,
+}
+
+impl fmt::Write for Head {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            if self.room == 0 {
+                return Err(fmt::Error);
+            }
+            self.out.push(c);
+            self.room -= 1;
+        }
+        Ok(())
+    }
 }
 
 /// Runs one named pattern at one node with tracing enabled and explains
@@ -126,7 +191,7 @@ pub fn explain_at(
             true,
             Some(format!(
                 "θ = {}, φ = {}",
-                truncate(&w.theta.display(&session.syms, &session.terms), 240),
+                display_truncated(&w.theta, &session.syms, &session.terms, 240),
                 w.phi.display(&session.syms)
             )),
         ),
@@ -146,128 +211,59 @@ pub fn explain_at(
     })
 }
 
-/// An [`Observer`] that turns pipeline events into a compilation-wide
-/// match narrative — which patterns fired where, and which matches were
-/// rejected and why — subsuming the ad-hoc per-call explanation
-/// plumbing the engine used to expose.
-///
-/// Share the observer to read it back after the run:
+/// Renders what a rewrite pass decided — which patterns fired, and
+/// which matches were rejected and why — from the pass's
+/// [`FiringLog`] and the rule set it ran: per-pattern fire counts and
+/// rejection reasons, most active patterns first. `pattern` keeps only
+/// that pattern's entries.
 ///
 /// ```
-/// use pypm_engine::{ExplainObserver, Pipeline, RewritePass, Session};
+/// use pypm_engine::{summary, Pipeline, RewritePass, Session};
 /// use pypm_dsl::LibraryConfig;
 /// use pypm_graph::Graph;
 ///
 /// let mut s = Session::new();
 /// let rules = s.load_library(LibraryConfig::both());
-/// let explain = ExplainObserver::new().shared();
 /// let mut g = Graph::new();
-/// Pipeline::new(&mut s)
-///     .with(RewritePass::new(rules))
-///     .observe(explain.clone())
+/// let report = Pipeline::new(&mut s)
+///     .with(RewritePass::new(rules.clone()))
 ///     .run(&mut g)
 ///     .unwrap();
-/// assert!(explain.borrow().fired().is_empty()); // empty graph
+/// let firings = &report.passes()[0].firings;
+/// assert!(firings.fired().is_empty()); // empty graph
+/// assert_eq!(
+///     summary(firings, &rules, None),
+///     "0 rewrites fired, 0 matches rejected across 1 pass(es)\n"
+/// );
 /// ```
-#[derive(Debug, Default)]
-pub struct ExplainObserver {
-    filter: Option<String>,
-    fired: Vec<RewriteFired>,
-    rejected: Vec<MatchRejected>,
-    passes: Vec<String>,
-}
-
-impl ExplainObserver {
-    /// Observes every pattern.
-    pub fn new() -> Self {
-        Self::default()
+pub fn summary(log: &FiringLog, rules: &RuleSet, pattern: Option<&str>) -> String {
+    let name = |pi: usize| rules.patterns[pi].name.as_str();
+    let keeps = |pi: usize| pattern.map_or(true, |p| p == name(pi));
+    let mut by_pattern: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
+    let (mut fired, mut rejected) = (0, 0);
+    for f in log.fired().iter().filter(|f| keeps(f.pattern)) {
+        by_pattern.entry(name(f.pattern)).or_default().0 += 1;
+        fired += 1;
     }
-
-    /// Observes only events for the named pattern.
-    pub fn for_pattern(pattern: impl Into<String>) -> Self {
-        ExplainObserver {
-            filter: Some(pattern.into()),
-            ..Self::default()
+    for r in log.rejected().iter().filter(|r| keeps(r.pattern)) {
+        let slot = by_pattern.entry(name(r.pattern)).or_default();
+        match r.reason {
+            RejectReason::GuardsFailed => slot.1 += 1,
+            RejectReason::IdentityReplacement => slot.2 += 1,
         }
+        rejected += 1;
     }
-
-    /// Wraps the observer for shared ownership, so it can be both
-    /// registered with a [`crate::Pipeline`] and read afterwards.
-    pub fn shared(self) -> Rc<RefCell<Self>> {
-        Rc::new(RefCell::new(self))
+    let mut rows: Vec<_> = by_pattern.into_iter().collect();
+    rows.sort_by_key(|&(name, (f, g, i))| (std::cmp::Reverse(f + g + i), name));
+    // One log is one pass; `pypmc explain`'s output keeps the count.
+    let mut out =
+        format!("{fired} rewrites fired, {rejected} matches rejected across 1 pass(es)\n");
+    for (name, (fired, guards, identity)) in rows {
+        out.push_str(&format!(
+            "  {name}: {fired} fired, {guards} rejected by guards, {identity} identity\n"
+        ));
     }
-
-    /// Rewrites that fired, in firing order.
-    pub fn fired(&self) -> &[RewriteFired] {
-        &self.fired
-    }
-
-    /// Matches that fired no rewrite, in discovery order.
-    pub fn rejected(&self) -> &[MatchRejected] {
-        &self.rejected
-    }
-
-    /// Names of the passes observed, in run order.
-    pub fn passes(&self) -> &[String] {
-        &self.passes
-    }
-
-    fn keeps(&self, pattern: &str) -> bool {
-        match self.filter.as_deref() {
-            Some(f) => f == pattern,
-            None => true,
-        }
-    }
-
-    /// Renders the narrative: per-pattern fire counts and rejection
-    /// reasons, most active patterns first.
-    pub fn summary(&self) -> String {
-        let mut by_pattern: BTreeMap<&str, (u64, u64, u64)> = BTreeMap::new();
-        for f in &self.fired {
-            by_pattern.entry(&f.pattern).or_default().0 += 1;
-        }
-        for r in &self.rejected {
-            let slot = by_pattern.entry(&r.pattern).or_default();
-            match r.reason {
-                RejectReason::GuardsFailed => slot.1 += 1,
-                RejectReason::IdentityReplacement => slot.2 += 1,
-            }
-        }
-        let mut rows: Vec<_> = by_pattern.into_iter().collect();
-        rows.sort_by_key(|&(name, (f, g, i))| (std::cmp::Reverse(f + g + i), name));
-        let mut out = format!(
-            "{} rewrites fired, {} matches rejected across {} pass(es)\n",
-            self.fired.len(),
-            self.rejected.len(),
-            self.passes.len()
-        );
-        for (name, (fired, guards, identity)) in rows {
-            out.push_str(&format!(
-                "  {name}: {fired} fired, {guards} rejected by guards, {identity} identity\n"
-            ));
-        }
-        out
-    }
-}
-
-impl Observer for ExplainObserver {
-    fn on_pass_start(&mut self, pass: &str, _graph: &Graph) {
-        self.passes.push(pass.to_owned());
-    }
-
-    fn on_pass_end(&mut self, _pass: &str, _record: &PassRecord) {}
-
-    fn on_rewrite_fired(&mut self, event: &RewriteFired) {
-        if self.keeps(&event.pattern) {
-            self.fired.push(event.clone());
-        }
-    }
-
-    fn on_match_rejected(&mut self, event: &MatchRejected) {
-        if self.keeps(&event.pattern) {
-            self.rejected.push(event.clone());
-        }
-    }
+    out
 }
 
 #[cfg(test)]
@@ -345,6 +341,61 @@ mod tests {
             .conflicts
             .iter()
             .any(|(k, _)| k == "ST-Match-Fun-Conflict"));
+    }
+
+    /// The witness rendering this module printed before it was
+    /// bounded: the whole display, then cut.
+    fn truncate(s: &str, max: usize) -> String {
+        if s.chars().count() <= max {
+            return s.to_owned();
+        }
+        let head: String = s.chars().take(max).collect();
+        format!("{head}… ({} chars)", s.chars().count())
+    }
+
+    /// A binding to an `Add(x, x)` ladder renders 2^depth leaves: the
+    /// bounded render writes its first chars and counts the rest, and a
+    /// small term renders as the cut full display did.
+    #[test]
+    fn a_shared_ladder_renders_bounded_with_its_exact_length() {
+        let mut syms = SymbolTable::new();
+        let (x, add) = (syms.op("x", 0), syms.op("Add", 2));
+        let (t, u) = (syms.var("t"), syms.var("u"));
+        let mut terms = TermStore::new();
+        let mut ladder = vec![terms.app0(x)];
+        for _ in 0..70 {
+            let below = *ladder.last().unwrap();
+            ladder.push(terms.app(add, [below, below]));
+        }
+        let theta = |depth: usize| Subst::from_iter([(t, ladder[depth]), (u, ladder[0])]);
+        for depth in [0, 3, 5] {
+            let small = theta(depth);
+            assert_eq!(
+                display_truncated(&small, &syms, &terms, 240),
+                truncate(&small.display(&syms, &terms), 240),
+                "depth {depth}"
+            );
+        }
+        // Rung k renders 8·2^k − 7 chars; `{t ↦ `, `, u ↦ x` and `}`
+        // add 13. Its first chars are the `Add(` of 35 rungs, then rung
+        // 5's display (249 chars), cut.
+        let head: String = "Add(".repeat(35)
+            + &terms
+                .display(&syms, ladder[5])
+                .chars()
+                .take(95)
+                .collect::<String>();
+        assert_eq!(
+            display_truncated(&theta(40), &syms, &terms, 240),
+            format!("{{t ↦ {head}… ({} chars)", 8 * (1u64 << 40) - 7 + 13)
+        );
+        // Rung 70 is past `u64`: the count saturates, and 235 chars
+        // into it the rendering is still opening rungs.
+        let head = &"Add(".repeat(70)[..235];
+        assert_eq!(
+            display_truncated(&theta(70), &syms, &terms, 240),
+            format!("{{t ↦ {head}… ({} chars)", u64::MAX)
+        );
     }
 
     #[test]

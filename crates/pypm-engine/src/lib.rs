@@ -21,8 +21,8 @@
 //!   kept as its oracle (see the table below),
 //! * [`PartitionPass`] — directed graph partitioning (§4.2), published
 //!   as a pipeline artifact,
-//! * [`ExplainObserver`] / [`explain_at`] — live match/rewrite
-//!   narratives and per-node machine-trace diagnostics.
+//! * [`FiringLog`] / [`summary`] / [`explain_at`] — what a pass fired
+//!   and rejected, on its [`PassRecord`], and per-node machine traces.
 //!
 //! ## Sweep policies
 //!
@@ -89,12 +89,12 @@ pub mod retired;
 pub mod rewriter;
 pub mod session;
 
-pub use explain::{explain_at, ExplainObserver, Explanation};
+pub use explain::{explain_at, summary, Explanation};
 pub use matcher::{FusedMatcher, Matcher, MatcherBackend, MatcherStats, PerPatternMatcher};
 pub use partition::{Partition, PartitionPass};
 pub use pass::{
-    Diagnostic, MatchRejected, Observer, Pass, PassError, PassOutcome, PassRecord, PipelineCx,
-    RejectReason, RewriteFired, Severity,
+    Diagnostic, Firing, FiringLog, Pass, PassError, PassOutcome, PassRecord, PipelineCx,
+    RejectReason, Rejection, Severity,
 };
 pub use pipeline::{Pipeline, PipelineError, PipelineReport};
 pub use retired::{ParallelConfig, ParallelStats};

@@ -5,20 +5,17 @@
 //! is one such stage; a [`crate::Pipeline`] schedules passes in order
 //! and a [`PipelineCx`] carries what they share: diagnostics, per-pass
 //! instrumentation, the run's stage recorder, published artifacts, and
-//! [`Observer`] hooks that stream match/rewrite events as they happen.
+//! the running pass's [`FiringLog`] of what it decided.
 //!
-//! The built-ins are [`crate::RewritePass`], [`crate::PartitionPass`]
-//! and the [`crate::ExplainObserver`] hook.
+//! The built-ins are [`crate::RewritePass`] and [`crate::PartitionPass`].
 
 use crate::rewriter::{PassStats, RewriteError};
 use crate::session::Session;
 use pypm_core::{system_clock, Budget, Stage, Stages};
 use pypm_graph::{Graph, NodeId};
 use std::any::Any;
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::rc::Rc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -135,21 +132,6 @@ impl From<RewriteError> for PassError {
     }
 }
 
-/// A rewrite that fired, as streamed to [`Observer::on_rewrite_fired`].
-#[derive(Debug, Clone)]
-pub struct RewriteFired {
-    /// Name of the pass that fired the rewrite.
-    pub pass: String,
-    /// Name of the matched pattern.
-    pub pattern: String,
-    /// Index of the fired rule within the pattern's rule list.
-    pub rule: usize,
-    /// Root node of the replaced subgraph.
-    pub node: NodeId,
-    /// Sweep number (1-based) the rewrite fired in.
-    pub sweep: u64,
-}
-
 /// Why a successful match fired no rewrite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
@@ -171,66 +153,109 @@ impl fmt::Display for RejectReason {
     }
 }
 
-/// A match that fired no rewrite, as streamed to
-/// [`Observer::on_match_rejected`].
-#[derive(Debug, Clone)]
-pub struct MatchRejected {
-    /// Name of the pass that attempted the match.
-    pub pass: String,
-    /// Name of the matched pattern.
-    pub pattern: String,
+/// A rewrite that fired, as recorded in a [`FiringLog`]. The nodes it
+/// created and collected are read through the log
+/// ([`FiringLog::created`], [`FiringLog::collected`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Firing {
+    /// Sweep number (1-based) the rewrite fired in.
+    pub sweep: u64,
+    /// Index of the matched pattern in the pass's rule set.
+    pub pattern: usize,
+    /// Index of the fired rule within the pattern's rule list.
+    pub rule: usize,
+    /// Root node of the replaced subgraph.
+    pub node: NodeId,
+    /// Where the firing's ids begin in the log's id vector: `created`
+    /// ids, then `collected` ids.
+    ids: u32,
+    created: u32,
+    collected: u32,
+}
+
+/// A match that fired no rewrite, as recorded in a [`FiringLog`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Rejection {
+    /// Sweep number (1-based) the match was found in.
+    pub sweep: u64,
+    /// Index of the matched pattern in the pass's rule set.
+    pub pattern: usize,
     /// Node the pattern matched at.
     pub node: NodeId,
     /// Why no rule fired.
     pub reason: RejectReason,
-    /// Sweep number (1-based) the match was found in.
-    pub sweep: u64,
 }
 
-/// Instrumentation hooks streamed live from running passes.
-///
-/// All methods default to no-ops, so an observer implements only what
-/// it cares about. Observers needing to be read after the pipeline
-/// finishes can be shared via `Rc<RefCell<_>>` (see
-/// [`crate::ExplainObserver::shared`]), for which a blanket [`Observer`]
-/// impl is provided.
-pub trait Observer {
-    /// A pass is about to run over `graph`.
-    fn on_pass_start(&mut self, pass: &str, graph: &Graph) {
-        let _ = (pass, graph);
-    }
-
-    /// A pass finished; `record` holds its counters and wall-clock.
-    fn on_pass_end(&mut self, pass: &str, record: &PassRecord) {
-        let _ = (pass, record);
-    }
-
-    /// A rule fired and the graph was rewritten.
-    fn on_rewrite_fired(&mut self, event: &RewriteFired) {
-        let _ = event;
-    }
-
-    /// A pattern matched but no rewrite fired.
-    fn on_match_rejected(&mut self, event: &MatchRejected) {
-        let _ = event;
-    }
+/// What one pass decided, in decision order: every rewrite it fired
+/// and every match it found that fired none. The running pass appends
+/// to it; the pipeline moves it onto the pass's [`PassRecord`], or onto
+/// the [`crate::PipelineError`] of a pass that failed, so a pass cut
+/// short still says what it did to the graph. Patterns are indices
+/// into the pass's rule set, and the ids every firing created and
+/// collected share one vector, so recording an entry allocates only
+/// when a vector doubles.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct FiringLog {
+    fired: Vec<Firing>,
+    rejected: Vec<Rejection>,
+    /// Each firing's created ids, then its collected ids, end to end.
+    ids: Vec<NodeId>,
 }
 
-impl<T: Observer> Observer for Rc<RefCell<T>> {
-    fn on_pass_start(&mut self, pass: &str, graph: &Graph) {
-        self.borrow_mut().on_pass_start(pass, graph);
+impl FiringLog {
+    /// Rewrites that fired, in firing order.
+    pub fn fired(&self) -> &[Firing] {
+        &self.fired
     }
 
-    fn on_pass_end(&mut self, pass: &str, record: &PassRecord) {
-        self.borrow_mut().on_pass_end(pass, record);
+    /// Matches that fired no rewrite, in discovery order.
+    pub fn rejected(&self) -> &[Rejection] {
+        &self.rejected
     }
 
-    fn on_rewrite_fired(&mut self, event: &RewriteFired) {
-        self.borrow_mut().on_rewrite_fired(event);
+    /// The replacement nodes `firing` created, in allocation order —
+    /// the rule's right-hand side in post-order.
+    pub fn created(&self, firing: &Firing) -> &[NodeId] {
+        let at = firing.ids as usize;
+        &self.ids[at..at + firing.created as usize]
     }
 
-    fn on_match_rejected(&mut self, event: &MatchRejected) {
-        self.borrow_mut().on_match_rejected(event);
+    /// The nodes `firing` collected once the replaced root was unread
+    /// (the root and what only it kept alive), in id order.
+    pub fn collected(&self, firing: &Firing) -> &[NodeId] {
+        let at = (firing.ids + firing.created) as usize;
+        &self.ids[at..at + firing.collected as usize]
+    }
+
+    /// Records a fired rewrite; returns its entry.
+    pub(crate) fn fire(
+        &mut self,
+        sweep: u64,
+        pattern: usize,
+        rule: usize,
+        node: NodeId,
+        created: &[NodeId],
+        collected: &[NodeId],
+    ) -> Firing {
+        let len = |ids: &[NodeId]| u32::try_from(ids.len()).expect("node ids fit in 32 bits");
+        let entry = Firing {
+            sweep,
+            pattern,
+            rule,
+            node,
+            ids: len(&self.ids),
+            created: len(created),
+            collected: len(collected),
+        };
+        self.fired.push(entry);
+        self.ids.extend_from_slice(created);
+        self.ids.extend_from_slice(collected);
+        entry
+    }
+
+    /// Records a match that fired no rewrite.
+    pub(crate) fn reject(&mut self, rejection: Rejection) {
+        self.rejected.push(rejection);
     }
 }
 
@@ -281,6 +306,9 @@ pub struct PassRecord {
     pub stats: PassStats,
     /// Wall-clock of the whole pass as measured by the pipeline.
     pub wall: Duration,
+    /// What the pass decided (empty for passes that fire nothing). Not
+    /// part of the `pypm.pipeline.v1` document.
+    pub firings: FiringLog,
 }
 
 /// What a finished pipeline run decomposes into: records, diagnostics,
@@ -294,14 +322,16 @@ pub(crate) type PipelineParts = (
 
 /// Shared state threaded through every pass of a pipeline run:
 /// diagnostics, per-pass records, the stage recorder, published
-/// artifacts, and the registered [`Observer`]s.
+/// artifacts, and the running pass's [`FiringLog`].
 pub struct PipelineCx {
     diagnostics: Vec<Diagnostic>,
     records: Vec<PassRecord>,
-    observers: Vec<Box<dyn Observer>>,
     artifacts: BTreeMap<String, Box<dyn Any>>,
     current: String,
-    current_sweep: u64,
+    /// The running pass's log, which it appends its decisions to; it
+    /// moves onto the pass's record when the pass finishes, onto the
+    /// pipeline's error when it fails.
+    pub(crate) firings: FiringLog,
     /// Graphs compiled by the owning run (1 for `Pipeline::run`, the
     /// batch length for `Pipeline::run_batch`); surfaces as the
     /// `batch_graphs` counter.
@@ -319,10 +349,9 @@ impl Default for PipelineCx {
         PipelineCx {
             diagnostics: Vec::new(),
             records: Vec::new(),
-            observers: Vec::new(),
             artifacts: BTreeMap::new(),
             current: String::new(),
-            current_sweep: 0,
+            firings: FiringLog::default(),
             batch_graphs: 1,
             budget: None,
             stages: Stages::new(system_clock()),
@@ -335,7 +364,6 @@ impl fmt::Debug for PipelineCx {
         f.debug_struct("PipelineCx")
             .field("diagnostics", &self.diagnostics)
             .field("records", &self.records)
-            .field("observers", &self.observers.len())
             .field("artifacts", &self.artifacts.keys().collect::<Vec<_>>())
             .field("current", &self.current)
             .finish()
@@ -343,14 +371,9 @@ impl fmt::Debug for PipelineCx {
 }
 
 impl PipelineCx {
-    /// Creates an empty context (no observers, no records).
+    /// Creates an empty context (no records).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Registers an observer.
-    pub(crate) fn add_observer(&mut self, obs: Box<dyn Observer>) {
-        self.observers.push(obs);
     }
 
     /// Number of graphs the owning run compiles (1 for a plain
@@ -439,73 +462,27 @@ impl PipelineCx {
         self.artifacts.get(key).and_then(|a| a.downcast_ref())
     }
 
-    /// Sets the sweep number subsequent events are tagged with.
-    pub fn set_sweep(&mut self, sweep: u64) {
-        self.current_sweep = sweep;
-    }
-
-    /// Streams a fired rewrite to every observer.
-    pub fn emit_rewrite_fired(&mut self, pattern: &str, rule: usize, node: NodeId) {
-        if self.observers.is_empty() {
-            return;
-        }
-        let event = RewriteFired {
-            pass: self.current.clone(),
-            pattern: pattern.to_owned(),
-            rule,
-            node,
-            sweep: self.current_sweep,
-        };
-        for obs in &mut self.observers {
-            obs.on_rewrite_fired(&event);
-        }
-    }
-
-    /// Streams a rejected match to every observer.
-    pub fn emit_match_rejected(&mut self, pattern: &str, node: NodeId, reason: RejectReason) {
-        if self.observers.is_empty() {
-            return;
-        }
-        let event = MatchRejected {
-            pass: self.current.clone(),
-            pattern: pattern.to_owned(),
-            node,
-            reason,
-            sweep: self.current_sweep,
-        };
-        for obs in &mut self.observers {
-            obs.on_match_rejected(&event);
-        }
-    }
-
-    /// Marks `name` as the running pass and notifies observers.
-    pub(crate) fn begin_pass(&mut self, name: &str, graph: &Graph) {
+    /// Marks `name` as the running pass.
+    pub(crate) fn begin_pass(&mut self, name: &str) {
         self.current = name.to_owned();
-        self.current_sweep = 0;
-        for obs in &mut self.observers {
-            obs.on_pass_start(name, graph);
-        }
     }
 
-    /// Records the finished pass and notifies observers.
+    /// Records the finished pass, with its firing log.
     pub(crate) fn finish_pass(&mut self, outcome: PassOutcome, wall: Duration) {
-        let record = PassRecord {
+        self.records.push(PassRecord {
             name: std::mem::take(&mut self.current),
             changed: outcome.changed,
             stats: outcome.stats,
             wall,
-        };
-        for obs in &mut self.observers {
-            obs.on_pass_end(&record.name, &record);
-        }
-        self.records.push(record);
+            firings: std::mem::take(&mut self.firings),
+        });
     }
 
     /// Drains the per-graph parts (records, diagnostics, artifacts,
-    /// stages) while keeping the run-scoped state — observers, batch
-    /// size, budget, the stage clock and its last boundary — in place.
-    /// This is what lets [`crate::Pipeline::run_batch`] emit one report
-    /// per graph over a single long-lived context.
+    /// stages) while keeping the run-scoped state — batch size, budget,
+    /// the stage clock and its last boundary — in place. This is what
+    /// lets [`crate::Pipeline::run_batch`] emit one report per graph
+    /// over a single long-lived context.
     pub(crate) fn take_parts(&mut self) -> PipelineParts {
         let stages = self.stages.clone();
         self.stages.clear();

@@ -3,11 +3,12 @@
 //! A pipeline borrows the [`Session`] for the duration of a compilation,
 //! runs its passes in order over one graph, validates the graph after
 //! each mutating pass, and returns a [`PipelineReport`] with per-pass
-//! wall-clock and counters, diagnostics, published artifacts, and the
-//! run's [`Stages`]: the rewrite pass laps its setup, trie build,
-//! collection, term-view build and scan, and the pipeline laps each
-//! pass's validation, all on one clock — the system clock unless
-//! [`Pipeline::with_stages`] hands in a recorder of another.
+//! wall-clock, counters and firing logs, diagnostics, published
+//! artifacts, and the run's [`Stages`]: the rewrite pass laps its
+//! setup, trie build, collection, term-view build and scan, and the
+//! pipeline laps each pass's validation, all on one clock — the system
+//! clock unless [`Pipeline::with_stages`] hands in a recorder of
+//! another.
 //!
 //! ```
 //! use pypm_engine::{Pipeline, RewritePass, Session};
@@ -32,7 +33,7 @@
 //! assert!(report.to_json().contains("\"rewrites_fired\": 1"));
 //! ```
 
-use crate::pass::{Diagnostic, Observer, Pass, PassError, PassRecord, PipelineCx};
+use crate::pass::{Diagnostic, FiringLog, Pass, PassError, PassRecord, PipelineCx};
 use crate::rewriter::PassStats;
 use crate::session::Session;
 use pypm_core::json::{Layout, Writer};
@@ -50,6 +51,10 @@ pub struct PipelineError {
     pub pass: String,
     /// What went wrong.
     pub error: PassError,
+    /// What the failing pass decided before it failed: a pass whose
+    /// budget tripped has rewritten the graph this far. Boxed, to keep
+    /// the error small.
+    pub firings: Box<FiringLog>,
 }
 
 impl fmt::Display for PipelineError {
@@ -101,12 +106,6 @@ impl<'s> Pipeline<'s> {
     /// Appends an already-boxed pass (useful for dynamic pipelines).
     pub fn with_boxed(mut self, pass: Box<dyn Pass>) -> Self {
         self.passes.push(pass);
-        self
-    }
-
-    /// Registers an [`Observer`] receiving live events from every pass.
-    pub fn observe(mut self, observer: impl Observer + 'static) -> Self {
-        self.cx.add_observer(Box::new(observer));
         self
     }
 
@@ -179,21 +178,23 @@ impl<'s> Pipeline<'s> {
         let mut started = self.cx.start_stages();
         for pass in &mut self.passes {
             let name = pass.name().to_owned();
-            self.cx.begin_pass(&name, graph);
-            let outcome = pass
-                .run(self.session, graph, &mut self.cx)
-                .map_err(|error| PipelineError {
-                    pass: name.clone(),
-                    error,
-                })?;
-            if outcome.changed {
-                graph.validate().map_err(|e| PipelineError {
-                    pass: name.clone(),
-                    error: PassError::InvalidGraph {
-                        reason: e.to_string(),
-                    },
-                })?;
-            }
+            self.cx.begin_pass(&name);
+            let checked = match pass.run(self.session, graph, &mut self.cx) {
+                Ok(outcome) if outcome.changed => {
+                    graph
+                        .validate()
+                        .map(|()| outcome)
+                        .map_err(|e| PassError::InvalidGraph {
+                            reason: e.to_string(),
+                        })
+                }
+                ran => ran,
+            };
+            let outcome = checked.map_err(|error| PipelineError {
+                pass: name,
+                error,
+                firings: Box::new(std::mem::take(&mut self.cx.firings)),
+            })?;
             let ended = self.cx.lap(Stage::Validate);
             self.cx.finish_pass(outcome, ended - started);
             started = ended;
@@ -456,12 +457,14 @@ mod tests {
                     changed: true,
                     stats,
                     wall: Duration::from_micros(2_500_001),
+                    firings: FiringLog::default(),
                 },
                 PassRecord {
                     name: "part\"ition\\".to_owned(),
                     changed: false,
                     stats: PassStats::default(),
                     wall: Duration::from_nanos(1),
+                    firings: FiringLog::default(),
                 },
             ],
             diagnostics: vec![

@@ -31,7 +31,9 @@
 //! matches found, and rewrites fired.
 
 use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
-use crate::pass::{Pass, PassError, PassOutcome, PipelineCx, RejectReason};
+use crate::pass::{
+    Firing, FiringLog, Pass, PassError, PassOutcome, PipelineCx, RejectReason, Rejection,
+};
 use crate::retired::ParallelStats;
 use crate::session::Session;
 use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Stage, Symbol, TermId, Witness};
@@ -249,36 +251,19 @@ pub struct MatchReport {
     pub coverage: Vec<TermId>,
 }
 
-/// How an attempted firing of a matched pattern ended.
-enum FireResult {
-    /// A rule fired and the graph was rewritten.
-    Fired {
-        /// The node now standing in for the matched root.
-        replacement: NodeId,
-        /// Users whose inputs were redirected to the replacement — the
-        /// non-fresh half of the rewrite's dirty seed.
-        rewired: Vec<NodeId>,
-    },
-    /// No rule fired, for this reason.
-    Rejected(RejectReason),
-}
-
-/// A fired rewrite as seen by the scan: where the replacement sits, and
-/// the dirty seed [`Driver::repair_view`] feeds to
+/// A fired rewrite as seen by the scan: its entry in the pass's
+/// [`FiringLog`], where the replacement sits, and the users rewired onto
+/// it. The rewired users and the entry's created and collected nodes
+/// are the dirty seed [`Driver::repair_view`] feeds to
 /// [`TermView::invalidate`].
 struct Fired {
+    /// The firing's log entry.
+    entry: Firing,
     /// The node now standing in for the matched root: the last fresh
     /// node, or a pre-existing one when the rule's RHS is a variable.
     replacement: NodeId,
     /// Users whose inputs were redirected to the replacement.
     rewired: Vec<NodeId>,
-    /// The replacement nodes the firing created, in allocation order —
-    /// the RHS template's post-order.
-    fresh: Vec<NodeId>,
-    /// Nodes [`Graph::collect`] freed once the root was unread — the
-    /// dead half of the dirty seed, which incremental view maintenance
-    /// must drop from its index maps.
-    collected: Vec<NodeId>,
 }
 
 impl Fired {
@@ -289,11 +274,11 @@ impl Fired {
     /// variable bound to a term whose canonical producer lies *ahead*
     /// breaks this: the new post-order pulls that producer's unvisited
     /// cone in front of the fresh nodes.
-    fn splices_at_cursor(&self, graph: &Graph, flags: &NodeFlags) -> bool {
-        let settled = |n: NodeId| self.fresh.contains(&n) || flags.has(n, NodeFlags::PASSED);
+    fn splices_at_cursor(&self, graph: &Graph, flags: &NodeFlags, log: &FiringLog) -> bool {
+        let fresh = log.created(&self.entry);
+        let settled = |n: NodeId| fresh.contains(&n) || flags.has(n, NodeFlags::PASSED);
         settled(self.replacement)
-            && self
-                .fresh
+            && fresh
                 .iter()
                 .all(|&f| graph.inputs(f).iter().all(|&i| settled(i)))
     }
@@ -393,8 +378,8 @@ impl<'a> Driver<'a> {
         self.rank[self.pattern_ids.len()]
     }
 
-    /// Runs the pass to fixpoint, mutating `graph` in place and
-    /// streaming match/rewrite events through `cx`, and lapping its
+    /// Runs the pass to fixpoint, mutating `graph` in place, recording
+    /// its firings and rejections in `cx`'s firing log, and lapping its
     /// stages on `cx`'s recorder: [`Stage::PassSetup`] (everything from
     /// the last boundary to here), [`Stage::TrieBuild`], [`Stage::Gc`],
     /// then [`Stage::ViewBuild`] (the empty view's allocation) and
@@ -600,8 +585,10 @@ impl<'a> Driver<'a> {
 
     /// Pattern `pi` matched at `node`: "PyPM runs each of the
     /// corresponding rules one by one … The first rule whose assertions
-    /// pass is fired." Returns the firing, or `None` after reporting
-    /// why no rule fired.
+    /// pass is fired." Builds and splices the replacement of the first
+    /// rule whose guard holds, collects what only the root kept alive,
+    /// records the firing and returns it; or records why no rule fired
+    /// and returns `None`.
     #[allow(clippy::too_many_arguments)]
     fn on_match(
         &mut self,
@@ -614,51 +601,86 @@ impl<'a> Driver<'a> {
         cx: &mut PipelineCx,
     ) -> Result<Option<Fired>, RewriteError> {
         stats.matches_found += 1;
-        let alloc_mark = graph.allocated_count();
-        match self.fire_first_rule(graph, view, node, pi, witness, cx)? {
-            FireResult::Fired {
+        let mut saw_identity = false;
+        for (ri, rule) in self.pass.rules.patterns[pi].rules.iter().enumerate() {
+            let holds = rule
+                .guard
+                .eval(&witness.theta, &self.session.terms, view.attrs())
+                .holds();
+            if !holds {
+                continue;
+            }
+            // Identity rewrites (replacement structurally equal to the
+            // matched subgraph, e.g. collapsing a chain of one RELU to
+            // one RELU) must not fire, or the pass would never reach a
+            // fixpoint. The check folds the RHS template to a *term*
+            // before any graph node is built: a rejected rule therefore
+            // allocates nothing, which keeps node-id allocation — and so
+            // the byte-identity of SweepPolicy::Incremental with
+            // RestartOnRewrite — independent of how often the scan
+            // revisits the rejected candidate.
+            if Some(self.term_of_rhs(&rule.rhs, witness)?) == view.term_of(node) {
+                saw_identity = true;
+                continue;
+            }
+            let alloc_mark = graph.allocated_count();
+            let root_meta = graph.node(node).meta.clone();
+            let replacement = self.instantiate(graph, view, &rule.rhs, witness, Some(root_meta))?;
+            let rewired =
+                graph
+                    .replace_traced(node, replacement)
+                    .map_err(|e| RewriteError::BuildFailed {
+                        reason: e.to_string(),
+                    })?;
+            stats.rewrites_fired += 1;
+            // The root lost its last reader; what only it kept alive
+            // goes with it.
+            let collected = graph.collect(node);
+            debug_assert_eq!(graph.validate(), Ok(()));
+            let fresh = graph.allocated_since(alloc_mark);
+            let entry = cx
+                .firings
+                .fire(stats.sweeps, pi, ri, node, &fresh, &collected);
+            return Ok(Some(Fired {
+                entry,
                 replacement,
                 rewired,
-            } => {
-                stats.rewrites_fired += 1;
-                // The root lost its last reader; what only it kept
-                // alive goes with it.
-                let collected = graph.collect(node);
-                debug_assert_eq!(graph.validate(), Ok(()));
-                Ok(Some(Fired {
-                    replacement,
-                    rewired,
-                    fresh: graph.allocated_since(alloc_mark),
-                    collected,
-                }))
-            }
-            FireResult::Rejected(reason) => {
-                cx.emit_match_rejected(&self.pass.rules.patterns[pi].name, node, reason);
-                Ok(None)
-            }
+            }));
         }
+        cx.firings.reject(Rejection {
+            sweep: stats.sweeps,
+            pattern: pi,
+            node,
+            reason: if saw_identity {
+                RejectReason::IdentityReplacement
+            } else {
+                RejectReason::GuardsFailed
+            },
+        });
+        Ok(None)
     }
 
     /// Repairs the view's bookkeeping after a fired rewrite: the
     /// rewired users, the freshly allocated replacement nodes, and the
-    /// collected dead nodes seed the patch (the dead ids let the
-    /// sublinear index maintenance drop entries without scanning for
-    /// liveness). The patch only *marks* the cone — terms recompute
-    /// lazily at the next visit. Returns the marked cone for worklist
-    /// re-enqueueing.
+    /// collected dead nodes (as `log` recorded them) seed the patch (the
+    /// dead ids let the sublinear index maintenance drop entries without
+    /// scanning for liveness). The patch only *marks* the cone — terms
+    /// recompute lazily at the next visit. Returns the marked cone for
+    /// worklist re-enqueueing.
     fn repair_view(
         &mut self,
         graph: &Graph,
         view: &mut TermView,
         fired: &Fired,
+        log: &FiringLog,
         stats: &mut PassStats,
     ) -> Vec<NodeId> {
         view.invalidate(
             fired
                 .rewired
                 .iter()
-                .chain(&fired.fresh)
-                .chain(&fired.collected)
+                .chain(log.created(&fired.entry))
+                .chain(log.collected(&fired.entry))
                 .copied(),
         );
         let cone = view.patch(graph);
@@ -717,18 +739,20 @@ impl<'a> Driver<'a> {
     ///    node outside the worklist still has nothing to fire.
     ///
     ///    This additionally assumes the attribute tables are
-    ///    *deterministic per term* — true whenever nodes that view as
-    ///    the same term carry the same metadata and attributes.
-    ///    Attribute-carrying constants get value-specialized term
-    ///    symbols, and the library's compound attr-carrying kernels
-    ///    (e.g. `GemmEpilog`) derive their attrs from the matched
-    ///    subtree, so structurally equal subgraphs agree; a rule set
-    ///    violating this (two same-term nodes with different attrs
-    ///    whose first topo producer changes mid-pass) could flip a
-    ///    guard at a clean node that restarting would re-examine and
-    ///    the worklist would not. The random-rule-subset byte-identity
-    ///    proptest (and its 4096-case nightly run) exists to catch any
-    ///    such divergence.
+    ///    *deterministic per term* — true only where nodes that view as
+    ///    the same term carry the same metadata and attributes, and
+    ///    that does not hold in general. Attribute-carrying constants
+    ///    get value-specialized term symbols, but an operator with
+    ///    inputs interns without its attributes: two `Conv2d` nodes on
+    ///    the same inputs with strides 1 and 2 are one term, whose side
+    ///    table holds the first producer's values (ROADMAP item 18 (i)).
+    ///    A guard can then read the other node's attributes under both
+    ///    policies alike, and a graph whose first producer of such a
+    ///    term changes mid-pass could flip a guard at a clean node that
+    ///    restarting would re-examine and the worklist would not. The
+    ///    zoo builds no such pair; the random-rule-subset byte-identity
+    ///    proptests (and their nightly runs) put attributes on
+    ///    constants only, so they cannot catch one.
     /// 2. *A rewrite dirties exactly its cone of influence.* Replacing a
     ///    root changes the terms of the freshly created replacement
     ///    nodes, the users rewired onto the replacement, and their
@@ -808,7 +832,6 @@ impl<'a> Driver<'a> {
         let mut resume = true;
         'rounds: loop {
             stats.sweeps += 1;
-            cx.set_sweep(stats.sweeps);
             if !worklist {
                 walk.restart(graph);
             } else if !resume {
@@ -858,17 +881,18 @@ impl<'a> Driver<'a> {
                 // The next firing must be the topologically first
                 // candidate of the rewritten graph: resume where the
                 // root stood when the order allows it (4), else restart.
-                resume = worklist && fired.splices_at_cursor(graph, &flags);
+                let log = &cx.firings;
+                resume = worklist && fired.splices_at_cursor(graph, &flags, log);
                 if resume {
-                    ahead.extend(fired.fresh.iter().rev());
+                    ahead.extend(log.created(&fired.entry).iter().rev());
                 }
                 // Repair before the rewrite-cap check, so
                 // `view_patches == rewrites_fired` holds even when the
                 // cap cuts the pass short.
-                for node in self.repair_view(graph, &mut view, &fired, stats) {
+                for node in self.repair_view(graph, &mut view, &fired, log, stats) {
                     flags.set(node, NodeFlags::DIRTY);
                 }
-                for &dead in &fired.collected {
+                for &dead in log.collected(&fired.entry) {
                     flags.clear(dead, NodeFlags::DIRTY);
                 }
                 if stats.rewrites_fired as usize >= self.pass.max_rewrites {
@@ -886,61 +910,6 @@ impl<'a> Driver<'a> {
         drop(view);
         cx.lap(Stage::Scan);
         Ok(())
-    }
-
-    /// Attempts the matched pattern's rules in order; builds and splices
-    /// the replacement of the first whose guard holds.
-    fn fire_first_rule(
-        &mut self,
-        graph: &mut Graph,
-        view: &mut TermView,
-        node: NodeId,
-        pattern_index: usize,
-        witness: &Witness,
-        cx: &mut PipelineCx,
-    ) -> Result<FireResult, RewriteError> {
-        let def = &self.pass.rules.patterns[pattern_index];
-        let mut saw_identity = false;
-        for (ri, rule) in def.rules.iter().enumerate() {
-            let holds = rule
-                .guard
-                .eval(&witness.theta, &self.session.terms, view.attrs())
-                .holds();
-            if !holds {
-                continue;
-            }
-            // Identity rewrites (replacement structurally equal to the
-            // matched subgraph, e.g. collapsing a chain of one RELU to
-            // one RELU) must not fire, or the pass would never reach a
-            // fixpoint. The check folds the RHS template to a *term*
-            // before any graph node is built: a rejected rule therefore
-            // allocates nothing, which keeps node-id allocation — and so
-            // the byte-identity of SweepPolicy::Incremental with
-            // RestartOnRewrite — independent of how often the scan
-            // revisits the rejected candidate.
-            if Some(self.term_of_rhs(&rule.rhs, witness)?) == view.term_of(node) {
-                saw_identity = true;
-                continue;
-            }
-            let root_meta = graph.node(node).meta.clone();
-            let replacement = self.instantiate(graph, view, &rule.rhs, witness, Some(root_meta))?;
-            let rewired =
-                graph
-                    .replace_traced(node, replacement)
-                    .map_err(|e| RewriteError::BuildFailed {
-                        reason: e.to_string(),
-                    })?;
-            cx.emit_rewrite_fired(&def.name, ri, node);
-            return Ok(FireResult::Fired {
-                replacement,
-                rewired,
-            });
-        }
-        Ok(FireResult::Rejected(if saw_identity {
-            RejectReason::IdentityReplacement
-        } else {
-            RejectReason::GuardsFailed
-        }))
     }
 
     /// What one RHS template node denotes under `witness` — the step
@@ -1723,41 +1692,17 @@ mod tests {
     }
 
     /// What one run shows of its visits: every counter a visit
-    /// touches, the fired and the rejected matches in event order, and
-    /// the graph it left.
+    /// touches, the pass's firing log, and the graph it left.
     #[derive(Debug, PartialEq)]
     struct Observed {
         counters: [u64; 7],
-        events: Vec<String>,
+        firings: crate::FiringLog,
         live_nodes: usize,
     }
 
-    #[derive(Default)]
-    struct EventLog(Vec<String>);
-
-    impl crate::Observer for EventLog {
-        fn on_rewrite_fired(&mut self, e: &crate::RewriteFired) {
-            self.0
-                .push(format!("fired {} {:?} @{}", e.pattern, e.node, e.sweep));
-        }
-
-        fn on_match_rejected(&mut self, e: &crate::MatchRejected) {
-            self.0.push(format!(
-                "rejected {} {:?} {:?} @{}",
-                e.pattern, e.node, e.reason, e.sweep
-            ));
-        }
-    }
-
     fn observe((mut s, mut g): (Session, Graph), pass: RewritePass) -> Observed {
-        let log = std::rc::Rc::new(std::cell::RefCell::new(EventLog::default()));
-        let stats = Pipeline::new(&mut s)
-            .observe(log.clone())
-            .with(pass)
-            .run(&mut g)
-            .unwrap()
-            .total();
-        let events = std::mem::take(&mut log.borrow_mut().0);
+        let report = Pipeline::new(&mut s).with(pass).run(&mut g).unwrap();
+        let stats = report.total();
         Observed {
             counters: [
                 stats.match_attempts,
@@ -1768,7 +1713,7 @@ mod tests {
                 stats.nodes_visited,
                 stats.rewrites_fired,
             ],
-            events,
+            firings: report.passes()[0].firings.clone(),
             live_nodes: g.live_count(),
         }
     }
@@ -1786,7 +1731,7 @@ mod tests {
 
     /// [`Driver::visit_node`] accounts the pairs it skips by
     /// arithmetic; [`Driver::visit_node_literally`] tries and counts
-    /// them one by one. Same counters, same events, on one model ×
+    /// them one by one. Same counters, same log, on one model ×
     /// three rule sets × both policies × both backends.
     /// Returns whether some visit fired at a pattern with a
     /// pattern-only definition before it and rule-bearing ones on both
@@ -1800,15 +1745,15 @@ mod tests {
             }),
             ("interleaved", interleaved),
         ];
-        let mid_set: Vec<String> = {
+        let mid_set: Vec<usize> = {
             let defs = interleaved(&mut Session::new()).patterns;
             let bearing: Vec<usize> = (0..defs.len())
                 .filter(|&pi| !defs[pi].rules.is_empty())
                 .collect();
             bearing[1..bearing.len() - 1]
                 .iter()
-                .filter(|&&pi| defs[..pi].iter().any(|d| d.rules.is_empty()))
-                .map(|&pi| format!("fired {} ", defs[pi].name))
+                .copied()
+                .filter(|&pi| defs[..pi].iter().any(|d| d.rules.is_empty()))
                 .collect()
         };
         let mut fired_mid_set = false;
@@ -1829,9 +1774,10 @@ mod tests {
                     assert_eq!(by_arithmetic, literal, "{model}/{rname}/{policy}/{backend}");
                     fired_mid_set |= rname == "interleaved"
                         && literal
-                            .events
+                            .firings
+                            .fired()
                             .iter()
-                            .any(|e| mid_set.iter().any(|m| e.starts_with(m)));
+                            .any(|f| mid_set.contains(&f.pattern));
                 }
             }
         }

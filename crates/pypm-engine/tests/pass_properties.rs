@@ -186,9 +186,11 @@ proptest! {
     }
 
     /// The incremental worklist must be *byte-identical* to restarting —
-    /// same rewrite count, same node ids, same operator at every node —
-    /// on random graphs × random rule subsets. This is the divergence
-    /// hunt the nightly CI job runs at high case counts.
+    /// same rewrite count, same node ids, same operator at every node,
+    /// the same firing log — on random graphs × random rule subsets.
+    /// Under either policy the log holds one entry per fired rewrite
+    /// (and per view patch) and one per match that fired none. This is
+    /// the divergence hunt the nightly CI job runs at high case counts.
     #[test]
     fn incremental_is_byte_identical_on_random_rule_subsets(
         seed in any::<u64>(),
@@ -211,8 +213,23 @@ proptest! {
                 .map(|(_, p)| p)
                 .collect();
             rules.patterns = kept;
-            let stats = run_pass(&mut s, RewritePass::new(rules).policy(policy), &mut g);
+            let report = Pipeline::new(&mut s)
+                .with(RewritePass::new(rules).policy(policy))
+                .run(&mut g)
+                .unwrap();
+            let (stats, log) = (report.total(), &report.passes()[0].firings);
             g.validate().unwrap();
+            prop_assert_eq!(log.fired().len() as u64, stats.rewrites_fired);
+            prop_assert_eq!(stats.view_patches, stats.rewrites_fired);
+            prop_assert_eq!(
+                log.rejected().len() as u64,
+                stats.matches_found - stats.rewrites_fired
+            );
+            let fired: Vec<_> = log
+                .fired()
+                .iter()
+                .map(|f| (*f, log.created(f).to_vec(), log.collected(f).to_vec()))
+                .collect();
             // Node-id-level snapshot: (id, op name, inputs) per
             // reachable node plus outputs. Identical rewrite sequences
             // allocate identical ids.
@@ -221,7 +238,7 @@ proptest! {
                 .into_iter()
                 .map(|n| (n, s.syms.op_name(g.node(n).op).to_owned(), g.inputs(n).to_vec()))
                 .collect();
-            snapshots.push((stats.rewrites_fired, snap, g.outputs().to_vec()));
+            snapshots.push((fired, snap, g.outputs().to_vec()));
             attempts.push(stats.match_attempts);
         }
         prop_assert_eq!(&snapshots[0], &snapshots[1]);

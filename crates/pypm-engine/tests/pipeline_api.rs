@@ -1,10 +1,10 @@
 //! Integration tests of the pass-manager surface: pass sequencing,
-//! observer hooks, artifacts, diagnostics and the JSON report.
+//! firing logs, artifacts, diagnostics and the JSON report.
 
 use pypm_core::json::Value;
 use pypm_dsl::LibraryConfig;
 use pypm_engine::{
-    ExplainObserver, Partition, PartitionPass, Pass, PassError, PassOutcome, Pipeline, PipelineCx,
+    summary, Partition, PartitionPass, Pass, PassError, PassOutcome, Pipeline, PipelineCx,
     RejectReason, RewritePass, Session, SweepPolicy,
 };
 use pypm_graph::{DType, Graph, NodeId, TensorMeta};
@@ -71,51 +71,60 @@ fn multi_pass_pipeline_runs_in_order_and_aggregates() {
 }
 
 #[test]
-fn observer_sees_pass_boundaries_and_fired_rewrites() {
+fn the_pass_record_logs_its_fired_rewrites() {
     let mut s = Session::new();
     let rules = s.load_library(LibraryConfig::all());
     let mut g = fig1_graph(&mut s, DType::F32);
-    let explain = ExplainObserver::new().shared();
-    Pipeline::new(&mut s)
-        .with(RewritePass::new(rules))
-        .observe(explain.clone())
+    let (mm, bt) = (g.outputs()[0], g.inputs(g.outputs()[0])[1]);
+    let report = Pipeline::new(&mut s)
+        .with(RewritePass::new(rules.clone()))
         .run(&mut g)
         .unwrap();
 
-    let obs = explain.borrow();
-    assert_eq!(obs.passes(), ["rewrite"]);
-    assert_eq!(obs.fired().len(), 1);
-    let fired = &obs.fired()[0];
-    assert_eq!(fired.pattern, "MMxyT");
-    assert_eq!(fired.pass, "rewrite");
-    assert!(fired.sweep >= 1);
-    assert!(obs.summary().contains("MMxyT: 1 fired"));
+    let record = report.pass(RewritePass::NAME).unwrap();
+    let log = &record.firings;
+    assert_eq!(log.fired().len(), 1);
+    let fired = &log.fired()[0];
+    assert_eq!(rules.patterns[fired.pattern].name, "MMxyT");
+    assert_eq!(fired.node, mm);
+    assert_eq!(fired.sweep, 1);
+    // The fused kernel replaced MatMul and the transpose it read.
+    assert_eq!(log.created(fired), g.outputs());
+    assert_eq!(log.collected(fired), [bt, mm]);
+    assert!(log.rejected().is_empty());
+    assert!(summary(log, &rules, None).contains("MMxyT: 1 fired"));
+    assert!(!summary(log, &rules, Some("MHA")).contains("MMxyT"));
 }
 
 #[test]
-fn observer_sees_guard_rejections() {
+fn the_log_records_guard_rejections() {
     // f16 inputs: MMxyT matches structurally but both rule guards fail.
     let mut s = Session::new();
     let rules = s.load_library(LibraryConfig::all());
     let mut g = fig1_graph(&mut s, DType::F16);
-    let explain = ExplainObserver::for_pattern("MMxyT").shared();
-    Pipeline::new(&mut s)
-        .with(RewritePass::new(rules))
-        .observe(explain.clone())
+    let report = Pipeline::new(&mut s)
+        .with(RewritePass::new(rules.clone()))
         .run(&mut g)
         .unwrap();
 
-    let obs = explain.borrow();
-    assert!(obs.fired().is_empty());
-    assert!(!obs.rejected().is_empty());
-    assert!(obs
-        .rejected()
-        .iter()
-        .all(|r| r.reason == RejectReason::GuardsFailed && r.pattern == "MMxyT"));
+    let log = &report.passes()[0].firings;
+    assert!(log.fired().is_empty());
+    assert!(!log.rejected().is_empty());
+    assert!(log.rejected().iter().all(
+        |r| r.reason == RejectReason::GuardsFailed && rules.patterns[r.pattern].name == "MMxyT"
+    ));
+    assert_eq!(
+        summary(log, &rules, Some("MMxyT")),
+        format!(
+            "0 rewrites fired, {n} matches rejected across 1 pass(es)\n  \
+             MMxyT: 0 fired, {n} rejected by guards, 0 identity\n",
+            n = log.rejected().len()
+        )
+    );
 }
 
 #[test]
-fn observer_sees_identity_rejections() {
+fn the_log_records_identity_rejections() {
     // A single Relu matches ReluChain but its replacement is the
     // identical subgraph — the match must be rejected as identity.
     let mut s = Session::new();
@@ -127,18 +136,18 @@ fn observer_sees_identity_rejections() {
         .op(&mut s.syms, &s.registry, relu, vec![x], vec![])
         .unwrap();
     g.mark_output(r);
-    let explain = ExplainObserver::new().shared();
-    Pipeline::new(&mut s)
+    let report = Pipeline::new(&mut s)
         .with(RewritePass::new(rules))
-        .observe(explain.clone())
         .run(&mut g)
         .unwrap();
 
-    let obs = explain.borrow();
-    assert!(obs
+    assert!(report.passes()[0]
+        .firings
         .rejected()
         .iter()
-        .any(|r| r.reason == RejectReason::IdentityReplacement));
+        .any(
+            |rejected| rejected.reason == RejectReason::IdentityReplacement && rejected.node == r
+        ));
 }
 
 #[test]

@@ -69,9 +69,7 @@
 use pypm::cli_args::{self, parse_or_usage, Spec};
 use pypm::core::json::{Layout, Writer};
 use pypm::dsl::{binary, text, LibraryConfig};
-use pypm::engine::{
-    explain_at, ExplainObserver, Partition, PartitionPass, Pipeline, RewritePass, Session,
-};
+use pypm::engine::{explain_at, summary, Partition, PartitionPass, Pipeline, RewritePass, Session};
 use pypm::perf::CostModel;
 use std::io::Write;
 use std::process::exit;
@@ -588,20 +586,23 @@ most expensive failed attempt:
 {w}"
         );
     }
-    // Dynamic phase: observe the full compilation and report where the
-    // pattern actually fired or was rejected.
-    let explain = ExplainObserver::for_pattern(pattern.as_str()).shared();
-    let outcome = Pipeline::new(&mut s)
-        .with(RewritePass::new(rules))
-        .observe(explain.clone())
-        .run(&mut g);
-    if let Err(e) = outcome {
-        eprintln!("rewrite pass failed: {e}");
-        return 1;
-    }
-    let obs = explain.borrow();
+    // Dynamic phase: run the full compilation and report from its
+    // firing log where the pattern actually fired or was rejected.
+    let report = match Pipeline::new(&mut s)
+        .with(RewritePass::new(rules.clone()))
+        .run(&mut g)
+    {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("rewrite pass failed: {e}");
+            return 1;
+        }
+    };
     println!("\nduring compilation (full library):");
-    print!("{}", obs.summary());
+    print!(
+        "{}",
+        summary(&report.passes()[0].firings, &rules, Some(pattern))
+    );
     0
 }
 

@@ -7,12 +7,11 @@
 use pypm::core::json::{self, Value};
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{
-    MatcherBackend, Observer, PassStats, Pipeline, RewriteFired, RewritePass, Session, SweepPolicy,
+    Firing, FiringLog, MatcherBackend, PassStats, Pipeline, Rejection, RewritePass, Session,
+    SweepPolicy,
 };
 use pypm::graph::{Graph, NodeId};
-use std::cell::RefCell;
 use std::process::{Command, Output};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The `pypm.pipeline.v1` keys that legitimately differ between two
@@ -107,19 +106,18 @@ pub(crate) fn zoo_names() -> Vec<&'static str> {
         .collect()
 }
 
-/// Records the exact firing sequence: which pattern, which rule, at
-/// which node. Two runs that agree on this sequence applied the same
-/// graph mutations in the same order.
-#[derive(Default)]
-pub(crate) struct FiringLog {
-    pub(crate) fired: Vec<(String, usize, NodeId)>,
-}
+/// A firing with the ids it created and collected.
+pub(crate) type Fired = (Firing, Vec<NodeId>, Vec<NodeId>);
 
-impl Observer for FiringLog {
-    fn on_rewrite_fired(&mut self, event: &RewriteFired) {
-        self.fired
-            .push((event.pattern.clone(), event.rule, event.node));
-    }
+/// The exact firing sequence of a log: which pattern, which rule, at
+/// which node and in which sweep, creating and collecting which nodes.
+/// Two runs that agree on it applied the same graph mutations in the
+/// same order.
+pub(crate) fn fired(log: &FiringLog) -> Vec<Fired> {
+    log.fired()
+        .iter()
+        .map(|f| (*f, log.created(f).to_vec(), log.collected(f).to_vec()))
+        .collect()
 }
 
 /// `(node id, operator name, input ids)` for every reachable node —
@@ -137,7 +135,7 @@ pub(crate) fn node_rows(g: &Graph, s: &Session) -> Vec<(NodeId, String, Vec<Node
         .collect()
 }
 
-/// One rewrite run's observable result: the firing sequence, the final
+/// One rewrite run's observable result: the firing log, the final
 /// graph down to node identities, and every semantic counter.
 /// Wall-clock, the machine-*work* diagnostics
 /// (`machine_steps`/`machine_backtracks`) and the matcher's admission
@@ -145,7 +143,8 @@ pub(crate) fn node_rows(g: &Graph, s: &Session) -> Vec<(NodeId, String, Vec<Node
 /// matcher backends may disagree on.
 #[derive(Debug, PartialEq, Eq)]
 pub(crate) struct Outcome {
-    pub(crate) fired: Vec<(String, usize, NodeId)>,
+    pub(crate) fired: Vec<Fired>,
+    pub(crate) rejected: Vec<Rejection>,
     pub(crate) nodes: Vec<(NodeId, String, Vec<NodeId>)>,
     pub(crate) output_ids: Vec<NodeId>,
     pub(crate) live_nodes: usize,
@@ -171,15 +170,15 @@ pub(crate) fn run_rewrite(
     let mut s = Session::new();
     let mut g = build(&mut s);
     let rules = s.load_library(cfg);
-    let log = Rc::new(RefCell::new(FiringLog::default()));
     let report = Pipeline::new(&mut s)
         .with(RewritePass::new(rules).policy(policy).matcher(backend))
-        .observe(log.clone())
         .run(&mut g)
         .expect("pass succeeds");
     let stats = report.total();
+    let log = &report.passes()[0].firings;
     let outcome = Outcome {
-        fired: std::mem::take(&mut log.borrow_mut().fired),
+        fired: fired(log),
+        rejected: log.rejected().to_vec(),
         nodes: node_rows(&g, &s),
         output_ids: g.outputs().to_vec(),
         live_nodes: g.live_count(),

@@ -8,21 +8,19 @@
 //! The worklist scheduler's correctness argument is local ("a clean
 //! node cannot fire because its term is unchanged"); this suite is the
 //! global check over the full model zoo, every library configuration,
-//! and an observer recording the exact (pattern, rule, node, …) firing
+//! and the pass's own log of the exact (pattern, rule, node, …) firing
 //! sequence.
 
 mod common;
 
-use common::{node_rows, FiringLog};
+use common::{fired, node_rows, Fired};
 use pypm::core::Budget;
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{
     PassError, PassStats, Pipeline, PipelineError, RewritePass, Session, SweepPolicy,
 };
 use pypm::graph::{Graph, NodeId};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 use std::sync::Arc;
 
 type ConfigFn = fn() -> LibraryConfig;
@@ -38,7 +36,7 @@ const CONFIGS: [(&str, ConfigFn); 4] = [
 /// counters, and the final graph down to node identities.
 #[derive(Debug, PartialEq, Eq)]
 struct Outcome {
-    fired: Vec<(String, usize, NodeId)>,
+    fired: Vec<Fired>,
     live_nodes: usize,
     /// (node id, operator name, input ids) for every reachable node —
     /// byte-identical graphs have byte-identical rows.
@@ -59,7 +57,8 @@ fn run(
 
 /// [`run`] with the pass's bounds exposed: `configure` sets the knobs
 /// and `step_limit` installs a deterministic [`Budget`]. An exhausted
-/// budget is an `Err` next to the partially rewritten graph's outcome.
+/// budget is an `Err` next to the partially rewritten graph's outcome,
+/// whose firings are those the error carries.
 fn run_bounded(
     build: &dyn Fn(&mut Session) -> Graph,
     cfg: LibraryConfig,
@@ -69,21 +68,24 @@ fn run_bounded(
     let mut s = Session::new();
     let mut g = build(&mut s);
     let rules = s.load_library(cfg);
-    let log = Rc::new(RefCell::new(FiringLog::default()));
-    let mut pipeline = Pipeline::new(&mut s)
-        .with(configure(RewritePass::new(rules)))
-        .observe(log.clone());
+    let mut pipeline = Pipeline::new(&mut s).with(configure(RewritePass::new(rules)));
     if step_limit.is_some() {
         pipeline = pipeline.with_budget(Arc::new(Budget::new(None, step_limit)));
     }
-    let stats = pipeline.run(&mut g).map(|report| report.total());
+    let (log, stats) = match pipeline.run(&mut g) {
+        Ok(report) => (report.passes()[0].firings.clone(), Ok(report.total())),
+        Err(mut e) => (*std::mem::take(&mut e.firings), Err(e)),
+    };
     g.validate().expect("graph stays valid");
-    let fired = std::mem::take(&mut log.borrow_mut().fired);
     if let Ok(stats) = &stats {
-        assert_eq!(stats.rewrites_fired, fired.len() as u64);
+        assert_eq!(stats.rewrites_fired, log.fired().len() as u64);
+        assert_eq!(
+            stats.matches_found - stats.rewrites_fired,
+            log.rejected().len() as u64
+        );
     }
     let outcome = Outcome {
-        fired,
+        fired: fired(&log),
         live_nodes: g.live_count(),
         nodes: node_rows(&g, &s),
         output_ids: g.outputs().to_vec(),
@@ -214,6 +216,15 @@ fn bounded_runs_stay_byte_identical_on_bert_small() {
     });
     assert!(!restart.fired.is_empty(), "the budget must trip mid-pass");
     assert!(incremental.fired.starts_with(&restart.fired));
+    // What the error carries is what the tripped pass did: a prefix of
+    // the untripped run's log, ids included.
+    let (untripped, _) = run(
+        &|s| cfg.build(s),
+        LibraryConfig::both(),
+        SweepPolicy::Incremental,
+    );
+    assert!(untripped.fired.len() > incremental.fired.len());
+    assert!(untripped.fired.starts_with(&incremental.fired));
 }
 
 /// The degenerate baseline: an empty rule set is one scan round that
