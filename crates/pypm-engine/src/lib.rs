@@ -46,19 +46,19 @@
 //! *unseen* and no term is interned, then **lazy in-place patches** — a
 //! patch marks the rewrite's cone stale (a pointer walk over the
 //! graph's incrementally maintained reverse adjacency) and drops the
-//! marked nodes from the ordered first-producer index. A node's term is
-//! interned when the scan first reads it, and recomputed there after a
-//! patch marked it ([`pypm_graph::TermView::term_of_repaired`]), so
-//! nodes dirtied by several consecutive rewrites recompute once and
-//! nodes a rewrite deletes before the scan reaches them are never
-//! interned. A fully interned view is contractually indistinguishable
-//! from a [`pypm_graph::TermView::build`], and the one read that could
-//! tell — the lowest-id producer of a term a rule's RHS variable names
-//! — is answered over unseen nodes too
-//! ([`pypm_graph::TermView::canonical_producer`]), which is why even
-//! the paper-faithful restart *scan* pays no per-round rebuild. The recomputes are measured by the
-//! `nodes_reindexed` counter — ~14× below the old linear-refresh floor
-//! on bert-small.
+//! marked nodes' terms. A node's term is interned when the scan first
+//! reads it, and recomputed there after a patch marked it
+//! ([`pypm_graph::TermView::term_of_repaired`]), so nodes dirtied by
+//! several consecutive rewrites recompute once and nodes a rewrite
+//! deletes before the scan reaches them are never interned. A fully
+//! interned view is contractually indistinguishable from a
+//! [`pypm_graph::TermView::build`], and nothing the scan reads could
+//! tell the difference: a term a rule's RHS variable names resolves
+//! below the matched root ([`pypm_graph::TermView::node_below`]), whose
+//! input cone the visit has just interned. That is why even the
+//! paper-faithful restart *scan* pays no per-round rebuild. The
+//! recomputes are measured by the `nodes_reindexed` counter — ~14×
+//! below the old linear-refresh floor on bert-small.
 //!
 //! The worklist invariants behind `Incremental` (why skipping clean
 //! nodes is sound, why the firing order matches restarting exactly) are

@@ -7,7 +7,8 @@
 //! [`PartitionPass`] finds all matches of a pattern (typically Fig. 14's
 //! `MatMulEpilog`), then greedily claims non-overlapping matched regions,
 //! preferring larger matches. Each [`Partition`] records the region's
-//! root, its member nodes (the machine's structural coverage), and its
+//! root, its member nodes (the machine's structural coverage, each term
+//! resolved to the node below the root that views as it), and its
 //! dataflow frontier — the external inputs a "just in time"-compiled
 //! fused kernel for the region would take.
 
@@ -57,7 +58,7 @@ fn partition(
             .then(b.node.cmp(&a.node))
     });
 
-    let view = TermView::build(
+    let mut view = TermView::build(
         graph,
         &mut session.syms,
         &mut session.terms,
@@ -69,7 +70,9 @@ fn partition(
         let mut nodes: Vec<NodeId> = Vec::new();
         let mut ok = true;
         for &t in &report.coverage {
-            match view.node_of(t) {
+            // The member is the node the match covered: below the
+            // region's root, not a twin elsewhere in the graph.
+            match view.node_below(graph, report.node, t) {
                 Some(n) => {
                     if claimed.contains(&n) {
                         ok = false;
@@ -296,6 +299,38 @@ mod tests {
         let all: IdSet<NodeId> = parts.iter().flat_map(|p| p.nodes.clone()).collect();
         assert_eq!(all.len(), 4, "partitions must not overlap");
         assert!(!all.contains(&sum), "Add is not part of any epilog region");
+    }
+
+    /// `Relu(MatMul(a, b))` built twice, both outputs: the two chains
+    /// view as one term, and each is its own region, rooted at its own
+    /// relu and holding its own matmul.
+    #[test]
+    fn twin_chains_get_a_partition_each() {
+        let mut s = Session::new();
+        let rs = s.load_library(LibraryConfig::all());
+        let mut g = Graph::new();
+        let a = mat(&mut s, &mut g, &[8, 8]);
+        let b = mat(&mut s, &mut g, &[8, 8]);
+        let (matmul, relu) = (s.ops.matmul, s.ops.relu);
+        let mut chain = |g: &mut Graph| {
+            let mm = g
+                .op(&mut s.syms, &s.registry, matmul, vec![a, b], vec![])
+                .unwrap();
+            let r = g
+                .op(&mut s.syms, &s.registry, relu, vec![mm], vec![])
+                .unwrap();
+            g.mark_output(r);
+            (mm, r)
+        };
+        let ((mm1, r1), (mm2, r2)) = (chain(&mut g), chain(&mut g));
+
+        let parts = partitions(&mut s, &rs, &mut g, "MatMulEpilog");
+        let regions: Vec<(NodeId, Vec<NodeId>)> =
+            parts.iter().map(|p| (p.root, p.nodes.clone())).collect();
+        assert_eq!(regions, [(r2, vec![r2, mm2]), (r1, vec![r1, mm1])]);
+        for p in &parts {
+            assert!(p.nodes.contains(&p.root), "{p:?}");
+        }
     }
 
     /// A bare matmul (chain length 0) still forms a partition of size 1.

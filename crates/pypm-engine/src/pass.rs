@@ -16,6 +16,7 @@ use pypm_graph::{Graph, NodeId};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -227,29 +228,34 @@ impl FiringLog {
         &self.ids[at..at + firing.collected as usize]
     }
 
-    /// Records a fired rewrite; returns its entry.
+    /// Records a fired rewrite; returns its entry. `created` is the
+    /// range of node indices the replacement allocated, and `collect`
+    /// appends the ids the firing collected to the buffer it is lent —
+    /// the log's own id vector, so an entry copies nothing.
     pub(crate) fn fire(
         &mut self,
         sweep: u64,
         pattern: usize,
         rule: usize,
         node: NodeId,
-        created: &[NodeId],
-        collected: &[NodeId],
+        created: Range<usize>,
+        collect: impl FnOnce(&mut Vec<NodeId>),
     ) -> Firing {
-        let len = |ids: &[NodeId]| u32::try_from(ids.len()).expect("node ids fit in 32 bits");
+        let len = |n: usize| u32::try_from(n).expect("node ids fit in 32 bits");
+        let at = self.ids.len();
+        self.ids.extend(created.map(NodeId::from_index));
+        let made = self.ids.len();
+        collect(&mut self.ids);
         let entry = Firing {
             sweep,
             pattern,
             rule,
             node,
-            ids: len(&self.ids),
-            created: len(created),
-            collected: len(collected),
+            ids: len(at),
+            created: len(made - at),
+            collected: len(self.ids.len() - made),
         };
         self.fired.push(entry);
-        self.ids.extend_from_slice(created);
-        self.ids.extend_from_slice(collected);
         entry
     }
 

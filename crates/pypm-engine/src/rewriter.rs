@@ -252,36 +252,14 @@ pub struct MatchReport {
 }
 
 /// A fired rewrite as seen by the scan: its entry in the pass's
-/// [`FiringLog`], where the replacement sits, and the users rewired onto
-/// it. The rewired users and the entry's created and collected nodes
-/// are the dirty seed [`Driver::repair_view`] feeds to
-/// [`TermView::invalidate`].
+/// [`FiringLog`] and the users rewired onto the replacement. The
+/// rewired users and the entry's created and collected nodes are the
+/// dirty seed [`Driver::repair_view`] feeds to [`TermView::invalidate`].
 struct Fired {
     /// The firing's log entry.
     entry: Firing,
-    /// The node now standing in for the matched root: the last fresh
-    /// node, or a pre-existing one when the rule's RHS is a variable.
-    replacement: NodeId,
     /// Users whose inputs were redirected to the replacement.
     rewired: Vec<NodeId>,
-}
-
-impl Fired {
-    /// Whether the replacement reads nothing the scan has yet to reach:
-    /// every pre-existing node it is built over is behind the cursor.
-    /// Then the fresh nodes take the root's place in the scan order and
-    /// nothing else ahead moves (invariant 4 of [`Driver::scan`]). A
-    /// variable bound to a term whose canonical producer lies *ahead*
-    /// breaks this: the new post-order pulls that producer's unvisited
-    /// cone in front of the fresh nodes.
-    fn splices_at_cursor(&self, graph: &Graph, flags: &NodeFlags, log: &FiringLog) -> bool {
-        let fresh = log.created(&self.entry);
-        let settled = |n: NodeId| fresh.contains(&n) || flags.has(n, NodeFlags::PASSED);
-        settled(self.replacement)
-            && fresh
-                .iter()
-                .all(|&f| graph.inputs(f).iter().all(|&i| settled(i)))
-    }
 }
 
 /// Dense per-node scan state, indexed by [`NodeId::index`]; nodes
@@ -294,10 +272,6 @@ impl NodeFlags {
     const DIRTY: u8 = 1;
     /// The node was visited before in this pass.
     const VISITED: u8 = 2;
-    /// The worklist's cursor has moved past the node in the current
-    /// order (kept under [`SweepPolicy::Incremental`] only: only
-    /// [`Fired::splices_at_cursor`] reads it).
-    const PASSED: u8 = 4;
 
     fn has(&self, n: NodeId, flag: u8) -> bool {
         self.0.get(n.index()).is_some_and(|bits| bits & flag != 0)
@@ -320,10 +294,6 @@ impl NodeFlags {
             self.0[n.index()] &= !flag;
         }
         was
-    }
-
-    fn clear_all(&mut self, flag: u8) {
-        self.0.iter_mut().for_each(|bits| *bits &= !flag);
     }
 }
 
@@ -625,7 +595,8 @@ impl<'a> Driver<'a> {
             }
             let alloc_mark = graph.allocated_count();
             let root_meta = graph.node(node).meta.clone();
-            let replacement = self.instantiate(graph, view, &rule.rhs, witness, Some(root_meta))?;
+            let replacement =
+                self.instantiate(graph, view, node, &rule.rhs, witness, Some(root_meta))?;
             let rewired =
                 graph
                     .replace_traced(node, replacement)
@@ -633,19 +604,16 @@ impl<'a> Driver<'a> {
                         reason: e.to_string(),
                     })?;
             stats.rewrites_fired += 1;
+            let created = alloc_mark..graph.allocated_count();
             // The root lost its last reader; what only it kept alive
-            // goes with it.
-            let collected = graph.collect(node);
-            debug_assert_eq!(graph.validate(), Ok(()));
-            let fresh = graph.allocated_since(alloc_mark);
+            // goes with it, straight into the log.
             let entry = cx
                 .firings
-                .fire(stats.sweeps, pi, ri, node, &fresh, &collected);
-            return Ok(Some(Fired {
-                entry,
-                replacement,
-                rewired,
-            }));
+                .fire(stats.sweeps, pi, ri, node, created, |freed| {
+                    graph.collect(node, freed);
+                });
+            debug_assert_eq!(graph.validate(), Ok(()));
+            return Ok(Some(Fired { entry, rewired }));
         }
         cx.firings.reject(Rejection {
             sweep: stats.sweeps,
@@ -720,12 +688,10 @@ impl<'a> Driver<'a> {
     /// recomputed on demand at visit time; which nodes it marks, what
     /// the worklist re-enqueues and every counter
     /// (`nodes_reindexed` included) are what an eagerly built view
-    /// gives. The one read that could tell the difference is the node a
-    /// variable of the rule's RHS names — the canonical, lowest-id
-    /// producer of its term, which may be unseen, ahead of the cursor —
-    /// and [`TermView::canonical_producer`] answers it over unseen
-    /// nodes too (debug builds check each answer against a brute force
-    /// over the graph).
+    /// gives. Nor can the node a variable of the rule's RHS names tell
+    /// the difference: it is found below the matched root
+    /// ([`TermView::node_below`]), whose whole input cone the visit has
+    /// just interned.
     ///
     /// Invariants that make the worklist byte-identical to the
     /// reference scan:
@@ -733,7 +699,10 @@ impl<'a> Driver<'a> {
     /// 1. *Clean nodes cannot fire.* Whether a pattern matches at a node
     ///    — and whether the matched rule's guards hold and its
     ///    replacement is non-identity — depends only on the term rooted
-    ///    there plus the term-keyed attribute side tables. A node leaves
+    ///    there plus the term-keyed attribute side tables. (Which node
+    ///    a variable of the replacement reads is looked up in the
+    ///    subgraph below the node, but only once the node fires, and
+    ///    alike under both policies.) A node leaves
     ///    the worklist only after a full pattern scan found nothing to
     ///    fire, and re-enters it only if its term changes; therefore a
     ///    node outside the worklist still has nothing to fire.
@@ -745,7 +714,7 @@ impl<'a> Driver<'a> {
     ///    get value-specialized term symbols, but an operator with
     ///    inputs interns without its attributes: two `Conv2d` nodes on
     ///    the same inputs with strides 1 and 2 are one term, whose side
-    ///    table holds the first producer's values (ROADMAP item 18 (i)).
+    ///    table holds the first producer's values (ROADMAP item 18 (b)).
     ///    A guard can then read the other node's attributes under both
     ///    policies alike, and a graph whose first producer of such a
     ///    term changes mid-pass could flip a guard at a clean node that
@@ -772,9 +741,10 @@ impl<'a> Driver<'a> {
     ///    root of a firing is the first such node, hence reads passed
     ///    nodes only, and so does everything [`Graph::collect`] frees
     ///    with it. Its users are ahead, and so is the whole cone (2):
-    ///    nothing behind the cursor is ever dirtied. If the replacement,
-    ///    too, is built over passed nodes only
-    ///    ([`Fired::splices_at_cursor`]), a fresh walk would reach it
+    ///    nothing behind the cursor is ever dirtied. The replacement,
+    ///    too, is built over passed nodes only: every pre-existing node
+    ///    it reads is below the root ([`Driver::instantiate`]), in the
+    ///    root's input cone. So a fresh walk would reach it
     ///    where it reached the root, emit the fresh nodes there — in
     ///    allocation order, the RHS template's post-order — and
     ///    continue as before: the new order's not-yet-passed part is
@@ -785,18 +755,14 @@ impl<'a> Driver<'a> {
     ///    under the worklist, but they are visited — and counted — by
     ///    the reference, which is why the reference walks its order
     ///    afresh every round, and what keeps it an oracle independent of
-    ///    this argument. When the replacement does read a node ahead of
-    ///    the cursor, the worklist falls back to what the reference
-    ///    does, once: recompute the order, rewind the cursor, keep the
-    ///    dirty flags.
+    ///    this argument. The cursor never rewinds: it steps at most once
+    ///    over every node the pass ever had.
     ///
     /// Debug builds check (4) after every firing — the order ahead of
     /// the cursor, filtered to dirty nodes, against a recomputed
     /// [`Graph::topo_order`] filtered the same way — check that every
     /// node the reference's walk yields in a round is the next node of
-    /// a [`Graph::topo_order`] taken when the round started, check
-    /// every canonical producer a variable resolves to against a brute
-    /// force over the graph ([`assert_canonical_producer`]), and
+    /// a [`Graph::topo_order`] taken when the round started, and
     /// [`Graph::validate`] the graph after every commit.
     fn scan(
         &mut self,
@@ -829,14 +795,10 @@ impl<'a> Driver<'a> {
         for &node in &ahead {
             flags.set(node, NodeFlags::DIRTY);
         }
-        let mut resume = true;
         'rounds: loop {
             stats.sweeps += 1;
             if !worklist {
                 walk.restart(graph);
-            } else if !resume {
-                ahead = reversed_order(graph);
-                flags.clear_all(NodeFlags::PASSED);
             }
             if cfg!(debug_assertions) && worklist {
                 let dirty = |n: &NodeId| flags.has(*n, NodeFlags::DIRTY);
@@ -862,7 +824,6 @@ impl<'a> Driver<'a> {
                 let Some(node) = step else { break };
                 stats.cursor_steps += 1;
                 if worklist {
-                    flags.set(node, NodeFlags::PASSED);
                     // Only the worklist's members are candidates;
                     // visiting cleans the node (it is re-enqueued if a
                     // later rewrite changes its term).
@@ -880,10 +841,9 @@ impl<'a> Driver<'a> {
                 };
                 // The next firing must be the topologically first
                 // candidate of the rewritten graph: resume where the
-                // root stood when the order allows it (4), else restart.
+                // root stood (4).
                 let log = &cx.firings;
-                resume = worklist && fired.splices_at_cursor(graph, &flags, log);
-                if resume {
+                if worklist {
                     ahead.extend(log.created(&fired.entry).iter().rev());
                 }
                 // Repair before the rewrite-cap check, so
@@ -951,7 +911,12 @@ impl<'a> Driver<'a> {
     }
 
     /// Builds the RHS template into the graph, reusing matched subgraphs
-    /// for variables. The RHS root passes `Some(root_meta)`: a rewrite
+    /// for variables: a variable names the node below the matched
+    /// `root` that views as its bound term ([`TermView::node_below`]),
+    /// a piece of the subgraph the pattern matched (§2.4) even where a
+    /// twin elsewhere in the graph views as the same term. Every
+    /// pre-existing node a replacement reads is therefore in the root's
+    /// input cone. The RHS root passes `Some(root_meta)`: a rewrite
     /// replaces a subgraph by an equivalent one, so the replacement's
     /// output metadata is the matched root's metadata verbatim (shape
     /// inference cannot always recover it — e.g. the fused ConvBiasAct
@@ -961,30 +926,22 @@ impl<'a> Driver<'a> {
         &mut self,
         graph: &mut Graph,
         view: &mut TermView,
+        root: NodeId,
         rhs: &Rhs,
         witness: &Witness,
         root_meta: Option<TensorMeta>,
     ) -> Result<NodeId, RewriteError> {
         let (op, args, attrs) = match self.resolve(rhs, witness)? {
             Resolved::Bound(t) => {
-                let producer = view
-                    .canonical_producer(
-                        graph,
-                        &mut self.session.syms,
-                        &mut self.session.terms,
-                        &self.session.registry,
-                        t,
-                    )
-                    .ok_or(RewriteError::NoNodeForTerm)?;
-                #[cfg(debug_assertions)]
-                assert_canonical_producer(graph, view, t, producer);
-                return Ok(producer);
+                return view
+                    .node_below(graph, root, t)
+                    .ok_or(RewriteError::NoNodeForTerm)
             }
             Resolved::Apply(op, args, attrs) => (op, args, attrs.to_vec()),
         };
         let base = self.rhs_inputs.len();
         for a in args {
-            let input = self.instantiate(graph, view, a, witness, None)?;
+            let input = self.instantiate(graph, view, root, a, witness, None)?;
             self.rhs_inputs.push(input);
         }
         let inputs = &self.rhs_inputs[base..];
@@ -1003,87 +960,6 @@ impl<'a> Driver<'a> {
             reason: e.to_string(),
         })
     }
-}
-
-/// Dev-build oracle of every variable binding the scan resolves to a
-/// node ([`TermView::canonical_producer`]), by brute force over the
-/// graph and sharing no code with the view or the term store: the
-/// answer is live, not stale, structurally equal to the lowest clean
-/// producer of `t`, and structurally equal to no live, non-stale node
-/// with a lower id.
-#[cfg(debug_assertions)]
-fn assert_canonical_producer(graph: &Graph, view: &TermView, t: TermId, producer: NodeId) {
-    let computed = view.node_of(t).expect("a bound term has a clean producer");
-    assert!(
-        graph.is_alive(producer) && !view.is_stale(producer),
-        "canonical producer {producer:?} is dead or stale"
-    );
-    assert!(
-        structurally_equal(graph, producer, computed),
-        "canonical producer {producer:?} differs from the clean producer {computed:?}"
-    );
-    let head = graph.node(producer);
-    for n in graph.allocated_since(0) {
-        if n >= producer {
-            break;
-        }
-        // Cheap first: the operator and arity, then the heads of the
-        // inputs.
-        let (inputs, head_inputs) = (graph.inputs(n), graph.inputs(producer));
-        let near = graph.node(n).op == head.op
-            && inputs.len() == head_inputs.len()
-            && same_head(graph, n, producer)
-            && (inputs.iter().zip(head_inputs)).all(|(&i, &j)| i == j || same_head(graph, i, j));
-        if near && graph.is_alive(n) && !view.is_stale(n) {
-            assert!(
-                !structurally_equal(graph, n, producer),
-                "{n:?} views as the term of {producer:?} and has the lower id"
-            );
-        }
-    }
-}
-
-/// Whether two distinct nodes agree at the head: both operator nodes,
-/// one operator at one arity, and — with no inputs — the same
-/// attributes in any order. Input and opaque nodes agree only with
-/// themselves.
-#[cfg(debug_assertions)]
-fn same_head(graph: &Graph, x: NodeId, y: NodeId) -> bool {
-    use pypm_graph::NodeKind;
-    let (nx, ny) = (graph.node(x), graph.node(y));
-    let sorted = |attrs: &[(Attr, i64)]| {
-        let mut attrs = attrs.to_vec();
-        attrs.sort_unstable();
-        attrs
-    };
-    nx.kind == NodeKind::Op
-        && ny.kind == NodeKind::Op
-        && nx.op == ny.op
-        && graph.inputs(x).len() == graph.inputs(y).len()
-        && (!graph.inputs(x).is_empty() || sorted(&nx.attrs) == sorted(&ny.attrs))
-}
-
-/// Whether two nodes denote the same tree: the same node, or nodes
-/// that agree at the head ([`same_head`]) over pairwise equal inputs.
-/// The pairs reached from `(a, b)` by taking the same input position
-/// on both sides are searched breadth first, each once: the two are
-/// equal exactly when no such pair of distinct nodes disagrees at the
-/// head, and the nearest disagreement ends the search.
-#[cfg(debug_assertions)]
-fn structurally_equal(graph: &Graph, a: NodeId, b: NodeId) -> bool {
-    let mut queue = std::collections::VecDeque::from([(a, b)]);
-    let mut seen = std::collections::HashSet::new();
-    while let Some((x, y)) = queue.pop_front() {
-        if x == y || !seen.insert((x, y)) {
-            continue;
-        }
-        if !same_head(graph, x, y) {
-            return false;
-        }
-        let inputs = |n: NodeId| graph.inputs(n).iter().copied();
-        queue.extend(inputs(x).zip(inputs(y)));
-    }
-    true
 }
 
 /// An RHS template node resolved against a witness.
@@ -1565,13 +1441,14 @@ mod tests {
         assert_eq!(stats.sweeps, 1);
     }
 
-    /// Invariant 4's exception: a variable of the RHS is bound to a
-    /// term whose canonical (lowest-id) producer the scan has not
-    /// reached yet, so the recomputed post-order pulls that producer in
-    /// *front* of the fresh node. The worklist must notice and rewind
-    /// instead of splicing, or it visits the two in the other order.
+    /// A variable of the RHS names the node below the matched root, not
+    /// a structural twin elsewhere: `Relu(w)` is built twice, the
+    /// lower-id copy an output the scan reaches only after the matmul
+    /// over the other. The fused node reads the copy it matched, the
+    /// twin is left as it was, and the scan resumes where the root stood
+    /// — its cursor steps once over every node the pass ever had.
     #[test]
-    fn replacement_reading_ahead_of_the_cursor_rewinds_the_scan() {
+    fn a_replacement_reads_the_twin_below_its_root_and_the_scan_never_rewinds() {
         let run = |policy: SweepPolicy| {
             let mut s = Session::new();
             let rs = s.load_library(LibraryConfig::all());
@@ -1579,51 +1456,46 @@ mod tests {
             let x = mat(&mut s, &mut g, &[64, 32]);
             let w = mat(&mut s, &mut g, &[16, 32]);
             let (relu, trans, matmul) = (s.ops.relu, s.ops.trans, s.ops.matmul);
-            // Two producers of Relu(w); the second output reaches the
-            // lower id only after the matmul over the higher one.
-            let ahead = g
+            let elsewhere = g
                 .op(&mut s.syms, &s.registry, relu, vec![w], vec![])
                 .unwrap();
-            let behind = g
+            let below = g
                 .op(&mut s.syms, &s.registry, relu, vec![w], vec![])
                 .unwrap();
             let t = g
-                .op(&mut s.syms, &s.registry, trans, vec![behind], vec![])
+                .op(&mut s.syms, &s.registry, trans, vec![below], vec![])
                 .unwrap();
             let mm = g
                 .op(&mut s.syms, &s.registry, matmul, vec![x, t], vec![])
                 .unwrap();
             g.mark_output(mm);
-            g.mark_output(ahead);
-            let nodes = g.allocated_count() as u64;
-            let stats = Pipeline::new(&mut s)
-                .with(RewritePass::new(rs).policy(policy))
-                .run(&mut g)
-                .unwrap()
-                .total();
+            g.mark_output(elsewhere);
+            let stats = run_policy(&mut s, rs, &mut g, policy);
             let fused = g.outputs()[0];
-            assert_eq!(g.node(fused).op, s.ops.cublas_mm_xyt_f32);
-            assert_eq!(g.inputs(fused), [x, ahead]);
-            (stats, nodes, g.allocated_count() as u64)
+            assert_eq!(g.node(fused).op, s.ops.cublas_mm_xyt_f32, "{policy}");
+            assert_eq!(g.inputs(fused), [x, below], "{policy}");
+            assert_eq!(g.outputs()[1], elsewhere, "{policy}");
+            assert_eq!(g.inputs(elsewhere), [w], "{policy}");
+            assert_eq!(g.users_of(elsewhere), [] as [NodeId; 0], "{policy}");
+            (stats, g.allocated_count() as u64)
         };
-        let (restart, ..) = run(SweepPolicy::RestartOnRewrite);
-        let (inc, nodes, allocated) = run(SweepPolicy::Incremental);
+        let (restart, _) = run(SweepPolicy::RestartOnRewrite);
+        let (inc, allocated) = run(SweepPolicy::Incremental);
         assert_eq!(inc.rewrites_fired, 1);
         assert_eq!(inc.rewrites_fired, restart.rewrites_fired);
-        // x, w, behind, t, mm — then again from the start: x, w, ahead,
-        // fused, where a splice would have gone fused, ahead.
-        assert_eq!(inc.cursor_steps, 9);
-        assert!(inc.cursor_steps > nodes + (allocated - nodes));
+        // x, w, below, t, mm, then the fused node spliced in at the
+        // cursor, then the twin: seven nodes, seven steps, no rewind.
+        assert_eq!(allocated, 7);
+        assert_eq!(inc.cursor_steps, allocated);
         assert_eq!(inc.nodes_visited, 7);
         assert_eq!(inc.nodes_revisited, 0);
     }
 
-    /// The same exception one level deeper: the variable binds
-    /// `Relu(Relu(w))`, built twice, and the lookup must climb two
-    /// levels from `w` to find the lower-id chain the scan has not
-    /// reached. No `ReluChain` rule, so both chains stay.
+    /// The same one level deeper: the variable binds `Relu(Relu(w))`,
+    /// built twice, and the fused node reads the chain it matched. No
+    /// `ReluChain` rule, so both chains stay, the other one untouched.
     #[test]
-    fn a_two_level_twin_ahead_of_the_cursor_is_the_canonical_producer() {
+    fn a_two_level_twin_elsewhere_is_not_read() {
         for policy in SweepPolicy::ALL {
             let mut s = Session::new();
             let rs = s.load_library(LibraryConfig {
@@ -1641,29 +1513,32 @@ mod tests {
                 g.op(&mut s.syms, &s.registry, relu, vec![inner], vec![])
                     .unwrap()
             };
-            let ahead = relu_relu_w(&mut g);
-            let behind = relu_relu_w(&mut g);
+            let elsewhere = relu_relu_w(&mut g);
+            let below = relu_relu_w(&mut g);
             let t = g
-                .op(&mut s.syms, &s.registry, trans, vec![behind], vec![])
+                .op(&mut s.syms, &s.registry, trans, vec![below], vec![])
                 .unwrap();
             let mm = g
                 .op(&mut s.syms, &s.registry, matmul, vec![x, t], vec![])
                 .unwrap();
             g.mark_output(mm);
-            g.mark_output(ahead);
+            g.mark_output(elsewhere);
             let stats = run_policy(&mut s, rs, &mut g, policy);
             assert_eq!(stats.rewrites_fired, 1, "{policy}");
             let fused = g.outputs()[0];
             assert_eq!(g.node(fused).op, s.ops.cublas_mm_xyt_f32);
-            assert_eq!(g.inputs(fused), [x, ahead], "{policy}");
+            assert_eq!(g.inputs(fused), [x, below], "{policy}");
+            assert_eq!(g.outputs()[1], elsewhere, "{policy}");
+            assert_eq!(g.users_of(elsewhere), [] as [NodeId; 0], "{policy}");
         }
     }
 
-    /// And with no input to climb from: the variable of
+    /// And with no input below the term: the variable of
     /// `Trans(Trans(x)) → x` binds a `ConstScalar`, and its lower-id
-    /// twin — same operator, same value — sits ahead of the cursor.
+    /// twin — same operator, same value — is another output. The
+    /// replacement is the constant the pattern matched.
     #[test]
-    fn a_constant_twin_ahead_of_the_cursor_is_the_canonical_producer() {
+    fn a_constant_twin_elsewhere_is_not_read() {
         for policy in SweepPolicy::ALL {
             let mut s = Session::new();
             let rs = s.load_library(LibraryConfig::all());
@@ -1675,19 +1550,65 @@ mod tests {
                 g.op_with_meta(const_scalar, vec![], vec![(value, 500)], meta)
                     .unwrap()
             };
-            let (ahead, behind) = (half(), half());
+            let (elsewhere, below) = (half(), half());
             let inner = g
-                .op(&mut s.syms, &s.registry, trans, vec![behind], vec![])
+                .op(&mut s.syms, &s.registry, trans, vec![below], vec![])
                 .unwrap();
             let outer = g
                 .op(&mut s.syms, &s.registry, trans, vec![inner], vec![])
                 .unwrap();
             g.mark_output(outer);
-            g.mark_output(ahead);
+            g.mark_output(elsewhere);
             let stats = run_policy(&mut s, rs, &mut g, policy);
             assert_eq!(stats.rewrites_fired, 1, "{policy}");
-            assert_eq!(g.outputs(), &[ahead], "{policy}");
-            assert!(!g.is_alive(behind), "{policy}");
+            assert_eq!(g.outputs(), &[below, elsewhere], "{policy}");
+            assert!(g.is_alive(elsewhere), "{policy}");
+        }
+    }
+
+    /// Two `Conv2d` nodes on the same inputs with strides 1 and 2 view
+    /// as one term. `ReluChain` collapses `Relu(Relu(conv))` over the
+    /// stride-2 one to `Relu(conv)`, and that `Relu` must read the
+    /// stride-2 conv it matched — not the lower-id stride-1 twin, whose
+    /// output has another shape — so its declared metadata is what
+    /// shape inference gives over its input.
+    #[test]
+    fn a_rewrite_keeps_the_stride_of_the_conv_it_matched() {
+        for policy in SweepPolicy::ALL {
+            let mut s = Session::new();
+            let rs = s.load_library(LibraryConfig::all());
+            let mut g = Graph::new();
+            let x = mat(&mut s, &mut g, &[1, 3, 8, 8]);
+            let w = mat(&mut s, &mut g, &[4, 3, 3, 3]);
+            let (conv2d, relu, stride) = (s.ops.conv2d, s.ops.relu, s.ops.stride_attr);
+            let mut conv = |by: i64| {
+                g.op(
+                    &mut s.syms,
+                    &s.registry,
+                    conv2d,
+                    vec![x, w],
+                    vec![(stride, by)],
+                )
+                .unwrap()
+            };
+            let (stride_1, stride_2) = (conv(1), conv(2));
+            let inner = g
+                .op(&mut s.syms, &s.registry, relu, vec![stride_2], vec![])
+                .unwrap();
+            let outer = g
+                .op(&mut s.syms, &s.registry, relu, vec![inner], vec![])
+                .unwrap();
+            g.mark_output(outer);
+            g.mark_output(stride_1);
+            let stats = run_policy(&mut s, rs, &mut g, policy);
+            assert_eq!(stats.rewrites_fired, 1, "{policy}");
+            let out = g.outputs()[0];
+            assert_eq!(g.node(out).op, relu, "{policy}");
+            assert_eq!(g.inputs(out), [stride_2], "{policy}");
+            let input = &g.node(stride_2).meta;
+            let inferred = s.registry.infer(&s.syms, relu, &[input], &[]).unwrap();
+            assert_eq!(g.node(out).meta, inferred, "{policy}");
+            assert_eq!(g.outputs()[1], stride_1, "{policy}");
         }
     }
 

@@ -57,8 +57,8 @@ fn random_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
 /// fresh twins.
 /// Every node no other node reads is an output, marked in shuffled
 /// order: nothing is garbage, and the post-order can reach a lower-id
-/// twin only after a higher-id one — the canonical producer a rewrite
-/// reads may sit ahead of the scan's cursor, not yet interned.
+/// twin only after a higher-id one — a twin of what a rewrite reads may
+/// sit ahead of the scan's cursor, not yet interned.
 fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new();
@@ -252,11 +252,11 @@ proptest! {
 
     /// Restart ≡ incremental, byte for byte, where subgraphs recur: on
     /// [`twin_graph`]s × random rule subsets, a variable the rewrite
-    /// reads may name a term whose lowest-id producer the incremental
-    /// scan has not reached yet, and both policies must still read that
-    /// one. The dev profile checks every such lookup against a brute
-    /// force over the graph as well; the nightly CI job reruns this at
-    /// high case counts.
+    /// reads names a term that twins ahead of the incremental scan's
+    /// cursor may produce too, and both policies must read the node
+    /// below the matched root. The incremental scan never rewinds: its
+    /// cursor steps at most once over every node the pass ever had. The
+    /// nightly CI job reruns this at high case counts.
     #[test]
     fn incremental_is_byte_identical_on_twin_graphs(
         seed in any::<u64>(),
@@ -278,6 +278,14 @@ proptest! {
             rules.patterns = kept;
             let stats = run_pass(&mut s, RewritePass::new(rules).policy(policy), &mut g);
             g.validate().unwrap();
+            if policy == SweepPolicy::Incremental {
+                prop_assert!(
+                    stats.cursor_steps <= g.allocated_count() as u64,
+                    "the scan rewound: {} cursor steps over {} nodes",
+                    stats.cursor_steps,
+                    g.allocated_count()
+                );
+            }
             let snap: Vec<(NodeId, String, Vec<NodeId>)> = g
                 .topo_order()
                 .into_iter()

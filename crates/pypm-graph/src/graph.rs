@@ -46,8 +46,10 @@ impl NodeId {
         self.0 as usize
     }
 
-    /// The id of the `i`-th allocated node.
-    pub(crate) fn from_index(i: usize) -> NodeId {
+    /// The id of the `i`-th allocated node: ids are allocation indices,
+    /// so `mark..graph.allocated_count()` names the nodes allocated
+    /// since `mark` was read.
+    pub fn from_index(i: usize) -> NodeId {
         NodeId(i as u32)
     }
 }
@@ -521,9 +523,9 @@ impl Graph {
     }
 
     /// Node ids allocated at or after `mark`, a count previously read
-    /// from [`Graph::allocated_count`]. Rewrite drivers use this to
-    /// enumerate the nodes a replacement freshly created — part of the
-    /// dirty seed handed to [`crate::TermView::invalidate`].
+    /// from [`Graph::allocated_count`]: after a rewrite, the nodes its
+    /// replacement freshly created — part of the dirty seed handed to
+    /// [`crate::TermView::invalidate`].
     pub fn allocated_since(&self, mark: usize) -> Vec<NodeId> {
         (mark..self.nodes.len()).map(|i| NodeId(i as u32)).collect()
     }
@@ -690,48 +692,61 @@ impl Graph {
 
     /// Collects `n` if nothing reads it any more — it has no user and
     /// is not an output — and then, transitively, every input that
-    /// thereby lost its last reader. Returns the ids freed, in ascending
-    /// order, like [`Graph::gc`]; a node that is still read frees
-    /// nothing.
+    /// thereby lost its last reader. Appends the ids freed to `freed`,
+    /// in ascending order, like [`Graph::gc`] returns them, and returns
+    /// the appended run; a node that is still read frees nothing.
     ///
     /// This is the collection step of a rewrite: after
     /// [`Graph::replace`] the replaced root is unread, and on a graph
-    /// that held no garbage before the replacement, `collect(root)`
+    /// that held no garbage before the replacement, `collect(root, ..)`
     /// frees exactly what a mark-sweep [`Graph::gc`] would — same ids,
     /// same reverse adjacency afterwards — at the cost of the freed
     /// subgraph and its inputs' fan-out instead of a walk over every
     /// node. (Reference counts are exact on a DAG; what they cannot see
     /// is garbage that was never reachable through `n`, which is what
-    /// `gc` stays for.)
-    pub fn collect(&mut self, n: NodeId) -> Vec<NodeId> {
-        let mut freed = Vec::new();
-        let mut stack = vec![n];
-        while let Some(d) = stack.pop() {
-            #[cfg(debug_assertions)]
-            {
-                self.touches += 1;
-            }
-            if !self.is_alive(d) || !self.users[d.index()].is_empty() || self.outputs.contains(&d) {
-                continue;
-            }
-            self.nodes[d.index()].alive = false;
-            freed.push(d);
+    /// `gc` stays for.) The freed run is its own work list, so nothing
+    /// is allocated but the growth of `freed`.
+    pub fn collect<'f>(&mut self, n: NodeId, freed: &'f mut Vec<NodeId>) -> &'f [NodeId] {
+        let start = freed.len();
+        let unread = |g: &Self, d: NodeId| {
+            g.is_alive(d) && g.users[d.index()].is_empty() && !g.outputs.contains(&d)
+        };
+        #[cfg(debug_assertions)]
+        {
+            self.touches += 1;
+        }
+        if unread(self, n) {
+            self.nodes[n.index()].alive = false;
+            freed.push(n);
+        }
+        let mut next = start;
+        while let Some(&d) = freed.get(next) {
+            next += 1;
             // A dead node keeps its run of the arena (as under `gc`);
             // only the reverse edges go.
-            let run = self.run(d);
-            for &i in &self.edges[run] {
+            for at in self.run(d) {
+                let i = self.edges[at];
                 let users = &mut self.users[i.index()];
                 users.retain(|&u| u != d);
-                if users.is_empty() {
-                    stack.push(i);
+                if !users.is_empty() {
+                    continue;
+                }
+                #[cfg(debug_assertions)]
+                {
+                    self.touches += 1;
+                }
+                if unread(self, i) {
+                    self.nodes[i.index()].alive = false;
+                    freed.push(i);
                 }
             }
         }
-        freed.sort_unstable();
-        if !freed.is_empty() {
+        let run = &mut freed[start..];
+        run.sort_unstable();
+        if !run.is_empty() {
             self.revision += 1;
         }
-        freed
+        run
     }
 
     /// Everything a rewrite's commit looks at, over the graph's
@@ -1153,7 +1168,7 @@ mod tests {
         // Replacing a node by itself rewires nothing …
         assert_eq!(f.g.replace_traced(gelu, gelu).unwrap(), vec![]);
         // … unless it is dead: liveness is checked before the shortcut.
-        assert_eq!(f.g.collect(relu), vec![relu]);
+        assert_eq!(f.g.collect(relu, &mut Vec::new()), [relu]);
         assert_eq!(
             f.g.replace_traced(relu, relu),
             Err(GraphError::DeadInput { node: relu })
@@ -1209,7 +1224,7 @@ mod tests {
         #[cfg(debug_assertions)]
         assert_eq!(f.g.touches() - touches, 2 + 5 + 5);
         f.g.validate().unwrap();
-        assert_eq!(f.g.collect(root), vec![root]);
+        assert_eq!(f.g.collect(root, &mut Vec::new()), [root]);
 
         // The next verdict hangs on the raise: `tail1` now reads
         // `side[4]` through `deep`, and only its new level (9, was 4)
@@ -1320,20 +1335,21 @@ mod tests {
         f.g.mark_output(keeps_shared);
 
         // Still an output: nothing to collect.
-        assert_eq!(f.g.collect(root), vec![]);
+        assert_eq!(f.g.collect(root, &mut Vec::new()), []);
         // Still read: nothing to collect either.
-        assert_eq!(f.g.collect(only_root), vec![]);
+        assert_eq!(f.g.collect(only_root, &mut Vec::new()), []);
 
         f.g.replace(root, a).unwrap();
         let mut swept = f.g.clone();
-        let freed = f.g.collect(root);
-        assert_eq!(freed, vec![only_root, root]);
-        assert_eq!(freed, swept.gc());
+        // The freed run is appended, sorted, after what the buffer held.
+        let mut freed = vec![root];
+        assert_eq!(f.g.collect(root, &mut freed), [only_root, root]);
+        assert_eq!(freed[1..], swept.gc());
         assert_eq!(f.g.users_of(shared), &[keeps_shared]);
         assert_eq!(f.g.users_of(shared), swept.users_of(shared));
         assert_eq!(f.g.users_of(only_root), &[] as &[NodeId]);
         // A dead node is not collected twice.
-        assert_eq!(f.g.collect(root), vec![]);
+        assert_eq!(f.g.collect(root, &mut Vec::new()), []);
         f.g.validate().unwrap();
     }
 
@@ -1430,7 +1446,7 @@ mod tests {
         assert_eq!(validate_quadratic(&f.g), Ok(()));
         // A dead node's levels are nobody's business.
         f.g.replace(r1, a).unwrap();
-        f.g.collect(r1);
+        f.g.collect(r1, &mut Vec::new());
         f.g.validate().unwrap();
     }
 
@@ -1445,11 +1461,11 @@ mod tests {
         // two the root was.
         f.g.replace(r1, a).unwrap();
         assert_eq!(f.g.outputs(), [r3, a]);
-        f.g.collect(r1);
+        f.g.collect(r1, &mut Vec::new());
         f.g.validate().unwrap();
         f.g.replace(r3, a).unwrap();
         assert_eq!(f.g.outputs(), [a]);
-        f.g.collect(r3);
+        f.g.collect(r3, &mut Vec::new());
         assert_eq!(f.g.live_count(), 1, "{r2:?} went with its only reader");
         f.g.validate().unwrap();
 
@@ -1517,7 +1533,7 @@ mod tests {
             let root = live[rng.gen_range(0..live.len())];
             let replacement = live[rng.gen_range(0..live.len())];
             if f.g.replace(root, replacement).is_ok() {
-                f.g.collect(root);
+                f.g.collect(root, &mut Vec::new());
             }
         }
     }

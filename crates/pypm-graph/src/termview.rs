@@ -21,65 +21,6 @@ use crate::tensor::TensorMeta;
 use pypm_core::{Attr, AttrInterp, IdMap, Symbol, SymbolTable, TermId, TermStore};
 use std::collections::HashMap;
 
-/// The ordered producer set of one term, id-sorted so the canonical
-/// producer (the first element) is deterministic and O(1) to read.
-/// Nearly every term has exactly one live producer — hash-consing only
-/// merges *structurally equal* subgraphs — so the single-producer case
-/// is stored inline, with no heap allocation: [`TermView::build`] runs
-/// it once per node per build and the allocation showed up on the
-/// rewrite-pass bench.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Producers {
-    /// Exactly one live producer.
-    One(NodeId),
-    /// Two or more live producers, ascending by id.
-    Many(Vec<NodeId>),
-}
-
-impl Producers {
-    /// The canonical (lowest-id) producer.
-    fn first(&self) -> NodeId {
-        match self {
-            Producers::One(n) => *n,
-            Producers::Many(v) => v[0],
-        }
-    }
-
-    /// Adds a producer, keeping the ascending order.
-    fn insert(&mut self, n: NodeId) {
-        match self {
-            Producers::One(m) if *m == n => {}
-            Producers::One(m) => {
-                let mut v = vec![*m, n];
-                v.sort_unstable();
-                *self = Producers::Many(v);
-            }
-            Producers::Many(v) => {
-                if let Err(at) = v.binary_search(&n) {
-                    v.insert(at, n);
-                }
-            }
-        }
-    }
-
-    /// Removes a producer; returns `true` when the set became empty
-    /// (the caller then drops the term's entries entirely).
-    fn remove(&mut self, n: NodeId) -> bool {
-        match self {
-            Producers::One(m) => *m == n,
-            Producers::Many(v) => {
-                if let Ok(at) = v.binary_search(&n) {
-                    v.remove(at);
-                }
-                if v.len() == 1 {
-                    *self = Producers::One(v[0]);
-                }
-                false
-            }
-        }
-    }
-}
-
 /// Interned handles for the tensor-specific attributes PyPM exposes on
 /// every term (§2: "all terms … have the same set of tensor-specific
 /// attributes including element type, shape, and rank").
@@ -212,11 +153,10 @@ enum Owed {
 ///
 /// Every node the view knows is in one of three states:
 ///
-/// * **clean** — its term is interned, [`TermView::term_of`] answers
-///   it, and it is one of its term's producers in the index;
+/// * **clean** — its term is interned and [`TermView::term_of`]
+///   answers it;
 /// * **stale** — [`TermView::patch`] marked it: a rewrite upstream may
-///   have changed its term, so it has left the index until it is
-///   recomputed;
+///   have changed its term, so it has none until it is recomputed;
 /// * **unseen** — it was live when the view was created
 ///   ([`TermView::empty`]) and nothing has read it since. Its term is
 ///   the one a build would have given it, just not interned yet: no
@@ -235,9 +175,9 @@ enum Owed {
 /// [`TermView::patch`] — **mark** the seed's cone of influence stale
 /// (its transitive users, discovered through [`Graph::users_of`]; a
 /// cheap pointer walk, no interning, over unseen and clean users alike)
-/// and drop the marked nodes from the index maps. Stale terms are then
-/// recomputed **lazily**, on demand, by [`TermView::term_of_repaired`]
-/// when the rewrite scheduler actually visits a node.
+/// and drop the marked nodes' terms. Stale terms are then recomputed
+/// **lazily**, on demand, by [`TermView::term_of_repaired`] when the
+/// rewrite scheduler actually visits a node.
 ///
 /// Laziness is what makes the maintenance *sublinear in practice*, not
 /// just per-patch: a rewrite near the inputs dirties everything
@@ -248,25 +188,16 @@ enum Owed {
 /// [`TermView::terms_recomputed`] counts the recomputes of stale nodes
 /// (the engine's `nodes_reindexed` counter); interning an unseen node
 /// is not a recompute, so the count is the one an eagerly built view
-/// would read.
+/// would read. A view with no stale and no unseen nodes (see
+/// [`TermView::repair_all`]) is indistinguishable from a fresh
+/// [`TermView::build`].
 ///
-/// Index maps and attribute side tables are maintained incrementally
-/// via ordered first-producer bookkeeping (every term keeps its clean
-/// producers in an ordered set). Marking *removes* a stale node from
-/// the index before its new term is known, so [`TermView::node_of`]
-/// can never serve a stale mapping; repair re-inserts it. A view with
-/// no stale and no unseen nodes (see [`TermView::repair_all`]) is
-/// indistinguishable from a fresh [`TermView::build`].
-///
-/// Canonical producer: when several live nodes view as the same term,
-/// the canonical one is the live, non-stale node with the lowest
-/// [`NodeId`] — the earliest-allocated producer. Any live producer
-/// computes the same value (that is what sharing a term means), and the
-/// lowest id is the one ordering that build and patch can agree on
-/// without a graph walk, which is what makes the bookkeeping sublinear.
-/// [`TermView::node_of`] reads it off the index, which holds clean
-/// nodes only; [`TermView::canonical_producer`] finds it among the
-/// unseen nodes too.
+/// The view maps nodes to terms, not terms to nodes: several live
+/// nodes may view as one term, and which of them a caller means
+/// depends on where it stands. A rule's right-hand-side variable names
+/// a piece of the subgraph its pattern matched, so the engine resolves
+/// a bound term below the matched root ([`TermView::node_below`]), and
+/// so does partitioning for the members of a region.
 #[derive(Debug, Clone)]
 pub struct TermView {
     revision: u64,
@@ -279,12 +210,6 @@ pub struct TermView {
     term_of_node: Vec<Option<TermId>>,
     /// How many nodes have a term ([`TermView::len`]).
     clean: usize,
-    /// Ordered first-producer bookkeeping: every clean producer of a
-    /// term, ordered by node id ([`Producers`]). The lowest clean
-    /// producer is the first element; erasing or adding a producer is
-    /// O(log |producers|). By [`TermId::index`]; `None` (or past the
-    /// end) for a term nothing clean produces.
-    producers: Vec<Option<Producers>>,
     /// Attribute side tables.
     attrs: GraphAttrInterp,
     /// Nodes marked dirty by [`TermView::invalidate`] (repeats allowed),
@@ -302,39 +227,17 @@ pub struct TermView {
     /// The depth-first stack of [`TermView::term_of_repaired`], empty
     /// between calls.
     repair_stack: Vec<NodeId>,
-    /// The breadth-first search of [`TermView::canonical_producer`]
-    /// below the computed producer, empty between calls.
-    trail: Vec<Step>,
-    /// The candidates [`TermView::canonical_producer`] holds at one
-    /// level of its climb, and those it finds one level up; both empty
-    /// between calls.
-    frontier: Vec<NodeId>,
-    climbed: Vec<NodeId>,
-    /// The nodes on the trail, by [`NodeId::index`]; all `false`
-    /// between calls.
-    seen: Vec<bool>,
+    /// The breadth-first walk of [`TermView::node_below`], in visiting
+    /// order, empty between calls.
+    below: Vec<NodeId>,
+    /// The nodes on that walk, by [`NodeId::index`]; all `false`
+    /// between calls, and only as long as the highest id it reached.
+    marked: Vec<bool>,
     /// The value-specialized symbol of every attribute-carrying
     /// constant met so far, by operator and then attribute list, so
     /// that only the first meeting spells the name out. The outer key
     /// is a symbol of this process; attribute values are a graph's.
     consts: IdMap<Symbol, HashMap<Vec<(Attr, i64)>, Symbol>>,
-}
-
-/// One node of the search [`TermView::canonical_producer`] makes below
-/// a producer: the node, and the step above it that reached it — the
-/// index of that step in the trail and the input position taken.
-#[derive(Debug, Clone, Copy)]
-struct Step {
-    node: NodeId,
-    above: Option<(u32, u32)>,
-}
-
-/// Whether two nodes' attribute lists hold the same pairs, in any
-/// order: nullary nodes with equal operators view as the same term
-/// exactly when this holds (see [`specialized_const`]).
-fn same_attr_set(a: &[(Attr, i64)], b: &[(Attr, i64)]) -> bool {
-    let count = |list: &[(Attr, i64)], pair| list.iter().filter(|&&p| p == pair).count();
-    a.len() == b.len() && a.iter().all(|&pair| count(a, pair) == count(b, pair))
 }
 
 impl TermView {
@@ -354,7 +257,6 @@ impl TermView {
             revision: graph.revision(),
             term_of_node: vec![None; graph.allocated_count()],
             clean: 0,
-            producers: Vec::new(),
             attrs: GraphAttrInterp {
                 handles: Some(TensorAttrs::intern(syms)),
                 ..GraphAttrInterp::default()
@@ -364,10 +266,8 @@ impl TermView {
             recomputed: 0,
             args: Vec::new(),
             repair_stack: Vec::new(),
-            trail: Vec::new(),
-            frontier: Vec::new(),
-            climbed: Vec::new(),
-            seen: Vec::new(),
+            below: Vec::new(),
+            marked: Vec::new(),
             consts: IdMap::default(),
         }
     }
@@ -405,8 +305,8 @@ impl TermView {
 
     /// Repairs the view's *bookkeeping* after a graph mutation: drops
     /// dead invalidated nodes, marks the live seed and its transitive
-    /// users (via [`Graph::users_of`]) stale, and removes every marked
-    /// node from the index maps so no stale mapping can be served.
+    /// users (via [`Graph::users_of`]) stale, and drops every marked
+    /// node's term so no stale term can be served.
     /// Returns the marked cone, in ascending node-id order — the
     /// candidates an incremental rewrite scheduler must re-enqueue.
     ///
@@ -419,9 +319,8 @@ impl TermView {
     /// Equivalence contract: once every stale and unseen node has been
     /// interned (e.g. after [`TermView::repair_all`]), the view is
     /// indistinguishable from `TermView::build` on the current graph —
-    /// same node→term map, same canonical producer (lowest-node-id,
-    /// see the type docs) for every term, and the same attributes for
-    /// every term a node produces.
+    /// same node→term map, and the same attributes for every term a
+    /// node produces.
     ///
     /// Like [`Self::invalidate`] documents, the caller must invalidate
     /// the ids `Graph::collect` freed: patch discovers deadness only for
@@ -450,8 +349,8 @@ impl TermView {
             if std::mem::replace(&mut self.owed[n.index()], Owed::Stale) == Owed::Stale {
                 continue;
             }
-            // The old term leaves the index *now*, so node_of can never
-            // serve a mapping for a node whose term is in question.
+            // The old term goes *now*, so term_of can never serve a
+            // term that is in question.
             self.erase(n);
             marked.push(n);
             for &u in graph.users_of(n) {
@@ -524,11 +423,6 @@ impl TermView {
 
     fn owed_to(&self, n: NodeId) -> Owed {
         self.owed.get(n.index()).copied().unwrap_or(Owed::Nothing)
-    }
-
-    /// Whether a patch marked `n` and nothing has recomputed it since.
-    pub fn is_stale(&self, n: NodeId) -> bool {
-        self.owed_to(n) == Owed::Stale
     }
 
     /// Interns every stale or unseen node reachable from the graph
@@ -605,15 +499,14 @@ impl TermView {
         }
     }
 
-    /// Registers `n` as a producer of `term`, maintaining the ordered
-    /// producer set and — the first time the term has a producer — the
-    /// attribute side tables. Values are identical across producers of
-    /// one term (the determinism invariant the engine documents on
-    /// `SweepPolicy::Incremental`), so tables need no refresh when
-    /// another producer arrives, even one that arrives after the last
-    /// one left: a term whose producers the scan deletes one layer at a
-    /// time and interns again one layer later keeps the attributes it
-    /// has, instead of copying them again.
+    /// Records `term` as the term of `n`, and — the first time a node
+    /// views as the term — the term's attributes. Values are identical
+    /// across the nodes of one term (the determinism invariant the
+    /// engine documents on `SweepPolicy::Incremental`), so the tables
+    /// need no refresh when another node arrives, even one that arrives
+    /// after the last one left: a term whose nodes the scan deletes one
+    /// layer at a time and interns again one layer later keeps the
+    /// attributes it has, instead of copying them again.
     fn record(&mut self, graph: &Graph, registry: &OpRegistry, n: NodeId, term: TermId) {
         if n.index() >= self.term_of_node.len() {
             self.term_of_node.resize(n.index() + 1, None);
@@ -621,31 +514,21 @@ impl TermView {
         if self.term_of_node[n.index()].replace(term).is_none() {
             self.clean += 1;
         }
-        match slot_mut(&mut self.producers, term) {
-            Some(set) => set.insert(n),
-            first => {
-                *first = Some(Producers::One(n));
-                let node = graph.node(n);
-                slot_mut(&mut self.attrs.by_term, term).get_or_insert_with(|| TermAttrs {
-                    meta: node.meta.clone(),
-                    class_code: registry.class(node.op).code(),
-                    node_attrs: node.attrs.clone(),
-                });
-            }
-        }
+        let node = graph.node(n);
+        slot_mut(&mut self.attrs.by_term, term).get_or_insert_with(|| TermAttrs {
+            meta: node.meta.clone(),
+            class_code: registry.class(node.op).code(),
+            node_attrs: node.attrs.clone(),
+        });
     }
 
-    /// Removes `n` from the view: its node→term entry and its slot in
-    /// the term's producer set. The term's attributes stay (see
+    /// Drops the term of `n`. The term's attributes stay (see
     /// [`TermView::record`]).
     fn erase(&mut self, n: NodeId) {
-        let Some(term) = self.term_of_node.get_mut(n.index()).and_then(Option::take) else {
-            return;
-        };
-        self.clean -= 1;
-        let producers = &mut self.producers[term.index()];
-        if producers.as_mut().is_some_and(|set| set.remove(n)) {
-            *producers = None;
+        if let Some(slot) = self.term_of_node.get_mut(n.index()) {
+            if slot.take().is_some() {
+                self.clean -= 1;
+            }
         }
     }
 
@@ -675,151 +558,51 @@ impl TermView {
         self.term_of_node.get(n.index()).copied().flatten()
     }
 
-    /// The lowest-id clean node producing the given term, if any. It
-    /// is the canonical producer (see the type docs) only on a view
-    /// with no unseen nodes, such as a [`TermView::build`] of a graph
-    /// that holds no garbage; [`TermView::canonical_producer`] answers
-    /// on any view.
-    pub fn node_of(&self, t: TermId) -> Option<NodeId> {
-        self.producers
-            .get(t.index())?
-            .as_ref()
-            .map(Producers::first)
-    }
-
-    /// The canonical producer of `t` (see the type docs): the lowest-id
-    /// live node that views as `t` and that no patch has marked stale,
-    /// unseen nodes included. `None` when no clean node produces `t`.
+    /// The node that views as `t` nearest below `root`: `root` itself,
+    /// else the first one a breadth-first walk meets, inputs in
+    /// position order. The walk follows the structure of `root`'s term —
+    /// an operator node's inputs; input and opaque nodes are leaves — so
+    /// what it finds is a piece of the subgraph that term denotes: where
+    /// several live nodes view as `t`, the one under `root`, not a twin
+    /// elsewhere in the graph. `None` when no clean node below `root`
+    /// views as `t`.
     ///
-    /// Every producer of `t` is structurally equal to the lowest clean
-    /// one, [`TermView::node_of`], so it reaches the same leaves by the
-    /// same input positions. The lookup searches below that producer,
-    /// breadth first, for the nearest leaf no other node views as — an
-    /// input or opaque node, each its own fresh constant — and climbs
-    /// back up the positions it took through [`Graph::users_of`],
-    /// keeping at each level the users that view as the subterm there;
-    /// what reaches the top views as `t`. A term with no such leaf is
-    /// built over nullary constants alone, and the climb then starts
-    /// from every live twin of the nearest one (same operator, same
-    /// attributes), found by a walk over the node table. Unseen
-    /// candidates are interned on the way — a first read, not a
-    /// recompute — and stale ones are skipped. Nothing is allocated
-    /// once the view's buffers have grown.
-    pub fn canonical_producer(
-        &mut self,
-        graph: &Graph,
-        syms: &mut SymbolTable,
-        terms: &mut TermStore,
-        registry: &OpRegistry,
-        t: TermId,
-    ) -> Option<NodeId> {
-        let computed = self.node_of(t)?;
-        let mut at = self.nearest_leaf(graph, computed);
-        let mut frontier = std::mem::take(&mut self.frontier);
-        let mut climbed = std::mem::take(&mut self.climbed);
-        let leaf = graph.node(self.trail[at].node);
-        if leaf.kind == NodeKind::Op {
-            for i in 0..graph.allocated_count() {
-                let n = NodeId::from_index(i);
-                let twin = graph.node(n);
-                let known = match self.owed_to(n) {
-                    Owed::Unseen => true,
-                    Owed::Stale => false,
-                    Owed::Nothing => self.term_of(n).is_some(),
-                };
-                if known
-                    && graph.is_alive(n)
-                    && twin.kind == NodeKind::Op
-                    && graph.inputs(n).is_empty()
-                    && twin.op == leaf.op
-                    && same_attr_set(&twin.attrs, &leaf.attrs)
-                {
-                    frontier.push(n);
-                }
+    /// The walk keeps its buffers in the view and clears its marks by
+    /// retracing itself, so a call allocates nothing once they have
+    /// grown and costs the nodes it visits, whatever the graph's size.
+    pub fn node_below(&mut self, graph: &Graph, root: NodeId, t: TermId) -> Option<NodeId> {
+        // Sets the mark of `n`; returns whether it was set already.
+        fn mark(marked: &mut Vec<bool>, n: NodeId) -> bool {
+            if marked.len() <= n.index() {
+                marked.resize(n.index() + 1, false);
             }
-        } else {
-            frontier.push(self.trail[at].node);
+            std::mem::replace(&mut marked[n.index()], true)
         }
-        while let Some((above, pos)) = self.trail[at].above {
-            at = above as usize;
-            let reference = self.trail[at].node;
-            let want = self
-                .term_of(reference)
-                .expect("every node below a clean one is clean");
-            let head = graph.node(reference);
-            let arity = graph.inputs(reference).len();
-            climbed.clear();
-            for &v in &frontier {
-                for &u in graph.users_of(v) {
-                    let user = graph.node(u);
-                    let inputs = graph.inputs(u);
-                    if inputs.get(pos as usize) != Some(&v)
-                        || user.kind != NodeKind::Op
-                        || user.op != head.op
-                        || inputs.len() != arity
-                        || climbed.contains(&u)
-                    {
-                        continue;
-                    }
-                    let term = match self.owed_to(u) {
-                        Owed::Stale => continue,
-                        Owed::Unseen => self.term_of_repaired(graph, syms, terms, registry, u),
-                        Owed::Nothing => self.term_of(u),
-                    };
-                    if term == Some(want) {
-                        climbed.push(u);
-                    }
-                }
-            }
-            std::mem::swap(&mut frontier, &mut climbed);
-        }
-        let canonical = frontier.iter().min().copied();
-        frontier.clear();
-        climbed.clear();
-        for step in self.trail.drain(..) {
-            self.seen[step.node.index()] = false;
-        }
-        self.frontier = frontier;
-        self.climbed = climbed;
-        canonical
-    }
-
-    /// Searches below `top` breadth first, recording the search in the
-    /// (empty) trail, for the nearest input or opaque node; failing
-    /// that, the nearest nullary node. Returns its index in the trail,
-    /// whose steps lead back up to `top`.
-    fn nearest_leaf(&mut self, graph: &Graph, top: NodeId) -> usize {
-        if self.seen.len() < graph.allocated_count() {
-            self.seen.resize(graph.allocated_count(), false);
-        }
-        self.trail.push(Step {
-            node: top,
-            above: None,
-        });
-        self.seen[top.index()] = true;
-        let mut nullary = None;
+        let mut below = std::mem::take(&mut self.below);
+        mark(&mut self.marked, root);
+        below.push(root);
+        let mut found = None;
         let mut next = 0;
-        while let Some(&Step { node: n, .. }) = self.trail.get(next) {
-            let node = graph.node(n);
-            match node.kind {
-                NodeKind::Input | NodeKind::Opaque => return next,
-                NodeKind::Op if graph.inputs(n).is_empty() => {
-                    nullary.get_or_insert(next);
-                }
-                NodeKind::Op => {
-                    for (pos, &i) in graph.inputs(n).iter().enumerate() {
-                        if !std::mem::replace(&mut self.seen[i.index()], true) {
-                            self.trail.push(Step {
-                                node: i,
-                                above: Some((next as u32, pos as u32)),
-                            });
-                        }
-                    }
+        while let Some(&n) = below.get(next) {
+            next += 1;
+            if self.term_of(n) == Some(t) {
+                found = Some(n);
+                break;
+            }
+            if graph.node(n).kind != NodeKind::Op {
+                continue;
+            }
+            for &i in graph.inputs(n) {
+                if !mark(&mut self.marked, i) {
+                    below.push(i);
                 }
             }
-            next += 1;
         }
-        nullary.expect("a term's leaves are inputs, opaque nodes or nullary constants")
+        for n in below.drain(..) {
+            self.marked[n.index()] = false;
+        }
+        self.below = below;
+        found
     }
 
     /// The attribute interpretation for guard evaluation.
@@ -881,12 +664,15 @@ mod tests {
                 .unwrap();
         f.g.mark_output(mm);
 
-        let view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
+        let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let t = view.term_of(mm).unwrap();
         let text = f.terms.display(&f.syms, t);
         assert!(text.starts_with("MatMul("));
         assert!(text.contains("Trans("));
-        assert_eq!(view.node_of(t), Some(mm));
+        assert_eq!(view.node_below(&f.g, mm, t), Some(mm));
+        let t_b = view.term_of(b).unwrap();
+        assert_eq!(view.node_below(&f.g, mm, t_b), Some(b));
+        assert_eq!(view.node_below(&f.g, bt, t), None, "nothing above");
     }
 
     #[test]
@@ -980,8 +766,8 @@ mod tests {
     }
 
     /// After repairing every stale node, a patched view must be
-    /// indistinguishable from a fresh build: same node→term map, same
-    /// producer sets (hence the same canonical producer per term).
+    /// indistinguishable from a fresh build: same node→term map, and no
+    /// node left owed.
     fn assert_patched_equals_rebuilt(f: &mut Fx, view: &mut TermView) {
         view.repair_all(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let fresh = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
@@ -993,17 +779,6 @@ mod tests {
             );
         }
         assert_eq!(view.len(), fresh.len());
-        // The tables are as long as the highest term each view has met,
-        // which a patched view's history may put further out.
-        let produced = |v: &TermView| -> Vec<(usize, Producers)> {
-            let entries = v.producers.iter().cloned().enumerate();
-            entries.filter_map(|(t, set)| Some((t, set?))).collect()
-        };
-        assert_eq!(
-            produced(view),
-            produced(&fresh),
-            "patched producer bookkeeping diverges from a fresh build"
-        );
         assert!(
             view.owed.iter().all(|&owed| owed == Owed::Nothing),
             "repair_all leaves no stale or unseen node"
@@ -1056,7 +831,7 @@ mod tests {
             .term_of_repaired(&f.g, &mut f.syms, &mut f.terms, &f.reg, add)
             .unwrap();
         assert_eq!(view.terms_recomputed(), 4, "gelu, u1, u2, add");
-        assert_eq!(view.node_of(t_add), Some(add));
+        assert_eq!(view.node_below(&f.g, add, t_add), Some(add));
         assert!(view.term_of(u1).is_some(), "input repaired on the way");
         assert_patched_equals_rebuilt(&mut f, &mut view);
         // Everything was already repaired: no further recomputes.
@@ -1242,9 +1017,10 @@ mod tests {
     }
 
     #[test]
-    fn canonical_producer_is_lowest_id_and_survives_death() {
-        // Two live producers of the same term: node_of returns the
-        // lower id; when that producer dies, the survivor takes over.
+    fn a_term_resolves_to_the_node_below_its_root() {
+        // Two live nodes view as relu(a), one under each output: below
+        // either output the term names that output's own relu, and a
+        // twin's death changes nothing for the other.
         let mut f = fx();
         let a =
             f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
@@ -1265,10 +1041,12 @@ mod tests {
         let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let shared = view.term_of(r1).unwrap();
         assert_eq!(view.term_of(r2), Some(shared), "relu(a) twice: one term");
-        assert_eq!(view.node_of(shared), Some(r1), "lowest id wins");
+        assert_eq!(view.node_below(&f.g, t1, shared), Some(r1));
+        assert_eq!(view.node_below(&f.g, t2, shared), Some(r2));
+        let t_a = view.term_of(a).unwrap();
+        assert_eq!(view.node_below(&f.g, t2, t_a), Some(a), "two levels down");
 
-        // Kill the canonical producer: replace t1 (r1's only user) by a
-        // node reading `a` directly.
+        // Kill r1: replace t1 (its only user) by a node reading `a`.
         let g1 =
             f.g.op(&mut f.syms, &f.reg, f.ops.gelu, vec![a], vec![])
                 .unwrap();
@@ -1276,14 +1054,14 @@ mod tests {
         let collected = f.g.gc();
         assert!(collected.contains(&r1));
         view.invalidate(rewired.into_iter().chain([g1]).chain(collected));
-        let cone = view.patch(&f.g);
-        assert_eq!(cone, vec![g1]);
-        assert_eq!(
-            view.node_of(shared),
-            Some(r2),
-            "surviving producer takes over"
-        );
+        assert_eq!(view.patch(&f.g), vec![g1]);
+        assert_eq!(view.node_below(&f.g, t2, shared), Some(r2));
         assert_patched_equals_rebuilt(&mut f, &mut view);
+        assert_eq!(
+            view.node_below(&f.g, g1, shared),
+            None,
+            "gelu(a) holds none"
+        );
     }
 
     /// `relu(tanh(a))` over an `I8` input, output marked.
@@ -1308,18 +1086,18 @@ mod tests {
         // it before the build.
         let c = f.syms.op("c", 0);
         let earlier = f.terms.app0(c);
-        let view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
+        let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         // Past the tables' end: interned after the build.
         let later = f.terms.app(f.ops.relu, [earlier]);
         let h = TensorAttrs::intern(&mut f.syms);
         for t in [earlier, later] {
-            assert_eq!(view.node_of(t), None);
+            assert_eq!(view.node_below(&f.g, nodes[2], t), None);
             assert_eq!(view.attrs().attr(&f.terms, t, h.rank), None);
             assert_eq!(view.attrs().attr(&f.terms, t, h.op_class), None);
         }
         let root = view.term_of(nodes[2]).unwrap();
         assert!(earlier < root && root < later);
-        assert_eq!(view.node_of(root), Some(nodes[2]));
+        assert_eq!(view.node_below(&f.g, nodes[2], root), Some(nodes[2]));
         assert_eq!(view.attrs().attr(&f.terms, root, h.rank), Some(2));
     }
 
@@ -1336,8 +1114,8 @@ mod tests {
         }
         let offset = used.terms.len();
 
-        let v_fresh = TermView::build(&fresh.g, &mut fresh.syms, &mut fresh.terms, &fresh.reg);
-        let v_used = TermView::build(&used.g, &mut used.syms, &mut used.terms, &used.reg);
+        let mut v_fresh = TermView::build(&fresh.g, &mut fresh.syms, &mut fresh.terms, &fresh.reg);
+        let mut v_used = TermView::build(&used.g, &mut used.syms, &mut used.terms, &used.reg);
         assert_eq!(v_used.len(), v_fresh.len());
         let h = TensorAttrs::intern(&mut fresh.syms);
         for n in nodes {
@@ -1347,7 +1125,10 @@ mod tests {
                 used.terms.display(&used.syms, tu),
                 fresh.terms.display(&fresh.syms, tf)
             );
-            assert_eq!(v_used.node_of(tu), v_fresh.node_of(tf));
+            assert_eq!(
+                v_used.node_below(&used.g, nodes[2], tu),
+                v_fresh.node_below(&fresh.g, nodes[2], tf)
+            );
             for attr in [h.rank, h.elt_type, h.numel, h.dims[1], h.op_class] {
                 assert_eq!(
                     v_used.attrs().attr(&used.terms, tu, attr),

@@ -139,7 +139,7 @@ fn walk_fixture(fx: &mut Fx, seed: u64, size: usize) -> Graph {
     let dead = g
         .op(&mut fx.syms, &fx.reg, fx.ops.relu, vec![twice], vec![])
         .unwrap();
-    assert_eq!(g.collect(dead), vec![dead]);
+    assert_eq!(g.collect(dead, &mut Vec::new()), [dead]);
     g.mark_output(dead);
     g.op(&mut fx.syms, &fx.reg, fx.ops.gelu, vec![last], vec![])
         .unwrap();
@@ -178,7 +178,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7a1c);
         let (root, replacement) = random_replacement(&mut f, &mut g, &mut rng);
         if g.replace_traced(root, replacement).is_ok() {
-            g.collect(root);
+            g.collect(root, &mut Vec::new());
         }
         let rewritten = drain(&mut walk, &g);
         prop_assert_eq!(&rewritten, &recursive_post_order(&g));
@@ -253,12 +253,12 @@ proptest! {
                             }
                         }
                         if rng.gen_bool(0.5) {
-                            g.collect(root);
+                            g.collect(root, &mut Vec::new());
                         }
                     }
                 }
                 7 | 8 => {
-                    g.collect(any(&mut rng));
+                    g.collect(any(&mut rng), &mut Vec::new());
                 }
                 _ => {
                     g.gc();
@@ -325,7 +325,7 @@ proptest! {
                         prop_assert!(!g.inputs(u).contains(&root));
                     }
                     g.validate().unwrap();
-                    g.collect(root);
+                    g.collect(root, &mut Vec::new());
                 }
                 Err(e) => {
                     prop_assert!(cyclic && root != replacement, "{e}");
@@ -372,7 +372,7 @@ proptest! {
                 continue;
             }
             let mut swept = g.clone();
-            let freed = g.collect(root);
+            let freed = g.collect(root, &mut Vec::new()).to_vec();
             prop_assert_eq!(&freed, &swept.gc());
             prop_assert!(freed.windows(2).all(|w| w[0] < w[1]), "ascending: {freed:?}");
             for n in g.allocated_since(0) {
@@ -419,19 +419,26 @@ proptest! {
         g.validate().unwrap();
     }
 
-    /// The term view is total on reachable nodes, and `node_of ∘ term_of`
-    /// returns a node denoting the same term.
+    /// The term view is total on reachable nodes, and below a node,
+    /// `node_below ∘ term_of` finds a node denoting the same term: for
+    /// the node's own term the node itself, for an input's term that
+    /// input or a twin among the node's inputs.
     #[test]
     fn term_view_roundtrips(seed in any::<u64>(), size in 1usize..30) {
         let mut f = fx();
         let g = random_graph(&mut f, seed, size);
         let mut terms = TermStore::new();
-        let view = TermView::build(&g, &mut f.syms, &mut terms, &f.reg);
+        let mut view = TermView::build(&g, &mut f.syms, &mut terms, &f.reg);
         for n in g.topo_order() {
             let t = view.term_of(n);
             prop_assert!(t.is_some(), "{n:?} missing from view");
-            let back = view.node_of(t.unwrap()).unwrap();
-            prop_assert_eq!(view.term_of(back), t);
+            prop_assert_eq!(view.node_below(&g, n, t.unwrap()), Some(n));
+            for &i in g.inputs(n) {
+                let ti = view.term_of(i).unwrap();
+                let back = view.node_below(&g, n, ti);
+                prop_assert!(back.is_some_and(|b| g.inputs(n).contains(&b)));
+                prop_assert_eq!(view.term_of(back.unwrap()), Some(ti));
+            }
         }
     }
 
