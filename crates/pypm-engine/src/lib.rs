@@ -36,7 +36,9 @@
 //! | `RestartOnRewrite` (reference/oracle) | walk the order afresh from the first node, lazily: a round pays for the prefix it scans | O(graph × rewrites) visits |
 //!
 //! The commit is as local as the match: [`pypm_graph::Graph::replace_traced`]
-//! rewires through the reverse adjacency and bounds its cycle check by
+//! splices the root's use-list onto the replacement (the graph keeps
+//! its reverse edges as use-lists threaded through its edge arena, as
+//! LLVM and MLIR do) and bounds its cycle check by
 //! the graph's maintained topological levels, and
 //! [`pypm_graph::Graph::collect`] frees the replaced root's cone by
 //! reference count.
@@ -45,7 +47,7 @@
 //! [`pypm_graph::TermView::empty`] view, in which every live node is
 //! *unseen* and no term is interned, then **lazy in-place patches** — a
 //! patch marks the rewrite's cone stale (a pointer walk over the
-//! graph's incrementally maintained reverse adjacency) and drops the
+//! graph's incrementally maintained use-lists) and drops the
 //! marked nodes' terms. A node's term is interned when the scan first
 //! reads it, and recomputed there after a patch marked it
 //! ([`pypm_graph::TermView::term_of_repaired`]), so nodes dirtied by

@@ -13,7 +13,7 @@
 //! fused kernel for the region would take.
 
 use crate::pass::{Pass, PassError, PassOutcome, PipelineCx};
-use crate::rewriter::find_matches;
+use crate::rewriter::find_matches_in;
 use crate::session::Session;
 use pypm_core::IdSet;
 use pypm_dsl::{LibraryConfig, RuleSet};
@@ -48,7 +48,14 @@ fn partition(
     graph: &Graph,
     pattern_name: &str,
 ) -> Vec<Partition> {
-    let mut reports = find_matches(session, rules, graph, pattern_name);
+    // One view both matches and resolves the members.
+    let mut view = TermView::build(
+        graph,
+        &mut session.syms,
+        &mut session.terms,
+        &session.registry,
+    );
+    let mut reports = find_matches_in(session, rules, graph, &view, pattern_name);
     // Largest regions first; among equals prefer later topo position
     // (closer to outputs) so chains are claimed from their heads.
     reports.sort_by(|a, b| {
@@ -58,12 +65,6 @@ fn partition(
             .then(b.node.cmp(&a.node))
     });
 
-    let mut view = TermView::build(
-        graph,
-        &mut session.syms,
-        &mut session.terms,
-        &session.registry,
-    );
     let mut claimed: IdSet<NodeId> = IdSet::default();
     let mut out = Vec::new();
     for report in reports {

@@ -251,17 +251,6 @@ pub struct MatchReport {
     pub coverage: Vec<TermId>,
 }
 
-/// A fired rewrite as seen by the scan: its entry in the pass's
-/// [`FiringLog`] and the users rewired onto the replacement. The
-/// rewired users and the entry's created and collected nodes are the
-/// dirty seed [`Driver::repair_view`] feeds to [`TermView::invalidate`].
-struct Fired {
-    /// The firing's log entry.
-    entry: Firing,
-    /// Users whose inputs were redirected to the replacement.
-    rewired: Vec<NodeId>,
-}
-
 /// Dense per-node scan state, indexed by [`NodeId::index`]; nodes
 /// allocated mid-pass grow it when a flag is first set on them.
 #[derive(Default)]
@@ -316,6 +305,16 @@ struct Driver<'a> {
     /// each application pushes its inputs above its caller's and pops
     /// them once its node exists ([`Driver::instantiate`]).
     rhs_inputs: Vec<NodeId>,
+    /// The argument terms of the RHS applications being folded, as one
+    /// stack, like `rhs_inputs` ([`Driver::term_of_rhs`]).
+    rhs_terms: Vec<TermId>,
+    /// The users the last firing rewired onto its replacement
+    /// ([`Graph::replace_traced`]): with the firing's created and
+    /// collected nodes, the dirty seed of [`Driver::repair_view`].
+    rewired: Vec<NodeId>,
+    /// The cone the last firing's view patch marked
+    /// ([`TermView::patch`]), for the worklist to re-enqueue.
+    cone: Vec<NodeId>,
 }
 
 impl<'a> Driver<'a> {
@@ -333,6 +332,9 @@ impl<'a> Driver<'a> {
             rank,
             budget: cx.budget().cloned(),
             rhs_inputs: Vec::new(),
+            rhs_terms: Vec::new(),
+            rewired: Vec::new(),
+            cone: Vec::new(),
         }
     }
 
@@ -450,9 +452,9 @@ impl<'a> Driver<'a> {
     /// the loop had run (the `literal_loop_oracle_*` tests keep that loop
     /// and compare).
     ///
-    /// On a firing, the graph is already rewritten and collected; the
-    /// returned [`Fired`] carries the dirty seed for
-    /// [`Driver::repair_view`].
+    /// On a firing, the graph is already rewritten and collected, and
+    /// the returned log entry and [`Driver::rewired`] are the dirty seed
+    /// for [`Driver::repair_view`].
     #[allow(clippy::too_many_arguments)]
     fn visit_node(
         &mut self,
@@ -463,7 +465,7 @@ impl<'a> Driver<'a> {
         flags: &mut NodeFlags,
         stats: &mut PassStats,
         cx: &mut PipelineCx,
-    ) -> Result<Option<Fired>, RewriteError> {
+    ) -> Result<Option<Firing>, RewriteError> {
         stats.nodes_visited += 1;
         if flags.set(node, NodeFlags::VISITED) {
             stats.nodes_revisited += 1;
@@ -529,7 +531,7 @@ impl<'a> Driver<'a> {
         t: TermId,
         stats: &mut PassStats,
         cx: &mut PipelineCx,
-    ) -> Result<Option<Fired>, RewriteError> {
+    ) -> Result<Option<Firing>, RewriteError> {
         for pi in 0..self.pattern_ids.len() {
             if self.pass.rules.patterns[pi].rules.is_empty() {
                 continue;
@@ -569,7 +571,7 @@ impl<'a> Driver<'a> {
         witness: &Witness,
         stats: &mut PassStats,
         cx: &mut PipelineCx,
-    ) -> Result<Option<Fired>, RewriteError> {
+    ) -> Result<Option<Firing>, RewriteError> {
         stats.matches_found += 1;
         let mut saw_identity = false;
         for (ri, rule) in self.pass.rules.patterns[pi].rules.iter().enumerate() {
@@ -597,12 +599,11 @@ impl<'a> Driver<'a> {
             let root_meta = graph.node(node).meta.clone();
             let replacement =
                 self.instantiate(graph, view, node, &rule.rhs, witness, Some(root_meta))?;
-            let rewired =
-                graph
-                    .replace_traced(node, replacement)
-                    .map_err(|e| RewriteError::BuildFailed {
-                        reason: e.to_string(),
-                    })?;
+            graph
+                .replace_traced(node, replacement, &mut self.rewired)
+                .map_err(|e| RewriteError::BuildFailed {
+                    reason: e.to_string(),
+                })?;
             stats.rewrites_fired += 1;
             let created = alloc_mark..graph.allocated_count();
             // The root lost its last reader; what only it kept alive
@@ -613,7 +614,7 @@ impl<'a> Driver<'a> {
                     graph.collect(node, freed);
                 });
             debug_assert_eq!(graph.validate(), Ok(()));
-            return Ok(Some(Fired { entry, rewired }));
+            return Ok(Some(entry));
         }
         cx.firings.reject(Rejection {
             sweep: stats.sweeps,
@@ -630,30 +631,28 @@ impl<'a> Driver<'a> {
 
     /// Repairs the view's bookkeeping after a fired rewrite: the
     /// rewired users, the freshly allocated replacement nodes, and the
-    /// collected dead nodes (as `log` recorded them) seed the patch (the
-    /// dead ids let the sublinear index maintenance drop entries without
-    /// scanning for liveness). The patch only *marks* the cone — terms
-    /// recompute lazily at the next visit. Returns the marked cone for
-    /// worklist re-enqueueing.
+    /// collected dead nodes (as `log` recorded `fired`) seed the patch
+    /// (the dead ids let the sublinear index maintenance drop entries
+    /// without scanning for liveness). The patch only *marks* the cone —
+    /// terms recompute lazily at the next visit. Leaves the marked cone
+    /// in [`Driver::cone`] for worklist re-enqueueing.
     fn repair_view(
         &mut self,
         graph: &Graph,
         view: &mut TermView,
-        fired: &Fired,
+        fired: &Firing,
         log: &FiringLog,
         stats: &mut PassStats,
-    ) -> Vec<NodeId> {
+    ) {
         view.invalidate(
-            fired
-                .rewired
+            self.rewired
                 .iter()
-                .chain(log.created(&fired.entry))
-                .chain(log.collected(&fired.entry))
+                .chain(log.created(fired))
+                .chain(log.collected(fired))
                 .copied(),
         );
-        let cone = view.patch(graph);
+        view.patch(graph, &mut self.cone);
         stats.view_patches += 1;
-        cone
     }
 
     /// The one scan loop: the paper's "repeatedly traverses the graph"
@@ -671,7 +670,7 @@ impl<'a> Driver<'a> {
     /// order is computed once, the cursor only moves forward, and a
     /// firing puts its fresh nodes where the replaced root stood. With
     /// that, and with [`Graph::replace_traced`] and [`Graph::collect`]
-    /// working off the reverse adjacency and the graph's maintained
+    /// working off the graph's use-lists and its maintained
     /// levels (which bound the cycle check), a firing under the worklist
     /// costs what it changed, not the graph. The order itself is *not*
     /// read off those levels: a level numbering does not determine the
@@ -844,15 +843,16 @@ impl<'a> Driver<'a> {
                 // root stood (4).
                 let log = &cx.firings;
                 if worklist {
-                    ahead.extend(log.created(&fired.entry).iter().rev());
+                    ahead.extend(log.created(&fired).iter().rev());
                 }
                 // Repair before the rewrite-cap check, so
                 // `view_patches == rewrites_fired` holds even when the
                 // cap cuts the pass short.
-                for node in self.repair_view(graph, &mut view, &fired, log, stats) {
+                self.repair_view(graph, &mut view, &fired, log, stats);
+                for &node in &self.cone {
                     flags.set(node, NodeFlags::DIRTY);
                 }
-                for &dead in log.collected(&fired.entry) {
+                for &dead in log.collected(&fired) {
                     flags.clear(dead, NodeFlags::DIRTY);
                 }
                 if stats.rewrites_fired as usize >= self.pass.max_rewrites {
@@ -901,11 +901,14 @@ impl<'a> Driver<'a> {
         match self.resolve(rhs, witness)? {
             Resolved::Bound(t) => Ok(t),
             Resolved::Apply(op, args, _) => {
-                let mut terms = Vec::with_capacity(args.len());
+                let base = self.rhs_terms.len();
                 for a in args {
-                    terms.push(self.term_of_rhs(a, witness)?);
+                    let t = self.term_of_rhs(a, witness)?;
+                    self.rhs_terms.push(t);
                 }
-                Ok(self.session.terms.app(op, terms))
+                let t = self.session.terms.app(op, &self.rhs_terms[base..]);
+                self.rhs_terms.truncate(base);
+                Ok(t)
             }
         }
     }
@@ -937,7 +940,7 @@ impl<'a> Driver<'a> {
                     .node_below(graph, root, t)
                     .ok_or(RewriteError::NoNodeForTerm)
             }
-            Resolved::Apply(op, args, attrs) => (op, args, attrs.to_vec()),
+            Resolved::Apply(op, args, attrs) => (op, args, attrs),
         };
         let base = self.rhs_inputs.len();
         for a in args {
@@ -1082,6 +1085,24 @@ pub fn find_matches(
     graph: &Graph,
     pattern_name: &str,
 ) -> Vec<MatchReport> {
+    let view = TermView::build(
+        graph,
+        &mut session.syms,
+        &mut session.terms,
+        &session.registry,
+    );
+    find_matches_in(session, rules, graph, &view, pattern_name)
+}
+
+/// [`find_matches`] over a view the caller built of `graph` — so that
+/// partitioning resolves its members in the view it matched in.
+pub(crate) fn find_matches_in(
+    session: &mut Session,
+    rules: &RuleSet,
+    graph: &Graph,
+    view: &TermView,
+    pattern_name: &str,
+) -> Vec<MatchReport> {
     let Some((pi, def)) = rules
         .patterns
         .iter()
@@ -1090,12 +1111,6 @@ pub fn find_matches(
     else {
         return Vec::new();
     };
-    let view = TermView::build(
-        graph,
-        &mut session.syms,
-        &mut session.terms,
-        &session.registry,
-    );
     let mut out = Vec::new();
     for node in graph.topo_order() {
         let Some(t) = view.term_of(node) else {
@@ -1298,7 +1313,7 @@ mod tests {
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.gemm_epilog);
         assert_eq!(
-            g.node(root).attr(s.ops.epilog_attr),
+            g.attr(root, s.ops.epilog_attr),
             Some(pypm_graph::Activation::Relu.code())
         );
     }
@@ -1343,7 +1358,7 @@ mod tests {
         let root = g.outputs()[0];
         assert_eq!(g.node(root).op, s.ops.gemm_epilog);
         assert_eq!(
-            g.node(root).attr(s.ops.epilog_attr),
+            g.attr(root, s.ops.epilog_attr),
             Some(pypm_graph::Activation::Gelu.code())
         );
         assert_eq!(g.live_count(), 3); // a, b, fused node
@@ -1476,7 +1491,7 @@ mod tests {
             assert_eq!(g.inputs(fused), [x, below], "{policy}");
             assert_eq!(g.outputs()[1], elsewhere, "{policy}");
             assert_eq!(g.inputs(elsewhere), [w], "{policy}");
-            assert_eq!(g.users_of(elsewhere), [] as [NodeId; 0], "{policy}");
+            assert_eq!(g.users_of(elsewhere).count(), 0, "{policy}");
             (stats, g.allocated_count() as u64)
         };
         let (restart, _) = run(SweepPolicy::RestartOnRewrite);
@@ -1529,7 +1544,7 @@ mod tests {
             assert_eq!(g.node(fused).op, s.ops.cublas_mm_xyt_f32);
             assert_eq!(g.inputs(fused), [x, below], "{policy}");
             assert_eq!(g.outputs()[1], elsewhere, "{policy}");
-            assert_eq!(g.users_of(elsewhere), [] as [NodeId; 0], "{policy}");
+            assert_eq!(g.users_of(elsewhere).count(), 0, "{policy}");
         }
     }
 

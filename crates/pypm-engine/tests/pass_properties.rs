@@ -75,9 +75,11 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
             false => nodes[rng.gen_range(0..nodes.len())],
         };
         let (n, m) = (pick(), pick());
-        let (twin, twin_inputs) = (g.node(n).clone(), g.inputs(n).to_vec());
+        let (twin, twin_inputs) = (g.node(n).op, g.inputs(n).to_vec());
+        let twin_attrs = g.attrs(n).to_vec();
         let below = twin_inputs.iter().enumerate().find_map(|(at, &i)| {
-            (!g.inputs(i).is_empty()).then(|| (at, g.node(i).clone(), g.inputs(i).to_vec()))
+            let below = (g.node(i).op, g.inputs(i).to_vec(), g.attrs(i).to_vec());
+            (!g.inputs(i).is_empty()).then_some((at, below))
         });
         // Square matrices make every op shape-compatible.
         let mut apply = |op, inputs, attrs| {
@@ -87,12 +89,12 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
         let fresh = match rng.gen_range(0..13) {
             0..=2 => apply(unary[rng.gen_range(0..unary.len())], vec![n], vec![]),
             3 | 4 => apply(binary[rng.gen_range(0..binary.len())], vec![m, n], vec![]),
-            5 | 6 if !twin_inputs.is_empty() => apply(twin.op, twin_inputs, twin.attrs),
+            5 | 6 if !twin_inputs.is_empty() => apply(twin, twin_inputs, twin_attrs),
             7 | 8 if below.is_some() => {
-                let (at, below, below_inputs) = below.unwrap();
+                let (at, (below, below_inputs, below_attrs)) = below.unwrap();
                 let mut inputs = twin_inputs;
-                inputs[at] = apply(below.op, below_inputs, below.attrs);
-                apply(twin.op, inputs, twin.attrs)
+                inputs[at] = apply(below, below_inputs, below_attrs);
+                apply(twin, inputs, twin_attrs)
             }
             9 => {
                 let t = apply(trans, vec![newest], vec![]);
@@ -121,7 +123,7 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
     }
     let mut sinks: Vec<NodeId> = nodes
         .into_iter()
-        .filter(|&n| g.users_of(n).is_empty())
+        .filter(|&n| g.users_of(n).next().is_none())
         .collect();
     for i in (1..sinks.len()).rev() {
         sinks.swap(i, rng.gen_range(0..=i));

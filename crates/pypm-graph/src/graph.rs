@@ -12,8 +12,8 @@
 //! users of the matched root to the replacement subgraph, and
 //! [`Graph::collect`] drops the subgraph that thereby lost its last
 //! reader ([`Graph::gc`] is the whole-graph mark-sweep it is checked
-//! against). Both work off two maintained indices — the reverse
-//! adjacency and a topological *level* per node — so committing a
+//! against). Both work off two maintained indices — the use-lists (the
+//! reverse edges) and a topological *level* per node — so committing a
 //! rewrite costs what the rewrite changed, not the graph: the cycle
 //! check searches only nodes levelled above the replaced root
 //! (Pearce & Kelly, *A Dynamic Topological Sort Algorithm for Directed
@@ -29,6 +29,16 @@
 //! alike). A walk that follows inputs — the restart scan's
 //! [`TopoWalk`], the term view's interning — reads them from one
 //! contiguous array instead of one heap block per node.
+//!
+//! The reverse edges are threaded through the same arena, as LLVM's and
+//! MLIR's use-lists are: beside each slot the arena keeps the node the
+//! slot belongs to and the next slot reading the same input, and each
+//! node keeps the first slot reading it. [`Graph::users_of`] walks that
+//! chain; a rewrite splices the replaced root's whole chain onto the
+//! replacement, and a collected node unlinks its slots from its inputs'
+//! chains. A node's non-dataflow attributes are a run of a second
+//! append-only arena, read with [`Graph::attrs`]. So a node owns no heap
+//! block of its own: building one appends to the graph's columns.
 
 use crate::ops::OpRegistry;
 use crate::tensor::TensorMeta;
@@ -72,9 +82,10 @@ pub enum NodeKind {
     Opaque,
 }
 
-/// One operator application in the graph. Its dataflow inputs are not
-/// here but in the graph's edge arena: read them with
-/// [`Graph::inputs`]. A node is 64 bytes, one cache line.
+/// One operator application in the graph. Its dataflow inputs, its
+/// users and its attributes are not here but in the graph's arenas:
+/// read them with [`Graph::inputs`], [`Graph::users_of`] and
+/// [`Graph::attrs`]. A node is 40 bytes and owns no heap block.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// The operator symbol. For inputs this is the node's fresh constant
@@ -84,22 +95,18 @@ pub struct Node {
     /// view abstracts this node as (distinct per node, so structurally
     /// distinct subgraphs stay distinct as terms).
     pub term_const: Option<Symbol>,
-    /// Non-dataflow attributes (stride, scalar value, epilog code, …).
-    pub attrs: Vec<(Attr, i64)>,
     /// Metadata of the produced tensor.
     pub meta: TensorMeta,
     /// Input / op / opaque.
     pub kind: NodeKind,
     /// Whether the node is alive (not yet collected).
     alive: bool,
+    /// Whether the node is listed in [`Graph::outputs`].
+    output: bool,
 }
 
-impl Node {
-    /// Looks up a node attribute by handle.
-    pub fn attr(&self, a: Attr) -> Option<i64> {
-        self.attrs.iter().find(|(k, _)| *k == a).map(|&(_, v)| v)
-    }
-}
+/// The end of a use-list: no further slot reads the node.
+const NO_USE: u32 = u32::MAX;
 
 /// Errors raised by graph construction and mutation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -134,15 +141,16 @@ pub enum GraphError {
         /// What shape inference objected to.
         reason: String,
     },
-    /// The incrementally maintained reverse adjacency disagrees with a
-    /// node's inputs — an internal invariant violation surfaced by
-    /// [`Graph::validate`] (the index backs
+    /// The use-lists disagree with the nodes' inputs: an edge missing
+    /// from its input's list, a slot listed where it does not belong, or
+    /// a list that revisits a slot — an internal invariant violation
+    /// surfaced by [`Graph::validate`] (the lists back
     /// [`Graph::users_of`]-driven cone expansion, so drift here would
     /// silently corrupt incremental term-view maintenance).
     UsersIndexMismatch {
         /// The user whose edge is miscounted.
         node: NodeId,
-        /// The input whose user list disagrees.
+        /// The input whose use-list disagrees.
         input: NodeId,
     },
     /// A live edge whose input is not levelled strictly below its user
@@ -164,6 +172,14 @@ pub enum GraphError {
         /// The repeated output.
         node: NodeId,
     },
+    /// A node whose output flag disagrees with [`Graph::outputs`] — an
+    /// internal invariant violation surfaced by [`Graph::validate`]
+    /// (the flag is what [`Graph::collect`] asks, so a missing one would
+    /// free an output and a stray one would keep garbage alive).
+    OutputFlagMismatch {
+        /// The node flagged but not listed, or listed but not flagged.
+        node: NodeId,
+    },
 }
 
 impl fmt::Display for GraphError {
@@ -181,7 +197,7 @@ impl fmt::Display for GraphError {
             GraphError::Shape { reason, .. } => write!(f, "shape inference failed: {reason}"),
             GraphError::UsersIndexMismatch { node, input } => write!(
                 f,
-                "users index out of sync: edge {input:?} -> {node:?} miscounted"
+                "use-lists out of sync: edge {input:?} -> {node:?} miscounted"
             ),
             GraphError::LevelOrder { node, input } => write!(
                 f,
@@ -189,6 +205,9 @@ impl fmt::Display for GraphError {
             ),
             GraphError::DuplicateOutput { node } => {
                 write!(f, "output {node:?} is listed more than once")
+            }
+            GraphError::OutputFlagMismatch { node } => {
+                write!(f, "output flag of {node:?} disagrees with the output list")
             }
         }
     }
@@ -227,14 +246,27 @@ pub struct Graph {
     /// `edge_start[i]..edge_start[i + 1]` is node `i`'s run in
     /// [`Graph::edges`]; one entry more than there are nodes.
     edge_start: Vec<u32>,
+    /// `user[s]`: the node whose run holds slot `s` of the edge arena.
+    user: Vec<NodeId>,
+    /// The use-lists, threaded through the edge arena and maintained
+    /// incrementally: `first_use[i]` is the first slot reading node `i`
+    /// and `next_use[s]` the slot after `s` on the list of the node `s`
+    /// reads, [`NO_USE`] ending a list. A live node's list holds exactly
+    /// the slots of the live nodes reading it, once per edge (a node
+    /// reading an input twice appears twice), in no particular order;
+    /// a dead node's list is empty. Kept up to date by every mutation,
+    /// so [`Graph::users_of`] costs the fan-out — the lookup incremental
+    /// term-view patching ([`crate::TermView::patch`]) uses to walk a
+    /// rewrite's cone of influence without touching the rest of the
+    /// graph.
+    first_use: Vec<u32>,
+    next_use: Vec<u32>,
+    /// The attribute arena: node `i`'s non-dataflow attributes are
+    /// `attrs[attr_start[i]..attr_start[i + 1]]`. Append-only, like the
+    /// edges.
+    attrs: Vec<(Attr, i64)>,
+    attr_start: Vec<u32>,
     outputs: Vec<NodeId>,
-    /// Reverse adjacency, maintained incrementally: `users[i]` lists the
-    /// live nodes reading node `i`, once per edge (a node reading an
-    /// input twice appears twice). Kept up to date by every mutation so
-    /// [`Graph::users_of`] is O(1) — the lookup incremental term-view
-    /// patching ([`crate::TermView::patch`]) uses to walk a rewrite's
-    /// cone of influence without touching the rest of the graph.
-    users: Vec<Vec<NodeId>>,
     /// A topological numbering, maintained incrementally: on every live
     /// edge `level[input] < level[user]`. A valid numbering, not an
     /// exact depth — a node may sit higher than its longest input path
@@ -265,8 +297,12 @@ impl Default for Graph {
             nodes: Vec::new(),
             edges: Vec::new(),
             edge_start: vec![0],
+            user: Vec::new(),
+            first_use: Vec::new(),
+            next_use: Vec::new(),
+            attrs: Vec::new(),
+            attr_start: vec![0],
             outputs: Vec::new(),
-            users: Vec::new(),
             level: Vec::new(),
             seen: Vec::new(),
             epoch: 0,
@@ -287,7 +323,7 @@ impl Graph {
     /// abstracted as a fresh constant of the term algebra.
     pub fn input(&mut self, syms: &mut SymbolTable, meta: TensorMeta) -> NodeId {
         let op = syms.fresh_const("in");
-        let id = self.push_node(op, &[], Vec::new(), meta, NodeKind::Input);
+        let id = self.push_node(op, &[], &[], meta, NodeKind::Input);
         self.nodes[id.index()].term_const = Some(op);
         id
     }
@@ -305,9 +341,9 @@ impl Graph {
         registry: &OpRegistry,
         op: Symbol,
         inputs: impl AsRef<[NodeId]>,
-        attrs: Vec<(Attr, i64)>,
+        attrs: impl AsRef<[(Attr, i64)]>,
     ) -> Result<NodeId, GraphError> {
-        let inputs = inputs.as_ref();
+        let (inputs, attrs) = (inputs.as_ref(), attrs.as_ref());
         let expected = syms.arity(op);
         if inputs.len() != expected {
             return Err(GraphError::Arity {
@@ -321,11 +357,11 @@ impl Graph {
         // Nearly every operator reads one or two tensors: lend those
         // from the stack.
         let inferred = match *inputs {
-            [a] => registry.infer(syms, op, &[meta_of(a)], &attrs),
-            [a, b] => registry.infer(syms, op, &[meta_of(a), meta_of(b)], &attrs),
+            [a] => registry.infer(syms, op, &[meta_of(a)], attrs),
+            [a, b] => registry.infer(syms, op, &[meta_of(a), meta_of(b)], attrs),
             _ => {
                 let metas: Vec<&TensorMeta> = inputs.iter().map(|&i| meta_of(i)).collect();
-                registry.infer(syms, op, &metas, &attrs)
+                registry.infer(syms, op, &metas, attrs)
             }
         };
         let meta = inferred.map_err(|e| GraphError::Shape {
@@ -341,12 +377,12 @@ impl Graph {
         &mut self,
         op: Symbol,
         inputs: impl AsRef<[NodeId]>,
-        attrs: Vec<(Attr, i64)>,
+        attrs: impl AsRef<[(Attr, i64)]>,
         meta: TensorMeta,
     ) -> Result<NodeId, GraphError> {
         let inputs = inputs.as_ref();
         self.check_alive(inputs)?;
-        Ok(self.push_node(op, inputs, attrs, meta, NodeKind::Op))
+        Ok(self.push_node(op, inputs, attrs.as_ref(), meta, NodeKind::Op))
     }
 
     /// Adds an opaque node (an operator DLCB does not understand, §4.1).
@@ -362,7 +398,7 @@ impl Graph {
     ) -> Result<NodeId, GraphError> {
         let inputs = inputs.as_ref();
         self.check_alive(inputs)?;
-        let id = self.push_node(op, inputs, Vec::new(), meta, NodeKind::Opaque);
+        let id = self.push_node(op, inputs, &[], meta, NodeKind::Opaque);
         self.nodes[id.index()].term_const = Some(syms.fresh_const("opq"));
         Ok(id)
     }
@@ -375,40 +411,77 @@ impl Graph {
         }
     }
 
-    /// Appends a node and its run of the edge arena.
+    /// Appends a node, its run of the edge arena — each slot linked at
+    /// the head of its input's use-list — and its run of the attribute
+    /// arena.
     fn push_node(
         &mut self,
         op: Symbol,
         inputs: &[NodeId],
-        attrs: Vec<(Attr, i64)>,
+        attrs: &[(Attr, i64)],
         meta: TensorMeta,
         kind: NodeKind,
     ) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         let mut level = 0;
         for &i in inputs {
-            self.users[i.index()].push(id);
+            self.edges.push(i);
+            self.user.push(id);
+            self.next_use.push(NO_USE);
+            self.link(self.edges.len() - 1);
             level = level.max(self.level[i.index()] + 1);
         }
         self.level.push(level);
-        self.edges.extend_from_slice(inputs);
         self.edge_start.push(self.edges.len() as u32);
+        self.attrs.extend_from_slice(attrs);
+        self.attr_start.push(self.attrs.len() as u32);
+        self.first_use.push(NO_USE);
         self.nodes.push(Node {
             op,
             term_const: None,
-            attrs,
             meta,
             kind,
             alive: true,
+            output: false,
         });
-        self.users.push(Vec::new());
         self.revision += 1;
         id
     }
 
+    /// Links slot `s` at the head of the use-list of the node it reads.
+    fn link(&mut self, s: usize) {
+        let head = &mut self.first_use[self.edges[s].index()];
+        self.next_use[s] = std::mem::replace(head, s as u32);
+    }
+
+    /// Unlinks slot `s` from the use-list of the node it reads, which
+    /// costs the slots ahead of it on that list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `s` is not on that list.
+    fn unlink(&mut self, s: usize) {
+        let next = std::mem::replace(&mut self.next_use[s], NO_USE);
+        let head = &mut self.first_use[self.edges[s].index()];
+        if *head == s as u32 {
+            *head = next;
+            return;
+        }
+        let mut prev = *head as usize;
+        while self.next_use[prev] != s as u32 {
+            prev = self.next_use[prev] as usize;
+        }
+        self.next_use[prev] = next;
+    }
+
     /// Marks a node as a graph output.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
     pub fn mark_output(&mut self, n: NodeId) {
-        if !self.outputs.contains(&n) {
+        let node = &mut self.nodes[n.index()];
+        if !std::mem::replace(&mut node.output, true) {
             self.outputs.push(n);
             self.revision += 1;
         }
@@ -444,6 +517,27 @@ impl Graph {
         self.edge_start[n.index()] as usize..self.edge_start[n.index() + 1] as usize
     }
 
+    /// The non-dataflow attributes of `n` (stride, scalar value, epilog
+    /// code, …), in the order it was built with: its run of the graph's
+    /// attribute arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    pub fn attrs(&self, n: NodeId) -> &[(Attr, i64)] {
+        let (i, j) = (self.attr_start[n.index()], self.attr_start[n.index() + 1]);
+        &self.attrs[i as usize..j as usize]
+    }
+
+    /// Looks up one attribute of `n` by handle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is out of range.
+    pub fn attr(&self, n: NodeId, a: Attr) -> Option<i64> {
+        self.attrs(n).iter().find(|(k, _)| *k == a).map(|&(_, v)| v)
+    }
+
     /// Whether a node is alive.
     pub fn is_alive(&self, n: NodeId) -> bool {
         self.nodes.get(n.index()).is_some_and(|nd| nd.alive)
@@ -476,14 +570,23 @@ impl Graph {
     }
 
     /// The live nodes reading `n`, once per edge (a user reading `n`
-    /// twice appears twice), from the incrementally maintained reverse
-    /// adjacency — O(1), no graph walk. Dead nodes have no users.
+    /// twice appears twice), in no particular order: a walk of `n`'s
+    /// use-list, which costs the fan-out and no graph walk. Dead nodes
+    /// have no users.
     ///
     /// This is the lookup [`crate::TermView::patch`] uses to expand a
     /// rewrite's dirty seed to its cone of influence in O(cone) instead
     /// of one linear pass per rewrite.
-    pub fn users_of(&self, n: NodeId) -> &[NodeId] {
-        self.users.get(n.index()).map(Vec::as_slice).unwrap_or(&[])
+    pub fn users_of(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        let mut slot = self.first_use.get(n.index()).copied().unwrap_or(NO_USE);
+        std::iter::from_fn(move || {
+            if slot == NO_USE {
+                return None;
+            }
+            let s = slot as usize;
+            slot = self.next_use[s];
+            Some(self.user[s])
+        })
     }
 
     /// The topological level of `n`: strictly above the level of every
@@ -542,41 +645,46 @@ impl Graph {
     /// (transitively) depends on `root` — i.e. the rewrite would make
     /// `root`'s users feed themselves.
     pub fn replace(&mut self, root: NodeId, replacement: NodeId) -> Result<(), GraphError> {
-        self.replace_traced(root, replacement).map(|_| ())
+        self.replace_traced(root, replacement, &mut Vec::new())
+            .map(|_| ())
     }
 
-    /// Like [`Graph::replace`], but returns the ids of the user nodes
-    /// whose inputs were rewired from `root` to `replacement`, in
-    /// allocation order. Those users are exactly the nodes whose term
-    /// view changed besides the freshly created replacement subgraph —
-    /// the seed of the rewrite's cone of influence that incremental
-    /// rewriting feeds to [`crate::TermView::invalidate`].
+    /// Like [`Graph::replace`], but fills `rewired` (cleared first) with
+    /// the ids of the user nodes whose inputs were rewired from `root`
+    /// to `replacement`, in allocation order, and returns them. Those
+    /// users are exactly the nodes whose term view changed besides the
+    /// freshly created replacement subgraph — the seed of the rewrite's
+    /// cone of influence that incremental rewriting feeds to
+    /// [`crate::TermView::invalidate`].
     ///
-    /// The commit follows the rewrite's size, not the graph's: the users
-    /// come from the reverse adjacency, so rewiring costs the root's
-    /// fan-out; the cycle check searches backwards from the replacement
-    /// through nodes levelled above `root` only (see
-    /// [`Graph::depends_on`] for the unbounded walk it is asserted
-    /// against in debug builds); and a rewired user that ends up
-    /// levelled at or below the replacement is raised, with whatever
-    /// that pushes up downstream. A replacement no deeper than the root
-    /// it replaces — any fusion — searches and raises nothing.
+    /// The commit follows the rewrite's size, not the graph's: the
+    /// slots to rewire are `root`'s use-list, which is spliced whole
+    /// onto the replacement's, so rewiring costs the root's fan-out;
+    /// the cycle check searches backwards from the replacement through
+    /// nodes levelled above `root` only (see [`Graph::depends_on`] for
+    /// the unbounded walk it is asserted against in debug builds); and a
+    /// rewired user that ends up levelled at or below the replacement
+    /// is raised, with whatever that pushes up downstream. A
+    /// replacement no deeper than the root it replaces — any fusion —
+    /// searches and raises nothing.
     ///
     /// # Errors
     ///
     /// Same contract as [`Graph::replace`].
-    pub fn replace_traced(
+    pub fn replace_traced<'r>(
         &mut self,
         root: NodeId,
         replacement: NodeId,
-    ) -> Result<Vec<NodeId>, GraphError> {
+        rewired: &'r mut Vec<NodeId>,
+    ) -> Result<&'r [NodeId], GraphError> {
+        rewired.clear();
         for node in [root, replacement] {
             if !self.is_alive(node) {
                 return Err(GraphError::DeadInput { node });
             }
         }
         if root == replacement {
-            return Ok(Vec::new());
+            return Ok(rewired);
         }
         // The replacement may legitimately depend on root's *inputs*;
         // what must not happen is a user of root becoming an ancestor
@@ -592,29 +700,35 @@ impl Graph {
         if cyclic {
             return Err(GraphError::WouldCycle { root, replacement });
         }
-        // Every entry of the root's user list is an edge to rewire;
-        // they all move onto the replacement, in list order.
-        let mut rewired = std::mem::take(&mut self.users[root.index()]);
-        self.users[replacement.index()].extend_from_slice(&rewired);
-        rewired.sort_unstable();
-        rewired.dedup();
-        for &user in &rewired {
-            let run = self.run(user);
-            for input in &mut self.edges[run] {
-                if *input == root {
-                    *input = replacement;
-                }
+        // Every slot on the root's use-list is an edge to rewire: each
+        // now reads the replacement, and the list goes, whole, in front
+        // of the replacement's.
+        let head = std::mem::replace(&mut self.first_use[root.index()], NO_USE);
+        let mut slot = head;
+        while slot != NO_USE {
+            let s = slot as usize;
+            self.edges[s] = replacement;
+            rewired.push(self.user[s]);
+            slot = self.next_use[s];
+            if slot == NO_USE {
+                self.next_use[s] =
+                    std::mem::replace(&mut self.first_use[replacement.index()], head);
             }
         }
-        if let Some(at) = self.outputs.iter().position(|&out| out == root) {
+        rewired.sort_unstable();
+        rewired.dedup();
+        if std::mem::replace(&mut self.nodes[root.index()].output, false) {
+            let at = self.outputs.iter().position(|&out| out == root);
+            let at = at.expect("a flagged output is listed");
             // An output is listed once: when the replacement already is
             // one, the two entries merge into whichever comes first.
-            match self.outputs.iter().position(|&out| out == replacement) {
-                None => self.outputs[at] = replacement,
-                Some(other) => {
-                    self.outputs[at.min(other)] = replacement;
-                    self.outputs.remove(at.max(other));
-                }
+            if std::mem::replace(&mut self.nodes[replacement.index()].output, true) {
+                let other = self.outputs.iter().position(|&out| out == replacement);
+                let other = other.expect("a flagged output is listed");
+                self.outputs[at.min(other)] = replacement;
+                self.outputs.remove(at.max(other));
+            } else {
+                self.outputs[at] = replacement;
             }
         }
         #[cfg(debug_assertions)]
@@ -675,7 +789,10 @@ impl Graph {
         let mut input = n;
         loop {
             let above = self.level[input.index()] + 1;
-            for &user in &self.users[input.index()] {
+            let mut slot = self.first_use[input.index()];
+            while slot != NO_USE {
+                let user = self.user[slot as usize];
+                slot = self.next_use[slot as usize];
                 if self.level[user.index()] < above {
                     self.level[user.index()] = above;
                     #[cfg(debug_assertions)]
@@ -700,16 +817,16 @@ impl Graph {
     /// [`Graph::replace`] the replaced root is unread, and on a graph
     /// that held no garbage before the replacement, `collect(root, ..)`
     /// frees exactly what a mark-sweep [`Graph::gc`] would — same ids,
-    /// same reverse adjacency afterwards — at the cost of the freed
-    /// subgraph and its inputs' fan-out instead of a walk over every
-    /// node. (Reference counts are exact on a DAG; what they cannot see
+    /// same use-lists afterwards, as multisets — at the cost of the
+    /// freed subgraph and its inputs' use-lists instead of a walk over
+    /// every node. (Reference counts are exact on a DAG; what they cannot see
     /// is garbage that was never reachable through `n`, which is what
     /// `gc` stays for.) The freed run is its own work list, so nothing
     /// is allocated but the growth of `freed`.
     pub fn collect<'f>(&mut self, n: NodeId, freed: &'f mut Vec<NodeId>) -> &'f [NodeId] {
         let start = freed.len();
         let unread = |g: &Self, d: NodeId| {
-            g.is_alive(d) && g.users[d.index()].is_empty() && !g.outputs.contains(&d)
+            g.is_alive(d) && g.first_use[d.index()] == NO_USE && !g.nodes[d.index()].output
         };
         #[cfg(debug_assertions)]
         {
@@ -723,12 +840,11 @@ impl Graph {
         while let Some(&d) = freed.get(next) {
             next += 1;
             // A dead node keeps its run of the arena (as under `gc`);
-            // only the reverse edges go.
+            // only its slots leave their inputs' use-lists.
             for at in self.run(d) {
+                self.unlink(at);
                 let i = self.edges[at];
-                let users = &mut self.users[i.index()];
-                users.retain(|&u| u != d);
-                if !users.is_empty() {
+                if self.first_use[i.index()] != NO_USE {
                     continue;
                 }
                 #[cfg(debug_assertions)]
@@ -781,15 +897,17 @@ impl Graph {
                 freed.push(NodeId(i as u32));
             }
         }
-        // Unlink the dead nodes from the reverse adjacency: a dead
-        // node's users are all dead too (anyone reading it would have
-        // kept it reachable), so clearing both directions is exact.
+        // Unlink the dead nodes from the use-lists: a dead node's
+        // users are all dead too (anyone reading it would have kept it
+        // reachable), so emptying its own list and unlinking its slots
+        // from its live inputs' lists is exact.
         for &d in &freed {
-            let run = self.run(d);
-            for &i in &self.edges[run] {
-                self.users[i.index()].retain(|&u| u != d);
+            self.first_use[d.index()] = NO_USE;
+            for at in self.run(d) {
+                if self.is_alive(self.edges[at]) {
+                    self.unlink(at);
+                }
             }
-            self.users[d.index()].clear();
         }
         if !freed.is_empty() {
             self.revision += 1;
@@ -799,9 +917,11 @@ impl Graph {
 
     /// Validates structural invariants in time linear in nodes plus
     /// edges: every input of a live node is alive, the live graph is
-    /// acyclic, every input is levelled below its user, the reverse
-    /// adjacency lists exactly the forward edges — each user once per
-    /// edge, nothing else — and no output is listed twice.
+    /// acyclic, every input is levelled below its user, the use-lists
+    /// hold exactly the forward edges — each slot of a live node once,
+    /// on the list of the node it reads, nothing else — no output is
+    /// listed twice, and a node's output flag says whether it is
+    /// listed.
     ///
     /// # Errors
     ///
@@ -827,48 +947,55 @@ impl Graph {
         if let Some(drift) = out_of_order {
             return Err(drift);
         }
-        // The users index backs `users_of`-driven cone expansion and
-        // `collect`: a missing entry would silently shrink a cone, a
-        // surplus one would keep garbage alive. First, every listed
-        // user reads the node exactly as often as it is listed …
-        let mut listed = vec![0u32; self.nodes.len()];
-        let mut reverse_edges = 0;
-        for (x, users) in self.users.iter().enumerate() {
-            for &u in users {
-                listed[u.index()] += 1;
-            }
-            for &u in users {
-                let count = std::mem::take(&mut listed[u.index()]) as usize;
-                if count == 0 {
-                    continue; // a repeated entry, checked at its first
+        // The use-lists back `users_of`-driven cone expansion and
+        // `collect`: a missing slot would silently shrink a cone, a
+        // surplus one would keep garbage alive. First, every listed slot
+        // belongs to a live user, reads the node whose list it is on,
+        // and is listed once — a list that comes back to a slot is
+        // reported there rather than walked forever …
+        let mut on_list = vec![false; self.edges.len()];
+        let mut listed = 0;
+        for x in 0..self.nodes.len() {
+            let input = NodeId(x as u32);
+            let mut slot = self.first_use[x];
+            while slot != NO_USE {
+                let s = slot as usize;
+                let node = self.user[s];
+                let misplaced = std::mem::replace(&mut on_list[s], true)
+                    || self.edges[s] != input
+                    || !self.nodes[node.index()].alive
+                    || !self.run(node).contains(&s);
+                if misplaced {
+                    return Err(GraphError::UsersIndexMismatch { node, input });
                 }
-                let reads = self.inputs(u).iter().filter(|i| i.index() == x).count();
-                if !self.nodes[u.index()].alive || reads != count {
-                    return Err(GraphError::UsersIndexMismatch {
-                        node: u,
-                        input: NodeId(x as u32),
-                    });
-                }
+                listed += 1;
+                slot = self.next_use[s];
             }
-            reverse_edges += users.len();
         }
-        // … so the index is a sub-multiset of the forward edges, and
-        // equal totals make the two equal. Only a failing graph pays
-        // for the search that names the missing edge.
+        // … so the listed slots are distinct live ones, and equal totals
+        // make them all of them. Only a failing graph pays for the
+        // search that names the unlisted edge.
         let forward_edges: usize = live().map(|i| inputs(i).len()).sum();
-        if reverse_edges != forward_edges {
+        if listed != forward_edges {
             let unlisted = live().find_map(|i| {
                 let node = NodeId(i as u32);
-                let unlisted = |x: &&NodeId| !self.users[x.index()].contains(&node);
-                let input = *inputs(i).iter().find(unlisted)?;
+                let at = self.run(node).find(|&s| !on_list[s])?;
+                let input = self.edges[at];
                 Some(GraphError::UsersIndexMismatch { node, input })
             });
-            return Err(unlisted.expect("fewer reverse than forward edges: one is unlisted"));
+            return Err(unlisted.expect("fewer listed than live slots: one is unlisted"));
         }
         let mut outputs = self.outputs.clone();
         outputs.sort_unstable();
-        match outputs.windows(2).find(|pair| pair[0] == pair[1]) {
-            Some(pair) => Err(GraphError::DuplicateOutput { node: pair[0] }),
+        if let Some(pair) = outputs.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(GraphError::DuplicateOutput { node: pair[0] });
+        }
+        // The output flags mirror the list, which `collect` never reads.
+        let listed_output = |i: usize| outputs.binary_search(&NodeId(i as u32)).is_ok();
+        match (0..self.nodes.len()).find(|&i| self.nodes[i].output != listed_output(i)) {
+            Some(i) => Err(GraphError::OutputFlagMismatch {
+                node: NodeId(i as u32),
+            }),
             None => Ok(()),
         }
     }
@@ -1048,14 +1175,16 @@ mod tests {
         f.g.validate().unwrap();
     }
 
-    /// A node row is one cache line: its inputs live in the graph's
-    /// edge arena, not in a vector of its own. A row that widens past a
-    /// cache line costs more than it saves — widening the term view's
-    /// attribute row from 64 to 120 bytes, to drop one allocation per
-    /// term, made cold compiles about 6 % slower.
+    /// A node row is 40 bytes: its inputs, its users and its
+    /// attributes live in the graph's arenas, not in vectors of its own
+    /// (it was 88 bytes with an input vector, 64 with a user and an
+    /// attribute vector). A row that widens costs more than it saves —
+    /// widening the term view's attribute row from 64 to 120 bytes, to
+    /// drop one allocation per term, made cold compiles about 6 %
+    /// slower.
     #[test]
-    fn a_node_fits_one_cache_line() {
-        assert_eq!(std::mem::size_of::<Node>(), 64);
+    fn a_node_is_40_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 40);
     }
 
     #[test]
@@ -1162,15 +1291,18 @@ mod tests {
         let gelu =
             f.g.op(&mut f.syms, &f.reg, f.ops.gelu, vec![a], vec![])
                 .unwrap();
-        let rewired = f.g.replace_traced(relu, gelu).unwrap();
-        assert_eq!(rewired, vec![twice, once]);
+        // The buffer is cleared first.
+        let mut rewired = vec![a];
+        let traced = f.g.replace_traced(relu, gelu, &mut rewired);
+        assert_eq!(traced, Ok(&[twice, once][..]));
         assert_eq!(f.g.inputs(twice), [gelu, gelu]);
         // Replacing a node by itself rewires nothing …
-        assert_eq!(f.g.replace_traced(gelu, gelu).unwrap(), vec![]);
+        let traced = f.g.replace_traced(gelu, gelu, &mut rewired);
+        assert_eq!(traced, Ok(&[][..]));
         // … unless it is dead: liveness is checked before the shortcut.
         assert_eq!(f.g.collect(relu, &mut Vec::new()), [relu]);
         assert_eq!(
-            f.g.replace_traced(relu, relu),
+            f.g.replace_traced(relu, relu, &mut rewired),
             Err(GraphError::DeadInput { node: relu })
         );
     }
@@ -1216,7 +1348,9 @@ mod tests {
         // raised above it, the join above them, the chain above that.
         #[cfg(debug_assertions)]
         let touches = f.g.touches();
-        assert_eq!(f.g.replace_traced(root, deep), Ok(vec![left, right]));
+        let mut rewired = Vec::new();
+        let traced = f.g.replace_traced(root, deep, &mut rewired);
+        assert_eq!(traced, Ok(&[left, right][..]));
         assert_eq!(levels(&f.g, &cone[1..]), [7, 7, 8, 9, 10]);
         assert_eq!(levels(&f.g, &side), [1, 2, 3, 4, 5, 6]);
         // Two users rewired, the five `side` nodes above level 1
@@ -1231,7 +1365,7 @@ mod tests {
         // puts it above `side[4]` (level 5) so that the search runs.
         assert!(f.g.depends_on(tail1, side[4]));
         assert_eq!(
-            f.g.replace_traced(side[4], tail1),
+            f.g.replace_traced(side[4], tail1, &mut rewired),
             Err(GraphError::WouldCycle {
                 root: side[4],
                 replacement: tail1
@@ -1241,7 +1375,8 @@ mod tests {
         // neither a search nor a raise.
         #[cfg(debug_assertions)]
         let touches = f.g.touches();
-        assert_eq!(f.g.replace_traced(left, side[1]), Ok(vec![join]));
+        let traced = f.g.replace_traced(left, side[1], &mut rewired);
+        assert_eq!(traced, Ok(&[join][..]));
         #[cfg(debug_assertions)]
         assert_eq!(f.g.touches() - touches, 1);
         assert_eq!(levels(&f.g, &[join, tail1, tail2]), [8, 9, 10]);
@@ -1291,21 +1426,21 @@ mod tests {
             f.g.op(&mut f.syms, &f.reg, f.ops.add, vec![relu, relu], vec![])
                 .unwrap();
         f.g.mark_output(twice);
-        assert_eq!(f.g.users_of(a), &[relu]);
-        assert_eq!(f.g.users_of(relu), &[twice, twice]);
-        assert_eq!(f.g.users_of(twice), &[] as &[NodeId]);
+        assert_eq!(users(&f.g, a), [relu]);
+        assert_eq!(users(&f.g, relu), [twice, twice]);
+        assert_eq!(users(&f.g, twice), []);
 
         // Replacement moves all edges to the replacement node.
         let gelu =
             f.g.op(&mut f.syms, &f.reg, f.ops.gelu, vec![a], vec![])
                 .unwrap();
         f.g.replace(relu, gelu).unwrap();
-        assert_eq!(f.g.users_of(gelu), &[twice, twice]);
+        assert_eq!(users(&f.g, gelu), [twice, twice]);
         // GC clears both directions for the dead node.
         let freed = f.g.gc();
         assert_eq!(freed, vec![relu]);
-        assert_eq!(f.g.users_of(relu), &[] as &[NodeId]);
-        assert!(f.g.users_of(a).iter().all(|&u| u == gelu));
+        assert_eq!(users(&f.g, relu), []);
+        assert_eq!(users(&f.g, a), [gelu]);
         f.g.validate().unwrap();
     }
 
@@ -1345,9 +1480,9 @@ mod tests {
         let mut freed = vec![root];
         assert_eq!(f.g.collect(root, &mut freed), [only_root, root]);
         assert_eq!(freed[1..], swept.gc());
-        assert_eq!(f.g.users_of(shared), &[keeps_shared]);
-        assert_eq!(f.g.users_of(shared), swept.users_of(shared));
-        assert_eq!(f.g.users_of(only_root), &[] as &[NodeId]);
+        assert_eq!(users(&f.g, shared), [keeps_shared]);
+        assert_eq!(users(&f.g, shared), users(&swept, shared));
+        assert_eq!(users(&f.g, only_root), []);
         // A dead node is not collected twice.
         assert_eq!(f.g.collect(root, &mut Vec::new()), []);
         f.g.validate().unwrap();
@@ -1366,17 +1501,26 @@ mod tests {
         chain
     }
 
-    /// Repoints `node`'s first input at `to`, keeping the users index
-    /// in step — an edit no public method allows.
+    /// `g.users_of(n)` as a sorted vector: a use-list's order is
+    /// unspecified, so lists compare as multisets.
+    fn users(g: &Graph, n: NodeId) -> Vec<NodeId> {
+        let mut users: Vec<NodeId> = g.users_of(n).collect();
+        users.sort_unstable();
+        users
+    }
+
+    /// The slot of the edge `user` → its `k`-th input.
+    fn slot(g: &Graph, user: NodeId, k: usize) -> usize {
+        g.run(user).nth(k).expect("the user has that many inputs")
+    }
+
+    /// Repoints `node`'s first input at `to`, keeping the use-lists in
+    /// step — an edit no public method allows.
     fn rewire_first_input(g: &mut Graph, node: NodeId, to: NodeId) {
-        let first = g.run(node).start;
-        let from = std::mem::replace(&mut g.edges[first], to);
-        let at = g.users[from.index()]
-            .iter()
-            .position(|&u| u == node)
-            .unwrap();
-        g.users[from.index()].remove(at);
-        g.users[to.index()].push(node);
+        let first = slot(g, node, 0);
+        g.unlink(first);
+        g.edges[first] = to;
+        g.link(first);
     }
 
     #[test]
@@ -1403,26 +1547,79 @@ mod tests {
     #[test]
     fn validate_reports_users_index_drift() {
         let mut f = fx();
-        let [a, r1, r2, _] = relu_chain(&mut f);
+        let [a, r1, r2, r3] = relu_chain(&mut f);
         let drift = |g: &Graph| match g.validate() {
             Err(GraphError::UsersIndexMismatch { node, input }) => Some((node, input)),
             other => panic!("expected an index mismatch, got {other:?}"),
         };
+        // The slot of r2 reading r1, alone on r1's list.
+        let r2_reads_r1 = slot(&f.g, r2, 0);
 
+        // A slot missing from its list: found by the count.
         let mut dropped = f.g.clone();
-        dropped.users[r1.index()].clear();
+        dropped.unlink(r2_reads_r1);
         assert_eq!(drift(&dropped), Some((r2, r1)));
+        let missing = GraphError::UsersIndexMismatch {
+            node: r2,
+            input: r1,
+        };
+        assert_eq!(validate_quadratic(&dropped), Err(missing));
 
+        // A slot linked twice on its own list: the list comes back to
+        // it, and is reported there instead of walked forever.
         let mut doubled = f.g.clone();
-        doubled.users[r1.index()].push(r2);
+        doubled.link(r2_reads_r1);
+        assert_eq!(doubled.next_use[r2_reads_r1], r2_reads_r1 as u32);
         assert_eq!(drift(&doubled), Some((r2, r1)));
 
-        // An entry for an edge that does not exist at all: the per-edge
-        // count `validate` used to make never looked at it.
+        // A slot moved onto the list of a node it does not read: the
+        // count stays right, the list it sits on does not.
         let mut stray = f.g.clone();
-        stray.users[a.index()].push(r2);
+        stray.unlink(r2_reads_r1);
+        let head = std::mem::replace(&mut stray.first_use[a.index()], r2_reads_r1 as u32);
+        stray.next_use[r2_reads_r1] = head;
         assert_eq!(drift(&stray), Some((r2, a)));
-        assert_eq!(validate_quadratic(&stray), Ok(()));
+
+        // A longer list whose tail leads back to its head: r1 gains a
+        // second reader, then the last slot on r1's list points at the
+        // first.
+        let mut cyclic = f.g.clone();
+        let meta = cyclic.node(r1).meta.clone();
+        let second = cyclic.op_with_meta(f.ops.add, [r1, r3], [], meta).unwrap();
+        cyclic.mark_output(second);
+        cyclic.validate().unwrap();
+        let head = cyclic.first_use[r1.index()];
+        let mut tail = head as usize;
+        while cyclic.next_use[tail] != NO_USE {
+            tail = cyclic.next_use[tail] as usize;
+        }
+        cyclic.next_use[tail] = head;
+        let first = cyclic.user[head as usize];
+        assert_eq!(drift(&cyclic), Some((first, r1)));
+    }
+
+    /// The output flag is what `collect` asks; `validate` holds it to
+    /// the list.
+    #[test]
+    fn validate_reports_output_flag_drift() {
+        let mut f = fx();
+        let [a, r1, r2, r3] = relu_chain(&mut f);
+        f.g.validate().unwrap();
+        let flag_drift = |g: &Graph| match g.validate() {
+            Err(GraphError::OutputFlagMismatch { node }) => node,
+            other => panic!("expected an output flag mismatch, got {other:?}"),
+        };
+
+        // Listed but not flagged: `collect` would free an output.
+        let mut unflagged = f.g.clone();
+        unflagged.nodes[r3.index()].output = false;
+        assert_eq!(flag_drift(&unflagged), r3);
+        assert_eq!(unflagged.collect(r3, &mut Vec::new()), [a, r1, r2, r3]);
+
+        // Flagged but not listed: `collect` would keep garbage.
+        let mut stray = f.g.clone();
+        stray.nodes[a.index()].output = true;
+        assert_eq!(flag_drift(&stray), a);
     }
 
     #[test]
@@ -1496,7 +1693,9 @@ mod tests {
                     });
                 }
                 let fwd = g.inputs(id).iter().filter(|&&x| x == input).count();
-                let rev = g.users[input.index()].iter().filter(|&&u| u == id).count();
+                // Cut off past the arena: a list that loops reads long.
+                let listed = g.users_of(input).take(g.edges.len() + 1);
+                let rev = listed.filter(|&u| u == id).count();
                 if fwd != rev {
                     return Err(GraphError::UsersIndexMismatch { node: id, input });
                 }
@@ -1544,7 +1743,10 @@ mod tests {
         /// The linear `validate` against the quadratic one it replaced:
         /// both accept a rewritten graph, and both report the same
         /// violation once one is injected — a cycle, a dead input, a
-        /// dropped and a repeated `users` entry.
+        /// slot dropped from its use-list. Two injections only the
+        /// linear one names exactly: a slot linked twice, which makes
+        /// its list loop back to it, and a slot moved onto a list it
+        /// does not belong to.
         #[test]
         fn linear_validate_agrees_with_the_quadratic_one(
             seed in any::<u64>(),
@@ -1574,22 +1776,23 @@ mod tests {
             prop_assert!(matches!(err, Err(GraphError::DeadInput { .. })), "{:?}", err);
             prop_assert_eq!(err, validate_quadratic(&dead));
 
+            let at = f.g.run(user).find(|&s| f.g.edges[s] == input).unwrap();
+            let mismatch = |node, input| Err(GraphError::UsersIndexMismatch { node, input });
+
             let mut dropped = f.g.clone();
-            let at = dropped.users[input.index()].iter().position(|&u| u == user).unwrap();
-            dropped.users[input.index()].remove(at);
-            prop_assert_eq!(
-                dropped.validate(),
-                Err(GraphError::UsersIndexMismatch { node: user, input })
-            );
+            dropped.unlink(at);
+            prop_assert_eq!(dropped.validate(), mismatch(user, input));
             prop_assert_eq!(dropped.validate(), validate_quadratic(&dropped));
 
-            let mut repeated = f.g.clone();
-            repeated.users[input.index()].push(user);
-            prop_assert_eq!(
-                repeated.validate(),
-                Err(GraphError::UsersIndexMismatch { node: user, input })
-            );
-            prop_assert_eq!(repeated.validate(), validate_quadratic(&repeated));
+            let mut doubled = f.g.clone();
+            doubled.link(at);
+            prop_assert_eq!(doubled.validate(), mismatch(user, input));
+
+            // `user` cannot read itself.
+            let mut stray = f.g.clone();
+            stray.unlink(at);
+            stray.next_use[at] = std::mem::replace(&mut stray.first_use[user.index()], at as u32);
+            prop_assert_eq!(stray.validate(), mismatch(user, user));
 
             // Close a cycle: an ancestor of `user` that has inputs of
             // its own now reads `user`.

@@ -13,13 +13,21 @@
 //! structurally equal subgraphs share a term id; because distinct input
 //! nodes are distinct constants and shape inference is deterministic,
 //! structurally equal subgraphs always carry identical metadata, so the
-//! table is well-defined.
+//! table is well-defined. A row holds the term's metadata, its operator
+//! class and where its operator attributes sit in one append-only arena
+//! the view owns — the shape of [`Graph::attrs`] — so recording a term
+//! copies its attributes without allocating a list for them.
+//!
+//! A rewrite's cone is found through [`Graph::users_of`], the graph's
+//! use-lists, whose order is unspecified: [`TermView::patch`] sorts what
+//! it marks, so nothing it reports depends on that order.
 
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::ops::OpRegistry;
 use crate::tensor::TensorMeta;
 use pypm_core::{Attr, AttrInterp, IdMap, Symbol, SymbolTable, TermId, TermStore};
 use std::collections::HashMap;
+use std::ops::Range;
 
 /// Interned handles for the tensor-specific attributes PyPM exposes on
 /// every term (§2: "all terms … have the same set of tensor-specific
@@ -65,9 +73,9 @@ struct TermAttrs {
     meta: TensorMeta,
     /// The [`OpClass`](crate::ops::OpClass) code of the head operator.
     class_code: i64,
-    /// Operator attributes attached to the node (stride, value_milli,
-    /// epilog, …).
-    node_attrs: Vec<(Attr, i64)>,
+    /// Where the operator attributes attached to the node (stride,
+    /// value_milli, epilog, …) sit in [`GraphAttrInterp::node_attrs`].
+    node_attrs: Range<u32>,
 }
 
 /// The attribute interpretation backed by a term view's side table.
@@ -76,6 +84,9 @@ pub struct GraphAttrInterp {
     /// By [`TermId::index`]; `None` (or past the end) for a term no
     /// node of the view has produced.
     by_term: Vec<Option<TermAttrs>>,
+    /// Every recorded term's operator attributes, one run per term, in
+    /// recording order. Append-only: a term keeps its run once recorded.
+    node_attrs: Vec<(Attr, i64)>,
     handles: Option<TensorAttrs>,
 }
 
@@ -113,6 +124,8 @@ impl AttrInterp for GraphAttrInterp {
                 return meta.shape.dim(i);
             }
         }
+        let run = node_attrs.start as usize..node_attrs.end as usize;
+        let node_attrs = &self.node_attrs[run];
         node_attrs.iter().find(|(k, _)| *k == attr).map(|&(_, v)| v)
     }
 }
@@ -307,8 +320,9 @@ impl TermView {
     /// dead invalidated nodes, marks the live seed and its transitive
     /// users (via [`Graph::users_of`]) stale, and drops every marked
     /// node's term so no stale term can be served.
-    /// Returns the marked cone, in ascending node-id order — the
-    /// candidates an incremental rewrite scheduler must re-enqueue.
+    /// Fills `cone` (cleared first) with the marked nodes, in ascending
+    /// node-id order — the candidates an incremental rewrite scheduler
+    /// must re-enqueue — and returns them.
     ///
     /// No term is interned here — marking is a pointer walk over the
     /// cone. The actual recomputation happens lazily in
@@ -326,7 +340,8 @@ impl TermView {
     /// the ids `Graph::collect` freed: patch discovers deadness only for
     /// invalidated ids (checking liveness for the whole view would be
     /// the linear walk this method exists to avoid).
-    pub fn patch(&mut self, graph: &Graph) -> Vec<NodeId> {
+    pub fn patch<'c>(&mut self, graph: &Graph, cone: &'c mut Vec<NodeId>) -> &'c [NodeId] {
+        cone.clear();
         self.revision = graph.revision();
         if self.owed.len() < graph.allocated_count() {
             self.owed.resize(graph.allocated_count(), Owed::Nothing);
@@ -342,7 +357,6 @@ impl TermView {
             }
             alive
         });
-        let mut marked: Vec<NodeId> = Vec::new();
         while let Some(n) = queue.pop() {
             // An unseen node is marked like a clean one: an eager build
             // would have had a term for it.
@@ -352,8 +366,8 @@ impl TermView {
             // The old term goes *now*, so term_of can never serve a
             // term that is in question.
             self.erase(n);
-            marked.push(n);
-            for &u in graph.users_of(n) {
+            cone.push(n);
+            for u in graph.users_of(n) {
                 if self.owed[u.index()] != Owed::Stale {
                     queue.push(u);
                 }
@@ -361,8 +375,8 @@ impl TermView {
         }
         // Drained; hand the allocation back for the next seed.
         self.pending = queue;
-        marked.sort_unstable();
-        marked
+        cone.sort_unstable();
+        cone
     }
 
     /// The term rooted at `n`, interning it first if the view owes it
@@ -460,6 +474,7 @@ impl TermView {
         terms: &mut TermStore,
     ) -> TermId {
         let node = graph.node(n);
+        let attrs = graph.attrs(n);
         match node.kind {
             NodeKind::Input | NodeKind::Opaque => {
                 let c = node
@@ -467,18 +482,18 @@ impl TermView {
                     .expect("inputs and opaque nodes carry a term constant");
                 terms.app0(c)
             }
-            NodeKind::Op if graph.inputs(n).is_empty() && !node.attrs.is_empty() => {
+            NodeKind::Op if graph.inputs(n).is_empty() && !attrs.is_empty() => {
                 // Attribute-carrying constants (e.g. ConstScalar with
                 // value_milli): specialize the symbol per attribute
                 // valuation so that distinct constants are distinct
                 // terms while equal constants still share (needed for
                 // nonlinear patterns and correct attribute lookup).
                 let known = self.consts.entry(node.op).or_default();
-                let c = match known.get(node.attrs.as_slice()) {
+                let c = match known.get(attrs) {
                     Some(&c) => c,
                     None => {
-                        let c = specialized_const(syms, node.op, &node.attrs);
-                        known.insert(node.attrs.clone(), c);
+                        let c = specialized_const(syms, node.op, attrs);
+                        known.insert(attrs.to_vec(), c);
                         c
                     }
                 };
@@ -515,10 +530,19 @@ impl TermView {
             self.clean += 1;
         }
         let node = graph.node(n);
-        slot_mut(&mut self.attrs.by_term, term).get_or_insert_with(|| TermAttrs {
-            meta: node.meta.clone(),
-            class_code: registry.class(node.op).code(),
-            node_attrs: node.attrs.clone(),
+        let GraphAttrInterp {
+            by_term,
+            node_attrs,
+            ..
+        } = &mut self.attrs;
+        slot_mut(by_term, term).get_or_insert_with(|| {
+            let start = node_attrs.len() as u32;
+            node_attrs.extend_from_slice(graph.attrs(n));
+            TermAttrs {
+                meta: node.meta.clone(),
+                class_code: registry.class(node.op).code(),
+                node_attrs: start..node_attrs.len() as u32,
+            }
         });
     }
 
@@ -812,13 +836,15 @@ mod tests {
         let gelu =
             f.g.op(&mut f.syms, &f.reg, f.ops.gelu, vec![a], vec![])
                 .unwrap();
-        let rewired = f.g.replace_traced(r, gelu).unwrap();
+        let mut rewired = Vec::new();
+        f.g.replace_traced(r, gelu, &mut rewired).unwrap();
         assert_eq!(rewired, vec![u1, u2]);
         let collected = f.g.gc();
         assert_eq!(collected, vec![r]);
 
         view.invalidate(rewired.into_iter().chain([gelu]).chain(collected));
-        let cone = view.patch(&f.g);
+        let mut cone = Vec::new();
+        view.patch(&f.g, &mut cone);
         // gelu is new, both users and the downstream add are marked.
         assert_eq!(cone, vec![u1, u2, add, gelu]);
         // Stale terms never leak: term_of hides them until repair.
@@ -860,7 +886,7 @@ mod tests {
         let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let before = view.term_of(add);
         view.invalidate([r]);
-        assert_eq!(view.patch(&f.g), vec![r, t, add]);
+        assert_eq!(view.patch(&f.g, &mut Vec::new()), vec![r, t, add]);
         let after = view.term_of_repaired(&f.g, &mut f.syms, &mut f.terms, &f.reg, add);
         assert_eq!(after, before);
         assert_eq!(view.terms_recomputed(), 3);
@@ -887,13 +913,15 @@ mod tests {
         let fused =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
-        let rewired = f.g.replace_traced(r2, fused).unwrap();
+        let mut rewired = Vec::new();
+        f.g.replace_traced(r2, fused, &mut rewired).unwrap();
         assert!(rewired.is_empty(), "the output root has no users");
         let collected = f.g.gc();
         assert_eq!(collected, vec![r1, r2]);
 
         view.invalidate([fused].into_iter().chain(collected));
-        let cone = view.patch(&f.g);
+        let mut cone = Vec::new();
+        view.patch(&f.g, &mut cone);
         assert_eq!(cone, vec![fused]);
         assert_eq!(view.term_of(r1), None);
         assert_eq!(view.term_of(r2), None);
@@ -928,7 +956,8 @@ mod tests {
         let c2 =
             f.g.op(&mut f.syms, &f.reg, f.ops.gelu, vec![c1], vec![])
                 .unwrap();
-        let rewired = f.g.replace_traced(left, c2).unwrap();
+        let mut rewired = Vec::new();
+        f.g.replace_traced(left, c2, &mut rewired).unwrap();
         assert_eq!(rewired, vec![add]);
         assert_eq!(f.g.allocated_since(mark), vec![c1, c2]);
         let collected = f.g.gc();
@@ -940,7 +969,8 @@ mod tests {
                 .chain(f.g.allocated_since(mark))
                 .chain(collected),
         );
-        let cone = view.patch(&f.g);
+        let mut cone = Vec::new();
+        view.patch(&f.g, &mut cone);
         assert_eq!(cone, vec![add, c1, c2]);
         assert!(
             !cone.contains(&right),
@@ -968,7 +998,8 @@ mod tests {
         let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let (t_r, t_t) = (view.term_of(r).unwrap(), view.term_of(t).unwrap());
         view.invalidate([r]);
-        let cone = view.patch(&f.g);
+        let mut cone = Vec::new();
+        view.patch(&f.g, &mut cone);
         assert_eq!(cone, vec![r, t], "marking propagates to users");
         assert_patched_equals_rebuilt(&mut f, &mut view);
         assert_eq!(view.term_of(r), Some(t_r), "terms did not change");
@@ -1004,9 +1035,9 @@ mod tests {
         assert_eq!(view.terms_recomputed(), 0);
 
         view.invalidate([r]);
-        view.patch(&f.g);
+        view.patch(&f.g, &mut Vec::new());
         view.invalidate([r]);
-        view.patch(&f.g);
+        view.patch(&f.g, &mut Vec::new());
         assert_eq!(view.terms_recomputed(), 0, "marking interns nothing");
         view.repair_all(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         // Exactly r and its user t, once each — not twice, and not the
@@ -1050,11 +1081,12 @@ mod tests {
         let g1 =
             f.g.op(&mut f.syms, &f.reg, f.ops.gelu, vec![a], vec![])
                 .unwrap();
-        let rewired = f.g.replace_traced(t1, g1).unwrap();
+        let mut rewired = Vec::new();
+        f.g.replace_traced(t1, g1, &mut rewired).unwrap();
         let collected = f.g.gc();
         assert!(collected.contains(&r1));
         view.invalidate(rewired.into_iter().chain([g1]).chain(collected));
-        assert_eq!(view.patch(&f.g), vec![g1]);
+        assert_eq!(view.patch(&f.g, &mut Vec::new()), vec![g1]);
         assert_eq!(view.node_below(&f.g, t2, shared), Some(r2));
         assert_patched_equals_rebuilt(&mut f, &mut view);
         assert_eq!(

@@ -177,7 +177,7 @@ proptest! {
         }
         let mut rng = StdRng::seed_from_u64(seed ^ 0x7a1c);
         let (root, replacement) = random_replacement(&mut f, &mut g, &mut rng);
-        if g.replace_traced(root, replacement).is_ok() {
+        if g.replace(root, replacement).is_ok() {
             g.collect(root, &mut Vec::new());
         }
         let rewritten = drain(&mut walk, &g);
@@ -208,70 +208,146 @@ proptest! {
     fn the_edge_arena_follows_a_vector_per_node(seed in any::<u64>(), steps in 1usize..48) {
         let mut f = fx();
         let mut rng = StdRng::seed_from_u64(seed);
-        let foreign = f.syms.op("ForeignOp", 1);
-        let sq = TensorMeta::new(DType::F32, vec![8, 8]);
         let mut g = Graph::new();
-        let mut shadow: Vec<Vec<NodeId>> = vec![Vec::new(); 2];
-        let mut ids: Vec<NodeId> = (0..2).map(|_| g.input(&mut f.syms, sq.clone())).collect();
-        g.mark_output(ids[0]);
+        let mut shadow = Shadow::new(&mut f, &mut g);
         for _ in 0..steps {
-            let live: Vec<NodeId> = ids.iter().copied().filter(|&n| g.is_alive(n)).collect();
-            let any = |rng: &mut StdRng| ids[rng.gen_range(0..ids.len())];
-            let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
-            match rng.gen_range(0..10) {
-                0..=3 => {
-                    let inputs: Vec<NodeId> = match rng.gen_range(0..6) {
-                        0 => vec![],
-                        1 | 2 => vec![pick(&mut rng)],
-                        3 | 4 => vec![pick(&mut rng), pick(&mut rng)],
-                        _ => vec![pick(&mut rng), pick(&mut rng), pick(&mut rng)],
-                    };
-                    let n = match inputs.len() {
-                        0 => g.input(&mut f.syms, sq.clone()),
-                        1 if rng.gen_bool(0.3) => {
-                            g.opaque(&mut f.syms, foreign, &inputs, sq.clone()).unwrap()
-                        }
-                        1 => g.op(&mut f.syms, &f.reg, f.ops.relu, &inputs, vec![]).unwrap(),
-                        2 => g.op(&mut f.syms, &f.reg, f.ops.matmul, &inputs, vec![]).unwrap(),
-                        _ => g.op_with_meta(f.ops.fmha, &inputs, vec![], sq.clone()).unwrap(),
-                    };
-                    prop_assert_eq!(n.index(), shadow.len());
-                    ids.push(n);
-                    shadow.push(inputs);
-                    if rng.gen_bool(0.3) {
-                        g.mark_output(n);
-                    }
-                }
-                4..=6 => {
-                    let (root, replacement) = (any(&mut rng), pick(&mut rng));
-                    if g.replace_traced(root, replacement).is_ok() {
-                        for (&u, inputs) in ids.iter().zip(&mut shadow) {
-                            if g.is_alive(u) {
-                                for i in inputs.iter_mut().filter(|i| **i == root) {
-                                    *i = replacement;
-                                }
-                            }
-                        }
-                        if rng.gen_bool(0.5) {
-                            g.collect(root, &mut Vec::new());
-                        }
-                    }
-                }
-                7 | 8 => {
-                    g.collect(any(&mut rng), &mut Vec::new());
-                }
-                _ => {
-                    g.gc();
-                }
-            }
-            prop_assert_eq!(g.allocated_count(), shadow.len());
-            for (&n, inputs) in ids.iter().zip(&shadow) {
+            shadow.step(&mut f, &mut g, &mut rng);
+            prop_assert_eq!(g.allocated_count(), shadow.inputs.len());
+            for (&n, inputs) in shadow.ids.iter().zip(&shadow.inputs) {
                 prop_assert_eq!(g.inputs(n), inputs.as_slice(), "inputs of {:?}", n);
             }
-            prop_assert_eq!(g.topo_order(), post_order_over(&g, &shadow));
+            prop_assert_eq!(g.topo_order(), post_order_over(&g, &shadow.inputs));
             g.validate().unwrap();
         }
     }
+
+    /// The use-lists against a reverse adjacency rebuilt from the
+    /// inputs of every live node, through the same random `op` /
+    /// `replace_traced` / `collect` / `gc` sequences: after every step,
+    /// `users_of` every allocated node, dead ones included, lists the
+    /// live nodes reading it once per edge — compared as multisets,
+    /// since a list's order is unspecified. The walk is cut off past
+    /// the arena's slot count, so a list that loops reads as too long
+    /// rather than hanging the test. `validate` is not asked: this is
+    /// the oracle it is checked against.
+    #[test]
+    fn the_use_lists_are_the_inputs_reversed(seed in any::<u64>(), steps in 1usize..48) {
+        let mut f = fx();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = Graph::new();
+        let mut shadow = Shadow::new(&mut f, &mut g);
+        for _ in 0..steps {
+            shadow.step(&mut f, &mut g, &mut rng);
+            let mut readers: Vec<Vec<NodeId>> = vec![Vec::new(); g.allocated_count()];
+            let mut slots = 0;
+            for &u in &shadow.ids {
+                slots += g.inputs(u).len();
+                if g.is_alive(u) {
+                    for &i in g.inputs(u) {
+                        readers[i.index()].push(u);
+                    }
+                }
+            }
+            for (&n, expected) in shadow.ids.iter().zip(&mut readers) {
+                let mut listed: Vec<NodeId> = g.users_of(n).take(slots + 1).collect();
+                listed.sort_unstable();
+                expected.sort_unstable();
+                prop_assert_eq!(&listed, expected, "users of {:?}", n);
+            }
+        }
+    }
+}
+
+/// What the random graph-editing proptests know of the graph they
+/// edit: every node allocated, and the inputs each was built with,
+/// rewired as the contract of `replace_traced` says.
+struct Shadow {
+    ids: Vec<NodeId>,
+    inputs: Vec<Vec<NodeId>>,
+    foreign: pypm_core::Symbol,
+    sq: TensorMeta,
+}
+
+impl Shadow {
+    /// Two inputs, the first an output.
+    fn new(f: &mut Fx, g: &mut Graph) -> Shadow {
+        let sq = TensorMeta::new(DType::F32, vec![8, 8]);
+        let ids: Vec<NodeId> = (0..2).map(|_| g.input(&mut f.syms, sq.clone())).collect();
+        g.mark_output(ids[0]);
+        Shadow {
+            ids,
+            inputs: vec![Vec::new(); 2],
+            foreign: f.syms.op("ForeignOp", 1),
+            sq,
+        }
+    }
+
+    /// One random edit: a new node of up to three inputs (an opaque
+    /// one among them), a replacement perhaps followed by a collect, a
+    /// collect of any node, or a whole-graph `gc`.
+    fn step(&mut self, f: &mut Fx, g: &mut Graph, rng: &mut StdRng) {
+        let ids = &self.ids;
+        let live: Vec<NodeId> = ids.iter().copied().filter(|&n| g.is_alive(n)).collect();
+        let any = |rng: &mut StdRng| ids[rng.gen_range(0..ids.len())];
+        let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+        match rng.gen_range(0..10) {
+            0..=3 => {
+                let inputs: Vec<NodeId> = match rng.gen_range(0..6) {
+                    0 => vec![],
+                    1 | 2 => vec![pick(rng)],
+                    3 | 4 => vec![pick(rng), pick(rng)],
+                    _ => vec![pick(rng), pick(rng), pick(rng)],
+                };
+                let sq = self.sq.clone();
+                let n = match inputs.len() {
+                    0 => g.input(&mut f.syms, sq),
+                    1 if rng.gen_bool(0.3) => {
+                        g.opaque(&mut f.syms, self.foreign, &inputs, sq).unwrap()
+                    }
+                    1 => g.op(&mut f.syms, &f.reg, f.ops.relu, &inputs, []).unwrap(),
+                    2 => g
+                        .op(&mut f.syms, &f.reg, f.ops.matmul, &inputs, [])
+                        .unwrap(),
+                    _ => g.op_with_meta(f.ops.fmha, &inputs, [], sq).unwrap(),
+                };
+                assert_eq!(n.index(), self.inputs.len());
+                self.ids.push(n);
+                self.inputs.push(inputs);
+                if rng.gen_bool(0.3) {
+                    g.mark_output(n);
+                }
+            }
+            4..=6 => {
+                let (root, replacement) = (any(rng), pick(rng));
+                if g.replace_traced(root, replacement, &mut Vec::new()).is_ok() {
+                    for (&u, inputs) in self.ids.iter().zip(&mut self.inputs) {
+                        if g.is_alive(u) {
+                            for i in inputs.iter_mut().filter(|i| **i == root) {
+                                *i = replacement;
+                            }
+                        }
+                    }
+                    if rng.gen_bool(0.5) {
+                        g.collect(root, &mut Vec::new());
+                    }
+                }
+            }
+            7 | 8 => {
+                g.collect(any(rng), &mut Vec::new());
+            }
+            _ => {
+                g.gc();
+            }
+        }
+    }
+}
+
+/// `g.users_of(n)` as a sorted vector: a use-list's order is
+/// unspecified, so lists compare as multisets.
+fn users(g: &Graph, n: NodeId) -> Vec<NodeId> {
+    let mut users: Vec<NodeId> = g.users_of(n).collect();
+    users.sort_unstable();
+    users
 }
 
 /// A walk is one graph's: mutating the graph under a started walk trips
@@ -316,12 +392,13 @@ proptest! {
                 .collect();
             let cyclic = readers.iter().any(|&u| g.depends_on(replacement, u));
             let before = g.clone();
-            match g.replace_traced(root, replacement) {
-                Ok(rewired) if root == replacement => prop_assert_eq!(rewired, vec![]),
+            let mut rewired = vec![root];
+            match g.replace_traced(root, replacement, &mut rewired) {
+                Ok(rewired) if root == replacement => prop_assert_eq!(rewired, []),
                 Ok(rewired) => {
                     prop_assert!(!cyclic, "{root:?} -> {replacement:?} closes a cycle");
-                    prop_assert_eq!(&rewired, &readers);
-                    for &u in &rewired {
+                    prop_assert_eq!(rewired, &readers);
+                    for &u in rewired {
                         prop_assert!(!g.inputs(u).contains(&root));
                     }
                     g.validate().unwrap();
@@ -334,7 +411,7 @@ proptest! {
                     prop_assert_eq!(g.revision(), before.revision());
                     for n in g.allocated_since(0) {
                         prop_assert_eq!(g.inputs(n), before.inputs(n));
-                        prop_assert_eq!(g.users_of(n), before.users_of(n));
+                        prop_assert_eq!(users(&g, n), users(&before, n));
                         prop_assert_eq!(g.level_of(n), before.level_of(n));
                     }
                     g.validate().unwrap();
@@ -358,7 +435,7 @@ proptest! {
 
     /// Collecting by reference count from the replaced root frees what
     /// a mark-sweep over the whole graph frees: the same ids in the same
-    /// order, leaving the same reverse adjacency.
+    /// order, leaving the same use-lists (as multisets).
     #[test]
     fn collect_agrees_with_mark_sweep(seed in any::<u64>(), size in 2usize..40) {
         let mut f = fx();
@@ -377,7 +454,7 @@ proptest! {
             prop_assert!(freed.windows(2).all(|w| w[0] < w[1]), "ascending: {freed:?}");
             for n in g.allocated_since(0) {
                 prop_assert_eq!(g.is_alive(n), swept.is_alive(n));
-                prop_assert_eq!(g.users_of(n), swept.users_of(n), "users of {:?}", n);
+                prop_assert_eq!(users(&g, n), users(&swept, n), "users of {:?}", n);
             }
             prop_assert_eq!(g.topo_order(), swept.topo_order());
             g.validate().unwrap();
@@ -503,5 +580,5 @@ fn users_counts_multi_edges() {
         .op(&mut f.syms, &f.reg, f.ops.add, vec![a, a], vec![])
         .unwrap();
     g.mark_output(add);
-    assert_eq!(g.users_of(a), &[add, add]);
+    assert_eq!(users(&g, a), [add, add]);
 }

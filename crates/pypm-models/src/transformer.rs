@@ -175,7 +175,7 @@ fn const_scalar(s: &mut Session, g: &mut Graph, milli: i64) -> NodeId {
     g.op_with_meta(
         s.ops.const_scalar,
         [],
-        vec![(s.ops.value_milli_attr, milli)],
+        [(s.ops.value_milli_attr, milli)],
         TensorMeta::scalar(DType::F32),
     )
     .expect("const scalar")

@@ -124,7 +124,7 @@ fn build_stage(
                 &s.registry,
                 s.ops.conv2d,
                 [x, w],
-                vec![(s.ops.stride_attr, stride)],
+                [(s.ops.stride_attr, stride)],
             )
             .expect("conv");
         let bias = weight(s, g, &[stage.channels, 1, 1]);

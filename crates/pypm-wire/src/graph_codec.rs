@@ -73,7 +73,7 @@ fn canonical_order(g: &Graph) -> Vec<NodeId> {
     while let Some(std::cmp::Reverse(i)) = ready.pop() {
         let n = by_index[i];
         order.push(n);
-        for &user in g.users_of(n) {
+        for user in g.users_of(n) {
             indegree[user.index()] -= 1;
             if indegree[user.index()] == 0 {
                 ready.push(std::cmp::Reverse(user.index()));
@@ -126,8 +126,9 @@ pub(crate) fn encode_section(
             buf.put_u32_le(dense[i.index()]);
         }
         if node.kind == NodeKind::Op {
-            buf.put_u32_le(node.attrs.len() as u32);
-            for &(attr, value) in &node.attrs {
+            let attrs = g.attrs(n);
+            buf.put_u32_le(attrs.len() as u32);
+            for &(attr, value) in attrs {
                 buf.put_str(syms.attr_name(attr));
                 buf.put_i64_le(value);
             }
@@ -170,6 +171,7 @@ pub(crate) fn decode_section(
     // graph's edge arena and its shape.
     let mut inputs: Vec<NodeId> = Vec::new();
     let mut dims: Vec<i64> = Vec::new();
+    let mut attrs = Vec::new();
     for index in 0..node_count {
         charge_node(budget)?;
         let kind = r.u8()?;
@@ -215,7 +217,7 @@ pub(crate) fn decode_section(
             }
             inputs.push(ids[i]);
         }
-        let mut attrs = Vec::new();
+        attrs.clear();
         if kind == KIND_OP {
             let attr_count = r.count(13)?;
             for _ in 0..attr_count {
@@ -235,7 +237,7 @@ pub(crate) fn decode_section(
         let id = match kind {
             KIND_INPUT => g.input(syms, meta),
             KIND_OP => g
-                .op_with_meta(op.expect("op has a symbol"), &inputs, attrs, meta)
+                .op_with_meta(op.expect("op has a symbol"), &inputs, &attrs, meta)
                 .map_err(|_| WireError::Malformed { what: "dead input" })?,
             KIND_OPAQUE => g
                 .opaque(syms, op.expect("opaque has a symbol"), &inputs, meta)
@@ -321,7 +323,7 @@ mod tests {
         // Ops and attrs are re-interned by name.
         let m = g2.outputs()[1];
         assert_eq!(fresh.op_name(g2.node(m).op), "TestMul");
-        assert_eq!(g2.node(m).attr(fresh.attr("pad")), Some(-1));
+        assert_eq!(g2.attr(m, fresh.attr("pad")), Some(-1));
         // Canonical: re-encoding the decoded graph reproduces the bytes.
         assert_eq!(encode_graph(&g2, &fresh), bytes);
         g2.validate().expect("decoded graph validates");

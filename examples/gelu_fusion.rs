@@ -80,7 +80,7 @@ fn main() {
             g.live_count(),
             stats.rewrites_fired,
             s.syms.op_name(g.node(root).op),
-            g.node(root).attr(s.ops.epilog_attr),
+            g.attr(root, s.ops.epilog_attr),
         );
         assert_eq!(g.node(root).op, s.ops.gemm_epilog);
     }

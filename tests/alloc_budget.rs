@@ -4,9 +4,10 @@
 //! of times a compile enters the allocator does not. This binary
 //! installs a counting global allocator and compiles the benchmark's
 //! ladder program (hidden 48, `both`, incremental, fused) at a few
-//! depths, asserting four budgets: what `TermView::build` allocates
+//! depths, asserting five budgets: what `TermView::build` allocates
 //! per node, what one `Pipeline::run` allocates in all, that neither
-//! per-node figure grows with the graph, and that the same run under
+//! per-node figure grows with the graph, what a pass allocates per
+//! firing it adds from 50 to 200 layers, and that the same run under
 //! the restart policy — one walk of the order per round — allocates no
 //! more than the incremental one plus a constant: a round allocates
 //! nothing.
@@ -40,7 +41,14 @@
 //! reused buffers, it allocates what its incremental twin does. With no
 //! term → producers index in the view and a firing's created and
 //! collected ids appended straight to the firing log, the build makes
-//! 135 and the pass 4 145.
+//! 135 and the pass 4 145. Then a node stopped owning heap blocks: its
+//! users became a use-list threaded through the graph's edge arena, its
+//! attributes a run of one attribute arena (and a view row's attributes
+//! a run of one arena of the view's), and a firing's rewired users,
+//! patch cone and folded RHS arguments went into buffers the pass keeps
+//! — the build makes 132 and the pass 3 048, and a pass grows by 8.1
+//! allocations per extra firing from 50 to 200 layers where it grew by
+//! 11.7. The 100-layer model build went from 5 283 to 1 922.
 //!
 //! And that a machine step allocates nothing: a warmed machine makes
 //! the same count whether a run takes 14 steps or 74.
@@ -203,6 +211,11 @@ fn count_at(layers: usize) -> Counted {
 /// What one `Pipeline::run` of the ladder program at `layers` layers
 /// allocates under `policy`, in a session that has seen no graph.
 fn pass_allocations(layers: usize, policy: SweepPolicy) -> u64 {
+    pass_run(layers, policy).0
+}
+
+/// [`pass_allocations`], and the rewrites the pass fired.
+fn pass_run(layers: usize, policy: SweepPolicy) -> (u64, u64) {
     let (mut s, mut g, rules) = ladder_program(layers);
     let (report, pass) = allocations_of(|| {
         Pipeline::new(&mut s)
@@ -214,7 +227,7 @@ fn pass_allocations(layers: usize, policy: SweepPolicy) -> u64 {
         stats.rewrites_fired >= layers as u64,
         "every layer rewrites"
     );
-    pass
+    (pass, stats.rewrites_fired)
 }
 
 /// The dev profile's per-firing oracles (`Graph::validate`, the resumed
@@ -235,8 +248,39 @@ const VIEW_BUILD_PER_NODE: f64 = 0.15;
 /// inputs into the graph's edge arena, 5 458 since the pass records its
 /// firing log (18 growths of its vectors over 301 firings), 4 145 since
 /// a firing's created and collected ids go straight into that log and
-/// the view keeps no term → producers index.
-const PASS_AT_100: u64 = 4_145;
+/// the view keeps no term → producers index, 3 048 since a node's users
+/// and attributes live in the graph's arenas and a firing's scratch in
+/// the pass's buffers.
+const PASS_AT_100: u64 = 3_048;
+
+/// What a pass may allocate for the firings it adds from 50 to 200
+/// layers (151 → 601 firings): 3 634, 8.1 per extra firing, since a
+/// node's users are a use-list in the edge arena, its attributes a run
+/// of an arena, and a firing's rewired users, patch cone and RHS
+/// argument terms sit in buffers the pass keeps. It was 5 282 (11.7 per
+/// firing) while each node a firing built grew a user vector of its own
+/// and a firing allocated those three. What is left per firing is
+/// mostly a probe's fresh machine and witness.
+const PASS_GROWTH_50_TO_200: u64 = 3_634;
+
+#[test]
+fn a_firing_allocates_a_bounded_count() {
+    if !PASS_IS_THE_PRODUCTS {
+        return;
+    }
+    let (shallow, shallow_fired) = pass_run(50, SweepPolicy::Incremental);
+    let (deep, deep_fired) = pass_run(200, SweepPolicy::Incremental);
+    let (grown, extra) = (deep - shallow, deep_fired - shallow_fired);
+    eprintln!(
+        "50 -> 200 layers: {grown} more allocations over {extra} more firings, {:.2} a firing",
+        grown as f64 / extra as f64
+    );
+    assert_eq!(extra, 450, "the ladder fires 151 / 601 rewrites");
+    assert!(
+        grown <= PASS_GROWTH_50_TO_200,
+        "a pass made {grown} more allocations over {extra} more firings"
+    );
+}
 
 #[test]
 fn a_100_layer_compile_stays_inside_its_allocation_budget() {
@@ -445,8 +489,10 @@ fn a_machine_step_allocates_nothing() {
 /// weight's extents are allocated once, a node's shape is its input's
 /// whenever the two are equal, and inference reads one or two inputs
 /// off the stack; 5 283 since a node's inputs are a run of the graph's
-/// edge arena, handed over from an array on the builder's stack.
-const LADDER_BUILD: u64 = 5_800;
+/// edge arena, handed over from an array on the builder's stack; 1 922
+/// since its users and attributes are runs of the graph's arenas too,
+/// and a constant's attribute is handed over from the stack.
+const LADDER_BUILD: u64 = 1_960;
 
 #[test]
 fn a_model_build_names_its_inputs_without_allocating() {
