@@ -47,8 +47,11 @@
 //! [`pypm_graph::TermView::empty`] view, in which every live node is
 //! *unseen* and no term is interned, then **lazy in-place patches** — a
 //! patch marks the rewrite's cone stale (a pointer walk over the
-//! graph's incrementally maintained use-lists) and drops the
-//! marked nodes' terms. A node's term is interned when the scan first
+//! graph's incrementally maintained use-lists; it compares no terms)
+//! and drops the marked nodes' terms. The nodes the view owes a term,
+//! stale or unseen ([`pypm_graph::TermView::owes`]), are the
+//! `Incremental` scan's worklist: the view keeps that set, and the scan
+//! keeps no copy of it. A node's term is interned when the scan first
 //! reads it, and recomputed there after a patch marked it
 //! ([`pypm_graph::TermView::term_of_repaired`]), so nodes dirtied by
 //! several consecutive rewrites recompute once and nodes a rewrite

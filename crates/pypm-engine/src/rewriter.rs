@@ -59,9 +59,12 @@ pub enum SweepPolicy {
     /// firing is never produced.
     RestartOnRewrite,
     /// Incremental rewriting via a dirty-node worklist: after a rewrite
-    /// fires, only the cone of influence (the rewired users of the
-    /// replaced root, the freshly created replacement nodes, and their
-    /// transitive users whose terms actually change) is re-enqueued.
+    /// fires, only its cone of influence — the rewired users of the
+    /// replaced root, the freshly created replacement nodes, and every
+    /// transitive user of those, whether or not its term turns out to
+    /// change — is re-enqueued. The worklist is the set of nodes the
+    /// term view owes a term ([`TermView::owes`]): the patch after a
+    /// firing marks the cone, and a visit interns its node.
     ///
     /// Firing order is deterministic and *identical* to
     /// [`SweepPolicy::RestartOnRewrite`]: candidates are visited in the
@@ -251,41 +254,6 @@ pub struct MatchReport {
     pub coverage: Vec<TermId>,
 }
 
-/// Dense per-node scan state, indexed by [`NodeId::index`]; nodes
-/// allocated mid-pass grow it when a flag is first set on them.
-#[derive(Default)]
-struct NodeFlags(Vec<u8>);
-
-impl NodeFlags {
-    /// The node's term changed since its last visit: it is a candidate.
-    const DIRTY: u8 = 1;
-    /// The node was visited before in this pass.
-    const VISITED: u8 = 2;
-
-    fn has(&self, n: NodeId, flag: u8) -> bool {
-        self.0.get(n.index()).is_some_and(|bits| bits & flag != 0)
-    }
-
-    /// Sets `flag` on `n`; returns whether it was set already.
-    fn set(&mut self, n: NodeId, flag: u8) -> bool {
-        if n.index() >= self.0.len() {
-            self.0.resize(n.index() + 1, 0);
-        }
-        let was = self.0[n.index()] & flag != 0;
-        self.0[n.index()] |= flag;
-        was
-    }
-
-    /// Clears `flag` on `n`; returns whether it was set.
-    fn clear(&mut self, n: NodeId, flag: u8) -> bool {
-        let was = self.has(n, flag);
-        if was {
-            self.0[n.index()] &= !flag;
-        }
-        was
-    }
-}
-
 /// The internal engine behind [`RewritePass`]: the paper's greedy
 /// fixpoint loop.
 struct Driver<'a> {
@@ -312,9 +280,6 @@ struct Driver<'a> {
     /// ([`Graph::replace_traced`]): with the firing's created and
     /// collected nodes, the dirty seed of [`Driver::repair_view`].
     rewired: Vec<NodeId>,
-    /// The cone the last firing's view patch marked
-    /// ([`TermView::patch`]), for the worklist to re-enqueue.
-    cone: Vec<NodeId>,
 }
 
 impl<'a> Driver<'a> {
@@ -334,7 +299,6 @@ impl<'a> Driver<'a> {
             rhs_inputs: Vec::new(),
             rhs_terms: Vec::new(),
             rewired: Vec::new(),
-            cone: Vec::new(),
         }
     }
 
@@ -462,12 +426,15 @@ impl<'a> Driver<'a> {
         matcher: &mut dyn Matcher,
         view: &mut TermView,
         node: NodeId,
-        flags: &mut NodeFlags,
+        visited: &mut Vec<bool>,
         stats: &mut PassStats,
         cx: &mut PipelineCx,
     ) -> Result<Option<Firing>, RewriteError> {
         stats.nodes_visited += 1;
-        if flags.set(node, NodeFlags::VISITED) {
+        if visited.len() <= node.index() {
+            visited.resize(node.index() + 1, false);
+        }
+        if std::mem::replace(&mut visited[node.index()], true) {
             stats.nodes_revisited += 1;
         }
         // Lazy view maintenance: a node dirtied by earlier rewrites is
@@ -632,10 +599,10 @@ impl<'a> Driver<'a> {
     /// Repairs the view's bookkeeping after a fired rewrite: the
     /// rewired users, the freshly allocated replacement nodes, and the
     /// collected dead nodes (as `log` recorded `fired`) seed the patch
-    /// (the dead ids let the sublinear index maintenance drop entries
-    /// without scanning for liveness). The patch only *marks* the cone —
-    /// terms recompute lazily at the next visit. Leaves the marked cone
-    /// in [`Driver::cone`] for worklist re-enqueueing.
+    /// (the dead ids let the view drop them without scanning for
+    /// liveness). The patch only *marks* the cone stale — terms
+    /// recompute lazily at the next visit, and the worklist's
+    /// candidates are the nodes the view owes a term.
     fn repair_view(
         &mut self,
         graph: &Graph,
@@ -644,14 +611,8 @@ impl<'a> Driver<'a> {
         log: &FiringLog,
         stats: &mut PassStats,
     ) {
-        view.invalidate(
-            self.rewired
-                .iter()
-                .chain(log.created(fired))
-                .chain(log.collected(fired))
-                .copied(),
-        );
-        view.patch(graph, &mut self.cone);
+        let seed = self.rewired.iter().chain(log.created(fired));
+        view.patch(graph, seed.chain(log.collected(fired)).copied());
         stats.view_patches += 1;
     }
 
@@ -662,7 +623,9 @@ impl<'a> Driver<'a> {
     /// decides two things only. *Which nodes are candidates:* under
     /// [`SweepPolicy::RestartOnRewrite`] every live node in every
     /// round — the reference scan; under [`SweepPolicy::Incremental`]
-    /// the worklist of nodes whose term changed since their last visit.
+    /// the worklist, the nodes the view owes a term
+    /// ([`TermView::owes`]): unseen since the view was created, or
+    /// marked stale by a patch since their last visit.
     /// *Where a round starts:* the reference restarts a [`TopoWalk`] —
     /// the order of [`Graph::topo_order`], derived afresh from the
     /// graph — at its first node and steps it lazily, so the order past
@@ -684,8 +647,8 @@ impl<'a> Driver<'a> {
     /// the first time it reads it, so a node a rewrite deletes before
     /// the scan reaches it is never interned. A patch is an O(cone)
     /// marking walk that treats unseen nodes like clean ones, with terms
-    /// recomputed on demand at visit time; which nodes it marks, what
-    /// the worklist re-enqueues and every counter
+    /// recomputed on demand at visit time; which nodes it marks — what
+    /// the worklist re-enqueues — and every counter
     /// (`nodes_reindexed` included) are what an eagerly built view
     /// gives. Nor can the node a variable of the rule's RHS names tell
     /// the difference: it is found below the matched root
@@ -701,10 +664,11 @@ impl<'a> Driver<'a> {
     ///    there plus the term-keyed attribute side tables. (Which node
     ///    a variable of the replacement reads is looked up in the
     ///    subgraph below the node, but only once the node fires, and
-    ///    alike under both policies.) A node leaves
-    ///    the worklist only after a full pattern scan found nothing to
-    ///    fire, and re-enters it only if its term changes; therefore a
-    ///    node outside the worklist still has nothing to fire.
+    ///    alike under both policies.) A node leaves the worklist only
+    ///    when its visit interns it, after which a full pattern scan
+    ///    finds nothing to fire (or fires, and the node is gone), and
+    ///    every change of its term marks it again (2); therefore a node
+    ///    outside the worklist still has nothing to fire.
     ///
     ///    This additionally assumes the attribute tables are
     ///    *deterministic per term* — true only where nodes that view as
@@ -721,14 +685,16 @@ impl<'a> Driver<'a> {
     ///    zoo builds no such pair; the random-rule-subset byte-identity
     ///    proptests (and their nightly runs) put attributes on
     ///    constants only, so they cannot catch one.
-    /// 2. *A rewrite dirties exactly its cone of influence.* Replacing a
-    ///    root changes the terms of the freshly created replacement
-    ///    nodes, the users rewired onto the replacement, and their
-    ///    transitive users — all strictly *after* the root in
+    /// 2. *A rewrite changes terms inside its cone of influence only.*
+    ///    Replacing a root can change the terms of the freshly created
+    ///    replacement nodes, the users rewired onto the replacement,
+    ///    and their transitive users — all strictly *after* the root in
     ///    topological order. Nodes visited earlier in the current round
     ///    keep their terms, so cleaning them as we pass is sound.
-    ///    [`TermView::patch`] computes the cone with early cut-off and
-    ///    the scan re-enqueues it.
+    ///    [`TermView::patch`] marks the whole cone stale without
+    ///    comparing terms — a node whose term comes out unchanged is
+    ///    revisited, never one whose term changed skipped — and the
+    ///    marked nodes are the worklist's again.
     /// 3. *Deterministic order.* By (1) the first firing (node,
     ///    pattern) pair of the filtered scan is the first firing pair
     ///    of a full scan, so the rewrite sequence — and the final graph
@@ -758,11 +724,11 @@ impl<'a> Driver<'a> {
     ///    over every node the pass ever had.
     ///
     /// Debug builds check (4) after every firing — the order ahead of
-    /// the cursor, filtered to dirty nodes, against a recomputed
-    /// [`Graph::topo_order`] filtered the same way — check that every
-    /// node the reference's walk yields in a round is the next node of
-    /// a [`Graph::topo_order`] taken when the round started, and
-    /// [`Graph::validate`] the graph after every commit.
+    /// the cursor, filtered to the nodes the view owes a term, against
+    /// a recomputed [`Graph::topo_order`] filtered the same way — check
+    /// that every node the reference's walk yields in a round is the
+    /// next node of a [`Graph::topo_order`] taken when the round
+    /// started, and [`Graph::validate`] the graph after every commit.
     fn scan(
         &mut self,
         graph: &mut Graph,
@@ -790,20 +756,17 @@ impl<'a> Driver<'a> {
         // The reference's order, walked afresh every round and only as
         // far as the round's firing.
         let mut walk = TopoWalk::default();
-        let mut flags = NodeFlags::default();
-        for &node in &ahead {
-            flags.set(node, NodeFlags::DIRTY);
-        }
+        // The nodes visited so far in this pass, by `NodeId::index`.
+        let mut visited = Vec::new();
         'rounds: loop {
             stats.sweeps += 1;
             if !worklist {
                 walk.restart(graph);
             }
             if cfg!(debug_assertions) && worklist {
-                let dirty = |n: &NodeId| flags.has(*n, NodeFlags::DIRTY);
-                let resumed: Vec<NodeId> = ahead.iter().rev().copied().filter(dirty).collect();
-                let recomputed: Vec<NodeId> =
-                    graph.topo_order().into_iter().filter(dirty).collect();
+                let owed = |n: &NodeId| view.owes(*n);
+                let resumed: Vec<NodeId> = ahead.iter().rev().copied().filter(owed).collect();
+                let recomputed: Vec<NodeId> = graph.topo_order().into_iter().filter(owed).collect();
                 debug_assert_eq!(resumed, recomputed, "resumed scan order diverged");
             }
             // What the reference's walk must yield this round, reversed
@@ -823,10 +786,11 @@ impl<'a> Driver<'a> {
                 let Some(node) = step else { break };
                 stats.cursor_steps += 1;
                 if worklist {
-                    // Only the worklist's members are candidates;
-                    // visiting cleans the node (it is re-enqueued if a
-                    // later rewrite changes its term).
-                    if !flags.clear(node, NodeFlags::DIRTY) {
+                    // Only the nodes the view owes a term are
+                    // candidates; the visit interns the node, and a
+                    // later firing's patch marks it again if its term
+                    // may have changed.
+                    if !view.owes(node) {
                         continue;
                     }
                 } else {
@@ -834,7 +798,7 @@ impl<'a> Driver<'a> {
                 }
                 self.check_budget()?;
                 let Some(fired) =
-                    self.visit_node(graph, matcher, &mut view, node, &mut flags, stats, cx)?
+                    self.visit_node(graph, matcher, &mut view, node, &mut visited, stats, cx)?
                 else {
                     continue;
                 };
@@ -849,12 +813,6 @@ impl<'a> Driver<'a> {
                 // `view_patches == rewrites_fired` holds even when the
                 // cap cuts the pass short.
                 self.repair_view(graph, &mut view, &fired, log, stats);
-                for &node in &self.cone {
-                    flags.set(node, NodeFlags::DIRTY);
-                }
-                for &dead in log.collected(&fired) {
-                    flags.clear(dead, NodeFlags::DIRTY);
-                }
                 if stats.rewrites_fired as usize >= self.pass.max_rewrites {
                     break 'rounds;
                 }

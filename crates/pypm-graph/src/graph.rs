@@ -282,8 +282,9 @@ pub struct Graph {
     /// nothing and allocates nothing once the vector has grown.
     seen: Vec<u32>,
     epoch: u32,
-    /// Monotone revision counter, bumped on every mutation; term views use
-    /// it to invalidate caches.
+    /// Monotone revision counter, bumped on every mutation; debug
+    /// builds of a [`TopoWalk`] assert that it did not move under the
+    /// walk.
     revision: u64,
     /// Nodes [`Graph::replace_traced`] and [`Graph::collect`] examined,
     /// see [`Graph::touches`].
@@ -628,7 +629,7 @@ impl Graph {
     /// Node ids allocated at or after `mark`, a count previously read
     /// from [`Graph::allocated_count`]: after a rewrite, the nodes its
     /// replacement freshly created — part of the dirty seed handed to
-    /// [`crate::TermView::invalidate`].
+    /// [`crate::TermView::patch`].
     pub fn allocated_since(&self, mark: usize) -> Vec<NodeId> {
         (mark..self.nodes.len()).map(|i| NodeId(i as u32)).collect()
     }
@@ -655,7 +656,7 @@ impl Graph {
     /// users are exactly the nodes whose term view changed besides the
     /// freshly created replacement subgraph — the seed of the rewrite's
     /// cone of influence that incremental rewriting feeds to
-    /// [`crate::TermView::invalidate`].
+    /// [`crate::TermView::patch`].
     ///
     /// The commit follows the rewrite's size, not the graph's: the
     /// slots to rewire are `root`'s use-list, which is spliced whole
@@ -879,7 +880,7 @@ impl Graph {
     /// a walk over every node, whatever garbage there is. Returns the
     /// ids of the nodes freed, in ascending id order — the "dead" half
     /// of the dirty seed incremental term-view maintenance needs
-    /// ([`crate::TermView::invalidate`] accepts them directly).
+    /// ([`crate::TermView::patch`] accepts them directly).
     pub fn gc(&mut self) -> Vec<NodeId> {
         let mut reachable = vec![false; self.nodes.len()];
         let mut stack: Vec<NodeId> = self.outputs.clone();

@@ -19,8 +19,8 @@
 //! copies its attributes without allocating a list for them.
 //!
 //! A rewrite's cone is found through [`Graph::users_of`], the graph's
-//! use-lists, whose order is unspecified: [`TermView::patch`] sorts what
-//! it marks, so nothing it reports depends on that order.
+//! use-lists, whose order is unspecified: what [`TermView::patch`]
+//! marks is a set, the same whichever order it is walked in.
 
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::ops::OpRegistry;
@@ -148,18 +148,19 @@ fn specialized_const(syms: &mut SymbolTable, op: Symbol, attrs: &[(Attr, i64)]) 
     syms.op(&name, 0)
 }
 
-/// Where a node stands in a [`TermView`] apart from its term: whether
-/// the view still owes it one.
+/// What a [`TermView`] holds for one node: one column, by
+/// [`NodeId::index`], no wider than an `Option<TermId>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Owed {
-    /// Nothing owed: the node is clean (it has a term), or the view
-    /// does not know it (dead, or allocated after the view and never
-    /// invalidated).
-    Nothing,
-    /// Marked by [`TermView::patch`]: its term may have changed.
-    Stale,
+enum Slot {
+    /// Not the view's: dead, or allocated after the view and never
+    /// patched. Ids past the column's end read as this.
+    Unknown,
     /// Live when the view was created and not interned since.
     Unseen,
+    /// Marked by [`TermView::patch`]: its term may have changed.
+    Stale,
+    /// Interned: [`TermView::term_of`] answers the term.
+    Clean(TermId),
 }
 
 /// A cached term view of a [`Graph`].
@@ -176,21 +177,25 @@ enum Owed {
 ///   input of an unseen node is stale, because a patch marks every user
 ///   of what it marks.
 ///
+/// The view *owes* a stale or unseen node a term ([`TermView::owes`]).
+/// That set is the incremental rewrite scan's worklist: a node the view
+/// owes nothing has been read since anything below it last changed.
+///
 /// A view starts with every live node unseen. [`TermView::build`] is
 /// that view plus a walk interning every node reachable from the
 /// outputs; the rewrite scan never walks, and interns a node the first
 /// time it reads it ([`TermView::term_of_repaired`]), so a node a
 /// rewrite deletes before the scan reaches it is never interned at all.
 ///
-/// After a rewrite, [`TermView::invalidate`] the rewrite's dirty seed
-/// (the rewired users of the replaced root, the freshly created
-/// replacement nodes, and the ids [`Graph::collect`] freed), then
-/// [`TermView::patch`] — **mark** the seed's cone of influence stale
-/// (its transitive users, discovered through [`Graph::users_of`]; a
-/// cheap pointer walk, no interning, over unseen and clean users alike)
-/// and drop the marked nodes' terms. Stale terms are then recomputed
-/// **lazily**, on demand, by [`TermView::term_of_repaired`] when the
-/// rewrite scheduler actually visits a node.
+/// After a rewrite, [`TermView::patch`] the rewrite's seed (the rewired
+/// users of the replaced root, the freshly created replacement nodes,
+/// and the ids [`Graph::collect`] freed): the dead ids leave the view,
+/// and the live ones and every transitive user, discovered through
+/// [`Graph::users_of`], are **marked** stale — a cheap pointer walk, no
+/// interning, over unseen and clean users alike, that drops the marked
+/// nodes' terms. Stale terms are then recomputed **lazily**, on demand,
+/// by [`TermView::term_of_repaired`] when the rewrite scheduler
+/// actually visits a node.
 ///
 /// Laziness is what makes the maintenance *sublinear in practice*, not
 /// just per-patch: a rewrite near the inputs dirties everything
@@ -213,33 +218,22 @@ enum Owed {
 /// so does partitioning for the members of a region.
 #[derive(Debug, Clone)]
 pub struct TermView {
-    revision: u64,
-    /// node → term for **clean** nodes only, by [`NodeId::index`]; a
-    /// stale or unseen node has `None` until it is interned. Per-node
-    /// and per-term state are both dense vectors: node ids are a
-    /// graph's own, allocated from zero, and a compile owns its
-    /// [`TermStore`], whose ids are dense and belong to this graph's
-    /// terms.
-    term_of_node: Vec<Option<TermId>>,
-    /// How many nodes have a term ([`TermView::len`]).
-    clean: usize,
+    /// Every node's [`Slot`], by [`NodeId::index`]. Per-node and
+    /// per-term state are both dense vectors: node ids are a graph's
+    /// own, allocated from zero, and a compile owns its [`TermStore`],
+    /// whose ids are dense and belong to this graph's terms.
+    slots: Vec<Slot>,
     /// Attribute side tables.
     attrs: GraphAttrInterp,
-    /// Nodes marked dirty by [`TermView::invalidate`] (repeats allowed),
-    /// consumed by the next [`TermView::patch`].
-    pending: Vec<NodeId>,
-    /// What the view owes each node, by [`NodeId::index`]; ids past the
-    /// end are owed nothing.
-    owed: Vec<Owed>,
     /// Terms recomputed by on-demand repair over the view's lifetime
     /// (see [`TermView::terms_recomputed`]).
     recomputed: u64,
     /// Where [`TermView::term_for`] gathers a node's argument terms
     /// before lending them to [`TermStore::app`].
     args: Vec<TermId>,
-    /// The depth-first stack of [`TermView::term_of_repaired`], empty
-    /// between calls.
-    repair_stack: Vec<NodeId>,
+    /// The marking walk of [`TermView::patch`] and the depth-first
+    /// stack of [`TermView::term_of_repaired`], empty between calls.
+    stack: Vec<NodeId>,
     /// The breadth-first walk of [`TermView::node_below`], in visiting
     /// order, empty between calls.
     below: Vec<NodeId>,
@@ -257,28 +251,24 @@ impl TermView {
     /// The view of `graph` with every live node unseen: no term is
     /// interned. The rewrite scan starts here and interns what it reads.
     pub fn empty(graph: &Graph, syms: &mut SymbolTable) -> TermView {
-        let owed = (0..graph.allocated_count())
+        let slots = (0..graph.allocated_count())
             .map(|i| {
                 if graph.is_alive(NodeId::from_index(i)) {
-                    Owed::Unseen
+                    Slot::Unseen
                 } else {
-                    Owed::Nothing
+                    Slot::Unknown
                 }
             })
             .collect();
         TermView {
-            revision: graph.revision(),
-            term_of_node: vec![None; graph.allocated_count()],
-            clean: 0,
+            slots,
             attrs: GraphAttrInterp {
                 handles: Some(TensorAttrs::intern(syms)),
                 ..GraphAttrInterp::default()
             },
-            pending: Vec::new(),
-            owed,
             recomputed: 0,
             args: Vec::new(),
-            repair_stack: Vec::new(),
+            stack: Vec::new(),
             below: Vec::new(),
             marked: Vec::new(),
             consts: IdMap::default(),
@@ -298,31 +288,21 @@ impl TermView {
         for n in graph.topo_order() {
             // Inputs come first in this order, so this is the one step
             // of `term_of_repaired` with nothing to search for.
-            view.owed[n.index()] = Owed::Nothing;
             let term = view.term_for(graph, n, syms, terms);
             view.record(graph, registry, n, term);
         }
         view
     }
 
-    /// Marks nodes whose term may have changed, that did not exist when
-    /// the view was built, or that died. A rewrite's seed is the user
-    /// nodes rewired by [`Graph::replace_traced`], the nodes the
-    /// replacement freshly allocated ([`Graph::allocated_since`]), and
-    /// the ids the post-rewrite [`Graph::collect`] freed (the next
-    /// [`TermView::patch`] drops those from the view). The patch then
-    /// expands the live seed to its cone of influence.
-    pub fn invalidate(&mut self, nodes: impl IntoIterator<Item = NodeId>) {
-        self.pending.extend(nodes);
-    }
-
-    /// Repairs the view's *bookkeeping* after a graph mutation: drops
-    /// dead invalidated nodes, marks the live seed and its transitive
-    /// users (via [`Graph::users_of`]) stale, and drops every marked
-    /// node's term so no stale term can be served.
-    /// Fills `cone` (cleared first) with the marked nodes, in ascending
-    /// node-id order — the candidates an incremental rewrite scheduler
-    /// must re-enqueue — and returns them.
+    /// Repairs the view's *bookkeeping* after a graph mutation, given
+    /// its `seed`: the user nodes rewired by [`Graph::replace_traced`],
+    /// the nodes the replacement freshly allocated
+    /// ([`Graph::allocated_since`]), and the ids the post-rewrite
+    /// [`Graph::collect`] freed. The dead ids leave the view; the live
+    /// ones and every transitive user (via [`Graph::users_of`]) not
+    /// already stale are marked stale, which drops their terms so no
+    /// stale term can be served. No term is compared: a user whose term
+    /// will come out unchanged is marked all the same.
     ///
     /// No term is interned here — marking is a pointer walk over the
     /// cone. The actual recomputation happens lazily in
@@ -336,47 +316,39 @@ impl TermView {
     /// same node→term map, and the same attributes for every term a
     /// node produces.
     ///
-    /// Like [`Self::invalidate`] documents, the caller must invalidate
-    /// the ids `Graph::collect` freed: patch discovers deadness only for
-    /// invalidated ids (checking liveness for the whole view would be
-    /// the linear walk this method exists to avoid).
-    pub fn patch<'c>(&mut self, graph: &Graph, cone: &'c mut Vec<NodeId>) -> &'c [NodeId] {
-        cone.clear();
-        self.revision = graph.revision();
-        if self.owed.len() < graph.allocated_count() {
-            self.owed.resize(graph.allocated_count(), Owed::Nothing);
+    /// The seed must name the ids `Graph::collect` freed: patch
+    /// discovers deadness only for seeded ids (checking liveness for
+    /// the whole view would be the linear walk this method exists to
+    /// avoid).
+    pub fn patch(&mut self, graph: &Graph, seed: impl IntoIterator<Item = NodeId>) {
+        if self.slots.len() < graph.allocated_count() {
+            self.slots.resize(graph.allocated_count(), Slot::Unknown);
         }
-        let mut queue = std::mem::take(&mut self.pending);
-        queue.retain(|&n| {
-            let alive = graph.is_alive(n);
-            if !alive {
-                // Dead: gone from the clean maps, owed nothing —
-                // exactly like a fresh build would not see it.
-                self.owed[n.index()] = Owed::Nothing;
-                self.erase(n);
+        let mut stack = std::mem::take(&mut self.stack);
+        for n in seed {
+            if graph.is_alive(n) {
+                stack.push(n);
+            } else {
+                // Dead: gone from the view, exactly like a fresh build
+                // would not see it.
+                self.slots[n.index()] = Slot::Unknown;
             }
-            alive
-        });
-        while let Some(n) = queue.pop() {
+        }
+        while let Some(n) = stack.pop() {
             // An unseen node is marked like a clean one: an eager build
-            // would have had a term for it.
-            if std::mem::replace(&mut self.owed[n.index()], Owed::Stale) == Owed::Stale {
+            // would have had a term for it. The old term goes *now*, so
+            // term_of can never serve a term that is in question.
+            if std::mem::replace(&mut self.slots[n.index()], Slot::Stale) == Slot::Stale {
                 continue;
             }
-            // The old term goes *now*, so term_of can never serve a
-            // term that is in question.
-            self.erase(n);
-            cone.push(n);
             for u in graph.users_of(n) {
-                if self.owed[u.index()] != Owed::Stale {
-                    queue.push(u);
+                if self.slots[u.index()] != Slot::Stale {
+                    stack.push(u);
                 }
             }
         }
-        // Drained; hand the allocation back for the next seed.
-        self.pending = queue;
-        cone.sort_unstable();
-        cone
+        // Drained; hand the allocation back.
+        self.stack = stack;
     }
 
     /// The term rooted at `n`, interning it first if the view owes it
@@ -385,7 +357,7 @@ impl TermView {
     /// (memoized — each node is interned once). Only the stale nodes
     /// count as recomputes ([`TermView::terms_recomputed`]). Returns
     /// `None` for nodes the view does not know (dead ids, or ids
-    /// allocated after the view and never invalidated).
+    /// allocated after the view and never patched).
     ///
     /// This is the lookup the rewrite scheduler uses at every visit;
     /// the read-only [`TermView::term_of`] deliberately returns `None`
@@ -398,45 +370,48 @@ impl TermView {
         registry: &OpRegistry,
         n: NodeId,
     ) -> Option<TermId> {
-        if let Some(t) = self.term_of(n) {
-            return Some(t);
-        }
-        if self.owed_to(n) == Owed::Nothing {
-            return None;
+        if !self.owes(n) {
+            return self.term_of(n);
         }
         // Iterative input-first DFS over the owed region: rewiring
         // points users at later-allocated replacement nodes, so node
         // ids carry no topological order we could lean on. A node is
         // pushed once per owed path to it and interned the first time
         // it surfaces with clean inputs.
-        let mut stack = std::mem::take(&mut self.repair_stack);
+        let mut stack = std::mem::take(&mut self.stack);
         stack.push(n);
         while let Some(&top) = stack.last() {
             let below = stack.len();
-            let owed = |i: &&NodeId| self.owed_to(**i) != Owed::Nothing;
-            stack.extend(graph.inputs(top).iter().filter(owed));
+            stack.extend(graph.inputs(top).iter().filter(|&&i| self.owes(i)));
             if stack.len() > below {
                 continue;
             }
             stack.pop();
-            let owed = std::mem::replace(&mut self.owed[top.index()], Owed::Nothing);
-            if owed == Owed::Nothing {
+            let stale = match self.slot(top) {
+                Slot::Stale => true,
+                Slot::Unseen => false,
                 // Interned on another path of this very DFS.
-                continue;
-            }
+                Slot::Clean(_) | Slot::Unknown => continue,
+            };
             let term = self.term_for(graph, top, syms, terms);
-            if owed == Owed::Stale {
+            if stale {
                 self.recomputed += 1;
             }
             self.record(graph, registry, top, term);
         }
         // Drained; keep the allocation for the next repair.
-        self.repair_stack = stack;
+        self.stack = stack;
         self.term_of(n)
     }
 
-    fn owed_to(&self, n: NodeId) -> Owed {
-        self.owed.get(n.index()).copied().unwrap_or(Owed::Nothing)
+    fn slot(&self, n: NodeId) -> Slot {
+        self.slots.get(n.index()).copied().unwrap_or(Slot::Unknown)
+    }
+
+    /// Whether the view owes `n` a term: `n` is stale or unseen. The
+    /// incremental rewrite scan visits exactly these nodes.
+    pub fn owes(&self, n: NodeId) -> bool {
+        matches!(self.slot(n), Slot::Unseen | Slot::Stale)
     }
 
     /// Interns every stale or unseen node reachable from the graph
@@ -456,8 +431,8 @@ impl TermView {
         // Owed ids that are dead by now can never be interned (or
         // observed); drop them.
         for n in graph.allocated_since(0) {
-            if !graph.is_alive(n) && self.owed_to(n) != Owed::Nothing {
-                self.owed[n.index()] = Owed::Nothing;
+            if !graph.is_alive(n) && self.owes(n) {
+                self.slots[n.index()] = Slot::Unknown;
             }
         }
     }
@@ -500,15 +475,15 @@ impl TermView {
                 terms.app0(c)
             }
             NodeKind::Op => {
-                let term_of_node = &self.term_of_node;
+                let slots = &self.slots;
                 self.args.clear();
-                self.args.extend(graph.inputs(n).iter().map(|i| {
-                    term_of_node
-                        .get(i.index())
-                        .copied()
-                        .flatten()
-                        .expect("inputs resolve before their users (repair defers to owed inputs)")
-                }));
+                self.args
+                    .extend(graph.inputs(n).iter().map(|i| match slots.get(i.index()) {
+                        Some(&Slot::Clean(t)) => t,
+                        _ => panic!(
+                            "inputs resolve before their users (repair defers to owed inputs)"
+                        ),
+                    }));
                 terms.app(node.op, &self.args)
             }
         }
@@ -523,12 +498,7 @@ impl TermView {
     /// layer at a time and interns again one layer later keeps the
     /// attributes it has, instead of copying them again.
     fn record(&mut self, graph: &Graph, registry: &OpRegistry, n: NodeId, term: TermId) {
-        if n.index() >= self.term_of_node.len() {
-            self.term_of_node.resize(n.index() + 1, None);
-        }
-        if self.term_of_node[n.index()].replace(term).is_none() {
-            self.clean += 1;
-        }
+        self.slots[n.index()] = Slot::Clean(term);
         let node = graph.node(n);
         let GraphAttrInterp {
             by_term,
@@ -546,16 +516,6 @@ impl TermView {
         });
     }
 
-    /// Drops the term of `n`. The term's attributes stay (see
-    /// [`TermView::record`]).
-    fn erase(&mut self, n: NodeId) {
-        if let Some(slot) = self.term_of_node.get_mut(n.index()) {
-            if slot.take().is_some() {
-                self.clean -= 1;
-            }
-        }
-    }
-
     /// How many terms on-demand repair has recomputed over this view's
     /// lifetime (the engine's `nodes_reindexed` counter: PassStats →
     /// pipeline JSON → bench schema v4).
@@ -569,17 +529,15 @@ impl TermView {
         self.recomputed
     }
 
-    /// The graph revision this view was built against.
-    pub fn revision(&self) -> u64 {
-        self.revision
-    }
-
     /// The term rooted at a node, if the node is reachable **and
     /// clean**. A node marked stale by [`TermView::patch`] reports
     /// `None` here until [`TermView::term_of_repaired`] recomputes it —
     /// a stale term must never leak into matching.
     pub fn term_of(&self, n: NodeId) -> Option<TermId> {
-        self.term_of_node.get(n.index()).copied().flatten()
+        match self.slot(n) {
+            Slot::Clean(t) => Some(t),
+            _ => None,
+        }
     }
 
     /// The node that views as `t` nearest below `root`: `root` itself,
@@ -636,12 +594,13 @@ impl TermView {
 
     /// Number of clean (repaired) viewed nodes.
     pub fn len(&self) -> usize {
-        self.clean
+        let clean = |slot: &&Slot| matches!(slot, Slot::Clean(_));
+        self.slots.iter().filter(clean).count()
     }
 
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
-        self.clean == 0
+        self.len() == 0
     }
 }
 
@@ -671,6 +630,11 @@ mod tests {
             g: Graph::new(),
             terms: TermStore::new(),
         }
+    }
+
+    #[test]
+    fn a_node_slot_is_no_wider_than_an_optional_term() {
+        assert!(std::mem::size_of::<Slot>() <= std::mem::size_of::<Option<TermId>>());
     }
 
     #[test]
@@ -789,6 +753,14 @@ mod tests {
         );
     }
 
+    /// The view owes a term to exactly the nodes of `owed`, and to no
+    /// other node `f.g` ever allocated.
+    fn assert_owes_exactly(f: &Fx, view: &TermView, owed: &[NodeId]) {
+        for n in f.g.allocated_since(0) {
+            assert_eq!(view.owes(n), owed.contains(&n), "{n:?}; owed: {owed:?}");
+        }
+    }
+
     /// After repairing every stale node, a patched view must be
     /// indistinguishable from a fresh build: same node→term map, and no
     /// node left owed.
@@ -803,18 +775,14 @@ mod tests {
             );
         }
         assert_eq!(view.len(), fresh.len());
-        assert!(
-            view.owed.iter().all(|&owed| owed == Owed::Nothing),
-            "repair_all leaves no stale or unseen node"
-        );
+        assert_owes_exactly(f, view, &[]);
     }
 
     #[test]
     fn patch_marks_fan_out_users_and_repairs_on_demand() {
         // One producer feeding two users: replacing the producer must
-        // mark both users (and the shared downstream add) stale, hide
-        // their terms until repaired, and come back in ascending id
-        // order.
+        // mark both users (and the shared downstream add) stale, and
+        // hide their terms until repaired.
         let mut f = fx();
         let a =
             f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
@@ -842,11 +810,9 @@ mod tests {
         let collected = f.g.gc();
         assert_eq!(collected, vec![r]);
 
-        view.invalidate(rewired.into_iter().chain([gelu]).chain(collected));
-        let mut cone = Vec::new();
-        view.patch(&f.g, &mut cone);
+        view.patch(&f.g, rewired.into_iter().chain([gelu]).chain(collected));
         // gelu is new, both users and the downstream add are marked.
-        assert_eq!(cone, vec![u1, u2, add, gelu]);
+        assert_owes_exactly(&f, &view, &[u1, u2, add, gelu]);
         // Stale terms never leak: term_of hides them until repair.
         assert_eq!(view.term_of(u1), None);
         assert_eq!(view.term_of(a), view.term_of(a), "clean node stays");
@@ -885,8 +851,8 @@ mod tests {
         f.g.mark_output(add);
         let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let before = view.term_of(add);
-        view.invalidate([r]);
-        assert_eq!(view.patch(&f.g, &mut Vec::new()), vec![r, t, add]);
+        view.patch(&f.g, [r]);
+        assert_owes_exactly(&f, &view, &[r, t, add]);
         let after = view.term_of_repaired(&f.g, &mut f.syms, &mut f.terms, &f.reg, add);
         assert_eq!(after, before);
         assert_eq!(view.terms_recomputed(), 3);
@@ -919,10 +885,8 @@ mod tests {
         let collected = f.g.gc();
         assert_eq!(collected, vec![r1, r2]);
 
-        view.invalidate([fused].into_iter().chain(collected));
-        let mut cone = Vec::new();
-        view.patch(&f.g, &mut cone);
-        assert_eq!(cone, vec![fused]);
+        view.patch(&f.g, [fused].into_iter().chain(collected));
+        assert_owes_exactly(&f, &view, &[fused]);
         assert_eq!(view.term_of(r1), None);
         assert_eq!(view.term_of(r2), None);
         assert_patched_equals_rebuilt(&mut f, &mut view);
@@ -932,8 +896,8 @@ mod tests {
     #[test]
     fn patch_maps_newly_created_chains() {
         // A replacement that is a whole chain of fresh nodes: every link
-        // must enter the view, and the early cut-off must keep clean
-        // siblings out of the cone.
+        // must enter the view, and marking must keep clean siblings out
+        // of the cone.
         let mut f = fx();
         let a =
             f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
@@ -963,28 +927,24 @@ mod tests {
         let collected = f.g.gc();
         assert_eq!(collected, vec![left]);
 
-        view.invalidate(
+        view.patch(
+            &f.g,
             rewired
                 .into_iter()
                 .chain(f.g.allocated_since(mark))
                 .chain(collected),
         );
-        let mut cone = Vec::new();
-        view.patch(&f.g, &mut cone);
-        assert_eq!(cone, vec![add, c1, c2]);
-        assert!(
-            !cone.contains(&right),
-            "clean sibling must stay out of the cone"
-        );
+        assert_owes_exactly(&f, &view, &[add, c1, c2]);
+        assert!(!view.owes(right), "clean sibling must stay out of the cone");
         assert_patched_equals_rebuilt(&mut f, &mut view);
         assert!(view.term_of(c1).is_some() && view.term_of(c2).is_some());
     }
 
     #[test]
     fn repairing_an_unchanged_mark_is_cheap_and_exact() {
-        // Invalidating a node whose recomputed term is identical marks
-        // it (and its users — marking cannot know), but repair finds
-        // the same terms and the view converges back to build-equality.
+        // Patching a node whose recomputed term is identical marks it
+        // (and its users — marking cannot know), but repair finds the
+        // same terms and the view converges back to build-equality.
         let mut f = fx();
         let a =
             f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
@@ -997,10 +957,9 @@ mod tests {
         f.g.mark_output(t);
         let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let (t_r, t_t) = (view.term_of(r).unwrap(), view.term_of(t).unwrap());
-        view.invalidate([r]);
-        let mut cone = Vec::new();
-        view.patch(&f.g, &mut cone);
-        assert_eq!(cone, vec![r, t], "marking propagates to users");
+        view.patch(&f.g, [r]);
+        // Marking propagates to users.
+        assert_owes_exactly(&f, &view, &[r, t]);
         assert_patched_equals_rebuilt(&mut f, &mut view);
         assert_eq!(view.term_of(r), Some(t_r), "terms did not change");
         assert_eq!(view.term_of(t), Some(t_t));
@@ -1010,8 +969,8 @@ mod tests {
     fn lazy_repair_coalesces_consecutive_patches() {
         // The headline of lazy maintenance: a node dirtied by several
         // patches before anyone looks at it is recomputed ONCE. Chain
-        // a -> r -> t; invalidate r twice (two "rewrites") with no
-        // lookup in between, then repair: t recomputes once, not twice.
+        // a -> r -> t; patch r twice (two "rewrites") with no lookup in
+        // between, then repair: t recomputes once, not twice.
         let mut f = fx();
         let a =
             f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
@@ -1034,10 +993,10 @@ mod tests {
         let mut view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         assert_eq!(view.terms_recomputed(), 0);
 
-        view.invalidate([r]);
-        view.patch(&f.g, &mut Vec::new());
-        view.invalidate([r]);
-        view.patch(&f.g, &mut Vec::new());
+        view.patch(&f.g, [r]);
+        assert_owes_exactly(&f, &view, &[r, t]);
+        view.patch(&f.g, [r]);
+        assert_owes_exactly(&f, &view, &[r, t]);
         assert_eq!(view.terms_recomputed(), 0, "marking interns nothing");
         view.repair_all(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         // Exactly r and its user t, once each — not twice, and not the
@@ -1085,8 +1044,8 @@ mod tests {
         f.g.replace_traced(t1, g1, &mut rewired).unwrap();
         let collected = f.g.gc();
         assert!(collected.contains(&r1));
-        view.invalidate(rewired.into_iter().chain([g1]).chain(collected));
-        assert_eq!(view.patch(&f.g, &mut Vec::new()), vec![g1]);
+        view.patch(&f.g, rewired.into_iter().chain([g1]).chain(collected));
+        assert_owes_exactly(&f, &view, &[g1]);
         assert_eq!(view.node_below(&f.g, t2, shared), Some(r2));
         assert_patched_equals_rebuilt(&mut f, &mut view);
         assert_eq!(

@@ -519,6 +519,80 @@ proptest! {
         }
     }
 
+    /// What a patch leaves owed — the incremental scan's worklist —
+    /// against a brute-force set: after each random rewrite, collect
+    /// and patch, the view owes exactly the live nodes that depend on a
+    /// live member of the seed (a fixpoint over every node's inputs)
+    /// or that it owed before. The view starts unseen or eagerly built,
+    /// and random reads between steps mix clean, stale and unseen
+    /// nodes.
+    #[test]
+    fn a_patch_owes_the_live_seed_and_everything_above_it(
+        seed in any::<u64>(),
+        size in 2usize..40,
+    ) {
+        let mut f = fx();
+        let mut g = random_graph(&mut f, seed, size);
+        g.gc();
+        let mut terms = TermStore::new();
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x0bed);
+        let mut view = if rng.gen_range(0..2) == 0 {
+            TermView::empty(&g, &mut f.syms)
+        } else {
+            TermView::build(&g, &mut f.syms, &mut terms, &f.reg)
+        };
+        let mut rewired = Vec::new();
+        let mut freed = Vec::new();
+        for _ in 0..6 {
+            for n in g.topo_order() {
+                if rng.gen_range(0..3) == 0 {
+                    prop_assert!(view.term_of_repaired(&g, &mut f.syms, &mut terms, &f.reg, n).is_some());
+                }
+            }
+            let owed_before: Vec<bool> = g.allocated_since(0).into_iter().map(|n| view.owes(n)).collect();
+            let mark = g.allocated_count();
+            let (root, replacement) = random_replacement(&mut f, &mut g, &mut rng);
+            if g.replace_traced(root, replacement, &mut rewired).is_err() {
+                // The fresh replacement, if any, is garbage the view
+                // never saw.
+                g.gc();
+                continue;
+            }
+            freed.clear();
+            g.collect(root, &mut freed);
+            let seed: Vec<NodeId> = rewired
+                .iter()
+                .copied()
+                .chain(g.allocated_since(mark))
+                .chain(freed.iter().copied())
+                .collect();
+            view.patch(&g, seed.iter().copied());
+
+            let mut expected = vec![false; g.allocated_count()];
+            for &n in &seed {
+                expected[n.index()] = g.is_alive(n);
+            }
+            loop {
+                let mut grew = false;
+                for n in g.allocated_since(0) {
+                    let above = g.inputs(n).iter().any(|i| expected[i.index()]);
+                    if g.is_alive(n) && !expected[n.index()] && above {
+                        expected[n.index()] = true;
+                        grew = true;
+                    }
+                }
+                if !grew {
+                    break;
+                }
+            }
+            for n in g.allocated_since(0) {
+                let owed = owed_before.get(n.index()) == Some(&true) && g.is_alive(n);
+                let expected = expected[n.index()] || owed;
+                prop_assert_eq!(view.owes(n), expected, "{:?}, seed {:?}", n, seed);
+            }
+        }
+    }
+
     /// Structurally identical subgraphs share a term id; distinct inputs
     /// never do.
     #[test]

@@ -64,39 +64,56 @@
 //!
 //! Unknown flags and stray positional arguments are rejected with exit
 //! code 2 and a usage line — every subcommand declares exactly what it
-//! accepts.
+//! accepts. A reader that closes stdout early (`pypmc … | head`) ends
+//! the output with exit 0; any other failure to write it is exit 1.
 
 use pypm::cli_args::{self, parse_or_usage, Spec};
 use pypm::core::json::{Layout, Writer};
 use pypm::dsl::{binary, text, LibraryConfig};
 use pypm::engine::{explain_at, summary, Partition, PartitionPass, Pipeline, RewritePass, Session};
 use pypm::perf::CostModel;
-use std::io::Write;
+use std::io::{self, Write};
 use std::process::exit;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let code = match args.first().map(String::as_str) {
-        Some("list-models") => list_models(&args[1..]),
-        Some("compile") => compile(&args[1..]),
-        Some("serve") => serve(&args[1..]),
-        Some("library") => library(&args[1..]),
-        Some("dump") => dump(&args[1..]),
-        Some("load") => load(&args[1..]),
-        Some("partition") => run_partition(&args[1..]),
-        Some("explain") => run_explain(&args[1..]),
+    let rest = args.get(1..).unwrap_or_default();
+    // The server writes its two lines itself and holds no lock on
+    // stdout while it runs.
+    if args.first().map(String::as_str) == Some("serve") {
+        exit(serve(rest));
+    }
+    let mut out = io::stdout().lock();
+    let written = match args.first().map(String::as_str) {
+        Some("list-models") => list_models(&mut out, rest),
+        Some("compile") => compile(&mut out, rest),
+        Some("library") => library(&mut out, rest),
+        Some("dump") => dump(&mut out, rest),
+        Some("load") => load(&mut out, rest),
+        Some("partition") => run_partition(&mut out, rest),
+        Some("explain") => run_explain(&mut out, rest),
         _ => {
             eprintln!(
                 "usage: pypmc <list-models|compile|serve|library|dump|load|partition|explain> [...]"
             );
             eprintln!("see the module docs (`cargo doc -p pypm`) for details");
-            2
+            Ok(2)
+        }
+    };
+    let code = match written.and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        // Whoever reads our stdout stopped (`pypmc … | head`): what it
+        // did not read it did not want, so that is no failure.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            1
         }
     };
     exit(code);
 }
 
-fn list_models(args: &[String]) -> i32 {
+fn list_models(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let spec = Spec {
         usage: "pypmc list-models",
         positionals: (0, 0),
@@ -104,29 +121,31 @@ fn list_models(args: &[String]) -> i32 {
         bool_flags: &[],
     };
     if let Err(code) = parse_or_usage(&spec, args) {
-        return code;
+        return Ok(code);
     }
-    println!("HuggingFace-style transformers:");
+    writeln!(out, "HuggingFace-style transformers:")?;
     for c in pypm::models::hf_zoo() {
-        println!(
+        writeln!(
+            out,
             "  {:<22} {} layers, hidden {}, seq {}, gelu {:?}, scale {:?}",
             c.name, c.layers, c.hidden, c.seq, c.gelu, c.scale
-        );
+        )?;
     }
-    println!("\nTorchVision-style CNNs:");
+    writeln!(out, "\nTorchVision-style CNNs:")?;
     for c in pypm::models::tv_zoo() {
-        println!(
+        writeln!(
+            out,
             "  {:<22} {} stages, {} classifier layers, res {}",
             c.name,
             c.stages.len(),
             c.classifier.len(),
             c.resolution
-        );
+        )?;
     }
-    0
+    Ok(0)
 }
 
-fn compile(args: &[String]) -> i32 {
+fn compile(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let spec = Spec {
         usage: "pypmc compile <model>... [--config C] [--sweep-policy P] [--matcher M] \
                 [--stats-json FILE] [--dot]",
@@ -142,32 +161,32 @@ fn compile(args: &[String]) -> i32 {
     };
     let parsed = match parse_or_usage(&spec, args) {
         Ok(p) => p,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let models = &parsed.positionals;
     let config_arg = parsed.value("--config").unwrap_or("both");
     let Some(lib) = cli_args::lib_config(config_arg) else {
         eprintln!("unknown config {config_arg}");
-        return 2;
+        return Ok(2);
     };
     let policy = match cli_args::resolve_policy(&parsed) {
         Ok(policy) => policy,
         Err(e) => {
             eprintln!("{e}");
-            return 2;
+            return Ok(2);
         }
     };
     let matcher = match cli_args::resolve_matcher(&parsed) {
         Ok(matcher) => matcher,
         Err(e) => {
             eprintln!("{e}");
-            return 2;
+            return Ok(2);
         }
     };
     if let Err(e) = cli_args::retired("jobs", parsed.value("--jobs").unwrap_or("1"), "1") {
         eprintln!("error: {e}");
         eprintln!("usage: {}", spec.usage);
-        return 2;
+        return Ok(2);
     }
 
     // One session for the whole batch: shared symbol/term/pattern
@@ -177,7 +196,7 @@ fn compile(args: &[String]) -> i32 {
     for model in models {
         let Some(g) = pypm::build_model(&mut s, model) else {
             eprintln!("unknown model {model}; try `pypmc list-models`");
-            return 1;
+            return Ok(1);
         };
         graphs.push(g);
     }
@@ -203,47 +222,52 @@ fn compile(args: &[String]) -> i32 {
         Ok(reports) => reports,
         Err(e) => {
             eprintln!("rewrite pass failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     // The pipeline validates each graph after every mutating pass; the
     // baseline (no-pass) graphs are valid by construction.
     for (i, (model, g)) in models.iter().zip(&graphs).enumerate() {
         if i > 0 {
-            println!();
+            writeln!(out)?;
         }
         let stats = reports[i].total();
         let (before_nodes, before_cost) = before[i];
         let after_cost = cm.graph_cost(g, &s.syms, &s.registry, &s.ops);
-        println!("model      {model}");
-        println!("nodes      {before_nodes} -> {}", g.live_count());
-        println!(
+        writeln!(out, "model      {model}")?;
+        writeln!(out, "nodes      {before_nodes} -> {}", g.live_count())?;
+        writeln!(
+            out,
             "rewrites   {} fired / {} matches / {} attempts",
             stats.rewrites_fired, stats.matches_found, stats.match_attempts
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "matcher    {:.2} ms, {} machine steps, {} backtracks, {} sweeps",
             stats.duration.as_secs_f64() * 1e3,
             stats.machine_steps,
             stats.machine_backtracks,
             stats.sweeps
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "term view  {} builds, {} patches, {} nodes revisited, {} reindexed",
             stats.view_builds, stats.view_patches, stats.nodes_revisited, stats.nodes_reindexed
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "backend    {}: {} pairs admitted / {} rejected, {} terms walked, {} trie steps",
             stats.matcher.backend,
             stats.matcher.pairs_admitted,
             stats.matcher.pairs_rejected,
             stats.matcher.terms_walked,
             stats.matcher.trie_steps
-        );
-        println!(
+        )?;
+        writeln!(
+            out,
             "inference  {before_cost:.1} µs -> {after_cost:.1} µs ({:.3}x)",
             before_cost / after_cost
-        );
+        )?;
     }
     if let Some(path) = parsed.value("--stats-json") {
         let payload = if models.len() == 1 {
@@ -253,15 +277,15 @@ fn compile(args: &[String]) -> i32 {
         };
         if let Err(e) = std::fs::write(path, payload) {
             eprintln!("cannot write {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     }
     if parsed.has("--dot") {
         for g in &graphs {
-            println!("\n{}", g.to_dot(&s.syms));
+            writeln!(out, "\n{}", g.to_dot(&s.syms))?;
         }
     }
-    0
+    Ok(0)
 }
 
 /// Renders a batch compile's reports as one `pypm.batch.v1` document:
@@ -392,7 +416,7 @@ fn try_serve(args: &[String]) -> Result<i32, i32> {
     Ok(0)
 }
 
-fn library(args: &[String]) -> i32 {
+fn library(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let spec = Spec {
         usage: "pypmc library [--format text|binary] [-o FILE]",
         positionals: (0, 0),
@@ -401,7 +425,7 @@ fn library(args: &[String]) -> i32 {
     };
     let parsed = match parse_or_usage(&spec, args) {
         Ok(p) => p,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let mut s = Session::new();
     let rules = s.load_library(LibraryConfig::all());
@@ -411,25 +435,25 @@ fn library(args: &[String]) -> i32 {
         "binary" => binary::encode(&rules, &s.syms, &s.pats),
         other => {
             eprintln!("unknown format {other} (want text|binary)");
-            return 2;
+            return Ok(2);
         }
     };
     match parsed.value("-o") {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &payload) {
                 eprintln!("cannot write {path}: {e}");
-                return 1;
+                return Ok(1);
             }
-            println!("wrote {} bytes to {path}", payload.len());
+            writeln!(out, "wrote {} bytes to {path}", payload.len())?;
         }
         None => {
-            std::io::stdout().write_all(&payload).expect("stdout");
+            out.write_all(&payload)?;
         }
     }
-    0
+    Ok(0)
 }
 
-fn dump(args: &[String]) -> i32 {
+fn dump(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let spec = Spec {
         usage: "pypmc dump <model> [--config C] [-o FILE]",
         positionals: (1, 1),
@@ -438,18 +462,18 @@ fn dump(args: &[String]) -> i32 {
     };
     let parsed = match parse_or_usage(&spec, args) {
         Ok(p) => p,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let model = &parsed.positionals[0];
     let config_arg = parsed.value("--config").unwrap_or("both");
     let Some(lib) = cli_args::lib_config(config_arg) else {
         eprintln!("unknown config {config_arg}");
-        return 2;
+        return Ok(2);
     };
     let mut s = Session::new();
     let Some(g) = pypm::build_model(&mut s, model) else {
         eprintln!("unknown model {model}; try `pypmc list-models`");
-        return 1;
+        return Ok(1);
     };
     let rules = s.load_library(lib);
     let payload = s.wire_bundle(&g, &rules);
@@ -457,24 +481,25 @@ fn dump(args: &[String]) -> i32 {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &payload) {
                 eprintln!("cannot write {path}: {e}");
-                return 1;
+                return Ok(1);
             }
-            println!(
+            writeln!(
+                out,
                 "wrote {} bytes to {path}: {} nodes, {} outputs, {} rules",
                 payload.len(),
                 g.live_count(),
                 g.outputs().len(),
                 rules.len()
-            );
+            )?;
         }
         None => {
-            std::io::stdout().write_all(&payload).expect("stdout");
+            out.write_all(&payload)?;
         }
     }
-    0
+    Ok(0)
 }
 
-fn load(args: &[String]) -> i32 {
+fn load(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let spec = Spec {
         usage: "pypmc load <file>",
         positionals: (1, 1),
@@ -483,28 +508,29 @@ fn load(args: &[String]) -> i32 {
     };
     let parsed = match parse_or_usage(&spec, args) {
         Ok(p) => p,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let path = &parsed.positionals[0];
     let bytes = match std::fs::read(path) {
         Ok(bytes) => bytes,
         Err(e) => {
             eprintln!("cannot read {path}: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     let mut s = Session::new();
     // A bundle is the common case (`pypmc dump` writes one); a bare
     // ruleset container — or the legacy raw PYPMB1 encoding `pypmc
     // library --format binary` writes — still loads.
-    match s.load_wire_bundle(&bytes) {
+    Ok(match s.load_wire_bundle(&bytes) {
         Ok((g, rules)) => {
             if let Err(e) = g.validate() {
                 eprintln!("decoded graph fails validation: {e:?}");
-                return 1;
+                return Ok(1);
             }
             let identical = s.wire_bundle(&g, &rules)[..] == bytes[..];
-            println!(
+            writeln!(
+                out,
                 "loaded {path}: {} nodes, {} outputs, {} rules{}",
                 g.live_count(),
                 g.outputs().len(),
@@ -514,13 +540,17 @@ fn load(args: &[String]) -> i32 {
                 } else {
                     ""
                 }
-            );
+            )?;
             0
         }
         Err(pypm::wire::WireError::MissingSection { .. })
         | Err(pypm::wire::WireError::BadMagic) => match s.load_wire_ruleset(&bytes) {
             Ok(rules) => {
-                println!("loaded {path}: {} rules (no graph section)", rules.len());
+                writeln!(
+                    out,
+                    "loaded {path}: {} rules (no graph section)",
+                    rules.len()
+                )?;
                 0
             }
             Err(e) => {
@@ -532,10 +562,10 @@ fn load(args: &[String]) -> i32 {
             eprintln!("cannot decode {path}: {e}");
             1
         }
-    }
+    })
 }
 
-fn run_explain(args: &[String]) -> i32 {
+fn run_explain(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let spec = Spec {
         usage: "pypmc explain <model> <pattern>",
         positionals: (2, 2),
@@ -544,13 +574,13 @@ fn run_explain(args: &[String]) -> i32 {
     };
     let parsed = match parse_or_usage(&spec, args) {
         Ok(p) => p,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let (model, pattern) = (&parsed.positionals[0], &parsed.positionals[1]);
     let mut s = Session::new();
     let Some(mut g) = pypm::build_model(&mut s, model) else {
         eprintln!("unknown model {model}; try `pypmc list-models`");
-        return 1;
+        return Ok(1);
     };
     let rules = s.load_library(LibraryConfig::all());
     if rules.find(pattern).is_none() {
@@ -558,7 +588,7 @@ fn run_explain(args: &[String]) -> i32 {
         for def in &rules.patterns {
             eprintln!("  {}", def.name);
         }
-        return 1;
+        return Ok(1);
     }
     // Static phase: machine-trace diagnostics for the pattern at every
     // node of the untouched graph.
@@ -569,7 +599,7 @@ fn run_explain(args: &[String]) -> i32 {
         if let Some(e) = explain_at(&mut s, &rules, &g, node, pattern, 1_000_000) {
             if e.matched {
                 matched += 1;
-                println!("{e}");
+                writeln!(out, "{e}")?;
             } else {
                 failed += 1;
                 if worst.as_ref().map(|w| w.steps < e.steps).unwrap_or(true) {
@@ -578,13 +608,14 @@ fn run_explain(args: &[String]) -> i32 {
             }
         }
     }
-    println!("{matched} nodes matched, {failed} did not.");
+    writeln!(out, "{matched} nodes matched, {failed} did not.")?;
     if let Some(w) = worst {
-        println!(
+        writeln!(
+            out,
             "
 most expensive failed attempt:
 {w}"
-        );
+        )?;
     }
     // Dynamic phase: run the full compilation and report from its
     // firing log where the pattern actually fired or was rejected.
@@ -595,18 +626,19 @@ most expensive failed attempt:
         Ok(report) => report,
         Err(e) => {
             eprintln!("rewrite pass failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
-    println!("\nduring compilation (full library):");
-    print!(
+    writeln!(out, "\nduring compilation (full library):")?;
+    write!(
+        out,
         "{}",
         summary(&report.passes()[0].firings, &rules, Some(pattern))
-    );
-    0
+    )?;
+    Ok(0)
 }
 
-fn run_partition(args: &[String]) -> i32 {
+fn run_partition(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let spec = Spec {
         usage: "pypmc partition <model> [--pattern P]",
         positionals: (1, 1),
@@ -615,14 +647,14 @@ fn run_partition(args: &[String]) -> i32 {
     };
     let parsed = match parse_or_usage(&spec, args) {
         Ok(p) => p,
-        Err(code) => return code,
+        Err(code) => return Ok(code),
     };
     let model = &parsed.positionals[0];
     let pattern = parsed.value("--pattern").unwrap_or("MatMulEpilog");
     let mut s = Session::new();
     let Some(mut g) = pypm::build_model(&mut s, model) else {
         eprintln!("unknown model {model}; try `pypmc list-models`");
-        return 1;
+        return Ok(1);
     };
     let rules = s.load_library(LibraryConfig::all());
     if rules.find(pattern).is_none() {
@@ -630,7 +662,7 @@ fn run_partition(args: &[String]) -> i32 {
         for def in &rules.patterns {
             eprintln!("  {}", def.name);
         }
-        return 1;
+        return Ok(1);
     }
     let report = match Pipeline::new(&mut s)
         .with(PartitionPass::new(pattern).with_rules(rules))
@@ -639,7 +671,7 @@ fn run_partition(args: &[String]) -> i32 {
         Ok(report) => report,
         Err(e) => {
             eprintln!("partition pass failed: {e}");
-            return 1;
+            return Ok(1);
         }
     };
     // Surface pass warnings (pypmc's loud-failure contract).
@@ -650,14 +682,15 @@ fn run_partition(args: &[String]) -> i32 {
     }
     let Some(parts) = report.artifact::<Vec<Partition>>(PartitionPass::ARTIFACT) else {
         eprintln!("internal error: partition pass published no artifact");
-        return 1;
+        return Ok(1);
     };
     let cm = CostModel::new();
-    println!(
+    writeln!(
+        out,
         "{model}: {} {pattern} partitions over {} nodes",
         parts.len(),
         g.live_count()
-    );
+    )?;
     for p in parts {
         let per_node: f64 = p
             .nodes
@@ -665,14 +698,15 @@ fn run_partition(args: &[String]) -> i32 {
             .map(|&n| cm.node_cost(&g, &s.syms, &s.registry, &s.ops, n))
             .sum();
         let fused = cm.fused_region_cost(&g, &s.registry, &s.ops, &p.nodes, &p.frontier, p.root);
-        println!(
+        writeln!(
+            out,
             "  root {:?}: {} nodes, {} frontier inputs, {per_node:.1} µs per-node vs {fused:.1} µs fused",
             p.root,
             p.size(),
             p.frontier.len()
-        );
+        )?;
     }
-    0
+    Ok(0)
 }
 
 #[cfg(test)]

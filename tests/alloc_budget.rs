@@ -48,7 +48,9 @@
 //! patch cone and folded RHS arguments went into buffers the pass keeps
 //! — the build makes 132 and the pass 3 048, and a pass grows by 8.1
 //! allocations per extra firing from 50 to 200 layers where it grew by
-//! 11.7. The 100-layer model build went from 5 283 to 1 922.
+//! 11.7. The 100-layer model build went from 5 283 to 1 922. With the
+//! worklist read off the view's one per-node column, a patch fills no
+//! cone: the build makes 131 and the pass 3 038.
 //!
 //! And that a machine step allocates nothing: a warmed machine makes
 //! the same count whether a run takes 14 steps or 74.
@@ -250,18 +252,22 @@ const VIEW_BUILD_PER_NODE: f64 = 0.15;
 /// a firing's created and collected ids go straight into that log and
 /// the view keeps no term → producers index, 3 048 since a node's users
 /// and attributes live in the graph's arenas and a firing's scratch in
-/// the pass's buffers.
-const PASS_AT_100: u64 = 3_048;
+/// the pass's buffers, 3 038 since the worklist is the set of nodes the
+/// view owes a term (no dirty bits, no patch cone, one per-node column
+/// in the view).
+const PASS_AT_100: u64 = 3_038;
 
 /// What a pass may allocate for the firings it adds from 50 to 200
-/// layers (151 → 601 firings): 3 634, 8.1 per extra firing, since a
+/// layers (151 → 601 firings): 3 632, 8.1 per extra firing, since a
 /// node's users are a use-list in the edge arena, its attributes a run
-/// of an arena, and a firing's rewired users, patch cone and RHS
-/// argument terms sit in buffers the pass keeps. It was 5 282 (11.7 per
-/// firing) while each node a firing built grew a user vector of its own
-/// and a firing allocated those three. What is left per firing is
-/// mostly a probe's fresh machine and witness.
-const PASS_GROWTH_50_TO_200: u64 = 3_634;
+/// of an arena, a firing's rewired users and RHS argument terms sit in
+/// buffers the pass keeps, and a patch fills no cone. It was 5 282
+/// (11.7 per firing) while each node a firing built grew a user vector
+/// of its own and a firing allocated its rewired users, patch cone and
+/// argument terms, and 3 634 while the pass kept a buffer for the cone.
+/// What is left per firing is mostly a probe's fresh machine and
+/// witness.
+const PASS_GROWTH_50_TO_200: u64 = 3_632;
 
 #[test]
 fn a_firing_allocates_a_bounded_count() {

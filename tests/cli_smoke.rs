@@ -473,3 +473,21 @@ fn explain_reports_static_and_dynamic_sections() {
     assert!(text.contains("during compilation"), "{text}");
     assert!(text.contains("rewrites fired"), "{text}");
 }
+
+#[test]
+fn a_reader_that_hangs_up_ends_the_output_quietly() {
+    // The reader closes the pipe before pypmc has built its model, so
+    // its first line meets a broken pipe: that ends the command with
+    // exit 0, not a panic.
+    let mut child = Command::new(env!("CARGO_BIN_EXE_pypmc"))
+        .args(["explain", "bert-tiny", "MatMulEpilog"])
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("failed to spawn pypmc");
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("pypmc exits");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{out:?}");
+    assert!(!err.contains("panicked"), "{err}");
+}
