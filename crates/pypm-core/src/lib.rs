@@ -92,4 +92,4 @@ pub use pattern::{Pattern, PatternError, PatternId, PatternStore};
 pub use stage::{Stage, StageTotals, Stages, Tally};
 pub use subst::{FunSubst, Subst, Witness};
 pub use symbol::{Attr, FunVar, PatName, Symbol, SymbolTable, Var};
-pub use term::{ArityError, TermId, TermStore};
+pub use term::{TermId, TermStore};

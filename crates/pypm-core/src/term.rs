@@ -98,13 +98,8 @@ impl TermStore {
     }
 
     /// Interns the application `op(args…)`. The arguments are only
-    /// read — a vector, an array or a slice all pass.
-    ///
-    /// # Panics
-    ///
-    /// Does **not** check arity against a [`SymbolTable`]; use
-    /// [`TermStore::app_checked`] when the caller cannot guarantee
-    /// saturation.
+    /// read — a vector, an array or a slice all pass. Arity is not
+    /// checked against a [`SymbolTable`]: the caller saturates `op`.
     pub fn app(&mut self, op: Symbol, args: impl AsRef<[TermId]>) -> TermId {
         self.intern(op, args.as_ref())
     }
@@ -164,29 +159,6 @@ impl TermStore {
     /// Interns a constant (nullary application).
     pub fn app0(&mut self, op: Symbol) -> TermId {
         self.intern(op, &[])
-    }
-
-    /// Interns `op(args…)` after validating saturation against `syms`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `args.len() != arity(op)`.
-    pub fn app_checked(
-        &mut self,
-        syms: &SymbolTable,
-        op: Symbol,
-        args: impl AsRef<[TermId]>,
-    ) -> Result<TermId, ArityError> {
-        let args = args.as_ref();
-        let expected = syms.arity(op);
-        if args.len() != expected {
-            return Err(ArityError {
-                op: syms.op_name(op).to_owned(),
-                expected,
-                got: args.len(),
-            });
-        }
-        Ok(self.intern(op, args))
     }
 
     /// Head operator of a term.
@@ -277,119 +249,6 @@ impl TermStore {
             out.write_char(')')?;
         }
         Ok(())
-    }
-
-    /// Parses the `display` syntax back into a term, declaring unknown
-    /// operators on the fly with the observed arity.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message describing the first syntax or arity problem.
-    pub fn parse(&mut self, syms: &mut SymbolTable, input: &str) -> Result<TermId, String> {
-        let mut p = TermParser {
-            input: input.as_bytes(),
-            pos: 0,
-        };
-        let t = p.term(self, syms)?;
-        p.skip_ws();
-        if p.pos != p.input.len() {
-            return Err(format!("trailing input at byte {}", p.pos));
-        }
-        Ok(t)
-    }
-}
-
-/// Error returned by [`TermStore::app_checked`] on an unsaturated
-/// application.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArityError {
-    /// Operator name.
-    pub op: String,
-    /// Declared arity.
-    pub expected: usize,
-    /// Number of arguments supplied.
-    pub got: usize,
-}
-
-impl fmt::Display for ArityError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "operator {} expects {} arguments, got {}",
-            self.op, self.expected, self.got
-        )
-    }
-}
-
-impl std::error::Error for ArityError {}
-
-struct TermParser<'a> {
-    input: &'a [u8],
-    pos: usize,
-}
-
-impl TermParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.pos < self.input.len() && self.input[self.pos].is_ascii_whitespace() {
-            self.pos += 1;
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, String> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.input.len() {
-            let c = self.input[self.pos];
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'%' || c == b'.' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return Err(format!("expected identifier at byte {start}"));
-        }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
-    }
-
-    fn term(&mut self, store: &mut TermStore, syms: &mut SymbolTable) -> Result<TermId, String> {
-        let name = self.ident()?;
-        self.skip_ws();
-        let mut args = Vec::new();
-        if self.pos < self.input.len() && self.input[self.pos] == b'(' {
-            self.pos += 1;
-            loop {
-                self.skip_ws();
-                if self.pos < self.input.len() && self.input[self.pos] == b')' {
-                    self.pos += 1;
-                    break;
-                }
-                args.push(self.term(store, syms)?);
-                self.skip_ws();
-                if self.pos < self.input.len() && self.input[self.pos] == b',' {
-                    self.pos += 1;
-                } else if self.pos < self.input.len() && self.input[self.pos] == b')' {
-                    self.pos += 1;
-                    break;
-                } else {
-                    return Err(format!("expected ',' or ')' at byte {}", self.pos));
-                }
-            }
-        }
-        let op = match syms.find_op(&name) {
-            Some(op) => {
-                if syms.arity(op) != args.len() {
-                    return Err(format!(
-                        "operator {name} expects {} arguments, got {}",
-                        syms.arity(op),
-                        args.len()
-                    ));
-                }
-                op
-            }
-            None => syms.op(&name, args.len()),
-        };
-        Ok(store.app(op, args))
     }
 }
 
@@ -503,18 +362,7 @@ mod tests {
     }
 
     #[test]
-    fn app_checked_rejects_bad_arity() {
-        let (mut syms, mut terms) = setup();
-        let f = syms.op("f", 2);
-        let c = syms.op("c", 0);
-        let a = terms.app0(c);
-        let err = terms.app_checked(&syms, f, vec![a]).unwrap_err();
-        assert_eq!(err.expected, 2);
-        assert_eq!(err.got, 1);
-    }
-
-    #[test]
-    fn display_and_parse_roundtrip() {
+    fn display_renders_nested_applications() {
         let (mut syms, mut terms) = setup();
         let c = syms.op("c", 0);
         let f = syms.op("MatMul", 2);
@@ -522,26 +370,7 @@ mod tests {
         let a = terms.app0(c);
         let ga = terms.app(g, vec![a]);
         let t = terms.app(f, vec![a, ga]);
-        let text = terms.display(&syms, t);
-        assert_eq!(text, "MatMul(c, Trans(c))");
-        let reparsed = terms.parse(&mut syms, &text).unwrap();
-        assert_eq!(reparsed, t);
-    }
-
-    #[test]
-    fn parse_declares_unknown_ops() {
-        let (mut syms, mut terms) = setup();
-        let t = terms.parse(&mut syms, "Add(x1, Mul(x1, x1))").unwrap();
-        assert_eq!(terms.display(&syms, t), "Add(x1, Mul(x1, x1))");
-        assert_eq!(syms.arity(syms.find_op("Add").unwrap()), 2);
-        assert_eq!(syms.arity(syms.find_op("x1").unwrap()), 0);
-    }
-
-    #[test]
-    fn parse_rejects_arity_mismatch() {
-        let (mut syms, mut terms) = setup();
-        terms.parse(&mut syms, "f(a, b)").unwrap();
-        assert!(terms.parse(&mut syms, "f(a)").is_err());
+        assert_eq!(terms.display(&syms, t), "MatMul(c, Trans(c))");
     }
 
     #[test]

@@ -101,14 +101,7 @@ impl std::error::Error for BinError {}
 pub fn encode(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Vec<u8> {
     let mut buf = MAGIC.to_vec();
 
-    // Operator table: every op any pattern or rhs mentions.
-    let mut ops: std::collections::BTreeMap<String, usize> = Default::default();
-    for def in &rs.patterns {
-        collect_ops(pats, syms, def.pattern, &mut ops);
-        for rule in &def.rules {
-            collect_rhs_ops(&rule.rhs, syms, &mut ops);
-        }
-    }
+    let ops = rs.operator_table(syms, pats);
     buf.put_u32_le(ops.len() as u32);
     for (name, arity) in &ops {
         buf.put_str(name);
@@ -135,63 +128,6 @@ pub fn encode(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> Vec<u8> 
         }
     }
     buf
-}
-
-fn collect_ops(
-    pats: &PatternStore,
-    syms: &SymbolTable,
-    p: PatternId,
-    out: &mut std::collections::BTreeMap<String, usize>,
-) {
-    match pats.get(p) {
-        Pattern::Var(_) | Pattern::Call(..) => {}
-        Pattern::App(f, args) => {
-            out.insert(syms.op_name(*f).to_owned(), args.len());
-            for &a in args {
-                collect_ops(pats, syms, a, out);
-            }
-        }
-        Pattern::FunApp(_, args) => {
-            for &a in args {
-                collect_ops(pats, syms, a, out);
-            }
-        }
-        Pattern::Alt(l, r) => {
-            collect_ops(pats, syms, *l, out);
-            collect_ops(pats, syms, *r, out);
-        }
-        Pattern::Guard(inner, _) | Pattern::Exists(_, inner) => {
-            collect_ops(pats, syms, *inner, out)
-        }
-        Pattern::MatchConstr {
-            main, constraint, ..
-        } => {
-            collect_ops(pats, syms, *main, out);
-            collect_ops(pats, syms, *constraint, out);
-        }
-        Pattern::Mu { body, .. } => collect_ops(pats, syms, *body, out),
-    }
-}
-
-fn collect_rhs_ops(
-    rhs: &Rhs,
-    syms: &SymbolTable,
-    out: &mut std::collections::BTreeMap<String, usize>,
-) {
-    match rhs {
-        Rhs::Var(_) => {}
-        Rhs::App { op, args, .. } => {
-            out.insert(syms.op_name(*op).to_owned(), args.len());
-            for a in args {
-                collect_rhs_ops(a, syms, out);
-            }
-        }
-        Rhs::FunApp(_, args) => {
-            for a in args {
-                collect_rhs_ops(a, syms, out);
-            }
-        }
-    }
 }
 
 fn put_pattern(buf: &mut Vec<u8>, syms: &SymbolTable, pats: &PatternStore, p: PatternId) {

@@ -10,8 +10,9 @@
 //!   recursion, cross-pattern inlining, and traced rule control flow,
 //! * [`RuleSet`] — the compiled program: ordered patterns, each with
 //!   ordered guarded rules and [`Rhs`] replacement templates,
-//! * [`text`] — a human-readable serialization of rule sets,
-//! * [`binary`] — the portable binary format (magic `PYPMB1`),
+//! * [`binary`] — the portable binary format (magic `PYPMB1`), the one
+//!   way a rule set enters a session,
+//! * [`text`] — an output-only, human-readable rendering of rule sets,
 //! * [`library`] — every pattern the paper presents (Figs. 1–4, 14) plus
 //!   the FMHA and GEMM-epilog optimizations its evaluation deploys.
 

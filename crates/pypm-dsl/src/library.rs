@@ -679,15 +679,4 @@ mod tests {
             crate::text::print_ruleset(&rs2, &syms2, &pats2)
         );
     }
-
-    #[test]
-    fn library_roundtrips_through_text() {
-        let (syms, pats, rs) = build(LibraryConfig::all());
-        let text = crate::text::print_ruleset(&rs, &syms, &pats);
-        let mut syms2 = SymbolTable::new();
-        let mut pats2 = PatternStore::new();
-        let rs2 = crate::text::parse_ruleset(&text, &mut syms2, &mut pats2)
-            .unwrap_or_else(|e| panic!("{e}\n{text}"));
-        assert_eq!(text, crate::text::print_ruleset(&rs2, &syms2, &pats2));
-    }
 }

@@ -10,7 +10,8 @@
 //! pattern matches, "PyPM runs each of the corresponding rules one by one
 //! … The first rule whose assertions pass is fired".
 
-use pypm_core::{Attr, FunVar, Guard, PatternId, PatternStore, Symbol, SymbolTable, Var};
+use pypm_core::{Attr, FunVar, Guard, Pattern, PatternId, PatternStore, Symbol, SymbolTable, Var};
+use std::collections::BTreeMap;
 
 /// The right-hand side of a rewrite rule: a template instantiated with the
 /// match substitution to build the replacement subgraph.
@@ -147,7 +148,8 @@ pub struct PatternDef {
 }
 
 /// An ordered collection of pattern definitions: the unit the engine
-/// loads, and the unit the text/binary serializers transport.
+/// loads, the unit the binary format transports and the text printer
+/// renders.
 #[derive(Debug, Clone, Default)]
 pub struct RuleSet {
     /// Pattern definitions in file order.
@@ -203,6 +205,77 @@ impl RuleSet {
             }
         }
         Ok(())
+    }
+
+    /// Every operator a pattern or rule template mentions, with its
+    /// arity, in name order: the `op` header of the text format and the
+    /// operator table of the binary one.
+    pub fn operator_table<'s>(
+        &self,
+        syms: &'s SymbolTable,
+        pats: &PatternStore,
+    ) -> BTreeMap<&'s str, usize> {
+        let mut ops = BTreeMap::new();
+        for def in &self.patterns {
+            pattern_ops(pats, syms, def.pattern, &mut ops);
+            for rule in &def.rules {
+                rhs_ops(&rule.rhs, syms, &mut ops);
+            }
+        }
+        ops
+    }
+}
+
+fn pattern_ops<'s>(
+    pats: &PatternStore,
+    syms: &'s SymbolTable,
+    p: PatternId,
+    out: &mut BTreeMap<&'s str, usize>,
+) {
+    match pats.get(p) {
+        Pattern::Var(_) | Pattern::Call(..) => {}
+        Pattern::App(f, args) => {
+            out.insert(syms.op_name(*f), args.len());
+            for &a in args {
+                pattern_ops(pats, syms, a, out);
+            }
+        }
+        Pattern::FunApp(_, args) => {
+            for &a in args {
+                pattern_ops(pats, syms, a, out);
+            }
+        }
+        Pattern::Alt(l, r) => {
+            pattern_ops(pats, syms, *l, out);
+            pattern_ops(pats, syms, *r, out);
+        }
+        Pattern::Guard(inner, _) | Pattern::Exists(_, inner) => {
+            pattern_ops(pats, syms, *inner, out)
+        }
+        Pattern::MatchConstr {
+            main, constraint, ..
+        } => {
+            pattern_ops(pats, syms, *main, out);
+            pattern_ops(pats, syms, *constraint, out);
+        }
+        Pattern::Mu { body, .. } => pattern_ops(pats, syms, *body, out),
+    }
+}
+
+fn rhs_ops<'s>(rhs: &Rhs, syms: &'s SymbolTable, out: &mut BTreeMap<&'s str, usize>) {
+    match rhs {
+        Rhs::Var(_) => {}
+        Rhs::App { op, args, .. } => {
+            out.insert(syms.op_name(*op), args.len());
+            for a in args {
+                rhs_ops(a, syms, out);
+            }
+        }
+        Rhs::FunApp(_, args) => {
+            for a in args {
+                rhs_ops(a, syms, out);
+            }
+        }
     }
 }
 

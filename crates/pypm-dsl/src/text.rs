@@ -1,9 +1,10 @@
-//! The portable *text* format for rule sets.
+//! The *text* rendition of rule sets: an output-only form.
 //!
 //! PyPM's frontend serializes traced patterns and rules into "a portable
 //! serialized binary format … dynamically loaded into and interpreted by
-//! the C++ backend" (paper §2.4). This module is the human-readable
-//! rendition of that format (the binary one lives in [`crate::binary`]):
+//! the C++ backend" (paper §2.4). That format lives in [`crate::binary`]
+//! and is the one way a rule set enters a session. This module prints the
+//! same rule set for a person to read (`pypmc library`):
 //!
 //! ```text
 //! op MatMul/2;
@@ -16,51 +17,17 @@
 //! rule cublasrule for MMxyT when x.eltType = 1 => cublasMM_xyT_f32(x, y);
 //! ```
 //!
-//! The pattern body grammar is exactly the display syntax of
-//! [`PatternStore::display`], so `parse(print(rs))` reproduces `rs`.
-//! Identifier resolution: a name declared with `op` is an operator; a
-//! name bound by the pattern header's function-parameter list (after
-//! `;`) is a function variable; a name matching a pattern (or enclosing
-//! `mu`) is a recursive call; anything else is a term variable.
+//! A pattern body is printed in the display syntax of
+//! [`PatternStore::display`], a rule's template in that of
+//! [`crate::Rhs::display`]. Nothing reads the text back.
 
-use crate::ruleset::{PatternDef, Rhs, RuleDef, RuleSet};
-use pypm_core::{Expr, FunVar, Guard, Pattern, PatternId, PatternStore, Symbol, SymbolTable, Var};
-use std::collections::{BTreeMap, HashSet};
-use std::fmt;
-
-/// A parse failure with byte position and message.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset of the failure.
-    pub pos: usize,
-    /// Human-readable description.
-    pub message: String,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parse error at byte {}: {}", self.pos, self.message)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-// ---------------------------------------------------------------------
-// Printer
-// ---------------------------------------------------------------------
+use crate::ruleset::RuleSet;
+use pypm_core::{PatternStore, SymbolTable};
 
 /// Serializes a rule set to the text format.
 pub fn print_ruleset(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> String {
     let mut out = String::new();
-    // Header: every operator any pattern or rhs mentions.
-    let mut ops: BTreeMap<String, usize> = BTreeMap::new();
-    for def in &rs.patterns {
-        collect_pattern_ops(pats, syms, def.pattern, &mut ops);
-        for rule in &def.rules {
-            collect_rhs_ops(&rule.rhs, syms, &mut ops);
-        }
-    }
-    for (name, arity) in &ops {
+    for (name, arity) in rs.operator_table(syms, pats) {
         out.push_str(&format!("op {name}/{arity};\n"));
     }
     out.push('\n');
@@ -100,570 +67,22 @@ pub fn print_ruleset(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> S
     out
 }
 
-fn collect_pattern_ops(
-    pats: &PatternStore,
-    syms: &SymbolTable,
-    p: PatternId,
-    out: &mut BTreeMap<String, usize>,
-) {
-    match pats.get(p) {
-        Pattern::Var(_) | Pattern::Call(..) => {}
-        Pattern::App(f, args) => {
-            out.insert(syms.op_name(*f).to_owned(), args.len());
-            for &a in args {
-                collect_pattern_ops(pats, syms, a, out);
-            }
-        }
-        Pattern::FunApp(_, args) => {
-            for &a in args {
-                collect_pattern_ops(pats, syms, a, out);
-            }
-        }
-        Pattern::Alt(l, r) => {
-            collect_pattern_ops(pats, syms, *l, out);
-            collect_pattern_ops(pats, syms, *r, out);
-        }
-        Pattern::Guard(inner, _) | Pattern::Exists(_, inner) => {
-            collect_pattern_ops(pats, syms, *inner, out)
-        }
-        Pattern::MatchConstr {
-            main, constraint, ..
-        } => {
-            collect_pattern_ops(pats, syms, *main, out);
-            collect_pattern_ops(pats, syms, *constraint, out);
-        }
-        Pattern::Mu { body, .. } => collect_pattern_ops(pats, syms, *body, out),
-    }
-}
-
-fn collect_rhs_ops(rhs: &Rhs, syms: &SymbolTable, out: &mut BTreeMap<String, usize>) {
-    match rhs {
-        Rhs::Var(_) => {}
-        Rhs::App { op, args, .. } => {
-            out.insert(syms.op_name(*op).to_owned(), args.len());
-            for a in args {
-                collect_rhs_ops(a, syms, out);
-            }
-        }
-        Rhs::FunApp(_, args) => {
-            for a in args {
-                collect_rhs_ops(a, syms, out);
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Parser
-// ---------------------------------------------------------------------
-
-/// Parses the text format, interning names into `syms`/`pats`.
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] describing the first syntax problem.
-pub fn parse_ruleset(
-    input: &str,
-    syms: &mut SymbolTable,
-    pats: &mut PatternStore,
-) -> Result<RuleSet, ParseError> {
-    let mut p = Parser {
-        input: input.as_bytes(),
-        pos: 0,
-        declared_ops: HashSet::new(),
-        pattern_names: Vec::new(),
-    };
-    p.ruleset(syms, pats)
-}
-
-struct Parser<'a> {
-    input: &'a [u8],
-    pos: usize,
-    declared_ops: HashSet<String>,
-    pattern_names: Vec<String>,
-}
-
-struct BodyCtx {
-    fun_params: Vec<String>,
-    mu_names: Vec<String>,
-}
-
-impl Parser<'_> {
-    fn err<T>(&self, msg: impl Into<String>) -> Result<T, ParseError> {
-        Err(ParseError {
-            pos: self.pos,
-            message: msg.into(),
-        })
-    }
-
-    fn skip_ws(&mut self) {
-        loop {
-            while self.pos < self.input.len() && self.input[self.pos].is_ascii_whitespace() {
-                self.pos += 1;
-            }
-            // Line comments.
-            if self.pos + 1 < self.input.len() && &self.input[self.pos..self.pos + 2] == b"//" {
-                while self.pos < self.input.len() && self.input[self.pos] != b'\n' {
-                    self.pos += 1;
-                }
-            } else {
-                break;
-            }
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.input.get(self.pos).copied()
-    }
-
-    fn eat(&mut self, tok: &str) -> bool {
-        self.skip_ws();
-        if self.input[self.pos..].starts_with(tok.as_bytes()) {
-            self.pos += tok.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, tok: &str) -> Result<(), ParseError> {
-        if self.eat(tok) {
-            Ok(())
-        } else {
-            self.err(format!("expected `{tok}`"))
-        }
-    }
-
-    fn ident(&mut self) -> Result<String, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        while self.pos < self.input.len() {
-            let c = self.input[self.pos];
-            if c.is_ascii_alphanumeric() || c == b'_' || c == b'%' {
-                self.pos += 1;
-            } else {
-                break;
-            }
-        }
-        if start == self.pos {
-            return self.err("expected identifier");
-        }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
-    }
-
-    fn keyword_ahead(&mut self, kw: &str) -> bool {
-        self.skip_ws();
-        let bytes = kw.as_bytes();
-        if !self.input[self.pos..].starts_with(bytes) {
-            return false;
-        }
-        // Must not continue as an identifier.
-        !matches!(
-            self.input.get(self.pos + bytes.len()),
-            Some(&c) if c.is_ascii_alphanumeric() || c == b'_' || c == b'%'
-        )
-    }
-
-    fn number(&mut self) -> Result<i64, ParseError> {
-        self.skip_ws();
-        let start = self.pos;
-        if self.input.get(self.pos) == Some(&b'-') {
-            self.pos += 1;
-        }
-        while self.pos < self.input.len() && self.input[self.pos].is_ascii_digit() {
-            self.pos += 1;
-        }
-        if start == self.pos {
-            return self.err("expected number");
-        }
-        std::str::from_utf8(&self.input[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or(ParseError {
-                pos: start,
-                message: "invalid number".into(),
-            })
-    }
-
-    fn ruleset(
-        &mut self,
-        syms: &mut SymbolTable,
-        pats: &mut PatternStore,
-    ) -> Result<RuleSet, ParseError> {
-        let mut rs = RuleSet::new();
-        loop {
-            self.skip_ws();
-            if self.pos >= self.input.len() {
-                break;
-            }
-            if self.keyword_ahead("op") {
-                self.expect("op")?;
-                let name = self.ident()?;
-                self.expect("/")?;
-                let arity = self.number()? as usize;
-                self.expect(";")?;
-                syms.op(&name, arity);
-                self.declared_ops.insert(name);
-            } else if self.keyword_ahead("pattern") {
-                self.expect("pattern")?;
-                let def = self.pattern_def(syms, pats)?;
-                self.pattern_names.push(def.name.clone());
-                rs.patterns.push(def);
-            } else if self.keyword_ahead("rule") {
-                self.expect("rule")?;
-                let name = self.ident()?;
-                self.expect("for")?;
-                let pat_name = self.ident()?;
-                self.expect("when")?;
-                let def = rs
-                    .patterns
-                    .iter()
-                    .find(|p| p.name == pat_name)
-                    .ok_or_else(|| ParseError {
-                        pos: self.pos,
-                        message: format!("rule {name} for unknown pattern {pat_name}"),
-                    })?;
-                let ctx = BodyCtx {
-                    fun_params: def
-                        .fun_params
-                        .iter()
-                        .map(|&f| syms.fun_var_name(f).to_owned())
-                        .collect(),
-                    mu_names: Vec::new(),
-                };
-                let guard = self.guard(syms, &ctx)?;
-                self.expect("=>")?;
-                let rhs = self.rhs(syms, &ctx)?;
-                self.expect(";")?;
-                let def = rs
-                    .patterns
-                    .iter_mut()
-                    .find(|p| p.name == pat_name)
-                    .expect("checked above");
-                def.rules.push(RuleDef { name, guard, rhs });
-            } else {
-                return self.err("expected `op`, `pattern`, or `rule`");
-            }
-        }
-        Ok(rs)
-    }
-
-    fn pattern_def(
-        &mut self,
-        syms: &mut SymbolTable,
-        pats: &mut PatternStore,
-    ) -> Result<PatternDef, ParseError> {
-        let name = self.ident()?;
-        self.expect("(")?;
-        let mut params: Vec<Var> = Vec::new();
-        let mut fun_params: Vec<FunVar> = Vec::new();
-        let mut fun_param_names: Vec<String> = Vec::new();
-        let mut in_fun_section = false;
-        loop {
-            if self.eat(")") {
-                break;
-            }
-            if self.eat(";") {
-                in_fun_section = true;
-                continue;
-            }
-            if self.eat(",") {
-                continue;
-            }
-            let id = self.ident()?;
-            if in_fun_section {
-                fun_params.push(syms.fun_var(&id));
-                fun_param_names.push(id);
-            } else {
-                params.push(syms.var(&id));
-            }
-        }
-        self.expect("{")?;
-        let ctx = BodyCtx {
-            fun_params: fun_param_names,
-            mu_names: vec![name.clone()],
-        };
-        let pattern = self.pattern_expr(syms, pats, &ctx)?;
-        self.expect("}")?;
-        Ok(PatternDef {
-            name,
-            params,
-            fun_params,
-            pattern,
-            rules: Vec::new(),
-        })
-    }
-
-    fn pattern_expr(
-        &mut self,
-        syms: &mut SymbolTable,
-        pats: &mut PatternStore,
-        ctx: &BodyCtx,
-    ) -> Result<PatternId, ParseError> {
-        if self.peek() == Some(b'(') {
-            self.expect("(")?;
-            // (exists x. p) | (mu P(x)[y]. p) | (p …)
-            if self.keyword_ahead("exists") {
-                self.expect("exists")?;
-                let v = self.ident()?;
-                self.expect(".")?;
-                let var = syms.var(&v);
-                let inner = self.pattern_expr(syms, pats, ctx)?;
-                self.expect(")")?;
-                return Ok(pats.exists(var, inner));
-            }
-            if self.keyword_ahead("mu") {
-                self.expect("mu")?;
-                let name = self.ident()?;
-                self.expect("(")?;
-                let mut mu_params = Vec::new();
-                loop {
-                    if self.eat(")") {
-                        break;
-                    }
-                    if self.eat(",") {
-                        continue;
-                    }
-                    mu_params.push(syms.var(&self.ident()?));
-                }
-                self.expect("[")?;
-                let mut mu_args = Vec::new();
-                loop {
-                    if self.eat("]") {
-                        break;
-                    }
-                    if self.eat(",") {
-                        continue;
-                    }
-                    mu_args.push(syms.var(&self.ident()?));
-                }
-                self.expect(".")?;
-                let mut inner_ctx = BodyCtx {
-                    fun_params: ctx.fun_params.clone(),
-                    mu_names: ctx.mu_names.clone(),
-                };
-                if !inner_ctx.mu_names.contains(&name) {
-                    inner_ctx.mu_names.push(name.clone());
-                }
-                let body = self.pattern_expr(syms, pats, &inner_ctx)?;
-                self.expect(")")?;
-                let pn = syms.pat_name(&name);
-                return Ok(pats.mu(pn, mu_params, mu_args, body));
-            }
-            // General parenthesized combination: p (| p)  (where g)
-            // (with x ~ p), applied left-to-right as printed.
-            let mut p = self.pattern_expr(syms, pats, ctx)?;
-            loop {
-                if self.eat("|") {
-                    let r = self.pattern_expr(syms, pats, ctx)?;
-                    p = pats.alt(p, r);
-                } else if self.keyword_ahead("where") {
-                    self.expect("where")?;
-                    let g = self.guard(syms, ctx)?;
-                    p = pats.guarded(p, g);
-                } else if self.keyword_ahead("with") {
-                    self.expect("with")?;
-                    let v = syms.var(&self.ident()?);
-                    self.expect("~")?;
-                    let c = self.pattern_expr(syms, pats, ctx)?;
-                    p = pats.match_constr(p, c, v);
-                } else {
-                    break;
-                }
-            }
-            self.expect(")")?;
-            return Ok(p);
-        }
-        // Identifier-headed: op application, fun-var application,
-        // recursive call, or plain variable.
-        let name = self.ident()?;
-        if self.peek() == Some(b'(') && !self.declared_ops.contains(&name) {
-            // fun var or recursive call.
-            self.expect("(")?;
-            if ctx.fun_params.contains(&name) {
-                let fv = syms.fun_var(&name);
-                let mut args = Vec::new();
-                loop {
-                    if self.eat(")") {
-                        break;
-                    }
-                    if self.eat(",") {
-                        continue;
-                    }
-                    args.push(self.pattern_expr(syms, pats, ctx)?);
-                }
-                return Ok(pats.fun_app(fv, args));
-            }
-            if ctx.mu_names.contains(&name) || self.pattern_names.contains(&name) {
-                let pn = syms.pat_name(&name);
-                let mut args = Vec::new();
-                loop {
-                    if self.eat(")") {
-                        break;
-                    }
-                    if self.eat(",") {
-                        continue;
-                    }
-                    args.push(syms.var(&self.ident()?));
-                }
-                return Ok(pats.call(pn, args));
-            }
-            return self.err(format!("unknown applied name {name}"));
-        }
-        if self.peek() == Some(b'(') {
-            // Declared operator application.
-            self.expect("(")?;
-            let mut args = Vec::new();
-            loop {
-                if self.eat(")") {
-                    break;
-                }
-                if self.eat(",") {
-                    continue;
-                }
-                args.push(self.pattern_expr(syms, pats, ctx)?);
-            }
-            let op = syms.find_op(&name).ok_or_else(|| ParseError {
-                pos: self.pos,
-                message: format!("operator {name} not declared"),
-            })?;
-            return Ok(pats.app(op, args));
-        }
-        // Bare identifier: declared nullary op, else variable.
-        if self.declared_ops.contains(&name) {
-            let op = syms.find_op(&name).expect("declared");
-            return Ok(pats.app(op, Vec::new()));
-        }
-        Ok(pats.var(syms.var(&name)))
-    }
-
-    fn guard(&mut self, syms: &mut SymbolTable, ctx: &BodyCtx) -> Result<Guard, ParseError> {
-        // g := '!' '(' g ')' | '(' g ('&&'|'||') g ')' | e ('='|'<') e
-        self.skip_ws();
-        if self.eat("!") {
-            self.expect("(")?;
-            let g = self.guard(syms, ctx)?;
-            self.expect(")")?;
-            return Ok(g.not());
-        }
-        if self.peek() == Some(b'(') {
-            // Could be a connective group or a parenthesized expression
-            // starting a comparison. Try the connective reading first.
-            let save = self.pos;
-            self.expect("(")?;
-            if let Ok(l) = self.guard(syms, ctx) {
-                if self.eat("&&") {
-                    let r = self.guard(syms, ctx)?;
-                    self.expect(")")?;
-                    return Ok(l.and(r));
-                }
-                if self.eat("||") {
-                    let r = self.guard(syms, ctx)?;
-                    self.expect(")")?;
-                    return Ok(l.or(r));
-                }
-            }
-            self.pos = save;
-        }
-        let l = self.expr(syms, ctx)?;
-        if self.eat("=") {
-            let r = self.expr(syms, ctx)?;
-            return Ok(Guard::Eq(l, r));
-        }
-        if self.eat("<") {
-            let r = self.expr(syms, ctx)?;
-            return Ok(Guard::Lt(l, r));
-        }
-        self.err("expected comparison operator")
-    }
-
-    fn expr(&mut self, syms: &mut SymbolTable, ctx: &BodyCtx) -> Result<Expr, ParseError> {
-        self.skip_ws();
-        if self.peek() == Some(b'(') {
-            self.expect("(")?;
-            let l = self.expr(syms, ctx)?;
-            let op = if self.eat("+") {
-                '+'
-            } else if self.eat("-") {
-                '-'
-            } else if self.eat("*") {
-                '*'
-            } else {
-                return self.err("expected arithmetic operator");
-            };
-            let r = self.expr(syms, ctx)?;
-            self.expect(")")?;
-            return Ok(match op {
-                '+' => l.add(r),
-                '-' => l.sub(r),
-                _ => l.mul(r),
-            });
-        }
-        if matches!(self.peek(), Some(c) if c == b'-' || c.is_ascii_digit()) {
-            return Ok(Expr::Const(self.number()?));
-        }
-        let v = self.ident()?;
-        self.expect(".")?;
-        let attr = self.ident()?;
-        let _ = ctx;
-        Ok(Expr::var_attr(syms.var(&v), syms.attr(&attr)))
-    }
-
-    fn rhs(&mut self, syms: &mut SymbolTable, ctx: &BodyCtx) -> Result<Rhs, ParseError> {
-        let name = self.ident()?;
-        if self.peek() != Some(b'(') {
-            return Ok(Rhs::Var(syms.var(&name)));
-        }
-        self.expect("(")?;
-        let mut args = Vec::new();
-        loop {
-            if self.eat(")") {
-                break;
-            }
-            if self.eat(",") {
-                continue;
-            }
-            args.push(self.rhs(syms, ctx)?);
-        }
-        let mut attrs = Vec::new();
-        if self.eat("{") {
-            loop {
-                if self.eat("}") {
-                    break;
-                }
-                if self.eat(",") {
-                    continue;
-                }
-                let a = self.ident()?;
-                self.expect("=")?;
-                let v = self.number()?;
-                attrs.push((syms.attr(&a), v));
-            }
-        }
-        if ctx.fun_params.contains(&name) {
-            return Ok(Rhs::FunApp(syms.fun_var(&name), args));
-        }
-        let op: Symbol = match syms.find_op(&name) {
-            Some(op) => op,
-            None => syms.op(&name, args.len()),
-        };
-        Ok(Rhs::App { op, args, attrs })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::Frontend;
-    use pypm_core::TermStore;
+    use crate::ruleset::Rhs;
+    use pypm_core::Expr;
 
+    /// The text of `rs`, and the text of the rule set the binary format
+    /// carries into fresh stores: a faithful printer shows no difference.
     fn roundtrip(rs: &RuleSet, syms: &SymbolTable, pats: &PatternStore) -> (String, String) {
         let text = print_ruleset(rs, syms, pats);
+        let blob = crate::binary::encode(rs, syms, pats);
         let mut syms2 = SymbolTable::new();
         let mut pats2 = PatternStore::new();
-        let rs2 = parse_ruleset(&text, &mut syms2, &mut pats2)
-            .unwrap_or_else(|e| panic!("reparse failed: {e}\n--- text ---\n{text}"));
+        let rs2 = crate::binary::decode(&blob, &mut syms2, &mut pats2)
+            .unwrap_or_else(|e| panic!("decode failed: {e}\n--- text ---\n{text}"));
         let text2 = print_ruleset(&rs2, &syms2, &pats2);
         (text, text2)
     }
@@ -794,33 +213,5 @@ mod tests {
         let (a, b) = roundtrip(&rs, &syms, &pats);
         assert_eq!(a, b);
         assert!(a.contains("{epilog = 1}"));
-    }
-
-    #[test]
-    fn parse_rejects_unknown_applied_name() {
-        let mut syms = SymbolTable::new();
-        let mut pats = PatternStore::new();
-        let text = "pattern P(x) {\n  Mystery(x)\n}\n";
-        let err = parse_ruleset(text, &mut syms, &mut pats).unwrap_err();
-        assert!(err.message.contains("unknown applied name"));
-    }
-
-    #[test]
-    fn parse_reports_position() {
-        let mut syms = SymbolTable::new();
-        let mut pats = PatternStore::new();
-        let err = parse_ruleset("garbage", &mut syms, &mut pats).unwrap_err();
-        assert!(err.pos < 8);
-        assert!(err.to_string().contains("parse error"));
-    }
-
-    #[test]
-    fn comments_are_skipped() {
-        let mut syms = SymbolTable::new();
-        let mut pats = PatternStore::new();
-        let text = "// header\nop Relu/1;\npattern P(x) {\n  // body\n  Relu(x)\n}\n";
-        let rs = parse_ruleset(text, &mut syms, &mut pats).unwrap();
-        assert_eq!(rs.len(), 1);
-        let _ = TermStore::new();
     }
 }

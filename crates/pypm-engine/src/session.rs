@@ -65,15 +65,6 @@ impl Session {
         library::build_library_into(cfg, &mut self.syms, &mut self.pats, &self.ops, &self.tattrs)
     }
 
-    /// Loads a rule set from the text format.
-    ///
-    /// # Errors
-    ///
-    /// Propagates parse failures.
-    pub fn load_text(&mut self, text: &str) -> Result<RuleSet, pypm_dsl::text::ParseError> {
-        pypm_dsl::text::parse_ruleset(text, &mut self.syms, &mut self.pats)
-    }
-
     /// Encodes a graph into a `PYPMWIRE` container against this
     /// session's symbol table.
     pub fn wire_graph(&self, graph: &pypm_graph::Graph) -> Vec<u8> {

@@ -378,16 +378,19 @@ mod tests {
 
     #[test]
     fn ruleset_wire_and_legacy_paths_agree() {
+        let mut fe = pypm_dsl::Frontend::new();
+        let neg = fe.syms.op("Neg", 1);
+        fe.pattern("DoubleNeg", |p| {
+            let x = p.param("x");
+            let px = p.v(x);
+            let inner = p.op(neg, vec![px]);
+            p.op(neg, vec![inner])
+        });
+        let x = fe.syms.var("x");
+        fe.rule("DoubleNeg", "flip", |r| r.ret(pypm_dsl::Rhs::Var(x)));
+        let (tmp_syms, tmp_pats, rs) = fe.serialize().expect("test rule set is valid");
         let mut syms = SymbolTable::new();
         let mut pats = PatternStore::new();
-        let mut tmp_syms = SymbolTable::new();
-        let mut tmp_pats = PatternStore::new();
-        let rs = pypm_dsl::text::parse_ruleset(
-            "op Neg/1;\npattern DoubleNeg(x) {\n  Neg(Neg(x))\n}\nrule flip for DoubleNeg when 1 = 1 => x;\n",
-            &mut tmp_syms,
-            &mut tmp_pats,
-        )
-        .expect("parse test ruleset");
         let legacy = pypm_dsl::binary::encode(&rs, &tmp_syms, &tmp_pats);
         let wire = encode_ruleset(&rs, &tmp_syms, &tmp_pats);
         let a = decode_ruleset(&legacy, &mut syms, &mut pats).unwrap();

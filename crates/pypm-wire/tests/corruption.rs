@@ -9,6 +9,7 @@
 use proptest::prelude::*;
 use pypm_core::{PatternStore, SymbolTable};
 use pypm_dsl::binary::BinError;
+use pypm_dsl::{Frontend, Rhs, RuleSet};
 use pypm_graph::{DType, Graph, TensorMeta};
 use pypm_wire::{
     decode_bundle, decode_graph, decode_report, decode_ruleset, encode_graph, ContainerWriter,
@@ -75,20 +76,31 @@ fn mangle(blob: &[u8], flips: &[u32], cut_ppm: u32) -> Vec<u8> {
     bytes
 }
 
+/// A one-rule set authored with the frontend: `P(x, y)` matches
+/// `A(B(x), y)` and rewrites it to `x`.
+fn small_ruleset() -> (SymbolTable, PatternStore, RuleSet) {
+    let mut fe = Frontend::new();
+    let a = fe.syms.op("A", 2);
+    let b = fe.syms.op("B", 1);
+    fe.pattern("P", |p| {
+        let x = p.param("x");
+        let y = p.param("y");
+        let (px, py) = (p.v(x), p.v(y));
+        let bx = p.op(b, vec![px]);
+        p.op(a, vec![bx, py])
+    });
+    let x = fe.syms.var("x");
+    fe.rule("P", "r", |r| r.ret(Rhs::Var(x)));
+    fe.serialize().expect("test rule set is valid")
+}
+
 /// A checksum vouches for the bytes, not for what they say: a rule-set
 /// section whose checksum is valid but which carries a byte past the
 /// end of its `PYPMB1` rule set is refused, through the container and
 /// bare.
 #[test]
 fn a_valid_checksum_over_a_rule_set_with_trailing_bytes_is_refused() {
-    let mut syms = SymbolTable::new();
-    let mut pats = PatternStore::new();
-    let rs = pypm_dsl::text::parse_ruleset(
-        "op A/1;\npattern P(x) {\n  A(x)\n}\nrule r for P when 1 = 1 => x;\n",
-        &mut syms,
-        &mut pats,
-    )
-    .expect("test ruleset parses");
+    let (syms, pats, rs) = small_ruleset();
     let mut section = pypm_dsl::binary::encode(&rs, &syms, &pats);
     section.push(0);
     let container = ContainerWriter::new()
@@ -144,13 +156,7 @@ proptest! {
         flips in proptest::collection::vec(any::<u32>(), 1..16),
         cut_ppm in 0u32..1_000_000,
     ) {
-        let mut syms = SymbolTable::new();
-        let mut pats = PatternStore::new();
-        let rs = pypm_dsl::text::parse_ruleset(
-            "op A/2;\nop B/1;\npattern P(x, y) {\n  A(B(x), y)\n}\nrule r for P when 1 = 1 => x;\n",
-            &mut syms,
-            &mut pats,
-        ).expect("test ruleset parses");
+        let (syms, pats, rs) = small_ruleset();
         let blob = pypm_wire::encode_ruleset(&rs, &syms, &pats);
 
         let mut s2 = SymbolTable::new();

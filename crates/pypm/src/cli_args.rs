@@ -131,10 +131,17 @@ pub fn parse_or_usage(spec: &Spec, args: &[String]) -> Result<Parsed, i32> {
 /// append `N` synthetic never-matching rules for matcher-scaling
 /// experiments (`all+synth39` ≈ 4× the rule-bearing pattern count; the
 /// server refuses the suffix before calling this). `None` for anything
-/// else — including a malformed or out-of-range synth count.
+/// else — including a synth count that is not plain ASCII digits or
+/// exceeds [`LibraryConfig::MAX_SYNTH`].
 pub fn lib_config(name: &str) -> Option<LibraryConfig> {
     let (base, synth) = match name.split_once("+synth") {
-        Some((base, digits)) => (base, Some(digits.parse::<u16>().ok()?)),
+        Some((base, digits)) => {
+            let n = Some(digits)
+                .filter(|d| d.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|d| d.parse::<u16>().ok())
+                .filter(|&n| n <= LibraryConfig::MAX_SYNTH)?;
+            (base, Some(n))
+        }
         None => (name, None),
     };
     let config = match base {
@@ -263,6 +270,13 @@ mod tests {
         assert_eq!(lib_config("all+synthX"), None);
         assert_eq!(lib_config("bogus+synth4"), None);
         assert_eq!(lib_config("all+synth99999"), None, "u16 overflow rejected");
+        // The cap is a bound, not a clamp; a count is plain digits.
+        assert_eq!(
+            lib_config("all+synth512"),
+            Some(LibraryConfig::all().with_synth(512))
+        );
+        assert_eq!(lib_config("all+synth513"), None);
+        assert_eq!(lib_config("all+synth+5"), None);
     }
 
     #[test]

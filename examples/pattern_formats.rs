@@ -1,18 +1,56 @@
-//! The portable pattern formats (the paper's §2.4 serialization step).
+//! The portable pattern format (the paper's §2.4 serialization step).
 //!
-//! PyPM's frontend serializes traced patterns into a portable binary
-//! that DLCB loads at startup. This example serializes the full paper
-//! library to both the text and binary formats, reloads each into a
-//! completely fresh session, and verifies the reloaded rule sets drive
-//! the engine identically.
+//! PyPM's frontend traces `@pattern`/`@rule` definitions into a portable
+//! binary that DLCB loads at startup. This example authors the Fig. 1
+//! rule set with the frontend, in a symbol table of its own, and prints
+//! its text form (text is for reading: nothing parses it back). It then
+//! encodes the set to the binary format, loads the binary into a
+//! completely fresh session, and checks that the loaded rules fire on the
+//! Fig. 1 graph as the library's own copy does.
 //!
 //! Run with `cargo run --example pattern_formats`.
 
-use pypm::dsl::{binary, text, LibraryConfig};
+use pypm::core::{Expr, PatternStore, SymbolTable};
+use pypm::dsl::{binary, text, Frontend, LibraryConfig, Rhs, RuleSet};
 use pypm::engine::{Pipeline, RewritePass, Session};
 use pypm::graph::{DType, Graph, TensorMeta};
 
-fn rewrites_with(session: &mut Session, rules: &pypm::dsl::RuleSet) -> u64 {
+/// Fig. 1 as a frontend program: `MatMul(x, Trans(y))` on rank-2
+/// tensors becomes the f32 cuBLAS `xyᵀ` kernel.
+fn author_fig1() -> (SymbolTable, PatternStore, RuleSet) {
+    let mut fe = Frontend::new();
+    let matmul = fe.syms.op("MatMul", 2);
+    let trans = fe.syms.op("Trans", 1);
+    let f32mm = fe.syms.op("cublasMM_xyT_f32", 2);
+    let rank = fe.syms.attr("rank");
+    let elt = fe.syms.attr("eltType");
+    fe.pattern("MMxyT", |p| {
+        let x = p.param("x");
+        let y = p.param("y");
+        let rx = p.attr(x, rank);
+        let ry = p.attr(y, rank);
+        p.assert_(rx.eq(Expr::Const(2)));
+        p.assert_(ry.eq(Expr::Const(2)));
+        let py = p.v(y);
+        let yt = p.op(trans, vec![py]);
+        let px = p.v(x);
+        p.op(matmul, vec![px, yt])
+    });
+    let x = fe.syms.var("x");
+    let y = fe.syms.var("y");
+    let f32c = DType::F32.code();
+    fe.rule("MMxyT", "cublasrule", |r| {
+        r.assert_(
+            Expr::var_attr(x, elt)
+                .eq(Expr::Const(f32c))
+                .and(Expr::var_attr(y, elt).eq(Expr::Const(f32c))),
+        );
+        r.ret(Rhs::app(f32mm, vec![Rhs::Var(x), Rhs::Var(y)]));
+    });
+    fe.serialize().expect("the Fig. 1 program is well formed")
+}
+
+fn rewrites_with(session: &mut Session, rules: &RuleSet) -> u64 {
     let mut g = Graph::new();
     let a = g.input(&mut session.syms, TensorMeta::new(DType::F32, vec![64, 32]));
     let b = g.input(&mut session.syms, TensorMeta::new(DType::F32, vec![16, 32]));
@@ -39,42 +77,39 @@ fn rewrites_with(session: &mut Session, rules: &pypm::dsl::RuleSet) -> u64 {
 }
 
 fn main() {
-    // Author the library in one session …
-    let mut author = Session::new();
-    let rules = author.load_library(LibraryConfig::all());
-    let text_form = text::print_ruleset(&rules, &author.syms, &author.pats);
-    let binary_form = binary::encode(&rules, &author.syms, &author.pats);
+    // Author the rule set in the frontend's own process image …
+    let (syms, pats, rules) = author_fig1();
+    let text_form = text::print_ruleset(&rules, &syms, &pats);
+    let binary_form = binary::encode(&rules, &syms, &pats);
     println!(
-        "library: {} patterns; text form {} bytes, binary form {} bytes",
+        "Fig. 1: {} pattern; text form {} bytes, binary form {} bytes",
         rules.len(),
         text_form.len(),
         binary_form.len()
     );
-    println!("--- text form (first 30 lines) ---");
-    for line in text_form.lines().take(30) {
-        println!("{line}");
-    }
+    println!("--- text form ---\n{text_form}---");
 
-    // … run it in the authoring session as the reference …
-    let baseline = rewrites_with(&mut author, &rules);
-    assert_eq!(baseline, 1);
-
-    // … and load it into two completely fresh sessions.
-
-    let mut via_text = Session::new();
-    let reloaded_text = via_text.load_text(&text_form).expect("text parses");
-    let n_text = rewrites_with(&mut via_text, &reloaded_text);
-
-    let mut via_binary = Session::new();
-    let reloaded_bin = via_binary
+    // … load the binary into a completely fresh session …
+    let mut backend = Session::new();
+    let loaded = backend
         .load_wire_ruleset(&binary_form)
         .expect("binary decodes");
-    let n_bin = rewrites_with(&mut via_binary, &reloaded_bin);
+    let n_loaded = rewrites_with(&mut backend, &loaded);
+    assert_eq!(
+        binary::encode(&loaded, &backend.syms, &backend.pats),
+        binary_form,
+        "the loaded set encodes back to the same bytes"
+    );
+
+    // … and run the library's own copy as the reference.
+    let mut reference = Session::new();
+    let library = reference.load_library(LibraryConfig::all());
+    let n_library = rewrites_with(&mut reference, &library);
 
     println!("\nrewrites fired on the Fig. 1 graph:");
-    println!("  loaded from text   : {n_text}");
-    println!("  loaded from binary : {n_bin}");
-    assert_eq!(n_text, 1);
-    assert_eq!(n_bin, 1);
-    println!("both transports reproduce the authored behaviour.");
+    println!("  library rules        : {n_library}");
+    println!("  loaded from binary   : {n_loaded}");
+    assert_eq!(n_library, 1);
+    assert_eq!(n_loaded, 1);
+    println!("the binary transport reproduces the authored behaviour.");
 }

@@ -167,12 +167,14 @@ fn compile_synth_config_suffix_scales_the_library() {
         fired_and_matched.join(" / ")
     };
     assert_eq!(rewrites(&base), rewrites(&synth));
-    let out = pypmc(&["compile", "bert-tiny", "--config", "all+synthX"]);
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
-    assert!(
-        String::from_utf8_lossy(&out.stderr).contains("unknown config"),
-        "{out:?}"
-    );
+    for config in ["all+synthX", "all+synth513"] {
+        let out = pypmc(&["compile", "bert-tiny", "--config", config]);
+        assert_eq!(out.status.code(), Some(2), "{config}: {out:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown config"),
+            "{config}: {out:?}"
+        );
+    }
 }
 
 #[test]
@@ -419,6 +421,15 @@ fn dump_and_load_roundtrip_a_model() {
     assert!(!err.contains("panicked"), "{err}");
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Text is how a person reads the library; its rendering is pinned
+/// byte for byte, so a printer change shows up as a golden diff.
+#[test]
+fn library_text_is_the_pinned_golden() {
+    let out = pypmc(&["library"]);
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(stdout(&out), include_str!("golden/library_text_v1.txt"));
 }
 
 #[test]

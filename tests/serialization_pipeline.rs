@@ -1,6 +1,6 @@
 //! Integration tests of the frontend → serialize → backend pipeline
 //! (paper §2.4): a rule set authored in one process image must behave
-//! identically after a round trip through either portable format.
+//! identically after a round trip through the portable binary format.
 
 use pypm::dsl::{binary, text, LibraryConfig, RuleSet};
 use pypm::engine::{Pipeline, RewritePass, Session};
@@ -33,34 +33,20 @@ fn binary_transport_preserves_behaviour() {
 }
 
 #[test]
-fn text_transport_preserves_behaviour() {
-    let mut author = Session::new();
-    let rules = author.load_library(LibraryConfig::both());
-    let reference = compile_model(&mut author, &rules, "distilbert-base");
-
-    let src = text::print_ruleset(&rules, &author.syms, &author.pats);
-    let mut backend = Session::new();
-    let reloaded = backend.load_text(&src).unwrap();
-    let result = compile_model(&mut backend, &reloaded, "distilbert-base");
-    assert_eq!(result, reference);
-}
-
-#[test]
 fn double_roundtrip_is_stable() {
-    // text(parse(text(rs))) == text(rs), and same for binary.
+    // encode(decode(encode(rs))) == encode(rs), and the reloaded set
+    // prints as the authored one.
     let mut author = Session::new();
     let rules = author.load_library(LibraryConfig::all());
-    let t1 = text::print_ruleset(&rules, &author.syms, &author.pats);
+    let b1 = binary::encode(&rules, &author.syms, &author.pats);
 
     let mut s2 = Session::new();
-    let rs2 = s2.load_text(&t1).unwrap();
-    let t2 = text::print_ruleset(&rs2, &s2.syms, &s2.pats);
-    assert_eq!(t1, t2);
-
-    let b1 = binary::encode(&rules, &author.syms, &author.pats);
-    let mut s3 = Session::new();
-    let rs3 = s3.load_wire_ruleset(&b1).unwrap();
-    let b2 = binary::encode(&rs3, &s3.syms, &s3.pats);
+    let rs2 = s2.load_wire_ruleset(&b1).unwrap();
+    assert_eq!(
+        text::print_ruleset(&rs2, &s2.syms, &s2.pats),
+        text::print_ruleset(&rules, &author.syms, &author.pats)
+    );
+    let b2 = binary::encode(&rs2, &s2.syms, &s2.pats);
     assert_eq!(b1, b2);
 }
 
