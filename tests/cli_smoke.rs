@@ -432,6 +432,27 @@ fn library_text_is_the_pinned_golden() {
     assert_eq!(stdout(&out), include_str!("golden/library_text_v1.txt"));
 }
 
+/// The DOT export of a compile, its tensor metadata labels included
+/// (`input f32[1x64x32]`, `opaque f32[1x64x2x2]`), is pinned byte for
+/// byte. Only the `digraph` sections are compared: the summary above
+/// them carries a wall time.
+#[test]
+fn dot_labels_are_the_pinned_golden() {
+    let out = pypmc(&["compile", "bert-tiny", "resnet18", "--dot"]);
+    assert!(out.status.success(), "{out:?}");
+    let mut dot = String::new();
+    let mut inside = false;
+    for line in stdout(&out).lines() {
+        inside |= line.starts_with("digraph ");
+        if inside {
+            dot.push_str(line);
+            dot.push('\n');
+        }
+        inside &= line != "}";
+    }
+    assert_eq!(dot, include_str!("golden/dot_v1.txt"));
+}
+
 #[test]
 fn load_reads_a_legacy_binary_library() {
     let dir = std::env::temp_dir().join(format!("pypmc_load_legacy_{}", std::process::id()));
