@@ -7,13 +7,15 @@
 //! names, cache-key bytes — keep the default hasher.
 //!
 //! The [`TermStore`](crate::TermStore)'s index hashes an application's
-//! `(op, argument ids)` with the same fold. That key qualifies today
-//! because every component is an id this process assigned and the
-//! graphs whose terms are interned are ones it built itself (a served
-//! request names a zoo model), so nobody outside chooses which
-//! applications exist. Once graphs arrive over the wire (ROADMAP item
-//! 2) term *shapes* are client-supplied, and ROADMAP item 10 must
-//! revisit whether an unkeyed hash may still back that index.
+//! `(op, argument ids)` with the same fold, and so does a graph's shape
+//! table (`pypm_graph::ShapeTable`) a shape's rank and extents. Those
+//! keys qualify today because every component is an id this process
+//! assigned or an extent of a graph it built itself (a served request
+//! names a zoo model), so nobody outside chooses which applications or
+//! shapes exist. Once graphs arrive over the wire (ROADMAP item 2) term
+//! structure and extents are client-supplied, and ROADMAP item 10 must
+//! revisit, for both tables at once, whether an unkeyed hash may still
+//! back them.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

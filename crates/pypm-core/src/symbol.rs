@@ -19,9 +19,15 @@
 //! probed by a *keyed* hash — names arrive from outside (wire decode,
 //! rule-set text), so the rule of [`crate::idhash`] applies. A clone is
 //! three buffer copies per name space, which is what a serve worker pays
-//! per request for the library session it copies, and a fresh constant
-//! (one per graph input) writes its name straight into the arena:
-//! nothing is allocated once the buffers have grown.
+//! per request for the library session it copies.
+//!
+//! A fresh constant (one per graph input or opaque node) is an operator
+//! no name can find: it writes its name straight into the arena and
+//! takes the next id, but never enters the probe table. So minting one
+//! costs no hash and no probe, allocates nothing once the buffers have
+//! grown, and cannot collide with a declared operator that happens to
+//! be spelled like it — a decoded graph or rule set may well declare a
+//! `%in1` of its own, and gets a symbol of its own.
 
 use std::collections::hash_map::RandomState;
 use std::fmt;
@@ -92,10 +98,12 @@ struct Interner {
     /// Where each name ends in `text`; it starts where the one before
     /// it ends.
     ends: Vec<u32>,
-    /// Open-addressed ids: a slot holds id + 1, 0 is empty. A power of
-    /// two at most half full (or empty), probed linearly from the
-    /// hash's low bits.
+    /// Open-addressed ids of the names that can be looked up: a slot
+    /// holds id + 1, 0 is empty. A power of two at most half full (or
+    /// empty), probed linearly from the hash's low bits.
     table: Vec<u32>,
+    /// How many ids `table` holds: every id but the fresh constants'.
+    listed: usize,
     hasher: RandomState,
 }
 
@@ -148,10 +156,25 @@ impl Interner {
         self.intern_tail(start).ok()
     }
 
+    /// Gives `%{hint}{n}` the next id without entering it into the
+    /// table: no lookup finds it, not even one of its own spelling.
+    fn push_unlisted(&mut self, hint: &str, n: u64) -> u32 {
+        write!(self.text, "%{hint}{n}").expect("writing to a String cannot fail");
+        let id = self.len() as u32;
+        self.push_end();
+        id
+    }
+
+    /// Ends the newest name where the text ends.
+    fn push_end(&mut self) {
+        let end = u32::try_from(self.text.len()).expect("symbol names exceed 4 GiB");
+        self.ends.push(end);
+    }
+
     /// Interns the name written at `text[start..]`: `Ok` with a new id,
     /// or `Err` with the id it already had, the tail truncated away.
     fn intern_tail(&mut self, start: usize) -> Result<u32, u32> {
-        if 2 * (self.len() + 1) > self.table.len() {
+        if 2 * (self.listed + 1) > self.table.len() {
             self.grow();
         }
         let slot = self.probe(
@@ -161,9 +184,9 @@ impl Interner {
         match self.table[slot] {
             EMPTY => {
                 let id = self.len() as u32;
-                let end = u32::try_from(self.text.len()).expect("symbol names exceed 4 GiB");
-                self.ends.push(end);
+                self.push_end();
                 self.table[slot] = id + 1;
+                self.listed += 1;
                 Ok(id)
             }
             known => {
@@ -173,16 +196,17 @@ impl Interner {
         }
     }
 
-    /// Doubles the table (16 slots at first) and re-places every id.
+    /// Doubles the table (16 slots at first) and re-places every id it
+    /// holds; the ids it does not hold stay out.
     fn grow(&mut self) {
         let slots = (2 * self.table.len()).max(16);
         let mut table = vec![EMPTY; slots];
-        for id in 0..self.len() as u32 {
-            let mut slot = self.hasher.hash_one(self.name(id)) as usize & (slots - 1);
+        for &entry in self.table.iter().filter(|&&entry| entry != EMPTY) {
+            let mut slot = self.hasher.hash_one(self.name(entry - 1)) as usize & (slots - 1);
             while table[slot] != EMPTY {
                 slot = (slot + 1) & (slots - 1);
             }
-            table[slot] = id + 1;
+            table[slot] = entry;
         }
         self.table = table;
     }
@@ -221,7 +245,9 @@ impl SymbolTable {
         Self::default()
     }
 
-    /// Declares (or re-resolves) an operator with the given arity.
+    /// Declares (or re-resolves) an operator with the given arity. A
+    /// fresh constant is never re-resolved: a name spelled like one
+    /// declares an operator of its own.
     ///
     /// # Panics
     ///
@@ -240,7 +266,9 @@ impl SymbolTable {
         Symbol(i)
     }
 
-    /// Looks up an operator by name without declaring it.
+    /// Looks up an operator by name without declaring it. A fresh
+    /// constant is never found: only [`SymbolTable::op`] names what this
+    /// finds.
     pub fn find_op(&self, name: &str) -> Option<Symbol> {
         self.ops.lookup(name).map(Symbol)
     }
@@ -331,16 +359,16 @@ impl SymbolTable {
     /// Generates a fresh nullary operator symbol.
     ///
     /// Used by the graph substrate to turn graph inputs and opaque nodes
-    /// into distinct constants of the term algebra. The name `%{hint}{n}`
-    /// takes the next counter value `n` no declared operator already has.
+    /// into distinct constants of the term algebra. The symbol is named
+    /// `%{hint}{n}` for the next counter value `n` — a name to print,
+    /// not one to look up: [`SymbolTable::find_op`] and
+    /// [`SymbolTable::op`] never return a fresh constant, so one is
+    /// distinct from every declared operator, whatever its spelling.
     pub fn fresh_const(&mut self, hint: &str) -> Symbol {
-        loop {
-            self.fresh_counter += 1;
-            if let Some(i) = self.ops.intern_fresh(hint, self.fresh_counter) {
-                self.arities.push(0);
-                return Symbol(i);
-            }
-        }
+        self.fresh_counter += 1;
+        let i = self.ops.push_unlisted(hint, self.fresh_counter);
+        self.arities.push(0);
+        Symbol(i)
     }
 }
 
@@ -381,6 +409,37 @@ mod tests {
         let c2 = t.fresh_const("in");
         assert_ne!(c1, c2);
         assert_eq!(t.arity(c1), 0);
+    }
+
+    #[test]
+    fn a_fresh_constant_is_not_a_name_to_look_up() {
+        let mut t = SymbolTable::new();
+        let fresh = t.fresh_const("in");
+        assert_eq!(t.op_name(fresh), "%in1");
+        assert_eq!(t.find_op(t.op_name(fresh)), None);
+        // Declaring its spelling, at another arity, is a new operator.
+        let declared = t.op("%in1", 2);
+        assert_ne!(declared, fresh);
+        assert_eq!(t.find_op("%in1"), Some(declared));
+        assert_eq!((t.arity(fresh), t.arity(declared)), (0, 2));
+        // The next fresh constant still counts on.
+        let next = t.fresh_const("in");
+        assert_eq!(t.op_name(next), "%in2");
+        assert_eq!(t.op_count(), 3);
+    }
+
+    #[test]
+    fn the_table_grows_past_fresh_constants() {
+        let mut t = SymbolTable::new();
+        let mut declared = Vec::new();
+        for i in 0..200 {
+            t.fresh_const("in");
+            declared.push(t.op(&format!("op{i}"), 1));
+        }
+        for (i, &f) in declared.iter().enumerate() {
+            assert_eq!(t.find_op(&format!("op{i}")), Some(f));
+        }
+        assert_eq!(t.find_op("%in7"), None);
     }
 
     #[test]

@@ -139,11 +139,33 @@ impl TermStore {
         TermId(entry - 1)
     }
 
-    /// Doubles the index and re-enters every term. Ids are distinct, so
-    /// re-entering needs no key comparison: the first empty slot of each
-    /// probe run is the term's.
+    /// Makes room for `additional` more terms: the index grows once, to
+    /// the size their interning would have doubled it to, and the
+    /// columns and the argument arena (two arguments a term) are
+    /// reserved. Interning a whole graph starts here with its live node
+    /// count, so the scan neither rehashes nor regrows as it goes.
+    /// Terms and ids are as they would have been without it.
+    pub fn reserve(&mut self, additional: usize) {
+        let wanted = (self.len() + additional) * 2;
+        if wanted > self.index.len() {
+            self.rebuild_index(wanted.next_power_of_two().max(MIN_INDEX));
+        }
+        self.heads.reserve(additional);
+        self.starts.reserve(additional);
+        self.sizes.reserve(additional);
+        self.heights.reserve(additional);
+        self.arena.reserve(2 * additional);
+    }
+
+    /// Doubles the index.
     fn grow_index(&mut self) {
-        let slots = (self.index.len() * 2).max(MIN_INDEX);
+        self.rebuild_index((self.index.len() * 2).max(MIN_INDEX));
+    }
+
+    /// Re-enters every term into a fresh index of `slots` slots. Ids are
+    /// distinct, so re-entering needs no key comparison: the first empty
+    /// slot of each probe run is the term's.
+    fn rebuild_index(&mut self, slots: usize) {
         let mut index = vec![0u32; slots];
         for id in 0..self.len() as u32 {
             let t = TermId(id);

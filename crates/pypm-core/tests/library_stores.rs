@@ -4,8 +4,9 @@
 //!
 //! * The symbol table against a `HashMap<String, u32>` per name space,
 //!   over random names — `%in7`-shaped ones included, declared before
-//!   the fresh counter reaches them — across several doublings of its
-//!   table, and two clones driven apart.
+//!   and after the fresh counter reaches them, while a fresh constant is
+//!   never a name the map holds — across several doublings of its table,
+//!   and two clones driven apart.
 //! * A pattern store's clone that interns or unfolds leaves the
 //!   original's patterns and unfoldings as they were.
 //! * The memoized trie is the one a fresh build makes, the same list
@@ -18,11 +19,12 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use pypm_core::testing::{PatternGen, TermGen, TestSig};
-use pypm_core::{FusedSet, Pattern, PatternId, PatternStore, SymbolTable, TermStore};
+use pypm_core::{FusedSet, Pattern, PatternId, PatternStore, Symbol, SymbolTable, TermStore};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// One name space as the model sees it: ids in interning order.
+/// One name space as the model sees it: ids in interning order, and
+/// the names that can be looked up.
 #[derive(Clone, Default)]
 struct Names {
     ids: HashMap<String, u32>,
@@ -35,15 +37,22 @@ impl Names {
         if let Some(&id) = self.ids.get(name) {
             return id;
         }
-        let id = self.names.len() as u32;
+        let id = self.push_unlisted(name);
         self.ids.insert(name.to_owned(), id);
-        self.names.push(name.to_owned());
         id
+    }
+
+    /// Gives `name` the next id without making it one to look up.
+    fn push_unlisted(&mut self, name: &str) -> u32 {
+        self.names.push(name.to_owned());
+        self.names.len() as u32 - 1
     }
 }
 
 /// The reference symbol table: operators and variables, one fresh
-/// counter shared by fresh constants and fresh variables.
+/// counter shared by fresh constants and fresh variables. A fresh
+/// constant takes the next operator id under the next counter value,
+/// whatever names are declared: it is not a name to look up.
 #[derive(Clone, Default)]
 struct Model {
     ops: Names,
@@ -100,15 +109,12 @@ fn drive(
                 prop_assert_eq!(syms.var(&name).index() as u32, id, "var {}", name);
             }
             3 => {
-                let id = loop {
-                    model.fresh += 1;
-                    let name = format!("%in{}", model.fresh);
-                    if !model.ops.ids.contains_key(&name) {
-                        model.arities.push(0);
-                        break model.ops.intern(&name);
-                    }
-                };
-                prop_assert_eq!(syms.fresh_const("in").index() as u32, id);
+                model.fresh += 1;
+                let id = model.ops.push_unlisted(&format!("%in{}", model.fresh));
+                model.arities.push(0);
+                let f = syms.fresh_const("in");
+                prop_assert_eq!(f.index() as u32, id);
+                prop_assert_eq!(syms.op_name(f), model.ops.names[id as usize].as_str());
             }
             4 => {
                 let id = loop {
@@ -130,11 +136,15 @@ fn drive(
     prop_assert_eq!(syms.op_count(), model.ops.names.len());
     prop_assert_eq!(syms.var_count(), model.vars.names.len());
     for (i, name) in model.ops.names.iter().enumerate() {
-        let f = syms.find_op(name);
-        prop_assert_eq!(f.map(|f| f.index()), Some(i), "ids are dense, in order");
-        let f = f.unwrap();
-        prop_assert_eq!(syms.op_name(f), name.as_str());
+        let f = Symbol::from_index(i);
+        prop_assert_eq!(syms.op_name(f), name.as_str(), "ids are dense, in order");
         prop_assert_eq!(syms.arity(f), model.arities[i]);
+        let declared = model.ops.ids.get(name).map(|&id| id as usize);
+        prop_assert_eq!(
+            syms.find_op(name).map(|f| f.index()),
+            declared,
+            "only a declared name is found"
+        );
     }
     for (i, name) in model.vars.names.iter().enumerate() {
         let x = syms.var(name);

@@ -57,20 +57,6 @@ proptest! {
         prop_assert_eq!(binary::encode(&rs2, &syms2, &pats2), blob);
     }
 
-    /// The two transports commute: binary-then-text equals text directly.
-    #[test]
-    fn transports_commute(seed in any::<u64>(), depth in 2u32..5) {
-        let (syms, pats, rs) = random_ruleset(seed, depth);
-        let direct = text::print_ruleset(&rs, &syms, &pats);
-
-        let blob = binary::encode(&rs, &syms, &pats);
-        let mut syms2 = SymbolTable::new();
-        let mut pats2 = PatternStore::new();
-        let rs2 = binary::decode(&blob, &mut syms2, &mut pats2).unwrap();
-        let via_binary = text::print_ruleset(&rs2, &syms2, &pats2);
-        prop_assert_eq!(direct, via_binary);
-    }
-
     /// Truncating a binary never panics: it errors or (for truncations
     /// landing on a structure boundary) decodes a prefix.
     #[test]

@@ -163,7 +163,8 @@ pub fn explain_at(
         &session.registry,
     );
     let t = view.term_of(node)?;
-    let mut machine = Machine::new(&mut session.pats, &session.terms, view.attrs()).with_trace();
+    let attrs = view.attrs(graph);
+    let mut machine = Machine::new(&mut session.pats, &session.terms, &attrs).with_trace();
     let outcome = machine.run(def.pattern, t, fuel).ok()?;
     let stats = machine.stats();
 
@@ -270,15 +271,15 @@ pub fn summary(log: &FiringLog, rules: &RuleSet, pattern: Option<&str>) -> Strin
 mod tests {
     use super::*;
     use pypm_dsl::LibraryConfig;
-    use pypm_graph::{DType, TensorMeta};
+    use pypm_graph::DType;
 
     #[test]
     fn explains_a_successful_match() {
         let mut s = Session::new();
         let rules = s.load_library(LibraryConfig::all());
         let mut g = Graph::new();
-        let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
-        let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
+        let a = g.input(&mut s.syms, DType::F32, [8, 8]);
+        let b = g.input(&mut s.syms, DType::F32, [8, 8]);
         let (trans, matmul) = (s.ops.trans, s.ops.matmul);
         let bt = g
             .op(&mut s.syms, &s.registry, trans, vec![b], vec![])
@@ -304,8 +305,8 @@ mod tests {
         let mut s = Session::new();
         let rules = s.load_library(LibraryConfig::all());
         let mut g = Graph::new();
-        let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![2, 8, 8]));
-        let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![2, 8, 8]));
+        let a = g.input(&mut s.syms, DType::F32, [2, 8, 8]);
+        let b = g.input(&mut s.syms, DType::F32, [2, 8, 8]);
         let (trans, matmul) = (s.ops.trans, s.ops.matmul);
         let bt = g
             .op(&mut s.syms, &s.registry, trans, vec![b], vec![])
@@ -328,7 +329,7 @@ mod tests {
         let mut s = Session::new();
         let rules = s.load_library(LibraryConfig::all());
         let mut g = Graph::new();
-        let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
+        let a = g.input(&mut s.syms, DType::F32, [8, 8]);
         let relu = s.ops.relu;
         let r = g
             .op(&mut s.syms, &s.registry, relu, vec![a], vec![])
@@ -403,7 +404,7 @@ mod tests {
         let mut s = Session::new();
         let rules = s.load_library(LibraryConfig::all());
         let mut g = Graph::new();
-        let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = g.input(&mut s.syms, DType::F32, [2, 2]);
         g.mark_output(a);
         assert!(explain_at(&mut s, &rules, &g, a, "Nope", 100).is_none());
     }

@@ -121,12 +121,12 @@ fn partition(
 ///
 /// ```
 /// use pypm_engine::{Partition, PartitionPass, Pipeline, Session};
-/// use pypm_graph::{DType, Graph, TensorMeta};
+/// use pypm_graph::{DType, Graph};
 ///
 /// let mut s = Session::new();
 /// let mut g = Graph::new();
-/// let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
-/// let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
+/// let a = g.input(&mut s.syms, DType::F32, [8, 8]);
+/// let b = g.input(&mut s.syms, DType::F32, [8, 8]);
 /// let matmul = s.ops.matmul;
 /// let mm = g.op(&mut s.syms, &s.registry, matmul, vec![a, b], vec![]).unwrap();
 /// g.mark_output(mm);
@@ -219,7 +219,7 @@ impl Pass for PartitionPass {
 mod tests {
     use super::*;
     use crate::Pipeline;
-    use pypm_graph::{DType, TensorMeta};
+    use pypm_graph::DType;
 
     fn partitions(s: &mut Session, rs: &RuleSet, g: &mut Graph, pattern: &str) -> Vec<Partition> {
         Pipeline::new(s)
@@ -231,7 +231,7 @@ mod tests {
     }
 
     fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
-        g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.to_vec()))
+        g.input(&mut s.syms, DType::F32, dims)
     }
 
     /// matmul → relu → gelu chain: one partition covering all three ops.

@@ -13,12 +13,12 @@
 //! ```
 //! use pypm_engine::{Pipeline, RewritePass, Session};
 //! use pypm_dsl::LibraryConfig;
-//! use pypm_graph::{DType, Graph, TensorMeta};
+//! use pypm_graph::{DType, Graph};
 //!
 //! let mut s = Session::new();
 //! let mut g = Graph::new();
-//! let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 32]));
-//! let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![16, 32]));
+//! let a = g.input(&mut s.syms, DType::F32, [64, 32]);
+//! let b = g.input(&mut s.syms, DType::F32, [16, 32]);
 //! let (trans, matmul) = (s.ops.trans, s.ops.matmul);
 //! let bt = g.op(&mut s.syms, &s.registry, trans, vec![b], vec![]).unwrap();
 //! let mm = g.op(&mut s.syms, &s.registry, matmul, vec![a, bt], vec![]).unwrap();

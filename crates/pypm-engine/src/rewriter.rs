@@ -377,11 +377,13 @@ impl<'a> Driver<'a> {
         &mut self,
         pi: usize,
         t: TermId,
+        graph: &Graph,
         view: &TermView,
         stats: &mut PassStats,
     ) -> Option<Witness> {
         stats.matcher.pairs_admitted += 1;
-        let mut machine = Machine::new(&mut self.session.pats, &self.session.terms, view.attrs());
+        let attrs = view.attrs(graph);
+        let mut machine = Machine::new(&mut self.session.pats, &self.session.terms, &attrs);
         let outcome = machine.run(self.pattern_ids[pi], t, self.pass.machine_fuel);
         let mstats = machine.stats();
         if let Some(b) = &self.budget {
@@ -468,7 +470,7 @@ impl<'a> Driver<'a> {
                 continue;
             }
             admitted += 1;
-            let Some(witness) = self.probe(pi, t, view, stats) else {
+            let Some(witness) = self.probe(pi, t, graph, view, stats) else {
                 continue;
             };
             fired = self.on_match(graph, view, node, pi, &witness, stats, cx)?;
@@ -512,7 +514,7 @@ impl<'a> Driver<'a> {
                 stats.matcher.pairs_rejected += 1;
                 continue;
             }
-            let Some(witness) = self.probe(pi, t, view, stats) else {
+            let Some(witness) = self.probe(pi, t, graph, view, stats) else {
                 continue;
             };
             if let Some(fired) = self.on_match(graph, view, node, pi, &witness, stats, cx)? {
@@ -544,7 +546,7 @@ impl<'a> Driver<'a> {
         for (ri, rule) in self.pass.rules.patterns[pi].rules.iter().enumerate() {
             let holds = rule
                 .guard
-                .eval(&witness.theta, &self.session.terms, view.attrs())
+                .eval(&witness.theta, &self.session.terms, &view.attrs(graph))
                 .holds();
             if !holds {
                 continue;
@@ -563,7 +565,7 @@ impl<'a> Driver<'a> {
                 continue;
             }
             let alloc_mark = graph.allocated_count();
-            let root_meta = graph.node(node).meta.clone();
+            let root_meta = graph.node(node).meta;
             let replacement =
                 self.instantiate(graph, view, node, &rule.rhs, witness, Some(root_meta))?;
             graph
@@ -641,8 +643,10 @@ impl<'a> Driver<'a> {
     /// with it rests on that order.
     ///
     /// The term view is created once, empty ([`TermView::empty`]: every
-    /// live node *unseen*), and then *repaired in place* after every
-    /// firing. Nothing walks the graph to intern it: a visit interns
+    /// live node *unseen*), over a term store sized for the live nodes
+    /// ([`pypm_core::TermStore::reserve`], so interning never rehashes
+    /// mid-scan), and then *repaired in place* after every firing.
+    /// Nothing walks the graph to intern it: a visit interns
     /// its node (and whatever of the node's input cone is still unseen)
     /// the first time it reads it, so a node a rewrite deletes before
     /// the scan reaches it is never interned. A patch is an O(cone)
@@ -736,6 +740,9 @@ impl<'a> Driver<'a> {
         cx: &mut PipelineCx,
         stats: &mut PassStats,
     ) -> Result<(), RewriteError> {
+        // The scan interns at most every live node once before its first
+        // firing: size the store for that up front.
+        self.session.terms.reserve(graph.live_count());
         let mut view = TermView::empty(graph, &mut self.session.syms);
         stats.view_builds += 1;
         cx.lap(Stage::ViewBuild);
@@ -1074,7 +1081,8 @@ pub(crate) fn find_matches_in(
         let Some(t) = view.term_of(node) else {
             continue;
         };
-        let mut machine = Machine::new(&mut session.pats, &session.terms, view.attrs());
+        let attrs = view.attrs(graph);
+        let mut machine = Machine::new(&mut session.pats, &session.terms, &attrs);
         if let Ok(Outcome::Success(w)) = machine.run(def.pattern, t, DEFAULT_MACHINE_FUEL) {
             let coverage = machine.coverage().to_vec();
             out.push(MatchReport {
@@ -1096,7 +1104,7 @@ mod tests {
     use pypm_graph::{DType, NodeKind, TensorMeta};
 
     fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
-        g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.to_vec()))
+        g.input(&mut s.syms, DType::F32, dims)
     }
 
     fn run(s: &mut Session, rs: &RuleSet, g: &mut Graph) -> PassStats {
@@ -1145,7 +1153,7 @@ mod tests {
         assert_eq!(stats.rewrites_fired, 1);
         let out = g.outputs()[0];
         assert_eq!(g.node(out).op, s.ops.cublas_mm_xyt_f32);
-        assert_eq!(g.node(out).meta.shape.dims(), &[64, 16]);
+        assert_eq!(g.shapes().dims(g.node(out).meta.shape), [64, 16]);
         // The Trans node is garbage now.
         assert_eq!(g.live_count(), 3);
     }
@@ -1157,8 +1165,8 @@ mod tests {
         let mut s = Session::new();
         let rs = s.load_library(LibraryConfig::all());
         let mut g = Graph::new();
-        let a = g.input(&mut s.syms, TensorMeta::new(DType::F16, vec![8, 8]));
-        let b = g.input(&mut s.syms, TensorMeta::new(DType::F16, vec![8, 8]));
+        let a = g.input(&mut s.syms, DType::F16, [8, 8]);
+        let b = g.input(&mut s.syms, DType::F16, [8, 8]);
         let (trans, matmul) = (s.ops.trans, s.ops.matmul);
         let bt = g
             .op(&mut s.syms, &s.registry, trans, vec![b], vec![])
@@ -1379,14 +1387,8 @@ mod tests {
             .op(&mut s.syms, &s.registry, trans, vec![x], vec![])
             .unwrap();
         let mystery = s.syms.op("Mystery", 1);
-        let o = g
-            .opaque(
-                &mut s.syms,
-                mystery,
-                vec![t1],
-                TensorMeta::new(DType::F32, vec![4, 4]),
-            )
-            .unwrap();
+        let meta = g.meta(DType::F32, [4, 4]);
+        let o = g.opaque(&mut s.syms, mystery, vec![t1], meta).unwrap();
         let t2 = g
             .op(&mut s.syms, &s.registry, trans, vec![o], vec![])
             .unwrap();
@@ -1519,7 +1521,7 @@ mod tests {
             let (trans, const_scalar, value) =
                 (s.ops.trans, s.ops.const_scalar, s.ops.value_milli_attr);
             let mut half = || {
-                let meta = TensorMeta::new(DType::F32, vec![4, 4]);
+                let meta = g.meta(DType::F32, [4, 4]);
                 g.op_with_meta(const_scalar, vec![], vec![(value, 500)], meta)
                     .unwrap()
             };
@@ -1578,8 +1580,12 @@ mod tests {
             let out = g.outputs()[0];
             assert_eq!(g.node(out).op, relu, "{policy}");
             assert_eq!(g.inputs(out), [stride_2], "{policy}");
-            let input = &g.node(stride_2).meta;
-            let inferred = s.registry.infer(&s.syms, relu, &[input], &[]).unwrap();
+            let input = g.node(stride_2).meta;
+            let mut shapes = g.shapes().clone();
+            let inferred = s
+                .registry
+                .infer(&s.syms, relu, &[input], &[], &mut shapes)
+                .unwrap();
             assert_eq!(g.node(out).meta, inferred, "{policy}");
             assert_eq!(g.outputs()[1], stride_1, "{policy}");
         }

@@ -135,19 +135,15 @@ mod tests {
 
     #[test]
     fn wire_helpers_roundtrip_graph_and_rules() {
-        use pypm_graph::{DType, Graph, TensorMeta};
+        use pypm_graph::{DType, Graph};
         let mut s = Session::new();
         let rules = s.load_library(LibraryConfig::both());
         let mut g = Graph::new();
-        let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![4, 4]));
-        let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![4, 4]));
+        let a = g.input(&mut s.syms, DType::F32, [4, 4]);
+        let b = g.input(&mut s.syms, DType::F32, [4, 4]);
+        let meta = g.node(a).meta;
         let mm = g
-            .op_with_meta(
-                s.syms.find_op("MatMul").unwrap(),
-                vec![a, b],
-                vec![],
-                TensorMeta::new(DType::F32, vec![4, 4]),
-            )
+            .op_with_meta(s.syms.find_op("MatMul").unwrap(), vec![a, b], vec![], meta)
             .unwrap();
         g.mark_output(mm);
 

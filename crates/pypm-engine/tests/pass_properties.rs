@@ -6,7 +6,7 @@
 use proptest::prelude::*;
 use pypm_dsl::LibraryConfig;
 use pypm_engine::{MatcherBackend, PassStats, Pipeline, RewritePass, Session, SweepPolicy};
-use pypm_graph::{DType, Graph, NodeId, TensorMeta};
+use pypm_graph::{DType, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -21,8 +21,9 @@ fn random_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new();
     let dim = 8i64;
-    let sq = TensorMeta::new(DType::F32, vec![dim, dim]);
-    let mut nodes: Vec<NodeId> = (0..3).map(|_| g.input(&mut s.syms, sq.clone())).collect();
+    let mut nodes: Vec<NodeId> = (0..3)
+        .map(|_| g.input(&mut s.syms, DType::F32, [dim, dim]))
+        .collect();
     let push = |n: NodeId, nodes: &mut Vec<NodeId>| nodes.push(n);
     for _ in 0..size {
         let a = nodes[rng.gen_range(0..nodes.len())];
@@ -62,12 +63,14 @@ fn random_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
 fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut g = Graph::new();
-    let sq = TensorMeta::new(DType::F32, vec![8, 8]);
+    let sq = g.meta(DType::F32, [8, 8]);
     let (relu, trans, matmul) = (s.ops.relu, s.ops.trans, s.ops.matmul);
     let unary = [relu, trans, s.ops.tanh, s.ops.gelu];
     let binary = [matmul, s.ops.add, s.ops.mul];
     let (const_scalar, value_milli) = (s.ops.const_scalar, s.ops.value_milli_attr);
-    let mut nodes: Vec<NodeId> = (0..2).map(|_| g.input(&mut s.syms, sq.clone())).collect();
+    let mut nodes: Vec<NodeId> = (0..2)
+        .map(|_| g.input(&mut s.syms, DType::F32, [8, 8]))
+        .collect();
     for _ in 0..size {
         let newest = *nodes.last().unwrap();
         let mut pick = || match rng.gen_bool(0.5) {
@@ -115,7 +118,7 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
             }
             _ => {
                 let milli = [500, 1000, 2000][rng.gen_range(0..3usize)];
-                g.op_with_meta(const_scalar, vec![], vec![(value_milli, milli)], sq.clone())
+                g.op_with_meta(const_scalar, vec![], vec![(value_milli, milli)], sq)
                     .expect("a constant has no inputs to check")
             }
         };
@@ -145,7 +148,7 @@ proptest! {
         let out_meta_before: Vec<_> = g
             .outputs()
             .iter()
-            .map(|&o| g.node(o).meta.clone())
+            .map(|&o| g.node(o).meta)
             .collect();
         let rules = s.load_library(LibraryConfig::both());
         run_pass(&mut s, RewritePass::new(rules), &mut g);
@@ -153,7 +156,7 @@ proptest! {
         let out_meta_after: Vec<_> = g
             .outputs()
             .iter()
-            .map(|&o| g.node(o).meta.clone())
+            .map(|&o| g.node(o).meta)
             .collect();
         prop_assert_eq!(out_meta_before, out_meta_after, "rewrites changed output metadata");
     }

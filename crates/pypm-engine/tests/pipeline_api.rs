@@ -7,17 +7,17 @@ use pypm_engine::{
     summary, Partition, PartitionPass, Pass, PassError, PassOutcome, Pipeline, PipelineCx,
     RejectReason, RewritePass, Session, SweepPolicy,
 };
-use pypm_graph::{DType, Graph, NodeId, TensorMeta};
+use pypm_graph::{DType, Graph, NodeId};
 
 fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
-    g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.to_vec()))
+    g.input(&mut s.syms, DType::F32, dims)
 }
 
 /// MatMul(a, Trans(b)) — the Fig. 1 subject; fires exactly one rewrite.
 fn fig1_graph(s: &mut Session, dtype: DType) -> Graph {
     let mut g = Graph::new();
-    let a = g.input(&mut s.syms, TensorMeta::new(dtype, vec![64, 32]));
-    let b = g.input(&mut s.syms, TensorMeta::new(dtype, vec![16, 32]));
+    let a = g.input(&mut s.syms, dtype, [64, 32]);
+    let b = g.input(&mut s.syms, dtype, [16, 32]);
     let (trans, matmul) = (s.ops.trans, s.ops.matmul);
     let bt = g
         .op(&mut s.syms, &s.registry, trans, vec![b], vec![])

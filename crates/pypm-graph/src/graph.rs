@@ -37,11 +37,13 @@
 //! chain; a rewrite splices the replaced root's whole chain onto the
 //! replacement, and a collected node unlinks its slots from its inputs'
 //! chains. A node's non-dataflow attributes are a run of a second
-//! append-only arena, read with [`Graph::attrs`]. So a node owns no heap
-//! block of its own: building one appends to the graph's columns.
+//! append-only arena, read with [`Graph::attrs`], and its shape an id
+//! into the graph's [`ShapeTable`], read with [`Graph::shapes`]. So a
+//! node owns no heap block of its own: building one appends to the
+//! graph's columns, and a shape the graph already holds costs one probe.
 
 use crate::ops::OpRegistry;
-use crate::tensor::TensorMeta;
+use crate::tensor::{DType, ShapeTable, TensorMeta};
 use pypm_core::{Attr, Symbol, SymbolTable};
 use std::fmt;
 use std::ops::Range;
@@ -85,7 +87,8 @@ pub enum NodeKind {
 /// One operator application in the graph. Its dataflow inputs, its
 /// users and its attributes are not here but in the graph's arenas:
 /// read them with [`Graph::inputs`], [`Graph::users_of`] and
-/// [`Graph::attrs`]. A node is 40 bytes and owns no heap block.
+/// [`Graph::attrs`]; its metadata names its shape by id in
+/// [`Graph::shapes`]. A node is 24 bytes and owns no heap block.
 #[derive(Debug, Clone)]
 pub struct Node {
     /// The operator symbol. For inputs this is the node's fresh constant
@@ -221,19 +224,19 @@ impl std::error::Error for GraphError {}
 ///
 /// ```
 /// use pypm_core::SymbolTable;
-/// use pypm_graph::{DType, Graph, OpRegistry, StdOps, TensorMeta};
+/// use pypm_graph::{DType, Graph, OpRegistry, StdOps};
 ///
 /// let mut syms = SymbolTable::new();
 /// let mut reg = OpRegistry::new();
 /// let ops = StdOps::declare(&mut reg, &mut syms);
 ///
 /// let mut g = Graph::new();
-/// let a = g.input(&mut syms, TensorMeta::new(DType::F32, vec![4, 8]));
-/// let b = g.input(&mut syms, TensorMeta::new(DType::F32, vec![4, 8]));
+/// let a = g.input(&mut syms, DType::F32, [4, 8]);
+/// let b = g.input(&mut syms, DType::F32, [4, 8]);
 /// let bt = g.op(&mut syms, &reg, ops.trans, [b], vec![]).unwrap();
 /// let mm = g.op(&mut syms, &reg, ops.matmul, [a, bt], vec![]).unwrap();
 /// g.mark_output(mm);
-/// assert_eq!(g.node(mm).meta.shape.dims(), &[4, 4]);
+/// assert_eq!(g.shapes().dims(g.node(mm).meta.shape), [4, 4]);
 /// assert_eq!(g.inputs(mm), [a, bt]);
 /// ```
 #[derive(Debug, Clone)]
@@ -266,6 +269,8 @@ pub struct Graph {
     /// edges.
     attrs: Vec<(Attr, i64)>,
     attr_start: Vec<u32>,
+    /// Every node's shape, by the id its metadata holds.
+    shapes: ShapeTable,
     outputs: Vec<NodeId>,
     /// A topological numbering, maintained incrementally: on every live
     /// edge `level[input] < level[user]`. A valid numbering, not an
@@ -303,6 +308,7 @@ impl Default for Graph {
             next_use: Vec::new(),
             attrs: Vec::new(),
             attr_start: vec![0],
+            shapes: ShapeTable::new(),
             outputs: Vec::new(),
             level: Vec::new(),
             seen: Vec::new(),
@@ -320,9 +326,15 @@ impl Graph {
         Self::default()
     }
 
-    /// Adds a graph input with the given metadata. The input is
-    /// abstracted as a fresh constant of the term algebra.
-    pub fn input(&mut self, syms: &mut SymbolTable, meta: TensorMeta) -> NodeId {
+    /// Adds a graph input of element type `dtype` and extents `dims`.
+    /// The input is abstracted as a fresh constant of the term algebra.
+    pub fn input(
+        &mut self,
+        syms: &mut SymbolTable,
+        dtype: DType,
+        dims: impl AsRef<[i64]>,
+    ) -> NodeId {
+        let meta = self.meta(dtype, dims);
         let op = syms.fresh_const("in");
         let id = self.push_node(op, &[], &[], meta, NodeKind::Input);
         self.nodes[id.index()].term_const = Some(op);
@@ -354,15 +366,16 @@ impl Graph {
             });
         }
         self.check_alive(inputs)?;
-        let meta_of = |i: NodeId| &self.nodes[i.index()].meta;
+        let meta_of = |i: NodeId| self.nodes[i.index()].meta;
+        let shapes = &mut self.shapes;
         // Nearly every operator reads one or two tensors: lend those
         // from the stack.
         let inferred = match *inputs {
-            [a] => registry.infer(syms, op, &[meta_of(a)], attrs),
-            [a, b] => registry.infer(syms, op, &[meta_of(a), meta_of(b)], attrs),
+            [a] => registry.infer(syms, op, &[meta_of(a)], attrs, shapes),
+            [a, b] => registry.infer(syms, op, &[meta_of(a), meta_of(b)], attrs, shapes),
             _ => {
-                let metas: Vec<&TensorMeta> = inputs.iter().map(|&i| meta_of(i)).collect();
-                registry.infer(syms, op, &metas, attrs)
+                let metas: Vec<TensorMeta> = inputs.iter().map(|&i| meta_of(i)).collect();
+                registry.infer(syms, op, &metas, attrs, shapes)
             }
         };
         let meta = inferred.map_err(|e| GraphError::Shape {
@@ -373,7 +386,8 @@ impl Graph {
     }
 
     /// Adds an operator node with explicitly supplied metadata (for
-    /// nullary constants and fused kernels with bespoke shapes).
+    /// nullary constants and fused kernels with bespoke shapes): this
+    /// graph's, from [`Graph::meta`] or another of its nodes.
     pub fn op_with_meta(
         &mut self,
         op: Symbol,
@@ -402,6 +416,21 @@ impl Graph {
         let id = self.push_node(op, inputs, &[], meta, NodeKind::Opaque);
         self.nodes[id.index()].term_const = Some(syms.fresh_const("opq"));
         Ok(id)
+    }
+
+    /// Metadata of element type `dtype` and extents `dims`, the shape
+    /// interned in this graph's table.
+    pub fn meta(&mut self, dtype: DType, dims: impl AsRef<[i64]>) -> TensorMeta {
+        TensorMeta {
+            dtype,
+            shape: self.shapes.intern(dims.as_ref()),
+        }
+    }
+
+    /// The graph's shape table: what a node's [`TensorMeta::shape`]
+    /// names.
+    pub fn shapes(&self) -> &ShapeTable {
+        &self.shapes
     }
 
     /// Names the first of `inputs` that is dead or out of range.
@@ -1045,9 +1074,13 @@ impl Graph {
         for n in self.topo_order() {
             let node = self.node(n);
             let label = match node.kind {
-                NodeKind::Input => format!("input {}", node.meta),
-                NodeKind::Opaque => format!("opaque {}", node.meta),
-                NodeKind::Op => format!("{} {}", syms.op_name(node.op), node.meta),
+                NodeKind::Input => format!("input {}", self.shapes.display(node.meta)),
+                NodeKind::Opaque => format!("opaque {}", self.shapes.display(node.meta)),
+                NodeKind::Op => format!(
+                    "{} {}",
+                    syms.op_name(node.op),
+                    self.shapes.display(node.meta)
+                ),
             };
             s.push_str(&format!("  n{} [label=\"{}\"];\n", n.0, label));
             for &i in self.inputs(n) {
@@ -1155,8 +1188,7 @@ mod tests {
     }
 
     fn mat(fx: &mut Fx, m: i64, n: i64) -> NodeId {
-        let meta = TensorMeta::new(DType::F32, vec![m, n]);
-        fx.g.input(&mut fx.syms, meta)
+        fx.g.input(&mut fx.syms, DType::F32, [m, n])
     }
 
     #[test]
@@ -1171,21 +1203,22 @@ mod tests {
             f.g.op(&mut f.syms, &f.reg, f.ops.matmul, vec![a, bt], vec![])
                 .unwrap();
         f.g.mark_output(mm);
-        assert_eq!(f.g.node(mm).meta.shape.dims(), &[4, 4]);
+        assert_eq!(f.g.shapes().dims(f.g.node(mm).meta.shape), [4, 4]);
         assert_eq!(f.g.live_count(), 4);
         f.g.validate().unwrap();
     }
 
-    /// A node row is 40 bytes: its inputs, its users and its
+    /// A node row is 24 bytes: its inputs, its users and its
     /// attributes live in the graph's arenas, not in vectors of its own
     /// (it was 88 bytes with an input vector, 64 with a user and an
-    /// attribute vector). A row that widens costs more than it saves —
-    /// widening the term view's attribute row from 64 to 120 bytes, to
-    /// drop one allocation per term, made cold compiles about 6 %
-    /// slower.
+    /// attribute vector), and its shape is an id into the graph's shape
+    /// table (40 bytes while it was a shared extent list). A row that
+    /// widens costs more than it saves — widening the term view's
+    /// attribute row from 64 to 120 bytes, to drop one allocation per
+    /// term, made cold compiles about 6 % slower.
     #[test]
-    fn a_node_is_40_bytes() {
-        assert_eq!(std::mem::size_of::<Node>(), 40);
+    fn a_node_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 24);
     }
 
     #[test]
@@ -1322,7 +1355,7 @@ mod tests {
         // A diamond over the root, then a chain below the diamond.
         let left = unary(&mut f.g, root);
         let right = unary(&mut f.g, root);
-        let meta = f.g.node(a).meta.clone();
+        let meta = f.g.node(a).meta;
         let join =
             f.g.op_with_meta(f.ops.add, vec![left, right], vec![], meta)
                 .unwrap();
@@ -1585,7 +1618,7 @@ mod tests {
         // second reader, then the last slot on r1's list points at the
         // first.
         let mut cyclic = f.g.clone();
-        let meta = cyclic.node(r1).meta.clone();
+        let meta = cyclic.node(r1).meta;
         let second = cyclic.op_with_meta(f.ops.add, [r1, r3], [], meta).unwrap();
         cyclic.mark_output(second);
         cyclic.validate().unwrap();
@@ -1713,7 +1746,7 @@ mod tests {
     /// few random replace-and-collect rewrites, so that node ids no
     /// longer follow the dataflow.
     fn random_rewritten_graph(f: &mut Fx, rng: &mut StdRng, size: usize) {
-        let meta = TensorMeta::new(DType::F32, vec![4, 4]);
+        let meta = f.g.meta(DType::F32, [4, 4]);
         let mut nodes: Vec<NodeId> = (0..3).map(|_| mat(f, 4, 4)).collect();
         for _ in 0..size {
             let a = nodes[rng.gen_range(0..nodes.len())];
@@ -1723,7 +1756,7 @@ mod tests {
             } else {
                 (f.ops.add, vec![a, b])
             };
-            nodes.push(f.g.op_with_meta(op, inputs, vec![], meta.clone()).unwrap());
+            nodes.push(f.g.op_with_meta(op, inputs, vec![], meta).unwrap());
         }
         f.g.mark_output(nodes[nodes.len() - 1]);
         f.g.mark_output(nodes[nodes.len() / 2]);
@@ -1813,14 +1846,8 @@ mod tests {
         let mut f = fx();
         let a = mat(&mut f, 2, 2);
         let mystery = f.syms.op("MysteryOp", 1);
-        let o =
-            f.g.opaque(
-                &mut f.syms,
-                mystery,
-                vec![a],
-                TensorMeta::new(DType::F32, vec![2, 2]),
-            )
-            .unwrap();
+        let meta = f.g.meta(DType::F32, [2, 2]);
+        let o = f.g.opaque(&mut f.syms, mystery, vec![a], meta).unwrap();
         let r =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![o], vec![])
                 .unwrap();

@@ -12,7 +12,9 @@
 //! * [`TermView`] — the abstraction of subgraphs as CorePyPM syntax trees,
 //!   including the tensor attribute interpretation (`rank`, `eltType`,
 //!   `numel`, `dim0..3`, `op_class`) that guards evaluate,
-//! * [`TensorMeta`]/[`Shape`]/[`DType`] — tensor metadata.
+//! * [`TensorMeta`]/[`DType`] — tensor metadata, 8 bytes a node: a
+//!   dtype and a [`ShapeId`] into the graph's [`ShapeTable`], which holds
+//!   each distinct list of extents once.
 //!
 //! Models built by `pypm-models` live in this IR; the rewrite pass in
 //! `pypm-engine` matches CorePyPM patterns against term views of it.
@@ -27,5 +29,5 @@ pub mod termview;
 
 pub use graph::{Graph, GraphError, Node, NodeId, NodeKind, TopoWalk};
 pub use ops::{Activation, OpClass, OpInfo, OpRegistry, ShapeError, ShapeRule, StdOps};
-pub use tensor::{DType, Shape, TensorMeta};
+pub use tensor::{DType, ShapeId, ShapeTable, TensorMeta};
 pub use termview::{GraphAttrInterp, TensorAttrs, TermView};

@@ -7,7 +7,7 @@
 //! Fig. 14's `PwSubgraph` pattern) and a [`ShapeRule`] used for shape
 //! inference when rewrites build replacement nodes.
 
-use crate::tensor::{Shape, TensorMeta};
+use crate::tensor::{ShapeId, ShapeTable, TensorMeta};
 use pypm_core::{IdMap, Symbol, SymbolTable};
 use std::fmt;
 
@@ -209,7 +209,11 @@ impl OpRegistry {
         self.by_symbol.is_empty()
     }
 
-    /// Infers the output metadata of `op` applied to `inputs`.
+    /// Infers the output metadata of `op` applied to `inputs`, whose
+    /// shapes are ids of `shapes`; the result's shape is interned there.
+    /// A result equal to an input's is that input's id, and a result the
+    /// table holds allocates nothing: the extents are written into the
+    /// table's own buffer before they are looked up.
     ///
     /// `attrs` supplies non-dataflow operator attributes (e.g. conv
     /// stride), as in the paper's "attributes … listed in the operator
@@ -222,8 +226,9 @@ impl OpRegistry {
         &self,
         syms: &SymbolTable,
         op: Symbol,
-        inputs: &[&TensorMeta],
+        inputs: &[TensorMeta],
         attrs: &[(pypm_core::Attr, i64)],
+        shapes: &mut ShapeTable,
     ) -> Result<TensorMeta, ShapeError> {
         let name = || syms.op_name(op).to_owned();
         let info = match self.by_symbol.get(&op) {
@@ -238,119 +243,94 @@ impl OpRegistry {
                 got: inputs.len(),
             });
         }
+        let with_shape = |meta: TensorMeta, shape| TensorMeta { shape, ..meta };
         match info.shape_rule {
-            ShapeRule::SameAsFirst => {
-                let first = inputs
-                    .first()
-                    .ok_or(ShapeError::WrongInputCount { op: name(), got: 0 })?;
-                Ok((*first).clone())
-            }
+            ShapeRule::SameAsFirst | ShapeRule::SoftmaxLike => inputs
+                .first()
+                .copied()
+                .ok_or_else(|| ShapeError::WrongInputCount { op: name(), got: 0 }),
             ShapeRule::Broadcast => {
                 let (a, b) = (inputs[0], inputs[1]);
                 let shape =
-                    a.shape
-                        .broadcast(&b.shape)
+                    shapes
+                        .broadcast(a.shape, b.shape)
                         .ok_or_else(|| ShapeError::Incompatible {
                             op: name(),
-                            reason: format!("cannot broadcast {} with {}", a.shape, b.shape),
+                            reason: format!(
+                                "cannot broadcast {} with {}",
+                                shapes.display_shape(a.shape),
+                                shapes.display_shape(b.shape)
+                            ),
                         })?;
-                Ok(TensorMeta::new(a.dtype, shape))
+                Ok(with_shape(a, shape))
             }
-            ShapeRule::MatMul => {
+            ShapeRule::MatMul | ShapeRule::MatMulNT => {
                 let (a, b) = (inputs[0], inputs[1]);
-                let (ra, rb) = (a.shape.rank(), b.shape.rank());
-                if ra < 2 || rb < 2 {
+                let (da, db) = (shapes.dims(a.shape), shapes.dims(b.shape));
+                let (&[.., m, k1], &[.., r, c]) = (da, db) else {
                     return Err(ShapeError::Incompatible {
                         op: name(),
                         reason: "matmul inputs must have rank ≥ 2".into(),
                     });
-                }
-                let (m, k1) = (a.shape.dims()[ra - 2], a.shape.dims()[ra - 1]);
-                let (k2, n) = (b.shape.dims()[rb - 2], b.shape.dims()[rb - 1]);
+                };
+                // `b` is `[…, k, n]`, or `[…, n, k]` transposed.
+                let (k2, n) = if info.shape_rule == ShapeRule::MatMul {
+                    (r, c)
+                } else {
+                    (c, r)
+                };
                 if k1 != k2 {
                     return Err(ShapeError::Incompatible {
                         op: name(),
                         reason: format!("contraction mismatch {k1} vs {k2}"),
                     });
                 }
-                Ok(TensorMeta::new(a.dtype, batched(a, [m, n])))
+                Ok(with_shape(a, batched(shapes, a.shape, [m, n])))
             }
-            ShapeRule::MatMulNT => {
-                let (a, b) = (inputs[0], inputs[1]);
-                let (ra, rb) = (a.shape.rank(), b.shape.rank());
-                if ra < 2 || rb < 2 {
-                    return Err(ShapeError::Incompatible {
-                        op: name(),
-                        reason: "matmul inputs must have rank ≥ 2".into(),
-                    });
-                }
-                let (m, k1) = (a.shape.dims()[ra - 2], a.shape.dims()[ra - 1]);
-                let (n, k2) = (b.shape.dims()[rb - 2], b.shape.dims()[rb - 1]);
-                if k1 != k2 {
-                    return Err(ShapeError::Incompatible {
-                        op: name(),
-                        reason: format!("contraction mismatch {k1} vs {k2}"),
-                    });
-                }
-                Ok(TensorMeta::new(a.dtype, batched(a, [m, n])))
-            }
-            ShapeRule::Transpose => Ok(TensorMeta::new(
-                inputs[0].dtype,
-                inputs[0].shape.transposed(),
-            )),
-            ShapeRule::SoftmaxLike => Ok(inputs[0].clone()),
+            ShapeRule::Transpose => Ok(with_shape(inputs[0], shapes.transposed(inputs[0].shape))),
             ShapeRule::Conv2d => {
-                let x = inputs[0];
-                let w = inputs[1];
-                if x.shape.rank() != 4 || w.shape.rank() != 4 {
+                let (x, w) = (inputs[0], inputs[1]);
+                let (&[n, _c, h, wdim], &[out_c, _, _, _]) =
+                    (shapes.dims(x.shape), shapes.dims(w.shape))
+                else {
                     return Err(ShapeError::Incompatible {
                         op: name(),
                         reason: "conv2d expects NCHW input and OIHW weight".into(),
                     });
-                }
+                };
                 let stride = attrs
                     .iter()
                     .find(|(a, _)| syms.attr_name(*a) == "stride")
                     .map(|&(_, v)| v.max(1))
                     .unwrap_or(1);
-                let (n, _c, h, wdim) = (
-                    x.shape.dims()[0],
-                    x.shape.dims()[1],
-                    x.shape.dims()[2],
-                    x.shape.dims()[3],
-                );
-                let out_c = w.shape.dims()[0];
                 // Same-padding model: spatial dims divide by stride.
-                Ok(TensorMeta::new(
-                    x.dtype,
-                    [
-                        n,
-                        out_c,
-                        (h + stride - 1) / stride,
-                        (wdim + stride - 1) / stride,
-                    ],
-                ))
+                let out = [
+                    n,
+                    out_c,
+                    (h + stride - 1) / stride,
+                    (wdim + stride - 1) / stride,
+                ];
+                Ok(with_shape(x, shapes.intern(&out)))
             }
             ShapeRule::Flatten => {
                 let x = inputs[0];
-                let batch = x.shape.dim(0).unwrap_or(1);
-                let rest = if x.shape.rank() > 1 {
-                    x.shape.dims()[1..].iter().product()
-                } else {
-                    1
-                };
-                Ok(TensorMeta::new(x.dtype, [batch, rest]))
+                let dims = shapes.dims(x.shape);
+                let batch = dims.first().copied().unwrap_or(1);
+                let rest = dims.get(1..).map_or(1, |rest| rest.iter().product());
+                Ok(with_shape(x, shapes.intern(&[batch, rest])))
             }
             ShapeRule::Explicit => Err(ShapeError::NeedsExplicitMeta { op: name() }),
         }
     }
 }
 
-/// A rank ≥ 2 input's batch dimensions followed by `tail`, allocated
-/// once.
-fn batched(input: &TensorMeta, tail: [i64; 2]) -> Shape {
-    let dims = input.shape.dims();
-    dims[..dims.len() - 2].iter().copied().chain(tail).collect()
+/// A rank ≥ 2 shape's batch dimensions followed by `tail`.
+fn batched(shapes: &mut ShapeTable, input: ShapeId, tail: [i64; 2]) -> ShapeId {
+    shapes.intern_with(|shapes, out| {
+        let dims = shapes.dims(input);
+        out.extend_from_slice(&dims[..dims.len() - 2]);
+        out.extend_from_slice(&tail);
+    })
 }
 
 /// The standard operator set used by the model zoo and the pattern
@@ -508,7 +488,7 @@ impl Activation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tensor::{DType, Shape};
+    use crate::tensor::DType;
 
     fn setup() -> (SymbolTable, OpRegistry, StdOps) {
         let mut syms = SymbolTable::new();
@@ -525,62 +505,99 @@ mod tests {
         assert_eq!(reg.class(ops.fmha), OpClass::Fused);
     }
 
+    /// `f32` metadata with extents `dims`, interned in `shapes`.
+    fn f32(shapes: &mut ShapeTable, dims: &[i64]) -> TensorMeta {
+        TensorMeta {
+            dtype: DType::F32,
+            shape: shapes.intern(dims),
+        }
+    }
+
     #[test]
     fn matmul_shape_inference() {
         let (syms, reg, ops) = setup();
-        let a = TensorMeta::new(DType::F32, vec![8, 128, 64]);
-        let b = TensorMeta::new(DType::F32, vec![8, 64, 32]);
-        let out = reg.infer(&syms, ops.matmul, &[&a, &b], &[]).unwrap();
-        assert_eq!(out.shape, Shape::new(vec![8, 128, 32]));
+        let mut shapes = ShapeTable::new();
+        let a = f32(&mut shapes, &[8, 128, 64]);
+        let b = f32(&mut shapes, &[8, 64, 32]);
+        let out = reg
+            .infer(&syms, ops.matmul, &[a, b], &[], &mut shapes)
+            .unwrap();
+        assert_eq!(shapes.dims(out.shape), [8, 128, 32]);
 
-        let bad = TensorMeta::new(DType::F32, vec![8, 63, 32]);
+        let bad = f32(&mut shapes, &[8, 63, 32]);
         assert!(matches!(
-            reg.infer(&syms, ops.matmul, &[&a, &bad], &[]),
+            reg.infer(&syms, ops.matmul, &[a, bad], &[], &mut shapes),
             Err(ShapeError::Incompatible { .. })
         ));
+        let nt = reg
+            .infer(&syms, ops.cublas_mm_xyt_f32, &[a, a], &[], &mut shapes)
+            .unwrap();
+        assert_eq!(shapes.dims(nt.shape), [8, 128, 128]);
     }
 
     #[test]
     fn transpose_shape_inference() {
         let (syms, reg, ops) = setup();
-        let a = TensorMeta::new(DType::F32, vec![128, 64]);
-        let out = reg.infer(&syms, ops.trans, &[&a], &[]).unwrap();
-        assert_eq!(out.shape, Shape::new(vec![64, 128]));
+        let mut shapes = ShapeTable::new();
+        let a = f32(&mut shapes, &[128, 64]);
+        let out = reg.infer(&syms, ops.trans, &[a], &[], &mut shapes).unwrap();
+        assert_eq!(shapes.dims(out.shape), [64, 128]);
     }
 
     #[test]
     fn broadcast_shape_inference() {
         let (syms, reg, ops) = setup();
-        let a = TensorMeta::new(DType::F32, vec![4, 1, 3]);
-        let b = TensorMeta::new(DType::F32, vec![2, 3]);
-        let out = reg.infer(&syms, ops.add, &[&a, &b], &[]).unwrap();
-        assert_eq!(out.shape, Shape::new(vec![4, 2, 3]));
+        let mut shapes = ShapeTable::new();
+        let a = f32(&mut shapes, &[4, 1, 3]);
+        let b = f32(&mut shapes, &[2, 3]);
+        let out = reg
+            .infer(&syms, ops.add, &[a, b], &[], &mut shapes)
+            .unwrap();
+        assert_eq!(shapes.dims(out.shape), [4, 2, 3]);
+        let c = f32(&mut shapes, &[2, 4]);
+        let err = reg
+            .infer(&syms, ops.add, &[a, c], &[], &mut shapes)
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "operator Add: incompatible inputs (cannot broadcast [4x1x3] with [2x4])"
+        );
     }
 
     #[test]
     fn conv2d_uses_stride_attr() {
         let (syms, reg, ops) = setup();
-        let x = TensorMeta::new(DType::F32, vec![1, 3, 224, 224]);
-        let w = TensorMeta::new(DType::F32, vec![64, 3, 7, 7]);
+        let mut shapes = ShapeTable::new();
+        let x = f32(&mut shapes, &[1, 3, 224, 224]);
+        let w = f32(&mut shapes, &[64, 3, 7, 7]);
         let out = reg
-            .infer(&syms, ops.conv2d, &[&x, &w], &[(ops.stride_attr, 2)])
+            .infer(
+                &syms,
+                ops.conv2d,
+                &[x, w],
+                &[(ops.stride_attr, 2)],
+                &mut shapes,
+            )
             .unwrap();
-        assert_eq!(out.shape, Shape::new(vec![1, 64, 112, 112]));
+        assert_eq!(shapes.dims(out.shape), [1, 64, 112, 112]);
     }
 
     #[test]
     fn flatten_collapses_trailing_dims() {
         let (syms, reg, ops) = setup();
-        let x = TensorMeta::new(DType::F32, vec![2, 3, 4, 5]);
-        let out = reg.infer(&syms, ops.flatten, &[&x], &[]).unwrap();
-        assert_eq!(out.shape, Shape::new(vec![2, 60]));
+        let mut shapes = ShapeTable::new();
+        let x = f32(&mut shapes, &[2, 3, 4, 5]);
+        let out = reg
+            .infer(&syms, ops.flatten, &[x], &[], &mut shapes)
+            .unwrap();
+        assert_eq!(shapes.dims(out.shape), [2, 60]);
     }
 
     #[test]
     fn explicit_rule_demands_meta() {
         let (syms, reg, ops) = setup();
         assert!(matches!(
-            reg.infer(&syms, ops.const_scalar, &[], &[]),
+            reg.infer(&syms, ops.const_scalar, &[], &[], &mut ShapeTable::new()),
             Err(ShapeError::NeedsExplicitMeta { .. })
         ));
     }
@@ -588,9 +605,10 @@ mod tests {
     #[test]
     fn wrong_input_count_is_reported() {
         let (syms, reg, ops) = setup();
-        let a = TensorMeta::new(DType::F32, vec![2, 2]);
+        let mut shapes = ShapeTable::new();
+        let a = f32(&mut shapes, &[2, 2]);
         assert!(matches!(
-            reg.infer(&syms, ops.matmul, &[&a], &[]),
+            reg.infer(&syms, ops.matmul, &[a], &[], &mut shapes),
             Err(ShapeError::WrongInputCount { .. })
         ));
     }

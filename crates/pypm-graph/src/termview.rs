@@ -13,10 +13,13 @@
 //! structurally equal subgraphs share a term id; because distinct input
 //! nodes are distinct constants and shape inference is deterministic,
 //! structurally equal subgraphs always carry identical metadata, so the
-//! table is well-defined. A row holds the term's metadata, its operator
-//! class and where its operator attributes sit in one append-only arena
-//! the view owns — the shape of [`Graph::attrs`] — so recording a term
-//! copies its attributes without allocating a list for them.
+//! table is well-defined. A row holds the term's metadata — a dtype and
+//! the id of a shape in the graph's [`ShapeTable`], 8 bytes — its
+//! operator class and where its operator attributes sit in one
+//! append-only arena the view owns, the shape of [`Graph::attrs`]; so
+//! recording a term copies 24 bytes and its attributes, and allocates
+//! no list for them. A guard reads a shape attribute through the
+//! graph's table ([`TermView::attrs`] borrows it).
 //!
 //! A rewrite's cone is found through [`Graph::users_of`], the graph's
 //! use-lists, whose order is unspecified: what [`TermView::patch`]
@@ -24,7 +27,7 @@
 
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::ops::OpRegistry;
-use crate::tensor::TensorMeta;
+use crate::tensor::{ShapeTable, TensorMeta};
 use pypm_core::{Attr, AttrInterp, IdMap, Symbol, SymbolTable, TermId, TermStore};
 use std::collections::HashMap;
 use std::ops::Range;
@@ -70,24 +73,34 @@ impl TensorAttrs {
 /// [`TermView`]).
 #[derive(Debug, Clone)]
 struct TermAttrs {
+    /// The dtype, and the shape as an id of the graph's [`ShapeTable`].
     meta: TensorMeta,
     /// The [`OpClass`](crate::ops::OpClass) code of the head operator.
     class_code: i64,
     /// Where the operator attributes attached to the node (stride,
-    /// value_milli, epilog, …) sit in [`GraphAttrInterp::node_attrs`].
+    /// value_milli, epilog, …) sit in [`TermTable::node_attrs`].
     node_attrs: Range<u32>,
 }
 
-/// The attribute interpretation backed by a term view's side table.
-#[derive(Debug, Clone, Default)]
-pub struct GraphAttrInterp {
+/// A term view's attribute side table.
+#[derive(Debug, Clone)]
+struct TermTable {
     /// By [`TermId::index`]; `None` (or past the end) for a term no
     /// node of the view has produced.
     by_term: Vec<Option<TermAttrs>>,
     /// Every recorded term's operator attributes, one run per term, in
     /// recording order. Append-only: a term keeps its run once recorded.
     node_attrs: Vec<(Attr, i64)>,
-    handles: Option<TensorAttrs>,
+    handles: TensorAttrs,
+}
+
+/// The attribute interpretation guards evaluate against: a term view's
+/// side table, with the shape table of the graph it views
+/// ([`TermView::attrs`]).
+#[derive(Debug, Clone, Copy)]
+pub struct GraphAttrInterp<'a> {
+    table: &'a TermTable,
+    shapes: &'a ShapeTable,
 }
 
 /// The entry of `t` in a table indexed by [`TermId::index`], grown on
@@ -99,34 +112,37 @@ fn slot_mut<T>(table: &mut Vec<Option<T>>, t: TermId) -> &mut Option<T> {
     &mut table[t.index()]
 }
 
-impl AttrInterp for GraphAttrInterp {
+impl AttrInterp for GraphAttrInterp<'_> {
     fn attr(&self, _terms: &TermStore, t: TermId, attr: Attr) -> Option<i64> {
-        let handles = self.handles?;
+        let TermTable {
+            by_term,
+            node_attrs,
+            handles,
+        } = self.table;
         let TermAttrs {
             meta,
             class_code,
-            node_attrs,
-        } = self.by_term.get(t.index())?.as_ref()?;
+            node_attrs: run,
+        } = by_term.get(t.index())?.as_ref()?;
         if attr == handles.op_class {
             return Some(*class_code);
         }
         if attr == handles.rank {
-            return Some(meta.shape.rank() as i64);
+            return Some(self.shapes.rank(meta.shape) as i64);
         }
         if attr == handles.elt_type {
             return Some(meta.dtype.code());
         }
         if attr == handles.numel {
-            return Some(meta.shape.numel());
+            return Some(self.shapes.numel(meta.shape));
         }
         for (i, &d) in handles.dims.iter().enumerate() {
             if attr == d {
-                return meta.shape.dim(i);
+                return self.shapes.dim(meta.shape, i);
             }
         }
-        let run = node_attrs.start as usize..node_attrs.end as usize;
-        let node_attrs = &self.node_attrs[run];
-        node_attrs.iter().find(|(k, _)| *k == attr).map(|&(_, v)| v)
+        let run = &node_attrs[run.start as usize..run.end as usize];
+        run.iter().find(|(k, _)| *k == attr).map(|&(_, v)| v)
     }
 }
 
@@ -224,7 +240,7 @@ pub struct TermView {
     /// whose ids are dense and belong to this graph's terms.
     slots: Vec<Slot>,
     /// Attribute side tables.
-    attrs: GraphAttrInterp,
+    attrs: TermTable,
     /// Terms recomputed by on-demand repair over the view's lifetime
     /// (see [`TermView::terms_recomputed`]).
     recomputed: u64,
@@ -262,9 +278,10 @@ impl TermView {
             .collect();
         TermView {
             slots,
-            attrs: GraphAttrInterp {
-                handles: Some(TensorAttrs::intern(syms)),
-                ..GraphAttrInterp::default()
+            attrs: TermTable {
+                by_term: Vec::new(),
+                node_attrs: Vec::new(),
+                handles: TensorAttrs::intern(syms),
             },
             recomputed: 0,
             args: Vec::new(),
@@ -277,13 +294,15 @@ impl TermView {
 
     /// Builds the term view of every node reachable from the graph
     /// outputs: the [`TermView::empty`] view, with each such node
-    /// interned in topological order.
+    /// interned in topological order, into a store sized for the live
+    /// nodes up front ([`TermStore::reserve`]).
     pub fn build(
         graph: &Graph,
         syms: &mut SymbolTable,
         terms: &mut TermStore,
         registry: &OpRegistry,
     ) -> TermView {
+        terms.reserve(graph.live_count());
         let mut view = TermView::empty(graph, syms);
         for n in graph.topo_order() {
             // Inputs come first in this order, so this is the one step
@@ -500,7 +519,7 @@ impl TermView {
     fn record(&mut self, graph: &Graph, registry: &OpRegistry, n: NodeId, term: TermId) {
         self.slots[n.index()] = Slot::Clean(term);
         let node = graph.node(n);
-        let GraphAttrInterp {
+        let TermTable {
             by_term,
             node_attrs,
             ..
@@ -509,7 +528,7 @@ impl TermView {
             let start = node_attrs.len() as u32;
             node_attrs.extend_from_slice(graph.attrs(n));
             TermAttrs {
-                meta: node.meta.clone(),
+                meta: node.meta,
                 class_code: registry.class(node.op).code(),
                 node_attrs: start..node_attrs.len() as u32,
             }
@@ -587,9 +606,15 @@ impl TermView {
         found
     }
 
-    /// The attribute interpretation for guard evaluation.
-    pub fn attrs(&self) -> &GraphAttrInterp {
-        &self.attrs
+    /// The attribute interpretation for guard evaluation: the view's
+    /// side table, reading shapes from `graph`'s table. `graph` is the
+    /// graph the view was made of (a term's metadata names its shape by
+    /// that graph's id).
+    pub fn attrs<'a>(&'a self, graph: &'a Graph) -> GraphAttrInterp<'a> {
+        GraphAttrInterp {
+            table: &self.attrs,
+            shapes: graph.shapes(),
+        }
     }
 
     /// Number of clean (repaired) viewed nodes.
@@ -637,13 +662,19 @@ mod tests {
         assert!(std::mem::size_of::<Slot>() <= std::mem::size_of::<Option<TermId>>());
     }
 
+    /// A term's row is 24 bytes, absent rows included: 40 while its
+    /// metadata held a shared extent list rather than a shape id.
+    #[test]
+    fn a_term_row_is_24_bytes() {
+        assert_eq!(std::mem::size_of::<TermAttrs>(), 24);
+        assert_eq!(std::mem::size_of::<Option<TermAttrs>>(), 24);
+    }
+
     #[test]
     fn term_view_mirrors_structure() {
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![4, 8]));
-        let b =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![4, 8]));
+        let a = f.g.input(&mut f.syms, DType::F32, [4, 8]);
+        let b = f.g.input(&mut f.syms, DType::F32, [4, 8]);
         let bt =
             f.g.op(&mut f.syms, &f.reg, f.ops.trans, vec![b], vec![])
                 .unwrap();
@@ -666,10 +697,8 @@ mod tests {
     #[test]
     fn distinct_inputs_are_distinct_constants() {
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
-        let b =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
+        let b = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let add =
             f.g.op(&mut f.syms, &f.reg, f.ops.add, vec![a, b], vec![])
                 .unwrap();
@@ -682,8 +711,7 @@ mod tests {
     fn shared_subgraph_shares_terms() {
         // add(relu(a), relu(a)) — both relu uses view as the same term.
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let r =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
@@ -700,13 +728,12 @@ mod tests {
     #[test]
     fn attributes_expose_tensor_metadata() {
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::I8, vec![3, 5]));
+        let a = f.g.input(&mut f.syms, DType::I8, [3, 5]);
         f.g.mark_output(a);
         let view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let t = view.term_of(a).unwrap();
         let h = TensorAttrs::intern(&mut f.syms);
-        let interp = view.attrs();
+        let interp = view.attrs(&f.g);
         assert_eq!(interp.attr(&f.terms, t, h.rank), Some(2));
         assert_eq!(interp.attr(&f.terms, t, h.elt_type), Some(DType::I8.code()));
         assert_eq!(interp.attr(&f.terms, t, h.numel), Some(15));
@@ -718,8 +745,7 @@ mod tests {
     #[test]
     fn op_class_attribute() {
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let r =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
@@ -728,7 +754,7 @@ mod tests {
         let h = TensorAttrs::intern(&mut f.syms);
         let t = view.term_of(r).unwrap();
         assert_eq!(
-            view.attrs().attr(&f.terms, t, h.op_class),
+            view.attrs(&f.g).attr(&f.terms, t, h.op_class),
             Some(OpClass::UnaryPointwise.code())
         );
     }
@@ -748,7 +774,7 @@ mod tests {
         let view = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         let t = view.term_of(c).unwrap();
         assert_eq!(
-            view.attrs().attr(&f.terms, t, f.ops.value_milli_attr),
+            view.attrs(&f.g).attr(&f.terms, t, f.ops.value_milli_attr),
             Some(500)
         );
     }
@@ -784,8 +810,7 @@ mod tests {
         // mark both users (and the shared downstream add) stale, and
         // hide their terms until repaired.
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let r =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
@@ -837,8 +862,7 @@ mod tests {
         // must be repaired on that path, not assumed done because it is
         // already on the stack.
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let r =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
@@ -864,8 +888,7 @@ mod tests {
         // Replacing the tip of a chain orphans the old nodes; after gc +
         // patch they must vanish from the view.
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let r1 =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
@@ -899,8 +922,7 @@ mod tests {
         // must enter the view, and marking must keep clean siblings out
         // of the cone.
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let left =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
@@ -946,8 +968,7 @@ mod tests {
         // (and its users — marking cannot know), but repair finds the
         // same terms and the view converges back to build-equality.
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let r =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
@@ -972,12 +993,10 @@ mod tests {
         // a -> r -> t; patch r twice (two "rewrites") with no lookup in
         // between, then repair: t recomputes once, not twice.
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         // Clean bystander chains a patch must never touch.
         for _ in 0..16 {
-            let x =
-                f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+            let x = f.g.input(&mut f.syms, DType::F32, [2, 2]);
             let s =
                 f.g.op(&mut f.syms, &f.reg, f.ops.sigmoid, vec![x], vec![])
                     .unwrap();
@@ -1012,8 +1031,7 @@ mod tests {
         // either output the term names that output's own relu, and a
         // twin's death changes nothing for the other.
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let r1 =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![])
                 .unwrap();
@@ -1057,8 +1075,7 @@ mod tests {
 
     /// `relu(tanh(a))` over an `I8` input, output marked.
     fn small_chain(f: &mut Fx) -> [NodeId; 3] {
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::I8, vec![3, 5]));
+        let a = f.g.input(&mut f.syms, DType::I8, [3, 5]);
         let t =
             f.g.op(&mut f.syms, &f.reg, f.ops.tanh, vec![a], vec![])
                 .unwrap();
@@ -1083,13 +1100,13 @@ mod tests {
         let h = TensorAttrs::intern(&mut f.syms);
         for t in [earlier, later] {
             assert_eq!(view.node_below(&f.g, nodes[2], t), None);
-            assert_eq!(view.attrs().attr(&f.terms, t, h.rank), None);
-            assert_eq!(view.attrs().attr(&f.terms, t, h.op_class), None);
+            assert_eq!(view.attrs(&f.g).attr(&f.terms, t, h.rank), None);
+            assert_eq!(view.attrs(&f.g).attr(&f.terms, t, h.op_class), None);
         }
         let root = view.term_of(nodes[2]).unwrap();
         assert!(earlier < root && root < later);
         assert_eq!(view.node_below(&f.g, nodes[2], root), Some(nodes[2]));
-        assert_eq!(view.attrs().attr(&f.terms, root, h.rank), Some(2));
+        assert_eq!(view.attrs(&f.g).attr(&f.terms, root, h.rank), Some(2));
     }
 
     #[test]
@@ -1122,8 +1139,8 @@ mod tests {
             );
             for attr in [h.rank, h.elt_type, h.numel, h.dims[1], h.op_class] {
                 assert_eq!(
-                    v_used.attrs().attr(&used.terms, tu, attr),
-                    v_fresh.attrs().attr(&fresh.terms, tf, attr)
+                    v_used.attrs(&used.g).attr(&used.terms, tu, attr),
+                    v_fresh.attrs(&fresh.g).attr(&fresh.terms, tf, attr)
                 );
             }
         }
@@ -1132,17 +1149,10 @@ mod tests {
     #[test]
     fn opaque_nodes_view_as_constants() {
         let mut f = fx();
-        let a =
-            f.g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+        let a = f.g.input(&mut f.syms, DType::F32, [2, 2]);
         let mystery = f.syms.op("Mystery", 1);
-        let o =
-            f.g.opaque(
-                &mut f.syms,
-                mystery,
-                vec![a],
-                TensorMeta::new(DType::F32, vec![2, 2]),
-            )
-            .unwrap();
+        let meta = f.g.meta(DType::F32, [2, 2]);
+        let o = f.g.opaque(&mut f.syms, mystery, vec![a], meta).unwrap();
         let r =
             f.g.op(&mut f.syms, &f.reg, f.ops.relu, vec![o], vec![])
                 .unwrap();

@@ -3,7 +3,7 @@
 //! graph unchanged and valid.
 
 use pypm_core::SymbolTable;
-use pypm_graph::{DType, Graph, GraphError, NodeId, OpRegistry, StdOps, TensorMeta};
+use pypm_graph::{DType, Graph, GraphError, NodeId, OpRegistry, StdOps};
 
 struct Fx {
     syms: SymbolTable,
@@ -25,7 +25,7 @@ fn fx() -> Fx {
 }
 
 fn mat(f: &mut Fx, dims: &[i64]) -> NodeId {
-    f.g.input(&mut f.syms, TensorMeta::new(DType::F32, dims.to_vec()))
+    f.g.input(&mut f.syms, DType::F32, dims)
 }
 
 #[test]
@@ -166,6 +166,6 @@ fn opaque_with_dead_input_is_rejected() {
     f.g.mark_output(b);
     f.g.gc();
     let foreign = f.syms.op("Foreign", 1);
-    let meta = TensorMeta::new(DType::F32, vec![4, 4]);
+    let meta = f.g.meta(DType::F32, [4, 4]);
     assert!(f.g.opaque(&mut f.syms, foreign, vec![dead], meta).is_err());
 }

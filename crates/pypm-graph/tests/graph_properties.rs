@@ -4,10 +4,11 @@
 use proptest::prelude::*;
 use pypm_core::{SymbolTable, TermStore};
 use pypm_graph::{
-    DType, Graph, GraphError, NodeId, OpRegistry, StdOps, TensorMeta, TermView, TopoWalk,
+    DType, Graph, GraphError, NodeId, OpRegistry, ShapeId, StdOps, TensorMeta, TermView, TopoWalk,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 struct Fx {
     syms: SymbolTable,
@@ -29,7 +30,7 @@ fn random_graph(fx: &mut Fx, seed: u64, size: usize) -> Graph {
     let mut g = Graph::new();
     let dim = 8i64;
     let mut nodes: Vec<NodeId> = (0..3)
-        .map(|_| g.input(&mut fx.syms, TensorMeta::new(DType::F32, vec![dim, dim])))
+        .map(|_| g.input(&mut fx.syms, DType::F32, [dim, dim]))
         .collect();
     for _ in 0..size {
         let pick = nodes[rng.gen_range(0..nodes.len())];
@@ -271,8 +272,10 @@ struct Shadow {
 impl Shadow {
     /// Two inputs, the first an output.
     fn new(f: &mut Fx, g: &mut Graph) -> Shadow {
-        let sq = TensorMeta::new(DType::F32, vec![8, 8]);
-        let ids: Vec<NodeId> = (0..2).map(|_| g.input(&mut f.syms, sq.clone())).collect();
+        let sq = g.meta(DType::F32, [8, 8]);
+        let ids: Vec<NodeId> = (0..2)
+            .map(|_| g.input(&mut f.syms, DType::F32, [8, 8]))
+            .collect();
         g.mark_output(ids[0]);
         Shadow {
             ids,
@@ -298,9 +301,9 @@ impl Shadow {
                     3 | 4 => vec![pick(rng), pick(rng)],
                     _ => vec![pick(rng), pick(rng), pick(rng)],
                 };
-                let sq = self.sq.clone();
+                let sq = self.sq;
                 let n = match inputs.len() {
-                    0 => g.input(&mut f.syms, sq),
+                    0 => g.input(&mut f.syms, DType::F32, [8, 8]),
                     1 if rng.gen_bool(0.3) => {
                         g.opaque(&mut f.syms, self.foreign, &inputs, sq).unwrap()
                     }
@@ -600,8 +603,8 @@ proptest! {
         let mut f = fx();
         let mut g = Graph::new();
         let dim = 4i64;
-        let a = g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![dim, dim]));
-        let b = g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![dim, dim]));
+        let a = g.input(&mut f.syms, DType::F32, [dim, dim]);
+        let b = g.input(&mut f.syms, DType::F32, [dim, dim]);
         let _ = seed;
         let r1 = g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![]).unwrap();
         let r2 = g.op(&mut f.syms, &f.reg, f.ops.relu, vec![a], vec![]).unwrap();
@@ -649,10 +652,63 @@ proptest! {
 fn users_counts_multi_edges() {
     let mut f = fx();
     let mut g = Graph::new();
-    let a = g.input(&mut f.syms, TensorMeta::new(DType::F32, vec![2, 2]));
+    let a = g.input(&mut f.syms, DType::F32, [2, 2]);
     let add = g
         .op(&mut f.syms, &f.reg, f.ops.add, vec![a, a], vec![])
         .unwrap();
     g.mark_output(add);
     assert_eq!(users(&g, a), [add, add]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The graph's shape table against a map from extent lists to ids,
+    /// over random lists — rank 0 to 7, extents from a small alphabet so
+    /// that lists repeat — interned through `Graph::meta` and
+    /// `Graph::input`, across several doublings of the table's index:
+    /// equal lists get equal ids and unequal lists unequal ones, an id
+    /// reads back its list, and its element count is the product.
+    #[test]
+    fn the_shape_table_agrees_with_a_map_of_extent_lists(seed in any::<u64>()) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut syms = SymbolTable::new();
+        let mut g = Graph::new();
+        let mut model: HashMap<Vec<i64>, ShapeId> = HashMap::new();
+        model.insert(Vec::new(), ShapeId::SCALAR);
+        for _ in 0..400 {
+            let rank = rng.gen_range(0..8usize);
+            let dims: Vec<i64> = (0..rank)
+                .map(|_| [0i64, 1, 2, 3, 48][rng.gen_range(0..5usize)])
+                .collect();
+            let shape = if rng.gen_bool(0.5) {
+                g.meta(DType::F32, &dims).shape
+            } else {
+                let n = g.input(&mut syms, DType::I8, &dims);
+                g.node(n).meta.shape
+            };
+            match model.get(&dims) {
+                Some(&known) => prop_assert_eq!(shape, known, "{:?} again", dims),
+                None => {
+                    prop_assert!(
+                        model.values().all(|&other| other != shape),
+                        "{:?} took another list's id",
+                        dims
+                    );
+                    model.insert(dims.clone(), shape);
+                }
+            }
+            let shapes = g.shapes();
+            prop_assert_eq!(shapes.dims(shape), dims.as_slice());
+            prop_assert_eq!(shapes.rank(shape), rank);
+            prop_assert_eq!(shapes.numel(shape), dims.iter().product::<i64>());
+        }
+        prop_assert_eq!(g.shapes().len(), model.len());
+        prop_assert!(model.len() > 64, "only {} distinct lists", model.len());
+        for (dims, &shape) in &model {
+            prop_assert_eq!(g.meta(DType::Bool, dims).shape, shape);
+            prop_assert_eq!(g.shapes().dims(shape), dims.as_slice());
+        }
+        prop_assert_eq!(g.shapes().len(), model.len(), "nothing interned twice");
+    }
 }

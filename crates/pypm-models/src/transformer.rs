@@ -68,10 +68,7 @@ impl TransformerConfig {
         let mut g = Graph::new();
         let dtype = DType::F32;
         let h = self.hidden;
-        let x0 = g.input(
-            &mut session.syms,
-            TensorMeta::new(dtype, [self.batch, self.seq, h]),
-        );
+        let x0 = g.input(&mut session.syms, dtype, [self.batch, self.seq, h]);
         let mut x = x0;
         for _ in 0..self.layers {
             x = self.attention_block(session, &mut g, x);
@@ -152,7 +149,7 @@ impl TransformerConfig {
 
     fn layernorm(&self, s: &mut Session, g: &mut Graph, x: NodeId) -> NodeId {
         if self.opaque_layernorm {
-            let meta = g.node(x).meta.clone();
+            let meta = g.node(x).meta;
             let foreign = s.syms.op("FusedLayerNormApex", 1);
             g.opaque(&mut s.syms, foreign, [x], meta)
                 .expect("opaque layernorm")
@@ -168,7 +165,7 @@ impl TransformerConfig {
 }
 
 fn weight(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
-    g.input(&mut s.syms, TensorMeta::new(DType::F32, dims))
+    g.input(&mut s.syms, DType::F32, dims)
 }
 
 fn const_scalar(s: &mut Session, g: &mut Graph, milli: i64) -> NodeId {

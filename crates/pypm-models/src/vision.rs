@@ -13,7 +13,7 @@
 //! to rewrite and its speedups cluster at 1.0×.
 
 use pypm_engine::Session;
-use pypm_graph::{DType, Graph, NodeId, TensorMeta};
+use pypm_graph::{DType, Graph, NodeId};
 
 /// Activation used by a model's conv blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,7 +65,8 @@ impl VisionConfig {
         let mut g = Graph::new();
         let mut x = g.input(
             &mut session.syms,
-            TensorMeta::new(DType::F32, [1, 3, self.resolution, self.resolution]),
+            DType::F32,
+            [1, 3, self.resolution, self.resolution],
         );
         let mut in_c = 3;
         for stage in &self.stages {
@@ -77,7 +78,7 @@ impl VisionConfig {
         x = op(session, &mut g, session.ops.flatten, &[x]);
         // Dense classifier: matmul → bias? We keep matmul → relu to form
         // GEMM epilog sites (bias is folded for simplicity).
-        let mut width = g.node(x).meta.shape.dim(1).expect("flattened");
+        let mut width = g.shapes().dim(g.node(x).meta.shape, 1).expect("flattened");
         for &next in &self.classifier {
             let w = weight(session, &mut g, &[width, next]);
             let mm = op(session, &mut g, session.ops.matmul, &[x, w]);
@@ -142,7 +143,7 @@ fn build_stage(
 
 fn pool(s: &mut Session, g: &mut Graph, x: NodeId, opaque: bool) -> NodeId {
     if opaque {
-        let meta = g.node(x).meta.clone();
+        let meta = g.node(x).meta;
         let foreign = s.syms.op("AdaptiveAvgPool2d", 1);
         g.opaque(&mut s.syms, foreign, [x], meta).expect("pool")
     } else {
@@ -151,7 +152,7 @@ fn pool(s: &mut Session, g: &mut Graph, x: NodeId, opaque: bool) -> NodeId {
 }
 
 fn weight(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
-    g.input(&mut s.syms, TensorMeta::new(DType::F32, dims))
+    g.input(&mut s.syms, DType::F32, dims)
 }
 
 fn op(s: &mut Session, g: &mut Graph, sym: pypm_core::Symbol, inputs: &[NodeId]) -> NodeId {

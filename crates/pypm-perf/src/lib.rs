@@ -71,20 +71,21 @@ impl CostModel {
     /// operators are `numel × flops_per_elem` from the registry.
     pub fn node_flops(&self, graph: &Graph, registry: &OpRegistry, ops: &StdOps, n: NodeId) -> f64 {
         let node = graph.node(n);
-        let out_elems = node.meta.shape.numel().max(0) as f64;
+        let shapes = graph.shapes();
+        let out_elems = shapes.numel(node.meta.shape).max(0) as f64;
         let op = node.op;
-        let in_meta = |i: usize| &graph.node(graph.inputs(n)[i]).meta;
+        let in_dims = |i: usize| shapes.dims(graph.node(graph.inputs(n)[i]).meta.shape);
         if op == ops.matmul
             || op == ops.gemm_epilog
             || op == ops.cublas_mm_xyt_f32
             || op == ops.cublas_mm_xyt_i8
         {
             // 2·m·n·k: k is the last dim of the first input.
-            let k = in_meta(0).shape.dims().last().copied().unwrap_or(1) as f64;
+            let k = in_dims(0).last().copied().unwrap_or(1) as f64;
             2.0 * out_elems * k
         } else if op == ops.fmha {
             // q·kᵀ, softmax, probs·v over [.., s, d]: ≈ 4·s²·d + 5·s².
-            let dims = in_meta(0).shape.dims();
+            let dims = in_dims(0);
             let (s, d) = match dims.len() {
                 0 | 1 => (1.0, 1.0),
                 r => (dims[r - 2] as f64, dims[r - 1] as f64),
@@ -96,7 +97,7 @@ impl CostModel {
             batch * (4.0 * s * s * d + 5.0 * s * s)
         } else if op == ops.conv2d || op == ops.conv_bias_act {
             // 2·Cin·Kh·Kw per output element.
-            let wd = in_meta(1).shape.dims();
+            let wd = in_dims(1);
             let per_elem = if wd.len() == 4 {
                 2.0 * (wd[1] * wd[2] * wd[3]) as f64
             } else {
@@ -114,10 +115,10 @@ impl CostModel {
 
     /// Bytes moved by one node (all inputs read + output written).
     pub fn node_bytes(&self, graph: &Graph, n: NodeId) -> f64 {
-        let node = graph.node(n);
-        let mut total = node.meta.bytes() as f64;
+        let bytes = |n: NodeId| graph.shapes().bytes(graph.node(n).meta) as f64;
+        let mut total = bytes(n);
         for &i in graph.inputs(n) {
-            total += graph.node(i).meta.bytes() as f64;
+            total += bytes(i);
         }
         total
     }
@@ -189,9 +190,10 @@ impl CostModel {
             .iter()
             .map(|&n| self.node_flops(graph, registry, ops, n))
             .sum();
-        let mut bytes = graph.node(root).meta.bytes() as f64;
+        let bytes_of = |n: NodeId| graph.shapes().bytes(graph.node(n).meta) as f64;
+        let mut bytes = bytes_of(root);
         for &f in frontier {
-            bytes += graph.node(f).meta.bytes() as f64;
+            bytes += bytes_of(f);
         }
         let compute = flops / (self.device.flops_per_us * self.device.fused_efficiency);
         let memory = bytes / self.device.bytes_per_us;
@@ -261,7 +263,7 @@ mod tests {
     fn inputs_and_constants_are_free() {
         let mut s = sess();
         let mut g = Graph::new();
-        let x = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 64]));
+        let x = g.input(&mut s.syms, DType::F32, [64, 64]);
         let c = g
             .op_with_meta(
                 s.ops.const_scalar,
@@ -281,7 +283,7 @@ mod tests {
     fn every_kernel_pays_launch_overhead() {
         let mut s = sess();
         let mut g = Graph::new();
-        let x = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![4, 4]));
+        let x = g.input(&mut s.syms, DType::F32, [4, 4]);
         let r = g
             .op(&mut s.syms, &s.registry, s.ops.relu, vec![x], vec![])
             .unwrap();
@@ -295,10 +297,10 @@ mod tests {
     fn matmul_flops_scale_with_k() {
         let mut s = sess();
         let mut g = Graph::new();
-        let a1 = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![32, 64]));
-        let b1 = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 32]));
-        let a2 = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![32, 256]));
-        let b2 = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![256, 32]));
+        let a1 = g.input(&mut s.syms, DType::F32, [32, 64]);
+        let b1 = g.input(&mut s.syms, DType::F32, [64, 32]);
+        let a2 = g.input(&mut s.syms, DType::F32, [32, 256]);
+        let b2 = g.input(&mut s.syms, DType::F32, [256, 32]);
         let mm1 = g
             .op(&mut s.syms, &s.registry, s.ops.matmul, vec![a1, b1], vec![])
             .unwrap();
@@ -382,16 +384,10 @@ mod tests {
     fn opaque_nodes_pay_launch_and_bandwidth() {
         let mut s = sess();
         let mut g = Graph::new();
-        let x = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 64]));
+        let x = g.input(&mut s.syms, DType::F32, [64, 64]);
         let foreign = s.syms.op("Foreign", 1);
-        let o = g
-            .opaque(
-                &mut s.syms,
-                foreign,
-                vec![x],
-                TensorMeta::new(DType::F32, vec![64, 64]),
-            )
-            .unwrap();
+        let meta = g.node(x).meta;
+        let o = g.opaque(&mut s.syms, foreign, vec![x], meta).unwrap();
         g.mark_output(o);
         let cm = CostModel::new();
         let cost = cm.node_cost(&g, &s.syms, &s.registry, &s.ops, o);
@@ -404,16 +400,12 @@ mod tests {
         let mut s = sess();
         let mut g = Graph::new();
         let dims = vec![2i64, 16, 8]; // batch 2, s=16, d=8
-        let q = g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.clone()));
-        let k = g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.clone()));
-        let v = g.input(&mut s.syms, TensorMeta::new(DType::F32, dims.clone()));
+        let q = g.input(&mut s.syms, DType::F32, &dims);
+        let k = g.input(&mut s.syms, DType::F32, &dims);
+        let v = g.input(&mut s.syms, DType::F32, &dims);
+        let meta = g.node(q).meta;
         let fmha = g
-            .op_with_meta(
-                s.ops.fmha,
-                vec![q, k, v],
-                vec![],
-                TensorMeta::new(DType::F32, dims),
-            )
+            .op_with_meta(s.ops.fmha, vec![q, k, v], vec![], meta)
             .unwrap();
         g.mark_output(fmha);
         let cm = CostModel::new();
@@ -426,7 +418,7 @@ mod tests {
     fn custom_device_scales_costs() {
         let mut s = sess();
         let mut g = Graph::new();
-        let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 64]));
+        let a = g.input(&mut s.syms, DType::F32, [64, 64]);
         let r = g
             .op(&mut s.syms, &s.registry, s.ops.relu, vec![a], vec![])
             .unwrap();
@@ -450,8 +442,8 @@ mod tests {
         let mut s = sess();
         let rs = s.load_library(LibraryConfig::all());
         let mut g = Graph::new();
-        let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 64]));
-        let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 64]));
+        let a = g.input(&mut s.syms, DType::F32, [64, 64]);
+        let b = g.input(&mut s.syms, DType::F32, [64, 64]);
         let mm = g
             .op(&mut s.syms, &s.registry, s.ops.matmul, vec![a, b], vec![])
             .unwrap();

@@ -4,7 +4,7 @@
 
 use pypm_dsl::LibraryConfig;
 use pypm_engine::{PassStats, Pipeline, RewritePass, Session, SweepPolicy};
-use pypm_graph::{DType, Graph, TensorMeta};
+use pypm_graph::{DType, Graph};
 use pypm_perf::CostModel;
 
 fn run_pass(s: &mut Session, pass: RewritePass, g: &mut Graph) -> PassStats {
@@ -121,8 +121,8 @@ fn tiny_fuel_degrades_gracefully() {
     let mut s = Session::new();
     let rules = s.load_library(LibraryConfig::both());
     let mut g = Graph::new();
-    let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
-    let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
+    let a = g.input(&mut s.syms, DType::F32, [8, 8]);
+    let b = g.input(&mut s.syms, DType::F32, [8, 8]);
     let mm = g
         .op(&mut s.syms, &s.registry, s.ops.matmul, vec![a, b], vec![])
         .unwrap();

@@ -39,7 +39,7 @@
 use crate::WireError;
 use pypm_core::codec::{Cursor, Put};
 use pypm_core::{Budget, SymbolTable};
-use pypm_graph::{DType, Graph, NodeId, NodeKind, TensorMeta};
+use pypm_graph::{DType, Graph, NodeId, NodeKind};
 use std::collections::BinaryHeap;
 
 const KIND_INPUT: u8 = 0;
@@ -134,7 +134,7 @@ pub(crate) fn encode_section(
             }
         }
         buf.put_u8(node.meta.dtype.code() as u8);
-        let dims = node.meta.shape.dims();
+        let dims = g.shapes().dims(node.meta.shape);
         buf.put_u32_le(dims.len() as u32);
         for &d in dims {
             buf.put_i64_le(d);
@@ -168,7 +168,8 @@ pub(crate) fn decode_section(
     let node_count = r.count(10)?;
     let mut ids: Vec<NodeId> = Vec::with_capacity(node_count);
     // A node's inputs and extents, read here and copied once into the
-    // graph's edge arena and its shape.
+    // graph's edge arena and — if the graph holds no such shape yet —
+    // its shape table.
     let mut inputs: Vec<NodeId> = Vec::new();
     let mut dims: Vec<i64> = Vec::new();
     let mut attrs = Vec::new();
@@ -233,15 +234,18 @@ pub(crate) fn decode_section(
         for _ in 0..rank {
             dims.push(r.i64()?);
         }
-        let meta = TensorMeta::new(dtype, dims.as_slice());
         let id = match kind {
-            KIND_INPUT => g.input(syms, meta),
-            KIND_OP => g
-                .op_with_meta(op.expect("op has a symbol"), &inputs, &attrs, meta)
-                .map_err(|_| WireError::Malformed { what: "dead input" })?,
-            KIND_OPAQUE => g
-                .opaque(syms, op.expect("opaque has a symbol"), &inputs, meta)
-                .map_err(|_| WireError::Malformed { what: "dead input" })?,
+            KIND_INPUT => g.input(syms, dtype, &dims),
+            KIND_OP => {
+                let meta = g.meta(dtype, &dims);
+                g.op_with_meta(op.expect("op has a symbol"), &inputs, &attrs, meta)
+                    .map_err(|_| WireError::Malformed { what: "dead input" })?
+            }
+            KIND_OPAQUE => {
+                let meta = g.meta(dtype, &dims);
+                g.opaque(syms, op.expect("opaque has a symbol"), &inputs, meta)
+                    .map_err(|_| WireError::Malformed { what: "dead input" })?
+            }
             _ => {
                 return Err(WireError::Malformed {
                     what: "node kind tag",
@@ -284,21 +288,21 @@ mod tests {
     /// an opaque node, attrs on the op.
     fn build(syms: &mut SymbolTable) -> Graph {
         let mut g = Graph::new();
-        let a = g.input(syms, TensorMeta::new(DType::F32, vec![8, 4]));
-        let b = g.input(syms, TensorMeta::new(DType::F16, vec![4]));
+        let a = g.input(syms, DType::F32, [8, 4]);
+        let b = g.input(syms, DType::F16, [4]);
         let mul = syms.op("TestMul", 2);
         let ext = syms.op("TestExternal", 1);
+        let meta = g.meta(DType::F32, [8, 4]);
         let m = g
             .op_with_meta(
                 mul,
                 vec![a, b],
                 vec![(syms.attr("stride"), 2), (syms.attr("pad"), -1)],
-                TensorMeta::new(DType::F32, vec![8, 4]),
+                meta,
             )
             .unwrap();
-        let q = g
-            .opaque(syms, ext, vec![m], TensorMeta::new(DType::Bool, vec![]))
-            .unwrap();
+        let meta = g.meta(DType::Bool, []);
+        let q = g.opaque(syms, ext, vec![m], meta).unwrap();
         g.mark_output(q);
         g.mark_output(m);
         g
@@ -317,7 +321,9 @@ mod tests {
         for (a, b) in g.topo_order().iter().zip(g2.topo_order().iter()) {
             assert_eq!(a, b);
             assert_eq!(g.node(*a).kind, g2.node(*b).kind);
-            assert_eq!(g.node(*a).meta, g2.node(*b).meta);
+            let (m, m2) = (g.node(*a).meta, g2.node(*b).meta);
+            assert_eq!(m.dtype, m2.dtype);
+            assert_eq!(g.shapes().dims(m.shape), g2.shapes().dims(m2.shape));
             assert_eq!(g.inputs(*a), g2.inputs(*b));
         }
         // Ops and attrs are re-interned by name.
@@ -363,19 +369,14 @@ mod tests {
         // still produce only backward references.
         let mut syms = SymbolTable::new();
         let mut g = Graph::new();
-        let a = g.input(&mut syms, TensorMeta::new(DType::F32, vec![4]));
+        let a = g.input(&mut syms, DType::F32, [4]);
         let f = syms.op("TestF", 1);
         let h = syms.op("TestH", 1);
-        let fa = g
-            .op_with_meta(f, vec![a], vec![], TensorMeta::new(DType::F32, vec![4]))
-            .unwrap();
-        let top = g
-            .op_with_meta(h, vec![fa], vec![], TensorMeta::new(DType::F32, vec![4]))
-            .unwrap();
+        let meta = g.node(a).meta;
+        let fa = g.op_with_meta(f, vec![a], vec![], meta).unwrap();
+        let top = g.op_with_meta(h, vec![fa], vec![], meta).unwrap();
         g.mark_output(top);
-        let repl = g
-            .op_with_meta(h, vec![a], vec![], TensorMeta::new(DType::F32, vec![4]))
-            .unwrap();
+        let repl = g.op_with_meta(h, vec![a], vec![], meta).unwrap();
         g.replace(fa, repl).unwrap();
         g.gc();
         let bytes = encode_graph(&g, &syms);

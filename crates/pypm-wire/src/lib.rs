@@ -401,6 +401,83 @@ mod tests {
         );
     }
 
+    /// A symbol table that has built a graph: its input's fresh
+    /// constant is spelled `%in1`.
+    fn after_a_graph() -> (SymbolTable, Graph, pypm_core::Symbol) {
+        let mut syms = SymbolTable::new();
+        let mut g = Graph::new();
+        let input = g.input(&mut syms, pypm_graph::DType::F32, [2]);
+        g.mark_output(input);
+        let fresh = g.node(input).op;
+        assert_eq!(syms.op_name(fresh), "%in1");
+        (syms, g, fresh)
+    }
+
+    #[test]
+    fn a_decoded_operator_spelled_like_a_fresh_constant_is_its_own() {
+        for arity in [0, 2] {
+            let (mut syms, g, fresh) = after_a_graph();
+            // Another session declares `%in1` and applies it.
+            let mut other = SymbolTable::new();
+            let named = other.op("%in1", arity);
+            let mut h = Graph::new();
+            let leaves: Vec<_> = (0..arity)
+                .map(|_| h.input(&mut other, pypm_graph::DType::F32, [2]))
+                .collect();
+            let meta = h.meta(pypm_graph::DType::F32, [2]);
+            let root = h.op_with_meta(named, &leaves, [], meta).unwrap();
+            h.mark_output(root);
+            let decoded = decode_graph(&encode_graph(&h, &other), &mut syms)
+                .unwrap_or_else(|e| panic!("arity {arity}: {e}"));
+            let op = decoded.node(decoded.outputs()[0]).op;
+            assert_ne!(op, fresh, "arity {arity}");
+            assert_eq!(syms.arity(op), arity);
+            assert_eq!(syms.op_name(op), "%in1");
+            // As terms, the input and the decoded node are two.
+            let (registry, mut terms) =
+                (pypm_graph::OpRegistry::new(), pypm_core::TermStore::new());
+            let mine = pypm_graph::TermView::build(&g, &mut syms, &mut terms, &registry);
+            let theirs = pypm_graph::TermView::build(&decoded, &mut syms, &mut terms, &registry);
+            assert_ne!(
+                mine.term_of(g.outputs()[0]),
+                theirs.term_of(decoded.outputs()[0]),
+                "arity {arity}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_rule_set_operator_spelled_like_a_fresh_constant_is_its_own() {
+        for arity in [0, 2] {
+            let (mut syms, _g, fresh) = after_a_graph();
+            let mut fe = pypm_dsl::Frontend::new();
+            let named = fe.syms.op("%in1", arity);
+            let neg = fe.syms.op("Neg", 1);
+            fe.pattern("NegNamed", |p| {
+                let args = (0..arity)
+                    .map(|i| {
+                        let x = p.param(&format!("x{i}"));
+                        p.v(x)
+                    })
+                    .collect();
+                let inner = p.op(named, args);
+                p.op(neg, vec![inner])
+            });
+            let (fe_syms, fe_pats, rs) = fe.serialize().expect("test rule set is valid");
+            let mut pats = PatternStore::new();
+            for blob in [
+                encode_ruleset(&rs, &fe_syms, &fe_pats),
+                pypm_dsl::binary::encode(&rs, &fe_syms, &fe_pats),
+            ] {
+                decode_ruleset(&blob, &mut syms, &mut pats)
+                    .unwrap_or_else(|e| panic!("arity {arity}: {e}"));
+                let op = syms.find_op("%in1").expect("declared by the rule set");
+                assert_ne!(op, fresh, "arity {arity}");
+                assert_eq!(syms.arity(op), arity);
+            }
+        }
+    }
+
     #[test]
     fn missing_sections_are_reported_not_guessed() {
         let report = encode_report("{}");

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use pypm_core::{PatternStore, SymbolTable};
 use pypm_dsl::binary::BinError;
 use pypm_dsl::{Frontend, Rhs, RuleSet};
-use pypm_graph::{DType, Graph, TensorMeta};
+use pypm_graph::{DType, Graph};
 use pypm_wire::{
     decode_bundle, decode_graph, decode_report, decode_ruleset, encode_graph, ContainerWriter,
     WireError, SECTION_RULESET,
@@ -33,17 +33,14 @@ fn random_graph(seed: u64, syms: &mut SymbolTable) -> Graph {
         let dt = dtypes[(next() % 4) as usize];
         let rank = (next() % 3) as usize;
         let dims: Vec<i64> = (0..rank).map(|_| (next() % 64) as i64 + 1).collect();
-        nodes.push(g.input(syms, TensorMeta::new(dt, dims)));
+        nodes.push(g.input(syms, dt, dims));
     }
     for i in 0..(1 + next() % 8) {
         let arity = 1 + (next() % 2) as usize;
         let inputs: Vec<_> = (0..arity)
             .map(|_| nodes[(next() as usize) % nodes.len()])
             .collect();
-        let meta = TensorMeta::new(
-            dtypes[(next() % 4) as usize],
-            vec![(next() % 16) as i64 + 1],
-        );
+        let meta = g.meta(dtypes[(next() % 4) as usize], [(next() % 16) as i64 + 1]);
         let id = if next() % 4 == 0 {
             let op = syms.op(&format!("RandOpq{arity}_{}", i % 3), arity);
             g.opaque(syms, op, inputs, meta).unwrap()

@@ -31,13 +31,13 @@
 //! ```
 //! use pypm::engine::{Pipeline, RewritePass, Session};
 //! use pypm::dsl::LibraryConfig;
-//! use pypm::graph::{DType, Graph, TensorMeta};
+//! use pypm::graph::{DType, Graph};
 //!
 //! // Build MatMul(a, Trans(b)) — the Fig. 1 subject.
 //! let mut s = Session::new();
 //! let mut g = Graph::new();
-//! let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 32]));
-//! let b = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![16, 32]));
+//! let a = g.input(&mut s.syms, DType::F32, [64, 32]);
+//! let b = g.input(&mut s.syms, DType::F32, [16, 32]);
 //! let trans = s.ops.trans;
 //! let matmul = s.ops.matmul;
 //! let bt = g.op(&mut s.syms, &s.registry, trans, vec![b], vec![]).unwrap();

@@ -16,8 +16,8 @@ use pypm::graph::{DType, Graph, NodeId, TensorMeta};
 /// Builds `expanded_gelu(MatMul(a, w))`, spelling the half as directed.
 fn build(s: &mut Session, use_div: bool) -> Graph {
     let mut g = Graph::new();
-    let a = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![32, 64]));
-    let w = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![64, 128]));
+    let a = g.input(&mut s.syms, DType::F32, [32, 64]);
+    let w = g.input(&mut s.syms, DType::F32, [64, 128]);
     let (matmul, div, mul, add, erf) = (s.ops.matmul, s.ops.div, s.ops.mul, s.ops.add, s.ops.erf);
     let x = g
         .op(&mut s.syms, &s.registry, matmul, vec![a, w], vec![])

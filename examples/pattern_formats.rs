@@ -13,7 +13,7 @@
 use pypm::core::{Expr, PatternStore, SymbolTable};
 use pypm::dsl::{binary, text, Frontend, LibraryConfig, Rhs, RuleSet};
 use pypm::engine::{Pipeline, RewritePass, Session};
-use pypm::graph::{DType, Graph, TensorMeta};
+use pypm::graph::{DType, Graph};
 
 /// Fig. 1 as a frontend program: `MatMul(x, Trans(y))` on rank-2
 /// tensors becomes the f32 cuBLAS `xyᵀ` kernel.
@@ -52,8 +52,8 @@ fn author_fig1() -> (SymbolTable, PatternStore, RuleSet) {
 
 fn rewrites_with(session: &mut Session, rules: &RuleSet) -> u64 {
     let mut g = Graph::new();
-    let a = g.input(&mut session.syms, TensorMeta::new(DType::F32, vec![64, 32]));
-    let b = g.input(&mut session.syms, TensorMeta::new(DType::F32, vec![16, 32]));
+    let a = g.input(&mut session.syms, DType::F32, [64, 32]);
+    let b = g.input(&mut session.syms, DType::F32, [16, 32]);
     let (trans, matmul) = (session.ops.trans, session.ops.matmul);
     let bt = g
         .op(&mut session.syms, &session.registry, trans, vec![b], vec![])

@@ -9,15 +9,15 @@
 
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{Pipeline, RewritePass, Session};
-use pypm::graph::{DType, Graph, TensorMeta};
+use pypm::graph::{DType, Graph};
 
 fn demo(dtype: DType) {
     let mut s = Session::new();
     let mut g = Graph::new();
 
     // x : [64, 32], y : [16, 32]; the kernel computes x·yᵀ : [64, 16].
-    let x = g.input(&mut s.syms, TensorMeta::new(dtype, vec![64, 32]));
-    let y = g.input(&mut s.syms, TensorMeta::new(dtype, vec![16, 32]));
+    let x = g.input(&mut s.syms, dtype, [64, 32]);
+    let y = g.input(&mut s.syms, dtype, [16, 32]);
     let (trans, matmul) = (s.ops.trans, s.ops.matmul);
     let yt = g
         .op(&mut s.syms, &s.registry, trans, vec![y], vec![])
@@ -43,7 +43,7 @@ fn demo(dtype: DType) {
     println!(
         "root is now {} : {}\n",
         s.syms.op_name(g.node(root).op),
-        g.node(root).meta
+        g.shapes().display(g.node(root).meta)
     );
 }
 

@@ -11,7 +11,7 @@
 use pypm::core::{Machine, Outcome};
 use pypm::dsl::LibraryConfig;
 use pypm::engine::{Pipeline, RewritePass, Session};
-use pypm::graph::{DType, Graph, TensorMeta, TermView};
+use pypm::graph::{DType, Graph, TermView};
 
 fn main() {
     let mut s = Session::new();
@@ -19,7 +19,7 @@ fn main() {
 
     // A tower of 7 RELUs over an input.
     let mut g = Graph::new();
-    let x = g.input(&mut s.syms, TensorMeta::new(DType::F32, vec![8, 8]));
+    let x = g.input(&mut s.syms, DType::F32, [8, 8]);
     let relu = s.ops.relu;
     let mut cur = x;
     for _ in 0..7 {
@@ -34,7 +34,7 @@ fn main() {
     let def = rules.find("UnaryChain").expect("library pattern");
     let view = TermView::build(&g, &mut s.syms, &mut s.terms, &s.registry);
     let t = view.term_of(cur).unwrap();
-    let outcome = Machine::new(&mut s.pats, &s.terms, view.attrs())
+    let outcome = Machine::new(&mut s.pats, &s.terms, &view.attrs(&g))
         .run(def.pattern, t, 1_000_000)
         .unwrap();
     match &outcome {

@@ -50,7 +50,12 @@
 //! allocations per extra firing from 50 to 200 layers where it grew by
 //! 11.7. The 100-layer model build went from 5 283 to 1 922. With the
 //! worklist read off the view's one per-node column, a patch fills no
-//! cone: the build makes 131 and the pass 3 038.
+//! cone: the build makes 131 and the pass 3 038. Then a shape became an
+//! id into the graph's shape table, a fresh constant stopped entering
+//! the symbol table's name index, and the term store is sized for the
+//! graph before the scan interns it: the model build makes 131 (1 503
+//! of its 1 922 were one shared extent list per node), the view build
+//! 72 and the pass 2 978.
 //!
 //! And that a machine step allocates nothing: a warmed machine makes
 //! the same count whether a run takes 14 steps or 74.
@@ -240,8 +245,11 @@ const PASS_IS_THE_PRODUCTS: bool = !cfg!(debug_assertions);
 
 /// What `TermView::build` may allocate per node: 0.97 while every term
 /// copied its shape into the side table, 0.06 since the copy is a
-/// reference count.
-const VIEW_BUILD_PER_NODE: f64 = 0.15;
+/// reference count, 0.044 (131 at 100 layers) once a term stopped
+/// owning its attribute list, 0.024 (72) since a row names its shape by
+/// id and the term store is sized for the graph before the build
+/// interns it.
+const VIEW_BUILD_PER_NODE: f64 = 0.025;
 
 /// What one 100-layer `Pipeline::run` may allocate: 15 476 while the
 /// machine cloned the pattern of every step and every term its shape,
@@ -254,8 +262,10 @@ const VIEW_BUILD_PER_NODE: f64 = 0.15;
 /// and attributes live in the graph's arenas and a firing's scratch in
 /// the pass's buffers, 3 038 since the worklist is the set of nodes the
 /// view owes a term (no dirty bits, no patch cone, one per-node column
-/// in the view).
-const PASS_AT_100: u64 = 3_038;
+/// in the view), 2 978 since the term store is sized for the graph
+/// before the scan and a replacement's shape is an id the graph's table
+/// already holds.
+const PASS_AT_100: u64 = 2_978;
 
 /// What a pass may allocate for the firings it adds from 50 to 200
 /// layers (151 → 601 firings): 3 632, 8.1 per extra firing, since a
@@ -264,10 +274,11 @@ const PASS_AT_100: u64 = 3_038;
 /// buffers the pass keeps, and a patch fills no cone. It was 5 282
 /// (11.7 per firing) while each node a firing built grew a user vector
 /// of its own and a firing allocated its rewired users, patch cone and
-/// argument terms, and 3 634 while the pass kept a buffer for the cone.
-/// What is left per firing is mostly a probe's fresh machine and
+/// argument terms, 3 634 while the pass kept a buffer for the cone, and
+/// 3 632 while a replacement's shape was a reference-counted extent
+/// list. What is left per firing is mostly a probe's fresh machine and
 /// witness.
-const PASS_GROWTH_50_TO_200: u64 = 3_632;
+const PASS_GROWTH_50_TO_200: u64 = 3_620;
 
 #[test]
 fn a_firing_allocates_a_bounded_count() {
@@ -414,9 +425,10 @@ fn a_library_session_copies_in_a_handful_of_allocations() {
 }
 
 /// Past its first few, a fresh constant allocates only when one of the
-/// four buffers it writes — the name arena, the end offsets, the arity
-/// list, the probe table — doubles, which each does at most once
-/// between `n` and `2n` constants.
+/// three buffers it writes — the name arena, the end offsets, the arity
+/// list — doubles, which each does at most once between `n` and `2n`
+/// constants. It enters no probe table, so none grows (a fourth buffer
+/// while it did).
 #[test]
 fn a_fresh_constant_allocates_only_when_a_buffer_doubles() {
     let mut syms = SymbolTable::new();
@@ -497,8 +509,11 @@ fn a_machine_step_allocates_nothing() {
 /// off the stack; 5 283 since a node's inputs are a run of the graph's
 /// edge arena, handed over from an array on the builder's stack; 1 922
 /// since its users and attributes are runs of the graph's arenas too,
-/// and a constant's attribute is handed over from the stack.
-const LADDER_BUILD: u64 = 1_960;
+/// and a constant's attribute is handed over from the stack; 131 since
+/// a node's shape is an id into the graph's shape table, 1 503 of those
+/// 1 922 having been one reference-counted extent list each. What is
+/// left is the doubling of the graph's and the symbol table's buffers.
+const LADDER_BUILD: u64 = 131;
 
 #[test]
 fn a_model_build_names_its_inputs_without_allocating() {

@@ -22,6 +22,7 @@ fn every_engine_match_is_declaratively_certified() {
         let g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::both());
         let view = TermView::build(&g, &mut s.syms, &mut s.terms, &s.registry);
+        let attrs = view.attrs(&g);
 
         let mut certified = 0u32;
         for node in g.topo_order() {
@@ -30,13 +31,12 @@ fn every_engine_match_is_declaratively_certified() {
                 None => continue,
             };
             for def in &rules.patterns {
-                let outcome =
-                    Machine::new(&mut s.pats, &s.terms, view.attrs()).run(def.pattern, t, FUEL);
+                let outcome = Machine::new(&mut s.pats, &s.terms, &attrs).run(def.pattern, t, FUEL);
                 if let Ok(Outcome::Success(w)) = outcome {
                     let ok = declarative::check(
                         &mut s.pats,
                         &s.terms,
-                        view.attrs(),
+                        &attrs,
                         def.pattern,
                         &w,
                         t,
@@ -72,6 +72,7 @@ fn match_weakening_on_engine_witnesses() {
     let g = cfg.build(&mut s);
     let rules = s.load_library(LibraryConfig::fmha_only());
     let view = TermView::build(&g, &mut s.syms, &mut s.terms, &s.registry);
+    let attrs = view.attrs(&g);
     let def = rules.find("MHA").unwrap();
 
     let mut tested = 0u32;
@@ -81,7 +82,7 @@ fn match_weakening_on_engine_witnesses() {
             Some(t) => t,
             None => continue,
         };
-        let outcome = Machine::new(&mut s.pats, &s.terms, view.attrs()).run(def.pattern, t, FUEL);
+        let outcome = Machine::new(&mut s.pats, &s.terms, &attrs).run(def.pattern, t, FUEL);
         if let Ok(Outcome::Success(w)) = outcome {
             let mut extended: Witness = w.clone();
             extended.theta.bind(fresh, t);
@@ -89,7 +90,7 @@ fn match_weakening_on_engine_witnesses() {
             let ok = declarative::check(
                 &mut s.pats,
                 &s.terms,
-                view.attrs(),
+                &attrs,
                 def.pattern,
                 &extended,
                 t,
@@ -129,10 +130,11 @@ fn alternate_order_is_deterministic_on_models() {
         let g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::fmha_only());
         let view = TermView::build(&g, &mut s.syms, &mut s.terms, &s.registry);
+        let attrs = view.attrs(&g);
         let def = rules.find("MHA").unwrap();
         for node in g.topo_order() {
             let t = view.term_of(node).unwrap();
-            let mut m = Machine::new(&mut s.pats, &s.terms, view.attrs());
+            let mut m = Machine::new(&mut s.pats, &s.terms, &attrs);
             if let Ok(Outcome::Success(_)) = m.run(def.pattern, t, FUEL) {
                 *slot = Some(m.stats().backtracks);
             }

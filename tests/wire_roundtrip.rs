@@ -26,7 +26,13 @@ fn every_zoo_model_roundtrips_with_identical_node_ids() {
         for (a, b) in g.topo_order().iter().zip(g2.topo_order().iter()) {
             assert_eq!(a, b, "{name}: node ids survive the reload");
             assert_eq!(g.node(*a).kind, g2.node(*b).kind, "{name}: kinds");
-            assert_eq!(g.node(*a).meta, g2.node(*b).meta, "{name}: metas");
+            let (m, m2) = (g.node(*a).meta, g2.node(*b).meta);
+            assert_eq!(m.dtype, m2.dtype, "{name}: dtypes");
+            assert_eq!(
+                g.shapes().dims(m.shape),
+                g2.shapes().dims(m2.shape),
+                "{name}: shapes"
+            );
             assert_eq!(g.inputs(*a), g2.inputs(*b), "{name}: inputs");
             assert_eq!(
                 s.syms.op_name(g.node(*a).op),
