@@ -478,13 +478,17 @@ fn dump_rejects_unknown_model_and_config() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("cannot read"));
 }
 
+/// The regions `pypmc partition` claims, with their frontiers and
+/// costs, are pinned byte for byte on one model of each zoo.
 #[test]
 fn partition_reports_regions() {
-    let out = pypmc(&["partition", "bert-tiny"]);
-    assert!(out.status.success(), "{out:?}");
-    let text = stdout(&out);
-    assert!(text.contains("MatMulEpilog partitions"), "{text}");
-    assert!(text.contains("frontier"), "{text}");
+    let mut text = String::new();
+    for model in ["bert-tiny", "resnet18"] {
+        let out = pypmc(&["partition", model]);
+        assert!(out.status.success(), "{out:?}");
+        text += &stdout(&out);
+    }
+    assert_eq!(text, include_str!("golden/partition_v1.txt"));
 }
 
 #[test]
