@@ -3,15 +3,13 @@
 //! The paper's DLCB backend "dynamically loads and parses a user-specified
 //! set of pattern binaries … repeatedly traverses the graph, attempting to
 //! match any of the patterns … greedily rewriting all of the patterns it
-//! can match until no matches remain" (§2.4). This crate is that backend,
-//! organised as a pass manager:
+//! can match until no matches remain" (§2.4). This crate is that backend:
 //!
 //! * [`Session`] — the shared symbol/term/pattern stores of a
-//!   compilation, with library/binary/text loading,
-//! * [`Pipeline`] — the pass manager: an ordered, instrumented sequence
-//!   of [`Pass`] stages over one session and graph, reporting per-pass
-//!   counters, diagnostics and artifacts through [`PipelineReport`]
-//!   (with a stable JSON rendering),
+//!   compilation, with library and binary rule-set loading,
+//! * [`Pipeline`] — an ordered, instrumented list of [`RewritePass`]es
+//!   over one session and graph, reporting per-pass counters and firing
+//!   logs through [`PipelineReport`] (with a stable JSON rendering),
 //! * [`RewritePass`] — the greedy fixpoint pass driving the CorePyPM
 //!   abstract machine over graph term-views, with ordered guarded rule
 //!   firing and [`PassStats`] (the raw data behind the paper's
@@ -19,8 +17,8 @@
 //! * [`SweepPolicy`] — the scan's candidate set: the incremental
 //!   dirty-node worklist (default) or the paper-faithful restart scan
 //!   kept as its oracle (see the table below),
-//! * [`PartitionPass`] — directed graph partitioning (§4.2), published
-//!   as a pipeline artifact,
+//! * [`partition()`] — directed graph partitioning (§4.2), a function its
+//!   callers call directly (it rewrites nothing),
 //! * [`FiringLog`] / [`summary`] / [`explain_at`] — what a pass fired
 //!   and rejected, on its [`PassRecord`], and per-node machine traces.
 //!
@@ -96,11 +94,8 @@ pub mod session;
 
 pub use explain::{explain_at, summary, Explanation};
 pub use matcher::{FusedMatcher, Matcher, MatcherBackend, MatcherStats, PerPatternMatcher};
-pub use partition::{Partition, PartitionPass};
-pub use pass::{
-    Diagnostic, Firing, FiringLog, Pass, PassError, PassOutcome, PassRecord, PipelineCx,
-    RejectReason, Rejection, Severity,
-};
+pub use partition::{partition, Partition};
+pub use pass::{Firing, FiringLog, PassError, PassRecord, RejectReason, Rejection};
 pub use pipeline::{Pipeline, PipelineError, PipelineReport};
 pub use retired::{ParallelConfig, ParallelStats};
 pub use rewriter::{find_matches, MatchReport, PassStats, RewriteError, RewritePass, SweepPolicy};

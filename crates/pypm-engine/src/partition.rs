@@ -4,19 +4,21 @@
 //! > subgraphs that we know can be optimized, and then recursively
 //! > compile them."
 //!
-//! [`PartitionPass`] finds all matches of a pattern (typically Fig. 14's
+//! [`partition`] finds all matches of a pattern (typically Fig. 14's
 //! `MatMulEpilog`), then greedily claims non-overlapping matched regions,
 //! preferring larger matches. Each [`Partition`] records the region's
 //! root, its member nodes (the machine's structural coverage, each term
 //! resolved to the node below the root that views as it), and its
 //! dataflow frontier — the external inputs a "just in time"-compiled
 //! fused kernel for the region would take.
+//!
+//! Partitioning reads the graph and rewrites nothing, so it is a plain
+//! function over a [`Session`], not a step of a [`crate::Pipeline`].
 
-use crate::pass::{Pass, PassError, PassOutcome, PipelineCx};
 use crate::rewriter::find_matches_in;
 use crate::session::Session;
 use pypm_core::IdSet;
-use pypm_dsl::{LibraryConfig, RuleSet};
+use pypm_dsl::RuleSet;
 use pypm_graph::{Graph, NodeId, TermView};
 
 /// One claimed subgraph region.
@@ -39,10 +41,31 @@ impl Partition {
     }
 }
 
-/// Partitions `graph` by the named pattern, greedily claiming
-/// non-overlapping regions from largest to smallest (ties broken toward
-/// nodes closer to the outputs).
-fn partition(
+/// Partitions `graph` by the named pattern of `rules` (directed
+/// partitioning, §4.2), greedily claiming non-overlapping regions from
+/// largest to smallest (ties broken toward nodes closer to the
+/// outputs). The graph is only read; a pattern `rules` does not define
+/// yields no partitions.
+///
+/// ```
+/// use pypm_dsl::LibraryConfig;
+/// use pypm_engine::{partition, Session};
+/// use pypm_graph::{DType, Graph};
+///
+/// let mut s = Session::new();
+/// let mut g = Graph::new();
+/// let a = g.input(&mut s.syms, DType::F32, [8, 8]);
+/// let b = g.input(&mut s.syms, DType::F32, [8, 8]);
+/// let matmul = s.ops.matmul;
+/// let mm = g.op(&mut s.syms, &s.registry, matmul, vec![a, b], vec![]).unwrap();
+/// g.mark_output(mm);
+///
+/// let rules = s.load_library(LibraryConfig::all());
+/// let parts = partition(&mut s, &rules, &g, "MatMulEpilog");
+/// assert_eq!(parts.len(), 1);
+/// assert_eq!(parts[0].root, mm);
+/// ```
+pub fn partition(
     session: &mut Session,
     rules: &RuleSet,
     graph: &Graph,
@@ -111,124 +134,11 @@ fn partition(
     out
 }
 
-/// Directed graph partitioning (§4.2) as a read-only [`Pass`].
-///
-/// Publishes its `Vec<Partition>` under [`PartitionPass::ARTIFACT`] and
-/// emits a note diagnostic with the region count; the graph is left
-/// untouched. By default the pass matches the paper's `MatMulEpilog`
-/// pattern against the full pattern library; use [`PartitionPass::new`]
-/// and [`PartitionPass::with_rules`] to override either.
-///
-/// ```
-/// use pypm_engine::{Partition, PartitionPass, Pipeline, Session};
-/// use pypm_graph::{DType, Graph};
-///
-/// let mut s = Session::new();
-/// let mut g = Graph::new();
-/// let a = g.input(&mut s.syms, DType::F32, [8, 8]);
-/// let b = g.input(&mut s.syms, DType::F32, [8, 8]);
-/// let matmul = s.ops.matmul;
-/// let mm = g.op(&mut s.syms, &s.registry, matmul, vec![a, b], vec![]).unwrap();
-/// g.mark_output(mm);
-///
-/// let report = Pipeline::new(&mut s)
-///     .with(PartitionPass::default())
-///     .run(&mut g)
-///     .unwrap();
-/// let parts: &Vec<Partition> = report.artifact(PartitionPass::ARTIFACT).unwrap();
-/// assert_eq!(parts.len(), 1);
-/// ```
-#[derive(Debug, Clone)]
-pub struct PartitionPass {
-    pattern: String,
-    rules: Option<RuleSet>,
-}
-
-impl Default for PartitionPass {
-    /// Partitions by `MatMulEpilog` (the paper's Fig. 14 pattern)
-    /// against the full library.
-    fn default() -> Self {
-        PartitionPass::new("MatMulEpilog")
-    }
-}
-
-impl PartitionPass {
-    /// The pass name, as it appears in records, diagnostics and JSON.
-    pub const NAME: &'static str = "partition";
-
-    /// Key the `Vec<Partition>` artifact is published under.
-    pub const ARTIFACT: &'static str = "partitions";
-
-    /// Creates the pass for a named pattern.
-    pub fn new(pattern: impl Into<String>) -> Self {
-        PartitionPass {
-            pattern: pattern.into(),
-            rules: None,
-        }
-    }
-
-    /// Uses this rule set instead of loading the full library.
-    pub fn with_rules(mut self, rules: RuleSet) -> Self {
-        self.rules = Some(rules);
-        self
-    }
-
-    /// The pattern this pass partitions by.
-    pub fn pattern(&self) -> &str {
-        &self.pattern
-    }
-}
-
-impl Pass for PartitionPass {
-    fn name(&self) -> &str {
-        Self::NAME
-    }
-
-    fn run(
-        &mut self,
-        session: &mut Session,
-        graph: &mut Graph,
-        cx: &mut PipelineCx,
-    ) -> Result<PassOutcome, PassError> {
-        let loaded;
-        let rules = match &self.rules {
-            Some(rules) => rules,
-            None => {
-                // Pattern stores are hash-consed, so re-loading the
-                // library into an already-populated session is cheap.
-                loaded = session.load_library(LibraryConfig::all());
-                &loaded
-            }
-        };
-        if rules.find(&self.pattern).is_none() {
-            cx.warn(format!("pattern {} not in the rule set", self.pattern));
-        }
-        let parts = partition(session, rules, graph, &self.pattern);
-        cx.note(format!(
-            "{} {} partitions over {} nodes",
-            parts.len(),
-            self.pattern,
-            graph.live_count()
-        ));
-        cx.publish(Self::ARTIFACT, parts);
-        Ok(PassOutcome::unchanged())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Pipeline;
+    use pypm_dsl::LibraryConfig;
     use pypm_graph::DType;
-
-    fn partitions(s: &mut Session, rs: &RuleSet, g: &mut Graph, pattern: &str) -> Vec<Partition> {
-        Pipeline::new(s)
-            .with(PartitionPass::new(pattern).with_rules(rs.clone()))
-            .run(g)
-            .unwrap()
-            .take_artifact(PartitionPass::ARTIFACT)
-            .unwrap()
-    }
 
     fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
         g.input(&mut s.syms, DType::F32, dims)
@@ -254,7 +164,7 @@ mod tests {
             .unwrap();
         g.mark_output(ge);
 
-        let parts = partitions(&mut s, &rs, &mut g, "MatMulEpilog");
+        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
         assert_eq!(parts.len(), 1);
         let p = &parts[0];
         assert_eq!(p.root, ge);
@@ -293,7 +203,7 @@ mod tests {
             .unwrap();
         g.mark_output(sum);
 
-        let parts = partitions(&mut s, &rs, &mut g, "MatMulEpilog");
+        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
         assert_eq!(parts.len(), 2);
         // Each region covers its matmul and its relu (4 nodes total,
         // disjoint).
@@ -325,7 +235,7 @@ mod tests {
         };
         let ((mm1, r1), (mm2, r2)) = (chain(&mut g), chain(&mut g));
 
-        let parts = partitions(&mut s, &rs, &mut g, "MatMulEpilog");
+        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
         let regions: Vec<(NodeId, Vec<NodeId>)> =
             parts.iter().map(|p| (p.root, p.nodes.clone())).collect();
         assert_eq!(regions, [(r2, vec![r2, mm2]), (r1, vec![r1, mm1])]);
@@ -348,7 +258,7 @@ mod tests {
             .unwrap();
         g.mark_output(mm);
 
-        let parts = partitions(&mut s, &rs, &mut g, "MatMulEpilog");
+        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
         assert_eq!(parts.len(), 1);
         assert_eq!(parts[0].size(), 1);
         assert_eq!(parts[0].root, mm);
@@ -362,6 +272,6 @@ mod tests {
         let mut g = Graph::new();
         let a = mat(&mut s, &mut g, &[2, 2]);
         g.mark_output(a);
-        assert!(partitions(&mut s, &rs, &mut g, "NoSuchPattern").is_empty());
+        assert!(partition(&mut s, &rs, &g, "NoSuchPattern").is_empty());
     }
 }

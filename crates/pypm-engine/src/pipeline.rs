@@ -1,14 +1,14 @@
-//! The pass manager: a composable [`Pipeline`] over [`Pass`] objects.
+//! The pipeline: an ordered list of [`RewritePass`]es over one
+//! [`Session`].
 //!
-//! A pipeline borrows the [`Session`] for the duration of a compilation,
-//! runs its passes in order over one graph, validates the graph after
-//! each mutating pass, and returns a [`PipelineReport`] with per-pass
-//! wall-clock, counters and firing logs, diagnostics, published
-//! artifacts, and the run's [`Stages`]: the rewrite pass laps its
-//! setup, trie build, collection, term-view build and scan, and the
-//! pipeline laps each pass's validation, all on one clock — the system
-//! clock unless [`Pipeline::with_stages`] hands in a recorder of
-//! another.
+//! A pipeline borrows the session for the duration of a compilation,
+//! runs its passes in order over one graph (each to its own fixpoint),
+//! validates the graph after each pass that fired, and returns a
+//! [`PipelineReport`] with per-pass wall-clock, counters and firing
+//! logs, and the run's [`Stages`]: the rewrite pass laps its setup,
+//! trie build, collection, term-view build and scan, and the pipeline
+//! laps each pass's validation, all on one clock — the system clock
+//! unless [`Pipeline::with_stages`] hands in a recorder of another.
 //!
 //! ```
 //! use pypm_engine::{Pipeline, RewritePass, Session};
@@ -33,16 +33,15 @@
 //! assert!(report.to_json().contains("\"rewrites_fired\": 1"));
 //! ```
 
-use crate::pass::{Diagnostic, FiringLog, Pass, PassError, PassRecord, PipelineCx};
-use crate::rewriter::PassStats;
+use crate::pass::{FiringLog, PassError, PassRecord};
+use crate::rewriter::{PassStats, RewritePass};
 use crate::session::Session;
 use pypm_core::json::{Layout, Writer};
-use pypm_core::{Budget, Stage, Stages};
+use pypm_core::{system_clock, Budget, Stage, Stages};
 use pypm_graph::Graph;
-use std::any::Any;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+use std::time::Instant;
 
 /// A failure in one pass of a pipeline run.
 #[derive(Debug)]
@@ -69,21 +68,60 @@ impl std::error::Error for PipelineError {
     }
 }
 
-/// An ordered sequence of passes over one [`Session`].
+/// What a run threads through its passes: the running pass's
+/// [`FiringLog`], and the run's batch size, budget and stage recorder.
+pub(crate) struct PipelineCx {
+    /// The running pass's log, which it appends its decisions to; it
+    /// moves onto the pass's record when the pass finishes, onto the
+    /// pipeline's error when it fails.
+    pub(crate) firings: FiringLog,
+    /// Graphs compiled by the owning run (1 for `Pipeline::run`, the
+    /// batch length for `Pipeline::run_batch`); surfaces as the
+    /// `batch_graphs` counter.
+    batch_graphs: u64,
+    /// Cooperative resource budget for the run, checked by passes at
+    /// their scheduling points; `None` = unlimited.
+    budget: Option<Arc<Budget>>,
+    /// Where the run's time goes, by [`Stage`]: the one clock the
+    /// pipeline reads.
+    stages: Stages,
+}
+
+impl PipelineCx {
+    /// Number of graphs the owning run compiles.
+    pub(crate) fn batch_graphs(&self) -> u64 {
+        self.batch_graphs
+    }
+
+    /// The run's cooperative resource budget, if one was installed via
+    /// [`Pipeline::with_budget`].
+    pub(crate) fn budget(&self) -> Option<&Arc<Budget>> {
+        self.budget.as_ref()
+    }
+
+    /// The run's stage recorder so far.
+    pub(crate) fn stages(&self) -> &Stages {
+        &self.stages
+    }
+
+    /// Ends `stage` now (see [`Stages::lap`]); returns the boundary.
+    pub(crate) fn lap(&mut self, stage: Stage) -> Instant {
+        self.stages.lap(stage)
+    }
+}
+
+/// An ordered sequence of [`RewritePass`]es over one [`Session`].
 pub struct Pipeline<'s> {
     session: &'s mut Session,
-    passes: Vec<Box<dyn Pass>>,
+    passes: Vec<RewritePass>,
     cx: PipelineCx,
 }
 
 impl fmt::Debug for Pipeline<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Pipeline")
-            .field(
-                "passes",
-                &self.passes.iter().map(|p| p.name()).collect::<Vec<_>>(),
-            )
-            .finish()
+            .field("passes", &self.passes.len())
+            .finish_non_exhaustive()
     }
 }
 
@@ -93,18 +131,17 @@ impl<'s> Pipeline<'s> {
         Pipeline {
             session,
             passes: Vec::new(),
-            cx: PipelineCx::new(),
+            cx: PipelineCx {
+                firings: FiringLog::default(),
+                batch_graphs: 1,
+                budget: None,
+                stages: Stages::new(system_clock()),
+            },
         }
     }
 
     /// Appends a pass.
-    pub fn with(mut self, pass: impl Pass + 'static) -> Self {
-        self.passes.push(Box::new(pass));
-        self
-    }
-
-    /// Appends an already-boxed pass (useful for dynamic pipelines).
-    pub fn with_boxed(mut self, pass: Box<dyn Pass>) -> Self {
+    pub fn with(mut self, pass: RewritePass) -> Self {
         self.passes.push(pass);
         self
     }
@@ -117,7 +154,7 @@ impl<'s> Pipeline<'s> {
     /// fully reusable afterwards, and a budget that never trips changes
     /// nothing: results stay byte-identical to an unbudgeted run.
     pub fn with_budget(mut self, budget: Arc<Budget>) -> Self {
-        self.cx.set_budget(budget);
+        self.cx.budget = Some(budget);
         self
     }
 
@@ -128,7 +165,7 @@ impl<'s> Pipeline<'s> {
     /// report of each graph carries that graph's stages
     /// ([`PipelineReport::stages`]).
     pub fn with_stages(mut self, stages: Stages) -> Self {
-        self.cx.set_stages(stages);
+        self.cx.stages = stages;
         self
     }
 
@@ -157,70 +194,66 @@ impl<'s> Pipeline<'s> {
     ///
     /// Stops at the first failing pass of the first failing graph.
     pub fn run_batch(mut self, graphs: &mut [Graph]) -> Result<Vec<PipelineReport>, PipelineError> {
-        self.cx.set_batch_graphs(graphs.len() as u64);
+        self.cx.batch_graphs = (graphs.len() as u64).max(1);
         let mut reports = Vec::with_capacity(graphs.len());
         for graph in graphs {
-            self.run_one(graph)?;
-            let (passes, diagnostics, artifacts, stages) = self.cx.take_parts();
-            reports.push(PipelineReport {
-                passes,
-                diagnostics,
-                artifacts,
-                stages,
-            });
+            let passes = self.run_one(graph)?;
+            // The run-scoped state (batch size, budget, the stage clock
+            // and its last boundary) stays for the next graph.
+            let stages = self.cx.stages.clone();
+            self.cx.stages.clear();
+            reports.push(PipelineReport { passes, stages });
         }
         Ok(reports)
     }
 
-    /// One graph through every pass. A pass's wall runs from the stage
-    /// boundary before it to the end of its validation.
-    fn run_one(&mut self, graph: &mut Graph) -> Result<(), PipelineError> {
-        let mut started = self.cx.start_stages();
-        for pass in &mut self.passes {
-            let name = pass.name().to_owned();
-            self.cx.begin_pass(&name);
-            let checked = match pass.run(self.session, graph, &mut self.cx) {
-                Ok(outcome) if outcome.changed => {
-                    graph
-                        .validate()
-                        .map(|()| outcome)
-                        .map_err(|e| PassError::InvalidGraph {
+    /// One graph through every pass, returning their records. A pass
+    /// that fired is validated after it runs; its wall runs from the
+    /// stage boundary before it to the end of that validation.
+    fn run_one(&mut self, graph: &mut Graph) -> Result<Vec<PassRecord>, PipelineError> {
+        let mut records = Vec::with_capacity(self.passes.len());
+        let cx = &mut self.cx;
+        let mut started = match cx.stages.last() {
+            Some(at) => at,
+            None => cx.stages.start(),
+        };
+        for pass in &self.passes {
+            let checked = pass
+                .run(self.session, graph, cx)
+                .map_err(PassError::from)
+                .and_then(|stats| {
+                    if stats.rewrites_fired > 0 {
+                        graph.validate().map_err(|e| PassError::InvalidGraph {
                             reason: e.to_string(),
-                        })
-                }
-                ran => ran,
-            };
-            let outcome = checked.map_err(|error| PipelineError {
-                pass: name,
+                        })?;
+                    }
+                    Ok(stats)
+                });
+            let stats = checked.map_err(|error| PipelineError {
+                pass: RewritePass::NAME.to_owned(),
                 error,
-                firings: Box::new(std::mem::take(&mut self.cx.firings)),
+                firings: Box::new(std::mem::take(&mut cx.firings)),
             })?;
-            let ended = self.cx.lap(Stage::Validate);
-            self.cx.finish_pass(outcome, ended - started);
+            let ended = cx.lap(Stage::Validate);
+            records.push(PassRecord {
+                name: RewritePass::NAME.to_owned(),
+                changed: stats.rewrites_fired > 0,
+                stats,
+                wall: ended - started,
+                firings: std::mem::take(&mut cx.firings),
+            });
             started = ended;
         }
-        Ok(())
+        Ok(records)
     }
 }
 
 /// Everything a pipeline run produced besides the rewritten graph:
-/// per-pass records, diagnostics, published artifacts and stages.
+/// per-pass records and stages.
+#[derive(Debug)]
 pub struct PipelineReport {
     passes: Vec<PassRecord>,
-    diagnostics: Vec<Diagnostic>,
-    artifacts: BTreeMap<String, Box<dyn Any>>,
     stages: Stages,
-}
-
-impl fmt::Debug for PipelineReport {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PipelineReport")
-            .field("passes", &self.passes)
-            .field("diagnostics", &self.diagnostics)
-            .field("artifacts", &self.artifacts.keys().collect::<Vec<_>>())
-            .field("stages", &self.stages)
-            .finish()
-    }
 }
 
 impl PipelineReport {
@@ -233,35 +266,6 @@ impl PipelineReport {
     /// Per-pass records, in run order.
     pub fn passes(&self) -> &[PassRecord] {
         &self.passes
-    }
-
-    /// The record of the first pass with the given name.
-    pub fn pass(&self, name: &str) -> Option<&PassRecord> {
-        self.passes.iter().find(|r| r.name == name)
-    }
-
-    /// Diagnostics from all passes, in emission order.
-    pub fn diagnostics(&self) -> &[Diagnostic] {
-        &self.diagnostics
-    }
-
-    /// A published artifact, by key (e.g.
-    /// [`crate::PartitionPass::ARTIFACT`]).
-    pub fn artifact<T: Any>(&self, key: &str) -> Option<&T> {
-        self.artifacts.get(key).and_then(|a| a.downcast_ref())
-    }
-
-    /// Removes and returns a published artifact, by key.
-    pub fn take_artifact<T: Any>(&mut self, key: &str) -> Option<T> {
-        let boxed = self.artifacts.remove(key)?;
-        match boxed.downcast::<T>() {
-            Ok(v) => Some(*v),
-            Err(boxed) => {
-                // Wrong type requested: put it back untouched.
-                self.artifacts.insert(key.to_owned(), boxed);
-                None
-            }
-        }
     }
 
     /// Aggregate counters across all passes; durations sum.
@@ -315,9 +319,13 @@ impl PipelineReport {
     ///     }
     ///   ],
     ///   "totals": { ...same counter fields, "wall_ms" summed... },
-    ///   "diagnostics": [ {"pass": "...", "severity": "note", "message": "..."} ]
+    ///   "diagnostics": []
     /// }
     /// ```
+    ///
+    /// `diagnostics` is a literal empty array: no pass emits notes or
+    /// warnings any more, and the key stays so every document keeps its
+    /// bytes.
     pub fn to_json(&self) -> String {
         let mut w = Writer::with_capacity(2048);
         w.begin_object(Layout::Lines);
@@ -344,13 +352,6 @@ impl PipelineReport {
         stats_fields(&mut w, &self.total());
         w.end();
         w.key("diagnostics").begin_array(Layout::Lines);
-        for d in &self.diagnostics {
-            w.begin_object(Layout::Inline);
-            w.key("pass").string(&d.pass);
-            w.key("severity").string(&d.severity.to_string());
-            w.key("message").string(&d.message);
-            w.end();
-        }
         w.end();
         w.end();
         w.finish() + "\n"
@@ -415,13 +416,11 @@ fn stats_fields(w: &mut Writer, s: &PassStats) {
 mod tests {
     use super::*;
     use crate::matcher::MatcherStats;
-    use crate::pass::Severity;
     use crate::retired::ParallelStats;
-    use pypm_core::system_clock;
     use std::time::Duration;
 
-    /// A report with every counter distinct, two passes (one with an
-    /// empty stats block) and two diagnostics needing escapes.
+    /// A report with every counter distinct and two passes: one with
+    /// an empty stats block, and a name needing escapes.
     fn fixed_report() -> PipelineReport {
         let stats = PassStats {
             nodes_visited: 101,
@@ -467,19 +466,6 @@ mod tests {
                     firings: FiringLog::default(),
                 },
             ],
-            diagnostics: vec![
-                Diagnostic {
-                    pass: "rewrite".to_owned(),
-                    severity: Severity::Note,
-                    message: "tab\there \"quoted\" back\\slash\nnewline \u{1} ctl é".to_owned(),
-                },
-                Diagnostic {
-                    pass: "p2".to_owned(),
-                    severity: Severity::Warning,
-                    message: String::new(),
-                },
-            ],
-            artifacts: BTreeMap::new(),
             stages: Stages::new(system_clock()),
         }
     }
@@ -502,8 +488,6 @@ mod tests {
     fn empty_report() -> PipelineReport {
         PipelineReport {
             passes: Vec::new(),
-            diagnostics: Vec::new(),
-            artifacts: BTreeMap::new(),
             stages: Stages::new(system_clock()),
         }
     }

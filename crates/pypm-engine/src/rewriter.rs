@@ -31,9 +31,8 @@
 //! matches found, and rewrites fired.
 
 use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
-use crate::pass::{
-    Firing, FiringLog, Pass, PassError, PassOutcome, PipelineCx, RejectReason, Rejection,
-};
+use crate::pass::{Firing, FiringLog, RejectReason, Rejection};
+use crate::pipeline::PipelineCx;
 use crate::retired::ParallelStats;
 use crate::session::Session;
 use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Stage, Symbol, TermId, Witness};
@@ -940,7 +939,8 @@ enum Resolved<'r> {
     Apply(Symbol, &'r [Rhs], &'r [(Attr, i64)]),
 }
 
-/// The greedy fixpoint rewrite stage (paper §2.4), as a [`Pass`].
+/// The greedy fixpoint rewrite stage (paper §2.4), one step of a
+/// [`crate::Pipeline`].
 ///
 /// Owns its [`RuleSet`] and configuration; build one with the fluent
 /// constructors and hand it to a [`crate::Pipeline`]:
@@ -972,7 +972,7 @@ pub struct RewritePass {
 }
 
 impl RewritePass {
-    /// The pass name, as it appears in records, diagnostics and JSON.
+    /// The pass name, as it appears in records, errors and JSON.
     pub const NAME: &'static str = "rewrite";
 
     /// Creates the pass over an owned rule set with the default
@@ -1023,21 +1023,16 @@ impl RewritePass {
     pub fn rules(&self) -> &RuleSet {
         &self.rules
     }
-}
 
-impl Pass for RewritePass {
-    fn name(&self) -> &str {
-        Self::NAME
-    }
-
-    fn run(
-        &mut self,
+    /// Runs the pass to fixpoint over `graph`, recording its firings
+    /// and stages on `cx`.
+    pub(crate) fn run(
+        &self,
         session: &mut Session,
         graph: &mut Graph,
         cx: &mut PipelineCx,
-    ) -> Result<PassOutcome, PassError> {
-        let stats = Driver::new(session, self, cx).run(graph, cx)?;
-        Ok(PassOutcome::from_stats(stats))
+    ) -> Result<PassStats, RewriteError> {
+        Driver::new(session, self, cx).run(graph, cx)
     }
 }
 

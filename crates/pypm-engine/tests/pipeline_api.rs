@@ -1,12 +1,9 @@
-//! Integration tests of the pass-manager surface: pass sequencing,
-//! firing logs, artifacts, diagnostics and the JSON report.
+//! Integration tests of the pipeline surface: pass sequencing, firing
+//! logs, failure propagation and the JSON report.
 
 use pypm_core::json::Value;
 use pypm_dsl::LibraryConfig;
-use pypm_engine::{
-    summary, Partition, PartitionPass, Pass, PassError, PassOutcome, Pipeline, PipelineCx,
-    RejectReason, RewritePass, Session, SweepPolicy,
-};
+use pypm_engine::{summary, PassError, Pipeline, RejectReason, RewritePass, Session, SweepPolicy};
 use pypm_graph::{DType, Graph, NodeId};
 
 fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
@@ -40,7 +37,8 @@ fn rewrite_pass_reports_stats_and_changes() {
         .unwrap();
 
     assert_eq!(report.passes().len(), 1);
-    let rec = report.pass(RewritePass::NAME).unwrap();
+    let rec = &report.passes()[0];
+    assert_eq!(rec.name, RewritePass::NAME);
     assert!(rec.changed);
     assert_eq!(rec.stats.rewrites_fired, 1);
     assert!(rec.wall >= rec.stats.duration);
@@ -57,12 +55,11 @@ fn multi_pass_pipeline_runs_in_order_and_aggregates() {
     let report = Pipeline::new(&mut s)
         .with(RewritePass::new(epilog))
         .with(RewritePass::new(fmha))
-        .with(PartitionPass::default())
         .run(&mut g)
         .unwrap();
 
     let names: Vec<&str> = report.passes().iter().map(|r| r.name.as_str()).collect();
-    assert_eq!(names, ["rewrite", "rewrite", "partition"]);
+    assert_eq!(names, ["rewrite", "rewrite"]);
     let total = report.total();
     assert_eq!(
         total.sweeps,
@@ -81,7 +78,7 @@ fn the_pass_record_logs_its_fired_rewrites() {
         .run(&mut g)
         .unwrap();
 
-    let record = report.pass(RewritePass::NAME).unwrap();
+    let record = &report.passes()[0];
     let log = &record.firings;
     assert_eq!(log.fired().len(), 1);
     let fired = &log.fired()[0];
@@ -151,67 +148,12 @@ fn the_log_records_identity_rejections() {
 }
 
 #[test]
-fn partition_pass_publishes_artifact_and_note() {
-    let mut s = Session::new();
-    let mut g = Graph::new();
-    let a = mat(&mut s, &mut g, &[8, 8]);
-    let b = mat(&mut s, &mut g, &[8, 8]);
-    let (matmul, relu) = (s.ops.matmul, s.ops.relu);
-    let mm = g
-        .op(&mut s.syms, &s.registry, matmul, vec![a, b], vec![])
-        .unwrap();
-    let r = g
-        .op(&mut s.syms, &s.registry, relu, vec![mm], vec![])
-        .unwrap();
-    g.mark_output(r);
-
-    let mut report = Pipeline::new(&mut s)
-        .with(PartitionPass::default())
-        .run(&mut g)
-        .unwrap();
-    let parts: &Vec<Partition> = report.artifact(PartitionPass::ARTIFACT).unwrap();
-    assert_eq!(parts.len(), 1);
-    assert_eq!(parts[0].size(), 2);
-    assert!(report
-        .diagnostics()
-        .iter()
-        .any(|d| d.pass == "partition" && d.message.contains("1 MatMulEpilog partitions")));
-    // Unchanged pass: the graph kept its nodes.
-    assert!(!report.pass(PartitionPass::NAME).unwrap().changed);
-    // take_artifact moves the value out.
-    let owned: Vec<Partition> = report.take_artifact(PartitionPass::ARTIFACT).unwrap();
-    assert_eq!(owned.len(), 1);
-    assert!(report
-        .artifact::<Vec<Partition>>(PartitionPass::ARTIFACT)
-        .is_none());
-}
-
-#[test]
-fn partition_pass_warns_on_unknown_pattern() {
-    let mut s = Session::new();
-    let mut g = Graph::new();
-    let a = mat(&mut s, &mut g, &[2, 2]);
-    g.mark_output(a);
-    let report = Pipeline::new(&mut s)
-        .with(PartitionPass::new("NoSuchPattern"))
-        .run(&mut g)
-        .unwrap();
-    let parts: &Vec<Partition> = report.artifact(PartitionPass::ARTIFACT).unwrap();
-    assert!(parts.is_empty());
-    assert!(report
-        .diagnostics()
-        .iter()
-        .any(|d| d.message.contains("NoSuchPattern")));
-}
-
-#[test]
 fn report_json_is_stable_and_parsable_shaped() {
     let mut s = Session::new();
     let rules = s.load_library(LibraryConfig::all());
     let mut g = fig1_graph(&mut s, DType::F32);
     let report = Pipeline::new(&mut s)
         .with(RewritePass::new(rules))
-        .with(PartitionPass::default())
         .run(&mut g)
         .unwrap();
     let doc = pypm_core::json::parse(&report.to_json()).expect("the report is JSON");
@@ -219,75 +161,67 @@ fn report_json_is_stable_and_parsable_shaped() {
     assert_eq!(text(&doc, "schema").as_deref(), Some("pypm.pipeline.v1"));
     let passes = doc.get("passes").and_then(Value::as_array).unwrap();
     let names: Vec<_> = passes.iter().map(|p| text(p, "name").unwrap()).collect();
-    assert_eq!(names, ["rewrite", "partition"]);
+    assert_eq!(names, ["rewrite"]);
     let fired = |v: &Value| v.get("rewrites_fired").and_then(Value::as_f64);
     assert_eq!(fired(&passes[0]), Some(1.0));
     assert_eq!(doc.get("totals").and_then(fired), Some(1.0));
-    assert!(doc.get("diagnostics").and_then(Value::as_array).is_some());
+    let diagnostics = doc.get("diagnostics").and_then(Value::as_array);
+    assert_eq!(diagnostics.map(|d| d.len()), Some(0));
 }
 
-#[test]
-fn custom_passes_compose_with_builtins() {
-    /// A user-defined pass: counts live nodes into a diagnostic.
-    struct NodeCount;
-    impl Pass for NodeCount {
-        fn name(&self) -> &str {
-            "node-count"
-        }
-        fn run(
-            &mut self,
-            _session: &mut Session,
-            graph: &mut Graph,
-            cx: &mut PipelineCx,
-        ) -> Result<PassOutcome, PassError> {
-            cx.note(format!("{} live nodes", graph.live_count()));
-            cx.publish("node-count", graph.live_count());
-            Ok(PassOutcome::unchanged())
-        }
-    }
-
-    let mut s = Session::new();
-    let rules = s.load_library(LibraryConfig::all());
-    let mut g = fig1_graph(&mut s, DType::F32);
-    let report = Pipeline::new(&mut s)
-        .with_boxed(Box::new(NodeCount))
-        .with(RewritePass::new(rules).policy(SweepPolicy::RestartOnRewrite))
-        .with(NodeCount)
-        .run(&mut g)
-        .unwrap();
-    // Second NodeCount overwrote the artifact with the post-rewrite count.
-    assert_eq!(*report.artifact::<usize>("node-count").unwrap(), 3);
-    assert_eq!(report.passes().len(), 3);
-}
-
+/// A pass whose budget trips stops the pipeline: the error names the
+/// pass, carries what it fired before it stopped, and the pass after
+/// it never runs — the two-pass run fails exactly where the first pass
+/// alone does, leaving the same graph.
 #[test]
 fn failing_pass_stops_the_pipeline_and_names_itself() {
-    struct Boom;
-    impl Pass for Boom {
-        fn name(&self) -> &str {
-            "boom"
-        }
-        fn run(
-            &mut self,
-            _session: &mut Session,
-            _graph: &mut Graph,
-            _cx: &mut PipelineCx,
-        ) -> Result<PassOutcome, PassError> {
-            Err(PassError::Failed {
-                reason: "intentional".into(),
-            })
-        }
-    }
+    use pypm_core::Budget;
+    use std::sync::Arc;
 
-    let mut s = Session::new();
-    let mut g = Graph::new();
-    let err = Pipeline::new(&mut s)
-        .with(Boom)
-        .with(PartitionPass::default())
-        .run(&mut g)
-        .unwrap_err();
-    assert_eq!(err.pass, "boom");
-    assert!(err.to_string().contains("intentional"));
+    let cfg = pypm_models::hf_zoo()
+        .into_iter()
+        .find(|c| c.name == "bert-small")
+        .unwrap();
+    let run = |passes: usize, step_limit: Option<u64>| {
+        let mut s = Session::new();
+        let mut g = cfg.build(&mut s);
+        let rules = s.load_library(LibraryConfig::both());
+        let mut pipeline = Pipeline::new(&mut s);
+        if step_limit.is_some() {
+            pipeline = pipeline.with_budget(Arc::new(Budget::new(None, step_limit)));
+        }
+        for _ in 0..passes {
+            pipeline = pipeline.with(RewritePass::new(rules.clone()));
+        }
+        let result = pipeline.run(&mut g);
+        let nodes: Vec<_> = g
+            .topo_order()
+            .into_iter()
+            .map(|n| (n, g.node(n).op, g.inputs(n).to_vec()))
+            .collect();
+        (result, nodes)
+    };
+
+    let (result, graph) = run(2, Some(100));
+    let err = result.expect_err("100 steps cannot finish bert-small");
+    assert_eq!(err.pass, "rewrite");
+    assert!(
+        matches!(err.error, PassError::BudgetExceeded { .. }),
+        "{err}"
+    );
+    assert!(err
+        .to_string()
+        .starts_with("pass rewrite failed: compile budget exceeded"));
+    // The partial log: a non-empty prefix of the untripped pass's.
+    let fired = err.firings.fired();
+    assert!(!fired.is_empty(), "the budget must trip mid-pass");
+    let (untripped, _) = run(1, None);
+    let untripped = untripped.unwrap();
+    assert!(untripped.passes()[0].firings.fired().starts_with(fired));
+    // The second pass recorded nothing.
+    let (alone, alone_graph) = run(1, Some(100));
+    assert_eq!(err.firings, alone.unwrap_err().firings);
+    assert_eq!(graph, alone_graph);
 }
 
 #[test]
@@ -298,23 +232,18 @@ fn run_batch_reports_one_report_per_graph_with_artifacts() {
         fig1_graph(&mut s, DType::F32),
     ];
     let rules = s.load_library(LibraryConfig::all());
-    let partition_rules = rules.clone();
     let reports = Pipeline::new(&mut s)
         .with(RewritePass::new(rules))
-        .with(PartitionPass::new("MatMulEpilog").with_rules(partition_rules))
         .run_batch(&mut graphs)
         .unwrap();
     assert_eq!(reports.len(), 2);
     for report in &reports {
-        // Both passes ran for every graph, each graph got its own
-        // records, artifacts and counters.
-        assert_eq!(report.passes().len(), 2);
+        // The pass ran for every graph, each graph got its own records
+        // and counters.
+        assert_eq!(report.passes().len(), 1);
         let total = report.total();
         assert_eq!(total.rewrites_fired, 1);
         assert_eq!(total.parallel.batch_graphs, 2);
-        assert!(report
-            .artifact::<Vec<Partition>>(PartitionPass::ARTIFACT)
-            .is_some());
         assert!(report.to_json().contains("\"batch_graphs\": 2"));
     }
 }

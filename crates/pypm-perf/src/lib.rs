@@ -239,7 +239,7 @@ pub fn partitioned_graph_cost(
 mod tests {
     use super::*;
     use pypm_dsl::{LibraryConfig, RuleSet};
-    use pypm_engine::{Partition, PartitionPass, Pipeline, RewritePass, Session};
+    use pypm_engine::{partition, Pipeline, RewritePass, Session};
     use pypm_graph::{DType, TensorMeta};
 
     fn sess() -> Session {
@@ -248,15 +248,6 @@ mod tests {
 
     fn rewrite(s: &mut Session, rs: RuleSet, g: &mut Graph) {
         Pipeline::new(s).with(RewritePass::new(rs)).run(g).unwrap();
-    }
-
-    fn partitions(s: &mut Session, rs: RuleSet, g: &mut Graph) -> Vec<Partition> {
-        Pipeline::new(s)
-            .with(PartitionPass::new("MatMulEpilog").with_rules(rs))
-            .run(g)
-            .unwrap()
-            .take_artifact(PartitionPass::ARTIFACT)
-            .unwrap()
     }
 
     #[test]
@@ -363,9 +354,9 @@ mod tests {
             .into_iter()
             .find(|c| c.name == "bert-tiny")
             .unwrap();
-        let mut g = cfg.build(&mut s);
+        let g = cfg.build(&mut s);
         let rules = s.load_library(LibraryConfig::all());
-        let parts = partitions(&mut s, rules, &mut g);
+        let parts = partition(&mut s, &rules, &g, "MatMulEpilog");
         assert!(!parts.is_empty());
         let cm = CostModel::new();
         let plain = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
@@ -455,7 +446,7 @@ mod tests {
             .unwrap();
         g.mark_output(e);
 
-        let parts = partitions(&mut s, rs, &mut g);
+        let parts = partition(&mut s, &rs, &g, "MatMulEpilog");
         assert_eq!(parts.len(), 1);
         let p = &parts[0];
         let cm = CostModel::new();

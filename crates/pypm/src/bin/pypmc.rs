@@ -70,7 +70,7 @@
 use pypm::cli_args::{self, parse_or_usage, Spec};
 use pypm::core::json::{Layout, Writer};
 use pypm::dsl::{binary, text, LibraryConfig};
-use pypm::engine::{explain_at, summary, Partition, PartitionPass, Pipeline, RewritePass, Session};
+use pypm::engine::{explain_at, partition, summary, Pipeline, RewritePass, Session};
 use pypm::perf::CostModel;
 use std::io::{self, Write};
 use std::process::exit;
@@ -652,7 +652,7 @@ fn run_partition(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
     let model = &parsed.positionals[0];
     let pattern = parsed.value("--pattern").unwrap_or("MatMulEpilog");
     let mut s = Session::new();
-    let Some(mut g) = pypm::build_model(&mut s, model) else {
+    let Some(g) = pypm::build_model(&mut s, model) else {
         eprintln!("unknown model {model}; try `pypmc list-models`");
         return Ok(1);
     };
@@ -664,26 +664,7 @@ fn run_partition(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
         }
         return Ok(1);
     }
-    let report = match Pipeline::new(&mut s)
-        .with(PartitionPass::new(pattern).with_rules(rules))
-        .run(&mut g)
-    {
-        Ok(report) => report,
-        Err(e) => {
-            eprintln!("partition pass failed: {e}");
-            return Ok(1);
-        }
-    };
-    // Surface pass warnings (pypmc's loud-failure contract).
-    for d in report.diagnostics() {
-        if d.severity == pypm::engine::Severity::Warning {
-            eprintln!("warning: {}: {}", d.pass, d.message);
-        }
-    }
-    let Some(parts) = report.artifact::<Vec<Partition>>(PartitionPass::ARTIFACT) else {
-        eprintln!("internal error: partition pass published no artifact");
-        return Ok(1);
-    };
+    let parts = partition(&mut s, &rules, &g, pattern);
     let cm = CostModel::new();
     writeln!(
         out,
@@ -691,7 +672,7 @@ fn run_partition(out: &mut impl Write, args: &[String]) -> io::Result<i32> {
         parts.len(),
         g.live_count()
     )?;
-    for p in parts {
+    for p in &parts {
         let per_node: f64 = p
             .nodes
             .iter()

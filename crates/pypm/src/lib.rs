@@ -25,8 +25,9 @@
 //!
 //! ## Quickstart
 //!
-//! Compilations are driven by the engine's pass manager: build a
-//! [`engine::Pipeline`] over a [`engine::Session`], add passes, run.
+//! A compilation is an [`engine::Pipeline`] of rewrite passes over an
+//! [`engine::Session`]: build it, add passes, run. Partitioning is a
+//! direct call, [`engine::partition()`].
 //!
 //! ```
 //! use pypm::engine::{Pipeline, RewritePass, Session};
@@ -53,8 +54,8 @@
 //! assert_eq!(report.total().rewrites_fired, 1);
 //! assert_eq!(g.node(g.outputs()[0]).op, s.ops.cublas_mm_xyt_f32);
 //!
-//! // Per-pass instrumentation, diagnostics and artifacts ride along,
-//! // with a stable JSON rendering for external tooling.
+//! // Per-pass counters and firing logs ride along, with a stable JSON
+//! // rendering for external tooling.
 //! assert!(report.to_json().contains("pypm.pipeline.v1"));
 //! ```
 

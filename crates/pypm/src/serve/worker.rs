@@ -136,7 +136,7 @@ impl KeyMemo {
 
     /// Records what a worker computed. Two workers keying the same
     /// request at once computed the same thing; the first one in stays.
-    fn publish(&self, model: &str, config: LibraryConfig, keyed: Keyed) {
+    fn insert(&self, model: &str, config: LibraryConfig, keyed: Keyed) {
         let mut by_model = self.by_model.write().unwrap_or_else(|p| p.into_inner());
         let configs = by_model.entry(model.to_owned()).or_default();
         if configs.iter().all(|(c, _)| *c != config) {
@@ -342,7 +342,7 @@ impl WorkerState {
                 let encode_steps = meter.steps() - before;
                 self.cx
                     .key_memo
-                    .publish(&req.model, req.config, Keyed { key, encode_steps });
+                    .insert(&req.model, req.config, Keyed { key, encode_steps });
                 // The request's one probe: a name another name's graph
                 // already answers, or a report a previous process left
                 // in the --cache-dir.

@@ -10,7 +10,7 @@
 //! Run with `cargo run --example graph_partitioning`.
 
 use pypm::dsl::LibraryConfig;
-use pypm::engine::{Partition, PartitionPass, Pipeline, Session};
+use pypm::engine::{partition, Session};
 use pypm::perf::CostModel;
 
 fn main() {
@@ -19,14 +19,10 @@ fn main() {
         .find(|c| c.name == "bert-tiny")
         .unwrap();
     let mut s = Session::new();
-    let mut g = cfg.build(&mut s);
+    let g = cfg.build(&mut s);
     let rules = s.load_library(LibraryConfig::all());
 
-    let report = Pipeline::new(&mut s)
-        .with(PartitionPass::new("MatMulEpilog").with_rules(rules))
-        .run(&mut g)
-        .unwrap();
-    let parts: &Vec<Partition> = report.artifact(PartitionPass::ARTIFACT).unwrap();
+    let parts = partition(&mut s, &rules, &g, "MatMulEpilog");
     println!(
         "model {}: {} nodes, {} MatMulEpilog partitions\n",
         cfg.name,
@@ -41,7 +37,7 @@ fn main() {
         "{:>6} {:>6} {:>9} {:>12} {:>12} {:>9}",
         "root", "nodes", "frontier", "per-node µs", "fused µs", "speedup"
     );
-    for p in parts {
+    for p in &parts {
         let per_node: f64 = p
             .nodes
             .iter()

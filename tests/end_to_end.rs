@@ -3,7 +3,7 @@
 //! must uphold.
 
 use pypm::dsl::{LibraryConfig, RuleSet};
-use pypm::engine::{Partition, PartitionPass, PassStats, Pipeline, RewritePass, Session};
+use pypm::engine::{partition, PassStats, Pipeline, RewritePass, Session};
 use pypm::graph::Graph;
 use pypm::perf::CostModel;
 
@@ -167,14 +167,9 @@ fn partitioning_covers_all_matmuls_disjointly() {
         .find(|c| c.name == "bert-tiny")
         .unwrap();
     let mut s = Session::new();
-    let mut g = cfg.build(&mut s);
+    let g = cfg.build(&mut s);
     let rules = s.load_library(LibraryConfig::all());
-    let parts: Vec<Partition> = Pipeline::new(&mut s)
-        .with(PartitionPass::new("MatMulEpilog").with_rules(rules))
-        .run(&mut g)
-        .unwrap()
-        .take_artifact(PartitionPass::ARTIFACT)
-        .unwrap();
+    let parts = partition(&mut s, &rules, &g, "MatMulEpilog");
 
     let matmul_count = g
         .topo_order()
