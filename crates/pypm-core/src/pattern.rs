@@ -297,58 +297,60 @@ impl PatternStore {
             other => panic!("unfold_mu on non-μ pattern {other:?}"),
         };
         let ren: HashMap<Var, Var> = params.iter().copied().zip(args.iter().copied()).collect();
-        let result = self.substitute(body, name, &params, body, &ren);
+        let result = self.substitute(body, Some((name, &params, body)), &ren);
         Arc::make_mut(&mut self.inner)
             .unfold_cache
             .insert(mu, result);
         result
     }
 
-    /// Applies `[μP(params).mu_body / P]` and the variable renaming `ren`
-    /// simultaneously to `p`.
+    /// Applies the variable renaming `ren` to `p` and, given `mu =
+    /// Some((P, params, body))`, the substitution `[μP(params).body / P]`
+    /// simultaneously: μ-unfolding passes both, [`Self::rename_vars`]
+    /// only the renaming. Inner binders (`∃`, μ parameters) shadow the
+    /// renaming; a nested μ named `P` shadows the `P`-substitution. A
+    /// plain renaming that is empty leaves `p` as it is.
     fn substitute(
         &mut self,
         p: PatternId,
-        mu_name: PatName,
-        mu_params: &[Var],
-        mu_body: PatternId,
+        mu: Option<(PatName, &[Var], PatternId)>,
         ren: &HashMap<Var, Var>,
     ) -> PatternId {
-        let rename = |x: Var, ren: &HashMap<Var, Var>| ren.get(&x).copied().unwrap_or(x);
+        if mu.is_none() && ren.is_empty() {
+            return p;
+        }
+        let rename = |x: Var| ren.get(&x).copied().unwrap_or(x);
         match self.get(p).clone() {
-            Pattern::Var(x) => {
-                let y = rename(x, ren);
-                self.var(y)
-            }
+            Pattern::Var(x) => self.var(rename(x)),
             Pattern::App(f, args) => {
                 let args = args
                     .into_iter()
-                    .map(|a| self.substitute(a, mu_name, mu_params, mu_body, ren))
+                    .map(|a| self.substitute(a, mu, ren))
                     .collect();
                 self.app(f, args)
             }
             Pattern::FunApp(fv, args) => {
                 let args = args
                     .into_iter()
-                    .map(|a| self.substitute(a, mu_name, mu_params, mu_body, ren))
+                    .map(|a| self.substitute(a, mu, ren))
                     .collect();
                 self.fun_app(fv, args)
             }
             Pattern::Alt(l, r) => {
-                let l = self.substitute(l, mu_name, mu_params, mu_body, ren);
-                let r = self.substitute(r, mu_name, mu_params, mu_body, ren);
+                let l = self.substitute(l, mu, ren);
+                let r = self.substitute(r, mu, ren);
                 self.alt(l, r)
             }
             Pattern::Guard(inner, g) => {
-                let inner = self.substitute(inner, mu_name, mu_params, mu_body, ren);
-                let g = g.rename(&|x| rename(x, ren));
+                let inner = self.substitute(inner, mu, ren);
+                let g = g.rename(&rename);
                 self.guarded(inner, g)
             }
             Pattern::Exists(x, inner) => {
                 // ∃x shadows any renaming of x.
                 let mut ren2 = ren.clone();
                 ren2.remove(&x);
-                let inner = self.substitute(inner, mu_name, mu_params, mu_body, &ren2);
+                let inner = self.substitute(inner, mu, &ren2);
                 self.exists(x, inner)
             }
             Pattern::MatchConstr {
@@ -356,10 +358,9 @@ impl PatternStore {
                 constraint,
                 var,
             } => {
-                let main = self.substitute(main, mu_name, mu_params, mu_body, ren);
-                let constraint = self.substitute(constraint, mu_name, mu_params, mu_body, ren);
-                let var = rename(var, ren);
-                self.match_constr(main, constraint, var)
+                let main = self.substitute(main, mu, ren);
+                let constraint = self.substitute(constraint, mu, ren);
+                self.match_constr(main, constraint, rename(var))
             }
             Pattern::Mu {
                 name,
@@ -368,7 +369,7 @@ impl PatternStore {
                 body,
             } => {
                 // Call arguments are free occurrences: rename them.
-                let args: Vec<Var> = args.into_iter().map(|y| rename(y, ren)).collect();
+                let args: Vec<Var> = args.into_iter().map(rename).collect();
                 // Parameters shadow the renaming inside the nested body; a
                 // nested μ with the same name also shadows the
                 // P-substitution.
@@ -376,20 +377,18 @@ impl PatternStore {
                 for prm in &params {
                     ren2.remove(prm);
                 }
-                let body = if name == mu_name {
-                    self.rename_only(body, &ren2)
-                } else {
-                    self.substitute(body, mu_name, mu_params, mu_body, &ren2)
-                };
+                let mu = mu.filter(|&(outer, _, _)| outer != name);
+                let body = self.substitute(body, mu, &ren2);
                 self.mu(name, params, args, body)
             }
             Pattern::Call(name, call_args) => {
-                let call_args: Vec<Var> = call_args.into_iter().map(|y| rename(y, ren)).collect();
-                if name == mu_name {
-                    // P(z…) ↦ μP(params)[z…].mu_body
-                    self.mu(name, mu_params.to_vec(), call_args, mu_body)
-                } else {
-                    self.call(name, call_args)
+                let call_args: Vec<Var> = call_args.into_iter().map(rename).collect();
+                match mu {
+                    // P(z…) ↦ μP(params)[z…].body
+                    Some((outer, params, body)) if outer == name => {
+                        self.mu(name, params.to_vec(), call_args, body)
+                    }
+                    _ => self.call(name, call_args),
                 }
             }
         }
@@ -401,76 +400,7 @@ impl PatternStore {
     /// μ-unfolding and by the DSL frontend when inlining one pattern
     /// definition into another (e.g. `Gelu` using `Half`, paper Fig. 2).
     pub fn rename_vars(&mut self, p: PatternId, ren: &HashMap<Var, Var>) -> PatternId {
-        self.rename_only(p, ren)
-    }
-
-    /// Applies only a variable renaming (no `P`-substitution).
-    fn rename_only(&mut self, p: PatternId, ren: &HashMap<Var, Var>) -> PatternId {
-        if ren.is_empty() {
-            return p;
-        }
-        // Reuse `substitute` with a name that cannot occur: we pass the
-        // pattern's own body but an impossible PatName is not constructible,
-        // so instead walk explicitly.
-        let rename = |x: Var, ren: &HashMap<Var, Var>| ren.get(&x).copied().unwrap_or(x);
-        match self.get(p).clone() {
-            Pattern::Var(x) => {
-                let y = rename(x, ren);
-                self.var(y)
-            }
-            Pattern::App(f, args) => {
-                let args = args.into_iter().map(|a| self.rename_only(a, ren)).collect();
-                self.app(f, args)
-            }
-            Pattern::FunApp(fv, args) => {
-                let args = args.into_iter().map(|a| self.rename_only(a, ren)).collect();
-                self.fun_app(fv, args)
-            }
-            Pattern::Alt(l, r) => {
-                let l = self.rename_only(l, ren);
-                let r = self.rename_only(r, ren);
-                self.alt(l, r)
-            }
-            Pattern::Guard(inner, g) => {
-                let inner = self.rename_only(inner, ren);
-                let g = g.rename(&|x| rename(x, ren));
-                self.guarded(inner, g)
-            }
-            Pattern::Exists(x, inner) => {
-                let mut ren2 = ren.clone();
-                ren2.remove(&x);
-                let inner = self.rename_only(inner, &ren2);
-                self.exists(x, inner)
-            }
-            Pattern::MatchConstr {
-                main,
-                constraint,
-                var,
-            } => {
-                let main = self.rename_only(main, ren);
-                let constraint = self.rename_only(constraint, ren);
-                let var = rename(var, ren);
-                self.match_constr(main, constraint, var)
-            }
-            Pattern::Mu {
-                name,
-                params,
-                args,
-                body,
-            } => {
-                let args: Vec<Var> = args.into_iter().map(|y| rename(y, ren)).collect();
-                let mut ren2 = ren.clone();
-                for prm in &params {
-                    ren2.remove(prm);
-                }
-                let body = self.rename_only(body, &ren2);
-                self.mu(name, params, args, body)
-            }
-            Pattern::Call(name, call_args) => {
-                let call_args = call_args.into_iter().map(|y| rename(y, ren)).collect();
-                self.call(name, call_args)
-            }
-        }
+        self.substitute(p, None, ren)
     }
 
     // --- analysis ------------------------------------------------------
