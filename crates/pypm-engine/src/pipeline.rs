@@ -323,9 +323,8 @@ impl PipelineReport {
     /// }
     /// ```
     ///
-    /// `diagnostics` is a literal empty array: no pass emits notes or
-    /// warnings any more, and the key stays so every document keeps its
-    /// bytes.
+    /// `diagnostics` is a literal empty array, kept so that every
+    /// document, served report and cached entry keeps its bytes.
     pub fn to_json(&self) -> String {
         let mut w = Writer::with_capacity(2048);
         w.begin_object(Layout::Lines);
