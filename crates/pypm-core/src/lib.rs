@@ -75,6 +75,7 @@ pub mod idhash;
 pub mod json;
 pub mod machine;
 pub mod pattern;
+pub mod splitmix;
 pub mod stage;
 pub mod subst;
 pub mod symbol;
@@ -89,6 +90,7 @@ pub use guard::{Expr, Guard, GuardValue};
 pub use idhash::{IdHasher, IdMap, IdSet};
 pub use machine::{Action, Machine, MachineError, MachineStats, Outcome, RuleName};
 pub use pattern::{Pattern, PatternError, PatternId, PatternStore};
+pub use splitmix::SplitMix64;
 pub use stage::{Stage, StageTotals, Stages, Tally};
 pub use subst::{FunSubst, Subst, Witness};
 pub use symbol::{Attr, FunVar, PatName, Symbol, SymbolTable, Var};

@@ -17,6 +17,9 @@
 //! * [`SweepPolicy`] — the scan's candidate set: the incremental
 //!   dirty-node worklist (default) or the paper-faithful restart scan
 //!   kept as its oracle (see the table below),
+//! * [`MatcherBackend`] — the pass's one candidate index: every pattern
+//!   at every term, or the fused discrimination tree ([`FusedMatcher`],
+//!   the default; see [`matcher`]),
 //! * [`partition()`] — directed graph partitioning (§4.2), a function its
 //!   callers call directly (it rewrites nothing),
 //! * [`FiringLog`] / [`summary`] / [`explain_at`] — what a pass fired
@@ -71,6 +74,20 @@
 //! `view_patches`, `nodes_revisited`, `nodes_reindexed`) and in the
 //! additive `incremental` block of [`PipelineReport::to_json`].
 //!
+//! ## Where the pass decides what
+//!
+//! [`rewriter`] is split by decision, one module per step of the
+//! paper's loop; the per-run state lives on its driver, so each step is
+//! one function with one call site:
+//!
+//! | module | decides |
+//! |---|---|
+//! | `rewriter` | when the pass stops: the round loop, and view repair (`TermView::patch`) after each firing |
+//! | `rewriter::order` | which node is visited next: the resumed worklist or the restart walk, and the dev checks of both |
+//! | `rewriter::visit` | which patterns a node is probed with: admission by the candidate index, then the machine probes |
+//! | `rewriter::fire` | which rule fires, and the commit: build, `replace_traced`, `collect`, log |
+//! | [`matcher`] | which patterns are candidates at a term |
+//!
 //! ## The match phase is serial
 //!
 //! A sharded, pooled match phase (`jobs > 1`) existed and was measured
@@ -93,7 +110,7 @@ pub mod rewriter;
 pub mod session;
 
 pub use explain::{explain_at, summary, Explanation};
-pub use matcher::{FusedMatcher, Matcher, MatcherBackend, MatcherStats, PerPatternMatcher};
+pub use matcher::{FusedMatcher, MatcherBackend, MatcherStats};
 pub use partition::{partition, Partition};
 pub use pass::{Firing, FiringLog, PassError, PassRecord, RejectReason, Rejection};
 pub use pipeline::{Pipeline, PipelineError, PipelineReport};

@@ -1,15 +1,16 @@
-//! The matcher seam: how the rewrite pass decides which `(node,
+//! The candidate index: how the rewrite pass decides which `(node,
 //! pattern)` pairs deserve an abstract-machine run.
 //!
 //! The paper's cost model separates *candidate discovery* from *match
 //! confirmation*: confirmation is always the per-pattern abstract
 //! machine (its witnesses drive the rewrites and are what the
 //! metatheory is proved about), but discovery — deciding which pairs to
-//! even hand to the machine — is a pluggable index. This module defines
-//! that seam as the [`Matcher`] trait and ships both backends:
+//! even hand to the machine — is an index over the rule set. The pass
+//! holds one, a crate-private enum of the two answers
+//! [`MatcherBackend`] selects between:
 //!
-//! * [`PerPatternMatcher`] — the reference: no index, every pair goes
-//!   to the machine.
+//! * per-pattern — no index: every pattern is a candidate at every
+//!   term, the reference the equivalence suites hold the tree against;
 //! * [`FusedMatcher`] — the whole rule set compiled into one
 //!   [`FusedSet`] discrimination tree; each distinct term is walked
 //!   once (memoized across sweeps — hash-consing means a [`TermId`]'s
@@ -19,16 +20,11 @@
 //!   library whose tree was built before — by an earlier pass, or in the
 //!   template a serve worker clones its sessions from — builds nothing.
 //!
-//! Everything *above* the seam is backend-agnostic and unchanged: the
-//! scan loop consumes admission verdicts without caring how they were
-//! computed. That is what makes the two backends interchangeable at
-//! the CLI (`pypmc compile --matcher …`).
-//!
 //! ## The contract
 //!
-//! A pattern missing from [`Matcher::candidates`] must mean the machine
+//! A pattern missing from a term's candidates must mean the machine
 //! run for that pair is a **guaranteed failure**. Under that contract
-//! every backend fires byte-identical rewrite sequences: a node visit
+//! both backends fire byte-identical rewrite sequences: a node visit
 //! fetches its term's candidate set once, probes its rule-bearing
 //! members in rule-set order, and *accounts* the pairs it skipped as if
 //! the paper's every-pattern loop had tried them, so `match_attempts`
@@ -46,11 +42,12 @@
 //! collapse to wildcards (every pattern variable-rooted, or past the
 //! build caps) the tree admits
 //! nearly everything and build and walks are pure overhead — that is
-//! what `--matcher per-pattern` is for, besides being the reference
-//! the equivalence suites hold the tree against, and why the bench
-//! suite records both backends across the rules-count series.
+//! what `--matcher per-pattern` is for, besides being the reference,
+//! and why the bench suite records both backends across the
+//! rules-count series.
 
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 use pypm_core::{Budget, FusedSet, PatternId, PatternStore, TermId, TermStore, WalkStacks};
@@ -138,65 +135,7 @@ impl MatcherStats {
     }
 }
 
-/// A candidate-discovery index over one rule set.
-///
-/// # Contract
-///
-/// [`Matcher::candidates`] may leave a pattern out **only** when running
-/// the abstract machine on `(pattern index, term)` is a guaranteed
-/// failure. Being listed promises nothing — the machine is always the
-/// arbiter. Under this contract, backends are observationally
-/// equivalent: identical firing sequences, identical `match_attempts` /
-/// `matches_found` / `rewrites_fired`; only machine-work and admission
-/// counters differ.
-///
-/// Implementations may mutate themselves on query (memoization); the
-/// driver owns one matcher per pass, built after the rule set is fixed.
-/// Term keys never go stale because terms are hash-consed and rewrites
-/// give changed nodes fresh terms.
-pub trait Matcher: fmt::Debug + Send {
-    /// The patterns the machine should run against `t`, as ascending
-    /// indices into the rule set — pattern-only definitions included,
-    /// the index knows nothing of rules. Walk-side counters
-    /// (`terms_walked`, `trie_steps`) are recorded on `stats`; the
-    /// *caller* accounts the pair-level verdicts.
-    fn candidates(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> &[u32];
-
-    /// Installs (or clears) the run's cooperative [`Budget`]. Backends
-    /// whose admission work is constant ignore it; the fused tree
-    /// charges its trie walks and truncates them once the budget trips.
-    /// A truncated walk may produce conservative verdicts, which is
-    /// sound here only because the driver aborts the whole pass at its
-    /// next budget check — an un-tripped budget never changes a
-    /// verdict.
-    fn set_budget(&mut self, budget: Option<Arc<Budget>>) {
-        let _ = budget;
-    }
-}
-
-/// The reference discovery path: every pattern is a candidate at every
-/// term (see [`MatcherBackend::PerPattern`]).
-#[derive(Debug)]
-pub struct PerPatternMatcher {
-    all: Vec<u32>,
-}
-
-impl PerPatternMatcher {
-    /// The matcher over a rule set of `patterns` patterns.
-    pub fn new(patterns: usize) -> Self {
-        PerPatternMatcher {
-            all: (0..patterns as u32).collect(),
-        }
-    }
-}
-
-impl Matcher for PerPatternMatcher {
-    fn candidates(&mut self, _t: TermId, _terms: &TermStore, _stats: &mut MatcherStats) -> &[u32] {
-        &self.all
-    }
-}
-
-/// The fused discrimination-tree backend (see [`MatcherBackend::Fused`]
+/// The fused discrimination-tree index (see [`MatcherBackend::Fused`]
 /// and [`FusedSet`]).
 #[derive(Debug)]
 pub struct FusedMatcher {
@@ -215,9 +154,11 @@ pub struct FusedMatcher {
     pool: Vec<u32>,
     /// What every walk runs on (see [`WalkStacks`]).
     stacks: WalkStacks,
-    /// The run's cooperative budget; walks charge their trie steps
-    /// against it and truncate once it trips (see
-    /// [`Matcher::set_budget`]).
+    /// The run's cooperative budget: walks charge their trie steps
+    /// against it and truncate once it trips. A truncated walk may
+    /// admit too little, which is sound only because the scan aborts
+    /// the whole pass at its next budget check — an un-tripped budget
+    /// never changes a verdict.
     budget: Option<Arc<Budget>>,
 }
 
@@ -227,20 +168,20 @@ const UNWALKED: (u32, u32) = (u32::MAX, 0);
 
 impl FusedMatcher {
     /// Compiles the rule set's patterns into one discrimination tree of
-    /// its own (the rewrite pass takes the store's memoized one instead,
-    /// through [`build_matcher`]).
+    /// its own (the rewrite pass takes the store's memoized one
+    /// instead, [`PatternStore::fused`]).
     pub fn new(pats: &PatternStore, patterns: &[PatternId]) -> Self {
-        Self::over(Arc::new(FusedSet::build(pats, patterns)))
+        Self::over(Arc::new(FusedSet::build(pats, patterns)), None)
     }
 
-    /// A matcher walking an already built tree.
-    pub(crate) fn over(set: Arc<FusedSet>) -> Self {
+    /// An index walking an already built tree under `budget`.
+    fn over(set: Arc<FusedSet>, budget: Option<Arc<Budget>>) -> Self {
         FusedMatcher {
             set,
             memo: Vec::new(),
             pool: Vec::new(),
             stacks: WalkStacks::default(),
-            budget: None,
+            budget,
         }
     }
 
@@ -248,10 +189,10 @@ impl FusedMatcher {
     pub fn set(&self) -> &FusedSet {
         &self.set
     }
-}
 
-impl Matcher for FusedMatcher {
-    fn candidates(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> &[u32] {
+    /// Where `t`'s candidates lie in the pool, walking the tree on the
+    /// term's first query only.
+    fn walk(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> Range<usize> {
         if self.memo.len() <= t.index() {
             self.memo.resize(terms.len(), UNWALKED);
         }
@@ -269,24 +210,70 @@ impl Matcher for FusedMatcher {
             self.memo[t.index()] = (start as u32, (self.pool.len() - start) as u32);
         }
         let (start, len) = self.memo[t.index()];
-        &self.pool[start as usize..][..len as usize]
-    }
-
-    fn set_budget(&mut self, budget: Option<Arc<Budget>>) {
-        self.budget = budget;
+        start as usize..(start + len) as usize
     }
 }
 
-/// Builds the configured backend over `patterns` (in rule-set order).
-/// The fused tree comes from the store's memo ([`PatternStore::fused`]).
-pub fn build_matcher(
-    backend: MatcherBackend,
-    pats: &mut PatternStore,
-    patterns: &[PatternId],
-) -> Box<dyn Matcher> {
-    match backend {
-        MatcherBackend::PerPattern => Box::new(PerPatternMatcher::new(patterns.len())),
-        MatcherBackend::Fused => Box::new(FusedMatcher::over(pats.fused(patterns))),
+/// The rewrite pass's candidate index over one rule set, as
+/// [`MatcherBackend`] selects it.
+///
+/// A pattern left out of a term's candidates is a **guaranteed machine
+/// failure** on that term; being listed promises nothing — the machine
+/// is always the arbiter. Under that contract both backends fire
+/// byte-identical rewrite sequences, and only machine-work and
+/// admission counters differ. Terms are hash-consed and a rewrite gives
+/// a changed node a fresh term, so a memoized answer never goes stale.
+#[derive(Debug)]
+pub(crate) enum Candidates {
+    /// [`MatcherBackend::PerPattern`]: every one of the rule set's
+    /// patterns, at every term.
+    Every(usize),
+    /// [`MatcherBackend::Fused`]: the tree's walk of the term.
+    Fused(FusedMatcher),
+}
+
+impl Candidates {
+    /// The index `backend` names over `patterns` (in rule-set order),
+    /// charging its walks against `budget`. The fused tree comes from
+    /// the store's memo ([`PatternStore::fused`]).
+    pub(crate) fn new(
+        backend: MatcherBackend,
+        pats: &mut PatternStore,
+        patterns: &[PatternId],
+        budget: Option<Arc<Budget>>,
+    ) -> Self {
+        match backend {
+            MatcherBackend::PerPattern => Candidates::Every(patterns.len()),
+            MatcherBackend::Fused => {
+                Candidates::Fused(FusedMatcher::over(pats.fused(patterns), budget))
+            }
+        }
+    }
+
+    /// The candidates of `t`, as positions to read with
+    /// [`Candidates::pattern`]: ascending pattern indices, pattern-only
+    /// definitions included — the index knows nothing of rules. The
+    /// walk's counters (`terms_walked`, `trie_steps`) go to `stats`; the
+    /// caller accounts the pair-level verdicts.
+    pub(crate) fn admit(
+        &mut self,
+        t: TermId,
+        terms: &TermStore,
+        stats: &mut MatcherStats,
+    ) -> Range<usize> {
+        match self {
+            Candidates::Every(patterns) => 0..*patterns,
+            Candidates::Fused(fused) => fused.walk(t, terms, stats),
+        }
+    }
+
+    /// The pattern index at position `at` of an [`Candidates::admit`]
+    /// answer.
+    pub(crate) fn pattern(&self, at: usize) -> usize {
+        match self {
+            Candidates::Every(_) => at,
+            Candidates::Fused(fused) => fused.pool[at] as usize,
+        }
     }
 }
 
@@ -305,6 +292,17 @@ mod tests {
         assert_eq!(MatcherBackend::default(), MatcherBackend::Fused);
     }
 
+    /// The pattern indices `index` admits at `t`.
+    fn admitted(
+        index: &mut Candidates,
+        t: TermId,
+        terms: &TermStore,
+        stats: &mut MatcherStats,
+    ) -> Vec<usize> {
+        let at = index.admit(t, terms, stats);
+        at.map(|k| index.pattern(k)).collect()
+    }
+
     #[test]
     fn per_pattern_serial_admits_everything() {
         let mut syms = SymbolTable::new();
@@ -318,10 +316,15 @@ mod tests {
         let c = terms.app0(syms.op("c", 0));
         let tg = terms.app(g, vec![c]);
 
-        // Even a head mismatch goes to the machine.
+        // Even a head mismatch goes to the machine, and nothing is
+        // walked to say so.
         let mut stats = MatcherStats::default();
-        let mut matcher = build_matcher(MatcherBackend::PerPattern, &mut pats, &[pf, px]);
-        assert_eq!(matcher.candidates(tg, &terms, &mut stats), [0, 1]);
+        let mut every = Candidates::new(MatcherBackend::PerPattern, &mut pats, &[pf, px], None);
+        assert_eq!(admitted(&mut every, tg, &terms, &mut stats), [0, 1]);
+        assert_eq!((stats.terms_walked, stats.trie_steps), (0, 0));
+        // The fused index leaves the head mismatch out.
+        let mut fused = Candidates::new(MatcherBackend::Fused, &mut pats, &[pf, px], None);
+        assert_eq!(admitted(&mut fused, tg, &terms, &mut stats), [1]);
     }
 
     #[test]
@@ -337,10 +340,10 @@ mod tests {
         let tf = terms.app(f, vec![c]);
 
         let mut stats = MatcherStats::default();
-        let mut m = FusedMatcher::new(&pats, &[pf, px]);
-        assert_eq!(m.candidates(tf, &terms, &mut stats), [0, 1]);
-        assert_eq!(m.candidates(c, &terms, &mut stats), [1]);
-        assert_eq!(m.candidates(tf, &terms, &mut stats), [0, 1]);
+        let mut m = Candidates::Fused(FusedMatcher::new(&pats, &[pf, px]));
+        assert_eq!(admitted(&mut m, tf, &terms, &mut stats), [0, 1]);
+        assert_eq!(admitted(&mut m, c, &terms, &mut stats), [1]);
+        assert_eq!(admitted(&mut m, tf, &terms, &mut stats), [0, 1]);
         assert_eq!(stats.terms_walked, 2, "one walk per distinct term");
         assert!(stats.trie_steps > 0);
         // A term with no candidates is memoized like any other — asked
@@ -348,8 +351,8 @@ mod tests {
         let tg = terms.app(syms.op("g", 1), vec![c]);
         let mut none = FusedMatcher::new(&pats, &[pf]);
         let mut stats = MatcherStats::default();
-        assert!(none.candidates(tg, &terms, &mut stats).is_empty());
-        assert!(none.candidates(tg, &terms, &mut stats).is_empty());
+        assert!(none.walk(tg, &terms, &mut stats).is_empty());
+        assert!(none.walk(tg, &terms, &mut stats).is_empty());
         assert_eq!(stats.terms_walked, 1);
         assert!(none.pool.is_empty());
     }

@@ -207,7 +207,7 @@ impl FiringLog {
 #[derive(Debug, Clone)]
 pub struct PassRecord {
     /// Pass name.
-    pub name: String,
+    pub name: &'static str,
     /// Whether the pass mutated the graph.
     pub changed: bool,
     /// The pass's own counters ([`PassStats::duration`] covers only the

@@ -47,7 +47,7 @@ use std::time::Instant;
 #[derive(Debug)]
 pub struct PipelineError {
     /// Name of the failing pass.
-    pub pass: String,
+    pub pass: &'static str,
     /// What went wrong.
     pub error: PassError,
     /// What the failing pass decided before it failed: a pass whose
@@ -230,13 +230,13 @@ impl<'s> Pipeline<'s> {
                     Ok(stats)
                 });
             let stats = checked.map_err(|error| PipelineError {
-                pass: RewritePass::NAME.to_owned(),
+                pass: RewritePass::NAME,
                 error,
                 firings: Box::new(std::mem::take(&mut cx.firings)),
             })?;
             let ended = cx.lap(Stage::Validate);
             records.push(PassRecord {
-                name: RewritePass::NAME.to_owned(),
+                name: RewritePass::NAME,
                 changed: stats.rewrites_fired > 0,
                 stats,
                 wall: ended - started,
@@ -332,7 +332,7 @@ impl PipelineReport {
         w.key("passes").begin_array(Layout::Lines);
         for r in &self.passes {
             w.begin_object(Layout::Inline);
-            w.key("name").string(&r.name);
+            w.key("name").string(r.name);
             w.key("changed").scalar(r.changed);
             w.key("wall_ms").fixed(r.wall.as_secs_f64() * 1e3, 6);
             stats_fields(&mut w, &r.stats);
@@ -451,14 +451,14 @@ mod tests {
         PipelineReport {
             passes: vec![
                 PassRecord {
-                    name: "rewrite".to_owned(),
+                    name: "rewrite",
                     changed: true,
                     stats,
                     wall: Duration::from_micros(2_500_001),
                     firings: FiringLog::default(),
                 },
                 PassRecord {
-                    name: "part\"ition\\".to_owned(),
+                    name: "part\"ition\\",
                     changed: false,
                     stats: PassStats::default(),
                     wall: Duration::from_nanos(1),

@@ -29,18 +29,28 @@
 //! figures (Figs. 12–13): wall-clock matching time, match attempts
 //! (including the "partial matches that don't end up actually matching"),
 //! matches found, and rewrites fired.
+//!
+//! The pass is split by decision, one module per step of that loop
+//! (the table is in the crate docs): `order` picks the next node,
+//! `visit` the patterns it is probed with, `fire` the rule that fires
+//! and what firing it does; this module runs the rounds.
 
-use crate::matcher::{build_matcher, Matcher, MatcherBackend, MatcherStats};
-use crate::pass::{Firing, FiringLog, RejectReason, Rejection};
+use crate::matcher::{Candidates, MatcherBackend, MatcherStats};
+use crate::pass::FiringLog;
 use crate::pipeline::PipelineCx;
 use crate::retired::ParallelStats;
 use crate::session::Session;
-use pypm_core::{Attr, Budget, Machine, Outcome, PatternId, Stage, Symbol, TermId, Witness};
-use pypm_dsl::{Rhs, RuleSet};
-use pypm_graph::{Graph, NodeId, TensorMeta, TermView, TopoWalk};
+use order::ScanOrder;
+use pypm_core::{Budget, Machine, Outcome, PatternId, Stage, TermId, Witness};
+use pypm_dsl::RuleSet;
+use pypm_graph::{Graph, NodeId, TermView};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
+
+mod fire;
+mod order;
+mod visit;
 
 /// Which nodes the pass re-examines after a rewrite fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,7 +61,7 @@ pub enum SweepPolicy {
     /// [`SweepPolicy::Incremental`] against; reachable only by name.
     ///
     /// Every round derives its order from the graph alone: a fresh
-    /// [`TopoWalk`] — the outputs-first post-order of
+    /// [`pypm_graph::TopoWalk`] — the outputs-first post-order of
     /// [`Graph::topo_order`] — from the first node on, nothing carried
     /// over from the last round. The walk is lazy, so a round pays for
     /// the prefix it scans: the part of the order past the round's
@@ -254,20 +264,34 @@ pub struct MatchReport {
 }
 
 /// The internal engine behind [`RewritePass`]: the paper's greedy
-/// fixpoint loop.
+/// fixpoint loop, and everything one run of it keeps.
 struct Driver<'a> {
     session: &'a mut Session,
     pass: &'a RewritePass,
+    graph: &'a mut Graph,
+    /// What the pass decided, handed back to the pipeline when the scan
+    /// ends, whether or not it finished.
+    log: FiringLog,
     /// `rules.patterns[i].pattern` per index.
     pattern_ids: Vec<PatternId>,
     /// `rank[i]` = how many of the first `i` patterns bear rules
     /// (`rank[P]` = all that do): what a visit that never reaches a
     /// pattern still has to *account* for it (see
-    /// [`Driver::visit_node`]).
+    /// [`Driver::visit`]).
     rank: Vec<u32>,
     /// The run's cooperative resource budget; `None` (the default)
     /// means unlimited.
     budget: Option<Arc<Budget>>,
+    /// Which patterns a term's visit probes (see [`crate::matcher`]).
+    candidates: Candidates,
+    /// Which node the scan visits next.
+    order: ScanOrder,
+    /// The graph's terms, interned as the scan first reads them and
+    /// repaired in place after every firing.
+    view: TermView,
+    /// The nodes visited so far in this pass, by `NodeId::index`.
+    visited: Vec<bool>,
+    stats: PassStats,
     /// The inputs of the RHS applications being built, as one stack:
     /// each application pushes its inputs above its caller's and pops
     /// them once its node exists ([`Driver::instantiate`]).
@@ -281,67 +305,82 @@ struct Driver<'a> {
     rewired: Vec<NodeId>,
 }
 
-impl<'a> Driver<'a> {
-    /// Sets the engine up for one run; the budget comes from `cx`.
-    fn new(session: &'a mut Session, pass: &'a RewritePass, cx: &PipelineCx) -> Self {
+impl Driver<'_> {
+    /// Runs `pass` to fixpoint, mutating `graph` in place, recording
+    /// its firings and rejections in `cx`'s firing log, and lapping its
+    /// stages on `cx`'s recorder: [`Stage::PassSetup`] (everything from
+    /// the last boundary to here), [`Stage::TrieBuild`], [`Stage::Gc`],
+    /// [`Stage::ViewBuild`] (the empty view's allocation) and
+    /// [`Stage::Scan`] (which interns what it reads). The budget comes
+    /// from `cx`.
+    fn run(
+        session: &mut Session,
+        pass: &RewritePass,
+        graph: &mut Graph,
+        cx: &mut PipelineCx,
+    ) -> Result<PassStats, RewriteError> {
+        let start = cx.stages().last();
+        cx.lap(Stage::PassSetup);
         let patterns = &pass.rules.patterns;
+        let pattern_ids: Vec<PatternId> = patterns.iter().map(|d| d.pattern).collect();
         let mut rank = vec![0u32; patterns.len() + 1];
         for (pi, def) in patterns.iter().enumerate() {
             rank[pi + 1] = rank[pi] + u32::from(!def.rules.is_empty());
         }
-        Driver {
-            session,
-            pass,
-            pattern_ids: patterns.iter().map(|d| d.pattern).collect(),
-            rank,
-            budget: cx.budget().cloned(),
-            rhs_inputs: Vec::new(),
-            rhs_terms: Vec::new(),
-            rewired: Vec::new(),
-        }
-    }
-
-    /// Whether pattern `pi` has rules to fire. Pattern-only definitions
-    /// (e.g. `PwSubgraph`) are matched by [`find_matches`] and
-    /// partitioning, never by this pass.
-    fn bears_rules(&self, pi: usize) -> bool {
-        self.rank[pi + 1] > self.rank[pi]
-    }
-
-    /// How many of the loaded patterns bear rules.
-    fn rule_bearing(&self) -> u32 {
-        self.rank[self.pattern_ids.len()]
-    }
-
-    /// Runs the pass to fixpoint, mutating `graph` in place, recording
-    /// its firings and rejections in `cx`'s firing log, and lapping its
-    /// stages on `cx`'s recorder: [`Stage::PassSetup`] (everything from
-    /// the last boundary to here), [`Stage::TrieBuild`], [`Stage::Gc`],
-    /// then [`Stage::ViewBuild`] (the empty view's allocation) and
-    /// [`Stage::Scan`] (which interns what it reads) in
-    /// [`Driver::scan`].
-    fn run(&mut self, graph: &mut Graph, cx: &mut PipelineCx) -> Result<PassStats, RewriteError> {
-        let start = cx.stages().last();
-        cx.lap(Stage::PassSetup);
-        let mut stats = PassStats::default();
-        stats.matcher.backend = self.pass.matcher.name();
-        stats.parallel.jobs = 1;
-        stats.parallel.batch_graphs = cx.batch_graphs();
-        // The candidate-discovery index (see [`crate::matcher`]) over
-        // the rule set's patterns, in rule-set order; the fused trie is
-        // the pattern store's, built once per store and rule set. The
-        // fused backend charges its trie walks against the budget (and
-        // truncates them once it trips).
-        let mut matcher =
-            build_matcher(self.pass.matcher, &mut self.session.pats, &self.pattern_ids);
-        matcher.set_budget(self.budget.clone());
+        let budget = cx.budget().cloned();
+        // The candidate index over the rule set's patterns, in rule-set
+        // order; the fused trie is the pattern store's, built once per
+        // store and rule set. The fused index charges its trie walks
+        // against the budget (and truncates them once it trips).
+        let candidates = Candidates::new(
+            pass.matcher,
+            &mut session.pats,
+            &pattern_ids,
+            budget.clone(),
+        );
         cx.lap(Stage::TrieBuild);
         // The scan collects by reference count, which is exact only on a
         // graph that holds no garbage to begin with: one mark-sweep
         // before it for whatever the caller left unreferenced …
         graph.gc();
         cx.lap(Stage::Gc);
-        self.scan(graph, matcher.as_mut(), cx, &mut stats)?;
+        // The scan interns at most every live node once before its first
+        // firing: size the store for that up front.
+        session.terms.reserve(graph.live_count());
+        let view = TermView::empty(graph, &mut session.syms);
+        cx.lap(Stage::ViewBuild);
+        let mut stats = PassStats {
+            view_builds: 1,
+            ..PassStats::default()
+        };
+        stats.matcher.backend = pass.matcher.name();
+        stats.parallel.jobs = 1;
+        stats.parallel.batch_graphs = cx.batch_graphs();
+        let mut driver = Driver {
+            session,
+            pass,
+            order: ScanOrder::new(pass.policy, graph),
+            graph: &mut *graph,
+            log: std::mem::take(&mut cx.firings),
+            pattern_ids,
+            rank,
+            budget,
+            candidates,
+            view,
+            visited: Vec::new(),
+            stats,
+            rhs_inputs: Vec::new(),
+            rhs_terms: Vec::new(),
+            rewired: Vec::new(),
+        };
+        let scanned = driver.scan();
+        cx.firings = std::mem::take(&mut driver.log);
+        scanned?;
+        let mut stats = std::mem::take(&mut driver.stats);
+        stats.nodes_reindexed += driver.view.terms_recomputed();
+        // The view's teardown is the scan's, not the validation after it.
+        drop(driver);
+        cx.lap(Stage::Scan);
         // … and, in debug builds, one after it, which then has nothing
         // left to find.
         #[cfg(debug_assertions)]
@@ -356,307 +395,32 @@ impl<'a> Driver<'a> {
         Ok(stats)
     }
 
-    /// Checks the run's cooperative budget (a no-op without one). The
-    /// scan calls this once per candidate visit, so a tripped budget
-    /// unwinds within one node visit.
-    fn check_budget(&self) -> Result<(), RewriteError> {
-        match &self.budget {
-            Some(b) if !b.check() => Err(RewriteError::BudgetExceeded {
-                limits: b.describe(),
-            }),
-            _ => Ok(()),
-        }
-    }
-
-    /// Probes one *admitted* (pattern, term) pair — a member of the
-    /// term's candidate set; the pairs outside it are guaranteed
-    /// failures that [`Driver::visit_node`] accounts without coming
-    /// here. Fuel exhaustion counts as "no match".
-    fn probe(
-        &mut self,
-        pi: usize,
-        t: TermId,
-        graph: &Graph,
-        view: &TermView,
-        stats: &mut PassStats,
-    ) -> Option<Witness> {
-        stats.matcher.pairs_admitted += 1;
-        let attrs = view.attrs(graph);
-        let mut machine = Machine::new(&mut self.session.pats, &self.session.terms, &attrs);
-        let outcome = machine.run(self.pattern_ids[pi], t, self.pass.machine_fuel);
-        let mstats = machine.stats();
-        if let Some(b) = &self.budget {
-            // Machine transitions are the step currency of the budget's
-            // `machine_steps` cap.
-            b.charge(mstats.steps);
-        }
-        stats.machine_steps += mstats.steps;
-        stats.machine_backtracks += mstats.backtracks;
-        match outcome {
-            Ok(Outcome::Success(witness)) => Some(witness),
-            Ok(Outcome::Failure) | Err(_) => None,
-        }
-    }
-
-    /// Visits one node: counts the visit, tries the loaded patterns in
-    /// rule-set order, and fires the first applicable rule. Both
-    /// policies share this step, so the byte-identity contract between
-    /// [`SweepPolicy::RestartOnRewrite`] and
-    /// [`SweepPolicy::Incremental`] rests on the candidate set alone.
-    ///
-    /// "Tries the loaded patterns" is the paper's loop with the
-    /// guaranteed failures taken out of it: one
-    /// [`Matcher::candidates`] lookup yields the patterns that can
-    /// match the node's term, only those are probed, and the pairs
-    /// skipped are *accounted, not executed* — had the loop reached
-    /// pattern `pi` it would have attempted the `rank[pi] + 1`
-    /// rule-bearing patterns up to it, and every one of them outside
-    /// the candidate set would have been one `pairs_rejected`. A visit
-    /// therefore costs its
-    /// candidates, not the rule set, while every counter reads as if
-    /// the loop had run (the `literal_loop_oracle_*` tests keep that loop
-    /// and compare).
-    ///
-    /// On a firing, the graph is already rewritten and collected, and
-    /// the returned log entry and [`Driver::rewired`] are the dirty seed
-    /// for [`Driver::repair_view`].
-    #[allow(clippy::too_many_arguments)]
-    fn visit_node(
-        &mut self,
-        graph: &mut Graph,
-        matcher: &mut dyn Matcher,
-        view: &mut TermView,
-        node: NodeId,
-        visited: &mut Vec<bool>,
-        stats: &mut PassStats,
-        cx: &mut PipelineCx,
-    ) -> Result<Option<Firing>, RewriteError> {
-        stats.nodes_visited += 1;
-        if visited.len() <= node.index() {
-            visited.resize(node.index() + 1, false);
-        }
-        if std::mem::replace(&mut visited[node.index()], true) {
-            stats.nodes_revisited += 1;
-        }
-        // Lazy view maintenance: a node dirtied by earlier rewrites is
-        // repaired here, at visit time — nodes re-dirtied before their
-        // next visit are recomputed once, not once per rewrite.
-        let t = match view.term_of_repaired(
-            graph,
-            &mut self.session.syms,
-            &mut self.session.terms,
-            &self.session.registry,
-            node,
-        ) {
-            Some(t) => t,
-            None => return Ok(None),
-        };
-        if self.rule_bearing() == 0 {
-            return Ok(None);
-        }
-        #[cfg(test)]
-        if self.pass.literal_loop {
-            return self.visit_node_literally(graph, matcher, view, node, t, stats, cx);
-        }
-        let mut admitted = 0;
-        // Where the loop stopped: at the firing pattern, else past the
-        // last one.
-        let mut stop = self.pattern_ids.len();
-        let mut fired = None;
-        for &pi in matcher.candidates(t, &self.session.terms, &mut stats.matcher) {
-            let pi = pi as usize;
-            if !self.bears_rules(pi) {
-                continue;
-            }
-            admitted += 1;
-            let Some(witness) = self.probe(pi, t, graph, view, stats) else {
-                continue;
-            };
-            fired = self.on_match(graph, view, node, pi, &witness, stats, cx)?;
-            if fired.is_some() {
-                stop = pi;
-                break;
-            }
-        }
-        let attempts = u64::from(self.rank[stop]) + u64::from(fired.is_some());
-        stats.match_attempts += attempts;
-        stats.matcher.pairs_rejected += attempts - admitted;
-        Ok(fired)
-    }
-
-    /// The visit as the paper words it — every rule-bearing pattern in
-    /// turn, each pair asked of the index and counted where it is
-    /// tried. The oracle the `literal_loop_oracle_*` tests hold
-    /// [`Driver::visit_node`]'s arithmetic against.
-    #[cfg(test)]
-    #[allow(clippy::too_many_arguments)]
-    fn visit_node_literally(
-        &mut self,
-        graph: &mut Graph,
-        matcher: &mut dyn Matcher,
-        view: &mut TermView,
-        node: NodeId,
-        t: TermId,
-        stats: &mut PassStats,
-        cx: &mut PipelineCx,
-    ) -> Result<Option<Firing>, RewriteError> {
-        for pi in 0..self.pattern_ids.len() {
-            if self.pass.rules.patterns[pi].rules.is_empty() {
-                continue;
-            }
-            stats.match_attempts += 1;
-            let admits = matcher
-                .candidates(t, &self.session.terms, &mut stats.matcher)
-                .binary_search(&(pi as u32))
-                .is_ok();
-            if !admits {
-                stats.matcher.pairs_rejected += 1;
-                continue;
-            }
-            let Some(witness) = self.probe(pi, t, graph, view, stats) else {
-                continue;
-            };
-            if let Some(fired) = self.on_match(graph, view, node, pi, &witness, stats, cx)? {
-                return Ok(Some(fired));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Pattern `pi` matched at `node`: "PyPM runs each of the
-    /// corresponding rules one by one … The first rule whose assertions
-    /// pass is fired." Builds and splices the replacement of the first
-    /// rule whose guard holds, collects what only the root kept alive,
-    /// records the firing and returns it; or records why no rule fired
-    /// and returns `None`.
-    #[allow(clippy::too_many_arguments)]
-    fn on_match(
-        &mut self,
-        graph: &mut Graph,
-        view: &mut TermView,
-        node: NodeId,
-        pi: usize,
-        witness: &Witness,
-        stats: &mut PassStats,
-        cx: &mut PipelineCx,
-    ) -> Result<Option<Firing>, RewriteError> {
-        stats.matches_found += 1;
-        let mut saw_identity = false;
-        for (ri, rule) in self.pass.rules.patterns[pi].rules.iter().enumerate() {
-            let holds = rule
-                .guard
-                .eval(&witness.theta, &self.session.terms, &view.attrs(graph))
-                .holds();
-            if !holds {
-                continue;
-            }
-            // Identity rewrites (replacement structurally equal to the
-            // matched subgraph, e.g. collapsing a chain of one RELU to
-            // one RELU) must not fire, or the pass would never reach a
-            // fixpoint. The check folds the RHS template to a *term*
-            // before any graph node is built: a rejected rule therefore
-            // allocates nothing, which keeps node-id allocation — and so
-            // the byte-identity of SweepPolicy::Incremental with
-            // RestartOnRewrite — independent of how often the scan
-            // revisits the rejected candidate.
-            if Some(self.term_of_rhs(&rule.rhs, witness)?) == view.term_of(node) {
-                saw_identity = true;
-                continue;
-            }
-            let alloc_mark = graph.allocated_count();
-            let root_meta = graph.node(node).meta;
-            let replacement =
-                self.instantiate(graph, view, node, &rule.rhs, witness, Some(root_meta))?;
-            graph
-                .replace_traced(node, replacement, &mut self.rewired)
-                .map_err(|e| RewriteError::BuildFailed {
-                    reason: e.to_string(),
-                })?;
-            stats.rewrites_fired += 1;
-            let created = alloc_mark..graph.allocated_count();
-            // The root lost its last reader; what only it kept alive
-            // goes with it, straight into the log.
-            let entry = cx
-                .firings
-                .fire(stats.sweeps, pi, ri, node, created, |freed| {
-                    graph.collect(node, freed);
-                });
-            debug_assert_eq!(graph.validate(), Ok(()));
-            return Ok(Some(entry));
-        }
-        cx.firings.reject(Rejection {
-            sweep: stats.sweeps,
-            pattern: pi,
-            node,
-            reason: if saw_identity {
-                RejectReason::IdentityReplacement
-            } else {
-                RejectReason::GuardsFailed
-            },
-        });
-        Ok(None)
-    }
-
-    /// Repairs the view's bookkeeping after a fired rewrite: the
-    /// rewired users, the freshly allocated replacement nodes, and the
-    /// collected dead nodes (as `log` recorded `fired`) seed the patch
-    /// (the dead ids let the view drop them without scanning for
-    /// liveness). The patch only *marks* the cone stale — terms
-    /// recompute lazily at the next visit, and the worklist's
-    /// candidates are the nodes the view owes a term.
-    fn repair_view(
-        &mut self,
-        graph: &Graph,
-        view: &mut TermView,
-        fired: &Firing,
-        log: &FiringLog,
-        stats: &mut PassStats,
-    ) {
-        let seed = self.rewired.iter().chain(log.created(fired));
-        view.patch(graph, seed.chain(log.collected(fired)).copied());
-        stats.view_patches += 1;
-    }
-
     /// The one scan loop: the paper's "repeatedly traverses the graph"
-    /// greedy fixpoint (§2.4). A round walks the graph's topological
-    /// order from a cursor, visits its candidates, and ends at the first
-    /// firing; a round that fires nothing is the fixpoint. The policy
-    /// decides two things only. *Which nodes are candidates:* under
-    /// [`SweepPolicy::RestartOnRewrite`] every live node in every
-    /// round — the reference scan; under [`SweepPolicy::Incremental`]
-    /// the worklist, the nodes the view owes a term
-    /// ([`TermView::owes`]): unseen since the view was created, or
-    /// marked stale by a patch since their last visit.
-    /// *Where a round starts:* the reference restarts a [`TopoWalk`] —
-    /// the order of [`Graph::topo_order`], derived afresh from the
-    /// graph — at its first node and steps it lazily, so the order past
-    /// the round's firing is never built; the worklist **resumes** — the
-    /// order is computed once, the cursor only moves forward, and a
-    /// firing puts its fresh nodes where the replaced root stood. With
-    /// that, and with [`Graph::replace_traced`] and [`Graph::collect`]
-    /// working off the graph's use-lists and its maintained
-    /// levels (which bound the cycle check), a firing under the worklist
-    /// costs what it changed, not the graph. The order itself is *not*
-    /// read off those levels: a level numbering does not determine the
-    /// outputs-first post-order the reference walks, and byte-identity
-    /// with it rests on that order.
+    /// greedy fixpoint (§2.4). A round steps the [`ScanOrder`] from its
+    /// cursor, visits its candidates, and ends at the first firing; a
+    /// round that fires nothing is the fixpoint. The policy decides two
+    /// things only, both inside the order: which nodes are candidates,
+    /// and where a round starts (see [`SweepPolicy`]). With that, and
+    /// with [`Graph::replace_traced`] and [`Graph::collect`] working off
+    /// the graph's use-lists and its maintained levels (which bound the
+    /// cycle check), a firing under the worklist costs what it changed,
+    /// not the graph. The order itself is *not* read off those levels: a
+    /// level numbering does not determine the outputs-first post-order
+    /// the reference walks, and byte-identity with it rests on that
+    /// order.
     ///
     /// The term view is created once, empty ([`TermView::empty`]: every
-    /// live node *unseen*), over a term store sized for the live nodes
-    /// ([`pypm_core::TermStore::reserve`], so interning never rehashes
-    /// mid-scan), and then *repaired in place* after every firing.
-    /// Nothing walks the graph to intern it: a visit interns
-    /// its node (and whatever of the node's input cone is still unseen)
-    /// the first time it reads it, so a node a rewrite deletes before
-    /// the scan reaches it is never interned. A patch is an O(cone)
-    /// marking walk that treats unseen nodes like clean ones, with terms
-    /// recomputed on demand at visit time; which nodes it marks — what
-    /// the worklist re-enqueues — and every counter
-    /// (`nodes_reindexed` included) are what an eagerly built view
-    /// gives. Nor can the node a variable of the rule's RHS names tell
-    /// the difference: it is found below the matched root
-    /// ([`TermView::node_below`]), whose whole input cone the visit has
-    /// just interned.
+    /// live node *unseen*), over a term store sized for the live nodes,
+    /// and then *repaired in place* after every firing. A visit interns
+    /// its node (and whatever of its input cone is still unseen) the
+    /// first time it reads it, so a node a rewrite deletes before the
+    /// scan reaches it is never interned. A patch is an O(cone) marking
+    /// walk that treats unseen nodes like clean ones: which nodes it
+    /// marks — what the worklist re-enqueues — and every counter are
+    /// what an eagerly built view gives. Nor can the node a variable of
+    /// the rule's RHS names tell the difference: it is found below the
+    /// matched root ([`TermView::node_below`]), whose whole input cone
+    /// the visit has just interned.
     ///
     /// Invariants that make the worklist byte-identical to the
     /// reference scan:
@@ -726,217 +490,36 @@ impl<'a> Driver<'a> {
     ///    this argument. The cursor never rewinds: it steps at most once
     ///    over every node the pass ever had.
     ///
-    /// Debug builds check (4) after every firing — the order ahead of
-    /// the cursor, filtered to the nodes the view owes a term, against
-    /// a recomputed [`Graph::topo_order`] filtered the same way — check
-    /// that every node the reference's walk yields in a round is the
-    /// next node of a [`Graph::topo_order`] taken when the round
-    /// started, and [`Graph::validate`] the graph after every commit.
-    fn scan(
-        &mut self,
-        graph: &mut Graph,
-        matcher: &mut dyn Matcher,
-        cx: &mut PipelineCx,
-        stats: &mut PassStats,
-    ) -> Result<(), RewriteError> {
-        // The scan interns at most every live node once before its first
-        // firing: size the store for that up front.
-        self.session.terms.reserve(graph.live_count());
-        let mut view = TermView::empty(graph, &mut self.session.syms);
-        stats.view_builds += 1;
-        cx.lap(Stage::ViewBuild);
-        let worklist = self.pass.policy == SweepPolicy::Incremental;
-        // The worklist's scan order from the cursor on, reversed: the
-        // next node is the last element, a step of the cursor is a pop,
-        // and splicing fresh nodes in at the cursor is a push.
-        let reversed_order = |graph: &Graph| {
-            let mut order = graph.topo_order();
-            order.reverse();
-            order
-        };
-        let mut ahead = if worklist {
-            reversed_order(graph)
-        } else {
-            Vec::new()
-        };
-        // The reference's order, walked afresh every round and only as
-        // far as the round's firing.
-        let mut walk = TopoWalk::default();
-        // The nodes visited so far in this pass, by `NodeId::index`.
-        let mut visited = Vec::new();
-        'rounds: loop {
-            stats.sweeps += 1;
-            if !worklist {
-                walk.restart(graph);
-            }
-            if cfg!(debug_assertions) && worklist {
-                let owed = |n: &NodeId| view.owes(*n);
-                let resumed: Vec<NodeId> = ahead.iter().rev().copied().filter(owed).collect();
-                let recomputed: Vec<NodeId> = graph.topo_order().into_iter().filter(owed).collect();
-                debug_assert_eq!(resumed, recomputed, "resumed scan order diverged");
-            }
-            // What the reference's walk must yield this round, reversed
-            // like `ahead` (debug builds only; empty, and never
-            // allocated, otherwise).
-            let mut walked_order = if cfg!(debug_assertions) && !worklist {
-                reversed_order(graph)
-            } else {
-                Vec::new()
+    /// Debug builds check (4) every round ([`ScanOrder`]'s dev checks)
+    /// and [`Graph::validate`] the graph after every commit.
+    fn scan(&mut self) -> Result<(), RewriteError> {
+        loop {
+            self.stats.sweeps += 1;
+            self.order.start_round(self.graph, &self.view);
+            let fired = loop {
+                let cursor = &mut self.stats.cursor_steps;
+                // Every firing ends the round, so running out of nodes
+                // means nothing fired: fixpoint reached.
+                let Some(node) = self.order.next(self.graph, &self.view, cursor) else {
+                    return Ok(());
+                };
+                if let Some(fired) = self.visit(node)? {
+                    break fired;
+                }
             };
-            loop {
-                let step = if worklist {
-                    ahead.pop()
-                } else {
-                    walk.next(graph)
-                };
-                let Some(node) = step else { break };
-                stats.cursor_steps += 1;
-                if worklist {
-                    // Only the nodes the view owes a term are
-                    // candidates; the visit interns the node, and a
-                    // later firing's patch marks it again if its term
-                    // may have changed.
-                    if !view.owes(node) {
-                        continue;
-                    }
-                } else {
-                    debug_assert_eq!(walked_order.pop(), Some(node), "restart walk diverged");
-                }
-                self.check_budget()?;
-                let Some(fired) =
-                    self.visit_node(graph, matcher, &mut view, node, &mut visited, stats, cx)?
-                else {
-                    continue;
-                };
-                // The next firing must be the topologically first
-                // candidate of the rewritten graph: resume where the
-                // root stood (4).
-                let log = &cx.firings;
-                if worklist {
-                    ahead.extend(log.created(&fired).iter().rev());
-                }
-                // Repair before the rewrite-cap check, so
-                // `view_patches == rewrites_fired` holds even when the
-                // cap cuts the pass short.
-                self.repair_view(graph, &mut view, &fired, log, stats);
-                if stats.rewrites_fired as usize >= self.pass.max_rewrites {
-                    break 'rounds;
-                }
-                continue 'rounds;
-            }
-            // Every firing ends the round, so running out of nodes
-            // means nothing fired: fixpoint reached.
-            debug_assert!(walked_order.is_empty(), "restart walk ended early");
-            break;
-        }
-        stats.nodes_reindexed += view.terms_recomputed();
-        // The view's teardown is the scan's, not the validation after it.
-        drop(view);
-        cx.lap(Stage::Scan);
-        Ok(())
-    }
-
-    /// What one RHS template node denotes under `witness` — the step
-    /// every RHS walker shares, and the one place the two unbound-variable
-    /// errors are raised.
-    fn resolve<'r>(&self, rhs: &'r Rhs, witness: &Witness) -> Result<Resolved<'r>, RewriteError> {
-        match rhs {
-            Rhs::Var(x) => witness.theta.get(*x).map(Resolved::Bound).ok_or_else(|| {
-                RewriteError::UnboundRhsVar {
-                    var: self.session.syms.var_name(*x).to_owned(),
-                }
-            }),
-            Rhs::App { op, args, attrs } => Ok(Resolved::Apply(*op, args, attrs)),
-            Rhs::FunApp(fv, args) => match witness.phi.get(*fv) {
-                Some(op) => Ok(Resolved::Apply(op, args, &[])),
-                None => Err(RewriteError::UnboundRhsFunVar {
-                    fun_var: self.session.syms.fun_var_name(*fv).to_owned(),
-                }),
-            },
-        }
-    }
-
-    /// The term the instantiated RHS template would denote, folded
-    /// structurally through the hash-consed term store *without*
-    /// touching the graph — exactly the term [`Driver::instantiate`]
-    /// would produce nodes for. Used by the identity check so that
-    /// rejected rules allocate no graph nodes.
-    fn term_of_rhs(&mut self, rhs: &Rhs, witness: &Witness) -> Result<TermId, RewriteError> {
-        match self.resolve(rhs, witness)? {
-            Resolved::Bound(t) => Ok(t),
-            Resolved::Apply(op, args, _) => {
-                let base = self.rhs_terms.len();
-                for a in args {
-                    let t = self.term_of_rhs(a, witness)?;
-                    self.rhs_terms.push(t);
-                }
-                let t = self.session.terms.app(op, &self.rhs_terms[base..]);
-                self.rhs_terms.truncate(base);
-                Ok(t)
+            // The next firing must be the topologically first
+            // candidate of the rewritten graph: resume where the root
+            // stood (4).
+            self.order.splice(self.log.created(&fired));
+            // Repair before the rewrite-cap check, so
+            // `view_patches == rewrites_fired` holds even when the cap
+            // cuts the pass short.
+            self.repair_view(&fired);
+            if self.stats.rewrites_fired as usize >= self.pass.max_rewrites {
+                return Ok(());
             }
         }
     }
-
-    /// Builds the RHS template into the graph, reusing matched subgraphs
-    /// for variables: a variable names the node below the matched
-    /// `root` that views as its bound term ([`TermView::node_below`]),
-    /// a piece of the subgraph the pattern matched (§2.4) even where a
-    /// twin elsewhere in the graph views as the same term. Every
-    /// pre-existing node a replacement reads is therefore in the root's
-    /// input cone. The RHS root passes `Some(root_meta)`: a rewrite
-    /// replaces a subgraph by an equivalent one, so the replacement's
-    /// output metadata is the matched root's metadata verbatim (shape
-    /// inference cannot always recover it — e.g. the fused ConvBiasAct
-    /// kernel carries its stride internally). Every node below the root
-    /// passes `None` and has its metadata inferred.
-    fn instantiate(
-        &mut self,
-        graph: &mut Graph,
-        view: &mut TermView,
-        root: NodeId,
-        rhs: &Rhs,
-        witness: &Witness,
-        root_meta: Option<TensorMeta>,
-    ) -> Result<NodeId, RewriteError> {
-        let (op, args, attrs) = match self.resolve(rhs, witness)? {
-            Resolved::Bound(t) => {
-                return view
-                    .node_below(graph, root, t)
-                    .ok_or(RewriteError::NoNodeForTerm)
-            }
-            Resolved::Apply(op, args, attrs) => (op, args, attrs),
-        };
-        let base = self.rhs_inputs.len();
-        for a in args {
-            let input = self.instantiate(graph, view, root, a, witness, None)?;
-            self.rhs_inputs.push(input);
-        }
-        let inputs = &self.rhs_inputs[base..];
-        let built = match root_meta {
-            Some(meta) => graph.op_with_meta(op, inputs, attrs, meta),
-            None => graph.op(
-                &mut self.session.syms,
-                &self.session.registry,
-                op,
-                inputs,
-                attrs,
-            ),
-        };
-        self.rhs_inputs.truncate(base);
-        built.map_err(|e| RewriteError::BuildFailed {
-            reason: e.to_string(),
-        })
-    }
-}
-
-/// An RHS template node resolved against a witness.
-enum Resolved<'r> {
-    /// A variable: the matched term bound to it.
-    Bound(TermId),
-    /// An application — of a literal operator, or of the operator a
-    /// function variable matched (which carries no attributes):
-    /// operator, argument templates, node attributes.
-    Apply(Symbol, &'r [Rhs], &'r [(Attr, i64)]),
 }
 
 /// The greedy fixpoint rewrite stage (paper §2.4), one step of a
@@ -966,7 +549,7 @@ pub struct RewritePass {
     max_rewrites: usize,
     policy: SweepPolicy,
     matcher: MatcherBackend,
-    /// Visit with [`Driver::visit_node_literally`], the reference loop.
+    /// Visit with [`Driver::visit_literally`], the reference loop.
     #[cfg(test)]
     literal_loop: bool,
 }
@@ -1019,11 +602,6 @@ impl RewritePass {
         self
     }
 
-    /// The rule set this pass drives.
-    pub fn rules(&self) -> &RuleSet {
-        &self.rules
-    }
-
     /// Runs the pass to fixpoint over `graph`, recording its firings
     /// and stages on `cx`.
     pub(crate) fn run(
@@ -1032,7 +610,7 @@ impl RewritePass {
         graph: &mut Graph,
         cx: &mut PipelineCx,
     ) -> Result<PassStats, RewriteError> {
-        Driver::new(session, self, cx).run(graph, cx)
+        Driver::run(session, self, graph, cx)
     }
 }
 
@@ -1094,6 +672,7 @@ pub(crate) fn find_matches_in(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pass::Firing;
     use crate::Pipeline;
     use pypm_dsl::LibraryConfig;
     use pypm_graph::{DType, NodeKind, TensorMeta};
@@ -1586,6 +1165,39 @@ mod tests {
         }
     }
 
+    impl Driver<'_> {
+        /// The visit as the paper words it — every rule-bearing pattern in
+        /// turn, each pair asked of the index and counted where it is
+        /// tried. The oracle the `literal_loop_oracle_*` tests hold
+        /// [`Driver::visit`]'s arithmetic against.
+        pub(super) fn visit_literally(
+            &mut self,
+            node: NodeId,
+            t: TermId,
+        ) -> Result<Option<Firing>, RewriteError> {
+            for pi in 0..self.pattern_ids.len() {
+                if self.pass.rules.patterns[pi].rules.is_empty() {
+                    continue;
+                }
+                self.stats.match_attempts += 1;
+                let mut admitted =
+                    self.candidates
+                        .admit(t, &self.session.terms, &mut self.stats.matcher);
+                if !admitted.any(|at| self.candidates.pattern(at) == pi) {
+                    self.stats.matcher.pairs_rejected += 1;
+                    continue;
+                }
+                let Some(witness) = self.probe(pi, t) else {
+                    continue;
+                };
+                if let Some(fired) = self.on_match(node, pi, &witness)? {
+                    return Ok(Some(fired));
+                }
+            }
+            Ok(None)
+        }
+    }
+
     /// What one run shows of its visits: every counter a visit
     /// touches, the pass's firing log, and the graph it left.
     #[derive(Debug, PartialEq)]
@@ -1624,8 +1236,8 @@ mod tests {
         rules
     }
 
-    /// [`Driver::visit_node`] accounts the pairs it skips by
-    /// arithmetic; [`Driver::visit_node_literally`] tries and counts
+    /// [`Driver::visit`] accounts the pairs it skips by
+    /// arithmetic; [`Driver::visit_literally`] tries and counts
     /// them one by one. Same counters, same log, on one model ×
     /// three rule sets × both policies × both backends.
     /// Returns whether some visit fired at a pattern with a

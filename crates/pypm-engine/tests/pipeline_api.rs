@@ -58,7 +58,7 @@ fn multi_pass_pipeline_runs_in_order_and_aggregates() {
         .run(&mut g)
         .unwrap();
 
-    let names: Vec<&str> = report.passes().iter().map(|r| r.name.as_str()).collect();
+    let names: Vec<&str> = report.passes().iter().map(|r| r.name).collect();
     assert_eq!(names, ["rewrite", "rewrite"]);
     let total = report.total();
     assert_eq!(

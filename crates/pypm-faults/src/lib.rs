@@ -45,6 +45,7 @@
 #![forbid(unsafe_code)]
 
 use pypm_core::clock::{system_clock, Clock};
+use pypm_core::SplitMix64;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Once, OnceLock};
 
@@ -76,19 +77,8 @@ struct Entry {
 #[derive(Debug)]
 struct Registry {
     entries: Vec<Entry>,
-    /// SplitMix64 state for `%percent` sampling.
-    rng: u64,
-}
-
-impl Registry {
-    /// SplitMix64 — tiny, seedable, good enough for fault sampling.
-    fn next_u64(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
+    /// The `%percent` sampling's generator.
+    rng: SplitMix64,
 }
 
 /// Fast-path flag: false ⇒ no entry is live, [`fires`] returns
@@ -103,7 +93,7 @@ fn registry() -> &'static Mutex<Registry> {
     REGISTRY.get_or_init(|| {
         Mutex::new(Registry {
             entries: Vec::new(),
-            rng: 0x5eed_f417,
+            rng: SplitMix64(0x5eed_f417),
         })
     })
 }
@@ -221,7 +211,7 @@ pub fn arm(spec: &str) -> Result<(), String> {
     }
     let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
     if let Some(s) = seed {
-        reg.rng = s;
+        reg.rng = SplitMix64(s);
     }
     let live = !entries.is_empty();
     reg.entries = entries;
@@ -264,7 +254,7 @@ pub fn fires(site: &str) -> Option<Action> {
             continue;
         }
         if let Some(p) = reg.entries[i].percent {
-            let roll = reg.next_u64() % 100;
+            let roll = reg.rng.next_u64() % 100;
             if roll >= u64::from(p) {
                 continue;
             }

@@ -160,7 +160,7 @@ pub enum GraphError {
     /// — an internal invariant violation surfaced by
     /// [`Graph::validate`] (the levels bound
     /// [`Graph::replace_traced`]'s cycle search, so drift here could
-    /// let a cyclic replacement through).
+    /// let a cyclic replacement through). A cycle has such an edge.
     LevelOrder {
         /// The user, levelled at or below its input.
         node: NodeId,
@@ -946,8 +946,10 @@ impl Graph {
     }
 
     /// Validates structural invariants in time linear in nodes plus
-    /// edges: every input of a live node is alive, the live graph is
-    /// acyclic, every input is levelled below its user, the use-lists
+    /// edges: every input of a live node is alive, every input is
+    /// levelled below its user — which makes the live graph acyclic, as
+    /// no cycle can climb on every edge, so a cycle is reported as
+    /// [`GraphError::LevelOrder`] on one of its edges — the use-lists
     /// hold exactly the forward edges — each slot of a live node once,
     /// on the list of the node it reads, nothing else — no output is
     /// listed twice, and a node's output flag says whether it is
@@ -955,27 +957,21 @@ impl Graph {
     ///
     /// # Errors
     ///
-    /// Returns the first violation found, in that order of checks.
+    /// Returns the first violation found, in that order of checks (the
+    /// first two edge by edge).
     pub fn validate(&self) -> Result<(), GraphError> {
         let live = || (0..self.nodes.len()).filter(|&i| self.nodes[i].alive);
         let inputs = |i: usize| self.inputs(NodeId(i as u32));
-        // A cycle cannot be levelled either, and is the better report:
-        // the level check of this pass waits for the acyclicity one.
-        let mut out_of_order = None;
         for i in live() {
             for &input in inputs(i) {
                 if !self.is_alive(input) {
                     return Err(GraphError::DeadInput { node: input });
                 }
-                if out_of_order.is_none() && self.level[input.index()] >= self.level[i] {
+                if self.level[input.index()] >= self.level[i] {
                     let node = NodeId(i as u32);
-                    out_of_order = Some(GraphError::LevelOrder { node, input });
+                    return Err(GraphError::LevelOrder { node, input });
                 }
             }
-        }
-        self.check_acyclic()?;
-        if let Some(drift) = out_of_order {
-            return Err(drift);
         }
         // The use-lists back `users_of`-driven cone expansion and
         // `collect`: a missing slot would silently shrink a cone, a
@@ -1028,44 +1024,6 @@ impl Graph {
             }),
             None => Ok(()),
         }
-    }
-
-    /// One three-colour depth-first search over the live nodes: an
-    /// input that is still on the search path closes a cycle.
-    fn check_acyclic(&self) -> Result<(), GraphError> {
-        const ON_PATH: u8 = 1;
-        const DONE: u8 = 2;
-        let mut colour = vec![0u8; self.nodes.len()];
-        let mut path: Vec<(usize, usize)> = Vec::new();
-        for start in 0..self.nodes.len() {
-            if !self.nodes[start].alive || colour[start] != 0 {
-                continue;
-            }
-            colour[start] = ON_PATH;
-            path.push((start, 0));
-            while let Some(&mut (n, ref mut next)) = path.last_mut() {
-                let Some(&input) = self.inputs(NodeId(n as u32)).get(*next) else {
-                    colour[n] = DONE;
-                    path.pop();
-                    continue;
-                };
-                *next += 1;
-                match colour[input.index()] {
-                    DONE => {}
-                    ON_PATH => {
-                        return Err(GraphError::WouldCycle {
-                            root: NodeId(n as u32),
-                            replacement: input,
-                        })
-                    }
-                    _ => {
-                        colour[input.index()] = ON_PATH;
-                        path.push((input.index(), 0));
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 
     /// Renders the reachable graph in Graphviz DOT syntax.
@@ -1568,14 +1526,13 @@ mod tests {
             validate_quadratic(&f.g),
             Err(GraphError::WouldCycle { .. })
         ));
-        let GraphError::WouldCycle { root, replacement } = err else {
-            panic!("expected a cycle, got {err}");
+        // No cycle can be levelled: the check reports one of its edges.
+        let GraphError::LevelOrder { node, input } = err else {
+            panic!("expected an edge of the cycle, got {err}");
         };
-        // The reported edge is one of the cycle's (which one depends
-        // on where the search entered it).
-        assert!([r1, r2, r3].contains(&root));
-        assert!(f.g.inputs(root).contains(&replacement));
-        assert!(f.g.depends_on(replacement, root));
+        assert!([r1, r2, r3].contains(&node));
+        assert!(f.g.inputs(node).contains(&input));
+        assert!(f.g.depends_on(input, node));
     }
 
     #[test]
@@ -1776,11 +1733,12 @@ mod tests {
 
         /// The linear `validate` against the quadratic one it replaced:
         /// both accept a rewritten graph, and both report the same
-        /// violation once one is injected — a cycle, a dead input, a
-        /// slot dropped from its use-list. Two injections only the
-        /// linear one names exactly: a slot linked twice, which makes
-        /// its list loop back to it, and a slot moved onto a list it
-        /// does not belong to.
+        /// violation once one is injected — a dead input, a slot
+        /// dropped from its use-list — and both reject a cycle, which
+        /// the linear one reports as the edge that closed it, levelled
+        /// out of order. Two injections only the linear one names
+        /// exactly: a slot linked twice, which makes its list loop back
+        /// to it, and a slot moved onto a list it does not belong to.
         #[test]
         fn linear_validate_agrees_with_the_quadratic_one(
             seed in any::<u64>(),
@@ -1835,7 +1793,8 @@ mod tests {
                 rewire_first_input(&mut cyclic, input, user);
                 let linear = cyclic.validate();
                 let quadratic = validate_quadratic(&cyclic);
-                prop_assert!(matches!(linear, Err(GraphError::WouldCycle { .. })), "{:?}", linear);
+                // The level check names the edge that closes the cycle.
+                prop_assert_eq!(linear, Err(GraphError::LevelOrder { node: input, input: user }));
                 prop_assert!(matches!(quadratic, Err(GraphError::WouldCycle { .. })), "{:?}", quadratic);
             }
         }

@@ -15,6 +15,7 @@
 //! delay sequences under a `VirtualClock`.
 
 use crate::core::clock::{system_clock, Clock};
+use crate::core::SplitMix64;
 use crate::serve::protocol::{self, parse_retry_after, RETRY_AFTER_HINT_MS, STATUS_OVERLOADED};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -79,21 +80,6 @@ impl RetryPolicy {
             delay = (delay * 2).min(self.cap);
         }
         out
-    }
-}
-
-/// SplitMix64 — tiny, seedable, state-is-one-u64. Used for
-/// deterministic retry jitter so tests can pin exact delay sequences.
-#[derive(Debug, Clone)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
     }
 }
 
@@ -286,7 +272,7 @@ fn is_transient(e: &io::Error) -> bool {
 /// external RNG dependency either way.
 fn jittered_with(base: Duration, rng: &mut Option<SplitMix64>) -> Duration {
     let frac = match rng {
-        Some(rng) => (rng.next() % 256) as u32,
+        Some(rng) => (rng.next_u64() % 256) as u32,
         None => {
             use std::hash::{BuildHasher, Hasher};
             let mut h = std::collections::hash_map::RandomState::new().build_hasher();

@@ -55,7 +55,8 @@
 //! the symbol table's name index, and the term store is sized for the
 //! graph before the scan interns it: the model build makes 131 (1 503
 //! of its 1 922 were one shared extent list per node), the view build
-//! 72 and the pass 2 978.
+//! 72 and the pass 2 978. With no boxed matcher, no owned pass name and
+//! no depth-first search in `Graph::validate`, the pass makes 2 972.
 //!
 //! And that a machine step allocates nothing: a warmed machine makes
 //! the same count whether a run takes 14 steps or 74.
@@ -264,8 +265,11 @@ const VIEW_BUILD_PER_NODE: f64 = 0.025;
 /// view owes a term (no dirty bits, no patch cone, one per-node column
 /// in the view), 2 978 since the term store is sized for the graph
 /// before the scan and a replacement's shape is an id the graph's table
-/// already holds.
-const PASS_AT_100: u64 = 2_978;
+/// already holds (2 976 measured), 2 972 since the candidate index is
+/// an enum rather than a boxed trait object, a pass record's name is a
+/// `&'static str`, and `Graph::validate` leaves acyclicity to its level
+/// check instead of a depth-first search with two vectors of its own.
+const PASS_AT_100: u64 = 2_972;
 
 /// What a pass may allocate for the firings it adds from 50 to 200
 /// layers (151 → 601 firings): 3 632, 8.1 per extra firing, since a
