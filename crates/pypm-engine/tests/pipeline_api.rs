@@ -398,3 +398,91 @@ fn a_compile_laps_its_stages_exactly_and_reads_the_clock_a_handful_of_times() {
         }
     }
 }
+
+/// Every traversal and matching counter of one pass over the 20-layer
+/// ladder program (hidden 48, `both`) under both sweep policies, as
+/// literals: a change to how the scan walks its order, reads the term
+/// view or answers from the candidate memo must leave each of them
+/// where it is.
+#[test]
+fn the_scan_counters_of_a_small_ladder_are_pinned() {
+    use pypm_engine::{MatcherBackend, PassStats};
+    use pypm_models::{GeluVariant, ScaleVariant, TransformerConfig};
+
+    /// The counters in a fixed order: `nodes_visited`,
+    /// `nodes_revisited`, `cursor_steps`, `sweeps`, `match_attempts`,
+    /// `matches_found`, `rewrites_fired`, `machine_steps`,
+    /// `pairs_admitted`, `pairs_rejected`, `terms_walked`, `trie_steps`,
+    /// `nodes_reindexed`.
+    fn counters(s: &PassStats) -> [u64; 13] {
+        [
+            s.nodes_visited,
+            s.nodes_revisited,
+            s.cursor_steps,
+            s.sweeps,
+            s.match_attempts,
+            s.matches_found,
+            s.rewrites_fired,
+            s.machine_steps,
+            s.matcher.pairs_admitted,
+            s.matcher.pairs_rejected,
+            s.matcher.terms_walked,
+            s.matcher.trie_steps,
+            s.nodes_reindexed,
+        ]
+    }
+
+    let ladder = TransformerConfig {
+        name: "deep",
+        layers: 20,
+        hidden: 48,
+        seq: 64,
+        batch: 1,
+        mlp_factor: 4,
+        gelu: GeluVariant::DivTwo,
+        scale: ScaleVariant::Mul,
+        opaque_layernorm: false,
+    };
+    // The restart rows revisit 10 712 nodes and step over as many as
+    // they visit; both policies fire, probe and repair alike.
+    let cells = [
+        (
+            SweepPolicy::Incremental,
+            MatcherBackend::Fused,
+            [665, 0, 665, 62, 5581, 61, 61, 887, 61, 5520, 589, 1414, 455],
+        ),
+        (
+            SweepPolicy::Incremental,
+            MatcherBackend::PerPattern,
+            [665, 0, 665, 62, 5581, 61, 61, 17088, 5581, 0, 0, 0, 455],
+        ),
+        (
+            SweepPolicy::RestartOnRewrite,
+            MatcherBackend::Fused,
+            [
+                11377, 10712, 11377, 62, 101989, 61, 61, 887, 61, 101928, 589, 1414, 455,
+            ],
+        ),
+        (
+            SweepPolicy::RestartOnRewrite,
+            MatcherBackend::PerPattern,
+            [
+                11377, 10712, 11377, 62, 101989, 61, 61, 294458, 101989, 0, 0, 0, 455,
+            ],
+        ),
+    ];
+    for (policy, matcher, pinned) in cells {
+        let mut s = Session::new();
+        let mut g = ladder.build(&mut s);
+        let rules = s.load_library(LibraryConfig::both());
+        let report = Pipeline::new(&mut s)
+            .with(RewritePass::new(rules).policy(policy).matcher(matcher))
+            .run(&mut g)
+            .unwrap();
+        assert_eq!(
+            counters(&report.passes()[0].stats),
+            pinned,
+            "{policy:?} / {matcher}"
+        );
+    }
+}
