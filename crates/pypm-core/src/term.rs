@@ -25,6 +25,7 @@ pub struct TermId(u32);
 
 impl TermId {
     /// Raw index into the owning [`TermStore`].
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }

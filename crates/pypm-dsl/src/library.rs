@@ -44,8 +44,9 @@ pub struct LibraryConfig {
     /// pointwise-over-GEMM variant guarded by an unsatisfiable rank
     /// assertion, so loading them scales *matching* cost without ever
     /// firing — the rules-count dimension of the bench suite (probes
-    /// per node vs ruleset size, per matcher backend). Capped at
-    /// [`LibraryConfig::MAX_SYNTH`].
+    /// per node vs ruleset size, per matcher backend). At most
+    /// [`LibraryConfig::MAX_SYNTH`]: [`LibraryConfig::with_synth`]
+    /// clamps, and [`build_library`] panics on a larger count.
     pub synth: u16,
 }
 
@@ -65,8 +66,9 @@ impl LibraryConfig {
         }
     }
 
-    /// This configuration with `n` synthetic scaling rules appended
-    /// (clamped to [`LibraryConfig::MAX_SYNTH`]).
+    /// This configuration with `n` synthetic scaling rules appended,
+    /// clamped to [`LibraryConfig::MAX_SYNTH`]: the one place a count
+    /// past the generator's shapes is cut down.
     pub fn with_synth(self, n: u16) -> Self {
         LibraryConfig {
             synth: n.min(Self::MAX_SYNTH),
@@ -120,8 +122,10 @@ impl LibraryConfig {
 ///
 /// # Panics
 ///
-/// Panics only on internal inconsistency (the library is validated on
-/// construction).
+/// Panics if `cfg.synth` exceeds [`LibraryConfig::MAX_SYNTH`] (build
+/// the configuration with [`LibraryConfig::with_synth`], which clamps),
+/// and otherwise only on internal inconsistency (the library is
+/// validated on construction).
 pub fn build_library(
     cfg: LibraryConfig,
     syms: SymbolTable,
@@ -129,6 +133,12 @@ pub fn build_library(
     ops: &StdOps,
     tattrs: &TensorAttrs,
 ) -> (SymbolTable, PatternStore, RuleSet) {
+    assert!(
+        cfg.synth <= LibraryConfig::MAX_SYNTH,
+        "{} synthetic rules requested, at most {} exist",
+        cfg.synth,
+        LibraryConfig::MAX_SYNTH
+    );
     let mut fe = Frontend {
         syms,
         pats,
@@ -149,12 +159,7 @@ pub fn build_library(
         define_cublas(&mut fe, ops, tattrs);
     }
     if cfg.synth > 0 {
-        define_synthetic(
-            &mut fe,
-            ops,
-            tattrs,
-            cfg.synth.min(LibraryConfig::MAX_SYNTH),
-        );
+        define_synthetic(&mut fe, ops, tattrs, cfg.synth);
     }
 
     let (syms, pats, rs) = fe.serialize().expect("library patterns validate");
@@ -573,6 +578,11 @@ pub fn param(syms: &SymbolTable, def_params: &[Var], name: &str) -> Option<Var> 
 
 /// Like [`build_library`], but extends stores in place instead of
 /// consuming them — the form the rewrite engine's `Session` uses.
+///
+/// # Panics
+///
+/// As [`build_library`]: on a `cfg.synth` past
+/// [`LibraryConfig::MAX_SYNTH`].
 pub fn build_library_into(
     cfg: LibraryConfig,
     syms: &mut SymbolTable,
@@ -662,9 +672,18 @@ mod tests {
                 > pats.display(&syms, d0.pattern).matches('(').count(),
             "deep variant should nest one level more"
         );
-        // The cap clamps rather than panics.
+        // The constructor clamps.
         let (_s, _p, capped) = build(LibraryConfig::all().with_synth(u16::MAX));
         assert_eq!(capped.len(), base.len() + LibraryConfig::MAX_SYNTH as usize);
+    }
+
+    #[test]
+    #[should_panic(expected = "513 synthetic rules requested, at most 512 exist")]
+    fn a_synth_count_past_the_cap_is_refused_by_name() {
+        build(LibraryConfig {
+            synth: LibraryConfig::MAX_SYNTH + 1,
+            ..LibraryConfig::all()
+        });
     }
 
     #[test]

@@ -191,26 +191,36 @@ impl FusedMatcher {
     }
 
     /// Where `t`'s candidates lie in the pool, walking the tree on the
-    /// term's first query only.
+    /// term's first query only: a memo hit is one read, inlined into
+    /// the visit.
+    #[inline]
     fn walk(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> Range<usize> {
+        let (start, len) = match self.memo.get(t.index()) {
+            Some(&hit) if hit != UNWALKED => hit,
+            _ => self.first_walk(t, terms, stats),
+        };
+        start as usize..(start + len) as usize
+    }
+
+    /// Walks the tree for a term no query has answered yet and
+    /// memoizes where its candidates lie.
+    fn first_walk(&mut self, t: TermId, terms: &TermStore, stats: &mut MatcherStats) -> (u32, u32) {
         if self.memo.len() <= t.index() {
             self.memo.resize(terms.len(), UNWALKED);
         }
-        if self.memo[t.index()] == UNWALKED {
-            stats.terms_walked += 1;
-            let start = self.pool.len();
-            self.set.candidates_bounded(
-                terms,
-                t,
-                &mut stats.trie_steps,
-                self.budget.as_deref(),
-                &mut self.stacks,
-                &mut self.pool,
-            );
-            self.memo[t.index()] = (start as u32, (self.pool.len() - start) as u32);
-        }
-        let (start, len) = self.memo[t.index()];
-        start as usize..(start + len) as usize
+        stats.terms_walked += 1;
+        let start = self.pool.len();
+        self.set.candidates_bounded(
+            terms,
+            t,
+            &mut stats.trie_steps,
+            self.budget.as_deref(),
+            &mut self.stacks,
+            &mut self.pool,
+        );
+        let entry = (start as u32, (self.pool.len() - start) as u32);
+        self.memo[t.index()] = entry;
+        entry
     }
 }
 
@@ -255,6 +265,7 @@ impl Candidates {
     /// definitions included — the index knows nothing of rules. The
     /// walk's counters (`terms_walked`, `trie_steps`) go to `stats`; the
     /// caller accounts the pair-level verdicts.
+    #[inline]
     pub(crate) fn admit(
         &mut self,
         t: TermId,
@@ -269,6 +280,7 @@ impl Candidates {
 
     /// The pattern index at position `at` of an [`Candidates::admit`]
     /// answer.
+    #[inline]
     pub(crate) fn pattern(&self, at: usize) -> usize {
         match self {
             Candidates::Every(_) => at,

@@ -279,6 +279,9 @@ struct Driver<'a> {
     /// pattern still has to *account* for it (see
     /// [`Driver::visit`]).
     rank: Vec<u32>,
+    /// No pattern bears a rule: a visit interns its node and probes
+    /// nothing.
+    rule_free: bool,
     /// The run's cooperative resource budget; `None` (the default)
     /// means unlimited.
     budget: Option<Arc<Budget>>,
@@ -289,7 +292,8 @@ struct Driver<'a> {
     /// The graph's terms, interned as the scan first reads them and
     /// repaired in place after every firing.
     view: TermView,
-    /// The nodes visited so far in this pass, by `NodeId::index`.
+    /// The nodes visited so far in this pass, by `NodeId::index`, as
+    /// long as the graph's allocation was when the round began.
     visited: Vec<bool>,
     stats: PassStats,
     /// The inputs of the RHS applications being built, as one stack:
@@ -363,6 +367,7 @@ impl Driver<'_> {
             graph: &mut *graph,
             log: std::mem::take(&mut cx.firings),
             pattern_ids,
+            rule_free: rank.last() == Some(&0),
             rank,
             budget,
             candidates,
@@ -496,6 +501,8 @@ impl Driver<'_> {
         loop {
             self.stats.sweeps += 1;
             self.order.start_round(self.graph, &self.view);
+            // A round visits nodes that exist as it starts.
+            self.visited.resize(self.graph.allocated_count(), false);
             let fired = loop {
                 let cursor = &mut self.stats.cursor_steps;
                 // Every firing ends the round, so running out of nodes

@@ -48,6 +48,7 @@ impl ScanOrder {
     /// The round's next candidate, after stepping over those nodes that
     /// are not (each step counted on `steps`); `None` at the end of the
     /// order.
+    #[inline]
     pub(super) fn next(
         &mut self,
         graph: &Graph,

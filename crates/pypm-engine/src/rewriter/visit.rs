@@ -45,9 +45,6 @@ impl Driver<'_> {
             return Err(RewriteError::BudgetExceeded { limits });
         }
         self.stats.nodes_visited += 1;
-        if self.visited.len() <= node.index() {
-            self.visited.resize(node.index() + 1, false);
-        }
         if std::mem::replace(&mut self.visited[node.index()], true) {
             self.stats.nodes_revisited += 1;
         }
@@ -63,8 +60,7 @@ impl Driver<'_> {
         ) else {
             return Ok(None);
         };
-        if self.rank.last() == Some(&0) {
-            // No pattern bears a rule.
+        if self.rule_free {
             return Ok(None);
         }
         #[cfg(test)]

@@ -54,6 +54,7 @@ pub struct NodeId(u32);
 
 impl NodeId {
     /// Raw index.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -596,7 +597,12 @@ impl Graph {
     pub fn topo_order(&self) -> Vec<NodeId> {
         let mut walk = TopoWalk::default();
         walk.restart(self);
-        std::iter::from_fn(|| walk.next(self)).collect()
+        // Every node the walk yields was allocated: one allocation.
+        let mut order = Vec::with_capacity(self.nodes.len());
+        while let Some(n) = walk.next(self) {
+            order.push(n);
+        }
+        order
     }
 
     /// The live nodes reading `n`, once per edge (a user reading `n`
@@ -1060,13 +1066,15 @@ impl Graph {
 /// graph must not change (debug builds assert its revision at every
 /// step). A walk starts with a restart; a restart rewinds it and keeps
 /// its buffers, so once they have grown to the graph a walk allocates
-/// nothing.
+/// nothing. A step reads the edge arena at a slot its frame carries,
+/// so it costs its loads: the restart scan takes one per node visit.
 #[derive(Debug, Clone, Default)]
 pub struct TopoWalk {
     /// `visited[i]`: node `i` was emitted in this walk.
     visited: Vec<bool>,
-    /// The search path: each node with the index of its next input.
-    stack: Vec<(NodeId, usize)>,
+    /// The search path: each node with the edge-arena slot of its next
+    /// input and the end of its run.
+    stack: Vec<(NodeId, u32, u32)>,
     /// The next output to start a search from.
     next_output: usize,
     /// [`Graph::revision`] at the restart.
@@ -1089,31 +1097,45 @@ impl TopoWalk {
     /// # Panics
     ///
     /// In debug builds, if `graph` changed since [`TopoWalk::restart`].
+    #[inline]
     pub fn next(&mut self, graph: &Graph) -> Option<NodeId> {
         debug_assert_eq!(
             self.revision, graph.revision,
             "the graph changed under a topological walk"
         );
         loop {
-            let Some(&mut (n, ref mut child)) = self.stack.last_mut() else {
+            let Some((n, slot, end)) = self.stack.last_mut() else {
                 let out = *graph.outputs.get(self.next_output)?;
                 self.next_output += 1;
                 if graph.is_alive(out) && !self.visited[out.index()] {
-                    self.stack.push((out, 0));
+                    self.stack.push(Self::frame(graph, out));
                 }
                 continue;
             };
-            if let Some(&input) = graph.inputs(n).get(*child) {
-                *child += 1;
+            if *slot < *end {
+                let input = graph.edges[*slot as usize];
+                *slot += 1;
                 if !self.visited[input.index()] {
-                    self.stack.push((input, 0));
+                    self.stack.push(Self::frame(graph, input));
                 }
             } else {
+                let n = *n;
                 self.visited[n.index()] = true;
                 self.stack.pop();
                 return Some(n);
             }
         }
+    }
+
+    /// A search-path frame for `n`: its whole run of the edge arena
+    /// still to read.
+    #[inline]
+    fn frame(graph: &Graph, n: NodeId) -> (NodeId, u32, u32) {
+        (
+            n,
+            graph.edge_start[n.index()],
+            graph.edge_start[n.index() + 1],
+        )
     }
 }
 

@@ -380,7 +380,10 @@ impl TermView {
     ///
     /// This is the lookup the rewrite scheduler uses at every visit;
     /// the read-only [`TermView::term_of`] deliberately returns `None`
-    /// for stale nodes so no stale term can leak into matching.
+    /// for stale nodes so no stale term can leak into matching. A node
+    /// the view owes nothing costs one slot read, inlined into the
+    /// caller; only an owed node calls out to the repair.
+    #[inline]
     pub fn term_of_repaired(
         &mut self,
         graph: &Graph,
@@ -389,9 +392,22 @@ impl TermView {
         registry: &OpRegistry,
         n: NodeId,
     ) -> Option<TermId> {
-        if !self.owes(n) {
-            return self.term_of(n);
+        match self.slot(n) {
+            Slot::Clean(t) => Some(t),
+            Slot::Unknown => None,
+            Slot::Unseen | Slot::Stale => self.repair(graph, syms, terms, registry, n),
         }
+    }
+
+    /// [`TermView::term_of_repaired`] of a node the view owes a term.
+    fn repair(
+        &mut self,
+        graph: &Graph,
+        syms: &mut SymbolTable,
+        terms: &mut TermStore,
+        registry: &OpRegistry,
+        n: NodeId,
+    ) -> Option<TermId> {
         // Iterative input-first DFS over the owed region: rewiring
         // points users at later-allocated replacement nodes, so node
         // ids carry no topological order we could lean on. A node is
@@ -423,12 +439,14 @@ impl TermView {
         self.term_of(n)
     }
 
+    #[inline]
     fn slot(&self, n: NodeId) -> Slot {
         self.slots.get(n.index()).copied().unwrap_or(Slot::Unknown)
     }
 
     /// Whether the view owes `n` a term: `n` is stale or unseen. The
     /// incremental rewrite scan visits exactly these nodes.
+    #[inline]
     pub fn owes(&self, n: NodeId) -> bool {
         matches!(self.slot(n), Slot::Unseen | Slot::Stale)
     }
@@ -552,6 +570,7 @@ impl TermView {
     /// clean**. A node marked stale by [`TermView::patch`] reports
     /// `None` here until [`TermView::term_of_repaired`] recomputes it —
     /// a stale term must never leak into matching.
+    #[inline]
     pub fn term_of(&self, n: NodeId) -> Option<TermId> {
         match self.slot(n) {
             Slot::Clean(t) => Some(t),

@@ -53,10 +53,12 @@
 //! cone: the build makes 131 and the pass 3 038. Then a shape became an
 //! id into the graph's shape table, a fresh constant stopped entering
 //! the symbol table's name index, and the term store is sized for the
-//! graph before the scan interns it: the model build makes 131 (1 503
+//! graph before the scan interns it: the model build makes 122 (1 503
 //! of its 1 922 were one shared extent list per node), the view build
 //! 72 and the pass 2 978. With no boxed matcher, no owned pass name and
 //! no depth-first search in `Graph::validate`, the pass makes 2 972.
+//! With `Graph::topo_order` sized for the graph before it walks, the
+//! view build makes 62 and the pass 2 960.
 //!
 //! And that a machine step allocates nothing: a warmed machine makes
 //! the same count whether a run takes 14 steps or 74.
@@ -249,8 +251,8 @@ const PASS_IS_THE_PRODUCTS: bool = !cfg!(debug_assertions);
 /// reference count, 0.044 (131 at 100 layers) once a term stopped
 /// owning its attribute list, 0.024 (72) since a row names its shape by
 /// id and the term store is sized for the graph before the build
-/// interns it.
-const VIEW_BUILD_PER_NODE: f64 = 0.025;
+/// interns it, 0.021 (62) since the order it walks is one allocation.
+const VIEW_BUILD_PER_NODE: f64 = 0.021;
 
 /// What one 100-layer `Pipeline::run` may allocate: 15 476 while the
 /// machine cloned the pattern of every step and every term its shape,
@@ -268,8 +270,10 @@ const VIEW_BUILD_PER_NODE: f64 = 0.025;
 /// already holds (2 976 measured), 2 972 since the candidate index is
 /// an enum rather than a boxed trait object, a pass record's name is a
 /// `&'static str`, and `Graph::validate` leaves acyclicity to its level
-/// check instead of a depth-first search with two vectors of its own.
-const PASS_AT_100: u64 = 2_972;
+/// check instead of a depth-first search with two vectors of its own,
+/// 2 960 since `Graph::topo_order` (the incremental scan's first order)
+/// sizes its vector for the graph instead of doubling it.
+const PASS_AT_100: u64 = 2_960;
 
 /// What a pass may allocate for the firings it adds from 50 to 200
 /// layers (151 → 601 firings): 3 632, 8.1 per extra firing, since a
@@ -280,9 +284,10 @@ const PASS_AT_100: u64 = 2_972;
 /// of its own and a firing allocated its rewired users, patch cone and
 /// argument terms, 3 634 while the pass kept a buffer for the cone, and
 /// 3 632 while a replacement's shape was a reference-counted extent
-/// list. What is left per firing is mostly a probe's fresh machine and
-/// witness.
-const PASS_GROWTH_50_TO_200: u64 = 3_620;
+/// list, and 3 620 while the incremental scan's first order grew by
+/// doubling (two more doublings at 200 layers than at 50). What is left
+/// per firing is mostly a probe's fresh machine and witness.
+const PASS_GROWTH_50_TO_200: u64 = 3_618;
 
 #[test]
 fn a_firing_allocates_a_bounded_count() {
@@ -513,11 +518,14 @@ fn a_machine_step_allocates_nothing() {
 /// off the stack; 5 283 since a node's inputs are a run of the graph's
 /// edge arena, handed over from an array on the builder's stack; 1 922
 /// since its users and attributes are runs of the graph's arenas too,
-/// and a constant's attribute is handed over from the stack; 131 since
+/// and a constant's attribute is handed over from the stack; 122 since
 /// a node's shape is an id into the graph's shape table, 1 503 of those
 /// 1 922 having been one reference-counted extent list each. What is
 /// left is the doubling of the graph's and the symbol table's buffers.
-const LADDER_BUILD: u64 = 131;
+/// The count is the same in both profiles, and the pin is the count:
+/// it read 131 while that shape change landed, which let nine
+/// allocations per build through unnoticed.
+const LADDER_BUILD: u64 = 122;
 
 #[test]
 fn a_model_build_names_its_inputs_without_allocating() {
