@@ -88,6 +88,22 @@
 //! | `rewriter::fire` | which rule fires, and the commit: build, `replace_traced`, `collect`, log |
 //! | [`matcher`] | which patterns are candidates at a term |
 //!
+//! ## A visit costs its loads
+//!
+//! Under `RestartOnRewrite` almost every visit revisits a clean node
+//! whose memoized candidate set is empty, so the scan's per-visit path
+//! is its hottest code: one [`pypm_graph::TopoWalk::next`] step, one
+//! slot read of the view, one memo read. Those leaves live in other
+//! crates, and the repo benchmark's harness builds this workspace under
+//! its own release profile, without LTO, where a non-generic function
+//! of another crate is inlined only if it is marked `#[inline]`. So the
+//! leaves the visit calls across crates carry `#[inline]`
+//! (`TopoWalk::next`, `TermView::term_of_repaired`, `owes`, `term_of`,
+//! `NodeId::index`, `TermId::index`) and keep their slow paths out of
+//! line (`TermView::repair` for an owed node, the fused matcher's first
+//! walk of a term), so what is inlined stays a few loads. A workspace
+//! LTO profile would not reach the harness's build.
+//!
 //! ## The match phase is serial
 //!
 //! A sharded, pooled match phase (`jobs > 1`) existed and was measured
