@@ -280,7 +280,6 @@ impl Candidates {
 
     /// The pattern index at position `at` of an [`Candidates::admit`]
     /// answer.
-    #[inline]
     pub(crate) fn pattern(&self, at: usize) -> usize {
         match self {
             Candidates::Every(_) => at,

@@ -1066,8 +1066,8 @@ impl Graph {
 /// graph must not change (debug builds assert its revision at every
 /// step). A walk starts with a restart; a restart rewinds it and keeps
 /// its buffers, so once they have grown to the graph a walk allocates
-/// nothing. A step reads the edge arena at a slot its frame carries,
-/// so it costs its loads: the restart scan takes one per node visit.
+/// nothing. A step reads the edge arena at the slot its frame carries;
+/// the restart scan takes one step per node it visits.
 #[derive(Debug, Clone, Default)]
 pub struct TopoWalk {
     /// `visited[i]`: node `i` was emitted in this walk.
