@@ -681,7 +681,8 @@ mod tests {
     use super::*;
     use crate::pass::Firing;
     use crate::Pipeline;
-    use pypm_dsl::LibraryConfig;
+    use pypm_core::{Attr, AttrInterp, Expr};
+    use pypm_dsl::{LibraryConfig, Rhs, RuleSetBuilder};
     use pypm_graph::{DType, NodeKind, TensorMeta};
 
     fn mat(s: &mut Session, g: &mut Graph, dims: &[i64]) -> NodeId {
@@ -1169,6 +1170,64 @@ mod tests {
                 .unwrap();
             assert_eq!(g.node(out).meta, inferred, "{policy}");
             assert_eq!(g.outputs()[1], stride_1, "{policy}");
+        }
+    }
+
+    /// Two `Conv2d` nodes on one `(x, w)` with strides 1 and 2 are two
+    /// terms, so a guard evaluated at the stride-2 node reads its own
+    /// stride, not that of the twin the scan met first. Constants are
+    /// keyed by their value the same way: equal values share a term.
+    #[test]
+    fn a_guard_reads_the_stride_of_the_conv_it_is_evaluated_at() {
+        for policy in SweepPolicy::ALL {
+            for matcher in MatcherBackend::ALL {
+                let mut s = Session::new();
+                let mut g = Graph::new();
+                let x = mat(&mut s, &mut g, &[1, 3, 8, 8]);
+                let w = mat(&mut s, &mut g, &[4, 3, 3, 3]);
+                let (conv2d, relu, sigmoid) = (s.ops.conv2d, s.ops.relu, s.ops.sigmoid);
+                let stride = s.ops.stride_attr;
+                let mut op = |s: &mut Session, op, inputs: &[NodeId], attrs: &[(Attr, i64)]| {
+                    g.op(&mut s.syms, &s.registry, op, inputs, attrs).unwrap()
+                };
+                let stride_1 = op(&mut s, conv2d, &[x, w], &[(stride, 1)]);
+                let stride_2 = op(&mut s, conv2d, &[x, w], &[(stride, 2)]);
+                let relu_1 = op(&mut s, relu, &[stride_1], &[]);
+                let relu_2 = op(&mut s, relu, &[stride_2], &[]);
+                let consts = [500, 500, 1000].map(|milli| scalar_const(&mut s, &mut g, milli));
+                for n in [relu_1, relu_2].into_iter().chain(consts) {
+                    g.mark_output(n);
+                }
+
+                let view = TermView::build(&g, &mut s.syms, &mut s.terms, &s.registry);
+                let term = |n| view.term_of(n).unwrap();
+                assert_ne!(term(stride_1), term(stride_2), "{policy} {matcher:?}");
+                assert_eq!(term(consts[0]), term(consts[1]), "equal values share");
+                assert_ne!(term(consts[0]), term(consts[2]), "distinct values do not");
+                let read = |n| view.attrs(&g).attr(&s.terms, term(n), stride);
+                assert_eq!((read(stride_1), read(stride_2)), (Some(1), Some(2)));
+
+                // `Relu(c)` → `Sigmoid(c)` where `c.stride == 2`.
+                let mut rules = RuleSetBuilder::new();
+                let c = s.syms.var("c");
+                rules.pattern(&mut s.syms, &mut s.pats, "ReluOfConv", |p| {
+                    let c = p.param("c");
+                    let pc = p.v(c);
+                    p.op(relu, vec![pc])
+                });
+                rules.rule("ReluOfConv", "strided", |r| {
+                    r.assert_(Expr::var_attr(c, stride).eq(Expr::Const(2)));
+                    r.ret(Rhs::app(sigmoid, vec![Rhs::Var(c)]));
+                });
+                let rules = rules.serialize(&mut s.syms, &mut s.pats).unwrap();
+                let pass = RewritePass::new(rules).policy(policy).matcher(matcher);
+                let report = Pipeline::new(&mut s).with(pass).run(&mut g).unwrap();
+                assert_eq!(report.total().rewrites_fired, 1, "{policy} {matcher:?}");
+                assert_eq!(g.outputs()[0], relu_1, "{policy} {matcher:?}");
+                let fired = g.outputs()[1];
+                assert_eq!(g.node(fired).op, sigmoid, "{policy} {matcher:?}");
+                assert_eq!(g.inputs(fired), [stride_2], "{policy} {matcher:?}");
+            }
         }
     }
 
