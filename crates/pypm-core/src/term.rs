@@ -7,15 +7,23 @@
 //! calculus tree-shaped, exactly as the paper abstracts graphs into syntax
 //! trees (§3).
 //!
+//! A term is keyed by its head, its arguments and its attributes
+//! (`stride`, a constant's `value_milli`, …): an attribute is an
+//! interpretation `⟦·⟧ : A → Term ⇀ ℕ` (§3.2), so its value must be a
+//! function of the term, and two operator nodes that differ only in an
+//! attribute are two terms. Patterns still match heads and arguments
+//! only; guards read the attributes ([`TermStore::attrs`]).
+//!
 //! The store is the hash-cons table of Filliâtre & Conchon (*Type-Safe
 //! Modular Hash-Consing*, ML 2006) laid out flat: one vector of head
-//! symbols, one arena holding every term's arguments end to end, and an
-//! open-addressed index of term ids. Interning a term that exists is
-//! one probe; interning a new one appends to the vectors — no term owns
-//! an allocation, and the caller lends its arguments as a slice.
+//! symbols, one arena holding every term's arguments end to end, one
+//! holding every term's attributes likewise, and an open-addressed index
+//! of term ids. Interning a term that exists is one probe; interning a
+//! new one appends to the vectors — no term owns an allocation, and the
+//! caller lends its arguments and attributes as slices.
 
 use crate::idhash::IdHasher;
-use crate::symbol::{Symbol, SymbolTable};
+use crate::symbol::{Attr, Symbol, SymbolTable};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 
@@ -66,11 +74,18 @@ pub struct TermStore {
     starts: Vec<u32>,
     /// Every term's arguments, end to end, in interning order.
     arena: Vec<TermId>,
+    /// Where each term's attributes end in `attr_arena`; they begin
+    /// where the previous term's end (the first term's, at zero).
+    attr_ends: Vec<u32>,
+    /// Every term's attributes, end to end, each run sorted by
+    /// attribute. Interning stages its key's run at the end, past the
+    /// last term's.
+    attr_arena: Vec<(Attr, i64)>,
     /// The hash-cons index: open addressing with linear probing over a
     /// power-of-two table kept at most half full. A slot holds a term
-    /// id plus one, zero when empty; the key is read back from `heads`
-    /// and `arena`, so the index stores nothing else and is rebuilt from
-    /// them on growth.
+    /// id plus one, zero when empty; the key is read back from `heads`,
+    /// `arena` and `attr_arena`, so the index stores nothing else and is
+    /// rebuilt from them on growth.
     index: Vec<u32>,
     /// Cached size (number of operator applications) per term.
     sizes: Vec<u64>,
@@ -84,11 +99,15 @@ const MIN_INDEX: usize = 16;
 /// The slot an application's probe starts at in an index of `slots`
 /// slots: the multiplicative fold every id-keyed table uses (see
 /// [`crate::idhash`]), taken from the top bits, where a product mixes
-/// all of its input.
-fn home_slot(op: Symbol, args: &[TermId], slots: usize) -> usize {
+/// all of its input. An application without attributes hashes as its
+/// head and arguments alone.
+fn home_slot(op: Symbol, args: &[TermId], attrs: &[(Attr, i64)], slots: usize) -> usize {
     let mut h = IdHasher::default();
     op.hash(&mut h);
     args.hash(&mut h);
+    if !attrs.is_empty() {
+        attrs.hash(&mut h);
+    }
     (h.finish() >> (u64::BITS - slots.trailing_zeros())) as usize
 }
 
@@ -102,18 +121,37 @@ impl TermStore {
     /// read — a vector, an array or a slice all pass. Arity is not
     /// checked against a [`SymbolTable`]: the caller saturates `op`.
     pub fn app(&mut self, op: Symbol, args: impl AsRef<[TermId]>) -> TermId {
-        self.intern(op, args.as_ref())
+        self.intern(op, args.as_ref(), &[])
     }
 
-    fn intern(&mut self, op: Symbol, args: &[TermId]) -> TermId {
+    /// Interns the application `op(args…)` carrying `attrs`, given in
+    /// any order: the term is keyed by the attributes as a set, so an
+    /// application differing in one value is another term, and one
+    /// listing the same values in another order is the same.
+    pub fn app_with_attrs(
+        &mut self,
+        op: Symbol,
+        args: impl AsRef<[TermId]>,
+        attrs: impl AsRef<[(Attr, i64)]>,
+    ) -> TermId {
+        self.intern(op, args.as_ref(), attrs.as_ref())
+    }
+
+    fn intern(&mut self, op: Symbol, args: &[TermId], attrs: &[(Attr, i64)]) -> TermId {
         if (self.len() + 1) * 2 > self.index.len() {
             self.grow_index();
         }
+        // The key's attribute run, staged where a new term's would go.
+        let attr_start = self.attr_arena.len();
+        self.attr_arena.extend_from_slice(attrs);
+        self.attr_arena[attr_start..].sort_unstable();
+        let key = &self.attr_arena[attr_start..];
         let mask = self.index.len() - 1;
-        let mut slot = home_slot(op, args, self.index.len());
+        let mut slot = home_slot(op, args, key, self.index.len());
         while let Some(found) = self.index[slot].checked_sub(1) {
             let found = TermId(found);
-            if self.op(found) == op && self.args(found) == args {
+            if self.op(found) == op && self.args(found) == args && self.attrs(found) == key {
+                self.attr_arena.truncate(attr_start);
                 return found;
             }
             slot = (slot + 1) & mask;
@@ -135,6 +173,8 @@ impl TermStore {
         self.heads.push(op);
         self.starts.push(start);
         self.arena.extend_from_slice(args);
+        self.attr_ends
+            .push(u32::try_from(self.attr_arena.len()).expect("attribute offsets fit in 32 bits"));
         self.sizes.push(size);
         self.heights.push(height);
         TermId(entry - 1)
@@ -143,7 +183,7 @@ impl TermStore {
     /// Makes room for `additional` more terms: the index grows once, to
     /// the size their interning would have doubled it to, and the
     /// columns and the argument arena (two arguments a term) are
-    /// reserved. Interning a whole graph starts here with its live node
+    /// reserved; the attribute arena grows as attributes arrive. Interning a whole graph starts here with its live node
     /// count, so the scan neither rehashes nor regrows as it goes.
     /// Terms and ids are as they would have been without it.
     pub fn reserve(&mut self, additional: usize) {
@@ -153,6 +193,7 @@ impl TermStore {
         }
         self.heads.reserve(additional);
         self.starts.reserve(additional);
+        self.attr_ends.reserve(additional);
         self.sizes.reserve(additional);
         self.heights.reserve(additional);
         self.arena.reserve(2 * additional);
@@ -170,7 +211,7 @@ impl TermStore {
         let mut index = vec![0u32; slots];
         for id in 0..self.len() as u32 {
             let t = TermId(id);
-            let mut slot = home_slot(self.op(t), self.args(t), slots);
+            let mut slot = home_slot(self.op(t), self.args(t), self.attrs(t), slots);
             while index[slot] != 0 {
                 slot = (slot + 1) & (slots - 1);
             }
@@ -181,7 +222,7 @@ impl TermStore {
 
     /// Interns a constant (nullary application).
     pub fn app0(&mut self, op: Symbol) -> TermId {
-        self.intern(op, &[])
+        self.intern(op, &[], &[])
     }
 
     /// Head operator of a term.
@@ -197,6 +238,17 @@ impl TermStore {
             .get(t.index() + 1)
             .map_or(self.arena.len(), |&next| next as usize);
         &self.arena[start..end]
+    }
+
+    /// Attributes of a term, sorted by attribute; empty for a term
+    /// interned by [`TermStore::app`] or [`TermStore::app0`].
+    pub fn attrs(&self, t: TermId) -> &[(Attr, i64)] {
+        let end = self.attr_ends[t.index()] as usize;
+        let start = t
+            .index()
+            .checked_sub(1)
+            .map_or(0, |prev| self.attr_ends[prev] as usize);
+        &self.attr_arena[start..end]
     }
 
     /// Number of operator applications in `t`, with sharing expanded;
@@ -259,7 +311,7 @@ impl TermStore {
     /// Writes [`TermStore::display`]'s rendering of `t` into `out`,
     /// stopping at the first write `out` refuses.
     pub fn write(&self, syms: &SymbolTable, t: TermId, out: &mut impl fmt::Write) -> fmt::Result {
-        out.write_str(syms.op_name(self.op(t)))?;
+        self.write_head(syms, t, out)?;
         let args = self.args(t);
         if !args.is_empty() {
             out.write_char('(')?;
@@ -270,6 +322,29 @@ impl TermStore {
                 self.write(syms, a, out)?;
             }
             out.write_char(')')?;
+        }
+        Ok(())
+    }
+
+    /// Writes the head of `t`'s rendering: its operator's name, then
+    /// its attributes as `[name=value, …]` if it has any.
+    pub fn write_head(
+        &self,
+        syms: &SymbolTable,
+        t: TermId,
+        out: &mut impl fmt::Write,
+    ) -> fmt::Result {
+        out.write_str(syms.op_name(self.op(t)))?;
+        let attrs = self.attrs(t);
+        if !attrs.is_empty() {
+            out.write_char('[')?;
+            for (i, &(a, v)) in attrs.iter().enumerate() {
+                if i > 0 {
+                    out.write_str(", ")?;
+                }
+                write!(out, "{}={v}", syms.attr_name(a))?;
+            }
+            out.write_char(']')?;
         }
         Ok(())
     }
@@ -301,7 +376,7 @@ mod tests {
         let slots = terms.index.len();
         let displaced = |(slot, &entry): (usize, &u32)| {
             let t = TermId(entry.checked_sub(1)?);
-            let home = home_slot(terms.op(t), terms.args(t), slots);
+            let home = home_slot(terms.op(t), terms.args(t), terms.attrs(t), slots);
             Some((slot + slots - home) % slots)
         };
         1 + terms
@@ -353,6 +428,46 @@ mod tests {
             assert_eq!(terms.args(pair[1]), [pair[0]]);
         }
         assert_eq!(terms.len(), 201);
+    }
+
+    #[test]
+    fn attributes_join_the_key_as_a_set() {
+        let (mut syms, mut terms) = setup();
+        let (x, conv) = (syms.op("x", 0), syms.op("Conv2d", 1));
+        let (stride, pad) = (syms.attr("stride"), syms.attr("pad"));
+        let x = terms.app0(x);
+        let plain = terms.app(conv, [x]);
+        let one = terms.app_with_attrs(conv, [x], [(stride, 1), (pad, 0)]);
+        let two = terms.app_with_attrs(conv, [x], [(stride, 2), (pad, 0)]);
+        assert_eq!(terms.len(), 4, "no attributes, stride 1, stride 2");
+        assert!(plain != one && one != two);
+        assert_eq!(
+            terms.app_with_attrs(conv, [x], [(pad, 0), (stride, 1)]),
+            one
+        );
+        assert_eq!(terms.app_with_attrs(conv, [x], []), plain);
+        assert_eq!(terms.len(), 4);
+        assert_eq!(terms.attrs(two), [(stride, 2), (pad, 0)]);
+        assert_eq!(terms.attrs(plain), []);
+        assert_eq!(terms.attrs(x), []);
+        assert_eq!(terms.display(&syms, two), "Conv2d[stride=2, pad=0](x)");
+    }
+
+    #[test]
+    fn attributed_terms_are_found_again_across_index_growth() {
+        let (mut syms, mut terms) = setup();
+        let c = syms.op("ConstScalar", 0);
+        let value = syms.attr("value_milli");
+        let consts: Vec<TermId> = (0..100)
+            .map(|v| terms.app_with_attrs(c, [], [(value, v)]))
+            .collect();
+        assert!(terms.index.len() > 4 * MIN_INDEX, "the index grew");
+        for (v, &t) in consts.iter().enumerate() {
+            assert_eq!(terms.app_with_attrs(c, [], [(value, v as i64)]), t);
+            assert_eq!(terms.attrs(t), [(value, v as i64)]);
+        }
+        assert_eq!(terms.len(), 100);
+        assert_eq!(terms.attr_arena.len(), 100, "a found key leaves no run");
     }
 
     #[test]

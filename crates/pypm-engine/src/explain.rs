@@ -113,15 +113,27 @@ fn term_chars(
         stack.extend(args.iter().filter(|a| !memo.contains_key(a)));
         if stack.len() == pending {
             stack.pop();
-            // `op(a, b)`: two parentheses, and `, ` between arguments.
-            let head = syms.op_name(terms.op(u)).chars().count() + 2 * args.len();
-            let n = args
-                .iter()
-                .fold(head as u64, |n, a| n.saturating_add(memo[a]));
+            // `op[attrs](a, b)`: two parentheses, and `, ` between
+            // arguments.
+            let mut head = Chars(0);
+            let _ = terms.write_head(syms, u, &mut head);
+            let n = args.iter().fold((head.0 + 2 * args.len()) as u64, |n, a| {
+                n.saturating_add(memo[a])
+            });
             memo.insert(u, n);
         }
     }
     memo[&t]
+}
+
+/// A sink that counts the chars written to it.
+struct Chars(usize);
+
+impl fmt::Write for Chars {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 += s.chars().count();
+        Ok(())
+    }
 }
 
 /// A sink that keeps the first `room` chars written to it and refuses
@@ -396,6 +408,28 @@ mod tests {
         assert_eq!(
             display_truncated(&theta(70), &syms, &terms, 240),
             format!("{{t ↦ {head}… ({} chars)", u64::MAX)
+        );
+    }
+
+    /// A term's attributes are part of its rendering, and of the length
+    /// the bounded render counts.
+    #[test]
+    fn attributes_render_and_are_counted() {
+        let mut syms = SymbolTable::new();
+        let (c, mul) = (syms.op("ConstScalar", 0), syms.op("Mul", 2));
+        let (value, t) = (syms.attr("value_milli"), syms.var("t"));
+        let mut terms = TermStore::new();
+        let half = terms.app_with_attrs(c, [], [(value, 500)]);
+        let theta = Subst::from_iter([(t, terms.app(mul, [half, half]))]);
+        let full = theta.display(&syms, &terms);
+        assert_eq!(
+            full,
+            "{t ↦ Mul(ConstScalar[value_milli=500], ConstScalar[value_milli=500])}"
+        );
+        assert_eq!(display_truncated(&theta, &syms, &terms, 240), full);
+        assert_eq!(
+            display_truncated(&theta, &syms, &terms, 10),
+            truncate(&full, 10)
         );
     }
 

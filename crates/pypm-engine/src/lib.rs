@@ -66,6 +66,21 @@
 //! recomputes are measured by the `nodes_reindexed` counter — ~14×
 //! below the old linear-refresh floor on bert-small.
 //!
+//! ## One term identity
+//!
+//! Which nodes are one term is decided in one place, the
+//! [`pypm_core::TermStore`]: a term is keyed by its head, its arguments
+//! and its operator attributes, so two `Conv2d` nodes on one `(x, w)`
+//! with strides 1 and 2 are two terms, and two `ConstScalar` nodes are
+//! one term exactly when their values are equal. Patterns match heads
+//! and arguments; a guard reads a term's attributes from the store
+//! (through [`pypm_graph::TermView::attrs`]); and the identity check
+//! before a rule fires folds the RHS template, attributes included, to
+//! the term its nodes would have. The view keeps a term-keyed side
+//! table of tensor metadata only, which is part of no key: a shape rule
+//! makes it a function of the term, metadata declared through
+//! `Graph::op_with_meta` does not (ROADMAP item 18 (c)).
+//!
 //! The worklist invariants behind `Incremental` (why skipping clean
 //! nodes is sound, why the firing order matches restarting exactly) are
 //! documented on [`SweepPolicy::Incremental`] and proven empirically by

@@ -134,18 +134,19 @@ impl Driver<'_> {
     /// The term the instantiated RHS template would denote, folded
     /// structurally through the hash-consed term store *without*
     /// touching the graph — exactly the term [`Driver::instantiate`]
-    /// would produce nodes for. Used by the identity check so that
-    /// rejected rules allocate no graph nodes.
+    /// would produce nodes for, attributes included. Used by the
+    /// identity check so that rejected rules allocate no graph nodes.
     fn term_of_rhs(&mut self, rhs: &Rhs, witness: &Witness) -> Result<TermId, RewriteError> {
         match self.resolve(rhs, witness)? {
             Resolved::Bound(t) => Ok(t),
-            Resolved::Apply(op, args, _) => {
+            Resolved::Apply(op, args, attrs) => {
                 let base = self.rhs_terms.len();
                 for a in args {
                     let t = self.term_of_rhs(a, witness)?;
                     self.rhs_terms.push(t);
                 }
-                let t = self.session.terms.app(op, &self.rhs_terms[base..]);
+                let args = &self.rhs_terms[base..];
+                let t = self.session.terms.app_with_attrs(op, args, attrs);
                 self.rhs_terms.truncate(base);
                 Ok(t)
             }

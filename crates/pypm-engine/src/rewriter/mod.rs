@@ -433,30 +433,22 @@ impl Driver<'_> {
     /// 1. *Clean nodes cannot fire.* Whether a pattern matches at a node
     ///    — and whether the matched rule's guards hold and its
     ///    replacement is non-identity — depends only on the term rooted
-    ///    there plus the term-keyed attribute side tables. (Which node
-    ///    a variable of the replacement reads is looked up in the
-    ///    subgraph below the node, but only once the node fires, and
-    ///    alike under both policies.) A node leaves the worklist only
-    ///    when its visit interns it, after which a full pattern scan
-    ///    finds nothing to fire (or fires, and the node is gone), and
-    ///    every change of its term marks it again (2); therefore a node
-    ///    outside the worklist still has nothing to fire.
+    ///    there, its operator attributes included, plus the view's
+    ///    term-keyed metadata table. (Which node a variable of the
+    ///    replacement reads is looked up in the subgraph below the node,
+    ///    but only once the node fires, and alike under both policies.)
+    ///    A node leaves the worklist only when its visit interns it,
+    ///    after which a full pattern scan finds nothing to fire (or
+    ///    fires, and the node is gone), and every change of its term
+    ///    marks it again (2); therefore a node outside the worklist
+    ///    still has nothing to fire.
     ///
-    ///    This additionally assumes the attribute tables are
-    ///    *deterministic per term* — true only where nodes that view as
-    ///    the same term carry the same metadata and attributes, and
-    ///    that does not hold in general. Attribute-carrying constants
-    ///    get value-specialized term symbols, but an operator with
-    ///    inputs interns without its attributes: two `Conv2d` nodes on
-    ///    the same inputs with strides 1 and 2 are one term, whose side
-    ///    table holds the first producer's values (ROADMAP item 18 (b)).
-    ///    A guard can then read the other node's attributes under both
-    ///    policies alike, and a graph whose first producer of such a
-    ///    term changes mid-pass could flip a guard at a clean node that
-    ///    restarting would re-examine and the worklist would not. The
-    ///    zoo builds no such pair; the random-rule-subset byte-identity
-    ///    proptests (and their nightly runs) put attributes on
-    ///    constants only, so they cannot catch one.
+    ///    The metadata table is a function of the term wherever shape
+    ///    inference produced the metadata. Metadata declared through
+    ///    `Graph::op_with_meta` is not part of a term's key, so two such
+    ///    nodes on the same inputs with different declared shapes would
+    ///    share a term whose row holds the first producer's (ROADMAP
+    ///    item 18 (c)). The zoo builds no such pair.
     /// 2. *A rewrite changes terms inside its cone of influence only.*
     ///    Replacing a root can change the terms of the freshly created
     ///    replacement nodes, the users rewired onto the replacement,

@@ -210,7 +210,7 @@ mod tests {
             let (mut rewired, mut freed, mut steps) = (Vec::new(), Vec::new(), 0);
             let mut firings = 0;
             while let Some(root) = order.next(&g, &view, &mut steps) {
-                view.term_of_repaired(&g, &mut sig.syms, &mut terms, &registry, root);
+                view.term_of_repaired(&g, &mut terms, &registry, root);
                 let cone = input_cone(&g, root);
                 if cone.is_empty() || firings == 2 * size || rng.gen_bool(0.5) {
                     continue;

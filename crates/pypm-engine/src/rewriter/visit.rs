@@ -53,7 +53,6 @@ impl Driver<'_> {
         // next visit are recomputed once, not once per rewrite.
         let Some(t) = self.view.term_of_repaired(
             self.graph,
-            &mut self.session.syms,
             &mut self.session.terms,
             &self.session.registry,
             node,

@@ -9,17 +9,23 @@
 //! the term level in a side table so that guards can evaluate attributes
 //! like `x.rank` and `x.eltType`.
 //!
-//! The side table is indexed by [`TermId`]. Hash-consing makes
-//! structurally equal subgraphs share a term id; because distinct input
-//! nodes are distinct constants and shape inference is deterministic,
-//! structurally equal subgraphs always carry identical metadata, so the
-//! table is well-defined. A row holds the term's metadata — a dtype and
-//! the id of a shape in the graph's [`ShapeTable`], 8 bytes — its
-//! operator class and where its operator attributes sit in one
-//! append-only arena the view owns, the shape of [`Graph::attrs`]; so
-//! recording a term copies 24 bytes and its attributes, and allocates
-//! no list for them. A guard reads a shape attribute through the
-//! graph's table ([`TermView::attrs`] borrows it).
+//! Term identity is decided in one place, the [`TermStore`]: an operator
+//! node — a constant included — interns as its operator, its inputs'
+//! terms and its attributes ([`Graph::attrs`]), so two nodes that differ
+//! in a `stride` or a constant's value are two terms, and a guard reads
+//! a node's operator attributes off its term ([`TermStore::attrs`]).
+//!
+//! The metadata side table is indexed by [`TermId`]. Hash-consing makes
+//! equal subgraphs share a term id; because distinct input nodes are
+//! distinct constants and shape inference is a function of an
+//! operator's input metadata and attributes, equal subgraphs carry
+//! identical inferred metadata. Metadata declared through
+//! [`Graph::op_with_meta`] is not part of the key, so the table holds
+//! the first producer's. A row holds the term's metadata — a dtype and
+//! the id of a shape in the graph's [`ShapeTable`], 8 bytes — and its
+//! operator class: recording a term copies 16 bytes. A guard reads a
+//! shape attribute through the graph's table ([`TermView::attrs`]
+//! borrows it).
 //!
 //! A rewrite's cone is found through [`Graph::users_of`], the graph's
 //! use-lists, whose order is unspecified: what [`TermView::patch`]
@@ -28,9 +34,7 @@
 use crate::graph::{Graph, NodeId, NodeKind};
 use crate::ops::OpRegistry;
 use crate::tensor::{ShapeTable, TensorMeta};
-use pypm_core::{Attr, AttrInterp, IdMap, Symbol, SymbolTable, TermId, TermStore};
-use std::collections::HashMap;
-use std::ops::Range;
+use pypm_core::{Attr, AttrInterp, SymbolTable, TermId, TermStore};
 
 /// Interned handles for the tensor-specific attributes PyPM exposes on
 /// every term (§2: "all terms … have the same set of tensor-specific
@@ -69,37 +73,23 @@ impl TensorAttrs {
 }
 
 /// What a term view records about one term: copied from the term's
-/// first producer (any producer carries the same values, see
-/// [`TermView`]).
+/// first producer (see the module docs).
 #[derive(Debug, Clone)]
 struct TermAttrs {
     /// The dtype, and the shape as an id of the graph's [`ShapeTable`].
     meta: TensorMeta,
     /// The [`OpClass`](crate::ops::OpClass) code of the head operator.
     class_code: i64,
-    /// Where the operator attributes attached to the node (stride,
-    /// value_milli, epilog, …) sit in [`TermTable::node_attrs`].
-    node_attrs: Range<u32>,
-}
-
-/// A term view's attribute side table.
-#[derive(Debug, Clone)]
-struct TermTable {
-    /// By [`TermId::index`]; `None` (or past the end) for a term no
-    /// node of the view has produced.
-    by_term: Vec<Option<TermAttrs>>,
-    /// Every recorded term's operator attributes, one run per term, in
-    /// recording order. Append-only: a term keeps its run once recorded.
-    node_attrs: Vec<(Attr, i64)>,
-    handles: TensorAttrs,
 }
 
 /// The attribute interpretation guards evaluate against: a term view's
-/// side table, with the shape table of the graph it views
-/// ([`TermView::attrs`]).
+/// metadata side table, with the shape table of the graph it views
+/// ([`TermView::attrs`]), and each term's operator attributes from the
+/// term store.
 #[derive(Debug, Clone, Copy)]
 pub struct GraphAttrInterp<'a> {
-    table: &'a TermTable,
+    by_term: &'a [Option<TermAttrs>],
+    handles: TensorAttrs,
     shapes: &'a ShapeTable,
 }
 
@@ -113,17 +103,9 @@ fn slot_mut<T>(table: &mut Vec<Option<T>>, t: TermId) -> &mut Option<T> {
 }
 
 impl AttrInterp for GraphAttrInterp<'_> {
-    fn attr(&self, _terms: &TermStore, t: TermId, attr: Attr) -> Option<i64> {
-        let TermTable {
-            by_term,
-            node_attrs,
-            handles,
-        } = self.table;
-        let TermAttrs {
-            meta,
-            class_code,
-            node_attrs: run,
-        } = by_term.get(t.index())?.as_ref()?;
+    fn attr(&self, terms: &TermStore, t: TermId, attr: Attr) -> Option<i64> {
+        let handles = &self.handles;
+        let TermAttrs { meta, class_code } = self.by_term.get(t.index())?.as_ref()?;
         if attr == handles.op_class {
             return Some(*class_code);
         }
@@ -141,27 +123,9 @@ impl AttrInterp for GraphAttrInterp<'_> {
                 return self.shapes.dim(meta.shape, i);
             }
         }
-        let run = &node_attrs[run.start as usize..run.end as usize];
-        run.iter().find(|(k, _)| *k == attr).map(|&(_, v)| v)
+        let own = terms.attrs(t).iter().find(|(k, _)| *k == attr);
+        own.map(|&(_, v)| v)
     }
-}
-
-/// Interns the value-specialized symbol for an attribute-carrying
-/// constant, e.g. `ConstScalar!value_milli=500`.
-fn specialized_const(syms: &mut SymbolTable, op: Symbol, attrs: &[(Attr, i64)]) -> Symbol {
-    let mut name = syms.op_name(op).to_owned();
-    let mut sorted: Vec<(String, i64)> = attrs
-        .iter()
-        .map(|&(a, v)| (syms.attr_name(a).to_owned(), v))
-        .collect();
-    sorted.sort();
-    for (a, v) in sorted {
-        name.push('!');
-        name.push_str(&a);
-        name.push('=');
-        name.push_str(&v.to_string());
-    }
-    syms.op(&name, 0)
 }
 
 /// What a [`TermView`] holds for one node: one column, by
@@ -222,9 +186,8 @@ enum Slot {
 /// [`TermView::terms_recomputed`] counts the recomputes of stale nodes
 /// (the engine's `nodes_reindexed` counter); interning an unseen node
 /// is not a recompute, so the count is the one an eagerly built view
-/// would read. A view with no stale and no unseen nodes (see
-/// [`TermView::repair_all`]) is indistinguishable from a fresh
-/// [`TermView::build`].
+/// would read. A view with no stale and no unseen nodes reachable from
+/// the outputs is indistinguishable from a fresh [`TermView::build`].
 ///
 /// The view maps nodes to terms, not terms to nodes: several live
 /// nodes may view as one term, and which of them a caller means
@@ -239,8 +202,11 @@ pub struct TermView {
     /// own, allocated from zero, and a compile owns its [`TermStore`],
     /// whose ids are dense and belong to this graph's terms.
     slots: Vec<Slot>,
-    /// Attribute side tables.
-    attrs: TermTable,
+    /// The metadata side table, by [`TermId::index`]; `None` (or past
+    /// the end) for a term no node of the view has produced.
+    by_term: Vec<Option<TermAttrs>>,
+    /// The tensor attributes' handles, which [`TermView::attrs`] answers.
+    handles: TensorAttrs,
     /// Terms recomputed by on-demand repair over the view's lifetime
     /// (see [`TermView::terms_recomputed`]).
     recomputed: u64,
@@ -256,11 +222,6 @@ pub struct TermView {
     /// The nodes on that walk, by [`NodeId::index`]; all `false`
     /// between calls, and only as long as the highest id it reached.
     marked: Vec<bool>,
-    /// The value-specialized symbol of every attribute-carrying
-    /// constant met so far, by operator and then attribute list, so
-    /// that only the first meeting spells the name out. The outer key
-    /// is a symbol of this process; attribute values are a graph's.
-    consts: IdMap<Symbol, HashMap<Vec<(Attr, i64)>, Symbol>>,
 }
 
 impl TermView {
@@ -278,17 +239,13 @@ impl TermView {
             .collect();
         TermView {
             slots,
-            attrs: TermTable {
-                by_term: Vec::new(),
-                node_attrs: Vec::new(),
-                handles: TensorAttrs::intern(syms),
-            },
+            by_term: Vec::new(),
+            handles: TensorAttrs::intern(syms),
             recomputed: 0,
             args: Vec::new(),
             stack: Vec::new(),
             below: Vec::new(),
             marked: Vec::new(),
-            consts: IdMap::default(),
         }
     }
 
@@ -307,7 +264,7 @@ impl TermView {
         for n in graph.topo_order() {
             // Inputs come first in this order, so this is the one step
             // of `term_of_repaired` with nothing to search for.
-            let term = view.term_for(graph, n, syms, terms);
+            let term = view.term_for(graph, n, terms);
             view.record(graph, registry, n, term);
         }
         view
@@ -329,11 +286,10 @@ impl TermView {
     /// looked at, so nodes dirtied by several consecutive rewrites are
     /// recomputed once, not once per rewrite.
     ///
-    /// Equivalence contract: once every stale and unseen node has been
-    /// interned (e.g. after [`TermView::repair_all`]), the view is
-    /// indistinguishable from `TermView::build` on the current graph —
-    /// same node→term map, and the same attributes for every term a
-    /// node produces.
+    /// Equivalence contract: once every stale and unseen node reachable
+    /// from the outputs has been interned, the view is indistinguishable
+    /// from `TermView::build` on the current graph — same node→term map,
+    /// and the same attributes for every term a node produces.
     ///
     /// The seed must name the ids `Graph::collect` freed: patch
     /// discovers deadness only for seeded ids (checking liveness for
@@ -387,7 +343,6 @@ impl TermView {
     pub fn term_of_repaired(
         &mut self,
         graph: &Graph,
-        syms: &mut SymbolTable,
         terms: &mut TermStore,
         registry: &OpRegistry,
         n: NodeId,
@@ -395,7 +350,7 @@ impl TermView {
         match self.slot(n) {
             Slot::Clean(t) => Some(t),
             Slot::Unknown => None,
-            Slot::Unseen | Slot::Stale => self.repair(graph, syms, terms, registry, n),
+            Slot::Unseen | Slot::Stale => self.repair(graph, terms, registry, n),
         }
     }
 
@@ -403,7 +358,6 @@ impl TermView {
     fn repair(
         &mut self,
         graph: &Graph,
-        syms: &mut SymbolTable,
         terms: &mut TermStore,
         registry: &OpRegistry,
         n: NodeId,
@@ -428,7 +382,7 @@ impl TermView {
                 // Interned on another path of this very DFS.
                 Slot::Clean(_) | Slot::Unknown => continue,
             };
-            let term = self.term_for(graph, top, syms, terms);
+            let term = self.term_for(graph, top, terms);
             if stale {
                 self.recomputed += 1;
             }
@@ -451,64 +405,17 @@ impl TermView {
         matches!(self.slot(n), Slot::Unseen | Slot::Stale)
     }
 
-    /// Interns every stale or unseen node reachable from the graph
-    /// outputs, leaving the view equal to a fresh [`TermView::build`].
-    /// Useful when a caller wants an eagerly consistent view (tests,
-    /// external consumers); the rewrite scheduler itself never needs it.
-    pub fn repair_all(
-        &mut self,
-        graph: &Graph,
-        syms: &mut SymbolTable,
-        terms: &mut TermStore,
-        registry: &OpRegistry,
-    ) {
-        for n in graph.topo_order() {
-            self.term_of_repaired(graph, syms, terms, registry, n);
-        }
-        // Owed ids that are dead by now can never be interned (or
-        // observed); drop them.
-        for n in graph.allocated_since(0) {
-            if !graph.is_alive(n) && self.owes(n) {
-                self.slots[n.index()] = Slot::Unknown;
-            }
-        }
-    }
-
     /// The term denoted by one node, computed from its kind and its
     /// inputs' already-known terms: the one step of
     /// [`TermView::term_of_repaired`], for unseen and stale nodes
     /// alike.
-    fn term_for(
-        &mut self,
-        graph: &Graph,
-        n: NodeId,
-        syms: &mut SymbolTable,
-        terms: &mut TermStore,
-    ) -> TermId {
+    fn term_for(&mut self, graph: &Graph, n: NodeId, terms: &mut TermStore) -> TermId {
         let node = graph.node(n);
-        let attrs = graph.attrs(n);
         match node.kind {
             NodeKind::Input | NodeKind::Opaque => {
                 let c = node
                     .term_const
                     .expect("inputs and opaque nodes carry a term constant");
-                terms.app0(c)
-            }
-            NodeKind::Op if graph.inputs(n).is_empty() && !attrs.is_empty() => {
-                // Attribute-carrying constants (e.g. ConstScalar with
-                // value_milli): specialize the symbol per attribute
-                // valuation so that distinct constants are distinct
-                // terms while equal constants still share (needed for
-                // nonlinear patterns and correct attribute lookup).
-                let known = self.consts.entry(node.op).or_default();
-                let c = match known.get(attrs) {
-                    Some(&c) => c,
-                    None => {
-                        let c = specialized_const(syms, node.op, attrs);
-                        known.insert(attrs.to_vec(), c);
-                        c
-                    }
-                };
                 terms.app0(c)
             }
             NodeKind::Op => {
@@ -521,35 +428,21 @@ impl TermView {
                             "inputs resolve before their users (repair defers to owed inputs)"
                         ),
                     }));
-                terms.app(node.op, &self.args)
+                terms.app_with_attrs(node.op, &self.args, graph.attrs(n))
             }
         }
     }
 
     /// Records `term` as the term of `n`, and — the first time a node
-    /// views as the term — the term's attributes. Values are identical
-    /// across the nodes of one term (the determinism invariant the
-    /// engine documents on `SweepPolicy::Incremental`), so the tables
-    /// need no refresh when another node arrives, even one that arrives
-    /// after the last one left: a term whose nodes the scan deletes one
-    /// layer at a time and interns again one layer later keeps the
-    /// attributes it has, instead of copying them again.
+    /// views as the term — the term's metadata and class. A term whose
+    /// nodes the scan deletes one layer at a time and interns again one
+    /// layer later keeps the row it has, instead of copying it again.
     fn record(&mut self, graph: &Graph, registry: &OpRegistry, n: NodeId, term: TermId) {
         self.slots[n.index()] = Slot::Clean(term);
         let node = graph.node(n);
-        let TermTable {
-            by_term,
-            node_attrs,
-            ..
-        } = &mut self.attrs;
-        slot_mut(by_term, term).get_or_insert_with(|| {
-            let start = node_attrs.len() as u32;
-            node_attrs.extend_from_slice(graph.attrs(n));
-            TermAttrs {
-                meta: node.meta,
-                class_code: registry.class(node.op).code(),
-                node_attrs: start..node_attrs.len() as u32,
-            }
+        slot_mut(&mut self.by_term, term).get_or_insert_with(|| TermAttrs {
+            meta: node.meta,
+            class_code: registry.class(node.op).code(),
         });
     }
 
@@ -631,7 +524,8 @@ impl TermView {
     /// that graph's id).
     pub fn attrs<'a>(&'a self, graph: &'a Graph) -> GraphAttrInterp<'a> {
         GraphAttrInterp {
-            table: &self.attrs,
+            by_term: &self.by_term,
+            handles: self.handles,
             shapes: graph.shapes(),
         }
     }
@@ -681,12 +575,14 @@ mod tests {
         assert!(std::mem::size_of::<Slot>() <= std::mem::size_of::<Option<TermId>>());
     }
 
-    /// A term's row is 24 bytes, absent rows included: 40 while its
-    /// metadata held a shared extent list rather than a shape id.
+    /// A term's row is 16 bytes, absent rows included: 40 while its
+    /// metadata held a shared extent list rather than a shape id, 24
+    /// while it named a run of operator attributes copied from its
+    /// first producer.
     #[test]
-    fn a_term_row_is_24_bytes() {
-        assert_eq!(std::mem::size_of::<TermAttrs>(), 24);
-        assert_eq!(std::mem::size_of::<Option<TermAttrs>>(), 24);
+    fn a_term_row_is_16_bytes() {
+        assert_eq!(std::mem::size_of::<TermAttrs>(), 16);
+        assert_eq!(std::mem::size_of::<Option<TermAttrs>>(), 16);
     }
 
     #[test]
@@ -806,11 +702,27 @@ mod tests {
         }
     }
 
+    /// Interns every stale or unseen node reachable from the graph
+    /// outputs, leaving the view equal to a fresh [`TermView::build`]
+    /// (the rewrite scan never needs this).
+    fn repair_all(f: &mut Fx, view: &mut TermView) {
+        for n in f.g.topo_order() {
+            view.term_of_repaired(&f.g, &mut f.terms, &f.reg, n);
+        }
+        // Owed ids that are dead by now can never be interned (or
+        // observed); drop them.
+        for n in f.g.allocated_since(0) {
+            if !f.g.is_alive(n) && view.owes(n) {
+                view.slots[n.index()] = Slot::Unknown;
+            }
+        }
+    }
+
     /// After repairing every stale node, a patched view must be
     /// indistinguishable from a fresh build: same node→term map, and no
     /// node left owed.
     fn assert_patched_equals_rebuilt(f: &mut Fx, view: &mut TermView) {
-        view.repair_all(&f.g, &mut f.syms, &mut f.terms, &f.reg);
+        repair_all(f, view);
         let fresh = TermView::build(&f.g, &mut f.syms, &mut f.terms, &f.reg);
         for n in f.g.allocated_since(0) {
             assert_eq!(
@@ -864,7 +776,7 @@ mod tests {
         // On-demand repair of the deepest node repairs its stale
         // inputs too, and nothing else.
         let t_add = view
-            .term_of_repaired(&f.g, &mut f.syms, &mut f.terms, &f.reg, add)
+            .term_of_repaired(&f.g, &mut f.terms, &f.reg, add)
             .unwrap();
         assert_eq!(view.terms_recomputed(), 4, "gelu, u1, u2, add");
         assert_eq!(view.node_below(&f.g, add, t_add), Some(add));
@@ -896,7 +808,7 @@ mod tests {
         let before = view.term_of(add);
         view.patch(&f.g, [r]);
         assert_owes_exactly(&f, &view, &[r, t, add]);
-        let after = view.term_of_repaired(&f.g, &mut f.syms, &mut f.terms, &f.reg, add);
+        let after = view.term_of_repaired(&f.g, &mut f.terms, &f.reg, add);
         assert_eq!(after, before);
         assert_eq!(view.terms_recomputed(), 3);
         assert_patched_equals_rebuilt(&mut f, &mut view);
@@ -1036,7 +948,7 @@ mod tests {
         view.patch(&f.g, [r]);
         assert_owes_exactly(&f, &view, &[r, t]);
         assert_eq!(view.terms_recomputed(), 0, "marking interns nothing");
-        view.repair_all(&f.g, &mut f.syms, &mut f.terms, &f.reg);
+        repair_all(&mut f, &mut view);
         // Exactly r and its user t, once each — not twice, and not the
         // 33 clean bystander nodes.
         assert_eq!(view.terms_recomputed(), 2);

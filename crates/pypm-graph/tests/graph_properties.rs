@@ -549,7 +549,7 @@ proptest! {
         for _ in 0..6 {
             for n in g.topo_order() {
                 if rng.gen_range(0..3) == 0 {
-                    prop_assert!(view.term_of_repaired(&g, &mut f.syms, &mut terms, &f.reg, n).is_some());
+                    prop_assert!(view.term_of_repaired(&g, &mut terms, &f.reg, n).is_some());
                 }
             }
             let owed_before: Vec<bool> = g.allocated_since(0).into_iter().map(|n| view.owes(n)).collect();
