@@ -377,6 +377,11 @@ pub fn decode(
             what: "trailing bytes after the rule set",
         });
     }
+    // What the builder checks before it serializes: a rule set that
+    // fails here would load, and then fail mid-pass on a graph the pass
+    // has already partly rewritten.
+    rs.validate(pats, syms)
+        .map_err(|what| BinError::Inconsistent { what })?;
     Ok(rs)
 }
 
@@ -796,6 +801,48 @@ mod tests {
                 let _ = decode(&bytes, &mut syms2, &mut pats2);
             }
         }
+    }
+
+    /// `P(x) = Relu(x)` with the rule `→ Relu(x)`, encoded after `edit`
+    /// changed it past what the builder would serialize, then decoded.
+    fn decode_edited(
+        edit: impl FnOnce(&mut SymbolTable, &mut PatternStore, &mut RuleSet),
+    ) -> BinError {
+        let mut fe = Frontend::new();
+        let relu = fe.syms.op("Relu", 1);
+        fe.pattern("P", |p| {
+            let x = p.param("x");
+            let px = p.v(x);
+            p.op(relu, vec![px])
+        });
+        let x = fe.syms.var("x");
+        fe.rule("P", "same", |r| r.ret(Rhs::app(relu, vec![Rhs::Var(x)])));
+        let (mut syms, mut pats, mut rs) = fe.serialize().unwrap();
+        edit(&mut syms, &mut pats, &mut rs);
+        let bin = encode(&rs, &syms, &pats);
+        decode(&bin, &mut SymbolTable::new(), &mut PatternStore::new()).unwrap_err()
+    }
+
+    #[test]
+    fn a_rule_whose_rhs_names_a_non_parameter_is_refused() {
+        let err = decode_edited(|syms, _, rs| {
+            let (relu, z) = (syms.find_op("Relu").unwrap(), syms.var("z"));
+            rs.patterns[0].rules[0].rhs = Rhs::app(relu, vec![Rhs::Var(z)]);
+        });
+        let BinError::Inconsistent { what } = err else {
+            panic!("{err:?}");
+        };
+        assert!(what.contains("non-parameter variable z"), "{what}");
+    }
+
+    #[test]
+    fn a_guard_reading_an_unbound_variable_is_refused() {
+        let err = decode_edited(|syms, pats, rs| {
+            let (rank, z) = (syms.attr("rank"), syms.var("z"));
+            let guard = Expr::var_attr(z, rank).eq(Expr::Const(2));
+            rs.patterns[0].pattern = pats.guarded(rs.patterns[0].pattern, guard);
+        });
+        assert!(matches!(err, BinError::Inconsistent { .. }), "{err:?}");
     }
 
     #[test]
