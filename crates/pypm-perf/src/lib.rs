@@ -201,40 +201,6 @@ impl CostModel {
     }
 }
 
-/// Simulated inference time of a graph whose partitioned regions are
-/// executed as just-in-time fused kernels (§4.2's "recursively compile
-/// them"): nodes outside any region cost as usual; each region costs one
-/// fused launch.
-///
-/// `regions` are `(member nodes, frontier, root)` triples, assumed
-/// disjoint (as produced by `pypm_engine::partition`).
-pub fn partitioned_graph_cost(
-    cm: &CostModel,
-    graph: &Graph,
-    syms: &SymbolTable,
-    registry: &OpRegistry,
-    ops: &StdOps,
-    regions: &[(Vec<NodeId>, Vec<NodeId>, NodeId)],
-) -> f64 {
-    let mut covered = pypm_core::IdSet::default();
-    for (nodes, _, _) in regions {
-        covered.extend(nodes.iter().copied());
-    }
-    let loose: f64 = graph
-        .topo_order()
-        .into_iter()
-        .filter(|n| !covered.contains(n))
-        .map(|n| cm.node_cost(graph, syms, registry, ops, n))
-        .sum();
-    let fused: f64 = regions
-        .iter()
-        .map(|(nodes, frontier, root)| {
-            cm.fused_region_cost(graph, registry, ops, nodes, frontier, *root)
-        })
-        .sum();
-    loose + fused
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -343,32 +309,6 @@ mod tests {
         rewrite(&mut s, rs, &mut g);
         let after = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
         assert!(after < before);
-    }
-
-    /// End-to-end §4.2: partitioning a whole transformer and executing
-    /// regions as JIT-fused kernels beats plain per-node execution.
-    #[test]
-    fn partitioned_execution_beats_plain_execution() {
-        let mut s = sess();
-        let cfg = pypm_models::hf_zoo()
-            .into_iter()
-            .find(|c| c.name == "bert-tiny")
-            .unwrap();
-        let g = cfg.build(&mut s);
-        let rules = s.load_library(LibraryConfig::all());
-        let parts = partition(&mut s, &rules, &g, "MatMulEpilog");
-        assert!(!parts.is_empty());
-        let cm = CostModel::new();
-        let plain = cm.graph_cost(&g, &s.syms, &s.registry, &s.ops);
-        let regions: Vec<_> = parts
-            .iter()
-            .map(|p| (p.nodes.clone(), p.frontier.clone(), p.root))
-            .collect();
-        let fused = partitioned_graph_cost(&cm, &g, &s.syms, &s.registry, &s.ops, &regions);
-        assert!(
-            fused < plain,
-            "partitioned {fused:.1}µs should beat plain {plain:.1}µs"
-        );
     }
 
     #[test]
