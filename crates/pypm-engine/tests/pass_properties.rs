@@ -47,11 +47,15 @@ fn random_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
     g
 }
 
-/// Random DAG in which subgraphs recur. Besides fresh operators, a
-/// step re-issues an existing operator over the same inputs (a
-/// one-level twin), re-issues one of its inputs first and the operator
-/// over that copy (a two-level twin), or adds another `ConstScalar` of
-/// a value the graph may already hold (a constant twin); operands lean
+/// Random DAG in which subgraphs recur. Besides fresh operators —
+/// attributed ones among them, `MaxPool` with a `stride` and
+/// `GemmEpilog` with an `epilog` — a step re-issues an existing
+/// operator over the same inputs (a one-level twin), re-issues one of
+/// its inputs first and the operator over that copy (a two-level twin),
+/// re-issues an attributed operator over the same inputs under another
+/// attribute value (a twin in structure only, another term), or adds
+/// another `ConstScalar` of a value the graph may already hold (a
+/// constant twin); operands lean
 /// towards the newest node, and a step may build a rewrite site whose
 /// variable binds it — `Trans(Trans(x))`, `MatMul(y, Trans(x))`,
 /// `Relu(Relu(x))`, `MatMul(Trans(x), Trans(y))` — so rules fire over
@@ -68,6 +72,11 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
     let unary = [relu, trans, s.ops.tanh, s.ops.gelu];
     let binary = [matmul, s.ops.add, s.ops.mul];
     let (const_scalar, value_milli) = (s.ops.const_scalar, s.ops.value_milli_attr);
+    // Operator, its attribute, and whether it reads two operands.
+    let attributed = [
+        (s.ops.maxpool, s.ops.stride_attr, false),
+        (s.ops.gemm_epilog, s.ops.epilog_attr, true),
+    ];
     let mut nodes: Vec<NodeId> = (0..2)
         .map(|_| g.input(&mut s.syms, DType::F32, [8, 8]))
         .collect();
@@ -89,7 +98,7 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
             g.op(&mut s.syms, &s.registry, op, inputs, attrs)
                 .expect("square ops compose")
         };
-        let fresh = match rng.gen_range(0..13) {
+        let fresh = match rng.gen_range(0..15) {
             0..=2 => apply(unary[rng.gen_range(0..unary.len())], vec![n], vec![]),
             3 | 4 => apply(binary[rng.gen_range(0..binary.len())], vec![m, n], vec![]),
             5 | 6 if !twin_inputs.is_empty() => apply(twin, twin_inputs, twin_attrs),
@@ -115,6 +124,18 @@ fn twin_graph(s: &mut Session, seed: u64, size: usize) -> Graph {
                 let t = apply(trans, vec![newest], vec![]);
                 let u = apply(trans, vec![m], vec![]);
                 apply(matmul, vec![t, u], vec![])
+            }
+            13 => {
+                let (op, attr, binary) = attributed[rng.gen_range(0..attributed.len())];
+                let inputs = if binary { vec![m, n] } else { vec![n] };
+                apply(op, inputs, vec![(attr, rng.gen_range(1..3))])
+            }
+            14 if !twin_inputs.is_empty() && !twin_attrs.is_empty() => {
+                let other = twin_attrs
+                    .iter()
+                    .map(|&(a, v)| (a, if v == 1 { 2 } else { 1 }))
+                    .collect();
+                apply(twin, twin_inputs, other)
             }
             _ => {
                 let milli = [500, 1000, 2000][rng.gen_range(0..3usize)];
@@ -361,7 +382,9 @@ proptest! {
     }
 
     /// Batch compilation is invisible in the results: a
-    /// `Pipeline::run_batch` over random graphs — at a random batch
+    /// `Pipeline::run_batch` over random twin graphs (whose twins may
+    /// differ in an attribute only, so one batch session interns terms
+    /// that differ in nothing else) — at a random batch
     /// size and sweep policy, sharing one session — must produce, per
     /// graph, exactly what sequential `Pipeline::run` calls over an
     /// identically seeded session produce. The nightly CI job reruns
@@ -385,7 +408,7 @@ proptest! {
         let mut seq_graphs: Vec<Graph> = sizes
             .iter()
             .enumerate()
-            .map(|(i, &size)| random_graph(&mut s_seq, seed.wrapping_add(i as u64), size))
+            .map(|(i, &size)| twin_graph(&mut s_seq, seed.wrapping_add(i as u64), size))
             .collect();
         let mut seq = Vec::new();
         for g in &mut seq_graphs {
@@ -402,7 +425,7 @@ proptest! {
         let mut graphs: Vec<Graph> = sizes
             .iter()
             .enumerate()
-            .map(|(i, &size)| random_graph(&mut s_batch, seed.wrapping_add(i as u64), size))
+            .map(|(i, &size)| twin_graph(&mut s_batch, seed.wrapping_add(i as u64), size))
             .collect();
         let rules = s_batch.load_library(LibraryConfig::both());
         let reports = Pipeline::new(&mut s_batch)
