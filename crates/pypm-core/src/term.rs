@@ -74,12 +74,10 @@ pub struct TermStore {
     starts: Vec<u32>,
     /// Every term's arguments, end to end, in interning order.
     arena: Vec<TermId>,
-    /// Where each term's attributes end in `attr_arena`; they begin
-    /// where the previous term's end (the first term's, at zero).
-    attr_ends: Vec<u32>,
-    /// Every term's attributes, end to end, each run sorted by
-    /// attribute. Interning stages its key's run at the end, past the
-    /// last term's.
+    /// Where each term's attributes begin in `attr_arena`; they end
+    /// where the next term's begin, like the arguments.
+    attr_starts: Vec<u32>,
+    /// Every term's attributes, end to end, in interning order.
     attr_arena: Vec<(Attr, i64)>,
     /// The hash-cons index: open addressing with linear probing over a
     /// power-of-two table kept at most half full. A slot holds a term
@@ -124,10 +122,10 @@ impl TermStore {
         self.intern(op, args.as_ref(), &[])
     }
 
-    /// Interns the application `op(args…)` carrying `attrs`, given in
-    /// any order: the term is keyed by the attributes as a set, so an
-    /// application differing in one value is another term, and one
-    /// listing the same values in another order is the same.
+    /// Interns the application `op(args…)` carrying `attrs`: an
+    /// application that differs in an attribute value, or lists its
+    /// attributes in another order, is another term. (A graph lists a
+    /// node's attributes in the order its builder gave them.)
     pub fn app_with_attrs(
         &mut self,
         op: Symbol,
@@ -141,17 +139,11 @@ impl TermStore {
         if (self.len() + 1) * 2 > self.index.len() {
             self.grow_index();
         }
-        // The key's attribute run, staged where a new term's would go.
-        let attr_start = self.attr_arena.len();
-        self.attr_arena.extend_from_slice(attrs);
-        self.attr_arena[attr_start..].sort_unstable();
-        let key = &self.attr_arena[attr_start..];
         let mask = self.index.len() - 1;
-        let mut slot = home_slot(op, args, key, self.index.len());
+        let mut slot = home_slot(op, args, attrs, self.index.len());
         while let Some(found) = self.index[slot].checked_sub(1) {
             let found = TermId(found);
-            if self.op(found) == op && self.args(found) == args && self.attrs(found) == key {
-                self.attr_arena.truncate(attr_start);
+            if self.op(found) == op && self.args(found) == args && self.attrs(found) == attrs {
                 return found;
             }
             slot = (slot + 1) & mask;
@@ -173,8 +165,9 @@ impl TermStore {
         self.heads.push(op);
         self.starts.push(start);
         self.arena.extend_from_slice(args);
-        self.attr_ends
+        self.attr_starts
             .push(u32::try_from(self.attr_arena.len()).expect("attribute offsets fit in 32 bits"));
+        self.attr_arena.extend_from_slice(attrs);
         self.sizes.push(size);
         self.heights.push(height);
         TermId(entry - 1)
@@ -193,7 +186,7 @@ impl TermStore {
         }
         self.heads.reserve(additional);
         self.starts.reserve(additional);
-        self.attr_ends.reserve(additional);
+        self.attr_starts.reserve(additional);
         self.sizes.reserve(additional);
         self.heights.reserve(additional);
         self.arena.reserve(2 * additional);
@@ -240,14 +233,14 @@ impl TermStore {
         &self.arena[start..end]
     }
 
-    /// Attributes of a term, sorted by attribute; empty for a term
-    /// interned by [`TermStore::app`] or [`TermStore::app0`].
+    /// Attributes of a term, as interned; empty for a term interned by
+    /// [`TermStore::app`] or [`TermStore::app0`].
     pub fn attrs(&self, t: TermId) -> &[(Attr, i64)] {
-        let end = self.attr_ends[t.index()] as usize;
-        let start = t
-            .index()
-            .checked_sub(1)
-            .map_or(0, |prev| self.attr_ends[prev] as usize);
+        let start = self.attr_starts[t.index()] as usize;
+        let end = self
+            .attr_starts
+            .get(t.index() + 1)
+            .map_or(self.attr_arena.len(), |&next| next as usize);
         &self.attr_arena[start..end]
     }
 
@@ -431,7 +424,7 @@ mod tests {
     }
 
     #[test]
-    fn attributes_join_the_key_as_a_set() {
+    fn attributes_join_the_key() {
         let (mut syms, mut terms) = setup();
         let (x, conv) = (syms.op("x", 0), syms.op("Conv2d", 1));
         let (stride, pad) = (syms.attr("stride"), syms.attr("pad"));
@@ -442,7 +435,7 @@ mod tests {
         assert_eq!(terms.len(), 4, "no attributes, stride 1, stride 2");
         assert!(plain != one && one != two);
         assert_eq!(
-            terms.app_with_attrs(conv, [x], [(pad, 0), (stride, 1)]),
+            terms.app_with_attrs(conv, [x], [(stride, 1), (pad, 0)]),
             one
         );
         assert_eq!(terms.app_with_attrs(conv, [x], []), plain);
@@ -467,7 +460,6 @@ mod tests {
             assert_eq!(terms.attrs(t), [(value, v as i64)]);
         }
         assert_eq!(terms.len(), 100);
-        assert_eq!(terms.attr_arena.len(), 100, "a found key leaves no run");
     }
 
     #[test]
