@@ -61,7 +61,7 @@
 //! view build makes 62 and the pass 2 960. With a term's attributes
 //! part of its key in the term store — no symbol name or map key per
 //! distinct constant, no attribute copy in the view — the view build
-//! makes 33 and the pass 2 930.
+//! makes 32 and the pass 2 930.
 //!
 //! And that a machine step allocates nothing: a warmed machine makes
 //! the same count whether a run takes 14 steps or 74.
@@ -255,10 +255,10 @@ const PASS_IS_THE_PRODUCTS: bool = !cfg!(debug_assertions);
 /// owning its attribute list, 0.024 (72) since a row names its shape by
 /// id and the term store is sized for the graph before the build
 /// interns it, 0.021 (62) since the order it walks is one allocation,
-/// 0.011 (33) since a term's attributes are part of its key in the term
+/// 0.0107 (32) since a term's attributes are part of its key in the term
 /// store: a constant no longer formats a symbol name and a map key, and
 /// the view copies no attributes.
-const VIEW_BUILD_PER_NODE: f64 = 0.011;
+const VIEW_BUILD_PER_NODE: f64 = 0.0107;
 
 /// What one 100-layer `Pipeline::run` may allocate: 15 476 while the
 /// machine cloned the pattern of every step and every term its shape,
