@@ -123,8 +123,8 @@ impl AttrInterp for GraphAttrInterp<'_> {
                 return self.shapes.dim(meta.shape, i);
             }
         }
-        let own = terms.attrs(t).iter().find(|(k, _)| *k == attr);
-        own.map(|&(_, v)| v)
+        let operator_attr = terms.attrs(t).iter().find(|(k, _)| *k == attr);
+        operator_attr.map(|&(_, v)| v)
     }
 }
 
