@@ -154,7 +154,10 @@ fn eight_concurrent_clients_get_identical_counters() {
 fn rendezvous_queue_rejects_the_burst_with_overloaded() {
     // workers=1, queue_depth=0: one compile in flight, zero waiting.
     // A burst of concurrent compiles must see at least one immediate
-    // STATUS_OVERLOADED — and every admitted request must succeed.
+    // STATUS_OVERLOADED — and every admitted request must succeed. The
+    // 32 requests are 32 distinct keys: a repeat of a key the server
+    // has answered is a cache hit served without the worker, so a burst
+    // of one key could drain without ever meeting a busy worker.
     let server = Server::bind(ServeConfig {
         workers: 1,
         queue_depth: 0,
@@ -162,14 +165,26 @@ fn rendezvous_queue_rejects_the_burst_with_overloaded() {
     })
     .unwrap();
     let addr = server.addr();
-    let handles: Vec<_> = (0..8)
-        .map(|_| {
+    let models = [
+        "bert-tiny",
+        "bert-mini",
+        "bert-small",
+        "electra-small",
+        "squeezebert",
+        "mobilebert",
+        "minilm-l6",
+        "t5-small-encoder",
+    ];
+    let handles: Vec<_> = models
+        .into_iter()
+        .map(|model| {
             std::thread::spawn(move || {
                 let mut c = Client::connect(addr).unwrap();
                 let mut ok = 0u32;
                 let mut overloaded = 0u32;
-                for _ in 0..4 {
-                    let (status, body) = c.request("compile bert-small").unwrap();
+                for config in ["baseline", "fmha", "epilog", "both"] {
+                    let request = format!("compile {model} config={config}");
+                    let (status, body) = c.request(&request).unwrap();
                     match status {
                         STATUS_OK => {
                             common::parse_report(&body);
