@@ -176,9 +176,10 @@ impl TermStore {
     /// Makes room for `additional` more terms: the index grows once, to
     /// the size their interning would have doubled it to, and the
     /// columns and the argument arena (two arguments a term) are
-    /// reserved; the attribute arena grows as attributes arrive. Interning a whole graph starts here with its live node
-    /// count, so the scan neither rehashes nor regrows as it goes.
-    /// Terms and ids are as they would have been without it.
+    /// reserved; the attribute arena grows as attributes arrive.
+    /// Interning a whole graph starts here with its live node count, so
+    /// the scan neither rehashes nor regrows as it goes. Terms and ids
+    /// are as they would have been without it.
     pub fn reserve(&mut self, additional: usize) {
         let wanted = (self.len() + additional) * 2;
         if wanted > self.index.len() {
